@@ -14,7 +14,7 @@ flowing through each operator, making the pipelining-vs-materialization
 comparison concrete. For *per-node* attribution (rows, wall time, probe
 counts on each operator instead of whole-query totals), construct the
 Executor with a :class:`repro.obs.metrics.PlanMetrics`; without one the
-binding streams are exactly the seed generators, untouched.
+binding streams are the plain generators, with no per-row accounting.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class Executor:
         self.evaluator = evaluator
         self.indexes = indexes or {}
         self.stats = ExecutionStats()
-        #: optional per-operator collector; None keeps the seed fast path
+        #: optional per-operator collector; None means no per-row accounting
         self.metrics = metrics
         #: optional repro.jit.JITConfig; None keeps the interpreted path
         self.jit = jit
@@ -134,7 +134,7 @@ class Executor:
         if self.metrics is None:
             self._reusable_scans = _collect_reusable_scans(plan)
             return self._reduce(plan)
-        # EXPLAIN ANALYZE keeps the seed's fresh-dict-per-row streams.
+        # EXPLAIN ANALYZE keeps fresh-dict-per-row streams.
         self._reusable_scans = frozenset()
         self.metrics.reset()
         block = self.metrics.for_node(plan)

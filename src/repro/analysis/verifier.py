@@ -7,26 +7,26 @@ optimizer snapshot every rule fire and hand the before/after pair to
 raises :class:`~repro.errors.VerificationError` on the first unsound
 rewrite.
 
-Verification is off by default and the off path is byte-identical to a
-build without this module (no snapshots, no checks). Three switches,
+Verification is off by default (no snapshots, no checks); on or off, a
+sound pipeline returns the same values. Three switches,
 in precedence order:
 
 1. an explicit ``verify=`` argument to ``normalize_with_trace`` /
    ``Optimizer`` / ``Database.run``;
 2. the :func:`verification` context manager (used by ``Database.run``
    to cover the internal re-normalization inside ``build_plan``);
-3. the ``REPRO_VERIFY=1`` environment variable (used by CI's
-   verify-mode job).
+3. the ``REPRO_VERIFY=1`` environment variable (the ``verify`` row of
+   CI's mode matrix).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 from repro.calculus.ast import Term
 from repro.calculus.traversal import alpha_equal
+from repro.env import env_flag
 from repro.errors import VerificationError
 from repro.span import span_of
 from repro.types.types import Type
@@ -48,14 +48,12 @@ from repro.analysis.invariants import (
 #: defers to the environment.
 _OVERRIDE: Optional[bool] = None
 
-_FALSEY = ("", "0", "false", "off", "no")
-
 
 def verification_enabled() -> bool:
     """Is rewrite verification currently on?"""
     if _OVERRIDE is not None:
         return _OVERRIDE
-    return os.environ.get("REPRO_VERIFY", "").strip().lower() not in _FALSEY
+    return env_flag("REPRO_VERIFY")
 
 
 @contextmanager

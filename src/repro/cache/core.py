@@ -17,8 +17,10 @@ Three cooperating layers (docs/CACHE.md has the full story):
 
 Everything is off by default: a :class:`~repro.db.database.Database`
 only consults a cache when constructed with ``cache=...`` or when the
-``REPRO_CACHE`` environment flag is set (same convention as
-``REPRO_VERIFY``). Both stores are LRU with optional max-entry and TTL
+``REPRO_CACHE`` environment flag is set (the convention every mode
+shares — DESIGN.md, "Modes"). The pipeline is the same one either way,
+:meth:`Database.compile` then ``_execute``; a cache is what those two
+consult when one is attached. Both stores are LRU with optional max-entry and TTL
 bounds; every hit/miss/eviction/invalidation increments a counter on
 :class:`CacheStats`, surfaced through ``repro.obs`` and the
 ``python -m repro cache`` CLI.
@@ -26,7 +28,6 @@ bounds; every hit/miss/eviction/invalidation increments a counter on
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -34,15 +35,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.calculus.ast import Term
+from repro.env import env_flag
 from repro.errors import DatabaseError
 from repro.normalize.trace import NormalizationTrace
-
-_FALSEY = ("", "0", "false", "off", "no")
 
 
 def cache_env_enabled() -> bool:
     """Is the ``REPRO_CACHE`` environment flag set (and not falsey)?"""
-    return os.environ.get("REPRO_CACHE", "").strip().lower() not in _FALSEY
+    return env_flag("REPRO_CACHE")
 
 
 @dataclass
@@ -178,34 +178,43 @@ class LRUCache:
 
 @dataclass
 class CompiledQuery:
-    """Everything the pipeline produced for one query, ready to re-run.
+    """Everything the pipeline's front half produced for one query.
 
-    ``kind`` names the execution strategy the entry compiled to:
-    ``"groupby"`` (single-pass Nest plan), ``"algebra"`` (optimized
-    physical plan) or ``"interpret"`` (normalized term on the reference
-    evaluator). ``phases`` lists the pipeline phases a hit skips, in
-    :data:`repro.obs.tracer.PIPELINE_PHASES` order. ``extents`` and
-    ``result_cacheable`` come from :mod:`repro.cache.invalidation`;
-    ``version`` is the compile-time catalog/epoch vector the entry is
-    valid for.
+    This is the only product of :meth:`Database.compile
+    <repro.db.database.Database.compile>` and the only input of the back
+    half, with or without a cache attached. ``kind`` names the execution
+    strategy the entry compiled to: ``"groupby"`` (single-pass Nest
+    plan), ``"algebra"`` (optimized physical plan) or ``"interpret"``
+    (normalized term on the reference evaluator). ``phases`` lists the
+    pipeline phases a hit skips, in
+    :data:`repro.obs.tracer.PIPELINE_PHASES` order. ``version`` is the
+    compile-time catalog/epoch vector the entry is valid for;
+    ``verified`` records whether it was built under rewrite
+    verification (a verifying call never reuses an unverified entry).
+
+    ``key`` (the canonical alpha-form), ``extents`` and
+    ``result_cacheable`` (from :mod:`repro.cache.invalidation`) matter
+    only to a cache, so they stay ``None`` until an attached cache first
+    needs them — a database without one never computes them.
     """
 
     oql: str
     engine: str
     typecheck: bool
-    key: Any  # canonical cache key: (canonical term, engine, typecheck)
     calculus: Term
     normalized: Term
     trace: NormalizationTrace
     kind: str  # 'groupby' | 'algebra' | 'interpret'
     plan: Optional[Any]
     phases: tuple[str, ...]
-    extents: frozenset[str]
-    result_cacheable: bool
     params: tuple[str, ...]
     version: Any
-    hits: int = 0
+    verified: bool = False
+    key: Any = None  # canonical cache key: (canonical term, engine, typecheck)
+    extents: Optional[frozenset[str]] = None
+    result_cacheable: Optional[bool] = None
     uncacheable_reason: Optional[str] = None
+    hits: int = 0
 
 
 class QueryCache:
@@ -251,21 +260,30 @@ class QueryCache:
 
     # -- compilation cache ------------------------------------------------------
 
-    def compiled_by_text(self, text_key: Any, version: Any) -> Optional[CompiledQuery]:
+    def compiled_by_text(
+        self, text_key: Any, version: Any, verified: bool = False
+    ) -> Optional[CompiledQuery]:
         """The entry for an exact query text, or None (counts a hit)."""
         with self._lock:
             canon_key = self._aliases.get(text_key)
             if canon_key is MISSING:
                 return None
-            return self.compiled_by_canon(canon_key, version)
+            return self.compiled_by_canon(canon_key, version, verified)
 
-    def compiled_by_canon(self, canon_key: Any, version: Any) -> Optional[CompiledQuery]:
-        """The entry under a canonical key, version-checked (counts a hit)."""
+    def compiled_by_canon(
+        self, canon_key: Any, version: Any, verified: bool = False
+    ) -> Optional[CompiledQuery]:
+        """The entry under a canonical key, version-checked (counts a hit).
+
+        With ``verified`` set, an entry that was not built under rewrite
+        verification is as stale as one from an older catalog: dropped,
+        so the caller rebuilds it with the verifier watching.
+        """
         with self._lock:
             entry = self._compiled.get(canon_key)
             if entry is MISSING:
                 return None
-            if entry.version != version:
+            if entry.version != version or (verified and not entry.verified):
                 self.stats.invalidations += 1
                 self._compiled.remove(canon_key)
                 return None
@@ -337,7 +355,7 @@ def resolve_cache(cache: Any) -> Optional[QueryCache]:
     """Normalize ``Database(cache=...)`` to a :class:`QueryCache` or None.
 
     ``None`` defers to the ``REPRO_CACHE`` environment flag (unset or
-    falsey → caching off — the byte-for-byte-unchanged default).
+    falsey → caching off, the default).
     ``True``/``False`` force it; a :class:`CacheConfig` configures a
     fresh cache; an existing :class:`QueryCache` is shared as-is.
     """

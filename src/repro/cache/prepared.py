@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.analysis.verifier import resolve_verify
 from repro.cache.core import CompiledQuery
 from repro.errors import DatabaseError
 
@@ -67,26 +68,20 @@ class Prepared:
         return self._ensure().params
 
     def _ensure(self) -> CompiledQuery:
-        """The current entry, recompiling if the catalog moved on."""
+        """The current entry: the shared cache's when the database has
+        one, else the pinned one — recompiled if the catalog moved on,
+        or if verification is now on and the pin was built without it."""
         db = self._db
-        version = db._compile_version()
-        text_key = (self.oql, self.engine, self.typecheck)
-        entry: Optional[CompiledQuery] = None
-        if db.cache is not None:
-            entry = db.cache.compiled_by_text(text_key, version)
-        if entry is None and self._entry is not None and self._entry.version == version:
-            entry = self._entry
-        if entry is None:
-            entry = db._compile_entry(
-                self.oql,
-                self.engine,
-                self.typecheck,
-                text_key,
-                version,
-                {},
-                param_types=self.param_types,
+        entry = self._entry
+        if (
+            db.cache is not None
+            or entry is None
+            or entry.version != db._compile_version()
+            or (resolve_verify(None) and not entry.verified)
+        ):
+            entry = self._entry = db.compile(
+                self.oql, self.engine, self.typecheck, self.param_types
             )
-        self._entry = entry
         return entry
 
     def _validate(self, bindings: dict[str, Any]) -> None:
@@ -106,7 +101,9 @@ class Prepared:
 
     def run_detailed(self, metrics: bool = False, **params: Any):
         """Execute with the given bindings; full :class:`QueryResult`."""
-        return self._db._run_prepared(self, params, metrics=metrics)
+        return self._db._run(
+            self.oql, self.engine, self.typecheck, False, metrics, None, self, params
+        )
 
     def run(self, **params: Any) -> Any:
         """Execute with the given bindings; just the value."""

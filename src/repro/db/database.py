@@ -1,12 +1,24 @@
 """The database facade: the whole paper as one object.
 
-:class:`Database` wires every layer together::
+:class:`Database` wires every layer together, once::
 
     OQL text --parse--> OQL AST --translate--> calculus term
         --typecheck--> (C/I well-formedness)
         --normalize--> canonical comprehension
         --plan------> logical algebra --optimize--> physical plan
         --execute---> result (pipelined)
+
+Everything up to the physical plan is :meth:`Database.compile`, a
+function of the query text and the catalog alone; its product, a
+:class:`~repro.cache.core.CompiledQuery`, is the only thing the back
+half (``_execute``) accepts. Ad-hoc queries, prepared statements,
+EXPLAIN and the lint advisors all go through that one pair, so they
+cannot disagree about which plan a query gets. The opt-in modes (cache,
+telemetry, parallel, jit, verify — DESIGN.md has the table) are stages
+of that pipeline, held to a contract that can be checked: *every mode
+returns the same value and raises the same error as every other (the
+test suite), and the default mode's end-to-end metrics stay within the
+bounds of ``BENCHMARK.json`` (the harness)*.
 
 ``run`` returns just the value; ``run_detailed`` returns every
 intermediate artifact (the translated term, the normalization trace,
@@ -18,18 +30,25 @@ the normalized term on the reference evaluator instead of the algebra
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Literal, Optional
+from importlib import import_module
+from typing import Any, Iterator, Literal, Optional
 
+from repro.algebra.groupby import build_group_by_plan
 from repro.algebra.ops import Reduce
 from repro.algebra.optimizer import Optimizer, explain as explain_plan
 from repro.algebra.physical import ExecutionStats, Executor
 from repro.algebra.translate import build_plan
 from repro.analysis.verifier import resolve_verify, verification
-from repro.cache.core import CompiledQuery, QueryCache, resolve_cache
+from repro.cache.core import CompiledQuery, QueryCache
+from repro.cache.invalidation import analyze_dependencies
+from repro.cache.keys import canonical_term, param_names
 from repro.calculus.ast import Comprehension, Term
+from repro.calculus.traversal import substitute_many
 from repro.db.catalog import Catalog
 from repro.db.sample_data import (
     company_schema,
@@ -37,7 +56,8 @@ from repro.db.sample_data import (
     make_travel_agency,
     travel_schema,
 )
-from repro.errors import DatabaseError, PlanError
+from repro.env import env_flag
+from repro.errors import DatabaseError, LintError, PlanError
 from repro.eval.evaluator import Evaluator
 from repro.monoids import BAG, LIST, SET
 from repro.normalize.engine import normalize_with_trace
@@ -47,11 +67,23 @@ from repro.obs.querylog import QueryLog, oql_fingerprint
 from repro.obs.tracer import Tracer, TraceSpan
 from repro.objects.classes import ExtentRegistry
 from repro.objects.store import ObjectStore
+from repro.oql.ast import Select
 from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.types.infer import TypeChecker
 from repro.types.schema import Schema
+from repro.types.types import ANY
 from repro.values import Bag, Record
+
+#: The opt-in modes: attribute name -> (environment flag, module holding
+#: the resolver, resolver name). One row per mode; ``_resolve_mode`` is
+#: the only code that reads it.
+_MODES = {
+    "cache": ("REPRO_CACHE", "repro.cache.core", "resolve_cache"),
+    "telemetry": ("REPRO_TELEMETRY", "repro.obs.telemetry.registry", "resolve_telemetry"),
+    "parallel": ("REPRO_PARALLEL", "repro.parallel", "resolve_parallel"),
+    "jit": ("REPRO_JIT", "repro.jit", "resolve_jit"),
+}
 
 
 @dataclass
@@ -146,29 +178,23 @@ class Database:
         self._stats: dict[str, Any] = {}
         #: pipeline tracer; disabled by default so queries run untouched
         self.tracer = Tracer(enabled=False)
-        # Per-thread tracer override (telemetry turns tracing on for
-        # its own queries without mutating the shared ``tracer``, which
-        # would race under concurrent query threads).
+        # Per-thread tracer override (telemetry and EXPLAIN ANALYZE turn
+        # tracing on for their own queries without mutating the shared
+        # ``tracer``, which would race under concurrent query threads).
         self._tracer_local = threading.local()
         #: structured query log, enabled via :meth:`profile`
         self.query_log: Optional[QueryLog] = None
-        #: query cache (compiled plans + results); None means off — the
-        #: default unless ``cache=`` or ``REPRO_CACHE`` says otherwise,
-        #: keeping the uncached pipeline byte-for-byte the seed's
-        self.cache: Optional[QueryCache] = resolve_cache(cache)
-        #: metrics registry (fleet telemetry); None means off — the
-        #: default unless ``telemetry=`` / ``REPRO_TELEMETRY`` /
-        #: :func:`repro.obs.telemetry.enable_telemetry` says otherwise
-        self.telemetry: Optional[Any] = _resolve_telemetry_lazy(telemetry)
-        #: partition-parallel execution config; None means off — the
-        #: default unless ``parallel=`` / ``REPRO_PARALLEL`` says
-        #: otherwise, keeping the serial pipeline byte-for-byte the
-        #: seed's (same opt-in convention as cache and telemetry)
-        self.parallel: Optional[Any] = _resolve_parallel_lazy(parallel)
-        #: closure-compilation (JIT) config; None means off — the
-        #: default unless ``jit=`` / ``REPRO_JIT`` says otherwise,
-        #: keeping the interpreted hot loops byte-for-byte the seed's
-        self.jit: Optional[Any] = _resolve_jit_lazy(jit)
+        # The opt-in modes, each None (off) unless its constructor
+        # argument or ``REPRO_*`` flag says otherwise (DESIGN.md, "Modes"):
+        #: query cache (compiled plans + results)
+        self.cache: Optional[QueryCache] = _resolve_mode("cache", cache)
+        #: metrics registry (fleet telemetry); also on after
+        #: :func:`repro.obs.telemetry.enable_telemetry`
+        self.telemetry: Optional[Any] = _resolve_mode("telemetry", telemetry)
+        #: partition-parallel execution config
+        self.parallel: Optional[Any] = _resolve_mode("parallel", parallel)
+        #: closure-compilation (JIT) config
+        self.jit: Optional[Any] = _resolve_mode("jit", jit)
         # Bumped whenever query *meaning* changes outside the catalog
         # (views defined, functions registered, object extents added);
         # part of the compile-version vector cache entries pin.
@@ -263,9 +289,10 @@ class Database:
 
     def translate(self, oql: str) -> Term:
         """OQL text -> calculus term with views expanded."""
-        from repro.calculus.traversal import substitute_many
+        return self._to_calculus(parse(oql))
 
-        term = Translator(self.schema).translate(parse(oql))
+    def _to_calculus(self, node: Any) -> Term:
+        term = Translator(self.schema).translate(node)
         if self._views:
             term = substitute_many(term, dict(self._views))
         return term
@@ -343,34 +370,73 @@ class Database:
         this one call even while tracing is off (EXPLAIN ANALYZE does
         this). ``verify`` is :meth:`run`'s rewrite-verification switch
         (it covers the whole pipeline, including the re-normalization
-        inside plan building). With everything off, the pipeline is
-        exactly the seed's.
+        inside plan building).
         """
-        if self.telemetry is None:
-            return self._run_detailed_plain(
-                oql, engine, typecheck, strict, metrics, verify
-            )
-        return self._with_telemetry(
-            lambda: self._run_detailed_plain(
-                oql, engine, typecheck, strict, metrics, verify
-            )
-        )
+        return self._run(oql, engine, typecheck, strict, metrics, verify, None, {})
 
-    def _run_detailed_plain(
+    def _run(self, *query: Any) -> QueryResult:
+        """The shell every query runs in, ad-hoc or prepared: telemetry
+        recording around :meth:`_run_query` (same arguments).
+
+        Timing uses ``time.perf_counter`` (never wall clock). When
+        session tracing is off, a throwaway enabled tracer is installed
+        thread-locally so the phase histograms still get a span tree —
+        the shared ``self.tracer`` is never touched, keeping concurrent
+        queries race-free. The registry is also *activated* for the
+        dynamic extent of the query so deep layers (query log, rewrite
+        verifier) can record without being handed it explicitly.
+        """
+        registry = self.telemetry
+        if registry is None:
+            return self._run_query(*query)
+        from repro.obs.telemetry.instrument import (
+            record_query_error,
+            record_query_result,
+        )
+        from repro.obs.telemetry.registry import activation
+
+        start = time.perf_counter()
+        try:
+            with activation(registry), self._tracing():
+                result = self._run_query(*query)
+        except Exception as err:
+            record_query_error(registry, err, time.perf_counter() - start)
+            raise
+        record_query_result(registry, self, result, time.perf_counter() - start)
+        return result
+
+    def _run_query(
         self,
         oql: str,
-        engine: Literal["auto", "algebra", "interpret"],
+        engine: str,
         typecheck: bool,
         strict: bool,
         metrics: bool,
         verify: Optional[bool],
+        prepared: Any,
+        params: dict[str, Any],
     ) -> QueryResult:
-        """The seed's ``run_detailed`` body, telemetry-free."""
-        with self._active_tracer().span(
-            "query", oql_sha256=oql_fingerprint(oql)
-        ) as qspan:
+        """One query: the ``query`` span, the ``verification`` extent,
+        strict lint, compile → execute, and the query-log entry."""
+        tracer = self._active_tracer()
+        with tracer.span("query", oql_sha256=oql_fingerprint(oql)) as qspan:
             with verification(verify):
-                result = self._run_pipeline(oql, engine, typecheck, strict, metrics)
+                if strict:
+                    # Lint is a per-call request, honored on cache hits
+                    # and misses alike — a cached plan must not smuggle
+                    # past strict mode.
+                    with tracer.span("lint"):
+                        errors = [d for d in self.lint(oql) if d.is_error]
+                    if errors:
+                        raise LintError(errors)
+                info: dict[str, Any] = {}
+                if prepared is None:
+                    entry = self.compile(oql, engine, typecheck, info=info)
+                else:
+                    entry = prepared._ensure()
+                    prepared._validate(params)
+                    info["compile"] = "prepared"
+                result = self._execute(oql, entry, params, metrics, info)
         if qspan is not None:
             result.span = qspan
             if self.query_log is not None:
@@ -378,16 +444,33 @@ class Database:
         return result
 
     def _active_tracer(self) -> Tracer:
-        """This thread's tracer: the telemetry override when one is
-        installed for the current query, else the shared tracer."""
+        """This thread's tracer: the override when one is installed for
+        the current query (:meth:`_tracing`), else the shared tracer."""
         override = getattr(self._tracer_local, "tracer", None)
         return override if override is not None else self.tracer
+
+    @contextmanager
+    def _tracing(self) -> Iterator[None]:
+        """Make sure this thread's queries are traced for the length of
+        the block: when they are not already, into a throwaway enabled
+        tracer installed thread-locally. The shared ``self.tracer`` is
+        never swapped or switched, so a concurrent ``run`` on another
+        thread and a ``profile()`` toggle during the block both keep
+        acting on it."""
+        if self._active_tracer().enabled:
+            yield
+            return
+        self._tracer_local.tracer = Tracer(enabled=True)
+        try:
+            yield
+        finally:
+            self._tracer_local.tracer = None
 
     def _executor(
         self, evaluator: Evaluator, plan_metrics: Optional[PlanMetrics]
     ) -> Executor:
-        """The executor for one query: the seed's serial
-        :class:`Executor` unless parallelism is enabled, in which case a
+        """The executor for one query: the serial :class:`Executor`
+        unless parallelism is enabled, in which case a
         :class:`~repro.parallel.ParallelExecutor` (which itself falls
         back to the identical serial path whenever the plan shape or
         config rules fan-out out)."""
@@ -410,268 +493,139 @@ class Database:
             jit=self.jit,
         )
 
-    def _with_telemetry(self, thunk: Any) -> QueryResult:
-        """Run one query thunk with telemetry recording around it.
+    # -- compile: the front half ------------------------------------------------
 
-        Timing uses ``time.perf_counter`` (never wall clock). When
-        session tracing is off, a throwaway enabled tracer is installed
-        thread-locally so the phase histograms still get a span tree —
-        the shared ``self.tracer`` is never touched, keeping concurrent
-        queries race-free. The registry is also *activated* for the
-        dynamic extent of the query so deep layers (query log, rewrite
-        verifier) can record without being handed it explicitly.
-        """
-        from repro.obs.telemetry.instrument import (
-            record_query_error,
-            record_query_result,
-        )
-        from repro.obs.telemetry.registry import activation
-
-        registry = self.telemetry
-        override = None
-        if not self.tracer.enabled:
-            override = Tracer(enabled=True)
-            self._tracer_local.tracer = override
-        start = time.perf_counter()
-        try:
-            with activation(registry):
-                result = thunk()
-        except Exception as err:
-            record_query_error(registry, err, time.perf_counter() - start)
-            raise
-        finally:
-            if override is not None:
-                self._tracer_local.tracer = None
-        record_query_result(registry, self, result, time.perf_counter() - start)
-        return result
-
-    def _run_pipeline(
+    def compile(
         self,
         oql: str,
-        engine: Literal["auto", "algebra", "interpret"],
-        typecheck: bool,
-        strict: bool,
-        metrics: bool,
-    ) -> QueryResult:
-        if self.cache is not None:
-            return self._run_pipeline_cached(oql, engine, typecheck, strict, metrics)
-        tracer = self._active_tracer()
-        if strict:
-            with tracer.span("lint"):
-                errors = [d for d in self.lint(oql) if d.is_error]
-            if errors:
-                from repro.errors import LintError
+        engine: Literal["auto", "algebra", "interpret"] = "auto",
+        typecheck: bool = False,
+        param_types: Optional[dict[str, Any]] = None,
+        *,
+        skip_group_by: bool = False,
+        info: Optional[dict[str, Any]] = None,
+    ) -> CompiledQuery:
+        """OQL text -> :class:`CompiledQuery`: parse → translate →
+        typecheck → normalize → group-by-or-plan → optimize → jit.
 
-                raise LintError(errors)
+        The one place that sequence is written. With a cache attached
+        the compiled entry is looked up first by exact text and then,
+        after translation, by canonical alpha-form (docs/CACHE.md
+        specifies keying and invalidation), and stored on a miss;
+        ``info``, when given, receives ``{"compile": "hit" | "miss"}``
+        in that case and nothing otherwise. Under rewrite verification
+        only entries that were themselves built under it count as hits.
+        ``$name`` parameters type-check as ``ANY`` unless ``param_types``
+        narrows them, whoever compiles — so a shared entry never depends
+        on who built it first, and an unbound parameter surfaces at
+        execution. ``skip_group_by`` is the back half's retry after a
+        Nest plan failed at run time: plan the comprehension instead.
+        """
+        cache = self.cache
+        tracer = self._active_tracer()
+        verifying = resolve_verify(None)
+        version = self._compile_version()
+        text_key = (oql, engine, typecheck)
+        if info is None:
+            info = {}
+        if cache is not None and not skip_group_by:
+            with tracer.span("cache"):
+                entry = cache.compiled_by_text(text_key, version, verifying)
+            if entry is not None:
+                info["compile"] = "hit"
+                tracer.mark_cached(*entry.phases)
+                return entry
         with tracer.span("parse"):
             node = parse(oql)
         with tracer.span("translate"):
-            from repro.calculus.traversal import substitute_many
-
-            calculus = Translator(self.schema).translate(node)
-            if self._views:
-                calculus = substitute_many(calculus, dict(self._views))
+            calculus = self._to_calculus(node)
+        key = None
+        if cache is not None:
+            # Only a cache needs the canonical alpha-form; without one
+            # it is never computed.
+            key = (canonical_term(calculus), engine, typecheck)
+            if not skip_group_by:
+                entry = cache.compiled_by_canon(key, version, verifying)
+                if entry is not None:
+                    # An alpha-variant of a cached query: alias the text
+                    # so the next repeat skips parse/translate too.
+                    cache.alias(text_key, key)
+                    info["compile"] = "hit"
+                    tracer.mark_cached(
+                        *[p for p in entry.phases if p not in ("parse", "translate")]
+                    )
+                    return entry
+            info["compile"] = "miss"
+        phases = ["parse", "translate"]
+        # ``$`` is not an identifier character, so text without one has
+        # no parameters (a view body is the one other place to hide one).
+        params = param_names(calculus) if "$" in oql or self._views else ()
         if typecheck:
             with tracer.span("typecheck"):
-                self.typecheck(calculus)
+                env = self._extent_types()
+                for name in params:
+                    env["$" + name] = (param_types or {}).get(name, ANY)
+                TypeChecker(self.schema).check(calculus, env)
+            phases.append("typecheck")
         with tracer.span("normalize"):
             normalized, trace = normalize_with_trace(calculus)
-        evaluator = self.evaluator()
-        plan_metrics = PlanMetrics() if (metrics or tracer.enabled) else None
-
+        phases.append("normalize")
+        kind = "interpret"
         plan: Optional[Reduce] = None
-        stats: Optional[ExecutionStats] = None
-        used_engine = "interpret"
+        if engine in ("auto", "algebra"):
+            if isinstance(node, Select) and node.group_by and not (skip_group_by or self._views):
+                # A single-pass Nest plan for group-by selects (see
+                # :mod:`repro.algebra.groupby`); shapes it does not
+                # cover fall through to the comprehension plan.
+                try:
+                    with tracer.span("plan"):
+                        plan = build_group_by_plan(node, Translator(self.schema))
+                    if verifying:
+                        from repro.analysis.plancheck import verify_plan
 
-        if engine in ("auto", "algebra") and not self._views:
-            nest_result = self._try_group_by_plan(node, evaluator, plan_metrics)
-            if nest_result is not None:
-                plan, value, stats, jit_report = nest_result
-                return QueryResult(
-                    oql,
-                    calculus,
-                    normalized,
-                    trace,
-                    plan,
-                    value,
-                    stats,
-                    "algebra",
-                    metrics=plan_metrics,
-                    jit=jit_report,
-                )
-        if engine in ("auto", "algebra") and isinstance(normalized, Comprehension):
-            try:
-                # Re-normalize with the planning rule set (no merge splits),
-                # which keeps the term a single plannable comprehension.
-                with tracer.span("plan"):
-                    logical = build_plan(normalized, pre_normalize=True)
-                with tracer.span("optimize"):
-                    plan = self._optimize(logical)
-                jit_report = self._jit_precompile(plan)
-                executor = self._executor(evaluator, plan_metrics)
-                with tracer.span("execute"):
-                    value = executor.execute(plan)
-                stats = executor.stats
-                used_engine = "algebra"
-                return QueryResult(
-                    oql,
-                    calculus,
-                    normalized,
-                    trace,
-                    plan,
-                    value,
-                    stats,
-                    used_engine,
-                    metrics=plan_metrics,
-                    jit=jit_report,
-                )
-            except PlanError:
-                if engine == "algebra":
-                    raise
-        with tracer.span("execute"):
-            value = evaluator.evaluate(normalized)
-        return QueryResult(
-            oql, calculus, normalized, trace, plan, value, stats, used_engine
+                        verify_plan(plan, phase="group-by-plan")
+                    kind = "groupby"
+                    phases.append("plan")
+                except PlanError:
+                    plan = None
+            if plan is None and isinstance(normalized, Comprehension):
+                try:
+                    # Re-normalize with the planning rule set (no merge
+                    # splits), which keeps the term a single plannable
+                    # comprehension.
+                    with tracer.span("plan"):
+                        logical = build_plan(normalized, pre_normalize=True)
+                    with tracer.span("optimize"):
+                        plan = self._optimize(logical)
+                    kind = "algebra"
+                    phases += ("plan", "optimize")
+                except PlanError:
+                    if engine == "algebra":
+                        raise
+            if plan is not None and self.jit is not None:
+                from repro.jit.plan import precompile_plan
+
+                with tracer.span("jit"):
+                    precompile_plan(plan)
+                phases.append("jit")
+        entry = CompiledQuery(
+            oql=oql,
+            engine=engine,
+            typecheck=typecheck,
+            calculus=calculus,
+            normalized=normalized,
+            trace=trace,
+            kind=kind,
+            plan=plan,
+            phases=tuple(phases),
+            params=params,
+            version=version,
+            verified=verifying,
+            key=key,
         )
-
-    def _try_group_by_plan(
-        self,
-        node: Any,
-        evaluator: Evaluator,
-        plan_metrics: Optional[PlanMetrics] = None,
-    ) -> Optional[tuple[Reduce, Any, ExecutionStats, Optional[dict[str, Any]]]]:
-        """A single-pass Nest plan for group-by selects (see
-        :mod:`repro.algebra.groupby`); None when the shape doesn't apply."""
-        from repro.algebra.groupby import build_group_by_plan
-        from repro.oql.ast import Select
-
-        if not isinstance(node, Select) or not node.group_by:
-            return None
-        tracer = self._active_tracer()
-        try:
-            with tracer.span("plan"):
-                plan = build_group_by_plan(node, Translator(self.schema))
-            if resolve_verify(None):
-                from repro.analysis.plancheck import verify_plan
-
-                verify_plan(plan, phase="group-by-plan")
-            jit_report = self._jit_precompile(plan)
-            executor = self._executor(evaluator, plan_metrics)
-            with tracer.span("execute"):
-                value = executor.execute(plan)
-            return plan, value, executor.stats, jit_report
-        except PlanError:
-            return None
-
-    def _jit_precompile(self, plan: Optional[Reduce]) -> Optional[dict[str, Any]]:
-        """Pre-compile a plan's expressions (the pipeline's ``jit``
-        phase); None (and no span) when the JIT is off."""
-        if self.jit is None or plan is None:
-            return None
-        from repro.jit.plan import precompile_plan
-
-        with self._active_tracer().span("jit"):
-            return precompile_plan(plan)
-
-    def _jit_ensure(self, plan: Optional[Reduce]) -> Optional[dict[str, Any]]:
-        """The execute-time (re)compilation guard for cached plans: a
-        cache hit skips the jit span, but the nodes may have been
-        evicted-and-rebuilt or never compiled (entry cached before the
-        JIT was enabled). Idempotent and cheap when already compiled."""
-        if self.jit is None or plan is None:
-            return None
-        from repro.jit.plan import precompile_plan
-
-        return precompile_plan(plan)
-
-    # -- cached pipeline --------------------------------------------------------
-    #
-    # With a cache attached, _run_pipeline branches here instead of the
-    # seed path above. The contract: identical values for every query,
-    # with the front half (parse..optimize) memoized per canonical
-    # alpha-form and, where sound, whole results memoized under a
-    # version vector. docs/CACHE.md specifies keying and invalidation.
-
-    def enable_cache(self, cache: Any = True) -> QueryCache:
-        """Attach a query cache (``True``, a CacheConfig or a QueryCache)."""
-        resolved = resolve_cache(cache)
-        if resolved is None:
-            resolved = resolve_cache(True)
-        self.cache = resolved
-        return resolved
-
-    def disable_cache(self) -> None:
-        """Detach the cache; the pipeline reverts to the uncached path."""
-        self.cache = None
-
-    def enable_telemetry(self, telemetry: Any = True):
-        """Attach a metrics registry (``True`` = the shared process
-        default, or an explicit :class:`MetricsRegistry` of your own).
-
-        While attached, every :meth:`run`/:meth:`run_detailed` and
-        prepared execution updates the registry's counters, latency
-        histograms and hot-query table; export with
-        :func:`repro.obs.telemetry.prometheus_text` (and friends) or
-        serve them with ``python -m repro metrics serve``.
-        """
-        from repro.obs.telemetry.registry import resolve_telemetry
-
-        resolved = resolve_telemetry(telemetry)
-        if resolved is None:
-            resolved = resolve_telemetry(True)
-        self.telemetry = resolved
-        return resolved
-
-    def disable_telemetry(self) -> None:
-        """Detach telemetry; queries revert to the exact seed path."""
-        self.telemetry = None
-
-    def enable_parallel(self, parallel: Any = True):
-        """Turn on partition-parallel execution.
-
-        ``True`` gives the default config (4 workers), an ``int`` sets
-        the worker count, a
-        :class:`~repro.parallel.ParallelConfig` tunes everything
-        (morsel size, minimum rows, the serial-equivalence ``verify``
-        switch). Results are guaranteed identical to serial execution —
-        see ``docs/PARALLEL.md`` for the determinism argument per
-        monoid property.
-        """
-        from repro.parallel import resolve_parallel
-
-        resolved = resolve_parallel(parallel)
-        if resolved is None:
-            resolved = resolve_parallel(True)
-        self.parallel = resolved
-        return resolved
-
-    def disable_parallel(self) -> None:
-        """Revert to the seed's serial executor."""
-        self.parallel = None
-
-    def enable_jit(self, jit: Any = True):
-        """Turn on closure compilation of hot-path expressions.
-
-        ``True`` gives the defaults; a
-        :class:`~repro.jit.JITConfig` tunes the per-row differential
-        ``verify`` check. While on, every Select predicate, Join key,
-        Unnest path, Nest key and Reduce head runs as a compiled Python
-        closure instead of re-interpreting its AST per row; constructs
-        outside the compilable fragment fall back to the reference
-        interpreter expression-by-expression. Values are guaranteed
-        identical either way — see ``docs/JIT.md``.
-        """
-        from repro.jit import resolve_jit
-
-        resolved = resolve_jit(jit)
-        if resolved is None:
-            resolved = resolve_jit(True)
-        self.jit = resolved
-        return resolved
-
-    def disable_jit(self) -> None:
-        """Revert to the seed's interpreted hot loops."""
-        self.jit = None
+        if cache is not None:
+            cache.remember(text_key, key, entry)
+        return entry
 
     def prepare(
         self,
@@ -702,10 +656,15 @@ class Database:
         """What compiled entries are valid against: catalog + epoch."""
         return (self.catalog.version, self._cache_epoch)
 
+    # -- execute: the back half ---------------------------------------------------
+
     def _result_versions(self, entry: CompiledQuery) -> tuple:
-        """The version vector guarding one result-cache entry."""
+        """The version vector guarding one result-cache entry. It
+        includes whether the plan was built under verification, so a
+        verifying call is never served a value an unverified plan made."""
         return (
             entry.version,
+            entry.verified,
             tuple(
                 (name, self.catalog.extent_version(name))
                 for name in sorted(entry.extents)
@@ -713,352 +672,192 @@ class Database:
             self.store.version,
         )
 
-    def _known_extent_names(self) -> set[str]:
-        return set(self.catalog.extents()) | set(self._object_extents)
-
-    def _run_pipeline_cached(
-        self,
-        oql: str,
-        engine: Literal["auto", "algebra", "interpret"],
-        typecheck: bool,
-        strict: bool,
-        metrics: bool,
-    ) -> QueryResult:
-        tracer = self._active_tracer()
-        if strict:
-            # Lint is a per-call request, honored on hits and misses
-            # alike — a cached plan must not smuggle past strict mode.
-            with tracer.span("lint"):
-                errors = [d for d in self.lint(oql) if d.is_error]
-            if errors:
-                from repro.errors import LintError
-
-                raise LintError(errors)
-        version = self._compile_version()
-        text_key = (oql, engine, typecheck)
-        info: dict[str, Any] = {}
-        with tracer.span("cache"):
-            entry = self.cache.compiled_by_text(text_key, version)
-        if entry is not None:
-            info["compile"] = "hit"
-            tracer.mark_cached(*entry.phases)
-        else:
-            entry = self._compile_entry(oql, engine, typecheck, text_key, version, info)
-        return self._finish_cached(oql, entry, engine, {}, metrics, info)
-
-    def _compile_entry(
-        self,
-        oql: str,
-        engine: str,
-        typecheck: bool,
-        text_key: Any,
-        version: tuple,
-        info: dict[str, Any],
-        param_types: Optional[dict[str, Any]] = None,
-        skip_group_by: bool = False,
-    ) -> CompiledQuery:
-        """Run the pipeline front half, consulting/updating the cache.
-
-        Parse and translate always run (the canonical key needs the
-        term); an alpha-equivalent entry then short-circuits the rest.
-        """
-        from repro.cache.invalidation import analyze_dependencies
-        from repro.cache.keys import canonical_term, param_names
-        from repro.obs.tracer import COMPILE_PHASES
-
-        cache = self.cache
-        tracer = self._active_tracer()
-        with tracer.span("parse"):
-            node = parse(oql)
-        with tracer.span("translate"):
-            from repro.calculus.traversal import substitute_many
-
-            calculus = Translator(self.schema).translate(node)
-            if self._views:
-                calculus = substitute_many(calculus, dict(self._views))
-        canon_key = (canonical_term(calculus), engine, typecheck)
-        if cache is not None and not skip_group_by:
-            entry = cache.compiled_by_canon(canon_key, version)
-            if entry is not None:
-                # An alpha-variant of a cached query: alias the text so
-                # the next repeat skips parse/translate too.
-                cache.alias(text_key, canon_key)
-                info["compile"] = "hit"
-                tracer.mark_cached(
-                    *[p for p in entry.phases if p not in ("parse", "translate")]
-                )
-                return entry
-        info["compile"] = "miss"
-        params = param_names(calculus)
-        if typecheck:
-            with tracer.span("typecheck"):
-                self._typecheck_with_params(calculus, params, param_types)
-        with tracer.span("normalize"):
-            normalized, trace = normalize_with_trace(calculus)
-        ran = {"parse", "translate", "normalize"}
-        if typecheck:
-            ran.add("typecheck")
-        kind = "interpret"
-        plan: Optional[Reduce] = None
-        if (
-            not skip_group_by
-            and engine in ("auto", "algebra")
-            and not self._views
-        ):
-            plan = self._build_group_by_plan(node)
-            if plan is not None:
-                kind = "groupby"
-                ran.add("plan")
-        if (
-            kind == "interpret"
-            and engine in ("auto", "algebra")
-            and isinstance(normalized, Comprehension)
-        ):
-            try:
-                with tracer.span("plan"):
-                    logical = build_plan(normalized, pre_normalize=True)
-                with tracer.span("optimize"):
-                    plan = self._optimize(logical)
-                kind = "algebra"
-                ran.update(("plan", "optimize"))
-            except PlanError:
-                if engine == "algebra":
-                    raise
-                plan = None
-        if self.jit is not None and plan is not None:
-            with tracer.span("jit"):
-                from repro.jit.plan import precompile_plan
-
-                precompile_plan(plan)
-            ran.add("jit")
+    def _analyze_for_cache(self, entry: CompiledQuery) -> None:
+        """Fill in what only the result cache needs of an entry: its
+        canonical key, read set and cacheability verdict.
+        ``result_cacheable`` is written last — it is what marks the
+        entry analyzed for other threads sharing it."""
+        if entry.key is None:
+            entry.key = (canonical_term(entry.calculus), entry.engine, entry.typecheck)
         deps = analyze_dependencies(
-            kind, plan, normalized, self._known_extent_names(), self.functions
+            entry.kind,
+            entry.plan,
+            entry.normalized,
+            set(self.catalog.extents()) | self._object_extents,
+            self.functions,
         )
-        entry = CompiledQuery(
-            oql=oql,
-            engine=engine,
-            typecheck=typecheck,
-            key=canon_key,
-            calculus=calculus,
-            normalized=normalized,
-            trace=trace,
-            kind=kind,
-            plan=plan,
-            phases=tuple(p for p in COMPILE_PHASES if p in ran),
-            extents=deps.extents,
-            result_cacheable=deps.cacheable,
-            params=params,
-            version=version,
-            uncacheable_reason=deps.reason,
-        )
-        if cache is not None:
-            cache.remember(text_key, canon_key, entry)
-        return entry
+        entry.extents = deps.extents
+        entry.uncacheable_reason = deps.reason
+        entry.result_cacheable = deps.cacheable
 
-    def _typecheck_with_params(
-        self,
-        term: Term,
-        params: tuple[str, ...],
-        param_types: Optional[dict[str, Any]] = None,
-    ) -> None:
-        """Type-check with ``$`` parameters bound (``ANY`` by default)."""
-        env = self._extent_types()
-        if params:
-            from repro.types.types import ANY
-
-            for name in params:
-                env["$" + name] = (param_types or {}).get(name, ANY)
-        TypeChecker(self.schema).check(term, env)
-
-    def _build_group_by_plan(self, node: Any) -> Optional[Reduce]:
-        """Build (and verify) a Nest plan without executing it."""
-        from repro.algebra.groupby import build_group_by_plan
-        from repro.oql.ast import Select
-
-        if not isinstance(node, Select) or not node.group_by:
-            return None
-        try:
-            with self._active_tracer().span("plan"):
-                plan = build_group_by_plan(node, Translator(self.schema))
-            if resolve_verify(None):
-                from repro.analysis.plancheck import verify_plan
-
-                verify_plan(plan, phase="group-by-plan")
-            return plan
-        except PlanError:
-            return None
-
-    def _finish_cached(
+    def _execute(
         self,
         oql: str,
         entry: CompiledQuery,
-        engine: str,
         params: dict[str, Any],
         metrics: bool,
         info: dict[str, Any],
     ) -> QueryResult:
-        """Result-cache consultation, execution, and result assembly."""
+        """Result-cache lookup → executor → fallback chain → result.
+
+        Plan failures are discovered at execution time, and every way of
+        running a query degrades the same way: a group-by plan that
+        fails is recompiled as a comprehension plan; an algebra plan
+        that fails is demoted to the reference interpreter (unless
+        ``engine="algebra"`` asked for the error). With a cache attached
+        the replacement overwrites the stale entry.
+        """
         cache = self.cache
         tracer = self._active_tracer()
         plan_metrics = PlanMetrics() if (metrics or tracer.enabled) else None
-        result_key = None
-        versions = None
-        if cache is not None and cache.config.results and entry.result_cacheable:
-            if metrics:
+        result_key = versions = stats = jit_report = None
+        hit = False
+        if cache is not None and cache.config.results:
+            if entry.result_cacheable is None:
+                self._analyze_for_cache(entry)
+            if entry.result_cacheable and metrics:
                 # EXPLAIN ANALYZE needs real per-operator actuals;
                 # serving a stored value would report an empty plan.
                 info["result"] = "bypass"
-            else:
+            elif entry.result_cacheable:
                 try:
                     result_key = (entry.key, tuple(sorted(params.items())))
                     hash(result_key)
-                except TypeError:
+                except TypeError:  # an unhashable binding: nothing to key on
                     result_key = None
-                if result_key is not None:
+                else:
                     versions = self._result_versions(entry)
                     with tracer.span("cache"):
                         hit, value = cache.result_for(result_key, versions)
-                    if hit:
-                        info["result"] = "hit"
-                        tracer.mark_cached("execute")
-                        used_engine = (
-                            "algebra" if entry.kind in ("groupby", "algebra") else "interpret"
+                    info["result"] = "hit" if hit else "miss"
+        if hit:
+            tracer.mark_cached("execute")
+        else:
+            evaluator = self.evaluator()
+            for name, bound in params.items():
+                evaluator.bind_global("$" + name, bound)
+            while entry.plan is not None:
+                if self.jit is not None:
+                    # Idempotent and cheap when compile already did it;
+                    # an entry cached before the JIT was enabled (or
+                    # whose nodes were rebuilt) is compiled here.
+                    from repro.jit.plan import precompile_plan
+
+                    jit_report = precompile_plan(entry.plan)
+                executor = self._executor(evaluator, plan_metrics)
+                try:
+                    with tracer.span("execute"):
+                        value = executor.execute(entry.plan)
+                    stats = executor.stats
+                    break
+                except PlanError:
+                    if entry.kind == "groupby":
+                        entry = self.compile(
+                            entry.oql, entry.engine, entry.typecheck, skip_group_by=True
                         )
-                        return QueryResult(
-                            oql,
-                            entry.calculus,
-                            entry.normalized,
-                            entry.trace,
-                            entry.plan,
-                            value,
-                            None,
-                            used_engine,
-                            metrics=plan_metrics,
-                            cache=info,
+                    elif entry.engine == "algebra":
+                        raise
+                    else:
+                        # Rewrite the (possibly shared) entry in place to
+                        # interpreter execution; its read set is
+                        # re-derived when the result cache next asks.
+                        entry.kind, entry.plan, jit_report = "interpret", None, None
+                        entry.phases = tuple(
+                            p for p in entry.phases if p not in ("plan", "optimize", "jit")
                         )
-                    info["result"] = "miss"
-        entry, plan, value, stats, used_engine, jit_report = self._execute_entry(
-            entry, engine, params, plan_metrics
-        )
-        if (
-            result_key is not None
-            and versions is not None
-            and cache is not None
-            and entry.result_cacheable
-        ):
-            cache.remember_result(result_key, versions, value)
+                        entry.result_cacheable = None
+            else:
+                with tracer.span("execute"):
+                    value = evaluator.evaluate(entry.normalized)
+            if result_key is not None:
+                if entry.result_cacheable is None:
+                    self._analyze_for_cache(entry)
+                if entry.result_cacheable:
+                    cache.remember_result(result_key, versions, value)
         return QueryResult(
             oql,
             entry.calculus,
             entry.normalized,
             entry.trace,
-            plan,
+            entry.plan,
             value,
             stats,
-            used_engine,
+            "interpret" if entry.plan is None else "algebra",
             metrics=plan_metrics,
-            cache=info,
+            cache=info or None,
             jit=jit_report,
         )
 
-    def _execute_entry(
-        self,
-        entry: CompiledQuery,
-        engine: str,
-        params: dict[str, Any],
-        plan_metrics: Optional[PlanMetrics],
-    ) -> tuple[
-        CompiledQuery,
-        Optional[Reduce],
-        Any,
-        Optional[ExecutionStats],
-        str,
-        Optional[dict[str, Any]],
-    ]:
-        """Execute a compiled entry, mirroring the seed's fallback chain.
+    # -- modes --------------------------------------------------------------------
 
-        The seed discovers plan failures at execution time (its try
-        blocks wrap execute); a cached plan must degrade the same way:
-        group-by plan fails → recompile without group-by; algebra plan
-        fails → demote to the interpreter (unless engine forces
-        algebra). The replacement entry overwrites the stale one.
+    def _set_mode(self, name: str, value: Any) -> Any:
+        """Attach one opt-in mode (``False`` detaches it). Anything that
+        resolves to "off" otherwise (``None`` with the flag unset) means
+        the mode's defaults: the caller did ask to enable it."""
+        resolved = _resolve_mode(name, value)
+        if resolved is None and value is not False:
+            resolved = _resolve_mode(name, True)
+        setattr(self, name, resolved)
+        return resolved
+
+    def enable_cache(self, cache: Any = True) -> QueryCache:
+        """Attach a query cache (``True``, a CacheConfig or a QueryCache)."""
+        return self._set_mode("cache", cache)
+
+    def disable_cache(self) -> None:
+        """Detach the cache; every query compiles afresh again."""
+        self._set_mode("cache", False)
+
+    def enable_telemetry(self, telemetry: Any = True):
+        """Attach a metrics registry (``True`` = the shared process
+        default, or an explicit :class:`MetricsRegistry` of your own).
+
+        While attached, every :meth:`run`/:meth:`run_detailed` and
+        prepared execution updates the registry's counters, latency
+        histograms and hot-query table; export with
+        :func:`repro.obs.telemetry.prometheus_text` (and friends) or
+        serve them with ``python -m repro metrics serve``.
         """
-        evaluator = self.evaluator()
-        for name, value in params.items():
-            evaluator.bind_global("$" + name, value)
-        tracer = self._active_tracer()
-        if entry.kind in ("groupby", "algebra"):
-            jit_report = self._jit_ensure(entry.plan)
-            executor = self._executor(evaluator, plan_metrics)
-            try:
-                with tracer.span("execute"):
-                    value = executor.execute(entry.plan)
-                return entry, entry.plan, value, executor.stats, "algebra", jit_report
-            except PlanError:
-                if entry.kind == "groupby":
-                    entry = self._compile_entry(
-                        entry.oql,
-                        entry.engine,
-                        entry.typecheck,
-                        (entry.oql, entry.engine, entry.typecheck),
-                        entry.version,
-                        {},
-                        skip_group_by=True,
-                    )
-                    return self._execute_entry(entry, engine, params, plan_metrics)
-                if engine == "algebra":
-                    raise
-                entry = self._demote_entry(entry)
-        with tracer.span("execute"):
-            value = evaluator.evaluate(entry.normalized)
-        return entry, None, value, None, "interpret", None
+        return self._set_mode("telemetry", telemetry)
 
-    def _demote_entry(self, entry: CompiledQuery) -> CompiledQuery:
-        """Rewrite an entry in place to interpreter execution."""
-        from repro.cache.invalidation import analyze_dependencies
+    def disable_telemetry(self) -> None:
+        """Detach telemetry; queries are no longer recorded."""
+        self._set_mode("telemetry", False)
 
-        entry.kind = "interpret"
-        entry.plan = None
-        entry.phases = tuple(p for p in entry.phases if p not in ("plan", "optimize"))
-        deps = analyze_dependencies(
-            "interpret",
-            None,
-            entry.normalized,
-            self._known_extent_names(),
-            self.functions,
-        )
-        entry.extents = deps.extents
-        entry.result_cacheable = deps.cacheable
-        entry.uncacheable_reason = deps.reason
-        return entry
+    def enable_parallel(self, parallel: Any = True):
+        """Turn on partition-parallel execution.
 
-    def _run_prepared(
-        self, prepared: Any, params: dict[str, Any], metrics: bool = False
-    ) -> QueryResult:
-        """Execute a :class:`~repro.cache.prepared.Prepared` statement."""
-        if self.telemetry is None:
-            return self._run_prepared_plain(prepared, params, metrics)
-        return self._with_telemetry(
-            lambda: self._run_prepared_plain(prepared, params, metrics)
-        )
+        ``True`` gives the default config (4 workers), an ``int`` sets
+        the worker count, a
+        :class:`~repro.parallel.ParallelConfig` tunes everything
+        (morsel size, minimum rows, the serial-equivalence ``verify``
+        switch). Results are guaranteed identical to serial execution —
+        see ``docs/PARALLEL.md`` for the determinism argument per
+        monoid property.
+        """
+        return self._set_mode("parallel", parallel)
 
-    def _run_prepared_plain(
-        self, prepared: Any, params: dict[str, Any], metrics: bool
-    ) -> QueryResult:
-        with self._active_tracer().span(
-            "query", oql_sha256=oql_fingerprint(prepared.oql)
-        ) as qspan:
-            entry = prepared._ensure()
-            prepared._validate(params)
-            info: dict[str, Any] = {"compile": "prepared"}
-            result = self._finish_cached(
-                prepared.oql, entry, prepared.engine, params, metrics, info
-            )
-        if qspan is not None:
-            result.span = qspan
-            if self.query_log is not None:
-                self.query_log.record(result, qspan)
-        return result
+    def disable_parallel(self) -> None:
+        """Revert to the serial executor."""
+        self._set_mode("parallel", False)
+
+    def enable_jit(self, jit: Any = True):
+        """Turn on closure compilation of hot-path expressions.
+
+        ``True`` gives the defaults; a
+        :class:`~repro.jit.JITConfig` tunes the per-row differential
+        ``verify`` check. While on, every Select predicate, Join key,
+        Unnest path, Nest key and Reduce head runs as a compiled Python
+        closure instead of re-interpreting its AST per row; constructs
+        outside the compilable fragment fall back to the reference
+        interpreter expression-by-expression. Values are guaranteed
+        identical either way — see ``docs/JIT.md``.
+        """
+        return self._set_mode("jit", jit)
+
+    def disable_jit(self) -> None:
+        """Revert to the interpreted hot loops."""
+        self._set_mode("jit", False)
 
     def run_calculus(self, term: Term) -> Any:
         """Evaluate a hand-built calculus term against this database."""
@@ -1111,7 +910,7 @@ class Database:
         )
 
     def explain(self, oql: str, analyze: bool = False) -> str:
-        """The optimized plan with cardinality estimates.
+        """The plan :meth:`run` would execute, with cardinality estimates.
 
         With ``analyze=True`` the query is *executed* with per-operator
         metrics on, and every node is rendered with its estimated vs
@@ -1122,11 +921,10 @@ class Database:
             from repro.obs.explain import render_explain
 
             return render_explain(self.explain_data(oql, analyze=True))
-        normalized, _ = normalize_with_trace(self.translate(oql))
-        if not isinstance(normalized, Comprehension):
-            return f"(not a comprehension: {normalized})"
-        plan = self._optimize(build_plan(normalized, pre_normalize=True))
-        return explain_plan(plan, self.catalog.extent_sizes(), self._stats)
+        entry = self.compile(oql)
+        if entry.plan is None:
+            return f"({_no_plan_note(entry.normalized)})"
+        return explain_plan(entry.plan, self.catalog.extent_sizes(), self._stats)
 
     def explain_data(self, oql: str, analyze: bool = False) -> dict[str, Any]:
         """The EXPLAIN [ANALYZE] document as JSON-ready dicts.
@@ -1135,60 +933,43 @@ class Database:
         ``analyzed``, a nested ``plan`` tree with per-node
         ``estimated_rows`` (and, when analyzed, ``actual_rows``,
         ``q_error``, ``time_ms``…), ``phases_ms`` and a ``summary``
-        block with the cost model's mean/max q-error. Queries the
-        algebra cannot plan come back with ``plan: None`` and a
+        block with the cost model's mean/max q-error. The plan is the
+        one :meth:`compile` hands :meth:`run`, analyzed or not. Queries
+        the algebra cannot plan come back with ``plan: None`` and a
         ``note`` instead of raising.
         """
         from repro.obs.explain import plan_to_dict, summarize
 
         doc: dict[str, Any] = {"oql": oql.strip(), "analyzed": analyze}
-        if not analyze:
-            normalized, _ = normalize_with_trace(self.translate(oql))
-            if not isinstance(normalized, Comprehension):
-                doc.update(
-                    engine="interpret",
-                    plan=None,
-                    note=f"not a comprehension: {normalized}",
-                )
-                return doc
-            try:
-                plan = self._optimize(build_plan(normalized, pre_normalize=True))
-            except PlanError as err:
-                doc.update(engine="interpret", plan=None, note=str(err))
-                return doc
-            doc["engine"] = "algebra"
-            doc["plan"] = plan_to_dict(
-                plan, self.catalog.extent_sizes(), self._stats
-            )
-            return doc
-
-        # ANALYZE: run the full pipeline under a dedicated tracer so the
-        # document has phase timings even when session tracing is off.
-        saved = self.tracer
-        self.tracer = Tracer(enabled=True)
-        try:
-            result = self.run_detailed(oql, metrics=True)
-        finally:
-            self.tracer = saved
-        doc["engine"] = result.engine
-        if result.cache is not None:
-            doc["cache"] = dict(result.cache)
-            if self.cache is not None:
-                doc["cache"]["stats"] = self.cache.stats.as_dict()
-        if result.span is not None:
-            doc["total_ms"] = round(result.span.duration_ms, 3)
-            doc["phases_ms"] = {
-                name: round(ms, 3)
-                for name, ms in result.span.phase_times_ms().items()
-            }
-        if result.plan is None or result.metrics is None:
+        if analyze:
+            # Trace the run so the document has phase timings even when
+            # session tracing is off.
+            with self._tracing():
+                result = self.run_detailed(oql, metrics=True)
+            plan, normalized, metrics = result.plan, result.normalized, result.metrics
+            if result.cache is not None:
+                doc["cache"] = dict(result.cache)
+                if self.cache is not None:
+                    doc["cache"]["stats"] = self.cache.stats.as_dict()
+            if result.span is not None:
+                doc["total_ms"] = round(result.span.duration_ms, 3)
+                doc["phases_ms"] = {
+                    name: round(ms, 3)
+                    for name, ms in result.span.phase_times_ms().items()
+                }
+        else:
+            entry = self.compile(oql)
+            plan, normalized, metrics = entry.plan, entry.normalized, None
+        doc["engine"] = "interpret" if plan is None else "algebra"
+        if plan is None:
             doc["plan"] = None
-            doc["note"] = "query ran on the reference interpreter (no algebra plan)"
+            doc["note"] = _no_plan_note(normalized)
             return doc
         doc["plan"] = plan_to_dict(
-            result.plan, self.catalog.extent_sizes(), self._stats, result.metrics
+            plan, self.catalog.extent_sizes(), self._stats, metrics
         )
-        doc["summary"] = summarize(doc["plan"])
+        if analyze:
+            doc["summary"] = summarize(doc["plan"])
         return doc
 
     def _optimize(self, plan: Reduce) -> Reduce:
@@ -1203,62 +984,30 @@ class Database:
         return types
 
 
-def _resolve_telemetry_lazy(telemetry: Any):
-    """``Database(telemetry=...)`` -> registry or None, without
-    importing the telemetry package on the default-off path.
-
-    The package is only pulled in when the caller passed something,
-    the ``REPRO_TELEMETRY`` flag is set, or the registry module is
-    already loaded (someone called ``enable_telemetry()``)."""
-    if telemetry is None:
-        import os
-        import sys
-
-        if "repro.obs.telemetry.registry" not in sys.modules and os.environ.get(
-            "REPRO_TELEMETRY", ""
-        ).strip().lower() in ("", "0", "false", "off", "no"):
-            return None
-    from repro.obs.telemetry.registry import resolve_telemetry
-
-    return resolve_telemetry(telemetry)
+def _no_plan_note(normalized: Term) -> str:
+    """Why EXPLAIN has no plan tree to show."""
+    if not isinstance(normalized, Comprehension):
+        return f"not a comprehension: {normalized}"
+    return "query runs on the reference interpreter (no algebra plan)"
 
 
-def _resolve_parallel_lazy(parallel: Any):
-    """``Database(parallel=...)`` -> :class:`ParallelConfig` or None,
-    without importing :mod:`repro.parallel` on the default-off path."""
-    if parallel is None:
-        import os
+def _resolve_mode(name: str, value: Any) -> Any:
+    """``Database(<name>=value)`` -> the mode's config object, or None
+    for off, via the mode's own resolver (see :data:`_MODES`).
 
-        if os.environ.get("REPRO_PARALLEL", "").strip().lower() in (
-            "",
-            "0",
-            "false",
-            "off",
-            "no",
-        ):
-            return None
-    from repro.parallel import resolve_parallel
-
-    return resolve_parallel(parallel)
-
-
-def _resolve_jit_lazy(jit: Any):
-    """``Database(jit=...)`` -> :class:`JITConfig` or None, without
-    importing :mod:`repro.jit` on the default-off path."""
-    if jit is None:
-        import os
-
-        if os.environ.get("REPRO_JIT", "").strip().lower() in (
-            "",
-            "0",
-            "false",
-            "off",
-            "no",
-        ):
-            return None
-    from repro.jit import resolve_jit
-
-    return resolve_jit(jit)
+    The mode's package is imported only when something asks for the
+    mode: an explicit value, a set ``REPRO_*`` flag, or the module being
+    loaded already (which is how a process-wide
+    :func:`repro.obs.telemetry.enable_telemetry` reaches new databases).
+    A default database therefore never pays for importing
+    ``repro.parallel``, ``repro.jit`` or the telemetry package.
+    """
+    env, module, resolver = _MODES[name]
+    if value is False or (
+        value is None and module not in sys.modules and not env_flag(env)
+    ):
+        return None
+    return getattr(import_module(module), resolver)(value)
 
 
 def _to_record(row: Any) -> Any:

@@ -24,24 +24,16 @@ from repro.obs.telemetry.registry import MetricsRegistry, get_registry
 def hot_fallbacks(db: Any, entry: QueryStats) -> dict[str, int]:
     """Fallback-construct histogram for one hot query class.
 
-    Re-runs the compile front half on the fingerprint's example query
-    (translate → normalize → plan → optimize → precompile) and reports
-    which constructs failed to compile. Empty when the query no longer
-    compiles to an algebra plan at all (then nothing of it is on the
-    JIT path) or every expression compiled.
+    Compiles the fingerprint's example query the way ``Database.run``
+    would and reports which constructs of its plan failed to compile.
+    Empty when the query no longer compiles to an algebra plan at all
+    (then nothing of it is on the JIT path) or every expression compiled.
     """
-    from repro.algebra.translate import build_plan
-    from repro.calculus.ast import Comprehension
     from repro.jit.plan import plan_fallback_constructs
-    from repro.normalize.engine import normalize_with_trace
 
     try:
-        term = db.translate(entry.example_oql)
-        normalized, _ = normalize_with_trace(term)
-        if not isinstance(normalized, Comprehension):
-            return {}
-        plan = db._optimize(build_plan(normalized, pre_normalize=True))
-        return plan_fallback_constructs(plan)
+        plan = db.compile(entry.example_oql).plan
+        return plan_fallback_constructs(plan) if plan is not None else {}
     except Exception:
         return {}
 

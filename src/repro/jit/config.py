@@ -1,25 +1,23 @@
 """Configuration and enablement for the closure-compiling JIT.
 
-Mirrors the cache/telemetry/parallel opt-in convention exactly: the
-JIT is **off by default** and the interpreted pipeline is
-byte-identical to the seed. It turns on via ``Database(jit=...)``,
+Follows the opt-in convention every mode shares (DESIGN.md, "Modes"):
+the JIT is **off by default**, and on or off a query returns the same
+value and raises the same error. It turns on via ``Database(jit=...)``,
 ``Database.enable_jit()`` or the ``REPRO_JIT`` environment flag.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.env import env_flag
 from repro.errors import DatabaseError
-
-_FALSEY = ("", "0", "false", "off", "no")
 
 
 def jit_env_enabled() -> bool:
     """Is the ``REPRO_JIT`` environment flag set (and not falsey)?"""
-    return os.environ.get("REPRO_JIT", "").strip().lower() not in _FALSEY
+    return env_flag("REPRO_JIT")
 
 
 @dataclass
@@ -51,7 +49,7 @@ def resolve_jit(jit: Any) -> Optional[JITConfig]:
     """Normalize ``Database(jit=...)`` to a config or None.
 
     ``None`` defers to the ``REPRO_JIT`` environment flag (unset or
-    falsey → JIT off, the byte-for-byte-unchanged default).
+    falsey → JIT off, the default).
     ``True``/``False`` force it; a :class:`JITConfig` is used as-is.
     """
     if jit is None:

@@ -7,8 +7,7 @@ cumulative wall time, and the hash-build/index-probe counts the global
 aggregate. The :class:`~repro.algebra.physical.Executor` wraps each
 operator's binding stream in :meth:`PlanMetrics.instrument` when (and
 only when) it was constructed with a metrics object; the default
-executor path is untouched, so queries run with observability off
-behave exactly as the seed did.
+executor path has no per-row accounting at all.
 
 Node identity is ``id(node)``: plan trees are built fresh per query and
 structurally-equal operators in different positions must not share a

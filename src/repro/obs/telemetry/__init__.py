@@ -19,8 +19,8 @@ telemetry a monitoring stack can scrape:
 - :mod:`.advise` — QL402: runtime-informed index advice;
 - :mod:`.cli` — ``python -m repro metrics dump|top|serve``.
 
-Telemetry is **opt-in**: with it off, ``Database.run`` takes the exact
-seed code path (the parity test asserts zero telemetry allocations).
+Telemetry is **opt-in**: with it off, ``Database.run`` never enters this
+package (the parity test asserts zero telemetry allocations).
 """
 
 from repro.obs.telemetry.export import (

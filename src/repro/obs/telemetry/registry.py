@@ -37,7 +37,6 @@ with different registries never cross-talk).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -45,6 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Union
 
+from repro.env import env_flag
 from repro.errors import TelemetryError
 from repro.obs.telemetry.fingerprint import FingerprintTable
 
@@ -535,8 +535,6 @@ class MetricsRegistry:
 # Enablement: process default, environment flag, thread-local activation
 # ---------------------------------------------------------------------------
 
-_FALSEY = ("", "0", "false", "off", "no")
-
 #: The registry :func:`get_registry` hands out — one per process unless
 #: replaced via :func:`enable_telemetry`.
 _DEFAULT = MetricsRegistry()
@@ -549,7 +547,7 @@ _ACTIVE = threading.local()
 
 def telemetry_env_enabled() -> bool:
     """Is the ``REPRO_TELEMETRY`` environment flag set (and not falsey)?"""
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() not in _FALSEY
+    return env_flag("REPRO_TELEMETRY")
 
 
 def telemetry_enabled() -> bool:
@@ -583,8 +581,8 @@ def disable_telemetry() -> None:
 def resolve_telemetry(telemetry: Any) -> Optional[MetricsRegistry]:
     """Normalize ``Database(telemetry=...)`` to a registry or None.
 
-    ``None`` defers to :func:`telemetry_enabled` (off by default — the
-    byte-for-byte-unchanged seed path). ``True``/``False`` force it; an
+    ``None`` defers to :func:`telemetry_enabled` (off by default).
+    ``True``/``False`` force it; an
     existing :class:`MetricsRegistry` is shared as-is.
     """
     if telemetry is None:

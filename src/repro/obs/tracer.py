@@ -13,9 +13,9 @@ region. :meth:`Tracer.span` is a context manager::
 When the tracer is disabled (the default for a fresh
 :class:`~repro.db.database.Database`), ``span`` returns a shared no-op
 context manager: no span objects are allocated, no clock is read, and
-the traced code runs exactly as if the ``with`` statement were absent.
-This is what keeps ``Database.run`` byte-identical to the untraced
-pipeline when observability is off.
+the traced code runs as if the ``with`` statement were absent. This is
+what lets one pipeline serve traced and untraced queries alike: with
+observability off a phase boundary costs one attribute test.
 
 Spans export two ways: :meth:`Tracer.to_events` flattens every finished
 root into a list of JSON-ready event dicts (one per span, with a

@@ -1,8 +1,9 @@
 """Configuration and enablement for the partition-parallel engine.
 
-Mirrors the cache/telemetry opt-in convention exactly: parallelism is
-**off by default** and the serial pipeline is byte-identical to the
-seed. It turns on via ``Database(parallel=...)``,
+Follows the opt-in convention every mode shares (DESIGN.md, "Modes"):
+parallelism is **off by default**, and on or off a query returns the
+same value and raises the same error. It turns on via
+``Database(parallel=...)``,
 ``Database.enable_parallel()`` or the ``REPRO_PARALLEL`` environment
 flag (an integer value sets the worker count: ``REPRO_PARALLEL=8``).
 """
@@ -13,14 +14,13 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.env import env_flag
 from repro.errors import DatabaseError
-
-_FALSEY = ("", "0", "false", "off", "no")
 
 
 def parallel_env_enabled() -> bool:
     """Is the ``REPRO_PARALLEL`` environment flag set (and not falsey)?"""
-    return os.environ.get("REPRO_PARALLEL", "").strip().lower() not in _FALSEY
+    return env_flag("REPRO_PARALLEL")
 
 
 @dataclass
@@ -72,7 +72,7 @@ def resolve_parallel(parallel: Any) -> Optional[ParallelConfig]:
     """Normalize ``Database(parallel=...)`` to a config or None.
 
     ``None`` defers to the ``REPRO_PARALLEL`` environment flag (unset
-    or falsey → parallelism off, the byte-for-byte-unchanged default).
+    or falsey → parallelism off, the default).
     ``True``/``False`` force it; an ``int`` sets the worker count; a
     :class:`ParallelConfig` is used as-is.
     """

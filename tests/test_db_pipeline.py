@@ -1,0 +1,203 @@
+"""The one pipeline: ``Database.compile`` -> ``Database._execute``.
+
+Every way of answering a query (ad hoc with or without a cache, a
+prepared statement, EXPLAIN) shares that pair, so these tests pin what
+the sharing guarantees: one plan per query whoever asks, one error per
+mistake whatever the mode, verification that a cache hit cannot skip,
+and one execute-time fallback chain.
+"""
+
+import pytest
+
+from repro.algebra.ops import Nest
+from repro.algebra.physical import Executor
+from repro.analysis.verifier import verification
+from repro.cache.invalidation import walk_plan
+from repro.db import Database, company_schema, make_company, make_travel_agency, travel_schema
+from repro.errors import PlanError, UnboundVariableError, VerificationError
+from repro.normalize.rules import DEFAULT_RULES
+from repro.values import to_python
+
+from tests.test_analysis_verifier import MonoidSwap
+
+GROUP_BY = (
+    "select struct(dno: dno, n: count(partition)) "
+    "from e in Employees group by dno: e.dno"
+)
+COMPREHENSION = "select distinct e.name from e in Employees where e.salary > 0"
+CITY_NAMES = "select distinct c.name from c in Cities"
+
+
+def company(cache=False) -> Database:
+    """A company database with every mode pinned (robust under REPRO_*)."""
+    db = Database(company_schema(), cache=cache, parallel=False, jit=False, telemetry=False)
+    db.load_extents(make_company(num_departments=4, num_employees=40, seed=11))
+    return db
+
+
+def travel(cache=False) -> Database:
+    db = Database(travel_schema(), cache=cache, parallel=False, jit=False, telemetry=False)
+    db.load_extents(make_travel_agency(num_cities=4, seed=3))
+    return db
+
+
+# -- verification is not skipped on a compile-cache hit ----------------------
+
+
+@pytest.fixture
+def broken_normalizer(monkeypatch):
+    """Normalize with a rule that silently turns every set into a bag."""
+    import repro.db.database as database
+
+    real = database.normalize_with_trace
+    monkeypatch.setattr(
+        database,
+        "normalize_with_trace",
+        lambda term: real(term, rules=(MonoidSwap(),) + tuple(DEFAULT_RULES)),
+    )
+    monkeypatch.delenv("REPRO_VERIFY", raising=False)
+
+
+class TestVerifyOnCompileHit:
+    def test_unverified_entry_is_rebuilt_under_verification(self, broken_normalizer):
+        db = travel(cache=True)
+        db.run(CITY_NAMES)  # the bad rule slips through unverified, and is cached
+        assert db.run_detailed(CITY_NAMES).cache == {"compile": "hit", "result": "hit"}
+        with pytest.raises(VerificationError):
+            db.run(CITY_NAMES, verify=True)
+
+    def test_pinned_prepared_entry_is_rebuilt_too(self, broken_normalizer):
+        statement = travel(cache=False).prepare(CITY_NAMES)
+        statement.run()
+        with verification(True), pytest.raises(VerificationError):
+            statement.run()
+
+    def test_verified_rebuild_serves_no_unverified_result(self, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        db = travel(cache=True)
+        value = db.run(CITY_NAMES)
+        rebuilt = db.run_detailed(CITY_NAMES, verify=True)
+        assert rebuilt.cache == {"compile": "miss", "result": "miss"}
+        assert rebuilt.value == value
+        # the verified entry (and the value it computed) now serve everyone
+        again = db.run_detailed(CITY_NAMES, verify=True)
+        assert again.cache == {"compile": "hit", "result": "hit"}
+        assert db.run_detailed(CITY_NAMES).cache == {"compile": "hit", "result": "hit"}
+
+
+# -- EXPLAIN shows the plan run executes --------------------------------------
+
+
+def op_tree(node: dict) -> list:
+    return [node["op"], [op_tree(child) for child in node.get("children", ())]]
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_explain_of_group_by_is_the_nest_plan_run_executes(cache):
+    db = company(cache)
+    executed = db.run_detailed(GROUP_BY).plan
+    assert any(isinstance(node, Nest) for node in walk_plan(executed))
+    estimated = db.explain_data(GROUP_BY)
+    analyzed = db.explain_data(GROUP_BY, analyze=True)
+    assert estimated["engine"] == analyzed["engine"] == "algebra"
+    assert op_tree(estimated["plan"]) == op_tree(analyzed["plan"])
+    assert "Nest" in str(op_tree(estimated["plan"]))
+    assert "Nest" in db.explain(GROUP_BY)
+    assert "Nest" in db.explain(GROUP_BY, analyze=True)
+
+
+# -- one error per mistake, whatever the mode ---------------------------------
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_unbound_parameter_is_the_same_error_with_and_without_cache(cache):
+    db = travel(cache)
+    with pytest.raises(UnboundVariableError):
+        db.run(
+            "select distinct c.name from c in Cities where c.population > $min",
+            typecheck=True,
+        )
+
+
+# -- EXPLAIN ANALYZE leaves the shared tracer alone ---------------------------
+
+
+def test_explain_analyze_does_not_swap_the_shared_tracer():
+    db = travel()
+    original = db.tracer
+    seen = []
+
+    def probe(value):
+        seen.append(db.tracer is original)
+        db.profile(True)  # a toggle during EXPLAIN must not be lost
+        return value
+
+    db.register_function("probe", probe)
+    doc = db.explain_data("select distinct probe(c.name) from c in Cities", analyze=True)
+    assert seen and all(seen)
+    assert db.tracer is original and db.tracer.enabled
+    assert "execute" in doc["phases_ms"]  # EXPLAIN still traced, privately
+    assert db._active_tracer() is original  # and cleaned up after itself
+
+
+# -- the execute-time fallback chain -------------------------------------------
+
+
+def fail_plans(monkeypatch, only_nest: bool):
+    """Make the executor raise PlanError (for Nest plans only, or all)."""
+    real = Executor.execute
+
+    def execute(self, plan):
+        if not only_nest or any(isinstance(node, Nest) for node in walk_plan(plan)):
+            raise PlanError("forced by the test")
+        return real(self, plan)
+
+    monkeypatch.setattr(Executor, "execute", execute)
+
+
+def runners(oql):
+    """(label, db, thunk -> QueryResult) for each way of running ``oql``."""
+    for cache in (False, True):
+        db = company(cache)
+        yield f"run cache={cache}", db, lambda db=db: db.run_detailed(oql)
+        db = company(cache)
+        statement = db.prepare(oql)
+        yield f"prepared cache={cache}", db, statement.run_detailed
+
+
+class TestFallbackChain:
+    def test_group_by_falls_back_to_the_comprehension_plan(self, monkeypatch):
+        expected = to_python(company().run(GROUP_BY, engine="interpret"))
+        fail_plans(monkeypatch, only_nest=True)
+        for label, db, run in runners(GROUP_BY):
+            for _ in range(2):  # second pass: the overwritten entry is reused
+                result = run()
+                assert to_python(result.value) == expected, label
+                assert result.engine == "algebra", label
+                assert not any(isinstance(n, Nest) for n in walk_plan(result.plan)), label
+            if db.cache is not None:
+                assert db.compile(GROUP_BY).kind == "algebra", label
+
+    @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
+    def test_failing_algebra_plan_falls_back_to_the_interpreter(self, monkeypatch, oql):
+        expected = to_python(company().run(oql, engine="interpret"))
+        fail_plans(monkeypatch, only_nest=False)
+        for label, db, run in runners(oql):
+            for _ in range(2):
+                result = run()
+                assert to_python(result.value) == expected, label
+                assert result.engine == "interpret", label
+                assert result.plan is None and result.stats is None, label
+            if db.cache is not None:
+                entry = db.compile(oql)
+                assert (entry.kind, entry.plan) == ("interpret", None), label
+
+    @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_engine_algebra_re_raises(self, monkeypatch, oql, cache):
+        fail_plans(monkeypatch, only_nest=False)
+        db = company(cache)
+        with pytest.raises(PlanError, match="forced by the test"):
+            db.run(oql, engine="algebra")
+        with pytest.raises(PlanError, match="forced by the test"):
+            db.prepare(oql, engine="algebra").run()

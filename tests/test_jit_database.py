@@ -145,7 +145,7 @@ class TestCacheInterplay:
         company.enable_cache(CacheConfig(results=False))
         baseline = company.run(SCAN_QUERY)
         company.enable_jit()
-        # The cached plan predates the JIT: _jit_ensure compiles it on
+        # The cached plan predates the JIT: _execute compiles it on
         # first post-enable execution.
         assert company.run(SCAN_QUERY) == baseline
         result = company.run_detailed(SCAN_QUERY)
@@ -202,7 +202,8 @@ class TestVerifyMode:
         with pytest.raises(VerificationError, match="jit-compile"):
             executor.execute(plan)
 
-    def test_verify_off_does_not_wrap(self, company):
+    def test_verify_off_does_not_wrap(self, company, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)  # verify=None defers to it
         company.enable_jit()
         executor = company._executor(company.evaluator(), None)
         fn = lambda b, rt: 1  # noqa: E731
@@ -309,6 +310,7 @@ class TestRepl:
 
 class TestGroupBy:
     def test_group_by_parity_and_stats(self, company):
+        company.disable_cache()  # a result-cache hit executes nothing: jit is None
         baseline = company.run(GROUP_QUERY)
         company.enable_jit()
         assert company.run(GROUP_QUERY) == baseline

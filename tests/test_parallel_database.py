@@ -48,8 +48,9 @@ def test_run_detailed_records_fan_out(dbs):
     assert result.stats.parallel_workers == 4
 
 
-def test_enable_disable_cycle(dbs):
-    serial, _ = dbs
+def test_enable_disable_cycle(monkeypatch):
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)  # pin the default
+    serial = Database(company_schema())
     assert serial.parallel is None
     config = serial.enable_parallel(2)
     assert serial.parallel is config and config.max_workers == 2

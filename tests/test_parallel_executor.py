@@ -67,7 +67,8 @@ def test_config_validation():
         ParallelConfig(morsel_size=0)
 
 
-def test_resolve_parallel_variants():
+def test_resolve_parallel_variants(monkeypatch):
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)  # None defers to the flag
     assert resolve_parallel(None) is None
     assert resolve_parallel(False) is None
     assert resolve_parallel(True) == ParallelConfig()

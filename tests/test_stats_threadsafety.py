@@ -37,6 +37,7 @@ def hammer(db, oql):
 
 
 def test_per_run_stats_are_private(db):
+    db.disable_cache()  # a result-cache hit executes nothing: stats is None
     results = hammer(db, "sum(select e.salary from e in Employees)")
     expected = to_python(db.run("sum(select e.salary from e in Employees)"))
     for result in results:
@@ -86,6 +87,7 @@ def test_query_log_file_lines_are_whole(db, tmp_path):
 
 
 def test_telemetry_totals_are_exact(db):
+    db.disable_cache()  # a result-cache hit executes nothing: stats is None
     from repro.obs.telemetry.registry import MetricsRegistry
 
     registry = MetricsRegistry()
@@ -108,6 +110,7 @@ def test_telemetry_totals_are_exact(db):
 
 
 def test_parallel_engine_under_concurrent_runs(db):
+    db.disable_cache()  # a result-cache hit executes nothing: stats is None
     from repro.parallel import ParallelConfig
 
     db.enable_parallel(ParallelConfig(max_workers=4, min_partition_rows=1))
