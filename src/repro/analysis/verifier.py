@@ -221,7 +221,7 @@ def _values_equivalent(a: Any, b: Any) -> bool:
         if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
             return False
         return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-    from repro.values import Bag, OrderedSet, Record, Vector, canonical_key
+    from repro.values import Bag, OrderedSet, Record, Vector, canonical_order
 
     if isinstance(a, (tuple, list, OrderedSet)) and isinstance(
         b, (tuple, list, OrderedSet)
@@ -232,8 +232,8 @@ def _values_equivalent(a: Any, b: Any) -> bool:
     if isinstance(a, (frozenset, Bag)) and isinstance(b, (frozenset, Bag)):
         # Canonical order lines elements up so float members still get
         # the tolerant element-wise comparison.
-        xs = sorted(a, key=canonical_key)
-        ys = sorted(b, key=canonical_key)
+        xs = canonical_order(a)
+        ys = canonical_order(b)
         return len(xs) == len(ys) and all(
             _values_equivalent(x, y) for x, y in zip(xs, ys)
         )

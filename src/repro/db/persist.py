@@ -29,7 +29,7 @@ from typing import Any, Optional, Union
 from repro.db.database import Database
 from repro.errors import DatabaseError
 from repro.types.schema import Schema
-from repro.values import Bag, OrderedSet, Record, Vector, canonical_sorted
+from repro.values import Bag, OrderedSet, Record, Vector, canonical_order
 
 
 def encode_value(value: Any) -> Any:
@@ -41,7 +41,7 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, tuple):
         return {"$": "list", "items": [encode_value(v) for v in value]}
     if isinstance(value, frozenset):
-        return {"$": "set", "items": [encode_value(v) for v in canonical_sorted(value)]}
+        return {"$": "set", "items": [encode_value(v) for v in canonical_order(value)]}
     if isinstance(value, Bag):
         items = [
             [encode_value(element), count]

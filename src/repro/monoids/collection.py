@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from repro.monoids.base import Accumulator, CollectionMonoid
-from repro.values import Bag, OrderedSet, canonical_key
+from repro.values import Bag, OrderedSet, canonical_key, canonical_order
 
 
 class _ListAccumulator(Accumulator):
@@ -104,7 +104,7 @@ class SetMonoid(CollectionMonoid):
         return left | right
 
     def iterate(self, collection: frozenset) -> Iterator[Any]:
-        return iter(sorted(collection, key=canonical_key))
+        return iter(canonical_order(collection))
 
     def accumulator(self) -> Accumulator:
         return _SetAccumulator()

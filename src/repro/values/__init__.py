@@ -11,11 +11,12 @@ records of lists, ...), so every carrier here is immutable and hashable:
 - :class:`Vector` — the ``M[n]`` vector monoid carrier (section 4.1)
 
 :func:`canonical_key` supplies the total deterministic order the
-evaluator uses when iterating sets and bags.
+evaluator uses when iterating sets and bags; :func:`canonical_order`
+puts a set or bag into it, at most once per value.
 """
 
 from repro.values.bag import Bag
-from repro.values.compare import canonical_key, canonical_sorted, to_python
+from repro.values.compare import canonical_key, canonical_order, canonical_sorted, to_python
 from repro.values.oset import OrderedSet
 from repro.values.record import Record
 from repro.values.vector import Vector
@@ -26,6 +27,7 @@ __all__ = [
     "Record",
     "Vector",
     "canonical_key",
+    "canonical_order",
     "canonical_sorted",
     "to_python",
 ]

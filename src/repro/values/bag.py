@@ -5,7 +5,8 @@ multiplicity. Bags are the natural semantics for OQL ``select`` without
 ``distinct``. They are hashable (so bags can be nested inside sets or
 other bags) and iterate in a canonical deterministic order, which the
 evaluator relies on for reproducible results and well-defined heap
-threading (paper section 4.2).
+threading (paper section 4.2). That order is computed at most once per
+bag (:func:`repro.values.compare.canonical_order`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class Bag:
     True
     """
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts", "_hash", "_order")
 
     def __init__(self, items: Iterable[Any] = ()) -> None:
         if isinstance(items, Bag):
@@ -38,6 +39,7 @@ class Bag:
             counts = Counter(items)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_order", None)
 
     @classmethod
     def from_counts(cls, counts: dict[Any, int]) -> "Bag":
@@ -62,11 +64,9 @@ class Bag:
 
     def __iter__(self) -> Iterator[Any]:
         """Iterate elements with multiplicity, in canonical order."""
-        from repro.values.compare import canonical_key
+        from repro.values.compare import canonical_order
 
-        for element in sorted(self._counts, key=canonical_key):
-            for _ in range(self._counts[element]):
-                yield element
+        return iter(canonical_order(self))
 
     def count(self, item: Any) -> int:
         """Multiplicity of ``item`` (0 if absent)."""
@@ -132,3 +132,7 @@ class Bag:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Bag is immutable")
+
+    def __reduce__(self) -> tuple:
+        # Copy and pickle rebuild from the counts; memos are never carried.
+        return (Bag.from_counts, (self._counts,))

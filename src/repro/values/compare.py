@@ -6,10 +6,13 @@ over sets and bags is reproducible — the paper's section 4.2 heap
 threading is only well-defined if qualifier evaluation visits elements in
 a fixed order. :func:`canonical_key` maps every library value to a key
 that sorts consistently: first by a type rank, then structurally.
+:func:`canonical_order` is the one place a set or bag is put into that
+order, and does it at most once per immutable value.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 from repro.values.bag import Bag
@@ -54,7 +57,7 @@ def canonical_key(value: Any) -> tuple:
         inner = sorted((canonical_key(v) for v in value))
         return (_RANK_SET, tuple(inner))
     if isinstance(value, Bag):
-        inner = sorted((canonical_key(e), n) for e, n in value.counts().items())
+        inner = sorted((canonical_key(e), n) for e, n in value._counts.items())
         return (_RANK_BAG, tuple(inner))
     if isinstance(value, OrderedSet):
         return (_RANK_OSET, tuple(canonical_key(v) for v in value))
@@ -68,8 +71,61 @@ def canonical_key(value: Any) -> tuple:
     return (_RANK_OTHER, type(value).__name__, repr(value))
 
 
+class _SetOrder(weakref.ref):
+    """Weak reference to a frozenset, carrying its elements in canonical order."""
+
+    __slots__ = ("key", "order")
+
+
+# id(frozenset) -> its _SetOrder. A frozenset has no slot to memoise in, so
+# its order lives here. The table is keyed by identity, not equality: equal
+# sets need not hold the same elements (``{True, 2} == {1, 2}``). An entry is
+# dropped when its set dies, and a hit is served only while the reference
+# still points at the very set asked about, since ids are recycled.
+_SET_ORDERS: dict[int, _SetOrder] = {}
+
+
+def _forget(entry: _SetOrder) -> None:
+    if _SET_ORDERS.get(entry.key) is entry:
+        del _SET_ORDERS[entry.key]
+
+
+def canonical_order(collection: Any) -> tuple:
+    """The elements of a set or bag in canonical order, as a tuple.
+
+    A bag's elements repeat by multiplicity, equal ones adjacent. The
+    order of an immutable value cannot change, so it is computed once and
+    kept for the value's lifetime: on the :class:`Bag` itself, and for a
+    ``frozenset`` in a table whose entry dies with the set. Only element
+    references are kept, never the keys.
+
+    >>> canonical_order(Bag([2, 1, 2]))
+    (1, 2, 2)
+    >>> canonical_order(frozenset({"a", None, 3}))
+    (None, 3, 'a')
+    """
+    if isinstance(collection, Bag):
+        order = collection._order
+        if order is None:
+            counts = collection._counts
+            order = tuple(e for e in sorted(counts, key=canonical_key) for _ in range(counts[e]))
+            object.__setattr__(collection, "_order", order)
+        return order
+    if not isinstance(collection, frozenset):
+        return tuple(sorted(collection, key=canonical_key))  # a mutable set
+    entry = _SET_ORDERS.get(id(collection))
+    if entry is None or entry() is not collection:
+        entry = _SetOrder(collection, _forget)
+        entry.key = id(collection)
+        entry.order = tuple(sorted(collection, key=canonical_key))
+        _SET_ORDERS[entry.key] = entry
+    return entry.order
+
+
 def canonical_sorted(values: Any) -> list:
     """Sort any iterable of library values into canonical order."""
+    if isinstance(values, (Bag, frozenset)):
+        return list(canonical_order(values))
     return sorted(values, key=canonical_key)
 
 

@@ -85,3 +85,6 @@ class OrderedSet(Sequence[Any]):
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("OrderedSet is immutable")
+
+    def __reduce__(self) -> tuple:
+        return (OrderedSet, (self._items,))

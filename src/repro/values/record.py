@@ -77,6 +77,9 @@ class Record(Mapping[str, Any]):
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Record is immutable")
 
+    def __reduce__(self) -> tuple:
+        return (Record, (self._fields,))
+
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -117,3 +117,6 @@ class Vector:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Vector is immutable")
+
+    def __reduce__(self) -> tuple:
+        return (Vector, (self._size, self._default, self._slots))

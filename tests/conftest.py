@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.db import (
@@ -12,6 +14,7 @@ from repro.db import (
     travel_schema,
 )
 from repro.eval import Evaluator
+from repro.values import canonical_key
 
 
 @pytest.fixture
@@ -34,3 +37,23 @@ def company_db() -> Database:
 @pytest.fixture
 def evaluator() -> Evaluator:
     return Evaluator()
+
+
+@pytest.fixture
+def count_canonical_key(monkeypatch):
+    """Call it to start counting: returns the list that every later
+    ``canonical_key`` call, from any loaded ``repro`` module, is appended to."""
+
+    def start() -> list:
+        calls: list = []
+
+        def counting(value):
+            calls.append(value)
+            return canonical_key(value)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "canonical_key", None) is canonical_key:
+                monkeypatch.setattr(module, "canonical_key", counting)
+        return calls
+
+    return start
