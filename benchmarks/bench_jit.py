@@ -19,10 +19,7 @@ Two more series record the honest *non*-headline shapes: cheap
 predicates and heads (where row plumbing, not expression evaluation,
 dominates) sit well under 2x — the JIT never makes them slower, but
 closure compilation cannot speed up work that isn't expression
-evaluation. The binding-dict reuse optimization that rode along with
-the JIT is measured last, and the honest answer is recorded: on 1-key
-binding dicts it is wall-time parity — the test asserts the analysis
-engages, results agree, and timing stays inside a noise band.
+evaluation.
 """
 
 from __future__ import annotations
@@ -30,12 +27,10 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from unittest import mock
 
 import pytest
 
 from benchmarks.conftest import build_company_db, build_travel_db
-from repro.algebra import physical
 from repro.algebra.physical import Executor
 from repro.algebra.translate import build_plan
 from repro.jit import JITConfig
@@ -216,41 +211,3 @@ def test_shape_end_to_end_with_cache():
     assert speedup >= 1.5, (
         f"cached end-to-end speedup collapsed: {speedup:.2f}x"
     )
-
-
-def test_shape_binding_dict_reuse_is_parity():
-    """Honest record for EXPERIMENTS.md: the scan-dict reuse fast path
-    engages on this plan shape (the analysis marks the scan) yet buys no
-    measurable wall time on 1-key binding dicts — CPython allocates them
-    too cheaply for the hoist to matter. The assertion is therefore
-    *parity within noise*, in both directions: reuse must not regress
-    anything, and we must not claim a speedup the data does not show."""
-    from repro.algebra.ops import Scan
-
-    db = _dbs()["company"]
-    plan, executor = _prepared(db, CHEAP_PRED, jit=False)
-    reusable = physical._collect_reusable_scans(plan)
-    assert any(
-        isinstance(node, Scan) and id(node) in reusable
-        for node in _walk(plan)
-    ), "reuse analysis did not engage on a plain scan plan"
-
-    baseline = executor.execute(plan)
-    patcher = mock.patch.object(
-        physical, "_collect_reusable_scans", lambda p: frozenset()
-    )
-
-    def fresh_dicts():
-        with patcher:
-            return executor.execute(plan)
-
-    assert fresh_dicts() == baseline
-    # reuse-time / fresh-time: ~1.0 is the honest result
-    ratio = _paired_speedup(lambda: executor.execute(plan), fresh_dicts)
-    assert 0.75 <= ratio <= 1.33, f"parity band exceeded: {ratio:.2f}x"
-
-
-def _walk(node):
-    yield node
-    for child in node.children():
-        yield from _walk(child)

@@ -15,13 +15,20 @@ comparison concrete. For *per-node* attribution (rows, wall time, probe
 counts on each operator instead of whole-query totals), construct the
 Executor with a :class:`repro.obs.metrics.PlanMetrics`; without one the
 binding streams are the plain generators, with no per-row accounting.
+
+There is one loop per operator. §3's normalization leaves only small
+first-order terms in operator positions, so a loop never needs to know
+how its expression is evaluated: it calls an ``fn(binding, rt)`` that
+:meth:`Executor._fn` hands it — a compiled closure with the JIT on, a
+thunk into the reference interpreter with it off. Every binding dict an
+operator yields is a fresh one, never mutated afterwards.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from repro.algebra.ops import (
     IndexScan,
@@ -33,15 +40,15 @@ from repro.algebra.ops import (
     SelectOp,
     Unnest,
 )
-from repro.calculus.ast import Lambda, Term
-from repro.calculus.traversal import subterms
-from repro.errors import EvaluationError, PlanError
+from repro.calculus.ast import Term
+from repro.errors import EvaluationError, PlanError, VerificationError
 from repro.eval.builtins import runtime_monoid_of
 from repro.eval.env import Env
-from repro.eval.evaluator import Evaluator
+from repro.eval.evaluator import VECTOR_HEAD_ERROR, Evaluator
+from repro.jit.runtime import Runtime
 from repro.monoids import CollectionMonoid, VectorMonoid
 from repro.objects.store import Obj
-from repro.values import OrderedSet
+from repro.values import OrderedSet, canonical_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs.metrics import PlanMetrics
@@ -96,9 +103,10 @@ class Executor:
     """Executes logical plans against an :class:`Evaluator`'s world.
 
     The evaluator supplies global bindings (extents), builtins, methods
-    and the object store; ``indexes`` optionally maps
-    ``(extent, attribute)`` to a hash index (dict key -> list of
-    elements) used by :class:`IndexScan` nodes.
+    and the object store — its globals as they are when the executor is
+    built; ``indexes`` optionally maps ``(extent, attribute)`` to a hash
+    index (dict key -> list of elements) used by :class:`IndexScan`
+    nodes.
     """
 
     def __init__(
@@ -113,18 +121,20 @@ class Executor:
         self.stats = ExecutionStats()
         #: optional per-operator collector; None means no per-row accounting
         self.metrics = metrics
-        #: optional repro.jit.JITConfig; None keeps the interpreted path
+        #: optional repro.jit.JITConfig; None makes every expression a
+        #: thunk into the reference interpreter (see :meth:`_fn`)
         self.jit = jit
+        self._rt = Runtime(evaluator)
+        self._jit_verify = False
         if jit is not None:
             from repro.analysis.verifier import resolve_verify
-            from repro.jit.runtime import Runtime
 
-            self._rt = Runtime(evaluator)
             self._jit_verify = resolve_verify(getattr(jit, "verify", None))
-        else:
-            self._rt = None
-            self._jit_verify = False
-        self._reusable_scans: frozenset[int] = frozenset()
+        #: ``id(node)`` -> state computed (and counted) ahead of this
+        #: execution, replayed instead of recomputed: a Scan's rows, a
+        #: hash Join's table, a loop Join's right rows. Filled by the
+        #: :mod:`repro.parallel` coordinator for its partition workers.
+        self._prepared: dict[int, Any] = {}
 
     # -- public API --------------------------------------------------------------
 
@@ -132,10 +142,7 @@ class Executor:
         """Run the plan to completion and return the reduced value."""
         self.stats = ExecutionStats()
         if self.metrics is None:
-            self._reusable_scans = _collect_reusable_scans(plan)
             return self._reduce(plan)
-        # EXPLAIN ANALYZE keeps fresh-dict-per-row streams.
-        self._reusable_scans = frozenset()
         self.metrics.reset()
         block = self.metrics.for_node(plan)
         block.invocations += 1
@@ -154,89 +161,54 @@ class Executor:
     def _fold_plan(
         self, plan: Reduce, monoid, bindings: Iterator[dict[str, Any]]
     ) -> Any:
-        """Fold a Reduce node's head, through its compiled closure when
-        the JIT is on. The parallel engine calls this per partition."""
-        if self.jit is not None:
-            return self._fold_jit(monoid, self._jit_head(plan), bindings)
-        return self._fold(monoid, plan.head, bindings)
-
-    def _fold(self, monoid, head, bindings: Iterator[dict[str, Any]]) -> Any:
-        """Fold ``head`` over a binding stream into ``monoid``."""
-        if isinstance(monoid, CollectionMonoid):
-            acc = monoid.accumulator()
-            is_vector = isinstance(monoid, VectorMonoid)
-            for binding in bindings:
-                self.stats.rows_reduced += 1
-                value = self._eval(head, binding)
-                if is_vector and (not isinstance(value, tuple) or len(value) != 2):
-                    raise EvaluationError(
-                        "a vector reduce head must be a (value, index) pair"
-                    )
-                acc.add(value)
-            return acc.finish()
-        result = monoid.zero()
-        for binding in bindings:
-            self.stats.rows_reduced += 1
-            result = monoid.merge(result, self._eval(head, binding))
-        return result
-
-    def _fold_jit(self, monoid, head_fn, bindings: Iterator[dict[str, Any]]) -> Any:
-        """`_fold` with the head as a compiled closure."""
+        """Fold a Reduce node's head over a binding stream into
+        ``monoid``. The parallel engine calls this per partition."""
+        head_fn = self._fn(plan, "head_fn", plan.head)
         rt = self._rt
+        stats = self.stats
         if isinstance(monoid, CollectionMonoid):
             acc = monoid.accumulator()
             is_vector = isinstance(monoid, VectorMonoid)
             for binding in bindings:
-                self.stats.rows_reduced += 1
+                stats.rows_reduced += 1
                 value = head_fn(binding, rt)
                 if is_vector and (not isinstance(value, tuple) or len(value) != 2):
-                    raise EvaluationError(
-                        "a vector reduce head must be a (value, index) pair"
-                    )
+                    raise EvaluationError(VECTOR_HEAD_ERROR)
                 acc.add(value)
             return acc.finish()
         result = monoid.zero()
         for binding in bindings:
-            self.stats.rows_reduced += 1
+            stats.rows_reduced += 1
             result = monoid.merge(result, head_fn(binding, rt))
         return result
 
-    # -- JIT helpers -----------------------------------------------------------------
+    # -- operator expressions --------------------------------------------------------
 
-    def _jit_node(self, node: PlanNode) -> None:
-        """Ensure ``node`` carries compiled closures (lazy: cached plans
-        compiled by the pipeline's jit phase skip this; plan nodes
-        rebuilt by the parallel spine walk compile here on first use)."""
+    def _fn(self, node: PlanNode, slot: str, term: Any) -> Any:
+        """The ``fn(binding, rt)`` for ``term``, the expression ``node``
+        keeps compiled in ``slot`` — a tuple of them for a tuple of
+        terms, None for an absent one.
+
+        This is the only place that knows how expressions are evaluated:
+        with the JIT on it is the node's compiled closure (compiled
+        here on first use unless the pipeline's jit phase already did),
+        wrapped under verify mode with a per-row differential check
+        against the interpreter; with it off, a thunk that re-enters the
+        reference interpreter. The loops below only ever call it.
+        """
+        if term is None:
+            return None
+        many = isinstance(term, tuple)
+        if self.jit is None:
+            return tuple(map(_interpreted, term)) if many else _interpreted(term)
         if not node.jit_ready:
             from repro.jit.plan import compile_node
 
             compile_node(node)
-
-    def _jit_wrap(self, fn, term: Term):
-        """Under verify mode, wrap a compiled closure with a per-row
-        differential check against the reference interpreter."""
+        fn = getattr(node, slot)
         if not self._jit_verify:
             return fn
-        rt = self._rt
-
-        def checked(binding: dict[str, Any], _rt, _fn=fn, _term=term) -> Any:
-            value = _fn(binding, _rt)
-            expected = rt.eval_fallback(_term, binding)
-            if type(value) is not type(expected) or value != expected:
-                from repro.errors import VerificationError
-
-                raise VerificationError(
-                    "jit-compile",
-                    _term,
-                    violations=[f"compiled {value!r} != interpreted {expected!r}"],
-                )
-            return value
-
-        return checked
-
-    def _jit_head(self, plan: Reduce):
-        self._jit_node(plan)
-        return self._jit_wrap(plan.head_fn, plan.head)
+        return tuple(map(_checked, fn, term)) if many else _checked(fn, term)
 
     # -- binding streams -------------------------------------------------------------
 
@@ -262,76 +234,17 @@ class Executor:
             raise PlanError(f"unknown plan node {type(node).__name__}")
 
     def _iter_scan(self, node: Scan) -> Iterator[dict[str, Any]]:
-        source = self._eval(node.source, {})
-        if id(node) in self._reusable_scans:
-            yield from self._iter_scan_reused(node, source)
+        rows = self._prepared.get(id(node))
+        if rows is not None:
+            yield from rows
             return
+        source = self._rt.eval_fallback(node.source, {})
         for binding in self._bindings_of(source, node.var, node.index_var):
             self.stats.rows_scanned += 1
             yield binding
 
-    def _iter_scan_reused(self, node: Scan, source: Any) -> Iterator[dict[str, Any]]:
-        """`_iter_scan` yielding ONE binding dict mutated in place.
-
-        Only used when :func:`_collect_reusable_scans` proved nothing
-        downstream retains the dict past the row (no merge-copying
-        operator stores it and no expression evaluated on it can
-        allocate a closure). Inlines ``_bindings_of`` so the per-row
-        cost is two dict stores instead of an allocation.
-        """
-        if isinstance(source, Obj):
-            source = self.evaluator.store.deref(source)
-        monoid = runtime_monoid_of(source)
-        stats = self.stats
-        var, index_var = node.var, node.index_var
-        binding: dict[str, Any] = {}
-        if index_var is None:
-            if isinstance(monoid, VectorMonoid):
-                for _, value in monoid.iterate(source):
-                    stats.rows_scanned += 1
-                    binding[var] = value
-                    yield binding
-            else:
-                for value in monoid.iterate(source):
-                    stats.rows_scanned += 1
-                    binding[var] = value
-                    yield binding
-        elif isinstance(monoid, VectorMonoid):
-            for position, value in monoid.iterate(source):
-                stats.rows_scanned += 1
-                binding[var] = value
-                binding[index_var] = position
-                yield binding
-        elif isinstance(source, (tuple, list, str, OrderedSet)):
-            for position, value in enumerate(monoid.iterate(source)):
-                stats.rows_scanned += 1
-                binding[var] = value
-                binding[index_var] = position
-                yield binding
-        else:
-            raise EvaluationError(
-                "indexed scan requires an ordered collection, got "
-                f"{type(source).__name__}"
-            )
-
     def _iter_select(self, node: SelectOp) -> Iterator[dict[str, Any]]:
-        if self.jit is not None:
-            yield from self._iter_select_jit(node)
-            return
-        for binding in self._iter(node.child):
-            value = self._eval(node.pred, binding)
-            if not isinstance(value, bool):
-                raise EvaluationError(
-                    f"selection predicate produced non-boolean {value!r}"
-                )
-            if value:
-                yield binding
-            else:
-                self.stats.rows_selected_out += 1
-
-    def _iter_select_jit(self, node: SelectOp) -> Iterator[dict[str, Any]]:
-        self._jit_node(node)
-        pred_fn = self._jit_wrap(node.pred_fn, node.pred)
+        pred_fn = self._fn(node, "pred_fn", node.pred)
         rt = self._rt
         stats = self.stats
         for binding in self._iter(node.child):
@@ -341,9 +254,7 @@ class Executor:
             elif value is False:
                 stats.rows_selected_out += 1
             else:
-                raise EvaluationError(
-                    f"selection predicate produced non-boolean {value!r}"
-                )
+                Evaluator._require_bool(value, "qualifier predicate")
 
     def _iter_join(self, node: Join) -> Iterator[dict[str, Any]]:
         if node.left_keys:
@@ -351,56 +262,33 @@ class Executor:
         else:
             yield from self._nested_loop_join(node)
 
-    def _join_fns(self, node: Join):
-        """The (left key, right key, residual) closures for a Join."""
-        self._jit_node(node)
-        left_fns = tuple(
-            self._jit_wrap(fn, term)
-            for fn, term in zip(node.left_key_fns, node.left_keys)
-        )
-        right_fns = tuple(
-            self._jit_wrap(fn, term)
-            for fn, term in zip(node.right_key_fns, node.right_keys)
-        )
-        residual_fn = None
-        if node.residual is not None:
-            residual_fn = self._jit_wrap(node.residual_fn, node.residual)
-        return left_fns, right_fns, residual_fn
-
-    def _hash_join(self, node: Join) -> Iterator[dict[str, Any]]:
-        if self.jit is not None:
-            yield from self._hash_join_jit(node)
-            return
-        table: dict[Any, list[dict[str, Any]]] = {}
-        for right_binding in self._iter(node.right):
-            key = tuple(self._eval(k, right_binding) for k in node.right_keys)
-            table.setdefault(key, []).append(right_binding)
-            self.stats.hash_builds += 1
-        if self.metrics is not None:
-            self.metrics.for_node(node).hash_builds += sum(
-                len(bucket) for bucket in table.values()
-            )
-        for left_binding in self._iter(node.left):
-            key = tuple(self._eval(k, left_binding) for k in node.left_keys)
-            for right_binding in table.get(key, ()):
-                merged = {**left_binding, **right_binding}
-                if node.residual is not None and not self._eval(node.residual, merged):
-                    continue
-                self.stats.rows_joined += 1
-                yield merged
-
-    def _hash_join_jit(self, node: Join) -> Iterator[dict[str, Any]]:
-        left_fns, right_fns, residual_fn = self._join_fns(node)
+    def _build_table(
+        self, node: Join, right: Iterable[dict[str, Any]]
+    ) -> dict[Any, list[dict[str, Any]]]:
+        """Hash ``right`` (the Join's right input) on its key terms."""
+        right_fns = self._fn(node, "right_key_fns", node.right_keys)
         rt = self._rt
         table: dict[Any, list[dict[str, Any]]] = {}
-        for right_binding in self._iter(node.right):
+        built = 0
+        for right_binding in right:
             key = tuple(fn(right_binding, rt) for fn in right_fns)
             table.setdefault(key, []).append(right_binding)
-            self.stats.hash_builds += 1
+            built += 1
+        self._count_hash_builds(node, built)
+        return table
+
+    def _count_hash_builds(self, node: Join, built: int) -> None:
+        self.stats.hash_builds += built
         if self.metrics is not None:
-            self.metrics.for_node(node).hash_builds += sum(
-                len(bucket) for bucket in table.values()
-            )
+            self.metrics.for_node(node).hash_builds += built
+
+    def _hash_join(self, node: Join) -> Iterator[dict[str, Any]]:
+        table = self._prepared.get(id(node))
+        if table is None:
+            table = self._build_table(node, self._iter(node.right))
+        left_fns = self._fn(node, "left_key_fns", node.left_keys)
+        residual_fn = self._fn(node, "residual_fn", node.residual)
+        rt = self._rt
         for left_binding in self._iter(node.left):
             key = tuple(fn(left_binding, rt) for fn in left_fns)
             for right_binding in table.get(key, ()):
@@ -411,22 +299,11 @@ class Executor:
                 yield merged
 
     def _nested_loop_join(self, node: Join) -> Iterator[dict[str, Any]]:
-        if self.jit is not None:
-            yield from self._nested_loop_join_jit(node)
-            return
-        right = list(self._iter(node.right))
-        for left_binding in self._iter(node.left):
-            for right_binding in right:
-                merged = {**left_binding, **right_binding}
-                if node.residual is not None and not self._eval(node.residual, merged):
-                    continue
-                self.stats.rows_joined += 1
-                yield merged
-
-    def _nested_loop_join_jit(self, node: Join) -> Iterator[dict[str, Any]]:
-        _, _, residual_fn = self._join_fns(node)
+        right = self._prepared.get(id(node))
+        if right is None:
+            right = list(self._iter(node.right))
+        residual_fn = self._fn(node, "residual_fn", node.residual)
         rt = self._rt
-        right = list(self._iter(node.right))
         for left_binding in self._iter(node.left):
             for right_binding in right:
                 merged = {**left_binding, **right_binding}
@@ -436,18 +313,7 @@ class Executor:
                 yield merged
 
     def _iter_unnest(self, node: Unnest) -> Iterator[dict[str, Any]]:
-        if self.jit is not None:
-            yield from self._iter_unnest_jit(node)
-            return
-        for binding in self._iter(node.child):
-            source = self._eval(node.path, binding)
-            for inner in self._bindings_of(source, node.var, node.index_var):
-                self.stats.rows_unnested += 1
-                yield {**binding, **inner}
-
-    def _iter_unnest_jit(self, node: Unnest) -> Iterator[dict[str, Any]]:
-        self._jit_node(node)
-        src_fn = self._jit_wrap(node.src_fn, node.path)
+        src_fn = self._fn(node, "src_fn", node.path)
         rt = self._rt
         for binding in self._iter(node.child):
             source = src_fn(binding, rt)
@@ -457,38 +323,42 @@ class Executor:
 
     def _iter_nest(self, node: Nest) -> Iterator[dict[str, Any]]:
         """Single-pass grouping: hash on the key tuple, fold partitions."""
+        groups = self._group(node, self._part_monoid(node), self._iter(node.child))
+        return self._emit_groups(node, groups)
+
+    def _part_monoid(self, node: Nest) -> CollectionMonoid:
         monoid = self.evaluator.resolve_monoid(
             node.part_monoid, self.evaluator.global_env
         )
         if not isinstance(monoid, CollectionMonoid):
             raise PlanError("Nest requires a collection partition monoid")
-        groups: dict[tuple, Any] = {}
-        if self.jit is not None:
-            self._jit_node(node)
-            key_fns = tuple(
-                self._jit_wrap(fn, term)
-                for fn, (_, term) in zip(node.key_fns, node.keys)
-            )
-            head_fn = self._jit_wrap(node.head_fn, node.part_head)
-            rt = self._rt
-            for binding in self._iter(node.child):
-                key = tuple(fn(binding, rt) for fn in key_fns)
-                acc = groups.get(key)
-                if acc is None:
-                    acc = groups[key] = monoid.accumulator()
-                acc.add(head_fn(binding, rt))
-        else:
-            for binding in self._iter(node.child):
-                key = tuple(self._eval(term, binding) for _, term in node.keys)
-                acc = groups.get(key)
-                if acc is None:
-                    acc = groups[key] = monoid.accumulator()
-                acc.add(self._eval(node.part_head, binding))
-        from repro.values import canonical_key
+        return monoid
 
+    def _group(
+        self, node: Nest, monoid: CollectionMonoid, bindings: Iterator[dict[str, Any]]
+    ) -> dict[tuple, Any]:
+        """Key tuple -> ``monoid`` collection of the part heads of the
+        bindings carrying that key. The parallel engine calls this per
+        partition and merges the collections per key."""
+        key_fns = self._fn(node, "key_fns", tuple(term for _, term in node.keys))
+        head_fn = self._fn(node, "head_fn", node.part_head)
+        rt = self._rt
+        groups: dict[tuple, Any] = {}
+        for binding in bindings:
+            key = tuple(fn(binding, rt) for fn in key_fns)
+            acc = groups.get(key)
+            if acc is None:
+                acc = groups[key] = monoid.accumulator()
+            acc.add(head_fn(binding, rt))
+        return {key: acc.finish() for key, acc in groups.items()}
+
+    def _emit_groups(
+        self, node: Nest, groups: dict[tuple, Any]
+    ) -> Iterator[dict[str, Any]]:
+        """One binding per group, in canonical key order."""
         for key in sorted(groups, key=canonical_key):
             out = {label: value for (label, _), value in zip(node.keys, key)}
-            out[node.part_var] = groups[key].finish()
+            out[node.part_var] = groups[key]
             self.stats.rows_grouped += 1
             yield out
 
@@ -498,7 +368,7 @@ class Executor:
             raise PlanError(
                 f"no index on {node.extent}.{node.attribute} for IndexScan"
             )
-        key = self._eval(node.key, {})
+        key = self._rt.eval_fallback(node.key, {})
         self.stats.index_probes += 1
         if self.metrics is not None:
             self.metrics.for_node(node).index_probes += 1
@@ -511,6 +381,8 @@ class Executor:
     def _bindings_of(
         self, source: Any, var: str, index_var: Optional[str]
     ) -> Iterator[dict[str, Any]]:
+        """A fresh dict per element — operators and the interpreter
+        thunks (``Env.wrapping``) may keep the ones they are handed."""
         if isinstance(source, Obj):
             source = self.evaluator.store.deref(source)
         monoid = runtime_monoid_of(source)
@@ -534,60 +406,31 @@ class Executor:
                     f"{type(source).__name__}"
                 )
 
-    def _eval(self, term, binding: dict[str, Any]) -> Any:
-        env = self.evaluator.global_env
-        if binding:
-            # No-copy wrap: binding dicts here are either fresh per row
-            # or proven non-retained by _collect_reusable_scans, so
-            # aliasing them in an Env is safe and saves a dict copy per
-            # expression per row.
-            env = Env.wrapping(binding, env)
-        return self.evaluator.evaluate(term, env)
+
+def _interpreted(term: Term):
+    """``term`` as an ``fn(binding, rt)`` run by the reference
+    interpreter — ``Runtime.eval_fallback`` without its frame, this
+    being the per-row path of every jit-off query. The no-copy
+    ``Env.wrapping`` is sound because every binding dict is fresh."""
+    wrap = Env.wrapping
+    return lambda binding, rt: rt.ev.evaluate(term, wrap(binding, rt.globals))
 
 
-def _may_capture(term: Term) -> bool:
-    """Could evaluating ``term`` allocate a closure (and thus retain the
-    environment — i.e. the binding dict — past the current row)? Any
-    ``Lambda`` subterm counts, including monoid key functions."""
-    return any(isinstance(sub, Lambda) for sub in subterms(term))
+def _checked(fn, term: Term):
+    """``fn`` with every result compared against the interpreter's."""
 
+    def checked(binding: dict[str, Any], rt) -> Any:
+        value = fn(binding, rt)
+        expected = rt.eval_fallback(term, binding)
+        if type(value) is not type(expected) or value != expected:
+            raise VerificationError(
+                "jit-compile",
+                term,
+                violations=[f"compiled {value!r} != interpreted {expected!r}"],
+            )
+        return value
 
-def _collect_reusable_scans(plan: PlanNode) -> frozenset[int]:
-    """ids of Scan nodes whose binding dict can be mutated in place.
-
-    A scan's dict may be reused iff every value computed *directly on
-    that dict* before the next merge point is closure-free. Merge
-    points (Unnest / Join-probe ``{**l, **r}``, Nest regrouping) copy
-    into fresh dicts, so safety resets below them; hash-join build and
-    nested-loop right sides store their input dicts outright and are
-    never safe. Scans feeding a metrics-collecting (EXPLAIN ANALYZE)
-    execution are excluded by the caller.
-    """
-    out: set[int] = set()
-    _walk_reuse(plan, False, out)
-    return frozenset(out)
-
-
-def _walk_reuse(node: PlanNode, safe: bool, out: set[int]) -> None:
-    if isinstance(node, Reduce):
-        _walk_reuse(node.child, not _may_capture(node.head), out)
-    elif isinstance(node, SelectOp):
-        _walk_reuse(node.child, safe and not _may_capture(node.pred), out)
-    elif isinstance(node, Unnest):
-        _walk_reuse(node.child, not _may_capture(node.path), out)
-    elif isinstance(node, Join):
-        left_safe = all(not _may_capture(k) for k in node.left_keys)
-        _walk_reuse(node.left, left_safe, out)
-        _walk_reuse(node.right, False, out)
-    elif isinstance(node, Nest):
-        child_safe = all(not _may_capture(t) for _, t in node.keys) and not (
-            _may_capture(node.part_head)
-        )
-        _walk_reuse(node.child, child_safe, out)
-    elif isinstance(node, Scan):
-        if safe:
-            out.add(id(node))
-    # IndexScan dicts are single-binding and cheap; leave them fresh.
+    return checked
 
 
 def _result_cardinality(value: Any) -> int:

@@ -33,11 +33,10 @@ class Env:
 
         The constructor copies its dict so environments stay immutable
         even if the caller mutates theirs afterwards. On the per-row
-        execution path that copy is pure overhead: the executor either
-        owns a fresh dict per row or has proven (closure-capture
-        analysis) that nothing retains the environment past the row.
-        Callers must uphold that contract — the returned environment
-        reflects later mutations of ``bindings``.
+        execution path that copy is pure overhead: the executor builds
+        a fresh dict per row and never mutates it afterwards. Callers
+        must uphold that contract — the returned environment reflects
+        later mutations of ``bindings``.
         """
         env = cls.__new__(cls)
         env._bindings = bindings

@@ -68,6 +68,9 @@ from repro.monoids import (
 from repro.objects.store import Obj, ObjectStore
 from repro.values import Bag, OrderedSet, Record, Vector
 
+#: Raised (as an EvaluationError) here and by the algebra's Reduce fold.
+VECTOR_HEAD_ERROR = "a vector comprehension head must be a (value, index) pair"
+
 
 class Closure:
     """A lambda value: parameter, body and captured environment."""
@@ -368,9 +371,7 @@ class Evaluator:
                 def emit(scope: Env) -> None:
                     pair = self._eval(head, scope)
                     if not isinstance(pair, tuple) or len(pair) != 2:
-                        raise EvaluationError(
-                            "a vector comprehension head must be a (value, index) pair"
-                        )
+                        raise EvaluationError(VECTOR_HEAD_ERROR)
                     acc.add(pair)
             else:
                 def emit(scope: Env) -> None:

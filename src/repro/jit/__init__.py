@@ -12,7 +12,7 @@ Off by default; enable with ``Database(jit=...)``,
 ``Database.enable_jit()`` or ``REPRO_JIT=1``.
 """
 
-from repro.jit.compiler import CompiledFn, compile_term, may_capture
+from repro.jit.compiler import CompiledFn, compile_term
 from repro.jit.config import (
     JITConfig,
     config_from_env,
@@ -35,7 +35,6 @@ __all__ = [
     "compile_term",
     "config_from_env",
     "jit_env_enabled",
-    "may_capture",
     "node_fallbacks",
     "plan_fallback_constructs",
     "precompile_plan",

@@ -38,7 +38,6 @@ from repro.calculus.ast import (
     Deref,
     If,
     Index,
-    Lambda,
     Proj,
     RecordCons,
     Term,
@@ -46,7 +45,6 @@ from repro.calculus.ast import (
     UnOp,
     Var,
 )
-from repro.calculus.traversal import subterms
 from repro.errors import EvaluationError
 from repro.eval.builtins import DEFAULT_BUILTINS
 from repro.eval.evaluator import _freeze_const
@@ -73,13 +71,6 @@ def compile_term(
     for the ``QL501`` lint and the ``repro_jit_*`` telemetry counters.
     """
     return _compile(term, bound, fallbacks)
-
-
-def may_capture(term: Term) -> bool:
-    """Could evaluating ``term`` allocate a closure that outlives the
-    row? Conservative: any ``Lambda`` subterm (including monoid key
-    functions) counts. Gates the executor's binding-dict reuse."""
-    return any(isinstance(sub, Lambda) for sub in subterms(term))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ of the relevant child and stores the resulting closures on the node
 (``pred_fn``, ``left_key_fns``, ...). Plan nodes are frozen
 dataclasses, so the closures live in the instance ``__dict__`` via
 ``object.__setattr__`` — they are derived data, not part of the node's
-value (equality/hash/``dataclasses.replace`` ignore them; a rebuilt
-spine recompiles lazily).
+value (equality/hash/``dataclasses.replace`` ignore them; a copied
+node recompiles lazily).
 
 Concurrency: compilation is idempotent and every write is a single
 GIL-atomic attribute store, with ``jit_ready`` written last. Racing
-:mod:`repro.parallel` workers may compile the same node twice; both
-produce equivalent closures and readers always observe either a fully
-populated node or ``jit_ready == False``.
+executors (:mod:`repro.parallel` workers, concurrent queries on one
+cached plan) may compile the same node twice; both produce equivalent
+closures and readers always observe either a fully populated node or
+``jit_ready == False``.
 
 :func:`precompile_plan` walks a whole plan at plan-build time (the
 pipeline's ``jit`` phase) and aggregates compiled/fallback counts;

@@ -43,9 +43,8 @@ class Runtime:
 
         The semantics-preserving escape hatch for constructs the
         compiler does not cover. Uses the no-copy :meth:`Env.wrapping`
-        fast path: binding dicts are either fresh per row or covered by
-        the executor's closure-capture analysis, so aliasing them is
-        safe.
+        fast path: the executor's binding dicts are fresh per row, so
+        aliasing them is safe.
         """
         env = self.globals
         if binding:

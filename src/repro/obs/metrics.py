@@ -99,6 +99,15 @@ class PlanMetrics:
     def get(self, node: PlanNode) -> Optional[OperatorMetrics]:
         return self._by_node.get(id(node))
 
+    def merge_from(self, other: "PlanMetrics") -> None:
+        """Add the blocks of a collector that ran the *same* plan nodes
+        (a partition worker's) into this one's, node by node."""
+        for node_id, block in other._by_node.items():
+            mine = self._by_node.get(node_id)
+            if mine is None:
+                mine = self._by_node[node_id] = OperatorMetrics()
+            mine.merge_from(block)
+
     def instrument(
         self, node: PlanNode, stream: Iterator[dict[str, Any]]
     ) -> Iterator[dict[str, Any]]:

@@ -20,28 +20,32 @@ Execution model:
 3. Prepare shared state for spine ``Join``\\ s once: hash tables are
    built up front (the key evaluation itself fanned out over
    partitions of the build side, buckets concatenated in partition
-   order), loop-join right sides materialized once.
-4. Rebuild the spine per partition with the scan replaced by a
-   :class:`_MaterializedScan` and run each pipeline
-   (filter → map → partial ``Reduce``) on a ``ThreadPoolExecutor``
-   worker with its own :class:`~repro.algebra.physical.ExecutionStats`.
+   order), loop-join right sides materialized once. It goes into a map
+   keyed by node identity, next to each partition's scan rows.
+4. Run each pipeline (filter → map → partial ``Reduce``) on a
+   ``ThreadPoolExecutor`` worker: a plain
+   :class:`~repro.algebra.physical.Executor` over the *original* plan
+   nodes, with its own :class:`~repro.algebra.physical.ExecutionStats`,
+   whose scan and join loops replay the prepared entries instead of
+   scanning and building again.
 5. Combine partials with the target monoid's ``combine_partials`` —
    index order for non-commutative monoids, completion order for
    commutative ones — and fold the workers' stats back into the
    query's block.
 
 ``Nest`` (group-by) parallelizes as partitioned partial groupings:
-each worker groups its partition into per-key partial carriers, the
-coordinator merges them per key in partition-index order, and the
-outer fold then runs over the merged groups in canonical key order —
-the same order the serial operator emits.
+each worker groups its partition into per-key partial carriers (the
+serial operator's own grouping loop), the coordinator merges them per
+key in partition-index order, and the outer fold then runs over the
+merged groups in canonical key order — the same order the serial
+operator emits.
 
 Per-operator metrics compose with the fan-out: each worker collects a
-private :class:`~repro.obs.metrics.PlanMetrics` over its rebuilt spine
-and the coordinator folds the blocks back onto the *original* plan
-nodes (a lock-step walk of both spines), so ``EXPLAIN ANALYZE`` and
-telemetry see the same tree they would serially — with ``invocations``
-honestly reporting one stream opening per partition.
+private :class:`~repro.obs.metrics.PlanMetrics`, and because workers
+run the plan's own nodes the coordinator adds the blocks up node by
+node, so ``EXPLAIN ANALYZE`` and telemetry see the same tree they would
+serially — with ``invocations`` honestly reporting one stream opening
+per partition.
 
 Serial fallbacks (always value-identical): one worker, too few rows
 (``min_partition_rows``), or an unsupported spine. With ``verify`` on,
@@ -52,140 +56,20 @@ every parallel execution is re-run serially and checked with
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Any, Callable, Iterator, Optional
 
 from repro.algebra.ops import Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
 from repro.algebra.physical import Executor
-from repro.monoids import CollectionMonoid, Monoid
+from repro.monoids import Monoid
 from repro.parallel.config import ParallelConfig
 from repro.parallel.partition import partition_rows
 
-#: Spine rebuild: maps the partition's materialized scan to the rebuilt
-#: plan fragment feeding the partial fold.
-Rebuild = Callable[[PlanNode], PlanNode]
+#: One partition's outcome: ``(index, value, worker, start, duration)``.
+Outcome = tuple[int, Any, Executor, float, float]
 
 
-@dataclass(frozen=True, eq=False)
-class _MaterializedScan(PlanNode):
-    """A scan whose bindings were already produced (and counted) by the
-    coordinating thread; workers replay them without re-counting."""
-
-    rows: tuple[dict[str, Any], ...]
-    source: Scan
-
-    def columns(self) -> frozenset[str]:
-        return self.source.columns()
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        return f"{pad}MaterializedScan {self.source.var} ({len(self.rows)} rows)"
-
-
-@dataclass(frozen=True, eq=False)
-class _PrebuiltHashJoin(PlanNode):
-    """A hash join whose build side was prepared once by the
-    coordinator; each partition probes the shared (read-only) table."""
-
-    left: PlanNode
-    join: Join
-    table: dict[Any, list[dict[str, Any]]]
-
-    def columns(self) -> frozenset[str]:
-        return self.join.columns()
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left,)
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        return f"{pad}PrebuiltHashJoin\n{self.left.render(indent + 1)}"
-
-
-@dataclass(frozen=True, eq=False)
-class _PrebuiltLoopJoin(PlanNode):
-    """A nested-loop join whose right side was materialized once."""
-
-    left: PlanNode
-    join: Join
-    rows: tuple[dict[str, Any], ...]
-
-    def columns(self) -> frozenset[str]:
-        return self.join.columns()
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left,)
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        return f"{pad}PrebuiltLoopJoin\n{self.left.render(indent + 1)}"
-
-
-class _PartitionExecutor(Executor):
-    """An :class:`Executor` that additionally understands the internal
-    prebuilt/materialized nodes. One instance per worker, so its
-    ``stats`` block is single-threaded (merged by the coordinator)."""
-
-    def _dispatch(self, node: PlanNode) -> Iterator[dict[str, Any]]:
-        if isinstance(node, _MaterializedScan):
-            # The coordinator counted rows_scanned at materialization.
-            yield from node.rows
-        elif isinstance(node, _PrebuiltHashJoin):
-            yield from self._probe_prebuilt(node)
-        elif isinstance(node, _PrebuiltLoopJoin):
-            yield from self._loop_prebuilt(node)
-        else:
-            yield from super()._dispatch(node)
-
-    def _probe_prebuilt(self, node: _PrebuiltHashJoin) -> Iterator[dict[str, Any]]:
-        join = node.join
-        if self.jit is not None:
-            # Compiled against the *original* Join node, so every worker
-            # sharing the prebuilt table reuses one set of closures.
-            left_fns, _, residual_fn = self._join_fns(join)
-            rt = self._rt
-            for left_binding in self._iter(node.left):
-                key = tuple(fn(left_binding, rt) for fn in left_fns)
-                for right_binding in node.table.get(key, ()):
-                    merged = {**left_binding, **right_binding}
-                    if residual_fn is not None and not residual_fn(merged, rt):
-                        continue
-                    self.stats.rows_joined += 1
-                    yield merged
-            return
-        for left_binding in self._iter(node.left):
-            key = tuple(self._eval(k, left_binding) for k in join.left_keys)
-            for right_binding in node.table.get(key, ()):
-                merged = {**left_binding, **right_binding}
-                if join.residual is not None and not self._eval(join.residual, merged):
-                    continue
-                self.stats.rows_joined += 1
-                yield merged
-
-    def _loop_prebuilt(self, node: _PrebuiltLoopJoin) -> Iterator[dict[str, Any]]:
-        join = node.join
-        if self.jit is not None:
-            _, _, residual_fn = self._join_fns(join)
-            rt = self._rt
-            for left_binding in self._iter(node.left):
-                for right_binding in node.rows:
-                    merged = {**left_binding, **right_binding}
-                    if residual_fn is not None and not residual_fn(merged, rt):
-                        continue
-                    self.stats.rows_joined += 1
-                    yield merged
-            return
-        for left_binding in self._iter(node.left):
-            for right_binding in node.rows:
-                merged = {**left_binding, **right_binding}
-                if join.residual is not None and not self._eval(join.residual, merged):
-                    continue
-                self.stats.rows_joined += 1
-                yield merged
-
-
-class ParallelExecutor(_PartitionExecutor):
+class ParallelExecutor(Executor):
     """Drop-in :class:`Executor` that fans ``Reduce`` out over
     partitions when the plan shape and configuration allow it.
 
@@ -232,108 +116,83 @@ class ParallelExecutor(_PartitionExecutor):
     def _maybe_parallel(self, plan: Reduce, monoid: Monoid) -> tuple[Any, str]:
         child = plan.child
         nest = child if isinstance(child, Nest) else None
-        spine_root = nest.child if nest is not None else child
-        prepared = self._prepare_spine(spine_root)
-        if prepared is None:
+        prepared: dict[int, Any] = {}
+        scan = self._prepare_spine(nest.child if nest is not None else child, prepared)
+        if scan is None:
             return self._fold_plan(plan, monoid, self._iter(child)), "serial"
-        rebuild, scan = prepared
-        source = self._eval(scan.source, {})
+        source = self._rt.eval_fallback(scan.source, {})
         rows = tuple(self._bindings_of(source, scan.var, scan.index_var))
         self.stats.rows_scanned += len(rows)
         partitions = partition_rows(
             rows, self.config.max_workers, self.config.morsel_size
         )
         if len(rows) < self.config.min_partition_rows or len(partitions) <= 1:
-            rebuilt: PlanNode = rebuild(_MaterializedScan(rows, scan))
-            original: PlanNode = child
-            if nest is not None:
-                rebuilt = replace(nest, child=rebuilt)
-            # Run through a single in-thread "worker" so that, with
-            # per-operator metrics on, the rebuilt nodes' blocks can be
-            # folded back onto the original plan nodes the snapshot
-            # walks.
-            worker = self._make_worker()
-            value = worker._fold_plan(plan, monoid, worker._iter(rebuilt))
-            self.stats.merge_from(worker.stats)
-            if self.metrics is not None and worker.metrics is not None:
-                self._pair_merge(original, rebuilt, worker.metrics)
+            # Already scanned and built: replay it all in this thread.
+            worker = self._worker({**prepared, id(scan): rows})
+            value = worker._fold_plan(plan, monoid, worker._iter(child))
+            self._absorb(worker)
             return value, "serial"
-        if nest is not None:
-            return (
-                self._parallel_nest(plan, monoid, nest, rebuild, scan, partitions),
-                "parallel",
-            )
-        return self._parallel_fold(plan, monoid, rebuild, scan, partitions), "parallel"
 
-    def _make_worker(self) -> _PartitionExecutor:
-        """A private executor for one partition: its own stats block
-        and (when the query is instrumented) its own PlanMetrics."""
+        maps = [{**prepared, id(scan): part} for part in partitions]
+        if nest is None:
+            outs = self._fan_out(
+                maps,
+                lambda worker: worker._fold_plan(plan, monoid, worker._iter(child)),
+                ordered=not monoid.commutative,
+            )
+            # Index order for non-commutative monoids (the
+            # combine_partials contract), completion order otherwise.
+            return monoid.combine_partials([out[1] for out in outs]), "parallel"
+        groups = self._parallel_groups(nest, maps)
+        if self.metrics is not None:
+            groups = self.metrics.instrument(nest, groups)
+        return self._fold_plan(plan, monoid, groups), "parallel"
+
+    def _worker(self, prepared: dict[int, Any]) -> Executor:
+        """A private executor for one partition — its own stats block
+        and (when the query is instrumented) its own PlanMetrics — that
+        replays ``prepared`` where it would scan or build."""
         metrics = None
         if self.metrics is not None:
             from repro.obs.metrics import PlanMetrics
 
             metrics = PlanMetrics()
-        return _PartitionExecutor(
-            self.evaluator, self.indexes, metrics=metrics, jit=self.jit
-        )
+        worker = Executor(self.evaluator, self.indexes, metrics=metrics, jit=self.jit)
+        worker._prepared = prepared
+        return worker
 
-    def _pair_merge(self, original: PlanNode, rebuilt: PlanNode, worker_metrics) -> None:
-        """Fold a worker's per-operator counters (keyed by the rebuilt
-        partition nodes) into the parent's blocks for the corresponding
-        *original* plan nodes, walking both spines in lockstep."""
-        while True:
-            block = worker_metrics.get(rebuilt)
-            if block is not None:
-                self.metrics.for_node(original).merge_from(block)
-            if isinstance(rebuilt, _MaterializedScan):
-                return
-            if isinstance(rebuilt, (_PrebuiltHashJoin, _PrebuiltLoopJoin)):
-                original = original.left
-                rebuilt = rebuilt.left
-            elif isinstance(rebuilt, (SelectOp, Unnest, Nest)):
-                original = original.child
-                rebuilt = rebuilt.child
-            else:
-                return
+    def _absorb(self, worker: Executor) -> None:
+        """Fold a finished worker's counters into this query's. Workers
+        run the plan's own nodes, so per-operator blocks merge by node."""
+        self.stats.merge_from(worker.stats)
+        if self.metrics is not None:
+            self.metrics.merge_from(worker.metrics)
 
-    def _prepare_spine(
-        self, node: PlanNode
-    ) -> Optional[tuple[Rebuild, Scan]]:
-        """``(rebuild, driving_scan)`` for a partitionable spine, else None.
+    def _prepare_spine(self, node: PlanNode, prepared: dict[int, Any]) -> Optional[Scan]:
+        """The driving Scan of a partitionable spine, else None.
 
-        Shared join state (hash tables, materialized right sides) is
-        prepared here, exactly once, on the way back up a successful
-        walk — ``rebuild`` closures only assemble per-partition nodes.
+        Shared join state (hash tables, materialized right sides) goes
+        into ``prepared``, exactly once, on the way back up a successful
+        walk; the partition workers replay it.
         """
         if isinstance(node, Scan):
-            return (lambda repl: repl), node
+            return node
         if isinstance(node, (SelectOp, Unnest)):
-            prepared = self._prepare_spine(node.child)
-            if prepared is None:
-                return None
-            inner, scan = prepared
-            return (lambda repl, _n=node, _r=inner: replace(_n, child=_r(repl))), scan
+            return self._prepare_spine(node.child, prepared)
         if isinstance(node, Join):
-            prepared = self._prepare_spine(node.left)
-            if prepared is None:
-                return None
-            inner, scan = prepared
-            if node.left_keys:
-                table = self._build_hash_table(node)
-                return (
-                    lambda repl, _n=node, _r=inner, _t=table: _PrebuiltHashJoin(
-                        _r(repl), _n, _t
-                    )
-                ), scan
-            right_rows = tuple(self._iter(node.right))
-            return (
-                lambda repl, _n=node, _r=inner, _rows=right_rows: _PrebuiltLoopJoin(
-                    _r(repl), _n, _rows
-                )
-            ), scan
+            scan = self._prepare_spine(node.left, prepared)
+            if scan is not None:
+                right_rows = tuple(self._iter(node.right))
+                if node.left_keys:
+                    prepared[id(node)] = self._build_hash_table(node, right_rows)
+                else:
+                    prepared[id(node)] = right_rows
+            return scan
         return None
 
-    def _build_hash_table(self, join: Join) -> dict[Any, list[dict[str, Any]]]:
+    def _build_hash_table(
+        self, join: Join, right_rows: tuple[dict[str, Any], ...]
+    ) -> dict[Any, list[dict[str, Any]]]:
         """Build the join's hash table once, fanning the key evaluation
         out over partitions of the build side.
 
@@ -341,104 +200,56 @@ class ParallelExecutor(_PartitionExecutor):
         bucket lists its rows in exactly the order the serial build
         would — probe outputs stay deterministic.
         """
-        right_rows = tuple(self._iter(join.right))
-        self.stats.hash_builds += len(right_rows)
-        if self.metrics is not None:
-            self.metrics.for_node(join).hash_builds += len(right_rows)
         partitions = partition_rows(
             right_rows, self.config.max_workers, self.config.morsel_size
         )
-        table: dict[Any, list[dict[str, Any]]] = {}
-        if self.jit is not None:
-            right_fns = self._join_fns(join)[1]
-            rt = self._rt
-
-            def key_of(rb: dict[str, Any]) -> tuple:
-                return tuple(fn(rb, rt) for fn in right_fns)
-
-        else:
-
-            def key_of(rb: dict[str, Any]) -> tuple:
-                return tuple(self._eval(k, rb) for k in join.right_keys)
-
         if len(partitions) <= 1 or len(right_rows) < self.config.min_partition_rows:
-            for right_binding in right_rows:
-                table.setdefault(key_of(right_binding), []).append(right_binding)
-            return table
+            return self._build_table(join, right_rows)
+        right_fns = self._fn(join, "right_key_fns", join.right_keys)
+        rt = self._rt
 
         def keyed(part: Any) -> list[tuple[Any, dict[str, Any]]]:
-            return [(key_of(rb), rb) for rb in part]
+            return [(tuple(fn(rb, rt) for fn in right_fns), rb) for rb in part]
 
+        table: dict[Any, list[dict[str, Any]]] = {}
         with ThreadPoolExecutor(
             max_workers=min(self.config.max_workers, len(partitions))
         ) as pool:
             for pairs in pool.map(keyed, partitions):
                 for key, right_binding in pairs:
                     table.setdefault(key, []).append(right_binding)
+        self._count_hash_builds(join, len(right_rows))
         return table
-
-    def _run_partition(
-        self,
-        index: int,
-        part: Any,
-        rebuild: Rebuild,
-        scan: Scan,
-        fold: Callable[[_PartitionExecutor, PlanNode], Any],
-    ) -> tuple[int, Any, _PartitionExecutor, PlanNode, float, float]:
-        """One worker task: rebuild the spine over this partition's rows
-        and fold it with a private executor. Returns
-        ``(index, value, worker, rebuilt_child, start, duration)``."""
-        child = rebuild(_MaterializedScan(tuple(part), scan))
-        worker = self._make_worker()
-        start = time.perf_counter()
-        value = fold(worker, child)
-        duration = time.perf_counter() - start
-        return index, value, worker, child, start, duration
 
     def _fan_out(
         self,
-        partitions: list,
-        rebuild: Rebuild,
-        scan: Scan,
-        fold: Callable[[_PartitionExecutor, PlanNode], Any],
+        prepared: list[dict[int, Any]],
+        task: Callable[[Executor], Any],
         ordered: bool,
-    ) -> tuple[list[tuple[int, Any, _PartitionExecutor, PlanNode, float, float]], int]:
-        """Run every partition on the pool.
+    ) -> list[Outcome]:
+        """Run ``task`` on a private worker per partition (one
+        ``prepared`` map each) on the pool, then fold the workers'
+        counters back in and attach per-partition trace spans.
 
-        ``ordered=True`` returns results in partition-index order (the
+        ``ordered=True`` returns outcomes in partition-index order (the
         non-commutative requirement); ``ordered=False`` returns them in
         completion order, which commutative combining may exploit.
         """
-        workers = min(self.config.max_workers, len(partitions))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._run_partition, i, part, rebuild, scan, fold)
-                for i, part in enumerate(partitions)
-            ]
-            if ordered:
-                outs = [f.result() for f in futures]
-            else:
-                outs = []
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    outs.extend(f.result() for f in done)
-        return outs, workers
 
-    def _record_fan_out(
-        self,
-        outs: list[tuple[int, Any, _PartitionExecutor, PlanNode, float, float]],
-        workers: int,
-        original: PlanNode,
-    ) -> None:
-        """Fold worker stats (and per-operator metrics blocks, keyed to
-        ``original``'s spine) back in; attach per-partition trace spans."""
-        for index, _value, worker, child, start, duration in sorted(
+        def run(index: int) -> Outcome:
+            worker = self._worker(prepared[index])
+            start = time.perf_counter()
+            value = task(worker)
+            return index, value, worker, start, time.perf_counter() - start
+
+        workers = min(self.config.max_workers, len(prepared))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run, index) for index in range(len(prepared))]
+            outs = [f.result() for f in (futures if ordered else as_completed(futures))]
+        for index, _value, worker, start, duration in sorted(
             outs, key=lambda out: out[0]
         ):
-            self.stats.merge_from(worker.stats)
-            if self.metrics is not None and worker.metrics is not None:
-                self._pair_merge(original, child, worker.metrics)
+            self._absorb(worker)
             if self.tracer is not None:
                 self.tracer.attach(
                     f"partition[{index}]",
@@ -448,88 +259,26 @@ class ParallelExecutor(_PartitionExecutor):
                 )
         self.stats.partitions = len(outs)
         self.stats.parallel_workers = workers
+        return outs
 
-    def _parallel_fold(
-        self,
-        plan: Reduce,
-        monoid: Monoid,
-        rebuild: Rebuild,
-        scan: Scan,
-        partitions: list,
-    ) -> Any:
-        def fold(worker: _PartitionExecutor, child: PlanNode) -> Any:
-            return worker._fold_plan(plan, monoid, worker._iter(child))
-
-        outs, workers = self._fan_out(
-            partitions, rebuild, scan, fold, ordered=not monoid.commutative
+    def _parallel_groups(
+        self, nest: Nest, prepared: list[dict[int, Any]]
+    ) -> Iterator[dict[str, Any]]:
+        """The Nest's output bindings from partitioned partial groupings."""
+        part_monoid = self._part_monoid(nest)
+        outs = self._fan_out(
+            prepared,
+            lambda worker: worker._group(nest, part_monoid, worker._iter(nest.child)),
+            ordered=True,
         )
-        self._record_fan_out(outs, workers, plan.child)
-        # ``outs`` is index-ordered for non-commutative monoids (the
-        # combine_partials contract) and completion-ordered otherwise.
-        return monoid.combine_partials([out[1] for out in outs])
-
-    def _parallel_nest(
-        self,
-        plan: Reduce,
-        monoid: Monoid,
-        nest: Nest,
-        rebuild: Rebuild,
-        scan: Scan,
-        partitions: list,
-    ) -> Any:
-        part_monoid = self.evaluator.resolve_monoid(
-            nest.part_monoid, self.evaluator.global_env
-        )
-        assert isinstance(part_monoid, CollectionMonoid)
-
-        def group(worker: _PartitionExecutor, child: PlanNode) -> dict[tuple, Any]:
-            groups: dict[tuple, Any] = {}
-            if worker.jit is not None:
-                worker._jit_node(nest)
-                key_fns = tuple(
-                    worker._jit_wrap(fn, term)
-                    for fn, (_, term) in zip(nest.key_fns, nest.keys)
-                )
-                head_fn = worker._jit_wrap(nest.head_fn, nest.part_head)
-                rt = worker._rt
-                for binding in worker._iter(child):
-                    key = tuple(fn(binding, rt) for fn in key_fns)
-                    acc = groups.get(key)
-                    if acc is None:
-                        acc = groups[key] = part_monoid.accumulator()
-                    acc.add(head_fn(binding, rt))
-                return {key: acc.finish() for key, acc in groups.items()}
-            for binding in worker._iter(child):
-                key = tuple(worker._eval(term, binding) for _, term in nest.keys)
-                acc = groups.get(key)
-                if acc is None:
-                    acc = groups[key] = part_monoid.accumulator()
-                acc.add(worker._eval(nest.part_head, binding))
-            return {key: acc.finish() for key, acc in groups.items()}
-
-        nest_start = time.perf_counter_ns()
-        outs, workers = self._fan_out(partitions, rebuild, scan, group, ordered=True)
-        self._record_fan_out(outs, workers, nest.child)
         # Per-key partial carriers, merged in partition-index order so
         # non-commutative partition monoids (e.g. list partitions) see
         # their elements exactly as the serial single-pass grouping did.
-        merged: dict[tuple, list[Any]] = {}
-        for out in sorted(outs, key=lambda o: o[0]):
+        carriers: dict[tuple, list[Any]] = {}
+        for out in outs:
             for key, carrier in out[1].items():
-                merged.setdefault(key, []).append(carrier)
-        from repro.values import canonical_key
-
-        bindings: list[dict[str, Any]] = []
-        for key in sorted(merged, key=canonical_key):
-            out_binding = {label: value for (label, _), value in zip(nest.keys, key)}
-            out_binding[nest.part_var] = part_monoid.combine_partials(merged[key])
-            self.stats.rows_grouped += 1
-            bindings.append(out_binding)
-        if self.metrics is not None:
-            # Workers iterate the spine *below* the Nest; the Nest block
-            # itself is the coordinator's grouping work.
-            block = self.metrics.for_node(nest)
-            block.invocations += 1
-            block.rows_out += len(bindings)
-            block.time_ns += time.perf_counter_ns() - nest_start
-        return self._fold_plan(plan, monoid, iter(bindings))
+                carriers.setdefault(key, []).append(carrier)
+        merged = {
+            key: part_monoid.combine_partials(parts) for key, parts in carriers.items()
+        }
+        yield from self._emit_groups(nest, merged)

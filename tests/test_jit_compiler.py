@@ -18,7 +18,6 @@ from repro.calculus.ast import (
     Const,
     If,
     Index,
-    Lambda,
     Proj,
     RecordCons,
     TupleCons,
@@ -29,7 +28,7 @@ from repro.calculus import comp, gen, var
 from repro.errors import EvaluationError, ReproError
 from repro.eval import Evaluator
 from repro.eval.env import Env
-from repro.jit import Runtime, compile_term, may_capture
+from repro.jit import Runtime, compile_term
 from repro.values import Bag, Record
 
 
@@ -277,21 +276,6 @@ class TestFallbacks:
         term = comp("sum", BinOp("*", var("x"), var("y")), [gen("x", var("xs"))])
         fn = compile_term(term, frozenset({"xs", "y"}), [])
         assert fn({"xs": Bag((1, 2)), "y": 10}, Runtime(Evaluator())) == 30
-
-
-class TestMayCapture:
-    def test_plain_terms_do_not_capture(self):
-        assert not may_capture(BinOp("<", Proj(Var("x"), "a"), Const(3)))
-
-    def test_lambda_subterm_captures(self):
-        assert may_capture(Lambda("v", Var("v")))
-        term = BinOp("+", Const(1), Lambda("v", Var("v")))
-        assert may_capture(term)
-
-    def test_comprehension_without_lambda_does_not_capture(self):
-        # Comprehensions bind via generators, not closures; only Lambda
-        # allocates an env-retaining value.
-        assert not may_capture(comp("sum", var("x"), [gen("x", var("xs"))]))
 
 
 class TestRuntime:

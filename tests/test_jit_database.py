@@ -187,27 +187,31 @@ class TestVerifyMode:
         baseline = demo_company_database(4, 60, seed=11).run(SCAN_QUERY)
         assert company.run(SCAN_QUERY) == baseline
 
-    def test_injected_wrong_closure_is_caught(self, company):
+    @staticmethod
+    def _corrupted_plan(company):
         from repro.algebra.translate import build_plan
         from repro.jit.plan import compile_node
 
         from repro.normalize import normalize
 
-        company.enable_jit(JITConfig(verify=True))
         normalized = normalize(company.translate(SCAN_QUERY))
         plan = company._optimize(build_plan(normalized, pre_normalize=True))
         compile_node(plan)
         object.__setattr__(plan, "head_fn", lambda b, rt: "corrupt")
+        return plan
+
+    def test_injected_wrong_closure_is_caught(self, company):
+        company.enable_jit(JITConfig(verify=True))
         executor = company._executor(company.evaluator(), None)
         with pytest.raises(VerificationError, match="jit-compile"):
-            executor.execute(plan)
+            executor.execute(self._corrupted_plan(company))
 
-    def test_verify_off_does_not_wrap(self, company, monkeypatch):
+    def test_verify_off_does_not_check(self, company, monkeypatch):
         monkeypatch.delenv("REPRO_VERIFY", raising=False)  # verify=None defers to it
         company.enable_jit()
         executor = company._executor(company.evaluator(), None)
-        fn = lambda b, rt: 1  # noqa: E731
-        assert executor._jit_wrap(fn, None) is fn
+        value = executor.execute(self._corrupted_plan(company))
+        assert set(value) == {"corrupt"}
 
 
 class TestTelemetryCounters:

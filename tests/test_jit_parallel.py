@@ -125,3 +125,41 @@ class TestSharedPlanThreadSafety:
 
         joins = [n for n in walk(result.plan) if isinstance(n, Join)]
         assert joins and all(n.jit_ready for n in joins)
+
+
+class TestWorkersRunTheCompiledNodes:
+    @staticmethod
+    def _compile_calls(monkeypatch, db, oql):
+        """``(compile_term calls, partitions)`` of one run of ``oql``."""
+        import repro.jit.plan as jit_plan
+
+        calls: list = []
+        real = jit_plan.compile_term
+
+        def counting(term, bound, fallbacks=None):
+            calls.append(term)
+            return real(term, bound, fallbacks)
+
+        monkeypatch.setattr(jit_plan, "compile_term", counting)
+        stats = db.run_detailed(oql).stats
+        return len(calls), stats.partitions
+
+    @pytest.mark.parametrize(
+        "oql",
+        [
+            "sum(select e.salary from e in Employees "
+            "where e.salary > 10 and e.dno > 0)",
+            "select s from e in Employees, s in e.skills "
+            "where e.salary > 10 and s != 'x'",
+        ],
+        ids=["select", "select+unnest"],
+    )
+    def test_fan_out_compiles_each_expression_once(self, monkeypatch, oql):
+        # Partition workers run the plan's own (already compiled) nodes:
+        # a fanned-out query compiles exactly what the serial one does.
+        serial, _ = self._compile_calls(monkeypatch, make_db(jit=JITConfig()), oql)
+        compiled, partitions = self._compile_calls(
+            monkeypatch, make_db(parallel=FAST, jit=JITConfig()), oql
+        )
+        assert compiled == serial > 0
+        assert partitions == 4

@@ -2,8 +2,8 @@
 
 Covers every Table 1 monoid as a Reduce target, the integration
 catalogue's §2-style OQL suite, randomized comprehensions from the
-normalization property harness, and the two soundness edges of the
-binding-dict reuse optimization (lambda capture, downstream retention).
+normalization property harness, and the fresh-binding-dict-per-row
+contract (lambda capture, downstream retention).
 """
 
 from __future__ import annotations
@@ -101,49 +101,77 @@ class TestRandomizedTerms:
 
 
 class TestReuseSoundness:
-    """The binding-dict reuse fast path must not leak mutated dicts."""
+    """Every binding dict is fresh per row, so whatever keeps one — an
+    operator's build table, an ``Env.wrapping`` closure environment, a
+    caller — is not changed by the rows that follow."""
 
-    def test_lambda_in_head_disables_reuse(self):
+    @staticmethod
+    def _with_head(term, head):
         # Normalization beta-reduces most lambdas away, so hand-build a
-        # plan whose Reduce head retains one: the analysis must refuse
-        # to reuse the scan dict (the closure could capture its env).
+        # plan whose Reduce head retains one.
         import dataclasses
 
-        from repro.algebra.physical import _collect_reusable_scans
+        return dataclasses.replace(build_plan(term), head=head)
+
+    def test_lambda_in_head_agrees(self):
         from repro.calculus.ast import Apply, Lambda
 
         term = comp("list", var("x"), [gen("x", var("Xs"))])
-        plan = build_plan(term)
-        captured = dataclasses.replace(
-            plan, head=Apply(Lambda("v", var("v")), var("x"))
+        head = Apply(Lambda("v", var("v")), var("x"))
+        off = Executor(Evaluator(DATA)).execute(self._with_head(term, head))
+        on = Executor(Evaluator(DATA), jit=JITConfig()).execute(
+            self._with_head(term, head)
         )
-        assert _collect_reusable_scans(captured) == frozenset()
-        # and the plain head is reusable on the same shape
-        assert _collect_reusable_scans(plan) != frozenset()
+        assert off == on == DATA["Xs"]
 
-    def test_plain_scan_reuses_and_stays_correct(self):
-        from repro.algebra.ops import Scan
-        from repro.algebra.physical import _collect_reusable_scans
+    @pytest.mark.parametrize(
+        "jit", [None, JITConfig(verify=False)], ids=["interpreted", "compiled"]
+    )
+    def test_closure_built_from_a_row_still_sees_it(self, jit):
+        # A closure per row, applied only after the scan has finished:
+        # each must still see the row it was built from. (No per-row
+        # differential here: two closures never compare equal.)
+        from repro.calculus.ast import BinOp, Lambda
 
+        term = comp("list", var("x"), [gen("x", var("Xs"))])
+        head = Lambda("v", BinOp("+", var("v"), var("x")))
+        evaluator = Evaluator(DATA)
+        closures = Executor(evaluator, jit=jit).execute(self._with_head(term, head))
+        assert [evaluator.apply_callable(fn, 10) for fn in closures] == [
+            x + 10 for x in DATA["Xs"]
+        ]
+
+    @pytest.mark.parametrize("jit", [None, JITConfig()], ids=["interpreted", "compiled"])
+    def test_every_yielded_binding_is_a_distinct_dict(self, jit):
+        from repro.calculus import eq
+        from repro.calculus.ast import TupleCons
+
+        term = comp(
+            "bag",
+            TupleCons((var("x"), var("y"))),
+            [
+                gen("x", var("Xs")),
+                gen("y", var("Bs")),
+                filt(eq(var("x"), var("y"))),
+                filt(gt(var("x"), const(1))),
+            ],
+        )
+        plan = build_plan(term)
+        executor = Executor(Evaluator(DATA), jit=jit)
+        for node in _walk(plan.child):
+            rows = list(executor._iter(node))
+            assert rows and len({id(row) for row in rows}) == len(rows), node.label()
+
+    def test_plain_scan_stays_correct(self):
         term = comp(
             "list",
             var("x"),
             [gen("x", var("Xs")), filt(gt(var("x"), const(1)))],
         )
-        plan = build_plan(term)
-        reusable = _collect_reusable_scans(plan)
-        scans = [
-            node
-            for node in _walk(plan)
-            if isinstance(node, Scan) and id(node) in reusable
-        ]
-        assert scans, "expected the single scan to be reusable"
         both_ways(term, DATA)
 
-    def test_join_right_side_never_reused(self):
-        from repro.algebra.ops import Join, Scan
-        from repro.algebra.physical import _collect_reusable_scans
-        from repro.calculus import and_, eq
+    def test_join_stays_correct(self):
+        from repro.calculus import eq
         from repro.calculus.ast import TupleCons
 
         term = comp(
@@ -155,34 +183,51 @@ class TestReuseSoundness:
                 filt(eq(var("x"), var("y"))),
             ],
         )
-        plan = build_plan(term)
-        joins = [n for n in _walk(plan) if isinstance(n, Join)]
-        if joins:  # the optimizer built a hash join: its right side's
-            # dicts are stored in the build table, never reusable
-            reusable = _collect_reusable_scans(plan)
-            right_scans = [
-                n for n in _walk(joins[0].right) if isinstance(n, Scan)
-            ]
-            assert all(id(n) not in reusable for n in right_scans)
         both_ways(term, DATA)
 
-    def test_collection_valued_rows_survive_reuse(self):
-        # Rows whose values are themselves collections: reuse mutates
-        # only the dict, never the values, so results hold references
-        # safely.
+    def test_collection_valued_rows_survive(self):
         data = {"Rows": (((1, 2), 3), ((4, 5), 6))}
         term = comp("list", var("r"), [gen("r", var("Rows"))])
         both_ways(term, data)
 
-    def test_explain_analyze_disables_reuse(self):
-        from repro.algebra.physical import Executor
-        from repro.obs.metrics import PlanMetrics
 
-        term = comp("list", var("x"), [gen("x", var("Xs"))])
-        plan = build_plan(term)
-        executor = Executor(Evaluator(DATA), metrics=PlanMetrics())
-        executor.execute(plan)
-        assert executor._reusable_scans == frozenset()
+class TestErrorTextParity:
+    """The algebra's own per-row checks word their errors the way the
+    reference evaluator does, interpreted or compiled."""
+
+    @staticmethod
+    def _message(run) -> str:
+        from repro.errors import EvaluationError
+
+        with pytest.raises(EvaluationError) as info:
+            run()
+        return str(info.value)
+
+    @pytest.mark.parametrize("jit", [False, True], ids=["jit-off", "jit-on"])
+    def test_non_boolean_predicate(self, company_db, jit):
+        oql = (
+            "select e.name from e in Employees, d in Departments "
+            "where e.salary + d.dno"
+        )
+        company_db.enable_jit(jit)
+        reference = self._message(lambda: company_db.run(oql, engine="interpret"))
+        assert reference.startswith("qualifier predicate requires a boolean, got int")
+        assert self._message(lambda: company_db.run(oql, engine="algebra")) == reference
+
+    @pytest.mark.parametrize("jit", [None, JITConfig()], ids=["jit-off", "jit-on"])
+    def test_vector_head_not_a_pair(self, jit):
+        from repro.algebra.ops import Reduce, Scan
+        from repro.calculus.ast import Const, MonoidRef
+
+        ref = MonoidRef("vec", element=MonoidRef("sum"), size=Const(2))
+        term = comp(ref, var("x"), [gen("x", const((1, 2)))])
+        plan = Reduce(ref, var("x"), Scan("x", const((1, 2))))
+        reference = self._message(lambda: Evaluator().evaluate(term))
+        assert "vector comprehension head" in reference
+        assert (
+            self._message(lambda: Executor(Evaluator(), jit=jit).execute(plan))
+            == reference
+        )
 
 
 def _walk(node):

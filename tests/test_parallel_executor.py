@@ -1,5 +1,5 @@
 """The partition-parallel executor: partitioning, config, fan-out,
-fallbacks, metrics pairing and trace spans."""
+fallbacks, per-node metrics and trace spans."""
 
 import pytest
 
@@ -236,71 +236,87 @@ def test_parallel_nest_equals_serial(env, part_monoid):
 
 
 # ---------------------------------------------------------------------------
-# metrics pairing
+# metrics: workers replay prepared state on the plan's own nodes
 # ---------------------------------------------------------------------------
 
+FAN_OUT = ParallelConfig(max_workers=4, min_partition_rows=1)
+IN_THREAD = ParallelConfig(max_workers=4, min_partition_rows=1000)
 
-def test_parallel_metrics_rows_match_serial(env):
-    oql = "select n.v from n in Ns where n.v > 42"
-    plan = build_plan(translate_oql(oql))
+REPLAY_PLANS = {
+    "select": lambda: build_plan(
+        translate_oql("select n.v from n in Ns where n.v > 42")
+    ),
+    "join": lambda: build_plan(
+        translate_oql(
+            "select struct(v: n.v, d: d.name) from n in Ns, d in Ds where n.k = d.k"
+        )
+    ),
+    # Select -> hash Join -> Scan on the spine
+    "select-join": lambda: build_plan(
+        translate_oql(
+            "select struct(v: n.v, d: d.name) from n in Ns, d in Ds "
+            "where n.k = d.k and n.v > d.k + 40"
+        )
+    ),
+    "nest": lambda: nest_plan(),
+}
+
+
+def _actuals(metrics, plan):
+    return [
+        (s.node.label(), s.rows_out, s.metrics.hash_builds, s.metrics.index_probes)
+        for s in metrics.walk(plan)
+    ]
+
+
+def _row_counters(stats):
+    skip = ("partitions", "parallel_workers")
+    return {k: v for k, v in stats.as_dict().items() if k not in skip}
+
+
+@pytest.mark.parametrize("config", [FAN_OUT, IN_THREAD], ids=["fan-out", "in-thread"])
+@pytest.mark.parametrize("shape", sorted(REPLAY_PLANS))
+def test_parallel_actuals_and_stats_equal_serial(env, shape, config):
+    plan = REPLAY_PLANS[shape]()
     serial_metrics = PlanMetrics()
-    Executor(Evaluator(env), metrics=serial_metrics).execute(plan)
+    serial = Executor(Evaluator(env), metrics=serial_metrics)
+    expected = serial.execute(plan)
     par_metrics = PlanMetrics()
-    pex = ParallelExecutor(
-        Evaluator(env),
-        metrics=par_metrics,
-        config=ParallelConfig(max_workers=4, min_partition_rows=1),
-    )
-    pex.execute(plan)
-    assert pex.last_mode == "parallel"
-    serial_rows = {
-        type(s.node).__name__: s.rows_out for s in serial_metrics.walk(plan)
-    }
-    par_rows = {type(s.node).__name__: s.rows_out for s in par_metrics.walk(plan)}
-    assert par_rows == serial_rows
+    pex = ParallelExecutor(Evaluator(env), metrics=par_metrics, config=config)
+    assert pex.execute(plan) == expected
+    assert pex.last_mode == ("parallel" if config is FAN_OUT else "serial")
+    assert pex.stats.partitions == (4 if config is FAN_OUT else 0)
+    assert _actuals(par_metrics, plan) == _actuals(serial_metrics, plan)
+    assert _row_counters(pex.stats) == _row_counters(serial.stats)
 
 
 def test_parallel_join_metrics_hash_builds(env):
-    oql = "select struct(v: n.v, d: d.name) from n in Ns, d in Ds where n.k = d.k"
-    plan = build_plan(translate_oql(oql))
+    plan = REPLAY_PLANS["join"]()
     metrics = PlanMetrics()
-    pex = ParallelExecutor(
-        Evaluator(env),
-        metrics=metrics,
-        config=ParallelConfig(max_workers=4, min_partition_rows=1),
-    )
+    pex = ParallelExecutor(Evaluator(env), metrics=metrics, config=FAN_OUT)
     pex.execute(plan)
-    assert pex.last_mode == "parallel"
     by_name = {type(s.node).__name__: s.metrics for s in metrics.walk(plan)}
-    assert by_name["Join"].hash_builds == 5
-    assert by_name["Join"].rows_out == 100
-    assert by_name["Scan"].rows_out in (100, 5)  # whichever scan walks first
+    assert by_name["Join"].hash_builds == pex.stats.hash_builds == 5
+    assert by_name["Join"].rows_out == pex.stats.rows_joined == 100
 
 
 def test_parallel_nest_metrics(env):
     plan = nest_plan()
     metrics = PlanMetrics()
-    pex = ParallelExecutor(
-        Evaluator(env),
-        metrics=metrics,
-        config=ParallelConfig(max_workers=4, min_partition_rows=1),
-    )
+    pex = ParallelExecutor(Evaluator(env), metrics=metrics, config=FAN_OUT)
     pex.execute(plan)
-    assert pex.last_mode == "parallel"
     by_name = {type(s.node).__name__: s.metrics for s in metrics.walk(plan)}
-    assert by_name["Nest"].rows_out == 5
+    assert by_name["Nest"].rows_out == pex.stats.rows_grouped == 5
+    assert by_name["Nest"].invocations == 1
     assert by_name["Scan"].rows_out == 100
+    # one stream opening per partition, honestly reported
+    assert by_name["Scan"].invocations == 4
 
 
 def test_serial_fallback_metrics_still_pair(env):
-    oql = "select n.v from n in Ns where n.v > 42"
-    plan = build_plan(translate_oql(oql))
+    plan = REPLAY_PLANS["select"]()
     metrics = PlanMetrics()
-    pex = ParallelExecutor(
-        Evaluator(env),
-        metrics=metrics,
-        config=ParallelConfig(max_workers=4, min_partition_rows=1000),
-    )
+    pex = ParallelExecutor(Evaluator(env), metrics=metrics, config=IN_THREAD)
     pex.execute(plan)
     assert pex.last_mode == "serial"
     by_name = {type(s.node).__name__: s.rows_out for s in metrics.walk(plan)}
