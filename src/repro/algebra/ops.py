@@ -12,6 +12,8 @@ environments* (variable name -> value mappings):
   predicate; equi-join keys are detected for hash execution);
 - :class:`Unnest` — the dependent join: bind a variable to each element
   of a path expression over existing bindings (e.g. ``h <- c.hotels``);
+- :class:`Nest` — the paper's Γ: group bindings by key terms and reduce
+  each group with monoids (OQL ``group by``);
 - :class:`Reduce` — fold the head expression of the comprehension into
   the output monoid (the final homomorphism).
 
@@ -27,6 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.calculus.ast import MonoidRef, Term
+
+
+#: One reduction of a :class:`Nest`: ``(var, monoid, head, pred-or-None)``.
+Fold = tuple[str, MonoidRef, Term, Optional[Term]]
 
 
 class PlanNode:
@@ -206,31 +212,36 @@ class Reduce(PlanNode):
 
 @dataclass(frozen=True)
 class Nest(PlanNode):
-    """Grouping: one output binding per distinct key tuple.
+    """Grouping — the paper's Γ: one output binding per distinct key
+    tuple, each group reduced by monoids as its rows arrive.
 
     For each input binding, ``keys`` (label -> term) are evaluated to
-    form the group key and ``part_head`` is folded into that group's
-    ``part_monoid`` collection. After the input is exhausted, one
-    binding per group is emitted carrying the key labels and
-    ``part_var`` (the ODMG ``partition``). This is the blocking
-    operator that makes OQL ``group by`` a single pass instead of one
-    re-scan per distinct key.
+    form the group key, and every fold ``(var, monoid, head, pred)``
+    whose ``pred`` holds (None: always) merges ``head`` into that
+    group's running ``monoid`` value. After the input is exhausted, one
+    binding per group is emitted carrying the key labels and the fold
+    variables. The ODMG ``partition`` is the fold ``(partition, bag,
+    row, None)``, present only when the query reads it. This is the
+    blocking operator that makes OQL ``group by`` a single pass instead
+    of one re-scan per distinct key.
     """
 
     child: PlanNode
     keys: tuple[tuple[str, Term], ...]
-    part_var: str
-    part_head: Term
-    part_monoid: MonoidRef
+    folds: tuple[Fold, ...]
 
-    # JIT slots — see SelectOp.
+    # JIT slots — see SelectOp. ``head_fns``/``pred_fns`` run parallel
+    # to ``folds`` (a None pred stays None).
     key_fns = ()
-    head_fn = None
+    head_fns = ()
+    pred_fns = ()
     jit_ready = False
     jit_stats = None
 
     def columns(self) -> frozenset[str]:
-        return frozenset({label for label, _ in self.keys} | {self.part_var})
+        return frozenset(
+            [label for label, _ in self.keys] + [fold[0] for fold in self.folds]
+        )
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -238,11 +249,12 @@ class Nest(PlanNode):
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
         keys = ", ".join(f"{label}={term}" for label, term in self.keys)
-        return (
-            f"{pad}Nest [{keys}] {self.part_var} <- "
-            f"{self.part_monoid}{{ {self.part_head} }}\n"
-            f"{self.child.render(indent + 1)}"
+        folds = ", ".join(
+            f"{var} <- {monoid}{{ {head}{'' if pred is None else f' | {pred}'} }}"
+            for var, monoid, head, pred in self.folds
         )
+        head = f"{pad}Nest [{keys}] {folds}".rstrip()
+        return f"{head}\n{self.child.render(indent + 1)}"
 
 
 @dataclass(frozen=True)

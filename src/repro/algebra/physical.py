@@ -166,28 +166,19 @@ class Executor:
         head_fn = self._fn(plan, "head_fn", plan.head)
         rt = self._rt
         stats = self.stats
-        if isinstance(monoid, CollectionMonoid):
-            acc = monoid.accumulator()
-            is_vector = isinstance(monoid, VectorMonoid)
-            for binding in bindings:
-                stats.rows_reduced += 1
-                value = head_fn(binding, rt)
-                if is_vector and (not isinstance(value, tuple) or len(value) != 2):
-                    raise EvaluationError(VECTOR_HEAD_ERROR)
-                acc.add(value)
-            return acc.finish()
-        result = monoid.zero()
+        start, step, finish = _folder(monoid)
+        state = start()
         for binding in bindings:
             stats.rows_reduced += 1
-            result = monoid.merge(result, head_fn(binding, rt))
-        return result
+            state = step(state, head_fn(binding, rt))
+        return finish(state)
 
     # -- operator expressions --------------------------------------------------------
 
     def _fn(self, node: PlanNode, slot: str, term: Any) -> Any:
         """The ``fn(binding, rt)`` for ``term``, the expression ``node``
         keeps compiled in ``slot`` — a tuple of them for a tuple of
-        terms, None for an absent one.
+        terms, None for an absent one (alone or inside the tuple).
 
         This is the only place that knows how expressions are evaluated:
         with the JIT on it is the node's compiled closure (compiled
@@ -196,8 +187,6 @@ class Executor:
         against the interpreter; with it off, a thunk that re-enters the
         reference interpreter. The loops below only ever call it.
         """
-        if term is None:
-            return None
         many = isinstance(term, tuple)
         if self.jit is None:
             return tuple(map(_interpreted, term)) if many else _interpreted(term)
@@ -322,45 +311,54 @@ class Executor:
                 yield {**binding, **inner}
 
     def _iter_nest(self, node: Nest) -> Iterator[dict[str, Any]]:
-        """Single-pass grouping: hash on the key tuple, fold partitions."""
-        groups = self._group(node, self._part_monoid(node), self._iter(node.child))
-        return self._emit_groups(node, groups)
+        """Single-pass grouping: hash on the key tuple, fold as rows arrive."""
+        return self._emit_groups(node, self._group(node, self._iter(node.child)))
 
-    def _part_monoid(self, node: Nest) -> CollectionMonoid:
-        monoid = self.evaluator.resolve_monoid(
-            node.part_monoid, self.evaluator.global_env
-        )
-        if not isinstance(monoid, CollectionMonoid):
-            raise PlanError("Nest requires a collection partition monoid")
-        return monoid
+    def _fold_monoids(self, node: Nest) -> list:
+        env = self.evaluator.global_env
+        return [self.evaluator.resolve_monoid(fold[1], env) for fold in node.folds]
 
     def _group(
-        self, node: Nest, monoid: CollectionMonoid, bindings: Iterator[dict[str, Any]]
-    ) -> dict[tuple, Any]:
-        """Key tuple -> ``monoid`` collection of the part heads of the
-        bindings carrying that key. The parallel engine calls this per
-        partition and merges the collections per key."""
+        self, node: Nest, bindings: Iterator[dict[str, Any]]
+    ) -> dict[tuple, list]:
+        """Key tuple -> one value per fold of ``node``, folded over the
+        bindings carrying that key. This is the one grouping loop: the
+        parallel engine calls it per partition and combines the values
+        per key and fold."""
         key_fns = self._fn(node, "key_fns", tuple(term for _, term in node.keys))
-        head_fn = self._fn(node, "head_fn", node.part_head)
+        head_fns = self._fn(node, "head_fns", tuple(fold[2] for fold in node.folds))
+        pred_fns = self._fn(node, "pred_fns", tuple(fold[3] for fold in node.folds))
+        folders = [_folder(monoid) for monoid in self._fold_monoids(node)]
+        steps = [
+            (i, pred_fns[i], head_fns[i], folders[i][1]) for i in range(len(folders))
+        ]
         rt = self._rt
-        groups: dict[tuple, Any] = {}
+        groups: dict[tuple, list] = {}
         for binding in bindings:
             key = tuple(fn(binding, rt) for fn in key_fns)
-            acc = groups.get(key)
-            if acc is None:
-                acc = groups[key] = monoid.accumulator()
-            acc.add(head_fn(binding, rt))
-        return {key: acc.finish() for key, acc in groups.items()}
+            state = groups.get(key)
+            if state is None:
+                state = groups[key] = [start() for start, _, _ in folders]
+            for i, pred_fn, head_fn, step in steps:
+                if pred_fn is not None:
+                    keep = pred_fn(binding, rt)
+                    if keep is not True:
+                        if keep is not False:
+                            Evaluator._require_bool(keep, "qualifier predicate")
+                        continue
+                state[i] = step(state[i], head_fn(binding, rt))
+        for state in groups.values():
+            state[:] = [finish(value) for (_, _, finish), value in zip(folders, state)]
+        return groups
 
     def _emit_groups(
-        self, node: Nest, groups: dict[tuple, Any]
+        self, node: Nest, groups: dict[tuple, list]
     ) -> Iterator[dict[str, Any]]:
         """One binding per group, in canonical key order."""
+        names = [label for label, _ in node.keys] + [fold[0] for fold in node.folds]
         for key in sorted(groups, key=canonical_key):
-            out = {label: value for (label, _), value in zip(node.keys, key)}
-            out[node.part_var] = groups[key]
             self.stats.rows_grouped += 1
-            yield out
+            yield dict(zip(names, (*key, *groups[key])))
 
     def _iter_index_scan(self, node: IndexScan) -> Iterator[dict[str, Any]]:
         index = self.indexes.get((node.extent, node.attribute))
@@ -407,17 +405,54 @@ class Executor:
                 )
 
 
+def _folder(monoid) -> tuple[Any, Any, Any]:
+    """The accumulate step of folding values into ``monoid``, as
+    ``(start, step, finish)``: ``state = start()``, then ``state =
+    step(state, value)`` per value, then ``finish(state)`` — an
+    accumulator's ``add`` for a collection monoid, ``merge`` onto the
+    running value for a primitive one."""
+    if not isinstance(monoid, CollectionMonoid):
+        return monoid.zero, monoid.merge, _identity
+    if isinstance(monoid, VectorMonoid):
+
+        def step(acc, value):
+            if not isinstance(value, tuple) or len(value) != 2:
+                raise EvaluationError(VECTOR_HEAD_ERROR)
+            acc.add(value)
+            return acc
+
+    else:
+
+        def step(acc, value):
+            acc.add(value)
+            return acc
+
+    return monoid.accumulator, step, _finish
+
+
+def _identity(state: Any) -> Any:
+    return state
+
+
+def _finish(acc: Any) -> Any:
+    return acc.finish()
+
+
 def _interpreted(term: Term):
     """``term`` as an ``fn(binding, rt)`` run by the reference
     interpreter — ``Runtime.eval_fallback`` without its frame, this
     being the per-row path of every jit-off query. The no-copy
     ``Env.wrapping`` is sound because every binding dict is fresh."""
+    if term is None:
+        return None
     wrap = Env.wrapping
     return lambda binding, rt: rt.ev.evaluate(term, wrap(binding, rt.globals))
 
 
 def _checked(fn, term: Term):
     """``fn`` with every result compared against the interpreter's."""
+    if term is None:
+        return None
 
     def checked(binding: dict[str, Any], rt) -> Any:
         value = fn(binding, rt)

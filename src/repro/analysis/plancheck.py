@@ -52,8 +52,7 @@ def plan_variables(plan: PlanNode) -> frozenset[str]:
             if node.index_var:
                 out.add(node.index_var)
         elif isinstance(node, Nest):
-            out.update(label for label, _ in node.keys)
-            out.add(node.part_var)
+            out.update(node.columns())
         for child in node.children():
             walk(child)
 
@@ -171,15 +170,18 @@ def verify_plan(plan: PlanNode, phase: str = "plan") -> None:
                             f"not bound by its input",
                         )
                     )
-            bad = uses(node.part_head) - cols
-            if bad:
-                problems.append(
-                    Violation(
-                        "plan-scope",
-                        f"Nest partition head {node.part_head} uses {sorted(bad)} "
-                        f"not bound by its input",
+            for var, monoid, head, pred in node.folds:
+                bad = uses(head) - cols
+                if pred is not None:
+                    bad |= uses(pred) - cols
+                if bad:
+                    problems.append(
+                        Violation(
+                            "plan-scope",
+                            f"Nest fold {var} <- {monoid}{{ {head} }} uses "
+                            f"{sorted(bad)} not bound by its input",
+                        )
                     )
-                )
             return node.columns()
         if isinstance(node, Reduce):
             cols = check(node.child)

@@ -65,7 +65,7 @@ def plan_terms(plan: PlanNode) -> Iterator[Term]:
                 for item in value:
                     if isinstance(item, Term):
                         yield item
-                    elif isinstance(item, tuple):  # Nest keys: (label, term)
+                    elif isinstance(item, tuple):  # Nest keys and folds
                         for part in item:
                             if isinstance(part, Term):
                                 yield part

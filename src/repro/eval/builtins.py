@@ -13,7 +13,7 @@ import re
 from typing import Any, Callable
 
 from repro.errors import EvaluationError
-from repro.monoids import BAG, LIST, OSET, SET, convert
+from repro.monoids import BAG, LIST, OSET, SET, STRING, SUM, VectorMonoid, convert
 from repro.monoids.base import CollectionMonoid
 from repro.values import Bag, OrderedSet, Vector
 
@@ -24,9 +24,6 @@ def runtime_monoid_of(value: Any) -> CollectionMonoid:
     Generators iterate whatever collection their source expression
     produced; the carrier type determines the monoid.
     """
-    from repro.monoids import STRING, VectorMonoid
-    from repro.monoids.primitive import SUM
-
     if isinstance(value, (tuple, list)):
         return LIST
     if isinstance(value, frozenset):

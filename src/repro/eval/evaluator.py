@@ -132,7 +132,10 @@ class Evaluator:
     # -- leaves ----------------------------------------------------------------
 
     def _eval_const(self, term: Const, env: Env) -> Any:
-        return _freeze_const(term.value)
+        value = term.value
+        if type(value) in _SCALARS:  # nothing to freeze
+            return value
+        return _freeze_const(value)
 
     def _eval_var(self, term: Var, env: Env) -> Any:
         return env.lookup(term.name)
@@ -552,6 +555,9 @@ def merge_into(current: Any, value: Any) -> Any:
         acc.add(element)
     acc.add(value)
     return acc.finish()
+
+
+_SCALARS = frozenset({int, float, str, bool, type(None)})
 
 
 def _freeze_const(value: Any) -> Any:

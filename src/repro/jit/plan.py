@@ -2,8 +2,8 @@
 
 :func:`compile_node` compiles one operator's embedded calculus terms
 (``SelectOp.pred``, ``Join`` keys/residual, ``Unnest.path``, ``Nest``
-keys/part head, ``Reduce.head``) against the statically known columns
-of the relevant child and stores the resulting closures on the node
+keys and fold heads/predicates, ``Reduce.head``) against the statically
+known columns of the relevant child and stores the resulting closures on the node
 (``pred_fn``, ``left_key_fns``, ...). Plan nodes are frozen
 dataclasses, so the closures live in the instance ``__dict__`` via
 ``object.__setattr__`` — they are derived data, not part of the node's
@@ -32,25 +32,26 @@ from repro.jit.compiler import compile_term
 
 
 def _compile_exprs(node: PlanNode, specs: list[tuple[str, Any, frozenset[str]]]) -> None:
-    """Compile ``specs`` (attr name or None, term, bound columns) and
-    attach results plus a ``jit_stats`` summary to ``node``."""
+    """Compile ``specs`` (slot name, term or tuple of terms, bound
+    columns) and attach results plus a ``jit_stats`` summary to
+    ``node``. An absent (None) term keeps a None slot and counts as
+    neither compiled nor fallback."""
     compiled = 0
     fallback = 0
     constructs: dict[str, int] = {}
     for attr, value, bound in specs:
-        if isinstance(value, tuple):
-            fns = []
-            for term in value:
-                fns.append(_one(term, bound, constructs))
-            object.__setattr__(node, attr, tuple(fn for fn, _ in fns))
-            for _, clean in fns:
-                compiled += clean
-                fallback += 1 - clean
-        else:
-            fn, clean = _one(value, bound, constructs)
-            object.__setattr__(node, attr, fn)
+        fns = []
+        for term in value if isinstance(value, tuple) else (value,):
+            if term is None:
+                fns.append(None)
+                continue
+            fn, clean = _one(term, bound, constructs)
+            fns.append(fn)
             compiled += clean
             fallback += 1 - clean
+        object.__setattr__(
+            node, attr, tuple(fns) if isinstance(value, tuple) else fns[0]
+        )
     object.__setattr__(
         node,
         "jit_stats",
@@ -88,13 +89,14 @@ def compile_node(node: PlanNode) -> None:
     if isinstance(node, SelectOp):
         _compile_exprs(node, [("pred_fn", node.pred, node.child.columns())])
     elif isinstance(node, Join):
-        specs: list[tuple[str, Any, frozenset[str]]] = [
-            ("left_key_fns", node.left_keys, node.left.columns()),
-            ("right_key_fns", node.right_keys, node.right.columns()),
-        ]
-        if node.residual is not None:
-            specs.append(("residual_fn", node.residual, node.columns()))
-        _compile_exprs(node, specs)
+        _compile_exprs(
+            node,
+            [
+                ("left_key_fns", node.left_keys, node.left.columns()),
+                ("right_key_fns", node.right_keys, node.right.columns()),
+                ("residual_fn", node.residual, node.columns()),
+            ],
+        )
     elif isinstance(node, Unnest):
         _compile_exprs(node, [("src_fn", node.path, node.child.columns())])
     elif isinstance(node, Nest):
@@ -103,7 +105,8 @@ def compile_node(node: PlanNode) -> None:
             node,
             [
                 ("key_fns", tuple(term for _, term in node.keys), child_cols),
-                ("head_fn", node.part_head, child_cols),
+                ("head_fns", tuple(fold[2] for fold in node.folds), child_cols),
+                ("pred_fns", tuple(fold[3] for fold in node.folds), child_cols),
             ],
         )
     elif isinstance(node, Reduce):

@@ -215,8 +215,8 @@ def comp_probe_candidates(
     bound = _bound_names(comp)
     reported: set[tuple[str, str]] = set()
     for qual in comp.qualifiers:
-        if not isinstance(qual, Filter):
-            continue
+        if not isinstance(qual, Filter) or getattr(qual, "group_key", False):
+            continue  # a group-by's key = label filter selects nothing
         for leaf in _conjuncts(qual.pred):
             probe = _probe_candidate(leaf, extent_of, bound)
             if probe is None or probe in reported:

@@ -10,8 +10,10 @@
 - ``QL203`` (info) — pipelining blocked: after running the Table 3
   rules to a fixpoint, some generator still ranges over a non-path
   source (typically a nested query that cannot be unnested, e.g. a
-  group-by partition). The executor must materialize that inner
-  collection instead of pipelining it.
+  ``set`` subquery ranged over by a ``bag`` select, or a sort). The
+  executor must materialize that inner collection instead of
+  pipelining it. An aggregate over a group-by ``partition`` is not
+  such a case: the Nest operator folds it as the rows arrive.
 """
 
 from __future__ import annotations

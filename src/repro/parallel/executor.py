@@ -34,9 +34,9 @@ Execution model:
    query's block.
 
 ``Nest`` (group-by) parallelizes as partitioned partial groupings:
-each worker groups its partition into per-key partial carriers (the
-serial operator's own grouping loop), the coordinator merges them per
-key in partition-index order, and the outer fold then runs over the
+each worker folds its partition into per-key partial values (the
+serial operator's own grouping loop), the coordinator combines them per
+key and fold in partition-index order, and the outer fold then runs over the
 merged groups in canonical key order — the same order the serial
 operator emits.
 
@@ -265,20 +265,25 @@ class ParallelExecutor(Executor):
         self, nest: Nest, prepared: list[dict[int, Any]]
     ) -> Iterator[dict[str, Any]]:
         """The Nest's output bindings from partitioned partial groupings."""
-        part_monoid = self._part_monoid(nest)
         outs = self._fan_out(
             prepared,
-            lambda worker: worker._group(nest, part_monoid, worker._iter(nest.child)),
+            lambda worker: worker._group(nest, worker._iter(nest.child)),
             ordered=True,
         )
-        # Per-key partial carriers, merged in partition-index order so
-        # non-commutative partition monoids (e.g. list partitions) see
-        # their elements exactly as the serial single-pass grouping did.
-        carriers: dict[tuple, list[Any]] = {}
+        # Per key and fold, the partitions' values combined in
+        # partition-index order, so a non-commutative fold monoid (e.g.
+        # a list partition) sees its elements exactly as the serial
+        # single-pass grouping did.
+        parts: dict[tuple, list[list]] = {}
         for out in outs:
-            for key, carrier in out[1].items():
-                carriers.setdefault(key, []).append(carrier)
+            for key, values in out[1].items():
+                parts.setdefault(key, []).append(values)
+        monoids = self._fold_monoids(nest)
         merged = {
-            key: part_monoid.combine_partials(parts) for key, parts in carriers.items()
+            key: [
+                monoid.combine_partials(column)
+                for monoid, column in zip(monoids, zip(*rows))
+            ]
+            for key, rows in parts.items()
         }
         yield from self._emit_groups(nest, merged)

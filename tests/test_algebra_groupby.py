@@ -3,10 +3,10 @@
 import pytest
 
 from repro.algebra import Executor, Nest, Reduce, Scan, build_group_by_plan
-from repro.calculus import const, proj, var
+from repro.calculus import const, gt, lt, proj, rec, var
 from repro.calculus.ast import MonoidRef
 from repro.db import demo_company_database
-from repro.errors import PlanError
+from repro.errors import EvaluationError, PlanError
 from repro.eval import Evaluator
 from repro.oql import parse
 from repro.oql.translate import Translator
@@ -33,9 +33,7 @@ class TestNestOperator:
             Nest(
                 Scan("r", var("Rows")),
                 (("k", proj(var("r"), "k")),),
-                "partition",
-                proj(var("r"), "v"),
-                MonoidRef("bag"),
+                (("partition", MonoidRef("bag"), proj(var("r"), "v"), None),),
             ),
         )
         executor = Executor(Evaluator(data))
@@ -52,39 +50,67 @@ class TestNestOperator:
             Nest(
                 Scan("r", var("Rows")),
                 (("k", proj(var("r"), "k")),),
-                "partition",
-                var("r"),
-                MonoidRef("bag"),
+                (("partition", MonoidRef("bag"), var("r"), None),),
             ),
         )
         assert Executor(Evaluator(data)).execute(plan) == frozenset({1})
 
-    def test_nest_requires_collection_monoid(self):
+    def test_folds_primitive_monoids_as_rows_arrive(self):
+        data = {
+            "Rows": (
+                Record(k="a", v=1),
+                Record(k="b", v=2),
+                Record(k="a", v=3),
+                Record(k="a", v=10),
+            )
+        }
+        v = proj(var("r"), "v")
         plan = Reduce(
             MonoidRef("set"),
-            var("k"),
+            rec(k=var("k"), total=var("total"), top=var("top"), small=var("small")),
+            Nest(
+                Scan("r", var("Rows")),
+                (("k", proj(var("r"), "k")),),
+                (
+                    ("total", MonoidRef("sum"), v, None),
+                    ("top", MonoidRef("max"), v, None),
+                    ("small", MonoidRef("list"), v, lt(v, 5)),
+                ),
+            ),
+        )
+        assert Executor(Evaluator(data)).execute(plan) == frozenset(
+            {
+                Record(k="a", total=14, top=10, small=(1, 3)),
+                Record(k="b", total=2, top=2, small=(2,)),
+            }
+        )
+
+    def test_fold_predicate_must_be_boolean(self):
+        plan = Reduce(
+            MonoidRef("set"),
+            var("n"),
             Nest(
                 Scan("r", const((1,))),
                 (("k", var("r")),),
-                "partition",
-                var("r"),
-                MonoidRef("sum"),
+                (("n", MonoidRef("sum"), const(1), var("r")),),
             ),
         )
-        with pytest.raises(PlanError):
+        with pytest.raises(EvaluationError, match="qualifier predicate requires a boolean"):
             Executor(Evaluator()).execute(plan)
 
     def test_render(self):
         nest = Nest(
             Scan("r", var("Rows")),
             (("k", proj(var("r"), "k")),),
-            "partition",
-            var("r"),
-            MonoidRef("bag"),
+            (
+                ("partition", MonoidRef("bag"), var("r"), None),
+                ("n", MonoidRef("sum"), const(1), gt(proj(var("r"), "v"), 2)),
+            ),
         )
-        out = nest.render()
-        assert "Nest [k=r.k]" in out
-        assert nest.columns() == frozenset({"k", "partition"})
+        assert nest.label() == (
+            "Nest [k=r.k] partition <- bag{ r }, n <- sum{ 1 | (r.v > 2) }"
+        )
+        assert nest.columns() == frozenset({"k", "partition", "n"})
 
 
 class TestGroupByPlanning:

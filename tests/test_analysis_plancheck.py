@@ -40,11 +40,12 @@ class TestPlanVariables:
         plan = Nest(
             scan("e", "Employees"),
             keys=(("dno", proj(var("e"), "dno")),),
-            part_var="partition",
-            part_head=var("e"),
-            part_monoid=mref("bag"),
+            folds=(
+                ("partition", mref("bag"), var("e"), None),
+                ("total", mref("sum"), proj(var("e"), "salary"), None),
+            ),
         )
-        assert plan_variables(plan) == {"e", "dno", "partition"}
+        assert plan_variables(plan) == {"e", "dno", "partition", "total"}
 
 
 class TestGoodPlans:
@@ -139,6 +140,34 @@ class TestBadPlans:
         with pytest.raises(VerificationError) as exc:
             verify_plan(plan)
         assert "plan-schema" in violations(exc)
+
+    @pytest.mark.parametrize(
+        "head, pred",
+        [
+            (proj(var("d"), "budget"), None),  # d is the other join side's column
+            (proj(var("e"), "salary"), gt(var("dno"), 0)),  # the Nest's own label
+        ],
+    )
+    def test_nest_fold_term_not_bound_by_its_input(self, head, pred):
+        nest = Nest(
+            scan("e", "Employees"),
+            keys=(("dno", proj(var("e"), "dno")),),
+            folds=(("total", mref("sum"), head, pred),),
+        )
+        plan = Reduce(mref("set"), var("total"), Join(nest, scan("d", "Departments")))
+        with pytest.raises(VerificationError) as exc:
+            verify_plan(plan)
+        assert violations(exc) == ["plan-scope"]
+        assert "Nest fold total" in str(exc.value)
+
+    def test_nest_fold_terms_over_its_input_pass(self):
+        e = var("e")
+        nest = Nest(
+            scan("e", "Employees"),
+            keys=(("dno", proj(e, "dno")),),
+            folds=(("total", mref("sum"), proj(e, "salary"), gt(proj(e, "age"), 30)),),
+        )
+        verify_plan(Reduce(mref("set"), var("total"), nest))  # must not raise
 
     def test_phase_names_the_failure(self):
         plan = Join(scan("c", "Cities"), scan("c", "Docks"))

@@ -110,6 +110,19 @@ class TestQL303IndexProbe:
         src = "select distinct c.name from c in Cities where c.population > 5"
         assert "QL303" not in codes(lint(src))
 
+    def test_negative_group_by_key_filter(self):
+        # the translator's synthetic ``key = label`` filter inside the
+        # partition comprehension is not a selection an index serves
+        src = ("select struct(s: st, n: count(partition)) "
+               "from c in Cities group by st: c.state")
+        assert "QL303" not in codes(lint(src))
+
+    def test_group_by_still_reports_the_users_own_equality(self):
+        src = ("select struct(s: st, n: count(partition)) from c in Cities "
+               "where c.zip = 97201 group by st: c.state")
+        found = [d for d in lint(src) if d.code == "QL303"]
+        assert [d.hint for d in found] == ["Database.create_index('Cities', 'zip')"]
+
 
 class TestDedupe:
     def test_same_code_and_span_collapse(self):

@@ -136,9 +136,7 @@ class TestPerOperator:
             Nest(
                 Scan("b", var("Rs")),
                 keys=(("g", proj(var("b"), "k")),),
-                part_var="partition",
-                part_head=proj(var("b"), "y"),
-                part_monoid=MonoidRef("bag"),
+                folds=(("partition", MonoidRef("bag"), proj(var("b"), "y"), None),),
             ),
         )
         value, metrics, _ = run_with_metrics(plan, world)

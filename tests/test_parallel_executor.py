@@ -216,9 +216,7 @@ def nest_plan(part_monoid="bag"):
         Nest(
             Scan("n", var("Ns")),
             (("kk", proj(var("n"), "k")),),
-            "partition",
-            proj(var("n"), "v"),
-            MonoidRef(part_monoid),
+            (("partition", MonoidRef(part_monoid), proj(var("n"), "v"), None),),
         ),
     )
 

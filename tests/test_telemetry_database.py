@@ -265,6 +265,17 @@ class TestSummaryAndAdvice:
         assert "QL402" in lines
         assert "create_index('Cities', 'state')" in lines
 
+    def test_ql402_silent_for_hot_group_by(self, db, registry):
+        from repro.obs.telemetry.advise import advise_hot_queries
+
+        db.enable_telemetry(registry)
+        hot = ("select struct(s: st, n: count(partition)) "
+               "from c in Cities group by st: c.state")
+        for _ in range(4):
+            db.run(hot)
+        assert registry.fingerprints.top(1)[0].count == 4
+        assert advise_hot_queries(db, registry) == []
+
     def test_ql402_silent_once_indexed(self, db, registry):
         from repro.obs.telemetry.advise import advise_hot_queries
 
