@@ -4,197 +4,31 @@ The calculus already knows how to compute free-variable *sets*
 (:func:`repro.calculus.traversal.free_vars`); this module adds the
 counting and def-use layer shared by the rest of the system:
 
-- :func:`scoped_subterms` — the one binding-aware walk everything else
-  is built on, yielding each subterm together with the names bound
-  around it;
+- :func:`~repro.calculus.traversal.scoped_subterms` (re-exported) — the
+  one binding-aware walk the counts are built on, yielding each subterm
+  together with the names bound around it;
 - :func:`use_count` / :func:`free_var_counts` — occurrence counting,
   used by the normalizer's duplication guards;
 - :func:`def_use` — every binder in a term with its kind, binding site
-  and use count, used by the lint passes;
+  and use count;
 - :func:`alpha_rename` — a fully freshened alpha-variant of a term,
   used by the rewrite verifier's capture check.
 
-All analyses respect the left-to-right scoping of comprehension
-qualifiers and descend into monoid key/size terms, mirroring
-``traversal._free`` exactly.
+All of them take their scoping from :data:`repro.calculus.shape.SHAPES`
+— left to right through comprehension qualifiers, monoid key/size terms
+outside the node's own binders — so they agree with ``free_vars`` by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
-from repro.calculus.ast import (
-    Apply,
-    Assign,
-    Bind,
-    BinOp,
-    Call,
-    Comprehension,
-    Const,
-    Deref,
-    Empty,
-    Filter,
-    Generator,
-    Hom,
-    If,
-    Index,
-    Lambda,
-    Let,
-    Merge,
-    MethodCall,
-    MonoidRef,
-    New,
-    Proj,
-    Qualifier,
-    RecordCons,
-    Singleton,
-    Term,
-    TupleCons,
-    UnOp,
-    Update,
-    Var,
-)
-from repro.calculus.traversal import children, fresh_var
-from repro.errors import CalculusError
+from repro.calculus.ast import Term, Var
+from repro.calculus.shape import SHAPES
+from repro.calculus.traversal import fresh_var, relabel, scoped_subterms
 from repro.span import Span, span_of
-
-# ---------------------------------------------------------------------------
-# Scoped traversal
-# ---------------------------------------------------------------------------
-
-
-def scoped_subterms(term: Term) -> Iterator[tuple[Term, frozenset[str]]]:
-    """Yield ``(subterm, bound)`` pairs, pre-order.
-
-    ``bound`` is the set of variable names whose binders enclose the
-    subterm's position — so a ``Var`` occurrence is free exactly when
-    its name is not in ``bound``.
-
-    >>> from repro.calculus.builders import var, comp, gen
-    >>> term = comp("set", var("x"), [gen("x", var("db"))])
-    >>> [(str(t), sorted(b)) for t, b in scoped_subterms(term)]
-    [('set{ x | x <- db }', []), ('db', []), ('x', ['x'])]
-    """
-    yield from _scoped(term, frozenset())
-
-
-def _scoped_monoid(
-    ref: MonoidRef, bound: frozenset[str]
-) -> Iterator[tuple[Term, frozenset[str]]]:
-    if ref.key is not None:
-        yield from _scoped(ref.key, bound)
-    if ref.size is not None:
-        yield from _scoped(ref.size, bound)
-    if ref.element is not None:
-        yield from _scoped_monoid(ref.element, bound)
-
-
-def _scoped(
-    term: Term, bound: frozenset[str]
-) -> Iterator[tuple[Term, frozenset[str]]]:
-    yield term, bound
-    if isinstance(term, (Const, Var)):
-        return
-    if isinstance(term, Lambda):
-        yield from _scoped(term.body, bound | {term.param})
-        return
-    if isinstance(term, Apply):
-        yield from _scoped(term.fn, bound)
-        yield from _scoped(term.arg, bound)
-        return
-    if isinstance(term, Let):
-        yield from _scoped(term.value, bound)
-        yield from _scoped(term.body, bound | {term.var})
-        return
-    if isinstance(term, RecordCons):
-        for _, value in term.fields:
-            yield from _scoped(value, bound)
-        return
-    if isinstance(term, TupleCons):
-        for item in term.items:
-            yield from _scoped(item, bound)
-        return
-    if isinstance(term, Proj):
-        yield from _scoped(term.base, bound)
-        return
-    if isinstance(term, Index):
-        yield from _scoped(term.base, bound)
-        yield from _scoped(term.index, bound)
-        return
-    if isinstance(term, BinOp):
-        yield from _scoped(term.left, bound)
-        yield from _scoped(term.right, bound)
-        return
-    if isinstance(term, UnOp):
-        yield from _scoped(term.operand, bound)
-        return
-    if isinstance(term, If):
-        yield from _scoped(term.cond, bound)
-        yield from _scoped(term.then_branch, bound)
-        yield from _scoped(term.else_branch, bound)
-        return
-    if isinstance(term, Empty):
-        yield from _scoped_monoid(term.monoid, bound)
-        return
-    if isinstance(term, Singleton):
-        yield from _scoped_monoid(term.monoid, bound)
-        yield from _scoped(term.element, bound)
-        if term.index is not None:
-            yield from _scoped(term.index, bound)
-        return
-    if isinstance(term, Merge):
-        yield from _scoped_monoid(term.monoid, bound)
-        yield from _scoped(term.left, bound)
-        yield from _scoped(term.right, bound)
-        return
-    if isinstance(term, Comprehension):
-        yield from _scoped_monoid(term.monoid, bound)
-        inner = bound
-        for qual in term.qualifiers:
-            if isinstance(qual, Generator):
-                yield from _scoped(qual.source, inner)
-                inner = inner | {qual.var}
-                if qual.index_var is not None:
-                    inner = inner | {qual.index_var}
-            elif isinstance(qual, Bind):
-                yield from _scoped(qual.value, inner)
-                inner = inner | {qual.var}
-            else:
-                yield from _scoped(qual.pred, inner)
-        yield from _scoped(term.head, inner)
-        return
-    if isinstance(term, Hom):
-        yield from _scoped_monoid(term.source, bound)
-        yield from _scoped_monoid(term.target, bound)
-        yield from _scoped(term.body, bound | {term.var})
-        yield from _scoped(term.arg, bound)
-        return
-    if isinstance(term, Call):
-        for arg in term.args:
-            yield from _scoped(arg, bound)
-        return
-    if isinstance(term, MethodCall):
-        yield from _scoped(term.base, bound)
-        for arg in term.args:
-            yield from _scoped(arg, bound)
-        return
-    if isinstance(term, New):
-        yield from _scoped(term.state, bound)
-        return
-    if isinstance(term, Deref):
-        yield from _scoped(term.target, bound)
-        return
-    if isinstance(term, Assign):
-        yield from _scoped(term.target, bound)
-        yield from _scoped(term.value, bound)
-        return
-    if isinstance(term, Update):
-        yield from _scoped(term.base, bound)
-        yield from _scoped(term.value, bound)
-        return
-    raise CalculusError(f"scoped_subterms: unknown term {type(term).__name__}")
-
 
 # ---------------------------------------------------------------------------
 # Occurrence counting
@@ -207,13 +41,13 @@ def use_count(term: Term, name: str) -> int:
     Shadowing-aware: occurrences under a binder of the same name do not
     count.
 
-    >>> from repro.calculus.builders import var, lam
-    >>> use_count(BinOp("+", var("x"), lam("x", var("x"))), "x")
+    >>> from repro.calculus.builders import add, var, lam
+    >>> use_count(add(var("x"), lam("x", var("x"))), "x")
     1
     """
     return sum(
         1
-        for sub, bound in _scoped(term, frozenset())
+        for sub, bound in scoped_subterms(term)
         if isinstance(sub, Var) and sub.name == name and name not in bound
     )
 
@@ -221,7 +55,7 @@ def use_count(term: Term, name: str) -> int:
 def free_var_counts(term: Term) -> dict[str, int]:
     """Occurrence counts for every free variable of ``term``."""
     counts: dict[str, int] = {}
-    for sub, bound in _scoped(term, frozenset()):
+    for sub, bound in scoped_subterms(term):
         if isinstance(sub, Var) and sub.name not in bound:
             counts[sub.name] = counts.get(sub.name, 0) + 1
     return counts
@@ -262,77 +96,38 @@ def def_use(term: Term) -> DefUse:
     """Compute def-use chains: every binder with its use count.
 
     Uses resolve to the *innermost* enclosing binder of that name, so
-    shadowed binders do not absorb inner uses.
+    shadowed binders do not absorb inner uses. ``bindings`` lists the
+    binders in the order evaluation introduces them.
     """
     result = DefUse()
-    _du(term, {}, result)
+    _collect_def_use(term, {}, result)
     return result
 
 
-def _du_bind(
-    env: dict[str, BindingInfo],
-    result: DefUse,
-    name: str,
-    kind: str,
-    binder: Any,
-) -> dict[str, BindingInfo]:
-    info = BindingInfo(name, kind, binder, span=span_of(binder))
-    result.bindings.append(info)
-    return {**env, name: info}
-
-
-def _du_monoid(ref: MonoidRef, env: dict[str, BindingInfo], result: DefUse) -> None:
-    if ref.key is not None:
-        _du(ref.key, env, result)
-    if ref.size is not None:
-        _du(ref.size, env, result)
-    if ref.element is not None:
-        _du_monoid(ref.element, env, result)
-
-
-def _du(term: Term, env: dict[str, BindingInfo], result: DefUse) -> None:
-    if isinstance(term, Var):
-        info = env.get(term.name)
+def _collect_def_use(node: Term, env: dict[str, BindingInfo], result: DefUse) -> None:
+    if type(node) is Var:
+        info = env.get(node.name)
         if info is not None:
             info.uses += 1
         else:
-            result.free[term.name] = result.free.get(term.name, 0) + 1
+            result.free[node.name] = result.free.get(node.name, 0) + 1
         return
-    if isinstance(term, Lambda):
-        _du(term.body, _du_bind(env, result, term.param, "lambda", term), result)
+    shape = SHAPES[type(node)]
+    kids = shape.kids(node)
+    if shape.scopes is None:
+        for kid in kids:
+            _collect_def_use(kid, env, result)
         return
-    if isinstance(term, Let):
-        _du(term.value, env, result)
-        _du(term.body, _du_bind(env, result, term.var, "let", term), result)
-        return
-    if isinstance(term, Comprehension):
-        _du_monoid(term.monoid, env, result)
-        inner = env
-        for qual in term.qualifiers:
-            if isinstance(qual, Generator):
-                _du(qual.source, inner, result)
-                inner = _du_bind(inner, result, qual.var, "generator", qual)
-                if qual.index_var is not None:
-                    inner = _du_bind(
-                        inner, result, qual.index_var, "generator-index", qual
-                    )
-            elif isinstance(qual, Bind):
-                _du(qual.value, inner, result)
-                inner = _du_bind(inner, result, qual.var, "bind", qual)
-            else:
-                _du(qual.pred, inner, result)
-        _du(term.head, inner, result)
-        return
-    if isinstance(term, Hom):
-        _du_monoid(term.source, env, result)
-        _du_monoid(term.target, env, result)
-        _du(term.body, _du_bind(env, result, term.var, "hom", term), result)
-        _du(term.arg, env, result)
-        return
-    # Non-binding nodes: walk direct children under the same environment
-    # (``children`` already includes monoid key/size terms).
-    for child in children(term):
-        _du(child, env, result)
+    binders, sites = shape.binders(node), shape.sites(node)
+    envs = [env]  # envs[n]: the environment under the first n binders
+    for kid, n in zip(kids, shape.scopes(node)):
+        while len(envs) <= n:
+            name = binders[len(envs) - 1]
+            kind, site = sites[len(envs) - 1]
+            info = BindingInfo(name, kind, site, span=span_of(site))
+            result.bindings.append(info)
+            envs.append({**envs[-1], name: info})
+        _collect_def_use(kid, envs[n], result)
 
 
 # ---------------------------------------------------------------------------
@@ -349,123 +144,4 @@ def alpha_rename(term: Term) -> Term:
     output depends on the spelling of bound variables, i.e. capture
     bugs.
     """
-    return _rename(term, {})
-
-
-def _rename_monoid(ref: MonoidRef, env: dict[str, str]) -> MonoidRef:
-    key = _rename(ref.key, env) if ref.key is not None else None
-    size = _rename(ref.size, env) if ref.size is not None else None
-    element = _rename_monoid(ref.element, env) if ref.element is not None else None
-    if key is ref.key and size is ref.size and element is ref.element:
-        return ref
-    return MonoidRef(ref.name, key=key, element=element, size=size)
-
-
-def _freshened(name: str) -> str:
-    return fresh_var(name.split("~")[0])
-
-
-def _rename(term: Term, env: dict[str, str]) -> Term:
-    if isinstance(term, Const):
-        return term
-    if isinstance(term, Var):
-        return Var(env[term.name]) if term.name in env else term
-    if isinstance(term, Lambda):
-        new = _freshened(term.param)
-        return Lambda(new, _rename(term.body, {**env, term.param: new}))
-    if isinstance(term, Apply):
-        return Apply(_rename(term.fn, env), _rename(term.arg, env))
-    if isinstance(term, Let):
-        new = _freshened(term.var)
-        return Let(
-            new, _rename(term.value, env), _rename(term.body, {**env, term.var: new})
-        )
-    if isinstance(term, RecordCons):
-        return RecordCons(
-            tuple((name, _rename(value, env)) for name, value in term.fields)
-        )
-    if isinstance(term, TupleCons):
-        return TupleCons(tuple(_rename(item, env) for item in term.items))
-    if isinstance(term, Proj):
-        return Proj(_rename(term.base, env), term.name)
-    if isinstance(term, Index):
-        return Index(_rename(term.base, env), _rename(term.index, env))
-    if isinstance(term, BinOp):
-        return BinOp(term.op, _rename(term.left, env), _rename(term.right, env))
-    if isinstance(term, UnOp):
-        return UnOp(term.op, _rename(term.operand, env))
-    if isinstance(term, If):
-        return If(
-            _rename(term.cond, env),
-            _rename(term.then_branch, env),
-            _rename(term.else_branch, env),
-        )
-    if isinstance(term, Empty):
-        return Empty(_rename_monoid(term.monoid, env))
-    if isinstance(term, Singleton):
-        return Singleton(
-            _rename_monoid(term.monoid, env),
-            _rename(term.element, env),
-            _rename(term.index, env) if term.index is not None else None,
-        )
-    if isinstance(term, Merge):
-        return Merge(
-            _rename_monoid(term.monoid, env),
-            _rename(term.left, env),
-            _rename(term.right, env),
-        )
-    if isinstance(term, Comprehension):
-        inner = dict(env)
-        quals: list[Qualifier] = []
-        for qual in term.qualifiers:
-            if isinstance(qual, Generator):
-                source = _rename(qual.source, inner)
-                new = _freshened(qual.var)
-                inner[qual.var] = new
-                index_var = qual.index_var
-                if index_var is not None:
-                    new_index = _freshened(index_var)
-                    inner[index_var] = new_index
-                    index_var = new_index
-                quals.append(Generator(new, source, index_var))
-            elif isinstance(qual, Bind):
-                value = _rename(qual.value, inner)
-                new = _freshened(qual.var)
-                inner[qual.var] = new
-                quals.append(Bind(new, value))
-            else:
-                quals.append(Filter(_rename(qual.pred, inner)))
-        return Comprehension(
-            _rename_monoid(term.monoid, env), _rename(term.head, inner), tuple(quals)
-        )
-    if isinstance(term, Hom):
-        new = _freshened(term.var)
-        return Hom(
-            _rename_monoid(term.source, env),
-            _rename_monoid(term.target, env),
-            new,
-            _rename(term.body, {**env, term.var: new}),
-            _rename(term.arg, env),
-        )
-    if isinstance(term, Call):
-        return Call(term.name, tuple(_rename(a, env) for a in term.args))
-    if isinstance(term, MethodCall):
-        return MethodCall(
-            _rename(term.base, env),
-            term.name,
-            tuple(_rename(a, env) for a in term.args),
-        )
-    if isinstance(term, New):
-        return New(_rename(term.state, env))
-    if isinstance(term, Deref):
-        return Deref(_rename(term.target, env))
-    if isinstance(term, Assign):
-        return Assign(_rename(term.target, env), _rename(term.value, env))
-    if isinstance(term, Update):
-        return Update(
-            _rename(term.base, env),
-            term.field_name,
-            term.op,
-            _rename(term.value, env),
-        )
-    raise CalculusError(f"alpha_rename: unknown term {type(term).__name__}")
+    return relabel(term, lambda old: fresh_var(old.split("~")[0]))

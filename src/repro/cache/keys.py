@@ -2,76 +2,52 @@
 
 The compilation cache must give alpha-equivalent queries (``for x in
 Cities`` vs ``for y in Cities``) one shared entry.  Structural equality
-of terms is too strict — binder spellings differ — so keys are built in
-two steps:
-
-1. :func:`~repro.analysis.dataflow.alpha_rename` freshens every binder,
-   which guarantees all bound names are globally unique and
-   capture-free (this is the same machinery the rewrite verifier uses);
-2. the fresh names are then *renumbered deterministically* — sorted by
-   the allocation order their ``~N`` suffixes record, which is exactly
-   the renamer's pre-order traversal — onto the stable alphabet ``q0,
-   q1, ...``.
+of terms is too strict — binder spellings differ — so the key is the
+term with its binders renamed, in one pass, onto the alphabet ``~0,
+~1, ...`` in binding order
+(:func:`~repro.calculus.traversal.numbered`). Neither the OQL lexer nor
+the calculus parser can produce such a name, so a free variable is
+never captured by a canonical binder, however the user spells it.
 
 The result (:func:`canonical_term`) is a plain calculus term whose
 structural equality/hash coincides with alpha-equivalence of the
 input, so it can be used directly as a dictionary key.  Free variables
 (extents, ``$`` parameters) are untouched: queries over different
-extents or with different parameter names never collide.
+extents or with different parameter names never collide. Literals carry
+their type in the key, because Python's ``1 == True == 1.0`` would
+otherwise let one query answer for another with a value of the wrong
+type.
 
-:func:`literal_skeleton` additionally blanks every constant, giving the
+:func:`literal_skeleton` instead blanks every constant, giving the
 key the ``QL401`` lint uses to spot literal-only query variants that
 defeat the compilation cache.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
-
-from repro.analysis.dataflow import alpha_rename
-from repro.calculus.ast import (
-    Apply,
-    Assign,
-    Bind,
-    BinOp,
-    Call,
-    Comprehension,
-    Const,
-    Deref,
-    Empty,
-    Filter,
-    Generator,
-    Hom,
-    If,
-    Index,
-    Lambda,
-    Let,
-    Merge,
-    MethodCall,
-    MonoidRef,
-    New,
-    Proj,
-    Qualifier,
-    RecordCons,
-    Singleton,
-    Term,
-    TupleCons,
-    UnOp,
-    Update,
-    Var,
-)
-from repro.calculus.traversal import subterms
-from repro.errors import CalculusError
+from repro.calculus.ast import Const, Term, Var
+from repro.calculus.traversal import numbered, subterms
 
 #: The placeholder every constant collapses to in a literal skeleton.
 LITERAL_HOLE = "‹lit›"  # ‹lit›
+
+_HOLE = Const(LITERAL_HOLE)
+
+
+def _typed(literal: Const) -> Const:
+    return Const((type(literal.value).__name__, literal.value))
+
+
+def _blank(_literal: Const) -> Const:
+    return _HOLE
 
 
 def canonical_term(term: Term) -> Term:
     """The canonical alpha-variant of ``term``.
 
     Structural equality of canonical terms is alpha-equivalence of the
-    originals, so the result works as a hashable cache key.
+    originals (with literals compared by type as well as value), so the
+    result works as a hashable cache key.
 
     >>> from repro.oql import translate_oql
     >>> a = canonical_term(translate_oql("select distinct x.name from x in Cities"))
@@ -79,9 +55,7 @@ def canonical_term(term: Term) -> Term:
     >>> a == b
     True
     """
-    renamed = alpha_rename(term)
-    mapping = _canonical_mapping(renamed)
-    return _map_term(renamed, mapping, None)
+    return numbered(term, _typed)
 
 
 def literal_skeleton(term: Term) -> Term:
@@ -90,9 +64,7 @@ def literal_skeleton(term: Term) -> Term:
     Two queries have equal skeletons exactly when they differ only in
     literal values (up to alpha-renaming) — the shape ``QL401`` flags.
     """
-    renamed = alpha_rename(term)
-    mapping = _canonical_mapping(renamed)
-    return _map_term(renamed, mapping, lambda _value: LITERAL_HOLE)
+    return numbered(term, _blank)
 
 
 def literal_vector(term: Term) -> tuple:
@@ -110,180 +82,3 @@ def param_names(term: Term) -> tuple[str, ...]:
         if isinstance(sub, Var) and sub.name.startswith("$")
     }
     return tuple(sorted(names))
-
-
-# ---------------------------------------------------------------------------
-# Renumbering
-# ---------------------------------------------------------------------------
-
-
-def _binder_names(term: Term) -> set[str]:
-    """Every name bound anywhere in ``term``."""
-    names: set[str] = set()
-    for sub in subterms(term):
-        if isinstance(sub, Lambda):
-            names.add(sub.param)
-        elif isinstance(sub, (Let, Hom)):
-            names.add(sub.var)
-        elif isinstance(sub, Comprehension):
-            for qual in sub.qualifiers:
-                if isinstance(qual, Generator):
-                    names.add(qual.var)
-                    if qual.index_var is not None:
-                        names.add(qual.index_var)
-                elif isinstance(qual, Bind):
-                    names.add(qual.var)
-    return names
-
-
-def _canonical_mapping(renamed: Term) -> dict[str, str]:
-    """Map each fresh binder name of an alpha-renamed term to ``qN``.
-
-    ``alpha_rename`` allocates its ``~N`` suffixes in one deterministic
-    pre-order pass, so sorting binder names by suffix recovers binding
-    order independent of the original spellings.
-    """
-    fresh = [name for name in _binder_names(renamed) if "~" in name]
-    fresh.sort(key=lambda name: int(name.rsplit("~", 1)[1]))
-    return {name: f"q{i}" for i, name in enumerate(fresh)}
-
-
-# ---------------------------------------------------------------------------
-# The uniform structural mapper
-# ---------------------------------------------------------------------------
-
-
-def _map_term(
-    term: Term,
-    names: dict[str, str],
-    const_fn: Optional[Callable[[Any], Any]],
-) -> Term:
-    """Rename variables/binders via ``names`` and map constants.
-
-    Unlike capture-avoiding substitution this renames *binder* fields
-    too — sound here because the input comes out of ``alpha_rename``,
-    where every bound name is globally unique.
-    """
-    mt = _map_term  # local alias, this function recurses heavily
-    if isinstance(term, Const):
-        if const_fn is None:
-            return term
-        return Const(const_fn(term.value))
-    if isinstance(term, Var):
-        return Var(names.get(term.name, term.name))
-    if isinstance(term, Lambda):
-        return Lambda(names.get(term.param, term.param), mt(term.body, names, const_fn))
-    if isinstance(term, Apply):
-        return Apply(mt(term.fn, names, const_fn), mt(term.arg, names, const_fn))
-    if isinstance(term, Let):
-        return Let(
-            names.get(term.var, term.var),
-            mt(term.value, names, const_fn),
-            mt(term.body, names, const_fn),
-        )
-    if isinstance(term, RecordCons):
-        return RecordCons(
-            tuple((name, mt(value, names, const_fn)) for name, value in term.fields)
-        )
-    if isinstance(term, TupleCons):
-        return TupleCons(tuple(mt(item, names, const_fn) for item in term.items))
-    if isinstance(term, Proj):
-        return Proj(mt(term.base, names, const_fn), term.name)
-    if isinstance(term, Index):
-        return Index(mt(term.base, names, const_fn), mt(term.index, names, const_fn))
-    if isinstance(term, BinOp):
-        return BinOp(
-            term.op, mt(term.left, names, const_fn), mt(term.right, names, const_fn)
-        )
-    if isinstance(term, UnOp):
-        return UnOp(term.op, mt(term.operand, names, const_fn))
-    if isinstance(term, If):
-        return If(
-            mt(term.cond, names, const_fn),
-            mt(term.then_branch, names, const_fn),
-            mt(term.else_branch, names, const_fn),
-        )
-    if isinstance(term, Empty):
-        return Empty(_map_monoid(term.monoid, names, const_fn))
-    if isinstance(term, Singleton):
-        return Singleton(
-            _map_monoid(term.monoid, names, const_fn),
-            mt(term.element, names, const_fn),
-            mt(term.index, names, const_fn) if term.index is not None else None,
-        )
-    if isinstance(term, Merge):
-        return Merge(
-            _map_monoid(term.monoid, names, const_fn),
-            mt(term.left, names, const_fn),
-            mt(term.right, names, const_fn),
-        )
-    if isinstance(term, Comprehension):
-        quals: list[Qualifier] = []
-        for qual in term.qualifiers:
-            if isinstance(qual, Generator):
-                index_var = qual.index_var
-                if index_var is not None:
-                    index_var = names.get(index_var, index_var)
-                quals.append(
-                    Generator(
-                        names.get(qual.var, qual.var),
-                        mt(qual.source, names, const_fn),
-                        index_var,
-                    )
-                )
-            elif isinstance(qual, Bind):
-                quals.append(
-                    Bind(names.get(qual.var, qual.var), mt(qual.value, names, const_fn))
-                )
-            else:
-                quals.append(Filter(mt(qual.pred, names, const_fn)))
-        return Comprehension(
-            _map_monoid(term.monoid, names, const_fn),
-            mt(term.head, names, const_fn),
-            tuple(quals),
-        )
-    if isinstance(term, Hom):
-        return Hom(
-            _map_monoid(term.source, names, const_fn),
-            _map_monoid(term.target, names, const_fn),
-            names.get(term.var, term.var),
-            mt(term.body, names, const_fn),
-            mt(term.arg, names, const_fn),
-        )
-    if isinstance(term, Call):
-        return Call(term.name, tuple(mt(a, names, const_fn) for a in term.args))
-    if isinstance(term, MethodCall):
-        return MethodCall(
-            mt(term.base, names, const_fn),
-            term.name,
-            tuple(mt(a, names, const_fn) for a in term.args),
-        )
-    if isinstance(term, New):
-        return New(mt(term.state, names, const_fn))
-    if isinstance(term, Deref):
-        return Deref(mt(term.target, names, const_fn))
-    if isinstance(term, Assign):
-        return Assign(mt(term.target, names, const_fn), mt(term.value, names, const_fn))
-    if isinstance(term, Update):
-        return Update(
-            mt(term.base, names, const_fn),
-            term.field_name,
-            term.op,
-            mt(term.value, names, const_fn),
-        )
-    raise CalculusError(f"canonical_term: unknown term {type(term).__name__}")
-
-
-def _map_monoid(
-    ref: MonoidRef,
-    names: dict[str, str],
-    const_fn: Optional[Callable[[Any], Any]],
-) -> MonoidRef:
-    key = _map_term(ref.key, names, const_fn) if ref.key is not None else None
-    size = _map_term(ref.size, names, const_fn) if ref.size is not None else None
-    element = (
-        _map_monoid(ref.element, names, const_fn) if ref.element is not None else None
-    )
-    if key is ref.key and size is ref.size and element is ref.element:
-        return ref
-    return MonoidRef(ref.name, key=key, element=element, size=size)

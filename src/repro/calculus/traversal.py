@@ -7,45 +7,19 @@ These are the mechanics beneath the paper's variable-binding convention
 and beneath the normalization rules of Table 3, all of which substitute
 under binders. Substitution here is capture-avoiding: binders whose
 variable occurs free in the replacement are renamed first.
+
+Every walk here is a fold or a map over :data:`repro.calculus.shape.SHAPES`,
+which says what each node's children and binders are; nothing in this
+module names a node class except the two leaves it treats specially.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterator, Optional
 
-from repro.calculus.ast import (
-    Apply,
-    Assign,
-    Bind,
-    BinOp,
-    Call,
-    Comprehension,
-    Const,
-    Deref,
-    Empty,
-    Filter,
-    Generator,
-    Hom,
-    If,
-    Index,
-    Lambda,
-    Let,
-    Merge,
-    MethodCall,
-    MonoidRef,
-    New,
-    Proj,
-    Qualifier,
-    RecordCons,
-    Singleton,
-    Term,
-    TupleCons,
-    UnOp,
-    Update,
-    Var,
-)
-from repro.errors import CalculusError
+from repro.calculus.ast import Assign, Const, Deref, New, Term, Update, Var
+from repro.calculus.shape import SHAPES
 
 _fresh_counter = itertools.count(1)
 
@@ -60,382 +34,51 @@ def fresh_var(prefix: str = "v") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# Structural walks
 # ---------------------------------------------------------------------------
 
 
-def free_vars(term: Term) -> frozenset[str]:
-    """The set of variable names occurring free in ``term``.
-
-    >>> from repro.calculus.builders import var, comp, gen
-    >>> sorted(free_vars(comp("set", var("x"), [gen("x", var("db"))])))
-    ['db']
-    """
-    return _free(term, frozenset())
-
-
-def _free_monoid(ref: MonoidRef, bound: frozenset[str]) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    if ref.key is not None:
-        out |= _free(ref.key, bound)
-    if ref.size is not None:
-        out |= _free(ref.size, bound)
-    if ref.element is not None:
-        out |= _free_monoid(ref.element, bound)
-    return out
-
-
-def _free(term: Term, bound: frozenset[str]) -> frozenset[str]:
-    if isinstance(term, Const):
-        return frozenset()
-    if isinstance(term, Var):
-        return frozenset() if term.name in bound else frozenset((term.name,))
-    if isinstance(term, Lambda):
-        return _free(term.body, bound | {term.param})
-    if isinstance(term, Apply):
-        return _free(term.fn, bound) | _free(term.arg, bound)
-    if isinstance(term, Let):
-        return _free(term.value, bound) | _free(term.body, bound | {term.var})
-    if isinstance(term, RecordCons):
-        out: frozenset[str] = frozenset()
-        for _, value in term.fields:
-            out |= _free(value, bound)
-        return out
-    if isinstance(term, TupleCons):
-        out = frozenset()
-        for item in term.items:
-            out |= _free(item, bound)
-        return out
-    if isinstance(term, Proj):
-        return _free(term.base, bound)
-    if isinstance(term, Index):
-        return _free(term.base, bound) | _free(term.index, bound)
-    if isinstance(term, BinOp):
-        return _free(term.left, bound) | _free(term.right, bound)
-    if isinstance(term, UnOp):
-        return _free(term.operand, bound)
-    if isinstance(term, If):
-        return (
-            _free(term.cond, bound)
-            | _free(term.then_branch, bound)
-            | _free(term.else_branch, bound)
-        )
-    if isinstance(term, Empty):
-        return _free_monoid(term.monoid, bound)
-    if isinstance(term, Singleton):
-        out = _free_monoid(term.monoid, bound) | _free(term.element, bound)
-        if term.index is not None:
-            out |= _free(term.index, bound)
-        return out
-    if isinstance(term, Merge):
-        return (
-            _free_monoid(term.monoid, bound)
-            | _free(term.left, bound)
-            | _free(term.right, bound)
-        )
-    if isinstance(term, Comprehension):
-        out = _free_monoid(term.monoid, bound)
-        inner_bound = bound
-        for qual in term.qualifiers:
-            if isinstance(qual, Generator):
-                out |= _free(qual.source, inner_bound)
-                inner_bound = inner_bound | {qual.var}
-                if qual.index_var is not None:
-                    inner_bound = inner_bound | {qual.index_var}
-            elif isinstance(qual, Bind):
-                out |= _free(qual.value, inner_bound)
-                inner_bound = inner_bound | {qual.var}
-            else:
-                out |= _free(qual.pred, inner_bound)
-        return out | _free(term.head, inner_bound)
-    if isinstance(term, Hom):
-        return (
-            _free_monoid(term.source, bound)
-            | _free_monoid(term.target, bound)
-            | _free(term.body, bound | {term.var})
-            | _free(term.arg, bound)
-        )
-    if isinstance(term, Call):
-        out = frozenset()
-        for arg in term.args:
-            out |= _free(arg, bound)
-        return out
-    if isinstance(term, MethodCall):
-        out = _free(term.base, bound)
-        for arg in term.args:
-            out |= _free(arg, bound)
-        return out
-    if isinstance(term, New):
-        return _free(term.state, bound)
-    if isinstance(term, Deref):
-        return _free(term.target, bound)
-    if isinstance(term, Assign):
-        return _free(term.target, bound) | _free(term.value, bound)
-    if isinstance(term, Update):
-        return _free(term.base, bound) | _free(term.value, bound)
-    raise CalculusError(f"free_vars: unknown term {type(term).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-# ---------------------------------------------------------------------------
-
-
-def substitute(term: Term, var_name: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution ``term[replacement / var_name]``.
-
-    >>> from repro.calculus.builders import var, lam
-    >>> substitute(var("x"), "x", var("y"))
-    Var(name='y')
-    """
-    return _subst(term, {var_name: replacement})
-
-
-def substitute_many(term: Term, mapping: dict[str, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution."""
-    if not mapping:
-        return term
-    return _subst(term, dict(mapping))
-
-
-def _subst_monoid(ref: MonoidRef, mapping: dict[str, Term]) -> MonoidRef:
-    key = _subst(ref.key, mapping) if ref.key is not None else None
-    size = _subst(ref.size, mapping) if ref.size is not None else None
-    element = _subst_monoid(ref.element, mapping) if ref.element is not None else None
-    if key is ref.key and size is ref.size and element is ref.element:
-        return ref
-    return MonoidRef(ref.name, key=key, element=element, size=size)
-
-
-def _needs_rename(bound_var: str, mapping: dict[str, Term]) -> bool:
-    return any(
-        bound_var in free_vars(repl)
-        for name, repl in mapping.items()
-        if name != bound_var
-    )
-
-
-def _subst(term: Term, mapping: dict[str, Term]) -> Term:
-    if not mapping:
-        return term
-    if isinstance(term, Const):
-        return term
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if isinstance(term, Lambda):
-        inner = {k: v for k, v in mapping.items() if k != term.param}
-        param, body = term.param, term.body
-        if _needs_rename(param, inner):
-            new_param = fresh_var(param.split("~")[0])
-            body = _subst(body, {param: Var(new_param)})
-            param = new_param
-        return Lambda(param, _subst(body, inner))
-    if isinstance(term, Apply):
-        return Apply(_subst(term.fn, mapping), _subst(term.arg, mapping))
-    if isinstance(term, Let):
-        value = _subst(term.value, mapping)
-        inner = {k: v for k, v in mapping.items() if k != term.var}
-        var_name, body = term.var, term.body
-        if _needs_rename(var_name, inner):
-            new_name = fresh_var(var_name.split("~")[0])
-            body = _subst(body, {var_name: Var(new_name)})
-            var_name = new_name
-        return Let(var_name, value, _subst(body, inner))
-    if isinstance(term, RecordCons):
-        return RecordCons(
-            tuple((name, _subst(value, mapping)) for name, value in term.fields)
-        )
-    if isinstance(term, TupleCons):
-        return TupleCons(tuple(_subst(item, mapping) for item in term.items))
-    if isinstance(term, Proj):
-        return Proj(_subst(term.base, mapping), term.name)
-    if isinstance(term, Index):
-        return Index(_subst(term.base, mapping), _subst(term.index, mapping))
-    if isinstance(term, BinOp):
-        return BinOp(term.op, _subst(term.left, mapping), _subst(term.right, mapping))
-    if isinstance(term, UnOp):
-        return UnOp(term.op, _subst(term.operand, mapping))
-    if isinstance(term, If):
-        return If(
-            _subst(term.cond, mapping),
-            _subst(term.then_branch, mapping),
-            _subst(term.else_branch, mapping),
-        )
-    if isinstance(term, Empty):
-        return Empty(_subst_monoid(term.monoid, mapping))
-    if isinstance(term, Singleton):
-        return Singleton(
-            _subst_monoid(term.monoid, mapping),
-            _subst(term.element, mapping),
-            _subst(term.index, mapping) if term.index is not None else None,
-        )
-    if isinstance(term, Merge):
-        return Merge(
-            _subst_monoid(term.monoid, mapping),
-            _subst(term.left, mapping),
-            _subst(term.right, mapping),
-        )
-    if isinstance(term, Comprehension):
-        return _subst_comprehension(term, mapping)
-    if isinstance(term, Hom):
-        inner = {k: v for k, v in mapping.items() if k != term.var}
-        var_name, body = term.var, term.body
-        if _needs_rename(var_name, inner):
-            new_name = fresh_var(var_name.split("~")[0])
-            body = _subst(body, {var_name: Var(new_name)})
-            var_name = new_name
-        return Hom(
-            _subst_monoid(term.source, mapping),
-            _subst_monoid(term.target, mapping),
-            var_name,
-            _subst(body, inner),
-            _subst(term.arg, mapping),
-        )
-    if isinstance(term, Call):
-        return Call(term.name, tuple(_subst(a, mapping) for a in term.args))
-    if isinstance(term, MethodCall):
-        return MethodCall(
-            _subst(term.base, mapping),
-            term.name,
-            tuple(_subst(a, mapping) for a in term.args),
-        )
-    if isinstance(term, New):
-        return New(_subst(term.state, mapping))
-    if isinstance(term, Deref):
-        return Deref(_subst(term.target, mapping))
-    if isinstance(term, Assign):
-        return Assign(_subst(term.target, mapping), _subst(term.value, mapping))
-    if isinstance(term, Update):
-        return Update(
-            _subst(term.base, mapping),
-            term.field_name,
-            term.op,
-            _subst(term.value, mapping),
-        )
-    raise CalculusError(f"substitute: unknown term {type(term).__name__}")
-
-
-def _subst_comprehension(term: Comprehension, mapping: dict[str, Term]) -> Comprehension:
-    """Substitute into a comprehension, respecting left-to-right scoping."""
-    current = dict(mapping)
-    new_quals: list[Qualifier] = []
-    renames: dict[str, Term] = {}
-
-    def rebind(var_name: str) -> str:
-        nonlocal current
-        current = {k: v for k, v in current.items() if k != var_name}
-        if _needs_rename(var_name, current):
-            new_name = fresh_var(var_name.split("~")[0])
-            renames[var_name] = Var(new_name)
-            current[var_name] = Var(new_name)
-            return new_name
-        renames.pop(var_name, None)
-        return var_name
-
-    for qual in term.qualifiers:
-        if isinstance(qual, Generator):
-            source = _subst(qual.source, current)
-            var_name = rebind(qual.var)
-            index_name = qual.index_var
-            if index_name is not None:
-                index_name = rebind(index_name)
-            new_quals.append(Generator(var_name, source, index_name))
-        elif isinstance(qual, Bind):
-            value = _subst(qual.value, current)
-            var_name = rebind(qual.var)
-            new_quals.append(Bind(var_name, value))
-        else:
-            new_quals.append(Filter(_subst(qual.pred, current)))
-    head = _subst(term.head, current)
-    return Comprehension(
-        _subst_monoid(term.monoid, mapping), head, tuple(new_quals)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Structural helpers
-# ---------------------------------------------------------------------------
+def children(term: Term) -> tuple[Term, ...]:
+    """Direct subterms of a node (including monoid key/size terms)."""
+    return SHAPES[type(term)].kids(term)
 
 
 def subterms(term: Term) -> Iterator[Term]:
     """Yield ``term`` and every proper subterm, pre-order."""
-    yield term
-    for child in children(term):
-        yield from subterms(child)
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(SHAPES[type(node)].kids(node)))
 
 
-def children(term: Term) -> Iterable[Term]:
-    """Direct subterms of a node (including monoid key/size terms)."""
-    if isinstance(term, (Const, Var)):
-        return ()
-    if isinstance(term, Lambda):
-        return (term.body,)
-    if isinstance(term, Apply):
-        return (term.fn, term.arg)
-    if isinstance(term, Let):
-        return (term.value, term.body)
-    if isinstance(term, RecordCons):
-        return tuple(value for _, value in term.fields)
-    if isinstance(term, TupleCons):
-        return term.items
-    if isinstance(term, Proj):
-        return (term.base,)
-    if isinstance(term, Index):
-        return (term.base, term.index)
-    if isinstance(term, BinOp):
-        return (term.left, term.right)
-    if isinstance(term, UnOp):
-        return (term.operand,)
-    if isinstance(term, If):
-        return (term.cond, term.then_branch, term.else_branch)
-    if isinstance(term, Empty):
-        return _monoid_children(term.monoid)
-    if isinstance(term, Singleton):
-        extra = (term.index,) if term.index is not None else ()
-        return _monoid_children(term.monoid) + (term.element,) + extra
-    if isinstance(term, Merge):
-        return _monoid_children(term.monoid) + (term.left, term.right)
-    if isinstance(term, Comprehension):
-        out: list[Term] = list(_monoid_children(term.monoid))
-        for qual in term.qualifiers:
-            if isinstance(qual, Generator):
-                out.append(qual.source)
-            elif isinstance(qual, Bind):
-                out.append(qual.value)
-            else:
-                out.append(qual.pred)
-        out.append(term.head)
-        return tuple(out)
-    if isinstance(term, Hom):
-        return (
-            _monoid_children(term.source)
-            + _monoid_children(term.target)
-            + (term.body, term.arg)
-        )
-    if isinstance(term, Call):
-        return term.args
-    if isinstance(term, MethodCall):
-        return (term.base, *term.args)
-    if isinstance(term, New):
-        return (term.state,)
-    if isinstance(term, Deref):
-        return (term.target,)
-    if isinstance(term, Assign):
-        return (term.target, term.value)
-    if isinstance(term, Update):
-        return (term.base, term.value)
-    raise CalculusError(f"children: unknown term {type(term).__name__}")
+def scoped_subterms(term: Term) -> Iterator[tuple[Term, frozenset[str]]]:
+    """Yield ``(subterm, bound)`` pairs, pre-order.
+
+    ``bound`` is the set of variable names whose binders enclose the
+    subterm's position — so a ``Var`` occurrence is free exactly when
+    its name is not in ``bound``.
+
+    >>> from repro.calculus.builders import var, comp, gen
+    >>> term = comp("set", var("x"), [gen("x", var("db"))])
+    >>> [(str(t), sorted(b)) for t, b in scoped_subterms(term)]
+    [('set{ x | x <- db }', []), ('db', []), ('x', ['x'])]
+    """
+    return _scoped_walk(term, frozenset())
 
 
-def _monoid_children(ref: MonoidRef) -> tuple[Term, ...]:
-    out: list[Term] = []
-    if ref.key is not None:
-        out.append(ref.key)
-    if ref.size is not None:
-        out.append(ref.size)
-    if ref.element is not None:
-        out.extend(_monoid_children(ref.element))
-    return tuple(out)
+def _scoped_walk(
+    node: Term, bound: frozenset[str]
+) -> Iterator[tuple[Term, frozenset[str]]]:
+    yield node, bound
+    shape = SHAPES[type(node)]
+    if shape.scopes is None:
+        for kid in shape.kids(node):
+            yield from _scoped_walk(kid, bound)
+    else:
+        binders = shape.binders(node)
+        for kid, n in zip(shape.kids(node), shape.scopes(node)):
+            yield from _scoped_walk(kid, bound.union(binders[:n]) if n else bound)
 
 
 def term_size(term: Term) -> int:
@@ -450,130 +93,143 @@ def has_effects(term: Term) -> bool:
     must not fire on effectful subterms (``new``, ``:=``, ``+=``, and
     dereferences, whose value depends on heap state).
     """
-    from repro.calculus.ast import Assign as _Assign
-    from repro.calculus.ast import Deref as _Deref
-    from repro.calculus.ast import New as _New
-    from repro.calculus.ast import Update as _Update
+    return any(isinstance(sub, (New, Assign, Update, Deref)) for sub in subterms(term))
 
-    return any(
-        isinstance(sub, (_New, _Assign, _Update, _Deref)) for sub in subterms(term)
+
+def free_vars(term: Term) -> frozenset[str]:
+    """The set of variable names occurring free in ``term``.
+
+    >>> from repro.calculus.builders import var, comp, gen
+    >>> sorted(free_vars(comp("set", var("x"), [gen("x", var("db"))])))
+    ['db']
+    """
+    free: set[str] = set()
+    _collect_free(term, frozenset(), free)
+    return frozenset(free)
+
+
+def _collect_free(node: Term, bound: frozenset[str], free: set[str]) -> None:
+    if type(node) is Var:
+        if node.name not in bound:
+            free.add(node.name)
+        return
+    shape = SHAPES[type(node)]
+    if shape.scopes is None:
+        for kid in shape.kids(node):
+            _collect_free(kid, bound, free)
+    else:
+        binders = shape.binders(node)
+        for kid, n in zip(shape.kids(node), shape.scopes(node)):
+            _collect_free(kid, bound.union(binders[:n]) if n else bound, free)
+
+
+# ---------------------------------------------------------------------------
+# Substitution
+# ---------------------------------------------------------------------------
+
+
+def substitute(term: Term, var_name: str, replacement: Term) -> Term:
+    """Capture-avoiding substitution ``term[replacement / var_name]``.
+
+    >>> from repro.calculus.builders import var, lam
+    >>> substitute(var("x"), "x", var("y"))
+    Var(name='y')
+    """
+    return substitute_many(term, {var_name: replacement})
+
+
+def substitute_many(term: Term, mapping: dict[str, Term]) -> Term:
+    """Simultaneous capture-avoiding substitution."""
+    if not mapping:
+        return term
+    if type(term) is Var:
+        return mapping.get(term.name, term)
+    shape = SHAPES[type(term)]
+    kids = shape.kids(term)
+    if shape.scopes is None:
+        new_kids = tuple([substitute_many(kid, mapping) for kid in kids])
+        return shape.rebuild(term, kids, new_kids)
+    # under[n] is the substitution in force under the node's first n
+    # binders: a binder shadows its own name, and is renamed when a
+    # replacement that is still live mentions it free.
+    binders = shape.binders(term)
+    under = [mapping]
+    names = []
+    for name in binders:
+        mapping = {k: v for k, v in mapping.items() if k != name}
+        if any(name in free_vars(repl) for repl in mapping.values()):
+            fresh = fresh_var(name.split("~")[0])
+            mapping[name] = Var(fresh)
+            name = fresh
+        under.append(mapping)
+        names.append(name)
+    new_kids = tuple(
+        [substitute_many(kid, under[n]) for kid, n in zip(kids, shape.scopes(term))]
     )
+    return shape.rebuild(term, kids, new_kids, binders, tuple(names))
+
+
+# ---------------------------------------------------------------------------
+# Renaming binders
+# ---------------------------------------------------------------------------
+
+
+def relabel(
+    term: Term,
+    binder_name: Callable[[str], str],
+    const: Optional[Callable[[Const], Term]] = None,
+) -> Term:
+    """Rename every binder of ``term`` and, optionally, map its constants.
+
+    ``binder_name(old)`` is asked once per binder, node by node in
+    pre-order and in binding order within a node, and must answer a name
+    that is free nowhere in ``term`` — then bound occurrences follow
+    their binder and the result is an alpha-variant. ``const`` replaces
+    each ``Const`` node.
+    """
+    return _relabel(term, {}, binder_name, const)
+
+
+def _relabel(
+    node: Term,
+    env: dict[str, str],
+    binder_name: Callable[[str], str],
+    const: Optional[Callable[[Const], Term]],
+) -> Term:
+    if type(node) is Var:
+        return Var(env[node.name]) if node.name in env else node
+    if type(node) is Const:
+        return node if const is None else const(node)
+    shape = SHAPES[type(node)]
+    kids = shape.kids(node)
+    if shape.scopes is None:
+        new_kids = tuple([_relabel(kid, env, binder_name, const) for kid in kids])
+        return shape.rebuild(node, kids, new_kids)
+    binders = shape.binders(node)
+    names = tuple([binder_name(old) for old in binders])
+    envs = [env]  # envs[n]: the renaming under the node's first n binders
+    for old, new in zip(binders, names):
+        envs.append({**envs[-1], old: new})
+    new_kids = tuple(
+        [
+            _relabel(kid, envs[n], binder_name, const)
+            for kid, n in zip(kids, shape.scopes(node))
+        ]
+    )
+    return shape.rebuild(node, kids, new_kids, binders, names)
+
+
+def numbered(term: Term, const: Optional[Callable[[Const], Term]] = None) -> Term:
+    """The alpha-variant of ``term`` whose binders are ``~0``, ``~1``, ….
+
+    Neither parser can produce a name that starts with ``~``, so no free
+    variable is captured, and two terms are alpha-equivalent exactly
+    when their numbered forms are structurally equal.
+    """
+    counter = itertools.count()
+    return relabel(term, lambda _old: f"~{next(counter)}", const)
 
 
 def alpha_equal(left: Term, right: Term) -> bool:
     """Structural equality up to renaming of bound variables."""
-    return _alpha(left, right, {}, {})
-
-
-def _alpha(left: Term, right: Term, lmap: dict[str, str], rmap: dict[str, str]) -> bool:
-    if type(left) is not type(right):
-        return False
-    if isinstance(left, Var):
-        lname = lmap.get(left.name, left.name)
-        rname = rmap.get(right.name, right.name)
-        return lname == rname
-    if isinstance(left, Lambda):
-        token = fresh_var("α")
-        return _alpha(
-            left.body,
-            right.body,
-            {**lmap, left.param: token},
-            {**rmap, right.param: token},
-        )
-    if isinstance(left, Let):
-        token = fresh_var("α")
-        return _alpha(left.value, right.value, lmap, rmap) and _alpha(
-            left.body,
-            right.body,
-            {**lmap, left.var: token},
-            {**rmap, right.var: token},
-        )
-    if isinstance(left, Hom):
-        token = fresh_var("α")
-        return (
-            _alpha_monoid(left.source, right.source, lmap, rmap)
-            and _alpha_monoid(left.target, right.target, lmap, rmap)
-            and _alpha(left.arg, right.arg, lmap, rmap)
-            and _alpha(
-                left.body,
-                right.body,
-                {**lmap, left.var: token},
-                {**rmap, right.var: token},
-            )
-        )
-    if isinstance(left, Comprehension):
-        if len(left.qualifiers) != len(right.qualifiers):
-            return False
-        if not _alpha_monoid(left.monoid, right.monoid, lmap, rmap):
-            return False
-        lmap, rmap = dict(lmap), dict(rmap)
-        for lq, rq in zip(left.qualifiers, right.qualifiers):
-            if type(lq) is not type(rq):
-                return False
-            if isinstance(lq, Generator):
-                if not _alpha(lq.source, rq.source, lmap, rmap):
-                    return False
-                token = fresh_var("α")
-                lmap[lq.var] = token
-                rmap[rq.var] = token
-                if (lq.index_var is None) != (rq.index_var is None):
-                    return False
-                if lq.index_var is not None:
-                    itoken = fresh_var("α")
-                    lmap[lq.index_var] = itoken
-                    rmap[rq.index_var] = itoken
-            elif isinstance(lq, Bind):
-                if not _alpha(lq.value, rq.value, lmap, rmap):
-                    return False
-                token = fresh_var("α")
-                lmap[lq.var] = token
-                rmap[rq.var] = token
-            else:
-                if not _alpha(lq.pred, rq.pred, lmap, rmap):
-                    return False
-        return _alpha(left.head, right.head, lmap, rmap)
-    # Generic case: compare non-term fields, then recurse on children.
-    lchildren = tuple(children(left))
-    rchildren = tuple(children(right))
-    if len(lchildren) != len(rchildren):
-        return False
-    if not _same_shape(left, right):
-        return False
-    return all(_alpha(lc, rc, lmap, rmap) for lc, rc in zip(lchildren, rchildren))
-
-
-def _alpha_monoid(
-    left: MonoidRef, right: MonoidRef, lmap: dict[str, str], rmap: dict[str, str]
-) -> bool:
-    if left.name != right.name:
-        return False
-    if (left.key is None) != (right.key is None):
-        return False
-    if left.key is not None and not _alpha(left.key, right.key, lmap, rmap):
-        return False
-    if (left.size is None) != (right.size is None):
-        return False
-    if left.size is not None and not _alpha(left.size, right.size, lmap, rmap):
-        return False
-    if (left.element is None) != (right.element is None):
-        return False
-    if left.element is not None:
-        return _alpha_monoid(left.element, right.element, lmap, rmap)
-    return True
-
-
-def _same_shape(left: Term, right: Term) -> bool:
-    """Compare the non-term payload of two same-type nodes."""
-    if isinstance(left, Const):
-        return left.value == right.value
-    if isinstance(left, (Proj, MethodCall, Call)):
-        return left.name == right.name
-    if isinstance(left, RecordCons):
-        return tuple(n for n, _ in left.fields) == tuple(n for n, _ in right.fields)
-    if isinstance(left, (BinOp, UnOp)):
-        return left.op == right.op
-    if isinstance(left, Update):
-        return left.field_name == right.field_name and left.op == right.op
-    if isinstance(left, (Empty, Singleton, Merge)):
-        return left.monoid.name == right.monoid.name
-    return True
+    return numbered(left) == numbered(right)

@@ -16,18 +16,9 @@ user never wrote them.
 
 from __future__ import annotations
 
-from repro.calculus.ast import (
-    Bind,
-    Comprehension,
-    Generator,
-    Hom,
-    Lambda,
-    Let,
-    Term,
-    Var,
-)
+from repro.calculus.ast import Comprehension, Generator, Term, Var
 from repro.analysis.dataflow import use_count
-from repro.calculus.traversal import children
+from repro.calculus.shape import SHAPES
 from repro.errors import did_you_mean
 from repro.lint.base import LintContext, is_fresh_name
 from repro.lint.diagnostics import Diagnostic, make
@@ -81,69 +72,31 @@ def _walk(
                 make("QL003", f"unbound variable {term.name!r}", span_of(term), hint)
             )
         return
-    if isinstance(term, Lambda):
-        _check_binder(term.param, span_of(term), bound, known, diagnostics)
-        _walk(term.body, known, bound | {term.param}, ctx, diagnostics)
+    shape = SHAPES[type(term)]
+    kids = shape.kids(term)
+    if shape.scopes is None:
+        for child in kids:
+            _walk(child, known, bound, ctx, diagnostics)
         return
-    if isinstance(term, Let):
-        _walk(term.value, known, bound, ctx, diagnostics)
-        _check_binder(term.var, span_of(term), bound, known, diagnostics)
-        _walk(term.body, known, bound | {term.var}, ctx, diagnostics)
-        return
-    if isinstance(term, Hom):
-        _walk(term.arg, known, bound, ctx, diagnostics)
-        _check_binder(term.var, span_of(term), bound, known, diagnostics)
-        _walk(term.body, known, bound | {term.var}, ctx, diagnostics)
-        return
-    if isinstance(term, Comprehension):
-        _walk_comprehension(term, known, bound, ctx, diagnostics)
-        return
-    for child in children(term):
-        _walk(child, known, bound, ctx, diagnostics)
-
-
-def _walk_comprehension(
-    term: Comprehension,
-    known: frozenset[str],
-    bound: frozenset[str],
-    ctx: LintContext,
-    diagnostics: list[Diagnostic],
-) -> None:
-    ref = term.monoid
-    if ref.key is not None:
-        _walk(ref.key, known, bound, ctx, diagnostics)
-    if ref.size is not None:
-        _walk(ref.size, known, bound, ctx, diagnostics)
-    scope = bound
-    quals = term.qualifiers
-    for i, qual in enumerate(quals):
-        if isinstance(qual, Generator):
-            _walk(qual.source, known, scope, ctx, diagnostics)
-            _check_binder(qual.var, span_of(qual), scope, known, diagnostics)
-            if not _used_later(term, i, qual.var):
-                diagnostics.append(
-                    make(
-                        "QL005",
-                        f"generator variable {qual.var!r} is never used; "
-                        "the iteration is dead (prefix with '_' if intended)",
-                        span_of(qual),
-                    )
+    scopes = [bound]  # scopes[n]: what is bound under the node's first n binders
+    for var_name, (kind, site) in zip(shape.binders(term), shape.sites(term)):
+        _check_binder(var_name, span_of(site), scopes[-1], known, diagnostics)
+        if kind == "generator" and not _used_later(term, site, var_name):
+            diagnostics.append(
+                make(
+                    "QL005",
+                    f"generator variable {var_name!r} is never used; "
+                    "the iteration is dead (prefix with '_' if intended)",
+                    span_of(site),
                 )
-            scope = scope | {qual.var}
-            if qual.index_var is not None:
-                _check_binder(qual.index_var, span_of(qual), scope, known, diagnostics)
-                scope = scope | {qual.index_var}
-        elif isinstance(qual, Bind):
-            _walk(qual.value, known, scope, ctx, diagnostics)
-            _check_binder(qual.var, span_of(qual), scope, known, diagnostics)
-            scope = scope | {qual.var}
-        else:
-            _walk(qual.pred, known, scope, ctx, diagnostics)
-    _walk(term.head, known, scope, ctx, diagnostics)
+            )
+        scopes.append(scopes[-1] | {var_name})
+    for child, n in zip(kids, shape.scopes(term)):
+        _walk(child, known, scopes[n], ctx, diagnostics)
 
 
-def _used_later(term: Comprehension, index: int, var_name: str) -> bool:
-    """Does anything after qualifier ``index`` read ``var_name``?
+def _used_later(term: Comprehension, qual: Generator, var_name: str) -> bool:
+    """Does anything after the qualifier ``qual`` read ``var_name``?
 
     Skips the check for fresh or underscore-prefixed names. Built by
     forming the tail of the comprehension (same monoid, so sort keys
@@ -152,5 +105,6 @@ def _used_later(term: Comprehension, index: int, var_name: str) -> bool:
     """
     if is_fresh_name(var_name) or var_name.startswith("_"):
         return True
+    index = next(i for i, q in enumerate(term.qualifiers) if q is qual)
     tail = Comprehension(term.monoid, term.head, term.qualifiers[index + 1 :])
     return use_count(tail, var_name) > 0

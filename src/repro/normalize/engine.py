@@ -14,35 +14,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.calculus.ast import (
-    Apply,
-    Assign,
-    Bind,
-    BinOp,
-    Call,
-    Comprehension,
-    Const,
-    Deref,
-    Empty,
-    Filter,
-    Generator,
-    Hom,
-    If,
-    Index,
-    Lambda,
-    Let,
-    Merge,
-    MethodCall,
-    New,
-    Proj,
-    RecordCons,
-    Singleton,
-    Term,
-    TupleCons,
-    UnOp,
-    Update,
-    Var,
-)
+from repro.calculus.ast import Bind, Comprehension, Generator, Proj, Term, Var
+from repro.calculus.shape import SHAPES
 from repro.analysis.verifier import RewriteVerifier, resolve_verify
 from repro.errors import NormalizationError
 from repro.normalize.rules import DEFAULT_RULES, Rule
@@ -134,162 +107,21 @@ def _rewrite_in_children(
 def _rebuild_first(
     term: Term, visit: Callable[[Term], Optional[Term]]
 ) -> Optional[Term]:
-    """Apply ``visit`` to children left-to-right; rebuild on first change."""
-    if isinstance(term, (Const, Var, Empty)):
-        return None
-    if isinstance(term, Lambda):
-        body = visit(term.body)
-        return Lambda(term.param, body) if body is not None else None
-    if isinstance(term, Apply):
-        fn = visit(term.fn)
-        if fn is not None:
-            return Apply(fn, term.arg)
-        arg = visit(term.arg)
-        return Apply(term.fn, arg) if arg is not None else None
-    if isinstance(term, Let):
-        value = visit(term.value)
-        if value is not None:
-            return Let(term.var, value, term.body)
-        body = visit(term.body)
-        return Let(term.var, term.value, body) if body is not None else None
-    if isinstance(term, RecordCons):
-        for i, (name, value) in enumerate(term.fields):
-            new_value = visit(value)
-            if new_value is not None:
-                fields = (
-                    term.fields[:i] + ((name, new_value),) + term.fields[i + 1 :]
-                )
-                return RecordCons(fields)
-        return None
-    if isinstance(term, TupleCons):
-        for i, item in enumerate(term.items):
-            new_item = visit(item)
-            if new_item is not None:
-                return TupleCons(term.items[:i] + (new_item,) + term.items[i + 1 :])
-        return None
-    if isinstance(term, Proj):
-        base = visit(term.base)
-        return Proj(base, term.name) if base is not None else None
-    if isinstance(term, Index):
-        base = visit(term.base)
-        if base is not None:
-            return Index(base, term.index)
-        idx = visit(term.index)
-        return Index(term.base, idx) if idx is not None else None
-    if isinstance(term, BinOp):
-        left = visit(term.left)
-        if left is not None:
-            return BinOp(term.op, left, term.right)
-        right = visit(term.right)
-        return BinOp(term.op, term.left, right) if right is not None else None
-    if isinstance(term, UnOp):
-        operand = visit(term.operand)
-        return UnOp(term.op, operand) if operand is not None else None
-    if isinstance(term, If):
-        cond = visit(term.cond)
-        if cond is not None:
-            return If(cond, term.then_branch, term.else_branch)
-        then_branch = visit(term.then_branch)
-        if then_branch is not None:
-            return If(term.cond, then_branch, term.else_branch)
-        else_branch = visit(term.else_branch)
-        if else_branch is not None:
-            return If(term.cond, term.then_branch, else_branch)
-        return None
-    if isinstance(term, Singleton):
-        element = visit(term.element)
-        if element is not None:
-            return Singleton(term.monoid, element, term.index)
-        if term.index is not None:
-            idx = visit(term.index)
-            if idx is not None:
-                return Singleton(term.monoid, term.element, idx)
-        return None
-    if isinstance(term, Merge):
-        left = visit(term.left)
-        if left is not None:
-            return Merge(term.monoid, left, term.right)
-        right = visit(term.right)
-        return Merge(term.monoid, term.left, right) if right is not None else None
-    if isinstance(term, Comprehension):
-        for i, qual in enumerate(term.qualifiers):
-            if isinstance(qual, Generator):
-                source = visit(qual.source)
-                if source is not None:
-                    quals = (
-                        term.qualifiers[:i]
-                        + (Generator(qual.var, source, qual.index_var),)
-                        + term.qualifiers[i + 1 :]
-                    )
-                    return Comprehension(term.monoid, term.head, quals)
-            elif isinstance(qual, Bind):
-                value = visit(qual.value)
-                if value is not None:
-                    quals = (
-                        term.qualifiers[:i]
-                        + (Bind(qual.var, value),)
-                        + term.qualifiers[i + 1 :]
-                    )
-                    return Comprehension(term.monoid, term.head, quals)
-            else:
-                pred = visit(qual.pred)
-                if pred is not None:
-                    quals = (
-                        term.qualifiers[:i]
-                        + (Filter(pred),)
-                        + term.qualifiers[i + 1 :]
-                    )
-                    return Comprehension(term.monoid, term.head, quals)
-        head = visit(term.head)
-        if head is not None:
-            return Comprehension(term.monoid, head, term.qualifiers)
-        return None
-    if isinstance(term, Hom):
-        body = visit(term.body)
-        if body is not None:
-            return Hom(term.source, term.target, term.var, body, term.arg)
-        arg = visit(term.arg)
-        if arg is not None:
-            return Hom(term.source, term.target, term.var, term.body, arg)
-        return None
-    if isinstance(term, Call):
-        for i, arg in enumerate(term.args):
-            new_arg = visit(arg)
-            if new_arg is not None:
-                return Call(term.name, term.args[:i] + (new_arg,) + term.args[i + 1 :])
-        return None
-    if isinstance(term, MethodCall):
-        base = visit(term.base)
-        if base is not None:
-            return MethodCall(base, term.name, term.args)
-        for i, arg in enumerate(term.args):
-            new_arg = visit(arg)
-            if new_arg is not None:
-                return MethodCall(
-                    term.base, term.name, term.args[:i] + (new_arg,) + term.args[i + 1 :]
-                )
-        return None
-    if isinstance(term, New):
-        state = visit(term.state)
-        return New(state) if state is not None else None
-    if isinstance(term, Deref):
-        target = visit(term.target)
-        return Deref(target) if target is not None else None
-    if isinstance(term, Assign):
-        target = visit(term.target)
-        if target is not None:
-            return Assign(target, term.value)
-        value = visit(term.value)
-        return Assign(term.target, value) if value is not None else None
-    if isinstance(term, Update):
-        base = visit(term.base)
-        if base is not None:
-            return Update(base, term.field_name, term.op, term.value)
-        value = visit(term.value)
-        if value is not None:
-            return Update(term.base, term.field_name, term.op, value)
-        return None
-    raise NormalizationError(f"rewrite: unknown term {type(term).__name__}")
+    """Apply ``visit`` to children left-to-right; rebuild on first change.
+
+    Terms inside a monoid reference (a ``sorted[f]`` key, a vector size)
+    are not visited: the rules leave them as written.
+    """
+    shape = SHAPES[type(term)]
+    kids = shape.kids(term)
+    first = shape.monoid_kids(term) if shape.monoid_kids else 0
+    for i in range(first, len(kids)):
+        new = visit(kids[i])
+        if new is not None:
+            return shape.build(
+                term, kids[:i] + (new,) + kids[i + 1 :], shape.binders(term)
+            )
+    return None
 
 
 # ---------------------------------------------------------------------------

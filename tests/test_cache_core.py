@@ -59,6 +59,21 @@ class TestCanonicalTerm:
         )
         assert a != b
 
+    def test_free_variable_is_never_captured(self):
+        # The key renames binders; a free name a user can write (the
+        # alphabet used to be q0, q1, ...) must not come out as a binder.
+        bound = canonical_term(translate_oql("select distinct x from x in S"))
+        free = canonical_term(translate_oql("select distinct q0 from x in S"))
+        assert bound != free
+
+    def test_literal_types_distinguish(self):
+        # Const(1) == Const(True) == Const(1.0) under Python equality.
+        keys = {
+            canonical_term(translate_oql(f"select distinct {lit} from c in Cities"))
+            for lit in ("1", "true", "1.0")
+        }
+        assert len(keys) == 3
+
 
 class TestLiteralSkeleton:
     def test_literal_variants_share_a_skeleton(self):
@@ -78,6 +93,13 @@ class TestLiteralSkeleton:
             translate_oql("select c.name from c in Cities where c.state = 'OR'")
         )
         assert a != b
+
+    def test_literals_of_every_type_blank_to_one_hole(self):
+        skeletons = {
+            literal_skeleton(translate_oql(f"select distinct {lit} from c in Cities"))
+            for lit in ("1", "true", "1.0", "'one'")
+        }
+        assert len(skeletons) == 1
 
     def test_literal_vector_orders_constants(self):
         term = translate_oql(

@@ -48,6 +48,32 @@ class TestValueParity:
         assert cached.run(oql, engine=engine) == expected
 
 
+class TestKeySoundness:
+    """Two different queries must never share a cache entry."""
+
+    def test_free_name_spelled_like_a_canonical_binder(self):
+        plain, cached = _pair()
+        for db in (plain, cached):
+            db.load_extent("q0", [{"name": "zz"}])
+        first = "select distinct c from c in Cities"
+        second = "select distinct q0 from c in Cities"
+        assert cached.run(first) == plain.run(first)
+        expected = plain.run(second)
+        assert len(expected) == 1  # one value: the whole q0 extent
+        assert cached.run(second) == expected
+
+    @pytest.mark.parametrize("literals", [("1", "true", "1.0"), ("1.0", "1", "true")])
+    def test_literal_type_survives_the_cache(self, literals):
+        plain, cached = _pair()
+        for lit in literals:
+            oql = f"select distinct {lit} from c in Cities"
+            (expected,) = plain.run(oql)
+            for _ in range(2):  # compile miss, then result hit
+                (got,) = cached.run(oql)
+                assert type(got) is type(expected), oql
+                assert got == expected
+
+
 class TestCounters:
     def test_hits_and_misses(self):
         _, db = _pair()

@@ -12,6 +12,8 @@ from repro.calculus import (
     gen,
     lam,
     apply,
+    children,
+    mref,
     proj,
     var,
 )
@@ -73,6 +75,22 @@ class TestEngine:
         result = normalize(term)
         assert is_canonical(result)
         assert evaluate(result) == frozenset({1})
+
+
+    def test_monoid_key_terms_are_left_as_written(self):
+        # Decision, pinned: the engine rewrites a node's ordinary
+        # children, never the terms inside its MonoidRef (the shape
+        # table's ``monoid_kids``), although ``children`` lists them. A
+        # beta-redex in a ``sorted[f]`` key therefore survives and the
+        # term still counts as canonical. Changing this changes normal
+        # forms and ``normalize.rule_fires`` (ROADMAP item 5).
+        key = lam("x", apply(lam("y", var("y")), proj(var("x"), "name")))
+        term = comp(mref("sorted", key), var("c"), [gen("c", var("Cities"))])
+        result, trace = normalize_with_trace(term)
+        assert result == term
+        assert len(trace) == 0
+        assert is_canonical(term)
+        assert key in children(term)
 
 
 class TestPaperDerivation:

@@ -11,6 +11,11 @@ admits) are evaluated three ways:
 All three must agree. This is the strongest statement the library makes
 about Table 3 and the evaluation sketch, so it gets the heaviest
 randomized coverage.
+
+The strategies produce every binder kind of the calculus — ``lambda``,
+``let``, ``hom``, generators (plain and indexed) and ``==`` bindings —
+and a ``sorted[f]`` key, so ``tests/test_calculus_traversal.py`` reuses
+:func:`comprehensions` for the structural properties of the shape table.
 """
 
 from __future__ import annotations
@@ -22,15 +27,21 @@ from repro.algebra import Executor, build_plan
 from repro.calculus import (
     add,
     and_,
+    apply,
+    bind,
     comp,
     const,
     eq,
     filt,
     gen,
     gt,
+    hom,
     if_,
+    lam,
+    let,
     lt,
     merge,
+    mref,
     mul,
     unit,
     var,
@@ -55,6 +66,7 @@ _ALLOWED_SOURCES = {
     "set": ["Xs", "Ys", "Zs"],
     "max": ["Xs", "Ys", "Zs"],
     "some": ["Xs", "Ys", "Zs"],
+    "sorted": ["Xs", "Ys", "Zs"],
 }
 
 
@@ -66,6 +78,13 @@ def _head_strategy(bound_vars: list[str]):
             st.tuples(children, children).map(lambda p: mul(p[0], p[1])),
             st.tuples(children, children, children).map(
                 lambda p: if_(lt(p[0], p[1]), p[2], const(0))
+            ),
+            # binders in the head: ``let k = a in k + b`` and ``(\p. p * b)(a)``
+            st.tuples(children, children).map(
+                lambda p: let("k", p[0], add(var("k"), p[1]))
+            ),
+            st.tuples(children, children).map(
+                lambda p: apply(lam("p", mul(var("p"), p[1])), p[0])
             ),
         )
     return st.recursive(base, widen, max_leaves=4)
@@ -86,25 +105,18 @@ def _pred_strategy(bound_vars: list[str]):
 
 @st.composite
 def _source_strategy(draw, output_monoid: str, depth: int) -> Term:
-    """A generator source: extent, nested comprehension, merge, or unit."""
+    """A generator source: extent, nested comprehension, merge, or hom."""
     allowed = _ALLOWED_SOURCES[output_monoid]
-    choice = draw(st.integers(0, 3 if depth > 0 else 1))
+    choice = draw(st.integers(0, 4 if depth > 0 else 1))
     extent = draw(st.sampled_from(allowed))
+    monoid = _EXTENTS[extent][0]
     if choice == 0 or choice == 1:
         return var(extent)
     if choice == 2:
-        inner_monoid = _EXTENTS[extent][0]
-        inner = draw(_comprehension_strategy(inner_monoid, depth - 1))
-        return inner
-    return merge(
-        _EXTENTS[extent][0] if False else output_monoid_source(extent),
-        var(extent),
-        var(extent),
-    )
-
-
-def output_monoid_source(extent: str):
-    return _EXTENTS[extent][0]
+        return draw(_comprehension_strategy(monoid, depth - 1))
+    if choice == 3:
+        return merge(monoid, var(extent), var(extent))
+    return hom(monoid, monoid, "h", unit(monoid, add(var("h"), const(1))), var(extent))
 
 
 @st.composite
@@ -115,21 +127,37 @@ def _comprehension_strategy(draw, output_monoid: str, depth: int) -> Comprehensi
     for i in range(n_gens):
         name = f"v{depth}{i}"
         source = draw(_source_strategy(output_monoid, depth))
-        qualifiers.append(gen(name, source))
+        if source == var("Xs") and draw(st.booleans()):
+            # the vector generator form ``v[i] <- Xs`` binds the position too
+            qualifiers.append(gen(name, source, at=f"i{depth}{i}"))
+            bound.append(f"i{depth}{i}")
+        else:
+            qualifiers.append(gen(name, source))
         bound.append(name)
         if draw(st.booleans()):
             qualifiers.append(filt(draw(_pred_strategy(bound))))
+        if draw(st.booleans()):
+            qualifiers.append(bind(f"b{depth}{i}", draw(_head_strategy(bound))))
+            bound.append(f"b{depth}{i}")
     if output_monoid == "some":
         head = draw(_pred_strategy(bound))
     else:
         head = draw(_head_strategy(bound))
+    if output_monoid == "sorted":
+        return comp(mref("sorted", lam("s", mul(var("s"), const(-1)))), head, qualifiers)
     return comp(output_monoid, head, qualifiers)
+
+
+def comprehensions():
+    """Comprehensions of every output monoid, nested two deep."""
+    return st.sampled_from(list(_ALLOWED_SOURCES)).flatmap(
+        lambda monoid: _comprehension_strategy(monoid, depth=2)
+    )
 
 
 @st.composite
 def _term_and_data(draw):
-    output_monoid = draw(st.sampled_from(list(_ALLOWED_SOURCES)))
-    term = draw(_comprehension_strategy(output_monoid, depth=2))
+    term = draw(comprehensions())
     data = {}
     for name, (_, build) in _EXTENTS.items():
         data[name] = build(draw(st.lists(st.integers(0, 6), max_size=5)))
