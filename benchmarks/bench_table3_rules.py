@@ -132,3 +132,48 @@ def test_normalization_cost_vs_nesting_depth(benchmark, depth):
     from repro.normalize import is_canonical_comprehension
 
     assert is_canonical_comprehension(result)
+
+
+def test_shape_rules_tried_only_at_their_heads():
+    """No clock: over the harness catalogue, a rule's ``apply`` is called
+    only on nodes of its ``heads``, and that is under a fifth of the
+    calls trying every rule at every visited node would make."""
+    from collections import Counter
+    from random import Random
+
+    from benchmarks.harness.workloads import catalogue_classes
+    from repro.normalize import DEFAULT_RULES, Rule
+
+    class Counted(Rule):
+        def __init__(self, rule):
+            self.rule, self.name, self.heads = rule, rule.name, rule.heads
+            self.seen = Counter()
+
+        def apply(self, term):
+            self.seen[type(term)] += 1
+            return self.rule.apply(term)
+
+    class EveryNode(Rule):
+        """Last and headless: called once per node the engine visits and
+        finds no rewrite at."""
+
+        name = "probe"
+        visited = 0
+
+        def apply(self, term):
+            self.visited += 1
+            return None
+
+    counted = [Counted(rule) for rule in DEFAULT_RULES]
+    probe = EveryNode()
+    classes = catalogue_classes({"Departments": [None] * 8}, Random(0))
+    for cls in classes:
+        term = translate_oql(cls.oql)
+        _, trace = normalize_with_trace(term, rules=(*counted, probe))
+        assert trace.rules_fired() == normalize_with_trace(term)[1].rules_fired()
+    for rule in counted:
+        outside = [cls.__name__ for cls in rule.seen if not issubclass(cls, rule.heads)]
+        assert not outside, f"{rule.name} was tried on {outside}"
+    applies = sum(sum(rule.seen.values()) for rule in counted)
+    assert probe.visited > 10 * len(classes)
+    assert applies * 5 <= probe.visited * len(counted), (applies, probe.visited)

@@ -590,11 +590,11 @@ class Database:
                     plan = None
             if plan is None and isinstance(normalized, Comprehension):
                 try:
-                    # Re-normalize with the planning rule set (no merge
-                    # splits), which keeps the term a single plannable
-                    # comprehension.
+                    # No second normalization: the planning rule set is
+                    # a subset of the default one, so a default normal
+                    # form is already a planning normal form.
                     with tracer.span("plan"):
-                        logical = build_plan(normalized, pre_normalize=True)
+                        logical = build_plan(normalized, pre_normalize=False)
                     with tracer.span("optimize"):
                         plan = self._optimize(logical)
                     kind = "algebra"

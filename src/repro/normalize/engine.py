@@ -2,17 +2,25 @@
 
 Strategy: repeatedly locate the outermost-leftmost position where any
 rule applies (rules are tried in priority order at each node, pre-order
-over the term), rewrite, record a trace step, and continue until no
-rule applies anywhere or the step budget is exhausted. The default
-budget is generous; the rule set is terminating on pure terms (each
-rule either strictly shrinks the term or eliminates a construct no
-other rule reintroduces), so hitting the budget signals a bug and
-raises.
+over the term, a node's ``sorted[f]`` key and vector size included),
+rewrite, record a trace step, and continue until no rule applies
+anywhere or the step budget is exhausted. The default budget is
+generous; the rule set is terminating on pure terms (each rule either
+strictly shrinks the term or eliminates a construct no other rule
+reintroduces), so hitting the budget signals a bug and raises.
+
+One pass per step: a rule names the node classes it can fire on
+(``Rule.heads``), the engine indexes a rule tuple by node class once
+(:func:`_rules_by_head`) and :func:`_step` tries at each node only the
+rules whose head it is -- the same rules, at the same nodes, in the same
+order as trying all of them, minus the calls that could only return
+``None``. The descent reads :data:`repro.calculus.shape.SHAPES`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from repro.calculus.ast import Bind, Comprehension, Generator, Proj, Term, Var
 from repro.calculus.shape import SHAPES
@@ -61,10 +69,11 @@ def normalize_with_trace(
     the first unsound fire.
     """
     verifier = RewriteVerifier() if resolve_verify(verify) else None
+    rules_at = _rules_by_head(tuple(rules))
     trace = NormalizationTrace(term)
     current = term
     for _ in range(max_steps):
-        rewritten = _rewrite_once(current, rules, trace, verifier)
+        rewritten = _step(current, rules_at, trace, verifier)
         if rewritten is None:
             return current, trace
         current = rewritten
@@ -73,50 +82,50 @@ def normalize_with_trace(
     )
 
 
-def _rewrite_once(
+class _RulesByHead(dict):
+    """Node class -> the rules that can fire on it, in priority order
+    (filled in per class on first sight; a rule with ``heads = None``, or
+    a duck-typed one with no ``heads`` at all, is listed under every
+    class)."""
+
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, cls: type) -> tuple[Rule, ...]:
+        found = []
+        for rule in self.rules:
+            heads = getattr(rule, "heads", None)
+            if heads is None or issubclass(cls, heads):
+                found.append(rule)
+        rules = self[cls] = tuple(found)
+        return rules
+
+
+#: One index per rule tuple in use (the default and planning sets, a
+#: test's or a user's own); bounded so throwaway tuples do not pile up.
+_rules_by_head = lru_cache(maxsize=32)(_RulesByHead)
+
+
+def _step(
     term: Term,
-    rules: Sequence[Rule],
+    rules_at: _RulesByHead,
     trace: NormalizationTrace,
     verifier: Optional[RewriteVerifier] = None,
 ) -> Optional[Term]:
     """One outermost-leftmost rewrite, or None if in normal form."""
-    for rule in rules:
+    cls = type(term)
+    for rule in rules_at[cls]:
         result = rule.apply(term)
         if result is not None:
             if verifier is not None:
                 verifier.check_rewrite(rule, term, result)
             trace.record(rule.name, term, result)
             return result
-    return _rewrite_in_children(term, rules, trace, verifier)
-
-
-def _rewrite_in_children(
-    term: Term,
-    rules: Sequence[Rule],
-    trace: NormalizationTrace,
-    verifier: Optional[RewriteVerifier] = None,
-) -> Optional[Term]:
-    """Try to rewrite exactly one child subterm; rebuild if one changed."""
-
-    def visit(child: Term) -> Optional[Term]:
-        return _rewrite_once(child, rules, trace, verifier)
-
-    return _rebuild_first(term, visit)
-
-
-def _rebuild_first(
-    term: Term, visit: Callable[[Term], Optional[Term]]
-) -> Optional[Term]:
-    """Apply ``visit`` to children left-to-right; rebuild on first change.
-
-    Terms inside a monoid reference (a ``sorted[f]`` key, a vector size)
-    are not visited: the rules leave them as written.
-    """
-    shape = SHAPES[type(term)]
+    shape = SHAPES[cls]
     kids = shape.kids(term)
-    first = shape.monoid_kids(term) if shape.monoid_kids else 0
-    for i in range(first, len(kids)):
-        new = visit(kids[i])
+    for i, kid in enumerate(kids):
+        new = _step(kid, rules_at, trace, verifier)
         if new is not None:
             return shape.build(
                 term, kids[:i] + (new,) + kids[i + 1 :], shape.binders(term)
@@ -137,9 +146,8 @@ def is_simple_path(term: Term) -> bool:
 
 
 def is_canonical(term: Term, rules: Sequence[Rule] = DEFAULT_RULES) -> bool:
-    """True when no rule applies anywhere in ``term``."""
-    trace = NormalizationTrace(term)
-    return _rewrite_once(term, rules, trace) is None
+    """True when no rule applies at any node ``children`` lists."""
+    return _step(term, _rules_by_head(tuple(rules)), NormalizationTrace(term)) is None
 
 
 def is_canonical_comprehension(term: Term) -> bool:

@@ -1,10 +1,11 @@
 """The Table 3 rewrite rules.
 
 Each rule is a small class with a ``name``, a ``description`` quoting
-the paper's schema, and an ``apply(term) -> Term | None`` method that
-returns the rewritten term when the rule matches at this node (and
-``None`` otherwise). The engine in :mod:`repro.normalize.engine`
-applies rules at every position to a fixpoint.
+the paper's schema, the ``heads`` it can fire on (node classes) and an
+``apply(term) -> Term | None`` method that returns the rewritten term
+when the rule matches at this node (and ``None`` otherwise). The engine
+in :mod:`repro.normalize.engine` applies rules at every position to a
+fixpoint, trying a rule only at nodes of its head classes.
 
 Soundness notes baked into the guards:
 
@@ -192,6 +193,9 @@ class Rule:
 
     name: str = "rule"
     description: str = ""
+    #: The node classes ``apply`` can return a rewrite for; the engine
+    #: does not call it on any other. ``None``: call it on every node.
+    heads: Optional[tuple[type, ...]] = None
 
     def apply(self, term: Term) -> Optional[Term]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -202,6 +206,7 @@ class BetaReduction(Rule):
 
     name = "N1-beta"
     description = "(\\v. e1) e2 => e1[e2/v]"
+    heads = (Apply,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Apply) or not isinstance(term.fn, Lambda):
@@ -216,6 +221,7 @@ class LetInline(Rule):
 
     name = "N1-let"
     description = "let v = e1 in e2 => e2[e1/v]"
+    heads = (Let,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Let):
@@ -230,6 +236,7 @@ class RecordProjection(Rule):
 
     name = "N2-proj"
     description = "<..., a=e, ...>.a => e"
+    heads = (Proj,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Proj) or not isinstance(term.base, RecordCons):
@@ -248,6 +255,7 @@ class TupleProjection(Rule):
 
     name = "N2-tuple"
     description = "(e0, ..., en)[i] => ei"
+    heads = (Index,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Index) or not isinstance(term.base, TupleCons):
@@ -268,6 +276,7 @@ class BindingElimination(Rule):
 
     name = "N3-bind"
     description = "M{ e | q, v == u, s } => M{ e[u/v] | q, s[u/v] }"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -287,6 +296,7 @@ class TruePredicate(Rule):
 
     name = "N4-true"
     description = "M{ e | q, true, s } => M{ e | q, s }"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -303,6 +313,7 @@ class FalsePredicate(Rule):
 
     name = "N5-false"
     description = "M{ e | q, false, s } => zero(M)"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -321,6 +332,7 @@ class EmptyGenerator(Rule):
 
     name = "N6-empty"
     description = "M{ e | q, v <- zero(N), s } => zero(M)"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -340,6 +352,7 @@ class SingletonGenerator(Rule):
 
     name = "N7-unit"
     description = "M{ e | q, v <- unit(N)(u), s } => M{ e[u/v] | q, s[u/v] }"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -370,6 +383,7 @@ class MergeSplit(Rule):
 
     name = "N8-merge"
     description = "M{e | q, v <- e1 (+) e2, s} => M{e|q,v<-e1,s} (+)M M{e|q,v<-e2,s}"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -417,6 +431,7 @@ class FlattenGenerator(Rule):
 
     name = "N9-flatten"
     description = "M{ e | q, v <- N{e'|r}, s } => M{ e | q, r, v == e', s }"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -457,6 +472,7 @@ class ConditionalGenerator(Rule):
         "M{e | q, v <- if p then e1 else e2, s} => "
         "M{e | q, p, v <- e1, s} (+)M M{e | q, not p, v <- e2, s}"
     )
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -500,6 +516,7 @@ class PredicateConjunction(Rule):
 
     name = "N12-and"
     description = "M{ e | q, p1 and p2, s } => M{ e | q, p1, p2, s }"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -536,6 +553,7 @@ class ExistentialFusion(Rule):
 
     name = "N11-exists"
     description = "M{ e | q, some{p | r}, s } => M{ e | q, r, p, s } (M idempotent)"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
@@ -569,6 +587,7 @@ class EmptyComprehension(Rule):
 
     name = "N0-unit"
     description = "M{ e | } => unit(M)(e)"
+    heads = (Comprehension,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension) or term.qualifiers:
@@ -585,6 +604,7 @@ class IdentityMerge(Rule):
 
     name = "N14-zero"
     description = "zero(M) (+)M e => e;  e (+)M zero(M) => e"
+    heads = (Merge,)
 
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Merge):
@@ -602,6 +622,7 @@ class ConstantFolding(Rule):
 
     name = "N15-const"
     description = "fold constant operators and conditionals"
+    heads = (If, UnOp, BinOp)
 
     def apply(self, term: Term) -> Optional[Term]:
         if isinstance(term, If) and isinstance(term.cond, Const):

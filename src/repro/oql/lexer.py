@@ -1,15 +1,20 @@
 """Tokenizer for the OQL subset.
 
-Hand-written single-pass scanner producing a list of :class:`Token`.
-Keywords are case-insensitive (ODMG style); identifiers keep their
-case. ``#`` is allowed inside identifiers (the paper's travel-agency
-schema uses attributes like ``bed#`` and ``hotel#``).
+One compiled master regex (the shape :mod:`repro.calculus.parser` uses)
+scans the source in a single ``finditer`` pass: each match skips the
+blanks and ``--`` comments before a token and names the token's class by
+its group, so no character is looked at twice. Keywords are case-insensitive (ODMG style)
+and are classified here, once; identifiers keep their case. ``#`` is
+allowed inside identifiers (the paper's travel-agency schema uses
+attributes like ``bed#`` and ``hotel#``). Digits are ASCII ``0-9`` only:
+``²`` or ``٣`` is an unexpected character, not a number ``int()`` may or
+may not accept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from repro.errors import OQLSyntaxError
 from repro.span import Span
@@ -63,13 +68,25 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so the scanner is greedy.
-_OPERATORS = ("<=", ">=", "!=", "<>", ":=", "+=", "..", "=", "<", ">", "+", "-", "*", "/")
-_PUNCT = "(),[].:"
+_TOKEN = re.compile(
+    r"""
+    (?:[ \t\r]+|--[^\n]*)*            # blanks and comments before the token
+    (?: (?P<newline>\n)
+      | (?P<number>[0-9]+(?:\.[0-9]+)?|\.[0-9]+)   # "1." and "1..2" leave the dot(s)
+      | (?P<word>[^\W\d][\w\#]*)
+      | (?P<param>\$\w*)
+      | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+      | (?P<op><=|>=|!=|<>|:=|\+=|\.\.|[=<>+\-*/])
+      | (?P<punct>[(),\[\].:])
+      | (?P<bad>.)                    # anything else, an open quote included
+      | \Z )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     kind: str  # 'keyword' | 'ident' | 'number' | 'string' | 'param' | 'op' | 'punct' | 'eof'
@@ -106,96 +123,40 @@ def tokenize(source: str) -> list[Token]:
     >>> [t.text for t in tokenize("select c.name from c in Cities")][:4]
     ['select', 'c', '.', 'name']
     """
-    return list(_scan(source))
-
-
-def _scan(source: str) -> Iterator[Token]:
-    i = 0
+    tokens: list[Token] = []
     line = 1
-    line_start = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line_start = 0  # a newline inside a string literal does not start a line
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind is None:  # end of input
+            break
+        start, end = match.span(kind)
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
+            line_start = end
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("--", i):  # SQL-style comment to end of line
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        column = i - line_start + 1
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    # ".." is a range/punct, not a decimal point
-                    if j + 1 < n and source[j + 1] == ".":
-                        break
-                    seen_dot = True
-                j += 1
-            text = source[i:j]
-            if text.endswith("."):
-                text = text[:-1]
-                j -= 1
-                seen_dot = False
-            yield Token("number", text, line, column, column + (j - i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_#"):
-                j += 1
-            text = source[i:j]
+        text = source[start:end]
+        column = start - line_start + 1
+        if kind == "word":
             lowered = text.lower()
             if lowered in KEYWORDS:
-                yield Token("keyword", lowered, line, column, column + (j - i))
-            else:
-                yield Token("ident", text, line, column, column + (j - i))
-            i = j
-            continue
-        if ch == "$":  # $name — a prepared-statement parameter
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
+                kind, text = "keyword", lowered
+            elif text[0].isalpha() or text[0] == "_":
+                kind = "ident"
+            else:  # a letter-like numeral ("²", "Ⅷ") cannot start a name
+                text, kind = text[0], "bad"
+        elif kind == "string":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(r"\1", text)
+        elif kind == "param":
+            text = text[1:]
+            if not text:
                 raise OQLSyntaxError("expected a parameter name after '$'", line, column)
-            yield Token("param", source[i + 1 : j], line, column, column + (j - i))
-            i = j
-            continue
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            parts: list[str] = []
-            while j < n and source[j] != quote:
-                if source[j] == "\\" and j + 1 < n:
-                    parts.append(source[j + 1])
-                    j += 2
-                else:
-                    parts.append(source[j])
-                    j += 1
-            if j >= n:
+        if kind == "bad":
+            if text in "\"'":
                 raise OQLSyntaxError("unterminated string literal", line, column)
-            yield Token("string", "".join(parts), line, column, column + (j + 1 - i))
-            i = j + 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                yield Token("op", op, line, column, column + len(op))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            yield Token("punct", ch, line, column, column + 1)
-            i += 1
-            continue
-        raise OQLSyntaxError(f"unexpected character {ch!r}", line, column)
-    yield Token("eof", "", line, (n - line_start) + 1)
+            raise OQLSyntaxError(f"unexpected character {text!r}", line, column)
+        tokens.append(Token(kind, text, line, column, end - line_start + 1))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    return tokens

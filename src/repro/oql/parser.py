@@ -14,6 +14,18 @@ Operator precedence, loosest to tightest::
 
     or < and < not < comparison/in < +,-,union,except
        < *,/,mod,div,intersect < unary - < postfix (. [ ()) < primary
+
+The binary levels are one table, :data:`_BINARY`, read by one
+precedence-climbing loop (:meth:`_Parser._expression`): each operator
+token maps to ``(binding power, AST operator, right power)``, the loop
+folds an operator whose power is inside the caller's floor and parses
+its right operand with the right power as the new floor. ``or`` /
+``and`` / the additive and multiplicative levels associate to the left
+(right power one above their own); a comparison's right operand is an
+additive expression and comparisons do not chain (``a = b = c`` is
+trailing input at the second ``=``); prefix ``not`` sits between ``and``
+and the comparisons, so ``not a = b`` negates the comparison and
+``1 + not x`` is a syntax error.
 """
 
 from __future__ import annotations
@@ -47,7 +59,27 @@ from repro.oql.lexer import Token, tokenize
 from repro.span import Span, set_span, span_of
 
 _AGGREGATES = ("count", "sum", "avg", "max", "min")
-_COMPARISONS = {"=": "=", "!=": "!=", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+_OR, _AND, _NOT, _COMPARISON, _ADDITIVE, _MULTIPLICATIVE, _UNARY = range(1, 8)
+
+
+def _level(power: int, right: int, ops: str = "", keywords: str = "") -> dict:
+    """Table rows for the operators of one precedence level."""
+    rows = {("op", text): (power, text, right) for text in ops.split()}
+    rows.update({("keyword", text): (power, text, right) for text in keywords.split()})
+    return rows
+
+
+#: ``(token kind, token text) -> (binding power, AST operator, right power)``.
+_BINARY: dict[tuple[str, str], tuple[int, str, int]] = {
+    **_level(_OR, _AND, keywords="or"),
+    **_level(_AND, _NOT, keywords="and"),
+    **_level(_COMPARISON, _ADDITIVE, ops="= != < <= > >=", keywords="in like"),
+    **_level(_ADDITIVE, _MULTIPLICATIVE, ops="+ -", keywords="union except"),
+    **_level(_MULTIPLICATIVE, _UNARY, ops="* /", keywords="mod div intersect"),
+    ("op", "<>"): (_COMPARISON, "!=", _ADDITIVE),  # the other spelling of !=
+}
+_NO_OPERATOR = (0, "", 0)  # below every floor
 
 
 def parse(source: str) -> OQLNode:
@@ -66,51 +98,37 @@ class _Parser:
         self._pos = 0
 
     # -- token plumbing -------------------------------------------------------
-
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._current
-        if token.kind != "eof":
-            self._pos += 1
-        return token
-
-    def _check_keyword(self, *words: str) -> bool:
-        return self._current.kind == "keyword" and self._current.text in words
-
-    def _accept_keyword(self, *words: str) -> bool:
-        if self._check_keyword(*words):
-            self._advance()
-            return True
-        return False
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._accept_keyword(word):
-            self._fail(f"expected {word!r}")
-
-    def _check(self, kind: str, text: str) -> bool:
-        return self._current.kind == kind and self._current.text == text
+    # The token list always ends with ``eof``, which nothing accepts, so
+    # ``self._tokens[self._pos]`` is always in range.
 
     def _accept(self, kind: str, text: str) -> bool:
-        if self._check(kind, text):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.kind == kind and token.text == text:
+            self._pos += 1
             return True
         return False
+
+    def _accept_keyword(self, word: str) -> bool:
+        return self._accept("keyword", word)
+
+    def _expect_keyword(self, word: str) -> None:
+        if not self._accept("keyword", word):
+            self._fail(f"expected {word!r}")
 
     def _expect(self, kind: str, text: str) -> None:
         if not self._accept(kind, text):
             self._fail(f"expected {text!r}")
 
     def _expect_ident(self) -> str:
-        if self._current.kind == "ident":
-            return self._advance().text
+        token = self._tokens[self._pos]
+        if token.kind == "ident":
+            self._pos += 1
+            return token.text
         self._fail("expected an identifier")
         raise AssertionError  # pragma: no cover
 
     def _fail(self, message: str) -> None:
-        token = self._current
+        token = self._tokens[self._pos]
         found = "end of input" if token.kind == "eof" else f"{token.kind} {token.text!r}"
         raise OQLSyntaxError(f"{message}, found {found}", span=token.span)
 
@@ -129,89 +147,41 @@ class _Parser:
 
     def parse_query(self) -> OQLNode:
         node = self._expression()
-        if self._current.kind != "eof":
+        if self._tokens[self._pos].kind != "eof":
             self._fail("unexpected trailing input")
         return node
 
     # -- expression grammar -------------------------------------------------------
 
-    def _expression(self) -> OQLNode:
-        return self._or_expr()
-
-    def _or_expr(self) -> OQLNode:
-        start = self._current
-        node = self._and_expr()
-        while self._accept_keyword("or"):
-            node = self._spanned(BinaryOp("or", node, self._and_expr()), start)
-        return node
-
-    def _and_expr(self) -> OQLNode:
-        start = self._current
-        node = self._not_expr()
-        while self._accept_keyword("and"):
-            node = self._spanned(BinaryOp("and", node, self._not_expr()), start)
-        return node
-
-    def _not_expr(self) -> OQLNode:
-        start = self._current
-        if self._accept_keyword("not"):
-            return self._spanned(UnaryOp("not", self._not_expr()), start)
-        return self._comparison()
-
-    def _comparison(self) -> OQLNode:
-        start = self._current
-        node = self._additive()
-        if self._current.kind == "op" and self._current.text in _COMPARISONS:
-            op = _COMPARISONS[self._advance().text]
-            return self._spanned(BinaryOp(op, node, self._additive()), start)
-        if self._accept_keyword("in"):
-            return self._spanned(BinaryOp("in", node, self._additive()), start)
-        if self._accept_keyword("like"):
-            return self._spanned(BinaryOp("like", node, self._additive()), start)
-        return node
-
-    def _additive(self) -> OQLNode:
-        start = self._current
-        node = self._multiplicative()
+    def _expression(self, floor: int = _OR) -> OQLNode:
+        """An expression whose binary operators all bind at ``floor`` or tighter."""
+        tokens = self._tokens
+        start = tokens[self._pos]
+        if floor <= _NOT and self._accept("keyword", "not"):
+            node = self._spanned(UnaryOp("not", self._expression(_NOT)), start)
+            ceiling = _AND
+        else:
+            node = self._unary()
+            ceiling = _MULTIPLICATIVE
         while True:
-            if self._accept("op", "+"):
-                node = BinaryOp("+", node, self._multiplicative())
-            elif self._accept("op", "-"):
-                node = BinaryOp("-", node, self._multiplicative())
-            elif self._accept_keyword("union"):
-                node = BinaryOp("union", node, self._multiplicative())
-            elif self._accept_keyword("except"):
-                node = BinaryOp("except", node, self._multiplicative())
-            else:
+            token = tokens[self._pos]
+            power, op, right = _BINARY.get((token.kind, token.text), _NO_OPERATOR)
+            if not floor <= power <= ceiling:
                 return node
-            self._spanned(node, start)
-
-    def _multiplicative(self) -> OQLNode:
-        start = self._current
-        node = self._unary()
-        while True:
-            if self._accept("op", "*"):
-                node = BinaryOp("*", node, self._unary())
-            elif self._accept("op", "/"):
-                node = BinaryOp("/", node, self._unary())
-            elif self._accept_keyword("mod"):
-                node = BinaryOp("mod", node, self._unary())
-            elif self._accept_keyword("div"):
-                node = BinaryOp("div", node, self._unary())
-            elif self._accept_keyword("intersect"):
-                node = BinaryOp("intersect", node, self._unary())
-            else:
-                return node
-            self._spanned(node, start)
+            self._pos += 1
+            node = self._spanned(BinaryOp(op, node, self._expression(right)), start)
+            # What follows binds no tighter than what was just folded, and
+            # strictly looser after a comparison: comparisons do not chain.
+            ceiling = power - 1 if power == _COMPARISON else power
 
     def _unary(self) -> OQLNode:
-        start = self._current
+        start = self._tokens[self._pos]
         if self._accept("op", "-"):
             return self._spanned(UnaryOp("-", self._unary()), start)
         return self._postfix()
 
     def _postfix(self) -> OQLNode:
-        start = self._current
+        start = self._tokens[self._pos]
         node = self._primary()
         while True:
             if self._accept("punct", "."):
@@ -232,9 +202,9 @@ class _Parser:
     def _field_name(self) -> str:
         # Field names may collide with keywords (e.g. ``partition``,
         # ``count``): accept both token kinds after a dot.
-        token = self._current
+        token = self._tokens[self._pos]
         if token.kind in ("ident", "keyword"):
-            self._advance()
+            self._pos += 1
             return token.text
         self._fail("expected a field name")
         raise AssertionError  # pragma: no cover
@@ -251,28 +221,28 @@ class _Parser:
     # -- primaries --------------------------------------------------------------------
 
     def _primary(self) -> OQLNode:
-        start = self._current
+        start = self._tokens[self._pos]
         node = self._primary_inner()
         if span_of(node) is None:
             self._spanned(node, start)
         return node
 
     def _primary_inner(self) -> OQLNode:
-        token = self._current
+        token = self._tokens[self._pos]
         if token.kind == "number":
-            self._advance()
+            self._pos += 1
             text = token.text
             return Literal(float(text) if "." in text else int(text))
         if token.kind == "string":
-            self._advance()
+            self._pos += 1
             return Literal(token.text)
         if token.kind == "param":
-            self._advance()
+            self._pos += 1
             return Param(token.text)
         if token.kind == "keyword":
             return self._keyword_primary(token)
         if token.kind == "ident":
-            self._advance()
+            self._pos += 1
             if self._accept("punct", "("):
                 args = self._arguments()
                 return CallOp(token.text, args)
@@ -287,13 +257,13 @@ class _Parser:
     def _keyword_primary(self, token: Token) -> OQLNode:
         word = token.text
         if word == "true":
-            self._advance()
+            self._pos += 1
             return Literal(True)
         if word == "false":
-            self._advance()
+            self._pos += 1
             return Literal(False)
         if word == "nil":
-            self._advance()
+            self._pos += 1
             return Literal(None)
         if word == "select":
             return self._select()
@@ -306,13 +276,13 @@ class _Parser:
         if word in ("set", "bag", "list", "array"):
             return self._collection(word)
         if word in _AGGREGATES:
-            self._advance()
+            self._pos += 1
             self._expect("punct", "(")
             arg = self._expression()
             self._expect("punct", ")")
             return Aggregate(word, arg)
         if word in ("element", "flatten", "distinct"):
-            self._advance()
+            self._pos += 1
             self._expect("punct", "(")
             arg = self._expression()
             self._expect("punct", ")")
@@ -320,7 +290,7 @@ class _Parser:
         if word == "sort":
             return self._sort()
         if word == "if":
-            self._advance()
+            self._pos += 1
             cond = self._expression()
             self._expect_keyword("then")
             then_branch = self._expression()
@@ -328,7 +298,7 @@ class _Parser:
             else_branch = self._expression()
             return IfExpr(cond, then_branch, else_branch)
         if word == "partition":
-            self._advance()
+            self._pos += 1
             return Name("partition")
         self._fail("unexpected keyword")
         raise AssertionError  # pragma: no cover
@@ -367,8 +337,8 @@ class _Parser:
 
     def _from_clause(self) -> FromClause:
         # Preferred ODMG form: ``x in E``. Alternative: ``E as x``.
-        start = self._current
-        if self._current.kind == "ident":
+        start = self._tokens[self._pos]
+        if self._tokens[self._pos].kind == "ident":
             next_token = self._tokens[self._pos + 1]
             if next_token.is_keyword("in"):
                 var = self._expect_ident()
@@ -379,7 +349,7 @@ class _Parser:
         if self._accept_keyword("as"):
             var = self._expect_ident()
             return self._spanned(FromClause(var, source), start)
-        if self._current.kind == "ident":
+        if self._tokens[self._pos].kind == "ident":
             # ``E x`` — SQL-style alias without AS
             var = self._expect_ident()
             return self._spanned(FromClause(var, source), start)
@@ -451,7 +421,7 @@ class _Parser:
         return name, self._expression()
 
     def _collection(self, kind: str) -> CollectionExpr:
-        self._advance()
+        self._pos += 1
         self._expect("punct", "(")
         if self._accept("punct", ")"):
             return CollectionExpr("list" if kind == "array" else kind, ())

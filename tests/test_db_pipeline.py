@@ -14,10 +14,12 @@ from repro.algebra.physical import Executor
 from repro.analysis.verifier import verification
 from repro.cache.invalidation import walk_plan
 from repro.db import Database, company_schema, make_company, make_travel_agency, travel_schema
-from repro.errors import PlanError, UnboundVariableError, VerificationError
-from repro.normalize.rules import DEFAULT_RULES
+from repro.errors import PlanError, ReproError, UnboundVariableError, VerificationError
+from repro.normalize import is_canonical
+from repro.normalize.rules import DEFAULT_RULES, PLANNING_RULES
 from repro.values import to_python
 
+from tests.data.make_frontend_golden import corpus
 from tests.test_analysis_verifier import MonoidSwap
 
 GROUP_BY = (
@@ -201,3 +203,46 @@ class TestFallbackChain:
             db.run(oql, engine="algebra")
         with pytest.raises(PlanError, match="forced by the test"):
             db.prepare(oql, engine="algebra").run()
+
+
+# -- compile normalizes once ----------------------------------------------------
+
+
+class TestOneNormalization:
+    """``compile`` hands ``build_plan`` its default normal form as is;
+    these pin why that is enough."""
+
+    def test_planning_rules_are_a_subset_of_the_default_rules(self):
+        assert set(PLANNING_RULES) <= set(DEFAULT_RULES)
+
+    def test_what_compile_plans_is_already_in_planning_normal_form(self):
+        planned = 0
+        for db in (travel(), company()):
+            for source in corpus():
+                try:
+                    entry = db.compile(source)
+                except ReproError:  # the corpus keeps its syntax errors
+                    continue
+                if entry.kind == "algebra":
+                    planned += 1
+                    assert is_canonical(entry.normalized, PLANNING_RULES), source
+        assert planned > 100
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_a_plannable_query_is_normalized_exactly_once(self, monkeypatch, cache):
+        import repro.db.database as database
+        from repro.normalize import engine
+
+        calls = []
+        real = engine.normalize_with_trace
+
+        def counting(term, *args, **kwargs):
+            calls.append(term)
+            return real(term, *args, **kwargs)
+
+        # ``normalize`` reaches it through the engine module, ``compile`` by name
+        monkeypatch.setattr(engine, "normalize_with_trace", counting)
+        monkeypatch.setattr(database, "normalize_with_trace", counting)
+        db = company(cache)
+        assert db.compile(COMPREHENSION).kind == "algebra"
+        assert len(calls) == 1

@@ -1,7 +1,12 @@
 """The normalization engine: fixpoints, traces, canonical forms."""
 
-import pytest
+import itertools
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+
+from repro.analysis.verifier import RewriteVerifier
 from repro.calculus import (
     add,
     alpha_equal,
@@ -15,18 +20,29 @@ from repro.calculus import (
     children,
     mref,
     proj,
+    subterms,
+    traversal,
     var,
 )
+from repro.calculus.shape import SHAPES
+from repro.errors import ReproError
 from repro.eval import evaluate
 from repro.normalize import (
+    DEFAULT_RULES,
+    RULES_BY_NAME,
+    Rule,
     is_canonical,
     is_canonical_comprehension,
     is_simple_path,
     normalize,
     normalize_with_trace,
 )
+from repro.normalize.rules import PLANNING_RULES
 from repro.oql import translate_oql
 from repro.values import Record
+
+from tests.data.make_frontend_golden import corpus
+from tests.test_normalize_property import comprehensions
 
 
 class TestEngine:
@@ -78,19 +94,26 @@ class TestEngine:
 
 
     def test_monoid_key_terms_are_left_as_written(self):
-        # Decision, pinned: the engine rewrites a node's ordinary
-        # children, never the terms inside its MonoidRef (the shape
-        # table's ``monoid_kids``), although ``children`` lists them. A
-        # beta-redex in a ``sorted[f]`` key therefore survives and the
-        # term still counts as canonical. Changing this changes normal
-        # forms and ``normalize.rule_fires`` (ROADMAP item 5).
+        # Decided (ROADMAP item 5; the name is kept for the test floor):
+        # a term inside a MonoidRef is a child like any other, so the
+        # engine reduces a redex in a ``sorted[f]`` key and
+        # ``is_canonical`` means "no rule applies at any node
+        # ``children`` lists". The key function is the same function, so
+        # the value is unchanged.
         key = lam("x", apply(lam("y", var("y")), proj(var("x"), "name")))
         term = comp(mref("sorted", key), var("c"), [gen("c", var("Cities"))])
-        result, trace = normalize_with_trace(term)
-        assert result == term
-        assert len(trace) == 0
-        assert is_canonical(term)
         assert key in children(term)
+        assert not is_canonical(term)
+        result, trace = normalize_with_trace(term)
+        assert result == comp(
+            mref("sorted", lam("x", proj(var("x"), "name"))), var("c"), [gen("c", var("Cities"))]
+        )
+        assert trace.rules_fired() == ["N1-beta"]
+        assert is_canonical(result)
+        cities = tuple(Record({"name": name}) for name in ("Salem", "Bend", "Astoria"))
+        value = evaluate(result, {"Cities": cities})
+        assert value == evaluate(term, {"Cities": cities})
+        assert [c["name"] for c in value] == ["Astoria", "Bend", "Salem"]
 
 
 class TestPaperDerivation:
@@ -170,3 +193,117 @@ class TestCanonicalPredicates:
     def test_is_canonical_term(self):
         assert is_canonical(var("x"))
         assert not is_canonical(apply(lam("x", var("x")), const(1)))
+
+
+# -- the engine against trying every rule at every node ---------------------------
+
+
+def reference_normalize(term, rules, verify):
+    """The strategy the engine must not change, with no head index: try
+    every rule, in priority order, at every node, outermost-leftmost."""
+    verifier = RewriteVerifier() if verify else None
+    steps = []
+
+    def rewrite(node):
+        for rule in rules:
+            result = rule.apply(node)
+            if result is not None:
+                if verifier is not None:
+                    verifier.check_rewrite(rule, node, result)
+                steps.append((rule.name, node, result))
+                return result
+        shape = SHAPES[type(node)]
+        kids = shape.kids(node)
+        for i, kid in enumerate(kids):
+            new = rewrite(kid)
+            if new is not None:
+                return shape.build(node, kids[:i] + (new,) + kids[i + 1:], shape.binders(node))
+        return None
+
+    while (rewritten := rewrite(term)) is not None:
+        term = rewritten
+    return term, steps
+
+
+def _from_one(run):
+    """Run with the fresh-name counter restarted, so two derivations of
+    one term invent the same names."""
+    with mock.patch.object(traversal, "_fresh_counter", itertools.count(1)):
+        return run()
+
+
+def _assert_same_derivation(term, rules, verify):
+    want, want_steps = _from_one(lambda: reference_normalize(term, rules, verify))
+    got, trace = _from_one(lambda: normalize_with_trace(term, rules, verify=verify))
+    assert [(s.rule, s.before, s.after) for s in trace.steps] == want_steps
+    assert got == want
+    assert is_canonical(got, rules)
+
+
+def _corpus_terms():
+    terms = []
+    for source in corpus():
+        try:
+            terms.append(translate_oql(source))
+        except ReproError:  # the corpus keeps its syntax errors
+            pass
+    return terms
+
+
+_RULE_SETS = pytest.mark.parametrize(
+    "rules", [DEFAULT_RULES, PLANNING_RULES], ids=["default", "planning"]
+)
+_VERIFY = pytest.mark.parametrize("verify", [False, True], ids=["plain", "verified"])
+
+
+class TestHeadDispatch:
+    @_RULE_SETS
+    @_VERIFY
+    def test_corpus_traces_are_step_for_step_the_reference(self, rules, verify):
+        terms = _corpus_terms()
+        assert len(terms) > 80
+        for term in terms:
+            _assert_same_derivation(term, rules, verify)
+
+    @_RULE_SETS
+    @_VERIFY
+    @settings(max_examples=40, deadline=None)
+    @given(term=comprehensions())
+    def test_generated_traces_are_step_for_step_the_reference(self, rules, verify, term):
+        _assert_same_derivation(term, rules, verify)
+
+    def test_every_builtin_rule_declares_its_heads(self):
+        for rule in RULES_BY_NAME.values():
+            assert rule.heads, rule.name
+            assert all(cls in SHAPES for cls in rule.heads), rule.name
+
+    def test_a_user_rule_without_heads_is_tried_on_every_node_class(self):
+        seen = set()
+
+        class Bump(Rule):
+            """Fires on leaves, which no built-in rule has as a head."""
+
+            name = "user-bump"
+
+            def apply(self, term):
+                seen.add(type(term))
+                if term == const(7):
+                    return const(8)
+                if term == var("old"):
+                    return var("new")
+                return None
+
+        assert Bump.heads is None
+        key = lam("k", add(var("k"), const(7)))
+        term = comp(mref("sorted", key), proj(var("old"), "a"), [gen("c", var("Cities"))])
+        # verify pinned off: renaming a free variable is not a sound rewrite
+        result, trace = normalize_with_trace(
+            term, rules=DEFAULT_RULES + (Bump(),), verify=False
+        )
+        assert result == comp(
+            mref("sorted", lam("k", add(var("k"), const(8)))),
+            proj(var("new"), "a"),
+            [gen("c", var("Cities"))],
+        )
+        assert trace.rules_fired() == ["user-bump", "user-bump"]
+        assert {type(node) for node in subterms(term)} <= seen

@@ -227,3 +227,65 @@ class TestErrors:
     def test_bad_struct(self):
         with pytest.raises(OQLSyntaxError):
             parse("struct(a 1)")
+
+
+# The module docstring's table, binary levels only, loosest first.
+_LEVELS = (
+    ("or",),
+    ("and",),
+    ("=", "!=", "<>", "<", "<=", ">", ">=", "in", "like"),
+    ("+", "-", "union", "except"),
+    ("*", "/", "mod", "div", "intersect"),
+)
+_LEVEL_OF = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
+_COMPARISON_LEVEL = 2
+
+
+class TestPrecedenceMatrix:
+    """Every ordered pair of binary operators, against the docstring's table."""
+
+    @staticmethod
+    def _binary(op, left, right):
+        return BinaryOp("!=" if op == "<>" else op, left, right)
+
+    @pytest.mark.parametrize("first", _LEVEL_OF)
+    def test_every_operator_pair(self, first):
+        a, b, c = Name("a"), Name("b"), Name("c")
+        for second in _LEVEL_OF:
+            source = f"a {first} b {second} c"
+            if _LEVEL_OF[first] == _LEVEL_OF[second] == _COMPARISON_LEVEL:
+                # comparisons do not chain: the second one is trailing input
+                with pytest.raises(OQLSyntaxError, match="unexpected trailing input") as info:
+                    parse(source)
+                assert (info.value.line, info.value.column) == (1, len(f"a {first} b ") + 1)
+            elif _LEVEL_OF[second] > _LEVEL_OF[first]:
+                assert parse(source) == self._binary(first, a, self._binary(second, b, c)), source
+            else:  # looser, or the same level: left-associative
+                assert parse(source) == self._binary(second, self._binary(first, a, b), c), source
+
+    def test_chained_comparison_errors_point_at_the_second_operator(self):
+        for source, column in (("a = b = c", 7), ("a in b in c", 8), ("x or a < b < c", 12),
+                               ("not a = b = c", 11)):
+            with pytest.raises(OQLSyntaxError, match="unexpected trailing input") as info:
+                parse(source)
+            assert info.value.column == column, source
+
+    def test_not_is_looser_than_comparison_and_tighter_than_and(self):
+        a, b, c = Name("a"), Name("b"), Name("c")
+        assert parse("not a = b") == UnaryOp("not", BinaryOp("=", a, b))
+        assert parse("not a and b") == BinaryOp("and", UnaryOp("not", a), b)
+        assert parse("a and not b = c") == BinaryOp(
+            "and", a, UnaryOp("not", BinaryOp("=", b, c)))
+        assert parse("not not a or b") == BinaryOp(
+            "or", UnaryOp("not", UnaryOp("not", a)), b)
+
+    @pytest.mark.parametrize("source", ["1 + not x", "a = not b", "a * not b", "- not a"])
+    def test_not_below_its_level_is_a_syntax_error(self, source):
+        with pytest.raises(OQLSyntaxError, match="unexpected keyword, found keyword 'not'"):
+            parse(source)
+
+    def test_unary_minus_binds_tighter_than_every_binary_operator(self):
+        a, b = Name("a"), Name("b")
+        for op in _LEVEL_OF:
+            assert parse(f"- a {op} b") == self._binary(op, UnaryOp("-", a), b)
+            assert parse(f"a {op} - b") == self._binary(op, a, UnaryOp("-", b))

@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.calculus import alpha_equal, pretty
@@ -42,6 +42,28 @@ def test_oql_lexer_never_crashes(text):
         tokenize(text)
     except OQLSyntaxError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40))
+@example("²")
+@example("select c from c in Cities where c.n = 1٣")
+def test_oql_parse_of_any_text_never_crashes(text):
+    """Not only the lexer: a token the lexer lets through must not blow
+    up the parser (``int("²")`` did, as a bare ``ValueError``)."""
+    try:
+        parse_oql(text)
+    except OQLSyntaxError:
+        pass
+
+
+def test_non_ascii_digits_are_unexpected_characters():
+    import pytest
+
+    for text, column in (("²", 1), ("1 + ٣", 5), ("x = ½", 5), ("12²", 3)):
+        with pytest.raises(OQLSyntaxError, match="unexpected character") as info:
+            parse_oql(text)
+        assert (info.value.line, info.value.column) == (1, column)
 
 
 _CALC_FRAGMENTS = [
