@@ -186,40 +186,6 @@ def report_c1() -> None:
     )
 
 
-def report_te1(num_cities: int) -> None:
-    heading("TE1 — fleet telemetry overhead (Database.run, ms)")
-    from repro.db import demo_travel_database
-    from repro.obs.telemetry.registry import MetricsRegistry
-
-    queries = (
-        "select distinct c.name from c in Cities where c.population > 100000",
-        "select distinct h.name from c in Cities, h in c.hotels "
-        "where h.stars >= 4",
-    )
-    db = demo_travel_database(num_cities=num_cities)
-
-    def run_all():
-        for oql in queries:
-            db.run(oql)
-
-    off_t = median_time(run_all, 7)
-    db.enable_telemetry(MetricsRegistry())
-    on_t = median_time(run_all, 7)
-    registry = db.telemetry
-    db.disable_telemetry()
-    hist = registry.histogram("repro_query_seconds", "").labels()
-    print(
-        f"  {len(queries)} queries, n={num_cities} cities:\n"
-        f"    telemetry off = {off_t * 1e3:7.2f}\n"
-        f"    telemetry on  = {on_t * 1e3:7.2f}"
-        f"   overhead = {(on_t / off_t - 1) * 100:+5.1f}%\n"
-        f"    recorded: {hist.count} observations, "
-        f"p50={hist.quantile(0.5) * 1e3:.2f}ms "
-        f"p99={hist.quantile(0.99) * 1e3:.2f}ms, "
-        f"{len(registry.fingerprints)} query classes"
-    )
-
-
 def report_p2() -> None:
     heading("P2 — partition-parallel execution (4 workers, ms)")
     from benchmarks.bench_parallel import (
@@ -302,7 +268,6 @@ def main(argv=None) -> int:
     report_p1(p1_cities)
     report_p2()
     report_j1()
-    report_te1(p1_cities)
     report_v1(v1_sizes)
     report_u1(u1_sizes)
     print("\n(shapes asserted automatically by `pytest benchmarks/`)")

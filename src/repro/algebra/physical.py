@@ -8,13 +8,16 @@ enable.
 
 Join strategy: when a :class:`Join` carries equi-keys, a hash join is
 used (build on the right input, probe from the left); otherwise a
-block nested-loop join (the right side is materialized once). The
-:class:`ExecutionStats` counter block lets benchmarks report rows
-flowing through each operator, making the pipelining-vs-materialization
-comparison concrete. For *per-node* attribution (rows, wall time, probe
-counts on each operator instead of whole-query totals), construct the
-Executor with a :class:`repro.obs.metrics.PlanMetrics`; without one the
-binding streams are the plain generators, with no per-row accounting.
+block nested-loop join (the right side is materialized once).
+
+An operator event is counted once, in the loop that produces it: every
+loop counts its rows in a local and stores the total into its node's
+block of the executor's :class:`~repro.obs.metrics.PlanMetrics` once its
+input is drained (every stream is — no operator stops early). That table
+is the execution's one record; :class:`ExecutionStats` is a view of it by
+node class and EXPLAIN ANALYZE reads it per node. Only per-operator *wall
+time* is collected on request: hand the Executor a ``PlanMetrics`` of
+your own and every stream is also timed into it.
 
 There is one loop per operator. §3's normalization leaves only small
 first-order terms in operator positions, so a loop never needs to know
@@ -27,8 +30,8 @@ operator yields is a fresh one, never mutated afterwards.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.algebra.ops import (
     IndexScan,
@@ -48,21 +51,15 @@ from repro.eval.evaluator import VECTOR_HEAD_ERROR, Evaluator
 from repro.jit.runtime import Runtime
 from repro.monoids import CollectionMonoid, VectorMonoid
 from repro.objects.store import Obj
-from repro.values import OrderedSet, canonical_key
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.obs.metrics import PlanMetrics
+from repro.obs.metrics import OperatorMetrics, PlanMetrics
+from repro.values import Bag, OrderedSet, Vector, canonical_key
 
 
 @dataclass
 class ExecutionStats:
-    """Per-operator row counters collected during one execution.
-
-    One instance belongs to one :class:`Executor`, which belongs to one
-    query execution — counters are plain ints and are **not** safe to
-    share across threads. Concurrent executions (including the
-    per-partition workers of :mod:`repro.parallel`) each own a private
-    block and combine them afterwards with :meth:`merge_from`.
+    """Whole-query row counters of one execution: a view, by node class,
+    of the executor's :class:`~repro.obs.metrics.PlanMetrics` blocks
+    (:meth:`of`). Nothing increments these fields while a query runs.
     """
 
     rows_scanned: int = 0
@@ -79,24 +76,43 @@ class ExecutionStats:
     parallel_workers: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        # Derived from the dataclass fields so a counter added later can
-        # never be silently dropped from reports.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))  # every field: a counter added later is reported too
 
-    def merge_from(self, other: "ExecutionStats") -> None:
-        """Add another block's row counters into this one.
+    @classmethod
+    def of(cls, plan: Reduce, metrics: PlanMetrics) -> "ExecutionStats":
+        """The totals of ``metrics`` over ``plan``: each operator's
+        rows-out under its class's field (:data:`_OPERATORS`), a Select's
+        rows-in minus rows-out as ``rows_selected_out``, the Reduce's
+        rows-in as ``rows_reduced``."""
+        stats = cls(
+            rows_reduced=metrics.for_node(plan.child).rows_out,
+            partitions=metrics.partitions,
+            parallel_workers=metrics.parallel_workers,
+        )
+        totals = vars(stats)  # field name -> running total
+        for node, block in metrics.blocks(plan.child):
+            name = _OPERATORS[type(node)][1]
+            if name is not None:
+                totals[name] += block.rows_out
+            else:
+                offered = metrics.for_node(node.child).rows_out
+                totals["rows_selected_out"] += offered - block.rows_out
+            totals["hash_builds"] += block.hash_builds
+            totals["index_probes"] += block.index_probes
+        return stats
 
-        Used to fold per-partition worker stats back into the query's
-        block after the workers have finished — summation is
-        order-insensitive, so the combined totals are deterministic
-        however the workers interleaved. The parallel bookkeeping
-        fields (``partitions``/``parallel_workers``) describe the whole
-        query, not one partition, and are deliberately not summed.
-        """
-        for f in fields(self):
-            if f.name in ("partitions", "parallel_workers"):
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+#: Per operator class: the :class:`Executor` method that produces its
+#: binding stream, and the :class:`ExecutionStats` field its rows-out
+#: adds to (a Select's drop count is derived instead).
+_OPERATORS = {
+    Scan: ("_iter_scan", "rows_scanned"),
+    IndexScan: ("_iter_index_scan", "rows_scanned"),
+    SelectOp: ("_iter_select", None),
+    Join: ("_iter_join", "rows_joined"),
+    Unnest: ("_iter_unnest", "rows_unnested"),
+    Nest: ("_iter_nest", "rows_grouped"),
+}
 
 
 class Executor:
@@ -106,21 +122,24 @@ class Executor:
     and the object store — its globals as they are when the executor is
     built; ``indexes`` optionally maps ``(extent, attribute)`` to a hash
     index (dict key -> list of elements) used by :class:`IndexScan`
-    nodes.
+    nodes. ``metrics``, when given, is the table this executor records
+    into *and* asks for per-operator wall time; without one the executor
+    records into a table of its own, untimed.
     """
 
     def __init__(
         self,
         evaluator: Evaluator,
         indexes: Optional[dict[tuple[str, str], dict[Any, list]]] = None,
-        metrics: Optional["PlanMetrics"] = None,
+        metrics: Optional[PlanMetrics] = None,
         jit: Any = None,
     ) -> None:
         self.evaluator = evaluator
         self.indexes = indexes or {}
-        self.stats = ExecutionStats()
-        #: optional per-operator collector; None means no per-row accounting
-        self.metrics = metrics
+        self._timed = metrics is not None
+        #: the record of the current execution's operator events
+        self.metrics = metrics if metrics is not None else PlanMetrics()
+        self._plan: Optional[Reduce] = None
         #: optional repro.jit.JITConfig; None makes every expression a
         #: thunk into the reference interpreter (see :meth:`_fn`)
         self.jit = jit
@@ -138,20 +157,24 @@ class Executor:
 
     # -- public API --------------------------------------------------------------
 
+    @property
+    def stats(self) -> ExecutionStats:
+        """The whole-query totals of the plan last executed."""
+        if self._plan is None:
+            return ExecutionStats()
+        return ExecutionStats.of(self._plan, self.metrics)
+
     def execute(self, plan: Reduce) -> Any:
         """Run the plan to completion and return the reduced value."""
-        self.stats = ExecutionStats()
-        if self.metrics is None:
-            return self._reduce(plan)
+        self._plan = plan
         self.metrics.reset()
         block = self.metrics.for_node(plan)
-        block.invocations += 1
-        start = time.perf_counter_ns()
-        try:
-            value = self._reduce(plan)
-        finally:
-            block.time_ns += time.perf_counter_ns() - start
-        block.rows_out += _result_cardinality(value)
+        block.invocations = 1
+        start = time.perf_counter_ns() if self._timed else 0
+        value = self._reduce(plan)
+        if self._timed:
+            block.time_ns = time.perf_counter_ns() - start
+        block.rows_out = result_cardinality(value)
         return value
 
     def _reduce(self, plan: Reduce) -> Any:
@@ -165,11 +188,9 @@ class Executor:
         ``monoid``. The parallel engine calls this per partition."""
         head_fn = self._fn(plan, "head_fn", plan.head)
         rt = self._rt
-        stats = self.stats
         start, step, finish = _folder(monoid)
         state = start()
         for binding in bindings:
-            stats.rows_reduced += 1
             state = step(state, head_fn(binding, rt))
         return finish(state)
 
@@ -201,55 +222,52 @@ class Executor:
 
     # -- binding streams -------------------------------------------------------------
 
-    def _iter(self, node: PlanNode) -> Iterator[dict[str, Any]]:
-        if self.metrics is None:
-            return self._dispatch(node)
-        return self.metrics.instrument(node, self._dispatch(node))
+    def _iter(self, node: PlanNode, loop: Any = None) -> Iterator[dict[str, Any]]:
+        """Open ``node``'s binding stream. The one place an opening is
+        counted, the operator's loop is handed its block, and the stream
+        is timed when asked for. ``loop(node, block)`` stands in for the
+        operator's own (the parallel engine's partitioned grouping)."""
+        if loop is None:
+            operator = _OPERATORS.get(type(node))
+            if operator is None:
+                raise PlanError(f"unknown plan node {type(node).__name__}")
+            loop = getattr(self, operator[0])
+        block = self.metrics.for_node(node)
+        block.invocations += 1
+        stream = loop(node, block)
+        return self.metrics.instrument(node, stream) if self._timed else stream
 
-    def _dispatch(self, node: PlanNode) -> Iterator[dict[str, Any]]:
-        if isinstance(node, Scan):
-            yield from self._iter_scan(node)
-        elif isinstance(node, SelectOp):
-            yield from self._iter_select(node)
-        elif isinstance(node, Join):
-            yield from self._iter_join(node)
-        elif isinstance(node, Unnest):
-            yield from self._iter_unnest(node)
-        elif isinstance(node, IndexScan):
-            yield from self._iter_index_scan(node)
-        elif isinstance(node, Nest):
-            yield from self._iter_nest(node)
-        else:
-            raise PlanError(f"unknown plan node {type(node).__name__}")
-
-    def _iter_scan(self, node: Scan) -> Iterator[dict[str, Any]]:
+    def _iter_scan(self, node: Scan, block: OperatorMetrics) -> Iterator[dict[str, Any]]:
         rows = self._prepared.get(id(node))
         if rows is not None:
+            block.rows_out += len(rows)
             yield from rows
             return
         source = self._rt.eval_fallback(node.source, {})
+        scanned = 0
         for binding in self._bindings_of(source, node.var, node.index_var):
-            self.stats.rows_scanned += 1
+            scanned += 1
             yield binding
+        block.rows_out += scanned
 
-    def _iter_select(self, node: SelectOp) -> Iterator[dict[str, Any]]:
+    def _iter_select(
+        self, node: SelectOp, block: OperatorMetrics
+    ) -> Iterator[dict[str, Any]]:
         pred_fn = self._fn(node, "pred_fn", node.pred)
         rt = self._rt
-        stats = self.stats
+        kept = 0
         for binding in self._iter(node.child):
             value = pred_fn(binding, rt)
             if value is True:
+                kept += 1
                 yield binding
-            elif value is False:
-                stats.rows_selected_out += 1
-            else:
+            elif value is not False:
                 Evaluator._require_bool(value, "qualifier predicate")
+        block.rows_out += kept
 
-    def _iter_join(self, node: Join) -> Iterator[dict[str, Any]]:
-        if node.left_keys:
-            yield from self._hash_join(node)
-        else:
-            yield from self._nested_loop_join(node)
+    def _iter_join(self, node: Join, block: OperatorMetrics) -> Iterator[dict[str, Any]]:
+        join = self._hash_join if node.left_keys else self._nested_loop_join
+        return join(node, block)
 
     def _build_table(
         self, node: Join, right: Iterable[dict[str, Any]]
@@ -263,56 +281,61 @@ class Executor:
             key = tuple(fn(right_binding, rt) for fn in right_fns)
             table.setdefault(key, []).append(right_binding)
             built += 1
-        self._count_hash_builds(node, built)
+        self.metrics.for_node(node).hash_builds += built
         return table
 
-    def _count_hash_builds(self, node: Join, built: int) -> None:
-        self.stats.hash_builds += built
-        if self.metrics is not None:
-            self.metrics.for_node(node).hash_builds += built
-
-    def _hash_join(self, node: Join) -> Iterator[dict[str, Any]]:
+    def _hash_join(self, node: Join, block: OperatorMetrics) -> Iterator[dict[str, Any]]:
         table = self._prepared.get(id(node))
         if table is None:
             table = self._build_table(node, self._iter(node.right))
         left_fns = self._fn(node, "left_key_fns", node.left_keys)
         residual_fn = self._fn(node, "residual_fn", node.residual)
         rt = self._rt
+        joined = 0
         for left_binding in self._iter(node.left):
             key = tuple(fn(left_binding, rt) for fn in left_fns)
             for right_binding in table.get(key, ()):
                 merged = {**left_binding, **right_binding}
                 if residual_fn is not None and not residual_fn(merged, rt):
                     continue
-                self.stats.rows_joined += 1
+                joined += 1
                 yield merged
+        block.rows_out += joined
 
-    def _nested_loop_join(self, node: Join) -> Iterator[dict[str, Any]]:
+    def _nested_loop_join(
+        self, node: Join, block: OperatorMetrics
+    ) -> Iterator[dict[str, Any]]:
         right = self._prepared.get(id(node))
         if right is None:
             right = list(self._iter(node.right))
         residual_fn = self._fn(node, "residual_fn", node.residual)
         rt = self._rt
+        joined = 0
         for left_binding in self._iter(node.left):
             for right_binding in right:
                 merged = {**left_binding, **right_binding}
                 if residual_fn is not None and not residual_fn(merged, rt):
                     continue
-                self.stats.rows_joined += 1
+                joined += 1
                 yield merged
+        block.rows_out += joined
 
-    def _iter_unnest(self, node: Unnest) -> Iterator[dict[str, Any]]:
+    def _iter_unnest(
+        self, node: Unnest, block: OperatorMetrics
+    ) -> Iterator[dict[str, Any]]:
         src_fn = self._fn(node, "src_fn", node.path)
         rt = self._rt
+        unnested = 0
         for binding in self._iter(node.child):
             source = src_fn(binding, rt)
             for inner in self._bindings_of(source, node.var, node.index_var):
-                self.stats.rows_unnested += 1
+                unnested += 1
                 yield {**binding, **inner}
+        block.rows_out += unnested
 
-    def _iter_nest(self, node: Nest) -> Iterator[dict[str, Any]]:
+    def _iter_nest(self, node: Nest, block: OperatorMetrics) -> Iterator[dict[str, Any]]:
         """Single-pass grouping: hash on the key tuple, fold as rows arrive."""
-        return self._emit_groups(node, self._group(node, self._iter(node.child)))
+        return self._emit_groups(node, self._group(node, self._iter(node.child)), block)
 
     def _fold_monoids(self, node: Nest) -> list:
         env = self.evaluator.global_env
@@ -352,27 +375,28 @@ class Executor:
         return groups
 
     def _emit_groups(
-        self, node: Nest, groups: dict[tuple, list]
+        self, node: Nest, groups: dict[tuple, list], block: OperatorMetrics
     ) -> Iterator[dict[str, Any]]:
         """One binding per group, in canonical key order."""
         names = [label for label, _ in node.keys] + [fold[0] for fold in node.folds]
         for key in sorted(groups, key=canonical_key):
-            self.stats.rows_grouped += 1
             yield dict(zip(names, (*key, *groups[key])))
+        block.rows_out += len(groups)
 
-    def _iter_index_scan(self, node: IndexScan) -> Iterator[dict[str, Any]]:
+    def _iter_index_scan(
+        self, node: IndexScan, block: OperatorMetrics
+    ) -> Iterator[dict[str, Any]]:
         index = self.indexes.get((node.extent, node.attribute))
         if index is None:
             raise PlanError(
                 f"no index on {node.extent}.{node.attribute} for IndexScan"
             )
         key = self._rt.eval_fallback(node.key, {})
-        self.stats.index_probes += 1
-        if self.metrics is not None:
-            self.metrics.for_node(node).index_probes += 1
-        for element in index.get(key, ()):
-            self.stats.rows_scanned += 1
+        block.index_probes += 1
+        elements = index.get(key, ())
+        for element in elements:
             yield {node.var: element}
+        block.rows_out += len(elements)
 
     # -- helpers ------------------------------------------------------------------------
 
@@ -468,10 +492,8 @@ def _checked(fn, term: Term):
     return checked
 
 
-def _result_cardinality(value: Any) -> int:
+def result_cardinality(value: Any) -> int:
     """Rows a Reduce 'emitted': the collection size, or 1 for scalars."""
-    from repro.values import Bag, Vector
-
     if isinstance(value, (frozenset, tuple, Bag, OrderedSet, Vector)):
         return len(value)
     return 1

@@ -116,14 +116,12 @@ class RewriteVerifier:
         self.checked += 1
         registry = _telemetry_registry()
         if registry is not None:
-            from repro.obs.telemetry.instrument import (
-                record_verifier_check,
-                record_verifier_violation,
-            )
+            from repro.obs.telemetry.instrument import families
 
-            record_verifier_check(registry, name)
+            recorded = families(registry)
+            recorded.verifier_checks.inc(rule=name)
             for violation in violations:
-                record_verifier_violation(registry, name, violation.invariant)
+                recorded.verifier_violations.inc(rule=name, invariant=violation.invariant)
         if violations:
             raise VerificationError(
                 name, before, after, violations, span=span_of(before)

@@ -215,6 +215,9 @@ class CompiledQuery:
     result_cacheable: Optional[bool] = None
     uncacheable_reason: Optional[str] = None
     hits: int = 0
+    #: telemetry's hot-query fingerprint, filled in on first use
+    #: (:func:`repro.obs.telemetry.fingerprint.query_fingerprint`)
+    fingerprint: Optional[str] = None
 
 
 class QueryCache:

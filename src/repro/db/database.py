@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Iterator, Literal, Optional
 
@@ -96,11 +96,12 @@ class QueryResult:
     trace: NormalizationTrace
     plan: Optional[Reduce]
     value: Any
-    stats: Optional[ExecutionStats] = None
     engine: str = "algebra"
     #: root trace span of this query (None unless tracing was on)
     span: Optional[TraceSpan] = None
-    #: per-operator metrics (None unless tracing/metrics were on)
+    #: the execution's per-operator record (None when no plan ran;
+    #: ``time_ns`` is 0 unless the run was timed: ``metrics=True`` or
+    #: session tracing)
     metrics: Optional[PlanMetrics] = None
     #: cache outcome for this query, e.g. {"compile": "hit",
     #: "result": "miss"} (None unless the database had a cache)
@@ -109,6 +110,16 @@ class QueryResult:
     #: "constructs": {"Comprehension": 1}} (None unless the JIT was on
     #: and the query ran on the algebra engine)
     jit: Optional[dict[str, Any]] = None
+    #: the compiled entry this result was executed from
+    compiled: Optional[CompiledQuery] = field(default=None, repr=False)
+
+    @property
+    def stats(self) -> Optional[ExecutionStats]:
+        """The executor's whole-query counters: :attr:`metrics` summed
+        by node class, computed when read (None when no plan ran)."""
+        if self.metrics is None:
+            return None
+        return ExecutionStats.of(self.plan, self.metrics)
 
     def pipeline_report(self) -> str:
         """A printable record of every pipeline stage."""
@@ -144,7 +155,7 @@ class QueryResult:
         if self.plan is not None:
             lines.append("plan:")
             lines.extend("  " + l for l in self.plan.render().splitlines())
-        if self.stats is not None:
+        if self.metrics is not None:
             lines.append(f"stats:      {self.stats.as_dict()}")
         lines.append(f"value:      {self.value!r}")
         return "\n".join(lines)
@@ -364,13 +375,14 @@ class Database:
     ) -> QueryResult:
         """Answer an OQL query, keeping every intermediate artifact.
 
-        With tracing enabled (:meth:`profile` / ``tracer.enabled``) the
-        result additionally carries the phase span tree and per-operator
-        metrics; ``metrics=True`` forces operator metrics collection for
-        this one call even while tracing is off (EXPLAIN ANALYZE does
-        this). ``verify`` is :meth:`run`'s rewrite-verification switch
-        (it covers the whole pipeline, including the re-normalization
-        inside plan building).
+        The result always carries the execution's per-operator record
+        (``result.metrics``, which ``result.stats`` is a view of). With
+        tracing enabled (:meth:`profile` / ``tracer.enabled``) it
+        additionally carries the phase span tree and per-operator wall
+        time; ``metrics=True`` asks for that timing for this one call
+        even while tracing is off (EXPLAIN ANALYZE does this). ``verify``
+        is :meth:`run`'s rewrite-verification switch (it covers the whole
+        pipeline, including the re-normalization inside plan building).
         """
         return self._run(oql, engine, typecheck, strict, metrics, verify, None, {})
 
@@ -382,7 +394,8 @@ class Database:
         session tracing is off, a throwaway enabled tracer is installed
         thread-locally so the phase histograms still get a span tree —
         the shared ``self.tracer`` is never touched, keeping concurrent
-        queries race-free. The registry is also *activated* for the
+        queries race-free; it does not ask for per-operator timing
+        (:meth:`_execute`). The registry is also *activated* for the
         dynamic extent of the query so deep layers (query log, rewrite
         verifier) can record without being handed it explicitly.
         """
@@ -467,27 +480,24 @@ class Database:
             self._tracer_local.tracer = None
 
     def _executor(
-        self, evaluator: Evaluator, plan_metrics: Optional[PlanMetrics]
+        self, evaluator: Evaluator, timed_into: Optional[PlanMetrics]
     ) -> Executor:
         """The executor for one query: the serial :class:`Executor`
         unless parallelism is enabled, in which case a
         :class:`~repro.parallel.ParallelExecutor` (which itself falls
         back to the identical serial path whenever the plan shape or
-        config rules fan-out out)."""
+        config rules fan-out out). ``timed_into`` asks for per-operator
+        wall time, into that table."""
+        indexes = self.catalog.index_mappings()
         if self.parallel is None:
-            return Executor(
-                evaluator,
-                self.catalog.index_mappings(),
-                metrics=plan_metrics,
-                jit=self.jit,
-            )
+            return Executor(evaluator, indexes, metrics=timed_into, jit=self.jit)
         from repro.parallel import ParallelExecutor
 
         tracer = self._active_tracer()
         return ParallelExecutor(
             evaluator,
-            self.catalog.index_mappings(),
-            metrics=plan_metrics,
+            indexes,
+            metrics=timed_into,
             config=self.parallel,
             tracer=tracer if tracer.enabled else None,
             jit=self.jit,
@@ -709,8 +719,10 @@ class Database:
         """
         cache = self.cache
         tracer = self._active_tracer()
-        plan_metrics = PlanMetrics() if (metrics or tracer.enabled) else None
-        result_key = versions = stats = jit_report = None
+        # Operators are always counted; they are timed only on request —
+        # telemetry's throwaway tracer (phase spans) is not one.
+        timed_into = PlanMetrics() if (metrics or self.tracer.enabled) else None
+        result_key = versions = executor = jit_report = None
         hit = False
         if cache is not None and cache.config.results:
             if entry.result_cacheable is None:
@@ -744,13 +756,13 @@ class Database:
                     from repro.jit.plan import precompile_plan
 
                     jit_report = precompile_plan(entry.plan)
-                executor = self._executor(evaluator, plan_metrics)
+                executor = self._executor(evaluator, timed_into)
                 try:
                     with tracer.span("execute"):
                         value = executor.execute(entry.plan)
-                    stats = executor.stats
                     break
                 except PlanError:
+                    executor = None
                     if entry.kind == "groupby":
                         entry = self.compile(
                             entry.oql, entry.engine, entry.typecheck, skip_group_by=True
@@ -781,11 +793,11 @@ class Database:
             entry.trace,
             entry.plan,
             value,
-            stats,
             "interpret" if entry.plan is None else "algebra",
-            metrics=plan_metrics,
+            metrics=executor.metrics if executor is not None else None,
             cache=info or None,
             jit=jit_report,
+            compiled=entry,
         )
 
     # -- modes --------------------------------------------------------------------
@@ -887,7 +899,7 @@ class Database:
         """Toggle observability: pipeline tracing plus the query log.
 
         While on, every :meth:`run`/:meth:`run_detailed` records a phase
-        span tree and per-operator metrics (on the :class:`QueryResult`)
+        span tree and per-operator wall time (on the :class:`QueryResult`)
         and appends one JSON entry to :attr:`query_log` — streamed to
         ``sink`` (a ``str -> None`` callable) when given, and/or
         appended to the file at ``path`` with size-based rotation

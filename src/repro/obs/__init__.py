@@ -1,13 +1,13 @@
 """repro.obs — observability for the query pipeline.
 
-Three layers, all opt-in and all zero-cost when off:
+Four layers; everything but the operator counts is opt-in:
 
 - **phase spans** (:mod:`repro.obs.tracer`): nested wall-clock timings
   for parse → translate → typecheck → normalize → plan → optimize →
   execute, recorded by :class:`~repro.db.database.Database` per query;
-- **per-operator metrics** (:mod:`repro.obs.metrics`): rows, timings
-  and probe counts for every physical plan node, collected by the
-  :class:`~repro.algebra.physical.Executor`;
+- **per-operator metrics** (:mod:`repro.obs.metrics`): the one record
+  of rows and probe counts per physical plan node that every
+  :class:`~repro.algebra.physical.Executor` keeps, timed on request;
 - **EXPLAIN ANALYZE** (:mod:`repro.obs.explain`) and the **query log**
   (:mod:`repro.obs.querylog`): estimated-vs-actual plan reports and
   structured JSONL query records built from the two layers above;

@@ -1,26 +1,29 @@
-"""Per-operator execution metrics.
+"""The per-execution record of operator events.
 
 :class:`PlanMetrics` gives every physical plan node its own
-:class:`OperatorMetrics` block — rows produced, generator openings,
-cumulative wall time, and the hash-build/index-probe counts the global
-:class:`~repro.algebra.physical.ExecutionStats` only keeps in
-aggregate. The :class:`~repro.algebra.physical.Executor` wraps each
-operator's binding stream in :meth:`PlanMetrics.instrument` when (and
-only when) it was constructed with a metrics object; the default
-executor path has no per-row accounting at all.
+:class:`OperatorMetrics` block — rows produced, stream openings,
+hash-table inserts, index probes and (on request) wall time. It is the
+**one** place an operator event is booked: every
+:class:`~repro.algebra.physical.Executor` owns a table, each operator
+loop stores its counts into its node's block, and whatever else reports
+execution counts (:class:`~repro.algebra.physical.ExecutionStats`,
+EXPLAIN ANALYZE, the query log, telemetry, the benchmark harness) is a
+view of these blocks. Wall time alone is collected on request:
+:meth:`PlanMetrics.instrument` times every pull of a stream, and an
+executor installs it only when handed a table to time into.
 
-Node identity is ``id(node)``: plan trees are built fresh per query and
-structurally-equal operators in different positions must not share a
-counter block. Timing is *inclusive* — pulling a row from a Select also
-runs its child — so :meth:`PlanMetrics.snapshot` derives per-node
-*self* time by subtracting the children's inclusive time, and rows-in
-as the sum of the children's rows-out.
+Node identity is ``id(node)`` and a table belongs to one execution, so
+structurally-equal operators never share a block and neither do
+concurrent runs of one cached plan. Timing is *inclusive* — pulling a
+row from a Select also runs its child — so :meth:`PlanMetrics.snapshot`
+derives per-node *self* time by subtracting the children's inclusive
+time, and rows-in as the sum of the children's rows-out.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.algebra.ops import PlanNode
@@ -35,6 +38,7 @@ class OperatorMetrics:
     #: bindings the operator yielded
     rows_out: int = 0
     #: cumulative inclusive wall time spent pulling from this operator
+    #: (0 unless the execution was timed)
     time_ns: int = 0
     #: hash-table inserts while building a hash join's build side
     hash_builds: int = 0
@@ -46,18 +50,7 @@ class OperatorMetrics:
         return self.time_ns / 1e6
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge_from(self, other: "OperatorMetrics") -> None:
-        """Add another block's counters into this one.
-
-        Counter blocks are single-threaded by design (one PlanMetrics
-        per execution); concurrent collectors each keep a private block
-        and combine afterwards — summation is order-insensitive, so the
-        totals are deterministic however the collectors interleaved.
-        """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return dict(vars(self))
 
 
 @dataclass
@@ -65,7 +58,6 @@ class NodeSnapshot:
     """One plan node's metrics resolved against the tree shape."""
 
     node: PlanNode
-    depth: int
     metrics: OperatorMetrics
     rows_in: int
     self_time_ns: int
@@ -81,13 +73,17 @@ class NodeSnapshot:
 
 
 class PlanMetrics:
-    """Collects :class:`OperatorMetrics` per plan node of one query."""
+    """The :class:`OperatorMetrics` blocks of one execution, per plan node."""
 
     def __init__(self) -> None:
         self._by_node: dict[int, OperatorMetrics] = {}
+        #: partitions the parallel engine fanned this execution out over
+        #: and the worker threads it used (0 on the serial path)
+        self.partitions = self.parallel_workers = 0
 
     def reset(self) -> None:
         self._by_node.clear()
+        self.partitions = self.parallel_workers = 0
 
     def for_node(self, node: PlanNode) -> OperatorMetrics:
         """The (created-on-demand) counter block for ``node``."""
@@ -99,21 +95,36 @@ class PlanMetrics:
     def get(self, node: PlanNode) -> Optional[OperatorMetrics]:
         return self._by_node.get(id(node))
 
+    def blocks(self, plan: PlanNode) -> Iterator[tuple[PlanNode, OperatorMetrics]]:
+        """``(node, block)`` for every node of the tree under ``plan``."""
+        stack = [plan]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children())
+            yield node, self.for_node(node)
+
     def merge_from(self, other: "PlanMetrics") -> None:
-        """Add the blocks of a collector that ran the *same* plan nodes
-        (a partition worker's) into this one's, node by node."""
+        """Add the blocks of a table that ran the *same* plan nodes (a
+        partition worker's) into this one's, node by node.
+
+        Blocks are single-threaded by design (one table per execution);
+        concurrent collectors each keep a private table and combine
+        afterwards — summation is order-insensitive, so the totals are
+        deterministic however the collectors interleaved.
+        """
         for node_id, block in other._by_node.items():
             mine = self._by_node.get(node_id)
             if mine is None:
                 mine = self._by_node[node_id] = OperatorMetrics()
-            mine.merge_from(block)
+            for name, value in vars(block).items():
+                setattr(mine, name, getattr(mine, name) + value)
 
     def instrument(
         self, node: PlanNode, stream: Iterator[dict[str, Any]]
     ) -> Iterator[dict[str, Any]]:
-        """Count and time every pull from ``stream`` against ``node``."""
+        """``stream`` with every pull timed against ``node``'s block.
+        Counting is the operator loops' job; this adds wall time only."""
         block = self.for_node(node)
-        block.invocations += 1
         perf = time.perf_counter_ns
         while True:
             start = perf()
@@ -123,11 +134,10 @@ class PlanMetrics:
                 block.time_ns += perf() - start
                 return
             block.time_ns += perf() - start
-            block.rows_out += 1
             yield item
 
     def snapshot(self, plan: PlanNode) -> NodeSnapshot:
-        """Resolve metrics over the plan tree (pre-order root).
+        """Resolve metrics over the plan tree rooted at ``plan``.
 
         Derived quantities: ``rows_in`` is the sum of the children's
         rows-out and ``self_time_ns`` the node's inclusive time minus
@@ -135,18 +145,13 @@ class PlanMetrics:
         a pass-through operator appear marginally cheaper than its
         child).
         """
-        return self._snap(plan, 0)
-
-    def _snap(self, node: PlanNode, depth: int) -> NodeSnapshot:
-        children = [self._snap(child, depth + 1) for child in node.children()]
-        block = self.for_node(node)
-        rows_in = sum(child.metrics.rows_out for child in children)
+        children = [self.snapshot(child) for child in plan.children()]
+        block = self.for_node(plan)
         child_time = sum(child.metrics.time_ns for child in children)
         return NodeSnapshot(
-            node=node,
-            depth=depth,
+            node=plan,
             metrics=block,
-            rows_in=rows_in,
+            rows_in=sum(child.metrics.rows_out for child in children),
             self_time_ns=max(0, block.time_ns - child_time),
             children=children,
         )

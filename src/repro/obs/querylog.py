@@ -32,9 +32,15 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.obs.tracer import TraceSpan
+
+
+#: How many entries a :class:`QueryLog` keeps in memory (the newest);
+#: the sink and the file see every entry.
+MAX_ENTRIES = 1024
 
 
 def oql_fingerprint(oql: str) -> str:
@@ -63,8 +69,9 @@ def query_log_entry(
         entry["phases_ms"] = {
             name: round(ms, 3) for name, ms in span.phase_times_ms().items()
         }
-    if result.stats is not None:
-        entry["stats"] = result.stats.as_dict()
+    stats = result.stats
+    if stats is not None:
+        entry["stats"] = stats.as_dict()
     cache = getattr(result, "cache", None)
     if cache:
         entry["cache"] = dict(cache)
@@ -79,7 +86,8 @@ class QueryLog:
 
     ``sink`` is any ``str -> None`` callable (e.g. ``print``, a file's
     ``write`` wrapped to add newlines, or a REPL's output function);
-    when None the entries are only kept on :attr:`entries`. ``path``
+    when None the entries are only kept on :attr:`entries` (a bounded
+    window of the newest ones). ``path``
     additionally appends each line to a file, rotated before any write
     that would push the file past ``max_bytes`` (``None`` disables
     rotation); ``backups`` old files are kept as ``path.1..path.N``.
@@ -100,7 +108,8 @@ class QueryLog:
         self.backups = max(0, backups)
         #: file rollovers performed so far
         self.rotations = 0
-        self.entries: list[dict[str, Any]] = []
+        #: the newest :data:`MAX_ENTRIES` entries, oldest first
+        self.entries: deque[dict[str, Any]] = deque(maxlen=MAX_ENTRIES)
         # One lock covers entries, the sink, and the rotate+append file
         # sequence: without it, concurrent Database.run callers sharing
         # a profile() log could interleave half-written lines or race a
@@ -125,9 +134,11 @@ class QueryLog:
                 self._write_line(line)
         registry = _telemetry_registry()
         if registry is not None:
-            from repro.obs.telemetry.instrument import record_querylog_entry
+            from repro.obs.telemetry.instrument import families
 
-            record_querylog_entry(registry, entry)
+            families(registry).querylog_entries.inc(
+                slow="true" if entry.get("slow") else "false"
+            )
         return entry
 
     # -- file sink with size-based rotation ---------------------------------------
@@ -165,9 +176,9 @@ class QueryLog:
             self.rotations += 1
         registry = _telemetry_registry()
         if registry is not None:
-            from repro.obs.telemetry.instrument import record_querylog_rotation
+            from repro.obs.telemetry.instrument import families
 
-            record_querylog_rotation(registry)
+            families(registry).querylog_rotations.inc()
 
     def log_files(self) -> list[str]:
         """The current file plus existing backups, newest first."""
@@ -181,8 +192,9 @@ class QueryLog:
         return files
 
     def slow_queries(self) -> list[dict[str, Any]]:
-        """Entries that crossed the ``slow_ms`` threshold."""
-        return [entry for entry in self.entries if entry.get("slow")]
+        """Retained entries that crossed the ``slow_ms`` threshold."""
+        with self._lock:  # a deque may not be appended to while iterated
+            return [entry for entry in self.entries if entry.get("slow")]
 
     def clear(self) -> None:
         with self._lock:

@@ -13,8 +13,6 @@ telemetry a monitoring stack can scrape:
 - :mod:`.instrument` — the metric catalog: one finished query
   decomposed into registry updates;
 - :mod:`.export` — Prometheus text, OTLP-style JSON, StatsD lines;
-- :mod:`.promparse` — a strict parser for the Prometheus exposition
-  format (the round-trip half of the exporter contract);
 - :mod:`.server` — a stdlib ``/metrics`` HTTP endpoint;
 - :mod:`.advise` — QL402: runtime-informed index advice;
 - :mod:`.cli` — ``python -m repro metrics dump|top|serve``.
@@ -41,11 +39,6 @@ from repro.obs.telemetry.instrument import (
     record_query_error,
     record_query_result,
     summary_lines,
-)
-from repro.obs.telemetry.promparse import (
-    ParsedFamily,
-    PromParseError,
-    parse_prometheus_text,
 )
 from repro.obs.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -75,8 +68,6 @@ __all__ = [
     "RollingWindow",
     "FingerprintTable",
     "QueryStats",
-    "ParsedFamily",
-    "PromParseError",
     "activation",
     "current_registry",
     "disable_telemetry",
@@ -85,7 +76,6 @@ __all__ = [
     "get_registry",
     "otlp_json",
     "otlp_text",
-    "parse_prometheus_text",
     "prometheus_text",
     "record_query_error",
     "record_query_result",

@@ -5,7 +5,7 @@ monitoring stacks ingest.
   (version 0.0.4): ``# HELP``/``# TYPE`` headers, one sample per line,
   histograms as cumulative ``_bucket{le=...}`` series plus ``_sum`` and
   ``_count``. This is what the ``/metrics`` endpoint serves and what
-  :mod:`repro.obs.telemetry.promparse` strictly re-parses in tests.
+  ``tests/promparse.py`` strictly re-parses in tests.
 - :func:`otlp_json` — an OTLP-style (OpenTelemetry protocol) JSON
   document: ``resourceMetrics -> scopeMetrics -> metrics`` with
   ``sum``/``gauge``/``histogram`` data points. The hot-query table

@@ -11,7 +11,7 @@ runtime" — where the raw text hash the query log records
 into per-spelling shards.
 
 :class:`FingerprintTable` keeps bounded per-fingerprint aggregates
-(count, total/max latency, rows, errors, index probes) and serves the
+(count, total/max latency, rows, index probes) and serves the
 top-K hot-query view the CLI, the REPL ``:stats`` command and the
 ``QL402`` advisor read. When full it evicts the entry with the least
 accumulated time, keeping the hot set by construction.
@@ -24,6 +24,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cache.core import CompiledQuery
+from repro.cache.keys import canonical_term
 from repro.calculus.ast import Term
 
 
@@ -34,9 +36,21 @@ def fingerprint_term(term: Term) -> str:
     (structural equality of :func:`~repro.cache.keys.canonical_term`
     outputs; the hash is over the canonical term's deterministic repr).
     """
-    from repro.cache.keys import canonical_term
+    return _digest(canonical_term(term))
 
-    canonical = canonical_term(term)
+
+def query_fingerprint(entry: CompiledQuery) -> str:
+    """:func:`fingerprint_term` of a compiled query's calculus term,
+    computed once per entry — and from the canonical term a cache has
+    already keyed the entry by, when there is one — so a repeated query
+    pays for its fingerprint per compile, not per run."""
+    if entry.fingerprint is None:
+        canonical = entry.key[0] if entry.key is not None else canonical_term(entry.calculus)
+        entry.fingerprint = _digest(canonical)
+    return entry.fingerprint
+
+
+def _digest(canonical: Term) -> str:
     return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:12]
 
 
@@ -48,7 +62,6 @@ class QueryStats:
     #: the first spelling seen — a human-readable exemplar of the group
     example_oql: str
     count: int = 0
-    errors: int = 0
     total_seconds: float = 0.0
     max_seconds: float = 0.0
     rows: int = 0
@@ -64,7 +77,6 @@ class QueryStats:
             "fingerprint": self.fingerprint,
             "example_oql": self.example_oql,
             "count": self.count,
-            "errors": self.errors,
             "total_ms": round(self.total_seconds * 1e3, 3),
             "mean_ms": round(self.mean_seconds * 1e3, 3),
             "max_ms": round(self.max_seconds * 1e3, 3),
@@ -90,7 +102,6 @@ class FingerprintTable:
         rows: int = 0,
         engine: Optional[str] = None,
         index_probes: int = 0,
-        error: bool = False,
     ) -> QueryStats:
         with self._lock:
             entry = self._stats.get(fingerprint)
@@ -111,8 +122,6 @@ class FingerprintTable:
             entry.max_seconds = max(entry.max_seconds, seconds)
             entry.rows += rows
             entry.index_probes += index_probes
-            if error:
-                entry.errors += 1
             if engine:
                 entry.engines[engine] = entry.engines.get(engine, 0) + 1
             return entry

@@ -1,8 +1,8 @@
 """Recording helpers: one finished query -> registry updates.
 
 This is the only module that knows the **metric catalog** — every
-name, kind and label the telemetry layer emits (the table in
-``docs/OBSERVABILITY.md`` is generated from this vocabulary). The
+name, kind and label the telemetry layer emits (:data:`CATALOG`; the
+table in ``docs/OBSERVABILITY.md`` lists the same vocabulary). The
 database calls :func:`record_query_result` / :func:`record_query_error`
 once per ``Database.run``; everything else here is decomposition of one
 :class:`~repro.db.database.QueryResult` into counter increments and
@@ -12,7 +12,9 @@ histogram observations:
   :data:`~repro.obs.tracer.PIPELINE_PHASES` (plus the cache's
   ``cache`` span);
 - success/error counters by engine and error class;
-- executor row counters and per-operator invocation counts;
+- executor row counters and per-operator openings and rows, read off the
+  execution's one record (``result.stats`` / ``result.metrics`` — the
+  numbers EXPLAIN ANALYZE shows);
 - cache hit/miss/eviction/invalidation counters bridged (as deltas)
   from the shared :class:`~repro.cache.core.CacheStats` block;
 - normalization rule-fire counters;
@@ -20,54 +22,101 @@ histogram observations:
 
 Everything takes the registry explicitly — nothing here consults
 global state, so tests can drive a private registry and the database
-can share one registry across instances.
+can share one registry across instances. A registry's families are
+looked up by name once (:func:`families`), not once per query.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
-from repro.obs.telemetry.fingerprint import fingerprint_term, render_top
+from repro.algebra.physical import result_cardinality
+from repro.obs.telemetry.fingerprint import query_fingerprint, render_top
 from repro.obs.telemetry.registry import MetricsRegistry
 
 #: Rolling-window base name; exported as ``repro_window_qps`` /
 #: ``repro_window_latency_seconds`` gauges.
 WINDOW_NAME = "repro_window"
 
+#: The metric catalog: attribute of :func:`families` -> (kind, name,
+#: help, label names).
+CATALOG: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
+    "queries": ("counter", "repro_queries_total",
+                "queries answered, by engine and outcome", ("engine", "status")),
+    "errors": ("counter", "repro_query_errors_total",
+               "failed queries by error class", ("error",)),
+    "seconds": ("histogram", "repro_query_seconds", "whole-query latency", ()),
+    "phases": ("histogram", "repro_phase_seconds",
+               "per-pipeline-phase latency", ("phase",)),
+    "rows_returned": ("counter", "repro_rows_returned_total",
+                      "result elements returned to callers", ()),
+    "executor_rows": ("counter", "repro_executor_rows_total",
+                      "executor row counters (ExecutionStats), by counter name",
+                      ("counter",)),
+    "parallel_queries": ("counter", "repro_parallel_queries_total",
+                         "queries answered by the partition-parallel engine", ()),
+    "parallel_partitions": ("histogram", "repro_parallel_partitions",
+                            "partitions per parallel query", ()),
+    "parallel_workers": ("histogram", "repro_parallel_workers",
+                         "worker threads per parallel query", ()),
+    "operator_invocations": ("counter", "repro_operator_invocations_total",
+                             "physical operator stream openings, by operator",
+                             ("operator",)),
+    "operator_rows": ("counter", "repro_operator_rows_total",
+                      "bindings produced per physical operator class", ("operator",)),
+    "rule_fires": ("counter", "repro_normalize_rule_fires_total",
+                   "normalization rule fires, by Table 3 rule", ("rule",)),
+    "jit_expressions": ("counter", "repro_jit_expressions_total",
+                        "hot-path expressions prepared by the JIT, by outcome",
+                        ("status",)),
+    "jit_constructs": ("counter", "repro_jit_fallback_constructs_total",
+                       "interpreter-fallback expressions by offending construct",
+                       ("construct",)),
+    "cache_events": ("counter", "repro_cache_events_total",
+                     "query-cache events bridged from CacheStats", ("event",)),
+    "cache_entries": ("gauge", "repro_cache_entries",
+                      "current query-cache entry counts", ("store",)),
+    "querylog_entries": ("counter", "repro_querylog_entries_total",
+                         "query-log records written, by slow flag", ("slow",)),
+    "querylog_rotations": ("counter", "repro_querylog_rotations_total",
+                           "query-log file rollovers", ()),
+    "verifier_checks": ("counter", "repro_verifier_checks_total",
+                        "rewrite fires checked by the soundness verifier, by rule",
+                        ("rule",)),
+    "verifier_violations": ("counter", "repro_verifier_violations_total",
+                            "soundness violations raised by the verifier, "
+                            "by rule and invariant", ("rule", "invariant")),
+}
 
-def result_rows(value: Any) -> int:
-    """The result's cardinality: element count for collections, 1 for
-    scalars (mirrors the executor's Reduce accounting)."""
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return len(value)
-    try:
-        return len(value)  # Bag, OrderedSet, Vector
-    except TypeError:
-        return 1
+
+class _Families:
+    """One registry's :data:`CATALOG` families as attributes, each
+    created on first use (so an export lists only what was recorded)
+    and a plain attribute from then on."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+
+    def __getattr__(self, key: str) -> Any:
+        kind, name, help, labels = CATALOG[key]
+        family = getattr(self._registry, kind)(name, help, labels=labels)
+        setattr(self, key, family)
+        return family
 
 
-def _queries_counter(registry: MetricsRegistry):
-    return registry.counter(
-        "repro_queries_total",
-        "queries answered, by engine and outcome",
-        labels=("engine", "status"),
-    )
+def families(registry: MetricsRegistry) -> _Families:
+    """The catalog bound to ``registry`` — once per registry."""
+    return registry.bound(_Families)
 
 
 def record_query_error(
     registry: MetricsRegistry, error: BaseException, seconds: float
 ) -> None:
     """Count one failed query (by error class) and its latency."""
-    _queries_counter(registry).inc(engine="none", status="error")
-    registry.counter(
-        "repro_query_errors_total",
-        "failed queries by error class",
-        labels=("error",),
-    ).inc(error=type(error).__name__)
-    registry.histogram(
-        "repro_query_seconds", "whole-query latency"
-    ).observe(seconds)
+    m = families(registry)
+    m.queries.inc(engine="none", status="error")
+    m.errors.inc(error=type(error).__name__)
+    m.seconds.observe(seconds)
     registry.window(WINDOW_NAME).add(seconds)
 
 
@@ -75,107 +124,55 @@ def record_query_result(
     registry: MetricsRegistry, db: Any, result: Any, seconds: float
 ) -> None:
     """Decompose one successful :class:`QueryResult` into the catalog."""
-    _queries_counter(registry).inc(engine=result.engine, status="ok")
-    registry.histogram(
-        "repro_query_seconds", "whole-query latency"
-    ).observe(seconds)
+    m = families(registry)
+    m.queries.inc(engine=result.engine, status="ok")
+    m.seconds.observe(seconds)
     registry.window(WINDOW_NAME).add(seconds)
 
-    span = result.span
-    if span is not None:
-        phase_hist = registry.histogram(
-            "repro_phase_seconds",
-            "per-pipeline-phase latency",
-            labels=("phase",),
-        )
-        for phase, ms in span.phase_times_ms().items():
-            phase_hist.observe(ms / 1e3, phase=phase)
+    if result.span is not None:
+        for phase, ms in result.span.phase_times_ms().items():
+            m.phases.observe(ms / 1e3, phase=phase)
 
-    rows = result_rows(result.value)
-    registry.counter(
-        "repro_rows_returned_total", "result elements returned to callers"
-    ).inc(rows)
+    rows = result_cardinality(result.value)
+    m.rows_returned.inc(rows)
 
     stats = result.stats
-    if stats is not None:
-        exec_counter = registry.counter(
-            "repro_executor_rows_total",
-            "executor row counters (ExecutionStats), by counter name",
-            labels=("counter",),
-        )
+    if stats is not None:  # a plan ran: one pass over its record
         for name, value in stats.as_dict().items():
             if value:
-                exec_counter.inc(value, counter=name)
-        if getattr(stats, "partitions", 0):
-            registry.counter(
-                "repro_parallel_queries_total",
-                "queries answered by the partition-parallel engine",
-            ).inc()
-            registry.histogram(
-                "repro_parallel_partitions",
-                "partitions per parallel query",
-            ).observe(stats.partitions)
-            registry.histogram(
-                "repro_parallel_workers",
-                "worker threads per parallel query",
-            ).observe(stats.parallel_workers)
+                m.executor_rows.inc(value, counter=name)
+        if stats.partitions:
+            m.parallel_queries.inc()
+            m.parallel_partitions.observe(stats.partitions)
+            m.parallel_workers.observe(stats.parallel_workers)
+        by_operator: dict[str, list[int]] = {}
+        for node, block in result.metrics.blocks(result.plan):
+            totals = by_operator.setdefault(type(node).__name__, [0, 0])
+            totals[0] += block.invocations
+            totals[1] += block.rows_out
+        for operator, (invocations, rows_out) in by_operator.items():
+            if invocations:
+                m.operator_invocations.inc(invocations, operator=operator)
+            if rows_out:
+                m.operator_rows.inc(rows_out, operator=operator)
 
-    if result.metrics is not None and result.plan is not None:
-        op_counter = registry.counter(
-            "repro_operator_invocations_total",
-            "physical operator stream openings, by operator",
-            labels=("operator",),
-        )
-        op_rows = registry.counter(
-            "repro_operator_rows_total",
-            "bindings produced per physical operator class",
-            labels=("operator",),
-        )
-        for snap in result.metrics.walk(result.plan):
-            operator = type(snap.node).__name__
-            if snap.metrics.invocations:
-                op_counter.inc(snap.metrics.invocations, operator=operator)
-            if snap.metrics.rows_out:
-                op_rows.inc(snap.metrics.rows_out, operator=operator)
+    for rule, count in result.trace.rule_counts().items():
+        m.rule_fires.inc(count, rule=rule)
 
-    fires = result.trace.rule_counts()
-    if fires:
-        rule_counter = registry.counter(
-            "repro_normalize_rule_fires_total",
-            "normalization rule fires, by Table 3 rule",
-            labels=("rule",),
-        )
-        for rule, count in fires.items():
-            rule_counter.inc(count, rule=rule)
-
-    jit = getattr(result, "jit", None)
+    jit = result.jit
     if jit is not None:
-        jit_counter = registry.counter(
-            "repro_jit_expressions_total",
-            "hot-path expressions prepared by the JIT, by outcome",
-            labels=("status",),
-        )
         if jit.get("compiled"):
-            jit_counter.inc(jit["compiled"], status="compiled")
+            m.jit_expressions.inc(jit["compiled"], status="compiled")
         if jit.get("fallback"):
-            jit_counter.inc(jit["fallback"], status="fallback")
-        constructs = jit.get("constructs") or {}
-        if constructs:
-            construct_counter = registry.counter(
-                "repro_jit_fallback_constructs_total",
-                "interpreter-fallback expressions by offending construct",
-                labels=("construct",),
-            )
-            for name, count in constructs.items():
-                construct_counter.inc(count, construct=name)
+            m.jit_expressions.inc(jit["fallback"], status="fallback")
+        for name, count in (jit.get("constructs") or {}).items():
+            m.jit_constructs.inc(count, construct=name)
 
-    cache = getattr(db, "cache", None)
-    if cache is not None:
-        bridge_cache(registry, cache)
+    if db.cache is not None:
+        bridge_cache(registry, db.cache)
 
-    fingerprint = fingerprint_term(result.calculus)
     registry.fingerprints.record(
-        fingerprint,
+        query_fingerprint(result.compiled),
         oql=result.oql,
         seconds=seconds,
         rows=rows,
@@ -192,57 +189,11 @@ def bridge_cache(registry: MetricsRegistry, cache: Any) -> None:
     only the deltas, so a registry shared by several databases over one
     cache still sums to the cache's own totals.
     """
-    deltas = registry.bridge_deltas(cache.stats, cache.stats.as_dict())
-    if deltas:
-        event_counter = registry.counter(
-            "repro_cache_events_total",
-            "query-cache events bridged from CacheStats",
-            labels=("event",),
-        )
-        for event, delta in deltas.items():
-            event_counter.inc(delta, event=event)
-    entries_gauge = registry.gauge(
-        "repro_cache_entries",
-        "current query-cache entry counts",
-        labels=("store",),
-    )
+    m = families(registry)
+    for event, delta in registry.bridge_deltas(cache.stats, cache.stats.as_dict()).items():
+        m.cache_events.inc(delta, event=event)
     for store, size in cache.sizes().items():
-        entries_gauge.set(size, store=store.replace("_entries", ""))
-
-
-def record_querylog_entry(
-    registry: MetricsRegistry, entry: dict[str, Any]
-) -> None:
-    """Count one structured query-log record (and its slow flag)."""
-    registry.counter(
-        "repro_querylog_entries_total",
-        "query-log records written, by slow flag",
-        labels=("slow",),
-    ).inc(slow="true" if entry.get("slow") else "false")
-
-
-def record_querylog_rotation(registry: MetricsRegistry) -> None:
-    registry.counter(
-        "repro_querylog_rotations_total", "query-log file rollovers"
-    ).inc()
-
-
-def record_verifier_check(registry: MetricsRegistry, rule: str) -> None:
-    registry.counter(
-        "repro_verifier_checks_total",
-        "rewrite fires checked by the soundness verifier, by rule",
-        labels=("rule",),
-    ).inc(rule=rule)
-
-
-def record_verifier_violation(
-    registry: MetricsRegistry, rule: str, invariant: str
-) -> None:
-    registry.counter(
-        "repro_verifier_violations_total",
-        "soundness violations raised by the verifier, by rule and invariant",
-        labels=("rule", "invariant"),
-    ).inc(rule=rule, invariant=invariant)
+        m.cache_entries.set(size, store=store.replace("_entries", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +206,10 @@ def summary_lines(
 ) -> list[str]:
     """A terminal-friendly digest: totals, latency quantiles, QPS and
     the hot-query table (with QL402 advice when ``db`` is given)."""
-    queries = _queries_counter(registry)
-    ok = sum(
-        child.value for key, child in queries.items() if key[1] == "ok"
-    )
-    errors = queries.total() - ok
-    latency = registry.histogram("repro_query_seconds", "whole-query latency")
-    child = latency.labels()
+    m = families(registry)
+    ok = sum(child.value for key, child in m.queries.items() if key[1] == "ok")
+    errors = m.queries.total() - ok
+    child = m.seconds.labels()
     window = registry.window(WINDOW_NAME)
     lines = [
         f"queries: {int(ok)} ok, {int(errors)} failed",
@@ -294,10 +242,3 @@ def summary_lines(
             if diag.hint:
                 lines.append(f"  = help: {diag.hint}")
     return lines
-
-
-def timed() -> float:
-    """The duration clock every telemetry measurement uses
-    (``time.perf_counter`` — wall-clock stamps are for event ``ts``
-    fields only; see the timing-source test)."""
-    return time.perf_counter()

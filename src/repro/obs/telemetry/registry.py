@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,13 +210,8 @@ class _HistogramChild:
     def observe(self, value: Union[int, float]) -> None:
         value = float(value)
         with self._lock:
-            i = 0
-            for i, bound in enumerate(self.bounds):  # noqa: B007
-                if value <= bound:
-                    break
-            else:
-                i = len(self.bounds)
-            self.counts[i] += 1
+            # the first bound >= value; past the last one, the +Inf slot
+            self.counts[bisect_left(self.bounds, value)] += 1
             self.sum += value
             self.count += 1
             if self.min is None or value < self.min:
@@ -400,6 +396,7 @@ class MetricsRegistry:
         # computed here so several databases sharing one cache and one
         # registry never double-count.
         self._bridged: dict[int, dict[str, int]] = {}
+        self._bound: dict[Any, Any] = {}
 
     # -- family accessors -------------------------------------------------------
 
@@ -442,6 +439,16 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
         return self._family(Histogram, name, help, labels, buckets=buckets)
+
+    def bound(self, factory: Callable[["MetricsRegistry"], Any]) -> Any:
+        """``factory(self)``, built once per registry (and again after
+        :meth:`reset`) — where a recorder keeps the families it writes
+        to, instead of looking each up by name per event."""
+        obj = self._bound.get(factory)
+        if obj is None:
+            with self._lock:
+                obj = self._bound.setdefault(factory, factory(self))
+        return obj
 
     def window(self, name: str, width: int = 60) -> RollingWindow:
         with self._lock:
@@ -528,6 +535,7 @@ class MetricsRegistry:
             self._families.clear()
             self._windows.clear()
             self._bridged.clear()
+            self._bound.clear()
             self.fingerprints.clear()
 
 

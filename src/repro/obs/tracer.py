@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -61,6 +62,10 @@ COMPILE_PHASES = (
     "optimize",
     "jit",
 )
+
+
+#: How many finished root spans a :class:`Tracer` retains (the newest).
+MAX_ROOTS = 1024
 
 
 @dataclass
@@ -107,19 +112,8 @@ class TraceSpan:
         return out
 
 
-class _NullSpanContext:
-    """The shared do-nothing context manager used while tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpanContext()
+#: The shared do-nothing context manager used while tracing is off.
+_NULL_SPAN = nullcontext()
 
 
 class Tracer:
@@ -135,8 +129,9 @@ class Tracer:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: finished top-level spans, oldest first
-        self.roots: list[TraceSpan] = []
+        #: the newest :data:`MAX_ROOTS` finished top-level spans, oldest
+        #: first — a ring, so a long traced session stays bounded
+        self.roots: deque[TraceSpan] = deque(maxlen=MAX_ROOTS)
         # The open-span stack is thread-local: two threads tracing
         # through one shared Tracer must each see their own nesting, or
         # a span opened on thread A would adopt thread B's children and
@@ -170,11 +165,14 @@ class Tracer:
         finally:
             span.duration = time.perf_counter() - span.start
             stack.pop()
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                with self._roots_lock:
-                    self.roots.append(span)
+            self._finished(span, parent)
+
+    def _finished(self, span: TraceSpan, parent: Optional[TraceSpan]) -> None:
+        if parent is not None:
+            parent.children.append(span)
+        else:
+            with self._roots_lock:
+                self.roots.append(span)
 
     def attach(self, name: str, start: float, duration: float, **meta: Any) -> None:
         """Attach an already-measured span under the current open span.
@@ -188,11 +186,7 @@ class Tracer:
             return
         span = TraceSpan(name, start, duration=duration, meta=dict(meta))
         stack = self._stack
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            with self._roots_lock:
-                self.roots.append(span)
+        self._finished(span, stack[-1] if stack else None)
 
     def mark_cached(self, *names: str) -> None:
         """Record zero-duration spans for phases a cache hit skipped.
@@ -208,28 +202,25 @@ class Tracer:
         parent = stack[-1] if stack else None
         now = time.perf_counter()
         for name in names:
-            span = TraceSpan(name, now, meta={"cached": True})
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                with self._roots_lock:
-                    self.roots.append(span)
+            self._finished(TraceSpan(name, now, meta={"cached": True}), parent)
 
     def reset(self) -> None:
         """Drop every finished span (open spans are unaffected)."""
-        self.roots.clear()
+        with self._roots_lock:
+            self.roots.clear()
 
     def to_events(self) -> list[dict[str, Any]]:
-        """Every finished span as a flat, JSON-ready event list.
+        """Every retained finished span as a flat, JSON-ready event list.
 
         Events appear in pre-order; ``parent`` is the index of the
         enclosing span's event (None for roots) and ``start_ms`` is
-        relative to the first recorded root.
+        relative to the first retained root.
         """
         events: list[dict[str, Any]] = []
-        if not self.roots:
+        roots = self._retained()
+        if not roots:
             return events
-        epoch = self.roots[0].start
+        epoch = roots[0].start
 
         def walk(span: TraceSpan, parent: Optional[int]) -> None:
             index = len(events)
@@ -245,13 +236,18 @@ class Tracer:
             for child in span.children:
                 walk(child, index)
 
-        for root in self.roots:
+        for root in roots:
             walk(root, None)
         return events
 
     def render(self) -> str:
-        """All finished roots as indented trees, one line per span."""
-        return "\n".join(render_span(root) for root in self.roots)
+        """All retained roots as indented trees, one line per span."""
+        return "\n".join(render_span(root) for root in self._retained())
+
+    def _retained(self) -> list[TraceSpan]:
+        # A copy: a deque may not be appended to while it is iterated.
+        with self._roots_lock:
+            return list(self.roots)
 
 
 def render_span(span: TraceSpan, indent: int = 0) -> str:

@@ -25,13 +25,12 @@ Execution model:
 4. Run each pipeline (filter → map → partial ``Reduce``) on a
    ``ThreadPoolExecutor`` worker: a plain
    :class:`~repro.algebra.physical.Executor` over the *original* plan
-   nodes, with its own :class:`~repro.algebra.physical.ExecutionStats`,
+   nodes, with its own :class:`~repro.obs.metrics.PlanMetrics`,
    whose scan and join loops replay the prepared entries instead of
    scanning and building again.
 5. Combine partials with the target monoid's ``combine_partials`` —
    index order for non-commutative monoids, completion order for
-   commutative ones — and fold the workers' stats back into the
-   query's block.
+   commutative ones — and add the workers' blocks into the query's.
 
 ``Nest`` (group-by) parallelizes as partitioned partial groupings:
 each worker folds its partition into per-key partial values (the
@@ -40,12 +39,14 @@ key and fold in partition-index order, and the outer fold then runs over the
 merged groups in canonical key order — the same order the serial
 operator emits.
 
-Per-operator metrics compose with the fan-out: each worker collects a
-private :class:`~repro.obs.metrics.PlanMetrics`, and because workers
-run the plan's own nodes the coordinator adds the blocks up node by
-node, so ``EXPLAIN ANALYZE`` and telemetry see the same tree they would
-serially — with ``invocations`` honestly reporting one stream opening
-per partition.
+The execution record composes with the fan-out: each worker counts
+into a private :class:`~repro.obs.metrics.PlanMetrics`, and because
+workers run the plan's own nodes the coordinator adds the blocks up node
+by node, so ``stats``, ``EXPLAIN ANALYZE`` and telemetry see the same
+counts they would serially — with ``invocations`` honestly reporting one
+stream opening per partition. A partition's rows are counted where they
+are replayed (the worker's Scan loop), not where the coordinator
+materialized them.
 
 Serial fallbacks (always value-identical): one worker, too few rows
 (``min_partition_rows``), or an unsupported spine. With ``verify`` on,
@@ -62,6 +63,7 @@ from typing import Any, Callable, Iterator, Optional
 from repro.algebra.ops import Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
 from repro.algebra.physical import Executor
 from repro.monoids import Monoid
+from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.parallel.config import ParallelConfig
 from repro.parallel.partition import partition_rows
 
@@ -122,7 +124,6 @@ class ParallelExecutor(Executor):
             return self._fold_plan(plan, monoid, self._iter(child)), "serial"
         source = self._rt.eval_fallback(scan.source, {})
         rows = tuple(self._bindings_of(source, scan.var, scan.index_var))
-        self.stats.rows_scanned += len(rows)
         partitions = partition_rows(
             rows, self.config.max_workers, self.config.morsel_size
         )
@@ -130,7 +131,7 @@ class ParallelExecutor(Executor):
             # Already scanned and built: replay it all in this thread.
             worker = self._worker({**prepared, id(scan): rows})
             value = worker._fold_plan(plan, monoid, worker._iter(child))
-            self._absorb(worker)
+            self.metrics.merge_from(worker.metrics)
             return value, "serial"
 
         maps = [{**prepared, id(scan): part} for part in partitions]
@@ -143,30 +144,19 @@ class ParallelExecutor(Executor):
             # Index order for non-commutative monoids (the
             # combine_partials contract), completion order otherwise.
             return monoid.combine_partials([out[1] for out in outs]), "parallel"
-        groups = self._parallel_groups(nest, maps)
-        if self.metrics is not None:
-            groups = self.metrics.instrument(nest, groups)
+        groups = self._iter(
+            nest, lambda node, block: self._parallel_groups(node, maps, block)
+        )
         return self._fold_plan(plan, monoid, groups), "parallel"
 
     def _worker(self, prepared: dict[int, Any]) -> Executor:
-        """A private executor for one partition — its own stats block
-        and (when the query is instrumented) its own PlanMetrics — that
-        replays ``prepared`` where it would scan or build."""
-        metrics = None
-        if self.metrics is not None:
-            from repro.obs.metrics import PlanMetrics
-
-            metrics = PlanMetrics()
+        """A private executor for one partition — its own record, timed
+        when the query's is — that replays ``prepared`` where it would
+        scan or build."""
+        metrics = PlanMetrics() if self._timed else None
         worker = Executor(self.evaluator, self.indexes, metrics=metrics, jit=self.jit)
         worker._prepared = prepared
         return worker
-
-    def _absorb(self, worker: Executor) -> None:
-        """Fold a finished worker's counters into this query's. Workers
-        run the plan's own nodes, so per-operator blocks merge by node."""
-        self.stats.merge_from(worker.stats)
-        if self.metrics is not None:
-            self.metrics.merge_from(worker.metrics)
 
     def _prepare_spine(self, node: PlanNode, prepared: dict[int, Any]) -> Optional[Scan]:
         """The driving Scan of a partitionable spine, else None.
@@ -218,7 +208,7 @@ class ParallelExecutor(Executor):
             for pairs in pool.map(keyed, partitions):
                 for key, right_binding in pairs:
                     table.setdefault(key, []).append(right_binding)
-        self._count_hash_builds(join, len(right_rows))
+        self.metrics.for_node(join).hash_builds += len(right_rows)
         return table
 
     def _fan_out(
@@ -228,8 +218,9 @@ class ParallelExecutor(Executor):
         ordered: bool,
     ) -> list[Outcome]:
         """Run ``task`` on a private worker per partition (one
-        ``prepared`` map each) on the pool, then fold the workers'
-        counters back in and attach per-partition trace spans.
+        ``prepared`` map each) on the pool, then add the workers' blocks
+        into the query's (workers run the plan's own nodes, so they merge
+        by node) and attach per-partition trace spans.
 
         ``ordered=True`` returns outcomes in partition-index order (the
         non-commutative requirement); ``ordered=False`` returns them in
@@ -249,20 +240,19 @@ class ParallelExecutor(Executor):
         for index, _value, worker, start, duration in sorted(
             outs, key=lambda out: out[0]
         ):
-            self._absorb(worker)
+            self.metrics.merge_from(worker.metrics)
             if self.tracer is not None:
                 self.tracer.attach(
                     f"partition[{index}]",
                     start,
                     duration,
-                    rows=worker.stats.rows_reduced,
+                    rows=worker.metrics.for_node(self._plan.child).rows_out,  # reduced
                 )
-        self.stats.partitions = len(outs)
-        self.stats.parallel_workers = workers
+        self.metrics.partitions, self.metrics.parallel_workers = len(outs), workers
         return outs
 
     def _parallel_groups(
-        self, nest: Nest, prepared: list[dict[int, Any]]
+        self, nest: Nest, prepared: list[dict[int, Any]], block: OperatorMetrics
     ) -> Iterator[dict[str, Any]]:
         """The Nest's output bindings from partitioned partial groupings."""
         outs = self._fan_out(
@@ -286,4 +276,4 @@ class ParallelExecutor(Executor):
             ]
             for key, rows in parts.items()
         }
-        yield from self._emit_groups(nest, merged)
+        yield from self._emit_groups(nest, merged, block)

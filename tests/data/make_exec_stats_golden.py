@@ -1,0 +1,85 @@
+"""Regenerate ``exec_stats_golden.json``: ``run_detailed(q).stats.as_dict()``
+for every query of the executor corpus, as whatever checkout is on
+``PYTHONPATH`` counts them.
+
+The checked-in file was written by PR 17's executor, whose loops bumped
+``self.stats.rows_* += 1`` per row; ``tests/test_exec_stats_golden.py``
+holds the view that replaced those counters (``ExecutionStats.of`` over
+the per-node blocks) to the same numbers, under none / jit / parallel /
+jit+parallel. Run from the repository root::
+
+    PYTHONPATH=<checkout>/src python tests/data/make_exec_stats_golden.py
+
+The corpus: every harness class's OQL (``catalogue_classes`` and
+``analytics_classes`` on small company / travel databases, the
+update-mix reads and its prepared statement on object-mode Cities) and
+the ``;``-separated queries of ``examples/*.oql`` on the demo travel
+database. Queries the algebra does not run have ``null`` stats.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from pathlib import Path
+from typing import Any, Iterator
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT))
+
+from benchmarks.harness import workloads  # noqa: E402
+from repro.db import demo_travel_database  # noqa: E402
+from repro.lint.cli import split_queries  # noqa: E402
+
+SCALE = workloads.Scale(depts=8, emps=90, cities=6, hotels=4, rooms=3)
+SEED = 11
+
+
+def corpus(modes: dict[str, Any]) -> Iterator[tuple[str, Any]]:
+    """``(label, thunk -> QueryResult)`` for every query, on databases
+    built with ``modes`` (``Database`` keyword arguments)."""
+    rng = random.Random(0)
+    reads = workloads.ReadWorkload("golden", SEED, SCALE, SCALE, workloads.MODES_OFF, None)
+    data = reads.generate(SCALE)
+    dbs = reads.build_dbs(data, workloads.MODES_OFF)
+    mix = workloads.UpdateMix(SEED, SCALE, SCALE, workloads.MODES_OFF)
+    dbs.update(mix.build_dbs(mix.generate(SCALE), workloads.MODES_OFF))
+    dbs["demo"] = demo_travel_database(num_cities=5, seed=3)
+    for db in dbs.values():
+        db.disable_telemetry()  # the demo database reads REPRO_* flags
+        db.disable_cache()
+        if modes.get("jit"):
+            db.enable_jit(modes["jit"])
+        if modes.get("parallel"):
+            db.enable_parallel(modes["parallel"])
+
+    def run(target: str, oql: str, opts: dict):
+        return lambda: dbs[target].run_detailed(oql, **opts)
+
+    for make in (workloads.catalogue_classes, workloads.analytics_classes):
+        for cls in make(data, rng):
+            yield f"{make.__name__}/{cls.name}", run(cls.target, cls.oql, cls.opts)
+    for name, oql in workloads._READS:
+        yield f"update_mix/{name}", run("objects", oql, {})
+    prepared = dbs["objects"].prepare(workloads._PREPARED)
+    yield "update_mix/prepared", lambda: prepared.run_detailed(p=workloads._THRESHOLDS[0])
+    for path in sorted((ROOT / "examples").glob("*.oql")):
+        for i, (_, _, text) in enumerate(split_queries(path.read_text())):
+            yield f"{path.name}#{i}", run("demo", text, {})
+
+
+def golden(modes: dict[str, Any]) -> dict[str, Any]:
+    out = {}
+    for label, thunk in corpus(modes):
+        stats = thunk().stats
+        out[label] = None if stats is None else stats.as_dict()
+    return out
+
+
+if __name__ == "__main__":
+    out = Path(__file__).with_name("exec_stats_golden.json")
+    entries = golden({})
+    lines = [f"{json.dumps(label)}: {json.dumps(stats)}" for label, stats in entries.items()]
+    out.write_text("{\n" + ",\n".join(lines) + "\n}\n")  # one query per line
+    print(f"{out}: {len(entries)} queries")

@@ -1,5 +1,6 @@
 """Per-operator metrics: one test per physical operator, and the
-guarantee that the metrics-less executor is the seed path untouched."""
+guarantee that an untimed execution records the same counts, timing
+nothing."""
 
 import dataclasses
 
@@ -209,11 +210,15 @@ class TestSeedPathUntouched:
         off = plain.run_detailed(self.QUERY)
         on = traced.run_detailed(self.QUERY)
 
-        assert off.span is None and off.metrics is None
-        assert on.span is not None and on.metrics is not None
+        assert off.span is None and on.span is not None
         assert off.value == on.value
         assert off.stats.as_dict() == on.stats.as_dict()
         assert off.engine == on.engine == "algebra"
+        # One record either way: the same counts per node, wall time
+        # only where tracing asked for it.
+        assert _counts(off) == _counts(on)
+        assert all(s.metrics.time_ns == 0 for s in off.metrics.walk(off.plan))
+        assert node_snap(on.metrics, on.plan, Reduce).metrics.time_ns > 0
 
     def test_profile_off_restores_untraced_pipeline(self):
         from repro.db import demo_travel_database
@@ -223,9 +228,9 @@ class TestSeedPathUntouched:
         db.profile(True)
         assert db.run_detailed("count(Cities)").span is not None
         db.profile(False)
-        result = db.run_detailed("count(Cities)")
+        result = db.run_detailed(self.QUERY)
         assert result.span is None
-        assert result.metrics is None
+        assert all(s.metrics.time_ns == 0 for s in result.metrics.walk(result.plan))
         assert db.query_log is None
 
     def test_metrics_flag_without_tracing(self):
@@ -235,17 +240,45 @@ class TestSeedPathUntouched:
         db.disable_telemetry()
         result = db.run_detailed(self.QUERY, metrics=True)
         assert result.span is None  # no tracer involved
-        assert result.metrics is not None
         assert node_snap(result.metrics, result.plan, Scan).rows_out == 4
+        assert node_snap(result.metrics, result.plan, Reduce).metrics.time_ns > 0
+
+    def test_no_plan_no_record(self):
+        from repro.db import demo_travel_database
+
+        db = demo_travel_database(num_cities=4, seed=1)
+        result = db.run_detailed(self.QUERY, engine="interpret")
+        assert result.stats is None and result.metrics is None
+
+
+def _counts(result):
+    return [
+        (s.node.label(), s.metrics.invocations, s.rows_out,
+         s.metrics.hash_builds, s.metrics.index_probes)
+        for s in result.metrics.walk(result.plan)
+    ]
 
 
 class TestStatsAsDict:
-    def test_derived_from_dataclass_fields(self):
-        stats = ExecutionStats(rows_scanned=7, hash_builds=2)
+    def test_derived_from_dataclass_fields(self, world):
+        plan = Reduce(
+            MonoidRef("set"),
+            proj(var("b"), "y"),
+            Join(
+                Scan("a", var("Ls")),
+                Scan("b", var("Rs")),
+                (proj(var("a"), "k"),),
+                (proj(var("b"), "k"),),
+            ),
+        )
+        stats = run_with_metrics(plan, world)[2]
         expected = {f.name for f in dataclasses.fields(ExecutionStats)}
         assert set(stats.as_dict()) == expected
-        assert stats.as_dict()["rows_scanned"] == 7
-        assert stats.as_dict()["hash_builds"] == 2
+        assert stats.as_dict()["rows_scanned"] == 6
+        assert stats.as_dict()["hash_builds"] == 3
+
+    def test_stats_before_any_execution_are_zero(self, world):
+        assert not any(Executor(Evaluator(world)).stats.as_dict().values())
 
     def test_operator_metrics_as_dict_is_field_complete(self):
         block = OperatorMetrics(rows_out=5, index_probes=1)

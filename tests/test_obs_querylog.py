@@ -68,7 +68,7 @@ class TestThreshold:
         db.run(QUERY)
         db.run("count(Cities)")
         assert [e["slow"] for e in db.query_log.entries] == [True, True]
-        assert db.query_log.slow_queries() == db.query_log.entries
+        assert db.query_log.slow_queries() == list(db.query_log.entries)
 
     def test_high_threshold_marks_nothing(self, db):
         db.profile(True, slow_ms=60_000.0)
@@ -84,7 +84,7 @@ class TestSink:
         db.run("count(Cities)")
         assert len(lines) == 2
         parsed = [json.loads(line) for line in lines]
-        assert parsed == db.query_log.entries
+        assert parsed == list(db.query_log.entries)
         assert parsed[1]["oql_sha256"] == oql_fingerprint("count(Cities)")
 
     def test_sorted_keys_for_stable_diffs(self, db):
@@ -101,13 +101,38 @@ class TestLifecycle:
         result = db.run_detailed("count(Cities)")
         log = QueryLog()
         entry = log.record(result, result.span)
-        assert log.entries == [entry]
+        assert list(log.entries) == [entry]
 
     def test_clear(self, db):
         db.profile(True)
         db.run("count(Cities)")
         db.query_log.clear()
-        assert db.query_log.entries == []
+        assert list(db.query_log.entries) == []
+
+    def test_long_traced_session_stays_bounded(self, monkeypatch):
+        """``Tracer.roots`` and ``QueryLog.entries`` are rings: ten times
+        the bound of traced runs retains the newest bound's worth, the
+        sink still sees every entry."""
+        from repro.obs import querylog, tracer
+
+        bound = 16
+        monkeypatch.setattr(tracer, "MAX_ROOTS", bound)
+        monkeypatch.setattr(querylog, "MAX_ENTRIES", bound)
+        db = demo_travel_database(num_cities=3, seed=11)
+        db.disable_telemetry()
+        lines: list[str] = []
+        db.profile(True, slow_ms=0.0, sink=lines.append)
+        for _ in range(10 * bound):
+            db.run("count(Cities)")
+        assert len(db.tracer.roots) == len(db.query_log.entries) == bound
+        assert len(lines) == 10 * bound
+        assert json.loads(lines[-1]) == db.query_log.entries[-1]
+        assert len(db.query_log.slow_queries()) == bound
+        roots = [e for e in db.tracer.to_events() if e["parent"] is None]
+        assert len(roots) == bound and roots[0]["start_ms"] == 0.0
+        db.tracer.reset()
+        db.query_log.clear()
+        assert len(db.tracer.roots) == len(db.query_log.entries) == 0
 
     def test_interpreter_queries_are_logged_too(self, db):
         db.profile(True)
@@ -126,7 +151,7 @@ class TestFileRotation:
         db.run("count(Cities)")
         lines = log_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
-        assert [json.loads(l) for l in lines] == db.query_log.entries
+        assert [json.loads(l) for l in lines] == list(db.query_log.entries)
 
     def test_rotates_before_crossing_max_bytes(self, db, tmp_path):
         log_path = tmp_path / "query.log"

@@ -15,7 +15,7 @@ class TestDisabledTracer:
         tracer = Tracer(enabled=False)
         with tracer.span("query") as span:
             assert span is None
-        assert tracer.roots == []
+        assert list(tracer.roots) == []
         assert tracer.to_events() == []
         assert tracer.render() == ""
 
@@ -28,7 +28,7 @@ class TestEnabledTracer:
                 pass
             with tracer.span("execute"):
                 pass
-        assert tracer.roots == [q]
+        assert list(tracer.roots) == [q]
         assert [c.name for c in q.children] == ["parse", "execute"]
         assert q.duration > 0
         assert all(c.duration <= q.duration for c in q.children)
@@ -61,7 +61,7 @@ class TestEnabledTracer:
         with tracer.span("a"):
             pass
         tracer.reset()
-        assert tracer.roots == []
+        assert list(tracer.roots) == []
 
 
 class TestTraceSpan:

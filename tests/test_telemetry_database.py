@@ -187,6 +187,99 @@ class TestRunInstrumentation:
         assert db.query_log.entries
 
 
+class TestOneRecord:
+    """Telemetry reads the execution's one record; it does not add
+    another recorder (clock-free guards: counts of calls, not times)."""
+
+    @pytest.mark.parametrize(
+        "oql, rows",
+        [
+            ("max(select c.name from c in Cities)", 1),  # a string, not its length
+            ("element(select distinct c from c in Cities where c.name = 'Salem')", 1),
+            ("struct(n: count(Cities), total: sum(select c.population from c in Cities))", 1),
+            ("count(Cities)", 1),
+            ("select distinct c.name from c in Cities", 4),
+            ("select c.state from c in Cities", None),
+        ],
+    )
+    def test_rows_returned_is_the_reduce_cardinality(self, db, registry, oql, rows):
+        db.enable_telemetry(registry)
+        result = db.run_detailed(oql)
+        if rows is None:  # a bag: one row per element
+            rows = len(result.value)
+        if result.metrics is not None:
+            assert result.metrics.get(result.plan).rows_out == rows
+        assert registry.counter("repro_rows_returned_total", "").total() == rows
+        assert registry.fingerprints.top(1)[0].rows == rows
+
+    def test_telemetry_alone_times_no_operator(self, db, registry, monkeypatch):
+        from repro.obs.metrics import PlanMetrics
+
+        frames = []
+        instrument = PlanMetrics.instrument
+
+        def counting(self, node, stream):
+            frames.append(node)
+            return instrument(self, node, stream)
+
+        monkeypatch.setattr(PlanMetrics, "instrument", counting)
+        db.enable_telemetry(registry)
+        db.tracer.enabled = False
+        result = db.run_detailed(NESTED_QUERY)
+        assert frames == []
+        assert result.span is not None  # phase spans, for the histograms
+        ops = registry.counter(
+            "repro_operator_rows_total", "", labels=("operator",)
+        )
+        assert ops.value(operator="Scan") == result.stats.rows_scanned == 4
+        assert ops.value(operator="Reduce") == len(result.value)
+        # asked for, the same run is timed: one wrapper per operator below the Reduce
+        db.run_detailed(NESTED_QUERY, metrics=True)
+        assert len(frames) == sum(1 for _ in result.metrics.walk(result.plan)) - 1
+
+    def test_fingerprint_is_paid_per_compile_not_per_run(self, db, registry, monkeypatch):
+        from repro.cache import keys
+        from repro.db import database
+        from repro.obs.telemetry import fingerprint
+
+        calls = []
+
+        def counting(term):
+            calls.append(term)
+            return keys.canonical_term(term)
+
+        for module in (database, fingerprint):
+            monkeypatch.setattr(module, "canonical_term", counting)
+        db.enable_telemetry(registry)
+        db.enable_cache()
+        for _ in range(5):
+            db.run(QUERY)
+        assert len(calls) == 1  # the cache's key; the fingerprint reuses it
+        assert registry.fingerprints.top(1)[0].count == 5
+        db.disable_cache()
+        db.run(QUERY)  # no cache: compiled afresh, fingerprinted once
+        assert len(calls) == 2
+        assert registry.fingerprints.top(1)[0].count == 6
+
+    def test_hot_query_table_columns(self, db, registry):
+        db.enable_telemetry(registry)
+        db.run(QUERY)
+        assert sorted(registry.fingerprints.top(1)[0].as_dict()) == [
+            "count", "engines", "example_oql", "fingerprint", "index_probes",
+            "max_ms", "mean_ms", "rows", "total_ms",
+        ]
+
+    def test_registry_reset_rebinds_families(self, db, registry):
+        db.enable_telemetry(registry)
+        db.run(QUERY)
+        registry.reset()
+        db.run(QUERY)
+        queries = registry.counter(
+            "repro_queries_total", "", labels=("engine", "status")
+        )
+        assert queries.total() == 1
+
+
 class TestThreadedStress:
     def test_exact_totals_across_threads(self, registry):
         threads, per_thread = 6, 8
@@ -289,7 +382,7 @@ class TestSummaryAndAdvice:
 
 class TestCliAndRepl:
     def test_metrics_dump_prom_round_trips(self, capsys):
-        from repro.obs.telemetry.promparse import parse_prometheus_text
+        from tests.promparse import parse_prometheus_text
 
         assert metrics_main(["dump", "--burst", "1"]) == 0
         out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from repro.obs.telemetry.export import (
     prometheus_text,
     statsd_lines,
 )
-from repro.obs.telemetry.promparse import PromParseError, parse_prometheus_text
+from tests.promparse import PromParseError, parse_prometheus_text
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.obs.telemetry.server import MetricsServer
 
