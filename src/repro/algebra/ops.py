@@ -21,43 +21,151 @@ The tree shape mirrors the canonical comprehension exactly, which is
 the paper's point: after normalization, generators become a left-deep
 chain of scans/joins/unnests that pipelines without materializing
 intermediate collections.
+
+**The operator table.** §3's operator positions hold only first-order
+terms over the columns of one input, so everything structural about an
+operator is three declarations, made once, here: ``CHILDREN`` (the names
+of its child fields, in plan order), ``binds()`` (the variables it
+binds) and ``_exprs()`` (its expression positions, each an
+:class:`Expr`). Whatever only needs that structure — selection placement,
+the jit's plan walk, plan-check, cache invalidation, the per-operator
+metrics, EXPLAIN — is a loop over :meth:`PlanNode.walk`,
+:attr:`PlanNode.exprs` and :meth:`PlanNode.with_children` and names no
+operator class; ``tests/test_algebra_ops.py`` fails for a class whose
+declarations miss one of its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
-from repro.calculus.ast import MonoidRef, Term
+from repro.calculus.ast import MonoidRef, Term, Var
 
 
 #: One reduction of a :class:`Nest`: ``(var, monoid, head, pred-or-None)``.
 Fold = tuple[str, MonoidRef, Term, Optional[Term]]
 
 
+class Expr(NamedTuple):
+    """One expression position of an operator."""
+
+    #: the node attribute its compiled closure(s) live in; None for a
+    #: term evaluated once per execution, before the stream starts, which
+    #: is never compiled (a Scan source, an IndexScan key)
+    slot: Optional[str]
+    #: what plan-check calls the position — one name, or one per term
+    label: Any
+    #: a term, None for an absent one, or a tuple of those
+    terms: Any
+    #: the plan variables the terms may read
+    scope: frozenset[str]
+
+    def labelled(self) -> Iterator[tuple[str, Term]]:
+        """``(label, term)`` for every term present."""
+        if not isinstance(self.terms, tuple):
+            if self.terms is not None:
+                yield self.label, self.terms
+            return
+        labels = self.label
+        if isinstance(labels, str):
+            labels = (labels,) * len(self.terms)
+        for label, term in zip(labels, self.terms):
+            if term is not None:
+                yield label, term
+
+
 class PlanNode:
-    """Base class of logical plan operators."""
+    """Base class of logical plan operators: frozen dataclasses, so what
+    is derived from their fields (:meth:`columns`, :attr:`exprs`) is
+    computed once per node and kept in its ``__dict__``."""
 
     __slots__ = ()
 
-    def columns(self) -> frozenset[str]:
-        """Variables bound in the binding environments this node emits."""
+    #: names of the fields holding child operators, in plan order
+    CHILDREN: tuple[str, ...]
+
+    # JIT state (a class-level default, not a dataclass field):
+    # repro.jit.plan.compile_node stores one closure attribute per
+    # :attr:`Expr.slot` and a ``jit_stats`` summary on the node, then sets
+    # ``jit_ready`` — last, so concurrent readers either see a fully
+    # compiled node or fall back to compiling it themselves (idempotent).
+    jit_ready = False
+
+    def binds(self) -> tuple[str, ...]:
+        """The variables this operator itself binds."""
         raise NotImplementedError
 
-    def children(self) -> tuple["PlanNode", ...]:
-        """Child operators in plan order (leaves return ())."""
-        return ()
+    def _exprs(self) -> tuple[Expr, ...]:
+        raise NotImplementedError
 
     def label(self) -> str:
         """The one-line operator description (first line of render)."""
-        return self.render(0).splitlines()[0]
+        raise NotImplementedError
+
+    @property
+    def exprs(self) -> tuple[Expr, ...]:
+        """The operator's expression positions."""
+        exprs = self.__dict__.get("_cached_exprs")
+        if exprs is None:
+            exprs = self.__dict__["_cached_exprs"] = self._exprs()
+        return exprs
+
+    def expr(self, slot: str) -> Expr:
+        """The expression position compiled into ``slot``."""
+        for entry in self.exprs:
+            if entry.slot == slot:
+                return entry
+        raise KeyError(slot)
+
+    def columns(self) -> frozenset[str]:
+        """Variables bound in the binding environments this node emits:
+        its input's and its own (a :class:`Nest` emits only its own)."""
+        columns = self.__dict__.get("_cached_columns")
+        if columns is None:
+            columns = self.__dict__["_cached_columns"] = self._columns()
+        return columns
+
+    def _columns(self) -> frozenset[str]:
+        return frozenset(self.binds()).union(*[c.columns() for c in self.children()])
+
+    def children(self) -> tuple["PlanNode", ...]:
+        """Child operators in plan order (leaves return ())."""
+        return tuple([getattr(self, name) for name in self.CHILDREN])
+
+    def with_children(self, *children: "PlanNode") -> "PlanNode":
+        """This operator over ``children`` — itself when they are its own."""
+        changed = {
+            name: new
+            for name, new in zip(self.CHILDREN, children)
+            if getattr(self, name) is not new
+        }
+        return dataclasses.replace(self, **changed) if changed else self
+
+    def walk(self) -> Iterator["PlanNode"]:
+        """Every operator of the tree under this one, pre-order."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
 
     def render(self, indent: int = 0) -> str:
         """Explain-style tree rendering."""
-        raise NotImplementedError
+        lines = ["  " * indent + self.label()]
+        lines.extend(child.render(indent + 1) for child in self.children())
+        return "\n".join(lines)
 
     def __str__(self) -> str:
         return self.render()
+
+
+def plan_variables(plan: PlanNode) -> frozenset[str]:
+    """Every variable bound by some operator in the plan tree."""
+    return frozenset(name for node in plan.walk() for name in node.binds())
+
+
+def _indexed(var: str, index_var: Optional[str]) -> str:
+    return f"{var} [{index_var}]" if index_var else var
 
 
 @dataclass(frozen=True)
@@ -72,16 +180,18 @@ class Scan(PlanNode):
     source: Term
     index_var: Optional[str] = None
 
-    def columns(self) -> frozenset[str]:
-        out = {self.var}
-        if self.index_var:
-            out.add(self.index_var)
-        return frozenset(out)
+    CHILDREN = ()
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        suffix = f" [{self.index_var}]" if self.index_var else ""
-        return f"{pad}Scan {self.var}{suffix} <- {self.source}"
+    def binds(self) -> tuple[str, ...]:
+        return (self.var, self.index_var) if self.index_var else (self.var,)
+
+    def _exprs(self) -> tuple[Expr, ...]:
+        # Evaluated in the global scope, where the scan's own names are
+        # not yet bound: mentioning one there names a global.
+        return (Expr(None, "source", self.source, self.columns()),)
+
+    def label(self) -> str:
+        return f"Scan {_indexed(self.var, self.index_var)} <- {self.source}"
 
 
 @dataclass(frozen=True)
@@ -91,23 +201,16 @@ class SelectOp(PlanNode):
     child: PlanNode
     pred: Term
 
-    # JIT slots (class-level defaults, not dataclass fields): populated
-    # in place by repro.jit.plan.compile_node. ``jit_ready`` is set last
-    # so concurrent readers either see a fully compiled node or fall
-    # back to compiling it themselves (idempotent).
-    pred_fn = None
-    jit_ready = False
-    jit_stats = None
+    CHILDREN = ("child",)
 
-    def columns(self) -> frozenset[str]:
-        return self.child.columns()
+    def binds(self) -> tuple[str, ...]:
+        return ()
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
+    def _exprs(self) -> tuple[Expr, ...]:
+        return (Expr("pred_fn", "predicate", self.pred, self.child.columns()),)
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        return f"{pad}Select {self.pred}\n{self.child.render(indent + 1)}"
+    def label(self) -> str:
+        return f"Select {self.pred}"
 
 
 @dataclass(frozen=True)
@@ -126,31 +229,29 @@ class Join(PlanNode):
     right_keys: tuple[Term, ...] = ()
     residual: Optional[Term] = None
 
-    # JIT slots — see SelectOp.
-    left_key_fns = ()
-    right_key_fns = ()
-    residual_fn = None
-    jit_ready = False
-    jit_stats = None
+    CHILDREN = ("left", "right")
 
-    def columns(self) -> frozenset[str]:
-        return self.left.columns() | self.right.columns()
+    def binds(self) -> tuple[str, ...]:
+        return ()
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
+    def _exprs(self) -> tuple[Expr, ...]:
+        return (
+            Expr("left_key_fns", "left key", self.left_keys, self.left.columns()),
+            Expr("right_key_fns", "right key", self.right_keys, self.right.columns()),
+            Expr("residual_fn", "residual", self.residual, self.columns()),
+        )
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
+    def label(self) -> str:
         if self.left_keys:
             keys = ", ".join(
                 f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
             )
-            head = f"{pad}Join [{keys}]"
+            head = f"Join [{keys}]"
         else:
-            head = f"{pad}Join [cross]"
+            head = "Join [cross]"
         if self.residual is not None:
             head += f" where {self.residual}"
-        return f"{head}\n{self.left.render(indent + 1)}\n{self.right.render(indent + 1)}"
+        return head
 
 
 @dataclass(frozen=True)
@@ -166,24 +267,14 @@ class Unnest(PlanNode):
     path: Term
     index_var: Optional[str] = None
 
-    # JIT slots — see SelectOp.
-    src_fn = None
-    jit_ready = False
-    jit_stats = None
+    CHILDREN = ("child",)
+    binds = Scan.binds
 
-    def columns(self) -> frozenset[str]:
-        out = set(self.child.columns()) | {self.var}
-        if self.index_var:
-            out.add(self.index_var)
-        return frozenset(out)
+    def _exprs(self) -> tuple[Expr, ...]:
+        return (Expr("src_fn", "path", self.path, self.child.columns()),)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        suffix = f" [{self.index_var}]" if self.index_var else ""
-        return f"{pad}Unnest {self.var}{suffix} <- {self.path}\n{self.child.render(indent + 1)}"
+    def label(self) -> str:
+        return f"Unnest {_indexed(self.var, self.index_var)} <- {self.path}"
 
 
 @dataclass(frozen=True)
@@ -194,20 +285,16 @@ class Reduce(PlanNode):
     head: Term
     child: PlanNode
 
-    # JIT slots — see SelectOp.
-    head_fn = None
-    jit_ready = False
-    jit_stats = None
+    CHILDREN = ("child",)
 
-    def columns(self) -> frozenset[str]:
-        return self.child.columns()
+    def binds(self) -> tuple[str, ...]:
+        return ()
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
+    def _exprs(self) -> tuple[Expr, ...]:
+        return (Expr("head_fn", "head", self.head, self.child.columns()),)
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        return f"{pad}Reduce {self.monoid}{{ {self.head} }}\n{self.child.render(indent + 1)}"
+    def label(self) -> str:
+        return f"Reduce {self.monoid}{{ {self.head} }}"
 
 
 @dataclass(frozen=True)
@@ -230,31 +317,39 @@ class Nest(PlanNode):
     keys: tuple[tuple[str, Term], ...]
     folds: tuple[Fold, ...]
 
-    # JIT slots — see SelectOp. ``head_fns``/``pred_fns`` run parallel
-    # to ``folds`` (a None pred stays None).
-    key_fns = ()
-    head_fns = ()
-    pred_fns = ()
-    jit_ready = False
-    jit_stats = None
+    CHILDREN = ("child",)
 
-    def columns(self) -> frozenset[str]:
-        return frozenset(
+    def binds(self) -> tuple[str, ...]:
+        return tuple(
             [label for label, _ in self.keys] + [fold[0] for fold in self.folds]
         )
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
+    def _columns(self) -> frozenset[str]:
+        return frozenset(self.binds())  # a group replaces the rows folded into it
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
+    def _exprs(self) -> tuple[Expr, ...]:
+        # ``head_fns``/``pred_fns`` run parallel to ``folds`` (a None
+        # pred stays None).
+        cols = self.child.columns()
+        fold = tuple(f"fold {fold[0]}" for fold in self.folds)
+        return (
+            Expr(
+                "key_fns",
+                tuple(f"key {label}" for label, _ in self.keys),
+                tuple(term for _, term in self.keys),
+                cols,
+            ),
+            Expr("head_fns", fold, tuple(fold[2] for fold in self.folds), cols),
+            Expr("pred_fns", fold, tuple(fold[3] for fold in self.folds), cols),
+        )
+
+    def label(self) -> str:
         keys = ", ".join(f"{label}={term}" for label, term in self.keys)
         folds = ", ".join(
             f"{var} <- {monoid}{{ {head}{'' if pred is None else f' | {pred}'} }}"
             for var, monoid, head, pred in self.folds
         )
-        head = f"{pad}Nest [{keys}] {folds}".rstrip()
-        return f"{head}\n{self.child.render(indent + 1)}"
+        return f"Nest [{keys}] {folds}".rstrip()
 
 
 @dataclass(frozen=True)
@@ -271,9 +366,20 @@ class IndexScan(PlanNode):
     attribute: str
     key: Term
 
-    def columns(self) -> frozenset[str]:
-        return frozenset({self.var})
+    CHILDREN = ()
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        return f"{pad}IndexScan {self.var} <- {self.extent}[{self.attribute} = {self.key}]"
+    def binds(self) -> tuple[str, ...]:
+        return (self.var,)
+
+    def _exprs(self) -> tuple[Expr, ...]:
+        # ``key`` was the other side of a predicate on ``var``: unlike a
+        # Scan source it may not mention it. The extent is read by name —
+        # declared as a term so that whoever collects what a plan reads
+        # finds it among the free variables.
+        return (
+            Expr(None, "key", self.key, frozenset()),
+            Expr(None, "extent", Var(self.extent), frozenset((self.extent,))),
+        )
+
+    def label(self) -> str:
+        return f"IndexScan {self.var} <- {self.extent}[{self.attribute} = {self.key}]"

@@ -1,16 +1,18 @@
 """Heuristic logical-plan optimizer.
 
-Three classic rewrites, each visible in ``explain`` output:
+Plans built by :func:`repro.algebra.translate.build_plan` already have
+every selection placed (:func:`~repro.algebra.translate.place`); what the
+optimizer adds, each visible in ``explain`` output:
 
 1. **Index selection** — ``Select (v.attr = const) over Scan v <- Extent``
    becomes an :class:`IndexScan` when a hash index exists on
-   ``(Extent, attr)``.
-2. **Selection pushdown** — selections sink below joins/unnests to the
-   lowest operator that binds their variables (plans built by
-   :func:`repro.algebra.translate.build_plan` are already pushed; this
-   pass re-establishes the property after other rewrites).
-3. **Join key promotion** — residual equality predicates directly above
-   a Join move into its hash keys.
+   ``(Extent, attr)``: the leaf rule it hands ``sink``.
+2. **Selection pushdown and join key promotion for hand-built plans** —
+   every selection is placed again through that same function, so one
+   written above a join or unnest sinks to the lowest operator that binds
+   its variables and an equality across a Join moves into its hash keys.
+3. **Build sides** — with extent sizes, a hash join builds on the input
+   estimated smaller.
 
 The optimizer is pure: it returns a new plan tree.
 """
@@ -19,17 +21,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algebra.ops import (
-    IndexScan,
-    Join,
-    Nest,
-    PlanNode,
-    Reduce,
-    Scan,
-    SelectOp,
-    Unnest,
-)
-from repro.algebra.translate import _try_join_keys
+from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
+from repro.algebra.translate import sink
 from repro.analysis.verifier import resolve_verify
 from repro.calculus.ast import BinOp, Proj, Term, Var
 from repro.calculus.traversal import free_vars
@@ -62,102 +55,44 @@ class Optimizer:
     def optimize(self, plan: Reduce) -> Reduce:
         """Rewrite the plan; the result is executable by the Executor."""
         child = self._opt(plan.child)
-        if self.extent_sizes and _monoid_is_commutative(plan.monoid):
-            child = self._choose_build_sides(child)
-        result = Reduce(plan.monoid, plan.head, child)
+        if (
+            self.extent_sizes
+            and any(isinstance(node, Join) and node.left_keys for node in child.walk())
+            and _monoid_is_commutative(plan.monoid)
+        ):
+            child = self._choose_build_sides(
+                child, estimate_cardinalities(child, self.extent_sizes)
+            )
+        result = plan.with_children(child)
         if resolve_verify(self.verify):
             from repro.analysis.plancheck import check_plan_rewrite
 
             check_plan_rewrite("optimizer", plan, result)
         return result
 
-    def _choose_build_sides(self, node: PlanNode) -> PlanNode:
-        if isinstance(node, Join):
-            left = self._choose_build_sides(node.left)
-            right = self._choose_build_sides(node.right)
-            join = Join(left, right, node.left_keys, node.right_keys, node.residual)
-            if join.left_keys:
-                left_est = estimate_cardinality(left, self.extent_sizes)
-                right_est = estimate_cardinality(right, self.extent_sizes)
-                if right_est > left_est:
-                    return Join(
-                        right, left, join.right_keys, join.left_keys, join.residual
-                    )
-            return join
-        if isinstance(node, SelectOp):
-            return SelectOp(self._choose_build_sides(node.child), node.pred)
-        if isinstance(node, Unnest):
-            return Unnest(
-                self._choose_build_sides(node.child),
-                node.var,
-                node.path,
-                node.index_var,
+    def _choose_build_sides(self, node: PlanNode, estimates: dict[int, float]) -> PlanNode:
+        """Flip every hash Join whose build side is estimated larger (a
+        flip changes no estimate above it, so one table serves)."""
+        flipped = node.with_children(
+            *[self._choose_build_sides(child, estimates) for child in node.children()]
+        )
+        if (
+            isinstance(node, Join)
+            and node.left_keys
+            and estimates[id(node.right)] > estimates[id(node.left)]
+        ):
+            return Join(
+                flipped.right, flipped.left, node.right_keys, node.left_keys, node.residual
             )
-        return node
-
-    # -- recursive rewrite -------------------------------------------------------
+        return flipped
 
     def _opt(self, node: PlanNode) -> PlanNode:
+        """Re-place every selection, bottom-up, with index selection on
+        (a plan whose selections are all in place comes back as it is)."""
+        node = node.with_children(*map(self._opt, node.children()))
         if isinstance(node, SelectOp):
-            child = self._opt(node.child)
-            return self._place_select(child, node.pred)
-        if isinstance(node, Join):
-            return Join(
-                self._opt(node.left),
-                self._opt(node.right),
-                node.left_keys,
-                node.right_keys,
-                node.residual,
-            )
-        if isinstance(node, Unnest):
-            return Unnest(self._opt(node.child), node.var, node.path, node.index_var)
+            return sink(node.child, node.pred, self._match_index) or node
         return node
-
-    def _place_select(self, child: PlanNode, pred: Term) -> PlanNode:
-        """Sink one selection as deep as its variables allow."""
-        # Index selection on a direct scan.
-        if isinstance(child, Scan):
-            index_scan = self._match_index(child, pred)
-            if index_scan is not None:
-                return index_scan
-            return SelectOp(child, pred)
-        if isinstance(child, SelectOp):
-            placed = self._place_select(child.child, pred)
-            return SelectOp(placed, child.pred)
-        if isinstance(child, Join):
-            needed = free_vars(pred)
-            if needed & child.columns() <= child.left.columns():
-                return Join(
-                    self._place_select(child.left, pred),
-                    child.right,
-                    child.left_keys,
-                    child.right_keys,
-                    child.residual,
-                )
-            if needed & child.columns() <= child.right.columns():
-                return Join(
-                    child.left,
-                    self._place_select(child.right, pred),
-                    child.left_keys,
-                    child.right_keys,
-                    child.residual,
-                )
-            keyed = _try_join_keys(child, pred)
-            if keyed is not None:
-                return keyed
-            return SelectOp(child, pred)
-        if isinstance(child, Unnest):
-            needed = free_vars(pred)
-            inner_cols = child.child.columns()
-            if needed & child.columns() <= inner_cols:
-                return Unnest(
-                    self._place_select(child.child, pred),
-                    child.var,
-                    child.path,
-                    child.index_var,
-                )
-            return SelectOp(child, pred)
-        return SelectOp(child, pred)
 
     # -- index matching -------------------------------------------------------------
 
@@ -171,8 +106,6 @@ class Optimizer:
             return None
         attribute, key = match
         if (extent, attribute) not in self.available_indexes:
-            return None
-        if scan.var in free_vars(key):
             return None
         return IndexScan(scan.var, extent, attribute, key)
 
@@ -218,52 +151,60 @@ DEFAULT_EXTENT_SIZE = 1000.0
 DEFAULT_GROUP_FACTOR = 0.1
 
 
-def estimate_cardinality(
-    node: PlanNode,
+def estimate_cardinalities(
+    plan: PlanNode,
     extent_sizes: Optional[dict[str, int]] = None,
     stats: Optional[dict] = None,
-) -> float:
-    """Output-cardinality estimate for a plan subtree.
+) -> dict[int, float]:
+    """Output-cardinality estimates for every node of a plan, by
+    ``id(node)``, computed bottom-up in one pass.
 
     Without ``stats`` (a :class:`repro.db.stats.ExtentStats` mapping),
     fixed default selectivities/fan-outs apply; with it, equality
     selections use ``1/distinct(attr)`` and unnests the measured average
     fan-out of the navigated attribute.
     """
-    sizes = extent_sizes or {}
-    var_extents = _scan_var_extents(node)
-    return _estimate(node, sizes, stats or {}, var_extents)
+    sizes, stats = extent_sizes or {}, stats or {}
+    # Plan variables -> the extents their Scan reads, where known.
+    var_extents: dict[str, str] = {}
+    for node in plan.walk():
+        if isinstance(node, Scan) and isinstance(node.source, Var):
+            var_extents[node.var] = node.source.name
+        elif isinstance(node, IndexScan):
+            var_extents[node.var] = node.extent
+    estimates: dict[int, float] = {}
+
+    def visit(node: PlanNode) -> float:
+        inputs = [visit(child) for child in node.children()]
+        estimates[id(node)] = _estimate(node, inputs, sizes, stats, var_extents)
+        return estimates[id(node)]
+
+    visit(plan)
+    return estimates
 
 
-def _scan_var_extents(node: PlanNode) -> dict[str, str]:
-    """Map plan variables to the extents their Scan reads, where known."""
-    out: dict[str, str] = {}
-
-    def walk(n: PlanNode) -> None:
-        if isinstance(n, Scan) and isinstance(n.source, Var):
-            out[n.var] = n.source.name
-        elif isinstance(n, IndexScan):
-            out[n.var] = n.extent
-        for child in _plan_children(n):
-            walk(child)
-
-    walk(node)
-    return out
+def estimate_cardinality(
+    node: PlanNode,
+    extent_sizes: Optional[dict[str, int]] = None,
+    stats: Optional[dict] = None,
+) -> float:
+    """Output-cardinality estimate for a plan subtree (the root's entry
+    of :func:`estimate_cardinalities`)."""
+    return estimate_cardinalities(node, extent_sizes, stats)[id(node)]
 
 
 def _estimate(
     node: PlanNode,
+    inputs: list[float],
     sizes: dict[str, int],
     stats: dict,
     var_extents: dict[str, str],
 ) -> float:
+    """One operator's estimate from its children's (``inputs``)."""
     if isinstance(node, Reduce):
-        base = _estimate(node.child, sizes, stats, var_extents)
         # A primitive-monoid reduce (sum/count/max/some...) emits one
         # value regardless of input; collection reduces keep the stream.
-        if _monoid_is_primitive(node.monoid):
-            return 1.0
-        return base
+        return 1.0 if _monoid_is_primitive(node.monoid) else inputs[0]
     if isinstance(node, Scan):
         if isinstance(node.source, Var):
             return float(sizes.get(node.source.name, DEFAULT_EXTENT_SIZE))
@@ -271,29 +212,21 @@ def _estimate(
     if isinstance(node, IndexScan):
         base = float(sizes.get(node.extent, DEFAULT_EXTENT_SIZE))
         selectivity = _stat_selectivity(stats, node.extent, node.attribute)
-        if selectivity is not None:
-            return max(1.0, base * selectivity)
-        return max(1.0, base * 0.01)
+        return max(1.0, base * (0.01 if selectivity is None else selectivity))
     if isinstance(node, SelectOp):
-        base = _estimate(node.child, sizes, stats, var_extents)
         selectivity = _pred_selectivity(node.pred, stats, var_extents)
-        return base * (selectivity if selectivity is not None else DEFAULT_SELECTIVITY)
+        return inputs[0] * (DEFAULT_SELECTIVITY if selectivity is None else selectivity)
     if isinstance(node, Join):
-        left = _estimate(node.left, sizes, stats, var_extents)
-        right = _estimate(node.right, sizes, stats, var_extents)
-        if node.left_keys:
-            return max(left, right)
-        return left * right
+        left, right = inputs
+        return max(left, right) if node.left_keys else left * right
     if isinstance(node, Unnest):
-        base = _estimate(node.child, sizes, stats, var_extents)
         fanout = _path_fanout(node.path, stats, var_extents)
-        return base * (fanout if fanout is not None else DEFAULT_FANOUT)
+        return inputs[0] * (DEFAULT_FANOUT if fanout is None else fanout)
     if isinstance(node, Nest):
-        base = _estimate(node.child, sizes, stats, var_extents)
         distinct = _keys_distinct(node, stats, var_extents)
         if distinct is not None:
-            return max(1.0, min(base, distinct))
-        return max(1.0, base * DEFAULT_GROUP_FACTOR)
+            return max(1.0, min(inputs[0], distinct))
+        return max(1.0, inputs[0] * DEFAULT_GROUP_FACTOR)
     return DEFAULT_EXTENT_SIZE
 
 
@@ -368,19 +301,13 @@ def explain(
     stats: Optional[dict] = None,
 ) -> str:
     """Readable plan rendering with cardinality estimates per node."""
+    estimates = estimate_cardinalities(plan, extent_sizes, stats)
     lines: list[str] = []
 
     def walk(node: PlanNode, indent: int) -> None:
-        pad = "  " * indent
-        est = estimate_cardinality(node, extent_sizes, stats)
-        label = node.render(0).splitlines()[0]
-        lines.append(f"{pad}{label}   ~{est:.0f} rows")
-        for child in _plan_children(node):
+        lines.append(f"{'  ' * indent}{node.label()}   ~{estimates[id(node)]:.0f} rows")
+        for child in node.children():
             walk(child, indent + 1)
 
     walk(plan, 0)
     return "\n".join(lines)
-
-
-def _plan_children(node: PlanNode) -> tuple[PlanNode, ...]:
-    return node.children()

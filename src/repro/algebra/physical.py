@@ -186,7 +186,7 @@ class Executor:
     ) -> Any:
         """Fold a Reduce node's head over a binding stream into
         ``monoid``. The parallel engine calls this per partition."""
-        head_fn = self._fn(plan, "head_fn", plan.head)
+        head_fn = self._fn(plan, "head_fn")
         rt = self._rt
         start, step, finish = _folder(monoid)
         state = start()
@@ -196,10 +196,11 @@ class Executor:
 
     # -- operator expressions --------------------------------------------------------
 
-    def _fn(self, node: PlanNode, slot: str, term: Any) -> Any:
-        """The ``fn(binding, rt)`` for ``term``, the expression ``node``
-        keeps compiled in ``slot`` — a tuple of them for a tuple of
-        terms, None for an absent one (alone or inside the tuple).
+    def _fn(self, node: PlanNode, slot: str) -> Any:
+        """The ``fn(binding, rt)`` for the expression ``node`` keeps
+        compiled in ``slot`` (its :meth:`~PlanNode.expr` entry names the
+        term) — a tuple of them for a tuple of terms, None for an absent
+        one (alone or inside the tuple).
 
         This is the only place that knows how expressions are evaluated:
         with the JIT on it is the node's compiled closure (compiled
@@ -208,6 +209,7 @@ class Executor:
         against the interpreter; with it off, a thunk that re-enters the
         reference interpreter. The loops below only ever call it.
         """
+        term = node.expr(slot).terms
         many = isinstance(term, tuple)
         if self.jit is None:
             return tuple(map(_interpreted, term)) if many else _interpreted(term)
@@ -253,7 +255,7 @@ class Executor:
     def _iter_select(
         self, node: SelectOp, block: OperatorMetrics
     ) -> Iterator[dict[str, Any]]:
-        pred_fn = self._fn(node, "pred_fn", node.pred)
+        pred_fn = self._fn(node, "pred_fn")
         rt = self._rt
         kept = 0
         for binding in self._iter(node.child):
@@ -273,7 +275,7 @@ class Executor:
         self, node: Join, right: Iterable[dict[str, Any]]
     ) -> dict[Any, list[dict[str, Any]]]:
         """Hash ``right`` (the Join's right input) on its key terms."""
-        right_fns = self._fn(node, "right_key_fns", node.right_keys)
+        right_fns = self._fn(node, "right_key_fns")
         rt = self._rt
         table: dict[Any, list[dict[str, Any]]] = {}
         built = 0
@@ -288,8 +290,8 @@ class Executor:
         table = self._prepared.get(id(node))
         if table is None:
             table = self._build_table(node, self._iter(node.right))
-        left_fns = self._fn(node, "left_key_fns", node.left_keys)
-        residual_fn = self._fn(node, "residual_fn", node.residual)
+        left_fns = self._fn(node, "left_key_fns")
+        residual_fn = self._fn(node, "residual_fn")
         rt = self._rt
         joined = 0
         for left_binding in self._iter(node.left):
@@ -308,7 +310,7 @@ class Executor:
         right = self._prepared.get(id(node))
         if right is None:
             right = list(self._iter(node.right))
-        residual_fn = self._fn(node, "residual_fn", node.residual)
+        residual_fn = self._fn(node, "residual_fn")
         rt = self._rt
         joined = 0
         for left_binding in self._iter(node.left):
@@ -323,7 +325,7 @@ class Executor:
     def _iter_unnest(
         self, node: Unnest, block: OperatorMetrics
     ) -> Iterator[dict[str, Any]]:
-        src_fn = self._fn(node, "src_fn", node.path)
+        src_fn = self._fn(node, "src_fn")
         rt = self._rt
         unnested = 0
         for binding in self._iter(node.child):
@@ -348,9 +350,9 @@ class Executor:
         bindings carrying that key. This is the one grouping loop: the
         parallel engine calls it per partition and combines the values
         per key and fold."""
-        key_fns = self._fn(node, "key_fns", tuple(term for _, term in node.keys))
-        head_fns = self._fn(node, "head_fns", tuple(fold[2] for fold in node.folds))
-        pred_fns = self._fn(node, "pred_fns", tuple(fold[3] for fold in node.folds))
+        key_fns = self._fn(node, "key_fns")
+        head_fns = self._fn(node, "head_fns")
+        pred_fns = self._fn(node, "pred_fns")
         folders = [_folder(monoid) for monoid in self._fold_monoids(node)]
         steps = [
             (i, pred_fns[i], head_fns[i], folders[i][1]) for i in range(len(folders))
@@ -378,7 +380,7 @@ class Executor:
         self, node: Nest, groups: dict[tuple, list], block: OperatorMetrics
     ) -> Iterator[dict[str, Any]]:
         """One binding per group, in canonical key order."""
-        names = [label for label, _ in node.keys] + [fold[0] for fold in node.folds]
+        names = node.binds()
         for key in sorted(groups, key=canonical_key):
             yield dict(zip(names, (*key, *groups[key])))
         block.rows_out += len(groups)

@@ -18,6 +18,8 @@ rejecting queries.
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from repro.calculus.ast import (
     Bind,
     BinOp,
@@ -167,51 +169,52 @@ def _attach_ready(
     for pred in pending:
         needed = free_vars(pred) & all_vars
         if plan is not None and needed <= bound:
-            plan = _attach(plan, pred)
+            plan = place(plan, pred)
         else:
             remaining.append(pred)
     return plan, remaining
 
 
-def _attach(plan: PlanNode, pred: Term) -> PlanNode:
-    """Attach one predicate as deep as its variables allow.
+#: ``leaf(scan, pred)``: the access path answering ``pred`` over ``scan``
+#: directly (the optimizer's index selection), or None.
+LeafRule = Callable[[Scan, Term], Optional[PlanNode]]
 
-    Predicates local to one join input sink into it; equalities across
-    both inputs become hash keys; everything else becomes a selection at
-    this level.
+
+def place(plan: PlanNode, pred: Term, leaf: Optional[LeafRule] = None) -> PlanNode:
+    """``plan`` filtered by ``pred``, attached as deep as its variables
+    allow — the one statement of selection placement.
+
+    A predicate local to one join input sinks into it, one that does not
+    read an Unnest's variable sinks below the Unnest, an equality across
+    both join inputs becomes a hash key, and at a Scan ``leaf`` may turn
+    it into an access path; everything else becomes a selection where it
+    stopped. It passes existing selections only on the way somewhere
+    deeper: selections stacked over one input stay in the order they were
+    placed, which for :func:`build_plan` is the source order the reference
+    evaluator tests them in.
     """
+    return sink(plan, pred, leaf) or SelectOp(plan, pred)
+
+
+def sink(plan: PlanNode, pred: Term, leaf: Optional[LeafRule] = None) -> PlanNode | None:
+    """``plan`` with ``pred`` placed somewhere inside it, or None when it
+    belongs directly above (where the optimizer, re-placing a selection
+    that already is there, keeps the node it has)."""
+    if isinstance(plan, Scan):
+        return None if leaf is None else leaf(plan, pred)
     if isinstance(plan, SelectOp):
-        return SelectOp(_attach(plan.child, pred), plan.pred)
-    if isinstance(plan, Join):
+        sunk = sink(plan.child, pred, leaf)
+        return None if sunk is None else plan.with_children(sunk)
+    if isinstance(plan, (Join, Unnest)):
         needed = free_vars(pred) & plan.columns()
-        if needed and needed <= plan.left.columns():
-            return Join(
-                _attach(plan.left, pred),
-                plan.right,
-                plan.left_keys,
-                plan.right_keys,
-                plan.residual,
-            )
-        if needed and needed <= plan.right.columns():
-            return Join(
-                plan.left,
-                _attach(plan.right, pred),
-                plan.left_keys,
-                plan.right_keys,
-                plan.residual,
-            )
-        keyed = _try_join_keys(plan, pred)
-        if keyed is not None:
-            return keyed
-        return SelectOp(plan, pred)
-    if isinstance(plan, Unnest):
-        needed = free_vars(pred) & plan.columns()
-        if needed and needed <= plan.child.columns():
-            return Unnest(
-                _attach(plan.child, pred), plan.var, plan.path, plan.index_var
-            )
-        return SelectOp(plan, pred)
-    return SelectOp(plan, pred)
+        children = plan.children()
+        for i, child in enumerate(children):
+            if needed <= child.columns():
+                placed = place(child, pred, leaf)
+                return plan.with_children(*children[:i], placed, *children[i + 1 :])
+        if isinstance(plan, Join):
+            return _try_join_keys(plan, pred)
+    return None
 
 
 def _try_join_keys(join: Join, pred: Term) -> Join | None:

@@ -4,11 +4,10 @@ The result cache is only sound if every input a plan can observe is
 covered by a version counter. This module computes, for one
 :class:`~repro.cache.core.CompiledQuery`:
 
-- ``extents`` — the named extents the plan reads, found by walking the
-  physical plan via :meth:`PlanNode.children` and collecting the free
-  variables of every embedded calculus term (minus the plan's own
-  binding columns), plus :class:`IndexScan` extents which are named
-  directly;
+- ``extents`` — the named extents the plan reads: the free variables
+  of every term its operators declare (:attr:`PlanNode.exprs`; an
+  ``IndexScan`` declares the extent it probes by name as one), minus the
+  variables the plan itself binds;
 - ``cacheable`` — whether a finished value may be served again later.
   Conservative: any effectful construct (``new``/``:=``/field update —
   two runs would observe different OIDs or states), any call into a
@@ -25,11 +24,10 @@ function of the query text and catalog structure either way.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from repro.algebra.ops import IndexScan, PlanNode
+from repro.algebra.ops import PlanNode, plan_variables
 from repro.calculus.ast import Assign, Call, MethodCall, New, Term, Update
 from repro.calculus.traversal import free_vars, subterms
 
@@ -43,40 +41,12 @@ class Dependencies:
     reason: Optional[str] = None  # why result caching is off, if it is
 
 
-def walk_plan(plan: PlanNode) -> Iterator[PlanNode]:
-    """Every operator of a plan tree, pre-order."""
-    yield plan
-    for child in plan.children():
-        yield from walk_plan(child)
-
-
 def plan_terms(plan: PlanNode) -> Iterator[Term]:
-    """Every calculus term embedded in a plan's operators.
-
-    Field-generic on purpose: any operator added later contributes its
-    ``Term``-typed fields (and tuples of terms) without touching this.
-    """
-    for node in walk_plan(plan):
-        for spec in dataclasses.fields(node):
-            value = getattr(node, spec.name)
-            if isinstance(value, Term):
-                yield value
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, Term):
-                        yield item
-                    elif isinstance(item, tuple):  # Nest keys and folds
-                        for part in item:
-                            if isinstance(part, Term):
-                                yield part
-
-
-def plan_columns(plan: PlanNode) -> frozenset[str]:
-    """Every variable any operator of the plan binds."""
-    out: set[str] = set()
-    for node in walk_plan(plan):
-        out.update(node.columns())
-    return frozenset(out)
+    """Every calculus term embedded in a plan's operators."""
+    for node in plan.walk():
+        for entry in node.exprs:
+            for _, term in entry.labelled():
+                yield term
 
 
 def analyze_dependencies(
@@ -91,18 +61,13 @@ def analyze_dependencies(
     functions = set(user_functions)
 
     if kind in ("groupby", "algebra") and plan is not None:
-        bound = plan_columns(plan)
         free: set[str] = set()
         for term in plan_terms(plan):
             free.update(free_vars(term))
-        free -= bound
-        extents = {name for name in free if name in known}
-        for node in walk_plan(plan):
-            if isinstance(node, IndexScan):
-                extents.add(node.extent)
+        free -= plan_variables(plan)
     else:
         free = set(free_vars(normalized))
-        extents = {name for name in free if name in known}
+    extents = {name for name in free if name in known}
 
     cacheable = True
     reason: Optional[str] = None

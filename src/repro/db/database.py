@@ -48,7 +48,7 @@ from repro.cache.core import CompiledQuery, QueryCache
 from repro.cache.invalidation import analyze_dependencies
 from repro.cache.keys import canonical_term, param_names
 from repro.calculus.ast import Comprehension, Term
-from repro.calculus.traversal import substitute_many
+from repro.calculus.traversal import free_vars, substitute_many
 from repro.db.catalog import Catalog
 from repro.db.sample_data import (
     company_schema,
@@ -300,13 +300,15 @@ class Database:
 
     def translate(self, oql: str) -> Term:
         """OQL text -> calculus term with views expanded."""
-        return self._to_calculus(parse(oql))
+        return self._to_calculus(parse(oql))[0]
 
-    def _to_calculus(self, node: Any) -> Term:
+    def _to_calculus(self, node: Any) -> tuple[Term, bool]:
+        """The calculus term of a syntax tree, and whether a view was
+        expanded into it (most queries name none, whatever is defined)."""
         term = Translator(self.schema).translate(node)
-        if self._views:
-            term = substitute_many(term, dict(self._views))
-        return term
+        if self._views and not self._views.keys().isdisjoint(free_vars(term)):
+            return substitute_many(term, dict(self._views)), True
+        return term, False
 
     def typecheck(self, term: Term) -> None:
         """Run the static checker (C/I restriction and type errors)."""
@@ -548,7 +550,7 @@ class Database:
         with tracer.span("parse"):
             node = parse(oql)
         with tracer.span("translate"):
-            calculus = self._to_calculus(node)
+            calculus, viewed = self._to_calculus(node)
         key = None
         if cache is not None:
             # Only a cache needs the canonical alpha-form; without one
@@ -569,7 +571,7 @@ class Database:
         phases = ["parse", "translate"]
         # ``$`` is not an identifier character, so text without one has
         # no parameters (a view body is the one other place to hide one).
-        params = param_names(calculus) if "$" in oql or self._views else ()
+        params = param_names(calculus) if "$" in oql or viewed else ()
         if typecheck:
             with tracer.span("typecheck"):
                 env = self._extent_types()
@@ -583,10 +585,11 @@ class Database:
         kind = "interpret"
         plan: Optional[Reduce] = None
         if engine in ("auto", "algebra"):
-            if isinstance(node, Select) and node.group_by and not (skip_group_by or self._views):
+            if isinstance(node, Select) and node.group_by and not (skip_group_by or viewed):
                 # A single-pass Nest plan for group-by selects (see
-                # :mod:`repro.algebra.groupby`); shapes it does not
-                # cover fall through to the comprehension plan.
+                # :mod:`repro.algebra.groupby`, which plans from the
+                # syntax tree and so cannot see into a view); shapes it
+                # does not cover fall through to the comprehension plan.
                 try:
                     with tracer.span("plan"):
                         plan = build_group_by_plan(node, Translator(self.schema))

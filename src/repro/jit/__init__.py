@@ -21,7 +21,6 @@ from repro.jit.config import (
 )
 from repro.jit.plan import (
     compile_node,
-    node_fallbacks,
     plan_fallback_constructs,
     precompile_plan,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "compile_term",
     "config_from_env",
     "jit_env_enabled",
-    "node_fallbacks",
     "plan_fallback_constructs",
     "precompile_plan",
     "resolve_jit",

@@ -1,9 +1,9 @@
 """Plan-walk precompilation: attach closures to physical plan nodes.
 
-:func:`compile_node` compiles one operator's embedded calculus terms
-(``SelectOp.pred``, ``Join`` keys/residual, ``Unnest.path``, ``Nest``
-keys and fold heads/predicates, ``Reduce.head``) against the statically
-known columns of the relevant child and stores the resulting closures on the node
+:func:`compile_node` compiles one operator's embedded calculus terms —
+every entry of its :attr:`~repro.algebra.ops.PlanNode.exprs` that names
+a closure slot, against the columns that entry says the term may read —
+and stores the resulting closures on the node under the slot's name
 (``pred_fn``, ``left_key_fns``, ...). Plan nodes are frozen
 dataclasses, so the closures live in the instance ``__dict__`` via
 ``object.__setattr__`` — they are derived data, not part of the node's
@@ -25,32 +25,38 @@ interpreter fallbacks — the input to the ``QL501`` lint.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from repro.algebra.ops import Join, Nest, PlanNode, Reduce, SelectOp, Unnest
+from repro.algebra.ops import PlanNode
 from repro.jit.compiler import compile_term
 
 
-def _compile_exprs(node: PlanNode, specs: list[tuple[str, Any, frozenset[str]]]) -> None:
-    """Compile ``specs`` (slot name, term or tuple of terms, bound
-    columns) and attach results plus a ``jit_stats`` summary to
-    ``node``. An absent (None) term keeps a None slot and counts as
-    neither compiled nor fallback."""
+def compile_node(node: PlanNode) -> None:
+    """Compile (idempotently) the expressions of one plan operator and
+    attach them, plus a ``jit_stats`` summary, to ``node``. An absent
+    (None) term keeps a None slot and counts as neither compiled nor
+    fallback; an entry without a slot (a Scan source, an IndexScan key)
+    is evaluated once per execution, not per row — compiling it would
+    not pay for itself."""
+    if node.jit_ready:
+        return
     compiled = 0
     fallback = 0
     constructs: dict[str, int] = {}
-    for attr, value, bound in specs:
+    for slot, _, value, scope in node.exprs:
+        if slot is None:
+            continue
         fns = []
         for term in value if isinstance(value, tuple) else (value,):
             if term is None:
                 fns.append(None)
                 continue
-            fn, clean = _one(term, bound, constructs)
+            fn, clean = _one(term, scope, constructs)
             fns.append(fn)
             compiled += clean
             fallback += 1 - clean
         object.__setattr__(
-            node, attr, tuple(fns) if isinstance(value, tuple) else fns[0]
+            node, slot, tuple(fns) if isinstance(value, tuple) else fns[0]
         )
     object.__setattr__(
         node,
@@ -77,44 +83,6 @@ def _one(term, bound: frozenset[str], constructs: dict[str, int]):
     return fn, 1
 
 
-#: Operators carrying per-row expressions (Scan/IndexScan sources are
-#: evaluated once per execution and stay interpreted).
-COMPILABLE_NODES = (SelectOp, Join, Unnest, Nest, Reduce)
-
-
-def compile_node(node: PlanNode) -> None:
-    """Compile (idempotently) the expressions of one plan operator."""
-    if not isinstance(node, COMPILABLE_NODES) or node.jit_ready:
-        return
-    if isinstance(node, SelectOp):
-        _compile_exprs(node, [("pred_fn", node.pred, node.child.columns())])
-    elif isinstance(node, Join):
-        _compile_exprs(
-            node,
-            [
-                ("left_key_fns", node.left_keys, node.left.columns()),
-                ("right_key_fns", node.right_keys, node.right.columns()),
-                ("residual_fn", node.residual, node.columns()),
-            ],
-        )
-    elif isinstance(node, Unnest):
-        _compile_exprs(node, [("src_fn", node.path, node.child.columns())])
-    elif isinstance(node, Nest):
-        child_cols = node.child.columns()
-        _compile_exprs(
-            node,
-            [
-                ("key_fns", tuple(term for _, term in node.keys), child_cols),
-                ("head_fns", tuple(fold[2] for fold in node.folds), child_cols),
-                ("pred_fns", tuple(fold[3] for fold in node.folds), child_cols),
-            ],
-        )
-    elif isinstance(node, Reduce):
-        _compile_exprs(node, [("head_fn", node.head, node.child.columns())])
-    # Scan / IndexScan sources are evaluated once per execution, not per
-    # row — compiling them would not pay for itself.
-
-
 def precompile_plan(plan: PlanNode) -> dict[str, Any]:
     """Compile every operator in ``plan``; returns aggregate stats
     (``compiled``/``fallback`` expression counts and the fallback
@@ -122,17 +90,13 @@ def precompile_plan(plan: PlanNode) -> dict[str, Any]:
     compiled = 0
     fallback = 0
     constructs: dict[str, int] = {}
-    stack: list[PlanNode] = [plan]
-    while stack:
-        node = stack.pop()
+    for node in plan.walk():
         compile_node(node)
-        stats = getattr(node, "jit_stats", None)
-        if stats is not None:
-            compiled += stats["compiled"]
-            fallback += stats["fallback"]
-            for name, count in stats["constructs"].items():
-                constructs[name] = constructs.get(name, 0) + count
-        stack.extend(node.children())
+        stats = node.jit_stats
+        compiled += stats["compiled"]
+        fallback += stats["fallback"]
+        for name, count in stats["constructs"].items():
+            constructs[name] = constructs.get(name, 0) + count
     return {"compiled": compiled, "fallback": fallback, "constructs": constructs}
 
 
@@ -141,11 +105,3 @@ def plan_fallback_constructs(plan: PlanNode) -> dict[str, int]:
     needed) — what ``QL501`` names when a hot query stays interpreted."""
     return precompile_plan(plan)["constructs"]
 
-
-def node_fallbacks(node: PlanNode) -> Optional[dict[str, int]]:
-    """Per-node fallback histogram, or None if the node has no
-    compilable expressions (Scan/IndexScan) or is not yet compiled."""
-    stats = getattr(node, "jit_stats", None)
-    if stats is None:
-        return None
-    return dict(stats["constructs"])

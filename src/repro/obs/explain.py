@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.algebra.ops import PlanNode
-from repro.algebra.optimizer import estimate_cardinality
+from repro.algebra.optimizer import estimate_cardinalities
 from repro.obs.metrics import PlanMetrics
 
 
@@ -41,14 +41,13 @@ def plan_to_dict(
     """The plan subtree as nested dicts, annotated with estimates and —
     when ``metrics`` is given — per-node actuals and wall time."""
     snapshot = metrics.snapshot(plan) if metrics is not None else None
+    estimates = estimate_cardinalities(plan, extent_sizes, stats)
 
     def build(node: PlanNode, snap) -> dict[str, Any]:
         out: dict[str, Any] = {
             "op": type(node).__name__,
             "label": node.label(),
-            "estimated_rows": round(
-                estimate_cardinality(node, extent_sizes, stats), 2
-            ),
+            "estimated_rows": round(estimates[id(node)], 2),
         }
         if snap is not None:
             block = snap.metrics

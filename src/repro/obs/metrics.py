@@ -97,10 +97,7 @@ class PlanMetrics:
 
     def blocks(self, plan: PlanNode) -> Iterator[tuple[PlanNode, OperatorMetrics]]:
         """``(node, block)`` for every node of the tree under ``plan``."""
-        stack = [plan]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children())
+        for node in plan.walk():
             yield node, self.for_node(node)
 
     def merge_from(self, other: "PlanMetrics") -> None:

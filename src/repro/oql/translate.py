@@ -256,7 +256,7 @@ class Translator:
         qualifiers = self._tr_from_where(node)
         head = self._tr(node.head)
         if node.order_by:
-            return self._tr_ordered_select(node, head, qualifiers)
+            return self._tr_ordered_select(node, head, qualifiers, node.distinct)
         monoid = "set" if node.distinct else "bag"
         result = Comprehension(MonoidRef(monoid), head, qualifiers)
         if node.distinct:
@@ -279,13 +279,13 @@ class Translator:
         return tuple(qualifiers)
 
     def _tr_ordered_select(
-        self, node: Select, head: Term, qualifiers: tuple[Qualifier, ...]
+        self, node: Select, head: Term, qualifiers: tuple[Qualifier, ...], distinct: bool
     ) -> Term:
         # sorted/sortedbag of <k=key, v=head> pairs, then project v.
         key = self._order_key(node.order_by, self._tr)
         pair_head = rec(k=key, v=head)
         pair_var = fresh_var("p")
-        kind = "sorted" if node.distinct else "sortedbag"
+        kind = "sorted" if distinct else "sortedbag"
         ref = MonoidRef(kind, key=Lambda(pair_var, proj(var(pair_var), "k")))
         pairs = Comprehension(ref, pair_head, qualifiers)
         out = fresh_var("r")
@@ -307,6 +307,7 @@ class Translator:
         where H' and G' may reference the group labels and
         ``partition`` — a faithful rendering of the ODMG semantics that
         exercises nested comprehensions exactly as the paper advertises.
+        An ``order by`` (its keys see the same names) sorts that set.
         """
         base_quals = self._tr_from_where(node)
         key_record = rec(**{item.label: self._tr(item.key) for item in node.group_by})
@@ -340,6 +341,8 @@ class Translator:
             qualifiers.append(Filter(self._tr(node.having)))
 
         head = self._tr(node.head)
+        if node.order_by:
+            return self._tr_ordered_select(node, head, tuple(qualifiers), True)
         return Comprehension(MonoidRef("set"), head, tuple(qualifiers))
 
     @staticmethod

@@ -195,7 +195,7 @@ class ParallelExecutor(Executor):
         )
         if len(partitions) <= 1 or len(right_rows) < self.config.min_partition_rows:
             return self._build_table(join, right_rows)
-        right_fns = self._fn(join, "right_key_fns", join.right_keys)
+        right_fns = self._fn(join, "right_key_fns")
         rt = self._rt
 
         def keyed(part: Any) -> list[tuple[Any, dict[str, Any]]]:

@@ -36,9 +36,10 @@ SCALE = workloads.Scale(depts=8, emps=90, cities=6, hotels=4, rooms=3)
 SEED = 11
 
 
-def corpus(modes: dict[str, Any]) -> Iterator[tuple[str, Any]]:
-    """``(label, thunk -> QueryResult)`` for every query, on databases
-    built with ``modes`` (``Database`` keyword arguments)."""
+def queries(modes: dict[str, Any]) -> Iterator[tuple[str, Any, str, Any]]:
+    """``(label, database, oql, thunk -> QueryResult)`` for every query,
+    on databases built with ``modes`` (``jit`` / ``parallel`` / ``cache``
+    settings for ``Database.enable_*``)."""
     rng = random.Random(0)
     reads = workloads.ReadWorkload("golden", SEED, SCALE, SCALE, workloads.MODES_OFF, None)
     data = reads.generate(SCALE)
@@ -49,24 +50,38 @@ def corpus(modes: dict[str, Any]) -> Iterator[tuple[str, Any]]:
     for db in dbs.values():
         db.disable_telemetry()  # the demo database reads REPRO_* flags
         db.disable_cache()
+        if modes.get("cache"):
+            db.enable_cache(modes["cache"])
         if modes.get("jit"):
             db.enable_jit(modes["jit"])
         if modes.get("parallel"):
             db.enable_parallel(modes["parallel"])
 
-    def run(target: str, oql: str, opts: dict):
-        return lambda: dbs[target].run_detailed(oql, **opts)
+    def run(label: str, target: str, oql: str, opts: dict):
+        db = dbs[target]
+        return label, db, oql, lambda: db.run_detailed(oql, **opts)
 
     for make in (workloads.catalogue_classes, workloads.analytics_classes):
         for cls in make(data, rng):
-            yield f"{make.__name__}/{cls.name}", run(cls.target, cls.oql, cls.opts)
+            yield run(f"{make.__name__}/{cls.name}", cls.target, cls.oql, cls.opts)
     for name, oql in workloads._READS:
-        yield f"update_mix/{name}", run("objects", oql, {})
+        yield run(f"update_mix/{name}", "objects", oql, {})
     prepared = dbs["objects"].prepare(workloads._PREPARED)
-    yield "update_mix/prepared", lambda: prepared.run_detailed(p=workloads._THRESHOLDS[0])
+    yield (
+        "update_mix/prepared",
+        dbs["objects"],
+        workloads._PREPARED,
+        lambda: prepared.run_detailed(p=workloads._THRESHOLDS[0]),
+    )
     for path in sorted((ROOT / "examples").glob("*.oql")):
         for i, (_, _, text) in enumerate(split_queries(path.read_text())):
-            yield f"{path.name}#{i}", run("demo", text, {})
+            yield run(f"{path.name}#{i}", "demo", text, {})
+
+
+def corpus(modes: dict[str, Any]) -> Iterator[tuple[str, Any]]:
+    """``(label, thunk -> QueryResult)`` for every query of :func:`queries`."""
+    for label, _, _, thunk in queries(modes):
+        yield label, thunk
 
 
 def golden(modes: dict[str, Any]) -> dict[str, Any]:

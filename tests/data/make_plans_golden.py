@@ -1,0 +1,72 @@
+"""Regenerate ``plans_golden.json``: what every consumer of a plan's
+structure says about each query of the executor corpus
+(:func:`tests.data.make_exec_stats_golden.queries`), as whatever checkout
+is on ``PYTHONPATH`` says it.
+
+Per query: the executed plan's ``render()``, ``Database.explain()`` text
+(the per-node cardinality estimates), the ``precompile_plan`` report
+(``compiled`` / ``fallback`` / ``constructs``) and the
+``analyze_dependencies`` verdict (``extents`` / ``cacheable`` /
+``reason``). The checked-in file was written by PR 18's ``src`` (then
+regenerated once, in its own commit, when the A3 build-side flip was
+deleted — see EXPERIMENTS.md); ``tests/test_plans_golden.py`` holds the
+operator table of ``repro.algebra.ops`` and everything that loops over it
+to the same answers, under none / jit / cache / verify. Run from the
+repository root::
+
+    PYTHONPATH=<checkout>/src python tests/data/make_plans_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+from typing import Any
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT))
+
+from repro.cache.invalidation import analyze_dependencies  # noqa: E402
+from repro.jit.plan import precompile_plan  # noqa: E402
+from tests.data.make_exec_stats_golden import queries  # noqa: E402
+
+
+def _renumbered(text: str) -> str:
+    """``text`` with its fresh-variable suffixes (``x~17``) numbered by
+    first appearance: the counter behind them is process-global."""
+    seen: dict[str, int] = {}
+    return re.sub(r"(?<=\w)~\d+", lambda m: f"~{seen.setdefault(m.group(), len(seen) + 1)}", text)
+
+
+def golden(modes: dict[str, Any]) -> dict[str, Any]:
+    out = {}
+    for label, db, oql, thunk in queries(modes):
+        result = thunk()
+        entry, plan = result.compiled, result.plan
+        deps = analyze_dependencies(
+            entry.kind,
+            plan,
+            entry.normalized,
+            set(db.catalog.extents()) | db._object_extents,  # noqa: SLF001
+            db.functions,
+        )
+        out[label] = {
+            "render": None if plan is None else _renumbered(plan.render()),
+            "explain": _renumbered(db.explain(oql)),
+            "jit": None if plan is None else precompile_plan(plan),
+            "deps": {
+                "extents": sorted(deps.extents),
+                "cacheable": deps.cacheable,
+                "reason": deps.reason,
+            },
+        }
+    return out
+
+
+if __name__ == "__main__":
+    out = Path(__file__).with_name("plans_golden.json")
+    entries = golden({})
+    out.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"{out}: {len(entries)} queries")

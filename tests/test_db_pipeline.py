@@ -12,7 +12,6 @@ import pytest
 from repro.algebra.ops import Nest
 from repro.algebra.physical import Executor
 from repro.analysis.verifier import verification
-from repro.cache.invalidation import walk_plan
 from repro.db import Database, company_schema, make_company, make_travel_agency, travel_schema
 from repro.errors import PlanError, ReproError, UnboundVariableError, VerificationError
 from repro.normalize import is_canonical
@@ -98,7 +97,7 @@ def op_tree(node: dict) -> list:
 def test_explain_of_group_by_is_the_nest_plan_run_executes(cache):
     db = company(cache)
     executed = db.run_detailed(GROUP_BY).plan
-    assert any(isinstance(node, Nest) for node in walk_plan(executed))
+    assert any(isinstance(node, Nest) for node in executed.walk())
     estimated = db.explain_data(GROUP_BY)
     analyzed = db.explain_data(GROUP_BY, analyze=True)
     assert estimated["engine"] == analyzed["engine"] == "algebra"
@@ -150,7 +149,7 @@ def fail_plans(monkeypatch, only_nest: bool):
     real = Executor.execute
 
     def execute(self, plan):
-        if not only_nest or any(isinstance(node, Nest) for node in walk_plan(plan)):
+        if not only_nest or any(isinstance(node, Nest) for node in plan.walk()):
             raise PlanError("forced by the test")
         return real(self, plan)
 
@@ -176,7 +175,7 @@ class TestFallbackChain:
                 result = run()
                 assert to_python(result.value) == expected, label
                 assert result.engine == "algebra", label
-                assert not any(isinstance(n, Nest) for n in walk_plan(result.plan)), label
+                assert not any(isinstance(n, Nest) for n in result.plan.walk()), label
             if db.cache is not None:
                 assert db.compile(GROUP_BY).kind == "algebra", label
 
