@@ -11,16 +11,15 @@ O(n) accumulator (the design choice in ``CollectionMonoid``) versus the
 textbook right fold of unit/merge the semantics is defined by. Same
 results, very different constants (quadratic for list/set merges).
 
-A3 — **build-side ablation**: the hash join with and without the
-optimizer's build-on-the-smaller-input flip.
+A3 (the build-side flip) measured at parity and was deleted with the flip
+(EXPERIMENTS.md A3).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algebra import Executor, Join, Optimizer, Reduce, build_plan
-from repro.eval import Evaluator
+from repro.algebra import Executor, build_plan
 from repro.monoids import BAG, LIST, SET
 from repro.normalize import DEFAULT_RULES, normalize
 from repro.normalize.rules import ExistentialFusion, FlattenGenerator
@@ -91,20 +90,3 @@ def test_a2_strategies_agree():
             folded = monoid.merge(folded, monoid.unit(item))
         assert acc.finish() == folded
 
-
-JOIN = (
-    "select distinct struct(e: e.name, d: d.name) "
-    "from d in Departments, e in Employees where e.dno = d.dno"
-)
-
-
-@pytest.mark.parametrize("flip", ["build-side-chosen", "syntactic-order"])
-def test_a3_build_side_ablation(benchmark, flip):
-    db = build_company_db(num_employees=1200, seed=4)
-    plan = build_plan(normalize(db.translate(JOIN)))
-    if flip == "build-side-chosen":
-        plan = Optimizer(extent_sizes=db.catalog.extent_sizes()).optimize(plan)
-    executor = Executor(db.evaluator())
-    benchmark.group = "A3 build side"
-    value = benchmark(lambda: executor.execute(plan))
-    assert len(value) == 1200

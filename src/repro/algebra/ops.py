@@ -27,9 +27,9 @@ terms over the columns of one input, so everything structural about an
 operator is three declarations, made once, here: ``CHILDREN`` (the names
 of its child fields, in plan order), ``binds()`` (the variables it
 binds) and ``_exprs()`` (its expression positions, each an
-:class:`Expr`). Whatever only needs that structure — selection placement,
-the jit's plan walk, plan-check, cache invalidation, the per-operator
-metrics, EXPLAIN — is a loop over :meth:`PlanNode.walk`,
+:class:`Expr`). Whatever only needs that structure — the jit's plan walk,
+plan-check, cache invalidation, the per-operator metrics, the optimizer's
+and EXPLAIN's walks — is a loop over :meth:`PlanNode.walk`,
 :attr:`PlanNode.exprs` and :meth:`PlanNode.with_children` and names no
 operator class; ``tests/test_algebra_ops.py`` fails for a class whose
 declarations miss one of its fields.
@@ -62,18 +62,11 @@ class Expr(NamedTuple):
     #: the plan variables the terms may read
     scope: frozenset[str]
 
-    def labelled(self) -> Iterator[tuple[str, Term]]:
+    def labelled(self) -> list[tuple[str, Term]]:
         """``(label, term)`` for every term present."""
-        if not isinstance(self.terms, tuple):
-            if self.terms is not None:
-                yield self.label, self.terms
-            return
-        labels = self.label
-        if isinstance(labels, str):
-            labels = (labels,) * len(self.terms)
-        for label, term in zip(labels, self.terms):
-            if term is not None:
-                yield label, term
+        terms = self.terms if isinstance(self.terms, tuple) else (self.terms,)
+        labels = self.label if isinstance(self.label, tuple) else (self.label,) * len(terms)
+        return [(label, term) for label, term in zip(labels, terms) if term is not None]
 
 
 class PlanNode:

@@ -11,8 +11,10 @@ optimizer adds, each visible in ``explain`` output:
    every selection is placed again through that same function, so one
    written above a join or unnest sinks to the lowest operator that binds
    its variables and an equality across a Join moves into its hash keys.
-3. **Build sides** — with extent sizes, a hash join builds on the input
-   estimated smaller.
+
+A hash join builds on its right input, the one the query wrote second:
+choosing the build side by estimated size measured at parity and was
+deleted (EXPERIMENTS.md A3).
 
 The optimizer is pure: it returns a new plan tree.
 """
@@ -31,11 +33,9 @@ from repro.calculus.traversal import free_vars
 class Optimizer:
     """Applies the heuristic rewrites to a logical plan.
 
-    ``extent_sizes`` (element counts per extent) enables the build-side
-    heuristic: hash joins build their table on the smaller input, so a
-    Join whose right (build) side is estimated larger than its left
-    (probe) side is flipped. Flipping reorders the output stream, so it
-    is applied only when the plan's output monoid is commutative.
+    ``extent_sizes`` (element counts per extent) is accepted and not
+    read: the one rewrite that used it, the build-side flip, is gone, and
+    the benchmark harness still passes both arguments positionally.
 
     ``verify=True`` checks both the input and the rewritten plan for
     schema/scoping consistency (see :mod:`repro.analysis.plancheck`);
@@ -49,42 +49,16 @@ class Optimizer:
         verify: Optional[bool] = None,
     ) -> None:
         self.available_indexes = available_indexes or set()
-        self.extent_sizes = extent_sizes or {}
         self.verify = verify
 
     def optimize(self, plan: Reduce) -> Reduce:
         """Rewrite the plan; the result is executable by the Executor."""
-        child = self._opt(plan.child)
-        if (
-            self.extent_sizes
-            and any(isinstance(node, Join) and node.left_keys for node in child.walk())
-            and _monoid_is_commutative(plan.monoid)
-        ):
-            child = self._choose_build_sides(
-                child, estimate_cardinalities(child, self.extent_sizes)
-            )
-        result = plan.with_children(child)
+        result = self._opt(plan)
         if resolve_verify(self.verify):
             from repro.analysis.plancheck import check_plan_rewrite
 
             check_plan_rewrite("optimizer", plan, result)
         return result
-
-    def _choose_build_sides(self, node: PlanNode, estimates: dict[int, float]) -> PlanNode:
-        """Flip every hash Join whose build side is estimated larger (a
-        flip changes no estimate above it, so one table serves)."""
-        flipped = node.with_children(
-            *[self._choose_build_sides(child, estimates) for child in node.children()]
-        )
-        if (
-            isinstance(node, Join)
-            and node.left_keys
-            and estimates[id(node.right)] > estimates[id(node.left)]
-        ):
-            return Join(
-                flipped.right, flipped.left, node.right_keys, node.left_keys, node.residual
-            )
-        return flipped
 
     def _opt(self, node: PlanNode) -> PlanNode:
         """Re-place every selection, bottom-up, with index selection on
@@ -114,14 +88,6 @@ def _monoid_is_primitive(ref) -> bool:
     from repro.monoids.registry import PRIMITIVE_MONOIDS
 
     return not ref.is_vector and ref.name in {m.name for m in PRIMITIVE_MONOIDS}
-
-
-def _monoid_is_commutative(ref) -> bool:
-    from repro.types.infer import MONOID_PROPS
-
-    name = ref.element.name if ref.is_vector and ref.element is not None else ref.name
-    entry = MONOID_PROPS.get(name)
-    return entry is not None and entry[0]
 
 
 def _equality_on_var(pred: Term, var_name: str) -> Optional[tuple[str, Term]]:

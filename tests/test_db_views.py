@@ -60,6 +60,11 @@ class TestViews:
 
 
 class TestBuildSideHeuristic:
+    """The optimizer used to flip a hash Join whose build (right) side was
+    estimated larger; that measured at parity and was deleted
+    (EXPERIMENTS.md A3). These now pin what is left: whatever the extent
+    sizes, a Join keeps the sides the query wrote."""
+
     def _join_plan(self):
         return build_plan(
             translate_oql(
@@ -73,16 +78,14 @@ class TestBuildSideHeuristic:
         optimized = Optimizer(extent_sizes={"Big": 10_000, "Small": 10}).optimize(plan)
         join = optimized.child
         assert isinstance(join, Join)
-        # probe (left) should now be the big input, build (right) the small
+        # probe (left) is the big input, build (right) the small: as written
         assert isinstance(join.left, Scan) and join.left.var == "big"
         assert isinstance(join.right, Scan) and join.right.var == "small"
 
     def test_already_good_order_untouched(self):
         plan = self._join_plan()
-        optimized = Optimizer(extent_sizes={"Big": 10, "Small": 10_000}).optimize(plan)
-        join = optimized.child
-        assert join.left.var == "small"
-        assert join.right.var == "big"
+        for sizes in ({"Big": 10, "Small": 10_000}, {"Big": 10_000, "Small": 10}, None):
+            assert Optimizer(extent_sizes=sizes).optimize(plan) == plan
 
     def test_flip_preserves_results(self):
         plan = self._join_plan()
@@ -119,6 +122,7 @@ class TestBuildSideHeuristic:
         )
         join = result.plan.child
         assert isinstance(join, Join)
-        # Employees (40) should probe, Departments (4) should build.
-        left_vars = join.left.columns()
-        assert "e" in left_vars
+        # The sizes still reach the Optimizer (its signature is the
+        # harness's), but nothing reads them: Departments, written first,
+        # probes and Employees builds.
+        assert join.left.columns() == {"d"} and join.right.columns() == {"e"}
