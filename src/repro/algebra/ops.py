@@ -324,16 +324,12 @@ class Nest(PlanNode):
         # ``head_fns``/``pred_fns`` run parallel to ``folds`` (a None
         # pred stays None).
         cols = self.child.columns()
-        fold = tuple(f"fold {fold[0]}" for fold in self.folds)
+        key_labels = tuple(f"key {label}" for label, _ in self.keys)
+        fold_labels = tuple(f"fold {fold[0]}" for fold in self.folds)
         return (
-            Expr(
-                "key_fns",
-                tuple(f"key {label}" for label, _ in self.keys),
-                tuple(term for _, term in self.keys),
-                cols,
-            ),
-            Expr("head_fns", fold, tuple(fold[2] for fold in self.folds), cols),
-            Expr("pred_fns", fold, tuple(fold[3] for fold in self.folds), cols),
+            Expr("key_fns", key_labels, tuple(term for _, term in self.keys), cols),
+            Expr("head_fns", fold_labels, tuple(fold[2] for fold in self.folds), cols),
+            Expr("pred_fns", fold_labels, tuple(fold[3] for fold in self.folds), cols),
         )
 
     def label(self) -> str:

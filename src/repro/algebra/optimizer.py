@@ -131,21 +131,18 @@ def estimate_cardinalities(
     fan-out of the navigated attribute.
     """
     sizes, stats = extent_sizes or {}, stats or {}
+    nodes = list(plan.walk())
     # Plan variables -> the extents their Scan reads, where known.
     var_extents: dict[str, str] = {}
-    for node in plan.walk():
+    for node in nodes:
         if isinstance(node, Scan) and isinstance(node.source, Var):
             var_extents[node.var] = node.source.name
         elif isinstance(node, IndexScan):
             var_extents[node.var] = node.extent
     estimates: dict[int, float] = {}
-
-    def visit(node: PlanNode) -> float:
-        inputs = [visit(child) for child in node.children()]
+    for node in reversed(nodes):  # pre-order backwards: children come first
+        inputs = [estimates[id(child)] for child in node.children()]
         estimates[id(node)] = _estimate(node, inputs, sizes, stats, var_extents)
-        return estimates[id(node)]
-
-    visit(plan)
     return estimates
 
 

@@ -34,12 +34,12 @@ def verify_plan(plan: PlanNode, phase: str = "plan") -> None:
     pvars = plan_variables(plan)
     problems: list[Violation] = []
     for node in plan.walk():
-        name = node.label().split(" ", 1)[0]
         for entry in node.exprs:
             for label, term in entry.labelled():
                 bad = (free_vars(term) & pvars) - entry.scope
                 if not bad:
                     continue
+                name = node.label().split(" ", 1)[0]  # "Select", "Join", …
                 if entry.slot is None:
                     detail = (
                         f"{name} {node.binds()[0]} {label} references plan "
