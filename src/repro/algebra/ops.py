@@ -37,8 +37,8 @@ declarations miss one of its fields.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from operator import is_
 from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.calculus.ast import MonoidRef, Term, Var
@@ -59,8 +59,16 @@ class Expr(NamedTuple):
     label: Any
     #: a term, None for an absent one, or a tuple of those
     terms: Any
-    #: the plan variables the terms may read
-    scope: frozenset[str]
+    #: whose columns the terms may read: a :class:`PlanNode`'s (resolved
+    #: when :attr:`scope` is asked for — an execution without the jit or
+    #: plan-check never does), or a fixed set of names
+    over: Any
+
+    @property
+    def scope(self) -> frozenset[str]:
+        """The plan variables the terms may read."""
+        over = self.over
+        return over.columns() if isinstance(over, PlanNode) else over
 
     def labelled(self) -> list[tuple[str, Term]]:
         """``(label, term)`` for every term present."""
@@ -125,16 +133,19 @@ class PlanNode:
 
     def children(self) -> tuple["PlanNode", ...]:
         """Child operators in plan order (leaves return ())."""
-        return tuple([getattr(self, name) for name in self.CHILDREN])
+        children = self.__dict__.get("_cached_children")
+        if children is None:
+            children = tuple([getattr(self, name) for name in self.CHILDREN])
+            self.__dict__["_cached_children"] = children
+        return children
 
     def with_children(self, *children: "PlanNode") -> "PlanNode":
         """This operator over ``children`` — itself when they are its own."""
-        changed = {
-            name: new
-            for name, new in zip(self.CHILDREN, children)
-            if getattr(self, name) is not new
-        }
-        return dataclasses.replace(self, **changed) if changed else self
+        if all(map(is_, children, self.children())):
+            return self
+        fields = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        fields.update(zip(self.CHILDREN, children))
+        return type(self)(**fields)
 
     def walk(self) -> Iterator["PlanNode"]:
         """Every operator of the tree under this one, pre-order."""
@@ -181,7 +192,7 @@ class Scan(PlanNode):
     def _exprs(self) -> tuple[Expr, ...]:
         # Evaluated in the global scope, where the scan's own names are
         # not yet bound: mentioning one there names a global.
-        return (Expr(None, "source", self.source, self.columns()),)
+        return (Expr(None, "source", self.source, self),)
 
     def label(self) -> str:
         return f"Scan {_indexed(self.var, self.index_var)} <- {self.source}"
@@ -200,7 +211,7 @@ class SelectOp(PlanNode):
         return ()
 
     def _exprs(self) -> tuple[Expr, ...]:
-        return (Expr("pred_fn", "predicate", self.pred, self.child.columns()),)
+        return (Expr("pred_fn", "predicate", self.pred, self.child),)
 
     def label(self) -> str:
         return f"Select {self.pred}"
@@ -229,9 +240,9 @@ class Join(PlanNode):
 
     def _exprs(self) -> tuple[Expr, ...]:
         return (
-            Expr("left_key_fns", "left key", self.left_keys, self.left.columns()),
-            Expr("right_key_fns", "right key", self.right_keys, self.right.columns()),
-            Expr("residual_fn", "residual", self.residual, self.columns()),
+            Expr("left_key_fns", "left key", self.left_keys, self.left),
+            Expr("right_key_fns", "right key", self.right_keys, self.right),
+            Expr("residual_fn", "residual", self.residual, self),
         )
 
     def label(self) -> str:
@@ -264,7 +275,7 @@ class Unnest(PlanNode):
     binds = Scan.binds
 
     def _exprs(self) -> tuple[Expr, ...]:
-        return (Expr("src_fn", "path", self.path, self.child.columns()),)
+        return (Expr("src_fn", "path", self.path, self.child),)
 
     def label(self) -> str:
         return f"Unnest {_indexed(self.var, self.index_var)} <- {self.path}"
@@ -284,7 +295,7 @@ class Reduce(PlanNode):
         return ()
 
     def _exprs(self) -> tuple[Expr, ...]:
-        return (Expr("head_fn", "head", self.head, self.child.columns()),)
+        return (Expr("head_fn", "head", self.head, self.child),)
 
     def label(self) -> str:
         return f"Reduce {self.monoid}{{ {self.head} }}"
@@ -323,13 +334,13 @@ class Nest(PlanNode):
     def _exprs(self) -> tuple[Expr, ...]:
         # ``head_fns``/``pred_fns`` run parallel to ``folds`` (a None
         # pred stays None).
-        cols = self.child.columns()
+        over = self.child
         key_labels = tuple(f"key {label}" for label, _ in self.keys)
         fold_labels = tuple(f"fold {fold[0]}" for fold in self.folds)
         return (
-            Expr("key_fns", key_labels, tuple(term for _, term in self.keys), cols),
-            Expr("head_fns", fold_labels, tuple(fold[2] for fold in self.folds), cols),
-            Expr("pred_fns", fold_labels, tuple(fold[3] for fold in self.folds), cols),
+            Expr("key_fns", key_labels, tuple(term for _, term in self.keys), over),
+            Expr("head_fns", fold_labels, tuple(fold[2] for fold in self.folds), over),
+            Expr("pred_fns", fold_labels, tuple(fold[3] for fold in self.folds), over),
         )
 
     def label(self) -> str:

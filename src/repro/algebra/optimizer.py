@@ -63,7 +63,8 @@ class Optimizer:
     def _opt(self, node: PlanNode) -> PlanNode:
         """Re-place every selection, bottom-up, with index selection on
         (a plan whose selections are all in place comes back as it is)."""
-        node = node.with_children(*map(self._opt, node.children()))
+        if node.CHILDREN:
+            node = node.with_children(*map(self._opt, node.children()))
         if isinstance(node, SelectOp):
             return sink(node.child, node.pred, self._match_index) or node
         return node

@@ -43,9 +43,10 @@ def compile_node(node: PlanNode) -> None:
     compiled = 0
     fallback = 0
     constructs: dict[str, int] = {}
-    for slot, _, value, scope in node.exprs:
-        if slot is None:
+    for entry in node.exprs:
+        if entry.slot is None:
             continue
+        value, scope = entry.terms, entry.scope
         fns = []
         for term in value if isinstance(value, tuple) else (value,):
             if term is None:
@@ -56,7 +57,7 @@ def compile_node(node: PlanNode) -> None:
             compiled += clean
             fallback += 1 - clean
         object.__setattr__(
-            node, slot, tuple(fns) if isinstance(value, tuple) else fns[0]
+            node, entry.slot, tuple(fns) if isinstance(value, tuple) else fns[0]
         )
     object.__setattr__(
         node,
