@@ -266,12 +266,8 @@ def explain(
 ) -> str:
     """Readable plan rendering with cardinality estimates per node."""
     estimates = estimate_cardinalities(plan, extent_sizes, stats)
-    lines: list[str] = []
-
-    def walk(node: PlanNode, indent: int) -> None:
-        lines.append(f"{'  ' * indent}{node.label()}   ~{estimates[id(node)]:.0f} rows")
-        for child in node.children():
-            walk(child, indent + 1)
-
-    walk(plan, 0)
-    return "\n".join(lines)
+    # render() writes one line per operator, in walk() order
+    return "\n".join(
+        f"{line}   ~{estimates[id(node)]:.0f} rows"
+        for node, line in zip(plan.walk(), plan.render().splitlines())
+    )
