@@ -1,6 +1,6 @@
 """Logical algebra, optimizer and pipelined physical execution."""
 
-from repro.algebra.groupby import build_group_by_plan
+from repro.algebra.groupby import build_group_by_plan, plan_group_by
 from repro.algebra.ops import (
     IndexScan,
     Join,
@@ -36,4 +36,5 @@ __all__ = [
     "estimate_cardinality",
     "execute_plan",
     "explain",
+    "plan_group_by",
 ]

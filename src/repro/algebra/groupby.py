@@ -2,13 +2,22 @@
 
 The OQL translator renders ``group by`` as nested comprehensions (one
 partition subquery per distinct key), which is the faithful *semantics*
-but evaluates quadratically. This module builds the equivalent
-single-pass plan::
+but evaluates quadratically. :func:`plan_group_by` introduces Γ by one
+rule on calculus terms (DESIGN.md §4 argues the side conditions)::
 
-    Reduce set{ head' }
-      [Select having']
+    M{ H | g <- set{ <l1=k1, ...> | Q }, l1 == g.l1, ...,
+           partition == bag{ r | Q, k1 = g.l1, ... }, [P] }
+    ==>
+    Reduce M{ H' }
+      [Select P']
         Nest [l1=k1, ...] v1 <- M1{ h1 | s1 }, ...
-          <plan of the from/where clauses>
+          <plan of Q>
+
+The left side is what ``Translator._tr_group_select`` emits, matched by
+structure: the partition's qualifiers *are* the key set's followed by
+the key filters, ``g`` occurs nowhere else and no label is free in the
+key set, at most one filter trails, ``M`` is well formed over a set
+generator, nothing has effects. A near-miss is not a match.
 
 The Nest reduces each group with monoids as its rows arrive. Every
 aggregate ``M{ h | p <- partition, s... }`` of the (normalized) head
@@ -33,20 +42,17 @@ for every emitted group and cannot tell the difference (DESIGN.md §4):
 5. from the head only when there is no ``having`` (a group the
    ``having`` drops never evaluates the head) — except an aggregate the
    ``having`` already computes, which the head then shares.
-
-``build_group_by_plan`` works directly from the OQL syntax tree (the
-calculus form is the reference; integration tests assert both paths
-agree on every group-by query).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.algebra.ops import Fold, Nest, PlanNode, Reduce, SelectOp
 from repro.algebra.translate import build_plan
 from repro.calculus.ast import (
     BinOp,
+    Bind,
     Call,
     Comprehension,
     Const,
@@ -68,53 +74,77 @@ from repro.calculus.traversal import free_vars, fresh_var, has_effects, substitu
 from repro.errors import PlanError
 from repro.eval.builtins import DEFAULT_BUILTINS
 from repro.normalize.engine import normalize
-from repro.oql.ast import Select
-from repro.oql.translate import Translator
 from repro.types.infer import MONOID_PROPS, monoid_props
 
 PARTITION = "partition"
 _COUNT_PARTITION = Call("count", (Var(PARTITION),))
+_SET, _BAG = MonoidRef("set"), MonoidRef("bag")
 
 
-def build_group_by_plan(select: Select, translator: Translator) -> Reduce:
-    """A Nest-based plan for a ``group by`` select.
+def plan_group_by(term: Term) -> Optional[Reduce]:
+    """The Nest plan of a grouped comprehension (module docstring), or
+    None when ``term`` is not one — decided on its first qualifier for
+    every query that has no ``group by``."""
+    if not isinstance(term, Comprehension) or not term.qualifiers:
+        return None
+    first = term.qualifiers[0]
+    if not (
+        isinstance(first, Generator)
+        and isinstance(first.source, Comprehension)
+        and first.source.monoid == _SET
+        and isinstance(first.source.head, RecordCons)
+    ):
+        return None
+    group, key_set, keys = first.var, first.source, first.source.head.fields
+    grouped, rest = term.qualifiers[: len(keys) + 2], term.qualifiers[len(keys) + 2 :]
+    partition = grouped[-1]
+    if not (isinstance(partition, Bind) and isinstance(partition.value, Comprehension)):
+        return None
+    row, monoid = partition.value.head, term.monoid
+    of_group = [(label, key, Proj(Var(group), label)) for label, key in keys]
+    key_filters = tuple(Filter(BinOp("=", key, at)) for _, key, at in of_group)
+    labels = frozenset(label for label, _ in keys)
+    if (
+        grouped
+        != (
+            Generator(group, key_set),
+            *(Bind(label, at) for label, _, at in of_group),
+            Bind(PARTITION, Comprehension(_BAG, row, key_set.qualifiers + key_filters)),
+        )
+        or len(rest) > 1
+        or not all(isinstance(qual, Filter) for qual in rest)
+        or monoid != MonoidRef(monoid.name)
+        or monoid.name not in MONOID_PROPS
+        or not monoid_props("set") <= monoid_props(monoid.name)
+        or (labels | {group}) & free_vars(key_set)
+        or group in free_vars(Comprehension(monoid, term.head, rest))
+        or has_effects(term)
+    ):
+        return None
 
-    Raises :class:`PlanError` for shapes the operator does not cover
-    (``order by`` on top of grouping); callers fall back to the
-    interpreted calculus form.
-    """
-    if not select.group_by:
-        raise PlanError("build_group_by_plan requires a group_by clause")
-    if select.order_by:
-        raise PlanError("group by + order by falls back to the interpreter")
-
-    base_qualifiers = translator._tr_from_where(select)  # noqa: SLF001 — same layer
-    synthetic = Comprehension(MonoidRef("bag"), Const(0), base_qualifiers)
+    synthetic = Comprehension(_BAG, Const(0), key_set.qualifiers)
     base_plan = build_plan(synthetic, pre_normalize=False).child
-
-    keys = tuple(
-        (item.label, translator.translate(item.key)) for item in select.group_by
-    )
-    row = translator._partition_head(select.from_clauses)  # noqa: SLF001
-    hidden = frozenset(label for label, _ in keys) | base_plan.columns() | {PARTITION}
-    mover = _FoldMover(row, hidden)
-
-    head = normalize(translator.translate(select.head))
-    having = None
-    if select.having is not None:
-        having = mover.move(normalize(translator.translate(select.having)))
-        mover.sealed = True
-    head = mover.move(head)
+    mover = _FoldMover(row, labels | base_plan.columns() | {PARTITION})
+    having = [mover.move(normalize(qual.pred)) for qual in rest]  # at most one
+    mover.sealed = bool(having)
+    head = mover.move(normalize(term.head))
 
     folds = mover.folds
-    if PARTITION in free_vars(head) or (
-        having is not None and PARTITION in free_vars(having)
-    ):
-        folds.append((PARTITION, MonoidRef("bag"), row, None))
+    if PARTITION in free_vars(Comprehension(monoid, head, tuple(map(Filter, having)))):
+        folds.append((PARTITION, _BAG, row, None))
     plan: PlanNode = Nest(base_plan, keys, tuple(folds))
-    if having is not None:
-        plan = SelectOp(plan, having)
-    return Reduce(MonoidRef("set"), head, plan)
+    for pred in having:
+        plan = SelectOp(plan, pred)
+    return Reduce(monoid, head, plan)
+
+
+def build_group_by_plan(select: Any, translator: Any) -> Reduce:
+    """:func:`plan_group_by` for a caller holding a syntax tree and its
+    translator; :class:`PlanError` when the rule does not apply."""
+    plan = plan_group_by(translator.translate(select))
+    if plan is None:
+        raise PlanError("not a plannable group by: Γ-introduction does not apply")
+    return plan
 
 
 class _FoldMover:

@@ -182,10 +182,9 @@ class CompiledQuery:
 
     This is the only product of :meth:`Database.compile
     <repro.db.database.Database.compile>` and the only input of the back
-    half, with or without a cache attached. ``kind`` names the execution
-    strategy the entry compiled to: ``"groupby"`` (single-pass Nest
-    plan), ``"algebra"`` (optimized physical plan) or ``"interpret"``
-    (normalized term on the reference evaluator). ``phases`` lists the
+    half, with or without a cache attached. ``plan`` is the optimized
+    physical plan the executor runs, or ``None`` when the normalized
+    term runs on the reference evaluator. ``phases`` lists the
     pipeline phases a hit skips, in
     :data:`repro.obs.tracer.PIPELINE_PHASES` order. ``version`` is the
     compile-time catalog/epoch vector the entry is valid for;
@@ -204,7 +203,6 @@ class CompiledQuery:
     calculus: Term
     normalized: Term
     trace: NormalizationTrace
-    kind: str  # 'groupby' | 'algebra' | 'interpret'
     plan: Optional[Any]
     phases: tuple[str, ...]
     params: tuple[str, ...]

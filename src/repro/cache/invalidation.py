@@ -50,7 +50,6 @@ def plan_terms(plan: PlanNode) -> Iterator[Term]:
 
 
 def analyze_dependencies(
-    kind: str,
     plan: Optional[PlanNode],
     normalized: Term,
     known_extents: Iterable[str],
@@ -60,7 +59,7 @@ def analyze_dependencies(
     known = set(known_extents)
     functions = set(user_functions)
 
-    if kind in ("groupby", "algebra") and plan is not None:
+    if plan is not None:
         free: set[str] = set()
         for term in plan_terms(plan):
             free.update(free_vars(term))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Iterator, Literal, Optional
 
-from repro.algebra.groupby import build_group_by_plan
+from repro.algebra.groupby import plan_group_by
 from repro.algebra.ops import Reduce
 from repro.algebra.optimizer import Optimizer, explain as explain_plan
 from repro.algebra.physical import ExecutionStats, Executor
@@ -67,7 +67,6 @@ from repro.obs.querylog import QueryLog, oql_fingerprint
 from repro.obs.tracer import Tracer, TraceSpan
 from repro.objects.classes import ExtentRegistry
 from repro.objects.store import ObjectStore
-from repro.oql.ast import Select
 from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.types.infer import TypeChecker
@@ -514,11 +513,10 @@ class Database:
         typecheck: bool = False,
         param_types: Optional[dict[str, Any]] = None,
         *,
-        skip_group_by: bool = False,
         info: Optional[dict[str, Any]] = None,
     ) -> CompiledQuery:
         """OQL text -> :class:`CompiledQuery`: parse → translate →
-        typecheck → normalize → group-by-or-plan → optimize → jit.
+        typecheck → normalize → plan → optimize → jit.
 
         The one place that sequence is written. With a cache attached
         the compiled entry is looked up first by exact text and then,
@@ -530,8 +528,7 @@ class Database:
         ``$name`` parameters type-check as ``ANY`` unless ``param_types``
         narrows them, whoever compiles — so a shared entry never depends
         on who built it first, and an unbound parameter surfaces at
-        execution. ``skip_group_by`` is the back half's retry after a
-        Nest plan failed at run time: plan the comprehension instead.
+        execution.
         """
         cache = self.cache
         tracer = self._active_tracer()
@@ -540,7 +537,7 @@ class Database:
         text_key = (oql, engine, typecheck)
         if info is None:
             info = {}
-        if cache is not None and not skip_group_by:
+        if cache is not None:
             with tracer.span("cache"):
                 entry = cache.compiled_by_text(text_key, version, verifying)
             if entry is not None:
@@ -556,17 +553,16 @@ class Database:
             # Only a cache needs the canonical alpha-form; without one
             # it is never computed.
             key = (canonical_term(calculus), engine, typecheck)
-            if not skip_group_by:
-                entry = cache.compiled_by_canon(key, version, verifying)
-                if entry is not None:
-                    # An alpha-variant of a cached query: alias the text
-                    # so the next repeat skips parse/translate too.
-                    cache.alias(text_key, key)
-                    info["compile"] = "hit"
-                    tracer.mark_cached(
-                        *[p for p in entry.phases if p not in ("parse", "translate")]
-                    )
-                    return entry
+            entry = cache.compiled_by_canon(key, version, verifying)
+            if entry is not None:
+                # An alpha-variant of a cached query: alias the text
+                # so the next repeat skips parse/translate too.
+                cache.alias(text_key, key)
+                info["compile"] = "hit"
+                tracer.mark_cached(
+                    *[p for p in entry.phases if p not in ("parse", "translate")]
+                )
+                return entry
             info["compile"] = "miss"
         phases = ["parse", "translate"]
         # ``$`` is not an identifier character, so text without one has
@@ -582,39 +578,23 @@ class Database:
         with tracer.span("normalize"):
             normalized, trace = normalize_with_trace(calculus)
         phases.append("normalize")
-        kind = "interpret"
         plan: Optional[Reduce] = None
-        if engine in ("auto", "algebra"):
-            if isinstance(node, Select) and node.group_by and not (skip_group_by or viewed):
-                # A single-pass Nest plan for group-by selects (see
-                # :mod:`repro.algebra.groupby`, which plans from the
-                # syntax tree and so cannot see into a view); shapes it
-                # does not cover fall through to the comprehension plan.
-                try:
-                    with tracer.span("plan"):
-                        plan = build_group_by_plan(node, Translator(self.schema))
-                    if verifying:
-                        from repro.analysis.plancheck import verify_plan
-
-                        verify_plan(plan, phase="group-by-plan")
-                    kind = "groupby"
-                    phases.append("plan")
-                except PlanError:
-                    plan = None
-            if plan is None and isinstance(normalized, Comprehension):
-                try:
-                    # No second normalization: the planning rule set is
-                    # a subset of the default one, so a default normal
-                    # form is already a planning normal form.
-                    with tracer.span("plan"):
-                        logical = build_plan(normalized, pre_normalize=False)
-                    with tracer.span("optimize"):
-                        plan = self._optimize(logical)
-                    kind = "algebra"
-                    phases += ("plan", "optimize")
-                except PlanError:
-                    if engine == "algebra":
-                        raise
+        # Only comprehensions have plans; a normal form below that level
+        # (``zero(M)``, a scalar call) is its own answer.
+        if engine in ("auto", "algebra") and isinstance(normalized, Comprehension):
+            try:
+                # No second normalization: the planning rules are a subset
+                # of the default ones the normal form is already normal under.
+                with tracer.span("plan"):
+                    logical = plan_group_by(calculus) or build_plan(
+                        normalized, pre_normalize=False
+                    )
+                with tracer.span("optimize"):
+                    plan = self._optimize(logical)
+                phases += ("plan", "optimize")
+            except PlanError:
+                if engine == "algebra":
+                    raise
             if plan is not None and self.jit is not None:
                 from repro.jit.plan import precompile_plan
 
@@ -628,7 +608,6 @@ class Database:
             calculus=calculus,
             normalized=normalized,
             trace=trace,
-            kind=kind,
             plan=plan,
             phases=tuple(phases),
             params=params,
@@ -693,7 +672,6 @@ class Database:
         if entry.key is None:
             entry.key = (canonical_term(entry.calculus), entry.engine, entry.typecheck)
         deps = analyze_dependencies(
-            entry.kind,
             entry.plan,
             entry.normalized,
             set(self.catalog.extents()) | self._object_extents,
@@ -714,11 +692,10 @@ class Database:
         """Result-cache lookup → executor → fallback chain → result.
 
         Plan failures are discovered at execution time, and every way of
-        running a query degrades the same way: a group-by plan that
-        fails is recompiled as a comprehension plan; an algebra plan
-        that fails is demoted to the reference interpreter (unless
-        ``engine="algebra"`` asked for the error). With a cache attached
-        the replacement overwrites the stale entry.
+        running a query degrades the same way: a plan that fails is
+        demoted to the reference interpreter (unless ``engine="algebra"``
+        asked for the error). The entry is rewritten in place, so with a
+        cache attached the next repeat goes straight to the interpreter.
         """
         cache = self.cache
         tracer = self._active_tracer()
@@ -751,7 +728,7 @@ class Database:
             evaluator = self.evaluator()
             for name, bound in params.items():
                 evaluator.bind_global("$" + name, bound)
-            while entry.plan is not None:
+            if entry.plan is not None:
                 if self.jit is not None:
                     # Idempotent and cheap when compile already did it;
                     # an entry cached before the JIT was enabled (or
@@ -763,25 +740,18 @@ class Database:
                 try:
                     with tracer.span("execute"):
                         value = executor.execute(entry.plan)
-                    break
                 except PlanError:
-                    executor = None
-                    if entry.kind == "groupby":
-                        entry = self.compile(
-                            entry.oql, entry.engine, entry.typecheck, skip_group_by=True
-                        )
-                    elif entry.engine == "algebra":
+                    if entry.engine == "algebra":
                         raise
-                    else:
-                        # Rewrite the (possibly shared) entry in place to
-                        # interpreter execution; its read set is
-                        # re-derived when the result cache next asks.
-                        entry.kind, entry.plan, jit_report = "interpret", None, None
-                        entry.phases = tuple(
-                            p for p in entry.phases if p not in ("plan", "optimize", "jit")
-                        )
-                        entry.result_cacheable = None
-            else:
+                    # Rewrite the (possibly shared) entry in place to
+                    # interpreter execution; its read set is re-derived
+                    # when the result cache next asks.
+                    entry.plan = executor = jit_report = None
+                    entry.phases = tuple(
+                        p for p in entry.phases if p not in ("plan", "optimize", "jit")
+                    )
+                    entry.result_cacheable = None
+            if entry.plan is None:
                 with tracer.span("execute"):
                     value = evaluator.evaluate(entry.normalized)
             if result_key is not None:
@@ -988,9 +958,7 @@ class Database:
         return doc
 
     def _optimize(self, plan: Reduce) -> Reduce:
-        return Optimizer(
-            self.catalog.index_keys(), self.catalog.extent_sizes()
-        ).optimize(plan)
+        return Optimizer(self.catalog.index_keys()).optimize(plan)
 
     def _extent_types(self) -> dict[str, Any]:
         types = {}

@@ -64,7 +64,6 @@ from repro.oql.ast import (
     Exists,
     ExistsQuery,
     ForAll,
-    FromClause,
     IfExpr,
     IndexOp,
     Literal,
@@ -301,7 +300,7 @@ class Translator:
 
             set{ H' | g <- set{ <l1=k1', ...> | x <- E', P' },
                       l1 == g.l1, ...,
-                      partition == bag{ x | x <- E', P', k1'=l1, ... },
+                      partition == bag{ x | x <- E', P', k1'=g.l1, ... },
                       G' }
 
         where H' and G' may reference the group labels and
@@ -310,27 +309,36 @@ class Translator:
         An ``order by`` (its keys see the same names) sorts that set.
         """
         base_quals = self._tr_from_where(node)
-        key_record = rec(**{item.label: self._tr(item.key) for item in node.group_by})
-        key_set = Comprehension(MonoidRef("set"), key_record, base_quals)
+        group_var = fresh_var("g")
+        # (label, key, g.label); the key set and the filters share each key
+        keys = [
+            (item.label, self._tr(item.key), proj(var(group_var), item.label))
+            for item in node.group_by
+        ]
+        key_set = Comprehension(
+            MonoidRef("set"), rec(**{label: key for label, key, _ in keys}), base_quals
+        )
         # Group keys deduplicate by design: not an implicit-dedup hazard.
         object.__setattr__(key_set, "explicit_dedup", True)
-        group_var = fresh_var("g")
 
         qualifiers: list[Qualifier] = [Generator(group_var, key_set)]
-        for item in node.group_by:
-            qualifiers.append(bind(item.label, proj(var(group_var), item.label)))
+        qualifiers += [bind(label, of_group) for label, _, of_group in keys]
 
         partition_quals = list(base_quals)
-        for item in node.group_by:
-            key_filter = Filter(eq(self._tr(item.key), Var(item.label)))
+        for _, key, of_group in keys:
+            # Against ``g.label``, not the label: a ``from`` variable of
+            # the same name would capture it inside the partition.
+            key_filter = Filter(eq(key, of_group))
             # Not a selection the user wrote: the query runs as one
             # grouping pass, so the linter must not offer an index for
             # it (QL303/QL402).
             object.__setattr__(key_filter, "group_key", True)
             partition_quals.append(key_filter)
-        partition_head = self._partition_head(node.from_clauses)
+        froms = node.from_clauses
         partition = Comprehension(
-            MonoidRef("bag"), partition_head, tuple(partition_quals)
+            MonoidRef("bag"),
+            var(froms[0].var) if len(froms) == 1 else rec(**{c.var: var(c.var) for c in froms}),
+            tuple(partition_quals),
         )
         # The partition is a bag by ODMG fiat even over set sources;
         # the linter must not pin that C/I mismatch on the user.
@@ -344,12 +352,6 @@ class Translator:
         if node.order_by:
             return self._tr_ordered_select(node, head, tuple(qualifiers), True)
         return Comprehension(MonoidRef("set"), head, tuple(qualifiers))
-
-    @staticmethod
-    def _partition_head(from_clauses: tuple[FromClause, ...]) -> Term:
-        if len(from_clauses) == 1:
-            return Var(from_clauses[0].var)
-        return rec(**{clause.var: var(clause.var) for clause in from_clauses})
 
 
 def translate_oql(source: str, schema: Optional[Schema] = None) -> Term:

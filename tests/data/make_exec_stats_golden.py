@@ -36,6 +36,19 @@ SCALE = workloads.Scale(depts=8, emps=90, cities=6, hotels=4, rooms=3)
 SEED = 11
 
 
+def in_modes(db: Any, modes: dict[str, Any]) -> Any:
+    """``db`` with exactly ``modes`` on."""
+    db.disable_telemetry()  # the demo databases read REPRO_* flags
+    db.disable_cache()
+    if modes.get("cache"):
+        db.enable_cache(modes["cache"])
+    if modes.get("jit"):
+        db.enable_jit(modes["jit"])
+    if modes.get("parallel"):
+        db.enable_parallel(modes["parallel"])
+    return db
+
+
 def queries(modes: dict[str, Any]) -> Iterator[tuple[str, Any, str, Any]]:
     """``(label, database, oql, thunk -> QueryResult)`` for every query,
     on databases built with ``modes`` (``jit`` / ``parallel`` / ``cache``
@@ -48,14 +61,7 @@ def queries(modes: dict[str, Any]) -> Iterator[tuple[str, Any, str, Any]]:
     dbs.update(mix.build_dbs(mix.generate(SCALE), workloads.MODES_OFF))
     dbs["demo"] = demo_travel_database(num_cities=5, seed=3)
     for db in dbs.values():
-        db.disable_telemetry()  # the demo database reads REPRO_* flags
-        db.disable_cache()
-        if modes.get("cache"):
-            db.enable_cache(modes["cache"])
-        if modes.get("jit"):
-            db.enable_jit(modes["jit"])
-        if modes.get("parallel"):
-            db.enable_parallel(modes["parallel"])
+        in_modes(db, modes)
 
     def run(label: str, target: str, oql: str, opts: dict):
         db = dbs[target]

@@ -1,7 +1,10 @@
 """Regenerate ``plans_golden.json``: what every consumer of a plan's
 structure says about each query of the executor corpus
-(:func:`tests.data.make_exec_stats_golden.queries`), as whatever checkout
-is on ``PYTHONPATH`` says it.
+(:func:`tests.data.make_exec_stats_golden.queries`) and of
+:data:`GROUPED` (four ``group by`` shapes on a company database with a
+view and an index: over the view, under an indexed equality ``where``,
+a label named like a ``from`` variable, ``order by`` on top), as whatever
+checkout is on ``PYTHONPATH`` says it.
 
 Per query: the executed plan's ``render()``, ``Database.explain()`` text
 (the per-node cardinality estimates), the ``precompile_plan`` report
@@ -9,7 +12,9 @@ Per query: the executed plan's ``render()``, ``Database.explain()`` text
 ``analyze_dependencies`` verdict (``extents`` / ``cacheable`` /
 ``reason``). The checked-in file was written by PR 18's ``src`` (then
 regenerated once, in its own commit, when the A3 build-side flip was
-deleted — see EXPERIMENTS.md); ``tests/test_plans_golden.py`` holds the
+deleted — see EXPERIMENTS.md; the ``grouped/*`` rows by PR 19's, and two
+of them moved on purpose in PR 20: Γ sees into the view and the optimizer
+reaches under the Nest); ``tests/test_plans_golden.py`` holds the
 operator table of ``repro.algebra.ops`` and everything that loops over it
 to the same answers, under none / jit / cache / verify. Run from the
 repository root::
@@ -29,8 +34,29 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT))
 
 from repro.cache.invalidation import analyze_dependencies  # noqa: E402
+from repro.db import demo_company_database  # noqa: E402
 from repro.jit.plan import precompile_plan  # noqa: E402
-from tests.data.make_exec_stats_golden import queries  # noqa: E402
+from tests.data.make_exec_stats_golden import in_modes, queries  # noqa: E402
+
+_COUNTS = "select struct(d: dno, n: count(partition)) from e in "
+GROUPED = {
+    "grouped/over_view": _COUNTS + "Staff group by dno: e.dno",
+    "grouped/indexed_where": _COUNTS + "Employees where e.dno = 3 group by dno: e.dno",
+    "grouped/label_capture": (
+        "select struct(d: d, n: count(partition)) from e in Employees, d in Departments "
+        "where e.dno = d.dno group by d: d.name"
+    ),
+    "grouped/order_by": _COUNTS + "Employees group by dno: e.dno order by dno",
+}
+
+
+def grouped_queries(modes: dict[str, Any]):
+    """:data:`GROUPED` in the shape of :func:`queries`."""
+    db = in_modes(demo_company_database(8, 90, seed=11), modes)
+    db.define("Staff", "select e from e in Employees where e.salary > 0")
+    db.create_index("Employees", "dno")
+    for label, oql in GROUPED.items():
+        yield label, db, oql, lambda oql=oql: db.run_detailed(oql)
 
 
 def _renumbered(text: str) -> str:
@@ -42,13 +68,12 @@ def _renumbered(text: str) -> str:
 
 def golden(modes: dict[str, Any]) -> dict[str, Any]:
     out = {}
-    for label, db, oql, thunk in queries(modes):
+    for label, db, oql, thunk in (*queries(modes), *grouped_queries(modes)):
         result = thunk()
-        entry, plan = result.compiled, result.plan
+        plan = result.plan
         deps = analyze_dependencies(
-            entry.kind,
             plan,
-            entry.normalized,
+            result.normalized,
             set(db.catalog.extents()) | db._object_extents,  # noqa: SLF001
             db.functions,
         )

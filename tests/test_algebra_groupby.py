@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.algebra import Executor, Nest, Reduce, Scan, build_group_by_plan
-from repro.calculus import const, gt, lt, proj, rec, var
+from repro.algebra import (
+    Executor,
+    Nest,
+    Reduce,
+    Scan,
+    build_group_by_plan,
+    build_plan,
+    execute_plan,
+    plan_group_by,
+)
+from repro.calculus import bind, call, comp, const, eq, filt, gen, gt, lt, proj, rec, var
 from repro.calculus.ast import MonoidRef
 from repro.db import demo_company_database
 from repro.errors import EvaluationError, PlanError
@@ -163,17 +172,84 @@ class TestGroupByPlanning:
             build_group_by_plan(node, Translator(db.schema))
 
     def test_views_disable_nest_path(self, db):
+        # They used to (the name is from then): Γ is introduced on the
+        # translated term, after views are substituted into it.
         db.define("Everyone", "select distinct e from e in Employees")
         result = db.run_detailed(self.Q)
-        # a view the query does not name changes nothing…
-        assert result.compiled.kind == "groupby"
-        assert result.value == db.run(self.Q, engine="interpret")
-        # …one it does is expanded into the comprehension plan instead
         over_view = db.run_detailed(self.Q.replace("Employees", "Everyone"))
-        assert over_view.compiled.kind == "algebra"
-        assert over_view.value == result.value
+        for planned in (result, over_view):
+            assert any(isinstance(node, Nest) for node in planned.plan.walk())
+        assert over_view.value == result.value == db.run(self.Q, engine="interpret")
 
     def test_nest_scans_once(self, db):
         result = db.run_detailed(self.Q)
         # one pass over 30 employees, not one per distinct key
         assert result.stats.rows_scanned == 30
+
+
+class TestGammaIntroduction:
+    """``plan_group_by`` matches the calculus shape ``_tr_group_select``
+    emits — by structure, whoever built the term — and nothing near it."""
+
+    KEYS = {"dno": proj(var("e"), "dno"), "band": proj(var("e"), "age")}
+    COUNT = call("count", var("partition"))
+
+    def grouped(self, monoid="set", head=None, labels=("dno", "band"), extra=(), trailing=()):
+        base = [gen("e", var("Employees"))]
+        key_filters = [filt(eq(key, proj(var("g"), label))) for label, key in self.KEYS.items()]
+        return comp(
+            monoid,
+            rec(d=var("dno"), b=var("band"), n=self.COUNT) if head is None else head,
+            [
+                gen("g", comp("set", rec(**self.KEYS), base)),
+                *(bind(label, proj(var("g"), label)) for label in labels),
+                bind("partition", comp("bag", var("e"), [*base, *extra, *key_filters])),
+                *trailing,
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "monoid, head, trailing",
+        [
+            ("set", None, ()),
+            ("set", None, (filt(gt(COUNT, 1)),)),
+            ("max", COUNT, ()),
+        ],
+        ids=["set", "set-having", "max"],
+    )
+    def test_an_exact_match_plans_to_a_nest(self, db, monoid, head, trailing):
+        term = self.grouped(monoid, head, trailing=trailing)
+        plan = plan_group_by(term)
+        assert isinstance(plan.child if not trailing else plan.child.child, Nest)
+        assert plan.monoid == MonoidRef(monoid)
+        assert execute_plan(plan, evaluator=db.evaluator()) == db.run_calculus(term)
+
+    @pytest.mark.parametrize(
+        "near_miss",
+        [
+            dict(extra=(filt(gt(proj(var("e"), "salary"), 0)),)),
+            dict(labels=("band", "dno")),
+            dict(head=rec(d=proj(var("g"), "dno"), n=COUNT)),
+            dict(trailing=(filt(gt(COUNT, 1)), filt(gt(var("dno"), 0)))),
+            dict(monoid="bag"),
+        ],
+        ids=["partition-filters-more", "binds-reordered", "head-reads-g", "two-filters", "bag"],
+    )
+    def test_a_near_miss_is_not_matched_and_answers_through_the_flat_plan(self, db, near_miss):
+        term = self.grouped(**near_miss)
+        assert plan_group_by(term) is None
+        flat = build_plan(term)
+        assert not any(isinstance(node, Nest) for node in flat.walk())
+        assert execute_plan(flat, evaluator=db.evaluator()) == db.run_calculus(term)
+
+    def test_a_label_that_captures_a_name_of_the_key_set_is_not_matched(self, db):
+        # inside the partition ``Employees`` is the label, an int: the
+        # reference fails there, and so does every engine
+        q = (
+            "select struct(d: Employees, n: count(partition)) "
+            "from e in Employees group by Employees: e.dno"
+        )
+        assert "Nest" not in db.compile(q).plan.render()
+        for engine in ("auto", "interpret"):
+            with pytest.raises(EvaluationError, match="not a collection"):
+                db.run(q, engine=engine)

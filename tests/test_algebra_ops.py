@@ -5,8 +5,10 @@ later cannot escape placement, jit, plan-check and invalidation silently
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +205,23 @@ def test_a_later_conjunct_still_sinks_past_an_earlier_one_to_go_deeper():
     assert eq(proj(var("a"), "k"), proj(var("b"), "k")) not in [
         node.pred for node in plan.walk() if isinstance(node, SelectOp)
     ]
+
+
+def test_the_algebra_imports_nothing_above_the_calculus():
+    """Plans are built from calculus terms: the front end (``repro.oql``)
+    and the layers that drive the algebra (``repro.db``, ``repro.cache``)
+    are out of reach, so a planner feature cannot go around the calculus."""
+    package = Path(__file__).parents[1] / "src" / "repro" / "algebra"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            for name in names:
+                assert name.split(".")[:2] not in (
+                    ["repro", "oql"], ["repro", "db"], ["repro", "cache"]
+                ), f"{module.name} imports {name}"

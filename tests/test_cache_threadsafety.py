@@ -101,7 +101,6 @@ def entry(version):
         calculus=None,
         normalized=None,
         trace=None,
-        kind="algebra",
         plan=None,
         phases=(),
         extents=frozenset(),

@@ -144,14 +144,11 @@ def test_explain_analyze_does_not_swap_the_shared_tracer():
 # -- the execute-time fallback chain -------------------------------------------
 
 
-def fail_plans(monkeypatch, only_nest: bool):
-    """Make the executor raise PlanError (for Nest plans only, or all)."""
-    real = Executor.execute
+def fail_plans(monkeypatch):
+    """Make the executor raise PlanError for every plan."""
 
     def execute(self, plan):
-        if not only_nest or any(isinstance(node, Nest) for node in plan.walk()):
-            raise PlanError("forced by the test")
-        return real(self, plan)
+        raise PlanError("forced by the test")
 
     monkeypatch.setattr(Executor, "execute", execute)
 
@@ -167,22 +164,10 @@ def runners(oql):
 
 
 class TestFallbackChain:
-    def test_group_by_falls_back_to_the_comprehension_plan(self, monkeypatch):
-        expected = to_python(company().run(GROUP_BY, engine="interpret"))
-        fail_plans(monkeypatch, only_nest=True)
-        for label, db, run in runners(GROUP_BY):
-            for _ in range(2):  # second pass: the overwritten entry is reused
-                result = run()
-                assert to_python(result.value) == expected, label
-                assert result.engine == "algebra", label
-                assert not any(isinstance(n, Nest) for n in result.plan.walk()), label
-            if db.cache is not None:
-                assert db.compile(GROUP_BY).kind == "algebra", label
-
     @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
     def test_failing_algebra_plan_falls_back_to_the_interpreter(self, monkeypatch, oql):
         expected = to_python(company().run(oql, engine="interpret"))
-        fail_plans(monkeypatch, only_nest=False)
+        fail_plans(monkeypatch)
         for label, db, run in runners(oql):
             for _ in range(2):
                 result = run()
@@ -190,13 +175,12 @@ class TestFallbackChain:
                 assert result.engine == "interpret", label
                 assert result.plan is None and result.stats is None, label
             if db.cache is not None:
-                entry = db.compile(oql)
-                assert (entry.kind, entry.plan) == ("interpret", None), label
+                assert db.compile(oql).plan is None, label
 
     @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
     @pytest.mark.parametrize("cache", [False, True])
     def test_engine_algebra_re_raises(self, monkeypatch, oql, cache):
-        fail_plans(monkeypatch, only_nest=False)
+        fail_plans(monkeypatch)
         db = company(cache)
         with pytest.raises(PlanError, match="forced by the test"):
             db.run(oql, engine="algebra")
@@ -222,7 +206,7 @@ class TestOneNormalization:
                     entry = db.compile(source)
                 except ReproError:  # the corpus keeps its syntax errors
                     continue
-                if entry.kind == "algebra":
+                if entry.plan is not None:
                     planned += 1
                     assert is_canonical(entry.normalized, PLANNING_RULES), source
         assert planned > 100
@@ -243,5 +227,5 @@ class TestOneNormalization:
         monkeypatch.setattr(engine, "normalize_with_trace", counting)
         monkeypatch.setattr(database, "normalize_with_trace", counting)
         db = company(cache)
-        assert db.compile(COMPREHENSION).kind == "algebra"
+        assert db.compile(COMPREHENSION).plan is not None
         assert len(calls) == 1

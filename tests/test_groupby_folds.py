@@ -412,7 +412,7 @@ class TestGroupByOrderBy:
         q = COUNTS + " order by dno"
         with pytest.raises(PlanError):
             build_group_by_plan(parse(q), Translator(db.schema))
-        assert db.compile(q).kind == "algebra"
+        assert "Nest" not in db.compile(q).plan.render()
 
 
 class TestGroupByBesideViews:
@@ -423,20 +423,31 @@ class TestGroupByBesideViews:
         before = db.compile(COUNTS)
         db.define("Rich", "select d from d in Departments where d.budget > 0")
         after = db.compile(COUNTS)
-        assert before.kind == after.kind == "groupby"
+        assert "Nest" in before.plan.render()
         fresh = re.compile(r"~\d+")  # fold variables are numbered per compile
         assert fresh.sub("~", after.plan.render()) == fresh.sub("~", before.plan.render())
         assert after.params == ()
         assert db.run(COUNTS) == db.run(COUNTS, engine="interpret")
 
     def test_a_group_by_over_a_view_answers_as_the_interpreter_does(self):
-        db = company_db()
-        db.define("Seniors", "select e from e in Employees where e.age > 30")
+        def with_seniors(**modes):
+            db = company_db(**modes)
+            db.define("Seniors", "select e from e in Employees where e.age > 30")
+            return db
+
+        db = with_seniors()
         q = COUNTS.replace("Employees", "Seniors")
-        entry = db.compile(q)
-        assert entry.kind == "algebra"  # the Nest planner cannot see into a view
         expected = db.run(q, engine="interpret")
-        assert expected and db.run(q) == expected
+        seniors = db.run("count(Seniors)")
+        assert expected and 0 < seniors < db.run("count(Employees)")
+        result = db.run_detailed(q)
+        # Γ sees the substituted view: one Nest over one pass of its rows,
+        # not one partition scan per distinct key
+        assert any(isinstance(node, Nest) for node in result.plan.walk())
+        assert result.stats.rows_scanned == seniors
+        assert result.value == expected == db.run(q, verify=True)
+        for mode, settings in MODE_ROWS.items():
+            assert with_seniors(**settings).run(q) == expected, mode
         assert db.run(q + " order by dno") == tuple(sorted(expected, key=lambda r: r.d))
 
     def test_a_parameter_inside_a_view_body_is_still_found(self):
@@ -445,3 +456,28 @@ class TestGroupByBesideViews:
         entry = db.compile(COUNTS.replace("Employees", "Older"))
         assert entry.params == ("age",)
         assert db.compile(COUNTS).params == ()
+
+
+class TestLabelNamedLikeAFromVariable:
+    """The partition's key filter compared the key with ``Var(label)``,
+    which a ``from`` variable of the same name captured: the reference
+    translation answered every group with an empty partition."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "select struct(e: e, n: count(partition)) from e in Employees group by e: e.dno",
+            "select struct(d: d, n: count(partition)) from e in Employees, d in Departments "
+            "where e.dno = d.dno group by d: d.name",
+        ],
+        ids=["one-from", "two-from"],
+    )
+    def test_every_engine_counts_the_rows_of_each_group(self, query):
+        plain = company_db()
+        expected = plain.run(query, engine="interpret")
+        assert expected and sum(r.n for r in expected) == plain.run("count(Employees)")
+        detailed = plain.run_detailed(query)
+        assert nest_of(detailed.plan) and detailed.value == expected
+        assert plain.run(query, verify=True) == expected
+        for mode, settings in MODE_ROWS.items():
+            assert company_db(**settings).run(query) == expected, mode
