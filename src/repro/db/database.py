@@ -3,6 +3,7 @@
 :class:`Database` wires every layer together, once::
 
     OQL text --parse--> OQL AST --translate--> calculus term
+        --lint-------> (every static finding at once; ``strict=True``)
         --typecheck--> (C/I well-formedness)
         --normalize--> canonical comprehension
         --plan------> logical algebra --optimize--> physical plan
@@ -57,7 +58,14 @@ from repro.db.sample_data import (
     travel_schema,
 )
 from repro.env import env_flag
-from repro.errors import DatabaseError, LintError, PlanError
+from repro.errors import (
+    DatabaseError,
+    LintError,
+    OQLSyntaxError,
+    PlanError,
+    ReproError,
+    TranslationError,
+)
 from repro.eval.evaluator import Evaluator
 from repro.monoids import BAG, LIST, SET
 from repro.normalize.engine import normalize_with_trace
@@ -209,6 +217,8 @@ class Database:
         # (views defined, functions registered, object extents added);
         # part of the compile-version vector cache entries pin.
         self._cache_epoch = 0
+        # (compile version, the Linter derived at it) — see _linter
+        self._linter_at: Optional[tuple[tuple, Any]] = None
 
     # -- loading ----------------------------------------------------------------
 
@@ -299,19 +309,18 @@ class Database:
 
     def translate(self, oql: str) -> Term:
         """OQL text -> calculus term with views expanded."""
-        return self._to_calculus(parse(oql))[0]
+        return self._expand_views(Translator(self.schema).translate(parse(oql)))[0]
 
-    def _to_calculus(self, node: Any) -> tuple[Term, bool]:
-        """The calculus term of a syntax tree, and whether a view was
-        expanded into it (most queries name none, whatever is defined)."""
-        term = Translator(self.schema).translate(node)
+    def _expand_views(self, term: Term) -> tuple[Term, bool]:
+        """``term`` with the views it names substituted in, and whether
+        there were any (most queries name none, whatever is defined)."""
         if self._views and not self._views.keys().isdisjoint(free_vars(term)):
             return substitute_many(term, dict(self._views)), True
         return term, False
 
     def typecheck(self, term: Term) -> None:
         """Run the static checker (C/I restriction and type errors)."""
-        TypeChecker(self.schema).check(term, self._extent_types())
+        TypeChecker(self.schema).check(term)
 
     def lint(self, oql: str) -> list:
         """Statically analyze a query; returns all :class:`Diagnostic`\\ s.
@@ -321,24 +330,32 @@ class Database:
         semantic/performance lints all come back as one batch with
         stable ``QLxxx`` codes and source spans. See ``docs/LINT.md``.
         """
-        from repro.lint.linter import Linter
-        from repro.types.infer import type_of_value
+        return self._linter().lint_source(oql)
 
-        names = set(self.schema.extents())
-        names.update(self.catalog.extents())
-        names.update(self._object_extents)
-        names.update(self._views)
-        names.update(self.functions)
-        types = self._extent_types()
-        for extent, collection in self.catalog.extents().items():
-            if extent not in types:
-                try:
-                    types[extent] = type_of_value(collection)
-                except Exception:
-                    pass
-        return Linter(
-            self.schema, known_names=names, name_types=types
-        ).lint_source(oql)
+    def _linter(self) -> Any:
+        """The linter for the catalog as it stands: the known names and
+        their types are derived once per :meth:`_compile_version` (typing
+        an extent the schema does not declare reads every row of it)."""
+        version = self._compile_version()
+        at = self._linter_at
+        if at is None or at[0] != version:
+            from repro.lint.linter import Linter
+            from repro.types.infer import type_of_value
+
+            names = set(self.catalog.extents())
+            names.update(self._object_extents)
+            names.update(self._views)
+            names.update(self.functions)
+            declared = self.schema.extents()  # the checker knows their types
+            types = {}
+            for extent, collection in self.catalog.extents().items():
+                if extent not in declared:
+                    try:
+                        types[extent] = type_of_value(collection)
+                    except ReproError:
+                        pass
+            at = self._linter_at = (version, Linter(self.schema, names, types))
+        return at[1]
 
     def run(
         self,
@@ -431,21 +448,13 @@ class Database:
         params: dict[str, Any],
     ) -> QueryResult:
         """One query: the ``query`` span, the ``verification`` extent,
-        strict lint, compile → execute, and the query-log entry."""
+        compile → execute, and the query-log entry."""
         tracer = self._active_tracer()
         with tracer.span("query", oql_sha256=oql_fingerprint(oql)) as qspan:
             with verification(verify):
-                if strict:
-                    # Lint is a per-call request, honored on cache hits
-                    # and misses alike — a cached plan must not smuggle
-                    # past strict mode.
-                    with tracer.span("lint"):
-                        errors = [d for d in self.lint(oql) if d.is_error]
-                    if errors:
-                        raise LintError(errors)
                 info: dict[str, Any] = {}
                 if prepared is None:
-                    entry = self.compile(oql, engine, typecheck, info=info)
+                    entry = self.compile(oql, engine, typecheck, strict=strict, info=info)
                 else:
                     entry = prepared._ensure()
                     prepared._validate(params)
@@ -513,12 +522,18 @@ class Database:
         typecheck: bool = False,
         param_types: Optional[dict[str, Any]] = None,
         *,
+        strict: bool = False,
         info: Optional[dict[str, Any]] = None,
     ) -> CompiledQuery:
-        """OQL text -> :class:`CompiledQuery`: parse → translate →
-        typecheck → normalize → plan → optimize → jit.
+        """OQL text -> :class:`CompiledQuery`: parse → translate → [lint]
+        → [typecheck] → normalize → plan → optimize → jit.
 
-        The one place that sequence is written. With a cache attached
+        The one place that sequence is written. ``strict`` runs the lint
+        stage on the term as written (views still names, so spans point
+        into this text) and raises :class:`~repro.errors.LintError` on
+        error findings, a parse or translate failure (``QL000``) included.
+        It is per call, in no cache key, and honored on hits too: a cached
+        plan must not smuggle past strict mode. With a cache attached
         the compiled entry is looked up first by exact text and then,
         after translation, by canonical alpha-form (docs/CACHE.md
         specifies keying and invalidation), and stored on a miss;
@@ -541,13 +556,37 @@ class Database:
             with tracer.span("cache"):
                 entry = cache.compiled_by_text(text_key, version, verifying)
             if entry is not None:
+                if strict:
+                    with tracer.span("lint"):
+                        _raise_errors(self.lint(oql))
                 info["compile"] = "hit"
                 tracer.mark_cached(*entry.phases)
                 return entry
-        with tracer.span("parse"):
-            node = parse(oql)
-        with tracer.span("translate"):
-            calculus, viewed = self._to_calculus(node)
+        try:
+            with tracer.span("parse"):
+                node = parse(oql)
+            with tracer.span("translate"):
+                written = Translator(self.schema).translate(node)
+                calculus, viewed = self._expand_views(written)
+        except (OQLSyntaxError, TranslationError) as err:
+            if not strict:
+                raise
+            from repro.lint.linter import front_end_diagnostic
+
+            raise LintError([front_end_diagnostic(err)]) from err
+        # The normal form is computed once: by the lint stage when its
+        # QL203 check asks (kept for the normalize stage; a failure is
+        # not, so that stage raises it where it always did), else there.
+        normal = None
+        if strict:
+
+            def normal_form() -> Term:
+                nonlocal normal
+                normal = normal or normalize_with_trace(calculus)
+                return normal[0]
+
+            with tracer.span("lint"):
+                _raise_errors(self._linter().lint_term(written, None if viewed else normal_form))
         key = None
         if cache is not None:
             # Only a cache needs the canonical alpha-form; without one
@@ -570,13 +609,11 @@ class Database:
         params = param_names(calculus) if "$" in oql or viewed else ()
         if typecheck:
             with tracer.span("typecheck"):
-                env = self._extent_types()
-                for name in params:
-                    env["$" + name] = (param_types or {}).get(name, ANY)
+                env = {"$" + name: (param_types or {}).get(name, ANY) for name in params}
                 TypeChecker(self.schema).check(calculus, env)
             phases.append("typecheck")
         with tracer.span("normalize"):
-            normalized, trace = normalize_with_trace(calculus)
+            normalized, trace = normal or normalize_with_trace(calculus)
         phases.append("normalize")
         plan: Optional[Reduce] = None
         # Only comprehensions have plans; a normal form below that level
@@ -960,11 +997,12 @@ class Database:
     def _optimize(self, plan: Reduce) -> Reduce:
         return Optimizer(self.catalog.index_keys()).optimize(plan)
 
-    def _extent_types(self) -> dict[str, Any]:
-        types = {}
-        for extent in self.schema.extents():
-            types[extent] = self.schema.extent_type(extent)
-        return types
+
+def _raise_errors(diagnostics: list) -> None:
+    """Strict mode's gate: the error-severity findings, if any, raised."""
+    errors = [d for d in diagnostics if d.is_error]
+    if errors:
+        raise LintError(errors)
 
 
 def _no_plan_note(normalized: Term) -> str:

@@ -1,40 +1,56 @@
 """Shared infrastructure for lint passes.
 
-A :class:`LintContext` carries everything a pass may consult: the
-schema, the names that are legitimately free in a query (extents,
-views, registered functions), static types for those names, and the
-original source text. Passes are stateless callables from
-``(term, context)`` to a list of diagnostics, so the linter can run
-them independently and merge the results.
+A :class:`LintContext` carries everything a pass may consult. What the
+linter knows for every query — the schema, the names that are
+legitimately free in one (extents, views, registered functions) and
+their static types — is shared and never written after construction;
+what belongs to one query — the single collecting type inference of its
+term and its normal form — lives on a context built per ``lint_term``
+call, so concurrent lints never see each other's facts. Passes are
+stateless callables from ``(term, context)`` to a list of diagnostics,
+so the linter can run them independently and merge the results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Protocol
 
-from repro.calculus.ast import Comprehension, Empty, Merge, MonoidRef, Singleton, Term
+from repro.calculus.ast import Term
 from repro.errors import ReproError
 from repro.lint.diagnostics import Diagnostic
-from repro.types.infer import MONOID_PROPS, TypeChecker
+from repro.types.infer import TypeChecker
 from repro.types.schema import Schema
-from repro.types.types import TColl, Type
+from repro.types.types import Type
 
 
 @dataclass
 class LintContext:
     """Everything the passes may look at besides the term itself."""
 
-    schema: Optional[Schema] = None
+    schema: Optional[Schema]
     #: Names a query may use free: extents, views, registered functions.
-    known_names: frozenset[str] = frozenset()
+    known_names: frozenset[str]
     #: Static types for known names (extent types, value-derived types).
-    name_types: dict[str, Type] = field(default_factory=dict)
-    #: The OQL source text, when the query came from text.
-    source: Optional[str] = None
+    name_types: Mapping[str, Type]
+    #: The term this context was built for.
+    term: Term
+    #: The term's normal form, computed when first asked for (QL203).
+    normal_form: Callable[[], Term]
 
-    def checker(self, **kwargs) -> TypeChecker:
-        return TypeChecker(self.schema, **kwargs)
+    @cached_property
+    def inference(self) -> tuple[list[tuple[ReproError, Term]], dict[int, Type]]:
+        """The one collecting type inference of :attr:`term`: every
+        static error with the node it was reported at, in order, and the
+        type given to each generator's source (by ``id`` of the
+        ``Generator``). Run on first use, so a pass still works alone."""
+        errors: list[tuple[ReproError, Term]] = []
+        checker = TypeChecker(
+            self.schema, on_error=lambda err, node: errors.append((err, node))
+        )
+        checker.infer(self.term, self.name_types)  # infer copies its environment
+        return errors, checker.source_types
 
 
 class LintPass(Protocol):
@@ -49,57 +65,3 @@ def is_fresh_name(name: str) -> bool:
     """True for translator-invented variables (``w~3``), which the
     scope lints skip — the user never wrote them."""
     return "~" in name
-
-
-def monoid_ref_name(ref: MonoidRef) -> Optional[str]:
-    """The plain monoid name of a reference, None for vector monoids."""
-    return None if ref.is_vector else ref.name
-
-
-def collection_kind(
-    term: Term, ctx: LintContext, env: Optional[dict[str, Type]] = None
-) -> Optional[str]:
-    """Best-effort collection monoid of ``term`` (``set``/``bag``/...).
-
-    Syntactic shapes answer directly; everything else falls back to the
-    type checker over ``env`` (default: the context's known names).
-    Returns None when the kind cannot be established — lints must then
-    stay silent rather than guess.
-    """
-    if isinstance(term, (Empty, Singleton, Merge, Comprehension)):
-        name = monoid_ref_name(term.monoid)
-        if name is None or name not in MONOID_PROPS:
-            return None
-        return name
-    ty = infer_type(term, ctx, env)
-    if isinstance(ty, TColl):
-        return ty.monoid
-    return None
-
-
-def infer_type(
-    term: Term, ctx: LintContext, env: Optional[dict[str, Type]] = None
-) -> Optional[Type]:
-    """Type of ``term`` under ``env``, None when inference fails."""
-    try:
-        return ctx.checker().infer(
-            term, dict(ctx.name_types) if env is None else dict(env)
-        )
-    except ReproError:
-        return None
-    except RecursionError:  # pragma: no cover - pathological nesting
-        return None
-
-
-def props_of(name: str) -> frozenset[str]:
-    """C/I properties of a monoid name, empty set when unknown."""
-    entry = MONOID_PROPS.get(name)
-    if entry is None:
-        return frozenset()
-    commutative, idempotent, _ = entry
-    out = set()
-    if commutative:
-        out.add("commutative")
-    if idempotent:
-        out.add("idempotent")
-    return frozenset(out)

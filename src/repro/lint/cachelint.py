@@ -20,15 +20,12 @@ info diagnostic per member.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from repro.cache.keys import literal_skeleton, literal_vector
-from repro.errors import ReproError
+from repro.calculus.ast import Term
 from repro.lint.diagnostics import Diagnostic, make
-from repro.oql.parser import parse
-from repro.oql.translate import Translator
 from repro.span import span_of
-from repro.types.schema import Schema
 
 name = "cachelint"
 
@@ -39,35 +36,30 @@ _HINT = (
 
 
 def find_literal_variants(
-    segments: Iterable[tuple[int, int, str]],
-    schema: Optional[Schema] = None,
+    queries: Iterable[tuple[int, int, Term]],
 ) -> list[Diagnostic]:
     """QL401 findings for one file's queries, spans in file coordinates.
 
-    ``segments`` are ``(line0, col0, text)`` triples as produced by
-    :func:`repro.lint.cli.split_queries`. Queries that fail to parse or
-    translate are skipped here — the per-query passes already report
-    them as ``QL000``.
+    ``queries`` are ``(line0, col0, term)`` triples: where each query's
+    text starts in the file (:func:`repro.lint.cli.split_queries`) and
+    the term the per-query lint already translated it to. Queries that
+    failed to parse or translate have no term and are not handed in —
+    the per-query passes report them as ``QL000``.
     """
-    translator = Translator(schema)
     groups: dict = {}
-    for line0, col0, text in segments:
-        try:
-            term = translator.translate(parse(text))
-            skeleton = literal_skeleton(term)
-            literals = literal_vector(term)
-        except ReproError:
-            continue
-        groups.setdefault(skeleton, []).append((line0, col0, text, term, literals))
+    for line0, col0, term in queries:
+        groups.setdefault(literal_skeleton(term), []).append(
+            (line0, col0, term, literal_vector(term))
+        )
 
     diagnostics: list[Diagnostic] = []
     for members in groups.values():
         if len(members) < 2:
             continue
-        distinct = {literals for _, _, _, _, literals in members}
+        distinct = {literals for *_, literals in members}
         if len(distinct) < 2 or not any(literals for *_, literals in members):
             continue
-        for line0, col0, text, term, _ in members:
+        for line0, col0, term, _ in members:
             span = span_of(term)
             if span is not None and (line0 or col0):
                 span = span.shifted(line0, col0)
@@ -83,9 +75,6 @@ def find_literal_variants(
     return diagnostics
 
 
-def run_batch(
-    segments: Sequence[tuple[int, int, str]],
-    schema: Optional[Schema] = None,
-) -> list[Diagnostic]:
+def run_batch(queries: Iterable[tuple[int, int, Term]]) -> list[Diagnostic]:
     """All batch findings for one file (currently just QL401)."""
-    return find_literal_variants(segments, schema)
+    return find_literal_variants(queries)

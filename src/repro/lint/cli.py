@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Callable, Iterator, Optional
 
 from repro.lint.cachelint import run_batch
@@ -85,24 +86,23 @@ def lint_text(
 ) -> list[Diagnostic]:
     """Lint every query in ``source``, spans in file coordinates.
 
-    Runs the per-query pass pipeline over each ``;``-separated query,
-    then the batch passes (``QL4xx``, :mod:`repro.lint.cachelint`) over
-    the file's queries as a group.
+    Parses and translates each ``;``-separated query once, runs the
+    per-query pass pipeline over its term, then the batch passes
+    (``QL4xx``, :mod:`repro.lint.cachelint`) over the file's terms as a
+    group.
     """
     findings: list[Diagnostic] = []
-    segments = list(split_queries(source))
-    for line0, col0, text in segments:
-        for diag in linter.lint_source(text):
+    translated = []
+    for line0, col0, text in split_queries(source):
+        term, found = linter.front_end(text)
+        if term is not None:
+            found = linter.lint_term(term)
+            translated.append((line0, col0, term))
+        for diag in found:
             if diag.span is not None and (line0 or col0):
-                diag = Diagnostic(
-                    diag.code,
-                    diag.severity,
-                    diag.message,
-                    diag.span.shifted(line0, col0),
-                    diag.hint,
-                )
+                diag = replace(diag, span=diag.span.shifted(line0, col0))
             findings.append(diag)
-    findings.extend(run_batch(segments, linter.schema))
+    findings.extend(run_batch(translated))
     return sort_diagnostics(findings)
 
 

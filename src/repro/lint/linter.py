@@ -15,6 +15,7 @@ from repro.errors import OQLSyntaxError, ReproError, TranslationError
 from repro.lint import dataflow, performance, scope, semantics, wellformed
 from repro.lint.base import LintContext
 from repro.lint.diagnostics import Diagnostic, make, sort_diagnostics
+from repro.normalize.engine import normalize
 from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.span import span_of
@@ -27,6 +28,9 @@ DEFAULT_PASSES = (wellformed.run, scope.run, semantics.run, performance.run, dat
 
 class Linter:
     """A multi-pass static analyzer for OQL queries and calculus terms.
+
+    Nothing is written to a linter after construction, so one may be
+    shared by concurrent callers.
 
     >>> diags = Linter(known_names={"Cities"}).lint_source(
     ...     "select c.name from c in Citeis")
@@ -45,19 +49,21 @@ class Linter:
     ) -> None:
         self.schema = schema
         self.passes = tuple(passes)
-        names = set(known_names or ())
-        types = dict(name_types or {})
-        if schema is not None:
-            for extent in schema.extents():
-                names.add(extent)
-                types.setdefault(extent, schema.extent_type(extent))
-        self._context = LintContext(
-            schema=schema,
-            known_names=frozenset(names),
-            name_types=types,
-        )
+        declared = schema.extents() if schema is not None else ()
+        self.known_names = frozenset(known_names or ()).union(declared)
+        #: Types of known names the schema does not declare (the type
+        #: checker supplies its own extents' types).
+        self.name_types = dict(name_types or {})
 
     # -- entry points ---------------------------------------------------------
+
+    def front_end(self, source: str) -> tuple[Optional[Term], list[Diagnostic]]:
+        """Parse and translate ``source``, once: its calculus term, or
+        None beside the single ``QL000`` the failure becomes."""
+        try:
+            return Translator(self.schema).translate(parse(source)), []
+        except (OQLSyntaxError, TranslationError) as err:
+            return None, [front_end_diagnostic(err)]
 
     def lint_source(self, source: str) -> list[Diagnostic]:
         """Lint one OQL query given as text.
@@ -65,27 +71,41 @@ class Linter:
         Parse/translate failures produce a single ``QL000`` diagnostic;
         otherwise the translated term goes through every pass.
         """
-        try:
-            node = parse(source)
-            term = Translator(self.schema).translate(node)
-        except OQLSyntaxError as err:
-            return [make("QL000", _strip_location(str(err), err.span), err.span)]
-        except TranslationError as err:
-            return [make("QL000", str(err))]
-        self._context.source = source
-        return self.lint_term(term)
+        term, failure = self.front_end(source)
+        return failure if term is None else self.lint_term(term)
 
-    def lint_term(self, term: Term) -> list[Diagnostic]:
-        """Run every pass over an already-translated calculus term."""
+    def lint_term(
+        self, term: Term, normal_form: Optional[Callable[[], Term]] = None
+    ) -> list[Diagnostic]:
+        """Run every pass over an already-translated calculus term.
+
+        ``normal_form`` is a thunk from a caller that computes it anyway
+        (``Database.compile``); without one, ``normalize(term)`` on demand.
+        """
+        ctx = LintContext(
+            self.schema,
+            self.known_names,
+            self.name_types,
+            term,
+            normal_form or (lambda: normalize(term)),
+        )
         findings: list[Diagnostic] = []
         for lint_pass in self.passes:
             try:
-                findings.extend(lint_pass(term, self._context))
+                findings.extend(lint_pass(term, ctx))
             except ReproError as err:  # a pass must never sink the batch
                 findings.append(
                     make("QL006", f"analysis failed: {err}", span_of(term))
                 )
         return sort_diagnostics(_dedupe(findings))
+
+
+def front_end_diagnostic(err: ReproError) -> Diagnostic:
+    """The ``QL000`` a parse or translate failure is reported as (minus a
+    syntax error's ``at line L, column C`` suffix: the span carries it)."""
+    if isinstance(err, OQLSyntaxError):
+        return make("QL000", str(err).removesuffix(f" at {err.span}"), err.span)
+    return make("QL000", str(err))
 
 
 def _dedupe(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
@@ -109,12 +129,6 @@ def _dedupe(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
             seen.add(key)
             out.append(diag)
     return out
-
-
-def _strip_location(message: str, span) -> str:
-    """Remove the ``at line L, column C`` suffix (the span carries it)."""
-    suffix = f" at {span}"
-    return message[: -len(suffix)] if message.endswith(suffix) else message
 
 
 def lint_oql(

@@ -8,8 +8,9 @@
   Normalization/optimization can push it down, but the query as
   written hides that, and the interpreter path pays for it.
 - ``QL203`` (info) — pipelining blocked: after running the Table 3
-  rules to a fixpoint, some generator still ranges over a non-path
-  source (typically a nested query that cannot be unnested, e.g. a
+  rules to a fixpoint (the context's normal form — the pipeline's own
+  when ``compile`` is linting), some generator still ranges over a
+  non-path source (typically a nested query that cannot be unnested, e.g. a
   ``set`` subquery ranged over by a ``bag`` select, or a sort). The
   executor must materialize that inner collection instead of
   pipelining it. An aggregate over a group-by ``partition`` is not
@@ -24,7 +25,7 @@ from repro.errors import ReproError
 from repro.lint.base import LintContext, is_fresh_name
 from repro.lint.diagnostics import Diagnostic, make
 from repro.lint.semantics import constant_truth
-from repro.normalize.engine import is_simple_path, normalize
+from repro.normalize.engine import is_simple_path
 from repro.span import span_of
 
 name = "performance"
@@ -36,7 +37,7 @@ def run(term: Term, ctx: LintContext) -> list[Diagnostic]:
         if isinstance(sub, Comprehension):
             _check_cartesian(sub, diagnostics)
             _check_filter_placement(sub, diagnostics)
-    _check_pipelining(term, diagnostics)
+    _check_pipelining(term, ctx, diagnostics)
     return diagnostics
 
 
@@ -120,9 +121,11 @@ def _check_filter_placement(comp: Comprehension, diagnostics: list[Diagnostic]) 
             )
 
 
-def _check_pipelining(term: Term, diagnostics: list[Diagnostic]) -> None:
+def _check_pipelining(
+    term: Term, ctx: LintContext, diagnostics: list[Diagnostic]
+) -> None:
     try:
-        normal = normalize(term)
+        normal = ctx.normal_form()
     except ReproError:
         return
     seen: set[int] = set()

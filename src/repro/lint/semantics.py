@@ -4,7 +4,8 @@
   source. That is well formed (``props(bag) ⊂ props(set)``) but it
   *silently* deduplicates; the Albert/Grumbach-style set/bag mixing
   hazard. Queries that asked for it (``select distinct``) are exempt —
-  the translator marks those comprehensions.
+  the translator marks those comprehensions. The source's kind is the
+  monoid it spells, else the type the context's inference gave it.
 - ``QL102`` — an always-true predicate: the filter never rejects.
 - ``QL103`` — an always-false predicate: the comprehension is the
   monoid's zero, almost certainly a typo (e.g. ``x != x``).
@@ -20,22 +21,22 @@ from typing import Optional
 
 from repro.calculus.ast import (
     BinOp,
-    Bind,
     Comprehension,
     Const,
+    Empty,
     Filter,
     Generator,
-    Hom,
-    Lambda,
-    Let,
+    Merge,
+    Singleton,
     Term,
     UnOp,
 )
-from repro.calculus.traversal import alpha_equal, children, has_effects
-from repro.lint.base import LintContext, collection_kind, infer_type
+from repro.calculus.traversal import alpha_equal, has_effects, subterms
+from repro.lint.base import LintContext
 from repro.lint.diagnostics import Diagnostic, make
 from repro.span import span_of
-from repro.types.types import ANY, TColl, Type
+from repro.types.infer import MONOID_PROPS
+from repro.types.types import TColl
 
 name = "semantics"
 
@@ -45,69 +46,56 @@ _DUP_SOURCES = frozenset({"bag", "list", "sortedbag", "string"})
 
 def run(term: Term, ctx: LintContext) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    _walk(term, ctx, dict(ctx.name_types), diagnostics)
+    for sub in subterms(term):
+        if isinstance(sub, Comprehension):
+            _check_implicit_dedup(sub, ctx, diagnostics)
+            for qual in sub.qualifiers:
+                if isinstance(qual, Filter):
+                    _check_constant_predicate(qual, diagnostics)
     return diagnostics
 
 
-def _walk(
-    term: Term,
-    ctx: LintContext,
-    env: dict[str, Type],
-    diagnostics: list[Diagnostic],
+def _check_implicit_dedup(
+    comp: Comprehension, ctx: LintContext, diagnostics: list[Diagnostic]
 ) -> None:
-    """Recurse carrying a type environment so generator variables
-    (``h`` in ``h.rooms``) resolve when classifying sources."""
-    if isinstance(term, Comprehension):
-        is_set = not term.monoid.is_vector and term.monoid.name == "set"
-        flag_dedup = is_set and not getattr(term, "explicit_dedup", False)
-        inner = dict(env)
-        for qual in term.qualifiers:
-            if isinstance(qual, Generator):
-                _walk(qual.source, ctx, inner, diagnostics)
-                kind = collection_kind(qual.source, ctx, inner)
-                if flag_dedup and kind in _DUP_SOURCES:
-                    diagnostics.append(
-                        make(
-                            "QL101",
-                            f"set comprehension over a {kind} source silently "
-                            f"deduplicates; write 'select distinct' if that "
-                            f"is intended, or keep the result a {kind}",
-                            span_of(qual) or span_of(term),
-                        )
-                    )
-                source_ty = infer_type(qual.source, ctx, inner)
-                inner[qual.var] = (
-                    source_ty.element if isinstance(source_ty, TColl) else ANY
+    if (
+        comp.monoid.is_vector
+        or comp.monoid.name != "set"
+        or getattr(comp, "explicit_dedup", False)
+    ):
+        return
+    for qual in comp.qualifiers:
+        if not isinstance(qual, Generator):
+            continue
+        kind = _source_monoid(qual, ctx)
+        if kind in _DUP_SOURCES:
+            diagnostics.append(
+                make(
+                    "QL101",
+                    f"set comprehension over a {kind} source silently "
+                    f"deduplicates; write 'select distinct' if that "
+                    f"is intended, or keep the result a {kind}",
+                    span_of(qual) or span_of(comp),
                 )
-                if qual.index_var is not None:
-                    inner[qual.index_var] = ANY
-            elif isinstance(qual, Filter):
-                _check_constant_predicate(qual, diagnostics)
-                _walk(qual.pred, ctx, inner, diagnostics)
-            elif isinstance(qual, Bind):
-                _walk(qual.value, ctx, inner, diagnostics)
-                inner[qual.var] = infer_type(qual.value, ctx, inner) or ANY
-        _walk(term.head, ctx, inner, diagnostics)
-        return
-    if isinstance(term, Lambda):
-        inner = dict(env)
-        inner[term.param] = ANY
-        _walk(term.body, ctx, inner, diagnostics)
-        return
-    if isinstance(term, Let):
-        _walk(term.value, ctx, env, diagnostics)
-        inner = dict(env)
-        inner[term.var] = infer_type(term.value, ctx, env) or ANY
-        _walk(term.body, ctx, inner, diagnostics)
-        return
-    if isinstance(term, Hom):
-        _walk(term.arg, ctx, env, diagnostics)
-        inner = dict(env)
-        inner[term.var] = ANY
-        _walk(term.body, ctx, inner, diagnostics)
-        return
-    for child in children(term):
-        _walk(child, ctx, env, diagnostics)
+            )
+
+
+def _source_monoid(qual: Generator, ctx: LintContext) -> Optional[str]:
+    """The collection monoid a generator ranges over (``set``/``bag``/...).
+
+    A source that spells its monoid answers with what was written (a
+    ``sortedbag`` comprehension has *type* list); any other with the
+    type the context's inference gave it. None when the kind cannot be
+    established — the lint then stays silent rather than guess.
+    """
+    source = qual.source
+    if isinstance(source, (Empty, Singleton, Merge, Comprehension)):
+        monoid = source.monoid
+        known = not monoid.is_vector and monoid.name in MONOID_PROPS
+        return monoid.name if known else None
+    _, source_types = ctx.inference
+    ty = source_types.get(id(qual))
+    return ty.monoid if isinstance(ty, TColl) else None
 
 
 def _check_constant_predicate(qual: Filter, diagnostics: list[Diagnostic]) -> None:

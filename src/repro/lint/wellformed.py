@@ -1,7 +1,7 @@
 """Pass 1 — well-formedness: the paper's C/I restriction, batched.
 
-Runs the type checker in collecting mode, so *every* violation in the
-term is reported instead of just the first:
+Reads the errors of the context's collecting type inference, so *every*
+violation in the term is reported instead of just the first:
 
 - ``QL001`` — a comprehension generator ranges over a collection whose
   properties exceed the output monoid's (``props(N) ⊄ props(M)``);
@@ -17,7 +17,7 @@ filtered out.
 from __future__ import annotations
 
 from repro.calculus.ast import Hom, Term, Var
-from repro.errors import ReproError, WellFormednessError
+from repro.errors import WellFormednessError
 from repro.lint.base import LintContext
 from repro.lint.diagnostics import Diagnostic, make
 from repro.span import span_of
@@ -27,20 +27,14 @@ name = "wellformed"
 
 def run(term: Term, ctx: LintContext) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-
-    def report(err: ReproError, node) -> None:
+    errors, _ = ctx.inference
+    for err, node in errors:
         if isinstance(node, Var):
             # The scope pass reports unbound variables as QL003.
-            return
+            continue
         if isinstance(err, WellFormednessError):
             code = "QL002" if isinstance(node, Hom) else "QL001"
         else:
             code = "QL006"
         diagnostics.append(make(code, str(err), span_of(node) or span_of(term)))
-
-    checker = ctx.checker(on_error=report)
-    try:
-        checker.infer(term, dict(ctx.name_types))
-    except ReproError:  # pragma: no cover - collect mode swallows these
-        pass
     return diagnostics

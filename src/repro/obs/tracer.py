@@ -37,11 +37,12 @@ from typing import Any, Iterator, Optional
 #: single source of truth shared by the tracer, the cache's skip logic
 #: (a compile-cache hit marks the skipped subset as cached, see
 #: :meth:`Tracer.mark_cached`) and the benchmark report — so a phase
-#: renamed here renames everywhere.
+#: renamed here renames everywhere. ``lint`` is the ``strict=True``
+#: stage of ``compile``: it reads the term ``translate`` just made.
 PIPELINE_PHASES = (
-    "lint",
     "parse",
     "translate",
+    "lint",
     "typecheck",
     "normalize",
     "plan",

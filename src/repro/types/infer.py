@@ -146,11 +146,15 @@ class TypeChecker:
     ``any``, and checking continues. This is what lets
     :mod:`repro.lint` surface all static errors in one pass instead of
     stopping at the first.
+
+    Either way :attr:`source_types` holds the type inferred for each
+    ``Generator``'s source (by ``id``): what QL101 reads, not re-infers.
     """
 
     def __init__(self, schema: Optional[Schema] = None, on_error=None) -> None:
         self.schema = schema
         self._on_error = on_error
+        self.source_types: dict[int, Type] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -380,6 +384,7 @@ class TypeChecker:
         for qual in term.qualifiers:
             if isinstance(qual, Generator):
                 source = self._infer(qual.source, scope)
+                self.source_types[id(qual)] = source
                 element, source_monoid = self._generator_element(source)
                 if source_monoid is not None:
                     try:

@@ -40,20 +40,27 @@ def evaluator() -> Evaluator:
 
 
 @pytest.fixture
-def count_canonical_key(monkeypatch):
-    """Call it to start counting: returns the list that every later
-    ``canonical_key`` call, from any loaded ``repro`` module, is appended to."""
+def count_calls(monkeypatch):
+    """Call it with a function to start counting: returns the list that
+    every later call of that function, from any loaded ``repro`` module,
+    appends its first argument to."""
 
-    def start() -> list:
+    def start(fn) -> list:
         calls: list = []
 
-        def counting(value):
-            calls.append(value)
-            return canonical_key(value)
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("repro") and getattr(module, "canonical_key", None) is canonical_key:
-                monkeypatch.setattr(module, "canonical_key", counting)
+            if name.startswith("repro") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
         return calls
 
     return start
+
+
+@pytest.fixture
+def count_canonical_key(count_calls):
+    """:func:`count_calls` of ``canonical_key``."""
+    return lambda: count_calls(canonical_key)

@@ -6,7 +6,15 @@ from repro.lint.linter import Linter
 
 
 def _segments(source):
-    return list(split_queries(source))
+    """``(line0, col0, term)`` per query of ``source`` that translates —
+    what ``lint_text`` hands the batch pass."""
+    linter = Linter()
+    found = []
+    for line0, col0, text in split_queries(source):
+        term, _ = linter.front_end(text)
+        if term is not None:
+            found.append((line0, col0, term))
+    return found
 
 
 class TestFindLiteralVariants:

@@ -50,6 +50,19 @@ class TestLintText:
         assert source.splitlines()[span.line - 1][span.column - 1:].startswith("Citees")
 
 
+    def test_each_query_is_parsed_once(self, count_calls):
+        """The batch pass (QL401) reads the terms the per-query lint
+        translated; it has no front end of its own."""
+        from pathlib import Path
+
+        from repro.oql.parser import parse
+
+        source = Path("examples/lint_showcase.oql").read_text(encoding="utf-8")
+        parsed = count_calls(parse)
+        lint_text(source, Linter(travel_schema()))
+        assert parsed == [text for _, _, text in split_queries(source)]
+
+
 class TestMain:
     def test_clean_file_exits_zero(self, tmp_path):
         path = tmp_path / "ok.oql"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.calculus.ast import Hom, MonoidRef, Singleton
-from repro.calculus.builders import comp, const, gen, proj, var
+from repro.calculus.builders import call, comp, const, gen, proj, var
 from repro.db.sample_data import travel_schema
 from repro.lint import Linter, lint_oql
 from repro.values import Bag
@@ -136,6 +136,22 @@ class TestQL101ImplicitDedup:
              gen("h", proj(var("c"), "hotels")),
              gen("r", proj(var("h"), "rooms"))])
         assert "QL101" in codes(linter.lint_term(term))
+
+    def test_positive_beside_an_error_inside_the_source(self, linter):
+        # to_bag(...) is a bag whatever its argument: the one inference
+        # reports the type error where it is and still types the source
+        term = comp("set", var("x"),
+                    [gen("x", call("to_bag", proj(var("Cities"), "nope")))])
+        assert {"QL006", "QL101"} <= set(codes(linter.lint_term(term)))
+
+    def test_positive_names_the_monoid_as_written(self, linter):
+        # a sortedbag comprehension has type list; the message says sortedbag
+        from repro.calculus.parser import parse_calculus
+
+        term = parse_calculus(
+            "set{ x | x <- sortedbag[\\c. c.name]{ c | c <- Cities } }")
+        [diag] = [d for d in linter.lint_term(term) if d.code == "QL101"]
+        assert "over a sortedbag source" in diag.message
 
     def test_negative_explicit_distinct(self):
         src = ("select distinct r.price "
