@@ -1,13 +1,18 @@
-"""Experiment J1 (extension) — closure compilation of the hot path.
+"""Experiment J1 (extension) — compiling the hot path.
 
 The JIT targets the *execution* half of a query: once a plan exists
 (compiled-query cache, prepared statement, or simply the same plan
 executed over and over), every Select predicate, Join key, Unnest path,
 Nest key and Reduce head is evaluated once per row. These benchmarks
 time exactly that — ``Executor.execute`` over a precompiled plan — with
-closure compilation off (the seed's per-row AST interpretation) and on.
+the jit off (per-row AST interpretation in the operator loops) and on
+(one generated function per plan). The numbers that count are the
+harness's (``jit.execute_ratio``, ``analytics_large_warm``; EXPERIMENTS.md
+H22); what this file *asserts* is clock-free — every workload's plan is
+fused, nothing falls back, results are identical — plus two wall-clock
+floors far below what is measured.
 
-Two predicate-heavy workloads carry the headline ≥2x shape:
+Two predicate-heavy workloads carry the headline shape:
 
 - **scan-pred** — a single-extent scan whose predicate is a deep
   arithmetic/boolean expression (the shape QL2xx-clean OLAP filters
@@ -15,11 +20,8 @@ Two predicate-heavy workloads carry the headline ≥2x shape:
 - **unnest-pred** — the travel schema's Cities→hotels→rooms unnest
   pipeline with a correlated multi-conjunct room filter.
 
-Two more series record the honest *non*-headline shapes: cheap
-predicates and heads (where row plumbing, not expression evaluation,
-dominates) sit well under 2x — the JIT never makes them slower, but
-closure compilation cannot speed up work that isn't expression
-evaluation.
+Two more series record cheap predicates and heads, where row plumbing,
+not expression evaluation, dominated before the plan itself was compiled.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from benchmarks.conftest import build_company_db, build_travel_db
 from repro.algebra.physical import Executor
 from repro.algebra.translate import build_plan
 from repro.jit import JITConfig
-from repro.jit.plan import precompile_plan
+from repro.jit.plan import fused, precompile_plan
 from repro.normalize import normalize
 
 NUM_EMPLOYEES = 2000
@@ -162,16 +164,20 @@ def _speedup(oql: str, schema: str, attempts: int = 2) -> float:
     )
 
 
-def test_shape_scan_pred_speedup():
-    """Headline 1: a predicate-heavy scan at least doubles."""
-    speedup = _speedup(SCAN_PRED, "company")
-    assert speedup >= 2.0, f"scan-pred jit speedup {speedup:.2f}x < 2x"
-
-
-def test_shape_unnest_pred_speedup():
-    """Headline 2: the unnest pipeline with a heavy filter doubles."""
-    speedup = _speedup(UNNEST_PRED, "travel")
-    assert speedup >= 2.0, f"unnest-pred jit speedup {speedup:.2f}x < 2x"
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_shape_fused(workload):
+    """Clock-free: the plan runs as one generated function, every
+    expression compiled, and answers what the interpreted loops answer."""
+    schema, oql = WORKLOADS[workload]
+    db = _dbs()[schema]
+    plan_off, ex_off = _prepared(db, oql, jit=False)
+    plan_on, ex_on = _prepared(db, oql, jit=True)
+    report = precompile_plan(plan_on)
+    assert fused(plan_on) is not None
+    assert report["fallback"] == 0 and report["compiled"] > 0
+    value = ex_on.execute(plan_on)
+    assert type(value) is type(ex_off.execute(plan_off)) and value == ex_off.execute(plan_off)
+    assert ex_on.stats == ex_off.stats
 
 
 def test_shape_cheap_queries_never_slower():

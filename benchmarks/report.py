@@ -212,7 +212,7 @@ def report_p2() -> None:
 
 
 def report_j1() -> None:
-    heading("J1 — closure compilation of the hot execution path (ms)")
+    heading("J1 — the compiled hot execution path (ms)")
     from benchmarks.bench_jit import WORKLOADS, _dbs, _prepared
 
     dbs = _dbs()
@@ -231,7 +231,7 @@ def report_j1() -> None:
     result = db.run_detailed(next(iter(WORKLOADS.values()))[1])
     if result.jit is not None:
         print(
-            f"    closure coverage on scan-pred: "
+            f"    expression coverage on scan-pred: "
             f"compiled={result.jit['compiled']} "
             f"fallback={result.jit['fallback']}"
         )

@@ -92,6 +92,7 @@ class PlanNode:
     # :attr:`Expr.slot` and a ``jit_stats`` summary on the node, then sets
     # ``jit_ready`` — last, so concurrent readers either see a fully
     # compiled node or fall back to compiling it themselves (idempotent).
+    # A Reduce root also carries its generated function (``jit_fused``).
     jit_ready = False
 
     def binds(self) -> tuple[str, ...]:

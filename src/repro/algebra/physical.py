@@ -24,7 +24,11 @@ first-order terms in operator positions, so a loop never needs to know
 how its expression is evaluated: it calls an ``fn(binding, rt)`` that
 :meth:`Executor._fn` hands it — a compiled closure with the JIT on, a
 thunk into the reference interpreter with it off. Every binding dict an
-operator yields is a fresh one, never mutated afterwards.
+operator yields is a fresh one, never mutated afterwards. With the JIT on
+the loops run only the executions that need operator boundaries (a timed
+one, a parallel partition): otherwise :meth:`Executor._reduce` calls the
+one function :mod:`repro.jit.plan` generated for the plan, which has one
+*template* per operator making the same checks and the same counts.
 """
 
 from __future__ import annotations
@@ -44,13 +48,11 @@ from repro.algebra.ops import (
     Unnest,
 )
 from repro.calculus.ast import Term
-from repro.errors import EvaluationError, PlanError, VerificationError
-from repro.eval.builtins import runtime_monoid_of
+from repro.errors import EvaluationError, PlanError
 from repro.eval.env import Env
 from repro.eval.evaluator import VECTOR_HEAD_ERROR, Evaluator
 from repro.jit.runtime import Runtime
 from repro.monoids import CollectionMonoid, VectorMonoid
-from repro.objects.store import Obj
 from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.values import Bag, OrderedSet, Vector, canonical_key
 
@@ -179,6 +181,15 @@ class Executor:
 
     def _reduce(self, plan: Reduce) -> Any:
         monoid = self.evaluator.resolve_monoid(plan.monoid, self.evaluator.global_env)
+        if self.jit is not None and not self._timed:  # wall time needs boundaries
+            from repro.jit.plan import fused
+
+            pipeline = fused(plan, self._jit_verify)
+            if pipeline is not None:
+                blocks = [self.metrics.for_node(node) for node in plan.child.walk()]
+                for block in blocks:
+                    block.invocations = 1
+                return pipeline(self._rt, self.indexes, blocks, monoid)
         return self._fold_plan(plan, monoid, self._iter(plan.child))
 
     def _fold_plan(
@@ -202,12 +213,12 @@ class Executor:
         term) — a tuple of them for a tuple of terms, None for an absent
         one (alone or inside the tuple).
 
-        This is the only place that knows how expressions are evaluated:
-        with the JIT on it is the node's compiled closure (compiled
-        here on first use unless the pipeline's jit phase already did),
-        wrapped under verify mode with a per-row differential check
-        against the interpreter; with it off, a thunk that re-enters the
-        reference interpreter. The loops below only ever call it.
+        This is the only place that knows how the loops' expressions are
+        evaluated: with the JIT on it is the node's compiled closure
+        (compiled here on first use unless the pipeline's jit phase
+        already did), wrapped under verify mode with a per-row
+        differential check against the interpreter; with it off, a thunk
+        that re-enters the reference interpreter.
         """
         term = node.expr(slot).terms
         many = isinstance(term, tuple)
@@ -298,7 +309,7 @@ class Executor:
             key = tuple(fn(left_binding, rt) for fn in left_fns)
             for right_binding in table.get(key, ()):
                 merged = {**left_binding, **right_binding}
-                if residual_fn is not None and not residual_fn(merged, rt):
+                if residual_fn is not None and not _holds(residual_fn(merged, rt)):
                     continue
                 joined += 1
                 yield merged
@@ -316,7 +327,7 @@ class Executor:
         for left_binding in self._iter(node.left):
             for right_binding in right:
                 merged = {**left_binding, **right_binding}
-                if residual_fn is not None and not residual_fn(merged, rt):
+                if residual_fn is not None and not _holds(residual_fn(merged, rt)):
                     continue
                 joined += 1
                 yield merged
@@ -407,28 +418,12 @@ class Executor:
     ) -> Iterator[dict[str, Any]]:
         """A fresh dict per element — operators and the interpreter
         thunks (``Env.wrapping``) may keep the ones they are handed."""
-        if isinstance(source, Obj):
-            source = self.evaluator.store.deref(source)
-        monoid = runtime_monoid_of(source)
         if index_var is None:
-            if isinstance(monoid, VectorMonoid):
-                for _, value in monoid.iterate(source):
-                    yield {var: value}
-            else:
-                for value in monoid.iterate(source):
-                    yield {var: value}
+            for value in self._rt.iterate(source, False):
+                yield {var: value}
         else:
-            if isinstance(monoid, VectorMonoid):
-                for position, value in monoid.iterate(source):
-                    yield {var: value, index_var: position}
-            elif isinstance(source, (tuple, list, str, OrderedSet)):
-                for position, value in enumerate(monoid.iterate(source)):
-                    yield {var: value, index_var: position}
-            else:
-                raise EvaluationError(
-                    "indexed scan requires an ordered collection, got "
-                    f"{type(source).__name__}"
-                )
+            for position, value in self._rt.iterate(source, True):
+                yield {var: value, index_var: position}
 
 
 def _folder(monoid) -> tuple[Any, Any, Any]:
@@ -439,21 +434,22 @@ def _folder(monoid) -> tuple[Any, Any, Any]:
     running value for a primitive one."""
     if not isinstance(monoid, CollectionMonoid):
         return monoid.zero, monoid.merge, _identity
-    if isinstance(monoid, VectorMonoid):
+    if not isinstance(monoid, VectorMonoid):
+        return monoid.accumulator, _accumulate, _finish
 
-        def step(acc, value):
-            if not isinstance(value, tuple) or len(value) != 2:
-                raise EvaluationError(VECTOR_HEAD_ERROR)
-            acc.add(value)
-            return acc
-
-    else:
-
-        def step(acc, value):
-            acc.add(value)
-            return acc
+    def step(acc, value):
+        if not isinstance(value, tuple) or len(value) != 2:
+            raise EvaluationError(VECTOR_HEAD_ERROR)
+        acc.add(value)
+        return acc
 
     return monoid.accumulator, step, _finish
+
+
+def _accumulate(acc: Any, value: Any) -> Any:
+    """The step of a plain collection fold (generated code inlines it)."""
+    acc.add(value)
+    return acc
 
 
 def _identity(state: Any) -> Any:
@@ -479,19 +475,14 @@ def _checked(fn, term: Term):
     """``fn`` with every result compared against the interpreter's."""
     if term is None:
         return None
+    return lambda binding, rt: rt.check(fn(binding, rt), term, binding)
 
-    def checked(binding: dict[str, Any], rt) -> Any:
-        value = fn(binding, rt)
-        expected = rt.eval_fallback(term, binding)
-        if type(value) is not type(expected) or value != expected:
-            raise VerificationError(
-                "jit-compile",
-                term,
-                violations=[f"compiled {value!r} != interpreted {expected!r}"],
-            )
-        return value
 
-    return checked
+def _holds(value: Any) -> bool:
+    """The Select test, on a Join residual: only True keeps, only False drops."""
+    if value is not True and value is not False:
+        Evaluator._require_bool(value, "qualifier predicate")
+    return value
 
 
 def result_cardinality(value: Any) -> int:

@@ -190,8 +190,10 @@ class Evaluator:
         )
 
     def _eval_index(self, term: Index, env: Env) -> Any:
-        base = self._eval(term.base, env)
-        position = self._eval(term.index, env)
+        return self.index(self._eval(term.base, env), self._eval(term.index, env))
+
+    def index(self, base: Any, position: Any) -> Any:
+        """Positional access with implicit dereference of objects."""
         if isinstance(base, Obj):
             base = self.store.deref(base)
         if isinstance(base, Vector):

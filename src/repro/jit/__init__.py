@@ -1,11 +1,13 @@
-"""Closure compilation (JIT) of calculus expressions on the hot path.
+"""Compilation (JIT) of canonical plans to Python.
 
-Section 3's normalization leaves only small first-order terms in
-operator positions, so they compile cleanly to Python closures —
-:mod:`repro.jit.compiler` translates them, :mod:`repro.jit.plan`
-attaches the closures to physical plan nodes at plan-build time, and
-the executor's hot loops call them instead of re-walking ASTs per row.
-See ``docs/JIT.md`` for what compiles, what falls back, and the
+Section 3's normalization leaves generators over simple paths and small
+first-order terms in operator positions, a form that translates straight
+to target-language code: :mod:`repro.jit.compiler` emits the terms as
+Python expressions, :mod:`repro.jit.plan` emits one function per plan
+around them at plan-build time (and closures per expression, for the
+executions that keep operator boundaries), and the executor calls the
+function instead of pulling rows through its operator loops.
+See ``docs/JIT.md`` for the generated code, what falls back, and the
 interaction with cache/parallel/verify.
 
 Off by default; enable with ``Database(jit=...)``,
@@ -13,17 +15,8 @@ Off by default; enable with ``Database(jit=...)``,
 """
 
 from repro.jit.compiler import CompiledFn, compile_term
-from repro.jit.config import (
-    JITConfig,
-    config_from_env,
-    jit_env_enabled,
-    resolve_jit,
-)
-from repro.jit.plan import (
-    compile_node,
-    plan_fallback_constructs,
-    precompile_plan,
-)
+from repro.jit.config import JITConfig, jit_env_enabled, resolve_jit
+from repro.jit.plan import compile_node, fused, pipeline_source, precompile_plan
 from repro.jit.runtime import Runtime
 
 __all__ = [
@@ -32,9 +25,9 @@ __all__ = [
     "Runtime",
     "compile_node",
     "compile_term",
-    "config_from_env",
+    "fused",
     "jit_env_enabled",
-    "plan_fallback_constructs",
+    "pipeline_source",
     "precompile_plan",
     "resolve_jit",
 ]

@@ -29,11 +29,11 @@ def hot_fallbacks(db: Any, entry: QueryStats) -> dict[str, int]:
     Empty when the query no longer compiles to an algebra plan at all
     (then nothing of it is on the JIT path) or every expression compiled.
     """
-    from repro.jit.plan import plan_fallback_constructs
+    from repro.jit.plan import precompile_plan
 
     try:
         plan = db.compile(entry.example_oql).plan
-        return plan_fallback_constructs(plan) if plan is not None else {}
+        return precompile_plan(plan)["constructs"] if plan is not None else {}
     except Exception:
         return {}
 

@@ -1,338 +1,294 @@
-"""Closure compilation of calculus terms.
+"""Emission of calculus terms as Python source.
 
-:func:`compile_term` translates the *operator-position fragment* of
-the calculus — the small, first-order residue §3 normalization leaves
-in selection predicates, join keys, unnest paths, nest keys and reduce
-heads — into ordinary Python closures ``fn(binding, rt) -> value``,
-eliminating the per-row AST dispatch of
-:meth:`repro.eval.evaluator.Evaluator._eval`.
+:class:`Emitter` translates the *operator-position fragment* of the
+calculus — the small, first-order residue §3 normalization leaves in
+selection predicates, join keys, unnest paths, nest keys and reduce
+heads — into one Python *expression* per term. The same source runs in
+two places: inlined into the function :mod:`repro.jit.plan` generates for
+a whole plan, where a plan variable is a Python local, and as the body of
+``lambda b, rt: …`` (:func:`compile_term`), where it is ``b[name]`` — what
+the executor's operator loops call when an execution is not fused.
 
 The fragment: ``Const`` / ``Var`` / ``Proj`` / ``Deref`` / ``Index`` /
 ``BinOp`` / ``UnOp`` / ``If`` / ``RecordCons`` / ``TupleCons`` /
 ``Call`` into builtins. Everything else — ``Lambda``/``Apply``/``Let``,
 comprehensions, homomorphisms, monoid constructors, method calls, user
 functions and the §4.2 object effects (``New``/``Assign``/``Update``)
-— compiles to a *fallback thunk* that re-enters the reference
-interpreter for exactly that subterm, so a partially compilable
-expression still runs its compilable shell natively.
+— is emitted as a call that re-enters the reference interpreter for
+exactly that subterm, so a partially compilable expression still runs
+its compilable shell natively.
 
 Semantics are mirrored from the evaluator check for check: boolean
 strictness and its error wording, the arithmetic type discipline
 (bools are not numbers, ``str + str`` only), comparison
-``TypeError`` → ``EvaluationError``, division/modulo-by-zero messages,
-implicit object dereference on projection and indexing, and the
-``Call`` resolution order (environment, then registered functions).
-The differential tests in ``tests/test_jit_compiler.py`` and the
-verify-mode executor wrapper hold the two implementations together.
+``TypeError`` → ``EvaluationError``, implicit object dereference on
+projection and indexing, and the ``Call`` resolution order (environment,
+then registered functions). A fast path is written inline and guarded by
+exact types (``type(v) is Record``, two ``int`` operands, two operands of
+one plain ordered type); whatever it does not cover calls the evaluator's
+own method, so error text has one source. A subterm read twice is bound
+once with ``:=``. ``tests/test_jit_compiler.py`` and verify mode's
+per-row check hold the two implementations together.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, Optional
 
-from repro.calculus.ast import (
-    BinOp,
-    Call,
-    Const,
-    Deref,
-    If,
-    Index,
-    Proj,
-    RecordCons,
-    Term,
-    TupleCons,
-    UnOp,
-    Var,
-)
+from repro.calculus.ast import BinOp, Call, Const, Deref, If, Index, Proj, RecordCons
+from repro.calculus.ast import Term, TupleCons, UnOp, Var
 from repro.errors import EvaluationError
 from repro.eval.builtins import DEFAULT_BUILTINS
-from repro.eval.evaluator import _freeze_const
-from repro.objects.store import Obj
-from repro.values import OrderedSet, Record, Vector
+from repro.eval.evaluator import Evaluator, _freeze_const
+from repro.values import Record
 
 #: The uniform signature of every compiled expression.
 CompiledFn = Callable[[dict, Any], Any]
 
+#: What emitted source asks of the runtime: the name a generated function
+#: hoists it under, and how a closure (which has no prologue) spells it.
+RUNTIME = {
+    "_project": "rt.ev.project",
+    "_index": "rt.ev.index",
+    "_binop": "rt.ev.apply_binop",
+    "_arith": "rt.ev._arith",
+    "_apply": "rt.ev.apply_callable",
+    "_callable": "rt.callable_for",
+    "_fallback": "rt.eval_fallback",
+    "_lookup": "rt.globals.lookup",
+    "_deref": "rt.store.deref",
+    "_check": "rt.check",
+    "_iterate": "rt.iterate",
+}
+
+
+def _not_number(value: Any) -> None:
+    raise EvaluationError(f"negation of non-number {value!r}")
+
+
+class Emitter:
+    """Emits terms as Python expressions and collects what they name.
+
+    ``names`` is the namespace the source must be compiled in (constants,
+    fallback terms, the helpers above). ``scope`` arguments map each plan
+    variable in reach to the source that reads it; any other variable
+    resolves in the runtime's global snapshot, preserving the
+    interpreter's shadowing order. ``fallbacks`` collects the construct
+    name of every subterm left to the interpreter.
+    """
+
+    def __init__(self, hoisted: bool) -> None:
+        self.names: dict[str, Any] = {
+            "_Record": Record,
+            "_require_bool": Evaluator._require_bool,  # reached only by a non-boolean
+            "_not_number": _not_number,
+        }
+        self.hoisted = hoisted
+        self.rt = {name: name for name in RUNTIME} if hoisted else RUNTIME
+        self.fallbacks: list[str] = []
+        self._fresh = 0
+
+    def fresh(self, prefix: str) -> str:
+        self._fresh += 1
+        return f"{prefix}{self._fresh}"
+
+    def const(self, value: Any) -> str:
+        """The name ``value`` goes under in the namespace."""
+        name = self.fresh("_k")
+        self.names[name] = value
+        return name
+
+    def once(self, source: str, literal: bool = True) -> tuple[str, str]:
+        """``source`` as ``(first read, later reads)``: itself twice when
+        re-reading costs nothing (a local; a literal, where one may
+        stand — Python warns about a literal that is subscripted or an
+        operand of ``is``), else bound to a temporary where it is first read."""
+        if source.isidentifier():
+            plain = literal or source not in ("True", "False", "None")
+        else:
+            plain = literal and source[0] in "'\"-0123456789"
+        if plain:
+            return source, source
+        temp = self.fresh("_t")
+        return f"({temp} := {source})", temp
+
+    def env(self, scope: dict[str, str]) -> str:
+        """The binding dict the interpreter is handed for a subterm: the
+        row itself for a closure, one built from the locals otherwise."""
+        if not self.hoisted:
+            return "b"
+        return "{" + ", ".join(f"{name!r}: {src}" for name, src in scope.items()) + "}"
+
+    def checked(self, term: Term, scope: dict[str, str]) -> str:
+        """``term``'s source inside verify mode's differential check."""
+        source = self.expr(term, scope)
+        return f"{self.rt['_check']}({source}, {self.const(term)}, {self.env(scope)})"
+
+    def expr(self, term: Term, scope: dict[str, str]) -> str:
+        handler = _EMITTERS.get(type(term))
+        if handler is None:
+            return self.fallback(term, scope)
+        return handler(self, term, scope)
+
+    def fallback(self, term: Term, scope: dict[str, str]) -> str:
+        self.fallbacks.append(type(term).__name__)
+        return f"{self.rt['_fallback']}({self.const(term)}, {self.env(scope)})"
+
+    # -- per-construct emitters ---------------------------------------------------
+
+    def _const(self, term: Const, scope) -> str:
+        # Constant freezing happens once at compile time instead of per row.
+        value = _freeze_const(term.value)
+        if type(value) in (int, str, bool, type(None)):
+            return repr(value)
+        return self.const(value)
+
+    def _var(self, term: Var, scope) -> str:
+        source = scope.get(term.name)
+        return source if source is not None else f"{self.rt['_lookup']}({term.name!r})"
+
+    def _proj(self, term: Proj, scope) -> str:
+        first, base = self.once(self.expr(term.base, scope), literal=False)
+        return (
+            f"({base}[{term.name!r}] if type({first}) is _Record"
+            f" else {self.rt['_project']}({base}, {term.name!r}))"
+        )
+
+    def _deref(self, term: Deref, scope) -> str:
+        return f"{self.rt['_deref']}({self.expr(term.target, scope)})"
+
+    def _index(self, term: Index, scope) -> str:
+        return f"{self.rt['_index']}({self.expr(term.base, scope)}, {self.expr(term.index, scope)})"
+
+    def _record(self, term: RecordCons, scope) -> str:
+        fields = ", ".join(f"{name!r}: {self.expr(value, scope)}" for name, value in term.fields)
+        return f"_Record({{{fields}}})"
+
+    def _tuple(self, term: TupleCons, scope) -> str:
+        return "(" + "".join(f"{self.expr(item, scope)}, " for item in term.items) + ")"
+
+    def _strict(self, source: str, where: str) -> str:
+        """``source`` when it is a boolean; the evaluator's error when not."""
+        first, value = self.once(source, literal=False)
+        strict = f"{value} if {first} is True or {value} is False"
+        return f"({strict} else _require_bool({value}, {where!r}))"
+
+    def _if(self, term: If, scope) -> str:
+        first, test = self.once(self.expr(term.cond, scope), literal=False)
+        return (
+            f"({self.expr(term.then_branch, scope)} if {first} is True"
+            f" else ({self.expr(term.else_branch, scope)} if {test} is False"
+            f" else _require_bool({test}, 'if')))"
+        )
+
+    def _unop(self, term: UnOp, scope) -> str:
+        if term.op not in ("not", "-"):
+            # Unknown unary operator: the interpreter raises the exact error.
+            return self.fallback(term, scope)
+        first, value = self.once(self.expr(term.operand, scope), literal=term.op == "-")
+        if term.op == "not":
+            return (
+                f"(False if {first} is True else"
+                f" (True if {value} is False else _require_bool({value}, 'not')))"
+            )
+        return (
+            f"(-{value} if type({first}) is int or type({value}) is float"
+            f" else _not_number({value}))"
+        )
+
+    def _binop(self, term: BinOp, scope) -> str:
+        op = term.op
+        if op not in _BINARY:
+            # Unknown operator: the interpreter raises the exact error.
+            return self.fallback(term, scope)
+        left, right = self.expr(term.left, scope), self.expr(term.right, scope)
+        if op in ("and", "or"):
+            short = op == "or"  # the value that short-circuits
+            first, lv = self.once(left, literal=False)
+            return (
+                f"({short} if {first} is {short} else ({self._strict(right, op)}"
+                f" if {lv} is {not short} else _require_bool({lv}, {op!r})))"
+            )
+        if op in ("=", "!="):
+            return f"({left} {'==' if op == '=' else '!='} {right})"
+        if op in ("/", "div", "mod"):
+            return f"{self.rt['_arith']}({op!r}, {left}, {right})"
+        if op in ("in", "union", "intersect", "except"):
+            return f"{self.rt['_binop']}({op!r}, {left}, {right})"
+        (left, lv), (right, rv) = self.once(left), self.once(right)
+        if op in ("+", "-", "*"):
+            # Exact-int fast path (``type is int`` excludes bool, matching
+            # the interpreter's number discipline); floats, string
+            # concatenation and type errors are Evaluator._arith's.
+            return (
+                f"({lv} {op} {rv} if (type({left}) is int) & (type({right}) is int)"
+                f" else {self.rt['_arith']}({op!r}, {lv}, {rv}))"
+            )
+        # A comparison of two ints, floats or strs cannot raise; any other
+        # pair goes through the evaluator's TypeError -> EvaluationError.
+        for literal, other in ((rv, left), (lv, right)):
+            if not literal.isidentifier():  # the literal's type is the one to test for
+                plain = f"type({other}) is {'int' if literal[0] in '-0123456789' else 'str'}"
+                break
+        else:
+            kind = self.fresh("_t")
+            plain = (
+                f"({kind} := type({left})) is type({right})"
+                f" and ({kind} is int or {kind} is float or {kind} is str)"
+            )
+        return f"({lv} {op} {rv} if {plain} else {self.rt['_binop']}({op!r}, {lv}, {rv}))"
+
+    def _call(self, term: Call, scope) -> str:
+        name = term.name
+        # Only straight calls into known builtins compile; a name bound by
+        # the plan (a closure-valued variable) or a user-registered function
+        # stays interpreted. Resolution still happens through the runtime so
+        # a global that shadows a builtin name wins, as in the interpreter.
+        if name in scope or name not in DEFAULT_BUILTINS:
+            return self.fallback(term, scope)
+        args = "".join(f", {self.expr(arg, scope)}" for arg in term.args)
+        return f"{self.rt['_apply']}({self.rt['_callable']}({name!r}){args})"
+
+
+_BINARY = frozenset("and or = != < <= > >= + - * / div mod in union intersect except".split())
+
+_EMITTERS: dict[type, Callable[..., str]] = {
+    Const: Emitter._const,
+    Var: Emitter._var,
+    Proj: Emitter._proj,
+    Deref: Emitter._deref,
+    Index: Emitter._index,
+    RecordCons: Emitter._record,
+    TupleCons: Emitter._tuple,
+    BinOp: Emitter._binop,
+    UnOp: Emitter._unop,
+    If: Emitter._if,
+    Call: Emitter._call,
+}
+
+#: What the Python compiler raises for source nested deeper than it takes.
+TOO_DEEP = (SyntaxError, RecursionError, MemoryError)
+
 
 def compile_term(
-    term: Term,
-    bound: frozenset[str],
-    fallbacks: Optional[list[str]] = None,
+    term: Term, bound: frozenset[str], fallbacks: Optional[list[str]] = None
 ) -> CompiledFn:
     """Compile ``term`` to a closure over ``(binding, runtime)``.
 
     ``bound`` is the set of variables the consuming operator's binding
     dicts are statically known to carry (``PlanNode.columns()`` of the
-    relevant child); variables outside it resolve in the runtime's
-    global snapshot, preserving the interpreter's shadowing order.
-    ``fallbacks``, when given, collects the construct names of every
-    subterm that had to drop back to the interpreter — the raw material
-    for the ``QL501`` lint and the ``repro_jit_*`` telemetry counters.
+    relevant child). ``fallbacks``, when given, collects the construct
+    names of every subterm that had to drop back to the interpreter — the
+    raw material for the ``QL501`` lint and the ``repro_jit_*`` telemetry
+    counters; a term Python cannot compile drops back whole.
     """
-    return _compile(term, bound, fallbacks)
-
-
-# ---------------------------------------------------------------------------
-# Per-construct compilers
-# ---------------------------------------------------------------------------
-
-
-def _fallback(term: Term, fallbacks: Optional[list[str]]) -> CompiledFn:
+    emitter = Emitter(hoisted=False)
+    try:
+        source = emitter.expr(term, {name: f"b[{name!r}]" for name in bound})
+        fn = eval(f"lambda b, rt: {source}", emitter.names)
+    except TOO_DEEP:
+        emitter.fallbacks = [type(term).__name__]
+        fn = lambda b, rt: rt.eval_fallback(term, b)
     if fallbacks is not None:
-        fallbacks.append(type(term).__name__)
-
-    def interpret(b: dict, rt: Any, _t: Term = term) -> Any:
-        return rt.eval_fallback(_t, b)
-
-    return interpret
-
-
-def _compile(term: Term, bound: frozenset[str], fallbacks) -> CompiledFn:
-    handler = _COMPILERS.get(type(term))
-    if handler is None:
-        return _fallback(term, fallbacks)
-    return handler(term, bound, fallbacks)
-
-
-def _compile_const(term: Const, bound, fallbacks) -> CompiledFn:
-    # Constant freezing happens once at compile time instead of per row.
-    value = _freeze_const(term.value)
-    return lambda b, rt, _v=value: _v
-
-
-def _compile_var(term: Var, bound, fallbacks) -> CompiledFn:
-    name = term.name
-    if name in bound:
-        return lambda b, rt, _n=name: b[_n]
-    return lambda b, rt, _n=name: rt.globals.lookup(_n)
-
-
-def _compile_proj(term: Proj, bound, fallbacks) -> CompiledFn:
-    base = _compile(term.base, bound, fallbacks)
-    name = term.name
-
-    def proj(b: dict, rt: Any) -> Any:
-        value = base(b, rt)
-        if type(value) is Record:
-            return value[name]
-        return rt.ev.project(value, name)
-
-    return proj
-
-
-def _compile_deref(term: Deref, bound, fallbacks) -> CompiledFn:
-    target = _compile(term.target, bound, fallbacks)
-    return lambda b, rt: rt.store.deref(target(b, rt))
-
-
-def _index_into(rt: Any, base: Any, position: Any) -> Any:
-    # Mirrors Evaluator._eval_index exactly.
-    if isinstance(base, Obj):
-        base = rt.store.deref(base)
-    if isinstance(base, Vector):
-        return base[position]
-    if isinstance(base, (tuple, list, str, OrderedSet)):
-        try:
-            return base[position]
-        except (IndexError, TypeError) as exc:
-            raise EvaluationError(f"bad index {position!r}: {exc}") from None
-    raise EvaluationError(f"cannot index into {type(base).__name__}")
-
-
-def _compile_index(term: Index, bound, fallbacks) -> CompiledFn:
-    base = _compile(term.base, bound, fallbacks)
-    position = _compile(term.index, bound, fallbacks)
-    return lambda b, rt: _index_into(rt, base(b, rt), position(b, rt))
-
-
-def _compile_record(term: RecordCons, bound, fallbacks) -> CompiledFn:
-    pairs = tuple(
-        (name, _compile(value, bound, fallbacks)) for name, value in term.fields
-    )
-
-    def record(b: dict, rt: Any) -> Record:
-        return Record({name: fn(b, rt) for name, fn in pairs})
-
-    return record
-
-
-def _compile_tuple(term: TupleCons, bound, fallbacks) -> CompiledFn:
-    fns = tuple(_compile(item, bound, fallbacks) for item in term.items)
-
-    def tup(b: dict, rt: Any) -> tuple:
-        return tuple(fn(b, rt) for fn in fns)
-
-    return tup
-
-
-def _bool_error(value: Any, where: str) -> EvaluationError:
-    # Same wording as Evaluator._require_bool.
-    return EvaluationError(
-        f"{where} requires a boolean, got {type(value).__name__}: {value!r}"
-    )
-
-
-def _compile_if(term: If, bound, fallbacks) -> CompiledFn:
-    cond = _compile(term.cond, bound, fallbacks)
-    then = _compile(term.then_branch, bound, fallbacks)
-    other = _compile(term.else_branch, bound, fallbacks)
-
-    def branch(b: dict, rt: Any) -> Any:
-        test = cond(b, rt)
-        if test is True:
-            return then(b, rt)
-        if test is False:
-            return other(b, rt)
-        raise _bool_error(test, "if")
-
-    return branch
-
-
-def _compile_unop(term: UnOp, bound, fallbacks) -> CompiledFn:
-    operand = _compile(term.operand, bound, fallbacks)
-    if term.op == "not":
-
-        def negate(b: dict, rt: Any) -> bool:
-            value = operand(b, rt)
-            if value is True:
-                return False
-            if value is False:
-                return True
-            raise _bool_error(value, "not")
-
-        return negate
-    if term.op == "-":
-
-        def neg(b: dict, rt: Any) -> Any:
-            value = operand(b, rt)
-            if type(value) is int or type(value) is float:
-                return -value
-            raise EvaluationError(f"negation of non-number {value!r}")
-
-        return neg
-    # Unknown unary operator: the interpreter raises the exact error.
-    return _fallback(term, fallbacks)
-
-
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _compile_binop(term: BinOp, bound, fallbacks) -> CompiledFn:
-    op = term.op
-    left = _compile(term.left, bound, fallbacks)
-    right = _compile(term.right, bound, fallbacks)
-
-    if op in ("and", "or"):
-        short = op == "or"  # the value that short-circuits
-
-        def logic(b: dict, rt: Any) -> bool:
-            lv = left(b, rt)
-            if lv is not True and lv is not False:
-                raise _bool_error(lv, op)
-            if lv is short:
-                return short
-            rv = right(b, rt)
-            if rv is True or rv is False:
-                return rv
-            raise _bool_error(rv, op)
-
-        return logic
-    if op == "=":
-        return lambda b, rt: left(b, rt) == right(b, rt)
-    if op == "!=":
-        return lambda b, rt: left(b, rt) != right(b, rt)
-    if op in _COMPARE:
-        py = _COMPARE[op]
-
-        def compare(b: dict, rt: Any) -> bool:
-            lv = left(b, rt)
-            rv = right(b, rt)
-            try:
-                return py(lv, rv)
-            except TypeError:
-                raise EvaluationError(
-                    f"cannot compare {type(lv).__name__} {op} {type(rv).__name__}"
-                ) from None
-
-        return compare
-    if op in ("+", "-", "*", "/", "div", "mod"):
-        return _compile_arith(op, left, right)
-    if op in ("in", "union", "intersect", "except"):
-        return lambda b, rt: rt.ev.apply_binop(op, left(b, rt), right(b, rt))
-    # Unknown operator: the interpreter raises the exact error.
-    return _fallback(term, fallbacks)
-
-
-def _compile_arith(op: str, left: CompiledFn, right: CompiledFn) -> CompiledFn:
-    # Exact-int fast paths (``type is int`` excludes bool, matching the
-    # interpreter's number discipline); everything else — floats, string
-    # concatenation, type errors, division by zero — routes through
-    # Evaluator._arith so the semantics and error wording stay shared.
-    if op == "+":
-
-        def add(b: dict, rt: Any) -> Any:
-            lv = left(b, rt)
-            rv = right(b, rt)
-            if type(lv) is int and type(rv) is int:
-                return lv + rv
-            return rt.ev._arith("+", lv, rv)
-
-        return add
-    if op == "-":
-
-        def sub(b: dict, rt: Any) -> Any:
-            lv = left(b, rt)
-            rv = right(b, rt)
-            if type(lv) is int and type(rv) is int:
-                return lv - rv
-            return rt.ev._arith("-", lv, rv)
-
-        return sub
-    if op == "*":
-
-        def mul(b: dict, rt: Any) -> Any:
-            lv = left(b, rt)
-            rv = right(b, rt)
-            if type(lv) is int and type(rv) is int:
-                return lv * rv
-            return rt.ev._arith("*", lv, rv)
-
-        return mul
-
-    def divide(b: dict, rt: Any) -> Any:
-        return rt.ev._arith(op, left(b, rt), right(b, rt))
-
-    return divide
-
-
-def _compile_call(term: Call, bound, fallbacks) -> CompiledFn:
-    name = term.name
-    # Only straight calls into known builtins compile; a name bound by
-    # the plan (a closure-valued variable) or a user-registered function
-    # stays interpreted. Resolution still happens through the runtime so
-    # a global that shadows a builtin name wins, as in the interpreter.
-    if name in bound or name not in DEFAULT_BUILTINS:
-        return _fallback(term, fallbacks)
-    arg_fns = tuple(_compile(arg, bound, fallbacks) for arg in term.args)
-
-    def call(b: dict, rt: Any) -> Any:
-        fn = rt.callable_for(name)
-        return rt.ev.apply_callable(fn, *[f(b, rt) for f in arg_fns])
-
-    return call
-
-
-_COMPILERS: dict[type, Callable[..., CompiledFn]] = {
-    Const: _compile_const,
-    Var: _compile_var,
-    Proj: _compile_proj,
-    Deref: _compile_deref,
-    Index: _compile_index,
-    RecordCons: _compile_record,
-    TupleCons: _compile_tuple,
-    BinOp: _compile_binop,
-    UnOp: _compile_unop,
-    If: _compile_if,
-    Call: _compile_call,
-}
+        fallbacks.extend(emitter.fallbacks)
+    return fn

@@ -39,12 +39,6 @@ class JITConfig:
             raise DatabaseError("jit verify must be None or a bool")
 
 
-def config_from_env() -> JITConfig:
-    """A :class:`JITConfig` from ``REPRO_JIT`` (any truthy value gives
-    the defaults — there are no numeric knobs to parse)."""
-    return JITConfig()
-
-
 def resolve_jit(jit: Any) -> Optional[JITConfig]:
     """Normalize ``Database(jit=...)`` to a config or None.
 
@@ -53,7 +47,7 @@ def resolve_jit(jit: Any) -> Optional[JITConfig]:
     ``True``/``False`` force it; a :class:`JITConfig` is used as-is.
     """
     if jit is None:
-        return config_from_env() if jit_env_enabled() else None
+        return JITConfig() if jit_env_enabled() else None
     if jit is False:
         return None
     if jit is True:

@@ -1,26 +1,30 @@
-"""The per-execution runtime compiled closures run against.
+"""The per-execution runtime compiled code runs against.
 
-A compiled expression is a plain Python function ``fn(binding, rt)``
-where ``binding`` is the executor's binding dict for one row and
-``rt`` is a :class:`Runtime`. The closures themselves are stateless
-(they capture only immutable compile-time data: constants, field
-names, child closures), which is what makes them safe to store on
-shared plan nodes, reuse across executions from the compiled-query
-cache, and call concurrently from :mod:`repro.parallel` workers. All
-per-execution state — the evaluator, the object store, the global
-environment snapshot — lives here instead.
+Compiled code — a plan's generated function, or an expression's closure
+``fn(binding, rt)`` over the executor's binding dict for one row — is
+stateless: it names only immutable compile-time data (constants, field
+names, fallback terms), which is what makes it safe to keep on shared
+plan nodes, reuse across executions from the compiled-query cache, and
+call concurrently from :mod:`repro.parallel` workers. All per-execution
+state — the evaluator, the object store, the global environment
+snapshot — lives in the :class:`Runtime` it is handed instead.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from operator import itemgetter
+from typing import Any, Iterable
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, VerificationError
+from repro.eval.builtins import runtime_monoid_of
 from repro.eval.env import Env
+from repro.monoids import VectorMonoid
+from repro.objects.store import Obj
+from repro.values import OrderedSet
 
 
 class Runtime:
-    """Execution context handed to every compiled closure.
+    """Execution context handed to all compiled code.
 
     ``globals`` snapshots the evaluator's global environment at
     construction time; the executor builds its runtime after prepared-
@@ -51,6 +55,36 @@ class Runtime:
             env = Env.wrapping(binding, env)
         return self.ev.evaluate(term, env)
 
+    def check(self, value: Any, term: Any, binding: dict[str, Any]) -> Any:
+        """``value`` — what compiled code made of ``term`` under ``binding``
+        — once the interpreter has made the same (verify mode's differential)."""
+        expected = self.eval_fallback(term, binding)
+        if type(value) is not type(expected) or value != expected:
+            raise VerificationError(
+                "jit-compile",
+                term,
+                violations=[f"compiled {value!r} != interpreted {expected!r}"],
+            )
+        return value
+
+    def iterate(self, source: Any, indexed: bool) -> Iterable[Any]:
+        """What a Scan or Unnest binds over ``source``, checked once per
+        source: its elements in the collection's own order, as
+        ``(position, element)`` pairs for the indexed generator form."""
+        if isinstance(source, Obj):
+            source = self.store.deref(source)
+        monoid = runtime_monoid_of(source)
+        if isinstance(monoid, VectorMonoid):
+            pairs = monoid.iterate(source)
+            return pairs if indexed else map(itemgetter(1), pairs)
+        if not indexed:
+            return monoid.iterate(source)
+        if isinstance(source, (tuple, list, str, OrderedSet)):
+            return enumerate(monoid.iterate(source))
+        raise EvaluationError(
+            f"indexed scan requires an ordered collection, got {type(source).__name__}"
+        )
+
     def callable_for(self, name: str) -> Any:
         """Resolve a ``Call`` target with the interpreter's precedence
         (globals shadow registered functions/builtins), memoized."""
@@ -66,3 +100,4 @@ class Runtime:
             raise EvaluationError(f"unknown function {name!r}")
         self._callables[name] = fn
         return fn
+

@@ -75,6 +75,18 @@ def test_join_residual_predicate(world):
     assert execute_plan(plan, world) == frozenset({"a"})
 
 
+@pytest.mark.parametrize("keys", [((proj(var("a"), "k"),), (proj(var("b"), "k"),)), ((), ())])
+def test_join_residual_requires_boolean(world, keys):
+    # A residual is a predicate position like any other: 1 is not True.
+    plan = Reduce(
+        MonoidRef("sum"),
+        const(1),
+        Join(Scan("a", var("Ls")), Scan("b", var("Rs")), *keys, residual=const(1)),
+    )
+    with pytest.raises(EvaluationError, match="qualifier predicate requires a boolean, got int: 1"):
+        execute_plan(plan, world)
+
+
 def test_cross_join(world):
     plan = Reduce(
         MonoidRef("sum"),

@@ -13,6 +13,7 @@ from repro.db.database import (
 )
 from repro.errors import DatabaseError, VerificationError
 from repro.jit import JITConfig, resolve_jit
+from repro.obs.metrics import PlanMetrics
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.obs.tracer import COMPILE_PHASES, PIPELINE_PHASES
 
@@ -200,16 +201,19 @@ class TestVerifyMode:
         object.__setattr__(plan, "head_fn", lambda b, rt: "corrupt")
         return plan
 
+    # A timed execution runs the operator loops over the nodes' closures
+    # (tests/test_jit_fused.py corrupts the generated function instead).
+
     def test_injected_wrong_closure_is_caught(self, company):
         company.enable_jit(JITConfig(verify=True))
-        executor = company._executor(company.evaluator(), None)
+        executor = company._executor(company.evaluator(), PlanMetrics())
         with pytest.raises(VerificationError, match="jit-compile"):
             executor.execute(self._corrupted_plan(company))
 
     def test_verify_off_does_not_check(self, company, monkeypatch):
         monkeypatch.delenv("REPRO_VERIFY", raising=False)  # verify=None defers to it
         company.enable_jit()
-        executor = company._executor(company.evaluator(), None)
+        executor = company._executor(company.evaluator(), PlanMetrics())
         value = executor.execute(self._corrupted_plan(company))
         assert set(value) == {"corrupt"}
 

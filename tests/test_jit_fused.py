@@ -1,0 +1,570 @@
+"""The generated function against the operator loops and the reference.
+
+With the jit on a serial, un-timed execution runs one generated Python
+function per plan (``repro.jit.plan``); a timed one runs the operator
+loops over the emitted closures; with the jit off the loops call the
+interpreter. All three must be one executor to an observer: the same
+value and type, the same exception class and message (which row's error
+comes first included), the same ``ExecutionStats`` and per-node counts,
+the same final heap — and the reference evaluator's value.
+"""
+
+from __future__ import annotations
+
+import traceback
+
+import pytest
+from hypothesis import given, settings
+
+from repro.algebra import Executor, IndexScan, Join, Nest, Reduce, Scan, SelectOp, Unnest
+from repro.algebra import build_plan
+from repro.calculus import comp, const, eq, filt, gen, gt, proj, var
+from repro.calculus.ast import (
+    BinOp,
+    Const,
+    Lambda,
+    Let,
+    MonoidRef,
+    New,
+    RecordCons,
+    TupleCons,
+    Update,
+)
+from repro.db import Database, company_schema, demo_company_database, make_company
+from repro.errors import EvaluationError, ReproError, VerificationError
+from repro.eval import Evaluator
+from repro.jit import JITConfig
+from repro.jit.plan import fused, pipeline_source
+from repro.obs.metrics import PlanMetrics
+from repro.values import Bag, Record, Vector
+from tests.data.make_exec_stats_golden import queries
+from tests.data.make_plans_golden import grouped_queries
+from tests.test_normalize_property import _term_and_data
+from tests.test_property_queries import _database, _query
+
+#: how an Executor is built for each way of running a plan
+WAYS = {
+    "interpreted": lambda: {},
+    "loops": lambda: {"jit": JITConfig(verify=False), "metrics": PlanMetrics()},
+    "fused": lambda: {"jit": JITConfig(verify=False)},
+}
+
+
+def counts(metrics: PlanMetrics, plan: Reduce) -> list[tuple]:
+    """Every node's clock-free counters, in plan order."""
+    return [
+        (type(node).__name__, b.invocations, b.rows_out, b.hash_builds, b.index_probes)
+        for node, b in metrics.blocks(plan)
+    ]
+
+
+def outcome(run) -> tuple:
+    """A value and its type, or an exception's class and message."""
+    try:
+        value = run()
+    except ReproError as exc:
+        return ("raised", type(exc), str(exc))
+    return ("value", type(value), value)
+
+
+def three_ways(make_plan, make_evaluator, indexes=None):
+    """Run a plan every way, each on a fresh plan and world; all must agree.
+    Returns the common observation."""
+    seen = {}
+    for way, kwargs in WAYS.items():
+        plan, evaluator = make_plan(), make_evaluator()
+        executor = Executor(evaluator, indexes, **kwargs())
+        seen[way] = outcome(lambda: executor.execute(plan))  # noqa: B023
+        if seen[way][0] == "value":
+            seen[way] += (counts(executor.metrics, plan),)
+        seen[way] += (evaluator.store.snapshot(),)
+        if way == "fused":
+            assert fused(plan) is not None, pipeline_source(plan)
+    assert seen["fused"] == seen["loops"] == seen["interpreted"], seen
+    return seen["fused"]
+
+
+def term_ways(term, data):
+    """:func:`three_ways` of ``term``'s plan, and the reference evaluator."""
+    seen = three_ways(lambda: build_plan(term), lambda: Evaluator(data))
+    assert seen[:3] == outcome(lambda: Evaluator(data).evaluate(term)), term
+    return seen
+
+
+# -- the corpora of the goldens ----------------------------------------------------
+
+
+def _corpus():
+    jit = {"jit": JITConfig(verify=False)}
+    on = [*queries(jit), *grouped_queries(jit)]
+    off = [*queries({}), *grouped_queries({})]
+    for (label, db, oql, run_on), (_, _, _, run_off) in zip(on, off):
+        yield pytest.param(db, oql, run_on, run_off, id=label)
+
+
+@pytest.mark.parametrize("db, oql, run_on, run_off", _corpus())
+def test_golden_corpus_fused_loops_reference(db, oql, run_on, run_off):
+    on, off = run_on(), run_off()
+    assert type(on.value) is type(off.value) and on.value == off.value
+    if "$" not in oql:
+        assert db.run(oql, engine="interpret") == on.value
+    if on.plan is None:
+        assert off.plan is None
+        return
+    assert fused(on.plan) is not None
+    assert on.stats == off.stats
+    assert counts(on.metrics, on.plan) == counts(off.metrics, off.plan)
+    if "$" not in oql:
+        timed = db.run_detailed(oql, metrics=True)  # the loops, over the closures
+        assert timed.value == on.value
+        assert counts(timed.metrics, timed.plan) == counts(on.metrics, on.plan)
+
+
+def test_prepared_params_reach_the_generated_function():
+    db = demo_company_database(4, 40, seed=3)
+    oql = "select e.name from e in Employees where e.salary > $floor and e.dno = $dno"
+    want = {
+        (floor, dno): db.run(oql.replace("$floor", str(floor)).replace("$dno", str(dno)))
+        for floor in (0, 60_000)
+        for dno in (0, 1)
+    }
+    db.enable_cache()
+    db.enable_jit()
+    prepared = db.prepare(oql)
+    for _ in range(2):  # the second round runs the cached plan's function
+        for (floor, dno), value in want.items():
+            result = prepared.run_detailed(floor=floor, dno=dno)
+            assert result.value == value and fused(result.plan) is not None
+    assert "_lookup('$floor')" in pipeline_source(result.plan)
+
+
+# -- generated queries ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_term_and_data())
+def test_random_comprehensions(case):
+    term_ways(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(query=_query(), db=_database())
+def test_random_oql(query, db):
+    db.disable_cache()  # every run executes (REPRO_CACHE=1 would serve the repeats)
+    want = db.run_detailed(query)
+    db.enable_jit(JITConfig(verify=False))
+    got = db.run_detailed(query)
+    timed = db.run_detailed(query, metrics=True)
+    assert got.value == want.value == db.run(query, engine="interpret"), query
+    if got.plan is None:  # count(...) of a select is the interpreter's
+        return
+    assert got.stats == want.stats == timed.stats, query
+    assert counts(got.metrics, got.plan) == counts(timed.metrics, timed.plan), query
+    assert fused(got.plan) is not None, query
+
+
+# -- hand-built plans: every template, every check ------------------------------------
+
+ROWS = (
+    Record(k=1, x=10, tags=("a", "b")),
+    Record(k=2, x=20, tags=()),
+    Record(k=1, x=30, tags=("c",)),
+)
+OTHER = frozenset({Record(k=1, y="p"), Record(k=1, y="q"), Record(k=3, y="r")})
+WORLD = {"Ls": ROWS, "Rs": OTHER, "x": "a global", "scale": 2}
+
+
+def world(**more):
+    return lambda: Evaluator({**WORLD, **more})
+
+
+def k(name):
+    return proj(var(name), "k")
+
+
+class TestTemplates:
+    def test_indexed_scan_and_unnest(self):
+        plan = lambda: Reduce(
+            MonoidRef("list"),
+            TupleCons((var("i"), var("j"), var("t"))),
+            Unnest(Scan("a", var("Ls"), index_var="i"), "t", proj(var("a"), "tags"), "j"),
+        )
+        seen = three_ways(plan, world())
+        assert seen[2] == ((0, 0, "a"), (0, 1, "b"), (2, 0, "c"))
+
+    def test_vector_source_with_and_without_positions(self):
+        v = Vector.from_dense([7, 8, 9])
+        for index_var, head in (("i", TupleCons((var("i"), var("e")))), (None, var("e"))):
+            scan = Scan("e", var("V"), index_var)
+            three_ways(lambda: Reduce(MonoidRef("list"), head, scan), world(V=v))  # noqa: B023
+
+    def test_indexed_scan_of_an_unordered_source(self):
+        plan = lambda: Reduce(MonoidRef("sum"), var("i"), Scan("b", var("Rs"), "i"))
+        seen = three_ways(plan, world())
+        assert seen[:2] == ("raised", EvaluationError) and "ordered collection" in seen[2]
+
+    def test_scan_of_a_non_collection(self):
+        plan = lambda: Reduce(MonoidRef("sum"), var("n"), Scan("n", var("scale")))
+        assert three_ways(plan, world())[0] == "raised"
+
+    def test_object_sources_are_dereferenced(self):
+        def evaluator():
+            ev = Evaluator(WORLD)
+            ev.bind_global("Box", ev.store.new((1, 2, 3)))
+            ev.bind_global("Boxes", tuple(ev.store.new(Record(xs=(n, n))) for n in (4, 5)))
+            return ev
+
+        three_ways(lambda: Reduce(MonoidRef("sum"), var("n"), Scan("n", var("Box"))), evaluator)
+        nested = lambda: Reduce(
+            MonoidRef("sum"),
+            var("n"),
+            Unnest(Scan("o", var("Boxes")), "n", proj(var("o"), "xs")),
+        )
+        assert three_ways(nested, evaluator)[2] == 18
+
+    def test_a_plan_variable_shadows_a_global(self):
+        # ``x`` is a global and the Scan's variable; ``scale`` only a global.
+        plan = lambda: Reduce(
+            MonoidRef("list"),
+            BinOp("*", proj(var("x"), "x"), var("scale")),
+            SelectOp(Scan("x", var("Ls")), gt(proj(var("x"), "x"), const(10))),
+        )
+        seen = three_ways(plan, world())
+        assert seen[2] == (40, 60)
+        assert "_lookup('scale')" in pipeline_source(plan())
+        assert "_lookup('x')" not in pipeline_source(plan())
+
+    def test_fallback_subterm_reads_two_plan_variables(self):
+        # Let is outside the fragment: the interpreter is handed both locals.
+        head = BinOp("+", Let("z", proj(var("a"), "x"), BinOp("+", var("z"), k("b"))), const(1))
+        plan = lambda: Reduce(
+            MonoidRef("bag"),
+            head,
+            Join(Scan("a", var("Ls")), Scan("b", var("Rs")), (k("a"),), (k("b"),)),
+        )
+        seen = three_ways(plan, world())
+        assert seen[2] == Bag([12, 12, 32, 32])
+        assert "_fallback(" in pipeline_source(plan())
+
+    def test_closure_valued_heads_keep_their_row(self):
+        plan = lambda: Reduce(
+            MonoidRef("list"),
+            Lambda("v", BinOp("+", var("v"), proj(var("a"), "x"))),
+            Scan("a", var("Ls")),
+        )
+        evaluator = Evaluator(WORLD)
+        closures = Executor(evaluator, jit=JITConfig(verify=False)).execute(plan())
+        assert [evaluator.apply_callable(fn, 1) for fn in closures] == [11, 21, 31]
+
+    @pytest.mark.parametrize("keys", [1, 2], ids=["one-key", "two-keys"])
+    def test_hash_join_of_a_join(self, keys):
+        # The build side binds two variables; one of them again on the left.
+        right = lambda: Join(Scan("b", var("Rs")), Scan("a", var("Ls")), (k("b"),), (k("a"),))
+        left_keys = (k("c"), proj(var("c"), "x"))[:keys]
+        right_keys = (k("b"), proj(var("a"), "x"))[:keys]
+        plan = lambda: Reduce(
+            MonoidRef("bag"),
+            TupleCons((proj(var("c"), "x"), proj(var("a"), "x"), proj(var("b"), "y"))),
+            Join(Scan("c", var("Ls")), right(), left_keys, right_keys),
+        )
+        seen = three_ways(plan, world())
+        assert len(seen[2]) == (8 if keys == 1 else 4)
+
+    def test_loop_join_over_an_empty_side_still_drains_the_other(self):
+        plan = lambda: Reduce(
+            MonoidRef("sum"), const(1), Join(Scan("a", var("Ls")), Scan("b", var("None_")))
+        )
+        seen = three_ways(plan, world(None_=()))
+        assert seen[2] == 0 and ("Scan", 1, 3, 0, 0) in seen[3]
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["hash", "loop"])
+    def test_join_residual_takes_the_select_test(self, keyed):
+        keys = ((k("a"),), (k("b"),)) if keyed else ((), ())
+
+        def plan(residual):
+            return lambda: Reduce(
+                MonoidRef("bag"),
+                proj(var("b"), "y"),
+                Join(Scan("a", var("Ls")), Scan("b", var("Rs")), *keys, residual=residual),
+            )
+
+        kept = three_ways(plan(eq(proj(var("b"), "y"), const("p"))), world())
+        assert kept[2] == Bag(["p", "p"] if keyed else ["p", "p", "p"])
+        seen = three_ways(plan(const(1)), world())  # truthy is not True
+        assert seen[:2] == ("raised", EvaluationError)
+        assert seen[2] == "qualifier predicate requires a boolean, got int: 1"
+
+    def test_index_scan_with_and_without_its_index(self):
+        probe = IndexScan("a", "Ls", "k", const(1))
+        plan = lambda: Reduce(MonoidRef("sum"), proj(var("a"), "x"), probe)
+        index = {("Ls", "k"): {1: [ROWS[0], ROWS[2]], 2: [ROWS[1]]}}
+        seen = three_ways(plan, world(), index)
+        assert seen[2] == 40 and seen[3][1] == ("IndexScan", 1, 2, 0, 1)
+        assert three_ways(plan, world())[2] == "no index on Ls.k for IndexScan"
+
+    def test_nest_with_a_fold_predicate_under_a_having(self):
+        folds = (
+            ("n", MonoidRef("sum"), const(1), None),
+            ("big", MonoidRef("list"), proj(var("a"), "x"), gt(proj(var("a"), "x"), const(10))),
+            ("none", MonoidRef("max"), proj(var("a"), "x"), const(False)),
+        )
+        plan = lambda: Reduce(
+            MonoidRef("list"),
+            RecordCons(
+                (("k", var("key")), ("n", var("n")), ("big", var("big")), ("m", var("none")))
+            ),
+            SelectOp(Nest(Scan("a", var("Ls")), (("key", k("a")),), folds), gt(var("n"), const(0))),
+        )
+        seen = three_ways(plan, world())
+        assert seen[2] == (
+            Record(k=1, n=2, big=(30,), m=None),
+            Record(k=2, n=1, big=(20,), m=None),
+        )
+
+    def test_nest_fold_predicate_must_be_boolean(self):
+        folds = (("n", MonoidRef("sum"), const(1), proj(var("a"), "x")),)
+        plan = lambda: Reduce(
+            MonoidRef("list"), var("n"), Nest(Scan("a", var("Ls")), (("key", k("a")),), folds)
+        )
+        assert three_ways(plan, world())[2].startswith("qualifier predicate requires a boolean")
+
+    @pytest.mark.parametrize(
+        "monoid",
+        [
+            MonoidRef("vec", element=MonoidRef("sum"), size=Const(3)),
+            MonoidRef("sorted", key=Lambda("p", proj(var("p"), 0))),
+            MonoidRef("oset"),
+            MonoidRef("max"),
+            MonoidRef("nonesuch"),
+        ],
+        ids=str,
+    )
+    def test_reduce_monoids(self, monoid):
+        head = TupleCons((proj(var("a"), "x"), BinOp("-", k("a"), const(1))))
+        three_ways(lambda: Reduce(monoid, head, Scan("a", var("Ls"))), world())
+
+    def test_vector_head_must_be_a_pair(self):
+        monoid = MonoidRef("vec", element=MonoidRef("sum"), size=Const(3))
+        plan = lambda: Reduce(monoid, proj(var("a"), "x"), Scan("a", var("Ls")))
+        assert "vector comprehension head" in three_ways(plan, world())[2]
+
+
+class TestErrorOrder:
+    """Rows are visited, and their expressions evaluated, in one order
+    everywhere: the first error of the reference is the error."""
+
+    BAD = (
+        Record(k=1, x=10),
+        Record(k=2, x="twenty"),  # the predicate cannot compare it
+        Record(k=3),  # the predicate cannot project it
+        Record(k=4, x=True),
+    )
+
+    @pytest.mark.parametrize("first", [0, 1, 2, 3])
+    def test_first_failing_row_wins(self, first):
+        rows = self.BAD[first:] + self.BAD[:first]
+        term = comp(
+            "list",
+            BinOp("+", proj(var("r"), "x"), const(1)),
+            [gen("r", var("Rows")), filt(gt(proj(var("r"), "x"), const(5)))],
+        )
+        seen = term_ways(term, {"Rows": rows})
+        assert seen[0] == "raised"
+
+    def test_build_side_runs_before_the_probe_side(self):
+        # Both sides fail; the Join opens (and drains) its right input first.
+        plan = lambda: Reduce(
+            MonoidRef("sum"),
+            const(1),
+            Join(
+                SelectOp(Scan("a", var("Ls")), proj(var("a"), "left_missing")),
+                SelectOp(Scan("b", var("Rs")), proj(var("b"), "right_missing")),
+                (k("a"),),
+                (k("b"),),
+            ),
+        )
+        assert "right_missing" in three_ways(plan, world())[2]
+
+    def test_conjuncts_are_tested_in_source_order(self):
+        term = comp(
+            "sum",
+            const(1),
+            [
+                gen("r", var("Rows")),
+                filt(gt(proj(var("r"), "k"), const(1))),
+                filt(gt(proj(var("r"), "x"), const(5))),
+            ],
+        )
+        assert term_ways(term, {"Rows": self.BAD[:2]})[2].startswith("cannot compare str > int")
+        assert term_ways(term, {"Rows": self.BAD[:1]})[2] == 0
+
+
+class TestHeapEffects:
+    """§4.2: update heads run once per row, in row order, on every path."""
+
+    @staticmethod
+    def heap():
+        ev = Evaluator()
+        ev.bind_global("Objs", tuple(ev.store.new(Record(n=n, log=())) for n in (1, 2, 3)))
+        return ev
+
+    def test_update_in_the_head(self):
+        head = Update(var("o"), "n", "+=", const(10))
+        plan = lambda: Reduce(MonoidRef("all"), head, Scan("o", var("Objs")))
+        seen = three_ways(plan, self.heap)
+        assert [state["n"] for state in seen[-1].values()] == [11, 12, 13]
+
+    def test_update_as_a_predicate_and_allocation_in_the_head(self):
+        plan = lambda: Reduce(
+            MonoidRef("list"),
+            New(proj(var("o"), "n")),
+            SelectOp(Scan("o", var("Objs")), Update(var("o"), "log", "+=", proj(var("o"), "n"))),
+        )
+        seen = three_ways(plan, self.heap)
+        assert len(seen[-1]) == 6 and seen[-1][2]["log"] == (2,)
+
+    def test_an_error_midway_leaves_the_same_heap(self):
+        # The third row's update fails after two have been applied.
+        def heap():
+            ev = TestHeapEffects.heap()
+            ev.store.assign(ev.global_env.lookup("Objs")[2], Record(n=None, log=()))
+            return ev
+
+        head = Update(var("o"), "n", "+=", const(10))
+        plan = lambda: Reduce(MonoidRef("all"), head, Scan("o", var("Objs")))
+        seen = three_ways(plan, heap)
+        assert seen[0] == "raised" and seen[-1][1]["n"] == 11 and seen[-1][3]["n"] is None
+
+
+# -- verify mode checks the code that runs ----------------------------------------------------
+
+SALARIES = "sum(select e.salary from e in Employees where e.salary > 50000)"
+
+
+class TestVerifyChecksTheGeneratedFunction:
+    @pytest.fixture
+    def wrong_constants(self, monkeypatch):
+        """An emitter that writes every constant as 0: the predicate's."""
+        from repro.calculus.ast import Const as ConstTerm
+        from repro.jit import compiler
+
+        monkeypatch.setitem(compiler._EMITTERS, ConstTerm, lambda self, term, scope: "0")
+
+    def test_honest_emission_passes(self):
+        db = demo_company_database(4, 60, seed=11)
+        want = db.run(SALARIES)
+        db.enable_jit(JITConfig(verify=True))
+        result = db.run_detailed(SALARIES)
+        assert result.value == want
+        assert "_check(" in pipeline_source(result.plan, checked=True)
+        assert "_check(" not in pipeline_source(result.plan)
+
+    def test_wrong_emission_is_caught(self, wrong_constants):
+        db = demo_company_database(4, 60, seed=11)
+        db.enable_jit(JITConfig(verify=True))
+        with pytest.raises(VerificationError, match="jit-compile"):
+            db.run(SALARIES)
+
+    def test_without_verify_the_wrong_function_is_what_runs(self, wrong_constants, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        db = demo_company_database(4, 60, seed=11)
+        want = db.run("sum(select e.salary from e in Employees where e.salary > 0)")
+        db.enable_jit(JITConfig(verify=False))
+        assert db.run(SALARIES) == want != db.run(SALARIES, engine="interpret")
+
+
+# -- observability ---------------------------------------------------------------------------
+
+
+class TestObservability:
+    def test_source_is_one_function_over_locals(self):
+        db = demo_company_database(4, 40, seed=3)
+        db.enable_jit()
+        plan = db.compile(
+            "select struct(e: e.name, d: d.name) from e in Employees, d in Departments "
+            "where e.dno = d.dno"
+        ).plan
+        source = pipeline_source(plan)
+        assert source.startswith("def pipeline(rt, indexes, blocks, monoid):")
+        assert source.count("\n    for ") == 2 and source.count("\n        for ") == 1
+        assert "{**" not in source and "b[" not in source  # a row is never a dict
+        compile(source, "<test>", "exec")
+
+    def test_traceback_shows_the_generated_line(self):
+        plan = Reduce(MonoidRef("sum"), proj(var("n"), "missing"), Scan("n", const((1, 2))))
+        with pytest.raises(EvaluationError) as info:
+            Executor(Evaluator(), jit=JITConfig()).execute(plan)
+        text = "".join(traceback.format_exception(info.value))
+        assert "<repro.jit pipeline" in text and "_project(" in text
+
+    def test_source_is_dropped_with_its_function(self):
+        import gc
+        import linecache
+
+        plan = Reduce(MonoidRef("sum"), var("n"), Scan("n", const((1, 2))))
+        filename = fused(plan).__code__.co_filename
+        assert filename in linecache.cache
+        del plan
+        gc.collect()
+        assert filename not in linecache.cache
+
+    def test_jit_report_and_counters_are_per_expression(self):
+        db = demo_company_database(4, 40, seed=3)
+        db.enable_jit()
+        result = db.run_detailed(
+            "select e.name from e in Employees where exists s in e.skills : s = 'oql'"
+        )
+        assert result.jit == {"compiled": 1, "fallback": 1, "constructs": {"Comprehension": 1}}
+
+
+# -- robustness --------------------------------------------------------------------------------
+
+
+class TestPlansPythonWillNotCompile:
+    GENERATORS = 24
+
+    @pytest.fixture
+    def db(self):
+        db = Database(company_schema(), jit=True)
+        db.load_extents(make_company(2, 4, seed=1))
+        db.load_extent("Ones", (1,), monoid="list")
+        db.load_extent("Twos", (1, 2), monoid="list")
+        return db
+
+    def oql(self) -> str:
+        names = [f"x{i}" for i in range(self.GENERATORS)]
+        froms = ", ".join(f"{n} in {'Twos' if i % 8 == 0 else 'Ones'}" for i, n in enumerate(names))
+        return f"select {' + '.join(names)} from {froms}"
+
+    def test_more_generators_than_python_nests_loops(self, db):
+        result = db.run_detailed(self.oql())
+        assert result.value == db.run(self.oql(), engine="interpret")
+        assert len(result.value) == 8 and result.stats.rows_joined > 0
+        assert fused(result.plan) is None and pipeline_source(result.plan) == ""
+        assert result.jit["fallback"] == 0  # the loops run the emitted closures
+
+    def test_a_syntax_error_from_compile_is_not_an_error(self, db, monkeypatch):
+        from repro.jit import plan as jit_plan
+
+        monkeypatch.setattr(jit_plan, "MAX_LOOPS", 1000)  # let compile() be the judge
+        result = db.run_detailed(self.oql())
+        assert fused(result.plan) is None
+        assert result.value == db.run(self.oql(), engine="interpret")
+
+    def test_an_expression_deeper_than_the_parser_takes(self):
+        head = var("n")
+        for _ in range(150):
+            head = BinOp("+", head, const(1))
+        plan = lambda: Reduce(MonoidRef("list"), head, Scan("n", const((1, 2))))
+        assert three_ways_unfused(plan) == (151, 152)
+
+
+def three_ways_unfused(make_plan):
+    values = []
+    for kwargs in WAYS.values():
+        plan = make_plan()
+        values.append(Executor(Evaluator(), **kwargs()).execute(plan))
+        if "jit" in kwargs():
+            assert fused(plan) is None
+    assert values[0] == values[1] == values[2]
+    return values[0]
