@@ -1,9 +1,12 @@
 """Shared benchmark fixtures and reporting helpers.
 
-Running ``pytest benchmarks/ --benchmark-only`` regenerates every series
-the reproduction reports (grouped per experiment id from DESIGN.md);
-running plain ``pytest benchmarks/`` additionally executes the *shape*
-assertions (who wins, by how much) that EXPERIMENTS.md records.
+Plain ``pytest benchmarks/`` (and tier-1) runs under ``--benchmark-disable``
+(``pyproject.toml``): every benchmark body once, untimed, beside the
+*shape* assertions (who wins, by how much) that EXPERIMENTS.md records.
+``pytest benchmarks/ --benchmark-enable --benchmark-only`` regenerates
+every series the reproduction reports (grouped per experiment id from
+DESIGN.md) — pytest-benchmark refuses ``--benchmark-only`` beside
+``--benchmark-disable``, hence the explicit enable.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ verify <file.oql | query> [...]`` executes queries with the
 rewrite-soundness verifier on (:mod:`repro.analysis.cli`);
 ``python -m repro cache stats|clear`` reports query-cache counters
 (:mod:`repro.cache.cli`); ``python -m repro metrics dump|top|serve``
-exports fleet telemetry — Prometheus/OTLP/StatsD dumps, the hot-query
+exports fleet telemetry — a Prometheus text dump, the hot-query
 digest, or a live ``/metrics`` HTTP endpoint
 (:mod:`repro.obs.telemetry.cli`); anything else starts the REPL.
 """

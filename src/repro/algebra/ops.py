@@ -27,7 +27,7 @@ terms over the columns of one input, so everything structural about an
 operator is three declarations, made once, here: ``CHILDREN`` (the names
 of its child fields, in plan order), ``binds()`` (the variables it
 binds) and ``_exprs()`` (its expression positions, each an
-:class:`Expr`). Whatever only needs that structure — the jit's plan walk,
+:class:`Expr`). Whatever only needs that structure —
 plan-check, cache invalidation, the per-operator metrics, the optimizer's
 and EXPLAIN's walks — is a loop over :meth:`PlanNode.walk`,
 :attr:`PlanNode.exprs` and :meth:`PlanNode.with_children` and names no
@@ -51,17 +51,17 @@ Fold = tuple[str, MonoidRef, Term, Optional[Term]]
 class Expr(NamedTuple):
     """One expression position of an operator."""
 
-    #: the node attribute its compiled closure(s) live in; None for a
-    #: term evaluated once per execution, before the stream starts, which
-    #: is never compiled (a Scan source, an IndexScan key)
+    #: the name the operator's loop and template ask for it by
+    #: (:meth:`PlanNode.expr`); None for a term evaluated once per
+    #: execution, before the stream starts (a Scan source, an IndexScan key)
     slot: Optional[str]
     #: what plan-check calls the position — one name, or one per term
     label: Any
     #: a term, None for an absent one, or a tuple of those
     terms: Any
     #: whose columns the terms may read: a :class:`PlanNode`'s (resolved
-    #: when :attr:`scope` is asked for — an execution without the jit or
-    #: plan-check never does), or a fixed set of names
+    #: when :attr:`scope` is asked for — only plan-check does), or a fixed
+    #: set of names
     over: Any
 
     @property
@@ -87,14 +87,6 @@ class PlanNode:
     #: names of the fields holding child operators, in plan order
     CHILDREN: tuple[str, ...]
 
-    # JIT state (a class-level default, not a dataclass field):
-    # repro.jit.plan.compile_node stores one closure attribute per
-    # :attr:`Expr.slot` and a ``jit_stats`` summary on the node, then sets
-    # ``jit_ready`` — last, so concurrent readers either see a fully
-    # compiled node or fall back to compiling it themselves (idempotent).
-    # A Reduce root also carries its generated function (``jit_fused``).
-    jit_ready = False
-
     def binds(self) -> tuple[str, ...]:
         """The variables this operator itself binds."""
         raise NotImplementedError
@@ -115,7 +107,7 @@ class PlanNode:
         return exprs
 
     def expr(self, slot: str) -> Expr:
-        """The expression position compiled into ``slot``."""
+        """The expression position named ``slot``."""
         for entry in self.exprs:
             if entry.slot == slot:
                 return entry

@@ -22,13 +22,14 @@ your own and every stream is also timed into it.
 There is one loop per operator. §3's normalization leaves only small
 first-order terms in operator positions, so a loop never needs to know
 how its expression is evaluated: it calls an ``fn(binding, rt)`` that
-:meth:`Executor._fn` hands it — a compiled closure with the JIT on, a
-thunk into the reference interpreter with it off. Every binding dict an
-operator yields is a fresh one, never mutated afterwards. With the JIT on
-the loops run only the executions that need operator boundaries (a timed
-one, a parallel partition): otherwise :meth:`Executor._reduce` calls the
-one function :mod:`repro.jit.plan` generated for the plan, which has one
-*template* per operator making the same checks and the same counts.
+:meth:`Executor._fn` hands it, a thunk into the reference interpreter.
+Every binding dict an operator yields is a fresh one, never mutated
+afterwards. An execution is one of two things: these loops, or — with the
+JIT on, serial and untimed — the one function :mod:`repro.jit.plan`
+generated for the plan, which :meth:`Executor._reduce` calls instead and
+which has one *template* per operator making the same checks and the same
+counts. A timed execution and a parallel one need operator boundaries, so
+they run the loops, JIT or no JIT.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class Executor:
         #: the record of the current execution's operator events
         self.metrics = metrics if metrics is not None else PlanMetrics()
         self._plan: Optional[Reduce] = None
-        #: optional repro.jit.JITConfig; None makes every expression a
-        #: thunk into the reference interpreter (see :meth:`_fn`)
+        #: optional repro.jit.JITConfig: run the plan's generated function
+        #: where :meth:`_reduce` can
         self.jit = jit
         self._rt = Runtime(evaluator)
         self._jit_verify = False
@@ -208,30 +209,13 @@ class Executor:
     # -- operator expressions --------------------------------------------------------
 
     def _fn(self, node: PlanNode, slot: str) -> Any:
-        """The ``fn(binding, rt)`` for the expression ``node`` keeps
-        compiled in ``slot`` (its :meth:`~PlanNode.expr` entry names the
-        term) — a tuple of them for a tuple of terms, None for an absent
-        one (alone or inside the tuple).
-
-        This is the only place that knows how the loops' expressions are
-        evaluated: with the JIT on it is the node's compiled closure
-        (compiled here on first use unless the pipeline's jit phase
-        already did), wrapped under verify mode with a per-row
-        differential check against the interpreter; with it off, a thunk
-        that re-enters the reference interpreter.
-        """
+        """The ``fn(binding, rt)`` for the expression ``node`` keeps in
+        ``slot`` (its :meth:`~PlanNode.expr` entry names the term): a
+        thunk that re-enters the reference interpreter — a tuple of them
+        for a tuple of terms, None for an absent one (alone or inside the
+        tuple)."""
         term = node.expr(slot).terms
-        many = isinstance(term, tuple)
-        if self.jit is None:
-            return tuple(map(_interpreted, term)) if many else _interpreted(term)
-        if not node.jit_ready:
-            from repro.jit.plan import compile_node
-
-            compile_node(node)
-        fn = getattr(node, slot)
-        if not self._jit_verify:
-            return fn
-        return tuple(map(_checked, fn, term)) if many else _checked(fn, term)
+        return tuple(map(_interpreted, term)) if isinstance(term, tuple) else _interpreted(term)
 
     # -- binding streams -------------------------------------------------------------
 
@@ -463,19 +447,12 @@ def _finish(acc: Any) -> Any:
 def _interpreted(term: Term):
     """``term`` as an ``fn(binding, rt)`` run by the reference
     interpreter — ``Runtime.eval_fallback`` without its frame, this
-    being the per-row path of every jit-off query. The no-copy
+    being the per-row path of every query on the loops. The no-copy
     ``Env.wrapping`` is sound because every binding dict is fresh."""
     if term is None:
         return None
     wrap = Env.wrapping
     return lambda binding, rt: rt.ev.evaluate(term, wrap(binding, rt.globals))
-
-
-def _checked(fn, term: Term):
-    """``fn`` with every result compared against the interpreter's."""
-    if term is None:
-        return None
-    return lambda binding, rt: rt.check(fn(binding, rt), term, binding)
 
 
 def _holds(value: Any) -> bool:

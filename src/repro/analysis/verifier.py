@@ -218,7 +218,8 @@ def _values_equivalent(a: Any, b: Any) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
             return False
-        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+        # Two NaNs agree, though neither ``==`` nor ``isclose`` says so.
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) or (a != a and b != b)
     from repro.values import Bag, OrderedSet, Record, Vector, canonical_order
 
     if isinstance(a, (tuple, list, OrderedSet)) and isinstance(

@@ -211,7 +211,7 @@ class Database:
         self.telemetry: Optional[Any] = _resolve_mode("telemetry", telemetry)
         #: partition-parallel execution config
         self.parallel: Optional[Any] = _resolve_mode("parallel", parallel)
-        #: closure-compilation (JIT) config
+        #: plan-compilation (JIT) config
         self.jit: Optional[Any] = _resolve_mode("jit", jit)
         # Bumped whenever query *meaning* changes outside the catalog
         # (views defined, functions registered, object extents added);
@@ -496,8 +496,9 @@ class Database:
         unless parallelism is enabled, in which case a
         :class:`~repro.parallel.ParallelExecutor` (which itself falls
         back to the identical serial path whenever the plan shape or
-        config rules fan-out out). ``timed_into`` asks for per-operator
-        wall time, into that table."""
+        config rules fan-out out; it runs the operator loops, so it takes
+        no jit). ``timed_into`` asks for per-operator wall time, into
+        that table."""
         indexes = self.catalog.index_mappings()
         if self.parallel is None:
             return Executor(evaluator, indexes, metrics=timed_into, jit=self.jit)
@@ -510,7 +511,6 @@ class Database:
             metrics=timed_into,
             config=self.parallel,
             tracer=tracer if tracer.enabled else None,
-            jit=self.jit,
         )
 
     # -- compile: the front half ------------------------------------------------
@@ -864,16 +864,19 @@ class Database:
         self._set_mode("parallel", False)
 
     def enable_jit(self, jit: Any = True):
-        """Turn on closure compilation of hot-path expressions.
+        """Turn on compilation of plans to Python.
 
         ``True`` gives the defaults; a
         :class:`~repro.jit.JITConfig` tunes the per-row differential
-        ``verify`` check. While on, every Select predicate, Join key,
-        Unnest path, Nest key and Reduce head runs as a compiled Python
-        closure instead of re-interpreting its AST per row; constructs
-        outside the compilable fragment fall back to the reference
-        interpreter expression-by-expression. Values are guaranteed
-        identical either way — see ``docs/JIT.md``.
+        ``verify`` check. While on, a serial, untimed execution is one
+        generated function per plan — every Select predicate, Join key,
+        Unnest path, Nest key and Reduce head inlined as Python instead
+        of re-interpreting its AST per row; constructs outside the
+        compilable fragment fall back to the reference interpreter
+        subterm by subterm. A timed (EXPLAIN ANALYZE, ``profile()``) or
+        parallel execution runs the operator loops exactly as with the
+        jit off. Values are guaranteed identical either way — see
+        ``docs/JIT.md``.
         """
         return self._set_mode("jit", jit)
 

@@ -4,9 +4,10 @@ Section 3's normalization leaves generators over simple paths and small
 first-order terms in operator positions, a form that translates straight
 to target-language code: :mod:`repro.jit.compiler` emits the terms as
 Python expressions, :mod:`repro.jit.plan` emits one function per plan
-around them at plan-build time (and closures per expression, for the
-executions that keep operator boundaries), and the executor calls the
-function instead of pulling rows through its operator loops.
+around them at plan-build time, and the executor calls the function
+instead of pulling rows through its operator loops (an execution that
+needs operator boundaries — a timed or a partitioned one — runs the loops
+exactly as with the jit off).
 See ``docs/JIT.md`` for the generated code, what falls back, and the
 interaction with cache/parallel/verify.
 
@@ -14,17 +15,13 @@ Off by default; enable with ``Database(jit=...)``,
 ``Database.enable_jit()`` or ``REPRO_JIT=1``.
 """
 
-from repro.jit.compiler import CompiledFn, compile_term
 from repro.jit.config import JITConfig, jit_env_enabled, resolve_jit
-from repro.jit.plan import compile_node, fused, pipeline_source, precompile_plan
+from repro.jit.plan import fused, pipeline_source, precompile_plan
 from repro.jit.runtime import Runtime
 
 __all__ = [
-    "CompiledFn",
     "JITConfig",
     "Runtime",
-    "compile_node",
-    "compile_term",
     "fused",
     "jit_env_enabled",
     "pipeline_source",

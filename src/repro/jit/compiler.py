@@ -3,11 +3,10 @@
 :class:`Emitter` translates the *operator-position fragment* of the
 calculus — the small, first-order residue §3 normalization leaves in
 selection predicates, join keys, unnest paths, nest keys and reduce
-heads — into one Python *expression* per term. The same source runs in
-two places: inlined into the function :mod:`repro.jit.plan` generates for
-a whole plan, where a plan variable is a Python local, and as the body of
-``lambda b, rt: …`` (:func:`compile_term`), where it is ``b[name]`` — what
-the executor's operator loops call when an execution is not fused.
+heads — into one Python *expression* per term, inlined into the function
+:mod:`repro.jit.plan` generates for a whole plan: a plan variable is a
+Python local there, and what the source asks of the runtime
+(:data:`RUNTIME`) a name the function's prologue binds.
 
 The fragment: ``Const`` / ``Var`` / ``Proj`` / ``Deref`` / ``Index`` /
 ``BinOp`` / ``UnOp`` / ``If`` / ``RecordCons`` / ``TupleCons`` /
@@ -33,7 +32,7 @@ per-row check hold the two implementations together.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.calculus.ast import BinOp, Call, Const, Deref, If, Index, Proj, RecordCons
 from repro.calculus.ast import Term, TupleCons, UnOp, Var
@@ -42,11 +41,8 @@ from repro.eval.builtins import DEFAULT_BUILTINS
 from repro.eval.evaluator import Evaluator, _freeze_const
 from repro.values import Record
 
-#: The uniform signature of every compiled expression.
-CompiledFn = Callable[[dict, Any], Any]
-
-#: What emitted source asks of the runtime: the name a generated function
-#: hoists it under, and how a closure (which has no prologue) spells it.
+#: What emitted source asks of the runtime: the name it goes by, and what
+#: the generated function's prologue binds that name to.
 RUNTIME = {
     "_project": "rt.ev.project",
     "_index": "rt.ev.index",
@@ -77,14 +73,12 @@ class Emitter:
     name of every subterm left to the interpreter.
     """
 
-    def __init__(self, hoisted: bool) -> None:
+    def __init__(self) -> None:
         self.names: dict[str, Any] = {
             "_Record": Record,
             "_require_bool": Evaluator._require_bool,  # reached only by a non-boolean
             "_not_number": _not_number,
         }
-        self.hoisted = hoisted
-        self.rt = {name: name for name in RUNTIME} if hoisted else RUNTIME
         self.fallbacks: list[str] = []
         self._fresh = 0
 
@@ -113,16 +107,14 @@ class Emitter:
         return f"({temp} := {source})", temp
 
     def env(self, scope: dict[str, str]) -> str:
-        """The binding dict the interpreter is handed for a subterm: the
-        row itself for a closure, one built from the locals otherwise."""
-        if not self.hoisted:
-            return "b"
+        """The binding dict the interpreter is handed for a subterm,
+        built from the locals."""
         return "{" + ", ".join(f"{name!r}: {src}" for name, src in scope.items()) + "}"
 
     def checked(self, term: Term, scope: dict[str, str]) -> str:
         """``term``'s source inside verify mode's differential check."""
         source = self.expr(term, scope)
-        return f"{self.rt['_check']}({source}, {self.const(term)}, {self.env(scope)})"
+        return f"_check({source}, {self.const(term)}, {self.env(scope)})"
 
     def expr(self, term: Term, scope: dict[str, str]) -> str:
         handler = _EMITTERS.get(type(term))
@@ -132,7 +124,7 @@ class Emitter:
 
     def fallback(self, term: Term, scope: dict[str, str]) -> str:
         self.fallbacks.append(type(term).__name__)
-        return f"{self.rt['_fallback']}({self.const(term)}, {self.env(scope)})"
+        return f"_fallback({self.const(term)}, {self.env(scope)})"
 
     # -- per-construct emitters ---------------------------------------------------
 
@@ -145,20 +137,20 @@ class Emitter:
 
     def _var(self, term: Var, scope) -> str:
         source = scope.get(term.name)
-        return source if source is not None else f"{self.rt['_lookup']}({term.name!r})"
+        return source if source is not None else f"_lookup({term.name!r})"
 
     def _proj(self, term: Proj, scope) -> str:
         first, base = self.once(self.expr(term.base, scope), literal=False)
         return (
             f"({base}[{term.name!r}] if type({first}) is _Record"
-            f" else {self.rt['_project']}({base}, {term.name!r}))"
+            f" else _project({base}, {term.name!r}))"
         )
 
     def _deref(self, term: Deref, scope) -> str:
-        return f"{self.rt['_deref']}({self.expr(term.target, scope)})"
+        return f"_deref({self.expr(term.target, scope)})"
 
     def _index(self, term: Index, scope) -> str:
-        return f"{self.rt['_index']}({self.expr(term.base, scope)}, {self.expr(term.index, scope)})"
+        return f"_index({self.expr(term.base, scope)}, {self.expr(term.index, scope)})"
 
     def _record(self, term: RecordCons, scope) -> str:
         fields = ", ".join(f"{name!r}: {self.expr(value, scope)}" for name, value in term.fields)
@@ -212,9 +204,9 @@ class Emitter:
         if op in ("=", "!="):
             return f"({left} {'==' if op == '=' else '!='} {right})"
         if op in ("/", "div", "mod"):
-            return f"{self.rt['_arith']}({op!r}, {left}, {right})"
+            return f"_arith({op!r}, {left}, {right})"
         if op in ("in", "union", "intersect", "except"):
-            return f"{self.rt['_binop']}({op!r}, {left}, {right})"
+            return f"_binop({op!r}, {left}, {right})"
         (left, lv), (right, rv) = self.once(left), self.once(right)
         if op in ("+", "-", "*"):
             # Exact-int fast path (``type is int`` excludes bool, matching
@@ -222,7 +214,7 @@ class Emitter:
             # concatenation and type errors are Evaluator._arith's.
             return (
                 f"({lv} {op} {rv} if (type({left}) is int) & (type({right}) is int)"
-                f" else {self.rt['_arith']}({op!r}, {lv}, {rv}))"
+                f" else _arith({op!r}, {lv}, {rv}))"
             )
         # A comparison of two ints, floats or strs cannot raise; any other
         # pair goes through the evaluator's TypeError -> EvaluationError.
@@ -236,7 +228,7 @@ class Emitter:
                 f"({kind} := type({left})) is type({right})"
                 f" and ({kind} is int or {kind} is float or {kind} is str)"
             )
-        return f"({lv} {op} {rv} if {plain} else {self.rt['_binop']}({op!r}, {lv}, {rv}))"
+        return f"({lv} {op} {rv} if {plain} else _binop({op!r}, {lv}, {rv}))"
 
     def _call(self, term: Call, scope) -> str:
         name = term.name
@@ -247,7 +239,7 @@ class Emitter:
         if name in scope or name not in DEFAULT_BUILTINS:
             return self.fallback(term, scope)
         args = "".join(f", {self.expr(arg, scope)}" for arg in term.args)
-        return f"{self.rt['_apply']}({self.rt['_callable']}({name!r}){args})"
+        return f"_apply(_callable({name!r}){args})"
 
 
 _BINARY = frozenset("and or = != < <= > >= + - * / div mod in union intersect except".split())
@@ -268,27 +260,3 @@ _EMITTERS: dict[type, Callable[..., str]] = {
 
 #: What the Python compiler raises for source nested deeper than it takes.
 TOO_DEEP = (SyntaxError, RecursionError, MemoryError)
-
-
-def compile_term(
-    term: Term, bound: frozenset[str], fallbacks: Optional[list[str]] = None
-) -> CompiledFn:
-    """Compile ``term`` to a closure over ``(binding, runtime)``.
-
-    ``bound`` is the set of variables the consuming operator's binding
-    dicts are statically known to carry (``PlanNode.columns()`` of the
-    relevant child). ``fallbacks``, when given, collects the construct
-    names of every subterm that had to drop back to the interpreter — the
-    raw material for the ``QL501`` lint and the ``repro_jit_*`` telemetry
-    counters; a term Python cannot compile drops back whole.
-    """
-    emitter = Emitter(hoisted=False)
-    try:
-        source = emitter.expr(term, {name: f"b[{name!r}]" for name in bound})
-        fn = eval(f"lambda b, rt: {source}", emitter.names)
-    except TOO_DEEP:
-        emitter.fallbacks = [type(term).__name__]
-        fn = lambda b, rt: rt.eval_fallback(term, b)
-    if fallbacks is not None:
-        fallbacks.extend(emitter.fallbacks)
-    return fn

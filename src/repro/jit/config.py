@@ -1,4 +1,4 @@
-"""Configuration and enablement for the closure-compiling JIT.
+"""Configuration and enablement for the plan-compiling JIT.
 
 Follows the opt-in convention every mode shares (DESIGN.md, "Modes"):
 the JIT is **off by default**, and on or off a query returns the same
@@ -22,11 +22,11 @@ def jit_env_enabled() -> bool:
 
 @dataclass
 class JITConfig:
-    """Tuning knobs for the closure compiler.
+    """Tuning knobs for the plan compiler.
 
-    ``verify`` controls the per-row differential check (every compiled
-    expression re-evaluated on the reference interpreter, results
-    compared): ``None`` defers to ``REPRO_VERIFY`` /
+    ``verify`` controls the per-row differential check (every expression
+    of the generated function re-evaluated on the reference interpreter,
+    results compared): ``None`` defers to ``REPRO_VERIFY`` /
     :func:`repro.analysis.verifier.verification`, matching the rewrite
     verifier's convention; ``True``/``False`` force it for executors
     built from this config.

@@ -1,32 +1,26 @@
-"""The jit phase: compile a plan's expressions, then the plan itself.
+"""The jit phase: a ``Reduce`` plan as one generated Python function.
 
-:func:`compile_node` compiles one operator's embedded calculus terms —
-every entry of its :attr:`~repro.algebra.ops.PlanNode.exprs` that names
-a closure slot, against the columns that entry says the term may read —
-and stores the closures on the node under the slot's name (``pred_fn``,
-``left_key_fns``, ...): in the frozen dataclass's instance ``__dict__`` —
-derived data, not part of the node's value (a copy recompiles lazily).
-
-:func:`precompile_plan` (the pipeline's ``jit`` phase) does that for a
-whole plan, reports compiled/fallback counts per expression, and then
-turns the ``Reduce`` plan into **one generated Python function**
-(:func:`fused`), kept on the plan root beside the closures so that it,
-too, rides the compile cache. There is one template per operator
-(:data:`_TEMPLATES`), composed produce/consume style: a template emits
-its loop and calls ``consume(scope)`` where a row exists, ``scope``
-mapping every plan variable in reach to the Python local that holds it —
-a row is never a dict. Expressions are the source the closures are made
-of (:class:`~repro.jit.compiler.Emitter`), and the checks are the
+:func:`precompile_plan` (the pipeline's ``jit`` phase) emits the function
+(:func:`fused`) and reports, per operator-position expression, whether it
+compiled whole or some subterm fell back to the interpreter. Function and
+report are kept on the plan root — in the frozen dataclass's instance
+``__dict__``: derived data, not part of the node's value — so they ride
+the compile cache; nothing else is stored on a plan. There is one template
+per operator (:data:`_TEMPLATES`), composed produce/consume style: a
+template emits its loop and calls ``consume(scope)`` where a row exists,
+``scope`` mapping every plan variable in reach to the Python local that
+holds it — a row is never a dict. Expressions are
+:class:`~repro.jit.compiler.Emitter` source, and the checks are the
 operator loops' own: ``Runtime.iterate`` once per source, the Select
 test, ``_folder``'s steps, per-node counts stored into the execution's
-blocks at the end. An execution the executor cannot fuse — a timed one, a
-parallel partition, a plan Python will not compile — runs the operator
-loops over the closures instead.
+blocks at the end. An execution the executor does not fuse — a timed one,
+a :class:`~repro.parallel.ParallelExecutor`'s, a plan Python will not
+compile — runs the operator loops over interpreter thunks, as with the
+jit off.
 
-Concurrency: compilation is idempotent and every write is a single
-GIL-atomic store, with ``jit_ready`` written last, so racing executors
-(:mod:`repro.parallel` workers, concurrent queries on one cached plan)
-at worst compile twice. Generated code keeps its state in locals.
+Concurrency: emission is idempotent and every write is a single
+GIL-atomic store, so racing executors (concurrent queries on one cached
+plan) at worst emit twice. Generated code keeps its state in locals.
 """
 
 from __future__ import annotations
@@ -39,57 +33,24 @@ from typing import Any, Callable, Optional
 
 from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
 from repro.errors import PlanError
-from repro.jit.compiler import RUNTIME, TOO_DEEP, Emitter, compile_term
+from repro.jit.compiler import RUNTIME, TOO_DEEP, Emitter
 from repro.values import canonical_key
 
-
-def compile_node(node: PlanNode) -> None:
-    """Compile (idempotently) the expressions of one plan operator and
-    attach them, plus a ``jit_stats`` summary, to ``node``. An expression
-    counts as *compiled* only when no subterm fell back. An absent (None)
-    term keeps a None slot and counts as neither; an entry without a slot
-    (a Scan source, an IndexScan key) is evaluated once per execution."""
-    if node.jit_ready:
-        return
-    compiled = fallback = 0
-    constructs: Counter[str] = Counter()
-    for entry in node.exprs:
-        if entry.slot is None:
-            continue
-        many = isinstance(entry.terms, tuple)
-        fns = []
-        for term in entry.terms if many else (entry.terms,):
-            left: list[str] = []
-            fns.append(None if term is None else compile_term(term, entry.scope, left))
-            constructs.update(left)
-            compiled += term is not None and not left
-            fallback += bool(left)
-        object.__setattr__(node, entry.slot, tuple(fns) if many else fns[0])
-    stats = {"compiled": compiled, "fallback": fallback, "constructs": dict(constructs)}
-    object.__setattr__(node, "jit_stats", stats)
-    # Written last: readers that see jit_ready see everything above.
-    object.__setattr__(node, "jit_ready", True)
+#: What a plan without a generated function reports: nothing compiled.
+_UNFUSED = {"compiled": 0, "fallback": 0, "constructs": {}}
 
 
 def precompile_plan(plan: PlanNode) -> dict[str, Any]:
-    """Compile every operator in ``plan`` and the plan's function; returns
-    aggregate stats (``compiled``/``fallback`` expression counts and the
-    fallback ``constructs`` histogram — what ``QL501`` names) for
-    telemetry and ``QueryResult.jit``. Done once per plan: every later
-    call (each execution asks) reads the report kept on the root."""
+    """Emit ``plan``'s function; returns what the emission compiled
+    (``compiled``/``fallback`` expression counts and the fallback
+    ``constructs`` histogram — what ``QL501`` names) for telemetry and
+    ``QueryResult.jit``. Done once per plan: every later call (each
+    execution asks) reads the report kept on the root."""
     report = plan.__dict__.get("jit_report")
     if report is None:
-        compiled = fallback = 0
-        constructs: Counter[str] = Counter()
-        for node in plan.walk():
-            compile_node(node)
-            compiled += node.jit_stats["compiled"]
-            fallback += node.jit_stats["fallback"]
-            constructs.update(node.jit_stats["constructs"])
         if isinstance(plan, Reduce):
             fused(plan)
-        report = {"compiled": compiled, "fallback": fallback, "constructs": dict(constructs)}
-        plan.__dict__["jit_report"] = report
+        report = plan.__dict__.setdefault("jit_report", _UNFUSED)
     return {**report, "constructs": dict(report["constructs"])}
 
 
@@ -108,8 +69,11 @@ class _Pipeline:
     """The source of one ``Reduce`` plan's function, emitted line by line."""
 
     def __init__(self, plan: Reduce, checked: bool) -> None:
-        self.emitter = Emitter(hoisted=True)
+        self.emitter = Emitter()
         self.checked = checked
+        #: operator-position expressions emitted whole / with a subterm
+        #: left to the interpreter
+        self.compiled = self.fallback = 0
         self.lines: list[str] = []
         self.depth = 1
         #: id(node) -> its place in ``blocks`` (``plan.child.walk()`` order)
@@ -157,7 +121,13 @@ class _Pipeline:
         of a tuple of them), read over ``scope``."""
         term = node.expr(slot).terms
         emit = self.emitter.checked if self.checked else self.emitter.expr
-        return emit(term if at is None else term[at], scope)
+        left = len(self.emitter.fallbacks)
+        source = emit(term if at is None else term[at], scope)
+        if len(self.emitter.fallbacks) > left:
+            self.fallback += 1
+        else:
+            self.compiled += 1
+        return source
 
     def key(self, node: PlanNode, slot: str, scope: Scope) -> str:
         """A hash key: the one key term's value, or the tuple of them."""
@@ -332,7 +302,8 @@ _serial = itertools.count(1)
 def _fuse(plan: Reduce, checked: bool) -> Optional[Callable[..., Any]]:
     """``plan`` as one function ``(rt, indexes, blocks, monoid) -> value``
     (``blocks``: the execution's metrics blocks of ``plan.child.walk()``);
-    None for an operator without a template or nesting Python won't compile."""
+    None for an operator without a template or nesting Python won't compile.
+    What the emission compiled goes on the plan root as ``jit_report``."""
     from repro.algebra.physical import _accumulate, _folder  # imports this package
 
     filename = f"<repro.jit pipeline {next(_serial)}>"
@@ -350,6 +321,11 @@ def _fuse(plan: Reduce, checked: bool) -> Optional[Callable[..., Any]]:
     except (PlanError, *TOO_DEEP):
         return None
     fn = namespace.pop("pipeline")
+    plan.__dict__["jit_report"] = {
+        "compiled": pipeline.compiled,
+        "fallback": pipeline.fallback,
+        "constructs": dict(Counter(pipeline.emitter.fallbacks)),
+    }
     # So that a traceback through generated code shows the line.
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     weakref.finalize(fn, linecache.cache.pop, filename, None)

@@ -1,13 +1,12 @@
 """The per-execution runtime compiled code runs against.
 
-Compiled code — a plan's generated function, or an expression's closure
-``fn(binding, rt)`` over the executor's binding dict for one row — is
-stateless: it names only immutable compile-time data (constants, field
-names, fallback terms), which is what makes it safe to keep on shared
-plan nodes, reuse across executions from the compiled-query cache, and
-call concurrently from :mod:`repro.parallel` workers. All per-execution
-state — the evaluator, the object store, the global environment
-snapshot — lives in the :class:`Runtime` it is handed instead.
+Compiled code — a plan's generated function — is stateless: it names
+only immutable compile-time data (constants, field names, fallback
+terms), which is what makes it safe to keep on a shared plan root, reuse
+across executions from the compiled-query cache, and call from
+concurrent queries. All per-execution state — the evaluator, the object
+store, the global environment snapshot — lives in the :class:`Runtime`
+it is handed instead (the operator loops' interpreter thunks take one too).
 """
 
 from __future__ import annotations
@@ -20,7 +19,25 @@ from repro.eval.builtins import runtime_monoid_of
 from repro.eval.env import Env
 from repro.monoids import VectorMonoid
 from repro.objects.store import Obj
-from repro.values import OrderedSet
+from repro.values import OrderedSet, Record
+
+
+def _agree(value: Any, expected: Any) -> bool:
+    """One type and equal — two NaNs too, which ``==`` never says, alone
+    or in the records and tuples compiled code builds."""
+    if type(value) is not type(expected):
+        return False
+    if value == expected:
+        return True
+    if type(value) is float:
+        return value != value and expected != expected
+    if type(value) is Record:
+        return value.keys() == expected.keys() and all(
+            _agree(value[name], expected[name]) for name in value
+        )
+    if type(value) is tuple:
+        return len(value) == len(expected) and all(map(_agree, value, expected))
+    return False
 
 
 class Runtime:
@@ -59,7 +76,7 @@ class Runtime:
         """``value`` — what compiled code made of ``term`` under ``binding``
         — once the interpreter has made the same (verify mode's differential)."""
         expected = self.eval_fallback(term, binding)
-        if type(value) is not type(expected) or value != expected:
+        if not _agree(value, expected):
             raise VerificationError(
                 "jit-compile",
                 term,

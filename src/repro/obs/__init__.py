@@ -13,7 +13,7 @@ Four layers; everything but the operator counts is opt-in:
   structured JSONL query records built from the two layers above;
 - **fleet telemetry** (:mod:`repro.obs.telemetry`): a process-wide
   metrics registry (counters, gauges, log-bucket histograms, a
-  hot-query fingerprint table) with Prometheus/OTLP/StatsD exporters
+  hot-query fingerprint table) with a Prometheus text exporter
   and a ``/metrics`` HTTP endpoint. Deliberately *not* imported here —
   ``import repro.obs.telemetry`` (or ``Database(telemetry=True)``)
   pulls it in; the default-off query path never loads it.

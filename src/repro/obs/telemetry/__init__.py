@@ -1,4 +1,4 @@
-"""Fleet telemetry: a process-wide metrics registry with exporters.
+"""Fleet telemetry: a process-wide metrics registry with a Prometheus exporter.
 
 The package turns the per-query observability of :mod:`repro.obs`
 (tracer spans, operator metrics, EXPLAIN ANALYZE) into *aggregate*
@@ -12,7 +12,7 @@ telemetry a monitoring stack can scrape:
   top-K hot-query table;
 - :mod:`.instrument` — the metric catalog: one finished query
   decomposed into registry updates;
-- :mod:`.export` — Prometheus text, OTLP-style JSON, StatsD lines;
+- :mod:`.export` — the Prometheus text exposition;
 - :mod:`.server` — a stdlib ``/metrics`` HTTP endpoint;
 - :mod:`.advise` — QL402: runtime-informed index advice;
 - :mod:`.cli` — ``python -m repro metrics dump|top|serve``.
@@ -21,14 +21,7 @@ Telemetry is **opt-in**: with it off, ``Database.run`` never enters this
 package (the parity test asserts zero telemetry allocations).
 """
 
-from repro.obs.telemetry.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    otlp_json,
-    otlp_text,
-    prometheus_text,
-    statsd_lines,
-    statsd_text,
-)
+from repro.obs.telemetry.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from repro.obs.telemetry.fingerprint import (
     FingerprintTable,
     QueryStats,
@@ -74,15 +67,11 @@ __all__ = [
     "enable_telemetry",
     "fingerprint_term",
     "get_registry",
-    "otlp_json",
-    "otlp_text",
     "prometheus_text",
     "record_query_error",
     "record_query_result",
     "render_top",
     "resolve_telemetry",
-    "statsd_lines",
-    "statsd_text",
     "summary_lines",
     "telemetry_enabled",
 ]

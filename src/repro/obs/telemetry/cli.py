@@ -4,8 +4,7 @@ The databases here are in-process, so (as with ``cache stats``) the
 subcommand first drives a query burst against a telemetry-enabled demo
 database, then reports the registry it filled:
 
-- ``dump [--format prom|otlp|statsd]`` — the full registry in one of
-  the three exporter formats (Prometheus text by default);
+- ``dump`` — the full registry as Prometheus text;
 - ``top [--k N]`` — the terminal digest: totals, latency quantiles,
   QPS window, hot-query table and QL402 index advice;
 - ``serve [--port P]`` — the ``/metrics`` HTTP endpoint, blocking; CI
@@ -66,12 +65,6 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
         help="workload passes before reporting/serving (default: 5)",
     )
     parser.add_argument(
-        "--format",
-        choices=("prom", "otlp", "statsd"),
-        default="prom",
-        help="dump format (default: prom)",
-    )
-    parser.add_argument(
         "--k", type=int, default=5, help="hot-query table size for top"
     )
     parser.add_argument("--host", default="127.0.0.1")
@@ -84,18 +77,9 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     registry = db.telemetry
 
     if args.action == "dump":
-        from repro.obs.telemetry.export import (
-            otlp_text,
-            prometheus_text,
-            statsd_text,
-        )
+        from repro.obs.telemetry.export import prometheus_text
 
-        text = {
-            "prom": prometheus_text,
-            "otlp": otlp_text,
-            "statsd": statsd_text,
-        }[args.format](registry)
-        out(text.rstrip("\n"))
+        out(prometheus_text(registry).rstrip("\n"))
         return 0
 
     if args.action == "top":

@@ -58,9 +58,6 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
     for base in (1.0, 2.0, 5.0)
 )
 
-_QUANTILES = (0.5, 0.9, 0.99)
-
-
 def _label_key(
     label_names: tuple[str, ...], labels: dict[str, Any]
 ) -> tuple[str, ...]:
@@ -337,7 +334,7 @@ class RollingWindow:
 
 
 # ---------------------------------------------------------------------------
-# Snapshots (the exporters' input)
+# Snapshots (the exporter's input)
 # ---------------------------------------------------------------------------
 
 
@@ -349,22 +346,11 @@ class HistogramData:
     counts: tuple[int, ...]  # per finite bound, then the +Inf slot
     sum: float
     count: int
-    min: Optional[float]
-    max: Optional[float]
-
-    def quantiles(self) -> dict[str, float]:
-        child = _HistogramChild(threading.RLock(), self.bounds)
-        child.counts = list(self.counts)
-        child.sum = self.sum
-        child.count = self.count
-        child.min = self.min
-        child.max = self.max
-        return {f"p{int(q * 100)}": child.quantile(q) for q in _QUANTILES}
 
 
 @dataclass(frozen=True)
 class FamilySnapshot:
-    """One metric family at one instant: the exporters' unit of work."""
+    """One metric family at one instant: the exporter's unit of work."""
 
     name: str
     kind: str  # 'counter' | 'gauge' | 'histogram'
@@ -478,7 +464,7 @@ class MetricsRegistry:
         """A consistent point-in-time snapshot of every family.
 
         Window families are materialized as gauges (``repro_window_qps``
-        and ``repro_window_latency_seconds``) so exporters see one
+        and ``repro_window_latency_seconds``) so the exporter sees one
         uniform shape.
         """
         with self._lock:
@@ -492,8 +478,6 @@ class MetricsRegistry:
                             counts=tuple(child.counts),
                             sum=child.sum,
                             count=child.count,
-                            min=child.min,
-                            max=child.max,
                         )
                     else:
                         data = child.value

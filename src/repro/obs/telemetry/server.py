@@ -4,7 +4,6 @@ No dependencies beyond ``http.server``: a :class:`MetricsServer` wraps
 a ``ThreadingHTTPServer`` serving
 
 - ``/metrics`` — Prometheus text exposition (the scrape target);
-- ``/metrics.json`` — the OTLP-style JSON document;
 - ``/healthz`` — liveness probe (``ok``).
 
 ``port=0`` binds an ephemeral port (tests use this; :attr:`port` tells
@@ -20,11 +19,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.obs.telemetry.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    otlp_text,
-    prometheus_text,
-)
+from repro.obs.telemetry.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from repro.obs.telemetry.registry import MetricsRegistry, get_registry
 
 
@@ -45,8 +40,6 @@ def _make_handler(registry: MetricsRegistry) -> type:
             path = self.path.split("?", 1)[0]
             if path == "/metrics":
                 self._respond(prometheus_text(registry), PROMETHEUS_CONTENT_TYPE)
-            elif path == "/metrics.json":
-                self._respond(otlp_text(registry), "application/json")
             elif path == "/healthz":
                 self._respond("ok\n", "text/plain; charset=utf-8")
             else:

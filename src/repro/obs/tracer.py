@@ -53,7 +53,7 @@ PIPELINE_PHASES = (
 
 #: The front half a compilation-cache hit skips (``execute`` always
 #: runs; ``lint`` is a per-call flag, honored even on hits). ``jit``
-#: only appears when closure compilation is enabled (``REPRO_JIT``).
+#: only appears when plan compilation is enabled (``REPRO_JIT``).
 COMPILE_PHASES = (
     "parse",
     "translate",

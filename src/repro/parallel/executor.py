@@ -89,9 +89,8 @@ class ParallelExecutor(Executor):
         metrics=None,
         config: Optional[ParallelConfig] = None,
         tracer=None,
-        jit=None,
     ) -> None:
-        super().__init__(evaluator, indexes, metrics, jit=jit)
+        super().__init__(evaluator, indexes, metrics)
         self.config = config or ParallelConfig()
         self.tracer = tracer
         self.last_mode = "serial"
@@ -154,7 +153,7 @@ class ParallelExecutor(Executor):
         when the query's is — that replays ``prepared`` where it would
         scan or build."""
         metrics = PlanMetrics() if self._timed else None
-        worker = Executor(self.evaluator, self.indexes, metrics=metrics, jit=self.jit)
+        worker = Executor(self.evaluator, self.indexes, metrics=metrics)
         worker._prepared = prepared
         return worker
 

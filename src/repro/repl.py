@@ -15,7 +15,7 @@ Run with ``python -m repro``. Commands:
 ``:cache on|off|stats``  toggle the query cache / show its counters
 ``:stats [on|off|top]``  toggle fleet telemetry / show its digest
 ``:parallel on|off``  toggle partition-parallel execution
-``:jit on|off``       toggle closure compilation of hot-path expressions
+``:jit on|off``       toggle compilation of plans to Python functions
 ``\\extents``          list extents and sizes
 ``\\schema``           list classes and attributes
 ``\\help``             this text

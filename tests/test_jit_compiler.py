@@ -1,10 +1,12 @@
-"""Differential tests for the closure compiler (`repro.jit.compiler`).
+"""Differential tests for the expression emitter (`repro.jit.compiler`).
 
 Every construct in the compilable fragment is checked value-for-value
 and error-for-error against the reference interpreter: same results,
 same `EvaluationError` wording, same short-circuit behavior. The
 fallback machinery is checked to (a) preserve semantics and (b) record
-which construct forced the interpreter re-entry.
+which construct forced the interpreter re-entry. The compiled side is
+`Emitter` source as a generated function spells it: plan variables are
+Python locals, the runtime's helpers are bound in a prologue.
 """
 
 from __future__ import annotations
@@ -28,8 +30,28 @@ from repro.calculus import comp, gen, var
 from repro.errors import EvaluationError, ReproError
 from repro.eval import Evaluator
 from repro.eval.env import Env
-from repro.jit import Runtime, compile_term
+from repro.jit import Runtime
+from repro.jit.compiler import RUNTIME, Emitter
 from repro.values import Bag, Record
+
+
+def compile_term(term, bound, fallbacks=None):
+    """``term`` over the variables ``bound`` as ``fn(binding, rt)``, its
+    fallbacks' construct names appended to ``fallbacks``."""
+    emitter = Emitter()
+    names = sorted(bound)
+    local = {name: f"v{i}" for i, name in enumerate(names)}
+    prologue = "; ".join(f"{name} = {path}" for name, path in RUNTIME.items())
+    source = (
+        f"def fn(rt, {', '.join(local.values())}):\n"
+        f"    {prologue}\n"
+        f"    return {emitter.expr(term, local)}\n"
+    )
+    exec(source, emitter.names)
+    if fallbacks is not None:
+        fallbacks.extend(emitter.fallbacks)
+    fn = emitter.names["fn"]
+    return lambda binding, rt: fn(rt, *(binding[name] for name in names))
 
 
 def run_both(term, binding, globals_=None):
@@ -69,7 +91,7 @@ class TestLeaves:
         assert run_both(Var("g"), {}, globals_={"g": "global"}) == ("ok", "global")
 
     def test_binding_shadows_global(self):
-        # A var in `bound` must read the row dict even if a global with
+        # A var in `bound` must read its local even if a global with
         # the same name exists — interpreter shadowing order.
         assert run_both(Var("x"), {"x": 1}, globals_={"x": 99}) == ("ok", 1)
 
@@ -271,7 +293,7 @@ class TestFallbacks:
         assert fn({"xs": Bag((1, 2))}, Runtime(Evaluator())) == 4
 
     def test_fallback_sees_row_bindings(self):
-        # The interpreter re-entry must layer the binding dict over
+        # The interpreter re-entry must layer the row's locals over
         # globals so row variables resolve inside the fallback term.
         term = comp("sum", BinOp("*", var("x"), var("y")), [gen("x", var("xs"))])
         fn = compile_term(term, frozenset({"xs", "y"}), [])

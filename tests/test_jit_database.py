@@ -11,7 +11,7 @@ from repro.db.database import (
     demo_company_database,
     demo_travel_database,
 )
-from repro.errors import DatabaseError, VerificationError
+from repro.errors import DatabaseError
 from repro.jit import JITConfig, resolve_jit
 from repro.obs.metrics import PlanMetrics
 from repro.obs.telemetry.registry import MetricsRegistry
@@ -190,32 +190,38 @@ class TestVerifyMode:
 
     @staticmethod
     def _corrupted_plan(company):
-        from repro.algebra.translate import build_plan
-        from repro.jit.plan import compile_node
+        """SCAN_QUERY's plan, its generated functions swapped for a wrong one."""
+        from repro.jit.plan import precompile_plan
 
-        from repro.normalize import normalize
-
-        normalized = normalize(company.translate(SCAN_QUERY))
-        plan = company._optimize(build_plan(normalized, pre_normalize=True))
-        compile_node(plan)
-        object.__setattr__(plan, "head_fn", lambda b, rt: "corrupt")
+        plan = company.compile(SCAN_QUERY).plan
+        precompile_plan(plan)
+        plan.__dict__["jit_fused"] = dict.fromkeys((False, True), lambda *args: "corrupt")
         return plan
 
-    # A timed execution runs the operator loops over the nodes' closures
-    # (tests/test_jit_fused.py corrupts the generated function instead).
+    # A plan's one compiled form is its function: a timed execution runs
+    # the jit-off loops (tests/test_jit_fused.py corrupts the emitter instead).
 
-    def test_injected_wrong_closure_is_caught(self, company):
+    def test_a_timed_execution_runs_no_compiled_code(self, company):
+        from repro.algebra import Executor
+
+        baseline = company.run_detailed(SCAN_QUERY)
         company.enable_jit(JITConfig(verify=True))
-        executor = company._executor(company.evaluator(), PlanMetrics())
-        with pytest.raises(VerificationError, match="jit-compile"):
-            executor.execute(self._corrupted_plan(company))
+        plan = self._corrupted_plan(company)
+        assert Executor(company.evaluator(), jit=company.jit).execute(plan) == "corrupt"
+        timed = Executor(company.evaluator(), metrics=PlanMetrics(), jit=company.jit)
+        assert timed.execute(plan) == baseline.value
+        assert timed.stats == baseline.stats
 
-    def test_verify_off_does_not_check(self, company, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY", raising=False)  # verify=None defers to it
+    def test_the_jit_phase_stores_only_the_function_and_its_report(self, company):
+        from repro.jit.plan import precompile_plan
+
         company.enable_jit()
-        executor = company._executor(company.evaluator(), PlanMetrics())
-        value = executor.execute(self._corrupted_plan(company))
-        assert set(value) == {"corrupt"}
+        plan = company.compile(SCAN_QUERY).plan
+        precompile_plan(plan)
+        assert {"jit_fused", "jit_report"} <= set(vars(plan))
+        for node in plan.walk():
+            assert not any(callable(kept) for kept in vars(node).values())
+            assert node is plan or not any(name.startswith("jit") for name in vars(node))
 
 
 class TestTelemetryCounters:

@@ -2,8 +2,8 @@
 
 With the jit on a serial, un-timed execution runs one generated Python
 function per plan (``repro.jit.plan``); a timed one runs the operator
-loops over the emitted closures; with the jit off the loops call the
-interpreter. All three must be one executor to an observer: the same
+loops over interpreter thunks, which is also what the jit-off execution
+is. All three must be one executor to an observer: the same
 value and type, the same exception class and message (which row's error
 comes first included), the same ``ExecutionStats`` and per-node counts,
 the same final heap — and the reference evaluator's value.
@@ -33,7 +33,7 @@ from repro.calculus.ast import (
 from repro.db import Database, company_schema, demo_company_database, make_company
 from repro.errors import EvaluationError, ReproError, VerificationError
 from repro.eval import Evaluator
-from repro.jit import JITConfig
+from repro.jit import JITConfig, Runtime
 from repro.jit.plan import fused, pipeline_source
 from repro.obs.metrics import PlanMetrics
 from repro.values import Bag, Record, Vector
@@ -115,7 +115,7 @@ def test_golden_corpus_fused_loops_reference(db, oql, run_on, run_off):
     assert on.stats == off.stats
     assert counts(on.metrics, on.plan) == counts(off.metrics, off.plan)
     if "$" not in oql:
-        timed = db.run_detailed(oql, metrics=True)  # the loops, over the closures
+        timed = db.run_detailed(oql, metrics=True)  # the loops
         assert timed.value == on.value
         assert counts(timed.metrics, timed.plan) == counts(on.metrics, on.plan)
 
@@ -442,6 +442,15 @@ SALARIES = "sum(select e.salary from e in Employees where e.salary > 50000)"
 
 
 class TestVerifyChecksTheGeneratedFunction:
+    # parallel=False: a fan-out runs no compiled code, so under
+    # REPRO_PARALLEL=1 verify would have nothing to catch.
+
+    @staticmethod
+    def db(verify):
+        db = Database(company_schema(), parallel=False, jit=JITConfig(verify=verify))
+        db.load_extents(make_company(4, 60, seed=11))
+        return db
+
     @pytest.fixture
     def wrong_constants(self, monkeypatch):
         """An emitter that writes every constant as 0: the predicate's."""
@@ -451,26 +460,32 @@ class TestVerifyChecksTheGeneratedFunction:
         monkeypatch.setitem(compiler._EMITTERS, ConstTerm, lambda self, term, scope: "0")
 
     def test_honest_emission_passes(self):
-        db = demo_company_database(4, 60, seed=11)
-        want = db.run(SALARIES)
-        db.enable_jit(JITConfig(verify=True))
+        db = self.db(verify=True)
         result = db.run_detailed(SALARIES)
-        assert result.value == want
+        assert result.value == db.run(SALARIES, engine="interpret")
         assert "_check(" in pipeline_source(result.plan, checked=True)
         assert "_check(" not in pipeline_source(result.plan)
 
     def test_wrong_emission_is_caught(self, wrong_constants):
-        db = demo_company_database(4, 60, seed=11)
-        db.enable_jit(JITConfig(verify=True))
+        db = self.db(verify=True)
         with pytest.raises(VerificationError, match="jit-compile"):
             db.run(SALARIES)
 
+    def test_a_correct_nan_is_not_a_difference(self):
+        big = "1" + "0" * 308 + ".0"
+        nan = f"e.salary * {big} * 10.0 - e.salary * {big} * 10.0"  # inf - inf
+        db = self.db(verify=True)
+        for head in (nan, f"struct(x: {nan})", f"struct(x: 1, y: {nan}).x"):
+            assert len(db.run(f"select {head} from e in Employees")) == 60
+        with pytest.raises(VerificationError):  # a NaN is still not a number
+            Runtime(Evaluator()).check(float("nan"), const(1.0), {})
+
     def test_without_verify_the_wrong_function_is_what_runs(self, wrong_constants, monkeypatch):
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
-        db = demo_company_database(4, 60, seed=11)
-        want = db.run("sum(select e.salary from e in Employees where e.salary > 0)")
-        db.enable_jit(JITConfig(verify=False))
-        assert db.run(SALARIES) == want != db.run(SALARIES, engine="interpret")
+        db = self.db(verify=False)
+        unfiltered = "sum(select e.salary from e in Employees where e.salary > 0)"
+        interpreted = db.run(SALARIES, engine="interpret")
+        assert db.run(SALARIES) == db.run(unfiltered, engine="interpret") != interpreted
 
 
 # -- observability ---------------------------------------------------------------------------
@@ -541,7 +556,7 @@ class TestPlansPythonWillNotCompile:
         assert result.value == db.run(self.oql(), engine="interpret")
         assert len(result.value) == 8 and result.stats.rows_joined > 0
         assert fused(result.plan) is None and pipeline_source(result.plan) == ""
-        assert result.jit["fallback"] == 0  # the loops run the emitted closures
+        assert result.jit == {"compiled": 0, "fallback": 0, "constructs": {}}  # none ran
 
     def test_a_syntax_error_from_compile_is_not_an_error(self, db, monkeypatch):
         from repro.jit import plan as jit_plan

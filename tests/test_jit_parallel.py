@@ -1,6 +1,7 @@
-"""JIT × partition-parallel execution: forced fan-out parity, shared
-compiled closures on prebuilt join sides, and thread-safety of the
-compile-on-first-use path under concurrent queries."""
+"""JIT × partition-parallel execution: a ``ParallelExecutor`` runs the
+operator loops, so with the jit on it is the jit-off parallel execution —
+value, error, counters — and no compiled code runs; concurrent queries
+may race the jit phase on one cached plan."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import pytest
 
 from repro.db import Database, company_schema, make_company
 from repro.db.database import demo_company_database
+from repro.errors import EvaluationError
 from repro.jit import JITConfig
 from repro.parallel import ParallelConfig
 from repro.values import to_python
+from tests.test_jit_fused import counts
 
 QUERIES = [
     "sum(select e.salary from e in Employees)",
@@ -56,8 +59,8 @@ class TestForcedFanOutParity:
         assert result.jit is not None and result.jit["compiled"] >= 1
 
     def test_verify_mode_under_fan_out(self):
-        # Per-row differential checks run inside worker threads; the
-        # reference executor stays interpreted.
+        # Nothing compiled runs under fan-out, so verify has nothing to
+        # check there; the values still agree.
         par = make_db(parallel=FAST, jit=JITConfig(verify=True))
         serial = make_db()
         for oql in QUERIES:
@@ -80,8 +83,8 @@ class TestEnvFlags:
 class TestSharedPlanThreadSafety:
     def test_concurrent_queries_share_one_database(self):
         # Many threads race Database.run on one jit+parallel database;
-        # with a cache attached they also race compile_node on shared
-        # plan nodes (idempotent, jit_ready written last).
+        # with a cache attached they also race the jit phase on shared
+        # plan roots (idempotent, every write one store).
         db = make_db(parallel=FAST, jit=JITConfig())
         db.enable_cache()
         expected = {oql: to_python(make_db().run(oql)) for oql in QUERIES}
@@ -105,61 +108,37 @@ class TestSharedPlanThreadSafety:
             t.join()
         assert failures == []
 
-    def test_prebuilt_join_closures_are_shared(self):
-        # The coordinator compiles the Join node once; every worker
-        # reuses the same closures via the prebuilt hash table.
-        from repro.algebra.ops import Join
 
-        db = make_db(parallel=FAST, jit=JITConfig())
-        oql = (
-            "select struct(e: e.name, b: d.budget) "
-            "from e in Employees, d in Departments where e.dno = d.dno"
-        )
-        result = db.run_detailed(oql)
-        assert result.stats.partitions >= 2
+class TestFanOutRunsTheLoops:
+    @pytest.mark.parametrize("oql", QUERIES)
+    def test_jit_on_is_the_jit_off_parallel_execution(self, oql):
+        off = make_db(parallel=FAST, jit=False).run_detailed(oql)
+        on = make_db(parallel=FAST, jit=JITConfig()).run_detailed(oql)
+        assert type(on.value) is type(off.value) and on.value == off.value
+        if on.plan is None:  # count(...) of a select is the interpreter's
+            assert off.plan is None
+            return
+        assert on.stats == off.stats and on.stats.partitions == 4
+        assert counts(on.metrics, on.plan) == counts(off.metrics, off.plan)
 
-        def walk(node):
-            yield node
-            for child in node.children():
-                yield from walk(child)
+    def test_errors_are_the_jit_off_errors(self):
+        top = make_db().run("max(select e.salary from e in Employees)")
+        oql = f"select 1 / (e.salary - {top}) from e in Employees"
+        raised = []
+        for jit in (False, JITConfig()):
+            with pytest.raises(EvaluationError) as info:
+                make_db(parallel=FAST, jit=jit).run(oql)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
 
-        joins = [n for n in walk(result.plan) if isinstance(n, Join)]
-        assert joins and all(n.jit_ready for n in joins)
+    def test_no_compiled_code_runs(self, monkeypatch):
+        # An emitter that writes every constant as 0 changes what the
+        # generated function answers, and nothing a fan-out does.
+        from repro.calculus.ast import Const
+        from repro.jit import compiler
 
-
-class TestWorkersRunTheCompiledNodes:
-    @staticmethod
-    def _compile_calls(monkeypatch, db, oql):
-        """``(compile_term calls, partitions)`` of one run of ``oql``."""
-        import repro.jit.plan as jit_plan
-
-        calls: list = []
-        real = jit_plan.compile_term
-
-        def counting(term, bound, fallbacks=None):
-            calls.append(term)
-            return real(term, bound, fallbacks)
-
-        monkeypatch.setattr(jit_plan, "compile_term", counting)
-        stats = db.run_detailed(oql).stats
-        return len(calls), stats.partitions
-
-    @pytest.mark.parametrize(
-        "oql",
-        [
-            "sum(select e.salary from e in Employees "
-            "where e.salary > 10 and e.dno > 0)",
-            "select s from e in Employees, s in e.skills "
-            "where e.salary > 10 and s != 'x'",
-        ],
-        ids=["select", "select+unnest"],
-    )
-    def test_fan_out_compiles_each_expression_once(self, monkeypatch, oql):
-        # Partition workers run the plan's own (already compiled) nodes:
-        # a fanned-out query compiles exactly what the serial one does.
-        serial, _ = self._compile_calls(monkeypatch, make_db(jit=JITConfig()), oql)
-        compiled, partitions = self._compile_calls(
-            monkeypatch, make_db(parallel=FAST, jit=JITConfig()), oql
-        )
-        assert compiled == serial > 0
-        assert partitions == 4
+        monkeypatch.setitem(compiler._EMITTERS, Const, lambda self, term, scope: "0")
+        oql = "sum(select e.salary from e in Employees where e.salary > 60000)"
+        want = make_db(parallel=False, jit=False).run(oql)
+        assert make_db(parallel=FAST, jit=JITConfig(verify=False)).run(oql) == want
+        assert make_db(parallel=False, jit=JITConfig(verify=False)).run(oql) != want

@@ -7,7 +7,7 @@ spans, operator metrics, telemetry histograms, benchmark medians — must
 use ``time.perf_counter``/``perf_counter_ns`` (or ``time.monotonic``
 for the rolling window), which never jump under NTP. Wall clock
 (``time.time``/``time.time_ns``) is only legal for *when it happened*
-fields: the query log's ``ts`` and OTLP's ``timeUnixNano``. This test
+fields: the query log's ``ts``. This test
 scans the source so a stray ``time.time()`` duration can't creep in.
 """
 
@@ -20,7 +20,6 @@ BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 #: The only files allowed to call the wall clock, and why.
 WALL_CLOCK_ALLOWED = {
     "obs/querylog.py",  # the log entry's ts field (event stamp)
-    "obs/telemetry/export.py",  # OTLP timeUnixNano (event stamp)
 }
 
 _WALL = re.compile(r"\btime\.time(_ns)?\s*\(")

@@ -355,3 +355,6 @@ def test_verify_rejects_divergent_values():
         check_parallel_equivalence(object(), 10, 11)
     # float reassociation tolerance
     check_parallel_equivalence(object(), 0.1 + 0.2 + 0.3, 0.1 + (0.2 + 0.3))
+    # two NaNs agree, alone and as an element
+    check_parallel_equivalence(object(), float("nan"), float("nan"))
+    check_parallel_equivalence(object(), (1, float("nan")), (1, float("nan")))

@@ -396,14 +396,6 @@ class TestCliAndRepl:
         assert "queries:" in out
         assert "hot queries" in out
 
-    def test_metrics_dump_otlp_and_statsd(self, capsys):
-        import json
-
-        assert metrics_main(["dump", "--burst", "1", "--format", "otlp"]) == 0
-        json.loads(capsys.readouterr().out)
-        assert metrics_main(["dump", "--burst", "1", "--format", "statsd"]) == 0
-        assert "|c" in capsys.readouterr().out
-
     def test_repl_stats_cycle(self, db):
         from repro.repl import Repl
 

@@ -1,19 +1,12 @@
-"""Exporters and the strict Prometheus parser: the round-trip
-contract, OTLP document shape, StatsD lines, and the HTTP endpoint."""
+"""The Prometheus exporter and the strict parser: the round-trip
+contract and the HTTP endpoint."""
 
-import json
 import math
 import urllib.request
 
 import pytest
 
-from repro.obs.telemetry.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    otlp_json,
-    otlp_text,
-    prometheus_text,
-    statsd_lines,
-)
+from repro.obs.telemetry.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from tests.promparse import PromParseError, parse_prometheus_text
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.obs.telemetry.server import MetricsServer
@@ -31,7 +24,6 @@ def registry():
     h = reg.histogram("repro_query_seconds", "latency", buckets=(0.001, 0.01, 0.1))
     for v in (0.0005, 0.005, 0.05, 5.0):
         h.observe(v)
-    reg.fingerprints.record("deadbeef0123", oql="count(Cities)", seconds=0.5, rows=1)
     return reg
 
 
@@ -149,59 +141,6 @@ class TestStrictParser:
         assert math.isnan(fams["n"].value())
 
 
-class TestOtlp:
-    def test_document_shape(self, registry):
-        doc = otlp_json(registry, now_ns=123)
-        scopes = doc["resourceMetrics"][0]["scopeMetrics"]
-        metrics = {m["name"]: m for m in scopes[0]["metrics"]}
-        counter = metrics["repro_queries_total"]
-        assert counter["sum"]["isMonotonic"] is True
-        assert counter["sum"]["aggregationTemporality"] == 2
-        assert all(
-            p["timeUnixNano"] == "123" for p in counter["sum"]["dataPoints"]
-        )
-        gauge = metrics["repro_cache_entries"]
-        assert gauge["gauge"]["dataPoints"][0]["asDouble"] == 7.0
-
-    def test_histogram_points(self, registry):
-        doc = otlp_json(registry, now_ns=1)
-        metrics = {
-            m["name"]: m
-            for m in doc["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
-        }
-        point = metrics["repro_query_seconds"]["histogram"]["dataPoints"][0]
-        assert point["count"] == "4"
-        assert len(point["bucketCounts"]) == len(point["explicitBounds"]) + 1
-        assert point["min"] == pytest.approx(0.0005)
-        assert point["max"] == pytest.approx(5.0)
-
-    def test_hot_queries_attached(self, registry):
-        doc = otlp_json(registry, now_ns=1)
-        metrics = {
-            m["name"]: m
-            for m in doc["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
-        }
-        hot = metrics["repro.hot_queries"]["gauge"]["dataPoints"]
-        attrs = {
-            a["key"]: a["value"]["stringValue"] for a in hot[0]["attributes"]
-        }
-        assert attrs["fingerprint"] == "deadbeef0123"
-
-    def test_text_is_json(self, registry):
-        json.loads(otlp_text(registry, now_ns=1))
-
-
-class TestStatsd:
-    def test_counter_gauge_and_timer_lines(self, registry):
-        lines = statsd_lines(registry)
-        assert "repro.queries_total:3|c|#engine:algebra,status:ok" in lines
-        assert "repro.cache_entries:7|g|#store:compiled" in lines
-        assert any(
-            line.startswith("repro.query_seconds.count:4|c") for line in lines
-        )
-        assert any(".p99:" in line and "|ms" in line for line in lines)
-
-
 class TestHttpEndpoint:
     def test_scrape_and_health(self, registry):
         server = MetricsServer(registry, port=0).start()
@@ -216,9 +155,6 @@ class TestHttpEndpoint:
             base = server.url[: -len("/metrics")]
             with urllib.request.urlopen(base + "/healthz") as resp:
                 assert resp.read() == b"ok\n"
-            with urllib.request.urlopen(base + "/metrics.json") as resp:
-                doc = json.loads(resp.read().decode("utf-8"))
-            assert "resourceMetrics" in doc
         finally:
             server.stop()
 
