@@ -26,9 +26,7 @@ def runtime_monoid_of(value: Any) -> CollectionMonoid:
     """
     if isinstance(value, (tuple, list)):
         return LIST
-    if isinstance(value, frozenset):
-        return SET
-    if isinstance(value, set):
+    if isinstance(value, (frozenset, set)):
         return SET
     if isinstance(value, Bag):
         return BAG

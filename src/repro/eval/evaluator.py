@@ -185,9 +185,7 @@ class Evaluator:
             base = self.store.deref(base)
         if isinstance(base, Record):
             return base[name]
-        raise EvaluationError(
-            f"cannot project field {name!r} from {type(base).__name__}"
-        )
+        raise EvaluationError(f"cannot project field {name!r} from {type(base).__name__}")
 
     def _eval_index(self, term: Index, env: Env) -> Any:
         return self.index(self._eval(term.base, env), self._eval(term.index, env))
@@ -564,6 +562,8 @@ _SCALARS = frozenset({int, float, str, bool, type(None)})
 
 def _freeze_const(value: Any) -> Any:
     """Deep-convert Python literals into library carrier values."""
+    if isinstance(value, Record):  # a dict too, and already frozen
+        return value
     if isinstance(value, (list, tuple)):
         return tuple(_freeze_const(v) for v in value)
     if isinstance(value, set):

@@ -19,7 +19,7 @@ from repro.eval.builtins import runtime_monoid_of
 from repro.eval.env import Env
 from repro.monoids import VectorMonoid
 from repro.objects.store import Obj
-from repro.values import OrderedSet, Record
+from repro.values import Bag, OrderedSet, Record, canonical_order
 
 
 def _agree(value: Any, expected: Any) -> bool:
@@ -87,7 +87,15 @@ class Runtime:
     def iterate(self, source: Any, indexed: bool) -> Iterable[Any]:
         """What a Scan or Unnest binds over ``source``, checked once per
         source: its elements in the collection's own order, as
-        ``(position, element)`` pairs for the indexed generator form."""
+        ``(position, element)`` pairs for the indexed generator form.
+        The exact carriers are answered by type, with the tuple their
+        monoid's ``iterate`` would wrap; anything else takes the path below."""
+        if not indexed:
+            kind = type(source)
+            if kind is frozenset or kind is Bag:
+                return canonical_order(source)
+            if kind is tuple:
+                return source
         if isinstance(source, Obj):
             source = self.store.deref(source)
         monoid = runtime_monoid_of(source)

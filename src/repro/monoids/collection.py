@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
@@ -116,15 +115,14 @@ class SetMonoid(CollectionMonoid):
         return len(collection)
 
 
-class _BagAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
-
-    def add(self, value: Any) -> None:
-        self._counts[value] += 1
+class _BagAccumulator(_ListAccumulator):
+    """Keeps the elements and counts them once, in ``finish``: ``Bag(items)``
+    is one C pass with one hash per element, where counting per ``add``
+    hashed each twice in Python. The price: O(n) references are held until
+    ``finish`` where the per-``add`` counts held O(distinct) (DESIGN.md §4)."""
 
     def finish(self) -> Bag:
-        return Bag.from_counts(self._counts)
+        return Bag(self._items)
 
 
 class BagMonoid(CollectionMonoid):

@@ -6,7 +6,9 @@ multiplicity. Bags are the natural semantics for OQL ``select`` without
 other bags) and iterate in a canonical deterministic order, which the
 evaluator relies on for reproducible results and well-defined heap
 threading (paper section 4.2). That order is computed at most once per
-bag (:func:`repro.values.compare.canonical_order`).
+bag (:func:`repro.values.compare.canonical_order`). Building one from its
+elements is ``Counter``'s C counting loop — one hash per element — and the
+bag algebra hands the ``Counter`` it computed straight to the result.
 """
 
 from __future__ import annotations
@@ -33,26 +35,29 @@ class Bag:
     __slots__ = ("_counts", "_hash", "_order")
 
     def __init__(self, items: Iterable[Any] = ()) -> None:
-        if isinstance(items, Bag):
-            counts = Counter(items._counts)
-        else:
-            counts = Counter(items)
+        counts = Counter(items._counts if isinstance(items, Bag) else items)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_order", None)
 
     @classmethod
-    def from_counts(cls, counts: dict[Any, int]) -> "Bag":
-        """Build a bag directly from an element -> multiplicity mapping."""
+    def _adopt(cls, counts: Counter) -> "Bag":
+        """A bag around ``counts`` itself — no copy, no check: the caller
+        built it, keeps no reference, and every multiplicity is positive."""
         bag = cls()
+        object.__setattr__(bag, "_counts", counts)
+        return bag
+
+    @classmethod
+    def from_counts(cls, counts: dict[Any, int]) -> "Bag":
+        """Build a bag from an element -> multiplicity mapping, checked."""
         clean = Counter()
         for element, n in counts.items():
             if n < 0:
                 raise ValueError(f"negative multiplicity {n} for {element!r}")
             if n:
                 clean[element] = n
-        object.__setattr__(bag, "_counts", clean)
-        return bag
+        return cls._adopt(clean)
 
     # -- container protocol ----------------------------------------------------
 
@@ -90,7 +95,7 @@ class Bag:
         """
         merged = Counter(self._counts)
         merged.update(other._counts)
-        return Bag.from_counts(merged)
+        return Bag._adopt(merged)
 
     def __add__(self, other: "Bag") -> "Bag":
         if not isinstance(other, Bag):
@@ -99,18 +104,11 @@ class Bag:
 
     def difference(self, other: "Bag") -> "Bag":
         """Multiplicity-wise difference (monus)."""
-        result = Counter(self._counts)
-        result.subtract(other._counts)
-        return Bag.from_counts({e: n for e, n in result.items() if n > 0})
+        return Bag._adopt(self._counts - other._counts)
 
     def intersection(self, other: "Bag") -> "Bag":
         """Multiplicity-wise minimum."""
-        result = {
-            e: min(n, other._counts[e])
-            for e, n in self._counts.items()
-            if e in other._counts
-        }
-        return Bag.from_counts(result)
+        return Bag._adopt(self._counts & other._counts)
 
     # -- value semantics -----------------------------------------------------------
 

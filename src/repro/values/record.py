@@ -1,25 +1,33 @@
 """Immutable record values (the paper's ``<a1=e1, ..., an=en>`` structs).
 
-Records are the calculus' product type. They behave like a read-only
-mapping from field names to values, support attribute-style access
-(``r.name``) for ergonomic use from examples and tests, and are hashable
-so they can be elements of sets and bags.
+Records are the calculus' product type. A record *is* its field dict — a
+``dict`` subclass with every mutator closed off — so filling one, reading
+a field, ``len`` / ``in`` / iteration are the interpreter's own C dict
+operations, which is what every row of every query pays. They are hashable
+(sets and bags hold them); construction's one Python frame is for the hash.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
-from typing import Any
+from typing import Any, NoReturn
 
 from repro.errors import EvaluationError
 
 
-class Record(Mapping[str, Any]):
+class Record(dict):
     """An immutable, hashable record ``<field=value, ...>``.
 
     Field order is preserved as given (insertion order), but equality and
     hashing are order-insensitive: two records are equal iff they have the
-    same field/value pairs, matching the paper's structural semantics.
+    same field/value pairs, matching the paper's structural semantics. A
+    record never equals a plain ``dict``.
+
+    Attribute-style access (``r.name``) is a convenience for examples and
+    tests. It was always shadowed by the methods ``keys`` / ``items`` /
+    ``values`` / ``get`` / ``fields`` / ``replace`` and is now also shadowed
+    by ``copy`` / ``pop`` / ``update`` / ``clear`` / ``setdefault`` /
+    ``popitem``; a field of such a name is read as ``r["copy"]``. OQL paths
+    never use attribute access (``project`` subscripts).
 
     >>> r = Record(name="Portland", population=500_000)
     >>> r.name
@@ -30,72 +38,63 @@ class Record(Mapping[str, Any]):
     True
     """
 
-    __slots__ = ("_fields", "_hash")
+    __slots__ = ("_hash",)
 
-    def __init__(self, _fields: Mapping[str, Any] | None = None, **kwargs: Any) -> None:
-        fields: dict[str, Any] = {}
-        if _fields is not None:
-            fields.update(_fields)
-        fields.update(kwargs)
-        object.__setattr__(self, "_fields", fields)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, *args: Any, **kwargs: Any) -> "Record":
+        # ``dict.__init__`` fills the fields in C; this only stores the None
+        # that ``__hash__`` reads — an unset slot is read by raising.
+        self = dict.__new__(cls)
+        _set_hash(self, None)
+        return self
 
-    # -- Mapping protocol ---------------------------------------------------
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return self._fields[key]
-        except KeyError:
-            raise EvaluationError(
-                f"record has no field {key!r} (fields: {', '.join(self._fields)})"
-            ) from None
-
-    def __contains__(self, key: object) -> bool:
-        # Mapping's default relies on __getitem__ raising KeyError, but we
-        # raise EvaluationError there for better query diagnostics.
-        return key in self._fields
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._fields)
-
-    def __len__(self) -> int:
-        return len(self._fields)
+    def __missing__(self, key: str) -> NoReturn:
+        raise EvaluationError(f"record has no field {key!r} (fields: {', '.join(self)})")
 
     # -- attribute access ----------------------------------------------------
 
     def __getattr__(self, name: str) -> Any:
         # Only called when normal attribute lookup fails, i.e. for fields.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        try:
-            return self._fields[name]
-        except KeyError:
-            raise AttributeError(
-                f"record has no field {name!r} (fields: {', '.join(self._fields)})"
-            ) from None
+        if name.startswith("_") or name not in self:
+            raise AttributeError(f"record has no field {name!r} (fields: {', '.join(self)})")
+        return self[name]
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    # -- immutability ----------------------------------------------------------
+
+    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
         raise AttributeError("Record is immutable")
 
+    __setattr__ = __delattr__ = __setitem__ = __delitem__ = _immutable
+    clear = pop = popitem = setdefault = update = __or__ = __ior__ = _immutable
+    fromkeys = classmethod(_immutable)
+
+    def copy(self) -> "Record":
+        """The record itself — ``dict.copy`` would hand out a mutable ``dict``."""
+        return self
+
     def __reduce__(self) -> tuple:
-        return (Record, (self._fields,))
+        # Copy and pickle rebuild from the fields; the hash is never carried.
+        return (Record, (dict(self),))
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Record):
-            return NotImplemented
-        return self._fields == other._fields
+        # False, not NotImplemented, for a non-record: the reflected
+        # ``dict.__eq__`` would call a record equal to its field dict.
+        return isinstance(other, Record) and dict.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
 
     def __hash__(self) -> int:
+        # Written through the slot's descriptor: ``__setattr__`` raises.
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._fields.items()))
-            object.__setattr__(self, "_hash", h)
+            h = hash(frozenset(self.items()))
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._fields.items())
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.items())
         return f"<{inner}>"
 
     # -- functional update ----------------------------------------------------
@@ -106,19 +105,18 @@ class Record(Mapping[str, Any]):
         >>> Record(a=1, b=2).replace(b=3)
         <a=1, b=3>
         """
-        fields = dict(self._fields)
-        for key, value in updates.items():
-            if key not in fields:
+        for key in updates:
+            if key not in self:
                 raise EvaluationError(f"record has no field {key!r} to replace")
-            fields[key] = value
-        return Record(fields)
+        return Record(self, **updates)
 
     def with_field(self, name: str, value: Any) -> "Record":
         """Return a new record with ``name`` added or overwritten."""
-        fields = dict(self._fields)
-        fields[name] = value
-        return Record(fields)
+        return Record({**self, name: value})
 
     def fields(self) -> tuple[str, ...]:
         """The record's field names, in declaration order."""
-        return tuple(self._fields)
+        return tuple(self)
+
+
+_set_hash = Record._hash.__set__
