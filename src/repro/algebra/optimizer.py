@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
 from repro.algebra.translate import sink
-from repro.analysis.verifier import resolve_verify
+from repro.analysis.verifier import verification_enabled
 from repro.calculus.ast import BinOp, Proj, Term, Var
 from repro.calculus.traversal import free_vars
 
@@ -37,24 +37,22 @@ class Optimizer:
     read: the one rewrite that used it, the build-side flip, is gone, and
     the benchmark harness still passes both arguments positionally.
 
-    ``verify=True`` checks both the input and the rewritten plan for
-    schema/scoping consistency (see :mod:`repro.analysis.plancheck`);
-    ``None`` defers to the global verification switch.
+    In verify mode (:func:`repro.analysis.verifier.verification`) both the
+    input and the rewritten plan are checked for schema/scoping
+    consistency (see :mod:`repro.analysis.plancheck`).
     """
 
     def __init__(
         self,
         available_indexes: Optional[set[tuple[str, str]]] = None,
         extent_sizes: Optional[dict[str, int]] = None,
-        verify: Optional[bool] = None,
     ) -> None:
         self.available_indexes = available_indexes or set()
-        self.verify = verify
 
     def optimize(self, plan: Reduce) -> Reduce:
         """Rewrite the plan; the result is executable by the Executor."""
         result = self._opt(plan)
-        if resolve_verify(self.verify):
+        if verification_enabled():
             from repro.analysis.plancheck import check_plan_rewrite
 
             check_plan_rewrite("optimizer", plan, result)

@@ -48,6 +48,7 @@ from repro.algebra.ops import (
     SelectOp,
     Unnest,
 )
+from repro.analysis.verifier import verification_enabled
 from repro.calculus.ast import Term
 from repro.errors import EvaluationError, PlanError
 from repro.eval.env import Env
@@ -147,11 +148,7 @@ class Executor:
         #: where :meth:`_reduce` can
         self.jit = jit
         self._rt = Runtime(evaluator)
-        self._jit_verify = False
-        if jit is not None:
-            from repro.analysis.verifier import resolve_verify
-
-            self._jit_verify = resolve_verify(getattr(jit, "verify", None))
+        self._jit_verify = jit is not None and verification_enabled()
         #: ``id(node)`` -> state computed (and counted) ahead of this
         #: execution, replayed instead of recomputed: a Scan's rows, a
         #: hash Join's table, a loop Join's right rows. Filled by the

@@ -12,15 +12,17 @@ sound pipeline returns the same values. Three switches,
 in precedence order:
 
 1. an explicit ``verify=`` argument to ``normalize_with_trace`` /
-   ``Optimizer`` / ``Database.run``;
+   ``Database.run``;
 2. the :func:`verification` context manager (used by ``Database.run``
-   to cover the internal re-normalization inside ``build_plan``);
+   to cover the whole compile and execute of one query), which holds
+   for the thread that entered it;
 3. the ``REPRO_VERIFY=1`` environment variable (the ``verify`` row of
    CI's mode matrix).
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
@@ -44,34 +46,36 @@ from repro.analysis.invariants import (
 # Enablement
 # ---------------------------------------------------------------------------
 
-#: Session-level override installed by :func:`verification`; ``None``
-#: defers to the environment.
-_OVERRIDE: Optional[bool] = None
+#: Per-thread override installed by :func:`verification` (``override``
+#: unset or ``None`` defers to the environment): one thread's block never
+#: switches verification for a query another thread is compiling.
+_OVERRIDE = threading.local()
 
 
 def verification_enabled() -> bool:
-    """Is rewrite verification currently on?"""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
+    """Is rewrite verification currently on, for this thread?"""
+    override = getattr(_OVERRIDE, "override", None)
+    if override is not None:
+        return override
     return env_flag("REPRO_VERIFY")
 
 
 @contextmanager
 def verification(enabled: Optional[bool]) -> Iterator[None]:
-    """Force verification on or off for the dynamic extent of the block.
+    """Force verification on or off for the dynamic extent of the block,
+    on the calling thread.
 
     ``verification(None)`` is a no-op (the environment keeps deciding),
     so callers can thread an optional ``verify=`` parameter through
     without special-casing.
     """
-    global _OVERRIDE
-    saved = _OVERRIDE
+    saved = getattr(_OVERRIDE, "override", None)
     if enabled is not None:
-        _OVERRIDE = enabled
+        _OVERRIDE.override = enabled
     try:
         yield
     finally:
-        _OVERRIDE = saved
+        _OVERRIDE.override = saved
 
 
 def resolve_verify(verify: Optional[bool]) -> bool:

@@ -1,9 +1,9 @@
 """``python -m repro cache`` — inspect the query cache's counters.
 
 The databases here are in-process, so there is no daemon to query;
-instead the subcommand runs a small repeated demo workload (the same
-travel queries the benchmarks use) against a cache-enabled database and
-reports the resulting counters — the operational shape of ``stats``
+instead the subcommand runs a small repeated demo workload
+(:data:`WORKLOAD`) against a cache-enabled database and reports the
+resulting counters — the operational shape of ``stats``
 without a server. ``clear`` additionally clears the cache afterwards
 and shows the emptied stores (counters survive a clear; entry counts
 drop to zero). ``--json`` emits the stats dictionary for CI artifacts.

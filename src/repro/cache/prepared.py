@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.analysis.verifier import resolve_verify
+from repro.analysis.verifier import verification_enabled
 from repro.cache.core import CompiledQuery
 from repro.errors import DatabaseError
 
@@ -77,7 +77,7 @@ class Prepared:
             db.cache is not None
             or entry is None
             or entry.version != db._compile_version()
-            or (resolve_verify(None) and not entry.verified)
+            or (verification_enabled() and not entry.verified)
         ):
             entry = self._entry = db.compile(
                 self.oql, self.engine, self.typecheck, self.param_types

@@ -44,7 +44,7 @@ from repro.algebra.ops import Reduce
 from repro.algebra.optimizer import Optimizer, explain as explain_plan
 from repro.algebra.physical import ExecutionStats, Executor
 from repro.algebra.translate import build_plan
-from repro.analysis.verifier import resolve_verify, verification
+from repro.analysis.verifier import verification, verification_enabled
 from repro.cache.core import CompiledQuery, QueryCache
 from repro.cache.invalidation import analyze_dependencies
 from repro.cache.keys import canonical_term, param_names
@@ -547,7 +547,7 @@ class Database:
         """
         cache = self.cache
         tracer = self._active_tracer()
-        verifying = resolve_verify(None)
+        verifying = verification_enabled()
         version = self._compile_version()
         text_key = (oql, engine, typecheck)
         if info is None:

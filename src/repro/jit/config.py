@@ -22,21 +22,12 @@ def jit_env_enabled() -> bool:
 
 @dataclass
 class JITConfig:
-    """Tuning knobs for the plan compiler.
-
-    ``verify`` controls the per-row differential check (every expression
-    of the generated function re-evaluated on the reference interpreter,
-    results compared): ``None`` defers to ``REPRO_VERIFY`` /
-    :func:`repro.analysis.verifier.verification`, matching the rewrite
-    verifier's convention; ``True``/``False`` force it for executors
-    built from this config.
+    """The plan compiler's configuration: it has no knobs. Verify mode's
+    per-row differential check (every expression of the generated
+    function re-evaluated on the reference interpreter, results compared)
+    follows the one verify switch, ``REPRO_VERIFY`` /
+    :func:`repro.analysis.verifier.verification`.
     """
-
-    verify: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        if self.verify is not None and not isinstance(self.verify, bool):
-            raise DatabaseError("jit verify must be None or a bool")
 
 
 def resolve_jit(jit: Any) -> Optional[JITConfig]:

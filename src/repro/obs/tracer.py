@@ -20,8 +20,8 @@ observability off a phase boundary costs one attribute test.
 Spans export two ways: :meth:`Tracer.to_events` flattens every finished
 root into a list of JSON-ready event dicts (one per span, with a
 ``parent`` index), and :func:`render_span` draws one root as an
-indented tree with durations — the form ``benchmarks/report.py`` and
-the REPL print. The schema is documented in ``docs/OBSERVABILITY.md``.
+indented tree with durations — the form the REPL prints. The schema
+is documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Any, Iterator, Optional
 #: Every phase of the query pipeline, in pipeline order. This is the
 #: single source of truth shared by the tracer, the cache's skip logic
 #: (a compile-cache hit marks the skipped subset as cached, see
-#: :meth:`Tracer.mark_cached`) and the benchmark report — so a phase
+#: :meth:`Tracer.mark_cached`) and the telemetry phase histograms — so a phase
 #: renamed here renames everywhere. ``lint`` is the ``strict=True``
 #: stage of ``compile``: it reads the term ``translate`` just made.
 PIPELINE_PHASES = (

@@ -32,16 +32,14 @@ class ParallelConfig:
     hand-off and the engine silently stays serial (set it to 0 in tests
     to force tiny extents through the parallel path). ``morsel_size``
     fixes the rows-per-partition explicitly; ``None`` divides the scan
-    evenly across ``max_workers``. ``verify`` controls the
-    serial-vs-parallel result-equivalence check: ``None`` defers to
-    ``REPRO_VERIFY`` / :func:`repro.analysis.verifier.verification`,
-    matching the rewrite verifier's convention.
+    evenly across ``max_workers``. Verify mode (``REPRO_VERIFY`` /
+    :func:`repro.analysis.verifier.verification`) re-runs every parallel
+    execution serially and compares.
     """
 
     max_workers: int = 4
     min_partition_rows: int = 64
     morsel_size: Optional[int] = None
-    verify: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:

@@ -49,7 +49,7 @@ are replayed (the worker's Scan loop), not where the coordinator
 materialized them.
 
 Serial fallbacks (always value-identical): one worker, too few rows
-(``min_partition_rows``), or an unsupported spine. With ``verify`` on,
+(``min_partition_rows``), or an unsupported spine. In verify mode
 every parallel execution is re-run serially and checked with
 :func:`repro.analysis.verifier.check_parallel_equivalence`.
 """
@@ -62,6 +62,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.algebra.ops import Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
 from repro.algebra.physical import Executor
+from repro.analysis.verifier import check_parallel_equivalence, verification_enabled
 from repro.monoids import Monoid
 from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.parallel.config import ParallelConfig
@@ -104,14 +105,9 @@ class ParallelExecutor(Executor):
             return self._fold_plan(plan, monoid, self._iter(plan.child))
         value, mode = self._maybe_parallel(plan, monoid)
         self.last_mode = mode
-        if mode == "parallel":
-            from repro.analysis.verifier import resolve_verify
-
-            if resolve_verify(self.config.verify):
-                from repro.analysis.verifier import check_parallel_equivalence
-
-                reference = Executor(self.evaluator, self.indexes)
-                check_parallel_equivalence(plan, reference.execute(plan), value)
+        if mode == "parallel" and verification_enabled():
+            reference = Executor(self.evaluator, self.indexes)
+            check_parallel_equivalence(plan, reference.execute(plan), value)
         return value
 
     def _maybe_parallel(self, plan: Reduce, monoid: Monoid) -> tuple[Any, str]:

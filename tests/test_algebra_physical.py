@@ -6,6 +6,7 @@ from repro.algebra import (
     Executor,
     IndexScan,
     Join,
+    Optimizer,
     Reduce,
     Scan,
     SelectOp,
@@ -13,10 +14,13 @@ from repro.algebra import (
     build_plan,
     execute_plan,
 )
+from repro.algebra.physical import _holds
 from repro.calculus import const, eq, proj, var
 from repro.calculus.ast import MonoidRef
+from repro.db import Database, company_schema, make_company
 from repro.errors import EvaluationError, PlanError
 from repro.eval import Evaluator
+from repro.normalize import normalize
 from repro.oql import translate_oql
 from repro.values import Bag, Record
 
@@ -183,3 +187,85 @@ def test_scan_dereferences_object_sources():
     ev.bind_global("Xs", obj)
     plan = Reduce(MonoidRef("sum"), var("x"), Scan("x", var("Xs")))
     assert Executor(ev).execute(plan) == 6
+
+
+# -- Experiment F2, counted: the work a join strategy or an index saves ----------
+
+JOIN_OQL = (
+    "select distinct struct(e: e.name, d: d.name) "
+    "from e in Employees, d in Departments where e.dno = d.dno"
+)
+
+
+def _join_plans():
+    """The hash join the plan builder derives, and the same join demoted to
+    a cross product filtered by the equality."""
+    plan = build_plan(normalize(translate_oql(JOIN_OQL)))
+    join = plan.child
+    cross = Reduce(plan.monoid, plan.head, Join(
+        join.left, join.right, residual=eq(*join.left_keys, *join.right_keys)
+    ))
+    return {"hash": plan, "cross+filter": cross}
+
+
+@pytest.mark.parametrize("size", [50, 200, 800])
+@pytest.mark.parametrize("strategy", ["cross+filter", "hash"])
+def test_join_strategy_series(strategy, size, count_calls):
+    """Experiment F2's points: either strategy pairs each employee with its
+    department, but only the cross product tests the n*m pairs to do so."""
+    world = make_company(size // 10, size, seed=2)
+    tested = count_calls(_holds)
+    value = Executor(Evaluator(world)).execute(_join_plans()[strategy])
+    names = {d.dno: d.name for d in world["Departments"]}
+    assert value == frozenset(Record(e=e.name, d=names[e.dno]) for e in world["Employees"])
+    assert len(tested) == (size * size // 10 if strategy == "cross+filter" else 0)
+
+
+def test_shape_hash_join_forms_only_the_matching_pairs(count_calls):
+    """The cross product tests every (employee, department) pair against
+    the equality; the hash join builds on the departments once and forms
+    only the matching pairs. The gap grows with the input."""
+    plans = _join_plans()
+    plan, cross = plans["hash"], plans["cross+filter"]
+    tested = count_calls(_holds)
+    gaps = []
+    for employees in (50, 800):
+        departments = employees // 10
+        evaluator = Evaluator(make_company(departments, employees, seed=2))
+        hashed = Executor(evaluator)
+        value = hashed.execute(plan)
+        tested.clear()
+        assert Executor(evaluator).execute(cross) == value and len(value) == employees
+        assert len(tested) == employees * departments
+        assert hashed.stats.hash_builds == departments
+        assert hashed.stats.rows_joined == employees
+        gaps.append(len(tested) / (hashed.stats.hash_builds + hashed.stats.rows_joined))
+    assert 1.5 < gaps[0] < gaps[1], gaps
+
+
+def test_shape_index_probes_once_where_a_scan_reads_every_row():
+    db = Database(company_schema())
+    db.load_extents(make_company(200, 400, seed=2))
+    term = normalize(db.translate("select distinct d.name from d in Departments where d.dno = 3"))
+    scan_plan = Optimizer().optimize(build_plan(term))
+    db.create_index("Departments", "dno")
+    index_plan = Optimizer(db.catalog.index_keys()).optimize(build_plan(term))
+    executor = Executor(db.evaluator(), db.catalog.index_mappings())
+    assert executor.execute(scan_plan) == frozenset({"Dept-3"})
+    assert (executor.stats.rows_scanned, executor.stats.index_probes) == (200, 0)
+    assert executor.execute(index_plan) == frozenset({"Dept-3"})
+    assert (executor.stats.rows_scanned, executor.stats.index_probes) == (1, 1)
+
+
+@pytest.mark.parametrize("strategy", ["scan", "index"])
+def test_point_query_series(strategy):
+    """F2's point query through ``Database.run``: once Departments.dno is
+    indexed, the optimizer picks the probe on its own."""
+    db = Database(company_schema(), cache=False, parallel=False)
+    db.load_extents(make_company(80, 800, seed=2))
+    if strategy == "index":
+        db.create_index("Departments", "dno")
+    result = db.run_detailed("select distinct d.name from d in Departments where d.dno = 3")
+    assert result.value == frozenset({"Dept-3"})
+    probes = (1, 1) if strategy == "index" else (80, 0)
+    assert (result.stats.rows_scanned, result.stats.index_probes) == probes

@@ -16,6 +16,7 @@ from repro.analysis.plancheck import (
     plan_variables,
     verify_plan,
 )
+from repro.analysis.verifier import verification
 from repro.calculus.builders import eq, gt, mref, proj, var
 from repro.errors import VerificationError
 
@@ -223,6 +224,7 @@ class TestOptimizerHook:
                 eq(proj(var("c"), "name"), proj(var("h"), "city")),
             ),
         )
-        optimized = Optimizer(verify=True).optimize(plan)
+        with verification(True):
+            optimized = Optimizer().optimize(plan)
         assert optimized.head == plan.head
         verify_plan(optimized)

@@ -1,6 +1,8 @@
 """The rewrite-soundness verifier: every Table 3 rule verifies, broken
 rules are caught, and the enablement switches compose correctly."""
 
+import threading
+
 import pytest
 
 from repro.analysis.verifier import (
@@ -240,6 +242,37 @@ class TestEnablement:
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
         with verification(None):
             assert not verification_enabled()
+
+    def test_the_switch_holds_per_thread(self, monkeypatch):
+        """Two threads enter and leave ``verification`` interleaved: each
+        reads its own switch inside its block, and after both blocks the
+        switch is back to the environment's for every thread."""
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        on_entered, off_entered, on_left = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def verify_on():
+            with verification(True):
+                on_entered.set()
+                off_entered.wait(5)
+                seen["on"] = verification_enabled()
+            on_left.set()
+
+        def verify_off():
+            on_entered.wait(5)
+            with verification(False):
+                off_entered.set()
+                on_left.wait(5)
+                seen["off"] = verification_enabled()
+            seen["off, after"] = verification_enabled()
+
+        threads = [threading.Thread(target=verify_on), threading.Thread(target=verify_off)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen == {"on": True, "off": False, "off, after": False}
+        assert not verification_enabled()
 
     def test_explicit_flag_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "1")

@@ -7,6 +7,8 @@ import pytest
 from repro.cache import CacheConfig, QueryCache
 from repro.db.database import Database, demo_travel_database
 from repro.errors import LintError
+from repro.normalize import normalize_with_trace
+from repro.oql import parse
 
 BATTERY = [
     "select distinct c.name from c in Cities",
@@ -108,6 +110,42 @@ class TestCounters:
         stats = db.cache.stats_dict()
         assert stats["compile_hits"] == 1
         assert stats["result_hits"] == 0 and stats["result_misses"] == 0
+
+
+class TestWarmSkipsWork:
+    """Experiment C1, counted: cold, every query compiles; warm, a compile
+    hit parses and normalizes nothing, and a result hit executes nothing."""
+
+    QUERIES = (
+        "select distinct c.name from c in Cities where c.population > 100000",
+        "select distinct struct(city: c.name, hotel: h.name) "
+        "from c in Cities, h in c.hotels where h.stars >= 4",
+        "count(select h.name from c in Cities, h in c.hotels)",
+        "select struct(city: city, n: count(partition)) "
+        "from c in Cities group by city: c.name",
+    )
+
+    @pytest.mark.parametrize("mode", ["cold", "warm-compile", "warm-result"])
+    def test_shape_warm_cache_skips_the_front_end(self, mode, count_calls):
+        plain = demo_travel_database(num_cities=10, seed=3)
+        expected = [plain.run(oql) for oql in self.QUERIES]
+        db = demo_travel_database(num_cities=10, seed=3)
+        db.enable_cache(CacheConfig(results=mode != "warm-compile"))
+        work = [count_calls(parse), count_calls(normalize_with_trace)]
+        assert [db.run(oql) for oql in self.QUERIES] == expected
+        assert len(work[0]) == len(self.QUERIES) and work[1]
+        for calls in work:
+            calls.clear()
+        if mode == "cold":
+            db.cache.clear()
+        assert [db.run(oql) for oql in self.QUERIES] == expected
+        if mode == "cold":
+            assert len(work[0]) == len(self.QUERIES) and work[1]
+        else:
+            assert work == [[], []]
+        stats = db.cache.stats_dict()
+        assert stats["compile_hits"] == (0 if mode == "cold" else len(self.QUERIES))
+        assert stats["result_hits"] == (len(self.QUERIES) if mode == "warm-result" else 0)
 
 
 class TestEnablement:

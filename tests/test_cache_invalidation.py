@@ -78,6 +78,20 @@ class TestUpdatePrograms:
         _assert_agree(plain, cached)
         assert "Renamed" in to_python(cached.run(QUERIES[0]))
 
+    def test_invalidation_storm(self):
+        """Experiment C1's storm: a mutation before every query, so every
+        query finds its entry invalidated and none is ever stale."""
+        db = _object_db(20)
+        db.enable_cache()
+        program = update_where("Cities", "c", None, [add_to_field("hotel_count", const(1))])
+        query = "sum(select c.hotel_count from c in Cities)"
+        base = db.run(query)
+        for rounds in range(1, 6):
+            run_update(program, db.evaluator())
+            assert db.run(query) == base + 20 * rounds
+        stats = db.cache.stats_dict()
+        assert stats["invalidations"] > 0 and stats["result_hits"] == 0
+
 
 class TestDirectStoreMutations:
     def test_registry_create_invalidates(self):

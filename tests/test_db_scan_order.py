@@ -19,18 +19,18 @@ from repro.monoids import SET
 from repro.parallel import ParallelConfig
 from repro.values import Bag, canonical_key, to_python
 
-#: force the fan-out on small extents; never defer to REPRO_VERIFY
-_FAN_OUT = dict(max_workers=2, min_partition_rows=1, verify=False)
+#: force the fan-out on small extents (the runs pin verify off)
+_FAN_OUT = dict(max_workers=2, min_partition_rows=1)
 
 # The mode rows of CI's matrix that change how a plan is executed. The
 # cache keeps compiled plans only: a result hit would skip the scan.
 MODES = {
     "plain": {},
     "cache": {"cache": CacheConfig(results=False)},
-    "jit": {"jit": JITConfig(verify=False)},
+    "jit": {"jit": JITConfig()},
     "parallel": {"parallel": ParallelConfig(**_FAN_OUT)},
     "jit+parallel": {
-        "jit": JITConfig(verify=False),
+        "jit": JITConfig(),
         "parallel": ParallelConfig(**_FAN_OUT),
     },
 }

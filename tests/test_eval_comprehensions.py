@@ -3,15 +3,20 @@
 import pytest
 
 from repro.calculus import (
+    add,
+    assign,
     bind,
     comp,
     const,
+    deref,
+    eq,
     filt,
     gen,
     hom,
     le,
     merge,
     mul,
+    new,
     tup,
     unit,
     var,
@@ -20,6 +25,7 @@ from repro.calculus import (
 from repro.calculus.ast import Comprehension, Lambda, MonoidRef
 from repro.errors import EvaluationError, WellFormednessError
 from repro.eval import evaluate
+from repro.normalize import normalize
 from repro.values import Bag, OrderedSet
 
 
@@ -48,6 +54,49 @@ class TestPaperSection2Examples:
             [gen("x", const((1, 2))), gen("y", const(Bag([3, 4, 3])))],
         )
         assert evaluate(term) == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
+
+    @pytest.mark.parametrize("size", [10, 100, 1000])
+    def test_equi_join_of_a_list_and_a_bag(self, size):
+        term = comp(
+            "set",
+            tup(var("a"), var("b")),
+            [gen("a", var("Xs")), gen("b", var("Ys")), eq(var("a"), var("b"))],
+        )
+        data = {"Xs": tuple(range(size)), "Ys": Bag(range(size))}
+        assert evaluate(term, data) == frozenset((i, i) for i in range(size))
+
+    #: the section 2 examples, with the value the paper prints for each
+    EXAMPLES = {
+        "list-bag-join": (
+            comp("set", tup(var("a"), var("b")),
+                 [gen("a", const((1, 2, 3))), gen("b", const(Bag([4, 5])))]),
+            frozenset({(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)}),
+        ),
+        "sum-with-predicate": (
+            comp("sum", var("a"), [gen("a", const((1, 2, 3))), le(var("a"), const(2))]),
+            3,
+        ),
+        "oset-merge": (
+            merge("oset", const(OrderedSet([2, 5, 3, 1])), const(OrderedSet([3, 2, 6]))),
+            OrderedSet([2, 5, 3, 1, 6]),
+        ),
+        "list-from-units": (
+            merge("list", unit("list", const(1)),
+                  merge("list", unit("list", const(2)), unit("list", const(3)))),
+            (1, 2, 3),
+        ),
+        "running-sums": (
+            comp("list", deref(var("x")),
+                 [bind("x", new(const(0))), gen("e", const((1, 2, 3, 4))),
+                  assign(var("x"), add(deref(var("x")), var("e")))]),
+            (1, 3, 6, 10),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(EXAMPLES))
+    def test_in_normal_form(self, name):
+        term, value = self.EXAMPLES[name]
+        assert evaluate(term) == value == evaluate(normalize(term))
 
 
 class TestOutputMonoids:

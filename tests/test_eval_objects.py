@@ -15,12 +15,14 @@ from repro.calculus import (
     deref,
     eq,
     gen,
+    new,
     rec,
     update,
     var,
 )
 from repro.errors import EvaluationError, ObjectStoreError
 from repro.eval import Evaluator, evaluate
+from repro.normalize import normalize
 from repro.objects import Obj, ObjectStore
 from repro.values import Record
 
@@ -80,6 +82,44 @@ class TestPaperExamples:
             ],
         )
         assert evaluate(term) == (1, 3, 6, 10)
+
+    EXAMPLES = {
+        "distinct-objects": (
+            comp("some", eq(var("x"), var("y")),
+                 [bind("x", new(const(1))), bind("y", new(const(1)))]),
+            False,
+        ),
+        "alias-equality": (
+            comp("some", eq(var("x"), var("y")),
+                 [bind("x", new(const(1))), bind("y", var("x")), assign(var("y"), const(2))]),
+            True,
+        ),
+        "alias-mutation": (
+            comp("sum", deref(var("x")),
+                 [bind("x", new(const(1))), bind("y", var("x")), assign(var("y"), const(2))]),
+            2,
+        ),
+        "state-iteration": (
+            comp("set", var("e"),
+                 [bind("x", new(const(()))), assign(var("x"), const((1, 2))),
+                  gen("e", deref(var("x")))]),
+            frozenset({1, 2}),
+        ),
+        "running-sums": (
+            comp("list", deref(var("x")),
+                 [bind("x", new(const(0))), gen("e", const((1, 2, 3, 4))),
+                  assign(var("x"), add(deref(var("x")), var("e")))]),
+            (1, 3, 6, 10),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_paper_object_examples(self, name):
+        """Normalization's effect guards keep each example's value: no rule
+        duplicates or drops a ``new`` or an assignment."""
+        term, expected = self.EXAMPLES[name]
+        assert Evaluator().evaluate(term) == expected
+        assert Evaluator().evaluate(normalize(term)) == expected
 
 
 class TestObjectOperations:
@@ -196,6 +236,4 @@ class TestObjectStoreUnit:
 
 
 def _new_obj(state):
-    from repro.calculus import new as new_term
-
-    return new_term(const(state))
+    return new(const(state))

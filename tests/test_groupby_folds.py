@@ -17,6 +17,7 @@ from repro.calculus.traversal import subterms
 from repro.db import Database, company_schema, make_company, make_travel_agency
 from repro.db.sample_data import travel_schema
 from repro.errors import EvaluationError, PlanError
+from repro.eval.builtins import runtime_monoid_of
 from repro.jit import JITConfig
 from repro.jit.plan import precompile_plan
 from repro.oql import parse
@@ -30,6 +31,11 @@ FAST = ParallelConfig(max_workers=4, min_partition_rows=1)
 ANALYTICS = (
     "select struct(d: dno, total: sum(select p.salary from p in partition)) "
     "from e in Employees group by dno: e.dno"
+)
+#: Experiment G1's query: two aggregates over each partition
+G1 = (
+    "select struct(d: dno, total: sum(select p.salary from p in partition), "
+    "n: count(partition)) from e in Employees group by dno: e.dno"
 )
 
 
@@ -186,6 +192,49 @@ class TestWhatMoves:
         built = count_bags_built(monkeypatch)
         assert db.run(ANALYTICS) == result.value
         assert built == []
+
+    def test_shape_no_bag_is_built_per_group(self, monkeypatch):
+        """Experiment G1's query: both aggregates are folds of the grouping
+        pass, so executing it constructs no ``Bag`` at all — no partition
+        and no bag of salaries, for any group."""
+        db = company_db(cache=False)
+        expected = db.run(G1)
+        built = count_bags_built(monkeypatch)
+        assert db.run(G1) == expected
+        assert built == []
+
+    def test_shape_nest_reads_the_input_once(self, count_calls):
+        """G1, counted: the Nest plan groups in one pass over Employees; the
+        nested-comprehension form the interpreter answers re-reads Employees
+        for every employee (a partition subquery per row), quadratic work."""
+        db = company_db(cache=False)
+        employees = db.evaluator().evaluate(var("Employees"))
+        result = db.run_detailed(G1)
+        assert result.stats.rows_scanned == len(employees)
+        sources = count_calls(runtime_monoid_of)
+        assert db.run(G1, engine="interpret") == result.value
+        assert sum(source is employees for source in sources) > len(employees)
+
+    @pytest.mark.parametrize("engine,size", [
+        ("interpret", 50), ("interpret", 200), ("nest", 50), ("nest", 200), ("nest", 800),
+    ])
+    def test_group_by_series(self, engine, size):
+        """G1's points (the quadratic interpreted form stops at 200): each
+        engine answers one record per department, its salaries' sum and
+        count; the Nest reads Employees once."""
+        world = make_company(max(2, size // 10), size, seed=6)
+        db = Database(company_schema(), cache=False, parallel=False)
+        db.load_extents(world)
+        groups = {}
+        for e in world["Employees"]:
+            groups.setdefault(e.dno, []).append(e.salary)
+        result = db.run_detailed(G1, engine="interpret" if engine == "interpret" else "algebra")
+        assert result.value == frozenset(
+            Record(d=dno, total=sum(s), n=len(s)) for dno, s in groups.items()
+        )
+        assert len(groups) == max(2, size // 10)
+        if engine == "nest":
+            assert result.stats.rows_scanned == size
 
     def test_head_returning_partition_keeps_it(self, monkeypatch):
         db = company_db(cache=False)

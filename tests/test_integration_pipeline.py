@@ -5,11 +5,20 @@ interpreter on the normalized term, and the optimized algebra plan — and
 all answers must coincide. This pins down the whole pipeline at once.
 """
 
+import functools
+
 import pytest
 
-from repro.db import Database, demo_travel_database
-from repro.eval import evaluate
-from repro.normalize import normalize
+from repro.algebra import Executor, build_plan
+from repro.calculus import var
+from repro.calculus.ast import Comprehension
+from repro.db import Database, demo_travel_database, make_company, make_travel_agency
+from repro.eval import Evaluator
+from repro.eval import evaluator as evaluator_module
+from repro.eval.builtins import runtime_monoid_of
+from repro.normalize import DEFAULT_RULES, normalize
+from repro.normalize.rules import ExistentialFusion, FlattenGenerator
+from repro.oql import translate_oql
 
 TRAVEL_QUERIES = [
     "select distinct c.name from c in Cities",
@@ -39,6 +48,12 @@ TRAVEL_QUERIES = [
     "select distinct h.name from h in "
     "(select distinct x from c in Cities, x in c.hotels where c.name = 'Portland')",
     "element(select distinct c from c in Cities where c.name = 'Portland')",
+    # the paper's running example, down to the rooms
+    "select h.name from c in Cities, h in c.hotels, r in h.rooms "
+    "where c.name = 'Portland' and r.beds = 3",
+    "select distinct struct(city: c.name, best: max(select h.stars "
+    "from h in c.hotels)) from c in Cities where exists h in c.hotels : "
+    "h.stars >= 4 and 'pool' in h.facilities order by c.name",
 ]
 
 COMPANY_QUERIES = [
@@ -103,3 +118,113 @@ def _assert_paths_agree(db: Database, query: str) -> None:
     auto = db.run(query, engine="auto")
     interp = db.run(query, engine="interpret")
     assert direct == normalized_value == auto == interp, query
+
+
+# -- Experiments F1 and A1, counted: what normalization and the algebra save ---------
+
+MEMBERSHIP = (
+    "select distinct e.name from e in Employees "
+    "where e.dno in (select d.dno from d in Departments where d.floor > 5)"
+)
+NESTED_FROM = (
+    "select distinct h.name from h in "
+    "(select distinct x from c in Cities, x in c.hotels) where h.stars = 5"
+)
+
+
+def test_shape_membership_reads_the_subquery_extent_once(count_calls):
+    """Evaluated as written, the ``in`` subquery is recomputed per
+    employee, and so is the fused join of its normal form; the plan's hash
+    join reads Departments once, beside one pass over Employees."""
+    employees, departments = 160, 16
+    evaluator = Evaluator(make_company(departments, employees, seed=1))
+    raw = translate_oql(MEMBERSHIP)
+    canonical = normalize(raw)
+    plan = build_plan(canonical)
+    extent = evaluator.evaluate(var("Departments"))
+    sources = count_calls(runtime_monoid_of)
+    value = evaluator.evaluate(raw)
+    assert sum(source is extent for source in sources) == employees
+    sources.clear()
+    assert evaluator.evaluate(canonical) == value
+    assert sum(source is extent for source in sources) == employees
+    executor = Executor(evaluator)
+    assert executor.execute(plan) == value
+    assert executor.stats.rows_scanned == employees + departments
+
+
+def test_shape_nested_from_builds_no_intermediate_set(travel_db, monkeypatch):
+    """The written form builds the ``from`` subquery's set and then
+    iterates it; the normal form is one comprehension over each city's
+    hotels."""
+    evaluated = []
+    comprehension = evaluator_module._DISPATCH[Comprehension]
+
+    def counting(evaluator, term, env):
+        evaluated.append(term)
+        return comprehension(evaluator, term, env)
+
+    monkeypatch.setitem(evaluator_module._DISPATCH, Comprehension, counting)
+    raw = travel_db.translate(NESTED_FROM)
+    canonical = normalize(raw)
+    value = travel_db.evaluator().evaluate(raw)
+    assert len(evaluated) == 2
+    evaluated.clear()
+    assert travel_db.evaluator().evaluate(canonical) == value
+    assert evaluated == [canonical]
+
+
+#: each F1 workload's answer, computed in plain Python from the extents
+F1_ORACLES = {
+    "nested-from": lambda world: frozenset(
+        h.name for c in world["Cities"] for h in c.hotels if h.stars == 5
+    ),
+    "membership": lambda world: frozenset(
+        e.name for e in world["Employees"]
+        if e.dno in {d.dno for d in world["Departments"] if d.floor > 5}
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _f1_world(workload, size):
+    if workload == "nested-from":
+        return make_travel_agency(size, 5, 6, seed=1), NESTED_FROM
+    return make_company(max(2, size // 10), size, seed=1), MEMBERSHIP
+
+
+@pytest.mark.parametrize("size", [20, 80, 320])
+@pytest.mark.parametrize("workload", list(F1_ORACLES))
+@pytest.mark.parametrize("variant", ["raw", "normalized", "algebra"])
+def test_pipelining_series(variant, workload, size):
+    """Experiment F1's points: the term as written, its normal form and the
+    plan of the normal form each give the answer the extents do."""
+    world, oql = _f1_world(workload, size)
+    evaluator = Evaluator(world)
+    term = translate_oql(oql)
+    if variant == "raw":
+        value = evaluator.evaluate(term)
+    elif variant == "normalized":
+        value = evaluator.evaluate(normalize(term))
+    else:
+        value = Executor(evaluator).execute(build_plan(normalize(term)))
+    assert value == F1_ORACLES[workload](world)
+
+
+RULESETS = {
+    "full": DEFAULT_RULES,
+    "no-N11": tuple(r for r in DEFAULT_RULES if not isinstance(r, ExistentialFusion)),
+    "no-N9": tuple(r for r in DEFAULT_RULES if not isinstance(r, FlattenGenerator)),
+}
+
+
+@pytest.mark.parametrize("ruleset", list(RULESETS))
+def test_a1_rule_ablation(company_db, ruleset):
+    """A plan built from a term normalized without one rule still answers
+    what the reference does; without N11 the subquery stays a per-row
+    predicate instead of becoming a join."""
+    raw = company_db.translate(MEMBERSHIP)
+    plan = build_plan(normalize(raw, rules=RULESETS[ruleset]), pre_normalize=False)
+    executor = Executor(company_db.evaluator())
+    assert executor.execute(plan) == company_db.evaluator().evaluate(raw)
+    assert (executor.stats.rows_joined > 0) == (ruleset != "no-N11")

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.verifier import verification
+from repro.cache import CacheConfig
 from repro.db.database import (
     Database,
     demo_company_database,
@@ -13,9 +15,12 @@ from repro.db.database import (
 )
 from repro.errors import DatabaseError
 from repro.jit import JITConfig, resolve_jit
+from repro.jit.plan import _fuse
+from repro.normalize import normalize_with_trace
 from repro.obs.metrics import PlanMetrics
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.obs.tracer import COMPILE_PHASES, PIPELINE_PHASES
+from repro.oql import parse
 
 
 @pytest.fixture
@@ -45,7 +50,7 @@ class TestEnablement:
         assert Database(jit=True).jit == JITConfig()
 
     def test_constructor_config(self):
-        cfg = JITConfig(verify=True)
+        cfg = JITConfig()
         assert Database(jit=cfg).jit is cfg
 
     def test_constructor_false_means_off(self):
@@ -54,10 +59,6 @@ class TestEnablement:
     def test_constructor_rejects_garbage(self):
         with pytest.raises(DatabaseError, match="jit must be"):
             Database(jit=42)
-
-    def test_config_rejects_non_bool_verify(self):
-        with pytest.raises(DatabaseError, match="verify"):
-            JITConfig(verify="yes")
 
     def test_enable_disable_cycle(self, db):
         db.enable_jit()
@@ -139,8 +140,6 @@ class TestExplainAnalyze:
 
 class TestCacheInterplay:
     def test_cached_entry_from_before_jit_still_compiles(self, company):
-        from repro.cache import CacheConfig
-
         # Compilation cache only: every run re-executes the cached plan,
         # so the jit report reflects what actually ran.
         company.enable_cache(CacheConfig(results=False))
@@ -159,6 +158,23 @@ class TestCacheInterplay:
         first = company.run(SCAN_QUERY)
         assert company.run(SCAN_QUERY) == first
         assert company.cache.stats.as_dict()["compile_hits"] >= 1
+
+    def test_shape_a_warm_compile_hit_generates_no_code(self, company, count_calls):
+        """Experiment J1 end to end: with the compile cache on, a repeat runs
+        the function the first run generated — no parse, no normalization,
+        no code generation — and answers what the interpreter answers."""
+        company.disable_parallel()  # a fan-out runs the loops, not the function
+        company.enable_cache(CacheConfig(results=False))
+        want = company.run(SCAN_QUERY, engine="interpret")
+        company.enable_jit()
+        work = [count_calls(fn) for fn in (parse, normalize_with_trace, _fuse)]
+        assert company.run(SCAN_QUERY) == want
+        assert all(work)
+        for calls in work:
+            calls.clear()
+        result = company.run_detailed(SCAN_QUERY)
+        assert result.value == want and result.jit["fallback"] == 0
+        assert work == [[], [], []]
 
     def test_invalidation_recompiles(self, company):
         company.enable_cache()
@@ -184,9 +200,10 @@ class TestCacheInterplay:
 
 class TestVerifyMode:
     def test_verify_mode_passes_on_honest_closures(self, company):
-        company.enable_jit(JITConfig(verify=True))
+        company.enable_jit()
         baseline = demo_company_database(4, 60, seed=11).run(SCAN_QUERY)
-        assert company.run(SCAN_QUERY) == baseline
+        with verification(True):
+            assert company.run(SCAN_QUERY) == baseline
 
     @staticmethod
     def _corrupted_plan(company):
@@ -205,7 +222,7 @@ class TestVerifyMode:
         from repro.algebra import Executor
 
         baseline = company.run_detailed(SCAN_QUERY)
-        company.enable_jit(JITConfig(verify=True))
+        company.enable_jit()
         plan = self._corrupted_plan(company)
         assert Executor(company.evaluator(), jit=company.jit).execute(plan) == "corrupt"
         timed = Executor(company.evaluator(), metrics=PlanMetrics(), jit=company.jit)

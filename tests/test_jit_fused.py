@@ -18,6 +18,7 @@ from hypothesis import given, settings
 
 from repro.algebra import Executor, IndexScan, Join, Nest, Reduce, Scan, SelectOp, Unnest
 from repro.algebra import build_plan
+from repro.analysis.verifier import verification
 from repro.calculus import comp, const, eq, filt, gen, gt, proj, var
 from repro.calculus.ast import (
     BinOp,
@@ -30,12 +31,21 @@ from repro.calculus.ast import (
     TupleCons,
     Update,
 )
-from repro.db import Database, company_schema, demo_company_database, make_company
+from repro.db import (
+    Database,
+    company_schema,
+    demo_company_database,
+    make_company,
+    make_travel_agency,
+    travel_schema,
+)
 from repro.errors import EvaluationError, ReproError, VerificationError
 from repro.eval import Evaluator
 from repro.jit import JITConfig, Runtime
-from repro.jit.plan import fused, pipeline_source
+from repro.jit.plan import fused, pipeline_source, precompile_plan
+from repro.normalize import normalize
 from repro.obs.metrics import PlanMetrics
+from repro.oql import translate_oql
 from repro.values import Bag, Record, Vector
 from tests.data.make_exec_stats_golden import queries
 from tests.data.make_plans_golden import grouped_queries
@@ -45,8 +55,8 @@ from tests.test_property_queries import _database, _query
 #: how an Executor is built for each way of running a plan
 WAYS = {
     "interpreted": lambda: {},
-    "loops": lambda: {"jit": JITConfig(verify=False), "metrics": PlanMetrics()},
-    "fused": lambda: {"jit": JITConfig(verify=False)},
+    "loops": lambda: {"jit": JITConfig(), "metrics": PlanMetrics()},
+    "fused": lambda: {"jit": JITConfig()},
 }
 
 
@@ -73,7 +83,10 @@ def three_ways(make_plan, make_evaluator, indexes=None):
     seen = {}
     for way, kwargs in WAYS.items():
         plan, evaluator = make_plan(), make_evaluator()
-        executor = Executor(evaluator, indexes, **kwargs())
+        # verify pinned off: its per-row differential re-runs every
+        # expression, heap effects and closure-valued heads included
+        with verification(False):
+            executor = Executor(evaluator, indexes, **kwargs())
         seen[way] = outcome(lambda: executor.execute(plan))  # noqa: B023
         if seen[way][0] == "value":
             seen[way] += (counts(executor.metrics, plan),)
@@ -95,7 +108,7 @@ def term_ways(term, data):
 
 
 def _corpus():
-    jit = {"jit": JITConfig(verify=False)}
+    jit = {"jit": JITConfig()}
     on = [*queries(jit), *grouped_queries(jit)]
     off = [*queries({}), *grouped_queries({})]
     for (label, db, oql, run_on), (_, _, _, run_off) in zip(on, off):
@@ -138,6 +151,76 @@ def test_prepared_params_reach_the_generated_function():
     assert "_lookup('$floor')" in pipeline_source(result.plan)
 
 
+# -- experiment J1's workloads ----------------------------------------------------
+
+#: Two predicate-heavy plans (a deep arithmetic filter on one extent, a
+#: correlated multi-conjunct filter under two unnests) and two where row
+#: plumbing, not expression evaluation, dominated.
+J1 = {
+    "scan-pred": ("company", (
+        "sum(select 1 from e in Employees where "
+        "(e.salary * 3 + e.age * 2 - e.dno) mod 7 < 5 and "
+        "e.salary + e.age * e.dno > 10000 and "
+        "(e.age - 20) * (e.age - 20) < 2000 and e.dno * e.dno >= 0 and "
+        "(e.salary div 100 + e.age * 3) mod 11 != 5 and "
+        "e.salary * 2 - e.age * e.dno + 17 > 0)"
+    )),
+    "unnest-pred": ("travel", (
+        "sum(select 1 from c in Cities, h in c.hotels, r in h.rooms where "
+        "r.price * 2 + r.beds * 10 > 300 and "
+        "(r.price - 50) * (r.beds + 1) < 9000 and r.price mod 7 != 3 and "
+        "(r.beds * r.beds + r.price div 10) mod 5 < 4 and "
+        "r.price + r.beds * 3 - 7 > 60 and h.stars * 20 + r.price > 100 and "
+        "(r.price * r.beds + h.stars) mod 13 != 6 and "
+        "r.beds * 2 + h.stars * 3 > 4)"
+    )),
+    "cheap-pred": ("company", "sum(select 1 from e in Employees where e.salary > 40000)"),
+    "record-head": ("company", (
+        "select struct(n: e.name, s: e.salary + e.age) "
+        "from e in Employees where e.salary > 30000"
+    )),
+}
+
+
+@pytest.mark.parametrize("workload", list(J1))
+def test_shape_fused(workload):
+    """Each runs as one generated function with every expression compiled,
+    and answers what the loops and the interpreter answer, counter for
+    counter."""
+    schema, oql = J1[workload]
+    world = _j1_world(schema)
+    make_plan = lambda: build_plan(normalize(translate_oql(oql)))  # noqa: E731
+    three_ways(make_plan, lambda: Evaluator(world))
+    report = precompile_plan(make_plan())
+    assert report["fallback"] == 0 and report["compiled"] > 0
+
+
+@pytest.mark.parametrize("mode", ["interpreted", "jit"])
+@pytest.mark.parametrize("workload", list(J1))
+def test_jit_series(workload, mode):
+    """J1 through ``Database.run``: with the jit on, the plan that runs is
+    one generated function with nothing left to interpret; either way the
+    answer is the reference interpreter's."""
+    schema, oql = J1[workload]
+    jit = mode == "jit"
+    db = Database(company_schema() if schema == "company" else travel_schema(),
+                  cache=False, parallel=False, jit=jit)
+    db.load_extents(_j1_world(schema))
+    result = db.run_detailed(oql)
+    assert result.value == db.run(oql, engine="interpret")
+    if jit:
+        assert fused(result.plan) is not None
+        assert result.jit["fallback"] == 0 and result.jit["compiled"] > 0
+    else:
+        assert result.jit is None
+
+
+def _j1_world(schema):
+    if schema == "company":
+        return make_company(20, 200, seed=3)
+    return make_travel_agency(6, 4, 6, seed=3)
+
+
 # -- generated queries ----------------------------------------------------------------
 
 
@@ -152,7 +235,7 @@ def test_random_comprehensions(case):
 def test_random_oql(query, db):
     db.disable_cache()  # every run executes (REPRO_CACHE=1 would serve the repeats)
     want = db.run_detailed(query)
-    db.enable_jit(JITConfig(verify=False))
+    db.enable_jit()
     got = db.run_detailed(query)
     timed = db.run_detailed(query, metrics=True)
     assert got.value == want.value == db.run(query, engine="interpret"), query
@@ -253,7 +336,8 @@ class TestTemplates:
             Scan("a", var("Ls")),
         )
         evaluator = Evaluator(WORLD)
-        closures = Executor(evaluator, jit=JITConfig(verify=False)).execute(plan())
+        with verification(False):  # two closures never compare equal
+            closures = Executor(evaluator, jit=JITConfig()).execute(plan())
         assert [evaluator.apply_callable(fn, 1) for fn in closures] == [11, 21, 31]
 
     @pytest.mark.parametrize("keys", [1, 2], ids=["one-key", "two-keys"])
@@ -445,9 +529,9 @@ class TestVerifyChecksTheGeneratedFunction:
     # parallel=False: a fan-out runs no compiled code, so under
     # REPRO_PARALLEL=1 verify would have nothing to catch.
 
-    @staticmethod
-    def db(verify):
-        db = Database(company_schema(), parallel=False, jit=JITConfig(verify=verify))
+    @pytest.fixture
+    def db(self):
+        db = Database(company_schema(), parallel=False, jit=True)
         db.load_extents(make_company(4, 60, seed=11))
         return db
 
@@ -459,30 +543,28 @@ class TestVerifyChecksTheGeneratedFunction:
 
         monkeypatch.setitem(compiler._EMITTERS, ConstTerm, lambda self, term, scope: "0")
 
-    def test_honest_emission_passes(self):
-        db = self.db(verify=True)
-        result = db.run_detailed(SALARIES)
+    def test_honest_emission_passes(self, db):
+        with verification(True):
+            result = db.run_detailed(SALARIES)
         assert result.value == db.run(SALARIES, engine="interpret")
         assert "_check(" in pipeline_source(result.plan, checked=True)
         assert "_check(" not in pipeline_source(result.plan)
 
-    def test_wrong_emission_is_caught(self, wrong_constants):
-        db = self.db(verify=True)
-        with pytest.raises(VerificationError, match="jit-compile"):
+    def test_wrong_emission_is_caught(self, db, wrong_constants):
+        with verification(True), pytest.raises(VerificationError, match="jit-compile"):
             db.run(SALARIES)
 
-    def test_a_correct_nan_is_not_a_difference(self):
+    def test_a_correct_nan_is_not_a_difference(self, db):
         big = "1" + "0" * 308 + ".0"
         nan = f"e.salary * {big} * 10.0 - e.salary * {big} * 10.0"  # inf - inf
-        db = self.db(verify=True)
-        for head in (nan, f"struct(x: {nan})", f"struct(x: 1, y: {nan}).x"):
-            assert len(db.run(f"select {head} from e in Employees")) == 60
+        with verification(True):
+            for head in (nan, f"struct(x: {nan})", f"struct(x: 1, y: {nan}).x"):
+                assert len(db.run(f"select {head} from e in Employees")) == 60
         with pytest.raises(VerificationError):  # a NaN is still not a number
             Runtime(Evaluator()).check(float("nan"), const(1.0), {})
 
-    def test_without_verify_the_wrong_function_is_what_runs(self, wrong_constants, monkeypatch):
+    def test_without_verify_the_wrong_function_is_what_runs(self, db, wrong_constants, monkeypatch):
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
-        db = self.db(verify=False)
         unfiltered = "sum(select e.salary from e in Employees where e.salary > 0)"
         interpreted = db.run(SALARIES, engine="interpret")
         assert db.run(SALARIES) == db.run(unfiltered, engine="interpret") != interpreted

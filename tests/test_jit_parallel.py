@@ -61,10 +61,10 @@ class TestForcedFanOutParity:
     def test_verify_mode_under_fan_out(self):
         # Nothing compiled runs under fan-out, so verify has nothing to
         # check there; the values still agree.
-        par = make_db(parallel=FAST, jit=JITConfig(verify=True))
+        par = make_db(parallel=FAST, jit=JITConfig())
         serial = make_db()
         for oql in QUERIES:
-            assert to_python(par.run(oql)) == to_python(serial.run(oql)), oql
+            assert to_python(par.run(oql, verify=True)) == to_python(serial.run(oql)), oql
 
 
 class TestEnvFlags:
@@ -140,5 +140,5 @@ class TestFanOutRunsTheLoops:
         monkeypatch.setitem(compiler._EMITTERS, Const, lambda self, term, scope: "0")
         oql = "sum(select e.salary from e in Employees where e.salary > 60000)"
         want = make_db(parallel=False, jit=False).run(oql)
-        assert make_db(parallel=FAST, jit=JITConfig(verify=False)).run(oql) == want
-        assert make_db(parallel=False, jit=JITConfig(verify=False)).run(oql) != want
+        assert make_db(parallel=FAST, jit=JITConfig()).run(oql, verify=False) == want
+        assert make_db(parallel=False, jit=JITConfig()).run(oql, verify=False) != want

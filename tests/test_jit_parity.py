@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algebra import Executor, build_plan
+from repro.analysis.verifier import verification
 from repro.calculus import comp, const, filt, gen, gt, var
 from repro.db.database import demo_company_database, demo_travel_database
 from repro.eval import Evaluator
@@ -88,8 +89,9 @@ class TestOQLCatalogue:
         # The per-row differential check itself must never fire on the
         # honest compiler output.
         db = demo_travel_database(num_cities=3, seed=5)
-        db.enable_jit(JITConfig(verify=True))
-        db.run(oql)
+        db.enable_jit()
+        with verification(True):
+            db.run(oql)
 
 
 class TestRandomizedTerms:
@@ -125,18 +127,19 @@ class TestReuseSoundness:
         assert off == on == DATA["Xs"]
 
     @pytest.mark.parametrize(
-        "jit", [None, JITConfig(verify=False)], ids=["interpreted", "compiled"]
+        "jit", [None, JITConfig()], ids=["interpreted", "compiled"]
     )
     def test_closure_built_from_a_row_still_sees_it(self, jit):
         # A closure per row, applied only after the scan has finished:
-        # each must still see the row it was built from. (No per-row
-        # differential here: two closures never compare equal.)
+        # each must still see the row it was built from. (Verify pinned
+        # off: two closures never compare equal, so no per-row differential.)
         from repro.calculus.ast import BinOp, Lambda
 
         term = comp("list", var("x"), [gen("x", var("Xs"))])
         head = Lambda("v", BinOp("+", var("v"), var("x")))
         evaluator = Evaluator(DATA)
-        closures = Executor(evaluator, jit=jit).execute(self._with_head(term, head))
+        with verification(False):
+            closures = Executor(evaluator, jit=jit).execute(self._with_head(term, head))
         assert [evaluator.apply_callable(fn, 10) for fn in closures] == [
             x + 10 for x in DATA["Xs"]
         ]

@@ -162,3 +162,26 @@ def test_vector_accumulator_equals_unit_merges(items):
     for pair in items:
         acc.add(pair)
     assert acc.finish() == folded
+
+
+@pytest.mark.parametrize("monoid_name", ["list", "set", "bag", "oset"])
+@pytest.mark.parametrize("strategy", ["accumulator", "fold-of-merges"])
+def test_a2_accumulator_ablation(monoid_name, strategy):
+    """Experiment A2: the O(n) accumulator comprehensions build with, and
+    the right fold of unit and merge their semantics is defined by, build
+    the same collection of 1500 elements."""
+    monoid = {"list": LIST, "set": SET, "bag": BAG, "oset": OSET}[monoid_name]
+    items = [i % 997 for i in range(1_500)]
+    if strategy == "accumulator":
+        acc = monoid.accumulator()
+        for item in items:
+            acc.add(item)
+        value = acc.finish()
+    else:
+        value = monoid.zero()
+        for item in items:
+            value = monoid.merge(value, monoid.unit(item))
+    assert value == {
+        "list": tuple(items), "set": frozenset(items), "bag": Bag(items),
+        "oset": OrderedSet(range(997)),
+    }[monoid_name]

@@ -1,5 +1,6 @@
 """Unit tests for the collection monoids (Table 1, upper half)."""
 
+import pytest
 
 from repro.monoids import BAG, LIST, OSET, SET, STRING
 from repro.values import Bag, OrderedSet
@@ -105,3 +106,38 @@ class TestStringMonoid:
         acc.add("x")
         acc.add("y")
         assert acc.finish() == "xy"
+
+
+# -- in bulk: 200 merges of one chunk, 2000 elements through the accumulator --------
+
+_ITEMS = [i % 97 for i in range(2_000)]
+
+#: monoid, a chunk, 200 copies of it merged, _ITEMS accumulated
+BULK = {
+    "bag": (BAG, Bag(range(50)), Bag(list(range(50)) * 200), Bag(_ITEMS)),
+    "list": (LIST, tuple(range(50)), tuple(range(50)) * 200, tuple(_ITEMS)),
+    "oset": (OSET, OrderedSet(range(50)), OrderedSet(range(50)), OrderedSet(range(97))),
+    "set": (SET, frozenset(range(50)), frozenset(range(50)), frozenset(range(97))),
+    "string": (STRING, "x" * 50, "x" * 10_000, "".join(map(str, _ITEMS))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK))
+def test_merge_of_many_chunks(name):
+    """An idempotent monoid absorbs the copies; the others keep each one."""
+    monoid, chunk, merged, _ = BULK[name]
+    value = monoid.zero()
+    for _ in range(200):
+        value = monoid.merge(value, chunk)
+    assert value == merged
+    assert monoid.length(value) == (50 if monoid.idempotent else 10_000)
+
+
+@pytest.mark.parametrize("name", sorted(BULK))
+def test_accumulator_of_many_elements(name):
+    monoid, *_, accumulated = BULK[name]
+    acc = monoid.accumulator()
+    for item in _ITEMS:
+        acc.add(item)
+    value = acc.finish()
+    assert value == accumulated and list(monoid.iterate(value)) == list(monoid.iterate(accumulated))

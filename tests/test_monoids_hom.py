@@ -89,6 +89,11 @@ class TestHom:
     def test_sum_over_list(self):
         assert hom(LIST, SUM, lambda a: a, (1, 2, 3)) == 6
 
+    def test_sum_over_ten_thousand_elements(self):
+        data = tuple(range(10_000))
+        assert hom(LIST, SUM, lambda a: a, data) == hom(BAG, SUM, lambda a: a, Bag(data))
+        assert hom(LIST, SUM, lambda a: a, data) == sum(data)
+
     def test_bag_cardinality(self):
         assert hom(BAG, SUM, lambda a: 1, Bag([7, 7, 8])) == 3
 

@@ -1,5 +1,6 @@
 """Unit tests for the primitive monoids (Table 1, lower half)."""
 
+import pytest
 
 from repro.monoids import ALL, MAX, MIN, PROD, SOME, SUM
 
@@ -72,3 +73,23 @@ def test_monoid_equality_by_signature():
 
 def test_repr():
     assert repr(SUM) == "<monoid sum>"
+
+
+#: monoid, an element, and 2000 copies of it folded by merge
+FOLDS = {
+    "sum": (SUM, 7, 14_000),
+    "prod": (PROD, 2, 2**2_000),
+    "max": (MAX, 7, 7),
+    "min": (MIN, 7, 7),
+    "some": (SOME, True, True),
+    "all": (ALL, False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDS))
+def test_fold_of_many_merges(name):
+    monoid, element, folded = FOLDS[name]
+    value = monoid.zero()
+    for _ in range(2_000):
+        value = monoid.merge(value, element)
+    assert value == folded == monoid.merge_all([element] * 2_000)

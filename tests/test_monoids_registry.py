@@ -63,16 +63,22 @@ class TestTable1:
 
     def test_ci_column_matches_paper(self):
         flags = {row["monoid"]: row["C/I"] for row in table1()}
-        assert flags["list"] == "-"
-        assert flags["set"] == "CI"
-        assert flags["bag"] == "C"
-        assert flags["oset"] == "I"
-        assert flags["string"] == "-"
-        assert flags["sorted[f]"] == "CI"
-        assert flags["sum"] == "C"
-        assert flags["max"] == "CI"
-        assert flags["some"] == "CI"
-        assert flags["all"] == "CI"
+        assert flags == {
+            "list": "-", "set": "CI", "bag": "C", "oset": "I", "string": "-",
+            "sorted[f]": "CI", "sum": "C", "prod": "C", "max": "CI", "min": "CI",
+            "some": "CI", "all": "CI",
+        }
+
+    def test_zero_unit_and_merge_columns_match_paper(self):
+        columns = {row["monoid"]: (row["zero"], row["unit"], row["merge"]) for row in table1()}
+        assert columns == {
+            "list": ("[]", "[a]", "++"), "set": ("{}", "{a}", "∪"),
+            "bag": ("{{}}", "{{a}}", "⊎"), "oset": ("[]", "[a]", "x ++ (y -- x)"),
+            "string": ('""', '"a"', "concat"), "sorted[f]": ("[]", "[a]", "sorted merge"),
+            "sum": ("0", "a", "+"), "prod": ("1", "a", "*"), "max": ("None", "a", "max"),
+            "min": ("None", "a", "min"), "some": ("false", "a", "or"),
+            "all": ("true", "a", "and"),
+        }
 
     def test_type_column_sorted_and_oset_are_lists(self):
         types = {row["monoid"]: row["type"] for row in table1()}

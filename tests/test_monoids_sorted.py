@@ -78,3 +78,10 @@ def test_distinct_monoid_instances_by_key_name():
     assert a.name == "sorted[id]"
     assert b.name == "sorted[id2]"
     assert a != b
+
+
+def test_accumulator_sorts_and_drops_repeats_in_bulk():
+    acc = sorted_monoid(lambda x: x).accumulator()
+    for i in range(2_000):
+        acc.add((i * 7919) % 1000)  # 7919 is coprime with 1000: every residue, twice
+    assert acc.finish() == tuple(range(1000))

@@ -1,6 +1,8 @@
 """The normalization engine: fixpoints, traces, canonical forms."""
 
 import itertools
+from collections import Counter
+from random import Random
 from unittest import mock
 
 import pytest
@@ -41,6 +43,7 @@ from repro.normalize.rules import PLANNING_RULES
 from repro.oql import translate_oql
 from repro.values import Record
 
+from benchmarks.harness.workloads import catalogue_classes
 from tests.data.make_frontend_golden import corpus
 from tests.test_normalize_property import comprehensions
 
@@ -142,6 +145,29 @@ class TestPaperDerivation:
         )
         assert alpha_equal(flat, direct)
 
+    CORPUS = [
+        "select distinct h.name from h in (select distinct x from c in Cities, "
+        "x in c.hotels where c.name = 'Portland')",
+        "select distinct c.name from c in Cities where exists h in c.hotels : h.stars = 5",
+        "select distinct r.beds from c in Cities, h in c.hotels, r in h.rooms "
+        "where c.name = 'Portland' and h.stars >= 3 and r.price < 200",
+        "sum(select h.stars from c in Cities, h in c.hotels)",
+        "select distinct c.name from c in Cities where 3 in "
+        "(select r.beds from h in c.hotels, r in h.rooms)",
+    ]
+
+    def test_portland_derivation(self):
+        """N9 flattens the ``from`` subquery, then N3 eliminates the binding
+        of ``h`` that the flattening leaves."""
+        _, trace = normalize_with_trace(translate_oql(self.CORPUS[0]))
+        assert trace.rules_fired() == ["N9-flatten", "N3-bind"]
+
+    def test_rule_counts_over_corpus(self):
+        counts = Counter()
+        for oql in self.CORPUS:
+            counts.update(normalize_with_trace(translate_oql(oql))[1].rule_counts())
+        assert counts == {"N9-flatten": 3, "N3-bind": 3, "N11-exists": 2, "N12-and": 2}
+
     def test_flattened_query_evaluates_identically(self):
         cities = frozenset(
             {
@@ -193,6 +219,13 @@ class TestCanonicalPredicates:
     def test_is_canonical_term(self):
         assert is_canonical(var("x"))
         assert not is_canonical(apply(lam("x", var("x")), const(1)))
+
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_any_nesting_depth_flattens(self, depth):
+        term = comp("set", var("x0"), [gen("x0", var("Base"))])
+        for level in range(1, depth + 1):
+            term = comp("set", var(f"x{level}"), [gen(f"x{level}", term)])
+        assert is_canonical_comprehension(normalize(term))
 
 
 # -- the engine against trying every rule at every node ---------------------------
@@ -271,6 +304,45 @@ class TestHeadDispatch:
     @given(term=comprehensions())
     def test_generated_traces_are_step_for_step_the_reference(self, rules, verify, term):
         _assert_same_derivation(term, rules, verify)
+
+    def test_shape_rules_tried_only_at_their_heads(self):
+        """Over the harness catalogue, a rule's ``apply`` is called only on
+        nodes of its ``heads``, and that is under a fifth of the calls
+        trying every rule at every visited node would make."""
+
+        class Counted(Rule):
+            def __init__(self, rule):
+                self.rule, self.name, self.heads = rule, rule.name, rule.heads
+                self.seen = Counter()
+
+            def apply(self, term):
+                self.seen[type(term)] += 1
+                return self.rule.apply(term)
+
+        class EveryNode(Rule):
+            """Last and headless: called once per node the engine visits
+            and finds no rewrite at."""
+
+            name = "probe"
+            visited = 0
+
+            def apply(self, term):
+                self.visited += 1
+                return None
+
+        counted = [Counted(rule) for rule in DEFAULT_RULES]
+        probe = EveryNode()
+        classes = catalogue_classes({"Departments": [None] * 8}, Random(0))
+        for cls in classes:
+            term = translate_oql(cls.oql)
+            _, trace = normalize_with_trace(term, rules=(*counted, probe))
+            assert trace.rules_fired() == normalize_with_trace(term)[1].rules_fired()
+        for rule in counted:
+            outside = [cls.__name__ for cls in rule.seen if not issubclass(cls, rule.heads)]
+            assert not outside, f"{rule.name} was tried on {outside}"
+        applies = sum(sum(rule.seen.values()) for rule in counted)
+        assert probe.visited > 10 * len(classes)
+        assert applies * 5 <= probe.visited * len(counted), (applies, probe.visited)
 
     def test_every_builtin_rule_declares_its_heads(self):
         for rule in RULES_BY_NAME.values():

@@ -1,5 +1,6 @@
 """One witness per Table 3 rule: the rule fires and preserves semantics."""
 
+import pytest
 
 from repro.calculus import (
     add,
@@ -261,3 +262,43 @@ class TestCountOccurrences:
     def test_ignores_shadowed(self):
         term = apply(lam("x", var("x")), var("x"))
         assert count_occurrences(term, "x") == 1
+
+
+# -- Table 3 as one table: a witness per rule, evaluated before and after ----------
+
+WITNESSES = {
+    "N1-beta": apply(lam("x", add(var("x"), const(1))), const(2)),
+    "N2-proj": proj(rec(a=const(1), b=const(2)), "a"),
+    "N3-bind": comp("sum", var("y"), [gen("x", var("Xs")), bind("y", var("x"))]),
+    "N4-true": comp("set", var("x"), [gen("x", var("Xs")), filt(const(True))]),
+    "N5-false": comp("set", var("x"), [gen("x", var("Xs")), filt(const(False))]),
+    "N6-empty": comp("set", var("x"), [gen("x", zero("set"))]),
+    "N7-unit": comp("sum", var("x"), [gen("x", unit("list", const(5)))]),
+    "N8-merge": comp("set", var("x"), [gen("x", merge("set", var("A"), var("B")))]),
+    "N9-flatten": comp(
+        "set", var("x"), [gen("x", comp("set", var("y"), [gen("y", var("Ys"))]))]
+    ),
+    "N10-if-gen": comp("set", var("x"), [gen("x", if_(var("p"), var("A"), var("B")))]),
+    "N11-exists": comp("set", var("x"), [
+        gen("x", var("Xs")), filt(comp("some", eq(var("y"), const(1)), [gen("y", var("Ys"))]))
+    ]),
+    "N12-and": comp("set", var("x"), [
+        gen("x", var("Xs")), filt(and_(gt(var("x"), const(0)), lt(var("x"), const(9))))
+    ]),
+    "N14-zero": merge("set", zero("set"), var("A")),
+    "N15-const": lt(const(1), const(2)),
+}
+
+#: values for the witnesses' free variables
+WORLD = {
+    "Xs": frozenset({-1, 1, 5, 12}), "Ys": frozenset({1, 2}),
+    "A": frozenset({1, 2}), "B": frozenset({2, 3}), "p": False,
+}
+
+
+@pytest.mark.parametrize("rule_name", sorted(WITNESSES))
+def test_rule_fires_on_witness(rule_name):
+    witness = WITNESSES[rule_name]
+    result = _fires(rule_name, witness)
+    assert result is not None and result != witness
+    assert evaluate(result, WORLD) == evaluate(witness, WORLD)

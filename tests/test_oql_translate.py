@@ -1,11 +1,39 @@
 """The section 3 OQL -> calculus translation rules."""
 
+import re
 
-from repro.calculus import alpha_equal, comp, const, eq, gen, gt, proj, var
+import pytest
+
+from repro.calculus import alpha_equal, comp, const, eq, gen, gt, pretty, proj, var
 from repro.calculus.ast import Call, Comprehension, Merge
 from repro.eval import evaluate
 from repro.oql import translate_oql
 from repro.values import Bag, Record, to_python
+
+
+#: the section 3 translation table: OQL, and the calculus it translates to
+#: with each fresh variable printed as ``_``
+TRANSLATION_TABLE = {
+    "select-distinct": ("select distinct c.name from c in Cities", "set{ c.name | c <- Cities }"),
+    "select-bag": ("select c.name from c in Cities", "bag{ c.name | c <- Cities }"),
+    "select-where": (
+        "select distinct h from c in Cities, h in c.hotels where h.stars = 5",
+        "set{ h | c <- Cities, h <- c.hotels, (h.stars = 5) }",
+    ),
+    "exists": ("exists h in hotels : h.stars > 4", "some{ (h.stars > 4) | h <- hotels }"),
+    "forall": ("for all h in hotels : h.stars > 4", "all{ (h.stars > 4) | h <- hotels }"),
+    "sum": ("sum(xs)", "sum{ _ | _ <- xs }"),
+    "struct": ("struct(a: 1, b: 2)", "<a=1, b=2>"),
+    "membership": ("3 in xs", "some{ (_ = 3) | _ <- xs }"),
+    # count over a set is not hom[set -> sum] (the paper's restriction)
+    "count": ("count(xs)", "count(xs)"),
+}
+
+
+@pytest.mark.parametrize("label", list(TRANSLATION_TABLE))
+def test_translation_table(label):
+    oql, calculus = TRANSLATION_TABLE[label]
+    assert re.sub(r"\w+~\d+", "_", pretty(translate_oql(oql))) == calculus
 
 
 class TestSelectTranslation:

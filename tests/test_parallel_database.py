@@ -1,6 +1,8 @@
 """Database-level parallel execution: enablement, equality with the
 serial engine, observability integration and the REPL toggle."""
 
+import threading
+
 import pytest
 
 from repro.db import Database, company_schema, make_company
@@ -48,6 +50,70 @@ def test_run_detailed_records_fan_out(dbs):
     assert result.stats.parallel_workers == 4
 
 
+# -- Experiment P2: a latency-bound and a CPU-bound aggregate, serial and fanned out --
+
+P2 = {
+    "latency": "sum(select fetch_score(e.salary) from e in Employees)",
+    "cpu": "sum(select e.salary * e.age + e.dno from e in Employees)",
+}
+
+
+def _p2_db(parallel, fetch_score=lambda salary: salary // 100):
+    """64 employees; ``fetch_score`` stands for a call to an external resource."""
+    db = Database(company_schema(), cache=False, parallel=FAST if parallel else False)
+    db.load_extents(make_company(num_departments=6, num_employees=64, seed=3))
+    db.register_function("fetch_score", fetch_score)
+    return db
+
+
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+@pytest.mark.parametrize("workload", list(P2))
+def test_parallel_series(workload, mode):
+    db = _p2_db(mode == "parallel")
+    employees = db.evaluator().evaluate(db.translate("Employees"))
+    expected = {
+        "latency": sum(e.salary // 100 for e in employees),
+        "cpu": sum(e.salary * e.age + e.dno for e in employees),
+    }[workload]
+    result = db.run_detailed(P2[workload])
+    assert result.value == expected
+    assert result.stats.partitions == (4 if mode == "parallel" else 0)
+
+
+def test_latency_bound_heads_wait_in_every_partition_at_once():
+    """P2's latency claim without a clock: each partition's first call of
+    the head blocks until all four partitions are waiting together, so the
+    query finishes only because their waits overlap."""
+    together = threading.Barrier(4, timeout=10)
+    waited = threading.local()
+
+    def fetch_score(salary):
+        if not getattr(waited, "done", False):
+            waited.done = True
+            together.wait()
+        return salary // 100
+
+    serial = _p2_db(False).run(P2["latency"])
+    assert _p2_db(True, fetch_score).run(P2["latency"], verify=False) == serial
+
+
+def test_cpu_bound_fan_out_does_the_serial_row_work():
+    serial = _p2_db(False).run_detailed(P2["cpu"])
+    parallel = _p2_db(True).run_detailed(P2["cpu"])
+    assert parallel.value == serial.value
+    assert parallel.stats.rows_scanned == serial.stats.rows_scanned == 64
+
+
+def test_group_by_agrees_under_parallel():
+    oql = (
+        "select struct(d: dno, total: sum(select p.salary from p in partition), "
+        "n: count(partition)) from e in Employees group by dno: e.dno"
+    )
+    value = _p2_db(True).run(oql)
+    assert value == _p2_db(False).run(oql)
+    assert sum(row.n for row in value) == 64
+
+
 def test_enable_disable_cycle(monkeypatch):
     monkeypatch.delenv("REPRO_PARALLEL", raising=False)  # pin the default
     serial = Database(company_schema())
@@ -91,11 +157,9 @@ def test_explain_analyze_under_parallel():
 
 def test_verify_mode_passes(dbs):
     serial, _ = dbs
-    serial.enable_parallel(
-        ParallelConfig(max_workers=4, min_partition_rows=1, verify=True)
-    )
+    serial.enable_parallel(FAST)
     for oql in QUERIES:
-        serial.run(oql)  # VerificationError would propagate
+        serial.run(oql, verify=True)  # VerificationError would propagate
 
 
 def test_traced_query_attaches_partition_spans(dbs):

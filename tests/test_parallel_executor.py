@@ -4,6 +4,7 @@ fallbacks, per-node metrics and trace spans."""
 import pytest
 
 from repro.algebra import Executor, IndexScan, Reduce, Scan, build_plan
+from repro.analysis.verifier import verification
 from repro.calculus import const, proj, var
 from repro.calculus.ast import MonoidRef
 from repro.errors import DatabaseError, VerificationError
@@ -339,11 +340,8 @@ def test_partition_spans_attach(env):
 
 
 def test_verify_accepts_equivalent_parallel_run(env):
-    serial, par, pex = both(
-        "sum(select n.v from n in Ns)",
-        env,
-        config=ParallelConfig(max_workers=4, min_partition_rows=1, verify=True),
-    )
+    with verification(True):
+        serial, par, pex = both("sum(select n.v from n in Ns)", env)
     assert serial == par
     assert pex.last_mode == "parallel"
 

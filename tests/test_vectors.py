@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.calculus import comp, const, gen, sub, var
 from repro.errors import MonoidError
-from repro.eval import evaluate
+from repro.eval import Evaluator, evaluate
 from repro.values import Vector
 from repro.vectors import (
     at,
@@ -115,6 +115,47 @@ class TestExampleLibrary:
     def test_histogram(self):
         assert histogram_query([0, 1, 1, 2, 5], buckets=3, width=2) == [3, 1, 1]
 
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_reverse_at_size(self, n):
+        xs = list(range(n))
+        assert reverse_query(xs) == xs[::-1]
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_reverse_twice_is_the_identity_at_size(self, n):
+        xs = [(i * 37) % n for i in range(n)]
+        assert reverse_query(reverse_query(xs)) == xs
+
+    def test_subsequence_of_512(self):
+        xs = list(range(512))
+        assert subsequence_query(xs, 100, 400) == xs[100:400]
+
+    def test_permute_by_a_coprime_stride(self):
+        n = 256
+        perm = [(i * 97) % n for i in range(n)]  # 97 is coprime with 256
+        expected = [0] * n
+        for i, target in enumerate(perm):
+            expected[target] = i
+        assert permute_query(list(range(n)), perm) == expected
+
+    def test_inner_product_of_512(self):
+        xs, ys = list(range(512)), list(range(512, 0, -1))
+        assert inner_product_query(xs, ys) == sum(a * b for a, b in zip(xs, ys))
+
+    def test_histogram_of_2000(self):
+        data = [(i * 37) % 100 for i in range(2000)]
+        assert histogram_query(data, buckets=10, width=10) == [200] * 10
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_square_matmul_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        a, b = (rng.integers(0, 9, (n, n)).tolist() for _ in range(2))
+        assert matmul_query(a, b) == (np.array(a) @ np.array(b)).tolist()
+
+    def test_transpose_matches_numpy(self):
+        a = np.random.default_rng(1).integers(0, 9, (12, 8)).tolist()
+        assert transpose_query(a) == np.array(a).T.tolist()
+
+
 
 class TestFFT:
     def test_impulse(self):
@@ -146,6 +187,46 @@ class TestFFT:
 
     def test_empty(self):
         assert fft_query([]) == []
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_fft_as_query(self, n):
+        xs = np.random.default_rng(n).normal(size=n).tolist()
+        mine, ref = fft_query(xs), np.fft.fft(xs)
+        assert max(abs(m - r) for m, r in zip(mine, ref)) < 1e-8
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_one_comprehension_per_stage(self, n, monkeypatch):
+        """The bit-reversal permutation, then one butterfly comprehension for
+        each of the log2(n) stages."""
+        evaluated = []
+        evaluate_term = Evaluator.evaluate
+
+        def counting(self, term, *args, **kwargs):
+            evaluated.append(term)
+            return evaluate_term(self, term, *args, **kwargs)
+
+        monkeypatch.setattr(Evaluator, "evaluate", counting)
+        fft_query(np.random.default_rng(n).normal(size=n).tolist())
+        assert len(evaluated) == n.bit_length()
+
+    def test_evaluations_grow_as_n_log_n(self, monkeypatch):
+        """Experiment V1, counted: 4x the input multiplies the evaluator's
+        term evaluations by about 5 (n log n: 512 * 10 / (128 * 8)), where
+        quadratic work would multiply them by 16."""
+        evaluations = []
+        evaluate_term = Evaluator._eval
+
+        def counting(self, term, env):
+            evaluations.append(None)
+            return evaluate_term(self, term, env)
+
+        monkeypatch.setattr(Evaluator, "_eval", counting)
+        counts = []
+        for n in (128, 512):
+            evaluations.clear()
+            fft_query(np.random.default_rng(n).normal(size=n).tolist())
+            counts.append(len(evaluations))
+        assert 4 < counts[1] / counts[0] < 6, counts
 
 
 @settings(max_examples=40, deadline=None)
