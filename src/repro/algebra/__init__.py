@@ -11,11 +11,7 @@ from repro.algebra.ops import (
     SelectOp,
     Unnest,
 )
-from repro.algebra.optimizer import (
-    Optimizer,
-    estimate_cardinality,
-    explain,
-)
+from repro.algebra.optimizer import Optimizer
 from repro.algebra.physical import ExecutionStats, Executor, execute_plan
 from repro.algebra.translate import build_plan
 
@@ -33,8 +29,6 @@ __all__ = [
     "Unnest",
     "build_group_by_plan",
     "build_plan",
-    "estimate_cardinality",
     "execute_plan",
-    "explain",
     "plan_group_by",
 ]

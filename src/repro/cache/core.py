@@ -20,8 +20,8 @@ only consults a cache when constructed with ``cache=...`` or when the
 ``REPRO_CACHE`` environment flag is set (the convention every mode
 shares — DESIGN.md, "Modes"). The pipeline is the same one either way,
 :meth:`Database.compile` then ``_execute``; a cache is what those two
-consult when one is attached. Both stores are LRU with optional max-entry and TTL
-bounds; every hit/miss/eviction/invalidation increments a counter on
+consult when one is attached. Both stores are LRU with a max-entry
+bound; every hit/miss/eviction/invalidation increments a counter on
 :class:`CacheStats`, surfaced through ``repro.obs`` and the
 ``python -m repro cache`` CLI.
 """
@@ -29,7 +29,6 @@ bounds; every hit/miss/eviction/invalidation increments a counter on
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -75,17 +74,15 @@ class CacheStats:
 class CacheConfig:
     """Tuning knobs for one :class:`QueryCache`.
 
-    ``ttl`` is in seconds and applies to both stores; ``None`` disables
-    age-based expiry. ``results=False`` keeps only the compilation
-    cache (plans are always safe to reuse; results need the version
-    guard). ``clock`` exists so tests can drive TTL deterministically.
+    ``results=False`` keeps only the compilation cache (plans are
+    always safe to reuse; results need the version guard). Entries do
+    not age out: the version vectors keep every cached result exact, so
+    only capacity evicts.
     """
 
     max_entries: int = 128
     result_max_entries: int = 256
-    ttl: Optional[float] = None
     results: bool = True
-    clock: Callable[[], float] = time.monotonic
 
 
 class _Missing:
@@ -100,14 +97,14 @@ MISSING = _Missing()
 
 
 class LRUCache:
-    """An ordered map with least-recently-used + TTL eviction.
+    """An ordered map with least-recently-used eviction.
 
-    ``on_evict`` fires once per entry displaced by capacity or expired
-    by age — *not* for explicit :meth:`remove`/:meth:`clear` calls,
-    which are the caller's own bookkeeping.
+    ``on_evict`` fires once per entry displaced by capacity — *not* for
+    explicit :meth:`remove`/:meth:`clear` calls, which are the caller's
+    own bookkeeping.
 
     Thread-safe: every operation holds an internal reentrant lock.
-    ``get`` mutates (``move_to_end``, TTL expiry) and ``put`` evicts, so
+    ``get`` mutates (``move_to_end``) and ``put`` evicts, so
     even "read" paths race without it — concurrent unlocked calls can
     corrupt the underlying ``OrderedDict`` or double-fire ``on_evict``.
     The lock is reentrant because ``on_evict`` callbacks may re-enter
@@ -117,40 +114,29 @@ class LRUCache:
     def __init__(
         self,
         max_entries: int,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
         on_evict: Optional[Callable[[Any, Any], None]] = None,
     ) -> None:
         if max_entries < 1:
             raise DatabaseError("cache max_entries must be at least 1")
         self.max_entries = max_entries
-        self.ttl = ttl
-        self._clock = clock
         self._on_evict = on_evict
-        self._data: "OrderedDict[Any, tuple[Any, float]]" = OrderedDict()
+        self._data: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.RLock()
 
     def get(self, key: Any) -> Any:
         """The stored value, or :data:`MISSING`; refreshes recency."""
         with self._lock:
-            record = self._data.get(key)
-            if record is None:
-                return MISSING
-            value, stamp = record
-            if self.ttl is not None and self._clock() - stamp > self.ttl:
-                del self._data[key]
-                if self._on_evict is not None:
-                    self._on_evict(key, value)
-                return MISSING
-            self._data.move_to_end(key)
+            value = self._data.get(key, MISSING)
+            if value is not MISSING:
+                self._data.move_to_end(key)
             return value
 
     def put(self, key: Any, value: Any) -> None:
         with self._lock:
-            self._data[key] = (value, self._clock())
+            self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.max_entries:
-                evicted_key, (evicted_value, _) = self._data.popitem(last=False)
+                evicted_key, evicted_value = self._data.popitem(last=False)
                 if self._on_evict is not None:
                     self._on_evict(evicted_key, evicted_value)
 
@@ -242,18 +228,11 @@ class QueryCache:
         self.config = config or CacheConfig()
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        clock = self.config.clock
-        self._compiled = LRUCache(
-            self.config.max_entries, self.config.ttl, clock, self._count_eviction
-        )
+        self._compiled = LRUCache(self.config.max_entries, self._count_eviction)
         # Text aliases are bookkeeping, not cached work: their eviction
         # is silent and their capacity is tied to the entry store's.
-        self._aliases = LRUCache(
-            max(self.config.max_entries * 4, 4), self.config.ttl, clock
-        )
-        self._results = LRUCache(
-            self.config.result_max_entries, self.config.ttl, clock, self._count_eviction
-        )
+        self._aliases = LRUCache(max(self.config.max_entries * 4, 4))
+        self._results = LRUCache(self.config.result_max_entries, self._count_eviction)
 
     def _count_eviction(self, _key: Any, _value: Any) -> None:
         with self._lock:

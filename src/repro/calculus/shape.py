@@ -69,8 +69,7 @@ class Shape(NamedTuple):
     and everything else kept.
 
     A class that carries a ``MonoidRef`` lists the terms inside it (key,
-    size, then the element monoid's) first, and ``monoid_kids(node)``
-    says how many those are; it is ``None`` for a class with no monoid.
+    size, then the element monoid's) first.
 
     A class that binds says so in three columns: ``binders(node)`` are
     the names it binds, in binding order (``()`` for every other class),
@@ -82,7 +81,6 @@ class Shape(NamedTuple):
 
     kids: Callable[[Any], tuple[Term, ...]]
     build: Callable[[Any, tuple[Term, ...], tuple[str, ...]], Term]
-    monoid_kids: Optional[Callable[[Any], int]] = None
     binders: Callable[[Any], tuple[str, ...]] = _none
     scopes: Optional[Callable[[Any], tuple[int, ...]]] = None
     sites: Optional[Callable[[Any], tuple[tuple[str, Any], ...]]] = None
@@ -125,10 +123,6 @@ def _ref_build(ref: MonoidRef, kids: Iterator[Term]) -> MonoidRef:
     if key is ref.key and size is ref.size and element is ref.element:
         return ref
     return MonoidRef(ref.name, key=key, element=element, size=size)
-
-
-def _monoid_kids(node: Any) -> int:
-    return len(_ref_kids(node.monoid))
 
 
 def _build_empty(node: Empty, kids: tuple, _binders: tuple) -> Empty:
@@ -274,25 +268,12 @@ SHAPES: dict[type, Shape] = _Shapes({
     BinOp: Shape(lambda t: (t.left, t.right), lambda t, k, b: BinOp(t.op, *k)),
     UnOp: Shape(lambda t: (t.operand,), lambda t, k, b: UnOp(t.op, *k)),
     If: Shape(lambda t: (t.cond, t.then_branch, t.else_branch), lambda t, k, b: If(*k)),
-    Empty: Shape(
-        lambda t: _ref_kids(t.monoid),
-        _build_empty,
-        monoid_kids=_monoid_kids,
-    ),
-    Singleton: Shape(
-        _singleton_kids,
-        _build_singleton,
-        monoid_kids=_monoid_kids,
-    ),
-    Merge: Shape(
-        lambda t: _ref_kids(t.monoid) + (t.left, t.right),
-        _build_merge,
-        monoid_kids=_monoid_kids,
-    ),
+    Empty: Shape(lambda t: _ref_kids(t.monoid), _build_empty),
+    Singleton: Shape(_singleton_kids, _build_singleton),
+    Merge: Shape(lambda t: _ref_kids(t.monoid) + (t.left, t.right), _build_merge),
     Comprehension: Shape(
         kids=_comprehension_kids,
         build=_build_comprehension,
-        monoid_kids=_monoid_kids,
         binders=_comprehension_binders,
         scopes=_comprehension_scopes,
         sites=_comprehension_sites,
@@ -300,7 +281,6 @@ SHAPES: dict[type, Shape] = _Shapes({
     Hom: Shape(
         kids=lambda t: _hom_monoid_kids(t) + (t.body, t.arg),
         build=_build_hom,
-        monoid_kids=lambda t: len(_hom_monoid_kids(t)),
         binders=lambda t: (t.var,),
         scopes=lambda t: (0,) * len(_hom_monoid_kids(t)) + (1, 0),
         sites=lambda t: (("hom", t),),

@@ -14,13 +14,6 @@ from repro.db.persist import (
     restore_database,
     save_database,
 )
-from repro.db.stats import (
-    AttributeStats,
-    ExtentStats,
-    StatisticsCollector,
-    fanout_of,
-    selectivity_of,
-)
 from repro.db.sample_data import (
     company_schema,
     make_company,
@@ -29,12 +22,7 @@ from repro.db.sample_data import (
 )
 
 __all__ = [
-    "AttributeStats",
     "Catalog",
-    "ExtentStats",
-    "StatisticsCollector",
-    "fanout_of",
-    "selectivity_of",
     "Database",
     "HashIndex",
     "QueryResult",

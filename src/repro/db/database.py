@@ -41,7 +41,7 @@ from typing import Any, Iterator, Literal, Optional
 
 from repro.algebra.groupby import plan_group_by
 from repro.algebra.ops import Reduce
-from repro.algebra.optimizer import Optimizer, explain as explain_plan
+from repro.algebra.optimizer import Optimizer
 from repro.algebra.physical import ExecutionStats, Executor
 from repro.algebra.translate import build_plan
 from repro.analysis.verifier import verification, verification_enabled
@@ -70,6 +70,7 @@ from repro.eval.evaluator import Evaluator
 from repro.monoids import BAG, LIST, SET
 from repro.normalize.engine import normalize_with_trace
 from repro.normalize.trace import NormalizationTrace
+from repro.obs.explain import plan_to_dict, render_explain, summarize
 from repro.obs.metrics import PlanMetrics
 from repro.obs.querylog import QueryLog, oql_fingerprint
 from repro.obs.tracer import Tracer, TraceSpan
@@ -193,7 +194,6 @@ class Database:
         self.functions: dict[str, Any] = {}
         self._object_extents: set[str] = set()
         self._views: dict[str, Term] = {}
-        self._stats: dict[str, Any] = {}
         #: pipeline tracer; disabled by default so queries run untouched
         self.tracer = Tracer(enabled=False)
         # Per-thread tracer override (telemetry and EXPLAIN ANALYZE turn
@@ -450,7 +450,9 @@ class Database:
         """One query: the ``query`` span, the ``verification`` extent,
         compile → execute, and the query-log entry."""
         tracer = self._active_tracer()
-        with tracer.span("query", oql_sha256=oql_fingerprint(oql)) as qspan:
+        with tracer.span("query") as qspan:
+            if qspan is not None:
+                qspan.meta["oql_sha256"] = oql_fingerprint(oql)
             with verification(verify):
                 info: dict[str, Any] = {}
                 if prepared is None:
@@ -888,18 +890,6 @@ class Database:
         """Evaluate a hand-built calculus term against this database."""
         return self.evaluator().evaluate(term)
 
-    def analyze(self) -> dict[str, Any]:
-        """Collect per-extent/attribute statistics for the cost model.
-
-        After ``analyze()``, ``explain`` uses measured equality
-        selectivities (``1/distinct``) and collection fan-outs instead
-        of fixed defaults. Re-run after reloading extents.
-        """
-        from repro.db.stats import StatisticsCollector
-
-        self._stats = StatisticsCollector(self.catalog, self.store).collect()
-        return self._stats
-
     def profile(
         self,
         enabled: bool = True,
@@ -935,21 +925,15 @@ class Database:
         )
 
     def explain(self, oql: str, analyze: bool = False) -> str:
-        """The plan :meth:`run` would execute, with cardinality estimates.
+        """:meth:`explain_data`'s document as text: the plan :meth:`run`
+        would execute, with cardinality estimates.
 
         With ``analyze=True`` the query is *executed* with per-operator
         metrics on, and every node is rendered with its estimated vs
         actual cardinality, q-error and wall time — plus the pipeline's
-        phase timings and a cost-model accuracy summary.
+        phase timings and a q-error summary.
         """
-        if analyze:
-            from repro.obs.explain import render_explain
-
-            return render_explain(self.explain_data(oql, analyze=True))
-        entry = self.compile(oql)
-        if entry.plan is None:
-            return f"({_no_plan_note(entry.normalized)})"
-        return explain_plan(entry.plan, self.catalog.extent_sizes(), self._stats)
+        return render_explain(self.explain_data(oql, analyze))
 
     def explain_data(self, oql: str, analyze: bool = False) -> dict[str, Any]:
         """The EXPLAIN [ANALYZE] document as JSON-ready dicts.
@@ -958,13 +942,11 @@ class Database:
         ``analyzed``, a nested ``plan`` tree with per-node
         ``estimated_rows`` (and, when analyzed, ``actual_rows``,
         ``q_error``, ``time_ms``…), ``phases_ms`` and a ``summary``
-        block with the cost model's mean/max q-error. The plan is the
+        block with the estimates' mean/max q-error. The plan is the
         one :meth:`compile` hands :meth:`run`, analyzed or not. Queries
         the algebra cannot plan come back with ``plan: None`` and a
         ``note`` instead of raising.
         """
-        from repro.obs.explain import plan_to_dict, summarize
-
         doc: dict[str, Any] = {"oql": oql.strip(), "analyzed": analyze}
         if analyze:
             # Trace the run so the document has phase timings even when
@@ -990,9 +972,7 @@ class Database:
             doc["plan"] = None
             doc["note"] = _no_plan_note(normalized)
             return doc
-        doc["plan"] = plan_to_dict(
-            plan, self.catalog.extent_sizes(), self._stats, metrics
-        )
+        doc["plan"] = plan_to_dict(plan, self.catalog.extent_sizes(), metrics)
         if analyze:
             doc["summary"] = summarize(doc["plan"])
         return doc

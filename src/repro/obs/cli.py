@@ -4,13 +4,9 @@ Files hold ``;``-separated queries (same conventions as ``repro lint``:
 ``--`` comments, strings may contain semicolons). Each query is
 explained against a demo database — ``--analyze`` actually runs it and
 reports estimated vs actual cardinalities, per-node wall time and the
-cost model's q-error; ``--json`` emits the same documents as one JSON
+estimates' q-error; ``--json`` emits the same documents as one JSON
 array (one element per file) for machine consumption, e.g. as a CI
 build artifact.
-
-Statistics are collected (``Database.analyze()``) before explaining so
-the estimates are the cost model's best, not its defaults; ``--no-stats``
-shows the default guesses instead.
 """
 
 from __future__ import annotations
@@ -23,6 +19,7 @@ from typing import Callable, Optional
 from repro.db.database import Database
 from repro.errors import ReproError
 from repro.lint.cli import split_queries
+from repro.obs.explain import render_explain
 
 
 def _make_database(schema_name: str) -> Database:
@@ -55,17 +52,9 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
         default="travel",
         help="demo database to explain against (default: travel)",
     )
-    parser.add_argument(
-        "--no-stats",
-        action="store_true",
-        help="skip Database.analyze(): estimate with the default guesses",
-    )
     args = parser.parse_args(argv)
 
     db = _make_database(args.schema)
-    if not args.no_stats:
-        db.analyze()
-
     documents = []
     exit_code = 0
     for path in args.files:
@@ -95,8 +84,6 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     if args.json:
         out(json.dumps(documents, indent=2, sort_keys=True))
         return exit_code
-
-    from repro.obs.explain import render_explain
 
     for file_doc in documents:
         out(f"== {file_doc['file']}")

@@ -1,28 +1,86 @@
-"""EXPLAIN ANALYZE: estimated vs actual cardinalities per plan node.
+"""EXPLAIN [ANALYZE]: estimated (and actual) cardinalities per plan node.
 
-The optimizer's :func:`~repro.algebra.optimizer.explain` prints
-estimates; this module runs the plan (via
-:meth:`Database.explain_data <repro.db.database.Database.explain_data>`)
-and lines the estimates up against what actually flowed through every
-operator, turning the cost model's guesses into a testable artifact.
+Every node of the plan :meth:`Database.compile
+<repro.db.database.Database.compile>` hands ``run`` gets a cardinality
+estimate (:func:`estimate_cardinalities`); with ANALYZE the plan is run
+(via :meth:`Database.explain_data
+<repro.db.database.Database.explain_data>`) and the estimates are lined
+up against what actually flowed through every operator. No plan choice
+reads an estimate: the plan is the canonical form's (§3), so the
+estimator is extent sizes plus fixed factors, and it lives here, beside
+its one reader.
 
 The accuracy measure is the **q-error** — ``max(est, actual) /
 min(est, actual)``, floored at one row — the standard relative error
 for cardinality estimates (symmetric: a 10x over- and a 10x
 under-estimate both score 10). A perfect estimate has q-error 1.0.
 
-Two output forms share one document shape: :func:`render_explain` for
-terminals and the document itself (plain dicts/lists) for ``--json``.
-Schema in ``docs/OBSERVABILITY.md``.
+One document, two forms: :func:`render_explain` for terminals (what
+``Database.explain`` returns) and the document itself (plain
+dicts/lists) for ``--json``. Schema in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.algebra.ops import PlanNode
-from repro.algebra.optimizer import estimate_cardinalities
+from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
+from repro.calculus.ast import Var
 from repro.obs.metrics import PlanMetrics
+
+#: The fixed factors the estimator applies where extent sizes say nothing.
+DEFAULT_SELECTIVITY = 0.25
+DEFAULT_FANOUT = 4.0
+DEFAULT_EXTENT_SIZE = 1000.0
+#: Fraction of input rows surviving a Nest as distinct groups.
+DEFAULT_GROUP_FACTOR = 0.1
+#: Fraction of an extent an equality IndexScan is guessed to return.
+INDEX_SELECTIVITY = 0.01
+
+
+def estimate_cardinalities(
+    plan: PlanNode, extent_sizes: Optional[dict[str, int]] = None
+) -> dict[int, float]:
+    """Output-cardinality estimates for every node of a plan, by
+    ``id(node)``, computed bottom-up in one pass from ``extent_sizes``
+    (element counts per extent) and the fixed factors above."""
+    sizes = extent_sizes or {}
+    estimates: dict[int, float] = {}
+    for node in reversed(list(plan.walk())):  # pre-order backwards: children first
+        inputs = [estimates[id(child)] for child in node.children()]
+        estimates[id(node)] = _estimate(node, inputs, sizes)
+    return estimates
+
+
+def _estimate(node: PlanNode, inputs: list[float], sizes: dict[str, int]) -> float:
+    """One operator's estimate from its children's (``inputs``)."""
+    if isinstance(node, Reduce):
+        # A primitive-monoid reduce (sum/count/max/some...) emits one
+        # value regardless of input; collection reduces keep the stream.
+        return 1.0 if _monoid_is_primitive(node.monoid) else inputs[0]
+    if isinstance(node, Scan):
+        if isinstance(node.source, Var):
+            return float(sizes.get(node.source.name, DEFAULT_EXTENT_SIZE))
+        return DEFAULT_EXTENT_SIZE
+    if isinstance(node, IndexScan):
+        base = float(sizes.get(node.extent, DEFAULT_EXTENT_SIZE))
+        return max(1.0, base * INDEX_SELECTIVITY)
+    if isinstance(node, SelectOp):
+        return inputs[0] * DEFAULT_SELECTIVITY
+    if isinstance(node, Join):
+        left, right = inputs
+        return max(left, right) if node.left_keys else left * right
+    if isinstance(node, Unnest):
+        return inputs[0] * DEFAULT_FANOUT
+    if isinstance(node, Nest):
+        return max(1.0, inputs[0] * DEFAULT_GROUP_FACTOR)
+    return DEFAULT_EXTENT_SIZE
+
+
+def _monoid_is_primitive(ref) -> bool:
+    from repro.monoids.registry import PRIMITIVE_MONOIDS
+
+    return not ref.is_vector and ref.name in {m.name for m in PRIMITIVE_MONOIDS}
 
 
 def q_error(estimated: float, actual: float) -> float:
@@ -35,13 +93,12 @@ def q_error(estimated: float, actual: float) -> float:
 def plan_to_dict(
     plan: PlanNode,
     extent_sizes: Optional[dict[str, int]] = None,
-    stats: Optional[dict] = None,
     metrics: Optional[PlanMetrics] = None,
 ) -> dict[str, Any]:
     """The plan subtree as nested dicts, annotated with estimates and —
     when ``metrics`` is given — per-node actuals and wall time."""
     snapshot = metrics.snapshot(plan) if metrics is not None else None
-    estimates = estimate_cardinalities(plan, extent_sizes, stats)
+    estimates = estimate_cardinalities(plan, extent_sizes)
 
     def build(node: PlanNode, snap) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -73,7 +130,7 @@ def plan_to_dict(
 
 
 def summarize(plan_dict: dict[str, Any]) -> dict[str, Any]:
-    """Cost-model accuracy over every analyzed node of one plan."""
+    """Estimate accuracy over every analyzed node of one plan."""
     errors: list[float] = []
 
     def walk(node: dict[str, Any]) -> None:

@@ -14,7 +14,10 @@ Per query: the executed plan's ``render()``, ``Database.explain()`` text
 regenerated once, in its own commit, when the A3 build-side flip was
 deleted — see EXPERIMENTS.md; the ``grouped/*`` rows by PR 19's, and two
 of them moved on purpose in PR 20: Γ sees into the view and the optimizer
-reaches under the Nest); ``tests/test_plans_golden.py`` holds the
+reaches under the Nest). The ``explain`` column of every row moved once
+more, alone, when ``Database.explain`` became the rendering of
+``explain_data``'s document: the same estimates, a different format
+(EXPERIMENTS.md H26). ``tests/test_plans_golden.py`` holds the
 operator table of ``repro.algebra.ops`` and everything that loops over it
 to the same answers, under none / jit / cache / verify. Run from the
 repository root::
@@ -61,9 +64,17 @@ def grouped_queries(modes: dict[str, Any]):
 
 def _renumbered(text: str) -> str:
     """``text`` with its fresh-variable suffixes (``x~17``) numbered by
-    first appearance: the counter behind them is process-global."""
+    first appearance: the counter behind them is process-global. An
+    EXPLAIN estimate (``est~17``) is not one; the padding that aligns
+    the estimates follows the suffixes' widths, so it shrinks to two
+    spaces."""
     seen: dict[str, int] = {}
-    return re.sub(r"(?<=\w)~\d+", lambda m: f"~{seen.setdefault(m.group(), len(seen) + 1)}", text)
+    text = re.sub(r"(?<=\S) {2,}(?=est~)", "  ", text)
+    return re.sub(
+        r"(?<=\w)(?<!\best)~\d+",
+        lambda m: f"~{seen.setdefault(m.group(), len(seen) + 1)}",
+        text,
+    )
 
 
 def golden(modes: dict[str, Any]) -> dict[str, Any]:

@@ -1,24 +1,30 @@
-"""The heuristic optimizer: index selection, pushdown, key promotion."""
+"""The heuristic optimizer: index selection, pushdown, key promotion —
+and the EXPLAIN estimates of the plans it returns."""
 
 
 from repro.algebra import (
     IndexScan,
     Join,
+    Nest,
     Optimizer,
     Reduce,
     Scan,
     SelectOp,
     Unnest,
     build_plan,
-    estimate_cardinality,
-    explain,
+    plan_group_by,
 )
 from repro.calculus import const, eq, gt, proj, var
+from repro.obs.explain import estimate_cardinalities, plan_to_dict, render_explain
 from repro.oql import translate_oql
 
 
 def _plan(oql: str):
     return build_plan(translate_oql(oql))
+
+
+def estimate_cardinality(plan, sizes):
+    return estimate_cardinalities(plan, sizes)[id(plan)]
 
 
 def test_index_selection_rewrites_scan():
@@ -120,8 +126,20 @@ class TestCardinalityEstimates:
         )
         assert estimate_cardinality(plan, {"Cities": 1000}) <= 10
 
+    def test_primitive_reduce_is_one_row(self):
+        plan = _plan("sum(select c.population from c in Cities)")
+        assert estimate_cardinality(plan, {"Cities": 50}) == 1.0
+
+    def test_nest_keeps_a_tenth_of_its_rows_as_groups(self):
+        plan = plan_group_by(translate_oql(
+            "select struct(d: dno, n: count(partition)) from e in Employees "
+            "group by dno: e.dno"
+        ))
+        nest = next(node for node in plan.walk() if isinstance(node, Nest))
+        assert estimate_cardinalities(plan, {"Employees": 90})[id(nest)] == 9.0
+
     def test_explain_renders_estimates(self):
         plan = _plan("select distinct h from c in Cities, h in c.hotels")
-        out = explain(plan, {"Cities": 10})
-        assert "~" in out and "rows" in out
-        assert "Unnest" in out
+        out = render_explain({"plan": plan_to_dict(plan, {"Cities": 10})})
+        assert "Scan c <- Cities" in out and "est~10" in out
+        assert "Unnest" in out and "est~40" in out

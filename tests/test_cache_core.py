@@ -1,4 +1,4 @@
-"""repro.cache building blocks: keys, LRU/TTL stores, stats, config."""
+"""repro.cache building blocks: keys, LRU stores, stats, config."""
 
 import pytest
 
@@ -131,18 +131,11 @@ class TestLRUCache:
         assert lru.get("b") is MISSING
         assert lru.get("a") == 1 and lru.get("c") == 3
 
-    def test_ttl_expiry_with_fake_clock(self):
-        now = [0.0]
-        evicted = []
-        lru = LRUCache(8, ttl=10.0, clock=lambda: now[0],
-                       on_evict=lambda k, v: evicted.append(k))
-        lru.put("a", 1)
-        now[0] = 5.0
-        assert lru.get("a") == 1
-        now[0] = 16.0
-        assert lru.get("a") is MISSING  # put at 0, ttl 10
-        assert evicted == ["a"]
-        assert len(lru) == 0
+    def test_a_stored_none_is_a_hit(self):
+        lru = LRUCache(2)
+        lru.put("a", None)
+        assert lru.get("a") is None
+        assert lru.get("b") is MISSING
 
     def test_min_capacity_enforced(self):
         with pytest.raises(DatabaseError):

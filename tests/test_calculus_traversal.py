@@ -259,8 +259,6 @@ class TestShapeTable:
         shape = SHAPES[type(node)]
         kids = shape.kids(node)
         assert all(isinstance(kid, Term) for kid in kids)
-        in_monoid = shape.monoid_kids(node) if shape.monoid_kids else 0
-        assert 0 <= in_monoid <= len(kids)
         binders = shape.binders(node)
         if shape.scopes is None:
             assert binders == () and shape.sites is None
@@ -268,7 +266,6 @@ class TestShapeTable:
             scopes = shape.scopes(node)
             assert len(scopes) == len(kids)
             assert all(0 <= n <= len(binders) for n in scopes)
-            assert all(n == 0 for n in scopes[:in_monoid])
             assert len(shape.sites(node)) == len(binders) > 0
 
     @pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
@@ -300,7 +297,6 @@ class TestShapeTable:
     def test_monoid_terms_come_first_and_see_no_binder(self):
         node = _COMPREHENSION
         shape = SHAPES[Comprehension]
-        assert shape.monoid_kids(node) == 1
         assert shape.kids(node)[0] is _SORTED.key
         assert shape.binders(node) == ("a", "i", "b")
         assert shape.scopes(node) == (0, 0, 2, 2, 3)

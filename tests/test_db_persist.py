@@ -25,7 +25,8 @@ class TestValueCodec:
         3.5,
         "text",
         (1, 2, 3),
-        frozenset({1, "a"}),
+        # a set's repr follows the string-hash seed: pin its id
+        pytest.param(frozenset({1, "a"}), id="frozenset({1, 'a'})"),
         Bag([1, 1, 2]),
         OrderedSet([3, 1, 2]),
         Record(a=1, b=(2, 3)),
@@ -33,7 +34,7 @@ class TestValueCodec:
         Record(nested=frozenset({Record(x=Bag(["y", "y"]))})),
     ]
 
-    @pytest.mark.parametrize("value", CASES, ids=[repr(c)[:30] for c in CASES])
+    @pytest.mark.parametrize("value", CASES, ids=lambda c: repr(c)[:30])
     def test_round_trip(self, value):
         assert decode_value(encode_value(value)) == value
 

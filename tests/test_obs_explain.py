@@ -1,4 +1,4 @@
-"""EXPLAIN ANALYZE: the q-error, the document, the renderer, the CLI."""
+"""EXPLAIN [ANALYZE]: the q-error, the one document, the renderer, the CLI."""
 
 import json
 
@@ -6,6 +6,8 @@ import pytest
 
 from repro.db import demo_travel_database
 from repro.obs.explain import plan_to_dict, q_error, render_explain, summarize
+from tests.data.make_exec_stats_golden import queries
+from tests.data.make_plans_golden import grouped_queries
 
 QUERY = (
     "select distinct h.name from c in Cities, h in c.hotels "
@@ -15,9 +17,7 @@ QUERY = (
 
 @pytest.fixture
 def db():
-    database = demo_travel_database(num_cities=5, seed=3)
-    database.analyze()
-    return database
+    return demo_travel_database(num_cities=5, seed=3)
 
 
 class TestQError:
@@ -35,7 +35,7 @@ class TestQError:
 class TestPlanToDict:
     def test_estimates_only(self, db):
         result = db.run_detailed(QUERY)
-        doc = plan_to_dict(result.plan, db.catalog.extent_sizes(), db._stats)
+        doc = plan_to_dict(result.plan, db.catalog.extent_sizes())
         assert doc["op"] == "Reduce"
         assert doc["label"].startswith("Reduce")
         assert doc["estimated_rows"] > 0
@@ -49,9 +49,7 @@ class TestPlanToDict:
 
     def test_with_metrics_adds_actuals(self, db):
         result = db.run_detailed(QUERY, metrics=True)
-        doc = plan_to_dict(
-            result.plan, db.catalog.extent_sizes(), db._stats, result.metrics
-        )
+        doc = plan_to_dict(result.plan, db.catalog.extent_sizes(), result.metrics)
         node = doc
         while True:
             assert set(node) >= {
@@ -66,24 +64,23 @@ class TestPlanToDict:
 
     def test_summarize(self, db):
         result = db.run_detailed(QUERY, metrics=True)
-        doc = plan_to_dict(
-            result.plan, db.catalog.extent_sizes(), db._stats, result.metrics
-        )
+        doc = plan_to_dict(result.plan, db.catalog.extent_sizes(), result.metrics)
         summary = summarize(doc)
         assert summary["nodes"] >= 3
         assert 1.0 <= summary["mean_q_error"] <= summary["max_q_error"]
 
     def test_summarize_without_actuals_counts_nothing(self, db):
         result = db.run_detailed(QUERY)
-        doc = plan_to_dict(result.plan, db.catalog.extent_sizes(), db._stats)
+        doc = plan_to_dict(result.plan, db.catalog.extent_sizes())
         assert summarize(doc) == {"nodes": 0}
 
 
 class TestDatabaseExplain:
     def test_plain_explain_unchanged(self, db):
         text = db.explain(QUERY)
-        assert "~5 rows" in text
-        assert "actual=" not in text  # seed behavior: estimates only
+        assert text.startswith("EXPLAIN:")
+        assert "Scan c <- Cities" in text and "est~5" in text
+        assert "actual=" not in text  # estimates only
 
     def test_explain_analyze_text(self, db):
         text = db.explain(QUERY, analyze=True)
@@ -123,6 +120,62 @@ class TestDatabaseExplain:
         text = render_explain(doc)
         assert text.startswith("EXPLAIN:")
         assert "actual=" not in text
+
+
+def _corpus(modes=None):
+    """Every query of ``tests/data/make_plans_golden.py``'s corpus:
+    ``(label, database, oql)``, on databases with ``modes`` on."""
+    modes = modes or {}
+    return [
+        (label, db, oql)
+        for label, db, oql, _ in (*queries(modes), *grouped_queries(modes))
+    ]
+
+
+def _nodes(plan_doc):
+    """A plan document's nodes in pre-order."""
+    yield plan_doc
+    for child in plan_doc.get("children", ()):
+        yield from _nodes(child)
+
+
+class TestOneDocument:
+    """Plain EXPLAIN, EXPLAIN ANALYZE and ``--json`` are one document."""
+
+    def test_explain_is_the_rendered_document(self):
+        # A compile cache hands both calls one plan: without it each call
+        # compiles, and fresh-variable suffixes (``x~17``) differ.
+        for label, db, oql in _corpus({"cache": True}):
+            assert db.explain(oql) == render_explain(db.explain_data(oql)), label
+
+    def test_analyze_keeps_every_estimate(self):
+        for label, db, oql in _corpus():
+            if "$" in oql:  # a prepared statement's text: nothing binds it here
+                continue
+            plain = db.explain_data(oql)
+            analyzed = db.explain_data(oql, analyze=True)
+            if plain["plan"] is None:
+                assert analyzed["plan"] is None, label
+                continue
+            assert [(n["op"], n["estimated_rows"]) for n in _nodes(plain["plan"])] == [
+                (n["op"], n["estimated_rows"]) for n in _nodes(analyzed["plan"])
+            ], label
+
+    def test_every_planned_harness_class_has_a_q_error_summary(self):
+        """The harness's ``algebra.qerror_*`` probe reads this summary."""
+        planned = 0
+        for label, db, oql in _corpus():
+            harness = label.startswith(("catalogue_classes/", "analytics_classes/", "update_mix/"))
+            if not harness or "$" in oql:
+                continue
+            doc = db.explain_data(oql, analyze=True)
+            if doc["plan"] is None:
+                continue
+            planned += 1
+            summary = doc["summary"]
+            assert summary["nodes"] == len(list(_nodes(doc["plan"]))), label
+            assert 1.0 <= summary["mean_q_error"] <= summary["max_q_error"], label
+        assert planned > 0
 
 
 class TestCli:
@@ -170,6 +223,12 @@ class TestCli:
         query_doc = json.loads(out)[0]["queries"][0]
         assert query_doc["plan"] is None
         assert "note" in query_doc
+
+    def test_there_is_no_statistics_flag(self, tmp_path):
+        path = tmp_path / "q.oql"
+        path.write_text(QUERY)
+        with pytest.raises(SystemExit):
+            self.run_cli(["--no-stats", str(path)])
 
     def test_missing_file_exit_one(self, tmp_path):
         code, out = self.run_cli([str(tmp_path / "nope.oql")])

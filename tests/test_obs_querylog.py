@@ -30,6 +30,23 @@ class TestFingerprint:
     def test_distinct_queries_differ(self):
         assert oql_fingerprint("count(Cities)") != oql_fingerprint("count(Hotels)")
 
+    def test_untraced_runs_hash_nothing(self, db, count_calls):
+        """The fingerprint is span metadata: with tracing and telemetry
+        off there is no span, so no sha256 is taken."""
+        db.disable_telemetry()
+        calls = count_calls(oql_fingerprint)
+        for _ in range(3):
+            db.run(QUERY)
+        assert calls == []
+
+    def test_traced_runs_carry_it_on_the_query_span(self, db, count_calls):
+        db.profile(True)
+        calls = count_calls(oql_fingerprint)
+        result = db.run_detailed(QUERY)
+        assert result.span.meta == {"oql_sha256": oql_fingerprint(QUERY)}
+        assert db.query_log.entries[-1]["oql_sha256"] == oql_fingerprint(QUERY)
+        assert len(calls) == 2  # the span's and the log entry's
+
 
 class TestEntry:
     def test_full_entry_shape(self, db):
