@@ -118,14 +118,6 @@ class RewriteVerifier:
         if self.alpha_check and hasattr(rule, "apply"):
             violations += self._check_alpha(rule, before, after)
         self.checked += 1
-        registry = _telemetry_registry()
-        if registry is not None:
-            from repro.obs.telemetry.instrument import families
-
-            recorded = families(registry)
-            recorded.verifier_checks.inc(rule=name)
-            for violation in violations:
-                recorded.verifier_violations.inc(rule=name, invariant=violation.invariant)
         if violations:
             raise VerificationError(
                 name, before, after, violations, span=span_of(before)
@@ -166,17 +158,6 @@ class RewriteVerifier:
                 )
             ]
         return []
-
-
-def _telemetry_registry():
-    """The active telemetry registry, or None (lazy: the verifier must
-    not import the telemetry package when telemetry was never loaded)."""
-    import sys
-
-    registry_mod = sys.modules.get("repro.obs.telemetry.registry")
-    if registry_mod is None:
-        return None
-    return registry_mod.current_registry()
 
 
 # ---------------------------------------------------------------------------

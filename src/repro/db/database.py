@@ -31,7 +31,6 @@ the normalized term on the reference evaluator instead of the algebra
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -206,8 +205,7 @@ class Database:
         # argument or ``REPRO_*`` flag says otherwise (DESIGN.md, "Modes"):
         #: query cache (compiled plans + results)
         self.cache: Optional[QueryCache] = _resolve_mode("cache", cache)
-        #: metrics registry (fleet telemetry); also on after
-        #: :func:`repro.obs.telemetry.enable_telemetry`
+        #: metrics registry (fleet telemetry)
         self.telemetry: Optional[Any] = _resolve_mode("telemetry", telemetry)
         #: partition-parallel execution config
         self.parallel: Optional[Any] = _resolve_mode("parallel", parallel)
@@ -413,9 +411,8 @@ class Database:
         thread-locally so the phase histograms still get a span tree —
         the shared ``self.tracer`` is never touched, keeping concurrent
         queries race-free; it does not ask for per-operator timing
-        (:meth:`_execute`). The registry is also *activated* for the
-        dynamic extent of the query so deep layers (query log, rewrite
-        verifier) can record without being handed it explicitly.
+        (:meth:`_execute`). The query is recorded once it has finished
+        or failed: one flush into the registry.
         """
         registry = self.telemetry
         if registry is None:
@@ -424,11 +421,10 @@ class Database:
             record_query_error,
             record_query_result,
         )
-        from repro.obs.telemetry.registry import activation
 
         start = time.perf_counter()
         try:
-            with activation(registry), self._tracing():
+            with self._tracing():
                 result = self._run_query(*query)
         except Exception as err:
             record_query_error(registry, err, time.perf_counter() - start)
@@ -1000,16 +996,12 @@ def _resolve_mode(name: str, value: Any) -> Any:
     for off, via the mode's own resolver (see :data:`_MODES`).
 
     The mode's package is imported only when something asks for the
-    mode: an explicit value, a set ``REPRO_*`` flag, or the module being
-    loaded already (which is how a process-wide
-    :func:`repro.obs.telemetry.enable_telemetry` reaches new databases).
-    A default database therefore never pays for importing
-    ``repro.parallel``, ``repro.jit`` or the telemetry package.
+    mode: an explicit value or a set ``REPRO_*`` flag. A default
+    database therefore never pays for importing ``repro.parallel``,
+    ``repro.jit`` or the telemetry package.
     """
     env, module, resolver = _MODES[name]
-    if value is False or (
-        value is None and module not in sys.modules and not env_flag(env)
-    ):
+    if value is False or (value is None and not env_flag(env)):
         return None
     return getattr(import_module(module), resolver)(value)
 

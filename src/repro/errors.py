@@ -175,8 +175,9 @@ class DatabaseError(ReproError):
 
 
 class TelemetryError(ReproError):
-    """The metrics registry was misused (kind/label mismatch, bad
-    quantile, invalid ``Database(telemetry=...)`` argument)."""
+    """The metrics registry was misused: a metric the catalog lacks, a
+    wrong kind or label set, a bad quantile, or an invalid
+    ``Database(telemetry=...)`` argument."""
 
 
 class LintError(ReproError):

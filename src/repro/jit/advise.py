@@ -55,16 +55,8 @@ def advise_jit_fallbacks(
     from repro.lint.diagnostics import make
 
     registry = registry if registry is not None else get_registry()
-    total = registry.fingerprints.total_seconds()
-    if total <= 0:
-        return []
     diagnostics = []
-    for entry in registry.fingerprints.top(top_k):
-        if entry.count < min_count:
-            continue
-        share = entry.total_seconds / total
-        if share < min_share:
-            continue
+    for entry, share in registry.fingerprints.hot(top_k, min_share, min_count):
         constructs = hot_fallbacks(db, entry)
         if not constructs:
             continue

@@ -56,12 +56,14 @@ def query_log_entry(
     ``result`` is a :class:`~repro.db.database.QueryResult`; ``span``
     the query's root trace span (None degrades to a timing-less entry).
     """
+    # the query span carries the hash already; take it again only without one
+    sha256 = span.meta.get("oql_sha256") if span is not None else None
     entry: dict[str, Any] = {
         "event": "query",
         # Wall clock by design: a log reader correlates entries with
         # the outside world. All durations stay on perf_counter.
         "ts": round(time.time(), 6),
-        "oql_sha256": oql_fingerprint(result.oql),
+        "oql_sha256": sha256 or oql_fingerprint(result.oql),
         "engine": result.engine,
     }
     if span is not None:
@@ -132,13 +134,6 @@ class QueryLog:
                 self.sink(line)
             if self.path is not None:
                 self._write_line(line)
-        registry = _telemetry_registry()
-        if registry is not None:
-            from repro.obs.telemetry.instrument import families
-
-            families(registry).querylog_entries.inc(
-                slow="true" if entry.get("slow") else "false"
-            )
         return entry
 
     # -- file sink with size-based rotation ---------------------------------------
@@ -174,11 +169,6 @@ class QueryLog:
                 else:
                     os.remove(self.path)
             self.rotations += 1
-        registry = _telemetry_registry()
-        if registry is not None:
-            from repro.obs.telemetry.instrument import families
-
-            families(registry).querylog_rotations.inc()
 
     def log_files(self) -> list[str]:
         """The current file plus existing backups, newest first."""
@@ -199,14 +189,3 @@ class QueryLog:
     def clear(self) -> None:
         with self._lock:
             self.entries.clear()
-
-
-def _telemetry_registry():
-    """The active telemetry registry, or None (lazy import: the query
-    log must not drag the telemetry package in when telemetry is off)."""
-    import sys
-
-    registry_mod = sys.modules.get("repro.obs.telemetry.registry")
-    if registry_mod is None:
-        return None
-    return registry_mod.current_registry()

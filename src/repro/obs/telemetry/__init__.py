@@ -4,14 +4,14 @@ The package turns the per-query observability of :mod:`repro.obs`
 (tracer spans, operator metrics, EXPLAIN ANALYZE) into *aggregate*
 telemetry a monitoring stack can scrape:
 
-- :mod:`.registry` — thread-safe :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` families plus a rolling time window, and the
-  enablement switches (``Database(telemetry=...)``, ``REPRO_TELEMETRY``,
-  :func:`enable_telemetry`);
+- :mod:`.registry` — one lock over one flat table keyed by
+  ``(metric, label values)``, written by one flush per query, plus a
+  rolling time window and the enablement (``Database(telemetry=...)``,
+  ``REPRO_TELEMETRY``);
 - :mod:`.fingerprint` — alpha-equivalent query fingerprints and the
   top-K hot-query table;
-- :mod:`.instrument` — the metric catalog: one finished query
-  decomposed into registry updates;
+- :mod:`.instrument` — the metric catalog (the registry's schema): one
+  finished query folded into one batch;
 - :mod:`.export` — the Prometheus text exposition;
 - :mod:`.server` — a stdlib ``/metrics`` HTTP endpoint;
 - :mod:`.advise` — QL402: runtime-informed index advice;
@@ -35,36 +35,23 @@ from repro.obs.telemetry.instrument import (
 )
 from repro.obs.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
+    HistogramData,
     MetricsRegistry,
     RollingWindow,
-    activation,
-    current_registry,
-    disable_telemetry,
-    enable_telemetry,
     get_registry,
     resolve_telemetry,
-    telemetry_enabled,
 )
 from repro.obs.telemetry.server import MetricsServer
 
 __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "HistogramData",
     "MetricsRegistry",
     "MetricsServer",
     "RollingWindow",
     "FingerprintTable",
     "QueryStats",
-    "activation",
-    "current_registry",
-    "disable_telemetry",
-    "enable_telemetry",
     "fingerprint_term",
     "get_registry",
     "prometheus_text",
@@ -73,5 +60,4 @@ __all__ = [
     "render_top",
     "resolve_telemetry",
     "summary_lines",
-    "telemetry_enabled",
 ]

@@ -66,16 +66,10 @@ def advise_hot_queries(
     from repro.lint.diagnostics import make
 
     registry = registry if registry is not None else get_registry()
-    total = registry.fingerprints.total_seconds()
-    if total <= 0:
-        return []
     diagnostics = []
     seen: set[tuple[str, str]] = set()
-    for entry in registry.fingerprints.top(top_k):
-        if entry.count < min_count or entry.index_probes > 0:
-            continue
-        share = entry.total_seconds / total
-        if share < min_share:
+    for entry, share in registry.fingerprints.hot(top_k, min_share, min_count):
+        if entry.index_probes > 0:
             continue
         for extent, attr in hot_candidates(db, entry):
             if (extent, attr) in seen:

@@ -13,16 +13,15 @@ into per-spelling shards.
 :class:`FingerprintTable` keeps bounded per-fingerprint aggregates
 (count, total/max latency, rows, index probes) and serves the
 top-K hot-query view the CLI, the REPL ``:stats`` command and the
-``QL402`` advisor read. When full it evicts the entry with the least
-accumulated time, keeping the hot set by construction.
+``QL402`` / ``QL501`` advisors read. When full it evicts the entry with
+the least accumulated time, keeping the hot set by construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.cache.core import CompiledQuery
 from repro.cache.keys import canonical_term
@@ -87,11 +86,14 @@ class QueryStats:
 
 
 class FingerprintTable:
-    """Thread-safe bounded map of fingerprint -> :class:`QueryStats`."""
+    """Bounded map of fingerprint -> :class:`QueryStats`.
+
+    Not synchronized: a :class:`~repro.obs.telemetry.registry.MetricsRegistry`
+    records into it under its lock and hands readers a copy.
+    """
 
     def __init__(self, max_entries: int = 512) -> None:
         self.max_entries = max_entries
-        self._lock = threading.Lock()
         self._stats: dict[str, QueryStats] = {}
 
     def record(
@@ -102,54 +104,54 @@ class FingerprintTable:
         rows: int = 0,
         engine: Optional[str] = None,
         index_probes: int = 0,
-    ) -> QueryStats:
-        with self._lock:
-            entry = self._stats.get(fingerprint)
-            if entry is None:
-                entry = self._stats[fingerprint] = QueryStats(
-                    fingerprint, oql.strip()
+    ) -> None:
+        entry = self._stats.get(fingerprint)
+        if entry is None:
+            entry = self._stats[fingerprint] = QueryStats(fingerprint, oql.strip())
+            if len(self._stats) > self.max_entries:
+                # evict the coldest entry (least accumulated time),
+                # never the one we just created
+                coldest = min(
+                    (s for s in self._stats.values() if s is not entry),
+                    key=lambda s: s.total_seconds,
                 )
-                if len(self._stats) > self.max_entries:
-                    # evict the coldest entry (least accumulated time),
-                    # never the one we just created
-                    coldest = min(
-                        (s for s in self._stats.values() if s is not entry),
-                        key=lambda s: s.total_seconds,
-                    )
-                    del self._stats[coldest.fingerprint]
-            entry.count += 1
-            entry.total_seconds += seconds
-            entry.max_seconds = max(entry.max_seconds, seconds)
-            entry.rows += rows
-            entry.index_probes += index_probes
-            if engine:
-                entry.engines[engine] = entry.engines.get(engine, 0) + 1
-            return entry
-
-    def get(self, fingerprint: str) -> Optional[QueryStats]:
-        with self._lock:
-            return self._stats.get(fingerprint)
+                del self._stats[coldest.fingerprint]
+        entry.count += 1
+        entry.total_seconds += seconds
+        entry.max_seconds = max(entry.max_seconds, seconds)
+        entry.rows += rows
+        entry.index_probes += index_probes
+        if engine:
+            entry.engines[engine] = entry.engines.get(engine, 0) + 1
 
     def top(self, k: int = 10) -> list[QueryStats]:
         """The K fingerprints with the most accumulated time, hottest first."""
-        with self._lock:
-            entries = sorted(
-                self._stats.values(),
-                key=lambda s: (-s.total_seconds, s.fingerprint),
-            )
-            return entries[:k]
+        entries = sorted(
+            self._stats.values(),
+            key=lambda s: (-s.total_seconds, s.fingerprint),
+        )
+        return entries[:k]
+
+    def hot(
+        self, top_k: int, min_share: float, min_count: int
+    ) -> Iterator[tuple[QueryStats, float]]:
+        """``(entry, share of all measured time)`` for each of the
+        ``top_k`` hottest entries that ran at least ``min_count`` times
+        and holds at least ``min_share`` of the time — the selection the
+        runtime-informed advisors (QL402, QL501) act on."""
+        total = self.total_seconds()
+        if total <= 0:
+            return
+        for entry in self.top(top_k):
+            share = entry.total_seconds / total
+            if entry.count >= min_count and share >= min_share:
+                yield entry, share
 
     def total_seconds(self) -> float:
-        with self._lock:
-            return sum(s.total_seconds for s in self._stats.values())
+        return sum(s.total_seconds for s in self._stats.values())
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._stats)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._stats.clear()
+        return len(self._stats)
 
 
 def render_top(entries: list[QueryStats], total_seconds: float) -> list[str]:

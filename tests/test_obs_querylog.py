@@ -45,7 +45,7 @@ class TestFingerprint:
         result = db.run_detailed(QUERY)
         assert result.span.meta == {"oql_sha256": oql_fingerprint(QUERY)}
         assert db.query_log.entries[-1]["oql_sha256"] == oql_fingerprint(QUERY)
-        assert len(calls) == 2  # the span's and the log entry's
+        assert len(calls) == 1  # the span's; the log entry reuses it
 
 
 class TestEntry:

@@ -94,19 +94,9 @@ def test_telemetry_totals_are_exact(db):
     db.enable_telemetry(registry)
     hammer(db, "sum(select e.salary from e in Employees)")
     db.disable_telemetry()
-    queries = registry.counter(
-        "repro_queries_total",
-        "queries answered, by engine and outcome",
-        labels=("engine", "status"),
-    )
-    assert queries.total() == THREADS * PER_THREAD
-    rows = registry.counter(
-        "repro_executor_rows_total",
-        "executor row counters (ExecutionStats), by counter name",
-        labels=("counter",),
-    )
-    by_counter = {key[0]: child.value for key, child in rows.items()}
-    assert by_counter["rows_scanned"] == 40 * THREADS * PER_THREAD
+    assert registry.total("repro_queries_total") == THREADS * PER_THREAD
+    rows = registry.value("repro_executor_rows_total", counter="rows_scanned")
+    assert rows == 40 * THREADS * PER_THREAD
 
 
 def test_parallel_engine_under_concurrent_runs(db):

@@ -2,6 +2,9 @@
 counters, cache bridging, hot-query advice, CLI/REPL surfaces, and the
 telemetry-off parity guarantees."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -37,21 +40,16 @@ class TestRunInstrumentation:
         db.enable_telemetry(registry)
         db.run(QUERY)
         db.run(QUERY)
-        queries = registry.counter(
-            "repro_queries_total", "", labels=("engine", "status")
-        )
-        assert queries.value(engine="algebra", status="ok") == 2
-        hist = registry.histogram("repro_query_seconds", "").labels()
+        assert registry.value("repro_queries_total", engine="algebra", status="ok") == 2
+        hist = registry.histogram("repro_query_seconds")
         assert hist.count == 2
         assert hist.sum > 0
 
     def test_phase_histograms_cover_pipeline(self, db, registry):
         db.enable_telemetry(registry)
         db.run(QUERY)
-        phase_hist = registry.histogram(
-            "repro_phase_seconds", "", labels=("phase",)
-        )
-        seen = {key[0] for key, _ in phase_hist.items()}
+        phases = next(f for f in registry.collect() if f.name == "repro_phase_seconds")
+        seen = {key[0] for key, _ in phases.samples}
         assert {"parse", "translate", "normalize", "execute"} <= seen
         assert seen <= set(PIPELINE_PHASES) | {"cache"}
 
@@ -59,48 +57,44 @@ class TestRunInstrumentation:
         db.enable_telemetry(registry)
         with pytest.raises(ReproError):
             db.run("select n.name from n in Nowhere")
-        queries = registry.counter(
-            "repro_queries_total", "", labels=("engine", "status")
-        )
-        assert queries.value(engine="none", status="error") == 1
-        errors = registry.counter(
-            "repro_query_errors_total", "", labels=("error",)
-        )
-        assert errors.total() == 1
+        assert registry.value("repro_queries_total", engine="none", status="error") == 1
+        assert registry.total("repro_query_errors_total") == 1
 
     def test_rows_and_rule_fires_recorded(self, db, registry):
         db.enable_telemetry(registry)
         # The nested select forces N9-flatten/N3-bind fires.
         value = db.run(NESTED_QUERY)
-        rows = registry.counter("repro_rows_returned_total", "")
-        assert rows.total() == len(value)
-        fires = registry.counter(
-            "repro_normalize_rule_fires_total", "", labels=("rule",)
-        )
-        assert fires.total() > 0
+        assert registry.total("repro_rows_returned_total") == len(value)
+        assert registry.total("repro_normalize_rule_fires_total") > 0
 
     def test_operator_and_executor_counters(self, db, registry):
         db.enable_telemetry(registry)
         db.run(QUERY)
-        ops = registry.counter(
-            "repro_operator_invocations_total", "", labels=("operator",)
-        )
-        assert ops.total() > 0
+        assert registry.total("repro_operator_invocations_total") > 0
 
     def test_cache_bridge_deltas(self, db, registry):
         db.enable_telemetry(registry)
         db.enable_cache()
         db.run(QUERY)
         db.run(QUERY)
-        events = registry.counter(
-            "repro_cache_events_total", "", labels=("event",)
-        )
-        assert events.value(event="compile_misses") == 1
-        assert events.value(event="compile_hits") == 1
+        events = "repro_cache_events_total"
+        assert registry.value(events, event="compile_misses") == 1
+        assert registry.value(events, event="compile_hits") == 1
         # A second bridge over the same cache must not double-count.
-        assert events.total() == sum(
+        assert registry.total(events) == sum(
             v for v in db.cache.stats.as_dict().values()
         )
+
+    def test_cache_events_survive_stats_reset(self, db, registry):
+        db.enable_telemetry(registry)
+        db.enable_cache()
+        db.run(QUERY)
+        db.run(QUERY)
+        db.cache.stats.reset()
+        db.run(QUERY)  # a compile hit counted from zero again
+        events = "repro_cache_events_total"
+        assert registry.value(events, event="compile_hits") == 2
+        assert registry.value(events, event="compile_misses") == 1
 
     def test_fingerprints_group_alpha_variants(self, db, registry):
         db.enable_telemetry(registry)
@@ -117,31 +111,27 @@ class TestRunInstrumentation:
         )
         q.run(state="OR")
         q.run(state="WA")
-        queries = registry.counter(
-            "repro_queries_total", "", labels=("engine", "status")
-        )
-        assert queries.total() == 2
+        assert registry.total("repro_queries_total") == 2
 
-    def test_verifier_counters_via_activation(self, db, registry):
+    def test_verifier_violations_counted_from_the_error(self, db, registry, monkeypatch):
+        from repro.analysis import verifier
+        from repro.analysis.invariants import Violation
+        from repro.errors import VerificationError
+
+        db.disable_cache()  # a compile-cache hit normalizes (and verifies) nothing
         db.enable_telemetry(registry)
         db.run(NESTED_QUERY, verify=True)
-        checks = registry.counter(
-            "repro_verifier_checks_total", "", labels=("rule",)
-        )
-        assert checks.total() > 0
-        violations = registry.counter(
-            "repro_verifier_violations_total", "", labels=("rule", "invariant")
-        )
-        assert violations.total() == 0
-
-    def test_querylog_counter_via_activation(self, db, registry):
-        db.enable_telemetry(registry)
-        db.profile(True, slow_ms=60_000.0)
-        db.run(QUERY)
-        entries = registry.counter(
-            "repro_querylog_entries_total", "", labels=("slow",)
-        )
-        assert entries.value(slow="false") == 1
+        assert "repro_verifier_violations_total" not in {f.name for f in registry.collect()}
+        planted = [Violation("scope", "planted"), Violation("types", "planted")]
+        monkeypatch.setattr(verifier, "check_scope", lambda before, after: list(planted))
+        with pytest.raises(VerificationError) as raised:
+            db.run(NESTED_QUERY, verify=True)
+        rule = raised.value.rule
+        for invariant in ("scope", "types"):
+            assert registry.value(
+                "repro_verifier_violations_total", rule=rule, invariant=invariant
+            ) == 1
+        assert registry.total("repro_query_errors_total") == 1
 
     def test_registry_shared_across_databases(self, registry):
         a = demo_travel_database(num_cities=3, seed=1)
@@ -150,10 +140,7 @@ class TestRunInstrumentation:
         b.enable_telemetry(registry)
         a.run(QUERY)
         b.run(QUERY)
-        queries = registry.counter(
-            "repro_queries_total", "", labels=("engine", "status")
-        )
-        assert queries.total() == 2
+        assert registry.total("repro_queries_total") == 2
 
     def test_constructor_accepts_registry(self, registry):
         from repro.db.sample_data import make_travel_agency, travel_schema
@@ -161,14 +148,14 @@ class TestRunInstrumentation:
         db = Database(travel_schema(), telemetry=registry)
         db.load_extents(make_travel_agency(num_cities=3, seed=1))
         db.run(QUERY)
-        assert registry.histogram("repro_query_seconds", "").labels().count == 1
+        assert registry.histogram("repro_query_seconds").count == 1
 
     def test_disable_restores_off_path(self, db, registry):
         db.enable_telemetry(registry)
         db.run(QUERY)
         db.disable_telemetry()
         db.run(QUERY)
-        assert registry.histogram("repro_query_seconds", "").labels().count == 1
+        assert registry.histogram("repro_query_seconds").count == 1
 
     def test_results_identical_with_and_without(self, db):
         plain = db.run(QUERY)
@@ -209,7 +196,7 @@ class TestOneRecord:
             rows = len(result.value)
         if result.metrics is not None:
             assert result.metrics.get(result.plan).rows_out == rows
-        assert registry.counter("repro_rows_returned_total", "").total() == rows
+        assert registry.total("repro_rows_returned_total") == rows
         assert registry.fingerprints.top(1)[0].rows == rows
 
     def test_telemetry_alone_times_no_operator(self, db, registry, monkeypatch):
@@ -228,11 +215,9 @@ class TestOneRecord:
         result = db.run_detailed(NESTED_QUERY)
         assert frames == []
         assert result.span is not None  # phase spans, for the histograms
-        ops = registry.counter(
-            "repro_operator_rows_total", "", labels=("operator",)
-        )
-        assert ops.value(operator="Scan") == result.stats.rows_scanned == 4
-        assert ops.value(operator="Reduce") == len(result.value)
+        ops = "repro_operator_rows_total"
+        assert registry.value(ops, operator="Scan") == result.stats.rows_scanned == 4
+        assert registry.value(ops, operator="Reduce") == len(result.value)
         # asked for, the same run is timed: one wrapper per operator below the Reduce
         db.run_detailed(NESTED_QUERY, metrics=True)
         assert len(frames) == sum(1 for _ in result.metrics.walk(result.plan)) - 1
@@ -274,10 +259,49 @@ class TestOneRecord:
         db.run(QUERY)
         registry.reset()
         db.run(QUERY)
-        queries = registry.counter(
-            "repro_queries_total", "", labels=("engine", "status")
-        )
-        assert queries.total() == 1
+        assert registry.total("repro_queries_total") == 1
+
+
+class _CountingLock:
+    def __init__(self, lock):
+        self.lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+class TestOneFlush:
+    """A telemetered run folds its increments locally and merges them
+    with one flush: one acquisition of the registry's one lock (a
+    count, not a time)."""
+
+    JOIN = (
+        "select distinct struct(city: c.name, hotel: h.name) "
+        "from c in Cities, h in c.hotels where h.stars > 2"
+    )
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_one_acquisition_per_run(self, db, registry, cached):
+        lock = registry._lock = _CountingLock(registry._lock)
+        db.enable_telemetry(registry)
+        if cached:
+            db.enable_cache()
+        for run in (1, 2):
+            db.run(self.JOIN)
+            assert lock.acquired == run
+        assert registry.total("repro_queries_total") == 2
+
+    def test_one_acquisition_per_failing_run(self, db, registry):
+        lock = registry._lock = _CountingLock(registry._lock)
+        db.enable_telemetry(registry)
+        with pytest.raises(ReproError):
+            db.run("select n.name from n in Nowhere")
+        assert lock.acquired == 1
 
 
 class TestThreadedStress:
@@ -301,11 +325,8 @@ class TestThreadedStress:
             t.join()
         assert not errors
         total = threads * per_thread
-        queries = registry.counter(
-            "repro_queries_total", "", labels=("engine", "status")
-        )
-        assert queries.total() == total
-        assert registry.histogram("repro_query_seconds", "").labels().count == total
+        assert registry.total("repro_queries_total") == total
+        assert registry.histogram("repro_query_seconds").count == total
         top = registry.fingerprints.top(1)
         assert top[0].count == total
 
@@ -326,12 +347,23 @@ class TestOffPathParity:
         assert telemetry.statistics("filename") == []
 
     def test_off_database_has_no_registry(self, monkeypatch):
-        from repro.obs.telemetry.registry import disable_telemetry
-
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        disable_telemetry()
         db = demo_travel_database(num_cities=3, seed=1)
         assert db.telemetry is None
+
+    def test_default_database_imports_no_telemetry(self):
+        code = (
+            "import sys\n"
+            "from repro.db.database import demo_travel_database\n"
+            "demo_travel_database(num_cities=3, seed=1).run('count(Cities)')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.obs.telemetry')))"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
 
     def test_env_flag_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")

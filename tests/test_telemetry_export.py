@@ -15,15 +15,15 @@ from repro.obs.telemetry.server import MetricsServer
 @pytest.fixture
 def registry():
     reg = MetricsRegistry()
-    c = reg.counter("repro_queries_total", "queries", labels=("engine", "status"))
-    c.inc(3, engine="algebra", status="ok")
-    c.inc(engine="none", status="error")
-    reg.gauge("repro_cache_entries", "entries", labels=("store",)).set(
-        7, store="compiled"
+    reg.flush(
+        [
+            ("repro_queries_total", ("algebra", "ok"), 3),
+            ("repro_queries_total", ("none", "error"), 1),
+            ("repro_cache_entries", ("compiled",), 7),
+        ]
+        + [("repro_query_seconds", (), v) for v in (0.0005, 0.005, 0.05, 900.0)],
+        0.0,
     )
-    h = reg.histogram("repro_query_seconds", "latency", buckets=(0.001, 0.01, 0.1))
-    for v in (0.0005, 0.005, 0.05, 5.0):
-        h.observe(v)
     return reg
 
 
@@ -50,15 +50,16 @@ class TestPrometheusRoundTrip:
         assert h.value("repro_query_seconds_count") == 4
         assert h.value("repro_query_seconds_bucket", le="0.001") == 1
         assert h.value("repro_query_seconds_bucket", le="0.1") == 3
+        assert h.value("repro_query_seconds_bucket", le="500") == 3
         assert h.value("repro_query_seconds_bucket", le="+Inf") == 4
-        assert h.value("repro_query_seconds_sum") == pytest.approx(5.0555)
+        assert h.value("repro_query_seconds_sum") == pytest.approx(900.0555)
 
     def test_label_escaping_round_trips(self):
         reg = MetricsRegistry()
         weird = 'a"b\\c\nd'
-        reg.counter("t_esc", "", labels=("x",)).inc(x=weird)
+        reg.flush([("repro_query_errors_total", (weird,), 1)], 0.0)
         fams = parse_prometheus_text(prometheus_text(reg))
-        assert fams["t_esc"].value(x=weird) == 1
+        assert fams["repro_query_errors_total"].value(error=weird) == 1
 
     def test_empty_registry_is_valid(self):
         assert parse_prometheus_text(prometheus_text(MetricsRegistry())) == {}

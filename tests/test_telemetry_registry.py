@@ -1,24 +1,26 @@
-"""The metrics registry: counters, gauges, histograms, windows,
-fingerprints — including exactness under concurrent threads."""
+"""The metrics registry: the flat catalog-keyed table, one flush per
+query, windows, fingerprints — including exactness under concurrent
+threads."""
 
+import sys
 import threading
 
 import pytest
 
+from repro.cache.core import CacheStats
 from repro.errors import TelemetryError
 from repro.obs.telemetry.fingerprint import FingerprintTable, fingerprint_term
 from repro.obs.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
+    WINDOW_SECONDS,
     MetricsRegistry,
     RollingWindow,
-    activation,
-    current_registry,
-    disable_telemetry,
-    enable_telemetry,
     get_registry,
     resolve_telemetry,
-    telemetry_enabled,
 )
+
+QUERIES = "repro_queries_total"
+SECONDS = "repro_query_seconds"
 
 
 @pytest.fixture
@@ -26,52 +28,56 @@ def registry():
     return MetricsRegistry()
 
 
+def observe(registry, *values):
+    registry.flush([(SECONDS, (), v) for v in values], 0.0)
+
+
 class TestCounter:
     def test_inc_and_total(self, registry):
-        c = registry.counter("t_total", "help")
-        c.inc()
-        c.inc(4)
-        assert c.value() == 5
-        assert c.total() == 5
+        registry.flush([("repro_rows_returned_total", (), 1)], 0.0)
+        registry.flush([("repro_rows_returned_total", (), 4)], 0.0)
+        assert registry.value("repro_rows_returned_total") == 5
+        assert registry.total("repro_rows_returned_total") == 5
 
     def test_labels_split_children(self, registry):
-        c = registry.counter("t_by_engine", "", labels=("engine",))
-        c.inc(engine="algebra")
-        c.inc(2, engine="interpret")
-        assert c.labels(engine="algebra").value == 1
-        assert c.labels(engine="interpret").value == 2
-        assert c.total() == 3
+        registry.flush(
+            [(QUERIES, ("algebra", "ok"), 1), (QUERIES, ("interpret", "ok"), 2)], 0.0
+        )
+        assert registry.value(QUERIES, engine="algebra", status="ok") == 1
+        assert registry.value(QUERIES, engine="interpret", status="ok") == 2
+        assert registry.value(QUERIES, engine="none", status="error") == 0
+        assert registry.total(QUERIES) == 3
 
-    def test_negative_increment_rejected(self, registry):
-        c = registry.counter("t_mono", "")
+    def test_unknown_family_rejected(self, registry):
         with pytest.raises(TelemetryError):
-            c.inc(-1)
-
-    def test_get_or_create_shares_family(self, registry):
-        a = registry.counter("t_shared", "")
-        b = registry.counter("t_shared", "")
-        a.inc()
-        b.inc()
-        assert a.value() == 2
+            registry.value("t_total")
+        with pytest.raises(TelemetryError):
+            registry.flush([("t_total", (), 1)], 0.0)
+        assert registry.collect() == []
 
     def test_kind_mismatch_rejected(self, registry):
-        registry.counter("t_kind", "")
         with pytest.raises(TelemetryError):
-            registry.gauge("t_kind", "")
+            registry.value(SECONDS)
+        with pytest.raises(TelemetryError):
+            registry.total(SECONDS)
+        with pytest.raises(TelemetryError):
+            registry.histogram(QUERIES, engine="algebra", status="ok")
 
     def test_label_mismatch_rejected(self, registry):
-        registry.counter("t_labels", "", labels=("a",))
         with pytest.raises(TelemetryError):
-            registry.counter("t_labels", "", labels=("b",))
+            registry.value(QUERIES, engine="algebra")
+        with pytest.raises(TelemetryError):
+            registry.histogram(SECONDS, phase="parse")
+        with pytest.raises(TelemetryError):
+            registry.flush([(QUERIES, ("algebra",), 1)], 0.0)
+        assert registry.collect() == []  # a bad batch applies nothing
 
 
 class TestGauge:
-    def test_set_inc_dec(self, registry):
-        g = registry.gauge("t_gauge", "")
-        g.set(10)
-        g.inc(5)
-        g.dec(3)
-        assert g.value() == 12
+    def test_set_replaces(self, registry):
+        registry.flush([("repro_cache_entries", ("compiled",), 10)], 0.0)
+        registry.flush([("repro_cache_entries", ("compiled",), 7)], 0.0)
+        assert registry.value("repro_cache_entries", store="compiled") == 7
 
 
 class TestHistogram:
@@ -80,103 +86,100 @@ class TestHistogram:
         assert DEFAULT_LATENCY_BUCKETS[-1] == pytest.approx(500.0)
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
 
-    def test_observe_updates_count_sum_minmax(self, registry):
-        h = registry.histogram("t_hist", "").labels()
-        for v in (0.001, 0.002, 0.004):
-            h.observe(v)
+    def test_observe_updates_count_and_sum(self, registry):
+        observe(registry, 0.001, 0.002, 0.004)
+        h = registry.histogram(SECONDS)
         assert h.count == 3
         assert h.sum == pytest.approx(0.007)
-        assert h.min == pytest.approx(0.001)
-        assert h.max == pytest.approx(0.004)
+        assert h.bounds == DEFAULT_LATENCY_BUCKETS
+        assert sum(h.counts) == 3
 
     def test_quantile_within_one_bucket(self, registry):
-        # With known bounds, the interpolated estimate must land in the
-        # same bucket as the exact quantile.
-        bounds = (0.001, 0.01, 0.1, 1.0)
-        h = registry.histogram("t_q", "", buckets=bounds).labels()
-        samples = [0.0005] * 50 + [0.05] * 40 + [0.5] * 10
-        for v in samples:
-            h.observe(v)
-        # exact p50 = 0.0005 (bucket le=0.001); estimate must be <= 0.001
-        assert h.quantile(0.5) <= 0.001
-        # exact p90 = 0.05 (bucket (0.01, 0.1]); estimate in that bucket
-        assert 0.01 < h.quantile(0.9) <= 0.1
-        # exact p99 = 0.5 (bucket (0.1, 1.0])
-        assert 0.1 < h.quantile(0.99) <= 1.0
+        # The interpolated estimate must land in the same bucket as the
+        # exact quantile.
+        observe(registry, *([0.0005] * 50 + [0.05] * 40 + [0.5] * 10))
+        h = registry.histogram(SECONDS)
+        # exact p50 = 0.0005 (bucket (0.0002, 0.0005])
+        assert 0.0002 < h.quantile(0.5) <= 0.0005
+        # exact p90 = 0.05 (bucket (0.02, 0.05])
+        assert 0.02 < h.quantile(0.9) <= 0.05
+        # exact p99 = 0.5 (bucket (0.2, 0.5])
+        assert 0.2 < h.quantile(0.99) <= 0.5
 
-    def test_overflow_quantile_reports_max(self, registry):
-        h = registry.histogram("t_over", "", buckets=(0.1,)).labels()
-        h.observe(5.0)
-        assert h.quantile(0.99) == pytest.approx(5.0)
+    def test_overflow_quantile_reports_last_bound(self, registry):
+        observe(registry, 900.0)
+        assert registry.histogram(SECONDS).quantile(0.99) == DEFAULT_LATENCY_BUCKETS[-1]
 
     def test_bad_quantile_rejected(self, registry):
-        h = registry.histogram("t_badq", "").labels()
         with pytest.raises(TelemetryError):
-            h.quantile(1.5)
+            registry.histogram(SECONDS).quantile(1.5)
 
-    def test_duplicate_buckets_rejected(self, registry):
-        with pytest.raises(TelemetryError):
-            registry.histogram("t_bad", "", buckets=(0.5, 0.5))
-
-    def test_unsorted_buckets_normalized(self, registry):
-        h = registry.histogram("t_sorts", "", buckets=(1.0, 0.5))
-        assert h.bounds == (0.5, 1.0)
+    def test_empty_series_reads_zero(self, registry):
+        h = registry.histogram("repro_phase_seconds", phase="parse")
+        assert (h.count, h.sum, h.quantile(0.5)) == (0, 0.0, 0.0)
 
 
 class TestRollingWindow:
     def test_rate_and_mean_with_fake_clock(self):
         now = [100.0]
-        w = RollingWindow(width=10, clock=lambda: now[0])
-        for _ in range(20):
+        w = RollingWindow(clock=lambda: now[0])
+        for _ in range(120):
             w.add(0.002)
         count, total = w.totals()
-        assert count == 20
-        assert w.rate() == pytest.approx(2.0)
+        assert count == 120
+        assert w.rate() == pytest.approx(120 / WINDOW_SECONDS)
         assert w.mean() == pytest.approx(0.002)
         # Advance past the window: everything expires.
-        now[0] += 11
+        now[0] += WINDOW_SECONDS + 1
         assert w.totals() == (0, 0.0)
         assert w.rate() == 0.0
 
     def test_slots_expire_individually(self):
         now = [0.0]
-        w = RollingWindow(width=5, clock=lambda: now[0])
+        w = RollingWindow(clock=lambda: now[0])
         w.add(1.0)
-        now[0] = 3.0
+        now[0] = 30.0
         w.add(1.0)
         assert w.totals()[0] == 2
-        now[0] = 6.0  # first slot (t=0) fell out, second (t=3) remains
+        now[0] = WINDOW_SECONDS + 1.0  # first slot (t=0) fell out, second (t=30) remains
         assert w.totals()[0] == 1
 
 
 class TestRegistryCollect:
     def test_collect_sorted_and_snapshot_shape(self, registry):
-        registry.counter("t_b", "bb").inc()
-        registry.counter("t_a", "aa").inc()
-        names = [f.name for f in registry.collect()]
+        registry.flush([(QUERIES, ("algebra", "ok"), 1), ("repro_rows_returned_total", (), 3)], 0.01)
+        snaps = registry.collect()
+        names = [f.name for f in snaps]
         assert names == sorted(names)
+        queries = next(f for f in snaps if f.name == QUERIES)
+        assert (queries.kind, queries.label_names) == ("counter", ("engine", "status"))
+        assert queries.samples == ((("algebra", "ok"), 1.0),)
 
     def test_windows_materialize_as_gauges(self, registry):
-        registry.window("t_win").add(0.01)
+        registry.flush([(QUERIES, ("algebra", "ok"), 1)], 0.01)
         fams = {f.name: f for f in registry.collect()}
-        assert "t_win_qps" in fams
-        assert "t_win_latency_seconds" in fams
+        assert "repro_window_qps" in fams
+        assert fams["repro_window_latency_seconds"].samples == ((("60s",), 0.01),)
 
     def test_bridge_deltas(self, registry):
-        class Stats:
-            pass
-
-        src = Stats()
-        assert registry.bridge_deltas(src, {"hits": 2}) == {"hits": 2}
-        assert registry.bridge_deltas(src, {"hits": 5}) == {"hits": 3}
-        assert registry.bridge_deltas(src, {"hits": 5}) == {}
+        stats = CacheStats()
+        stats.compile_hits = 2
+        registry.flush([], 0.0, cache_stats=stats)
+        assert registry.value("repro_cache_events_total", event="compile_hits") == 2
+        stats.compile_hits = 5
+        registry.flush([], 0.0, cache_stats=stats)
+        assert registry.value("repro_cache_events_total", event="compile_hits") == 5
+        registry.flush([], 0.0, cache_stats=stats)
+        assert registry.total("repro_cache_events_total") == 5
 
     def test_reset_clears_everything(self, registry):
-        registry.counter("t_r", "").inc()
-        registry.fingerprints.record("abc", oql="q", seconds=0.1, rows=1)
+        registry.flush(
+            [(QUERIES, ("algebra", "ok"), 1)], 0.1, query=("abc", "q", 0.1, 1, "algebra", 0)
+        )
         registry.reset()
         assert registry.collect() == []
         assert len(registry.fingerprints) == 0
+        assert registry.window.totals() == (0, 0.0)
 
 
 class TestFingerprints:
@@ -223,26 +226,12 @@ class TestFingerprints:
 class TestEnablement:
     def test_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        disable_telemetry()
-        assert not telemetry_enabled()
         assert resolve_telemetry(None) is None
 
     def test_env_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert telemetry_enabled()
         assert resolve_telemetry(None) is get_registry()
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        disable_telemetry()
-        assert not telemetry_enabled()
-
-    def test_process_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        reg = MetricsRegistry()
-        try:
-            assert enable_telemetry(reg) is reg
-            assert resolve_telemetry(None) is reg
-        finally:
-            disable_telemetry()
         assert resolve_telemetry(None) is None
 
     def test_explicit_values(self):
@@ -253,61 +242,45 @@ class TestEnablement:
         with pytest.raises(TelemetryError):
             resolve_telemetry("yes")
 
-    def test_activation_is_thread_local(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        disable_telemetry()
-        reg = MetricsRegistry()
-        seen = {}
-        with activation(reg):
-            assert current_registry() is reg
 
-            def probe():
-                seen["other"] = current_registry()
-
-            t = threading.Thread(target=probe)
+def _run_threads(target, count):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        pool = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+        for t in pool:
             t.start()
-            t.join()
-        assert seen["other"] is None
-        assert current_registry() is None
+        for t in pool:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in pool)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestThreadedStress:
     def test_exact_totals_under_contention(self, registry):
         threads, per_thread = 8, 500
-        counter = registry.counter("t_stress", "", labels=("worker",))
-        hist = registry.histogram("t_stress_lat", "")
-        window = registry.window("t_stress_win")
 
         def work(worker):
-            child = hist.labels()
+            batch = [(QUERIES, (str(worker % 2), "ok"), 1), (SECONDS, (), 0.001)]
             for _ in range(per_thread):
-                counter.inc(worker=str(worker % 2))
-                child.observe(0.001)
-                window.add(0.001)
+                registry.flush(batch, 0.001)
 
-        pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
+        _run_threads(work, threads)
         total = threads * per_thread
-        assert counter.total() == total
-        child = hist.labels()
-        assert child.count == total
-        assert child.sum == pytest.approx(total * 0.001)
-        assert window.totals()[0] == total
+        assert registry.total(QUERIES) == total
+        assert registry.value(QUERIES, engine="0", status="ok") == total / 2
+        hist = registry.histogram(SECONDS)
+        assert hist.count == total
+        assert hist.sum == pytest.approx(total * 0.001)
+        assert registry.window.totals()[0] == total
 
-    def test_fingerprint_table_threaded(self):
-        table = FingerprintTable()
+    def test_fingerprint_table_threaded(self, registry):
         threads, per_thread = 6, 300
 
         def work(i):
             for _ in range(per_thread):
-                table.record(f"fp{i % 3}", oql="q", seconds=0.001, rows=1)
+                registry.flush([], 0.001, query=(f"fp{i % 3}", "q", 0.001, 1, None, 0))
 
-        pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        assert sum(e.count for e in table.top(10)) == threads * per_thread
+        _run_threads(work, threads)
+        assert sum(e.count for e in registry.fingerprints.top(10)) == threads * per_thread
