@@ -73,8 +73,8 @@ from repro.calculus.builders import conjunction
 from repro.calculus.traversal import free_vars, fresh_var, has_effects, substitute
 from repro.errors import PlanError
 from repro.eval.builtins import DEFAULT_BUILTINS
+from repro.monoids import BAG, SET, Monoid, is_hom_well_formed, static_monoid
 from repro.normalize.engine import normalize
-from repro.types.infer import MONOID_PROPS, monoid_props
 
 PARTITION = "partition"
 _COUNT_PARTITION = Call("count", (Var(PARTITION),))
@@ -114,8 +114,7 @@ def plan_group_by(term: Term) -> Optional[Reduce]:
         or len(rest) > 1
         or not all(isinstance(qual, Filter) for qual in rest)
         or monoid != MonoidRef(monoid.name)
-        or monoid.name not in MONOID_PROPS
-        or not monoid_props("set") <= monoid_props(monoid.name)
+        or not _absorbs(monoid, SET)
         or (labels | {group}) & free_vars(key_set)
         or group in free_vars(Comprehension(monoid, term.head, rest))
         or has_effects(term)
@@ -136,6 +135,12 @@ def plan_group_by(term: Term) -> Optional[Reduce]:
     for pred in having:
         plan = SelectOp(plan, pred)
     return Reduce(monoid, head, plan)
+
+
+def _absorbs(ref: MonoidRef, source: Monoid) -> bool:
+    """Is ``ref`` registered, with ``hom[source -> ref]`` well formed?"""
+    target = static_monoid(ref)
+    return target is not None and is_hom_well_formed(source, target)
 
 
 def build_group_by_plan(select: Any, translator: Any) -> Reduce:
@@ -201,8 +206,7 @@ class _FoldMover:
         monoid, first, filters = term.monoid, term.qualifiers[0], term.qualifiers[1:]
         if not (
             monoid == MonoidRef(monoid.name)
-            and monoid.name in MONOID_PROPS
-            and monoid_props("bag") <= monoid_props(monoid.name)
+            and _absorbs(monoid, BAG)
             and isinstance(first, Generator)
             and first == Generator(first.var, Var(PARTITION))
             and all(isinstance(qual, Filter) for qual in filters)

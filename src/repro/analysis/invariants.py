@@ -47,14 +47,9 @@ from repro.calculus.ast import (
 )
 from repro.calculus.ast import EFFECTFUL_NODES
 from repro.calculus.traversal import free_vars
-from repro.errors import ReproError, TypingError, WellFormednessError
-from repro.types.infer import (
-    MONOID_PROPS,
-    TypeChecker,
-    check_generator_well_formed,
-    compatible,
-    is_collection_monoid,
-)
+from repro.errors import ReproError
+from repro.monoids import Monoid, is_hom_well_formed, static_monoid
+from repro.types.infer import TypeChecker, compatible
 from repro.types.types import ANY, Type
 
 from repro.analysis.dataflow import scoped_subterms
@@ -120,15 +115,11 @@ def check_effects(before: Term, after: Term) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-def _syntactic_source_monoid(term: Term) -> Optional[str]:
-    """The collection monoid a generator source evaluates into, when the
-    source is a literal monoid construction (zero/unit/merge/comprehension)."""
-    if isinstance(term, (Empty, Singleton, Merge, Comprehension)):
-        ref: MonoidRef = term.monoid
-        if ref.is_vector:
-            return None
-        return ref.name
-    return None
+def _collection(ref: MonoidRef) -> Optional[Monoid]:
+    """The registered collection monoid ``ref`` names, if it is one (and
+    not a vector)."""
+    monoid = None if ref.is_vector else static_monoid(ref)
+    return monoid if monoid is not None and monoid.is_collection else None
 
 
 def coherence_violations(term: Term) -> frozenset[str]:
@@ -137,40 +128,27 @@ def coherence_violations(term: Term) -> frozenset[str]:
     Keyed by source monoid name rather than position: rules like N9
     shuffle qualifier positions while preserving which monoids flow
     into which, so positional keys would misreport a migrated latent
-    violation as a fresh one.
+    violation as a fresh one. A generator source counts when it is a
+    literal monoid construction (zero/unit/merge/comprehension); an
+    output monoid that is not registered is not statically known.
     """
     bad: set[str] = set()
     for sub, _ in scoped_subterms(term):
-        if isinstance(sub, Comprehension):
-            if sub.monoid.is_vector:
-                continue
-            for qual in sub.qualifiers:
-                if not isinstance(qual, Generator):
-                    continue
-                src = _syntactic_source_monoid(qual.source)
-                if src is None or not is_collection_monoid(src):
-                    continue
-                try:
-                    check_generator_well_formed(src, sub.monoid)
-                except WellFormednessError:
-                    bad.add(src)
-                except TypingError:
-                    pass  # output monoid not statically known
-        elif isinstance(sub, Hom):
-            src_name = sub.source.name
-            tgt_name = sub.target.name
-            if (
-                not sub.source.is_vector
-                and not sub.target.is_vector
-                and is_collection_monoid(src_name)
-                and tgt_name in MONOID_PROPS
-            ):
-                try:
-                    check_generator_well_formed(src_name, sub.target)
-                except WellFormednessError:
-                    bad.add(src_name)
-                except TypingError:
-                    pass
+        if isinstance(sub, Comprehension) and not sub.monoid.is_vector:
+            homs = [
+                (qual.source.monoid, sub.monoid)
+                for qual in sub.qualifiers
+                if isinstance(qual, Generator)
+                and isinstance(qual.source, (Empty, Singleton, Merge, Comprehension))
+            ]
+        elif isinstance(sub, Hom) and not sub.target.is_vector:
+            homs = [(sub.source, sub.target)]
+        else:
+            continue
+        for source_ref, target_ref in homs:
+            source, target = _collection(source_ref), static_monoid(target_ref)
+            if source is not None and target is not None and not is_hom_well_formed(source, target):
+                bad.add(source_ref.name)
     return frozenset(bad)
 
 

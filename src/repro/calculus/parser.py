@@ -63,7 +63,8 @@ from repro.calculus.ast import (
     Var,
 )
 from repro.errors import CalculusError
-from repro.types.infer import MONOID_PROPS
+from repro.monoids.registry import static_monoid
+from repro.span import point_span
 
 _TOKEN_RE = re.compile(
     r"""
@@ -81,19 +82,33 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORD_OPS = {"and", "or", "in", "union", "intersect", "except", "div", "mod"}
-_MONOID_NAMES = set(MONOID_PROPS) | {"vec"}
 
 
 def parse_calculus(source: str) -> Term:
-    """Parse one calculus term written in the paper's notation."""
-    parser = _CalcParser(_tokenize(source))
-    term = parser.parse_term()
+    """Parse one calculus term written in the paper's notation.
+
+    A monoid name is one :func:`~repro.monoids.static_monoid` knows, so
+    a monoid registered after import parses like Table 1's.
+    """
+    tokens, offsets = _tokenize(source)
+    parser = _CalcParser(tokens)
+    try:
+        term = parser.parse_term()
+    except RecursionError:
+        offset = offsets[parser._pos]
+        line = source.count("\n", 0, offset) + 1
+        column = offset - source.rfind("\n", 0, offset)
+        raise CalculusError(
+            f"calculus text nested too deeply at {point_span(line, column)}"
+        ) from None
     parser.expect_end()
     return term
 
 
-def _tokenize(source: str) -> list[tuple[str, str]]:
+def _tokenize(source: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """The tokens of ``source`` and the offset each starts at."""
     tokens: list[tuple[str, str]] = []
+    offsets: list[int] = []
     position = 0
     while position < len(source):
         match = _TOKEN_RE.match(source, position)
@@ -101,13 +116,13 @@ def _tokenize(source: str) -> list[tuple[str, str]]:
             raise CalculusError(
                 f"cannot tokenize calculus text at: {source[position:position + 20]!r}"
             )
+        if match.lastgroup != "ws":
+            tokens.append((match.lastgroup, match.group()))
+            offsets.append(position)
         position = match.end()
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append((kind, match.group()))
     tokens.append(("end", ""))
-    return tokens
+    offsets.append(len(source))
+    return tokens, offsets
 
 
 class _CalcParser:
@@ -426,7 +441,7 @@ class _CalcParser:
 
     def _is_comprehension_head(self) -> bool:
         kind, text = self._peek()
-        if kind != "name" or text not in _MONOID_NAMES:
+        if kind != "name" or static_monoid(text) is None:
             return False
         nxt = self._peek(1)
         if nxt == ("punct", "{"):
@@ -459,7 +474,7 @@ class _CalcParser:
             size = self.parse_term()
             self._expect("punct", "]")
             return MonoidRef("vec", element=MonoidRef(name), size=size)
-        if name not in _MONOID_NAMES:
+        if static_monoid(name) is None:
             raise CalculusError(f"unknown monoid {name!r} in calculus text")
         return MonoidRef(name)
 

@@ -31,6 +31,7 @@ the normalized term on the reference evaluator instead of the algebra
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from contextlib import contextmanager
@@ -63,6 +64,7 @@ from repro.errors import (
     OQLSyntaxError,
     PlanError,
     ReproError,
+    ResourceLimitError,
     TranslationError,
 )
 from repro.eval.evaluator import Evaluator
@@ -91,6 +93,22 @@ _MODES = {
     "parallel": ("REPRO_PARALLEL", "repro.parallel", "resolve_parallel"),
     "jit": ("REPRO_JIT", "repro.jit", "resolve_jit"),
 }
+
+
+def _bounded(method):
+    """``method`` (a pipeline half) raising :class:`ResourceLimitError`
+    where a term too deep for one of its recursive walks would raise
+    ``RecursionError``."""
+
+    @functools.wraps(method)
+    def bounded(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except RecursionError:
+            stage = method.__name__.lstrip("_")
+            raise ResourceLimitError(f"query nested too deeply to {stage}") from None
+
+    return bounded
 
 
 @dataclass
@@ -513,6 +531,7 @@ class Database:
 
     # -- compile: the front half ------------------------------------------------
 
+    @_bounded
     def compile(
         self,
         oql: str,
@@ -716,6 +735,7 @@ class Database:
         entry.uncacheable_reason = deps.reason
         entry.result_cacheable = deps.cacheable
 
+    @_bounded
     def _execute(
         self,
         oql: str,
@@ -835,8 +855,8 @@ class Database:
         While attached, every :meth:`run`/:meth:`run_detailed` and
         prepared execution updates the registry's counters, latency
         histograms and hot-query table; export with
-        :func:`repro.obs.telemetry.prometheus_text` (and friends) or
-        serve them with ``python -m repro metrics serve``.
+        :func:`repro.obs.telemetry.prometheus_text` or serve them with
+        ``python -m repro metrics serve``.
         """
         return self._set_mode("telemetry", telemetry)
 
@@ -850,8 +870,8 @@ class Database:
         ``True`` gives the default config (4 workers), an ``int`` sets
         the worker count, a
         :class:`~repro.parallel.ParallelConfig` tunes everything
-        (morsel size, minimum rows, the serial-equivalence ``verify``
-        switch). Results are guaranteed identical to serial execution —
+        (workers, morsel size, minimum rows). Results are guaranteed
+        identical to serial execution —
         see ``docs/PARALLEL.md`` for the determinism argument per
         monoid property.
         """
@@ -864,9 +884,8 @@ class Database:
     def enable_jit(self, jit: Any = True):
         """Turn on compilation of plans to Python.
 
-        ``True`` gives the defaults; a
-        :class:`~repro.jit.JITConfig` tunes the per-row differential
-        ``verify`` check. While on, a serial, untimed execution is one
+        ``True`` and a :class:`~repro.jit.JITConfig` (which has no
+        fields) are the same. While on, a serial, untimed execution is one
         generated function per plan — every Select predicate, Join key,
         Unnest path, Nest key and Reduce head inlined as Python instead
         of re-interpreting its AST per row; constructs outside the

@@ -174,6 +174,11 @@ class DatabaseError(ReproError):
     """The database facade was misused (unknown extent, bad load)."""
 
 
+class ResourceLimitError(ReproError):
+    """A query needed more than the system can give it: so far, a term
+    nested deeper than Python's recursion limit lets a stage walk."""
+
+
 class TelemetryError(ReproError):
     """The metrics registry was misused: a metric the catalog lacks, a
     wrong kind or label set, a bad quantile, or an invalid

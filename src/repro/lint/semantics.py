@@ -34,14 +34,11 @@ from repro.calculus.ast import (
 from repro.calculus.traversal import alpha_equal, has_effects, subterms
 from repro.lint.base import LintContext
 from repro.lint.diagnostics import Diagnostic, make
+from repro.monoids import IDEMPOTENT, static_monoid
 from repro.span import span_of
-from repro.types.infer import MONOID_PROPS
 from repro.types.types import TColl
 
 name = "semantics"
-
-#: Sources whose elements may carry duplicates a set output would drop.
-_DUP_SOURCES = frozenset({"bag", "list", "sortedbag", "string"})
 
 
 def run(term: Term, ctx: LintContext) -> list[Diagnostic]:
@@ -68,7 +65,9 @@ def _check_implicit_dedup(
         if not isinstance(qual, Generator):
             continue
         kind = _source_monoid(qual, ctx)
-        if kind in _DUP_SOURCES:
+        monoid = None if kind is None else static_monoid(kind)
+        # a collection whose elements may carry duplicates a set drops
+        if monoid is not None and monoid.is_collection and IDEMPOTENT not in monoid.properties:
             diagnostics.append(
                 make(
                     "QL101",
@@ -90,9 +89,7 @@ def _source_monoid(qual: Generator, ctx: LintContext) -> Optional[str]:
     """
     source = qual.source
     if isinstance(source, (Empty, Singleton, Merge, Comprehension)):
-        monoid = source.monoid
-        known = not monoid.is_vector and monoid.name in MONOID_PROPS
-        return monoid.name if known else None
+        return None if source.monoid.is_vector else source.monoid.name
     _, source_types = ctx.inference
     ty = source_types.get(id(qual))
     return ty.monoid if isinstance(ty, TColl) else None

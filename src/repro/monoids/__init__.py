@@ -42,6 +42,7 @@ from repro.monoids.registry import (
     get_monoid,
     sorted_bag_monoid,
     sorted_monoid,
+    static_monoid,
     table1,
     vector_monoid,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "require_collection",
     "sorted_bag_monoid",
     "sorted_monoid",
+    "static_monoid",
     "table1",
     "vector_monoid",
 ]

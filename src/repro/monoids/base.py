@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator
+from functools import cached_property
 from typing import Any
 
 from repro.errors import MonoidError, WellFormednessError
@@ -55,9 +56,10 @@ class Monoid(ABC):
     def merge(self, left: Any, right: Any) -> Any:
         """The monoid's associative binary operation."""
 
-    @property
+    @cached_property
     def properties(self) -> frozenset[str]:
-        """The subset of {commutative, idempotent} this monoid satisfies."""
+        """The subset of {commutative, idempotent} this monoid satisfies,
+        computed once: every static check compares these sets."""
         props = set()
         if self.commutative:
             props.add(COMMUTATIVE)

@@ -5,12 +5,15 @@ name (``set{ ... }``, ``sum{ ... }``). The registry resolves those names
 and lets applications register their own monoids — the paper emphasizes
 that the framework is open (any user triple satisfying the laws may
 participate, subject to the C/I restriction).
+
+It is the only monoid table: the static layers read C/I facts off the
+registered objects through :func:`static_monoid`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import MonoidError, UnknownMonoidError
 from repro.monoids.base import Monoid
@@ -27,6 +30,13 @@ from repro.monoids.collection import (
 from repro.monoids.primitive import ALL, MAX, MIN, PRIMITIVE_MONOIDS, PROD, SOME, SUM
 from repro.monoids.vector import VectorMonoid
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.calculus.ast import MonoidRef
+
+#: ``sorted[f]`` / ``sortedbag[f]`` carry their key in the reference and
+#: are not registered: static checks read a keyless instance of each.
+_KEYED: dict[str, Monoid] = {"sorted": SortedMonoid(None), "sortedbag": SortedBagMonoid(None)}
+
 
 class MonoidRegistry:
     """A mutable mapping of monoid names to monoid instances."""
@@ -35,7 +45,11 @@ class MonoidRegistry:
         self._monoids: dict[str, Monoid] = {}
 
     def register(self, monoid: Monoid, replace: bool = False) -> Monoid:
-        """Add ``monoid`` under its ``name``; reject silent redefinition."""
+        """Add ``monoid`` under its ``name``; reject silent redefinition
+        and the names the evaluator resolves before it reads the registry
+        (``vec``, ``sorted``, ``sortedbag``), which could never run."""
+        if monoid.name == "vec" or monoid.name in _KEYED:
+            raise MonoidError(f"monoid name {monoid.name!r} is reserved by the calculus")
         if monoid.name in self._monoids and not replace:
             raise MonoidError(f"monoid {monoid.name!r} is already registered")
         self._monoids[monoid.name] = monoid
@@ -57,9 +71,6 @@ class MonoidRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._monoids)
-
-    def monoids(self) -> list[Monoid]:
-        return [self._monoids[name] for name in self.names()]
 
 
 _DEFAULT: MonoidRegistry | None = None
@@ -83,6 +94,20 @@ def get_monoid(name: str) -> Monoid:
     return default_registry().get(name)
 
 
+def static_monoid(ref: "MonoidRef | str") -> Optional[Monoid]:
+    """The monoid a reference (or a bare name) denotes, for the layers
+    that read its properties without running it; None when unknown.
+    ``sorted``/``sortedbag`` are their classes, ``M[n]`` is its element
+    monoid (whose properties it inherits), any other name is looked up
+    in :func:`default_registry`."""
+    if not isinstance(ref, str):
+        if ref.is_vector:
+            return None if ref.element is None else static_monoid(ref.element)
+        ref = ref.name
+    keyed = _KEYED.get(ref)
+    return keyed if keyed is not None else default_registry()._monoids.get(ref)
+
+
 def sorted_monoid(key: Callable[[Any], Any], key_name: str = "f") -> SortedMonoid:
     """Fresh ``sorted[f]`` monoid (CI; duplicate-eliminating)."""
     return SortedMonoid(key, key_name)
@@ -104,14 +129,13 @@ def table1() -> list[dict[str, str]]:
     Returns one row per monoid with the same columns the paper prints:
     monoid, carrier type, zero, unit(a), merge, and the C/I flags.
     """
-    sample_sorted = SortedMonoid(lambda x: x)
     rows = [
         _row(LIST, "list(a)", "[]", "[a]", "++"),
         _row(SET, "set(a)", "{}", "{a}", "∪"),
         _row(BAG, "bag(a)", "{{}}", "{{a}}", "⊎"),
         _row(OSET, "list(a)", "[]", "[a]", "x ++ (y -- x)"),
         _row(STRING, "string", '""', '"a"', "concat"),
-        _row(sample_sorted, "list(a)", "[]", "[a]", "sorted merge"),
+        _row(_KEYED["sorted"], "list(a)", "[]", "[a]", "sorted merge"),
         _row(SUM, "number", "0", "a", "+"),
         _row(PROD, "number", "1", "a", "*"),
         _row(MAX, "ordered", "None", "a", "max"),

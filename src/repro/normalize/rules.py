@@ -58,7 +58,8 @@ from repro.calculus.ast import (
 from repro.analysis.dataflow import use_count
 from repro.calculus.traversal import fresh_var, has_effects, substitute
 from repro.calculus.ast import Var
-from repro.types.infer import MONOID_PROPS, monoid_props
+from repro.monoids.base import COMMUTATIVE, IDEMPOTENT
+from repro.monoids.registry import static_monoid
 
 
 def count_occurrences(term: Term, name: str) -> int:
@@ -73,24 +74,12 @@ def count_occurrences(term: Term, name: str) -> int:
 
 def _monoid_static_props(ref: MonoidRef) -> Optional[frozenset[str]]:
     """Static C/I properties of a monoid reference, or None if unknown."""
-    if ref.is_vector:
-        element = ref.element.name if ref.element is not None else None
-        if element in MONOID_PROPS:
-            return monoid_props(element)
-        return None
-    if ref.name in MONOID_PROPS:
-        return monoid_props(ref.name)
-    return None
+    monoid = static_monoid(ref)
+    return None if monoid is None else monoid.properties
 
 
-def _is_commutative(ref: MonoidRef) -> bool:
-    props = _monoid_static_props(ref)
-    return props is not None and "commutative" in props
-
-
-def _is_idempotent(ref: MonoidRef) -> bool:
-    props = _monoid_static_props(ref)
-    return props is not None and "idempotent" in props
+def _has(ref: MonoidRef, prop: str) -> bool:
+    return prop in (_monoid_static_props(ref) or ())
 
 
 def _splice_coherent(
@@ -396,7 +385,7 @@ class MergeSplit(Rule):
                 for j, q in enumerate(term.qualifiers)
                 if j != i
             )
-            if others_generate and not _is_commutative(term.monoid):
+            if others_generate and not _has(term.monoid, COMMUTATIVE):
                 continue
             if has_effects(term):
                 continue
@@ -485,7 +474,7 @@ class ConditionalGenerator(Rule):
                 for j, q in enumerate(term.qualifiers)
                 if j != i
             )
-            if others_generate and not _is_commutative(term.monoid):
+            if others_generate and not _has(term.monoid, COMMUTATIVE):
                 continue
             if has_effects(term):
                 continue
@@ -558,7 +547,7 @@ class ExistentialFusion(Rule):
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Comprehension):
             return None
-        if not _is_idempotent(term.monoid):
+        if not _has(term.monoid, IDEMPOTENT):
             return None
         outer_props = _monoid_static_props(term.monoid)
         for i, qual in enumerate(term.qualifiers):
@@ -583,7 +572,8 @@ class ExistentialFusion(Rule):
 
 
 class EmptyComprehension(Rule):
-    """N0: ``M{ e | }  ==>  unit(M)(e)`` — the base case of the sugar."""
+    """N0: ``M{ e | }  ==>  unit(M)(e)`` — the base case of the sugar.
+    A primitive monoid's unit is the identity, so there it is ``e``."""
 
     name = "N0-unit"
     description = "M{ e | } => unit(M)(e)"
@@ -594,7 +584,8 @@ class EmptyComprehension(Rule):
             return None
         if term.monoid.is_vector:
             return None  # vector heads carry an index; keep structure
-        if term.monoid.name in ("sum", "prod", "max", "min", "some", "all"):
+        monoid = static_monoid(term.monoid)
+        if monoid is not None and not monoid.is_collection:
             return term.head
         return Singleton(term.monoid, term.head)
 

@@ -78,9 +78,10 @@ def _estimate(node: PlanNode, inputs: list[float], sizes: dict[str, int]) -> flo
 
 
 def _monoid_is_primitive(ref) -> bool:
-    from repro.monoids.registry import PRIMITIVE_MONOIDS
+    from repro.monoids.registry import static_monoid
 
-    return not ref.is_vector and ref.name in {m.name for m in PRIMITIVE_MONOIDS}
+    monoid = None if ref.is_vector else static_monoid(ref)
+    return monoid is not None and not monoid.is_collection
 
 
 def q_error(estimated: float, actual: float) -> float:

@@ -88,8 +88,16 @@ def parse(source: str) -> OQLNode:
     >>> node = parse("select distinct c.name from c in Cities where c.pop > 10")
     >>> type(node).__name__
     'Select'
+
+    Nesting too deep for Python's stack is a syntax error at the token
+    where the parser gave up.
     """
-    return _Parser(tokenize(source)).parse_query()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.parse_query()
+    except RecursionError:
+        token = parser._tokens[parser._pos]
+        raise OQLSyntaxError("query nested too deeply", span=token.span) from None
 
 
 class _Parser:

@@ -51,6 +51,8 @@ from repro.calculus.ast import (
     Var,
 )
 from repro.errors import TypingError, WellFormednessError
+from repro.monoids.base import Monoid, check_hom_well_formed
+from repro.monoids.registry import static_monoid
 from repro.types.schema import Schema
 from repro.types.types import (
     ANY,
@@ -75,41 +77,14 @@ from repro.types.types import (
 )
 from repro.values import Bag, OrderedSet, Record, Vector
 
-# Static monoid property table: name -> (commutative, idempotent, collection).
-MONOID_PROPS: dict[str, tuple[bool, bool, bool]] = {
-    "list": (False, False, True),
-    "set": (True, True, True),
-    "bag": (True, False, True),
-    "oset": (False, True, True),
-    "string": (False, False, True),
-    "sorted": (True, True, True),
-    "sortedbag": (True, False, True),
-    "sum": (True, False, False),
-    "prod": (True, False, False),
-    "max": (True, True, False),
-    "min": (True, True, False),
-    "some": (True, True, False),
-    "all": (True, True, False),
-}
 
-
-def monoid_props(name: str) -> frozenset[str]:
-    """The static C/I property set of a monoid name."""
-    try:
-        commutative, idempotent, _ = MONOID_PROPS[name]
-    except KeyError:
-        raise TypingError(f"unknown monoid {name!r} in type check") from None
-    props = set()
-    if commutative:
-        props.add("commutative")
-    if idempotent:
-        props.add("idempotent")
-    return frozenset(props)
-
-
-def is_collection_monoid(name: str) -> bool:
-    entry = MONOID_PROPS.get(name)
-    return entry is not None and entry[2]
+def _known(ref: MonoidRef | str) -> Monoid:
+    """The monoid ``ref`` names (:func:`~repro.monoids.static_monoid`);
+    an unregistered name is a :class:`TypingError`."""
+    monoid = static_monoid(ref)
+    if monoid is None:
+        raise TypingError(f"unknown monoid {str(ref)!r} in type check")
+    return monoid
 
 
 def check_generator_well_formed(source_monoid: str, output: MonoidRef) -> None:
@@ -118,14 +93,8 @@ def check_generator_well_formed(source_monoid: str, output: MonoidRef) -> None:
     A generator over an ``N`` collection inside an ``M``-comprehension
     desugars to ``hom[N -> M]``, so ``props(N) ⊆ props(M)`` must hold.
     """
-    output_name = "vec" if output.is_vector else output.name
-    if output.is_vector:
-        # M[n] inherits its element monoid's properties.
-        element = output.element.name if output.element is not None else "sum"
-        target_props = monoid_props(element)
-    else:
-        target_props = monoid_props(output_name)
-    missing = monoid_props(source_monoid) - target_props
+    target = _known(output)
+    missing = _known(source_monoid).properties - target.properties
     if missing:
         raise WellFormednessError(
             f"comprehension over {output} has a generator ranging over a "
@@ -417,15 +386,11 @@ class TypeChecker:
     def _infer_hom(self, term: Hom, env: dict[str, Type]) -> Type:
         source_name = term.source.name
         target_name = term.target.name
-        if is_collection_monoid(source_name):
-            missing = monoid_props(source_name) - monoid_props(target_name)
-            if missing:
-                raise WellFormednessError(
-                    f"hom[{source_name} -> {target_name}] is not well formed: "
-                    f"target lacks {{{', '.join(sorted(missing))}}}"
-                )
-        else:
+        source = static_monoid(term.source)
+        if source is None or not source.is_collection:
             raise TypingError(f"hom source {source_name} must be a collection monoid")
+        target = _known(term.target)
+        check_hom_well_formed(source, target)
         arg = self._infer(term.arg, env)
         element, arg_monoid = self._generator_element(arg)
         if arg_monoid is not None and arg_monoid != source_name:
@@ -433,7 +398,7 @@ class TypeChecker:
                 f"hom[{source_name} -> ...] applied to a {arg_monoid} collection"
             )
         body = self._infer(term.body, {**env, term.var: element})
-        if is_collection_monoid(target_name):
+        if target.is_collection:
             # body must itself be a target-monoid collection
             if isinstance(body, TColl) and body.monoid == target_name:
                 return body
@@ -541,9 +506,11 @@ class TypeChecker:
             # Table 1: these monoids have *type* list(a) — consumers see
             # an ordered list, so no C/I restriction survives construction.
             return TColl("list", element)
-        if is_collection_monoid(name):
-            return TColl(name, element)
-        raise TypingError(f"unknown monoid {name!r}")
+        monoid = static_monoid(name)
+        if monoid is None:
+            raise TypingError(f"unknown monoid {name!r}")
+        # A registered primitive's carrier is its own business.
+        return TColl(name, element) if monoid.is_collection else ANY
 
     def _require_compatible(self, left: Type, right: Type, where: str) -> None:
         if not compatible(left, right):

@@ -80,12 +80,6 @@ def _register_aux_monoids() -> None:
 
 _register_aux_monoids()
 
-# The static property table must know the auxiliary monoids too.
-from repro.types.infer import MONOID_PROPS  # noqa: E402  (after registration)
-
-MONOID_PROPS.setdefault("csum", (True, False, False))
-MONOID_PROPS.setdefault("cell", (True, True, False))
-
 
 # ---------------------------------------------------------------------------
 # FFT butterflies (builtins keeping the comprehension structure visible)

@@ -14,6 +14,7 @@ from repro.db import (
     travel_schema,
 )
 from repro.eval import Evaluator
+from repro.monoids import default_registry
 from repro.values import canonical_key
 
 
@@ -64,3 +65,16 @@ def count_calls(monkeypatch):
 def count_canonical_key(count_calls):
     """:func:`count_calls` of ``canonical_key``."""
     return lambda: count_calls(canonical_key)
+
+
+@pytest.fixture
+def register_monoid():
+    """Call it with a monoid to register it in ``default_registry()`` for
+    this test only (returns the monoid). The registry is restored after
+    the test, so one that enumerates it sees the same names whatever
+    ran before."""
+    registry = default_registry()
+    saved = dict(registry._monoids)
+    yield registry.register
+    registry._monoids.clear()
+    registry._monoids.update(saved)

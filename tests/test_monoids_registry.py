@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.calculus.ast import Const, MonoidRef
+from repro.calculus.parser import parse_calculus
 from repro.errors import MonoidError, UnknownMonoidError
 from repro.monoids import (
     MonoidRegistry,
     PrimitiveMonoid,
     default_registry,
     get_monoid,
+    static_monoid,
     table1,
 )
 
@@ -47,6 +50,42 @@ def test_duplicate_registration_rejected():
     with pytest.raises(MonoidError):
         registry.register(m)
     registry.register(m, replace=True)  # explicit replace is fine
+
+
+@pytest.mark.parametrize("name", ["vec", "sorted", "sortedbag"])
+def test_built_in_names_rejected(name):
+    """The evaluator resolves these names before it reads the registry,
+    so a monoid registered under one could never run."""
+    registry = MonoidRegistry()
+    with pytest.raises(MonoidError, match="reserved"):
+        registry.register(PrimitiveMonoid(name, 0, lambda a, b: a + b))
+    with pytest.raises(MonoidError, match="reserved"):
+        default_registry().register(PrimitiveMonoid(name, 0, lambda a, b: a + b))
+    assert name not in default_registry()
+
+
+class TestStaticMonoid:
+    """The one resolver every static layer reads C/I properties through."""
+
+    def test_registered_names_are_the_live_monoids(self):
+        for name in default_registry().names():
+            assert static_monoid(MonoidRef(name)) is default_registry().get(name)
+
+    def test_keyed_and_vector_references(self):
+        key = parse_calculus("\\x. x")
+        assert static_monoid(MonoidRef("sorted", key=key)).properties == {
+            "commutative", "idempotent"
+        }
+        assert static_monoid(MonoidRef("sortedbag", key=key)).properties == {"commutative"}
+        vec = MonoidRef("vec", element=MonoidRef("max"), size=Const(4))
+        assert static_monoid(vec) is get_monoid("max")
+
+    def test_unregistered_is_unknown(self):
+        assert static_monoid(MonoidRef("nope")) is None
+        assert static_monoid(MonoidRef("vec", element=MonoidRef("nope"))) is None
+
+    def test_properties_are_computed_once(self):
+        assert get_monoid("bag").properties is get_monoid("bag").properties
 
 
 def test_names_sorted():

@@ -1,20 +1,31 @@
 """Fuzzing the two parsers.
 
 1. Garbage in, *clean errors* out: random text must either parse or
-   raise the dedicated syntax error — never an internal exception.
-2. Printer/parser round trip on random calculus terms: anything the
-   pretty printer emits must parse back alpha-equal.
+   raise the dedicated syntax error — never an internal exception, a
+   nesting too deep for Python's stack included.
+2. Printer/parser round trip on random calculus terms over every
+   registered monoid: anything the pretty printer emits must parse back
+   alpha-equal.
 """
 
 from __future__ import annotations
 
+import math
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.vectors.linalg  # noqa: F401  (registers csum and cell)
 from repro.calculus import alpha_equal, pretty
 from repro.calculus.parser import parse_calculus
-from repro.errors import CalculusError, OQLSyntaxError
+from repro.errors import CalculusError, OQLSyntaxError, ResourceLimitError
+from repro.monoids import PrimitiveMonoid, default_registry
 from repro.oql import parse as parse_oql
+
+#: Deep enough to exhaust Python's recursion limit in either parser, even
+#: inside ``@given``, which raises the limit while a test runs.
+_DEEP = 1000
 
 _OQL_FRAGMENTS = [
     "select", "from", "where", "in", "distinct", "exists", "(", ")", ",",
@@ -25,6 +36,7 @@ _OQL_FRAGMENTS = [
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(_OQL_FRAGMENTS), max_size=12))
+@example(["("] * _DEEP + ["1"] + [")"] * _DEEP)
 def test_oql_parser_never_crashes(fragments):
     source = " ".join(fragments)
     try:
@@ -48,6 +60,8 @@ def test_oql_lexer_never_crashes(text):
 @given(st.text(max_size=40))
 @example("²")
 @example("select c from c in Cities where c.n = 1٣")
+@example("(" * _DEEP + "1" + ")" * _DEEP)
+@example("select " * _DEEP)
 def test_oql_parse_of_any_text_never_crashes(text):
     """Not only the lexer: a token the lexer lets through must not blow
     up the parser (``int("²")`` did, as a bare ``ValueError``)."""
@@ -74,6 +88,8 @@ _CALC_FRAGMENTS = [
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(_CALC_FRAGMENTS), max_size=10))
+@example(["("] * _DEEP + ["1"] + [")"] * _DEEP)
+@example(["set{"] * _DEEP)
 def test_calculus_parser_never_crashes(fragments):
     source = " ".join(fragments)
     try:
@@ -82,12 +98,41 @@ def test_calculus_parser_never_crashes(fragments):
         pass
 
 
+def test_deep_nesting_is_a_syntax_error_with_a_position():
+    with pytest.raises(OQLSyntaxError, match="nested too deeply") as info:
+        parse_oql("(" * _DEEP + "1" + ")" * _DEEP)
+    assert info.value.line == 1 and 1 < info.value.column <= _DEEP
+    with pytest.raises(CalculusError, match=r"nested too deeply at line 1, column \d+"):
+        parse_calculus("(" * _DEEP + "1" + ")" * _DEEP)
+
+
+class TestDeepQueriesThroughDatabaseRun:
+    """A query too deep for some stage ends in a ``ReproError``."""
+
+    def test_translate_overflow_is_a_resource_limit(self, travel_db):
+        # parsing a left-deep sum is a loop; translating it recurses
+        with pytest.raises(ResourceLimitError, match="too deeply to compile"):
+            travel_db.run(" + ".join(["1"] * 400))
+
+    def test_parse_overflow_is_a_syntax_error(self, travel_db):
+        with pytest.raises(OQLSyntaxError, match="nested too deeply"):
+            travel_db.run("(" * _DEEP + "1" + ")" * _DEEP)
+
+    def test_execute_overflow_is_a_resource_limit(self, travel_db, monkeypatch):
+        def overflow(self, term):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(type(travel_db.evaluator()), "evaluate", overflow)
+        with pytest.raises(ResourceLimitError, match="too deeply to execute"):
+            travel_db.run("1 + 1", engine="interpret")
+
+
 # -- round trip on random structured terms -----------------------------------
 
 _names = st.sampled_from(["x", "y", "z", "Xs", "Ys"])
 
 
-def _terms():
+def _terms(monoids):
     from repro.calculus import (
     add,
     comp,
@@ -125,8 +170,7 @@ def _terms():
                 lambda p: if_(p[0], p[1], p[2])
             ),
             st.tuples(children, children).map(lambda p: rec(a=p[0], b=p[1])),
-            st.tuples(_names, st.sampled_from(["set", "bag", "list", "sum"]),
-                      children, children).map(
+            st.tuples(_names, st.sampled_from(monoids), children, children).map(
                 lambda p: comp(p[1], p[3], [gen(p[0], var("Src")), filt(eq(var(p[0]), p[2]))])
             ),
         )
@@ -134,9 +178,22 @@ def _terms():
     return st.recursive(base, extend, max_leaves=8)
 
 
+@pytest.fixture
+def user_monoid(register_monoid):
+    return register_monoid(
+        PrimitiveMonoid("gcd", 0, math.gcd, commutative=True, idempotent=True)
+    )
+
+
+@pytest.mark.usefixtures("user_monoid")
 @settings(max_examples=150, deadline=None)
-@given(term=_terms())
-def test_pretty_parse_round_trip(term):
+@given(data=st.data())
+def test_pretty_parse_round_trip(data):
+    """Every registered monoid: Table 1, ``csum`` and ``cell``, and one
+    registered by this test."""
+    monoids = default_registry().names()
+    assert {"set", "bag", "list", "sum", "csum", "cell", "gcd"} <= set(monoids)
+    term = data.draw(_terms(monoids))
     text = pretty(term)
     reparsed = parse_calculus(text)
     assert alpha_equal(reparsed, term), text

@@ -23,6 +23,7 @@ def test_tutorial_has_blocks():
     assert len(_blocks()) >= 8
 
 
+@pytest.mark.usefixtures("register_monoid")  # §11 registers gcd; restored after
 def test_tutorial_blocks_execute_in_order():
     namespace: dict = {}
     for i, block in enumerate(_blocks(), 1):

@@ -7,6 +7,11 @@ ordinary comprehensions by name:
 - ``avgpair`` — the (sum, count) pair monoid that makes *average*
   compositional (plain avg is not a monoid; the pair trick is);
 - ``top3`` — a bounded "best three" collection monoid.
+
+Registration is per test (``register_monoid`` restores the registry
+afterwards), and it is the only declaration: type checking, lint,
+normalization, the calculus parser and the planner read the monoid's
+C/I properties from the registered object.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ import math
 
 import pytest
 
-from repro.calculus import comp, const, gen, proj, tup, var
+from repro.algebra import Executor, build_plan
+from repro.calculus import alpha_equal, comp, const, gen, pretty, proj, tup, var
+from repro.calculus.parser import parse_calculus
 from repro.errors import WellFormednessError
 from repro.eval import evaluate
+from repro.lint import Linter
 from repro.monoids import (
     Accumulator,
     CollectionMonoid,
@@ -25,32 +33,18 @@ from repro.monoids import (
     check_hom_well_formed,
     default_registry,
 )
-from repro.types.infer import MONOID_PROPS
+from repro.normalize import RULES_BY_NAME, normalize
+from repro.types import TColl, TFLOAT, TypeChecker
 from repro.values import Bag
 
-
-def _register(monoid, props):
-    registry = default_registry()
-    if monoid.name not in registry:
-        registry.register(monoid)
-    MONOID_PROPS.setdefault(monoid.name, props)
-    return registry.get(monoid.name)
-
-
-GCD = _register(
-    PrimitiveMonoid("gcd", 0, math.gcd, commutative=True, idempotent=True),
-    (True, True, False),
-)
+GCD = PrimitiveMonoid("gcd", 0, math.gcd, commutative=True, idempotent=True)
 
 
 def _avg_merge(left, right):
     return (left[0] + right[0], left[1] + right[1])
 
 
-AVGPAIR = _register(
-    PrimitiveMonoid("avgpair", (0, 0), _avg_merge, commutative=True, idempotent=False),
-    (True, False, False),
-)
+AVGPAIR = PrimitiveMonoid("avgpair", (0, 0), _avg_merge, commutative=True, idempotent=False)
 
 
 class _Top3Accumulator(Accumulator):
@@ -93,7 +87,13 @@ class Top3Monoid(CollectionMonoid):
         return _Top3Accumulator()
 
 
-TOP3 = _register(Top3Monoid(), (True, True, True))
+TOP3 = Top3Monoid()
+
+
+@pytest.fixture(autouse=True)
+def _user_monoids(register_monoid):
+    for monoid in (GCD, AVGPAIR, TOP3):
+        register_monoid(monoid)
 
 
 class TestGcd:
@@ -162,9 +162,45 @@ class TestTop3:
         assert evaluate(term) == (90, 70, 50)
 
     def test_normalization_preserves_user_monoid_semantics(self):
-        from repro.normalize import normalize
+        from repro.normalize import RULES_BY_NAME, normalize
 
         inner = comp("bag", var("y"), [gen("y", var("Ys"))])
         outer = comp("top3", var("x"), [gen("x", inner)])
         data = {"Ys": (4, 9, 2, 9)}
         assert evaluate(normalize(outer), data) == evaluate(outer, data) == (9, 4, 2)
+
+
+class TestRegisteredOnce:
+    """One registration is the whole declaration: every static layer
+    knows the monoid, and the planned execution agrees with the
+    reference evaluator."""
+
+    def test_every_layer_knows_it(self, company_db):
+        term = parse_calculus("gcd{ e.salary | e <- Employees, e.dno = 2 }")
+        assert alpha_equal(parse_calculus(pretty(term)), term)
+        TypeChecker(company_db.schema).check(term)
+        codes = [d.code for d in Linter(company_db.schema).lint_term(term)]
+        assert "QL006" not in codes
+        plan = build_plan(normalize(term))
+        expected = company_db.run_calculus(term)
+        assert expected > 0
+        assert Executor(company_db.evaluator()).execute(plan) == expected
+
+    def test_unit_comprehension_normalizes_to_its_head(self):
+        """N0: a registered primitive's unit is the identity, as sum's is."""
+        n0 = (RULES_BY_NAME["N0-unit"],)
+        assert normalize(parse_calculus("gcd{ x }"), n0) == var("x")
+        assert normalize(parse_calculus("top3{ x }"), n0) == parse_calculus("unit(top3)(x)")
+
+    def test_csum_typechecks(self):
+        import repro.vectors.linalg  # noqa: F401  (registers csum and cell)
+
+        term = parse_calculus("csum{ (x, 0.0) | x <- Xs }")
+        TypeChecker().check(term, {"Xs": TColl("list", TFLOAT)})
+
+    def test_set_source_into_non_idempotent_monoid_is_ill_formed(self, company_db):
+        term = parse_calculus("avgpair{ (d.budget, 1) | d <- Departments }")
+        with pytest.raises(WellFormednessError, match="avgpair lacks"):
+            TypeChecker(company_db.schema).check(term)
+        codes = [d.code for d in Linter(company_db.schema).lint_term(term)]
+        assert "QL001" in codes and "QL006" not in codes
