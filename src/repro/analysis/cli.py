@@ -19,17 +19,9 @@ import json
 import os
 from typing import Callable, Optional
 
-from repro.db.database import Database
+from repro.db.database import Database, demo_database
 from repro.errors import ReproError, VerificationError
 from repro.lint.cli import split_queries
-
-
-def _make_database(schema_name: str) -> Database:
-    from repro.db.database import demo_company_database, demo_travel_database
-
-    if schema_name == "company":
-        return demo_company_database()
-    return demo_travel_database()
 
 
 def _short(text: str, limit: int = 60) -> str:
@@ -84,7 +76,7 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     )
     args = parser.parse_args(argv)
 
-    db = _make_database(args.schema)
+    db = demo_database(args.schema)
     documents = []
     exit_code = 0
     for target in args.targets:

@@ -31,6 +31,7 @@ from typing import Any, Optional
 from repro.analysis.verifier import verification_enabled
 from repro.cache.core import CompiledQuery
 from repro.errors import DatabaseError
+from repro.obs.tracer import QueryRecord
 
 
 class Prepared:
@@ -67,10 +68,11 @@ class Prepared:
         """The ``$`` parameter names this statement expects, sorted."""
         return self._ensure().params
 
-    def _ensure(self) -> CompiledQuery:
+    def _ensure(self, record: Optional[QueryRecord] = None) -> CompiledQuery:
         """The current entry: the shared cache's when the database has
-        one, else the pinned one — recompiled if the catalog moved on,
-        or if verification is now on and the pin was built without it."""
+        one, else the pinned one — recompiled (timed into ``record``) if
+        the catalog moved on, or if verification is now on and the pin
+        was built without it."""
         db = self._db
         entry = self._entry
         if (
@@ -80,7 +82,7 @@ class Prepared:
             or (verification_enabled() and not entry.verified)
         ):
             entry = self._entry = db.compile(
-                self.oql, self.engine, self.typecheck, self.param_types
+                self.oql, self.engine, self.typecheck, self.param_types, record=record
             )
         return entry
 

@@ -5,6 +5,7 @@ from repro.db.database import (
     Database,
     QueryResult,
     demo_company_database,
+    demo_database,
     demo_travel_database,
 )
 from repro.db.index import HashIndex
@@ -28,6 +29,7 @@ __all__ = [
     "QueryResult",
     "company_schema",
     "demo_company_database",
+    "demo_database",
     "dump_database",
     "load_database",
     "restore_database",

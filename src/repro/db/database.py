@@ -32,12 +32,9 @@ the normalized term on the reference evaluator instead of the algebra
 from __future__ import annotations
 
 import functools
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Iterator, Literal, Optional
+from typing import Any, Literal, Optional
 
 from repro.algebra.groupby import plan_group_by
 from repro.algebra.ops import Reduce
@@ -73,8 +70,8 @@ from repro.normalize.engine import normalize_with_trace
 from repro.normalize.trace import NormalizationTrace
 from repro.obs.explain import plan_to_dict, render_explain, summarize
 from repro.obs.metrics import PlanMetrics
-from repro.obs.querylog import QueryLog, oql_fingerprint
-from repro.obs.tracer import Tracer, TraceSpan
+from repro.obs.querylog import QueryLog
+from repro.obs.tracer import QueryRecord, Tracer, TraceSpan
 from repro.objects.classes import ExtentRegistry
 from repro.objects.store import ObjectStore
 from repro.oql.parser import parse
@@ -122,7 +119,8 @@ class QueryResult:
     plan: Optional[Reduce]
     value: Any
     engine: str = "algebra"
-    #: root trace span of this query (None unless tracing was on)
+    #: this query's span tree, built from :attr:`record` (None unless
+    #: session tracing was on)
     span: Optional[TraceSpan] = None
     #: the execution's per-operator record (None when no plan ran;
     #: ``time_ns`` is 0 unless the run was timed: ``metrics=True`` or
@@ -137,6 +135,8 @@ class QueryResult:
     jit: Optional[dict[str, Any]] = None
     #: the compiled entry this result was executed from
     compiled: Optional[CompiledQuery] = field(default=None, repr=False)
+    #: this query's record: phase times, total time, cache outcome
+    record: Optional[QueryRecord] = field(default=None, repr=False)
 
     @property
     def stats(self) -> Optional[ExecutionStats]:
@@ -171,8 +171,8 @@ class QueryResult:
                     f"{name} x{count}" for name, count in sorted(constructs.items())
                 ) + ")"
             lines.append(line)
-        if self.span is not None:
-            phases = self.span.phase_times_ms()
+        if self.record is not None:
+            phases = self.record.phases_ms()
             lines.append(
                 "phases:     "
                 + "  ".join(f"{name}={ms:.3f}ms" for name, ms in phases.items())
@@ -211,12 +211,9 @@ class Database:
         self.functions: dict[str, Any] = {}
         self._object_extents: set[str] = set()
         self._views: dict[str, Term] = {}
-        #: pipeline tracer; disabled by default so queries run untouched
+        #: session tracer: while enabled, every query's span tree is
+        #: retained and its operators are timed
         self.tracer = Tracer(enabled=False)
-        # Per-thread tracer override (telemetry and EXPLAIN ANALYZE turn
-        # tracing on for their own queries without mutating the shared
-        # ``tracer``, which would race under concurrent query threads).
-        self._tracer_local = threading.local()
         #: structured query log, enabled via :meth:`profile`
         self.query_log: Optional[QueryLog] = None
         # The opt-in modes, each None (off) unless its constructor
@@ -409,48 +406,20 @@ class Database:
     ) -> QueryResult:
         """Answer an OQL query, keeping every intermediate artifact.
 
-        The result always carries the execution's per-operator record
-        (``result.metrics``, which ``result.stats`` is a view of). With
-        tracing enabled (:meth:`profile` / ``tracer.enabled``) it
-        additionally carries the phase span tree and per-operator wall
-        time; ``metrics=True`` asks for that timing for this one call
-        even while tracing is off (EXPLAIN ANALYZE does this). ``verify``
-        is :meth:`run`'s rewrite-verification switch (it covers the whole
+        The result always carries the query's record (``result.record``:
+        phase times, total time, cache outcome) and the execution's
+        per-operator record (``result.metrics``, which ``result.stats``
+        is a view of). With tracing enabled (:meth:`profile` /
+        ``tracer.enabled``) it additionally carries the span tree built
+        from the query's record and per-operator wall time;
+        ``metrics=True`` asks for that timing for this one call even
+        while tracing is off (EXPLAIN ANALYZE does this). ``verify`` is
+        :meth:`run`'s rewrite-verification switch (it covers the whole
         pipeline, including the re-normalization inside plan building).
         """
         return self._run(oql, engine, typecheck, strict, metrics, verify, None, {})
 
-    def _run(self, *query: Any) -> QueryResult:
-        """The shell every query runs in, ad-hoc or prepared: telemetry
-        recording around :meth:`_run_query` (same arguments).
-
-        Timing uses ``time.perf_counter`` (never wall clock). When
-        session tracing is off, a throwaway enabled tracer is installed
-        thread-locally so the phase histograms still get a span tree —
-        the shared ``self.tracer`` is never touched, keeping concurrent
-        queries race-free; it does not ask for per-operator timing
-        (:meth:`_execute`). The query is recorded once it has finished
-        or failed: one flush into the registry.
-        """
-        registry = self.telemetry
-        if registry is None:
-            return self._run_query(*query)
-        from repro.obs.telemetry.instrument import (
-            record_query_error,
-            record_query_result,
-        )
-
-        start = time.perf_counter()
-        try:
-            with self._tracing():
-                result = self._run_query(*query)
-        except Exception as err:
-            record_query_error(registry, err, time.perf_counter() - start)
-            raise
-        record_query_result(registry, self, result, time.perf_counter() - start)
-        return result
-
-    def _run_query(
+    def _run(
         self,
         oql: str,
         engine: str,
@@ -461,49 +430,56 @@ class Database:
         prepared: Any,
         params: dict[str, Any],
     ) -> QueryResult:
-        """One query: the ``query`` span, the ``verification`` extent,
-        compile → execute, and the query-log entry."""
-        tracer = self._active_tracer()
-        with tracer.span("query") as qspan:
-            if qspan is not None:
-                qspan.meta["oql_sha256"] = oql_fingerprint(oql)
+        """The shell every query runs in, ad-hoc or prepared: one
+        :class:`~repro.obs.tracer.QueryRecord` (timed with
+        ``time.perf_counter_ns``, never the wall clock), the
+        ``verification`` extent, compile → execute, and the one hand-off
+        of the finished or failed record to its readers (:meth:`_report`)."""
+        record = QueryRecord(oql)
+        try:
             with verification(verify):
-                info: dict[str, Any] = {}
                 if prepared is None:
-                    entry = self.compile(oql, engine, typecheck, strict=strict, info=info)
+                    entry = self.compile(oql, engine, typecheck, strict=strict, record=record)
                 else:
-                    entry = prepared._ensure()
+                    entry = prepared._ensure(record)
                     prepared._validate(params)
-                    info["compile"] = "prepared"
-                result = self._execute(oql, entry, params, metrics, info)
-        if qspan is not None:
-            result.span = qspan
-            if self.query_log is not None:
-                self.query_log.record(result, qspan)
+                    record.cache["compile"] = "prepared"
+                result = self._execute(oql, entry, params, metrics, record)
+        except Exception as err:
+            record.finish(err)
+            self._report(record, None, err)
+            raise
+        record.finish()
+        self._report(record, result, None)
         return result
 
-    def _active_tracer(self) -> Tracer:
-        """This thread's tracer: the override when one is installed for
-        the current query (:meth:`_tracing`), else the shared tracer."""
-        override = getattr(self._tracer_local, "tracer", None)
-        return override if override is not None else self.tracer
+    def _report(
+        self,
+        record: QueryRecord,
+        result: Optional[QueryResult],
+        error: Optional[Exception],
+    ) -> None:
+        """Hand one finished query (its ``result``) or failed one (its
+        ``error``) to every reader that is on: telemetry (one flush), the
+        session tracer (one span tree, which becomes ``result.span``) and
+        the query log (one entry)."""
+        if self.telemetry is not None:
+            from repro.obs.telemetry.instrument import (
+                record_query_error,
+                record_query_result,
+            )
 
-    @contextmanager
-    def _tracing(self) -> Iterator[None]:
-        """Make sure this thread's queries are traced for the length of
-        the block: when they are not already, into a throwaway enabled
-        tracer installed thread-locally. The shared ``self.tracer`` is
-        never swapped or switched, so a concurrent ``run`` on another
-        thread and a ``profile()`` toggle during the block both keep
-        acting on it."""
-        if self._active_tracer().enabled:
-            yield
-            return
-        self._tracer_local.tracer = Tracer(enabled=True)
-        try:
-            yield
-        finally:
-            self._tracer_local.tracer = None
+            seconds = record.total_ns / 1e9
+            if result is None:
+                record_query_error(self.telemetry, error, seconds)
+            else:
+                record_query_result(self.telemetry, self, result, seconds)
+        if self.tracer.enabled:
+            span = self.tracer.add(record)
+            if result is not None:
+                result.span = span
+        if self.query_log is not None:
+            self.query_log.record(record, result)
 
     def _executor(
         self, evaluator: Evaluator, timed_into: Optional[PlanMetrics]
@@ -520,14 +496,7 @@ class Database:
             return Executor(evaluator, indexes, metrics=timed_into, jit=self.jit)
         from repro.parallel import ParallelExecutor
 
-        tracer = self._active_tracer()
-        return ParallelExecutor(
-            evaluator,
-            indexes,
-            metrics=timed_into,
-            config=self.parallel,
-            tracer=tracer if tracer.enabled else None,
-        )
+        return ParallelExecutor(evaluator, indexes, metrics=timed_into, config=self.parallel)
 
     # -- compile: the front half ------------------------------------------------
 
@@ -540,7 +509,7 @@ class Database:
         param_types: Optional[dict[str, Any]] = None,
         *,
         strict: bool = False,
-        info: Optional[dict[str, Any]] = None,
+        record: Optional[QueryRecord] = None,
     ) -> CompiledQuery:
         """OQL text -> :class:`CompiledQuery`: parse → translate → [lint]
         → [typecheck] → normalize → plan → optimize → jit.
@@ -553,36 +522,37 @@ class Database:
         plan must not smuggle past strict mode. With a cache attached
         the compiled entry is looked up first by exact text and then,
         after translation, by canonical alpha-form (docs/CACHE.md
-        specifies keying and invalidation), and stored on a miss;
-        ``info``, when given, receives ``{"compile": "hit" | "miss"}``
-        in that case and nothing otherwise. Under rewrite verification
-        only entries that were themselves built under it count as hits.
+        specifies keying and invalidation), and stored on a miss. Each
+        stage is timed into ``record`` (a fresh one when not given); with
+        a cache, its ``cache`` receives ``{"compile": "hit" | "miss"}``
+        and its ``cached`` the phases a hit skipped. Under rewrite
+        verification only entries that were themselves built under it
+        count as hits.
         ``$name`` parameters type-check as ``ANY`` unless ``param_types``
         narrows them, whoever compiles — so a shared entry never depends
         on who built it first, and an unbound parameter surfaces at
         execution.
         """
         cache = self.cache
-        tracer = self._active_tracer()
+        if record is None:
+            record = QueryRecord(oql)
         verifying = verification_enabled()
         version = self._compile_version()
         text_key = (oql, engine, typecheck)
-        if info is None:
-            info = {}
         if cache is not None:
-            with tracer.span("cache"):
+            with record.phase("cache"):
                 entry = cache.compiled_by_text(text_key, version, verifying)
             if entry is not None:
                 if strict:
-                    with tracer.span("lint"):
+                    with record.phase("lint"):
                         _raise_errors(self.lint(oql))
-                info["compile"] = "hit"
-                tracer.mark_cached(*entry.phases)
+                record.cache["compile"] = "hit"
+                record.cached = entry.phases
                 return entry
         try:
-            with tracer.span("parse"):
+            with record.phase("parse"):
                 node = parse(oql)
-            with tracer.span("translate"):
+            with record.phase("translate"):
                 written = Translator(self.schema).translate(node)
                 calculus, viewed = self._expand_views(written)
         except (OQLSyntaxError, TranslationError) as err:
@@ -602,7 +572,7 @@ class Database:
                 normal = normal or normalize_with_trace(calculus)
                 return normal[0]
 
-            with tracer.span("lint"):
+            with record.phase("lint"):
                 _raise_errors(self._linter().lint_term(written, None if viewed else normal_form))
         key = None
         if cache is not None:
@@ -614,22 +584,22 @@ class Database:
                 # An alpha-variant of a cached query: alias the text
                 # so the next repeat skips parse/translate too.
                 cache.alias(text_key, key)
-                info["compile"] = "hit"
-                tracer.mark_cached(
-                    *[p for p in entry.phases if p not in ("parse", "translate")]
+                record.cache["compile"] = "hit"
+                record.cached = tuple(
+                    p for p in entry.phases if p not in ("parse", "translate")
                 )
                 return entry
-            info["compile"] = "miss"
+            record.cache["compile"] = "miss"
         phases = ["parse", "translate"]
         # ``$`` is not an identifier character, so text without one has
         # no parameters (a view body is the one other place to hide one).
         params = param_names(calculus) if "$" in oql or viewed else ()
         if typecheck:
-            with tracer.span("typecheck"):
+            with record.phase("typecheck"):
                 env = {"$" + name: (param_types or {}).get(name, ANY) for name in params}
                 TypeChecker(self.schema).check(calculus, env)
             phases.append("typecheck")
-        with tracer.span("normalize"):
+        with record.phase("normalize"):
             normalized, trace = normal or normalize_with_trace(calculus)
         phases.append("normalize")
         plan: Optional[Reduce] = None
@@ -639,11 +609,11 @@ class Database:
             try:
                 # No second normalization: the planning rules are a subset
                 # of the default ones the normal form is already normal under.
-                with tracer.span("plan"):
+                with record.phase("plan"):
                     logical = plan_group_by(calculus) or build_plan(
                         normalized, pre_normalize=False
                     )
-                with tracer.span("optimize"):
+                with record.phase("optimize"):
                     plan = self._optimize(logical)
                 phases += ("plan", "optimize")
             except PlanError:
@@ -652,7 +622,7 @@ class Database:
             if plan is not None and self.jit is not None:
                 from repro.jit.plan import precompile_plan
 
-                with tracer.span("jit"):
+                with record.phase("jit"):
                     precompile_plan(plan)
                 phases.append("jit")
         entry = CompiledQuery(
@@ -742,7 +712,7 @@ class Database:
         entry: CompiledQuery,
         params: dict[str, Any],
         metrics: bool,
-        info: dict[str, Any],
+        record: QueryRecord,
     ) -> QueryResult:
         """Result-cache lookup → executor → fallback chain → result.
 
@@ -753,9 +723,8 @@ class Database:
         cache attached the next repeat goes straight to the interpreter.
         """
         cache = self.cache
-        tracer = self._active_tracer()
-        # Operators are always counted; they are timed only on request —
-        # telemetry's throwaway tracer (phase spans) is not one.
+        # Operators are always counted; they are timed only on request:
+        # ``metrics=True`` or session tracing, never telemetry.
         timed_into = PlanMetrics() if (metrics or self.tracer.enabled) else None
         result_key = versions = executor = jit_report = None
         hit = False
@@ -765,7 +734,7 @@ class Database:
             if entry.result_cacheable and metrics:
                 # EXPLAIN ANALYZE needs real per-operator actuals;
                 # serving a stored value would report an empty plan.
-                info["result"] = "bypass"
+                record.cache["result"] = "bypass"
             elif entry.result_cacheable:
                 try:
                     result_key = (entry.key, tuple(sorted(params.items())))
@@ -774,11 +743,11 @@ class Database:
                     result_key = None
                 else:
                     versions = self._result_versions(entry)
-                    with tracer.span("cache"):
+                    with record.phase("cache"):
                         hit, value = cache.result_for(result_key, versions)
-                    info["result"] = "hit" if hit else "miss"
+                    record.cache["result"] = "hit" if hit else "miss"
         if hit:
-            tracer.mark_cached("execute")
+            record.cached += ("execute",)
         else:
             evaluator = self.evaluator()
             for name, bound in params.items():
@@ -793,7 +762,7 @@ class Database:
                     jit_report = precompile_plan(entry.plan)
                 executor = self._executor(evaluator, timed_into)
                 try:
-                    with tracer.span("execute"):
+                    with record.phase("execute"):
                         value = executor.execute(entry.plan)
                 except PlanError:
                     if entry.engine == "algebra":
@@ -807,7 +776,7 @@ class Database:
                     )
                     entry.result_cacheable = None
             if entry.plan is None:
-                with tracer.span("execute"):
+                with record.phase("execute"):
                     value = evaluator.evaluate(entry.normalized)
             if result_key is not None:
                 if entry.result_cacheable is None:
@@ -823,9 +792,10 @@ class Database:
             value,
             "interpret" if entry.plan is None else "algebra",
             metrics=executor.metrics if executor is not None else None,
-            cache=info or None,
+            cache=record.cache or None,
             jit=jit_report,
             compiled=entry,
+            record=record,
         )
 
     # -- modes --------------------------------------------------------------------
@@ -916,9 +886,10 @@ class Database:
     ) -> None:
         """Toggle observability: pipeline tracing plus the query log.
 
-        While on, every :meth:`run`/:meth:`run_detailed` records a phase
-        span tree and per-operator wall time (on the :class:`QueryResult`)
-        and appends one JSON entry to :attr:`query_log` — streamed to
+        While on, every :meth:`run`/:meth:`run_detailed` keeps the span
+        tree of its record in ``tracer.roots`` (and on the
+        :class:`QueryResult`), times its operators, and appends one JSON
+        entry to :attr:`query_log`, failed runs included — streamed to
         ``sink`` (a ``str -> None`` callable) when given, and/or
         appended to the file at ``path`` with size-based rotation
         (``max_bytes`` per file, ``backups`` old files kept; see
@@ -964,21 +935,16 @@ class Database:
         """
         doc: dict[str, Any] = {"oql": oql.strip(), "analyzed": analyze}
         if analyze:
-            # Trace the run so the document has phase timings even when
-            # session tracing is off.
-            with self._tracing():
-                result = self.run_detailed(oql, metrics=True)
+            result = self.run_detailed(oql, metrics=True)
             plan, normalized, metrics = result.plan, result.normalized, result.metrics
             if result.cache is not None:
                 doc["cache"] = dict(result.cache)
                 if self.cache is not None:
                     doc["cache"]["stats"] = self.cache.stats.as_dict()
-            if result.span is not None:
-                doc["total_ms"] = round(result.span.duration_ms, 3)
-                doc["phases_ms"] = {
-                    name: round(ms, 3)
-                    for name, ms in result.span.phase_times_ms().items()
-                }
+            doc["total_ms"] = round(result.record.total_ms, 3)
+            doc["phases_ms"] = {
+                name: round(ms, 3) for name, ms in result.record.phases_ms().items()
+            }
         else:
             entry = self.compile(oql)
             plan, normalized, metrics = entry.plan, entry.normalized, None
@@ -1050,6 +1016,15 @@ def demo_travel_database(
         make_travel_agency(num_cities, hotels_per_city, rooms_per_hotel, seed)
     )
     return db
+
+
+def demo_database(name: str = "travel") -> Database:
+    """The demo database a command line names: ``"company"`` is
+    :func:`demo_company_database`, anything else
+    :func:`demo_travel_database`."""
+    if name == "company":
+        return demo_company_database()
+    return demo_travel_database()
 
 
 def demo_company_database(

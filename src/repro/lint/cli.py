@@ -107,15 +107,11 @@ def lint_text(
 
 
 def _make_linter(schema_name: str) -> Linter:
-    if schema_name == "travel":
-        from repro.db.sample_data import travel_schema
+    if schema_name == "none":
+        return Linter()
+    from repro.db.database import demo_database
 
-        return Linter(travel_schema())
-    if schema_name == "company":
-        from repro.db.sample_data import company_schema
-
-        return Linter(company_schema())
-    return Linter()
+    return Linter(demo_database(schema_name).schema)
 
 
 def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -> int:

@@ -16,18 +16,10 @@ import json
 import sys
 from typing import Callable, Optional
 
-from repro.db.database import Database
+from repro.db.database import demo_database
 from repro.errors import ReproError
 from repro.lint.cli import split_queries
 from repro.obs.explain import render_explain
-
-
-def _make_database(schema_name: str) -> Database:
-    from repro.db.database import demo_company_database, demo_travel_database
-
-    if schema_name == "company":
-        return demo_company_database()
-    return demo_travel_database()
 
 
 def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -> int:
@@ -54,7 +46,7 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     )
     args = parser.parse_args(argv)
 
-    db = _make_database(args.schema)
+    db = demo_database(args.schema)
     documents = []
     exit_code = 0
     for path in args.files:

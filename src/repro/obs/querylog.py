@@ -3,13 +3,14 @@
 Opt-in via :meth:`Database.profile <repro.db.database.Database.profile>`
 (or ``:profile on`` in the REPL). Each entry carries everything needed
 to find a regression after the fact without storing the query text
-itself: a wall-clock ``ts`` stamp, a stable hash of the OQL, the engine
-that answered it, phase timings from the same
-:class:`~repro.obs.tracer.TraceSpan` tree the tracer records, the
-executor's row counters, and the normalizer's rule-fire counts.
+itself: a wall-clock ``ts`` stamp, a stable hash of the OQL, the
+engine that answered it, the phase and total times of the query's
+:class:`~repro.obs.tracer.QueryRecord`, the executor's row counters,
+and the normalizer's rule-fire counts. A failed query's entry names its
+error class instead of the engine, counters and rule fires.
 
 Timing sources: every *duration* in an entry (``total_ms``,
-``phases_ms``) comes from the tracer's ``time.perf_counter`` spans;
+``phases_ms``) comes from the record's ``time.perf_counter_ns`` reads;
 ``ts`` is the **only** wall-clock (``time.time``) field in the
 observability layer — it stamps when the event happened, never how
 long anything took (the timing-source regression test enforces this
@@ -35,7 +36,8 @@ import time
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.obs.tracer import TraceSpan
+from repro.errors import ReproError
+from repro.obs.tracer import QueryRecord
 
 
 #: How many entries a :class:`QueryLog` keeps in memory (the newest);
@@ -49,37 +51,32 @@ def oql_fingerprint(oql: str) -> str:
 
 
 def query_log_entry(
-    result: Any, span: Optional[TraceSpan], slow_ms: Optional[float] = None
+    record: QueryRecord, result: Any = None, slow_ms: Optional[float] = None
 ) -> dict[str, Any]:
-    """Build the JSON-ready log entry for one finished query.
-
-    ``result`` is a :class:`~repro.db.database.QueryResult`; ``span``
-    the query's root trace span (None degrades to a timing-less entry).
-    """
-    # the query span carries the hash already; take it again only without one
-    sha256 = span.meta.get("oql_sha256") if span is not None else None
+    """Build the JSON-ready log entry for one query from its finished
+    ``record`` and, when it succeeded, its
+    :class:`~repro.db.database.QueryResult` (None for a failed query)."""
     entry: dict[str, Any] = {
         "event": "query",
         # Wall clock by design: a log reader correlates entries with
         # the outside world. All durations stay on perf_counter.
         "ts": round(time.time(), 6),
-        "oql_sha256": sha256 or oql_fingerprint(result.oql),
-        "engine": result.engine,
+        "oql_sha256": oql_fingerprint(record.oql),
+        "total_ms": round(record.total_ms, 3),
+        "phases_ms": {name: round(ms, 3) for name, ms in record.phases_ms().items()},
     }
-    if span is not None:
-        entry["total_ms"] = round(span.duration_ms, 3)
-        entry["phases_ms"] = {
-            name: round(ms, 3) for name, ms in span.phase_times_ms().items()
-        }
-    stats = result.stats
-    if stats is not None:
-        entry["stats"] = stats.as_dict()
-    cache = getattr(result, "cache", None)
-    if cache:
-        entry["cache"] = dict(cache)
-    entry["rule_fires"] = dict(sorted(result.trace.rule_counts().items()))
-    if slow_ms is not None and span is not None:
-        entry["slow"] = span.duration_ms >= slow_ms
+    if record.cache:
+        entry["cache"] = dict(record.cache)
+    if result is None:
+        entry["error"] = record.error
+    else:
+        entry["engine"] = result.engine
+        stats = result.stats
+        if stats is not None:
+            entry["stats"] = stats.as_dict()
+        entry["rule_fires"] = dict(sorted(result.trace.rule_counts().items()))
+    if slow_ms is not None:
+        entry["slow"] = record.total_ms >= slow_ms
     return entry
 
 
@@ -92,7 +89,10 @@ class QueryLog:
     window of the newest ones). ``path``
     additionally appends each line to a file, rotated before any write
     that would push the file past ``max_bytes`` (``None`` disables
-    rotation); ``backups`` old files are kept as ``path.1..path.N``.
+    rotation); ``backups`` old files are kept as ``path.1..path.N``. A
+    ``path`` that cannot be opened for appending is rejected here, with a
+    :class:`~repro.errors.ReproError`, so no query fails for a logging
+    reason.
     """
 
     def __init__(
@@ -106,6 +106,13 @@ class QueryLog:
         self.sink = sink
         self.slow_ms = slow_ms
         self.path = os.fspath(path) if path is not None else None
+        if self.path is not None:
+            try:
+                open(self.path, "ab").close()
+            except OSError as err:
+                raise ReproError(
+                    f"cannot write the query log to {self.path!r}: {err.strerror}"
+                ) from err
         self.max_bytes = max_bytes
         self.backups = max(0, backups)
         #: file rollovers performed so far
@@ -119,14 +126,14 @@ class QueryLog:
         # just-rolled file). RLock because rotate() is also public.
         self._lock = threading.RLock()
 
-    def record(self, result: Any, span: Optional[TraceSpan]) -> dict[str, Any]:
-        """Append (and emit) the entry for one finished query.
+    def record(self, record: QueryRecord, result: Any = None) -> dict[str, Any]:
+        """Append (and emit) the entry for one finished or failed query.
 
         Thread-safe: concurrent recorders serialize on an internal lock
         so JSONL lines never interleave and rotation never splits or
         drops an entry.
         """
-        entry = query_log_entry(result, span, self.slow_ms)
+        entry = query_log_entry(record, result, self.slow_ms)
         line = json.dumps(entry, sort_keys=True)
         with self._lock:
             self.entries.append(entry)

@@ -20,17 +20,10 @@ from __future__ import annotations
 import argparse
 from typing import Callable, Optional
 
-#: The demo burst: the cache CLI's workload shapes plus one query that
-#: fails (unknown name) so ``repro_query_errors_total`` is exercised.
-WORKLOAD = (
-    "select distinct c.name from c in Cities",
-    "select distinct x.name from x in Cities",  # alpha-variant: same fingerprint
-    "count(select h.name from c in Cities, h in c.hotels)",
-    "select distinct struct(city: c.name, hotel: h.name) "
-    "from c in Cities, h in c.hotels where h.stars > 2",
-    "select struct(city: city, n: count(partition)) "
-    "from c in Cities group by city: c.name",
-)
+# The demo burst is the cache CLI's workload (its alpha-variant pair
+# shares one fingerprint) plus one query that fails (unknown name) so
+# ``repro_query_errors_total`` is exercised.
+from repro.cache.cli import WORKLOAD
 
 FAILING_QUERY = "select n.name from n in Nowhere"
 

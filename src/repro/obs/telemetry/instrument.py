@@ -9,9 +9,8 @@ calls :func:`record_query_result` / :func:`record_query_error` once per
 lock held, and applies it with one
 :meth:`~repro.obs.telemetry.registry.MetricsRegistry.flush`:
 
-- per-phase latency histograms keyed on the tracer's
-  :data:`~repro.obs.tracer.PIPELINE_PHASES` (plus the cache's
-  ``cache`` span);
+- per-phase latency histograms keyed on the query record's slots
+  (:data:`~repro.obs.tracer.PIPELINE_PHASES` plus ``cache``);
 - success/error counters by engine and error class, and a
   :class:`~repro.errors.VerificationError`'s violations by rule and
   invariant;
@@ -110,11 +109,10 @@ def record_query_result(
         ("repro_query_seconds", (), seconds),
         ("repro_rows_returned_total", (), rows),
     ]
-    if result.span is not None:
-        batch.extend(
-            ("repro_phase_seconds", (phase,), ms / 1e3)
-            for phase, ms in result.span.phase_times_ms().items()
-        )
+    batch.extend(
+        ("repro_phase_seconds", (phase,), ms / 1e3)
+        for phase, ms in result.record.phases_ms().items()
+    )
 
     stats = result.stats
     if stats is not None:  # a plan ran: one pass over its record

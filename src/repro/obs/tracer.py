@@ -1,44 +1,51 @@
-"""Nested wall-clock spans for the query pipeline.
+"""One record per query, and the session tracer that keeps span trees.
 
-A :class:`Tracer` records one :class:`TraceSpan` tree per traced
-region. :meth:`Tracer.span` is a context manager::
+Every query a :class:`~repro.db.database.Database` runs gets one
+:class:`QueryRecord`, and the pipeline writes each phase it runs into
+the record's slot for it — one slot per :data:`PIPELINE_PHASES` entry
+plus ``cache`` (:data:`SLOTS`). The record itself times a phase::
 
-    tracer = Tracer(enabled=True)
-    with tracer.span("query", oql="count(Cities)"):
-        with tracer.span("parse"):
-            ...
-        with tracer.span("execute"):
-            ...
+    record = QueryRecord("count(Cities)")
+    with record.phase("parse"):
+        ...
+    with record.phase("execute"):
+        ...
+    record.finish()
+    record.phases_ms()  # {"parse": 0.11, "execute": 1.4}
 
-When the tracer is disabled (the default for a fresh
-:class:`~repro.db.database.Database`), ``span`` returns a shared no-op
-context manager: no span objects are allocated, no clock is read, and
-the traced code runs as if the ``with`` statement were absent. This is
-what lets one pipeline serve traced and untraced queries alike: with
-observability off a phase boundary costs one attribute test.
+A phase costs two ``time.perf_counter_ns`` reads and a slot write,
+always: there is no enabled/disabled fork. Phases are sequential (none
+is timed inside another), so one record times one phase at a time. A
+compile- or result-cache hit marks the phases it skipped as cached
+(:attr:`QueryRecord.cached`) instead of timing them.
 
-Spans export two ways: :meth:`Tracer.to_events` flattens every finished
-root into a list of JSON-ready event dicts (one per span, with a
-``parent`` index), and :func:`render_span` draws one root as an
-indented tree with durations — the form the REPL prints. The schema
-is documented in ``docs/OBSERVABILITY.md``.
+Everything that reports a query's time reads its finished record: the
+``QueryResult``, EXPLAIN ANALYZE, the query log, telemetry's phase
+histograms and — only while it is enabled — the session
+:class:`Tracer`, which builds one :class:`TraceSpan` tree from the
+record (:meth:`QueryRecord.to_span`) and retains it. Span trees export
+two ways: :meth:`Tracer.to_events` flattens every retained root into a
+list of JSON-ready event dicts (one per span, with a ``parent`` index),
+and :func:`render_span` draws one root as an indented tree with
+durations — the form the REPL prints. The schema is documented in
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from time import perf_counter_ns
+from typing import Any, Optional
 
-#: Every phase of the query pipeline, in pipeline order. This is the
-#: single source of truth shared by the tracer, the cache's skip logic
-#: (a compile-cache hit marks the skipped subset as cached, see
-#: :meth:`Tracer.mark_cached`) and the telemetry phase histograms — so a phase
-#: renamed here renames everywhere. ``lint`` is the ``strict=True``
-#: stage of ``compile``: it reads the term ``translate`` just made.
+#: Every phase of the query pipeline, in pipeline order: the schema of
+#: a :class:`QueryRecord` (with ``cache``, :data:`SLOTS`), so the result,
+#: EXPLAIN ANALYZE, the query log, the span tree and the telemetry phase
+#: histograms all name the same phases — a phase renamed here renames
+#: everywhere. ``lint`` is the ``strict=True`` stage of ``compile``: it
+#: reads the term ``translate`` just made; ``jit`` only runs when plan
+#: compilation is enabled (``REPRO_JIT``).
 PIPELINE_PHASES = (
     "parse",
     "translate",
@@ -51,22 +58,97 @@ PIPELINE_PHASES = (
     "execute",
 )
 
-#: The front half a compilation-cache hit skips (``execute`` always
-#: runs; ``lint`` is a per-call flag, honored even on hits). ``jit``
-#: only appears when plan compilation is enabled (``REPRO_JIT``).
-COMPILE_PHASES = (
-    "parse",
-    "translate",
-    "typecheck",
-    "normalize",
-    "plan",
-    "optimize",
-    "jit",
-)
+#: A query record's slots: the compile- and result-cache lookups, then
+#: every pipeline phase.
+SLOTS = ("cache",) + PIPELINE_PHASES
 
+_SLOT = {name: index for index, name in enumerate(SLOTS)}
 
 #: How many finished root spans a :class:`Tracer` retains (the newest).
 MAX_ROOTS = 1024
+
+
+class QueryRecord:
+    """One query's phase times, total time, cache outcome and error.
+
+    :meth:`phase` returns the record itself as the context manager that
+    times the named slot; a slot entered twice (an ``execute`` that fell
+    back to the interpreter) accumulates.
+    """
+
+    __slots__ = (
+        "oql", "cache", "cached", "error", "ns", "starts", "start_ns", "total_ns",
+        "_slot", "_t0",
+    )
+
+    def __init__(self, oql: str) -> None:
+        self.oql = oql
+        #: the cache outcome, e.g. ``{"compile": "hit", "result": "miss"}``
+        #: (``compile`` may also be ``"prepared"``, ``result`` ``"bypass"``)
+        self.cache: dict[str, str] = {}
+        #: the phases a cache hit skipped, in pipeline order
+        self.cached: tuple[str, ...] = ()
+        #: the error class of a failed query (None while it has not failed)
+        self.error: Optional[str] = None
+        #: nanoseconds spent per slot (None: the query never entered it)
+        self.ns: list[Optional[int]] = [None] * len(SLOTS)
+        #: ``perf_counter_ns`` when each slot was first entered
+        self.starts: list[int] = [0] * len(SLOTS)
+        self.total_ns = 0
+        self.start_ns = perf_counter_ns()
+
+    def phase(self, name: str) -> "QueryRecord":
+        """Time slot ``name`` for the length of a ``with`` block."""
+        self._slot = _SLOT[name]
+        return self
+
+    def __enter__(self) -> None:
+        self._t0 = perf_counter_ns()
+
+    def __exit__(self, *exc: Any) -> None:
+        elapsed = perf_counter_ns() - self._t0
+        slot = self._slot
+        spent = self.ns[slot]
+        if spent is None:
+            self.ns[slot] = elapsed
+            self.starts[slot] = self._t0
+        else:
+            self.ns[slot] = spent + elapsed
+
+    def finish(self, error: Optional[BaseException] = None) -> None:
+        """Stop the query's clock; ``error`` is why it failed, if it did."""
+        self.total_ns = perf_counter_ns() - self.start_ns
+        if error is not None:
+            self.error = type(error).__name__
+
+    @property
+    def total_ms(self) -> float:
+        return self.total_ns / 1e6
+
+    def phases_ms(self) -> dict[str, float]:
+        """``{slot: milliseconds}`` in :data:`SLOTS` order: every slot
+        the query entered, and 0.0 for each phase a cache hit skipped."""
+        out: dict[str, float] = {}
+        for name, spent in zip(SLOTS, self.ns):
+            if spent is not None:
+                out[name] = spent / 1e6
+            elif name in self.cached:
+                out[name] = 0.0
+        return out
+
+    def to_span(self) -> "TraceSpan":
+        """The record as a span tree: a ``query`` root with one child
+        per slot, a cached phase as a zero-length child marked
+        ``cached``."""
+        start = self.start_ns / 1e9
+        root = TraceSpan("query", start, self.total_ns / 1e9)
+        for slot, name in enumerate(SLOTS):
+            spent = self.ns[slot]
+            if spent is not None:
+                root.children.append(TraceSpan(name, self.starts[slot] / 1e9, spent / 1e9))
+            elif name in self.cached:
+                root.children.append(TraceSpan(name, start, meta={"cached": True}))
+        return root
 
 
 @dataclass
@@ -75,30 +157,13 @@ class TraceSpan:
 
     name: str
     start: float  # perf_counter seconds, comparable within one process
-    duration: float = 0.0  # seconds; 0.0 while the span is still open
+    duration: float = 0.0  # seconds
     meta: dict[str, Any] = field(default_factory=dict)
     children: list["TraceSpan"] = field(default_factory=list)
 
     @property
     def duration_ms(self) -> float:
         return self.duration * 1e3
-
-    def child(self, name: str) -> Optional["TraceSpan"]:
-        """The first direct child called ``name``, or None."""
-        for span in self.children:
-            if span.name == name:
-                return span
-        return None
-
-    def phase_times_ms(self) -> dict[str, float]:
-        """Direct children as a ``{name: milliseconds}`` mapping.
-
-        Repeated phase names accumulate (e.g. two ``execute`` attempts).
-        """
-        out: dict[str, float] = {}
-        for span in self.children:
-            out[span.name] = out.get(span.name, 0.0) + span.duration_ms
-        return out
 
     def to_dict(self) -> dict[str, Any]:
         """Nested JSON-ready form of this span subtree."""
@@ -113,105 +178,44 @@ class TraceSpan:
         return out
 
 
-#: The shared do-nothing context manager used while tracing is off.
-_NULL_SPAN = nullcontext()
-
-
 class Tracer:
-    """Collects nested spans; a null object when ``enabled`` is False.
+    """The session's retained span trees, one root per traced query.
+
+    A :class:`~repro.db.database.Database` hands its tracer each
+    finished or failed query's record while ``enabled`` is True
+    (:meth:`add`); ``enabled`` also asks for per-operator wall time.
 
     >>> tracer = Tracer(enabled=True)
-    >>> with tracer.span("query") as q:
-    ...     with tracer.span("parse"):
-    ...         pass
-    >>> [child.name for child in tracer.roots[-1].children]
+    >>> record = QueryRecord("count(Cities)")
+    >>> with record.phase("parse"):
+    ...     pass
+    >>> record.finish()
+    >>> [child.name for child in tracer.add(record).children]
     ['parse']
     """
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: the newest :data:`MAX_ROOTS` finished top-level spans, oldest
-        #: first — a ring, so a long traced session stays bounded
+        #: the newest :data:`MAX_ROOTS` query roots, oldest first — a
+        #: ring, so a long traced session stays bounded
         self.roots: deque[TraceSpan] = deque(maxlen=MAX_ROOTS)
-        # The open-span stack is thread-local: two threads tracing
-        # through one shared Tracer must each see their own nesting, or
-        # a span opened on thread A would adopt thread B's children and
-        # the pop order would corrupt both trees. ``roots`` stays shared
-        # (guarded by ``_roots_lock``) so every thread's finished
-        # top-level spans land in one exportable list.
-        self._stacks = threading.local()
+        # ``roots`` is shared by every thread that runs queries.
         self._roots_lock = threading.Lock()
 
-    @property
-    def _stack(self) -> list[TraceSpan]:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = self._stacks.stack = []
-        return stack
-
-    def span(self, name: str, **meta: Any):
-        """A context manager timing ``name``; no-op when disabled."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return self._timed(name, meta)
-
-    @contextmanager
-    def _timed(self, name: str, meta: dict[str, Any]) -> Iterator[TraceSpan]:
-        span = TraceSpan(name, time.perf_counter(), meta=dict(meta))
-        stack = self._stack
-        parent = stack[-1] if stack else None
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            span.duration = time.perf_counter() - span.start
-            stack.pop()
-            self._finished(span, parent)
-
-    def _finished(self, span: TraceSpan, parent: Optional[TraceSpan]) -> None:
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            with self._roots_lock:
-                self.roots.append(span)
-
-    def attach(self, name: str, start: float, duration: float, **meta: Any) -> None:
-        """Attach an already-measured span under the current open span.
-
-        For work timed on another thread (e.g. a parallel partition
-        worker): the worker records ``perf_counter`` start/duration
-        itself, and the coordinating thread attaches the finished span
-        to its own open trace. No-op while tracing is off.
-        """
-        if not self.enabled:
-            return
-        span = TraceSpan(name, start, duration=duration, meta=dict(meta))
-        stack = self._stack
-        self._finished(span, stack[-1] if stack else None)
-
-    def mark_cached(self, *names: str) -> None:
-        """Record zero-duration spans for phases a cache hit skipped.
-
-        Without this, a compile-cache hit would make ``parse`` …
-        ``optimize`` silently vanish from the trace tree; instead each
-        skipped phase appears with ``meta={"cached": True}`` and renders
-        as ``(cached)``. No-op while tracing is off.
-        """
-        if not self.enabled:
-            return
-        stack = self._stack
-        parent = stack[-1] if stack else None
-        now = time.perf_counter()
-        for name in names:
-            self._finished(TraceSpan(name, now, meta={"cached": True}), parent)
+    def add(self, record: QueryRecord) -> TraceSpan:
+        """Retain ``record``'s span tree; returns its root."""
+        root = record.to_span()
+        with self._roots_lock:
+            self.roots.append(root)
+        return root
 
     def reset(self) -> None:
-        """Drop every finished span (open spans are unaffected)."""
+        """Drop every retained root."""
         with self._roots_lock:
             self.roots.clear()
 
     def to_events(self) -> list[dict[str, Any]]:
-        """Every retained finished span as a flat, JSON-ready event list.
+        """Every retained span as a flat, JSON-ready event list.
 
         Events appear in pre-order; ``parent`` is the index of the
         enclosing span's event (None for roots) and ``start_ms`` is

@@ -56,7 +56,6 @@ every parallel execution is re-run serially and checked with
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Any, Callable, Iterator, Optional
 
@@ -68,19 +67,18 @@ from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.parallel.config import ParallelConfig
 from repro.parallel.partition import partition_rows
 
-#: One partition's outcome: ``(index, value, worker, start, duration)``.
-Outcome = tuple[int, Any, Executor, float, float]
+#: One partition's outcome: ``(index, value, worker)``.
+Outcome = tuple[int, Any, Executor]
 
 
 class ParallelExecutor(Executor):
     """Drop-in :class:`Executor` that fans ``Reduce`` out over
     partitions when the plan shape and configuration allow it.
 
-    ``tracer`` (optional) receives one attached span per partition so
-    traced queries show the fan-out; ``last_mode`` records how the most
-    recent ``execute`` ran (``"parallel"`` or ``"serial"``) for tests
-    and diagnostics. Evaluation through the shared evaluator is
-    read-only, so workers share it safely.
+    ``last_mode`` records how the most recent ``execute`` ran
+    (``"parallel"`` or ``"serial"``) for tests and diagnostics.
+    Evaluation through the shared evaluator is read-only, so workers
+    share it safely.
     """
 
     def __init__(
@@ -89,11 +87,9 @@ class ParallelExecutor(Executor):
         indexes=None,
         metrics=None,
         config: Optional[ParallelConfig] = None,
-        tracer=None,
     ) -> None:
         super().__init__(evaluator, indexes, metrics)
         self.config = config or ParallelConfig()
-        self.tracer = tracer
         self.last_mode = "serial"
 
     # -- the parallel reduce ---------------------------------------------------
@@ -215,7 +211,7 @@ class ParallelExecutor(Executor):
         """Run ``task`` on a private worker per partition (one
         ``prepared`` map each) on the pool, then add the workers' blocks
         into the query's (workers run the plan's own nodes, so they merge
-        by node) and attach per-partition trace spans.
+        by node).
 
         ``ordered=True`` returns outcomes in partition-index order (the
         non-commutative requirement); ``ordered=False`` returns them in
@@ -224,25 +220,14 @@ class ParallelExecutor(Executor):
 
         def run(index: int) -> Outcome:
             worker = self._worker(prepared[index])
-            start = time.perf_counter()
-            value = task(worker)
-            return index, value, worker, start, time.perf_counter() - start
+            return index, task(worker), worker
 
         workers = min(self.config.max_workers, len(prepared))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run, index) for index in range(len(prepared))]
             outs = [f.result() for f in (futures if ordered else as_completed(futures))]
-        for index, _value, worker, start, duration in sorted(
-            outs, key=lambda out: out[0]
-        ):
+        for _index, _value, worker in sorted(outs, key=lambda out: out[0]):
             self.metrics.merge_from(worker.metrics)
-            if self.tracer is not None:
-                self.tracer.attach(
-                    f"partition[{index}]",
-                    start,
-                    duration,
-                    rows=worker.metrics.for_node(self._plan.child).rows_out,  # reduced
-                )
         self.metrics.partitions, self.metrics.parallel_workers = len(outs), workers
         return outs
 

@@ -213,11 +213,7 @@ class Repl:
 def main(argv: Optional[list[str]] = None) -> int:
     """Entry point for ``python -m repro``."""
     args = list(sys.argv[1:] if argv is None else argv)
-    from repro.db.database import demo_company_database, demo_travel_database
+    from repro.db.database import demo_database
 
-    if args and args[0] == "company":
-        db = demo_company_database()
-    else:
-        db = demo_travel_database()
-    Repl(db).run()
+    Repl(demo_database(args[0] if args else "travel")).run()
     return 0

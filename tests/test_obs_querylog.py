@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.db import demo_travel_database
-from repro.obs.querylog import QueryLog, oql_fingerprint, query_log_entry
+from repro.errors import ReproError
+from repro.obs.querylog import QueryLog, oql_fingerprint
 
 QUERY = (
     "select distinct h.name from c in Cities, h in c.hotels "
@@ -31,21 +32,21 @@ class TestFingerprint:
         assert oql_fingerprint("count(Cities)") != oql_fingerprint("count(Hotels)")
 
     def test_untraced_runs_hash_nothing(self, db, count_calls):
-        """The fingerprint is span metadata: with tracing and telemetry
-        off there is no span, so no sha256 is taken."""
+        """Only the query log hashes the text: with tracing and telemetry
+        off there is no log, so no sha256 is taken."""
         db.disable_telemetry()
         calls = count_calls(oql_fingerprint)
         for _ in range(3):
             db.run(QUERY)
         assert calls == []
 
-    def test_traced_runs_carry_it_on_the_query_span(self, db, count_calls):
+    def test_traced_runs_hash_once_in_the_log(self, db, count_calls):
         db.profile(True)
         calls = count_calls(oql_fingerprint)
         result = db.run_detailed(QUERY)
-        assert result.span.meta == {"oql_sha256": oql_fingerprint(QUERY)}
+        assert result.span.meta == {}  # the span tree carries no hash
         assert db.query_log.entries[-1]["oql_sha256"] == oql_fingerprint(QUERY)
-        assert len(calls) == 1  # the span's; the log entry reuses it
+        assert len(calls) == 1  # the log entry's
 
 
 class TestEntry:
@@ -70,13 +71,17 @@ class TestEntry:
         db.run(QUERY)
         assert "slow" not in db.query_log.entries[-1]
 
-    def test_entry_without_span_degrades(self, db):
-        result = db.run_detailed(QUERY)
-        entry = query_log_entry(result, None, slow_ms=1.0)
-        assert entry["engine"] == "algebra"
-        assert "total_ms" not in entry
-        assert "phases_ms" not in entry
-        assert "slow" not in entry
+    def test_failed_run_entry(self, db):
+        db.profile(True, slow_ms=60_000.0)
+        with pytest.raises(ReproError) as raised:
+            db.run("select n.name from n in Nowhere")
+        entry = db.query_log.entries[-1]
+        assert entry["error"] == type(raised.value).__name__
+        assert entry["oql_sha256"] == oql_fingerprint("select n.name from n in Nowhere")
+        assert entry["total_ms"] >= 0 and "parse" in entry["phases_ms"]
+        assert entry["slow"] is False
+        assert not {"stats", "engine", "rule_fires"} & set(entry)
+        json.dumps(entry)
 
 
 class TestThreshold:
@@ -117,7 +122,7 @@ class TestLifecycle:
         db.profile(True)
         result = db.run_detailed("count(Cities)")
         log = QueryLog()
-        entry = log.record(result, result.span)
+        entry = log.record(result.record, result)
         assert list(log.entries) == [entry]
 
     def test_clear(self, db):
@@ -160,7 +165,42 @@ class TestLifecycle:
         assert "plan" not in entry["phases_ms"]
 
 
+class TestReadersAgree:
+    """Each run, failed or nested, is one record: one root in the
+    tracer and one entry in the log."""
+
+    def test_a_failed_run_is_one_root_and_one_entry(self, db):
+        db.profile(True)
+        db.run("count(Cities)")
+        with pytest.raises(ReproError):
+            db.run("select n.name from n in Nowhere")
+        assert len(db.tracer.roots) == len(db.query_log.entries) == 2
+        assert "error" in db.query_log.entries[-1]
+
+    def test_a_query_inside_a_query_is_its_own_root(self, db):
+        inner = []
+
+        def hotels(name):
+            inner.append(db.run("count(select h from c in Cities, h in c.hotels)"))
+            return name
+
+        db.register_function("hotels", hotels)
+        db.disable_cache()  # every inner run executes (robust under REPRO_CACHE=1)
+        db.profile(True)
+        db.run("select distinct hotels(c.name) from c in Cities where c.name != 'Bend'")
+        assert len(inner) >= 3  # once per city (verify mode may check a call twice)
+        assert len(db.tracer.roots) == len(db.query_log.entries) == 1 + len(inner)
+        outer = db.tracer.roots[-1]
+        assert [child.name for child in outer.children].count("execute") == 1
+
+
 class TestFileRotation:
+    def test_unwritable_path_is_rejected_up_front(self, db, tmp_path):
+        missing = tmp_path / "no" / "such" / "dir" / "q.log"
+        with pytest.raises(ReproError, match="q.log"):
+            db.profile(True, path=str(missing))
+        db.run("count(Cities)")  # no query fails for a logging reason
+
     def test_writes_jsonl_to_path(self, db, tmp_path):
         log_path = tmp_path / "query.log"
         db.profile(True, path=str(log_path))

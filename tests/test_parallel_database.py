@@ -162,15 +162,6 @@ def test_verify_mode_passes(dbs):
         serial.run(oql, verify=True)  # VerificationError would propagate
 
 
-def test_traced_query_attaches_partition_spans(dbs):
-    _, par = dbs
-    par.profile(True, sink=lambda line: None)
-    result = par.run_detailed("sum(select e.salary from e in Employees)")
-    execute = next(s for s in result.span.children if s.name == "execute")
-    names = [child.name for child in execute.children]
-    assert names == [f"partition[{i}]" for i in range(4)]
-
-
 def test_telemetry_counts_parallel_queries(dbs):
     from repro.obs.telemetry.registry import MetricsRegistry
 

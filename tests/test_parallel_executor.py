@@ -10,7 +10,6 @@ from repro.calculus.ast import MonoidRef
 from repro.errors import DatabaseError, VerificationError
 from repro.eval import Evaluator
 from repro.obs.metrics import PlanMetrics
-from repro.obs.tracer import Tracer
 from repro.oql import translate_oql
 from repro.parallel import (
     ParallelConfig,
@@ -104,14 +103,13 @@ def env():
     }
 
 
-def both(oql, env, config=None, tracer=None, metrics=None):
+def both(oql, env, config=None, metrics=None):
     plan = build_plan(translate_oql(oql))
     serial = Executor(Evaluator(env)).execute(plan)
     pex = ParallelExecutor(
         Evaluator(env),
         metrics=metrics,
         config=config or ParallelConfig(max_workers=4, min_partition_rows=1),
-        tracer=tracer,
     )
     return serial, pex.execute(plan), pex
 
@@ -324,19 +322,8 @@ def test_serial_fallback_metrics_still_pair(env):
 
 
 # ---------------------------------------------------------------------------
-# tracing + verification
+# verification
 # ---------------------------------------------------------------------------
-
-
-def test_partition_spans_attach(env):
-    tracer = Tracer(enabled=True)
-    with tracer.span("execute"):
-        serial, par, pex = both("sum(select n.v from n in Ns)", env, tracer=tracer)
-    assert serial == par
-    root = tracer.roots[-1]
-    names = [child.name for child in root.children]
-    assert names == [f"partition[{i}]" for i in range(4)]
-    assert sum(child.meta["rows"] for child in root.children) == 100
 
 
 def test_verify_accepts_equivalent_parallel_run(env):
