@@ -24,12 +24,11 @@ first-order terms in operator positions, so a loop never needs to know
 how its expression is evaluated: it calls an ``fn(binding, rt)`` that
 :meth:`Executor._fn` hands it, a thunk into the reference interpreter.
 Every binding dict an operator yields is a fresh one, never mutated
-afterwards. An execution is one of two things: these loops, or — with the
-JIT on, serial and untimed — the one function :mod:`repro.jit.plan`
-generated for the plan, which :meth:`Executor._reduce` calls instead and
-which has one *template* per operator making the same checks and the same
-counts. A timed execution and a parallel one need operator boundaries, so
-they run the loops, JIT or no JIT.
+afterwards. An execution is one of two things: the function
+:mod:`repro.jit.plan` generated for the plan (one *template* per operator,
+the same checks and counts), which :meth:`Executor._reduce` calls whenever
+the plan has one and the run is serial and untimed, or these loops: a plan
+without code (its first run), a timed or a parallel execution.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class Executor:
     index (dict key -> list of elements) used by :class:`IndexScan`
     nodes. ``metrics``, when given, is the table this executor records
     into *and* asks for per-operator wall time; without one the executor
-    records into a table of its own, untimed.
+    records into a table of its own, untimed. ``jit`` changes nothing.
     """
 
     def __init__(
@@ -144,11 +143,9 @@ class Executor:
         #: the record of the current execution's operator events
         self.metrics = metrics if metrics is not None else PlanMetrics()
         self._plan: Optional[Reduce] = None
-        #: optional repro.jit.JITConfig: run the plan's generated function
-        #: where :meth:`_reduce` can
-        self.jit = jit
         self._rt = Runtime(evaluator)
-        self._jit_verify = jit is not None and verification_enabled()
+        #: which of a plan's functions runs: verify mode's checked one or not
+        self._checked = verification_enabled()
         #: ``id(node)`` -> state computed (and counted) ahead of this
         #: execution, replayed instead of recomputed: a Scan's rows, a
         #: hash Join's table, a loop Join's right rows. Filled by the
@@ -179,10 +176,8 @@ class Executor:
 
     def _reduce(self, plan: Reduce) -> Any:
         monoid = self.evaluator.resolve_monoid(plan.monoid, self.evaluator.global_env)
-        if self.jit is not None and not self._timed:  # wall time needs boundaries
-            from repro.jit.plan import fused
-
-            pipeline = fused(plan, self._jit_verify)
+        if not self._timed:  # wall time needs boundaries
+            pipeline = plan.__dict__.get("jit_fused", {}).get(self._checked)
             if pipeline is not None:
                 blocks = [self.metrics.for_node(node) for node in plan.child.walk()]
                 for block in blocks:

@@ -14,9 +14,9 @@ structural equality/hash coincides with alpha-equivalence of the
 input, so it can be used directly as a dictionary key.  Free variables
 (extents, ``$`` parameters) are untouched: queries over different
 extents or with different parameter names never collide. Literals carry
-their type in the key, because Python's ``1 == True == 1.0`` would
-otherwise let one query answer for another with a value of the wrong
-type.
+their type in the key, all the way down (:func:`typed_value`), because
+Python's ``1 == True == 1.0`` would otherwise let one query answer for
+another with a value of the wrong type.
 
 :func:`literal_skeleton` instead blanks every constant, giving the
 key the ``QL401`` lint uses to spot literal-only query variants that
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from repro.calculus.ast import Const, Term, Var
 from repro.calculus.traversal import numbered, subterms
+from repro.values import Record
 
 #: The placeholder every constant collapses to in a literal skeleton.
 LITERAL_HOLE = "‹lit›"  # ‹lit›
@@ -34,8 +35,19 @@ LITERAL_HOLE = "‹lit›"  # ‹lit›
 _HOLE = Const(LITERAL_HOLE)
 
 
-def _typed(literal: Const) -> Const:
-    return Const((type(literal.value).__name__, literal.value))
+def typed_value(value: object) -> object:
+    """``value`` with its type beside it, inside tuples, sets and records
+    too: ``1``, ``1.0`` and ``True`` differ, and so do ``0.0`` and ``-0.0``."""
+    kind = type(value)
+    if kind is tuple or kind is frozenset:
+        return (kind.__name__, kind(map(typed_value, value)))
+    if kind is Record:
+        return ("Record", tuple((name, typed_value(v)) for name, v in value.items()))
+    return (kind.__name__, repr(value) if kind is float else value)
+
+
+def typed_literal(literal: Const) -> Const:
+    return Const(typed_value(literal.value))
 
 
 def _blank(_literal: Const) -> Const:
@@ -55,7 +67,7 @@ def canonical_term(term: Term) -> Term:
     >>> a == b
     True
     """
-    return numbered(term, _typed)
+    return numbered(term, typed_literal)
 
 
 def literal_skeleton(term: Term) -> Term:

@@ -10,7 +10,7 @@ variable occurs free in the replacement are renamed first.
 
 Every walk here is a fold or a map over :data:`repro.calculus.shape.SHAPES`,
 which says what each node's children and binders are; nothing in this
-module names a node class except the two leaves it treats specially.
+module names a node class except the few it treats specially.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Optional
 
-from repro.calculus.ast import Assign, Const, Deref, New, Term, Update, Var
+from repro.calculus.ast import Assign, Call, Const, Deref, New, Term, Update, Var
 from repro.calculus.shape import SHAPES
 
 _fresh_counter = itertools.count(1)
@@ -178,6 +178,7 @@ def relabel(
     term: Term,
     binder_name: Callable[[str], str],
     const: Optional[Callable[[Const], Term]] = None,
+    free: Optional[dict[str, str]] = None,
 ) -> Term:
     """Rename every binder of ``term`` and, optionally, map its constants.
 
@@ -185,9 +186,10 @@ def relabel(
     pre-order and in binding order within a node, and must answer a name
     that is free nowhere in ``term`` — then bound occurrences follow
     their binder and the result is an alpha-variant. ``const`` replaces
-    each ``Const`` node.
+    each ``Const`` node; ``free`` renames free variables. A ``Call``'s name
+    is looked up in the environment first, so it is renamed like a ``Var``.
     """
-    return _relabel(term, {}, binder_name, const)
+    return _relabel(term, free or {}, binder_name, const)
 
 
 def _relabel(
@@ -200,6 +202,8 @@ def _relabel(
         return Var(env[node.name]) if node.name in env else node
     if type(node) is Const:
         return node if const is None else const(node)
+    if type(node) is Call and node.name in env:
+        node = Call(env[node.name], node.args)
     shape = SHAPES[type(node)]
     kids = shape.kids(node)
     if shape.scopes is None:

@@ -15,7 +15,7 @@ function of the query text and the catalog alone; its product, a
 half (``_execute``) accepts. Ad-hoc queries, prepared statements,
 EXPLAIN and the lint advisors all go through that one pair, so they
 cannot disagree about which plan a query gets. The opt-in modes (cache,
-telemetry, parallel, jit, verify — DESIGN.md has the table) are stages
+telemetry, parallel, verify — DESIGN.md has the table) are stages
 of that pipeline, held to a contract that can be checked: *every mode
 returns the same value and raises the same error as every other (the
 test suite), and the default mode's end-to-end metrics stay within the
@@ -65,6 +65,7 @@ from repro.errors import (
     TranslationError,
 )
 from repro.eval.evaluator import Evaluator
+from repro.jit.plan import CODE_CACHE_SIZE, PlanKey, jit_report, plan_key, precompile_plan
 from repro.monoids import BAG, LIST, SET
 from repro.normalize.engine import normalize_with_trace
 from repro.normalize.trace import NormalizationTrace
@@ -88,7 +89,6 @@ _MODES = {
     "cache": ("REPRO_CACHE", "repro.cache.core", "resolve_cache"),
     "telemetry": ("REPRO_TELEMETRY", "repro.obs.telemetry.registry", "resolve_telemetry"),
     "parallel": ("REPRO_PARALLEL", "repro.parallel", "resolve_parallel"),
-    "jit": ("REPRO_JIT", "repro.jit", "resolve_jit"),
 }
 
 
@@ -129,9 +129,9 @@ class QueryResult:
     #: cache outcome for this query, e.g. {"compile": "hit",
     #: "result": "miss"} (None unless the database had a cache)
     cache: Optional[dict[str, Any]] = None
-    #: JIT compilation report, e.g. {"compiled": 3, "fallback": 1,
-    #: "constructs": {"Comprehension": 1}} (None unless the JIT was on
-    #: and the query ran on the algebra engine)
+    #: what the jit phase compiled for the plan, e.g. {"compiled": 3,
+    #: "fallback": 1, "constructs": {"Comprehension": 1}} (None when the
+    #: plan has no code — a first sighting — or nothing was executed)
     jit: Optional[dict[str, Any]] = None
     #: the compiled entry this result was executed from
     compiled: Optional[CompiledQuery] = field(default=None, repr=False)
@@ -224,14 +224,16 @@ class Database:
         self.telemetry: Optional[Any] = _resolve_mode("telemetry", telemetry)
         #: partition-parallel execution config
         self.parallel: Optional[Any] = _resolve_mode("parallel", parallel)
-        #: plan-compilation (JIT) config
-        self.jit: Optional[Any] = _resolve_mode("jit", jit)
+        #: what ``jit=`` said, which changes nothing (docs/JIT.md)
+        self.jit: Optional[Any] = jit or None
         # Bumped whenever query *meaning* changes outside the catalog
         # (views defined, functions registered, object extents added);
         # part of the compile-version vector cache entries pin.
         self._cache_epoch = 0
         # (compile version, the Linter derived at it) — see _linter
         self._linter_at: Optional[tuple[tuple, Any]] = None
+        # (text key, compile version, verifying) -> its plan's key
+        self._plan_keys: dict[tuple, Optional[PlanKey]] = {}
 
     # -- loading ----------------------------------------------------------------
 
@@ -488,12 +490,11 @@ class Database:
         unless parallelism is enabled, in which case a
         :class:`~repro.parallel.ParallelExecutor` (which itself falls
         back to the identical serial path whenever the plan shape or
-        config rules fan-out out; it runs the operator loops, so it takes
-        no jit). ``timed_into`` asks for per-operator wall time, into
-        that table."""
+        config rules fan-out out; it runs the operator loops).
+        ``timed_into`` asks for per-operator wall time, into that table."""
         indexes = self.catalog.index_mappings()
         if self.parallel is None:
-            return Executor(evaluator, indexes, metrics=timed_into, jit=self.jit)
+            return Executor(evaluator, indexes, metrics=timed_into)
         from repro.parallel import ParallelExecutor
 
         return ParallelExecutor(evaluator, indexes, metrics=timed_into, config=self.parallel)
@@ -510,6 +511,7 @@ class Database:
         *,
         strict: bool = False,
         record: Optional[QueryRecord] = None,
+        kept: bool = False,
     ) -> CompiledQuery:
         """OQL text -> :class:`CompiledQuery`: parse → translate → [lint]
         → [typecheck] → normalize → plan → optimize → jit.
@@ -531,7 +533,8 @@ class Database:
         ``$name`` parameters type-check as ``ANY`` unless ``param_types``
         narrows them, whoever compiles — so a shared entry never depends
         on who built it first, and an unbound parameter surfaces at
-        execution.
+        execution. ``jit`` gives the plan code if it is known to run again:
+        kept by a cache or the caller (``kept``), or a shape seen before.
         """
         cache = self.cache
         if record is None:
@@ -619,11 +622,10 @@ class Database:
             except PlanError:
                 if engine == "algebra":
                     raise
-            if plan is not None and self.jit is not None:
-                from repro.jit.plan import precompile_plan
-
+            if plan is not None:
                 with record.phase("jit"):
-                    precompile_plan(plan)
+                    shape = self._plan_key(plan, (text_key, version, verifying))
+                    precompile_plan(plan, kept or cache is not None, shape)
                 phases.append("jit")
         entry = CompiledQuery(
             oql=oql,
@@ -667,6 +669,16 @@ class Database:
         return Prepared(
             self, oql, engine=engine, typecheck=typecheck, param_types=param_types
         )
+
+    def _plan_key(self, plan: Reduce, compiled_as: tuple) -> Optional[PlanKey]:
+        """``plan_key`` of ``plan``, made once per text, catalog version
+        and verify setting (``compiled_as``): they fix the plan's shape."""
+        key = self._plan_keys.get(compiled_as)
+        if key is None:
+            if len(self._plan_keys) >= CODE_CACHE_SIZE:
+                self._plan_keys.clear()
+            key = self._plan_keys[compiled_as] = plan_key(plan, compiled_as[2])
+        return key
 
     def _compile_version(self) -> tuple:
         """What compiled entries are valid against: catalog + epoch."""
@@ -726,7 +738,7 @@ class Database:
         # Operators are always counted; they are timed only on request:
         # ``metrics=True`` or session tracing, never telemetry.
         timed_into = PlanMetrics() if (metrics or self.tracer.enabled) else None
-        result_key = versions = executor = jit_report = None
+        result_key = versions = executor = None
         hit = False
         if cache is not None and cache.config.results:
             if entry.result_cacheable is None:
@@ -753,13 +765,6 @@ class Database:
             for name, bound in params.items():
                 evaluator.bind_global("$" + name, bound)
             if entry.plan is not None:
-                if self.jit is not None:
-                    # Idempotent and cheap when compile already did it;
-                    # an entry cached before the JIT was enabled (or
-                    # whose nodes were rebuilt) is compiled here.
-                    from repro.jit.plan import precompile_plan
-
-                    jit_report = precompile_plan(entry.plan)
                 executor = self._executor(evaluator, timed_into)
                 try:
                     with record.phase("execute"):
@@ -770,7 +775,7 @@ class Database:
                     # Rewrite the (possibly shared) entry in place to
                     # interpreter execution; its read set is re-derived
                     # when the result cache next asks.
-                    entry.plan = executor = jit_report = None
+                    entry.plan = executor = None
                     entry.phases = tuple(
                         p for p in entry.phases if p not in ("plan", "optimize", "jit")
                     )
@@ -793,7 +798,7 @@ class Database:
             "interpret" if entry.plan is None else "algebra",
             metrics=executor.metrics if executor is not None else None,
             cache=record.cache or None,
-            jit=jit_report,
+            jit=None if executor is None else jit_report(entry.plan),
             compiled=entry,
             record=record,
         )
@@ -850,26 +855,6 @@ class Database:
     def disable_parallel(self) -> None:
         """Revert to the serial executor."""
         self._set_mode("parallel", False)
-
-    def enable_jit(self, jit: Any = True):
-        """Turn on compilation of plans to Python.
-
-        ``True`` and a :class:`~repro.jit.JITConfig` (which has no
-        fields) are the same. While on, a serial, untimed execution is one
-        generated function per plan — every Select predicate, Join key,
-        Unnest path, Nest key and Reduce head inlined as Python instead
-        of re-interpreting its AST per row; constructs outside the
-        compilable fragment fall back to the reference interpreter
-        subterm by subterm. A timed (EXPLAIN ANALYZE, ``profile()``) or
-        parallel execution runs the operator loops exactly as with the
-        jit off. Values are guaranteed identical either way — see
-        ``docs/JIT.md``.
-        """
-        return self._set_mode("jit", jit)
-
-    def disable_jit(self) -> None:
-        """Revert to the interpreted hot loops."""
-        self._set_mode("jit", False)
 
     def run_calculus(self, term: Term) -> Any:
         """Evaluate a hand-built calculus term against this database."""
@@ -982,8 +967,8 @@ def _resolve_mode(name: str, value: Any) -> Any:
 
     The mode's package is imported only when something asks for the
     mode: an explicit value or a set ``REPRO_*`` flag. A default
-    database therefore never pays for importing ``repro.parallel``,
-    ``repro.jit`` or the telemetry package.
+    database therefore never pays for importing ``repro.parallel`` or
+    the telemetry package.
     """
     env, module, resolver = _MODES[name]
     if value is False or (value is None and not env_flag(env)):

@@ -1,57 +1,190 @@
 """The jit phase: a ``Reduce`` plan as one generated Python function.
 
-:func:`precompile_plan` (the pipeline's ``jit`` phase) emits the function
-(:func:`fused`) and reports, per operator-position expression, whether it
-compiled whole or some subterm fell back to the interpreter. Function and
-report are kept on the plan root — in the frozen dataclass's instance
-``__dict__``: derived data, not part of the node's value — so they ride
-the compile cache; nothing else is stored on a plan. There is one template
-per operator (:data:`_TEMPLATES`), composed produce/consume style: a
-template emits its loop and calls ``consume(scope)`` where a row exists,
-``scope`` mapping every plan variable in reach to the Python local that
-holds it — a row is never a dict. Expressions are
-:class:`~repro.jit.compiler.Emitter` source, and the checks are the
-operator loops' own: ``Runtime.iterate`` once per source, the Select
-test, ``_folder``'s steps, per-node counts stored into the execution's
-blocks at the end. An execution the executor does not fuse — a timed one,
-a :class:`~repro.parallel.ParallelExecutor`'s, a plan Python will not
-compile — runs the operator loops over interpreter thunks, as with the
-jit off.
+:func:`precompile_plan` (the pipeline's ``jit`` phase) gives a plan its
+function (:func:`fused`) and reports, per operator-position expression,
+whether it compiled whole or some subterm fell back to the interpreter.
+Function and report are kept on the plan root — in the frozen
+dataclass's instance ``__dict__``: derived data, not part of the node's
+value — so they ride the compile cache; nothing else is stored on a plan.
+There is one template per operator (:data:`_TEMPLATES`), composed
+produce/consume style: a template emits its loop and calls
+``consume(scope)`` where a row exists, ``scope`` mapping every plan
+variable in reach to the Python local that holds it — a row is never a
+dict. Expressions are :class:`~repro.jit.compiler.Emitter` source, and
+the checks are the operator loops' own: ``Runtime.iterate`` once per
+source, the Select test, ``_folder``'s steps, per-node counts stored into
+the execution's blocks at the end.
 
-Concurrency: emission is idempotent and every write is a single
-GIL-atomic store, so racing executors (concurrent queries on one cached
-plan) at worst emit twice. Generated code keeps its state in locals.
+**The code cache**, one process-wide LRU keyed by :func:`plan_key`, holds
+the functions: one reads the world only through its arguments, so it
+serves every plan of its key, in any database and thread. A plan gets code
+when it is known to run again — its caller keeps it (``keep``) or its key
+was seen before; a first sighting is only remembered. One lock, held while
+a function is emitted: racing queries of one shape emit it once.
 """
 
 from __future__ import annotations
 
 import itertools
 import linecache
-import weakref
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from typing import Any, Callable, Optional
 
 from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
+from repro.analysis.verifier import verification_enabled
+from repro.cache.keys import typed_literal
+from repro.calculus.ast import Empty
+from repro.calculus.traversal import relabel
 from repro.errors import PlanError
 from repro.jit.compiler import RUNTIME, TOO_DEEP, Emitter
 from repro.values import canonical_key
 
-#: What a plan without a generated function reports: nothing compiled.
-_UNFUSED = {"compiled": 0, "fallback": 0, "constructs": {}}
+#: A plan's generated function (None: it cannot be fused) and its report.
+Code = tuple[Optional[Callable[..., Any]], dict[str, Any]]
 
 
-def precompile_plan(plan: PlanNode) -> dict[str, Any]:
-    """Emit ``plan``'s function; returns what the emission compiled
-    (``compiled``/``fallback`` expression counts and the fallback
-    ``constructs`` histogram — what ``QL501`` names) for telemetry and
-    ``QueryResult.jit``. Done once per plan: every later call (each
-    execution asks) reads the report kept on the root."""
+def precompile_plan(
+    plan: Reduce, keep: bool = True, key: Optional[PlanKey] = None
+) -> Optional[dict[str, Any]]:
+    """The jit phase: give ``plan`` its function if it is known to run
+    again; what the emission compiled (``compiled``/``fallback`` counts, the
+    fallback ``constructs`` QL501 names), None when it gets no code.
+    ``key``: the plan's :func:`plan_key`, if the caller has it."""
+    checked = verification_enabled()
+    has = checked in plan.__dict__.get("jit_fused", ()) or _attach(plan, checked, keep, key)
+    return jit_report(plan) if has else None
+
+
+def jit_report(plan: Reduce) -> Optional[dict[str, Any]]:
+    """A copy of what the jit phase compiled for ``plan`` (None: no code)."""
     report = plan.__dict__.get("jit_report")
-    if report is None:
-        if isinstance(plan, Reduce):
-            fused(plan)
-        report = plan.__dict__.setdefault("jit_report", _UNFUSED)
-    return {**report, "constructs": dict(report["constructs"])}
+    return report and {**report, "constructs": dict(report["constructs"])}
+
+
+def fused(plan: Reduce, checked: bool = False) -> Optional[Callable[..., Any]]:
+    """``plan``'s generated function (every operator-position expression
+    inside verify mode's differential when ``checked``), kept on the plan
+    root. None: the plan cannot be fused."""
+    if checked not in plan.__dict__.get("jit_fused", ()):
+        _attach(plan, checked, keep=True)
+    return plan.__dict__["jit_fused"][checked]
+
+
+def pipeline_source(plan: Reduce, checked: bool = False) -> str:
+    """The source of ``plan``'s generated function as registered with
+    :mod:`linecache`; empty for a plan that runs on the operator loops."""
+    fn = fused(plan, checked)
+    return "" if fn is None else "".join(linecache.getlines(fn.__code__.co_filename))
+
+
+def _attach(plan: Reduce, checked: bool, keep: bool, key: Optional[PlanKey] = None) -> bool:
+    """Keep ``plan``'s code on its root; False when it gets none."""
+    code = _code_for(plan, checked, keep, key)
+    if code is not None:
+        plan.__dict__.setdefault("jit_fused", {})[checked] = code[0]
+        plan.__dict__["jit_report"] = code[1]
+    return code is not None
+
+
+# ---------------------------------------------------------------------------
+# The code cache
+# ---------------------------------------------------------------------------
+
+#: How many plan keys the code cache holds, first sightings included.
+CODE_CACHE_SIZE = 512
+
+#: plan key -> its :data:`Code`, or :data:`_SEEN` for a first sighting;
+#: least recently used first
+_CODE: "OrderedDict[PlanKey, Any]" = OrderedDict()
+_SEEN = "seen"
+_LOCK = threading.Lock()
+
+
+class PlanKey:
+    """A plan's alpha-canonical form, hashed once: a lookup with a key
+    already made costs its stored hash and an identity test."""
+
+    __slots__ = ("parts", "hash")
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts, self.hash = parts, hash(parts)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, PlanKey) and self.hash == other.hash and self.parts == other.parts
+        )
+
+
+def plan_key(plan: Reduce, checked: bool) -> Optional[PlanKey]:
+    """``plan`` up to the names of its variables (``canonical_term`` for
+    plans): plan variables renumbered in binding order, then each term's
+    binders; literals typed. A name an expression cannot see (a Scan
+    source, an IndexScan key) stays a global; the Reduce's monoid, an
+    argument of the function, is left out. None when a constant does not
+    hash."""
+    nodes = list(plan.walk())
+    counter = itertools.count()
+    fresh = lambda _old: f"~{next(counter)}"  # noqa: E731
+    names: dict[str, str] = {}
+    for name in (name for node in nodes for name in node.binds()):
+        names[name] = names.get(name) or fresh(name)
+
+    def canonical(term: Any, env: dict[str, str]) -> Any:
+        if type(term) is tuple:
+            return tuple([canonical(t, env) for t in term])
+        return None if term is None else relabel(term, fresh, typed_literal, env)
+
+    parts: list[Any] = [checked]
+    for node in nodes:
+        parts += (type(node), tuple([names[name] for name in node.binds()]))
+        for expr in node.exprs:
+            env = {} if expr.slot is None else {name: names[name] for name in expr.scope}
+            parts.append(canonical(expr.terms, env))
+        if type(node) is Nest:  # fold monoids: their terms as the kids of a zero
+            parts.append(tuple([canonical(Empty(fold[1]), {}) for fold in node.folds]))
+        elif type(node) is IndexScan:
+            parts.append(node.attribute)
+    try:
+        return PlanKey(tuple(parts))
+    except TypeError:
+        return None
+
+
+def _code_for(
+    plan: Reduce, checked: bool, keep: bool, key: Optional[PlanKey] = None
+) -> Optional[Code]:
+    """``plan``'s code, emitted when it is known to run again; None for a
+    first sighting not kept."""
+    key = key or plan_key(plan, checked)
+    if key is None:  # a constant that does not hash: emitted uncached, if kept
+        return _fuse(plan, checked) if keep else None
+    with _LOCK:
+        code = _CODE.pop(key, None)
+        if code is None and not keep:
+            code = _SEEN
+        elif code is None or code is _SEEN:
+            code = _fuse(plan, checked)
+        _CODE[key] = code  # now the most recently used
+        while len(_CODE) > CODE_CACHE_SIZE:
+            _forget(_CODE.popitem(last=False)[1])
+    return None if code is _SEEN else code
+
+
+def _forget(code: Any) -> None:
+    """An evicted function's source leaves :mod:`linecache` with it."""
+    if code is not _SEEN and code[0] is not None:
+        linecache.cache.pop(code[0].__code__.co_filename, None)
+
+
+def clear_code_cache() -> None:
+    """Empty the code cache (plans keep the functions they hold)."""
+    with _LOCK:
+        while _CODE:
+            _forget(_CODE.popitem()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +432,11 @@ _TEMPLATES: dict[type, Callable[[_Pipeline, Any, Consume], None]] = {
 _serial = itertools.count(1)
 
 
-def _fuse(plan: Reduce, checked: bool) -> Optional[Callable[..., Any]]:
+def _fuse(plan: Reduce, checked: bool) -> Code:
     """``plan`` as one function ``(rt, indexes, blocks, monoid) -> value``
-    (``blocks``: the execution's metrics blocks of ``plan.child.walk()``);
-    None for an operator without a template or nesting Python won't compile.
-    What the emission compiled goes on the plan root as ``jit_report``."""
+    (``blocks``: the execution's metrics blocks of ``plan.child.walk()``)
+    and what its emission compiled; no function for an operator without a
+    template or nesting Python won't compile."""
     from repro.algebra.physical import _accumulate, _folder  # imports this package
 
     filename = f"<repro.jit pipeline {next(_serial)}>"
@@ -319,32 +452,12 @@ def _fuse(plan: Reduce, checked: bool) -> Optional[Callable[..., Any]]:
         )
         exec(compile(source, filename, "exec"), namespace)
     except (PlanError, *TOO_DEEP):
-        return None
-    fn = namespace.pop("pipeline")
-    plan.__dict__["jit_report"] = {
+        return None, {"compiled": 0, "fallback": 0, "constructs": {}}
+    report = {
         "compiled": pipeline.compiled,
         "fallback": pipeline.fallback,
         "constructs": dict(Counter(pipeline.emitter.fallbacks)),
     }
     # So that a traceback through generated code shows the line.
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    weakref.finalize(fn, linecache.cache.pop, filename, None)
-    return fn
-
-
-def fused(plan: Reduce, checked: bool = False) -> Optional[Callable[..., Any]]:
-    """``plan``'s generated function — with every operator-position
-    expression inside verify mode's differential when ``checked`` —
-    compiled when first asked for (the jit phase asks) and kept on the
-    plan root. None: the plan cannot be fused."""
-    slots = plan.__dict__.setdefault("jit_fused", {})
-    if checked not in slots:
-        slots[checked] = _fuse(plan, checked)
-    return slots[checked]
-
-
-def pipeline_source(plan: Reduce, checked: bool = False) -> str:
-    """The source of ``plan``'s generated function as registered with
-    :mod:`linecache`; empty for a plan that runs on the operator loops."""
-    fn = fused(plan, checked)
-    return "" if fn is None else "".join(linecache.getlines(fn.__code__.co_filename))
+    return namespace.pop("pipeline"), report

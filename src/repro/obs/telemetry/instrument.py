@@ -207,13 +207,10 @@ def summary_lines(
     ]
     lines.extend("  " + line for line in render_top(table.top(top_k), table.total_seconds()))
     if db is not None:
+        from repro.jit.advise import advise_jit_fallbacks
         from repro.obs.telemetry.advise import advise_hot_queries
 
-        advice = list(advise_hot_queries(db, registry))
-        if getattr(db, "jit", None) is not None:
-            from repro.jit.advise import advise_jit_fallbacks
-
-            advice.extend(advise_jit_fallbacks(db, registry))
+        advice = [*advise_hot_queries(db, registry), *advise_jit_fallbacks(db, registry)]
         for diag in advice:
             lines.append(f"{diag}")
             if diag.hint:

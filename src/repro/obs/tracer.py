@@ -44,8 +44,7 @@ from typing import Any, Optional
 #: EXPLAIN ANALYZE, the query log, the span tree and the telemetry phase
 #: histograms all name the same phases — a phase renamed here renames
 #: everywhere. ``lint`` is the ``strict=True`` stage of ``compile``: it
-#: reads the term ``translate`` just made; ``jit`` only runs when plan
-#: compilation is enabled (``REPRO_JIT``).
+#: reads the term ``translate`` just made.
 PIPELINE_PHASES = (
     "parse",
     "translate",

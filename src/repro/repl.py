@@ -15,7 +15,6 @@ Run with ``python -m repro``. Commands:
 ``:cache on|off|stats``  toggle the query cache / show its counters
 ``:stats [on|off|top]``  toggle fleet telemetry / show its digest
 ``:parallel on|off``  toggle partition-parallel execution
-``:jit on|off``       toggle compilation of plans to Python functions
 ``\\extents``          list extents and sizes
 ``\\schema``           list classes and attributes
 ``\\help``             this text
@@ -138,15 +137,6 @@ class Repl:
                 self.out(f"parallel is on ({self.db.parallel.max_workers} workers)")
             else:
                 self.out("parallel is off")
-        elif name == "jit":
-            if rest == "on":
-                self.db.enable_jit()
-            elif rest == "off":
-                self.db.disable_jit()
-            elif rest:
-                self.out("usage: :jit on|off")
-                return
-            self.out(f"jit is {'on' if self.db.jit is not None else 'off'}")
         elif name == "stats":
             if rest == "on":
                 self.db.enable_telemetry()

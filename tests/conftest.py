@@ -14,8 +14,19 @@ from repro.db import (
     travel_schema,
 )
 from repro.eval import Evaluator
+from repro.jit.plan import clear_code_cache
 from repro.monoids import default_registry
 from repro.values import canonical_key
+
+
+@pytest.fixture(autouse=True)
+def empty_code_cache():
+    """Every test starts with the process-wide code cache empty, so what
+    it counts (emissions, first sightings) does not depend on what ran
+    before it."""
+    clear_code_cache()
+    yield
+    clear_code_cache()
 
 
 @pytest.fixture

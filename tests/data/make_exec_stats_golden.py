@@ -5,8 +5,8 @@ for every query of the executor corpus, as whatever checkout is on
 The checked-in file was written by PR 17's executor, whose loops bumped
 ``self.stats.rows_* += 1`` per row; ``tests/test_exec_stats_golden.py``
 holds the view that replaced those counters (``ExecutionStats.of`` over
-the per-node blocks) to the same numbers, under none / jit / parallel /
-jit+parallel. Run from the repository root::
+the per-node blocks) to the same numbers, run by the operator loops and by
+the generated function, serial and parallel. Run from the repository root::
 
     PYTHONPATH=<checkout>/src python tests/data/make_exec_stats_golden.py
 
@@ -42,8 +42,6 @@ def in_modes(db: Any, modes: dict[str, Any]) -> Any:
     db.disable_cache()
     if modes.get("cache"):
         db.enable_cache(modes["cache"])
-    if modes.get("jit"):
-        db.enable_jit(modes["jit"])
     if modes.get("parallel"):
         db.enable_parallel(modes["parallel"])
     return db
@@ -51,8 +49,8 @@ def in_modes(db: Any, modes: dict[str, Any]) -> Any:
 
 def queries(modes: dict[str, Any]) -> Iterator[tuple[str, Any, str, Any]]:
     """``(label, database, oql, thunk -> QueryResult)`` for every query,
-    on databases built with ``modes`` (``jit`` / ``parallel`` / ``cache``
-    settings for ``Database.enable_*``)."""
+    on databases built with ``modes`` (``parallel`` / ``cache`` settings
+    for ``Database.enable_*``)."""
     rng = random.Random(0)
     reads = workloads.ReadWorkload("golden", SEED, SCALE, SCALE, workloads.MODES_OFF, None)
     data = reads.generate(SCALE)

@@ -19,7 +19,7 @@ more, alone, when ``Database.explain`` became the rendering of
 ``explain_data``'s document: the same estimates, a different format
 (EXPERIMENTS.md H26). ``tests/test_plans_golden.py`` holds the
 operator table of ``repro.algebra.ops`` and everything that loops over it
-to the same answers, under none / jit / cache / verify. Run from the
+to the same answers, under none / generated code / cache / verify. Run from the
 repository root::
 
     PYTHONPATH=<checkout>/src python tests/data/make_plans_golden.py

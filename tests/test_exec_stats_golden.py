@@ -5,7 +5,8 @@ for every harness class and ``examples/*.oql`` query as PR 17's executor
 counted them, one ``stats.rows_* += 1`` per row
 (``tests/data/make_exec_stats_golden.py`` wrote it from that commit and
 says what the corpus is). The by-node-class view of the per-operator
-blocks must give the same numbers in every execution mode.
+blocks must give the same numbers in every execution mode, the operator
+loops' and the generated function's alike.
 """
 
 from __future__ import annotations
@@ -16,16 +17,20 @@ from pathlib import Path
 import pytest
 
 from repro.algebra.ops import SelectOp
+from repro.cache import CacheConfig
 from repro.parallel import ParallelConfig
 from tests.data.make_exec_stats_golden import corpus, golden
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "exec_stats_golden.json").read_text())
 FAN_OUT = ParallelConfig(max_workers=4, min_partition_rows=1)
+#: a compile cache keeps every plan, so every run of it is its generated
+#: function; without one a first run is the operator loops
+KEPT = CacheConfig(results=False)
 MODES = {
     "none": {},
-    "jit": {"jit": True},
+    "jit": {"cache": KEPT},
     "parallel": {"parallel": FAN_OUT},
-    "jit+parallel": {"jit": True, "parallel": FAN_OUT},
+    "jit+parallel": {"cache": KEPT, "parallel": FAN_OUT},
 }
 FAN_OUT_FIELDS = ("partitions", "parallel_workers")
 

@@ -1,6 +1,6 @@
-"""The JIT wired through the Database: enablement, reporting, cache and
-verify-mode interplay, telemetry counters, QL501 advice and the REPL
-toggle."""
+"""Generated code wired through the Database: which runs get it (the
+run-twice rule), reporting, cache and verify-mode interplay, telemetry
+counters, QL501 advice and the REPL."""
 
 from __future__ import annotations
 
@@ -8,14 +8,14 @@ import pytest
 
 from repro.analysis.verifier import verification
 from repro.cache import CacheConfig
+from repro.db import make_travel_agency, travel_schema
 from repro.db.database import (
     Database,
     demo_company_database,
     demo_travel_database,
 )
-from repro.errors import DatabaseError
-from repro.jit import JITConfig, resolve_jit
-from repro.jit.plan import _fuse
+from repro.jit import JITConfig
+from repro.jit.plan import _fuse, clear_code_cache
 from repro.normalize import normalize_with_trace
 from repro.obs.metrics import PlanMetrics
 from repro.obs.telemetry.registry import MetricsRegistry
@@ -41,75 +41,58 @@ GROUP_QUERY = (
 )
 
 
-class TestEnablement:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        assert demo_travel_database(num_cities=3, seed=7).jit is None
+class TestNoSwitch:
+    def test_the_jit_argument_changes_nothing(self):
+        values = []
+        for jit in (False, True, JITConfig()):
+            clear_code_cache()  # each database sees the shape first
+            db = Database(travel_schema(), cache=False, parallel=False, jit=jit)
+            db.load_extents(make_travel_agency(num_cities=4, seed=7))
+            values.append([db.run_detailed(QUERY).jit for _ in range(2)])
+        report = values[0][1]
+        assert report is not None and values == [[None, report]] * 3
 
-    def test_constructor_true(self):
-        assert Database(jit=True).jit == JITConfig()
+    def test_no_switch_is_left(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT", "0")
+        db = demo_travel_database(num_cities=3, seed=7)
+        db.disable_cache()
+        assert not any(hasattr(db, name) for name in ("enable_jit", "disable_jit"))
+        db.run(QUERY)
+        assert db.run_detailed(QUERY).jit is not None
 
-    def test_constructor_config(self):
-        cfg = JITConfig()
-        assert Database(jit=cfg).jit is cfg
 
-    def test_constructor_false_means_off(self):
-        assert Database(jit=False).jit is None
-
-    def test_constructor_rejects_garbage(self):
-        with pytest.raises(DatabaseError, match="jit must be"):
-            Database(jit=42)
-
-    def test_enable_disable_cycle(self, db):
-        db.enable_jit()
-        assert db.jit == JITConfig()
-        db.disable_jit()
-        assert db.jit is None
-
-    def test_env_flag_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "1")
-        assert demo_travel_database(num_cities=3, seed=1).jit is not None
-
-    def test_env_falsey_values_stay_off(self, monkeypatch):
-        for value in ("", "0", "false", "off", "no"):
-            monkeypatch.setenv("REPRO_JIT", value)
-            assert demo_travel_database(num_cities=3, seed=1).jit is None
-
-    def test_resolve_jit_table(self):
-        assert resolve_jit(False) is None
-        assert resolve_jit(True) == JITConfig()
-        cfg = JITConfig()
-        assert resolve_jit(cfg) is cfg
-        with pytest.raises(DatabaseError):
-            resolve_jit("fast please")
+def twice(db, oql):
+    """``oql``'s second run on ``db`` with no cache: its shape was seen,
+    so its plan has code."""
+    db.disable_cache()
+    db.run(oql)
+    return db.run_detailed(oql)
 
 
 class TestReporting:
     def test_query_result_carries_jit_stats(self, db):
-        db.enable_jit()
-        result = db.run_detailed(QUERY)
+        result = twice(db, QUERY)
         assert result.jit is not None
         assert result.jit["compiled"] >= 1
         assert result.jit["fallback"] == 0
 
     def test_pipeline_report_line(self, db):
-        db.enable_jit()
-        report = db.run_detailed(QUERY).pipeline_report()
+        report = twice(db, QUERY).pipeline_report()
         assert "jit:" in report and "compiled=" in report
 
-    def test_no_jit_no_report(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        result = demo_travel_database(num_cities=4, seed=7).run_detailed(QUERY)
+    def test_a_first_sighting_has_no_report(self):
+        db = demo_travel_database(num_cities=4, seed=7)
+        db.disable_cache()
+        result = db.run_detailed(QUERY)
         assert result.jit is None
         assert "jit:" not in result.pipeline_report()
 
     def test_fallback_constructs_reported(self, company):
-        company.enable_jit()
         # `exists` translates to a comprehension inside the predicate —
         # outside the compilable fragment.
-        result = company.run_detailed(
-            "select e.name from e in Employees "
-            "where exists s in e.skills : s = 'oql'"
+        result = twice(
+            company,
+            "select e.name from e in Employees where exists s in e.skills : s = 'oql'",
         )
         assert result.jit is not None and result.jit["fallback"] >= 1
         assert "Comprehension" in result.jit["constructs"]
@@ -118,7 +101,6 @@ class TestReporting:
         assert "jit" in PIPELINE_PHASES
 
     def test_jit_span_recorded_when_profiling(self, db):
-        db.enable_jit()
         db.profile(True, sink=lambda line: None)
         result = db.run_detailed(QUERY)
         assert "jit" in [child.name for child in result.span.children]
@@ -134,28 +116,23 @@ class TestExplainAnalyze:
 
     def test_actual_rows_identical_on_and_off(self, company):
         off = company.explain_data(SCAN_QUERY, analyze=True)
-        company.enable_jit()
+        assert twice(company, SCAN_QUERY).jit is not None
         on = company.explain_data(SCAN_QUERY, analyze=True)
         assert self._actuals(off["plan"]) == self._actuals(on["plan"])
 
 
 class TestCacheInterplay:
-    def test_cached_entry_from_before_jit_still_compiles(self, company):
+    def test_a_cached_entry_has_code_from_its_first_run(self, company):
         # Compilation cache only: every run re-executes the cached plan,
         # so the jit report reflects what actually ran.
         company.enable_cache(CacheConfig(results=False))
-        baseline = company.run(SCAN_QUERY)
-        company.enable_jit()
-        # The cached plan predates the JIT: _execute compiles it on
-        # first post-enable execution.
-        assert company.run(SCAN_QUERY) == baseline
-        result = company.run_detailed(SCAN_QUERY)
-        assert result.jit is not None and result.jit["compiled"] >= 1
+        first = company.run_detailed(SCAN_QUERY)
+        assert first.jit is not None and first.jit["compiled"] >= 1
+        assert company.run(SCAN_QUERY) == first.value
         assert company.cache.stats.as_dict()["compile_hits"] >= 1
 
     def test_compile_with_jit_then_hit(self, company):
         company.enable_cache()
-        company.enable_jit()
         first = company.run(SCAN_QUERY)
         assert company.run(SCAN_QUERY) == first
         assert company.cache.stats.as_dict()["compile_hits"] >= 1
@@ -167,7 +144,6 @@ class TestCacheInterplay:
         company.disable_parallel()  # a fan-out runs the loops, not the function
         company.enable_cache(CacheConfig(results=False))
         want = company.run(SCAN_QUERY, engine="interpret")
-        company.enable_jit()
         work = [count_calls(fn) for fn in (parse, normalize_with_trace, _fuse)]
         assert company.run(SCAN_QUERY) == want
         assert all(work)
@@ -177,20 +153,20 @@ class TestCacheInterplay:
         assert result.value == want and result.jit["fallback"] == 0
         assert work == [[], [], []]
 
-    def test_invalidation_recompiles(self, company):
+    def test_invalidation_reuses_the_code(self, company, count_calls):
         company.enable_cache()
-        company.enable_jit()
+        emitted = count_calls(_fuse)
         before = company.run_detailed(SCAN_QUERY)
-        # Catalog change: compiled entries (and their jit'd plan nodes)
-        # are invalidated wholesale; the rebuilt plan recompiles.
+        # Catalog change: compiled entries are invalidated wholesale; the
+        # rebuilt plan has the same shape, so the code cache serves it.
         company.load_extent("Lonely", [1, 2, 3])
         after = company.run_detailed(SCAN_QUERY)
         assert after.value == before.value
-        assert after.jit is not None and after.jit["compiled"] >= 1
+        assert after.jit == before.jit and before.jit["compiled"] >= 1
+        assert len(emitted) == 1
 
     def test_prepared_statement_with_jit(self, db):
         db.enable_cache()
-        db.enable_jit()
         prepared = db.prepare(
             "select distinct c.name from c in Cities where c.state = $state"
         )
@@ -201,10 +177,9 @@ class TestCacheInterplay:
 
 class TestVerifyMode:
     def test_verify_mode_passes_on_honest_closures(self, company):
-        company.enable_jit()
         baseline = demo_company_database(4, 60, seed=11).run(SCAN_QUERY)
         with verification(True):
-            assert company.run(SCAN_QUERY) == baseline
+            assert twice(company, SCAN_QUERY).value == baseline
 
     @staticmethod
     def _corrupted_plan(company):
@@ -223,7 +198,6 @@ class TestVerifyMode:
         from repro.algebra import Executor
 
         baseline = company.run_detailed(SCAN_QUERY)
-        company.enable_jit()
         plan = self._corrupted_plan(company)
         assert Executor(company.evaluator(), jit=company.jit).execute(plan) == "corrupt"
         timed = Executor(company.evaluator(), metrics=PlanMetrics(), jit=company.jit)
@@ -233,7 +207,6 @@ class TestVerifyMode:
     def test_the_jit_phase_stores_only_the_function_and_its_report(self, company):
         from repro.jit.plan import precompile_plan
 
-        company.enable_jit()
         plan = company.compile(SCAN_QUERY).plan
         precompile_plan(plan)
         assert {"jit_fused", "jit_report"} <= set(vars(plan))
@@ -246,13 +219,12 @@ class TestTelemetryCounters:
     def test_jit_counters_recorded(self, db):
         registry = MetricsRegistry()
         db.enable_telemetry(registry)
-        db.enable_jit()
-        db.run(QUERY)
+        twice(db, QUERY)
         assert registry.total("repro_jit_expressions_total") >= 1
 
-    def test_no_jit_counters_when_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
+    def test_no_jit_counters_on_a_first_sighting(self):
         db = demo_travel_database(num_cities=4, seed=7)
+        db.disable_cache()
         registry = MetricsRegistry()
         db.enable_telemetry(registry)
         db.run(QUERY)
@@ -270,7 +242,6 @@ class TestQL501:
 
         registry = MetricsRegistry()
         company.enable_telemetry(registry)
-        company.enable_jit()
         for _ in range(4):
             company.run(self.HOT)
         findings = advise_jit_fallbacks(company, registry)
@@ -283,7 +254,6 @@ class TestQL501:
 
         registry = MetricsRegistry()
         company.enable_telemetry(registry)
-        company.enable_jit()
         for _ in range(4):
             company.run(SCAN_QUERY)
         assert advise_jit_fallbacks(company, registry) == []
@@ -293,46 +263,35 @@ class TestQL501:
 
         registry = MetricsRegistry()
         company.enable_telemetry(registry)
-        company.enable_jit()
         for _ in range(4):
             company.run(self.HOT)
         assert "QL501" in "\n".join(summary_lines(registry, db=company))
 
 
 class TestRepl:
-    def test_toggle(self, db):
+    def test_there_is_no_jit_command(self, db):
         from repro.repl import Repl
 
         lines = []
-        repl = Repl(db, out=lines.append)
-        repl.handle(":jit on")
-        assert db.jit is not None
-        assert any("jit is on" in line for line in lines)
-        repl.handle(":jit off")
-        assert db.jit is None
-        repl.handle(":jit sideways")
-        assert any("usage: :jit on|off" in line for line in lines)
+        Repl(db, out=lines.append).handle(":jit on")
+        assert any("unknown command" in line for line in lines)
 
-    def test_queries_run_with_jit_on(self, db):
+    def test_repeated_queries_run_generated_code(self, db):
         from repro.repl import Repl
+        from repro.values import to_python
 
         lines = []
         repl = Repl(db, out=lines.append)
-        expected = repr(
-            __import__("repro.values", fromlist=["to_python"]).to_python(
-                db.run(QUERY)
-            )
-        )
-        repl.handle(":jit on")
+        expected = repr(to_python(db.run(QUERY)))
         repl.handle(QUERY)
-        assert any(expected == line for line in lines)
+        repl.handle(QUERY)
+        assert [line for line in lines if line == expected] == [expected] * 2
 
 
 class TestGroupBy:
     def test_group_by_parity_and_stats(self, company):
         company.disable_cache()  # a result-cache hit executes nothing: jit is None
         baseline = company.run(GROUP_QUERY)
-        company.enable_jit()
-        assert company.run(GROUP_QUERY) == baseline
         result = company.run_detailed(GROUP_QUERY)
+        assert result.value == baseline
         assert result.jit is not None and result.jit["compiled"] >= 1

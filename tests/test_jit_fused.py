@@ -1,9 +1,10 @@
 """The generated function against the operator loops and the reference.
 
-With the jit on a serial, un-timed execution runs one generated Python
-function per plan (``repro.jit.plan``); a timed one runs the operator
-loops over interpreter thunks, which is also what the jit-off execution
-is. All three must be one executor to an observer: the same
+A serial, un-timed execution of a plan the jit phase gave code runs one
+generated Python function (``repro.jit.plan``); a timed one runs the
+operator loops over interpreter thunks, which is also what a plan
+without code (its first run) runs. All three must be one executor to an
+observer: the same
 value and type, the same exception class and message (which row's error
 comes first included), the same ``ExecutionStats`` and per-node counts,
 the same final heap — and the reference evaluator's value.
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from repro.algebra import Executor, IndexScan, Join, Nest, Reduce, Scan, SelectOp, Unnest
 from repro.algebra import build_plan
 from repro.analysis.verifier import verification
+from repro.cache import CacheConfig
 from repro.calculus import comp, const, eq, filt, gen, gt, proj, var
 from repro.calculus.ast import (
     BinOp,
@@ -41,7 +43,7 @@ from repro.db import (
 )
 from repro.errors import EvaluationError, ReproError, VerificationError
 from repro.eval import Evaluator
-from repro.jit import JITConfig, Runtime
+from repro.jit import Runtime
 from repro.jit.plan import fused, pipeline_source, precompile_plan
 from repro.normalize import normalize
 from repro.obs.metrics import PlanMetrics
@@ -52,12 +54,16 @@ from tests.data.make_plans_golden import grouped_queries
 from tests.test_normalize_property import _term_and_data
 from tests.test_property_queries import _database, _query
 
-#: how an Executor is built for each way of running a plan
+#: each way of running a plan: whether it has its generated function,
+#: and how the Executor is built
 WAYS = {
-    "interpreted": lambda: {},
-    "loops": lambda: {"jit": JITConfig(), "metrics": PlanMetrics()},
-    "fused": lambda: {"jit": JITConfig()},
+    "interpreted": (False, lambda: {}),
+    "loops": (True, lambda: {"metrics": PlanMetrics()}),
+    "fused": (True, lambda: {}),
 }
+
+#: a compile cache keeps every plan, so each one has code from its first run
+KEPT = {"cache": CacheConfig(results=False)}
 
 
 def counts(metrics: PlanMetrics, plan: Reduce) -> list[tuple]:
@@ -81,8 +87,10 @@ def three_ways(make_plan, make_evaluator, indexes=None):
     """Run a plan every way, each on a fresh plan and world; all must agree.
     Returns the common observation."""
     seen = {}
-    for way, kwargs in WAYS.items():
+    for way, (generated, kwargs) in WAYS.items():
         plan, evaluator = make_plan(), make_evaluator()
+        if generated:
+            fused(plan)
         # verify pinned off: its per-row differential re-runs every
         # expression, heap effects and closure-valued heads included
         with verification(False):
@@ -108,8 +116,7 @@ def term_ways(term, data):
 
 
 def _corpus():
-    jit = {"jit": JITConfig()}
-    on = [*queries(jit), *grouped_queries(jit)]
+    on = [*queries(KEPT), *grouped_queries(KEPT)]
     off = [*queries({}), *grouped_queries({})]
     for (label, db, oql, run_on), (_, _, _, run_off) in zip(on, off):
         yield pytest.param(db, oql, run_on, run_off, id=label)
@@ -117,14 +124,15 @@ def _corpus():
 
 @pytest.mark.parametrize("db, oql, run_on, run_off", _corpus())
 def test_golden_corpus_fused_loops_reference(db, oql, run_on, run_off):
-    on, off = run_on(), run_off()
+    off, on = run_off(), run_on()  # a first sighting, then a kept plan
     assert type(on.value) is type(off.value) and on.value == off.value
     if "$" not in oql:
         assert db.run(oql, engine="interpret") == on.value
     if on.plan is None:
         assert off.plan is None
         return
-    assert fused(on.plan) is not None
+    assert on.jit is not None  # the function ran
+    assert off.jit is None or "$" in oql  # the loops ran, but a prepared statement is kept
     assert on.stats == off.stats
     assert counts(on.metrics, on.plan) == counts(off.metrics, off.plan)
     if "$" not in oql:
@@ -141,9 +149,7 @@ def test_prepared_params_reach_the_generated_function():
         for floor in (0, 60_000)
         for dno in (0, 1)
     }
-    db.enable_cache()
-    db.enable_jit()
-    prepared = db.prepare(oql)
+    prepared = db.prepare(oql)  # kept: it has code, cache or no cache
     for _ in range(2):  # the second round runs the cached plan's function
         for (floor, dno), value in want.items():
             result = prepared.run_detailed(floor=floor, dno=dno)
@@ -198,15 +204,18 @@ def test_shape_fused(workload):
 @pytest.mark.parametrize("mode", ["interpreted", "jit"])
 @pytest.mark.parametrize("workload", list(J1))
 def test_jit_series(workload, mode):
-    """J1 through ``Database.run``: with the jit on, the plan that runs is
-    one generated function with nothing left to interpret; either way the
-    answer is the reference interpreter's."""
+    """J1 through ``Database.run``: a query's first run is the loops, and
+    from its second the plan that runs is one generated function with
+    nothing left to interpret; either way the answer is the reference
+    interpreter's."""
     schema, oql = J1[workload]
     jit = mode == "jit"
     db = Database(company_schema() if schema == "company" else travel_schema(),
-                  cache=False, parallel=False, jit=jit)
+                  cache=False, parallel=False)
     db.load_extents(_j1_world(schema))
     result = db.run_detailed(oql)
+    if jit:
+        result = db.run_detailed(oql)
     assert result.value == db.run(oql, engine="interpret")
     if jit:
         assert fused(result.plan) is not None
@@ -235,15 +244,14 @@ def test_random_comprehensions(case):
 def test_random_oql(query, db):
     db.disable_cache()  # every run executes (REPRO_CACHE=1 would serve the repeats)
     want = db.run_detailed(query)
-    db.enable_jit()
-    got = db.run_detailed(query)
+    got = db.run_detailed(query)  # its shape was seen: the generated function
     timed = db.run_detailed(query, metrics=True)
     assert got.value == want.value == db.run(query, engine="interpret"), query
     if got.plan is None:  # count(...) of a select is the interpreter's
         return
     assert got.stats == want.stats == timed.stats, query
     assert counts(got.metrics, got.plan) == counts(timed.metrics, timed.plan), query
-    assert fused(got.plan) is not None, query
+    assert got.jit is not None and fused(got.plan) is not None, query
 
 
 # -- hand-built plans: every template, every check ------------------------------------
@@ -337,7 +345,9 @@ class TestTemplates:
         )
         evaluator = Evaluator(WORLD)
         with verification(False):  # two closures never compare equal
-            closures = Executor(evaluator, jit=JITConfig()).execute(plan())
+            compiled = plan()
+            fused(compiled)
+            closures = Executor(evaluator).execute(compiled)
         assert [evaluator.apply_callable(fn, 1) for fn in closures] == [11, 21, 31]
 
     @pytest.mark.parametrize("keys", [1, 2], ids=["one-key", "two-keys"])
@@ -527,11 +537,12 @@ SALARIES = "sum(select e.salary from e in Employees where e.salary > 50000)"
 
 class TestVerifyChecksTheGeneratedFunction:
     # parallel=False: a fan-out runs no compiled code, so under
-    # REPRO_PARALLEL=1 verify would have nothing to catch.
+    # REPRO_PARALLEL=1 verify would have nothing to catch. A compile cache:
+    # the first run is the generated function.
 
     @pytest.fixture
     def db(self):
-        db = Database(company_schema(), parallel=False, jit=True)
+        db = Database(company_schema(), parallel=False, cache=CacheConfig(results=False))
         db.load_extents(make_company(4, 60, seed=11))
         return db
 
@@ -576,7 +587,6 @@ class TestVerifyChecksTheGeneratedFunction:
 class TestObservability:
     def test_source_is_one_function_over_locals(self):
         db = demo_company_database(4, 40, seed=3)
-        db.enable_jit()
         plan = db.compile(
             "select struct(e: e.name, d: d.name) from e in Employees, d in Departments "
             "where e.dno = d.dno"
@@ -589,28 +599,33 @@ class TestObservability:
 
     def test_traceback_shows_the_generated_line(self):
         plan = Reduce(MonoidRef("sum"), proj(var("n"), "missing"), Scan("n", const((1, 2))))
+        precompile_plan(plan)
         with pytest.raises(EvaluationError) as info:
-            Executor(Evaluator(), jit=JITConfig()).execute(plan)
+            Executor(Evaluator()).execute(plan)
         text = "".join(traceback.format_exception(info.value))
         assert "<repro.jit pipeline" in text and "_project(" in text
 
-    def test_source_is_dropped_with_its_function(self):
+    def test_source_stays_while_its_code_is_cached(self, monkeypatch):
         import gc
         import linecache
 
+        from repro.jit import plan as jit_plan
+
+        monkeypatch.setattr(jit_plan, "CODE_CACHE_SIZE", 1)
         plan = Reduce(MonoidRef("sum"), var("n"), Scan("n", const((1, 2))))
         filename = fused(plan).__code__.co_filename
-        assert filename in linecache.cache
         del plan
         gc.collect()
+        assert filename in linecache.cache  # the function is shared: the cache holds it
+        fused(Reduce(MonoidRef("sum"), var("n"), Scan("n", const((3,)))))  # evicts it
         assert filename not in linecache.cache
 
     def test_jit_report_and_counters_are_per_expression(self):
         db = demo_company_database(4, 40, seed=3)
-        db.enable_jit()
-        result = db.run_detailed(
-            "select e.name from e in Employees where exists s in e.skills : s = 'oql'"
-        )
+        db.disable_cache()
+        oql = "select e.name from e in Employees where exists s in e.skills : s = 'oql'"
+        db.run(oql)
+        result = db.run_detailed(oql)
         assert result.jit == {"compiled": 1, "fallback": 1, "constructs": {"Comprehension": 1}}
 
 
@@ -622,7 +637,7 @@ class TestPlansPythonWillNotCompile:
 
     @pytest.fixture
     def db(self):
-        db = Database(company_schema(), jit=True)
+        db = Database(company_schema(), parallel=False, cache=CacheConfig(results=False))
         db.load_extents(make_company(2, 4, seed=1))
         db.load_extent("Ones", (1,), monoid="list")
         db.load_extent("Twos", (1, 2), monoid="list")
@@ -658,10 +673,10 @@ class TestPlansPythonWillNotCompile:
 
 def three_ways_unfused(make_plan):
     values = []
-    for kwargs in WAYS.values():
+    for generated, kwargs in WAYS.values():
         plan = make_plan()
-        values.append(Executor(Evaluator(), **kwargs()).execute(plan))
-        if "jit" in kwargs():
+        if generated:
             assert fused(plan) is None
+        values.append(Executor(Evaluator(), **kwargs()).execute(plan))
     assert values[0] == values[1] == values[2]
     return values[0]

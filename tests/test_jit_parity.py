@@ -1,4 +1,5 @@
-"""Differential parity: JIT on must equal JIT off, everywhere.
+"""Differential parity: a plan's generated function must equal its
+operator loops, everywhere.
 
 Covers every Table 1 monoid as a Reduce target, the integration
 catalogue's §2-style OQL suite, randomized comprehensions from the
@@ -16,19 +17,24 @@ from repro.analysis.verifier import verification
 from repro.calculus import comp, const, filt, gen, gt, var
 from repro.db.database import demo_company_database, demo_travel_database
 from repro.eval import Evaluator
-from repro.jit import JITConfig
+from repro.jit.plan import precompile_plan
 from repro.values import Bag
 
 from tests.test_integration_pipeline import COMPANY_QUERIES, TRAVEL_QUERIES
 from tests.test_normalize_property import _term_and_data
 
 
+def compiled(plan):
+    """``plan`` with its generated function (the jit phase, kept)."""
+    precompile_plan(plan)
+    return plan
+
+
 def both_ways(term, data):
-    """Execute ``term``'s plan with and without the JIT; must agree."""
+    """Execute ``term``'s plan on the loops and as its function; must agree."""
     plan = build_plan(term)
     off = Executor(Evaluator(data)).execute(plan)
-    plan_jit = build_plan(term)
-    on = Executor(Evaluator(data), jit=JITConfig()).execute(plan_jit)
+    on = Executor(Evaluator(data)).execute(compiled(build_plan(term)))
     assert off == on, (term, off, on)
     return on
 
@@ -68,29 +74,26 @@ class TestTable1Monoids:
 
 
 class TestOQLCatalogue:
-    """The end-to-end OQL suite, database-level jit on vs off."""
+    """The end-to-end OQL suite: a query's first run (the loops) against
+    its second (the generated function, its shape being seen)."""
 
     @pytest.mark.parametrize("oql", TRAVEL_QUERIES)
     def test_travel(self, oql):
         db = demo_travel_database(num_cities=4, seed=3)
-        off = db.run(oql)
-        db.enable_jit()
-        assert db.run(oql) == off
+        assert db.run(oql) == db.run(oql)
 
     @pytest.mark.parametrize("oql", COMPANY_QUERIES)
     def test_company(self, oql):
         db = demo_company_database(4, 40, seed=3)
-        off = db.run(oql)
-        db.enable_jit()
-        assert db.run(oql) == off
+        assert db.run(oql) == db.run(oql)
 
     @pytest.mark.parametrize("oql", TRAVEL_QUERIES)
     def test_travel_verify_mode(self, oql):
         # The per-row differential check itself must never fire on the
         # honest compiler output.
         db = demo_travel_database(num_cities=3, seed=5)
-        db.enable_jit()
         with verification(True):
+            db.run(oql)
             db.run(oql)
 
 
@@ -121,14 +124,10 @@ class TestReuseSoundness:
         term = comp("list", var("x"), [gen("x", var("Xs"))])
         head = Apply(Lambda("v", var("v")), var("x"))
         off = Executor(Evaluator(DATA)).execute(self._with_head(term, head))
-        on = Executor(Evaluator(DATA), jit=JITConfig()).execute(
-            self._with_head(term, head)
-        )
+        on = Executor(Evaluator(DATA)).execute(compiled(self._with_head(term, head)))
         assert off == on == DATA["Xs"]
 
-    @pytest.mark.parametrize(
-        "jit", [None, JITConfig()], ids=["interpreted", "compiled"]
-    )
+    @pytest.mark.parametrize("jit", [False, True], ids=["interpreted", "compiled"])
     def test_closure_built_from_a_row_still_sees_it(self, jit):
         # A closure per row, applied only after the scan has finished:
         # each must still see the row it was built from. (Verify pinned
@@ -139,12 +138,13 @@ class TestReuseSoundness:
         head = Lambda("v", BinOp("+", var("v"), var("x")))
         evaluator = Evaluator(DATA)
         with verification(False):
-            closures = Executor(evaluator, jit=jit).execute(self._with_head(term, head))
+            plan = self._with_head(term, head)
+            closures = Executor(evaluator).execute(compiled(plan) if jit else plan)
         assert [evaluator.apply_callable(fn, 10) for fn in closures] == [
             x + 10 for x in DATA["Xs"]
         ]
 
-    @pytest.mark.parametrize("jit", [None, JITConfig()], ids=["interpreted", "compiled"])
+    @pytest.mark.parametrize("jit", [False, True], ids=["interpreted", "compiled"])
     def test_every_yielded_binding_is_a_distinct_dict(self, jit):
         from repro.calculus import eq
         from repro.calculus.ast import TupleCons
@@ -160,7 +160,9 @@ class TestReuseSoundness:
             ],
         )
         plan = build_plan(term)
-        executor = Executor(Evaluator(DATA), jit=jit)
+        if jit:  # a plan with code still opens its streams on the loops
+            compiled(plan)
+        executor = Executor(Evaluator(DATA))
         for node in _walk(plan.child):
             rows = list(executor._iter(node))
             assert rows and len({id(row) for row in rows}) == len(rows), node.label()
@@ -212,12 +214,14 @@ class TestErrorTextParity:
             "select e.name from e in Employees, d in Departments "
             "where e.salary + d.dno"
         )
-        company_db.enable_jit(jit)
+        company_db.disable_cache()  # every run executes
         reference = self._message(lambda: company_db.run(oql, engine="interpret"))
         assert reference.startswith("qualifier predicate requires a boolean, got int")
+        if jit:  # a second run: the shape was seen, the plan has code
+            self._message(lambda: company_db.run(oql, engine="algebra"))
         assert self._message(lambda: company_db.run(oql, engine="algebra")) == reference
 
-    @pytest.mark.parametrize("jit", [None, JITConfig()], ids=["jit-off", "jit-on"])
+    @pytest.mark.parametrize("jit", [False, True], ids=["jit-off", "jit-on"])
     def test_vector_head_not_a_pair(self, jit):
         from repro.algebra.ops import Reduce, Scan
         from repro.calculus.ast import Const, MonoidRef
@@ -227,10 +231,9 @@ class TestErrorTextParity:
         plan = Reduce(ref, var("x"), Scan("x", const((1, 2))))
         reference = self._message(lambda: Evaluator().evaluate(term))
         assert "vector comprehension head" in reference
-        assert (
-            self._message(lambda: Executor(Evaluator(), jit=jit).execute(plan))
-            == reference
-        )
+        if jit:
+            compiled(plan)
+        assert self._message(lambda: Executor(Evaluator()).execute(plan)) == reference
 
 
 def _walk(node):

@@ -19,12 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.verifier import verification
+from repro.cache import CacheConfig
 from tests.data.make_plans_golden import golden
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "plans_golden.json").read_text())
 MODES = {
     "none": {},
-    "jit": {"jit": True},
+    "jit": {"cache": CacheConfig(results=False)},  # every plan kept: every run generated
     "cache": {"cache": True},
     "verify": {},
 }

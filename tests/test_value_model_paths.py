@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.jit.runtime as jit_runtime
+from repro.cache import CacheConfig
 from repro.db.database import demo_company_database, demo_travel_database
 from repro.errors import EvaluationError
 from repro.eval import Evaluator
@@ -198,12 +199,14 @@ def test_shape_exact_frozenset_sources_skip_the_monoid_lookup(monkeypatch, jit):
 
 
 def _pinned(db, jit):
-    """``db`` with every mode but ``jit`` off, whatever ``REPRO_*`` says."""
-    db.disable_cache()
+    """``db`` with every mode off, whatever ``REPRO_*`` says, and a
+    compile cache when ``jit``: every plan kept, so every run is its
+    generated function (without one each run compiles a first sighting
+    of its plan, which the operator loops run)."""
     db.disable_parallel()
     db.disable_telemetry()
     if jit:
-        db.enable_jit()
+        db.enable_cache(CacheConfig(results=False))
     else:
-        db.disable_jit()
+        db.disable_cache()
     return db

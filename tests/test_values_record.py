@@ -320,13 +320,13 @@ def test_fields_named_like_dict_methods_answer_on_every_engine():
     rows = [Record(copy=1, pop="x", update=2.5), Record(copy=2, pop="y", update=0.5)]
     oql = "select struct(c: r.copy, p: r.pop, u: r.update) from r in Rows"
     expected = Bag([Record(c=1, p="x", u=2.5), Record(c=2, p="y", u=0.5)])
-    db = Database(cache=False, parallel=False, jit=False, telemetry=False)
+    db = Database(cache=False, parallel=False, telemetry=False)
     db.load_extents({"Rows": Bag(rows)})
     assert db.run(oql, engine="interpret") == expected  # the reference evaluator
-    assert db.run(oql) == expected  # the operator loops
-    db.enable_jit()
+    assert db.run(oql) == expected  # the operator loops: a first sighting
     assert fused(db.compile(oql).plan) is not None
-    assert db.run(oql) == expected  # the generated function
+    assert db.run_detailed(oql).jit is not None  # the generated function
+    assert db.run(oql) == expected
     assert db.run_detailed(oql, metrics=True).value == expected
     assert rows[0]["copy"] == 1 and rows[0].copy() is rows[0]  # attribute access is shadowed
 
