@@ -7,7 +7,8 @@ Three cooperating layers (docs/CACHE.md has the full story):
    :class:`CompiledQuery`: the translated term, normal form and
    optimized physical plan, plus everything needed to execute and
    invalidate it. A hit skips parse → translate → typecheck →
-   normalize → plan → optimize entirely.
+   normalize → plan → optimize entirely. Beside each text alias sits the
+   text's strict-lint verdict, which a strict hit replays.
 2. **Prepared statements** (:mod:`repro.cache.prepared`) — a pinned
    :class:`CompiledQuery` with ``$name`` parameters bound per run.
 3. **Result cache** — maps (canonical key, parameter bindings) to a
@@ -177,7 +178,8 @@ class CompiledQuery:
     ``verified`` records whether it was built under rewrite
     verification (a verifying call never reuses an unverified entry).
 
-    ``key`` (the canonical alpha-form), ``extents`` and
+    ``key`` (the canonical alpha-form, with the engine, the typecheck
+    flag and the parameter types a typecheck read), ``extents`` and
     ``result_cacheable`` (from :mod:`repro.cache.invalidation`) matter
     only to a cache, so they stay ``None`` until an attached cache first
     needs them — a database without one never computes them.
@@ -194,7 +196,7 @@ class CompiledQuery:
     params: tuple[str, ...]
     version: Any
     verified: bool = False
-    key: Any = None  # canonical cache key: (canonical term, engine, typecheck)
+    key: Any = None  # canonical cache key: (canonical term, engine, typecheck, param types)
     extents: Optional[frozenset[str]] = None
     result_cacheable: Optional[bool] = None
     uncacheable_reason: Optional[str] = None
@@ -210,13 +212,14 @@ class QueryCache:
     Compiled entries are stored under their *canonical* key (the
     alpha-renamed term, so ``for x in Cities`` and ``for y in Cities``
     share one entry) with a text-key alias layer in front, letting the
-    exact-repeat fast path skip even parsing. Result entries live in a
-    separate LRU keyed by (canonical key, parameter bindings) and carry
-    the version vector they were computed under.
+    exact-repeat fast path skip even parsing; each text's strict-lint
+    verdict is kept beside its alias. Result entries live in a separate
+    LRU keyed by (canonical key, parameter bindings) and carry the
+    version vector they were computed under. The versions are one
+    database's, so a cache belongs to the database that built it.
 
-    Thread-safe: a cache may be shared across databases and
-    ``Database.run`` may be called from many threads, so every public
-    method holds one reentrant lock spanning its whole
+    Thread-safe: ``Database.run`` may be called from many threads, so
+    every public method holds one reentrant lock spanning its whole
     lookup + version-check + stats-update sequence. That keeps the
     counters exact (no lost ``+=``) and the check-then-remove
     invalidation paths atomic. Lock order is QueryCache → LRUCache —
@@ -229,9 +232,10 @@ class QueryCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._compiled = LRUCache(self.config.max_entries, self._count_eviction)
-        # Text aliases are bookkeeping, not cached work: their eviction
-        # is silent and their capacity is tied to the entry store's.
+        # Text aliases and verdicts are bookkeeping, not cached work: their
+        # eviction is silent and their capacity is tied to the entry store's.
         self._aliases = LRUCache(max(self.config.max_entries * 4, 4))
+        self._verdicts = LRUCache(max(self.config.max_entries * 4, 4))
         self._results = LRUCache(self.config.result_max_entries, self._count_eviction)
 
     def _count_eviction(self, _key: Any, _value: Any) -> None:
@@ -283,6 +287,21 @@ class QueryCache:
             self._compiled.put(canon_key, entry)
             self._aliases.put(text_key, canon_key)
 
+    def verdict(self, text_key: Any, version: Any) -> Optional[list]:
+        """The error diagnostics strict lint found in a query text at
+        ``version`` (``[]``: none), or None when it was not linted at it."""
+        with self._lock:
+            stored = self._verdicts.get(text_key)
+            if stored is MISSING or stored[0] != version:
+                return None
+            return stored[1]
+
+    def judge(self, text_key: Any, version: Any, errors: list) -> None:
+        """Keep a query text's strict-lint verdict at ``version``; its
+        diagnostics carry spans into that text, so it is kept per text."""
+        with self._lock:
+            self._verdicts.put(text_key, (version, errors))
+
     # -- result cache ----------------------------------------------------------
 
     def result_for(self, key: Any, versions: Any) -> tuple[bool, Any]:
@@ -312,6 +331,7 @@ class QueryCache:
         with self._lock:
             self._compiled.clear()
             self._aliases.clear()
+            self._verdicts.clear()
             self._results.clear()
             if reset_stats:
                 self.stats.reset()
@@ -337,7 +357,9 @@ def resolve_cache(cache: Any) -> Optional[QueryCache]:
     ``None`` defers to the ``REPRO_CACHE`` environment flag (unset or
     falsey → caching off, the default).
     ``True``/``False`` force it; a :class:`CacheConfig` configures a
-    fresh cache; an existing :class:`QueryCache` is shared as-is.
+    fresh cache. A :class:`QueryCache` is refused: its version vectors
+    are one database's, so sharing one would serve a database another
+    one's entries and results.
     """
     if cache is None:
         return QueryCache() if cache_env_enabled() else None
@@ -347,9 +369,6 @@ def resolve_cache(cache: Any) -> Optional[QueryCache]:
         return QueryCache()
     if isinstance(cache, CacheConfig):
         return QueryCache(cache)
-    if isinstance(cache, QueryCache):
-        return cache
     raise DatabaseError(
-        "cache must be None, a bool, a CacheConfig or a QueryCache, "
-        f"got {type(cache).__name__}"
+        f"cache must be None, a bool or a CacheConfig, got {type(cache).__name__}"
     )

@@ -520,8 +520,10 @@ class Database:
         stage on the term as written (views still names, so spans point
         into this text) and raises :class:`~repro.errors.LintError` on
         error findings, a parse or translate failure (``QL000``) included.
-        It is per call, in no cache key, and honored on hits too: a cached
-        plan must not smuggle past strict mode. With a cache attached
+        It is per call and in no cache key; with a cache attached, its
+        findings are kept as the text's verdict at this catalog version,
+        and a strict hit replays that verdict: a cached plan must not
+        smuggle past strict mode. With a cache attached
         the compiled entry is looked up first by exact text and then,
         after translation, by canonical alpha-form (docs/CACHE.md
         specifies keying and invalidation), and stored on a miss. Each
@@ -533,24 +535,32 @@ class Database:
         ``$name`` parameters type-check as ``ANY`` unless ``param_types``
         narrows them, whoever compiles — so a shared entry never depends
         on who built it first, and an unbound parameter surfaces at
-        execution. ``jit`` gives the plan code if it is known to run again:
-        kept by a cache or the caller (``kept``), or a shape seen before.
+        execution. A narrowing a typecheck reads is part of both keys.
+        ``jit`` gives the plan code if it is known to run again: kept by a
+        cache or the caller (``kept``), or a shape seen before.
         """
         cache = self.cache
         if record is None:
             record = QueryRecord(oql)
         verifying = verification_enabled()
         version = self._compile_version()
-        text_key = (oql, engine, typecheck)
+        typed = tuple(sorted(param_types.items())) if typecheck and param_types else ()
+        text_key = (oql, engine, typecheck, typed)
+        # strict mode's verdict on this text: its error findings, None
+        # while the text has not been linted at this version
+        verdict = None if strict else []
         if cache is not None:
             with record.phase("cache"):
-                entry = cache.compiled_by_text(text_key, version, verifying)
-            if entry is not None:
                 if strict:
-                    with record.phase("lint"):
-                        _raise_errors(self.lint(oql))
+                    verdict = cache.verdict(text_key, version)
+                if verdict:
+                    raise LintError(verdict)
+                entry = None if verdict is None else cache.compiled_by_text(
+                    text_key, version, verifying
+                )
+            if entry is not None:
                 record.cache["compile"] = "hit"
-                record.cached = entry.phases
+                record.cached = entry.phases + (("lint",) if strict else ())
                 return entry
         try:
             with record.phase("parse"):
@@ -568,7 +578,7 @@ class Database:
         # QL203 check asks (kept for the normalize stage; a failure is
         # not, so that stage raises it where it always did), else there.
         normal = None
-        if strict:
+        if verdict is None:
 
             def normal_form() -> Term:
                 nonlocal normal
@@ -576,12 +586,17 @@ class Database:
                 return normal[0]
 
             with record.phase("lint"):
-                _raise_errors(self._linter().lint_term(written, None if viewed else normal_form))
+                found = self._linter().lint_term(written, None if viewed else normal_form)
+                verdict = [d for d in found if d.is_error]
+                if cache is not None:
+                    cache.judge(text_key, version, verdict)
+            if verdict:
+                raise LintError(verdict)
         key = None
         if cache is not None:
             # Only a cache needs the canonical alpha-form; without one
             # it is never computed.
-            key = (canonical_term(calculus), engine, typecheck)
+            key = (canonical_term(calculus), engine, typecheck, typed)
             entry = cache.compiled_by_canon(key, version, verifying)
             if entry is not None:
                 # An alpha-variant of a cached query: alias the text
@@ -816,7 +831,7 @@ class Database:
         return resolved
 
     def enable_cache(self, cache: Any = True) -> QueryCache:
-        """Attach a query cache (``True``, a CacheConfig or a QueryCache)."""
+        """Attach a fresh query cache (``True`` or a CacheConfig)."""
         return self._set_mode("cache", cache)
 
     def disable_cache(self) -> None:
@@ -945,13 +960,6 @@ class Database:
 
     def _optimize(self, plan: Reduce) -> Reduce:
         return Optimizer(self.catalog.index_keys()).optimize(plan)
-
-
-def _raise_errors(diagnostics: list) -> None:
-    """Strict mode's gate: the error-severity findings, if any, raised."""
-    errors = [d for d in diagnostics if d.is_error]
-    if errors:
-        raise LintError(errors)
 
 
 def _no_plan_note(normalized: Term) -> str:

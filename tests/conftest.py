@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 from repro.db import (
     Database,
@@ -17,6 +19,13 @@ from repro.eval import Evaluator
 from repro.jit.plan import clear_code_cache
 from repro.monoids import default_registry
 from repro.values import canonical_key
+
+# Property tests draw a fixed example set: the same examples on every run,
+# in tier-1 and in every CI mode row. ``HYPOTHESIS_PROFILE=explore`` draws
+# fresh examples, and more of them where a test does not fix its own count.
+settings.register_profile("repro", derandomize=True, deadline=None)
+settings.register_profile("explore", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
 
 @pytest.fixture(autouse=True)

@@ -193,7 +193,8 @@ class TestResolveCache:
         config = CacheConfig(max_entries=7)
         qc = resolve_cache(config)
         assert qc.config.max_entries == 7
-        assert resolve_cache(qc) is qc
+        with pytest.raises(DatabaseError):  # a cache is one database's
+            resolve_cache(qc)
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)

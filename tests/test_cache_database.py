@@ -6,7 +6,7 @@ import pytest
 
 from repro.cache import CacheConfig, QueryCache
 from repro.db.database import Database, demo_travel_database
-from repro.errors import LintError
+from repro.errors import DatabaseError, LintError
 from repro.normalize import normalize_with_trace
 from repro.oql import parse
 
@@ -170,18 +170,20 @@ class TestEnablement:
         db.disable_cache()
         assert db.cache is None
 
-    def test_shared_cache_instance(self):
-        qc = QueryCache()
+    def test_two_databases_answer_from_their_own_data(self):
+        # Equal catalog versions: a cache shared between them would serve
+        # one database's entries and results to the other.
         a = demo_travel_database(num_cities=3, seed=1)
-        b = demo_travel_database(num_cities=3, seed=1)
-        a.enable_cache(qc)
-        b.enable_cache(qc)
-        a.run(BATTERY[0])
-        b.run(BATTERY[0])
-        # same canonical key, but b's catalog version differs from a's
-        # only if registration orders diverged; identical construction
-        # gives identical versions, so b hits a's entry.
-        assert qc.stats.compile_hits >= 1
+        b = demo_travel_database(num_cities=5, seed=1)
+        for db in (a, b):
+            db.enable_cache()
+        assert a._compile_version() == b._compile_version()
+        oql = "count(select c.name from c in Cities)"
+        assert [a.run(oql), b.run(oql), a.run(oql), b.run(oql)] == [3, 5, 3, 5]
+        with pytest.raises(DatabaseError):
+            b.enable_cache(a.cache)
+        with pytest.raises(DatabaseError):
+            Database(cache=a.cache)
 
 
 class TestObservability:

@@ -87,6 +87,17 @@ class TestValidation:
         )
         assert q.run(min=0) is not None
 
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_param_types_are_part_of_the_compile_key(self, cache):
+        from repro.errors import TypingError
+        from repro.types.types import TSTRING
+
+        db = _db(cache)
+        oql = "select distinct c.name from c in Cities where c.population > $min"
+        db.prepare(oql, typecheck=True)  # $min is ANY: it type-checks
+        with pytest.raises(TypingError, match="incompatible types in comparison >: int vs string"):
+            db.prepare(oql, typecheck=True, param_types={"min": TSTRING})
+
 
 class TestWithCache:
     def test_bindings_get_separate_result_entries(self):

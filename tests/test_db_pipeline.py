@@ -120,6 +120,50 @@ def test_unbound_parameter_is_the_same_error_with_and_without_cache(cache):
         )
 
 
+#: good and bad queries for the parity below: a lint error, a C/I error
+#: under typecheck, an unbound parameter, an unknown name
+PARITY = (
+    CITY_NAMES,
+    "select c.name from c in Cities",
+    "sum(select distinct c.population from c in Cities)",
+    "select distinct c.name from c in Cities where c.population > $min",
+    "select distinct c.name from c in Citees",
+)
+
+
+def outcomes(cache: bool, how: str, oql: str, strict: bool, typecheck: bool) -> list:
+    """Three runs of ``oql`` on a fresh database: each one's value, or its
+    error's class and message."""
+    db = travel(cache)
+    if how == "prepared":
+        try:
+            statement = db.prepare(oql, typecheck=typecheck)
+        except ReproError as exc:
+            return [(type(exc), str(exc))]
+        run = lambda: statement.run(**({"min": 0} if "$" in oql else {}))  # noqa: E731
+    else:
+        run = lambda: db.run(oql, strict=strict, typecheck=typecheck)  # noqa: E731
+    seen = []
+    for _ in range(3):  # a first run, then repeats (cache hits, when cached)
+        try:
+            seen.append(("value", run()))
+        except ReproError as exc:
+            seen.append((type(exc), str(exc)))
+    return seen
+
+
+@pytest.mark.parametrize("oql", PARITY)
+@pytest.mark.parametrize(
+    "how, strict, typecheck",
+    [("ad hoc", False, False), ("ad hoc", True, False), ("ad hoc", False, True),
+     ("prepared", False, False), ("prepared", False, True)],  # prepare has no strict
+)
+def test_same_outcomes_with_and_without_cache(oql, how, strict, typecheck):
+    assert outcomes(False, how, oql, strict, typecheck) == outcomes(
+        True, how, oql, strict, typecheck
+    )
+
+
 # -- EXPLAIN ANALYZE leaves the shared tracer alone ---------------------------
 
 

@@ -175,6 +175,59 @@ class TestStrictMode:
         assert (len(parses), len(normalizations), len(inferences)) == (1, 1, 2)
 
 
+class TestStrictVerdict:
+    """With a cache attached, a text's strict-lint verdict — its error
+    diagnostics at one compile version — is kept beside its text alias,
+    and a strict hit replays it: one lint call site, hit or miss."""
+
+    QUERY = "select distinct c.name from c in Cities"
+    UNKNOWN = "select distinct c.name from c in Citees"
+
+    @pytest.fixture
+    def db(self):
+        db = demo_travel_database(num_cities=3, seed=1)
+        db.enable_cache()
+        return db
+
+    @pytest.fixture
+    def lints(self, monkeypatch):
+        from repro.lint.linter import Linter
+
+        calls = []
+        lint_term = Linter.lint_term
+        monkeypatch.setattr(
+            Linter, "lint_term", lambda self, *args: calls.append(args) or lint_term(self, *args))
+        return calls
+
+    def test_a_strict_hit_replays_a_clean_verdict(self, db, lints, count_calls):
+        parses = count_calls(parse)
+        cold = db.run_detailed(self.QUERY, strict=True)
+        warm = db.run_detailed(self.QUERY, strict=True)
+        assert warm.value == cold.value and warm.cache["compile"] == "hit"
+        assert (len(lints), len(parses)) == (1, 1)
+        assert "lint" in warm.record.cached
+
+    def test_a_failing_verdict_is_replayed_with_its_spans(self, db, lints, count_calls):
+        with pytest.raises(UnboundVariableError):
+            db.run(self.UNKNOWN)  # cached without a verdict
+        parses = count_calls(parse)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(LintError) as err:
+                db.run(self.UNKNOWN, strict=True)
+            raised.append(err.value.diagnostics)
+        assert raised[0] == raised[1] and raised[0][0].code == "QL003"
+        assert (len(lints), len(parses)) == (1, 1)
+
+    def test_a_new_compile_version_lints_again(self, db, lints):
+        db.run(self.QUERY, strict=True)
+        db.run(self.QUERY)  # not strict: no lint
+        assert len(lints) == 1
+        db.create_index("Cities", "name")
+        db.run(self.QUERY, strict=True)
+        assert len(lints) == 2
+
+
 class TestLintNamesPerVersion:
     """``Database.lint`` derives the known names and their types once per
     compile version: its cost must not grow with the data."""
