@@ -53,7 +53,8 @@ from repro.errors import EvaluationError, PlanError
 from repro.eval.env import Env
 from repro.eval.evaluator import VECTOR_HEAD_ERROR, Evaluator
 from repro.jit.runtime import Runtime
-from repro.monoids import CollectionMonoid, VectorMonoid
+from repro.monoids import CollectionMonoid, PrimitiveMonoid, VectorMonoid
+from repro.monoids.base import fold_error
 from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.values import Bag, OrderedSet, Vector, canonical_key
 
@@ -195,7 +196,11 @@ class Executor:
         start, step, finish = _folder(monoid)
         state = start()
         for binding in bindings:
-            state = step(state, head_fn(binding, rt))
+            value = head_fn(binding, rt)
+            try:
+                state = step(state, value)
+            except TypeError as error:
+                raise fold_error(monoid, state, value, error) from None
         return finish(state)
 
     # -- operator expressions --------------------------------------------------------
@@ -340,7 +345,8 @@ class Executor:
         key_fns = self._fn(node, "key_fns")
         head_fns = self._fn(node, "head_fns")
         pred_fns = self._fn(node, "pred_fns")
-        folders = [_folder(monoid) for monoid in self._fold_monoids(node)]
+        monoids = self._fold_monoids(node)
+        folders = [_folder(monoid) for monoid in monoids]
         steps = [
             (i, pred_fns[i], head_fns[i], folders[i][1]) for i in range(len(folders))
         ]
@@ -358,7 +364,11 @@ class Executor:
                         if keep is not False:
                             Evaluator._require_bool(keep, "qualifier predicate")
                         continue
-                state[i] = step(state[i], head_fn(binding, rt))
+                value = head_fn(binding, rt)
+                try:
+                    state[i] = step(state[i], value)
+                except TypeError as error:
+                    raise fold_error(monoids[i], state[i], value, error) from None
         for state in groups.values():
             state[:] = [finish(value) for (_, _, finish), value in zip(folders, state)]
         return groups
@@ -407,9 +417,11 @@ def _folder(monoid) -> tuple[Any, Any, Any]:
     ``(start, step, finish)``: ``state = start()``, then ``state =
     step(state, value)`` per value, then ``finish(state)`` — an
     accumulator's ``add`` for a collection monoid, ``merge`` onto the
-    running value for a primitive one."""
+    running value for a primitive one: its own merge function, ``operator.add``
+    for ``sum``, so a caller turns a step's ``TypeError`` into ``fold_error``."""
     if not isinstance(monoid, CollectionMonoid):
-        return monoid.zero, monoid.merge, _identity
+        own = type(monoid).merge is PrimitiveMonoid.merge
+        return monoid.zero, monoid._merge if own else monoid.merge, _identity
     if not isinstance(monoid, VectorMonoid):
         return monoid.accumulator, _accumulate, _finish
 

@@ -12,8 +12,8 @@ produce/consume style: a template emits its loop and calls
 variable in reach to the Python local that holds it — a row is never a
 dict. Expressions are :class:`~repro.jit.compiler.Emitter` source, and
 the checks are the operator loops' own: ``Runtime.iterate`` once per
-source, the Select test, ``_folder``'s steps, per-node counts stored into
-the execution's blocks at the end.
+source but a tuple or a memoised set, the Select test, ``_folder``'s steps,
+per-node counts stored into the execution's blocks at the end.
 
 **The code cache**, one process-wide LRU keyed by :func:`plan_key`, holds
 the functions: one reads the world only through its arguments, so it
@@ -38,7 +38,9 @@ from repro.calculus.ast import Empty
 from repro.calculus.traversal import relabel
 from repro.errors import PlanError
 from repro.jit.compiler import RUNTIME, TOO_DEEP, Emitter
+from repro.monoids.base import fold_error
 from repro.values import canonical_key
+from repro.values.compare import _SET_ORDERS
 
 #: A plan's generated function (None: it cannot be fused) and its report.
 Code = tuple[Optional[Callable[..., Any]], dict[str, Any]]
@@ -218,7 +220,9 @@ class _Pipeline:
         self.emit("_add = _state.add if _step is _accumulate else None")
         self.produce(
             plan.child,
-            lambda scope: self.fold("_step", "_state", "_add", self.expr(plan, "head_fn", scope)),
+            lambda scope: self.fold(
+                "_step", "_state", "_add", "monoid", self.expr(plan, "head_fn", scope)
+            ),
         )
         for counter, field in self.counters.items():
             self.emit(f"blocks[{counter[1:]}].{field} = {counter}")
@@ -274,11 +278,14 @@ class _Pipeline:
         self.emit("    if _p is not False: _require_bool(_p, 'qualifier predicate')")
         self.emit("    continue")
 
-    def fold(self, step: str, state: str, add: str, head: str) -> None:
-        """One ``_folder`` step, a plain collection's written inline."""
+    def fold(self, step: str, state: str, add: str, monoid: str, head: str) -> None:
+        """One ``_folder`` step: a plain collection's written inline as its
+        accumulator's own ``add``, any other's ``TypeError`` a ``fold_error``."""
         self.emit(f"_h = {head}")
         self.emit(f"if {step} is _accumulate: {add}(_h)")
-        self.emit(f"else: {state} = {step}({state}, _h)")
+        self.emit("else:")
+        self.emit(f"    try: {state} = {step}({state}, _h)")
+        self.emit(f"    except TypeError as _x: raise _fold_error({monoid}, {state}, _h, _x) from None")
 
     def produce(self, node: PlanNode, consume: Consume) -> None:
         template = _TEMPLATES.get(type(node))
@@ -294,17 +301,21 @@ def _row(names: Any) -> str:
 
 
 def _generator(p: _Pipeline, node: Any, source: str, outer: Scope, consume: Consume) -> None:
-    """``for`` over one Scan/Unnest source — ``Runtime.iterate`` makes the
-    per-source checks — binding the element (and its position)."""
+    """``for`` over one Scan/Unnest source, binding the element (and its
+    position), its rows counted once. A tuple is walked as itself, a set as
+    its memoised order if the table's entry is this set's; any other source
+    goes to ``Runtime.iterate``, which makes the per-source checks."""
     own = p.bind(node)
-    rows = p.counter("n", node, "rows_out")
-
-    def body() -> None:
-        p.emit(f"{rows} += 1")
-        consume({**outer, **dict(zip(node.binds(), own))})
-
-    indexed = node.index_var is not None  # then (position, element) pairs
-    p.loop(f"for {', '.join(reversed(own))} in _iterate({source}, {indexed}):", body)
+    p.emit(f"_src = {source}")
+    if node.index_var is not None:  # (position, element) pairs
+        p.emit("_src = _iterate(_src, True)")
+    else:
+        p.emit("if type(_src) is not tuple:")
+        p.emit("    _e = _set_order(id(_src))")
+        p.emit("    _src = _e.order if _e is not None and _e() is _src else _iterate(_src, False)")
+    p.emit(f"{p.counter('n', node, 'rows_out')} += len(_src)")
+    scope = {**outer, **dict(zip(node.binds(), own))}
+    p.loop(f"for {', '.join(reversed(own))} in _src:", lambda: consume(scope))
 
 
 def _scan(p: _Pipeline, node: Scan, consume: Consume) -> None:
@@ -381,9 +392,9 @@ def _nest(p: _Pipeline, node: Nest, consume: Consume) -> None:
     at = p.position[id(node)]
     groups = f"_g{at}"
     folds = [(f"_s{at}_{i}", f"_m{at}_{i}", f"_f{at}_{i}") for i in range(len(node.folds))]
-    for names, fold in zip(folds, node.folds):
-        monoid = f"rt.ev.resolve_monoid({p.emitter.const(fold[1])}, rt.globals)"
-        p.emit(f"{', '.join(names)} = _folder({monoid})")
+    for i, (names, fold) in enumerate(zip(folds, node.folds)):
+        p.emit(f"_o{at}_{i} = rt.ev.resolve_monoid({p.emitter.const(fold[1])}, rt.globals)")
+        p.emit(f"{', '.join(names)} = _folder(_o{at}_{i})")
     p.emit(f"{groups} = {{}}")
 
     def group(scope: Scope) -> None:
@@ -399,7 +410,7 @@ def _nest(p: _Pipeline, node: Nest, consume: Consume) -> None:
                 p.emit(f"_p = {p.expr(node, 'pred_fns', scope, i)}")
                 p.emit("if _p is True:")
             p.depth += guarded
-            p.fold(step, state, f"{state}.add", p.expr(node, "head_fns", scope, i))
+            p.fold(step, state, f"{state}.add", f"_o{at}_{i}", p.expr(node, "head_fns", scope, i))
             p.depth -= guarded
             if guarded:
                 p.emit("elif _p is not False: _require_bool(_p, 'qualifier predicate')")
@@ -447,6 +458,8 @@ def _fuse(plan: Reduce, checked: bool) -> Code:
         namespace.update(
             _folder=_folder,
             _accumulate=_accumulate,
+            _fold_error=fold_error,
+            _set_order=_SET_ORDERS.get,
             _canonical_key=canonical_key,
             _PlanError=PlanError,
         )

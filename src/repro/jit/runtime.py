@@ -12,7 +12,7 @@ it is handed instead (the operator loops' interpreter thunks take one too).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import EvaluationError, VerificationError
 from repro.eval.builtins import runtime_monoid_of
@@ -20,6 +20,7 @@ from repro.eval.env import Env
 from repro.monoids import VectorMonoid
 from repro.objects.store import Obj
 from repro.values import Bag, OrderedSet, Record, canonical_order
+from repro.values.compare import _SET_ORDERS
 
 
 def _agree(value: Any, expected: Any) -> bool:
@@ -84,28 +85,34 @@ class Runtime:
             )
         return value
 
-    def iterate(self, source: Any, indexed: bool) -> Iterable[Any]:
+    def iterate(self, source: Any, indexed: bool) -> tuple:
         """What a Scan or Unnest binds over ``source``, checked once per
-        source: its elements in the collection's own order, as
-        ``(position, element)`` pairs for the indexed generator form.
-        The exact carriers are answered by type, with the tuple their
-        monoid's ``iterate`` would wrap; anything else takes the path below."""
-        if not indexed:
-            kind = type(source)
-            if kind is frozenset or kind is Bag:
-                return canonical_order(source)
-            if kind is tuple:
-                return source
+        source: a tuple of its elements in the collection's own order, or of
+        ``(position, element)`` pairs for the indexed generator form. The
+        exact carriers are answered by type, with the tuple their monoid's
+        ``iterate`` would wrap, a memo read without ``canonical_order``'s
+        frame; anything else takes the path below."""
         if isinstance(source, Obj):
             source = self.store.deref(source)
+        if not indexed:
+            kind = type(source)
+            if kind is tuple:
+                return source
+            if kind is frozenset:
+                entry = _SET_ORDERS.get(id(source))
+                if entry is not None and entry() is source:
+                    return entry.order
+                return canonical_order(source)
+            if kind is Bag:
+                return source._order or canonical_order(source)
         monoid = runtime_monoid_of(source)
         if isinstance(monoid, VectorMonoid):
             pairs = monoid.iterate(source)
-            return pairs if indexed else map(itemgetter(1), pairs)
+            return tuple(pairs if indexed else map(itemgetter(1), pairs))
         if not indexed:
-            return monoid.iterate(source)
+            return tuple(monoid.iterate(source))
         if isinstance(source, (tuple, list, str, OrderedSet)):
-            return enumerate(monoid.iterate(source))
+            return tuple(enumerate(monoid.iterate(source)))
         raise EvaluationError(
             f"indexed scan requires an ordered collection, got {type(source).__name__}"
         )

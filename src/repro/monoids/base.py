@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import Any
 
-from repro.errors import MonoidError, WellFormednessError
+from repro.errors import EvaluationError, MonoidError, WellFormednessError
 
 #: Property tokens. A monoid's property set is a subset of these.
 COMMUTATIVE = "commutative"
@@ -149,7 +149,10 @@ class PrimitiveMonoid(Monoid):
         return value
 
     def merge(self, left: Any, right: Any) -> Any:
-        return self._merge(left, right)
+        try:
+            return self._merge(left, right)
+        except TypeError as error:
+            raise fold_error(self, left, right, error) from None
 
 
 class CollectionMonoid(Monoid):
@@ -198,6 +201,15 @@ class Accumulator(ABC):
     @abstractmethod
     def finish(self) -> Any:
         """Freeze and return the carrier value. The builder is then dead."""
+
+
+def fold_error(monoid: Monoid, left: Any, right: Any, error: TypeError) -> Exception:
+    """What a fold into ``monoid`` raises for a step's ``TypeError``: a
+    collection's own; for a primitive merge, one typed error on every engine."""
+    if monoid.is_collection:
+        return error
+    kinds = f"{type(left).__name__} and {type(right).__name__}"
+    return EvaluationError(f"{monoid.name} cannot merge {kinds}")
 
 
 def check_hom_well_formed(source: Monoid, target: Monoid) -> None:

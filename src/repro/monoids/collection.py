@@ -35,15 +35,13 @@ from repro.monoids.base import Accumulator, CollectionMonoid
 from repro.values import Bag, OrderedSet, canonical_key, canonical_order
 
 
-class _ListAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._items: list[Any] = []
+class _ListAccumulator(list, Accumulator):
+    """A C container whose own method is ``add``: a fold step is no Python frame."""
 
-    def add(self, value: Any) -> None:
-        self._items.append(value)
+    add = list.append
 
     def finish(self) -> tuple:
-        return tuple(self._items)
+        return tuple(self)
 
 
 class ListMonoid(CollectionMonoid):
@@ -72,15 +70,11 @@ class ListMonoid(CollectionMonoid):
         return len(collection)
 
 
-class _SetAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._items: set[Any] = set()
-
-    def add(self, value: Any) -> None:
-        self._items.add(value)
+class _SetAccumulator(set, Accumulator):
+    add = set.add
 
     def finish(self) -> frozenset:
-        return frozenset(self._items)
+        return frozenset(self)
 
 
 class SetMonoid(CollectionMonoid):
@@ -122,7 +116,7 @@ class _BagAccumulator(_ListAccumulator):
     ``finish`` where the per-``add`` counts held O(distinct) (DESIGN.md §4)."""
 
     def finish(self) -> Bag:
-        return Bag(self._items)
+        return Bag(self)
 
 
 class BagMonoid(CollectionMonoid):
@@ -154,16 +148,13 @@ class BagMonoid(CollectionMonoid):
         return len(collection)
 
 
-class _OSetAccumulator(Accumulator):
-    def __init__(self) -> None:
-        self._seen: dict[Any, None] = {}
+class _OSetAccumulator(dict, Accumulator):
+    """The first occurrence of each element, in order: dict keys."""
 
-    def add(self, value: Any) -> None:
-        if value not in self._seen:
-            self._seen[value] = None
+    add = dict.setdefault
 
     def finish(self) -> OrderedSet:
-        return OrderedSet(self._seen)
+        return OrderedSet(self)
 
 
 class OSetMonoid(CollectionMonoid):
@@ -235,17 +226,15 @@ class StringMonoid(CollectionMonoid):
         return len(collection)
 
 
-class _SortedAccumulator(Accumulator):
+class _SortedAccumulator(list, Accumulator):
+    add = list.append
+
     def __init__(self, sort_key: Callable[[Any], tuple], dedup: bool) -> None:
         self._sort_key = sort_key
         self._dedup = dedup
-        self._items: list[Any] = []
-
-    def add(self, value: Any) -> None:
-        self._items.append(value)
 
     def finish(self) -> tuple:
-        items = sorted(self._items, key=self._sort_key)
+        items = sorted(self, key=self._sort_key)
         if not self._dedup:
             return tuple(items)
         deduped: list[Any] = []

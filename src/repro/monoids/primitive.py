@@ -17,7 +17,8 @@ all       yes          yes
 ``max``/``min`` use ``None`` as the zero (identity), so they are defined
 over any totally ordered carrier without inventing infinities; an empty
 ``max{...}`` comprehension therefore yields ``None``, which the OQL
-layer surfaces as SQL-style NULL behaviour for empty aggregates.
+layer surfaces as SQL-style NULL behaviour for empty aggregates. Sets,
+which ``>=`` orders by inclusion, are refused like bags and records.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ def _max_merge(left: Any, right: Any) -> Any:
         return right
     if right is None:
         return left
+    if isinstance(left, frozenset):  # ``>=`` is the subset order
+        raise TypeError("sets are not totally ordered")
     return left if left >= right else right
 
 
@@ -41,6 +44,8 @@ def _min_merge(left: Any, right: Any) -> Any:
         return right
     if right is None:
         return left
+    if isinstance(left, frozenset):
+        raise TypeError("sets are not totally ordered")
     return left if left <= right else right
 
 

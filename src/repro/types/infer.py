@@ -495,6 +495,8 @@ class TypeChecker:
                 raise TypingError(f"{name} aggregates numbers, got {element}")
             return element if not isinstance(element, TAny) else ANY
         if name in ("max", "min"):
+            if isinstance(element, (TRecord, TClass, TObj, TColl, TVector)):
+                raise TypingError(f"{name} aggregates totally ordered values, got {element}")
             return element
         if name in ("some", "all"):
             if not is_bool(element):

@@ -1,8 +1,13 @@
-"""Unit tests for the primitive monoids (Table 1, lower half)."""
+"""Unit tests for the primitive monoids (Table 1, lower half), and the one
+typed error of a fold whose merge refuses its operands."""
 
 import pytest
 
+from repro.cache import CacheConfig
+from repro.db import Database, company_schema, make_company, make_travel_agency, travel_schema
+from repro.errors import EvaluationError, TypingError
 from repro.monoids import ALL, MAX, MIN, PROD, SOME, SUM
+from repro.values import Bag, Record
 
 
 def test_sum_monoid():
@@ -93,3 +98,91 @@ def test_fold_of_many_merges(name):
     for _ in range(2_000):
         value = monoid.merge(value, element)
     assert value == folded == monoid.merge_all([element] * 2_000)
+
+
+# -- operands a merge cannot take ---------------------------------------------------
+#
+# A primitive fold over values its merge refuses raised a bare ``TypeError``,
+# and ``max`` / ``min`` over sets answered by the subset order. Both are one
+# typed error now, worded alike by the interpreter, the operator loops and
+# generated code; the type checker refuses max/min over records and
+# collections up front.
+
+REFUSED = {
+    "sum(select e.name from e in Employees)": "sum cannot merge int and str",
+    "max(select e from e in Employees)": "max cannot merge Record and Record",
+    "select struct(d: dno, total: sum(select p.name from p in partition)) "
+    "from e in Employees group by dno: e.dno": "sum cannot merge int and str",
+    "max(select h.facilities from c in Cities, h in c.hotels)": (
+        "max cannot merge frozenset and frozenset"
+    ),
+    "min(select h.facilities from c in Cities, h in c.hotels)": (
+        "min cannot merge frozenset and frozenset"
+    ),
+}
+
+
+def _database(oql: str, **kwargs) -> Database:
+    if "Employees" in oql:
+        db = Database(company_schema(), **kwargs)
+        db.load_extents(make_company())
+    else:
+        db = Database(travel_schema(), **kwargs)
+        db.load_extents(make_travel_agency())
+    return db
+
+
+def _raised(run) -> tuple:
+    with pytest.raises(EvaluationError) as caught:
+        run()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("oql", sorted(REFUSED))
+def test_a_refused_merge_is_one_typed_error_on_every_engine(oql):
+    kept = _database(oql, cache=CacheConfig(results=False))  # code from the first run
+    seen = {
+        "interpret": _raised(lambda: _database(oql).run(oql, engine="interpret")),
+        "loops": _raised(lambda: _database(oql).run_detailed(oql, metrics=True)),
+        "generated": _raised(lambda: kept.run(oql)),
+        "generated again": _raised(lambda: kept.run(oql)),
+    }
+    assert set(seen.values()) == {(EvaluationError, REFUSED[oql])}, seen
+
+
+@pytest.mark.parametrize("monoid", [MAX, MIN])
+def test_max_and_min_refuse_what_python_orders_partially_or_not_at_all(monoid):
+    for left, right in (
+        (frozenset({"pool", "parking"}), frozenset({"pool"})),
+        (Bag([1]), Bag([2])),
+        (Record(a=1), Record(a=2)),
+        (1, "a"),
+    ):
+        with pytest.raises(EvaluationError, match=f"^{monoid.name} cannot merge "):
+            monoid.merge(left, right)
+    assert monoid.merge(None, frozenset({1})) == frozenset({1})  # nothing to compare
+
+
+def test_sum_names_its_operand_types():
+    with pytest.raises(EvaluationError, match="^sum cannot merge int and str$"):
+        SUM.merge(0, "a")
+
+
+@pytest.mark.parametrize(
+    "oql, element",
+    [
+        ("max(select e from e in Employees)", "Employee"),
+        ("min(select distinct h.facilities from c in Cities, h in c.hotels)", "set(string)"),
+        ("max(select distinct struct(n: c.name) from c in Cities)", "<n: string>"),
+    ],
+)
+def test_the_type_checker_refuses_max_and_min_over_records_and_collections(oql, element):
+    for engine in ("interpret", "auto"):
+        with pytest.raises(TypingError) as caught:
+            _database(oql).run(oql, engine=engine, typecheck=True)
+        assert str(caught.value) == f"{oql[:3]} aggregates totally ordered values, got {element}"
+
+
+def test_max_over_scalars_still_typechecks():
+    oql = "max(select distinct h.stars from c in Cities, h in c.hotels)"
+    assert _database(oql).run(oql, typecheck=True) == 5

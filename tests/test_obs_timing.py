@@ -16,6 +16,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+TESTS = Path(__file__).resolve().parent
 
 #: The only files allowed to call the wall clock, and why.
 WALL_CLOCK_ALLOWED = {
@@ -95,3 +96,38 @@ class TestDurationSources:
 
         ts = db.query_log.entries[-1]["ts"]
         assert abs(ts - time.time()) < 60  # a real wall-clock stamp
+
+
+#: a clock read: a call of one of the clocks, or one handed on uncalled
+_CLOCK = re.compile(
+    r"\b(?:perf_counter|monotonic|process_time)(?:_ns)?\s*\("
+    r"|\btime\.(?:time|perf_counter|monotonic|process_time)(?:_ns)?\b"
+)
+
+
+class TestTestsReadNoClock:
+    """A claim about work done is a count; a claim about time goes through
+    the benchmark harness. This file, which audits the clocks, is the one
+    test file that may name them."""
+
+    def test_no_test_file_reads_a_clock(self):
+        offenders = [
+            f"{path.relative_to(TESTS).as_posix()}:{number}: {line.strip()}"
+            for path in sorted(TESTS.rglob("*.py"))
+            if path.name != Path(__file__).name
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if not _CODE.match(line) and _CLOCK.search(line)
+        ]
+        assert offenders == [], "tests/ reads no clock:\n" + "\n".join(offenders)
+
+    def test_the_scan_sees_each_clock(self):
+        for line in (
+            "start = time.perf_counter()",
+            "t = perf_counter_ns()",
+            "time.monotonic()",
+            "process_time()",
+            "stamp = time.time()",
+            "clock = time.perf_counter",
+        ):
+            assert _CLOCK.search(line), line
+        assert not _CLOCK.search("assert 'perf_counter' in text")
