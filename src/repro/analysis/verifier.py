@@ -158,75 +158,3 @@ class RewriteVerifier:
                 )
             ]
         return []
-
-
-# ---------------------------------------------------------------------------
-# Parallel-execution equivalence
-# ---------------------------------------------------------------------------
-
-
-def check_parallel_equivalence(plan: Any, serial_value: Any, parallel_value: Any) -> None:
-    """Verify a parallel execution produced the serial result.
-
-    Called by :class:`repro.parallel.ParallelExecutor` when verification
-    is on: the plan is re-run serially and both values compared. Floats
-    are compared approximately — parallel partial folds reassociate the
-    monoid ``merge``, and float addition is associative only up to
-    rounding, so a last-bit difference on a ``sum`` of floats is the
-    expected cost of reassociation, not an unsound execution. Every
-    other difference raises :class:`~repro.errors.VerificationError`.
-    """
-    if _values_equivalent(serial_value, parallel_value):
-        return
-    raise VerificationError(
-        "parallel-equivalence",
-        serial_value,
-        parallel_value,
-        [
-            Violation(
-                "parallel-equivalence",
-                "parallel execution differs from the serial fold "
-                f"(plan root: {type(plan).__name__})",
-            )
-        ],
-    )
-
-
-def _values_equivalent(a: Any, b: Any) -> bool:
-    """Structural equality with float tolerance (see above)."""
-    import math
-
-    if a == b:
-        # Fast path; also covers hash-based containers whose float
-        # members happen to agree exactly.
-        return True
-    if isinstance(a, float) or isinstance(b, float):
-        if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-            return False
-        # Two NaNs agree, though neither ``==`` nor ``isclose`` says so.
-        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) or (a != a and b != b)
-    from repro.values import Bag, OrderedSet, Record, Vector, canonical_order
-
-    if isinstance(a, (tuple, list, OrderedSet)) and isinstance(
-        b, (tuple, list, OrderedSet)
-    ):
-        return len(a) == len(b) and all(
-            _values_equivalent(x, y) for x, y in zip(a, b)
-        )
-    if isinstance(a, (frozenset, Bag)) and isinstance(b, (frozenset, Bag)):
-        # Canonical order lines elements up so float members still get
-        # the tolerant element-wise comparison.
-        xs = canonical_order(a)
-        ys = canonical_order(b)
-        return len(xs) == len(ys) and all(
-            _values_equivalent(x, y) for x, y in zip(xs, ys)
-        )
-    if isinstance(a, Record) and isinstance(b, Record):
-        return set(a.keys()) == set(b.keys()) and all(
-            _values_equivalent(a[k], b[k]) for k in a.keys()
-        )
-    if isinstance(a, Vector) and isinstance(b, Vector):
-        return len(a) == len(b) and all(
-            _values_equivalent(x, y) for x, y in zip(a.to_list(), b.to_list())
-        )
-    return False

@@ -82,7 +82,7 @@ class Prepared:
             or (verification_enabled() and not entry.verified)
         ):
             entry = self._entry = db.compile(
-                self.oql, self.engine, self.typecheck, self.param_types, record=record, kept=True
+                self.oql, self.engine, self.typecheck, self.param_types, record=record
             )
         return entry
 

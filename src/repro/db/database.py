@@ -15,7 +15,7 @@ function of the query text and the catalog alone; its product, a
 half (``_execute``) accepts. Ad-hoc queries, prepared statements,
 EXPLAIN and the lint advisors all go through that one pair, so they
 cannot disagree about which plan a query gets. The opt-in modes (cache,
-telemetry, parallel, verify — DESIGN.md has the table) are stages
+telemetry, verify — DESIGN.md has the table) are stages
 of that pipeline, held to a contract that can be checked: *every mode
 returns the same value and raises the same error as every other (the
 test suite), and the default mode's end-to-end metrics stay within the
@@ -88,7 +88,6 @@ from repro.values import Bag, Record
 _MODES = {
     "cache": ("REPRO_CACHE", "repro.cache.core", "resolve_cache"),
     "telemetry": ("REPRO_TELEMETRY", "repro.obs.telemetry.registry", "resolve_telemetry"),
-    "parallel": ("REPRO_PARALLEL", "repro.parallel", "resolve_parallel"),
 }
 
 
@@ -123,15 +122,15 @@ class QueryResult:
     #: session tracing was on)
     span: Optional[TraceSpan] = None
     #: the execution's per-operator record (None when no plan ran;
-    #: ``time_ns`` is 0 unless the run was timed: ``metrics=True`` or
-    #: session tracing)
+    #: ``time_ns`` is 0 but on the root of a timed run: ``metrics=True``
+    #: or session tracing)
     metrics: Optional[PlanMetrics] = None
     #: cache outcome for this query, e.g. {"compile": "hit",
     #: "result": "miss"} (None unless the database had a cache)
     cache: Optional[dict[str, Any]] = None
     #: what the jit phase compiled for the plan, e.g. {"compiled": 3,
-    #: "fallback": 1, "constructs": {"Comprehension": 1}} (None when the
-    #: plan has no code — a first sighting — or nothing was executed)
+    #: "fallback": 1, "constructs": {"Comprehension": 1}} (None when no
+    #: plan was executed)
     jit: Optional[dict[str, Any]] = None
     #: the compiled entry this result was executed from
     compiled: Optional[CompiledQuery] = field(default=None, repr=False)
@@ -212,7 +211,7 @@ class Database:
         self._object_extents: set[str] = set()
         self._views: dict[str, Term] = {}
         #: session tracer: while enabled, every query's span tree is
-        #: retained and its operators are timed
+        #: retained and its execution is timed
         self.tracer = Tracer(enabled=False)
         #: structured query log, enabled via :meth:`profile`
         self.query_log: Optional[QueryLog] = None
@@ -222,8 +221,8 @@ class Database:
         self.cache: Optional[QueryCache] = _resolve_mode("cache", cache)
         #: metrics registry (fleet telemetry)
         self.telemetry: Optional[Any] = _resolve_mode("telemetry", telemetry)
-        #: partition-parallel execution config
-        self.parallel: Optional[Any] = _resolve_mode("parallel", parallel)
+        if parallel:
+            raise DatabaseError("no parallel execution: every plan runs as one serial function")
         #: what ``jit=`` said, which changes nothing (docs/JIT.md)
         self.jit: Optional[Any] = jit or None
         # Bumped whenever query *meaning* changes outside the catalog
@@ -413,7 +412,7 @@ class Database:
         per-operator record (``result.metrics``, which ``result.stats``
         is a view of). With tracing enabled (:meth:`profile` /
         ``tracer.enabled``) it additionally carries the span tree built
-        from the query's record and per-operator wall time;
+        from the query's record and the execution's wall time;
         ``metrics=True`` asks for that timing for this one call even
         while tracing is off (EXPLAIN ANALYZE does this). ``verify`` is
         :meth:`run`'s rewrite-verification switch (it covers the whole
@@ -483,22 +482,6 @@ class Database:
         if self.query_log is not None:
             self.query_log.record(record, result)
 
-    def _executor(
-        self, evaluator: Evaluator, timed_into: Optional[PlanMetrics]
-    ) -> Executor:
-        """The executor for one query: the serial :class:`Executor`
-        unless parallelism is enabled, in which case a
-        :class:`~repro.parallel.ParallelExecutor` (which itself falls
-        back to the identical serial path whenever the plan shape or
-        config rules fan-out out; it runs the operator loops).
-        ``timed_into`` asks for per-operator wall time, into that table."""
-        indexes = self.catalog.index_mappings()
-        if self.parallel is None:
-            return Executor(evaluator, indexes, metrics=timed_into)
-        from repro.parallel import ParallelExecutor
-
-        return ParallelExecutor(evaluator, indexes, metrics=timed_into, config=self.parallel)
-
     # -- compile: the front half ------------------------------------------------
 
     @_bounded
@@ -511,7 +494,6 @@ class Database:
         *,
         strict: bool = False,
         record: Optional[QueryRecord] = None,
-        kept: bool = False,
     ) -> CompiledQuery:
         """OQL text -> :class:`CompiledQuery`: parse → translate → [lint]
         → [typecheck] → normalize → plan → optimize → jit.
@@ -536,8 +518,8 @@ class Database:
         narrows them, whoever compiles — so a shared entry never depends
         on who built it first, and an unbound parameter surfaces at
         execution. A narrowing a typecheck reads is part of both keys.
-        ``jit`` gives the plan code if it is known to run again: kept by a
-        cache or the caller (``kept``), or a shape seen before.
+        ``jit`` gives the plan its generated function, from the code cache
+        when its shape was compiled before.
         """
         cache = self.cache
         if record is None:
@@ -640,7 +622,7 @@ class Database:
             if plan is not None:
                 with record.phase("jit"):
                     shape = self._plan_key(plan, (text_key, version, verifying))
-                    precompile_plan(plan, kept or cache is not None, shape)
+                    precompile_plan(plan, shape)
                 phases.append("jit")
         entry = CompiledQuery(
             oql=oql,
@@ -750,7 +732,7 @@ class Database:
         cache attached the next repeat goes straight to the interpreter.
         """
         cache = self.cache
-        # Operators are always counted; they are timed only on request:
+        # Operators are always counted; the run is timed only on request:
         # ``metrics=True`` or session tracing, never telemetry.
         timed_into = PlanMetrics() if (metrics or self.tracer.enabled) else None
         result_key = versions = executor = None
@@ -780,7 +762,7 @@ class Database:
             for name, bound in params.items():
                 evaluator.bind_global("$" + name, bound)
             if entry.plan is not None:
-                executor = self._executor(evaluator, timed_into)
+                executor = Executor(evaluator, self.catalog.index_mappings(), timed_into)
                 try:
                     with record.phase("execute"):
                         value = executor.execute(entry.plan)
@@ -854,22 +836,12 @@ class Database:
         """Detach telemetry; queries are no longer recorded."""
         self._set_mode("telemetry", False)
 
-    def enable_parallel(self, parallel: Any = True):
-        """Turn on partition-parallel execution.
-
-        ``True`` gives the default config (4 workers), an ``int`` sets
-        the worker count, a
-        :class:`~repro.parallel.ParallelConfig` tunes everything
-        (workers, morsel size, minimum rows). Results are guaranteed
-        identical to serial execution —
-        see ``docs/PARALLEL.md`` for the determinism argument per
-        monoid property.
-        """
-        return self._set_mode("parallel", parallel)
+    def enable_parallel(self, parallel: Any = None) -> None:
+        """Accepted and ignored: every plan runs serially as one generated
+        function. Kept for ``benchmarks/harness``'s ``parallel.*`` probe."""
 
     def disable_parallel(self) -> None:
-        """Revert to the serial executor."""
-        self._set_mode("parallel", False)
+        """Accepted and ignored, as :meth:`enable_parallel` is."""
 
     def run_calculus(self, term: Term) -> Any:
         """Evaluate a hand-built calculus term against this database."""
@@ -888,7 +860,7 @@ class Database:
 
         While on, every :meth:`run`/:meth:`run_detailed` keeps the span
         tree of its record in ``tracer.roots`` (and on the
-        :class:`QueryResult`), times its operators, and appends one JSON
+        :class:`QueryResult`), times its execution, and appends one JSON
         entry to :attr:`query_log`, failed runs included — streamed to
         ``sink`` (a ``str -> None`` callable) when given, and/or
         appended to the file at ``path`` with size-based rotation
@@ -916,7 +888,7 @@ class Database:
 
         With ``analyze=True`` the query is *executed* with per-operator
         metrics on, and every node is rendered with its estimated vs
-        actual cardinality, q-error and wall time — plus the pipeline's
+        actual cardinality and q-error, the root its wall time — plus the pipeline's
         phase timings and a q-error summary.
         """
         return render_explain(self.explain_data(oql, analyze))
@@ -975,8 +947,7 @@ def _resolve_mode(name: str, value: Any) -> Any:
 
     The mode's package is imported only when something asks for the
     mode: an explicit value or a set ``REPRO_*`` flag. A default
-    database therefore never pays for importing ``repro.parallel`` or
-    the telemetry package.
+    database therefore never pays for importing the telemetry package.
     """
     env, module, resolver = _MODES[name]
     if value is False or (value is None and not env_flag(env)):

@@ -1,7 +1,7 @@
 """``REPRO_*`` environment flags: one reading of "is this mode on".
 
-Every opt-in mode (``REPRO_VERIFY``, ``REPRO_CACHE``, ``REPRO_TELEMETRY``,
-``REPRO_PARALLEL``) treats its variable the same way:
+Every opt-in mode (``REPRO_VERIFY``, ``REPRO_CACHE``, ``REPRO_TELEMETRY``)
+treats its variable the same way:
 unset, empty, ``0``, ``false``, ``off`` and ``no`` (any case) mean off,
 anything else means on. DESIGN.md has the table of modes.
 """

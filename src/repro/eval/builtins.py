@@ -112,16 +112,28 @@ def builtin_last(value: Any) -> Any:
     return items[-1]
 
 
+def _number(value: Any, what: str) -> Any:
+    """``value`` when it is an int or a float (a bool is neither)."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise EvaluationError(f"{what} numbers, got {type(value).__name__}: {value!r}")
+    return value
+
+
 def builtin_range(*args: int) -> tuple:
     """``range(n)`` or ``range(lo, hi)`` — a list of integers."""
+    for arg in args:
+        if type(arg) is not int:
+            raise EvaluationError(f"range requires integers, got {type(arg).__name__}: {arg!r}")
     return tuple(range(*args))
 
 
 def builtin_abs(value: Any) -> Any:
-    return abs(value)
+    return abs(_number(value, "abs requires"))
 
 
 def builtin_sqrt(value: Any) -> float:
+    if _number(value, "sqrt requires") < 0:
+        raise EvaluationError(f"sqrt of a negative number: {value!r}")
     return math.sqrt(value)
 
 
@@ -148,7 +160,7 @@ def builtin_avg(value: Any) -> float:
     items = _as_iterable(value)
     if not items:
         raise EvaluationError("avg() of an empty collection")
-    return sum(items) / len(items)
+    return sum(_number(item, "avg aggregates") for item in items) / len(items)
 
 
 DEFAULT_BUILTINS: dict[str, Callable[..., Any]] = {

@@ -4,8 +4,7 @@ Section 3's normalization leaves generators over simple paths and small
 first-order terms in operator positions, a form that translates straight
 to target-language code: :mod:`repro.jit.compiler` emits the terms as
 Python expressions and :mod:`repro.jit.plan` one function per plan shape
-around them, which the executor calls instead of its operator loops once
-the plan is known to run again. See ``docs/JIT.md``.
+around them, which is how the executor runs every plan. See ``docs/JIT.md``.
 """
 
 from dataclasses import dataclass

@@ -11,16 +11,16 @@ produce/consume style: a template emits its loop and calls
 ``consume(scope)`` where a row exists, ``scope`` mapping every plan
 variable in reach to the Python local that holds it — a row is never a
 dict. Expressions are :class:`~repro.jit.compiler.Emitter` source, and
-the checks are the operator loops' own: ``Runtime.iterate`` once per
+the checks are the reference interpreter's: ``Runtime.iterate`` once per
 source but a tuple or a memoised set, the Select test, ``_folder``'s steps,
 per-node counts stored into the execution's blocks at the end.
 
 **The code cache**, one process-wide LRU keyed by :func:`plan_key`, holds
 the functions: one reads the world only through its arguments, so it
-serves every plan of its key, in any database and thread. A plan gets code
-when it is known to run again — its caller keeps it (``keep``) or its key
-was seen before; a first sighting is only remembered. One lock, held while
-a function is emitted: racing queries of one shape emit it once.
+serves every plan of its key, in any database and thread. A plan gets its
+code on its first run, from the cache when its shape was emitted before.
+One lock, held while a function is emitted: racing queries of one shape
+emit it once.
 """
 
 from __future__ import annotations
@@ -46,20 +46,19 @@ from repro.values.compare import _SET_ORDERS
 Code = tuple[Optional[Callable[..., Any]], dict[str, Any]]
 
 
-def precompile_plan(
-    plan: Reduce, keep: bool = True, key: Optional[PlanKey] = None
-) -> Optional[dict[str, Any]]:
-    """The jit phase: give ``plan`` its function if it is known to run
-    again; what the emission compiled (``compiled``/``fallback`` counts, the
-    fallback ``constructs`` QL501 names), None when it gets no code.
-    ``key``: the plan's :func:`plan_key`, if the caller has it."""
+def precompile_plan(plan: Reduce, key: Optional[PlanKey] = None) -> dict[str, Any]:
+    """The jit phase: give ``plan`` its function; what the emission
+    compiled (``compiled``/``fallback`` counts, the fallback ``constructs``
+    QL501 names). ``key``: the plan's :func:`plan_key`, if the caller has it."""
     checked = verification_enabled()
-    has = checked in plan.__dict__.get("jit_fused", ()) or _attach(plan, checked, keep, key)
-    return jit_report(plan) if has else None
+    if checked not in plan.__dict__.get("jit_fused", ()):
+        _attach(plan, checked, key)
+    return jit_report(plan)
 
 
 def jit_report(plan: Reduce) -> Optional[dict[str, Any]]:
-    """A copy of what the jit phase compiled for ``plan`` (None: no code)."""
+    """A copy of what the jit phase compiled for ``plan`` (None: it was
+    never compiled)."""
     report = plan.__dict__.get("jit_report")
     return report and {**report, "constructs": dict(report["constructs"])}
 
@@ -69,37 +68,33 @@ def fused(plan: Reduce, checked: bool = False) -> Optional[Callable[..., Any]]:
     inside verify mode's differential when ``checked``), kept on the plan
     root. None: the plan cannot be fused."""
     if checked not in plan.__dict__.get("jit_fused", ()):
-        _attach(plan, checked, keep=True)
+        _attach(plan, checked)
     return plan.__dict__["jit_fused"][checked]
 
 
 def pipeline_source(plan: Reduce, checked: bool = False) -> str:
     """The source of ``plan``'s generated function as registered with
-    :mod:`linecache`; empty for a plan that runs on the operator loops."""
+    :mod:`linecache`; empty for a plan the emitter refuses."""
     fn = fused(plan, checked)
     return "" if fn is None else "".join(linecache.getlines(fn.__code__.co_filename))
 
 
-def _attach(plan: Reduce, checked: bool, keep: bool, key: Optional[PlanKey] = None) -> bool:
-    """Keep ``plan``'s code on its root; False when it gets none."""
-    code = _code_for(plan, checked, keep, key)
-    if code is not None:
-        plan.__dict__.setdefault("jit_fused", {})[checked] = code[0]
-        plan.__dict__["jit_report"] = code[1]
-    return code is not None
+def _attach(plan: Reduce, checked: bool, key: Optional[PlanKey] = None) -> None:
+    """Keep ``plan``'s code on its root."""
+    fn, report = _code_for(plan, checked, key)
+    plan.__dict__.setdefault("jit_fused", {})[checked] = fn
+    plan.__dict__["jit_report"] = report
 
 
 # ---------------------------------------------------------------------------
 # The code cache
 # ---------------------------------------------------------------------------
 
-#: How many plan keys the code cache holds, first sightings included.
+#: How many plan keys the code cache holds.
 CODE_CACHE_SIZE = 512
 
-#: plan key -> its :data:`Code`, or :data:`_SEEN` for a first sighting;
-#: least recently used first
-_CODE: "OrderedDict[PlanKey, Any]" = OrderedDict()
-_SEEN = "seen"
+#: plan key -> its :data:`Code`, least recently used first
+_CODE: "OrderedDict[PlanKey, Code]" = OrderedDict()
 _LOCK = threading.Lock()
 
 
@@ -156,29 +151,22 @@ def plan_key(plan: Reduce, checked: bool) -> Optional[PlanKey]:
         return None
 
 
-def _code_for(
-    plan: Reduce, checked: bool, keep: bool, key: Optional[PlanKey] = None
-) -> Optional[Code]:
-    """``plan``'s code, emitted when it is known to run again; None for a
-    first sighting not kept."""
+def _code_for(plan: Reduce, checked: bool, key: Optional[PlanKey] = None) -> Code:
+    """``plan``'s code: the cached function of its shape, else emitted."""
     key = key or plan_key(plan, checked)
-    if key is None:  # a constant that does not hash: emitted uncached, if kept
-        return _fuse(plan, checked) if keep else None
+    if key is None:  # a constant that does not hash: emitted uncached
+        return _fuse(plan, checked)
     with _LOCK:
-        code = _CODE.pop(key, None)
-        if code is None and not keep:
-            code = _SEEN
-        elif code is None or code is _SEEN:
-            code = _fuse(plan, checked)
+        code = _CODE.pop(key, None) or _fuse(plan, checked)
         _CODE[key] = code  # now the most recently used
         while len(_CODE) > CODE_CACHE_SIZE:
             _forget(_CODE.popitem(last=False)[1])
-    return None if code is _SEEN else code
+    return code
 
 
-def _forget(code: Any) -> None:
+def _forget(code: Code) -> None:
     """An evicted function's source leaves :mod:`linecache` with it."""
-    if code is not _SEEN and code[0] is not None:
+    if code[0] is not None:
         linecache.cache.pop(code[0].__code__.co_filename, None)
 
 
@@ -428,8 +416,7 @@ def _nest(p: _Pipeline, node: Nest, consume: Consume) -> None:
     p.loop(f"for _key in sorted({groups}, key=_canonical_key):", emit_group)
 
 
-#: One template per operator class — the generated-code twin of the
-#: executor's one loop per operator.
+#: One template per operator class.
 _TEMPLATES: dict[type, Callable[[_Pipeline, Any, Consume], None]] = {
     Scan: _scan,
     IndexScan: _index_scan,

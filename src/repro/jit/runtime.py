@@ -6,7 +6,7 @@ terms), which is what makes it safe to keep on a shared plan root, reuse
 across executions from the compiled-query cache, and call from
 concurrent queries. All per-execution state — the evaluator, the object
 store, the global environment snapshot — lives in the :class:`Runtime`
-it is handed instead (the operator loops' interpreter thunks take one too).
+it is handed instead.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class Runtime:
     statement parameters are bound, so ``$name`` globals resolve. The
     ``callable_for`` memo is idempotent (a name always resolves to the
     same object for one runtime), so racing writers under the GIL are
-    harmless and one runtime may serve several worker threads.
+    harmless.
     """
 
     __slots__ = ("ev", "store", "globals", "_callables")

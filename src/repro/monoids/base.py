@@ -90,11 +90,10 @@ class Monoid(ABC):
         return result
 
     def combine_partials(self, parts: Iterable[Any]) -> Any:
-        """Combine per-partition partial folds into one value.
+        """Combine per-partition partial folds into one value: §2's
+        homomorphism property, ``hom(x ++ y) = merge(hom(x), hom(y))``.
 
-        This is the hook the partition-parallel engine
-        (:mod:`repro.parallel`) uses to recombine partial ``Reduce``
-        results. ``parts`` MUST be in partition-index order — the order
+        ``parts`` MUST be in partition-index order — the order
         the partitions appear in the serial scan. Because ``merge`` is
         associative, this then equals the serial fold for every monoid;
         only *commutative* monoids additionally allow callers to relax

@@ -97,7 +97,8 @@ def plan_to_dict(
     metrics: Optional[PlanMetrics] = None,
 ) -> dict[str, Any]:
     """The plan subtree as nested dicts, annotated with estimates and —
-    when ``metrics`` is given — per-node actuals and wall time."""
+    when ``metrics`` is given — per-node actuals and wall time (the
+    root's is the execution's; every operator's is 0)."""
     snapshot = metrics.snapshot(plan) if metrics is not None else None
     estimates = estimate_cardinalities(plan, extent_sizes)
 
@@ -186,12 +187,9 @@ def render_explain(doc: dict[str, Any]) -> str:
         label = "  " * depth + node["label"]
         annot = f"est~{node['estimated_rows']:g}"
         if "actual_rows" in node:
-            annot += (
-                f"  actual={node['actual_rows']}"
-                f"  q-err={node['q_error']:g}"
-                f"  time={node['time_ms']:.3f}ms"
-                f" (self {node['self_time_ms']:.3f}ms)"
-            )
+            annot += f"  actual={node['actual_rows']}  q-err={node['q_error']:g}"
+            if depth == 0:  # the run's wall time: operators are not timed apart
+                annot += f"  time={node['time_ms']:.3f}ms"
             if node.get("hash_builds"):
                 annot += f"  hash_builds={node['hash_builds']}"
             if node.get("index_probes"):

@@ -4,27 +4,25 @@
 :class:`OperatorMetrics` block — rows produced, stream openings,
 hash-table inserts, index probes and (on request) wall time. It is the
 **one** place an operator event is booked: every
-:class:`~repro.algebra.physical.Executor` owns a table, each operator
-loop stores its counts into its node's block, and whatever else reports
-execution counts (:class:`~repro.algebra.physical.ExecutionStats`,
+:class:`~repro.algebra.physical.Executor` owns a table, a plan's generated
+function stores its counts into each node's block, and whatever else
+reports execution counts (:class:`~repro.algebra.physical.ExecutionStats`,
 EXPLAIN ANALYZE, the query log, telemetry, the benchmark harness) is a
-view of these blocks. Wall time alone is collected on request:
-:meth:`PlanMetrics.instrument` times every pull of a stream, and an
-executor installs it only when handed a table to time into.
+view of these blocks. Wall time is collected on request, for the whole
+execution, on the root ``Reduce``'s block: a fused pipeline has no
+boundary between its operators, so every other block's ``time_ns`` is 0.
 
 Node identity is ``id(node)`` and a table belongs to one execution, so
 structurally-equal operators never share a block and neither do
-concurrent runs of one cached plan. Timing is *inclusive* — pulling a
-row from a Select also runs its child — so :meth:`PlanMetrics.snapshot`
-derives per-node *self* time by subtracting the children's inclusive
-time, and rows-in as the sum of the children's rows-out.
+concurrent runs of one cached plan. :meth:`PlanMetrics.snapshot` derives
+rows-in as the sum of the children's rows-out, and per-node *self* time
+as the node's time minus its children's.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.algebra.ops import PlanNode
 
@@ -37,8 +35,7 @@ class OperatorMetrics:
     invocations: int = 0
     #: bindings the operator yielded
     rows_out: int = 0
-    #: cumulative inclusive wall time spent pulling from this operator
-    #: (0 unless the execution was timed)
+    #: wall time of the whole execution on a timed run's root, else 0
     time_ns: int = 0
     #: hash-table inserts while building a hash join's build side
     hash_builds: int = 0
@@ -77,13 +74,9 @@ class PlanMetrics:
 
     def __init__(self) -> None:
         self._by_node: dict[int, OperatorMetrics] = {}
-        #: partitions the parallel engine fanned this execution out over
-        #: and the worker threads it used (0 on the serial path)
-        self.partitions = self.parallel_workers = 0
 
     def reset(self) -> None:
         self._by_node.clear()
-        self.partitions = self.parallel_workers = 0
 
     def for_node(self, node: PlanNode) -> OperatorMetrics:
         """The (created-on-demand) counter block for ``node``."""
@@ -100,47 +93,12 @@ class PlanMetrics:
         for node in plan.walk():
             yield node, self.for_node(node)
 
-    def merge_from(self, other: "PlanMetrics") -> None:
-        """Add the blocks of a table that ran the *same* plan nodes (a
-        partition worker's) into this one's, node by node.
-
-        Blocks are single-threaded by design (one table per execution);
-        concurrent collectors each keep a private table and combine
-        afterwards — summation is order-insensitive, so the totals are
-        deterministic however the collectors interleaved.
-        """
-        for node_id, block in other._by_node.items():
-            mine = self._by_node.get(node_id)
-            if mine is None:
-                mine = self._by_node[node_id] = OperatorMetrics()
-            for name, value in vars(block).items():
-                setattr(mine, name, getattr(mine, name) + value)
-
-    def instrument(
-        self, node: PlanNode, stream: Iterator[dict[str, Any]]
-    ) -> Iterator[dict[str, Any]]:
-        """``stream`` with every pull timed against ``node``'s block.
-        Counting is the operator loops' job; this adds wall time only."""
-        block = self.for_node(node)
-        perf = time.perf_counter_ns
-        while True:
-            start = perf()
-            try:
-                item = next(stream)
-            except StopIteration:
-                block.time_ns += perf() - start
-                return
-            block.time_ns += perf() - start
-            yield item
-
     def snapshot(self, plan: PlanNode) -> NodeSnapshot:
         """Resolve metrics over the plan tree rooted at ``plan``.
 
         Derived quantities: ``rows_in`` is the sum of the children's
-        rows-out and ``self_time_ns`` the node's inclusive time minus
-        its children's (clamped at zero — timer granularity can make
-        a pass-through operator appear marginally cheaper than its
-        child).
+        rows-out and ``self_time_ns`` the node's time minus its
+        children's, clamped at zero.
         """
         children = [self.snapshot(child) for child in plan.children()]
         block = self.for_node(plan)

@@ -54,10 +54,6 @@ CATALOG: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "repro_executor_rows_total": ("counter",
                                   "executor row counters (ExecutionStats), by counter name",
                                   ("counter",)),
-    "repro_parallel_queries_total": ("counter",
-                                     "queries answered by the partition-parallel engine", ()),
-    "repro_parallel_partitions": ("histogram", "partitions per parallel query", ()),
-    "repro_parallel_workers": ("histogram", "worker threads per parallel query", ()),
     "repro_operator_invocations_total": ("counter",
                                          "physical operator stream openings, by operator",
                                          ("operator",)),
@@ -121,10 +117,6 @@ def record_query_result(
             for name, value in stats.as_dict().items()
             if value
         )
-        if stats.partitions:
-            batch.append(("repro_parallel_queries_total", (), 1))
-            batch.append(("repro_parallel_partitions", (), stats.partitions))
-            batch.append(("repro_parallel_workers", (), stats.parallel_workers))
         by_operator: dict[str, list[int]] = {}
         for node, block in result.metrics.blocks(result.plan):
             totals = by_operator.setdefault(type(node).__name__, [0, 0])

@@ -14,7 +14,6 @@ Run with ``python -m repro``. Commands:
 ``:profile on|off``   toggle tracing + the JSON query log (default off)
 ``:cache on|off|stats``  toggle the query cache / show its counters
 ``:stats [on|off|top]``  toggle fleet telemetry / show its digest
-``:parallel on|off``  toggle partition-parallel execution
 ``\\extents``          list extents and sizes
 ``\\schema``           list classes and attributes
 ``\\help``             this text
@@ -125,18 +124,6 @@ class Repl:
                 self.out("usage: :cache on|off|stats")
                 return
             self.out(f"cache is {'on' if self.db.cache is not None else 'off'}")
-        elif name == "parallel":
-            if rest == "on":
-                self.db.enable_parallel()
-            elif rest == "off":
-                self.db.disable_parallel()
-            elif rest:
-                self.out("usage: :parallel on|off")
-                return
-            if self.db.parallel is not None:
-                self.out(f"parallel is on ({self.db.parallel.max_workers} workers)")
-            else:
-                self.out("parallel is off")
         elif name == "stats":
             if rest == "on":
                 self.db.enable_telemetry()

@@ -417,11 +417,16 @@ class TypeChecker:
             return TINT
         if name == "element":
             return self._element_type(arg_types[0], name)
-        if name in ("avg", "sqrt"):
-            return TFLOAT
-        if name == "abs":
-            return arg_types[0]
+        if name in ("avg", "sqrt", "abs"):
+            ty = self._element_type(arg_types[0], name) if name == "avg" else arg_types[0]
+            if not is_numeric(ty):
+                verb = "aggregates" if name == "avg" else "requires"
+                raise TypingError(f"{name} {verb} numbers, got {ty}")
+            return ty if name == "abs" else TFLOAT
         if name == "range":
+            for ty in arg_types:
+                if not isinstance(ty, TAny) and ty != TINT:
+                    raise TypingError(f"range requires integers, got {ty}")
             return TColl("list", TINT)
         if name == "flatten":
             outer = self._element_type(arg_types[0], name)

@@ -14,12 +14,13 @@ from repro.algebra import (
     build_plan,
     execute_plan,
 )
-from repro.algebra.physical import _holds
+from repro.analysis.verifier import verification
 from repro.calculus import const, eq, proj, var
 from repro.calculus.ast import MonoidRef
 from repro.db import Database, company_schema, make_company
 from repro.errors import EvaluationError, PlanError
 from repro.eval import Evaluator
+from repro.jit import Runtime
 from repro.normalize import normalize
 from repro.oql import translate_oql
 from repro.values import Bag, Record
@@ -208,34 +209,61 @@ def _join_plans():
     return {"hash": plan, "cross+filter": cross}
 
 
+@pytest.fixture
+def residual_tests(monkeypatch):
+    """Call it with a plan: the list that every later test of the plan's
+    Join residual appends to. A run under verify mode hands each
+    operator-position value to ``Runtime.check`` with its term."""
+
+    def start(plan: Reduce) -> list:
+        tested: list = []
+        check = Runtime.check
+
+        def counting(self, value, term, binding):
+            if term is plan.child.residual:
+                tested.append(value)
+            return check(self, value, term, binding)
+
+        monkeypatch.setattr(Runtime, "check", counting)
+        return tested
+
+    return start
+
+
+def _checked_run(plan: Reduce, evaluator: Evaluator):
+    with verification(True):
+        executor = Executor(evaluator)
+    return executor, executor.execute(plan)
+
+
 @pytest.mark.parametrize("size", [50, 200, 800])
 @pytest.mark.parametrize("strategy", ["cross+filter", "hash"])
-def test_join_strategy_series(strategy, size, count_calls):
+def test_join_strategy_series(strategy, size, residual_tests):
     """Experiment F2's points: either strategy pairs each employee with its
     department, but only the cross product tests the n*m pairs to do so."""
     world = make_company(size // 10, size, seed=2)
-    tested = count_calls(_holds)
-    value = Executor(Evaluator(world)).execute(_join_plans()[strategy])
+    plan = _join_plans()[strategy]
+    tested = residual_tests(plan)
+    _, value = _checked_run(plan, Evaluator(world))
     names = {d.dno: d.name for d in world["Departments"]}
     assert value == frozenset(Record(e=e.name, d=names[e.dno]) for e in world["Employees"])
     assert len(tested) == (size * size // 10 if strategy == "cross+filter" else 0)
 
 
-def test_shape_hash_join_forms_only_the_matching_pairs(count_calls):
+def test_shape_hash_join_forms_only_the_matching_pairs(residual_tests):
     """The cross product tests every (employee, department) pair against
     the equality; the hash join builds on the departments once and forms
     only the matching pairs. The gap grows with the input."""
     plans = _join_plans()
     plan, cross = plans["hash"], plans["cross+filter"]
-    tested = count_calls(_holds)
+    tested = residual_tests(cross)
     gaps = []
     for employees in (50, 800):
         departments = employees // 10
         evaluator = Evaluator(make_company(departments, employees, seed=2))
-        hashed = Executor(evaluator)
-        value = hashed.execute(plan)
+        hashed, value = _checked_run(plan, evaluator)
         tested.clear()
-        assert Executor(evaluator).execute(cross) == value and len(value) == employees
+        assert _checked_run(cross, evaluator)[1] == value and len(value) == employees
         assert len(tested) == employees * departments
         assert hashed.stats.hash_builds == departments
         assert hashed.stats.rows_joined == employees

@@ -16,11 +16,7 @@ from repro.cache import CacheConfig
 from repro.db import Database, company_schema, make_company, make_travel_agency, travel_schema
 from repro.jit import JITConfig
 from repro.monoids import SET
-from repro.parallel import ParallelConfig
-from repro.values import Bag, canonical_key, to_python
-
-#: force the fan-out on small extents (the runs pin verify off)
-_FAN_OUT = dict(max_workers=2, min_partition_rows=1)
+from repro.values import Bag, canonical_key
 
 # The mode rows of CI's matrix that change how a plan is executed. The
 # cache keeps compiled plans only: a result hit would skip the scan.
@@ -28,11 +24,6 @@ MODES = {
     "plain": {},
     "cache": {"cache": CacheConfig(results=False)},
     "jit": {"jit": JITConfig()},
-    "parallel": {"parallel": ParallelConfig(**_FAN_OUT)},
-    "jit+parallel": {
-        "jit": JITConfig(),
-        "parallel": ParallelConfig(**_FAN_OUT),
-    },
 }
 
 
@@ -130,15 +121,3 @@ def test_threads_first_iterating_one_extent_see_one_order():
     assert not any(thread.is_alive() for thread in threads)
     assert len(seen) == 8 and all(orders == expected for orders in seen)
 
-
-def test_parallel_workers_first_iterating_one_extent_agree_with_serial():
-    oql = "select distinct h.name from c in Cities, h in c.hotels where h.stars >= 2"
-    serial = _database(travel_schema(), {})
-    parallel = _database(travel_schema(), {"parallel": ParallelConfig(**_FAN_OUT)})
-    for db in (serial, parallel):
-        # Equal data, separate objects: the workers are the first to
-        # iterate the nested sets of their database.
-        db.load_extents(make_travel_agency(num_cities=30, hotels_per_city=3, seed=9))
-    result = parallel.run_detailed(oql, verify=False)
-    assert result.stats.partitions == 2
-    assert to_python(result.value) == to_python(serial.run(oql, verify=False))

@@ -152,3 +152,40 @@ class TestResolveMonoidErrors:
         term = Comprehension(ref, var("x"), (gen("x", const((1,))),))
         with pytest.raises(EvaluationError):
             evaluate(term)
+
+
+# -- numeric builtins raise typed errors, on every engine -------------------------------
+
+#: query -> (typer's message, evaluator's message); a typer message of None:
+#: the query typechecks and fails at run time
+NUMERIC_MISUSE = {
+    "avg(select e.name from e in Employees)": (
+        "avg aggregates numbers, got string", "avg aggregates numbers, got str:"),
+    "select avg(e.skills) from e in Employees": (
+        "avg aggregates numbers, got string", "avg aggregates numbers, got str:"),
+    "select abs(e.name) from e in Employees": (
+        "abs requires numbers, got string", "abs requires numbers, got str:"),
+    "select sqrt(e.name) from e in Employees": (
+        "sqrt requires numbers, got string", "sqrt requires numbers, got str:"),
+    "range('a')": ("range requires integers, got string", "range requires integers, got str:"),
+    "sqrt(-1)": (None, "sqrt of a negative number: -1"),
+    "select sqrt(e.salary - 1000000) from e in Employees": (
+        None, "sqrt of a negative number: -"),
+}
+
+
+@pytest.mark.parametrize("typecheck", [False, True], ids=["untyped", "typed"])
+@pytest.mark.parametrize("oql", list(NUMERIC_MISUSE))
+def test_numeric_builtins_raise_typed_errors(company_db, oql, typecheck):
+    from repro.errors import TypingError
+
+    typed, evaluated = NUMERIC_MISUSE[oql]
+    company_db.disable_cache()
+    for engine in ("interpret", "auto", "algebra"):
+        error, message = (TypingError, typed) if typecheck and typed else (
+            EvaluationError, evaluated)
+        with pytest.raises(error) as info:
+            company_db.run(oql, engine=engine, typecheck=typecheck)
+        assert str(info.value).startswith(message), (engine, str(info.value))
+    if oql.startswith("select"):  # the generated path raised it
+        assert company_db.compile(oql).plan is not None

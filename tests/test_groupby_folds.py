@@ -22,11 +22,7 @@ from repro.jit import JITConfig
 from repro.jit.plan import precompile_plan
 from repro.oql import parse
 from repro.oql.translate import Translator
-from repro.parallel import ParallelConfig
 from repro.values import Bag, Record
-
-#: force fan-out on the small test extents
-FAST = ParallelConfig(max_workers=4, min_partition_rows=1)
 
 ANALYTICS = (
     "select struct(d: dno, total: sum(select p.salary from p in partition)) "
@@ -156,8 +152,6 @@ def world(request):
     return fixture, {
         "none": make(),
         "jit": make(jit=JITConfig()),
-        "parallel": make(parallel=FAST),
-        "jit+parallel": make(jit=JITConfig(), parallel=FAST),
     }
 
 
@@ -172,13 +166,7 @@ class TestParityBattery:
             assert detailed.engine == "algebra" and nest_of(detailed.plan), label
             assert detailed.value == expected, label
             assert plain.run(query, verify=True) == expected, f"{label} [verify]"
-            for mode in ("jit", "parallel", "jit+parallel"):
-                assert dbs[mode].run(query) == expected, f"{label} [{mode}]"
-
-    def test_the_fan_out_ran(self, world):
-        fixture, dbs = world
-        (query,) = next(iter(battery(fixture))).values
-        assert dbs["parallel"].run_detailed(query).stats.partitions > 1
+            assert dbs["jit"].run(query) == expected, f"{label} [jit]"
 
 
 # -- what moves --------------------------------------------------------------------
@@ -433,8 +421,6 @@ COUNTS = "select struct(d: dno, n: count(partition)) from e in Employees group b
 MODE_ROWS = {
     "none": {},
     "jit": dict(jit=JITConfig()),
-    "parallel": dict(parallel=FAST),
-    "jit+parallel": dict(jit=JITConfig(), parallel=FAST),
     "cache": dict(cache=True),
     "cache+jit": dict(cache=True, jit=JITConfig()),
 }

@@ -1,10 +1,9 @@
-"""The generated function against the operator loops and the reference.
+"""The generated function against the reference evaluator.
 
-A serial, un-timed execution of a plan the jit phase gave code runs one
-generated Python function (``repro.jit.plan``); a timed one runs the
-operator loops over interpreter thunks, which is also what a plan
-without code (its first run) runs. All three must be one executor to an
-observer: the same
+Every execution of a plan runs its one generated Python function
+(``repro.jit.plan``): untimed, timed, and — in verify mode — its checked
+variant, which re-runs every operator-position expression on the
+interpreter. The three must be one executor to an observer: the same
 value and type, the same exception class and message (which row's error
 comes first included), the same ``ExecutionStats`` and per-node counts,
 the same final heap — and the reference evaluator's value.
@@ -41,7 +40,7 @@ from repro.db import (
     make_travel_agency,
     travel_schema,
 )
-from repro.errors import EvaluationError, ReproError, VerificationError
+from repro.errors import EvaluationError, PlanError, ReproError, VerificationError
 from repro.eval import Evaluator
 from repro.jit import Runtime
 from repro.jit.plan import fused, pipeline_source, precompile_plan
@@ -54,15 +53,15 @@ from tests.data.make_plans_golden import grouped_queries
 from tests.test_normalize_property import _term_and_data
 from tests.test_property_queries import _database, _query
 
-#: each way of running a plan: whether it has its generated function,
-#: and how the Executor is built
+#: each way of running a plan: in verify mode or not, and how the
+#: Executor is built
 WAYS = {
-    "interpreted": (False, lambda: {}),
-    "loops": (True, lambda: {"metrics": PlanMetrics()}),
-    "fused": (True, lambda: {}),
+    "checked": (True, lambda: {}),
+    "timed": (False, lambda: {"metrics": PlanMetrics()}),
+    "fused": (False, lambda: {}),
 }
 
-#: a compile cache keeps every plan, so each one has code from its first run
+#: a compile cache keeps every compiled plan, results off
 KEPT = {"cache": CacheConfig(results=False)}
 
 
@@ -83,25 +82,24 @@ def outcome(run) -> tuple:
     return ("value", type(value), value)
 
 
-def three_ways(make_plan, make_evaluator, indexes=None):
+def three_ways(make_plan, make_evaluator, indexes=None, checked=True):
     """Run a plan every way, each on a fresh plan and world; all must agree.
-    Returns the common observation."""
+    Returns the common observation. ``checked=False`` leaves verify mode
+    out: its per-row differential re-runs every expression, heap effects
+    included."""
     seen = {}
-    for way, (generated, kwargs) in WAYS.items():
+    for way, (verify, kwargs) in WAYS.items():
+        if verify and not checked:
+            continue
         plan, evaluator = make_plan(), make_evaluator()
-        if generated:
-            fused(plan)
-        # verify pinned off: its per-row differential re-runs every
-        # expression, heap effects and closure-valued heads included
-        with verification(False):
+        with verification(verify):
             executor = Executor(evaluator, indexes, **kwargs())
         seen[way] = outcome(lambda: executor.execute(plan))  # noqa: B023
         if seen[way][0] == "value":
             seen[way] += (counts(executor.metrics, plan),)
         seen[way] += (evaluator.store.snapshot(),)
-        if way == "fused":
-            assert fused(plan) is not None, pipeline_source(plan)
-    assert seen["fused"] == seen["loops"] == seen["interpreted"], seen
+        assert fused(plan, verify) is not None, pipeline_source(plan, verify)
+    assert all(observed == seen["fused"] for observed in seen.values()), seen
     return seen["fused"]
 
 
@@ -123,20 +121,19 @@ def _corpus():
 
 
 @pytest.mark.parametrize("db, oql, run_on, run_off", _corpus())
-def test_golden_corpus_fused_loops_reference(db, oql, run_on, run_off):
-    off, on = run_off(), run_on()  # a first sighting, then a kept plan
+def test_golden_corpus_against_reference(db, oql, run_on, run_off):
+    off, on = run_off(), run_on()  # compiled afresh, then from a compile cache
     assert type(on.value) is type(off.value) and on.value == off.value
     if "$" not in oql:
         assert db.run(oql, engine="interpret") == on.value
     if on.plan is None:
         assert off.plan is None
         return
-    assert on.jit is not None  # the function ran
-    assert off.jit is None or "$" in oql  # the loops ran, but a prepared statement is kept
+    assert on.jit is not None and off.jit is not None  # the function ran, both times
     assert on.stats == off.stats
     assert counts(on.metrics, on.plan) == counts(off.metrics, off.plan)
     if "$" not in oql:
-        timed = db.run_detailed(oql, metrics=True)  # the loops
+        timed = db.run_detailed(oql, metrics=True)  # the same function, timed
         assert timed.value == on.value
         assert counts(timed.metrics, timed.plan) == counts(on.metrics, on.plan)
 
@@ -191,8 +188,7 @@ J1 = {
 @pytest.mark.parametrize("workload", list(J1))
 def test_shape_fused(workload):
     """Each runs as one generated function with every expression compiled,
-    and answers what the loops and the interpreter answer, counter for
-    counter."""
+    timed, untimed and checked alike, counter for counter."""
     schema, oql = J1[workload]
     world = _j1_world(schema)
     make_plan = lambda: build_plan(normalize(translate_oql(oql)))  # noqa: E731
@@ -201,27 +197,22 @@ def test_shape_fused(workload):
     assert report["fallback"] == 0 and report["compiled"] > 0
 
 
-@pytest.mark.parametrize("mode", ["interpreted", "jit"])
+@pytest.mark.parametrize("run", ["first", "second"])
 @pytest.mark.parametrize("workload", list(J1))
-def test_jit_series(workload, mode):
-    """J1 through ``Database.run``: a query's first run is the loops, and
-    from its second the plan that runs is one generated function with
-    nothing left to interpret; either way the answer is the reference
-    interpreter's."""
+def test_jit_series(workload, run):
+    """J1 through ``Database.run``: from a query's first run, the plan that
+    runs is one generated function with nothing left to interpret, and the
+    answer is the reference interpreter's."""
     schema, oql = J1[workload]
-    jit = mode == "jit"
     db = Database(company_schema() if schema == "company" else travel_schema(),
                   cache=False, parallel=False)
     db.load_extents(_j1_world(schema))
     result = db.run_detailed(oql)
-    if jit:
+    if run == "second":
         result = db.run_detailed(oql)
     assert result.value == db.run(oql, engine="interpret")
-    if jit:
-        assert fused(result.plan) is not None
-        assert result.jit["fallback"] == 0 and result.jit["compiled"] > 0
-    else:
-        assert result.jit is None
+    assert fused(result.plan) is not None
+    assert result.jit["fallback"] == 0 and result.jit["compiled"] > 0
 
 
 def _j1_world(schema):
@@ -244,14 +235,14 @@ def test_random_comprehensions(case):
 def test_random_oql(query, db):
     db.disable_cache()  # every run executes (REPRO_CACHE=1 would serve the repeats)
     want = db.run_detailed(query)
-    got = db.run_detailed(query)  # its shape was seen: the generated function
+    got = db.run_detailed(query)  # its code from the code cache
     timed = db.run_detailed(query, metrics=True)
     assert got.value == want.value == db.run(query, engine="interpret"), query
     if got.plan is None:  # count(...) of a select is the interpreter's
         return
     assert got.stats == want.stats == timed.stats, query
     assert counts(got.metrics, got.plan) == counts(timed.metrics, timed.plan), query
-    assert got.jit is not None and fused(got.plan) is not None, query
+    assert want.jit is not None and got.jit is not None, query
 
 
 # -- hand-built plans: every template, every check ------------------------------------
@@ -505,7 +496,7 @@ class TestHeapEffects:
     def test_update_in_the_head(self):
         head = Update(var("o"), "n", "+=", const(10))
         plan = lambda: Reduce(MonoidRef("all"), head, Scan("o", var("Objs")))
-        seen = three_ways(plan, self.heap)
+        seen = three_ways(plan, self.heap, checked=False)
         assert [state["n"] for state in seen[-1].values()] == [11, 12, 13]
 
     def test_update_as_a_predicate_and_allocation_in_the_head(self):
@@ -514,7 +505,7 @@ class TestHeapEffects:
             New(proj(var("o"), "n")),
             SelectOp(Scan("o", var("Objs")), Update(var("o"), "log", "+=", proj(var("o"), "n"))),
         )
-        seen = three_ways(plan, self.heap)
+        seen = three_ways(plan, self.heap, checked=False)
         assert len(seen[-1]) == 6 and seen[-1][2]["log"] == (2,)
 
     def test_an_error_midway_leaves_the_same_heap(self):
@@ -526,7 +517,7 @@ class TestHeapEffects:
 
         head = Update(var("o"), "n", "+=", const(10))
         plan = lambda: Reduce(MonoidRef("all"), head, Scan("o", var("Objs")))
-        seen = three_ways(plan, heap)
+        seen = three_ways(plan, heap, checked=False)
         assert seen[0] == "raised" and seen[-1][1]["n"] == 11 and seen[-1][3]["n"] is None
 
 
@@ -536,10 +527,6 @@ SALARIES = "sum(select e.salary from e in Employees where e.salary > 50000)"
 
 
 class TestVerifyChecksTheGeneratedFunction:
-    # parallel=False: a fan-out runs no compiled code, so under
-    # REPRO_PARALLEL=1 verify would have nothing to catch. A compile cache:
-    # the first run is the generated function.
-
     @pytest.fixture
     def db(self):
         db = Database(company_schema(), parallel=False, cache=CacheConfig(results=False))
@@ -648,35 +635,34 @@ class TestPlansPythonWillNotCompile:
         froms = ", ".join(f"{n} in {'Twos' if i % 8 == 0 else 'Ones'}" for i, n in enumerate(names))
         return f"select {' + '.join(names)} from {froms}"
 
-    def test_more_generators_than_python_nests_loops(self, db):
+    def refused(self, db) -> None:
+        """The plan gets no code: ``auto`` answers on the reference
+        evaluator, ``algebra`` raises."""
+        plan = db.compile(self.oql()).plan
+        assert fused(plan) is None and pipeline_source(plan) == ""
         result = db.run_detailed(self.oql())
+        assert result.engine == "interpret" and result.plan is None and result.jit is None
         assert result.value == db.run(self.oql(), engine="interpret")
-        assert len(result.value) == 8 and result.stats.rows_joined > 0
-        assert fused(result.plan) is None and pipeline_source(result.plan) == ""
-        assert result.jit == {"compiled": 0, "fallback": 0, "constructs": {}}  # none ran
+        assert len(result.value) == 8
+        with pytest.raises(PlanError, match="cannot be compiled"):
+            db.run(self.oql(), engine="algebra")
+
+    def test_more_generators_than_python_nests_loops(self, db):
+        self.refused(db)
 
     def test_a_syntax_error_from_compile_is_not_an_error(self, db, monkeypatch):
         from repro.jit import plan as jit_plan
 
         monkeypatch.setattr(jit_plan, "MAX_LOOPS", 1000)  # let compile() be the judge
-        result = db.run_detailed(self.oql())
-        assert fused(result.plan) is None
-        assert result.value == db.run(self.oql(), engine="interpret")
+        self.refused(db)
 
     def test_an_expression_deeper_than_the_parser_takes(self):
         head = var("n")
         for _ in range(150):
             head = BinOp("+", head, const(1))
-        plan = lambda: Reduce(MonoidRef("list"), head, Scan("n", const((1, 2))))
-        assert three_ways_unfused(plan) == (151, 152)
-
-
-def three_ways_unfused(make_plan):
-    values = []
-    for generated, kwargs in WAYS.values():
-        plan = make_plan()
-        if generated:
-            assert fused(plan) is None
-        values.append(Executor(Evaluator(), **kwargs()).execute(plan))
-    assert values[0] == values[1] == values[2]
-    return values[0]
+        plan = Reduce(MonoidRef("list"), head, Scan("n", const((1, 2))))
+        assert fused(plan) is None
+        with pytest.raises(PlanError):
+            Executor(Evaluator()).execute(plan)
+        term = comp("list", head, [gen("n", const((1, 2)))])
+        assert Evaluator().evaluate(term) == (151, 152)

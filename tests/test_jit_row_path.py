@@ -8,7 +8,13 @@ no Python frame per source or per row: under ``sys.setprofile`` the same
 plan at *n* and 10 *n* rows makes the same Python calls. The exceptions
 are the two ``Record`` frames, ``__new__`` per record built and
 ``__hash__`` per record first hashed (DESIGN.md §4 measured the
-alternatives). The per-source counts must also be the loops' per-row ones.
+alternatives). The per-source counts must also be the reference
+interpreter's per-row ones.
+
+A timed run (``metrics=True``, ``profile(True)``, EXPLAIN ANALYZE) and a
+verify-mode run execute the same function as an untimed one: the same flat
+calls (verify mode adds only its per-row differential), the same counts,
+and a timed run's wall time on its root ``Reduce`` alone.
 """
 
 from __future__ import annotations
@@ -173,6 +179,106 @@ class TestNoFramePerRow:
             assert type(get_monoid(monoid).accumulator()).add is method
 
 
+# -- timed and untimed runs execute the same function --------------------------------
+
+
+def node_counts(metrics, plan) -> list[tuple]:
+    """Per node, pre-order: its clock-free counts, and whether it was timed."""
+    return [
+        (type(node).__name__, b.invocations, b.rows_out, b.hash_builds, b.index_probes,
+         b.time_ns > 0)
+        for node, b in metrics.blocks(plan)
+    ]
+
+
+def explained(db, oql) -> list[tuple]:
+    """:func:`node_counts` as EXPLAIN ANALYZE's document reports them."""
+    out = []
+
+    def walk(node):
+        out.append((node["op"], node["invocations"], node["actual_rows"],
+                    node.get("hash_builds", 0), node.get("index_probes", 0),
+                    node["time_ms"] > 0))
+        for child in node.get("children", ()):
+            walk(child)
+
+    walk(db.explain_data(oql, analyze=True)["plan"])
+    return out
+
+
+def profiled(db, oql):
+    db.profile(True)
+    try:
+        return db.run_detailed(oql)
+    finally:
+        db.profile(False)
+
+
+#: each way a run is timed or checked, as a function of a database and a
+#: query returning the run's per-node counts
+TIMED = {
+    "metrics": lambda db, oql: db.run_detailed(oql, metrics=True),
+    "profile": profiled,
+    "explain": explained,
+    "verify": lambda db, oql: db.run_detailed(oql, verify=True),
+}
+
+
+def observed(mode: str, db, oql) -> list[tuple]:
+    result = TIMED[mode](db, oql)
+    return result if mode == "explain" else node_counts(result.metrics, result.plan)
+
+
+def outside_the_differential(run) -> Counter:
+    """The Python calls ``run()`` makes, by ``file:qualified name``, but
+    those verify mode's ``Runtime.check`` makes to re-run an expression."""
+    seen: Counter = Counter()
+    inside = 0
+
+    def profile(frame, event, _arg):
+        nonlocal inside
+        code = frame.f_code
+        checking = code is Runtime.check.__code__
+        if event == "call":
+            if not inside:
+                seen[f"{Path(code.co_filename).name}:{code.co_qualname}"] += 1
+            inside += checking
+        elif event == "return":
+            inside -= checking
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+class TestTimedRunsAreTheFunction:
+    @pytest.mark.parametrize("mode", sorted(TIMED))
+    @pytest.mark.parametrize("shape", ["scan_select_sum", "hash_join"])
+    def test_calls_counts_and_root_time(self, shape, mode):
+        schema, oql = SHAPES[shape]
+        make_schema, make_data = SCHEMAS[schema]
+        calls = []
+        for n in (N, 10 * N):
+            db = Database(make_schema(), cache=False, telemetry=False)
+            db.load_extents(make_data(n))
+            with verification(False):
+                untimed = db.run_detailed(oql)  # also memoises the sets' orders
+            counts = node_counts(untimed.metrics, untimed.plan)
+            assert not any(timed for *_, timed in counts)
+            got = observed(mode, db, oql)
+            timed = mode != "verify"
+            assert got == [(*row[:-1], timed and i == 0) for i, row in enumerate(counts)]
+            seen = outside_the_differential(lambda: observed(mode, db, oql))  # noqa: B023
+            assert seen.pop(NEW, 0) == seen.pop(HASH, 0) == records(untimed.value)
+            seen.pop("runtime.py:Runtime.check", None)
+            calls.append(seen)
+            assert "<repro.jit pipeline" in " ".join(seen)
+        assert calls[0] == calls[1]
+
+
 # -- the header's identity check ------------------------------------------------------
 
 
@@ -227,7 +333,7 @@ class TestForeignEntry:
         assert iterated == [impostor]
 
 
-# -- per-source counts are the loops' per-row counts ------------------------------------
+# -- per-source counts are the reference's per-row counts ------------------------------------
 
 
 def world():

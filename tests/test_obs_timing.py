@@ -63,7 +63,7 @@ class TestDurationSources:
         assert not _WALL.search(text)
 
     def test_operator_metrics_use_perf_counter(self):
-        text = (SRC / "obs" / "metrics.py").read_text(encoding="utf-8")
+        text = (SRC / "algebra" / "physical.py").read_text(encoding="utf-8")
         assert "perf_counter" in text
         assert not _WALL.search(text)
 

@@ -1,12 +1,14 @@
-"""Property-style equivalence: for every monoid in the catalog, a
-partitioned parallel fold equals the serial fold — over randomized
-data, randomized predicates and randomized partition shapes, including
-more workers than elements, one-element extents and empty extents.
+"""Property-style equivalence: for every monoid in the catalog, folding
+the parts of a split input and combining the parts with
+``Monoid.combine_partials`` equals the fold of the whole — over
+randomized data, randomized predicates and randomized split shapes,
+including more parts than elements, one-element and empty inputs.
 
 This is the executable form of the paper's section-2 argument: Reduce
-is a monoid homomorphism, so any partition of the input recombined
-with ``combine_partials`` (in partition order for non-commutative
-monoids) is the same homomorphism.
+is a monoid homomorphism, ``hom(x ++ y) = merge(hom(x), hom(y))``, so
+any split of the input recombined in index order is the same
+homomorphism, and in any order when the monoid is commutative. Each
+part is folded by the executor, as a plan over that part alone.
 """
 
 import random
@@ -17,11 +19,10 @@ from repro.algebra import Executor, Reduce, Scan, SelectOp
 from repro.calculus import const, gt, lam, proj, tup, var
 from repro.calculus.ast import MonoidRef
 from repro.eval import Evaluator
-from repro.parallel import ParallelConfig, ParallelExecutor
 from repro.values import Record, to_python
 
 SIZES = [0, 1, 3, 7, 40, 101]
-WORKER_COUNTS = [2, 3, 5, 8, 200]  # 200 > every extent size used here
+PART_COUNTS = [2, 3, 5, 8, 200]  # 200 > every input size used here
 
 
 def records(rng, n):
@@ -30,15 +31,35 @@ def records(rng, n):
     )
 
 
-def run_both(plan, env, workers, morsel_size=None):
-    serial = Executor(Evaluator(env)).execute(plan)
-    pex = ParallelExecutor(
-        Evaluator(env),
-        config=ParallelConfig(
-            max_workers=workers, min_partition_rows=1, morsel_size=morsel_size
-        ),
-    )
-    return serial, pex.execute(plan)
+def split(rows, parts, rng):
+    """``rows`` cut at ``parts - 1`` random points: contiguous parts in
+    index order, some of them empty."""
+    cuts = sorted(rng.randint(0, len(rows)) for _ in range(parts - 1))
+    bounds = [0, *cuts, len(rows)]
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def fold(plan, rows):
+    return Executor(Evaluator({"Xs": rows})).execute(plan)
+
+
+def homomorphic(plan, rows, parts, rng):
+    """The fold of ``rows`` and the index-order combination of the folds
+    of its parts; for a commutative monoid also a shuffled combination."""
+    monoid = Evaluator().resolve_monoid(plan.monoid, Evaluator().global_env)
+    partials = [fold(plan, part) for part in split(rows, parts, rng)]
+    combined = [monoid.combine_partials(partials)]
+    if monoid.commutative:
+        rng.shuffle(partials)
+        combined.append(monoid.combine_partials(partials))
+    return fold(plan, rows), combined
+
+
+def assert_homomorphic(plan, rows, rng, plain=lambda value: value):
+    parts = rng.choice(PART_COUNTS)
+    whole, combined = homomorphic(plan, rows, parts, rng)
+    for value in combined:
+        assert plain(value) == plain(whole), (plan.monoid, len(rows), parts)
 
 
 def spine(rng):
@@ -59,25 +80,17 @@ BOOL_PRIMITIVES = ["some", "all"]
 def test_int_primitive_monoids(name):
     rng = random.Random(f"prim-{name}")
     for n in SIZES:
-        env = {"Xs": records(rng, n)}
         plan = Reduce(MonoidRef(name), proj(var("x"), "v"), spine(rng))
-        workers = rng.choice(WORKER_COUNTS)
-        serial, par = run_both(plan, env, workers, rng.choice([None, 1, 3]))
-        assert serial == par, (name, n, workers)
+        assert_homomorphic(plan, records(rng, n), rng)
 
 
 @pytest.mark.parametrize("name", BOOL_PRIMITIVES)
 def test_bool_primitive_monoids(name):
     rng = random.Random(f"bool-{name}")
     for n in SIZES:
-        env = {"Xs": records(rng, n)}
-        plan = Reduce(
-            MonoidRef(name),
-            gt(proj(var("x"), "v"), const(rng.randint(-50, 50))),
-            spine(rng),
-        )
-        serial, par = run_both(plan, env, rng.choice(WORKER_COUNTS))
-        assert serial == par, (name, n)
+        head = gt(proj(var("x"), "v"), const(rng.randint(-50, 50)))
+        plan = Reduce(MonoidRef(name), head, spine(rng))
+        assert_homomorphic(plan, records(rng, n), rng)
 
 
 # -- collection monoids -------------------------------------------------------
@@ -89,73 +102,57 @@ COLLECTIONS = ["set", "bag", "list", "oset"]
 def test_collection_monoids(name):
     rng = random.Random(f"coll-{name}")
     for n in SIZES:
-        env = {"Xs": records(rng, n)}
         plan = Reduce(MonoidRef(name), proj(var("x"), "v"), spine(rng))
-        workers = rng.choice(WORKER_COUNTS)
-        serial, par = run_both(plan, env, workers, rng.choice([None, 1, 5]))
-        assert to_python(serial) == to_python(par), (name, n, workers)
+        assert_homomorphic(plan, records(rng, n), rng, to_python)
 
 
 def test_string_monoid_preserves_order():
     rng = random.Random("string")
     for n in SIZES:
-        env = {"Xs": records(rng, n)}
         plan = Reduce(MonoidRef("string"), proj(var("x"), "s"), spine(rng))
-        serial, par = run_both(plan, env, rng.choice(WORKER_COUNTS))
-        assert serial == par, n
+        assert_homomorphic(plan, records(rng, n), rng)
 
 
 @pytest.mark.parametrize("name", ["sorted", "sortedbag"])
 def test_sorted_monoids(name):
     rng = random.Random(f"sorted-{name}")
     for n in SIZES:
-        env = {"Xs": records(rng, n)}
         ref = MonoidRef(name, key=lam("e", var("e")))
         plan = Reduce(ref, proj(var("x"), "v"), spine(rng))
-        serial, par = run_both(plan, env, rng.choice(WORKER_COUNTS))
-        assert to_python(serial) == to_python(par), (name, n)
+        assert_homomorphic(plan, records(rng, n), rng, to_python)
 
 
 def test_vector_monoid():
+    """Positions are global: each part's rows carry their index into the
+    whole input, as a split of an ordered source would keep them."""
     rng = random.Random("vec")
     for n in SIZES:
-        env = {"Xs": records(rng, n)}
+        rows = tuple(Record(v=r.v, i=i) for i, r in enumerate(records(rng, n)))
         ref = MonoidRef("vec", element=MonoidRef("sum"), size=const(n))
-        plan = Reduce(
-            ref,
-            tup(proj(var("x"), "v"), var("i")),
-            Scan("x", var("Xs"), "i"),
-        )
-        serial, par = run_both(plan, env, rng.choice(WORKER_COUNTS))
-        assert to_python(serial) == to_python(par), n
+        plan = Reduce(ref, tup(proj(var("x"), "v"), proj(var("x"), "i")), Scan("x", var("Xs")))
+        assert_homomorphic(plan, rows, rng, to_python)
 
 
-# -- partition-shape edge cases ----------------------------------------------
+# -- split-shape edge cases ----------------------------------------------
 
 
-def test_single_row_extent():
-    env = {"Xs": (Record(v=7, s="a"),)}
+def test_single_row_input():
     plan = Reduce(MonoidRef("list"), proj(var("x"), "v"), Scan("x", var("Xs")))
-    serial, par = run_both(plan, env, 8)
-    assert serial == par == (7,)
+    whole, combined = homomorphic(plan, (Record(v=7, s="a"),), 8, random.Random(1))
+    assert combined == [whole] == [(7,)]
 
 
-def test_empty_extent_every_monoid():
-    env = {"Xs": ()}
+def test_empty_input_every_monoid():
     for name in INT_PRIMITIVES + BOOL_PRIMITIVES + COLLECTIONS + ["string"]:
         plan = Reduce(MonoidRef(name), proj(var("x"), "v"), Scan("x", var("Xs")))
-        serial, par = run_both(plan, env, 4)
-        assert serial == par, name
+        whole, combined = homomorphic(plan, (), 4, random.Random(name))
+        assert all(value == whole for value in combined), name
 
 
-def test_morsel_size_one_means_one_partition_per_row():
+def test_one_part_per_row():
     rng = random.Random("morsel-1")
-    env = {"Xs": records(rng, 23)}
+    rows = records(rng, 23)
     plan = Reduce(MonoidRef("list"), proj(var("x"), "v"), Scan("x", var("Xs")))
-    serial = Executor(Evaluator(env)).execute(plan)
-    pex = ParallelExecutor(
-        Evaluator(env),
-        config=ParallelConfig(max_workers=4, min_partition_rows=1, morsel_size=1),
-    )
-    assert pex.execute(plan) == serial
-    assert pex.stats.partitions == 23
+    monoid = Evaluator().resolve_monoid(plan.monoid, Evaluator().global_env)
+    partials = [fold(plan, (row,)) for row in rows]
+    assert monoid.combine_partials(partials) == fold(plan, rows) == tuple(r.v for r in rows)

@@ -99,14 +99,14 @@ def test_telemetry_totals_are_exact(db):
     assert rows == 40 * THREADS * PER_THREAD
 
 
-def test_parallel_engine_under_concurrent_runs(db):
+def test_first_runs_racing_the_emission_share_one_function(db, count_calls):
     db.disable_cache()  # a result-cache hit executes nothing: stats is None
-    from repro.parallel import ParallelConfig
+    from repro.jit.plan import _fuse
 
-    db.enable_parallel(ParallelConfig(max_workers=4, min_partition_rows=1))
-    expected = to_python(db.run("sum(select e.salary from e in Employees)"))
+    emitted = count_calls(_fuse)
     results = hammer(db, "sum(select e.salary from e in Employees)")
+    expected = to_python(db.run("sum(select e.salary from e in Employees)", engine="interpret"))
+    assert len(emitted) == 1  # every thread's first run is the same shape
     for result in results:
         assert to_python(result.value) == expected
-        assert result.stats.partitions == 4
-        assert result.stats.rows_scanned == 40
+        assert result.jit is not None and result.stats.rows_scanned == 40

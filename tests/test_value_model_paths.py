@@ -161,10 +161,10 @@ JOIN_BAG = (
 UNNEST_SETS = "select distinct h.name from c in Cities, h in c.hotels where h.name != ''"
 
 
-@pytest.mark.parametrize("jit", [True, False], ids=["generated", "loops"])
-def test_shape_one_record_hash_per_bag_row(monkeypatch, jit):
+@pytest.mark.parametrize("cached", [True, False], ids=["compile-cache", "no-cache"])
+def test_shape_one_record_hash_per_bag_row(monkeypatch, cached):
     db = demo_company_database(10, 120, seed=2)
-    db = _pinned(db, jit)
+    db = _pinned(db, cached)
     db.run(JOIN_BAG, verify=False)
     entries = []
     original = Record.__hash__
@@ -180,12 +180,13 @@ def test_shape_one_record_hash_per_bag_row(monkeypatch, jit):
     rows = len(result.value)
     assert rows == 120 and type(result.value) is Bag
     assert entered <= rows, f"{entered} Record.__hash__ entries for {rows} output rows"
+    assert result.value == db.run(JOIN_BAG, engine="interpret")
 
 
-@pytest.mark.parametrize("jit", [True, False], ids=["generated", "loops"])
-def test_shape_exact_frozenset_sources_skip_the_monoid_lookup(monkeypatch, jit):
-    db = _pinned(demo_travel_database(num_cities=4, seed=1), jit)
-    expected = db.run(UNNEST_SETS, verify=False)
+@pytest.mark.parametrize("cached", [True, False], ids=["compile-cache", "no-cache"])
+def test_shape_exact_frozenset_sources_skip_the_monoid_lookup(monkeypatch, cached):
+    db = _pinned(demo_travel_database(num_cities=4, seed=1), cached)
+    expected = db.run(UNNEST_SETS, engine="interpret")
     calls = []
 
     def counting(value):
@@ -198,14 +199,12 @@ def test_shape_exact_frozenset_sources_skip_the_monoid_lookup(monkeypatch, jit):
     assert calls == []
 
 
-def _pinned(db, jit):
+def _pinned(db, cached):
     """``db`` with every mode off, whatever ``REPRO_*`` says, and a
-    compile cache when ``jit``: every plan kept, so every run is its
-    generated function (without one each run compiles a first sighting
-    of its plan, which the operator loops run)."""
-    db.disable_parallel()
+    compile cache when ``cached``: the plan is compiled once (without one
+    each run compiles it afresh, its code from the code cache)."""
     db.disable_telemetry()
-    if jit:
+    if cached:
         db.enable_cache(CacheConfig(results=False))
     else:
         db.disable_cache()
