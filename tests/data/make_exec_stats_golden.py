@@ -6,7 +6,8 @@ The checked-in file was written by PR 17's executor, whose loops bumped
 ``self.stats.rows_* += 1`` per row; ``tests/test_exec_stats_golden.py``
 holds the view that replaced those counters (``ExecutionStats.of`` over
 the per-node blocks) to the same numbers, counted by the generated function
-with and without a compile cache. Run from the repository root::
+with and without a compile cache, timed and in verify mode. Run from the
+repository root::
 
     PYTHONPATH=<checkout>/src python tests/data/make_exec_stats_golden.py
 
@@ -23,12 +24,13 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT))
 
 from benchmarks.harness import workloads  # noqa: E402
+from repro.analysis.verifier import verification  # noqa: E402
 from repro.db import demo_travel_database  # noqa: E402
 from repro.lint.cli import split_queries  # noqa: E402
 
@@ -42,13 +44,25 @@ def in_modes(db: Any, modes: dict[str, Any]) -> Any:
     db.disable_cache()
     if modes.get("cache"):
         db.enable_cache(modes["cache"])
+    db.profile(bool(modes.get("profile")))
     return db
+
+
+def verifying(modes: dict[str, Any], run: Callable[[], Any]) -> Callable[[], Any]:
+    """``run`` under ``modes``'s ``verify`` setting (unset: the environment's)."""
+
+    def thunk() -> Any:
+        with verification(modes.get("verify")):
+            return run()
+
+    return thunk
 
 
 def queries(modes: dict[str, Any]) -> Iterator[tuple[str, Any, str, Any]]:
     """``(label, database, oql, thunk -> QueryResult)`` for every query,
-    on databases built with ``modes`` (the ``cache`` setting for
-    ``Database.enable_cache``)."""
+    on databases built with ``modes``: the ``cache`` setting for
+    ``Database.enable_cache``, ``profile`` for ``Database.profile`` and
+    ``verify`` for each run's rewrite verification."""
     rng = random.Random(0)
     reads = workloads.ReadWorkload("golden", SEED, SCALE, SCALE, workloads.MODES_OFF, None)
     data = reads.generate(SCALE)
@@ -61,7 +75,7 @@ def queries(modes: dict[str, Any]) -> Iterator[tuple[str, Any, str, Any]]:
 
     def run(label: str, target: str, oql: str, opts: dict):
         db = dbs[target]
-        return label, db, oql, lambda: db.run_detailed(oql, **opts)
+        return label, db, oql, verifying(modes, lambda: db.run_detailed(oql, **opts))
 
     for make in (workloads.catalogue_classes, workloads.analytics_classes):
         for cls in make(data, rng):
@@ -73,7 +87,7 @@ def queries(modes: dict[str, Any]) -> Iterator[tuple[str, Any, str, Any]]:
         "update_mix/prepared",
         dbs["objects"],
         workloads._PREPARED,
-        lambda: prepared.run_detailed(p=workloads._THRESHOLDS[0]),
+        verifying(modes, lambda: prepared.run_detailed(p=workloads._THRESHOLDS[0])),
     )
     for path in sorted((ROOT / "examples").glob("*.oql")):
         for i, (_, _, text) in enumerate(split_queries(path.read_text())):

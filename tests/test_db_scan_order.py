@@ -18,18 +18,26 @@ from repro.jit import JITConfig
 from repro.monoids import SET
 from repro.values import Bag, canonical_key
 
-# The mode rows of CI's matrix that change how a plan is executed. The
-# cache keeps compiled plans only: a result hit would skip the scan.
+# The settings that change what a run does around its plan: CI's cache
+# and telemetry rows, ``jit=`` (accepted, changes nothing) and session
+# tracing, which times every execution. The cache keeps compiled plans
+# only: a result hit would skip the scan.
 MODES = {
     "plain": {},
     "cache": {"cache": CacheConfig(results=False)},
     "jit": {"jit": JITConfig()},
+    "telemetry": {"telemetry": True},
+    "traced": {"profile": True},
 }
 
 
 def _database(schema, modes) -> Database:
     pinned = {"cache": False, "parallel": False, "jit": False, "telemetry": False}
-    return Database(schema, **{**pinned, **modes})
+    modes = dict(modes)
+    profile = modes.pop("profile", False)
+    db = Database(schema, **{**pinned, **modes})
+    db.profile(profile)
+    return db
 
 
 def _bag_extent(modes):

@@ -168,6 +168,12 @@ NUMERIC_MISUSE = {
     "select sqrt(e.name) from e in Employees": (
         "sqrt requires numbers, got string", "sqrt requires numbers, got str:"),
     "range('a')": ("range requires integers, got string", "range requires integers, got str:"),
+    "range(1, 2.5)": ("range requires integers, got float", "range requires integers, got float:"),
+    # a boolean is not a number, though Python's bool is an int
+    "select abs(e.salary > 0) from e in Employees": (
+        "abs requires numbers, got bool", "abs requires numbers, got bool:"),
+    "avg(list(true, false))": (
+        "avg aggregates numbers, got bool", "avg aggregates numbers, got bool:"),
     "sqrt(-1)": (None, "sqrt of a negative number: -1"),
     "select sqrt(e.salary - 1000000) from e in Employees": (
         None, "sqrt of a negative number: -"),

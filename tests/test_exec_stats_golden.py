@@ -5,7 +5,9 @@ for every harness class and ``examples/*.oql`` query as PR 17's executor
 counted them, one ``stats.rows_* += 1`` per row
 (``tests/data/make_exec_stats_golden.py`` wrote it from that commit and
 says what the corpus is). The by-node-class view of the per-operator
-blocks must give the same numbers with and without a compile cache.
+blocks must give the same numbers with and without a compile cache,
+timed (tracing on) or not, and in verify mode, whose checked function
+counts what the unchecked one does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from tests.data.make_exec_stats_golden import corpus, golden
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "exec_stats_golden.json").read_text())
 #: a compile cache keeps the compiled plans, results off: every run executes
-MODES = {"none": {}, "cache": {"cache": CacheConfig(results=False)}}
+MODES = {
+    "none": {},
+    "cache": {"cache": CacheConfig(results=False)},
+    "traced": {"profile": True},
+    "verify": {"verify": True},
+}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -62,4 +69,6 @@ def test_stats_are_the_by_class_sums_of_the_blocks(mode):
             "hash_builds": total("Join", "hash_builds"),
             "index_probes": total("IndexScan", "index_probes"),
         }, label
-        assert all(sums["time_ns"] == 0 for sums in by_class.values()), label  # untimed
+        # a fused pipeline has no operator boundary: only the root is timed
+        timed = {op for op, sums in by_class.items() if sums["time_ns"]}
+        assert timed == ({"Reduce"} if mode == "traced" else set()), label

@@ -138,6 +138,23 @@ def test_golden_corpus_against_reference(db, oql, run_on, run_off):
         assert counts(timed.metrics, timed.plan) == counts(on.metrics, on.plan)
 
 
+@pytest.mark.parametrize("db, oql, run_on, run_off", _corpus())
+def test_golden_corpus_checked_variant(db, oql, run_on, run_off):
+    """Verify mode runs each plan's checked function, never a fallback:
+    the same value, stats and per-node counts as the unchecked one."""
+    plain = run_on()
+    with verification(True):
+        checked = run_on()
+    assert type(checked.value) is type(plain.value) and checked.value == plain.value
+    if plain.plan is None:
+        assert checked.plan is None
+        return
+    assert fused(checked.plan, True) is not None, pipeline_source(checked.plan, True)
+    assert checked.jit is not None
+    assert checked.stats == plain.stats
+    assert counts(checked.metrics, checked.plan) == counts(plain.metrics, plain.plan)
+
+
 def test_prepared_params_reach_the_generated_function():
     db = demo_company_database(4, 40, seed=3)
     oql = "select e.name from e in Employees where e.salary > $floor and e.dno = $dno"
