@@ -4,23 +4,21 @@
 *template* per operator, so that nothing is materialized but hash-join
 build sides, grouping tables and the final accumulator: the evaluation
 style the paper's canonical forms are designed to enable. :class:`Executor`
-calls it on a plan's first run as on every later one, timed or not; a plan
-the emitter refuses raises :class:`~repro.errors.PlanError`, and the
-database answers it on the reference interpreter instead.
+calls it on a plan's first run as on every later one; a plan the emitter
+refuses raises :class:`~repro.errors.PlanError`, and the database answers
+it on the reference interpreter instead.
 
 An operator event is counted once, in the loop that produces it: the
 function counts rows in locals and stores the totals into each node's
 block of the executor's :class:`~repro.obs.metrics.PlanMetrics` at the
 end. That table is the execution's one record; :class:`ExecutionStats` is
-a view of it by node class and EXPLAIN ANALYZE reads it per node. Wall
-time is collected on request — hand the Executor a ``PlanMetrics`` of
-your own — and booked on the root ``Reduce`` alone: a fused pipeline has
-no boundary between its operators.
+a view of it by node class and EXPLAIN ANALYZE reads it per node. The
+executor reads no clock: the execution's wall time is the query record's
+``execute`` slot (:class:`~repro.obs.tracer.QueryRecord`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -95,24 +93,19 @@ class Executor:
     and the object store — its globals as they are when the executor is
     built; ``indexes`` optionally maps ``(extent, attribute)`` to a hash
     index (dict key -> list of elements) used by :class:`IndexScan`
-    nodes. ``metrics``, when given, is the table this executor records
-    into *and* asks for the execution's wall time; without one the
-    executor records into a table of its own, untimed. ``jit`` changes
-    nothing.
+    nodes. ``jit`` changes nothing.
     """
 
     def __init__(
         self,
         evaluator: Evaluator,
         indexes: Optional[dict[tuple[str, str], dict[Any, list]]] = None,
-        metrics: Optional[PlanMetrics] = None,
         jit: Any = None,
     ) -> None:
         self.evaluator = evaluator
         self.indexes = indexes or {}
-        self._timed = metrics is not None
         #: the record of the current execution's operator events
-        self.metrics = metrics if metrics is not None else PlanMetrics()
+        self.metrics = PlanMetrics()
         self._plan: Optional[Reduce] = None
         self._rt = Runtime(evaluator)
         #: which of a plan's functions runs: verify mode's checked one or not
@@ -127,9 +120,7 @@ class Executor:
 
     def execute(self, plan: Reduce) -> Any:
         """Run the plan's generated function to completion and return the
-        reduced value; :class:`PlanError` when the plan has none. A timed
-        execution books its wall time on the root's block: a fused
-        pipeline has no boundary between its operators."""
+        reduced value; :class:`PlanError` when the plan has none."""
         self._plan = plan
         self.metrics.reset()
         pipeline = jit_plan.fused(plan, self._checked)
@@ -137,12 +128,7 @@ class Executor:
             raise PlanError("plan cannot be compiled to Python")
         monoid = self.evaluator.resolve_monoid(plan.monoid, self.evaluator.global_env)
         blocks = [self.metrics.for_node(node) for node in plan.walk()]
-        for block in blocks:
-            block.invocations = 1
-        start = time.perf_counter_ns() if self._timed else 0
         value = pipeline(self._rt, self.indexes, blocks[1:], monoid)
-        if self._timed:
-            blocks[0].time_ns = time.perf_counter_ns() - start
         blocks[0].rows_out = result_cardinality(value)
         return value
 

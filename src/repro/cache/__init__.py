@@ -7,7 +7,7 @@ See docs/CACHE.md. Public surface:
   constructed with ``cache=...`` or under ``REPRO_CACHE=1``;
 - :class:`Prepared` — the handle :meth:`Database.prepare` returns;
 - :func:`canonical_term` — the alpha-equivalence cache key;
-- :func:`analyze_dependencies` — read-set and cacheability analysis.
+- :func:`analyze_dependencies` — result-cacheability analysis.
 """
 
 from repro.cache.core import (

@@ -179,7 +179,7 @@ class CompiledQuery:
     verification (a verifying call never reuses an unverified entry).
 
     ``key`` (the canonical alpha-form, with the engine, the typecheck
-    flag and the parameter types a typecheck read), ``extents`` and
+    flag and the parameter types a typecheck read) and
     ``result_cacheable`` (from :mod:`repro.cache.invalidation`) matter
     only to a cache, so they stay ``None`` until an attached cache first
     needs them — a database without one never computes them.
@@ -197,10 +197,7 @@ class CompiledQuery:
     version: Any
     verified: bool = False
     key: Any = None  # canonical cache key: (canonical term, engine, typecheck, param types)
-    extents: Optional[frozenset[str]] = None
     result_cacheable: Optional[bool] = None
-    uncacheable_reason: Optional[str] = None
-    hits: int = 0
     #: telemetry's hot-query fingerprint, filled in on first use
     #: (:func:`repro.obs.telemetry.fingerprint.query_fingerprint`)
     fingerprint: Optional[str] = None
@@ -272,7 +269,6 @@ class QueryCache:
                 self._compiled.remove(canon_key)
                 return None
             self.stats.compile_hits += 1
-            entry.hits += 1
             return entry
 
     def alias(self, text_key: Any, canon_key: Any) -> None:

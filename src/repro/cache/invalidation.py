@@ -1,22 +1,22 @@
 """What a compiled query reads, and whether its results may be cached.
 
 The result cache is only sound if every input a plan can observe is
-covered by a version counter. This module computes, for one
-:class:`~repro.cache.core.CompiledQuery`:
+covered by a version counter: the database's compile version covers the
+catalog (every extent reload among it) and the object store's version
+the heap. This module computes, for one
+:class:`~repro.cache.core.CompiledQuery`, whether a finished value may
+be served again later (``cacheable``). The names a plan reads are the
+free variables of every term its operators declare
+(:attr:`PlanNode.exprs`; an ``IndexScan`` declares the extent it probes
+by name as one), minus the variables the plan itself binds.
 
-- ``extents`` — the named extents the plan reads: the free variables
-  of every term its operators declare (:attr:`PlanNode.exprs`; an
-  ``IndexScan`` declares the extent it probes by name as one), minus the
-  variables the plan itself binds;
-- ``cacheable`` — whether a finished value may be served again later.
-  Conservative: any effectful construct (``new``/``:=``/field update —
-  two runs would observe different OIDs or states), any call into a
-  user-registered Python function or schema method (arbitrary code the
-  version counters cannot see), or any free name that is *not* a known
-  extent or a ``$`` parameter disables result caching. The object
-  heap itself needs no per-extent entry: navigation dereferences are
-  implicit, so the store's single version counter is part of every
-  result version vector instead.
+The verdict is conservative: any effectful construct (``new``/``:=``/field update —
+two runs would observe different OIDs or states), any call into a
+user-registered Python function or schema method (arbitrary code the
+version counters cannot see), or any free name that is *not* a known
+extent or a ``$`` parameter disables result caching. The object heap
+needs no entry of its own: navigation dereferences are implicit, so the
+store's single version counter is part of every result version vector.
 
 Compilation caching is unaffected by ``cacheable`` — a plan is a pure
 function of the query text and catalog structure either way.
@@ -34,9 +34,8 @@ from repro.calculus.traversal import free_vars, subterms
 
 @dataclass(frozen=True)
 class Dependencies:
-    """The read set and result-cacheability verdict for one entry."""
+    """The result-cacheability verdict for one entry."""
 
-    extents: frozenset[str]
     cacheable: bool
     reason: Optional[str] = None  # why result caching is off, if it is
 
@@ -66,7 +65,6 @@ def analyze_dependencies(
         free -= plan_variables(plan)
     else:
         free = set(free_vars(normalized))
-    extents = {name for name in free if name in known}
 
     cacheable = True
     reason: Optional[str] = None
@@ -88,7 +86,7 @@ def analyze_dependencies(
             cacheable = False
             reason = verdict
 
-    return Dependencies(frozenset(extents), cacheable, reason)
+    return Dependencies(cacheable, reason)
 
 
 def _term_cacheable(term: Term, user_functions: set[str]) -> Optional[str]:

@@ -101,11 +101,9 @@ class Prepared:
                 + "; ".join(problems)
             )
 
-    def run_detailed(self, metrics: bool = False, **params: Any):
+    def run_detailed(self, **params: Any):
         """Execute with the given bindings; full :class:`QueryResult`."""
-        return self._db._run(
-            self.oql, self.engine, self.typecheck, False, metrics, None, self, params
-        )
+        return self._db._run(self.oql, self.engine, self.typecheck, False, None, self, params)
 
     def run(self, **params: Any) -> Any:
         """Execute with the given bindings; just the value."""

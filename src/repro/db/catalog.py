@@ -13,17 +13,16 @@ from repro.objects.store import ObjectStore
 class Catalog:
     """Extent namespace plus index bookkeeping for one database.
 
-    The catalog also carries the version counters the query cache keys
-    on: a per-extent counter (bumped when that extent is re-registered)
-    and one structure :attr:`version` covering everything a compiled
-    plan depends on — extent membership/sizes and the set of available
-    indexes. Both are monotonic; comparisons are for equality only.
+    The catalog also carries the version counter the query cache keys
+    on: one :attr:`version` covering everything a compiled plan or a
+    cached result depends on — the extents loaded (reloads included)
+    and the set of available indexes. It is monotonic; comparisons are
+    for equality only.
     """
 
     def __init__(self) -> None:
         self._extents: dict[str, Any] = {}
         self._indexes: dict[tuple[str, str], HashIndex] = {}
-        self._versions: dict[str, int] = {}
         self._version = 0
 
     # -- versions --------------------------------------------------------------
@@ -33,10 +32,6 @@ class Catalog:
         """Monotonic structure counter (extents loaded, indexes built)."""
         return self._version
 
-    def extent_version(self, name: str) -> int:
-        """Monotonic reload counter for one extent (0 if never loaded)."""
-        return self._versions.get(name, 0)
-
     # -- extents ---------------------------------------------------------------
 
     def register_extent(self, name: str, collection: Any, replace: bool = False) -> None:
@@ -44,7 +39,6 @@ class Catalog:
             raise DatabaseError(f"extent {name!r} already loaded")
         runtime_monoid_of(collection)  # raises if not a collection
         self._extents[name] = collection
-        self._versions[name] = self._versions.get(name, 0) + 1
         self._version += 1
         # Rebuild any indexes declared on this extent.
         for (extent, attribute), index in list(self._indexes.items()):

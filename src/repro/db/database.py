@@ -121,9 +121,7 @@ class QueryResult:
     #: this query's span tree, built from :attr:`record` (None unless
     #: session tracing was on)
     span: Optional[TraceSpan] = None
-    #: the execution's per-operator record (None when no plan ran;
-    #: ``time_ns`` is 0 but on the root of a timed run: ``metrics=True``
-    #: or session tracing)
+    #: the execution's per-operator record (None when no plan ran)
     metrics: Optional[PlanMetrics] = None
     #: cache outcome for this query, e.g. {"compile": "hit",
     #: "result": "miss"} (None unless the database had a cache)
@@ -211,7 +209,7 @@ class Database:
         self._object_extents: set[str] = set()
         self._views: dict[str, Term] = {}
         #: session tracer: while enabled, every query's span tree is
-        #: retained and its execution is timed
+        #: retained
         self.tracer = Tracer(enabled=False)
         #: structured query log, enabled via :meth:`profile`
         self.query_log: Optional[QueryLog] = None
@@ -374,7 +372,7 @@ class Database:
     def run(
         self,
         oql: str,
-        engine: Literal["auto", "algebra", "interpret"] = "auto",
+        engine: Literal["auto", "interpret"] = "auto",
         typecheck: bool = False,
         strict: bool = False,
         verify: Optional[bool] = None,
@@ -399,10 +397,9 @@ class Database:
     def run_detailed(
         self,
         oql: str,
-        engine: Literal["auto", "algebra", "interpret"] = "auto",
+        engine: Literal["auto", "interpret"] = "auto",
         typecheck: bool = False,
         strict: bool = False,
-        metrics: bool = False,
         verify: Optional[bool] = None,
     ) -> QueryResult:
         """Answer an OQL query, keeping every intermediate artifact.
@@ -412,13 +409,11 @@ class Database:
         per-operator record (``result.metrics``, which ``result.stats``
         is a view of). With tracing enabled (:meth:`profile` /
         ``tracer.enabled``) it additionally carries the span tree built
-        from the query's record and the execution's wall time;
-        ``metrics=True`` asks for that timing for this one call even
-        while tracing is off (EXPLAIN ANALYZE does this). ``verify`` is
-        :meth:`run`'s rewrite-verification switch (it covers the whole
-        pipeline, including the re-normalization inside plan building).
+        from the query's record. ``verify`` is :meth:`run`'s
+        rewrite-verification switch (it covers the whole pipeline,
+        including the re-normalization inside plan building).
         """
-        return self._run(oql, engine, typecheck, strict, metrics, verify, None, {})
+        return self._run(oql, engine, typecheck, strict, verify, None, {})
 
     def _run(
         self,
@@ -426,16 +421,18 @@ class Database:
         engine: str,
         typecheck: bool,
         strict: bool,
-        metrics: bool,
         verify: Optional[bool],
         prepared: Any,
         params: dict[str, Any],
+        bypass: bool = False,
     ) -> QueryResult:
         """The shell every query runs in, ad-hoc or prepared: one
         :class:`~repro.obs.tracer.QueryRecord` (timed with
         ``time.perf_counter_ns``, never the wall clock), the
         ``verification`` extent, compile → execute, and the one hand-off
-        of the finished or failed record to its readers (:meth:`_report`)."""
+        of the finished or failed record to its readers (:meth:`_report`).
+        ``bypass`` executes even when the result cache holds the value
+        (EXPLAIN ANALYZE reports a real execution)."""
         record = QueryRecord(oql)
         try:
             with verification(verify):
@@ -445,7 +442,7 @@ class Database:
                     entry = prepared._ensure(record)
                     prepared._validate(params)
                     record.cache["compile"] = "prepared"
-                result = self._execute(oql, entry, params, metrics, record)
+                result = self._execute(oql, entry, params, bypass, record)
         except Exception as err:
             record.finish(err)
             self._report(record, None, err)
@@ -488,7 +485,7 @@ class Database:
     def compile(
         self,
         oql: str,
-        engine: Literal["auto", "algebra", "interpret"] = "auto",
+        engine: Literal["auto", "interpret"] = "auto",
         typecheck: bool = False,
         param_types: Optional[dict[str, Any]] = None,
         *,
@@ -519,8 +516,11 @@ class Database:
         on who built it first, and an unbound parameter surfaces at
         execution. A narrowing a typecheck reads is part of both keys.
         ``jit`` gives the plan its generated function, from the code cache
-        when its shape was compiled before.
+        when its shape was compiled before. ``engine="interpret"`` stops
+        after normalize; any engine but it and ``"auto"`` is refused.
         """
+        if engine not in ("auto", "interpret"):
+            raise DatabaseError(f"engine must be 'auto' or 'interpret', got {engine!r}")
         cache = self.cache
         if record is None:
             record = QueryRecord(oql)
@@ -605,7 +605,7 @@ class Database:
         plan: Optional[Reduce] = None
         # Only comprehensions have plans; a normal form below that level
         # (``zero(M)``, a scalar call) is its own answer.
-        if engine in ("auto", "algebra") and isinstance(normalized, Comprehension):
+        if engine == "auto" and isinstance(normalized, Comprehension):
             try:
                 # No second normalization: the planning rules are a subset
                 # of the default ones the normal form is already normal under.
@@ -617,8 +617,7 @@ class Database:
                     plan = self._optimize(logical)
                 phases += ("plan", "optimize")
             except PlanError:
-                if engine == "algebra":
-                    raise
+                pass  # the reference interpreter answers it
             if plan is not None:
                 with record.phase("jit"):
                     shape = self._plan_key(plan, (text_key, version, verifying))
@@ -645,7 +644,7 @@ class Database:
     def prepare(
         self,
         oql: str,
-        engine: Literal["auto", "algebra", "interpret"] = "auto",
+        engine: Literal["auto", "interpret"] = "auto",
         typecheck: bool = False,
         param_types: Optional[dict[str, Any]] = None,
     ):
@@ -684,22 +683,16 @@ class Database:
     # -- execute: the back half ---------------------------------------------------
 
     def _result_versions(self, entry: CompiledQuery) -> tuple:
-        """The version vector guarding one result-cache entry. It
-        includes whether the plan was built under verification, so a
-        verifying call is never served a value an unverified plan made."""
-        return (
-            entry.version,
-            entry.verified,
-            tuple(
-                (name, self.catalog.extent_version(name))
-                for name in sorted(entry.extents)
-            ),
-            self.store.version,
-        )
+        """The version vector guarding one result-cache entry: the
+        current compile version (any extent reloaded, index built, view
+        or function defined), whether the plan was built under
+        verification — so a verifying call is never served a value an
+        unverified plan made — and the object store's version."""
+        return (self._compile_version(), entry.verified, self.store.version)
 
     def _analyze_for_cache(self, entry: CompiledQuery) -> None:
         """Fill in what only the result cache needs of an entry: its
-        canonical key, read set and cacheability verdict.
+        canonical key and cacheability verdict.
         ``result_cacheable`` is written last — it is what marks the
         entry analyzed for other threads sharing it."""
         if entry.key is None:
@@ -710,8 +703,6 @@ class Database:
             set(self.catalog.extents()) | self._object_extents,
             self.functions,
         )
-        entry.extents = deps.extents
-        entry.uncacheable_reason = deps.reason
         entry.result_cacheable = deps.cacheable
 
     @_bounded
@@ -720,27 +711,24 @@ class Database:
         oql: str,
         entry: CompiledQuery,
         params: dict[str, Any],
-        metrics: bool,
+        bypass: bool,
         record: QueryRecord,
     ) -> QueryResult:
         """Result-cache lookup → executor → fallback chain → result.
 
         Plan failures are discovered at execution time, and every way of
         running a query degrades the same way: a plan that fails is
-        demoted to the reference interpreter (unless ``engine="algebra"``
-        asked for the error). The entry is rewritten in place, so with a
-        cache attached the next repeat goes straight to the interpreter.
+        demoted to the reference interpreter. The entry is rewritten in
+        place, so with a cache attached the next repeat goes straight to
+        the interpreter.
         """
         cache = self.cache
-        # Operators are always counted; the run is timed only on request:
-        # ``metrics=True`` or session tracing, never telemetry.
-        timed_into = PlanMetrics() if (metrics or self.tracer.enabled) else None
         result_key = versions = executor = None
         hit = False
         if cache is not None and cache.config.results:
             if entry.result_cacheable is None:
                 self._analyze_for_cache(entry)
-            if entry.result_cacheable and metrics:
+            if entry.result_cacheable and bypass:
                 # EXPLAIN ANALYZE needs real per-operator actuals;
                 # serving a stored value would report an empty plan.
                 record.cache["result"] = "bypass"
@@ -762,15 +750,13 @@ class Database:
             for name, bound in params.items():
                 evaluator.bind_global("$" + name, bound)
             if entry.plan is not None:
-                executor = Executor(evaluator, self.catalog.index_mappings(), timed_into)
+                executor = Executor(evaluator, self.catalog.index_mappings())
                 try:
                     with record.phase("execute"):
                         value = executor.execute(entry.plan)
                 except PlanError:
-                    if entry.engine == "algebra":
-                        raise
                     # Rewrite the (possibly shared) entry in place to
-                    # interpreter execution; its read set is re-derived
+                    # interpreter execution; its cacheability is re-derived
                     # when the result cache next asks.
                     entry.plan = executor = None
                     entry.phases = tuple(
@@ -860,8 +846,8 @@ class Database:
 
         While on, every :meth:`run`/:meth:`run_detailed` keeps the span
         tree of its record in ``tracer.roots`` (and on the
-        :class:`QueryResult`), times its execution, and appends one JSON
-        entry to :attr:`query_log`, failed runs included — streamed to
+        :class:`QueryResult`) and appends one JSON entry to
+        :attr:`query_log`, failed runs included — streamed to
         ``sink`` (a ``str -> None`` callable) when given, and/or
         appended to the file at ``path`` with size-based rotation
         (``max_bytes`` per file, ``backups`` old files kept; see
@@ -886,10 +872,10 @@ class Database:
         """:meth:`explain_data`'s document as text: the plan :meth:`run`
         would execute, with cardinality estimates.
 
-        With ``analyze=True`` the query is *executed* with per-operator
-        metrics on, and every node is rendered with its estimated vs
-        actual cardinality and q-error, the root its wall time — plus the pipeline's
-        phase timings and a q-error summary.
+        With ``analyze=True`` the query is *executed*, and every node is
+        rendered with its estimated vs actual cardinality and q-error, the
+        root with the execution's wall time — plus the pipeline's phase
+        timings and a q-error summary.
         """
         return render_explain(self.explain_data(oql, analyze))
 
@@ -899,7 +885,7 @@ class Database:
         Shape (see ``docs/OBSERVABILITY.md``): ``oql``, ``engine``,
         ``analyzed``, a nested ``plan`` tree with per-node
         ``estimated_rows`` (and, when analyzed, ``actual_rows``,
-        ``q_error``, ``time_ms``…), ``phases_ms`` and a ``summary``
+        ``rows_in``, ``q_error``…), ``phases_ms`` and a ``summary``
         block with the estimates' mean/max q-error. The plan is the
         one :meth:`compile` hands :meth:`run`, analyzed or not. Queries
         the algebra cannot plan come back with ``plan: None`` and a
@@ -907,7 +893,7 @@ class Database:
         """
         doc: dict[str, Any] = {"oql": oql.strip(), "analyzed": analyze}
         if analyze:
-            result = self.run_detailed(oql, metrics=True)
+            result = self._run(oql, "auto", False, False, None, None, {}, bypass=True)
             plan, normalized, metrics = result.plan, result.normalized, result.metrics
             if result.cache is not None:
                 doc["cache"] = dict(result.cache)

@@ -120,7 +120,8 @@ def _number(value: Any, what: str) -> Any:
 
 
 def builtin_range(*args: int) -> tuple:
-    """``range(n)`` or ``range(lo, hi)`` — a list of integers."""
+    """``range(n)``, ``range(lo, hi)`` or ``range(lo, hi, step)`` — a list
+    of integers."""
     for arg in args:
         if type(arg) is not int:
             raise EvaluationError(f"range requires integers, got {type(arg).__name__}: {arg!r}")
@@ -180,3 +181,22 @@ DEFAULT_BUILTINS: dict[str, Callable[..., Any]] = {
     "avg": builtin_avg,
     "like": builtin_like,
 }
+
+#: Each builtin's argument count as ``(fewest, most)``: a call with any
+#: other count is refused by the typer and, when it runs, by
+#: :meth:`~repro.eval.evaluator.Evaluator.apply_callable`.
+ARITY: dict[str, tuple[int, int]] = {
+    **dict.fromkeys(DEFAULT_BUILTINS, (1, 1)),
+    "range": (1, 3),
+    "like": (2, 2),
+}
+
+
+def arity_error(name: str, given: int) -> str | None:
+    """Why a call of builtin ``name`` with ``given`` arguments is wrong,
+    or None when it is not."""
+    fewest, most = ARITY[name]
+    if fewest <= given <= most:
+        return None
+    wanted = str(fewest) if fewest == most else f"{fewest} to {most}"
+    return f"{name} takes {wanted} argument{'s' if most > 1 else ''}, got {given}"

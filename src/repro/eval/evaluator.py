@@ -54,8 +54,8 @@ from repro.calculus.ast import (
     Update,
     Var,
 )
-from repro.errors import EvaluationError
-from repro.eval.builtins import DEFAULT_BUILTINS, runtime_monoid_of
+from repro.errors import EvaluationError, ReproError
+from repro.eval.builtins import DEFAULT_BUILTINS, arity_error, runtime_monoid_of
 from repro.eval.env import Env
 from repro.monoids import (
     CollectionMonoid,
@@ -70,6 +70,11 @@ from repro.values import Bag, OrderedSet, Record, Vector
 
 #: Raised (as an EvaluationError) here and by the algebra's Reduce fold.
 VECTOR_HEAD_ERROR = "a vector comprehension head must be a (value, index) pair"
+#: Raised (as an EvaluationError) here and by generated code's indexed
+#: scans, ``.format``-ted with the unordered source's type name.
+INDEXED_SOURCE_ERROR = (
+    "indexed generators require an ordered collection (vector, list, oset), got {}"
+)
 
 
 class Closure:
@@ -150,8 +155,11 @@ class Evaluator:
         arg = self._eval(term.arg, env)
         return self.apply_callable(fn, arg)
 
-    def apply_callable(self, fn: Any, *args: Any) -> Any:
-        """Apply a closure or a Python callable to arguments."""
+    def apply_callable(self, fn: Any, *args: Any, name: str | None = None) -> Any:
+        """Apply a closure or a Python callable to arguments. A Python
+        callable's failure is an :class:`EvaluationError`: a builtin's
+        wrong argument count, or any other function's exception, named
+        by ``name``, the name it was called by, when there is one."""
         if isinstance(fn, Closure):
             result: Any = fn
             for arg in args:
@@ -160,7 +168,12 @@ class Evaluator:
                 result = self._eval(result.body, result.env.bind(result.param, arg))
             return result
         if callable(fn):
-            return fn(*args)
+            try:
+                return fn(*args)
+            except (ReproError, RecursionError):
+                raise
+            except Exception as err:
+                raise _call_error(fn, name, len(args), err) from err
         raise EvaluationError(f"value is not applicable: {fn!r}")
 
     def _eval_let(self, term: Let, env: Env) -> Any:
@@ -437,10 +450,7 @@ class Evaluator:
             for position, value in enumerate(monoid.iterate(source)):
                 yield position, value
             return
-        raise EvaluationError(
-            "indexed generators require an ordered collection "
-            f"(vector, list, oset), got {type(source).__name__}"
-        )
+        raise EvaluationError(INDEXED_SOURCE_ERROR.format(type(source).__name__))
 
     # -- homomorphism -------------------------------------------------------------------
 
@@ -472,7 +482,7 @@ class Evaluator:
         else:
             raise EvaluationError(f"unknown function {term.name!r}")
         args = [self._eval(arg, env) for arg in term.args]
-        return self.apply_callable(fn, *args)
+        return self.apply_callable(fn, *args, name=term.name)
 
     def _eval_method(self, term: MethodCall, env: Env) -> Any:
         base = self._eval(term.base, env)
@@ -530,6 +540,17 @@ class Evaluator:
             raise EvaluationError(
                 f"{where} requires a boolean, got {type(value).__name__}: {value!r}"
             )
+
+
+def _call_error(fn: Any, name: str | None, given: int, err: Exception) -> EvaluationError:
+    """What a Python callable's exception ``err`` becomes: a builtin called
+    by its own name with a wrong count is refused for its count."""
+    if name is not None and DEFAULT_BUILTINS.get(name) is fn:
+        message = arity_error(name, given)
+        if message is not None:
+            return EvaluationError(message)
+    label = name or getattr(fn, "__name__", type(fn).__name__)
+    return EvaluationError(f"function {label!r} raised {type(err).__name__}: {err}")
 
 
 def merge_into(current: Any, value: Any) -> Any:

@@ -239,7 +239,7 @@ class Emitter:
         if name in scope or name not in DEFAULT_BUILTINS:
             return self.fallback(term, scope)
         args = "".join(f", {self.expr(arg, scope)}" for arg in term.args)
-        return f"_apply(_callable({name!r}){args})"
+        return f"_apply(_callable({name!r}){args}, name={name!r})"
 
 
 _BINARY = frozenset("and or = != < <= > >= + - * / div mod in union intersect except".split())

@@ -17,6 +17,7 @@ from typing import Any
 from repro.errors import EvaluationError, VerificationError
 from repro.eval.builtins import runtime_monoid_of
 from repro.eval.env import Env
+from repro.eval.evaluator import INDEXED_SOURCE_ERROR
 from repro.monoids import VectorMonoid
 from repro.objects.store import Obj
 from repro.values import Bag, OrderedSet, Record, canonical_order
@@ -113,9 +114,7 @@ class Runtime:
             return tuple(monoid.iterate(source))
         if isinstance(source, (tuple, list, str, OrderedSet)):
             return tuple(enumerate(monoid.iterate(source)))
-        raise EvaluationError(
-            f"indexed scan requires an ordered collection, got {type(source).__name__}"
-        )
+        raise EvaluationError(INDEXED_SOURCE_ERROR.format(type(source).__name__))
 
     def callable_for(self, name: str) -> Any:
         """Resolve a ``Call`` target with the interpreter's precedence

@@ -11,7 +11,7 @@ is opt-in:
   :class:`~repro.obs.tracer.Tracer` keeps span trees built from it;
 - **per-operator metrics** (:mod:`repro.obs.metrics`): the one record
   of rows and probe counts per physical plan node that every
-  :class:`~repro.algebra.physical.Executor` keeps, timed on request;
+  :class:`~repro.algebra.physical.Executor` keeps, counts only;
 - **EXPLAIN ANALYZE** (:mod:`repro.obs.explain`) and the **query log**
   (:mod:`repro.obs.querylog`): estimated-vs-actual plan reports and
   structured JSONL query entries built from the two layers above;

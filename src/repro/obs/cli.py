@@ -3,8 +3,8 @@
 Files hold ``;``-separated queries (same conventions as ``repro lint``:
 ``--`` comments, strings may contain semicolons). Each query is
 explained against a demo database — ``--analyze`` actually runs it and
-reports estimated vs actual cardinalities, per-node wall time and the
-estimates' q-error; ``--json`` emits the same documents as one JSON
+reports estimated vs actual cardinalities, the execution's wall time and
+the estimates' q-error; ``--json`` emits the same documents as one JSON
 array (one element per file) for machine consumption, e.g. as a CI
 build artifact.
 """

@@ -97,8 +97,7 @@ def plan_to_dict(
     metrics: Optional[PlanMetrics] = None,
 ) -> dict[str, Any]:
     """The plan subtree as nested dicts, annotated with estimates and —
-    when ``metrics`` is given — per-node actuals and wall time (the
-    root's is the execution's; every operator's is 0)."""
+    when ``metrics`` is given — per-node actuals."""
     snapshot = metrics.snapshot(plan) if metrics is not None else None
     estimates = estimate_cardinalities(plan, extent_sizes)
 
@@ -112,9 +111,6 @@ def plan_to_dict(
             block = snap.metrics
             out["actual_rows"] = block.rows_out
             out["rows_in"] = snap.rows_in
-            out["invocations"] = block.invocations
-            out["time_ms"] = round(block.time_ms, 6)
-            out["self_time_ms"] = round(snap.self_time_ms, 6)
             out["q_error"] = round(q_error(out["estimated_rows"], block.rows_out), 2)
             if block.hash_builds:
                 out["hash_builds"] = block.hash_builds
@@ -188,8 +184,9 @@ def render_explain(doc: dict[str, Any]) -> str:
         annot = f"est~{node['estimated_rows']:g}"
         if "actual_rows" in node:
             annot += f"  actual={node['actual_rows']}  q-err={node['q_error']:g}"
-            if depth == 0:  # the run's wall time: operators are not timed apart
-                annot += f"  time={node['time_ms']:.3f}ms"
+            if depth == 0 and phases and "execute" in phases:
+                # the run's wall time: operators are not timed apart
+                annot += f"  time={phases['execute']:.3f}ms"
             if node.get("hash_builds"):
                 annot += f"  hash_builds={node['hash_builds']}"
             if node.get("index_probes"):

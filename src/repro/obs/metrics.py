@@ -1,22 +1,20 @@
 """The per-execution record of operator events.
 
 :class:`PlanMetrics` gives every physical plan node its own
-:class:`OperatorMetrics` block — rows produced, stream openings,
-hash-table inserts, index probes and (on request) wall time. It is the
-**one** place an operator event is booked: every
+:class:`OperatorMetrics` block — rows produced, hash-table inserts and
+index probes. It is the **one** place an operator event is booked: every
 :class:`~repro.algebra.physical.Executor` owns a table, a plan's generated
 function stores its counts into each node's block, and whatever else
 reports execution counts (:class:`~repro.algebra.physical.ExecutionStats`,
 EXPLAIN ANALYZE, the query log, telemetry, the benchmark harness) is a
-view of these blocks. Wall time is collected on request, for the whole
-execution, on the root ``Reduce``'s block: a fused pipeline has no
-boundary between its operators, so every other block's ``time_ns`` is 0.
+view of these blocks. No block holds a time: a fused pipeline has no
+boundary between its operators, and the execution's wall time is the
+query record's ``execute`` slot (:class:`~repro.obs.tracer.QueryRecord`).
 
 Node identity is ``id(node)`` and a table belongs to one execution, so
 structurally-equal operators never share a block and neither do
 concurrent runs of one cached plan. :meth:`PlanMetrics.snapshot` derives
-rows-in as the sum of the children's rows-out, and per-node *self* time
-as the node's time minus its children's.
+rows-in as the sum of the children's rows-out.
 """
 
 from __future__ import annotations
@@ -31,20 +29,12 @@ from repro.algebra.ops import PlanNode
 class OperatorMetrics:
     """Counters for one physical plan node during one execution."""
 
-    #: times the operator's binding stream was opened
-    invocations: int = 0
     #: bindings the operator yielded
     rows_out: int = 0
-    #: wall time of the whole execution on a timed run's root, else 0
-    time_ns: int = 0
     #: hash-table inserts while building a hash join's build side
     hash_builds: int = 0
     #: hash-index lookups performed by an IndexScan
     index_probes: int = 0
-
-    @property
-    def time_ms(self) -> float:
-        return self.time_ns / 1e6
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
@@ -57,16 +47,11 @@ class NodeSnapshot:
     node: PlanNode
     metrics: OperatorMetrics
     rows_in: int
-    self_time_ns: int
     children: list["NodeSnapshot"] = field(default_factory=list)
 
     @property
     def rows_out(self) -> int:
         return self.metrics.rows_out
-
-    @property
-    def self_time_ms(self) -> float:
-        return self.self_time_ns / 1e6
 
 
 class PlanMetrics:
@@ -96,18 +81,14 @@ class PlanMetrics:
     def snapshot(self, plan: PlanNode) -> NodeSnapshot:
         """Resolve metrics over the plan tree rooted at ``plan``.
 
-        Derived quantities: ``rows_in`` is the sum of the children's
-        rows-out and ``self_time_ns`` the node's time minus its
-        children's, clamped at zero.
+        Derived quantity: ``rows_in`` is the sum of the children's
+        rows-out.
         """
         children = [self.snapshot(child) for child in plan.children()]
-        block = self.for_node(plan)
-        child_time = sum(child.metrics.time_ns for child in children)
         return NodeSnapshot(
             node=plan,
-            metrics=block,
+            metrics=self.for_node(plan),
             rows_in=sum(child.metrics.rows_out for child in children),
-            self_time_ns=max(0, block.time_ns - child_time),
             children=children,
         )
 

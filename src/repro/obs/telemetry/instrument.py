@@ -14,7 +14,7 @@ lock held, and applies it with one
 - success/error counters by engine and error class, and a
   :class:`~repro.errors.VerificationError`'s violations by rule and
   invariant;
-- executor row counters and per-operator openings and rows, read off the
+- executor row counters and per-operator rows, read off the
   execution's one record (``result.stats`` / ``result.metrics`` — the
   numbers EXPLAIN ANALYZE shows);
 - cache hit/miss/eviction/invalidation counters, bridged inside the
@@ -54,9 +54,6 @@ CATALOG: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "repro_executor_rows_total": ("counter",
                                   "executor row counters (ExecutionStats), by counter name",
                                   ("counter",)),
-    "repro_operator_invocations_total": ("counter",
-                                         "physical operator stream openings, by operator",
-                                         ("operator",)),
     "repro_operator_rows_total": ("counter", "bindings produced per physical operator class",
                                   ("operator",)),
     "repro_normalize_rule_fires_total": ("counter", "normalization rule fires, by Table 3 rule",
@@ -117,16 +114,15 @@ def record_query_result(
             for name, value in stats.as_dict().items()
             if value
         )
-        by_operator: dict[str, list[int]] = {}
+        by_operator: dict[str, int] = {}
         for node, block in result.metrics.blocks(result.plan):
-            totals = by_operator.setdefault(type(node).__name__, [0, 0])
-            totals[0] += block.invocations
-            totals[1] += block.rows_out
-        for operator, (invocations, rows_out) in by_operator.items():
-            if invocations:
-                batch.append(("repro_operator_invocations_total", (operator,), invocations))
-            if rows_out:
-                batch.append(("repro_operator_rows_total", (operator,), rows_out))
+            operator = type(node).__name__
+            by_operator[operator] = by_operator.get(operator, 0) + block.rows_out
+        batch.extend(
+            ("repro_operator_rows_total", (operator,), rows_out)
+            for operator, rows_out in by_operator.items()
+            if rows_out
+        )
 
     batch.extend(
         ("repro_normalize_rule_fires_total", (rule,), count)

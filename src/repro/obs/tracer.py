@@ -182,7 +182,7 @@ class Tracer:
 
     A :class:`~repro.db.database.Database` hands its tracer each
     finished or failed query's record while ``enabled`` is True
-    (:meth:`add`); ``enabled`` also asks for per-operator wall time.
+    (:meth:`add`); it changes nothing about how a query executes.
 
     >>> tracer = Tracer(enabled=True)
     >>> record = QueryRecord("count(Cities)")

@@ -51,6 +51,7 @@ from repro.calculus.ast import (
     Var,
 )
 from repro.errors import TypingError, WellFormednessError
+from repro.eval.builtins import ARITY, arity_error
 from repro.monoids.base import Monoid, check_hom_well_formed
 from repro.monoids.registry import static_monoid
 from repro.types.schema import Schema
@@ -412,6 +413,10 @@ class TypeChecker:
     def _infer_call(self, term: Call, env: dict[str, Type]) -> Type:
         arg_types = [self._infer(arg, env) for arg in term.args]
         name = term.name
+        if name in ARITY:
+            message = arity_error(name, len(arg_types))
+            if message is not None:
+                raise TypingError(message)
         if name in ("count", "length"):
             self._element_type(arg_types[0], name)
             return TINT

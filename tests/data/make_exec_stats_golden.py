@@ -6,7 +6,7 @@ The checked-in file was written by PR 17's executor, whose loops bumped
 ``self.stats.rows_* += 1`` per row; ``tests/test_exec_stats_golden.py``
 holds the view that replaced those counters (``ExecutionStats.of`` over
 the per-node blocks) to the same numbers, counted by the generated function
-with and without a compile cache, timed and in verify mode. Run from the
+with and without a compile cache, traced and in verify mode. Run from the
 repository root::
 
     PYTHONPATH=<checkout>/src python tests/data/make_exec_stats_golden.py

@@ -9,7 +9,7 @@ checkout is on ``PYTHONPATH`` says it.
 Per query: the executed plan's ``render()``, ``Database.explain()`` text
 (the per-node cardinality estimates), the ``precompile_plan`` report
 (``compiled`` / ``fallback`` / ``constructs``) and the
-``analyze_dependencies`` verdict (``extents`` / ``cacheable`` /
+``analyze_dependencies`` verdict (``cacheable`` /
 ``reason``). The checked-in file was written by PR 18's ``src`` (then
 regenerated once, in its own commit, when the A3 build-side flip was
 deleted — see EXPERIMENTS.md; the ``grouped/*`` rows by PR 19's, and two
@@ -17,7 +17,9 @@ of them moved on purpose in PR 20: Γ sees into the view and the optimizer
 reaches under the Nest). The ``explain`` column of every row moved once
 more, alone, when ``Database.explain`` became the rendering of
 ``explain_data``'s document: the same estimates, a different format
-(EXPERIMENTS.md H26). ``tests/test_plans_golden.py`` holds the
+(EXPERIMENTS.md H26). Every row lost its ``deps.extents`` column, alone,
+when the result cache's per-extent version counters were deleted (the
+compile version covers every reload). ``tests/test_plans_golden.py`` holds the
 operator table of ``repro.algebra.ops`` and everything that loops over it
 to the same answers, under none / generated code / cache / verify. Run from the
 repository root::
@@ -93,7 +95,6 @@ def golden(modes: dict[str, Any]) -> dict[str, Any]:
             "explain": _renumbered(db.explain(oql)),
             "jit": None if plan is None else precompile_plan(plan),
             "deps": {
-                "extents": sorted(deps.extents),
                 "cacheable": deps.cacheable,
                 "reason": deps.reason,
             },

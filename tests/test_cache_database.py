@@ -41,7 +41,7 @@ class TestValueParity:
         assert cached.run(oql) == expected  # cold (miss)
         assert cached.run(oql) == expected  # warm (result hit)
 
-    @pytest.mark.parametrize("engine", ["auto", "algebra", "interpret"])
+    @pytest.mark.parametrize("engine", ["auto", "interpret"])
     def test_engines_cached(self, engine):
         oql = "select distinct c.name from c in Cities"
         plain, cached = _pair()

@@ -95,7 +95,7 @@ def test_lru_concurrent_remove_and_clear_are_safe():
 def entry(version):
     return CompiledQuery(
         oql="q",
-        engine="algebra",
+        engine="auto",
         typecheck=False,
         key="canon",
         calculus=None,
@@ -103,7 +103,6 @@ def entry(version):
         trace=None,
         plan=None,
         phases=(),
-        extents=frozenset(),
         result_cacheable=True,
         params=(),
         version=version,

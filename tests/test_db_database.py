@@ -58,9 +58,9 @@ class TestQuerying:
             "where exists h in c.hotels : h.stars = 5",
         ]
         for q in queries:
-            algebra = db_run(travel_db, q, "algebra")
-            interpret = db_run(travel_db, q, "interpret")
-            assert algebra == interpret, q
+            algebra = travel_db.run_detailed(q)
+            assert algebra.engine == "algebra", q
+            assert algebra.value == db_run(travel_db, q, "interpret"), q
 
     def test_run_detailed_artifacts(self, travel_db):
         result = travel_db.run_detailed(

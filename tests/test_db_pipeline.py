@@ -13,7 +13,13 @@ from repro.algebra.ops import Nest
 from repro.algebra.physical import Executor
 from repro.analysis.verifier import verification
 from repro.db import Database, company_schema, make_company, make_travel_agency, travel_schema
-from repro.errors import PlanError, ReproError, UnboundVariableError, VerificationError
+from repro.errors import (
+    DatabaseError,
+    PlanError,
+    ReproError,
+    UnboundVariableError,
+    VerificationError,
+)
 from repro.normalize import is_canonical
 from repro.normalize.rules import DEFAULT_RULES, PLANNING_RULES
 from repro.values import to_python
@@ -220,15 +226,23 @@ class TestFallbackChain:
             if db.cache is not None:
                 assert db.compile(oql).plan is None, label
 
-    @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
+    @pytest.mark.parametrize("engine", ["algebra", "algbra", "fast"])
     @pytest.mark.parametrize("cache", [False, True])
-    def test_engine_algebra_re_raises(self, monkeypatch, oql, cache):
-        fail_plans(monkeypatch)
+    def test_an_unknown_engine_is_refused(self, engine, cache):
         db = company(cache)
+        for way in (db.compile, db.run, db.run_detailed, db.prepare):
+            with pytest.raises(DatabaseError, match="engine must be 'auto' or 'interpret'"):
+                way(COMPREHENSION, engine=engine)
+        assert db.run_detailed(COMPREHENSION, engine="auto").engine == "algebra"
+
+    @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
+    def test_a_plan_error_reaches_a_caller_of_the_executor(self, monkeypatch, oql):
+        db = company()
+        plan = db.compile(oql).plan
+        fail_plans(monkeypatch)
         with pytest.raises(PlanError, match="forced by the test"):
-            db.run(oql, engine="algebra")
-        with pytest.raises(PlanError, match="forced by the test"):
-            db.prepare(oql, engine="algebra").run()
+            Executor(db.evaluator(), db.catalog.index_mappings()).execute(plan)
+        assert db.run_detailed(oql).engine == "interpret"
 
 
 # -- compile normalizes once ----------------------------------------------------

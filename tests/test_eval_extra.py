@@ -154,7 +154,7 @@ class TestResolveMonoidErrors:
             evaluate(term)
 
 
-# -- numeric builtins raise typed errors, on every engine -------------------------------
+# -- builtins raise typed errors, on every engine ---------------------------------------
 
 #: query -> (typer's message, evaluator's message); a typer message of None:
 #: the query typechecks and fails at run time
@@ -177,6 +177,15 @@ NUMERIC_MISUSE = {
     "sqrt(-1)": (None, "sqrt of a negative number: -1"),
     "select sqrt(e.salary - 1000000) from e in Employees": (
         None, "sqrt of a negative number: -"),
+    # a builtin's argument count, the builtin named as it was called
+    "abs(1, 2)": ("abs takes 1 argument, got 2", "abs takes 1 argument, got 2"),
+    "range()": ("range takes 1 to 3 arguments, got 0", "range takes 1 to 3 arguments, got 0"),
+    "sqrt(1, 2)": ("sqrt takes 1 argument, got 2", "sqrt takes 1 argument, got 2"),
+    "select abs(e.salary, 1) from e in Employees": (
+        "abs takes 1 argument, got 2", "abs takes 1 argument, got 2"),
+    "length(1, 2)": ("length takes 1 argument, got 2", "length takes 1 argument, got 2"),
+    "select length(e.name, 1) from e in Employees": (
+        "length takes 1 argument, got 2", "length takes 1 argument, got 2"),
 }
 
 
@@ -187,7 +196,7 @@ def test_numeric_builtins_raise_typed_errors(company_db, oql, typecheck):
 
     typed, evaluated = NUMERIC_MISUSE[oql]
     company_db.disable_cache()
-    for engine in ("interpret", "auto", "algebra"):
+    for engine in ("interpret", "auto"):
         error, message = (TypingError, typed) if typecheck and typed else (
             EvaluationError, evaluated)
         with pytest.raises(error) as info:
@@ -195,3 +204,22 @@ def test_numeric_builtins_raise_typed_errors(company_db, oql, typecheck):
         assert str(info.value).startswith(message), (engine, str(info.value))
     if oql.startswith("select"):  # the generated path raised it
         assert company_db.compile(oql).plan is not None
+
+
+# -- a registered function's exception ---------------------------------------------------
+
+
+@pytest.mark.parametrize("typecheck", [False, True], ids=["untyped", "typed"])
+@pytest.mark.parametrize("engine", ["auto", "interpret"])
+@pytest.mark.parametrize("oql", ["nope(1)", "select nope(e.salary) from e in Employees"])
+def test_registered_function_exception_is_an_evaluation_error(
+    company_db, oql, engine, typecheck
+):
+    def nope(value):
+        raise ValueError("nope")
+
+    company_db.register_function("nope", nope)
+    with pytest.raises(EvaluationError) as info:
+        company_db.run(oql, engine=engine, typecheck=typecheck)
+    assert str(info.value) == "function 'nope' raised ValueError: nope"
+    assert type(info.value.__cause__) is ValueError

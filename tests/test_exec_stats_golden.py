@@ -69,6 +69,6 @@ def test_stats_are_the_by_class_sums_of_the_blocks(mode):
             "hash_builds": total("Join", "hash_builds"),
             "index_probes": total("IndexScan", "index_probes"),
         }, label
-        # a fused pipeline has no operator boundary: only the root is timed
-        timed = {op for op, sums in by_class.items() if sums["time_ns"]}
-        assert timed == ({"Reduce"} if mode == "traced" else set()), label
+        # a block holds counts only, traced or not: the run's clock is its record
+        counts = {"rows_out", "hash_builds", "index_probes"}
+        assert all(set(sums) == counts for sums in by_class.values()), label

@@ -216,7 +216,8 @@ class TestWhatMoves:
         groups = {}
         for e in world["Employees"]:
             groups.setdefault(e.dno, []).append(e.salary)
-        result = db.run_detailed(G1, engine="interpret" if engine == "interpret" else "algebra")
+        result = db.run_detailed(G1, engine="interpret" if engine == "interpret" else "auto")
+        assert result.engine == ("interpret" if engine == "interpret" else "algebra")
         assert result.value == frozenset(
             Record(d=dno, total=sum(s), n=len(s)) for dno, s in groups.items()
         )
@@ -296,8 +297,8 @@ class TestWhatMustNotMove:
         db = zero_db()
         q = (f"select struct(d: dno, t: {DIVIDES}) from e in Employees "
              "group by dno: e.dno having dno = 0")
-        result = db.run_detailed(q, engine="algebra")
-        assert fold_names(result.plan) == [PARTITION]
+        result = db.run_detailed(q)
+        assert result.engine == "algebra" and fold_names(result.plan) == [PARTITION]
         assert result.value == db.run(q, engine="interpret")
         assert result.value == frozenset({Record(d=0, t=1 / 100 + 1 / 200)})
 
@@ -312,8 +313,8 @@ class TestWhatMustNotMove:
     def test_lazy_positions_keep_their_folds(self, zero_db, head):
         db = zero_db()
         q = f"select struct(d: dno, t: {head}) from e in Employees group by dno: e.dno"
-        result = db.run_detailed(q, engine="algebra")
-        assert fold_names(result.plan) == [PARTITION]
+        result = db.run_detailed(q)
+        assert result.engine == "algebra" and fold_names(result.plan) == [PARTITION]
         assert result.value == db.run(q, engine="interpret")
 
     def test_fold_mentioning_a_key_label_stays(self):
@@ -360,7 +361,7 @@ class TestWhatMustNotMove:
         with pytest.raises(EvaluationError) as reference:
             db.run(q, engine="interpret")
         with pytest.raises(EvaluationError) as nest:
-            db.run(q, engine="algebra")
+            db.run(q)
         assert str(nest.value) == str(reference.value)
         assert str(nest.value) == "qualifier predicate requires a boolean, got int: 30"
 
@@ -372,7 +373,7 @@ class TestWhatMustNotMove:
         with pytest.raises(EvaluationError) as reference:
             db.run(q, engine="interpret")
         with pytest.raises(EvaluationError) as nest:
-            db.run(q, engine="algebra")
+            db.run(q)
         assert type(nest.value) is type(reference.value)
         assert str(nest.value) == str(reference.value) == "division by zero"
 

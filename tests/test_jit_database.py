@@ -17,7 +17,6 @@ from repro.db.database import (
 from repro.jit import JITConfig
 from repro.jit.plan import _fuse, clear_code_cache
 from repro.normalize import normalize_with_trace
-from repro.obs.metrics import PlanMetrics
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.obs.tracer import PIPELINE_PHASES
 from repro.oql import parse
@@ -179,29 +178,6 @@ class TestVerifyMode:
         baseline = demo_company_database(4, 60, seed=11).run(SCAN_QUERY)
         with verification(True):
             assert twice(company, SCAN_QUERY).value == baseline
-
-    @staticmethod
-    def _corrupted_plan(company):
-        """SCAN_QUERY's plan, its generated functions swapped for a wrong one."""
-        from repro.jit.plan import precompile_plan
-
-        plan = company.compile(SCAN_QUERY).plan
-        precompile_plan(plan)
-        plan.__dict__["jit_fused"] = dict.fromkeys((False, True), lambda *args: "corrupt")
-        return plan
-
-    # A plan's one compiled form is its function, timed or not
-    # (tests/test_jit_fused.py corrupts the emitter instead).
-
-    @pytest.mark.parametrize("verify", [False, True])
-    def test_a_timed_execution_runs_the_same_function(self, company, verify):
-        from repro.algebra import Executor
-
-        plan = self._corrupted_plan(company)
-        with verification(verify):
-            untimed = Executor(company.evaluator(), jit=company.jit)
-            timed = Executor(company.evaluator(), metrics=PlanMetrics(), jit=company.jit)
-        assert untimed.execute(plan) == timed.execute(plan) == "corrupt"
 
     def test_the_jit_phase_stores_only_the_function_and_its_report(self, company):
         from repro.jit.plan import precompile_plan

@@ -1,9 +1,9 @@
 """The generated function against the reference evaluator.
 
 Every execution of a plan runs its one generated Python function
-(``repro.jit.plan``): untimed, timed, and — in verify mode — its checked
-variant, which re-runs every operator-position expression on the
-interpreter. The three must be one executor to an observer: the same
+(``repro.jit.plan``): plain, or — in verify mode — its checked variant,
+which re-runs every operator-position expression on the interpreter. The
+two must be one executor to an observer: the same
 value and type, the same exception class and message (which row's error
 comes first included), the same ``ExecutionStats`` and per-node counts,
 the same final heap — and the reference evaluator's value.
@@ -53,12 +53,10 @@ from tests.data.make_plans_golden import grouped_queries
 from tests.test_normalize_property import _term_and_data
 from tests.test_property_queries import _database, _query
 
-#: each way of running a plan: in verify mode or not, and how the
-#: Executor is built
+#: each way of running a plan: in verify mode or not
 WAYS = {
-    "checked": (True, lambda: {}),
-    "timed": (False, lambda: {"metrics": PlanMetrics()}),
-    "fused": (False, lambda: {}),
+    "checked": True,
+    "fused": False,
 }
 
 #: a compile cache keeps every compiled plan, results off
@@ -66,11 +64,20 @@ KEPT = {"cache": CacheConfig(results=False)}
 
 
 def counts(metrics: PlanMetrics, plan: Reduce) -> list[tuple]:
-    """Every node's clock-free counters, in plan order."""
+    """Every node's counters, in plan order."""
     return [
-        (type(node).__name__, b.invocations, b.rows_out, b.hash_builds, b.index_probes)
+        (type(node).__name__, b.rows_out, b.hash_builds, b.index_probes)
         for node, b in metrics.blocks(plan)
     ]
+
+
+def profiled(db, oql):
+    """``oql``'s result with session tracing on."""
+    db.profile(True)
+    try:
+        return db.run_detailed(oql)
+    finally:
+        db.profile(False)
 
 
 def outcome(run) -> tuple:
@@ -82,18 +89,18 @@ def outcome(run) -> tuple:
     return ("value", type(value), value)
 
 
-def three_ways(make_plan, make_evaluator, indexes=None, checked=True):
+def every_way(make_plan, make_evaluator, indexes=None, checked=True):
     """Run a plan every way, each on a fresh plan and world; all must agree.
     Returns the common observation. ``checked=False`` leaves verify mode
     out: its per-row differential re-runs every expression, heap effects
     included."""
     seen = {}
-    for way, (verify, kwargs) in WAYS.items():
+    for way, verify in WAYS.items():
         if verify and not checked:
             continue
         plan, evaluator = make_plan(), make_evaluator()
         with verification(verify):
-            executor = Executor(evaluator, indexes, **kwargs())
+            executor = Executor(evaluator, indexes)
         seen[way] = outcome(lambda: executor.execute(plan))  # noqa: B023
         if seen[way][0] == "value":
             seen[way] += (counts(executor.metrics, plan),)
@@ -104,8 +111,8 @@ def three_ways(make_plan, make_evaluator, indexes=None, checked=True):
 
 
 def term_ways(term, data):
-    """:func:`three_ways` of ``term``'s plan, and the reference evaluator."""
-    seen = three_ways(lambda: build_plan(term), lambda: Evaluator(data))
+    """:func:`every_way` of ``term``'s plan, and the reference evaluator."""
+    seen = every_way(lambda: build_plan(term), lambda: Evaluator(data))
     assert seen[:3] == outcome(lambda: Evaluator(data).evaluate(term)), term
     return seen
 
@@ -133,9 +140,9 @@ def test_golden_corpus_against_reference(db, oql, run_on, run_off):
     assert on.stats == off.stats
     assert counts(on.metrics, on.plan) == counts(off.metrics, off.plan)
     if "$" not in oql:
-        timed = db.run_detailed(oql, metrics=True)  # the same function, timed
-        assert timed.value == on.value
-        assert counts(timed.metrics, timed.plan) == counts(on.metrics, on.plan)
+        traced = profiled(db, oql)  # the same function, traced
+        assert traced.value == on.value and traced.span is not None
+        assert counts(traced.metrics, traced.plan) == counts(on.metrics, on.plan)
 
 
 @pytest.mark.parametrize("db, oql, run_on, run_off", _corpus())
@@ -205,11 +212,11 @@ J1 = {
 @pytest.mark.parametrize("workload", list(J1))
 def test_shape_fused(workload):
     """Each runs as one generated function with every expression compiled,
-    timed, untimed and checked alike, counter for counter."""
+    plain and checked alike, counter for counter."""
     schema, oql = J1[workload]
     world = _j1_world(schema)
     make_plan = lambda: build_plan(normalize(translate_oql(oql)))  # noqa: E731
-    three_ways(make_plan, lambda: Evaluator(world))
+    every_way(make_plan, lambda: Evaluator(world))
     report = precompile_plan(make_plan())
     assert report["fallback"] == 0 and report["compiled"] > 0
 
@@ -253,12 +260,12 @@ def test_random_oql(query, db):
     db.disable_cache()  # every run executes (REPRO_CACHE=1 would serve the repeats)
     want = db.run_detailed(query)
     got = db.run_detailed(query)  # its code from the code cache
-    timed = db.run_detailed(query, metrics=True)
-    assert got.value == want.value == db.run(query, engine="interpret"), query
+    traced = profiled(db, query)
+    assert got.value == want.value == traced.value == db.run(query, engine="interpret"), query
     if got.plan is None:  # count(...) of a select is the interpreter's
         return
-    assert got.stats == want.stats == timed.stats, query
-    assert counts(got.metrics, got.plan) == counts(timed.metrics, timed.plan), query
+    assert got.stats == want.stats == traced.stats, query
+    assert counts(got.metrics, got.plan) == counts(traced.metrics, traced.plan), query
     assert want.jit is not None and got.jit is not None, query
 
 
@@ -288,23 +295,23 @@ class TestTemplates:
             TupleCons((var("i"), var("j"), var("t"))),
             Unnest(Scan("a", var("Ls"), index_var="i"), "t", proj(var("a"), "tags"), "j"),
         )
-        seen = three_ways(plan, world())
+        seen = every_way(plan, world())
         assert seen[2] == ((0, 0, "a"), (0, 1, "b"), (2, 0, "c"))
 
     def test_vector_source_with_and_without_positions(self):
         v = Vector.from_dense([7, 8, 9])
         for index_var, head in (("i", TupleCons((var("i"), var("e")))), (None, var("e"))):
             scan = Scan("e", var("V"), index_var)
-            three_ways(lambda: Reduce(MonoidRef("list"), head, scan), world(V=v))  # noqa: B023
+            every_way(lambda: Reduce(MonoidRef("list"), head, scan), world(V=v))  # noqa: B023
 
     def test_indexed_scan_of_an_unordered_source(self):
         plan = lambda: Reduce(MonoidRef("sum"), var("i"), Scan("b", var("Rs"), "i"))
-        seen = three_ways(plan, world())
+        seen = every_way(plan, world())
         assert seen[:2] == ("raised", EvaluationError) and "ordered collection" in seen[2]
 
     def test_scan_of_a_non_collection(self):
         plan = lambda: Reduce(MonoidRef("sum"), var("n"), Scan("n", var("scale")))
-        assert three_ways(plan, world())[0] == "raised"
+        assert every_way(plan, world())[0] == "raised"
 
     def test_object_sources_are_dereferenced(self):
         def evaluator():
@@ -313,13 +320,13 @@ class TestTemplates:
             ev.bind_global("Boxes", tuple(ev.store.new(Record(xs=(n, n))) for n in (4, 5)))
             return ev
 
-        three_ways(lambda: Reduce(MonoidRef("sum"), var("n"), Scan("n", var("Box"))), evaluator)
+        every_way(lambda: Reduce(MonoidRef("sum"), var("n"), Scan("n", var("Box"))), evaluator)
         nested = lambda: Reduce(
             MonoidRef("sum"),
             var("n"),
             Unnest(Scan("o", var("Boxes")), "n", proj(var("o"), "xs")),
         )
-        assert three_ways(nested, evaluator)[2] == 18
+        assert every_way(nested, evaluator)[2] == 18
 
     def test_a_plan_variable_shadows_a_global(self):
         # ``x`` is a global and the Scan's variable; ``scale`` only a global.
@@ -328,7 +335,7 @@ class TestTemplates:
             BinOp("*", proj(var("x"), "x"), var("scale")),
             SelectOp(Scan("x", var("Ls")), gt(proj(var("x"), "x"), const(10))),
         )
-        seen = three_ways(plan, world())
+        seen = every_way(plan, world())
         assert seen[2] == (40, 60)
         assert "_lookup('scale')" in pipeline_source(plan())
         assert "_lookup('x')" not in pipeline_source(plan())
@@ -341,7 +348,7 @@ class TestTemplates:
             head,
             Join(Scan("a", var("Ls")), Scan("b", var("Rs")), (k("a"),), (k("b"),)),
         )
-        seen = three_ways(plan, world())
+        seen = every_way(plan, world())
         assert seen[2] == Bag([12, 12, 32, 32])
         assert "_fallback(" in pipeline_source(plan())
 
@@ -369,15 +376,15 @@ class TestTemplates:
             TupleCons((proj(var("c"), "x"), proj(var("a"), "x"), proj(var("b"), "y"))),
             Join(Scan("c", var("Ls")), right(), left_keys, right_keys),
         )
-        seen = three_ways(plan, world())
+        seen = every_way(plan, world())
         assert len(seen[2]) == (8 if keys == 1 else 4)
 
     def test_loop_join_over_an_empty_side_still_drains_the_other(self):
         plan = lambda: Reduce(
             MonoidRef("sum"), const(1), Join(Scan("a", var("Ls")), Scan("b", var("None_")))
         )
-        seen = three_ways(plan, world(None_=()))
-        assert seen[2] == 0 and ("Scan", 1, 3, 0, 0) in seen[3]
+        seen = every_way(plan, world(None_=()))
+        assert seen[2] == 0 and ("Scan", 3, 0, 0) in seen[3]
 
     @pytest.mark.parametrize("keyed", [True, False], ids=["hash", "loop"])
     def test_join_residual_takes_the_select_test(self, keyed):
@@ -390,9 +397,9 @@ class TestTemplates:
                 Join(Scan("a", var("Ls")), Scan("b", var("Rs")), *keys, residual=residual),
             )
 
-        kept = three_ways(plan(eq(proj(var("b"), "y"), const("p"))), world())
+        kept = every_way(plan(eq(proj(var("b"), "y"), const("p"))), world())
         assert kept[2] == Bag(["p", "p"] if keyed else ["p", "p", "p"])
-        seen = three_ways(plan(const(1)), world())  # truthy is not True
+        seen = every_way(plan(const(1)), world())  # truthy is not True
         assert seen[:2] == ("raised", EvaluationError)
         assert seen[2] == "qualifier predicate requires a boolean, got int: 1"
 
@@ -400,9 +407,9 @@ class TestTemplates:
         probe = IndexScan("a", "Ls", "k", const(1))
         plan = lambda: Reduce(MonoidRef("sum"), proj(var("a"), "x"), probe)
         index = {("Ls", "k"): {1: [ROWS[0], ROWS[2]], 2: [ROWS[1]]}}
-        seen = three_ways(plan, world(), index)
-        assert seen[2] == 40 and seen[3][1] == ("IndexScan", 1, 2, 0, 1)
-        assert three_ways(plan, world())[2] == "no index on Ls.k for IndexScan"
+        seen = every_way(plan, world(), index)
+        assert seen[2] == 40 and seen[3][1] == ("IndexScan", 2, 0, 1)
+        assert every_way(plan, world())[2] == "no index on Ls.k for IndexScan"
 
     def test_nest_with_a_fold_predicate_under_a_having(self):
         folds = (
@@ -417,7 +424,7 @@ class TestTemplates:
             ),
             SelectOp(Nest(Scan("a", var("Ls")), (("key", k("a")),), folds), gt(var("n"), const(0))),
         )
-        seen = three_ways(plan, world())
+        seen = every_way(plan, world())
         assert seen[2] == (
             Record(k=1, n=2, big=(30,), m=None),
             Record(k=2, n=1, big=(20,), m=None),
@@ -428,7 +435,7 @@ class TestTemplates:
         plan = lambda: Reduce(
             MonoidRef("list"), var("n"), Nest(Scan("a", var("Ls")), (("key", k("a")),), folds)
         )
-        assert three_ways(plan, world())[2].startswith("qualifier predicate requires a boolean")
+        assert every_way(plan, world())[2].startswith("qualifier predicate requires a boolean")
 
     @pytest.mark.parametrize(
         "monoid",
@@ -443,12 +450,12 @@ class TestTemplates:
     )
     def test_reduce_monoids(self, monoid):
         head = TupleCons((proj(var("a"), "x"), BinOp("-", k("a"), const(1))))
-        three_ways(lambda: Reduce(monoid, head, Scan("a", var("Ls"))), world())
+        every_way(lambda: Reduce(monoid, head, Scan("a", var("Ls"))), world())
 
     def test_vector_head_must_be_a_pair(self):
         monoid = MonoidRef("vec", element=MonoidRef("sum"), size=Const(3))
         plan = lambda: Reduce(monoid, proj(var("a"), "x"), Scan("a", var("Ls")))
-        assert "vector comprehension head" in three_ways(plan, world())[2]
+        assert "vector comprehension head" in every_way(plan, world())[2]
 
 
 class TestErrorOrder:
@@ -485,7 +492,7 @@ class TestErrorOrder:
                 (k("b"),),
             ),
         )
-        assert "right_missing" in three_ways(plan, world())[2]
+        assert "right_missing" in every_way(plan, world())[2]
 
     def test_conjuncts_are_tested_in_source_order(self):
         term = comp(
@@ -513,7 +520,7 @@ class TestHeapEffects:
     def test_update_in_the_head(self):
         head = Update(var("o"), "n", "+=", const(10))
         plan = lambda: Reduce(MonoidRef("all"), head, Scan("o", var("Objs")))
-        seen = three_ways(plan, self.heap, checked=False)
+        seen = every_way(plan, self.heap, checked=False)
         assert [state["n"] for state in seen[-1].values()] == [11, 12, 13]
 
     def test_update_as_a_predicate_and_allocation_in_the_head(self):
@@ -522,7 +529,7 @@ class TestHeapEffects:
             New(proj(var("o"), "n")),
             SelectOp(Scan("o", var("Objs")), Update(var("o"), "log", "+=", proj(var("o"), "n"))),
         )
-        seen = three_ways(plan, self.heap, checked=False)
+        seen = every_way(plan, self.heap, checked=False)
         assert len(seen[-1]) == 6 and seen[-1][2]["log"] == (2,)
 
     def test_an_error_midway_leaves_the_same_heap(self):
@@ -534,7 +541,7 @@ class TestHeapEffects:
 
         head = Update(var("o"), "n", "+=", const(10))
         plan = lambda: Reduce(MonoidRef("all"), head, Scan("o", var("Objs")))
-        seen = three_ways(plan, heap, checked=False)
+        seen = every_way(plan, heap, checked=False)
         assert seen[0] == "raised" and seen[-1][1]["n"] == 11 and seen[-1][3]["n"] is None
 
 
@@ -654,7 +661,7 @@ class TestPlansPythonWillNotCompile:
 
     def refused(self, db) -> None:
         """The plan gets no code: ``auto`` answers on the reference
-        evaluator, ``algebra`` raises."""
+        evaluator, and executing the plan raises."""
         plan = db.compile(self.oql()).plan
         assert fused(plan) is None and pipeline_source(plan) == ""
         result = db.run_detailed(self.oql())
@@ -662,7 +669,7 @@ class TestPlansPythonWillNotCompile:
         assert result.value == db.run(self.oql(), engine="interpret")
         assert len(result.value) == 8
         with pytest.raises(PlanError, match="cannot be compiled"):
-            db.run(self.oql(), engine="algebra")
+            Executor(db.evaluator(), db.catalog.index_mappings()).execute(plan)
 
     def test_more_generators_than_python_nests_loops(self, db):
         self.refused(db)

@@ -231,7 +231,8 @@ class TestErrorTextParity:
         reference = self._message(lambda: company_db.run(oql, engine="interpret"))
         assert reference.startswith("qualifier predicate requires a boolean, got int")
         for _ in range(2):  # a first run, and one whose code is cached
-            assert self._message(lambda: company_db.run(oql, engine="algebra")) == reference
+            assert self._message(lambda: company_db.run(oql)) == reference
+        assert company_db.compile(oql).plan is not None  # the generated path raised it
 
     def test_vector_head_not_a_pair(self):
         from repro.algebra.ops import Reduce, Scan

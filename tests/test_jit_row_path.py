@@ -11,10 +11,10 @@ are the two ``Record`` frames, ``__new__`` per record built and
 alternatives). The per-source counts must also be the reference
 interpreter's per-row ones.
 
-A timed run (``metrics=True``, ``profile(True)``, EXPLAIN ANALYZE) and a
-verify-mode run execute the same function as an untimed one: the same flat
-calls (verify mode adds only its per-row differential), the same counts,
-and a timed run's wall time on its root ``Reduce`` alone.
+A traced run (``profile(True)``), EXPLAIN ANALYZE and a verify-mode run
+execute the same function as a plain one: the same flat calls (verify mode
+adds only its per-row differential) and the same counts. No operator block
+holds a time: the run's one clock is its query record's ``execute`` slot.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.jit.plan import fused, pipeline_source
 from repro.monoids import get_monoid
 from repro.values import Bag, Record, canonical_order
 from repro.values import compare
-from tests.test_jit_fused import three_ways
+from tests.test_jit_fused import every_way
 
 N = 30
 
@@ -179,14 +179,13 @@ class TestNoFramePerRow:
             assert type(get_monoid(monoid).accumulator()).add is method
 
 
-# -- timed and untimed runs execute the same function --------------------------------
+# -- traced, explained and checked runs execute the same function ------------------------
 
 
 def node_counts(metrics, plan) -> list[tuple]:
-    """Per node, pre-order: its clock-free counts, and whether it was timed."""
+    """Per node, pre-order: its counts, which are every field of its block."""
     return [
-        (type(node).__name__, b.invocations, b.rows_out, b.hash_builds, b.index_probes,
-         b.time_ns > 0)
+        (type(node).__name__, b.rows_out, b.hash_builds, b.index_probes)
         for node, b in metrics.blocks(plan)
     ]
 
@@ -196,9 +195,9 @@ def explained(db, oql) -> list[tuple]:
     out = []
 
     def walk(node):
-        out.append((node["op"], node["invocations"], node["actual_rows"],
-                    node.get("hash_builds", 0), node.get("index_probes", 0),
-                    node["time_ms"] > 0))
+        assert not {"invocations", "time_ms", "self_time_ms"} & set(node), node
+        out.append((node["op"], node["actual_rows"],
+                    node.get("hash_builds", 0), node.get("index_probes", 0)))
         for child in node.get("children", ()):
             walk(child)
 
@@ -214,10 +213,10 @@ def profiled(db, oql):
         db.profile(False)
 
 
-#: each way a run is timed or checked, as a function of a database and a
+#: each way a run is observed or checked, as a function of a database and a
 #: query returning the run's per-node counts
-TIMED = {
-    "metrics": lambda db, oql: db.run_detailed(oql, metrics=True),
+OBSERVED = {
+    "plain": lambda db, oql: db.run_detailed(oql),
     "profile": profiled,
     "explain": explained,
     "verify": lambda db, oql: db.run_detailed(oql, verify=True),
@@ -225,7 +224,7 @@ TIMED = {
 
 
 def observed(mode: str, db, oql) -> list[tuple]:
-    result = TIMED[mode](db, oql)
+    result = OBSERVED[mode](db, oql)
     return result if mode == "explain" else node_counts(result.metrics, result.plan)
 
 
@@ -254,10 +253,10 @@ def outside_the_differential(run) -> Counter:
     return seen
 
 
-class TestTimedRunsAreTheFunction:
-    @pytest.mark.parametrize("mode", sorted(TIMED))
+class TestObservedRunsAreTheFunction:
+    @pytest.mark.parametrize("mode", sorted(OBSERVED))
     @pytest.mark.parametrize("shape", ["scan_select_sum", "hash_join"])
-    def test_calls_counts_and_root_time(self, shape, mode):
+    def test_calls_and_counts(self, shape, mode):
         schema, oql = SHAPES[shape]
         make_schema, make_data = SCHEMAS[schema]
         calls = []
@@ -265,14 +264,10 @@ class TestTimedRunsAreTheFunction:
             db = Database(make_schema(), cache=False, telemetry=False)
             db.load_extents(make_data(n))
             with verification(False):
-                untimed = db.run_detailed(oql)  # also memoises the sets' orders
-            counts = node_counts(untimed.metrics, untimed.plan)
-            assert not any(timed for *_, timed in counts)
-            got = observed(mode, db, oql)
-            timed = mode != "verify"
-            assert got == [(*row[:-1], timed and i == 0) for i, row in enumerate(counts)]
+                first = db.run_detailed(oql)  # also memoises the sets' orders
+            assert observed(mode, db, oql) == node_counts(first.metrics, first.plan)
             seen = outside_the_differential(lambda: observed(mode, db, oql))  # noqa: B023
-            assert seen.pop(NEW, 0) == seen.pop(HASH, 0) == records(untimed.value)
+            assert seen.pop(NEW, 0) == seen.pop(HASH, 0) == records(first.value)
             seen.pop("runtime.py:Runtime.check", None)
             calls.append(seen)
             assert "<repro.jit pipeline" in " ".join(seen)
@@ -365,13 +360,13 @@ def selected(source: str):
 class TestPerSourceCounts:
     @pytest.mark.parametrize("source", ["T", "S", "B", "Os"])
     def test_nested_sources(self, source):
-        seen = three_ways(selected(source), world())
+        seen = every_way(selected(source), world())
         assert seen[0] == "value"
 
     def test_the_counts_are_the_rows(self):
-        seen = three_ways(selected("T"), world())
+        seen = every_way(selected("T"), world())
         # Scan 5 rows, Select keeps 4, Unnest 2 values of each
-        assert [(name, rows) for name, _, rows, _, _ in seen[3]] == [
+        assert [(name, rows) for name, rows, _, _ in seen[3]] == [
             ("Reduce", 1),
             ("Unnest", 8),
             ("SelectOp", 4),
@@ -381,7 +376,7 @@ class TestPerSourceCounts:
     def test_object_and_empty_sources(self):
         for name in ("O", "E"):
             plan = lambda: Reduce(MonoidRef("sum"), var("n"), Scan("n", var(name)))  # noqa: B023
-            three_ways(plan, world())
+            every_way(plan, world())
 
     def test_indexed_sources(self):
         plan = lambda: Reduce(
@@ -389,5 +384,5 @@ class TestPerSourceCounts:
             var("i"),
             Unnest(Scan("x", var("T"), "i"), "y", proj(var("x"), "xs"), "j"),
         )
-        seen = three_ways(plan, world())
-        assert [rows for _, _, rows, _, _ in seen[3]] == [10, 10, 5]
+        seen = every_way(plan, world())
+        assert [rows for _, rows, _, _ in seen[3]] == [10, 10, 5]

@@ -143,7 +143,7 @@ def test_a_refused_merge_is_one_typed_error_on_every_engine(oql):
     kept = _database(oql, cache=CacheConfig(results=False))  # code from the first run
     seen = {
         "interpret": _raised(lambda: _database(oql).run(oql, engine="interpret")),
-        "loops": _raised(lambda: _database(oql).run_detailed(oql, metrics=True)),
+        "explained": _raised(lambda: _database(oql).explain_data(oql, analyze=True)),
         "generated": _raised(lambda: kept.run(oql)),
         "generated again": _raised(lambda: kept.run(oql)),
     }

@@ -48,13 +48,12 @@ class TestPlanToDict:
         assert node["op"] == "Scan"
 
     def test_with_metrics_adds_actuals(self, db):
-        result = db.run_detailed(QUERY, metrics=True)
+        result = db.run_detailed(QUERY)
         doc = plan_to_dict(result.plan, db.catalog.extent_sizes(), result.metrics)
         node = doc
         while True:
-            assert set(node) >= {
-                "op", "label", "estimated_rows", "actual_rows",
-                "rows_in", "invocations", "time_ms", "self_time_ms", "q_error",
+            assert set(node) - {"children"} == {
+                "op", "label", "estimated_rows", "actual_rows", "rows_in", "q_error",
             }
             if "children" not in node:
                 break
@@ -62,8 +61,14 @@ class TestPlanToDict:
         assert node["op"] == "Scan"
         assert node["actual_rows"] == 5  # five cities scanned
 
+    def test_actuals_render_without_phases(self, db):
+        result = db.run_detailed(QUERY)
+        doc = {"plan": plan_to_dict(result.plan, db.catalog.extent_sizes(), result.metrics)}
+        text = render_explain(doc)
+        assert "actual=" in text and "time=" not in text
+
     def test_summarize(self, db):
-        result = db.run_detailed(QUERY, metrics=True)
+        result = db.run_detailed(QUERY)
         doc = plan_to_dict(result.plan, db.catalog.extent_sizes(), result.metrics)
         summary = summarize(doc)
         assert summary["nodes"] >= 3

@@ -1,8 +1,9 @@
 """Per-operator metrics: one test per physical operator, and the
-guarantee that an untimed execution records the same counts, timing
-nothing."""
+guarantee that tracing records the same counts. A block holds counts
+only: the execution's one clock is its query record's ``execute`` slot."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.algebra.ops import (
 from repro.algebra.physical import ExecutionStats, Executor
 from repro.calculus import const, ge, proj, var
 from repro.calculus.ast import MonoidRef
+from repro.db import Database
 from repro.eval import Evaluator
 from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.values import Record
@@ -34,10 +36,9 @@ def world():
 
 
 def run_with_metrics(plan, world, indexes=None):
-    metrics = PlanMetrics()
-    executor = Executor(Evaluator(world), indexes, metrics=metrics)
+    executor = Executor(Evaluator(world), indexes)
     value = executor.execute(plan)
-    return value, metrics, executor.stats
+    return value, executor.metrics, executor.stats
 
 
 def node_snap(metrics, plan, op_type):
@@ -54,7 +55,6 @@ class TestPerOperator:
         snap = node_snap(metrics, plan, Scan)
         assert snap.rows_in == 0
         assert snap.rows_out == 3
-        assert snap.metrics.invocations == 1
         assert value == frozenset({10, 20, 30})
 
     def test_select(self, world):
@@ -161,7 +161,7 @@ class TestPerOperator:
 
 
 class TestSnapshotDerivations:
-    def test_self_time_at_most_inclusive_and_non_negative(self, world):
+    def test_rows_in_is_the_childrens_rows_out(self, world):
         plan = Reduce(
             MonoidRef("set"),
             proj(var("a"), "k"),
@@ -169,7 +169,14 @@ class TestSnapshotDerivations:
         )
         _, metrics, _ = run_with_metrics(plan, world)
         for snap in metrics.walk(plan):
-            assert 0 <= snap.self_time_ns <= max(snap.metrics.time_ns, snap.self_time_ns)
+            assert snap.rows_in == sum(child.rows_out for child in snap.children)
+
+    def test_a_block_holds_counts_only(self, world):
+        fields = [f.name for f in dataclasses.fields(OperatorMetrics)]
+        assert fields == ["rows_out", "hash_builds", "index_probes"]
+        plan = Reduce(MonoidRef("sum"), const(1), Scan("a", var("Ls")))
+        _, metrics, _ = run_with_metrics(plan, world)
+        assert all(set(vars(s.metrics)) == set(fields) for s in metrics.walk(plan))
 
     def test_equal_nodes_in_different_positions_do_not_share_counters(self, world):
         # structurally-equal scans must be metered separately (id-keyed)
@@ -183,11 +190,10 @@ class TestSnapshotDerivations:
 
     def test_execute_resets_metrics_between_runs(self, world):
         plan = Reduce(MonoidRef("set"), proj(var("a"), "k"), Scan("a", var("Ls")))
-        metrics = PlanMetrics()
-        executor = Executor(Evaluator(world), metrics=metrics)
+        executor = Executor(Evaluator(world))
         executor.execute(plan)
         executor.execute(plan)
-        assert node_snap(metrics, plan, Scan).rows_out == 3  # not 6
+        assert node_snap(executor.metrics, plan, Scan).rows_out == 3  # not 6
 
 
 class TestSeedPathUntouched:
@@ -214,11 +220,8 @@ class TestSeedPathUntouched:
         assert off.value == on.value
         assert off.stats.as_dict() == on.stats.as_dict()
         assert off.engine == on.engine == "algebra"
-        # One record either way: the same counts per node, wall time
-        # only where tracing asked for it.
+        # One record either way: the same counts per node.
         assert _counts(off) == _counts(on)
-        assert all(s.metrics.time_ns == 0 for s in off.metrics.walk(off.plan))
-        assert node_snap(on.metrics, on.plan, Reduce).metrics.time_ns > 0
 
     def test_profile_off_restores_untraced_pipeline(self):
         from repro.db import demo_travel_database
@@ -230,18 +233,20 @@ class TestSeedPathUntouched:
         db.profile(False)
         result = db.run_detailed(self.QUERY)
         assert result.span is None
-        assert all(s.metrics.time_ns == 0 for s in result.metrics.walk(result.plan))
         assert db.query_log is None
 
-    def test_metrics_flag_without_tracing(self):
+    def test_no_switch_asks_for_a_timer(self):
+        from repro.cache.prepared import Prepared
         from repro.db import demo_travel_database
 
+        assert "metrics" not in inspect.signature(Database.run_detailed).parameters
+        assert "metrics" not in inspect.signature(Prepared.run_detailed).parameters
         db = demo_travel_database(num_cities=4, seed=1)
         db.disable_telemetry()
-        result = db.run_detailed(self.QUERY, metrics=True)
+        result = db.run_detailed(self.QUERY)
         assert result.span is None  # no tracer involved
         assert node_snap(result.metrics, result.plan, Scan).rows_out == 4
-        assert node_snap(result.metrics, result.plan, Reduce).metrics.time_ns > 0
+        assert "execute" in result.record.phases_ms()  # the one clock
 
     def test_no_plan_no_record(self):
         from repro.db import demo_travel_database
@@ -253,8 +258,7 @@ class TestSeedPathUntouched:
 
 def _counts(result):
     return [
-        (s.node.label(), s.metrics.invocations, s.rows_out,
-         s.metrics.hash_builds, s.metrics.index_probes)
+        (s.node.label(), s.rows_out, s.metrics.hash_builds, s.metrics.index_probes)
         for s in result.metrics.walk(result.plan)
     ]
 

@@ -2,16 +2,19 @@
 stamps are for event timestamps only.
 
 The observability layer's contract (documented in
-``docs/OBSERVABILITY.md``): anything that measures *how long* — tracer
-spans, operator metrics, telemetry histograms, benchmark medians — must
-use ``time.perf_counter``/``perf_counter_ns`` (or ``time.monotonic``
-for the rolling window), which never jump under NTP. Wall clock
+``docs/OBSERVABILITY.md``): anything that measures *how long* — the query
+record's phases, telemetry histograms, benchmark medians — must use
+``time.perf_counter``/``perf_counter_ns`` (or ``time.monotonic`` for the
+rolling window), which never jump under NTP. Wall clock
 (``time.time``/``time.time_ns``) is only legal for *when it happened*
 fields: the query log's ``ts``. This test
-scans the source so a stray ``time.time()`` duration can't creep in.
+scans the source so a stray ``time.time()`` duration can't creep in, and
+so that a query's execution has one clock: its record's ``execute`` slot.
 """
 
+import io
 import re
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -62,10 +65,17 @@ class TestDurationSources:
         assert "perf_counter" in text
         assert not _WALL.search(text)
 
-    def test_operator_metrics_use_perf_counter(self):
-        text = (SRC / "algebra" / "physical.py").read_text(encoding="utf-8")
-        assert "perf_counter" in text
-        assert not _WALL.search(text)
+    def test_src_reads_a_duration_clock_in_two_files(self):
+        # the query record's phases, and the telemetry window's rate
+        assert _duration_clock_files(SRC) == {
+            "obs/tracer.py": {"perf_counter_ns"},
+            "obs/telemetry/registry.py": {"monotonic"},
+        }
+
+    def test_the_duration_scan_sees_code_not_prose(self):
+        assert _duration_clocks("t = time.perf_counter_ns()\n") == {"perf_counter_ns"}
+        assert _duration_clocks("from time import monotonic as m\n") == {"monotonic"}
+        assert _duration_clocks('"""time.perf_counter_ns"""  # process_time()\n') == set()
 
     def test_telemetry_durations_use_perf_counter(self):
         # The recorders are handed seconds; Database._run takes them.
@@ -96,6 +106,60 @@ class TestDurationSources:
 
         ts = db.query_log.entries[-1]["ts"]
         assert abs(ts - time.time()) < 60  # a real wall-clock stamp
+
+
+#: the clocks that measure a duration
+_DURATION_CLOCKS = {
+    f"{name}{suffix}" for name in ("perf_counter", "monotonic", "process_time")
+    for suffix in ("", "_ns")
+}
+
+
+def _duration_clocks(source: str) -> set[str]:
+    """The duration clocks ``source`` names in code (not in strings or comments)."""
+    return {
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.NAME and token.string in _DURATION_CLOCKS
+    }
+
+
+def _duration_clock_files(root: Path) -> dict[str, set[str]]:
+    found = {
+        path.relative_to(root).as_posix(): _duration_clocks(path.read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.py"))
+    }
+    return {path: clocks for path, clocks in found.items() if clocks}
+
+
+class TestOneClockPerExecution:
+    """EXPLAIN ANALYZE shows one execution time, the query record's."""
+
+    QUERY = "select distinct h.name from c in Cities, h in c.hotels where h.stars >= 2"
+
+    def test_the_roots_time_is_the_execute_phase(self):
+        from repro.db.database import demo_travel_database
+        from repro.obs.explain import render_explain
+
+        db = demo_travel_database(num_cities=3, seed=1)
+        doc = db.explain_data(self.QUERY, analyze=True)
+        text = render_explain(doc)
+        execute = re.search(r"\bexecute=(\d+\.\d{3})ms", text).group(1)
+        assert re.findall(r"\btime=(\d+\.\d{3})ms", text) == [execute]
+        assert f"{doc['phases_ms']['execute']:.3f}" == execute
+        root = next(line for line in text.splitlines() if "time=" in line)
+        assert root.startswith("Reduce")
+
+    def test_no_plan_node_carries_a_time(self):
+        from repro.db.database import demo_travel_database
+
+        db = demo_travel_database(num_cities=3, seed=1)
+        stack = [db.explain_data(self.QUERY, analyze=True)["plan"]]
+        while stack:
+            node = stack.pop()
+            assert "actual_rows" in node
+            assert not {"invocations", "time_ms", "self_time_ms"} & set(node), node
+            stack.extend(node.get("children", ()))
 
 
 #: a clock read: a call of one of the clocks, or one handed on uncalled

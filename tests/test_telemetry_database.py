@@ -13,7 +13,7 @@ import pytest
 from repro.db.database import Database, demo_travel_database
 from repro.errors import ReproError
 from repro.obs.telemetry.cli import main as metrics_main
-from repro.obs.telemetry.instrument import summary_lines
+from repro.obs.telemetry.instrument import CATALOG, summary_lines
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.obs.tracer import PIPELINE_PHASES
 
@@ -69,8 +69,13 @@ class TestRunInstrumentation:
 
     def test_operator_and_executor_counters(self, db, registry):
         db.enable_telemetry(registry)
-        db.run(QUERY)
-        assert registry.total("repro_operator_invocations_total") > 0
+        result = db.run_detailed(QUERY)
+        assert registry.total("repro_operator_rows_total") == sum(
+            block.rows_out for _, block in result.metrics.blocks(result.plan)
+        )
+        assert registry.total("repro_executor_rows_total") > 0
+        # a plan node per query is no work: that metric is gone
+        assert "repro_operator_invocations_total" not in CATALOG
 
     def test_cache_bridge_deltas(self, db, registry):
         db.enable_telemetry(registry)
@@ -198,19 +203,17 @@ class TestOneRecord:
         assert registry.total("repro_rows_returned_total") == rows
         assert registry.fingerprints.top(1)[0].rows == rows
 
-    def test_telemetry_alone_times_no_operator(self, db, registry):
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_telemetry_counts_the_same_traced_or_not(self, db, registry, traced):
         db.enable_telemetry(registry)
-        db.tracer.enabled = False
+        db.tracer.enabled = traced
         result = db.run_detailed(NESTED_QUERY)
-        assert all(block.time_ns == 0 for _, block in result.metrics.blocks(result.plan))
-        assert result.span is None  # the histograms read the query's record
+        assert (result.span is not None) is traced
         ops = "repro_operator_rows_total"
         assert registry.value(ops, operator="Scan") == result.stats.rows_scanned == 4
         assert registry.value(ops, operator="Reduce") == len(result.value)
-        # asked for, the same run is timed, on its root alone
-        timed = db.run_detailed(NESTED_QUERY, metrics=True)
-        times = [block.time_ns for _, block in timed.metrics.blocks(timed.plan)]
-        assert times[0] > 0 and not any(times[1:])
+        # the execution's time is the query record's slot, traced or not
+        assert registry.histogram("repro_phase_seconds", phase="execute").count == 1
 
     def test_fingerprint_is_paid_per_compile_not_per_run(self, db, registry, monkeypatch):
         from repro.cache import keys

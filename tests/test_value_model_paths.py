@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.jit.runtime as jit_runtime
+from repro.algebra import Executor, build_plan
 from repro.cache import CacheConfig
+from repro.calculus.parser import parse_calculus
 from repro.db.database import demo_company_database, demo_travel_database
 from repro.errors import EvaluationError
 from repro.eval import Evaluator
 from repro.eval.builtins import runtime_monoid_of
+from repro.eval.evaluator import INDEXED_SOURCE_ERROR
 from repro.jit.runtime import Runtime
 from repro.monoids import BAG
 from repro.values import Bag, OrderedSet, Record, Vector
@@ -77,9 +80,18 @@ class TestIterate:
         source = SOURCES[name]
         with pytest.raises(EvaluationError) as err:
             rt.iterate(source, True)
-        assert str(err.value) == (
-            f"indexed scan requires an ordered collection, got {type(source).__name__}"
-        )
+        assert str(err.value) == INDEXED_SOURCE_ERROR.format(type(source).__name__)
+
+    @pytest.mark.parametrize("name", sorted(set(SOURCES) - ORDERED - {"vector"}))
+    def test_indexed_unordered_is_the_interpreters_error(self, name):
+        term = parse_calculus("sum{ i | x[i] <- Xs }")
+        world = {"Xs": SOURCES[name]}
+        with pytest.raises(EvaluationError) as reference:
+            Evaluator(world).evaluate(term)
+        with pytest.raises(EvaluationError) as generated:
+            Executor(Evaluator(world)).execute(build_plan(term))
+        assert str(generated.value) == str(reference.value)
+        assert str(reference.value) == INDEXED_SOURCE_ERROR.format(type(SOURCES[name]).__name__)
 
     @pytest.mark.parametrize("indexed", [False, True])
     @pytest.mark.parametrize("value", [7, None, 2.5, Record(a=1)], ids=repr)

@@ -327,7 +327,8 @@ def test_fields_named_like_dict_methods_answer_on_every_engine():
     assert fused(db.compile(oql).plan) is not None
     assert db.run_detailed(oql).jit is not None  # the generated function
     assert db.run(oql) == expected
-    assert db.run_detailed(oql, metrics=True).value == expected
+    db.profile(True)
+    assert db.run_detailed(oql).value == expected  # traced
     assert rows[0]["copy"] == 1 and rows[0].copy() is rows[0]  # attribute access is shadowed
 
 
