@@ -309,13 +309,17 @@ class Evaluator:
             if op == "intersect":
                 return left.intersection(right)
             return left.difference(right)
-        if op == "union":
+        kinds = f"{type(left).__name__} and {type(right).__name__}"
+        if op != "union":
+            raise EvaluationError(f"{op} requires two sets or two bags, got {kinds}")
+        try:
             monoid = runtime_monoid_of(left)
-            return monoid.merge(left, right)
-        raise EvaluationError(
-            f"{op} requires two sets or two bags, got "
-            f"{type(left).__name__} and {type(right).__name__}"
-        )
+            same = monoid == runtime_monoid_of(right)
+        except EvaluationError:  # one side is no collection
+            same = False
+        if not same:
+            raise EvaluationError(f"union requires two collections of one kind, got {kinds}")
+        return monoid.merge(left, right)
 
     def _eval_unop(self, term: UnOp, env: Env) -> Any:
         value = self._eval(term.operand, env)

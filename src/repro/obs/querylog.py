@@ -1,11 +1,14 @@
 """Structured query logging: one JSON line per executed query.
 
-Opt-in via :meth:`Database.profile <repro.db.database.Database.profile>`
+The session's one history of queries: each database owns one
+:class:`QueryLog`, recording while
+:meth:`Database.profile <repro.db.database.Database.profile>` has it on
 (or ``:profile on`` in the REPL). Each entry carries everything needed
 to find a regression after the fact without storing the query text
 itself: a wall-clock ``ts`` stamp, a stable hash of the OQL, the
 engine that answered it, the phase and total times of the query's
-:class:`~repro.obs.tracer.QueryRecord`, the executor's row counters,
+:class:`~repro.obs.tracer.QueryRecord` (its :meth:`~repro.obs.tracer.QueryRecord.as_dict`
+form, which EXPLAIN ANALYZE also carries), the executor's row counters,
 and the normalizer's rule-fire counts. A failed query's entry names its
 error class instead of the engine, counters and rule fires.
 
@@ -62,11 +65,8 @@ def query_log_entry(
         # the outside world. All durations stay on perf_counter.
         "ts": round(time.time(), 6),
         "oql_sha256": oql_fingerprint(record.oql),
-        "total_ms": round(record.total_ms, 3),
-        "phases_ms": {name: round(ms, 3) for name, ms in record.phases_ms().items()},
+        **record.as_dict(),
     }
-    if record.cache:
-        entry["cache"] = dict(record.cache)
     if result is None:
         entry["error"] = record.error
     else:
@@ -81,42 +81,29 @@ def query_log_entry(
 
 
 class QueryLog:
-    """Accumulates query entries and optionally streams them as JSONL.
+    """The session's one query history, optionally streamed as JSONL.
 
-    ``sink`` is any ``str -> None`` callable (e.g. ``print``, a file's
-    ``write`` wrapped to add newlines, or a REPL's output function);
-    when None the entries are only kept on :attr:`entries` (a bounded
-    window of the newest ones). ``path``
-    additionally appends each line to a file, rotated before any write
-    that would push the file past ``max_bytes`` (``None`` disables
-    rotation); ``backups`` old files are kept as ``path.1..path.N``. A
-    ``path`` that cannot be opened for appending is rejected here, with a
-    :class:`~repro.errors.ReproError`, so no query fails for a logging
-    reason.
+    A :class:`~repro.db.database.Database` owns one log for its whole
+    life and hands it each finished or failed query's record while
+    :attr:`enabled` is True; :meth:`~repro.db.database.Database.profile`
+    switches it, and switching it on takes new settings (:meth:`reset`).
+
+    Its settings are :meth:`reset`'s arguments. ``sink`` is any
+    ``str -> None`` callable (e.g. ``print``, a file's ``write`` wrapped
+    to add newlines, or a REPL's output function); when None the entries
+    are only kept on :attr:`entries` (a bounded window of the newest
+    ones). ``path`` additionally appends each line to a file, rotated
+    before any write that would push the file past ``max_bytes``
+    (``None`` disables rotation); ``backups`` old files are kept as
+    ``path.1..path.N``. A
+    ``path`` that cannot be opened for appending is rejected with a
+    :class:`~repro.errors.ReproError` before any setting changes, so no
+    query fails for a logging reason.
     """
 
-    def __init__(
-        self,
-        sink: Optional[Callable[[str], None]] = None,
-        slow_ms: Optional[float] = None,
-        path: Optional[str] = None,
-        max_bytes: Optional[int] = None,
-        backups: int = 3,
-    ) -> None:
-        self.sink = sink
-        self.slow_ms = slow_ms
-        self.path = os.fspath(path) if path is not None else None
-        if self.path is not None:
-            try:
-                open(self.path, "ab").close()
-            except OSError as err:
-                raise ReproError(
-                    f"cannot write the query log to {self.path!r}: {err.strerror}"
-                ) from err
-        self.max_bytes = max_bytes
-        self.backups = max(0, backups)
-        #: file rollovers performed so far
-        self.rotations = 0
+    def __init__(self) -> None:
+        #: whether the owning database records its queries here
+        self.enabled = False
         #: the newest :data:`MAX_ENTRIES` entries, oldest first
         self.entries: deque[dict[str, Any]] = deque(maxlen=MAX_ENTRIES)
         # One lock covers entries, the sink, and the rotate+append file
@@ -125,18 +112,51 @@ class QueryLog:
         # rotation against an in-flight append (losing the line into the
         # just-rolled file). RLock because rotate() is also public.
         self._lock = threading.RLock()
+        self.reset()
+
+    def reset(
+        self,
+        sink: Optional[Callable[[str], None]] = None,
+        slow_ms: Optional[float] = None,
+        path: Optional[str] = None,
+        max_bytes: Optional[int] = None,
+        backups: int = 3,
+    ) -> None:
+        """Take new settings and start a fresh history (no entries, no
+        rotations), or raise and change nothing when ``path`` cannot be
+        written."""
+        if path is not None:
+            path = os.fspath(path)
+            try:
+                open(path, "ab").close()
+            except OSError as err:
+                raise ReproError(
+                    f"cannot write the query log to {path!r}: {err.strerror}"
+                ) from err
+        with self._lock:
+            self.sink = sink
+            self.slow_ms = slow_ms
+            self.path = path
+            self.max_bytes = max_bytes
+            self.backups = max(0, backups)
+            #: file rollovers performed so far
+            self.rotations = 0
+            self.entries.clear()
 
     def record(self, record: QueryRecord, result: Any = None) -> dict[str, Any]:
         """Append (and emit) the entry for one finished or failed query.
 
         Thread-safe: concurrent recorders serialize on an internal lock
         so JSONL lines never interleave and rotation never splits or
-        drops an entry.
+        drops an entry. The entry is serialized only when a sink or a
+        file receives it.
         """
         entry = query_log_entry(record, result, self.slow_ms)
-        line = json.dumps(entry, sort_keys=True)
         with self._lock:
             self.entries.append(entry)
+            if self.sink is None and self.path is None:
+                return entry
+            line = json.dumps(entry, sort_keys=True)
             if self.sink is not None:
                 self.sink(line)
             if self.path is not None:

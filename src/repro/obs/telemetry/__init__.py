@@ -1,7 +1,7 @@
 """Fleet telemetry: a process-wide metrics registry with a Prometheus exporter.
 
 The package turns the per-query observability of :mod:`repro.obs`
-(tracer spans, operator metrics, EXPLAIN ANALYZE) into *aggregate*
+(query records, operator metrics, EXPLAIN ANALYZE) into *aggregate*
 telemetry a monitoring stack can scrape:
 
 - :mod:`.registry` — one lock over one flat table keyed by

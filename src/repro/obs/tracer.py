@@ -1,4 +1,4 @@
-"""One record per query, and the session tracer that keeps span trees.
+"""One record per query: the phase times every reader reads.
 
 Every query a :class:`~repro.db.database.Database` runs gets one
 :class:`QueryRecord`, and the pipeline writes each phase it runs into
@@ -20,31 +20,24 @@ compile- or result-cache hit marks the phases it skipped as cached
 (:attr:`QueryRecord.cached`) instead of timing them.
 
 Everything that reports a query's time reads its finished record: the
-``QueryResult``, EXPLAIN ANALYZE, the query log, telemetry's phase
-histograms and — only while it is enabled — the session
-:class:`Tracer`, which builds one :class:`TraceSpan` tree from the
-record (:meth:`QueryRecord.to_span`) and retains it. Span trees export
-two ways: :meth:`Tracer.to_events` flattens every retained root into a
-list of JSON-ready event dicts (one per span, with a ``parent`` index),
-and :func:`render_span` draws one root as an indented tree with
-durations — the form the REPL prints. The schema is documented in
-``docs/OBSERVABILITY.md``.
+``QueryResult``, EXPLAIN ANALYZE, telemetry's phase histograms and —
+only while :meth:`~repro.db.database.Database.profile` is on — the
+query log, the session's one history. The log and EXPLAIN ANALYZE share
+the record's one JSON form, :meth:`QueryRecord.as_dict`; the schema is
+documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Any, Optional
 
 #: Every phase of the query pipeline, in pipeline order: the schema of
 #: a :class:`QueryRecord` (with ``cache``, :data:`SLOTS`), so the result,
-#: EXPLAIN ANALYZE, the query log, the span tree and the telemetry phase
-#: histograms all name the same phases — a phase renamed here renames
-#: everywhere. ``lint`` is the ``strict=True`` stage of ``compile``: it
-#: reads the term ``translate`` just made.
+#: EXPLAIN ANALYZE, the query log and the telemetry phase histograms all
+#: name the same phases — a phase renamed here renames everywhere.
+#: ``lint`` is the ``strict=True`` stage of ``compile``: it reads the
+#: term ``translate`` just made.
 PIPELINE_PHASES = (
     "parse",
     "translate",
@@ -63,9 +56,6 @@ SLOTS = ("cache",) + PIPELINE_PHASES
 
 _SLOT = {name: index for index, name in enumerate(SLOTS)}
 
-#: How many finished root spans a :class:`Tracer` retains (the newest).
-MAX_ROOTS = 1024
-
 
 class QueryRecord:
     """One query's phase times, total time, cache outcome and error.
@@ -76,7 +66,7 @@ class QueryRecord:
     """
 
     __slots__ = (
-        "oql", "cache", "cached", "error", "ns", "starts", "start_ns", "total_ns",
+        "oql", "cache", "cached", "error", "ns", "start_ns", "total_ns",
         "_slot", "_t0",
     )
 
@@ -91,8 +81,6 @@ class QueryRecord:
         self.error: Optional[str] = None
         #: nanoseconds spent per slot (None: the query never entered it)
         self.ns: list[Optional[int]] = [None] * len(SLOTS)
-        #: ``perf_counter_ns`` when each slot was first entered
-        self.starts: list[int] = [0] * len(SLOTS)
         self.total_ns = 0
         self.start_ns = perf_counter_ns()
 
@@ -110,7 +98,6 @@ class QueryRecord:
         spent = self.ns[slot]
         if spent is None:
             self.ns[slot] = elapsed
-            self.starts[slot] = self._t0
         else:
             self.ns[slot] = spent + elapsed
 
@@ -135,131 +122,14 @@ class QueryRecord:
                 out[name] = 0.0
         return out
 
-    def to_span(self) -> "TraceSpan":
-        """The record as a span tree: a ``query`` root with one child
-        per slot, a cached phase as a zero-length child marked
-        ``cached``."""
-        start = self.start_ns / 1e9
-        root = TraceSpan("query", start, self.total_ns / 1e9)
-        for slot, name in enumerate(SLOTS):
-            spent = self.ns[slot]
-            if spent is not None:
-                root.children.append(TraceSpan(name, self.starts[slot] / 1e9, spent / 1e9))
-            elif name in self.cached:
-                root.children.append(TraceSpan(name, start, meta={"cached": True}))
-        return root
-
-
-@dataclass
-class TraceSpan:
-    """One timed region: a name, a duration, metadata and children."""
-
-    name: str
-    start: float  # perf_counter seconds, comparable within one process
-    duration: float = 0.0  # seconds
-    meta: dict[str, Any] = field(default_factory=dict)
-    children: list["TraceSpan"] = field(default_factory=list)
-
-    @property
-    def duration_ms(self) -> float:
-        return self.duration * 1e3
-
-    def to_dict(self) -> dict[str, Any]:
-        """Nested JSON-ready form of this span subtree."""
+    def as_dict(self) -> dict[str, Any]:
+        """The record's one JSON form, which the query log and EXPLAIN
+        ANALYZE both carry: ``total_ms`` and ``phases_ms`` rounded to the
+        microsecond, and ``cache`` when a cache was consulted."""
         out: dict[str, Any] = {
-            "name": self.name,
-            "duration_ms": round(self.duration_ms, 6),
+            "total_ms": round(self.total_ms, 3),
+            "phases_ms": {name: round(ms, 3) for name, ms in self.phases_ms().items()},
         }
-        if self.meta:
-            out["meta"] = dict(self.meta)
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
+        if self.cache:
+            out["cache"] = dict(self.cache)
         return out
-
-
-class Tracer:
-    """The session's retained span trees, one root per traced query.
-
-    A :class:`~repro.db.database.Database` hands its tracer each
-    finished or failed query's record while ``enabled`` is True
-    (:meth:`add`); it changes nothing about how a query executes.
-
-    >>> tracer = Tracer(enabled=True)
-    >>> record = QueryRecord("count(Cities)")
-    >>> with record.phase("parse"):
-    ...     pass
-    >>> record.finish()
-    >>> [child.name for child in tracer.add(record).children]
-    ['parse']
-    """
-
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
-        #: the newest :data:`MAX_ROOTS` query roots, oldest first — a
-        #: ring, so a long traced session stays bounded
-        self.roots: deque[TraceSpan] = deque(maxlen=MAX_ROOTS)
-        # ``roots`` is shared by every thread that runs queries.
-        self._roots_lock = threading.Lock()
-
-    def add(self, record: QueryRecord) -> TraceSpan:
-        """Retain ``record``'s span tree; returns its root."""
-        root = record.to_span()
-        with self._roots_lock:
-            self.roots.append(root)
-        return root
-
-    def reset(self) -> None:
-        """Drop every retained root."""
-        with self._roots_lock:
-            self.roots.clear()
-
-    def to_events(self) -> list[dict[str, Any]]:
-        """Every retained span as a flat, JSON-ready event list.
-
-        Events appear in pre-order; ``parent`` is the index of the
-        enclosing span's event (None for roots) and ``start_ms`` is
-        relative to the first retained root.
-        """
-        events: list[dict[str, Any]] = []
-        roots = self._retained()
-        if not roots:
-            return events
-        epoch = roots[0].start
-
-        def walk(span: TraceSpan, parent: Optional[int]) -> None:
-            index = len(events)
-            event: dict[str, Any] = {
-                "name": span.name,
-                "start_ms": round((span.start - epoch) * 1e3, 6),
-                "duration_ms": round(span.duration_ms, 6),
-                "parent": parent,
-            }
-            if span.meta:
-                event["meta"] = dict(span.meta)
-            events.append(event)
-            for child in span.children:
-                walk(child, index)
-
-        for root in roots:
-            walk(root, None)
-        return events
-
-    def render(self) -> str:
-        """All retained roots as indented trees, one line per span."""
-        return "\n".join(render_span(root) for root in self._retained())
-
-    def _retained(self) -> list[TraceSpan]:
-        # A copy: a deque may not be appended to while it is iterated.
-        with self._roots_lock:
-            return list(self.roots)
-
-
-def render_span(span: TraceSpan, indent: int = 0) -> str:
-    """One span subtree as an indented tree with durations."""
-    pad = "  " * indent
-    if span.meta.get("cached"):
-        lines = [f"{pad}{span.name:<12}  (cached)"]
-    else:
-        lines = [f"{pad}{span.name:<12} {span.duration_ms:9.3f} ms"]
-    lines.extend(render_span(child, indent + 1) for child in span.children)
-    return "\n".join(lines)

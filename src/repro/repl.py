@@ -11,7 +11,7 @@ Run with ``python -m repro``. Commands:
 ``\\plan <query>``     show translation, normal form and the plan
 ``\\define n as q``    define a named view
 ``:lint on|off``      toggle post-query lint diagnostics (default on)
-``:profile on|off``   toggle tracing + the JSON query log (default off)
+``:profile on|off``   toggle the JSON query log (default off)
 ``:cache on|off|stats``  toggle the query cache / show its counters
 ``:stats [on|off|top]``  toggle fleet telemetry / show its digest
 ``\\extents``          list extents and sizes
@@ -107,7 +107,7 @@ class Repl:
             elif rest:
                 self.out("usage: :profile on|off")
                 return
-            self.out(f"profile is {'on' if self.db.tracer.enabled else 'off'}")
+            self.out(f"profile is {'on' if self.db.query_log.enabled else 'off'}")
         elif name == "cache":
             if rest == "on":
                 self.db.enable_cache()

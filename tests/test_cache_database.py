@@ -201,13 +201,13 @@ class TestObservability:
         assert second.cache == {"compile": "hit", "result": "hit"}
         assert second.stats is None  # nothing executed
 
-    def test_cached_spans_render(self):
+    def test_cached_phases_log_zero(self):
         _, db = _pair()
         db.profile(True)
         db.run(BATTERY[0])
         db.run(BATTERY[0])
-        rendered = db.tracer.render()
-        assert "(cached)" in rendered
+        phases = db.query_log.entries[-1]["phases_ms"]
+        assert phases["parse"] == phases["execute"] == 0.0
         db.profile(False)
 
     def test_querylog_carries_cache_info(self):

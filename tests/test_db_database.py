@@ -40,6 +40,29 @@ class TestLoading:
             db.load_extent("Xs", [{"a": 2}])
         db.load_extent("Xs", [{"a": 2}], replace=True)
 
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda db: db.load_extent("X", 5),
+            lambda db: db.load_extents({"X": 5}),
+            lambda db: db.load_objects("X", "City", 5),
+        ],
+        ids=["load_extent", "load_extents", "load_objects"],
+    )
+    def test_rows_that_are_no_iterable_are_a_database_error(self, load):
+        db = Database(travel_schema())
+        with pytest.raises(DatabaseError, match="extent 'X' needs an iterable of rows, got int"):
+            load(db)
+
+    @pytest.mark.parametrize("leading", [0, 1], ids=["alone", "after_a_city"])
+    def test_object_rows_that_are_no_dicts_are_a_database_error(self, leading):
+        db = Database(travel_schema())
+        city = {"name": "Bend", "hotels": set(), "hotel_count": 0,
+                "population": 1, "state": "OR"}
+        with pytest.raises(DatabaseError, match="extent 'Cities' needs dict rows, got int"):
+            db.load_objects("Cities", "City", [city] * leading + [5])
+        assert list(db.registry.all_objects()) == []  # no row was half-loaded
+
     def test_unknown_extent_in_query(self):
         db = Database()
         from repro.errors import UnboundVariableError
@@ -113,6 +136,32 @@ class TestQuerying:
 
     def test_explain_non_comprehension(self, travel_db):
         assert "not a comprehension" in travel_db.explain("count(Cities)")
+
+    @pytest.mark.parametrize(
+        "query, kinds",
+        [
+            ("set(1,2) union bag(1,2)", "frozenset and Bag"),
+            ("bag(1,2) union set(1,2)", "Bag and frozenset"),
+            ("'ab' union set(1,2)", "str and frozenset"),
+            ("list(1,2) union 1", "tuple and int"),
+        ],
+    )
+    @pytest.mark.parametrize("engine", ["auto", "interpret"])
+    def test_union_of_two_kinds_is_an_evaluation_error(self, travel_db, query, kinds, engine):
+        from repro.errors import EvaluationError
+
+        with pytest.raises(
+            EvaluationError, match=f"union requires two collections of one kind, got {kinds}"
+        ):
+            travel_db.run(query, engine=engine)
+
+    @pytest.mark.parametrize(
+        "query, value",
+        [("list(1,2) union list(3)", (1, 2, 3)), ("'ab' union 'cd'", "abcd")],
+    )
+    @pytest.mark.parametrize("engine", ["auto", "interpret"])
+    def test_union_of_one_kind_merges(self, travel_db, query, value, engine):
+        assert travel_db.run(query, engine=engine) == value
 
 
 class TestIndexes:

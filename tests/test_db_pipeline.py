@@ -170,23 +170,23 @@ def test_same_outcomes_with_and_without_cache(oql, how, strict, typecheck):
     )
 
 
-# -- EXPLAIN ANALYZE leaves the shared tracer alone ---------------------------
+# -- EXPLAIN ANALYZE leaves the shared query log alone ------------------------
 
 
-def test_explain_analyze_does_not_swap_the_shared_tracer():
+def test_explain_analyze_does_not_swap_the_query_log():
     db = travel()
-    original = db.tracer
+    original = db.query_log
     seen = []
 
     def probe(value):
-        seen.append(db.tracer is original)
+        seen.append(db.query_log is original)
         db.profile(True)  # a toggle during EXPLAIN must not be lost
         return value
 
     db.register_function("probe", probe)
     doc = db.explain_data("select distinct probe(c.name) from c in Cities", analyze=True)
     assert seen and all(seen)
-    assert db.tracer is original and db.tracer.enabled
+    assert db.query_log is original and db.query_log.enabled
     assert "execute" in doc["phases_ms"]  # EXPLAIN reads the query's record
 
 

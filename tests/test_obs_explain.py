@@ -294,4 +294,4 @@ class TestRepl:
         assert "profile is on" in text
         assert '"event": "query"' in text  # the streamed JSONL entry
         assert "profile is off" in text
-        assert repl.db.query_log is None
+        assert repl.db.query_log.enabled is False

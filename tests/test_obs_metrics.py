@@ -216,7 +216,7 @@ class TestSeedPathUntouched:
         off = plain.run_detailed(self.QUERY)
         on = traced.run_detailed(self.QUERY)
 
-        assert off.span is None and on.span is not None
+        assert not plain.query_log.entries and len(traced.query_log.entries) == 1
         assert off.value == on.value
         assert off.stats.as_dict() == on.stats.as_dict()
         assert off.engine == on.engine == "algebra"
@@ -229,11 +229,11 @@ class TestSeedPathUntouched:
         db = demo_travel_database(num_cities=4, seed=1)
         db.disable_telemetry()
         db.profile(True)
-        assert db.run_detailed("count(Cities)").span is not None
+        db.run("count(Cities)")
         db.profile(False)
-        result = db.run_detailed(self.QUERY)
-        assert result.span is None
-        assert db.query_log is None
+        db.run(self.QUERY)
+        assert db.query_log.enabled is False
+        assert len(db.query_log.entries) == 1  # kept, and not added to
 
     def test_no_switch_asks_for_a_timer(self):
         from repro.cache.prepared import Prepared
@@ -244,7 +244,7 @@ class TestSeedPathUntouched:
         db = demo_travel_database(num_cities=4, seed=1)
         db.disable_telemetry()
         result = db.run_detailed(self.QUERY)
-        assert result.span is None  # no tracer involved
+        assert not db.query_log.entries  # no history kept
         assert node_snap(result.metrics, result.plan, Scan).rows_out == 4
         assert "execute" in result.record.phases_ms()  # the one clock
 

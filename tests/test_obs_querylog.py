@@ -43,8 +43,7 @@ class TestFingerprint:
     def test_traced_runs_hash_once_in_the_log(self, db, count_calls):
         db.profile(True)
         calls = count_calls(oql_fingerprint)
-        result = db.run_detailed(QUERY)
-        assert result.span.meta == {}  # the span tree carries no hash
+        db.run(QUERY)
         assert db.query_log.entries[-1]["oql_sha256"] == oql_fingerprint(QUERY)
         assert len(calls) == 1  # the log entry's
 
@@ -132,13 +131,12 @@ class TestLifecycle:
         assert list(db.query_log.entries) == []
 
     def test_long_traced_session_stays_bounded(self, monkeypatch):
-        """``Tracer.roots`` and ``QueryLog.entries`` are rings: ten times
-        the bound of traced runs retains the newest bound's worth, the
-        sink still sees every entry."""
-        from repro.obs import querylog, tracer
+        """``QueryLog.entries`` is a ring: ten times the bound of traced
+        runs retains the newest bound's worth, the sink still sees every
+        entry."""
+        from repro.obs import querylog
 
         bound = 16
-        monkeypatch.setattr(tracer, "MAX_ROOTS", bound)
         monkeypatch.setattr(querylog, "MAX_ENTRIES", bound)
         db = demo_travel_database(num_cities=3, seed=11)
         db.disable_telemetry()
@@ -146,15 +144,12 @@ class TestLifecycle:
         db.profile(True, slow_ms=0.0, sink=lines.append)
         for _ in range(10 * bound):
             db.run("count(Cities)")
-        assert len(db.tracer.roots) == len(db.query_log.entries) == bound
+        assert len(db.query_log.entries) == bound
         assert len(lines) == 10 * bound
         assert json.loads(lines[-1]) == db.query_log.entries[-1]
         assert len(db.query_log.slow_queries()) == bound
-        roots = [e for e in db.tracer.to_events() if e["parent"] is None]
-        assert len(roots) == bound and roots[0]["start_ms"] == 0.0
-        db.tracer.reset()
         db.query_log.clear()
-        assert len(db.tracer.roots) == len(db.query_log.entries) == 0
+        assert len(db.query_log.entries) == 0
 
     def test_interpreter_queries_are_logged_too(self, db):
         db.profile(True)
@@ -165,33 +160,109 @@ class TestLifecycle:
         assert "plan" not in entry["phases_ms"]
 
 
-class TestReadersAgree:
-    """Each run, failed or nested, is one record: one root in the
-    tracer and one entry in the log."""
+class TestProfile:
+    """``profile()`` switches the database's one log: the same object
+    for the database's whole life, a fresh history each time it is
+    switched on, untouched by a call that fails."""
 
-    def test_a_failed_run_is_one_root_and_one_entry(self, db):
+    def test_one_log_for_the_databases_life(self, db, tmp_path):
+        log = db.query_log
+        assert log.enabled is False and not log.entries
+        db.profile(True)
+        db.profile(False)
+        db.profile(True, path=str(tmp_path / "q.log"), slow_ms=1.0)
+        assert db.query_log is log
+
+    def test_profile_on_again_starts_a_fresh_history(self, db):
+        db.profile(True)
+        db.run("count(Cities)")
+        db.profile(True)
+        db.run(QUERY)
+        assert [e["oql_sha256"] for e in db.query_log.entries] == [oql_fingerprint(QUERY)]
+
+    def test_profile_off_stops_recording_and_keeps_the_entries(self, db):
+        db.profile(True)
+        db.run(QUERY)
+        db.profile(False)
+        db.run("count(Cities)")
+        assert db.query_log.enabled is False
+        assert [e["oql_sha256"] for e in db.query_log.entries] == [oql_fingerprint(QUERY)]
+
+    @pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
+    def test_a_failed_profile_changes_nothing(self, db, tmp_path, enabled):
+        lines = []
+        db.profile(True, sink=lines.append, slow_ms=60_000.0)
+        db.run(QUERY)
+        db.profile(enabled)
+        log = db.query_log
+        before = (dict(vars(log)), list(log.entries))
+        with pytest.raises(ReproError, match="q.log"):
+            db.profile(True, path=str(tmp_path / "no" / "such" / "q.log"))
+        assert db.query_log is log
+        assert (dict(vars(log)), list(log.entries)) == before
+        assert log.enabled is enabled
+
+    def test_entries_are_serialized_only_for_a_sink_or_a_file(
+        self, db, tmp_path, monkeypatch
+    ):
+        from repro.obs import querylog
+
+        dumped = []
+        dumps = json.dumps
+
+        def counting(*args, **kwargs):
+            dumped.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(querylog.json, "dumps", counting)
+        db.profile(True)
+        db.run(QUERY)
+        assert dumped == []
+        db.profile(True, sink=lambda line: None)
+        db.run(QUERY)
+        db.profile(True, path=str(tmp_path / "q.log"))
+        db.run(QUERY)
+        assert len(dumped) == 2
+
+    def test_tracer_is_the_query_log_under_its_old_name(self, db):
+        assert db.tracer is db.query_log
+        db.tracer.enabled = True
+        db.run(QUERY)
+        assert len(db.query_log.entries) == 1
+        with pytest.raises(AttributeError):
+            db.tracer = None
+
+
+class TestOneEntryPerRun:
+    """Each run, failed or nested, is one record and one entry in the
+    log."""
+
+    def test_a_failed_run_is_one_entry(self, db):
         db.profile(True)
         db.run("count(Cities)")
         with pytest.raises(ReproError):
             db.run("select n.name from n in Nowhere")
-        assert len(db.tracer.roots) == len(db.query_log.entries) == 2
+        assert len(db.query_log.entries) == 2
         assert "error" in db.query_log.entries[-1]
 
-    def test_a_query_inside_a_query_is_its_own_root(self, db):
+    def test_a_query_inside_a_query_is_its_own_entry(self, db):
+        inner_oql = "count(select h from c in Cities, h in c.hotels)"
+        outer_oql = "select distinct hotels(c.name) from c in Cities where c.name != 'Bend'"
         inner = []
 
         def hotels(name):
-            inner.append(db.run("count(select h from c in Cities, h in c.hotels)"))
+            inner.append(db.run(inner_oql))
             return name
 
         db.register_function("hotels", hotels)
         db.disable_cache()  # every inner run executes (robust under REPRO_CACHE=1)
         db.profile(True)
-        db.run("select distinct hotels(c.name) from c in Cities where c.name != 'Bend'")
+        db.run(outer_oql)
         assert len(inner) >= 3  # once per city (verify mode may check a call twice)
-        assert len(db.tracer.roots) == len(db.query_log.entries) == 1 + len(inner)
-        outer = db.tracer.roots[-1]
-        assert [child.name for child in outer.children].count("execute") == 1
+        # the inner runs finish first, the outer one last: one entry each
+        assert [entry["oql_sha256"] for entry in db.query_log.entries] == (
+            [oql_fingerprint(inner_oql)] * len(inner) + [oql_fingerprint(outer_oql)]
+        )
 
 
 class TestFileRotation:

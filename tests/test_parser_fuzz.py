@@ -1,15 +1,19 @@
-"""Fuzzing the two parsers.
+"""Fuzzing the two parsers and ``Database.run``.
 
 1. Garbage in, *clean errors* out: random text must either parse or
    raise the dedicated syntax error — never an internal exception, a
    nesting too deep for Python's stack included.
-2. Printer/parser round trip on random calculus terms over every
+2. Random expressions over every carrier, run through ``Database.run``
+   on both engines, typed or not, answer a value or a ``ReproError`` —
+   and the same value from both engines.
+3. Printer/parser round trip on random calculus terms over every
    registered monoid: anything the pretty printer emits must parse back
    alpha-equal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 import repro.vectors.linalg  # noqa: F401  (registers csum and cell)
 from repro.calculus import alpha_equal, pretty
 from repro.calculus.parser import parse_calculus
-from repro.errors import CalculusError, OQLSyntaxError, ResourceLimitError
+from repro.errors import CalculusError, OQLSyntaxError, ReproError, ResourceLimitError
 from repro.monoids import PrimitiveMonoid, default_registry
 from repro.oql import parse as parse_oql
 
@@ -125,6 +129,67 @@ class TestDeepQueriesThroughDatabaseRun:
         monkeypatch.setattr(type(travel_db.evaluator()), "evaluate", overflow)
         with pytest.raises(ResourceLimitError, match="too deeply to execute"):
             travel_db.run("1 + 1", engine="interpret")
+
+
+# -- nothing but a ReproError escapes Database.run ----------------------------
+
+#: Atoms of every carrier, and paths bound by :data:`_FROM`.
+_ATOMS = [
+    "set(1,2)", "bag(1,2)", "list(1,2)", "'ab'", "1", "2.5", "true",
+    "struct(a: 1)", "c.name", "c.hotels", "h.rooms", "r.price",
+]
+_BINOPS = [
+    "union", "intersect", "except", "+", "-", "*", "/", "div", "mod",
+    "<", "=", "!=", "in", "and", "or",
+]
+_BUILTINS = [
+    "count", "sum", "avg", "max", "min", "abs", "length", "element",
+    "flatten", "listtoset", "first", "last",
+]
+_FROM = "from c in Cities, h in c.hotels, r in h.rooms"
+
+
+def _expressions(depth):
+    """OQL expressions up to ``depth`` operators deep over :data:`_ATOMS`."""
+    atoms = st.sampled_from(_ATOMS)
+    if depth == 0:
+        return atoms
+    inner = _expressions(depth - 1)
+    return st.one_of(
+        atoms,
+        st.tuples(inner, st.sampled_from(_BINOPS), inner).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(st.sampled_from(_BUILTINS), inner).map(lambda p: f"{p[0]}({p[1]})"),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _travel():
+    from repro.db import demo_travel_database
+
+    return demo_travel_database(num_cities=3, seed=1)
+
+
+def _outcome(oql, engine, typecheck):
+    """The query's value, or the :class:`ReproError` class it raised;
+    any other exception propagates and fails the test."""
+    try:
+        return True, _travel().run(oql, engine=engine, typecheck=typecheck)
+    except ReproError as err:
+        return False, type(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions(2))
+def test_nothing_but_a_repro_error_escapes_run(expression):
+    for oql in (
+        f"select distinct {expression} {_FROM}",
+        f"select distinct r.price {_FROM} where {expression}",
+    ):
+        for typecheck in (False, True):
+            algebra = _outcome(oql, "auto", typecheck)
+            reference = _outcome(oql, "interpret", typecheck)
+            if algebra[0] and reference[0]:
+                assert algebra[1] == reference[1], oql
 
 
 # -- round trip on random structured terms -----------------------------------

@@ -167,15 +167,14 @@ class TestRunInstrumentation:
         db.enable_telemetry(MetricsRegistry())
         assert db.run(QUERY) == plain
 
-    def test_tracer_override_does_not_leak(self, db, registry):
+    def test_query_log_override_does_not_leak(self, db, registry):
         db.enable_telemetry(registry)
         db.run(QUERY)
-        assert db.tracer.enabled is False
-        # A telemetered run still honours an explicitly enabled tracer.
+        assert db.query_log.enabled is False and not db.query_log.entries
+        # A telemetered run still honours an explicitly enabled log.
         db.profile(True)
-        result = db.run_detailed(QUERY)
-        assert result.span is not None
-        assert db.query_log.entries
+        db.run(QUERY)
+        assert len(db.query_log.entries) == 1
 
 
 class TestOneRecord:
@@ -206,9 +205,9 @@ class TestOneRecord:
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     def test_telemetry_counts_the_same_traced_or_not(self, db, registry, traced):
         db.enable_telemetry(registry)
-        db.tracer.enabled = traced
+        db.query_log.enabled = traced
         result = db.run_detailed(NESTED_QUERY)
-        assert (result.span is not None) is traced
+        assert len(db.query_log.entries) == traced
         ops = "repro_operator_rows_total"
         assert registry.value(ops, operator="Scan") == result.stats.rows_scanned == 4
         assert registry.value(ops, operator="Reduce") == len(result.value)
