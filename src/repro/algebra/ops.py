@@ -6,7 +6,8 @@ A plan is a tree of operators producing streams of *binding
 environments* (variable name -> value mappings):
 
 - :class:`Scan` — bind a variable to each element of an extent or any
-  independent collection expression;
+  independent collection expression — when that is a comprehension with
+  a plan of its own, that plan's value, run to completion first;
 - :class:`SelectOp` — filter bindings by a predicate term;
 - :class:`Join` — combine two independent streams (with an optional
   predicate; equi-join keys are detected for hash execution);
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Any, Iterator, NamedTuple, Optional
 
-from repro.calculus.ast import MonoidRef, Term, Var
+from repro.calculus.ast import Assign, MonoidRef, Term, Update, Var
 
 
 #: One reduction of a :class:`Nest`: ``(var, monoid, head, pred-or-None)``.
@@ -127,8 +128,10 @@ class PlanNode:
     def children(self) -> tuple["PlanNode", ...]:
         """Child operators in plan order (leaves return ())."""
         children = self.__dict__.get("_cached_children")
-        if children is None:
-            children = tuple([getattr(self, name) for name in self.CHILDREN])
+        if children is None:  # an optional child (a Scan's sub-plan) may be absent
+            children = tuple(
+                [child for name in self.CHILDREN if (child := getattr(self, name)) is not None]
+            )
             self.__dict__["_cached_children"] = children
         return children
 
@@ -156,6 +159,13 @@ class PlanNode:
         return self.render()
 
 
+def is_effect(pred: Term) -> bool:
+    """Whether a :class:`SelectOp` predicate is a §4.2 effect (``+=`` /
+    ``:=``, true once applied): an *effect filter*, which runs where the
+    program wrote it — no selection is placed past it, and it moves nowhere."""
+    return type(pred) is Update or type(pred) is Assign
+
+
 def plan_variables(plan: PlanNode) -> frozenset[str]:
     """Every variable bound by some operator in the plan tree."""
     return frozenset(name for node in plan.walk() for name in node.binds())
@@ -171,16 +181,24 @@ class Scan(PlanNode):
 
     ``source`` is a calculus term with no free plan variables — usually
     an extent name. ``index_var`` supports the vector generator form.
+    ``sub``, when present, is ``source``'s own plan (``source`` is then a
+    closed comprehension): it runs to completion before the first row is
+    bound, and its value is the collection scanned. Its variables are its
+    own — the Scan's columns are the Scan's binders alone.
     """
 
     var: str
     source: Term
     index_var: Optional[str] = None
+    sub: Optional["Reduce"] = None
 
-    CHILDREN = ()
+    CHILDREN = ("sub",)
 
     def binds(self) -> tuple[str, ...]:
         return (self.var, self.index_var) if self.index_var else (self.var,)
+
+    def _columns(self) -> frozenset[str]:
+        return frozenset(self.binds())
 
     def _exprs(self) -> tuple[Expr, ...]:
         # Evaluated in the global scope, where the scan's own names are
@@ -207,7 +225,7 @@ class SelectOp(PlanNode):
         return (Expr("pred_fn", "predicate", self.pred, self.child),)
 
     def label(self) -> str:
-        return f"Select {self.pred}"
+        return f"{'Effect' if is_effect(self.pred) else 'Select'} {self.pred}"
 
 
 @dataclass(frozen=True)

@@ -58,15 +58,16 @@ class ExecutionStats:
     def of(cls, plan: Reduce, metrics: PlanMetrics) -> "ExecutionStats":
         """The totals of ``metrics`` over ``plan``: each operator's
         rows-out under its class's field (:data:`_OPERATORS`), a Select's
-        rows-in minus rows-out as ``rows_selected_out``, the Reduce's
-        rows-in as ``rows_reduced``."""
+        rows-in minus rows-out as ``rows_selected_out``, the root Reduce's
+        rows-in as ``rows_reduced`` (a sub-plan's Reduce adds nothing: its
+        rows are counted where they are made and where they are scanned)."""
         stats = cls(rows_reduced=metrics.for_node(plan.child).rows_out)
         totals = vars(stats)  # field name -> running total
         for node, block in metrics.blocks(plan.child):
             name = _OPERATORS[type(node)]
             if name is not None:
                 totals[name] += block.rows_out
-            else:
+            elif type(node) is SelectOp:
                 offered = metrics.for_node(node.child).rows_out
                 totals["rows_selected_out"] += offered - block.rows_out
             totals["hash_builds"] += block.hash_builds
@@ -77,6 +78,7 @@ class ExecutionStats:
 #: Per operator class, the :class:`ExecutionStats` field its rows-out
 #: adds to (a Select's drop count is derived instead).
 _OPERATORS = {
+    Reduce: None,
     Scan: "rows_scanned",
     IndexScan: "rows_scanned",
     SelectOp: None,

@@ -11,9 +11,20 @@ hash keys), and the comprehension's monoid/head become the final
 Terms that are not canonical are normalized first; anything the
 rewrite rules could not flatten (e.g. a ``bag`` comprehension over a
 ``set`` subquery, which must stay nested for correctness) simply
-remains an opaque source term that the physical layer evaluates with
-the reference evaluator — plans degrade gracefully instead of
-rejecting queries.
+remains a source term of its own: a closed comprehension gets its own
+plan as the Scan's sub-plan, run to completion first, and anything else
+stays opaque for the physical layer to evaluate with the reference
+evaluator — plans degrade gracefully instead of rejecting queries.
+
+An update program (§4.2) is planned too, as written — never normalized,
+since the rewrites may reorder or merge what the heap threads through:
+its generator sources and head must be pure and its effects (``+=`` /
+``:=``, each with pure operands) filters after the last generator. The
+pure filters before the first effect are placed like any others; the
+effects and every filter after them stay in the order written, as
+*effect filters* (:func:`~repro.algebra.ops.is_effect`) on top of the
+plan. The paper's program reads its victims from a closed comprehension,
+which becomes a sub-plan: the victims are chosen before any mutation.
 """
 
 from __future__ import annotations
@@ -28,11 +39,11 @@ from repro.calculus.ast import (
     Generator,
     Term,
 )
-from repro.calculus.traversal import free_vars, has_effects
+from repro.calculus.traversal import children, free_vars, has_effects
 from repro.errors import PlanError
 from repro.normalize.engine import normalize
 from repro.normalize.rules import PLANNING_RULES
-from repro.algebra.ops import Join, PlanNode, Reduce, Scan, SelectOp, Unnest
+from repro.algebra.ops import Join, PlanNode, Reduce, Scan, SelectOp, Unnest, is_effect
 
 
 def build_plan(term: Term, pre_normalize: bool = True) -> Reduce:
@@ -46,34 +57,56 @@ def build_plan(term: Term, pre_normalize: bool = True) -> Reduce:
       Select (c.zip = 97201)
         Scan c <- Cities
     """
-    if pre_normalize:
+    effects = has_effects(term)
+    if pre_normalize and not effects:
         term = normalize(term, rules=PLANNING_RULES)
     if not isinstance(term, Comprehension):
-        degenerate = _degenerate_plan(term)
+        degenerate = None if effects else _degenerate_plan(term)
         if degenerate is not None:
             return degenerate
         raise PlanError(
             f"only comprehensions have algebra plans, got {type(term).__name__}"
         )
-    if has_effects(term):
-        raise PlanError("effectful comprehensions (new/:=/+=) are not plannable")
-    return _build(term)
+    return _build(term, effects, pre_normalize and effects)
 
 
-def _build(comp: Comprehension) -> Reduce:
+def _first_effect(comp: Comprehension) -> int:
+    """The position of effectful ``comp``'s first effect filter;
+    :class:`PlanError` when its effects cannot be planned."""
+    quals = comp.qualifiers
+    effects = [i for i, q in enumerate(quals) if isinstance(q, Filter) and is_effect(q.pred)]
+    rest = tuple(q for i, q in enumerate(quals) if i not in effects)
+    last_generator = max(
+        (i for i, q in enumerate(quals) if not isinstance(q, Filter)), default=-1
+    )
+    if (
+        not effects
+        or effects[0] < last_generator
+        or has_effects(Comprehension(comp.monoid, comp.head, rest))
+        or any(has_effects(kid) for i in effects for kid in children(quals[i].pred))
+    ):
+        raise PlanError(
+            "only +=/:= filters after the last generator, over pure operands, "
+            "are plannable effects"
+        )
+    return effects[0]
+
+
+def _build(comp: Comprehension, effects: bool, normalize_sources: bool) -> Reduce:
     plan: PlanNode | None = None
     bound: set[str] = set()
     all_vars = _generator_vars(comp)
-    # Plannable comprehensions are pure (checked above), so predicates can
+    first_effect = _first_effect(comp) if effects else len(comp.qualifiers)
+    # Up to the first effect the qualifiers are pure, so predicates can
     # be hoisted ahead of their source position and attached at the first
     # operator that binds their variables — build-time pushdown.
     pending: list[Term] = [
-        qual.pred for qual in comp.qualifiers if isinstance(qual, Filter)
+        qual.pred for qual in comp.qualifiers[:first_effect] if isinstance(qual, Filter)
     ]
 
-    for qual in comp.qualifiers:
+    for qual in comp.qualifiers[:first_effect]:
         if isinstance(qual, Generator):
-            plan = _add_generator(plan, qual, bound)
+            plan = _add_generator(plan, qual, bound, normalize_sources)
             bound.add(qual.var)
             if qual.index_var is not None:
                 bound.add(qual.index_var)
@@ -85,18 +118,14 @@ def _build(comp: Comprehension) -> Reduce:
             bound.add(qual.var)
             plan, pending = _attach_ready(plan, pending, bound, all_vars)
 
-    if pending:
-        if plan is None:
-            # Predicates with no generators guard the whole comprehension.
-            plan = Scan("_unit", _unit_source())
-            for pred in pending:
-                plan = SelectOp(plan, pred)
-            pending = []
-        else:  # pragma: no cover - _attach_ready drains everything bindable
-            for pred in pending:
-                plan = SelectOp(plan, pred)
     if plan is None:
+        # Predicates with no generators guard the whole comprehension.
         plan = Scan("_unit", _unit_source())
+    for pred in pending:  # only when there was no generator
+        plan = SelectOp(plan, pred)
+    # The effects, and the filters after them, in the order written.
+    for qual in comp.qualifiers[first_effect:]:
+        plan = SelectOp(plan, qual.pred)
     return Reduce(comp.monoid, comp.head, plan)
 
 
@@ -134,7 +163,7 @@ def _generator_vars(comp: Comprehension) -> frozenset[str]:
 
 
 def _add_generator(
-    plan: PlanNode | None, qual: Generator, bound: set[str]
+    plan: PlanNode | None, qual: Generator, bound: set[str], normalize_source: bool
 ) -> PlanNode:
     deps = free_vars(qual.source) & bound
     if deps:
@@ -143,10 +172,23 @@ def _add_generator(
                 f"generator {qual.var} depends on unbound variables {sorted(deps)}"
             )
         return Unnest(plan, qual.var, qual.source, qual.index_var)
-    scan = Scan(qual.var, qual.source, qual.index_var)
+    sub = _sub_plan(qual.source, normalize_source)
+    scan = Scan(qual.var, qual.source, qual.index_var, sub)
     if plan is None:
         return scan
     return Join(plan, scan)
+
+
+def _sub_plan(source: Term, normalize_source: bool) -> Reduce | None:
+    """The plan of the comprehension a Scan reads — closed, as a Scan source
+    is, and pure, as every generator source of a plan is — normalized
+    first when the enclosing program was not; None for another source."""
+    if not isinstance(source, Comprehension):
+        return None
+    try:
+        return build_plan(source, pre_normalize=normalize_source)
+    except PlanError:
+        return None
 
 
 def _add_bind(plan: PlanNode | None, qual: Bind) -> PlanNode:
@@ -200,9 +242,13 @@ def sink(plan: PlanNode, pred: Term, leaf: Optional[LeafRule] = None) -> PlanNod
     """``plan`` with ``pred`` placed somewhere inside it, or None when it
     belongs directly above (where the optimizer, re-placing a selection
     that already is there, keeps the node it has)."""
+    if is_effect(pred):
+        return None  # an effect stays where it was written
     if isinstance(plan, Scan):
         return None if leaf is None else leaf(plan, pred)
     if isinstance(plan, SelectOp):
+        if is_effect(plan.pred):
+            return None  # nothing is placed ahead of an effect
         sunk = sink(plan.child, pred, leaf)
         return None if sunk is None else plan.with_children(sunk)
     if isinstance(plan, (Join, Unnest)):

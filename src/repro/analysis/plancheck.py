@@ -13,7 +13,14 @@ it and reports:
   own side, a ``Scan`` source or ``IndexScan`` key (evaluated once,
   before the stream starts) referencing another operator's variable;
 - a ``Join`` whose sides bind overlapping variables;
-- an ``Unnest`` rebinding a variable its input already binds.
+- an ``Unnest`` rebinding a variable its input already binds;
+- an effect filter (§4.2's ``+=`` / ``:=``) anywhere but in the run of
+  selections directly under its plan's ``Reduce``, where the program
+  wrote it.
+
+A rewrite is checked too for keeping each plan's *effect tail* — the
+selections from its ``Reduce`` down to its last effect, in order: no
+filter moves past an effect, in either direction.
 
 Free variables that are *not* bound anywhere in the plan (extent names,
 outer constants) are ignored — the checker is about plan-internal
@@ -22,7 +29,8 @@ scoping, not name resolution.
 
 from __future__ import annotations
 
-from repro.algebra.ops import Join, PlanNode, Reduce, Unnest, plan_variables
+from repro.algebra.ops import Join, PlanNode, Reduce, SelectOp, Unnest, is_effect
+from repro.algebra.ops import plan_variables
 from repro.calculus.traversal import free_vars
 from repro.errors import VerificationError
 
@@ -33,7 +41,14 @@ def verify_plan(plan: PlanNode, phase: str = "plan") -> None:
     """Raise :class:`VerificationError` if the plan is ill-scoped."""
     pvars = plan_variables(plan)
     problems: list[Violation] = []
+    placed = {  # the effect filters that are where effects go
+        id(node) for root in plan.walk() if type(root) is Reduce for node in _spine(root)
+    }
     for node in plan.walk():
+        if type(node) is SelectOp and is_effect(node.pred) and id(node) not in placed:
+            problems.append(
+                Violation("plan-effect", f"effect {node.pred} is not on its Reduce's selections")
+            )
         for entry in node.exprs:
             for label, term in entry.labelled():
                 bad = (free_vars(term) & pvars) - entry.scope
@@ -89,6 +104,11 @@ def check_plan_rewrite(phase: str, before: Reduce, after: Reduce) -> None:
                 f"rewrite changed the output monoid: {before.monoid} -> {after.monoid}",
             )
         )
+    for old, new in zip(_roots(before), _roots(after)):
+        tails = [_effect_tail(old), _effect_tail(new)]
+        if tails[0] != tails[1]:
+            shown = " -> ".join(str(list(map(str, tail))) for tail in tails)
+            problems.append(Violation("plan-effect", f"rewrite moved a filter past an effect: {shown}"))
     if before.head != after.head:
         problems.append(
             Violation(
@@ -98,3 +118,23 @@ def check_plan_rewrite(phase: str, before: Reduce, after: Reduce) -> None:
         )
     if problems:
         raise VerificationError(phase, before, after, problems)
+
+
+def _spine(root: Reduce) -> list[SelectOp]:
+    """The selections directly under ``root``, top down."""
+    spine, node = [], root.child
+    while type(node) is SelectOp:
+        spine.append(node)
+        node = node.child
+    return spine
+
+
+def _effect_tail(root: Reduce) -> list:
+    """The predicates of ``root``'s selections down to its last effect."""
+    preds = [node.pred for node in _spine(root)]
+    last = max((i for i, pred in enumerate(preds) if is_effect(pred)), default=-1)
+    return preds[: last + 1]
+
+
+def _roots(plan: PlanNode) -> list[Reduce]:
+    return [node for node in plan.walk() if type(node) is Reduce]

@@ -46,7 +46,7 @@ from repro.cache.core import CompiledQuery, QueryCache
 from repro.cache.invalidation import analyze_dependencies
 from repro.cache.keys import canonical_term, param_names
 from repro.calculus.ast import Comprehension, Term
-from repro.calculus.traversal import free_vars, substitute_many
+from repro.calculus.traversal import free_vars, has_effects, substitute_many
 from repro.db.catalog import Catalog
 from repro.db.sample_data import (
     company_schema,
@@ -75,6 +75,7 @@ from repro.obs.querylog import QueryLog
 from repro.obs.tracer import QueryRecord
 from repro.objects.classes import ExtentRegistry
 from repro.objects.store import ObjectStore
+from repro.objects.updates import run_update
 from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.types.infer import TypeChecker
@@ -823,7 +824,11 @@ class Database:
         """Accepted and ignored, as :meth:`enable_parallel` is."""
 
     def run_calculus(self, term: Term) -> Any:
-        """Evaluate a hand-built calculus term against this database."""
+        """Evaluate a hand-built calculus term against this database; an
+        effectful one goes through :func:`~repro.objects.run_update`, the
+        one entry for terms that write the heap."""
+        if has_effects(term):
+            return run_update(term, self.evaluator())
         return self.evaluator().evaluate(term)
 
     def profile(

@@ -518,6 +518,13 @@ class Evaluator:
     def _eval_update(self, term: Update, env: Env) -> bool:
         target = self._eval(term.base, env)
         value = self._eval(term.value, env)
+        return self.apply_update(target, term.field_name, term.op, value)
+
+    def apply_update(self, target: Any, field: str, op: str, value: Any) -> bool:
+        """``target.field op value`` on already-evaluated operands (``:=``
+        replaces the field, ``+=`` merges into it, :func:`merge_into`):
+        the one statement of an update, for the interpreter and for
+        generated code. Returns True, so the update stands as a qualifier."""
         if not isinstance(target, Obj):
             raise EvaluationError(
                 f"update target must be an object, got {type(target).__name__}"
@@ -525,16 +532,15 @@ class Evaluator:
         state = self.store.deref(target)
         if not isinstance(state, Record):
             raise EvaluationError("update requires an object with record state")
-        if term.op == ":=":
-            new_state = state.with_field(term.field_name, value)
-        elif term.op == "+=":
-            current = state[term.field_name]
-            new_state = state.with_field(
-                term.field_name, merge_into(current, value)
-            )
-        else:
-            raise EvaluationError(f"unknown update operator {term.op!r}")
-        return self.store.assign(target, new_state)
+        if op == "+=":
+            current = state[field]
+            if type(current) is int and type(value) is int:  # merge_into's first case
+                value = current + value
+            else:
+                value = merge_into(current, value)
+        elif op != ":=":
+            raise EvaluationError(f"unknown update operator {op!r}")
+        return self.store.assign(target, state.with_field(field, value))
 
     # -- misc -------------------------------------------------------------------------------------
 

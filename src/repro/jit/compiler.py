@@ -10,12 +10,15 @@ Python local there, and what the source asks of the runtime
 
 The fragment: ``Const`` / ``Var`` / ``Proj`` / ``Deref`` / ``Index`` /
 ``BinOp`` / ``UnOp`` / ``If`` / ``RecordCons`` / ``TupleCons`` /
-``Call`` into builtins. Everything else — ``Lambda``/``Apply``/``Let``,
-comprehensions, homomorphisms, monoid constructors, method calls, user
-functions and the §4.2 object effects (``New``/``Assign``/``Update``)
-— is emitted as a call that re-enters the reference interpreter for
-exactly that subterm, so a partially compilable expression still runs
-its compilable shell natively.
+``Call`` into builtins, and the §4.2 effects ``Update`` / ``Assign`` that
+an update program's plan holds as effect filters — each one call into the
+interpreter's own helper (``Evaluator.apply_update``, ``ObjectStore.assign``).
+Everything else — ``Lambda``/``Apply``/``Let``, comprehensions,
+homomorphisms, monoid constructors, method calls, user functions and
+``New`` — is emitted as a call that re-enters the reference interpreter
+for exactly that subterm, so a partially compilable expression still
+runs its compilable shell natively. A ``$``-parameter is read from the
+environment once per execution, where it is first needed.
 
 Semantics are mirrored from the evaluator check for check: boolean
 strictness and its error wording, the arithmetic type discipline
@@ -23,9 +26,10 @@ strictness and its error wording, the arithmetic type discipline
 ``TypeError`` → ``EvaluationError``, implicit object dereference on
 projection and indexing, and the ``Call`` resolution order (environment,
 then registered functions). A fast path is written inline and guarded by
-exact types (``type(v) is Record``, two ``int`` operands, two operands of
-one plain ordered type); whatever it does not cover calls the evaluator's
-own method, so error text has one source. A subterm read twice is bound
+exact types (``type(v) is Record``; an ``Obj`` whose heap state is a
+``Record``, read through the store's lookup; two ``int`` operands, two
+operands of one plain ordered type); whatever it does not cover calls the
+evaluator's own method, so error text has one source. A subterm read twice is bound
 once with ``:=``. ``tests/test_jit_compiler.py`` and verify mode's
 per-row check hold the two implementations together.
 """
@@ -34,11 +38,12 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.calculus.ast import BinOp, Call, Const, Deref, If, Index, Proj, RecordCons
-from repro.calculus.ast import Term, TupleCons, UnOp, Var
+from repro.calculus.ast import Assign, BinOp, Call, Const, Deref, If, Index, Proj, RecordCons
+from repro.calculus.ast import Term, TupleCons, UnOp, Update, Var
 from repro.errors import EvaluationError
 from repro.eval.builtins import DEFAULT_BUILTINS
 from repro.eval.evaluator import Evaluator, _freeze_const
+from repro.objects.store import Obj
 from repro.values import Record
 
 #: What emitted source asks of the runtime: the name it goes by, and what
@@ -53,9 +58,16 @@ RUNTIME = {
     "_fallback": "rt.eval_fallback",
     "_lookup": "rt.globals.lookup",
     "_deref": "rt.store.deref",
+    "_state_of": "rt.store.lookup",
+    "_update": "rt.ev.apply_update",
+    "_assign": "rt.store.assign",
     "_check": "rt.check",
     "_iterate": "rt.iterate",
 }
+
+
+#: what a ``$``-parameter's local holds until it is first read
+_UNSET = object()
 
 
 def _not_number(value: Any) -> None:
@@ -70,16 +82,21 @@ class Emitter:
     variable in reach to the source that reads it; any other variable
     resolves in the runtime's global snapshot, preserving the
     interpreter's shadowing order. ``fallbacks`` collects the construct
-    name of every subterm left to the interpreter.
+    name of every subterm left to the interpreter; ``params`` maps each
+    ``$``-parameter read to the local that holds it, which the function's
+    prologue sets to ``_UNSET`` and its first read fills.
     """
 
     def __init__(self) -> None:
         self.names: dict[str, Any] = {
             "_Record": Record,
+            "_Obj": Obj,
+            "_UNSET": _UNSET,
             "_require_bool": Evaluator._require_bool,  # reached only by a non-boolean
             "_not_number": _not_number,
         }
         self.fallbacks: list[str] = []
+        self.params: dict[str, str] = {}
         self._fresh = 0
 
     def fresh(self, prefix: str) -> str:
@@ -112,7 +129,10 @@ class Emitter:
         return "{" + ", ".join(f"{name!r}: {src}" for name, src in scope.items()) + "}"
 
     def checked(self, term: Term, scope: dict[str, str]) -> str:
-        """``term``'s source inside verify mode's differential check."""
+        """``term``'s source inside verify mode's differential check; an
+        effect is applied once, its operands checked."""
+        if type(term) in _EFFECTS:
+            return _EMITTERS[type(term)](self, term, scope, self.checked)
         source = self.expr(term, scope)
         return f"_check({source}, {self.const(term)}, {self.env(scope)})"
 
@@ -136,14 +156,27 @@ class Emitter:
         return self.const(value)
 
     def _var(self, term: Var, scope) -> str:
-        source = scope.get(term.name)
-        return source if source is not None else f"_lookup({term.name!r})"
+        name = term.name
+        source = scope.get(name)
+        if source is not None:
+            return source
+        if name[0] != "$":
+            return f"_lookup({name!r})"
+        # Looked up where first read, as the interpreter would: an unbound
+        # parameter over an empty source raises nothing.
+        local = self.params.get(name) or self.params.setdefault(name, self.fresh("_q"))
+        return f"({local} if {local} is not _UNSET else ({local} := _lookup({name!r})))"
 
     def _proj(self, term: Proj, scope) -> str:
         first, base = self.once(self.expr(term.base, scope), literal=False)
+        state, name = self.fresh("_t"), repr(term.name)
+        # A record, or an object whose state is one, is read inline; any
+        # other base (a dangling OID too) gets the evaluator's answer.
         return (
-            f"({base}[{term.name!r}] if type({first}) is _Record"
-            f" else _project({base}, {term.name!r}))"
+            f"({base}[{name}] if type({first}) is _Record"
+            f" else {state}[{name}] if type({base}) is _Obj"
+            f" and type({state} := _state_of({base}.oid)) is _Record"
+            f" else _project({base}, {name}))"
         )
 
     def _deref(self, term: Deref, scope) -> str:
@@ -151,6 +184,15 @@ class Emitter:
 
     def _index(self, term: Index, scope) -> str:
         return f"_index({self.expr(term.base, scope)}, {self.expr(term.index, scope)})"
+
+    def _update(self, term: Update, scope, operand=None) -> str:
+        operand = operand or self.expr
+        target, value = operand(term.base, scope), operand(term.value, scope)
+        return f"_update({target}, {term.field_name!r}, {term.op!r}, {value})"
+
+    def _assign(self, term: Assign, scope, operand=None) -> str:
+        operand = operand or self.expr
+        return f"_assign({operand(term.target, scope)}, {operand(term.value, scope)})"
 
     def _record(self, term: RecordCons, scope) -> str:
         fields = ", ".join(f"{name!r}: {self.expr(value, scope)}" for name, value in term.fields)
@@ -256,7 +298,12 @@ _EMITTERS: dict[type, Callable[..., str]] = {
     UnOp: Emitter._unop,
     If: Emitter._if,
     Call: Emitter._call,
+    Update: Emitter._update,
+    Assign: Emitter._assign,
 }
+
+#: the §4.2 effects, which verify mode checks operand by operand
+_EFFECTS = (Update, Assign)
 
 #: What the Python compiler raises for source nested deeper than it takes.
 TOO_DEEP = (SyntaxError, RecursionError, MemoryError)

@@ -13,7 +13,8 @@ variable in reach to the Python local that holds it — a row is never a
 dict. Expressions are :class:`~repro.jit.compiler.Emitter` source, and
 the checks are the reference interpreter's: ``Runtime.iterate`` once per
 source but a tuple or a memoised set, the Select test, ``_folder``'s steps,
-per-node counts stored into the execution's blocks at the end.
+per-node counts stored into the execution's blocks at the end. A Scan's
+sub-plan (``Scan.sub``) is folded inline, to completion, before its loop.
 
 **The code cache**, one process-wide LRU keyed by :func:`plan_key`, holds
 the functions: one reads the world only through its arguments, so it
@@ -203,24 +204,32 @@ class _Pipeline:
         self.position = {id(node): i for i, node in enumerate(plan.child.walk())}
         #: counter local -> the OperatorMetrics field it is stored into
         self.counters: dict[str, str] = {}
-        self.emit("_start, _step, _finish = _folder(monoid)")
-        self.emit("_state = _start()")
-        self.emit("_add = _state.add if _step is _accumulate else None")
-        self.produce(
-            plan.child,
-            lambda scope: self.fold(
-                "_step", "_state", "_add", "monoid", self.expr(plan, "head_fn", scope)
-            ),
-        )
+        value = self.reduce(plan, "monoid")
         for counter, field in self.counters.items():
             self.emit(f"blocks[{counter[1:]}].{field} = {counter}")
-        self.emit("return _finish(_state)")
+        self.emit(f"return {value}")
 
     def source(self) -> str:
         body = "\n".join(self.lines)
         hoist = [f"    {name} = {path}" for name, path in RUNTIME.items() if name + "(" in body]
-        zero = f"    {' = '.join(self.counters)} = 0"
-        return "\n".join(["def pipeline(rt, indexes, blocks, monoid):", *hoist, zero, body, ""])
+        zero = [f"    {' = '.join(self.counters)} = 0"]
+        if self.emitter.params:
+            zero.append(f"    {' = '.join(self.emitter.params.values())} = _UNSET")
+        return "\n".join(["def pipeline(rt, indexes, blocks, monoid):", *hoist, *zero, body, ""])
+
+    def reduce(self, node: Reduce, monoid: str, at: str = "") -> str:
+        """Fold ``node``'s head over its input into ``monoid`` (the local
+        naming it); the source of the folded value. ``at`` tells a
+        sub-plan's locals from the root's."""
+        step, state, add = f"_step{at}", f"_state{at}", f"_add{at}"
+        self.emit(f"_start{at}, {step}, _finish{at} = _folder({monoid})")
+        self.emit(f"{state} = _start{at}()")
+        self.emit(f"{add} = {state}.add if {step} is _accumulate else None")
+        self.produce(
+            node.child,
+            lambda scope: self.fold(step, state, add, monoid, self.expr(node, "head_fn", scope)),
+        )
+        return f"_finish{at}({state})"
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -307,7 +316,17 @@ def _generator(p: _Pipeline, node: Any, source: str, outer: Scope, consume: Cons
 
 
 def _scan(p: _Pipeline, node: Scan, consume: Consume) -> None:
-    _generator(p, node, f"_fallback({p.emitter.const(node.source)}, {{}})", {}, consume)
+    """A Scan's source is evaluated once, before its loop: by its sub-plan,
+    run to completion there, or else by the interpreter."""
+    if node.sub is None:
+        source = f"_fallback({p.emitter.const(node.source)}, {{}})"
+    else:  # a Scan's source is closed: no row is in reach
+        at = p.position[id(node.sub)]
+        source = monoid = f"_o{at}"
+        p.emit(f"{monoid} = rt.ev.resolve_monoid({p.emitter.const(node.sub.monoid)}, rt.globals)")
+        p.emit(f"{source} = {p.reduce(node.sub, monoid, str(at))}")
+        p.emit(f"{p.counter('n', node.sub, 'rows_out')} = _cardinality({source})")
+    _generator(p, node, source, {}, consume)
 
 
 def _unnest(p: _Pipeline, node: Unnest, consume: Consume) -> None:
@@ -435,7 +454,8 @@ def _fuse(plan: Reduce, checked: bool) -> Code:
     (``blocks``: the execution's metrics blocks of ``plan.child.walk()``)
     and what its emission compiled; no function for an operator without a
     template or nesting Python won't compile."""
-    from repro.algebra.physical import _accumulate, _folder  # imports this package
+    # repro.algebra.physical imports this package
+    from repro.algebra.physical import _accumulate, _folder, result_cardinality
 
     filename = f"<repro.jit pipeline {next(_serial)}>"
     try:
@@ -448,6 +468,7 @@ def _fuse(plan: Reduce, checked: bool) -> Code:
             _fold_error=fold_error,
             _set_order=_SET_ORDERS.get,
             _canonical_key=canonical_key,
+            _cardinality=result_cardinality,
             _PlanError=PlanError,
         )
         exec(compile(source, filename, "exec"), namespace)

@@ -15,9 +15,10 @@ y <- new(1) }`` is false), while their states may be equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ObjectStoreError
+from repro.values.compare import RANK_OTHER, register_key
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,10 @@ class Obj:
 
     def __repr__(self) -> str:
         return f"obj#{self.oid}"
+
+
+# An OID sorts by its repr, as any value of a type ``repro.values`` does not know.
+register_key(Obj, lambda obj: (RANK_OTHER, "Obj", f"obj#{obj.oid}"))
 
 
 class ObjectStore:
@@ -78,6 +83,12 @@ class ObjectStore:
         self._version += 1
         return obj
 
+    @property
+    def lookup(self) -> Callable[[int], Any]:
+        """The heap's read by OID number: the state, or None for no live
+        object. It stays current for the store's lifetime, restores too."""
+        return self._states.get
+
     def deref(self, obj: Any) -> Any:
         """``!obj`` — the object's current state."""
         self._check(obj)
@@ -116,8 +127,11 @@ class ObjectStore:
         return dict(self._states)
 
     def restore(self, snapshot: dict[int, Any]) -> None:
-        """Reset the heap to a previous :meth:`snapshot`."""
-        self._states = dict(snapshot)
+        """Reset the heap to a previous :meth:`snapshot`, in place: a
+        :attr:`lookup` taken before reads the restored states."""
+        states = dict(snapshot)  # ``snapshot`` may be the heap itself
+        self._states.clear()
+        self._states.update(states)
         self._version += 1
 
     def _check(self, obj: Any) -> None:

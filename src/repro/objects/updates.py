@@ -20,17 +20,24 @@ This module provides :func:`update_where`, a builder producing exactly
 that shape, plus :func:`run_update` to execute it against an evaluator
 and report the touched objects. Updates require *object mode* extents
 (OIDs with record states); the ``+=``/``:=`` qualifiers evaluate to
-true, so they slot into the comprehension as ordinary qualifiers.
+true, so they slot into the comprehension as ordinary qualifiers — and
+into its algebra plan as *effect filters*, run by the one executor.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.calculus.ast import Comprehension, Filter, Generator, MonoidRef, Term, Update, Var
+from repro.calculus.ast import Comprehension, Const, Filter, Generator, MonoidRef, Term
+from repro.calculus.ast import Update, Var
 from repro.calculus.builders import as_term, comp, filt, gen
+from repro.calculus.traversal import numbered
+from repro.errors import PlanError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.algebra.ops import Reduce
     from repro.eval.evaluator import Evaluator
 
 
@@ -83,11 +90,87 @@ def update_where(
     return Comprehension(MonoidRef("set"), Var(var), tuple(qualifiers))
 
 
-def run_update(program: Comprehension, evaluator: "Evaluator") -> Any:
+def run_update(program: Term, evaluator: "Evaluator") -> Any:
     """Execute an update comprehension; returns the set of touched objects.
 
     The materialized inner set makes the update well-behaved even when
     the predicate reads fields the updates write (the paper's reason
-    for the nested shape): the victims are chosen before any mutation.
+    for the nested shape): the victims are chosen before any mutation —
+    in the plan, by the Scan's sub-plan, run to completion first.
+
+    The one entry for effectful terms: the program runs as its algebra
+    plan on the executor, its literals lifted into ``$``-parameters so
+    that programs differing only in literals share one plan (and one
+    generated function); a term no plan takes — ``new``, an effect in a
+    head or a source — runs on the reference interpreter.
     """
+    from repro.algebra.physical import Executor  # imports this package
+
+    plan, params = _planned(program)
+    if plan is not None:
+        outer = evaluator.global_env
+        evaluator.global_env = outer.bind_many(params)
+        try:
+            executor = Executor(evaluator)  # its runtime reads the parameters
+        finally:
+            evaluator.global_env = outer
+        try:
+            return executor.execute(plan)
+        except PlanError:  # raised before it runs: no function for the plan
+            pass
     return evaluator.evaluate(program)
+
+
+def _planned(program: Term) -> tuple[Optional["Reduce"], dict[str, Any]]:
+    """``program``'s plan (None: no plan takes it) and the parameters to
+    run it with — derived once per term and kept in its instance
+    ``__dict__``, as a span is: not part of the term's value."""
+    planned = program.__dict__.get("update_plan")
+    if planned is None:
+        lifted, params = _lift_literals(program)
+        planned = program.__dict__["update_plan"] = (_plan_of(lifted), params)
+    return planned
+
+
+def _lift_literals(program: Term) -> tuple[Term, dict[str, Any]]:
+    """``program`` with its binders numbered and each literal replaced by
+    a parameter ``$~i`` (a name no parser makes), and those parameters'
+    values — the literal skeleton, and the literal vector to bind."""
+    from repro.eval.evaluator import _freeze_const
+
+    values: dict[str, Any] = {}
+
+    def lift(literal: Const) -> Term:
+        name = f"$~{len(values)}"
+        values[name] = _freeze_const(literal.value)
+        return Var(name)
+
+    return numbered(program, lift), values
+
+
+#: How many update plans :func:`run_update` keeps, one per skeleton.
+PLAN_MEMO_SIZE = 256
+
+#: lifted program -> its plan (None: no plan takes it), least recently
+#: used first. A plan reads the world only through the executor's
+#: runtime, so one serves every database and thread.
+_PLANS: "OrderedDict[Term, Optional[Reduce]]" = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+
+def _plan_of(lifted: Term) -> Optional["Reduce"]:
+    from repro.algebra.translate import build_plan  # imports this package
+
+    with _PLANS_LOCK:
+        if lifted in _PLANS:
+            _PLANS.move_to_end(lifted)
+            return _PLANS[lifted]
+    try:
+        plan: Optional[Reduce] = build_plan(lifted)
+    except PlanError:
+        plan = None
+    with _PLANS_LOCK:
+        _PLANS[lifted] = plan
+        while len(_PLANS) > PLAN_MEMO_SIZE:
+            _PLANS.popitem(last=False)
+    return plan

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
+from repro.algebra.ops import is_effect
 from repro.calculus.ast import Var
 from repro.obs.metrics import PlanMetrics
 
@@ -59,14 +60,16 @@ def _estimate(node: PlanNode, inputs: list[float], sizes: dict[str, int]) -> flo
         # value regardless of input; collection reduces keep the stream.
         return 1.0 if _monoid_is_primitive(node.monoid) else inputs[0]
     if isinstance(node, Scan):
+        if node.sub is not None:  # what its sub-plan is estimated to make
+            return inputs[0]
         if isinstance(node.source, Var):
             return float(sizes.get(node.source.name, DEFAULT_EXTENT_SIZE))
         return DEFAULT_EXTENT_SIZE
     if isinstance(node, IndexScan):
         base = float(sizes.get(node.extent, DEFAULT_EXTENT_SIZE))
         return max(1.0, base * INDEX_SELECTIVITY)
-    if isinstance(node, SelectOp):
-        return inputs[0] * DEFAULT_SELECTIVITY
+    if isinstance(node, SelectOp):  # an effect filter keeps every row
+        return inputs[0] * (1.0 if is_effect(node.pred) else DEFAULT_SELECTIVITY)
     if isinstance(node, Join):
         left, right = inputs
         return max(left, right) if node.left_keys else left * right

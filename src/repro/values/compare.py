@@ -13,7 +13,7 @@ order, and does it at most once per immutable value.
 from __future__ import annotations
 
 import weakref
-from typing import Any
+from typing import Any, Callable
 
 from repro.values.bag import Bag
 from repro.values.oset import OrderedSet
@@ -32,17 +32,29 @@ _RANK_BAG = 6
 _RANK_OSET = 7
 _RANK_RECORD = 8
 _RANK_VECTOR = 9
-_RANK_OTHER = 10
+#: the rank of a value of a type this module does not know (an OID)
+RANK_OTHER = 10
 
 
 def canonical_key(value: Any) -> tuple:
     """A key giving a total, deterministic order over all library values.
+
+    The key is looked up by the value's exact type first (:data:`_KEYS`);
+    a subclass, or a type no entry names, takes :func:`_key_by_isinstance`,
+    and both give one value the same key.
 
     >>> sorted([True, 2, "a", None], key=canonical_key)
     [None, True, 2, 'a']
     >>> sorted([(2, 1), (1, 9)], key=canonical_key)
     [(1, 9), (2, 1)]
     """
+    key = _KEYS.get(type(value))
+    return _key_by_isinstance(value) if key is None else key(value)
+
+
+def _key_by_isinstance(value: Any) -> tuple:
+    """:func:`canonical_key` by ``isinstance``, for subclasses and
+    unregistered types."""
     if value is None:
         return (_RANK_NONE,)
     if isinstance(value, bool):
@@ -51,24 +63,66 @@ def canonical_key(value: Any) -> tuple:
         return (_RANK_NUMBER, value)
     if isinstance(value, str):
         return (_RANK_STRING, value)
-    if isinstance(value, tuple):
-        return (_RANK_TUPLE, tuple(canonical_key(v) for v in value))
-    if isinstance(value, frozenset):
-        inner = sorted((canonical_key(v) for v in value))
-        return (_RANK_SET, tuple(inner))
-    if isinstance(value, Bag):
-        inner = sorted((canonical_key(e), n) for e, n in value._counts.items())
-        return (_RANK_BAG, tuple(inner))
-    if isinstance(value, OrderedSet):
-        return (_RANK_OSET, tuple(canonical_key(v) for v in value))
-    if isinstance(value, Record):
-        inner = tuple(sorted((k, canonical_key(v)) for k, v in value.items()))
-        return (_RANK_RECORD, inner)
-    if isinstance(value, Vector):
-        return (_RANK_VECTOR, len(value), tuple(canonical_key(v) for v in value))
+    for kind, key in _COMPOUND:
+        if isinstance(value, kind):
+            return key(value)
     # Objects (OIDs) and any other hashables: order by type name then repr,
     # which is stable within a process run.
-    return (_RANK_OTHER, type(value).__name__, repr(value))
+    return (RANK_OTHER, type(value).__name__, repr(value))
+
+
+def _tuple_key(value: tuple) -> tuple:
+    return (_RANK_TUPLE, tuple([canonical_key(v) for v in value]))
+
+
+def _set_key(value: frozenset) -> tuple:
+    return (_RANK_SET, tuple(sorted([canonical_key(v) for v in value])))
+
+
+def _bag_key(value: Bag) -> tuple:
+    return (_RANK_BAG, tuple(sorted([(canonical_key(e), n) for e, n in value._counts.items()])))
+
+
+def _oset_key(value: OrderedSet) -> tuple:
+    return (_RANK_OSET, tuple([canonical_key(v) for v in value]))
+
+
+def _record_key(value: Record) -> tuple:
+    return (_RANK_RECORD, tuple(sorted([(k, canonical_key(v)) for k, v in value.items()])))
+
+
+def _vector_key(value: Vector) -> tuple:
+    return (_RANK_VECTOR, len(value), tuple([canonical_key(v) for v in value]))
+
+
+#: the collection carriers, in the order ``isinstance`` tries them (a
+#: Record is a dict, so no carrier before it may be one)
+_COMPOUND: tuple[tuple[type, Callable[[Any], tuple]], ...] = (
+    (tuple, _tuple_key),
+    (frozenset, _set_key),
+    (Bag, _bag_key),
+    (OrderedSet, _oset_key),
+    (Record, _record_key),
+    (Vector, _vector_key),
+)
+
+#: exact type -> its :func:`canonical_key`: for an instance of that very
+#: type, the key :func:`_key_by_isinstance` gives
+_KEYS: dict[type, Callable[[Any], tuple]] = {
+    type(None): lambda _none: (_RANK_NONE,),
+    bool: lambda value: (_RANK_BOOL, value),
+    int: lambda value: (_RANK_NUMBER, value),
+    float: lambda value: (_RANK_NUMBER, value),
+    str: lambda value: (_RANK_STRING, value),
+    **dict(_COMPOUND),
+}
+
+
+def register_key(kind: type, key: Callable[[Any], tuple]) -> None:
+    """Give values of exactly ``kind`` the key ``key``, which must equal
+    the one :func:`canonical_key` gives them without it (a rank-10
+    ``(rank, type name, repr)`` triple for a type of another package)."""
+    _KEYS[kind] = key
 
 
 class _SetOrder(weakref.ref):

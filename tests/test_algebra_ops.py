@@ -36,7 +36,7 @@ def _scan(name: str = "a") -> Scan:
 #: one instance per operator class, every optional field filled in and
 #: every term distinct
 SAMPLES: dict[type, PlanNode] = {
-    Scan: Scan("a", var("As"), "i"),
+    Scan: Scan("a", var("As"), "i", Reduce(mref("bag"), var("x"), Scan("x", var("Xs")))),
     IndexScan: IndexScan("a", "As", "k", var("wanted")),
     SelectOp: SelectOp(_scan(), gt(proj(var("a"), "x"), const(1))),
     Join: Join(
@@ -110,7 +110,8 @@ class TestTheTableIsTotal:
         names |= {name for f in ("keys", "folds") for name, *_ in getattr(node, f, ())}
         assert set(node.binds()) == names
         below = frozenset().union(*[child.columns() for child in node.children()])
-        assert node.columns() == (names if cls is Nest else names | below)
+        # a group replaces its rows; a Scan's sub-plan binds only for itself
+        assert node.columns() == (names if cls in (Nest, Scan) else names | below)
 
     def test_scopes_are_columns_of_the_node_or_a_child(self, cls):
         node = SAMPLES[cls]

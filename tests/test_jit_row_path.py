@@ -27,7 +27,7 @@ import pytest
 
 from repro.algebra import Executor, Reduce, Scan, SelectOp, Unnest, build_plan
 from repro.analysis.verifier import verification
-from repro.calculus import comp, gen, gt, proj, var
+from repro.calculus import comp, filt, gen, gt, proj, var
 from repro.calculus.ast import MonoidRef
 from repro.db import Database, company_schema, travel_schema
 from repro.eval import Evaluator
@@ -89,12 +89,12 @@ def compiled(schema: str, oql: str) -> Reduce:
     return plan
 
 
-def calls(plan: Reduce, data: dict) -> tuple:
-    """The value of a second run of ``plan`` over ``data`` — the first
-    memoised the sets' orders — and the Python calls it made, by
-    ``file:qualified name``."""
+def calls(plan: Reduce, data: dict | Evaluator) -> tuple:
+    """The value of a second run of ``plan`` over ``data`` (or over an
+    evaluator's world) — the first memoised the sets' orders — and the
+    Python calls it made, by ``file:qualified name``."""
     with verification(False):
-        executor = Executor(Evaluator(data))
+        executor = Executor(data if isinstance(data, Evaluator) else Evaluator(data))
     executor.execute(plan)
     seen: Counter = Counter()
 
@@ -177,6 +177,29 @@ class TestNoFramePerRow:
             ("oset", dict.setdefault),
         ):
             assert type(get_monoid(monoid).accumulator()).add is method
+
+
+def cities_as_objects(n: int) -> Evaluator:
+    """``n`` city objects in a heap, and a ``$p`` bound beside them."""
+    ev = Evaluator()
+    ev.bind_global("Cities", tuple(
+        ev.store.new(Record(name=f"c{i}", population=i)) for i in range(n)
+    ))
+    ev.bind_global("$p", n // 2)
+    return ev
+
+
+def test_object_rows_and_parameters_enter_no_frame_per_row():
+    """A projection through an OID reads the heap inline, and a
+    ``$``-parameter is looked up once per run: flat at n and 10 n."""
+    term = comp("bag", proj(var("c"), "name"),
+                [gen("c", var("Cities")), filt(gt(proj(var("c"), "population"), var("$p")))])
+    plan = build_plan(term)
+    small_value, small = calls(plan, cities_as_objects(N))
+    big_value, big = calls(plan, cities_as_objects(10 * N))
+    assert len(small_value) == N // 2 - 1 and len(big_value) == 10 * N // 2 - 1
+    assert small == big, pipeline_source(plan)
+    assert small["env.py:Env.lookup"] == 2  # the extent's name, then $p
 
 
 # -- traced, explained and checked runs execute the same function ------------------------

@@ -74,3 +74,29 @@ def test_to_python_scalars_pass_through():
     assert to_python(42) == 42
     assert to_python("s") == "s"
     assert to_python(None) is None
+
+
+def test_the_exact_type_table_keys_as_the_isinstance_chain_does():
+    """``canonical_key`` answers by exact type first; every key — and so
+    every order — is the one the ``isinstance`` chain gives, for the
+    carriers, their subclasses and an OID (registered by ``repro.objects``)."""
+    from collections import namedtuple
+
+    from repro.objects import Obj
+    from repro.values.compare import _key_by_isinstance
+
+    class Name(str):
+        pass
+
+    Pair = namedtuple("Pair", "a b")
+    corpus = [
+        None, True, False, 0, 1, -2, 1.5, "a", "", Name("a"), Name("b"),
+        Pair(1, "x"), (1, (2, "b")), (), frozenset({True, 2}), frozenset(),
+        Bag([1, 1, (2, "c")]), Bag([Bag([1]), Bag([1])]), OrderedSet([3, 1]),
+        Record(a=1, b=frozenset({Record(c=2)})), Record(x=(Bag([True]), Pair(0, 0))),
+        Vector(3, 0, {1: 5}), Obj(3), Obj(12), (Obj(2), Obj(10)), frozenset({Obj(1), Obj(7)}),
+    ]
+    for value in corpus:
+        assert canonical_key(value) == _key_by_isinstance(value), value
+    assert canonical_key(Obj(12)) == (10, "Obj", "obj#12")
+    assert sorted(corpus, key=canonical_key) == sorted(corpus, key=_key_by_isinstance)
