@@ -18,13 +18,17 @@ evaluator — plans degrade gracefully instead of rejecting queries.
 
 An update program (§4.2) is planned too, as written — never normalized,
 since the rewrites may reorder or merge what the heap threads through:
-its generator sources and head must be pure and its effects (``+=`` /
-``:=``, each with pure operands) filters after the last generator. The
-pure filters before the first effect are placed like any others; the
-effects and every filter after them stay in the order written, as
-*effect filters* (:func:`~repro.algebra.ops.is_effect`) on top of the
-plan. The paper's program reads its victims from a closed comprehension,
-which becomes a sub-plan: the victims are chosen before any mutation.
+it has at most one generator, its first qualifier, over a pure source;
+its head is pure; and its effects (``+=`` / ``:=``, each with pure
+operands) are filters after that generator. So each filter is tested
+once per row, as the interpreter tests it, in the order written: the
+pure ones before the first effect over the Scan, then the effects and
+every filter after them as *effect filters*
+(:func:`~repro.algebra.ops.is_effect`). A second generator would test a
+pushed-down filter, or materialise a Join's input, ahead of effects the
+interpreter applies first. The paper's program reads its victims from a
+closed comprehension, which becomes a sub-plan: the victims are chosen
+before any mutation.
 """
 
 from __future__ import annotations
@@ -76,18 +80,16 @@ def _first_effect(comp: Comprehension) -> int:
     quals = comp.qualifiers
     effects = [i for i, q in enumerate(quals) if isinstance(q, Filter) and is_effect(q.pred)]
     rest = tuple(q for i, q in enumerate(quals) if i not in effects)
-    last_generator = max(
-        (i for i, q in enumerate(quals) if not isinstance(q, Filter)), default=-1
-    )
+    generators = [i for i, q in enumerate(quals) if not isinstance(q, Filter)]
     if (
         not effects
-        or effects[0] < last_generator
+        or generators not in ([], [0])
         or has_effects(Comprehension(comp.monoid, comp.head, rest))
         or any(has_effects(kid) for i in effects for kid in children(quals[i].pred))
     ):
         raise PlanError(
-            "only +=/:= filters after the last generator, over pure operands, "
-            "are plannable effects"
+            "only +=/:= filters over pure operands, after at most one generator "
+            "that comes first, are plannable effects"
         )
     return effects[0]
 
@@ -99,7 +101,8 @@ def _build(comp: Comprehension, effects: bool, normalize_sources: bool) -> Reduc
     first_effect = _first_effect(comp) if effects else len(comp.qualifiers)
     # Up to the first effect the qualifiers are pure, so predicates can
     # be hoisted ahead of their source position and attached at the first
-    # operator that binds their variables — build-time pushdown.
+    # operator that binds their variables — build-time pushdown. (An
+    # effectful program has at most one generator, first: nothing moves.)
     pending: list[Term] = [
         qual.pred for qual in comp.qualifiers[:first_effect] if isinstance(qual, Filter)
     ]

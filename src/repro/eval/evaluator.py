@@ -533,11 +533,7 @@ class Evaluator:
         if not isinstance(state, Record):
             raise EvaluationError("update requires an object with record state")
         if op == "+=":
-            current = state[field]
-            if type(current) is int and type(value) is int:  # merge_into's first case
-                value = current + value
-            else:
-                value = merge_into(current, value)
+            value = merge_into(state[field], value)
         elif op != ":=":
             raise EvaluationError(f"unknown update operator {op!r}")
         return self.store.assign(target, state.with_field(field, value))

@@ -26,8 +26,6 @@ into its algebra plan as *effect filters*, run by the one executor.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.calculus.ast import Comprehension, Const, Filter, Generator, MonoidRef, Term
@@ -100,8 +98,8 @@ def run_update(program: Term, evaluator: "Evaluator") -> Any:
 
     The one entry for effectful terms: the program runs as its algebra
     plan on the executor, its literals lifted into ``$``-parameters so
-    that programs differing only in literals share one plan (and one
-    generated function); a term no plan takes — ``new``, an effect in a
+    that programs differing only in literals share one generated
+    function (the code cache keys on the alpha-canonical plan); a term no plan takes — ``new``, an effect in a
     head or a source — runs on the reference interpreter.
     """
     from repro.algebra.physical import Executor  # imports this package
@@ -125,10 +123,16 @@ def _planned(program: Term) -> tuple[Optional["Reduce"], dict[str, Any]]:
     """``program``'s plan (None: no plan takes it) and the parameters to
     run it with — derived once per term and kept in its instance
     ``__dict__``, as a span is: not part of the term's value."""
+    from repro.algebra.translate import build_plan  # imports this package
+
     planned = program.__dict__.get("update_plan")
     if planned is None:
         lifted, params = _lift_literals(program)
-        planned = program.__dict__["update_plan"] = (_plan_of(lifted), params)
+        try:
+            plan: Optional[Reduce] = build_plan(lifted)
+        except PlanError:
+            plan = None
+        planned = program.__dict__["update_plan"] = (plan, params)
     return planned
 
 
@@ -146,31 +150,3 @@ def _lift_literals(program: Term) -> tuple[Term, dict[str, Any]]:
         return Var(name)
 
     return numbered(program, lift), values
-
-
-#: How many update plans :func:`run_update` keeps, one per skeleton.
-PLAN_MEMO_SIZE = 256
-
-#: lifted program -> its plan (None: no plan takes it), least recently
-#: used first. A plan reads the world only through the executor's
-#: runtime, so one serves every database and thread.
-_PLANS: "OrderedDict[Term, Optional[Reduce]]" = OrderedDict()
-_PLANS_LOCK = threading.Lock()
-
-
-def _plan_of(lifted: Term) -> Optional["Reduce"]:
-    from repro.algebra.translate import build_plan  # imports this package
-
-    with _PLANS_LOCK:
-        if lifted in _PLANS:
-            _PLANS.move_to_end(lifted)
-            return _PLANS[lifted]
-    try:
-        plan: Optional[Reduce] = build_plan(lifted)
-    except PlanError:
-        plan = None
-    with _PLANS_LOCK:
-        _PLANS[lifted] = plan
-        while len(_PLANS) > PLAN_MEMO_SIZE:
-            _PLANS.popitem(last=False)
-    return plan

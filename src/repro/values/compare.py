@@ -39,36 +39,27 @@ RANK_OTHER = 10
 def canonical_key(value: Any) -> tuple:
     """A key giving a total, deterministic order over all library values.
 
-    The key is looked up by the value's exact type first (:data:`_KEYS`);
-    a subclass, or a type no entry names, takes :func:`_key_by_isinstance`,
-    and both give one value the same key.
+    The key is the one :data:`_KEYS` holds for the first class of the
+    value's MRO that it names — ``bool`` before ``int``, a ``Record``
+    before ``dict``, a ``str`` subclass or a namedtuple by its base. A
+    value of a type none names (an OID, unless :mod:`repro.objects`
+    registered it) orders by type name then repr, which is stable within
+    a process run.
 
     >>> sorted([True, 2, "a", None], key=canonical_key)
     [None, True, 2, 'a']
     >>> sorted([(2, 1), (1, 9)], key=canonical_key)
     [(1, 9), (2, 1)]
     """
-    key = _KEYS.get(type(value))
-    return _key_by_isinstance(value) if key is None else key(value)
-
-
-def _key_by_isinstance(value: Any) -> tuple:
-    """:func:`canonical_key` by ``isinstance``, for subclasses and
-    unregistered types."""
-    if value is None:
-        return (_RANK_NONE,)
-    if isinstance(value, bool):
-        return (_RANK_BOOL, value)
-    if isinstance(value, (int, float)):
-        return (_RANK_NUMBER, value)
-    if isinstance(value, str):
-        return (_RANK_STRING, value)
-    for kind, key in _COMPOUND:
-        if isinstance(value, kind):
+    kind = type(value)
+    key = _KEYS.get(kind)
+    if key is not None:
+        return key(value)
+    for base in kind.__mro__[1:]:
+        key = _KEYS.get(base)
+        if key is not None:
             return key(value)
-    # Objects (OIDs) and any other hashables: order by type name then repr,
-    # which is stable within a process run.
-    return (RANK_OTHER, type(value).__name__, repr(value))
+    return (RANK_OTHER, kind.__name__, repr(value))
 
 
 def _tuple_key(value: tuple) -> tuple:
@@ -95,33 +86,27 @@ def _vector_key(value: Vector) -> tuple:
     return (_RANK_VECTOR, len(value), tuple([canonical_key(v) for v in value]))
 
 
-#: the collection carriers, in the order ``isinstance`` tries them (a
-#: Record is a dict, so no carrier before it may be one)
-_COMPOUND: tuple[tuple[type, Callable[[Any], tuple]], ...] = (
-    (tuple, _tuple_key),
-    (frozenset, _set_key),
-    (Bag, _bag_key),
-    (OrderedSet, _oset_key),
-    (Record, _record_key),
-    (Vector, _vector_key),
-)
-
-#: exact type -> its :func:`canonical_key`: for an instance of that very
-#: type, the key :func:`_key_by_isinstance` gives
+#: a class -> the :func:`canonical_key` of its instances and of those
+#: of its subclasses no entry names
 _KEYS: dict[type, Callable[[Any], tuple]] = {
     type(None): lambda _none: (_RANK_NONE,),
     bool: lambda value: (_RANK_BOOL, value),
     int: lambda value: (_RANK_NUMBER, value),
     float: lambda value: (_RANK_NUMBER, value),
     str: lambda value: (_RANK_STRING, value),
-    **dict(_COMPOUND),
+    tuple: _tuple_key,
+    frozenset: _set_key,
+    Bag: _bag_key,
+    OrderedSet: _oset_key,
+    Record: _record_key,
+    Vector: _vector_key,
 }
 
 
 def register_key(kind: type, key: Callable[[Any], tuple]) -> None:
-    """Give values of exactly ``kind`` the key ``key``, which must equal
-    the one :func:`canonical_key` gives them without it (a rank-10
-    ``(rank, type name, repr)`` triple for a type of another package)."""
+    """Give values of ``kind`` (and of its subclasses no entry names) the
+    key ``key``: a rank-10 ``(RANK_OTHER, type name, repr)`` triple for a
+    type of another package, so the order is the one it has without it."""
     _KEYS[kind] = key
 
 

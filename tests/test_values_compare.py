@@ -76,27 +76,39 @@ def test_to_python_scalars_pass_through():
     assert to_python(None) is None
 
 
-def test_the_exact_type_table_keys_as_the_isinstance_chain_does():
-    """``canonical_key`` answers by exact type first; every key — and so
-    every order — is the one the ``isinstance`` chain gives, for the
-    carriers, their subclasses and an OID (registered by ``repro.objects``)."""
+def test_keys_by_type_and_base_type():
+    """``canonical_key`` looks the value's MRO up in one table: the
+    carriers by their own type, ``bool`` before ``int``, a subclass by its
+    base, and an OID by the entry ``repro.objects`` registers."""
     from collections import namedtuple
 
     from repro.objects import Obj
-    from repro.values.compare import _key_by_isinstance
 
     class Name(str):
         pass
 
+    class Other:
+        def __repr__(self) -> str:
+            return "other"
+
     Pair = namedtuple("Pair", "a b")
-    corpus = [
-        None, True, False, 0, 1, -2, 1.5, "a", "", Name("a"), Name("b"),
-        Pair(1, "x"), (1, (2, "b")), (), frozenset({True, 2}), frozenset(),
-        Bag([1, 1, (2, "c")]), Bag([Bag([1]), Bag([1])]), OrderedSet([3, 1]),
-        Record(a=1, b=frozenset({Record(c=2)})), Record(x=(Bag([True]), Pair(0, 0))),
-        Vector(3, 0, {1: 5}), Obj(3), Obj(12), (Obj(2), Obj(10)), frozenset({Obj(1), Obj(7)}),
+    expected = [
+        (None, (0,)),
+        (True, (1, True)),
+        (1, (2, 1)),
+        (1.5, (2, 1.5)),
+        ("a", (3, "a")),
+        (Name("a"), (3, "a")),
+        (Pair(1, "x"), (4, ((2, 1), (3, "x")))),
+        (frozenset({True, 2}), (5, ((1, True), (2, 2)))),
+        (Bag([1, 1, (2, "c")]), (6, (((2, 1), 2), ((4, ((2, 2), (3, "c"))), 1)))),
+        (OrderedSet([3, 1]), (7, ((2, 3), (2, 1)))),
+        (Record(a=1, b=frozenset({Record(c=2)})),
+         (8, (("a", (2, 1)), ("b", (5, ((8, (("c", (2, 2)),)),)))))),
+        (Vector(3, 0, {1: 5}), (9, 3, ((2, 0), (2, 5), (2, 0)))),
+        (Obj(12), (10, "Obj", "obj#12")),
+        ((Obj(2), Obj(10)), (4, ((10, "Obj", "obj#2"), (10, "Obj", "obj#10")))),
+        (Other(), (10, "Other", "other")),
     ]
-    for value in corpus:
-        assert canonical_key(value) == _key_by_isinstance(value), value
-    assert canonical_key(Obj(12)) == (10, "Obj", "obj#12")
-    assert sorted(corpus, key=canonical_key) == sorted(corpus, key=_key_by_isinstance)
+    for value, key in expected:
+        assert canonical_key(value) == key, value
