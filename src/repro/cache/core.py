@@ -179,10 +179,10 @@ class CompiledQuery:
     verification (a verifying call never reuses an unverified entry).
 
     ``key`` (the canonical alpha-form, with the engine, the typecheck
-    flag and the parameter types a typecheck read) and
-    ``result_cacheable`` (from :mod:`repro.cache.invalidation`) matter
-    only to a cache, so they stay ``None`` until an attached cache first
-    needs them — a database without one never computes them.
+    flag and the parameter types a typecheck read), ``result_cacheable``
+    and ``reads`` (from :mod:`repro.cache.invalidation`) matter only to a
+    cache, so they stay ``None`` until an attached cache first needs
+    them — a database without one never computes them.
     """
 
     oql: str
@@ -198,6 +198,7 @@ class CompiledQuery:
     verified: bool = False
     key: Any = None  # canonical cache key: (canonical term, engine, typecheck, param types)
     result_cacheable: Optional[bool] = None
+    reads: Optional[frozenset[str]] = None  # the object fields a result depends on
     #: telemetry's hot-query fingerprint, filled in on first use
     #: (:func:`repro.obs.telemetry.fingerprint.query_fingerprint`)
     fingerprint: Optional[str] = None

@@ -2,10 +2,11 @@
 
 The result cache is only sound if every input a plan can observe is
 covered by a version counter: the database's compile version covers the
-catalog (every extent reload among it) and the object store's version
-the heap. This module computes, for one
-:class:`~repro.cache.core.CompiledQuery`, whether a finished value may
-be served again later (``cacheable``). The names a plan reads are the
+catalog (every extent reload among it) and the object store's
+:meth:`~repro.objects.store.ObjectStore.guard` the heap. This module
+computes, for one :class:`~repro.cache.core.CompiledQuery`, whether a
+finished value may be served again later (``cacheable``) and which
+object fields it reads (``reads``). The names a plan reads are the
 free variables of every term its operators declare
 (:attr:`PlanNode.exprs`; an ``IndexScan`` declares the extent it probes
 by name as one), minus the variables the plan itself binds.
@@ -14,9 +15,15 @@ The verdict is conservative: any effectful construct (``new``/``:=``/field updat
 two runs would observe different OIDs or states), any call into a
 user-registered Python function or schema method (arbitrary code the
 version counters cannot see), or any free name that is *not* a known
-extent or a ``$`` parameter disables result caching. The object heap
-needs no entry of its own: navigation dereferences are implicit, so the
-store's single version counter is part of every result version vector.
+extent or a ``$`` parameter disables result caching.
+
+A query sees an object's state only through a path, ``e.f``, whose
+implicit dereference reads the one field ``f``. So ``reads`` is the
+name of every projection in the plan's terms and in the normal form
+(the interpreter runs the latter when the plan is refused): a write of
+any other field cannot change the value. An explicit dereference
+``!e`` sees the whole state, and its ``reads`` is ``None``: the entry is
+guarded by every mutation (the store's ``version``).
 
 Compilation caching is unaffected by ``cacheable`` — a plan is a pure
 function of the query text and catalog structure either way.
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.algebra.ops import PlanNode, plan_variables
-from repro.calculus.ast import Assign, Call, MethodCall, New, Term, Update
+from repro.calculus.ast import Assign, Call, Deref, MethodCall, New, Proj, Term, Update
 from repro.calculus.traversal import free_vars, subterms
 
 
@@ -38,6 +45,8 @@ class Dependencies:
 
     cacheable: bool
     reason: Optional[str] = None  # why result caching is off, if it is
+    #: the object fields the value depends on; None for the whole heap
+    reads: Optional[frozenset[str]] = None
 
 
 def plan_terms(plan: PlanNode) -> Iterator[Term]:
@@ -58,35 +67,32 @@ def analyze_dependencies(
     known = set(known_extents)
     functions = set(user_functions)
 
-    if plan is not None:
-        free: set[str] = set()
-        for term in plan_terms(plan):
-            free.update(free_vars(term))
-        free -= plan_variables(plan)
-    else:
+    terms = [normalized]
+    if plan is None:
         free = set(free_vars(normalized))
-
-    cacheable = True
-    reason: Optional[str] = None
-    unknown = {
-        name for name in free if name not in known and not name.startswith("$")
-    }
+    else:
+        terms += plan_terms(plan)
+        free = set().union(*map(free_vars, terms[1:])) - plan_variables(plan)
+    unknown = sorted(name for name in free if name not in known and not name.startswith("$"))
     if unknown:
-        cacheable = False
-        reason = f"free names outside the catalog: {', '.join(sorted(unknown))}"
+        return Dependencies(False, f"free names outside the catalog: {', '.join(unknown)}")
+    for term in terms:
+        reason = _term_cacheable(term, functions)
+        if reason is not None:
+            return Dependencies(False, reason)
+    return Dependencies(True, reads=_fields_read(terms))
 
-    if cacheable:
-        verdict = _term_cacheable(normalized, functions)
-        if verdict is None and plan is not None:
-            for term in plan_terms(plan):
-                verdict = _term_cacheable(term, functions)
-                if verdict is not None:
-                    break
-        if verdict is not None:
-            cacheable = False
-            reason = verdict
 
-    return Dependencies(cacheable, reason)
+def _fields_read(terms: Iterable[Term]) -> Optional[frozenset[str]]:
+    """Every projected field name in ``terms``; None if one dereferences."""
+    names: set[str] = set()
+    for term in terms:
+        for sub in subterms(term):
+            if isinstance(sub, Deref):
+                return None
+            if isinstance(sub, Proj):
+                names.add(sub.name)
+    return frozenset(names)
 
 
 def _term_cacheable(term: Term, user_functions: set[str]) -> Optional[str]:

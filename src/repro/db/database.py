@@ -43,7 +43,7 @@ from repro.algebra.physical import ExecutionStats, Executor
 from repro.algebra.translate import build_plan
 from repro.analysis.verifier import verification, verification_enabled
 from repro.cache.core import CompiledQuery, QueryCache
-from repro.cache.invalidation import analyze_dependencies
+from repro.cache.invalidation import Dependencies, analyze_dependencies
 from repro.cache.keys import canonical_term, param_names
 from repro.calculus.ast import Comprehension, Term
 from repro.calculus.traversal import free_vars, has_effects, substitute_many
@@ -681,12 +681,13 @@ class Database:
         current compile version (any extent reloaded, index built, view
         or function defined), whether the plan was built under
         verification — so a verifying call is never served a value an
-        unverified plan made — and the object store's version."""
-        return (self._compile_version(), entry.verified, self.store.version)
+        unverified plan made — and the object store's guard over the
+        fields the entry reads."""
+        return (self._compile_version(), entry.verified, self.store.guard(entry.reads))
 
-    def _analyze_for_cache(self, entry: CompiledQuery) -> None:
+    def _analyze_for_cache(self, entry: CompiledQuery) -> Dependencies:
         """Fill in what only the result cache needs of an entry: its
-        canonical key and cacheability verdict.
+        canonical key, the fields it reads and its cacheability verdict.
         ``result_cacheable`` is written last — it is what marks the
         entry analyzed for other threads sharing it."""
         if entry.key is None:
@@ -697,7 +698,9 @@ class Database:
             set(self.catalog.extents()) | self._object_extents,
             self.functions,
         )
+        entry.reads = deps.reads
         entry.result_cacheable = deps.cacheable
+        return deps
 
     @_bounded
     def _execute(
@@ -757,14 +760,16 @@ class Database:
                         p for p in entry.phases if p not in ("plan", "optimize", "jit")
                     )
                     entry.result_cacheable = None
+                    if result_key is not None:
+                        # Re-derived before the interpreter runs, so the
+                        # value is stored under the guard of what it reads.
+                        self._analyze_for_cache(entry)
+                        versions = self._result_versions(entry)
             if entry.plan is None:
                 with record.phase("execute"):
                     value = evaluator.evaluate(entry.normalized)
-            if result_key is not None:
-                if entry.result_cacheable is None:
-                    self._analyze_for_cache(entry)
-                if entry.result_cacheable:
-                    cache.remember_result(result_key, versions, value)
+            if result_key is not None and entry.result_cacheable:
+                cache.remember_result(result_key, versions, value)
         return QueryResult(
             oql,
             entry.calculus,
@@ -882,7 +887,10 @@ class Database:
         ``analyzed``, a nested ``plan`` tree with per-node
         ``estimated_rows`` (and, when analyzed, ``actual_rows``,
         ``rows_in``, ``q_error``…), ``phases_ms`` and a ``summary``
-        block with the estimates' mean/max q-error. The plan is the
+        block with the estimates' mean/max q-error. With a result cache
+        attached, ``result_cache`` holds the verdict: the fields a stored
+        value is guarded by (``reads``, ``None`` for the whole heap) or
+        why values are not stored (``off``). The plan is the
         one :meth:`compile` hands :meth:`run`, analyzed or not. Queries
         the algebra cannot plan come back with ``plan: None`` and a
         ``note`` instead of raising.
@@ -890,13 +898,20 @@ class Database:
         doc: dict[str, Any] = {"oql": oql.strip(), "analyzed": analyze}
         if analyze:
             result = self._run(oql, "auto", False, False, None, None, {}, bypass=True)
-            plan, normalized, metrics = result.plan, result.normalized, result.metrics
+            entry, metrics = result.compiled, result.metrics
             doc.update(result.record.as_dict())
             if "cache" in doc and self.cache is not None:
                 doc["cache"]["stats"] = self.cache.stats.as_dict()
         else:
-            entry = self.compile(oql)
-            plan, normalized, metrics = entry.plan, entry.normalized, None
+            entry, metrics = self.compile(oql), None
+        plan, normalized = entry.plan, entry.normalized
+        if self.cache is not None and self.cache.config.results:
+            deps = self._analyze_for_cache(entry)
+            doc["result_cache"] = (
+                {"reads": None if deps.reads is None else sorted(deps.reads)}
+                if deps.cacheable
+                else {"off": deps.reason}
+            )
         doc["engine"] = "interpret" if plan is None else "algebra"
         if plan is None:
             doc["plan"] = None

@@ -524,7 +524,8 @@ class Evaluator:
         """``target.field op value`` on already-evaluated operands (``:=``
         replaces the field, ``+=`` merges into it, :func:`merge_into`):
         the one statement of an update, for the interpreter and for
-        generated code. Returns True, so the update stands as a qualifier."""
+        generated code. Returns True, so the update stands as a qualifier.
+        The store records a write of ``field`` alone (:meth:`ObjectStore.guard`)."""
         if not isinstance(target, Obj):
             raise EvaluationError(
                 f"update target must be an object, got {type(target).__name__}"
@@ -536,7 +537,7 @@ class Evaluator:
             value = merge_into(state[field], value)
         elif op != ":=":
             raise EvaluationError(f"unknown update operator {op!r}")
-        return self.store.assign(target, state.with_field(field, value))
+        return self.store.assign(target, state.with_field(field, value), field)
 
     # -- misc -------------------------------------------------------------------------------------
 

@@ -89,8 +89,8 @@ class ExtentRegistry:
         for members in self._members.values():
             if obj in members:
                 members.remove(obj)
-        # Membership changed without any heap write; the store's version
-        # counter is what query caches watch, so bump it by hand.
+        # Membership changed without any heap write; the store's structural
+        # counter is what every cached result watches, so bump it by hand.
         self.store.touch()
 
     def extent(self, extent_name: str) -> tuple[Obj, ...]:

@@ -15,7 +15,7 @@ y <- new(1) }`` is false), while their states may be equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import ObjectStoreError
 from repro.values.compare import RANK_OTHER, register_key
@@ -50,21 +50,42 @@ class ObjectStore:
     2
 
     The store keeps a monotonic :attr:`version`, bumped by every
-    mutation (``new``, ``assign``, ``delete``, ``restore``, ``touch``).
-    The result cache uses it to invalidate entries whose plans read
-    object state — heap reads happen through implicit dereferences, so
-    one counter over the whole heap is the sound granularity.
+    mutation. It also remembers *which kind* of mutation came last, so
+    the result cache can keep an entry whose plan never reads what
+    changed (:meth:`guard`). A write of one attribute (``assign`` with
+    ``field=``, the ``+=``/``:=`` of an update program) stamps that
+    field name with the new version. Anything else (``new``, a
+    whole-state ``assign``, ``delete``, ``restore``, ``touch``) stamps
+    the structural counter, which every guard reads.
     """
 
     def __init__(self) -> None:
         self._states: dict[int, Any] = {}
         self._next_oid = 1
         self._version = 0
+        self._structural = 0  # the version of the last non-field mutation
+        self._stamps: dict[str, int] = {}  # field name -> version of its last write
 
     @property
     def version(self) -> int:
         """Monotonic mutation counter (see the class docstring)."""
         return self._version
+
+    def guard(self, reads: Optional[Iterable[str]]) -> int:
+        """The version of the last mutation a reader of the fields
+        ``reads`` can observe; ``None`` reads everything (:attr:`version`).
+        A later such mutation makes it larger than any guard taken before."""
+        if reads is None:
+            return self._version
+        stamps = self._stamps
+        return max(self._structural, max((stamps.get(f, 0) for f in reads), default=0))
+
+    def _bump(self, field: Optional[str] = None) -> None:
+        self._version += 1
+        if field is None:
+            self._structural = self._version
+        else:
+            self._stamps[field] = self._version
 
     def touch(self) -> None:
         """Bump :attr:`version` without changing any state.
@@ -73,14 +94,14 @@ class ObjectStore:
         object from an extent registry changes what queries observe
         while every heap state stays identical.
         """
-        self._version += 1
+        self._bump()
 
     def new(self, state: Any) -> Obj:
         """Allocate a fresh object with the given initial state."""
         obj = Obj(self._next_oid)
         self._next_oid += 1
         self._states[obj.oid] = state
-        self._version += 1
+        self._bump()
         return obj
 
     @property
@@ -94,12 +115,14 @@ class ObjectStore:
         self._check(obj)
         return self._states[obj.oid]
 
-    def assign(self, obj: Any, state: Any) -> bool:
+    def assign(self, obj: Any, state: Any, field: Optional[str] = None) -> bool:
         """``obj := state`` — replace the state; returns True (the paper's
-        convention, so assignments can stand as qualifiers)."""
+        convention, so assignments can stand as qualifiers). ``field``
+        names the one attribute in which ``state`` differs from the old
+        state, when the caller knows it."""
         self._check(obj)
         self._states[obj.oid] = state
-        self._version += 1
+        self._bump(field)
         return True
 
     def delete(self, obj: Any) -> None:
@@ -109,7 +132,7 @@ class ObjectStore:
         """
         self._check(obj)
         del self._states[obj.oid]
-        self._version += 1
+        self._bump()
 
     def contains(self, obj: Obj) -> bool:
         return isinstance(obj, Obj) and obj.oid in self._states
@@ -132,7 +155,7 @@ class ObjectStore:
         states = dict(snapshot)  # ``snapshot`` may be the heap itself
         self._states.clear()
         self._states.update(states)
-        self._version += 1
+        self._bump()
 
     def _check(self, obj: Any) -> None:
         if not isinstance(obj, Obj):

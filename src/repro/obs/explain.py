@@ -175,6 +175,14 @@ def render_explain(doc: dict[str, Any]) -> str:
                 f"  invalidations={stats['invalidations']})"
             )
         lines.append(line)
+    verdict = doc.get("result_cache")
+    if verdict is not None:
+        if "off" in verdict:
+            lines.append(f"result cache: off, {verdict['off']}")
+        elif verdict["reads"] is None:
+            lines.append("result cache: reads the whole heap")
+        else:
+            lines.append(f"result cache: reads {', '.join(verdict['reads']) or 'no field'}")
     plan = doc.get("plan")
     if plan is None:
         lines.append(f"(no algebra plan: {doc.get('note', 'executed by interpreter')})")
