@@ -34,6 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.cache.invalidation import Dependencies
 from repro.calculus.ast import Term
 from repro.env import env_flag
 from repro.errors import DatabaseError
@@ -169,9 +170,11 @@ class CompiledQuery:
 
     This is the only product of :meth:`Database.compile
     <repro.db.database.Database.compile>` and the only input of the back
-    half, with or without a cache attached. ``plan`` is the optimized
-    physical plan the executor runs, or ``None`` when the normalized
-    term runs on the reference evaluator. ``phases`` lists the
+    half, with or without a cache attached, and it is final: the back
+    half, prepared statements and EXPLAIN only read it. ``plan`` is the
+    optimized physical plan the executor runs, kept only when the jit
+    phase gave it a function, or ``None`` when the normalized term runs
+    on the reference evaluator. ``phases`` lists the
     pipeline phases a hit skips, in
     :data:`repro.obs.tracer.PIPELINE_PHASES` order. ``version`` is the
     compile-time catalog/epoch vector the entry is valid for;
@@ -179,10 +182,11 @@ class CompiledQuery:
     verification (a verifying call never reuses an unverified entry).
 
     ``key`` (the canonical alpha-form, with the engine, the typecheck
-    flag and the parameter types a typecheck read), ``result_cacheable``
-    and ``reads`` (from :mod:`repro.cache.invalidation`) matter only to a
-    cache, so they stay ``None`` until an attached cache first needs
-    them — a database without one never computes them.
+    flag and the parameter types a typecheck read) and ``deps`` (the
+    result-cache verdict of :mod:`repro.cache.invalidation`: may a value
+    be stored, and which object fields guard it) matter only to a cache,
+    so compile derives them only with one attached (``deps`` only with a
+    result cache); a database without one never computes them.
     """
 
     oql: str
@@ -197,8 +201,7 @@ class CompiledQuery:
     version: Any
     verified: bool = False
     key: Any = None  # canonical cache key: (canonical term, engine, typecheck, param types)
-    result_cacheable: Optional[bool] = None
-    reads: Optional[frozenset[str]] = None  # the object fields a result depends on
+    deps: Optional[Dependencies] = None  # None: its values are not result-cached
     #: telemetry's hot-query fingerprint, filled in on first use
     #: (:func:`repro.obs.telemetry.fingerprint.query_fingerprint`)
     fingerprint: Optional[str] = None

@@ -43,7 +43,7 @@ from repro.algebra.physical import ExecutionStats, Executor
 from repro.algebra.translate import build_plan
 from repro.analysis.verifier import verification, verification_enabled
 from repro.cache.core import CompiledQuery, QueryCache
-from repro.cache.invalidation import Dependencies, analyze_dependencies
+from repro.cache.invalidation import analyze_dependencies
 from repro.cache.keys import canonical_term, param_names
 from repro.calculus.ast import Comprehension, Term
 from repro.calculus.traversal import free_vars, has_effects, substitute_many
@@ -65,7 +65,7 @@ from repro.errors import (
     TranslationError,
 )
 from repro.eval.evaluator import Evaluator
-from repro.jit.plan import CODE_CACHE_SIZE, PlanKey, jit_report, plan_key, precompile_plan
+from repro.jit.plan import CODE_CACHE_SIZE, PlanKey, fused, jit_report, plan_key, precompile_plan
 from repro.monoids import BAG, LIST, SET
 from repro.normalize.engine import normalize_with_trace
 from repro.normalize.trace import NormalizationTrace
@@ -124,14 +124,16 @@ class QueryResult:
     #: cache outcome for this query, e.g. {"compile": "hit",
     #: "result": "miss"} (None unless the database had a cache)
     cache: Optional[dict[str, Any]] = None
-    #: what the jit phase compiled for the plan, e.g. {"compiled": 3,
-    #: "fallback": 1, "constructs": {"Comprehension": 1}} (None when no
-    #: plan was executed)
-    jit: Optional[dict[str, Any]] = None
     #: the compiled entry this result was executed from
     compiled: Optional[CompiledQuery] = field(default=None, repr=False)
     #: this query's record: phase times, total time, cache outcome
     record: Optional[QueryRecord] = field(default=None, repr=False)
+
+    @property
+    def jit(self) -> Optional[dict[str, Any]]:
+        """What the jit phase compiled for the plan, e.g. {"compiled": 3,
+        "fallback": 1, "constructs": {}} (None when no plan ran)."""
+        return None if self.metrics is None else jit_report(self.plan)
 
     @property
     def stats(self) -> Optional[ExecutionStats]:
@@ -510,8 +512,11 @@ class Database:
         on who built it first, and an unbound parameter surfaces at
         execution. A narrowing a typecheck reads is part of both keys.
         ``jit`` gives the plan its generated function, from the code cache
-        when its shape was compiled before. ``engine="interpret"`` stops
-        after normalize; any engine but it and ``"auto"`` is refused.
+        when its shape was compiled before; a plan that gets none is
+        dropped, and the query runs on the reference interpreter. A result
+        cache's verdict, ``deps``, is derived before the entry is stored:
+        the entry returned is final. ``engine="interpret"`` stops after
+        normalize; any engine but it and ``"auto"`` is refused.
         """
         if engine not in ("auto", "interpret"):
             raise DatabaseError(f"engine must be 'auto' or 'interpret', got {engine!r}")
@@ -608,15 +613,22 @@ class Database:
                         normalized, pre_normalize=False
                     )
                 with record.phase("optimize"):
-                    plan = self._optimize(logical)
-                phases += ("plan", "optimize")
+                    optimized = self._optimize(logical)
+                with record.phase("jit"):
+                    shape = self._plan_key(optimized, (text_key, version, verifying))
+                    precompile_plan(optimized, shape)
+                # Only the variant in use is checked: the checked function
+                # holds the plain one's expressions, so it fuses too.
+                if fused(optimized, verifying) is not None:
+                    plan = optimized
+                    phases += ("plan", "optimize", "jit")
             except PlanError:
                 pass  # the reference interpreter answers it
-            if plan is not None:
-                with record.phase("jit"):
-                    shape = self._plan_key(plan, (text_key, version, verifying))
-                    precompile_plan(plan, shape)
-                phases.append("jit")
+        deps = None
+        if cache is not None and cache.config.results:
+            deps = analyze_dependencies(
+                plan, normalized, set(self.catalog.extents()) | self._object_extents, self.functions
+            )
         entry = CompiledQuery(
             oql=oql,
             engine=engine,
@@ -630,6 +642,7 @@ class Database:
             version=version,
             verified=verifying,
             key=key,
+            deps=deps,
         )
         if cache is not None:
             cache.remember(text_key, key, entry)
@@ -676,32 +689,6 @@ class Database:
 
     # -- execute: the back half ---------------------------------------------------
 
-    def _result_versions(self, entry: CompiledQuery) -> tuple:
-        """The version vector guarding one result-cache entry: the
-        current compile version (any extent reloaded, index built, view
-        or function defined), whether the plan was built under
-        verification — so a verifying call is never served a value an
-        unverified plan made — and the object store's guard over the
-        fields the entry reads."""
-        return (self._compile_version(), entry.verified, self.store.guard(entry.reads))
-
-    def _analyze_for_cache(self, entry: CompiledQuery) -> Dependencies:
-        """Fill in what only the result cache needs of an entry: its
-        canonical key, the fields it reads and its cacheability verdict.
-        ``result_cacheable`` is written last — it is what marks the
-        entry analyzed for other threads sharing it."""
-        if entry.key is None:
-            entry.key = (canonical_term(entry.calculus), entry.engine, entry.typecheck)
-        deps = analyze_dependencies(
-            entry.plan,
-            entry.normalized,
-            set(self.catalog.extents()) | self._object_extents,
-            self.functions,
-        )
-        entry.reads = deps.reads
-        entry.result_cacheable = deps.cacheable
-        return deps
-
     @_bounded
     def _execute(
         self,
@@ -711,32 +698,33 @@ class Database:
         bypass: bool,
         record: QueryRecord,
     ) -> QueryResult:
-        """Result-cache lookup → executor → fallback chain → result.
+        """Result-cache lookup → the entry's plan on the executor, or its
+        normal form on the reference interpreter → result.
 
-        Plan failures are discovered at execution time, and every way of
-        running a query degrades the same way: a plan that fails is
-        demoted to the reference interpreter. The entry is rewritten in
-        place, so with a cache attached the next repeat goes straight to
-        the interpreter.
+        The entry is only read: ``compile`` chose the engine and the
+        result-cache verdict, ``deps``; an entry without one (a cache
+        attached while it compiled) is not result-cached.
         """
-        cache = self.cache
+        cache, deps = self.cache, entry.deps
         result_key = versions = executor = None
         hit = False
-        if cache is not None and cache.config.results:
-            if entry.result_cacheable is None:
-                self._analyze_for_cache(entry)
-            if entry.result_cacheable and bypass:
+        if cache is not None and cache.config.results and deps is not None and deps.cacheable:
+            if bypass:
                 # EXPLAIN ANALYZE needs real per-operator actuals;
                 # serving a stored value would report an empty plan.
                 record.cache["result"] = "bypass"
-            elif entry.result_cacheable:
+            else:
                 try:
                     result_key = (entry.key, tuple(sorted(params.items())))
                     hash(result_key)
                 except TypeError:  # an unhashable binding: nothing to key on
                     result_key = None
                 else:
-                    versions = self._result_versions(entry)
+                    # The current compile version (an extent reloaded, an
+                    # index built, a view or function defined), whether the
+                    # plan was verified, and the heap's guard over what it reads.
+                    guard = self.store.guard(deps.reads)
+                    versions = (self._compile_version(), entry.verified, guard)
                     with record.phase("cache"):
                         hit, value = cache.result_for(result_key, versions)
                     record.cache["result"] = "hit" if hit else "miss"
@@ -746,29 +734,14 @@ class Database:
             evaluator = self.evaluator()
             for name, bound in params.items():
                 evaluator.bind_global("$" + name, bound)
-            if entry.plan is not None:
-                executor = Executor(evaluator, self.catalog.index_mappings())
-                try:
-                    with record.phase("execute"):
-                        value = executor.execute(entry.plan)
-                except PlanError:
-                    # Rewrite the (possibly shared) entry in place to
-                    # interpreter execution; its cacheability is re-derived
-                    # when the result cache next asks.
-                    entry.plan = executor = None
-                    entry.phases = tuple(
-                        p for p in entry.phases if p not in ("plan", "optimize", "jit")
-                    )
-                    entry.result_cacheable = None
-                    if result_key is not None:
-                        # Re-derived before the interpreter runs, so the
-                        # value is stored under the guard of what it reads.
-                        self._analyze_for_cache(entry)
-                        versions = self._result_versions(entry)
             if entry.plan is None:
                 with record.phase("execute"):
                     value = evaluator.evaluate(entry.normalized)
-            if result_key is not None and entry.result_cacheable:
+            else:
+                executor = Executor(evaluator, self.catalog.index_mappings())
+                with record.phase("execute"):
+                    value = executor.execute(entry.plan)
+            if result_key is not None:
                 cache.remember_result(result_key, versions, value)
         return QueryResult(
             oql,
@@ -780,7 +753,6 @@ class Database:
             "interpret" if entry.plan is None else "algebra",
             metrics=executor.metrics if executor is not None else None,
             cache=record.cache or None,
-            jit=None if executor is None else jit_report(entry.plan),
             compiled=entry,
             record=record,
         )
@@ -828,6 +800,7 @@ class Database:
     def disable_parallel(self) -> None:
         """Accepted and ignored, as :meth:`enable_parallel` is."""
 
+    @_bounded
     def run_calculus(self, term: Term) -> Any:
         """Evaluate a hand-built calculus term against this database; an
         effectful one goes through :func:`~repro.objects.run_update`, the
@@ -892,8 +865,9 @@ class Database:
         value is guarded by (``reads``, ``None`` for the whole heap) or
         why values are not stored (``off``). The plan is the
         one :meth:`compile` hands :meth:`run`, analyzed or not. Queries
-        the algebra cannot plan come back with ``plan: None`` and a
-        ``note`` instead of raising.
+        the algebra cannot plan, or whose plan gets no function, come
+        back with ``plan: None`` and a ``note`` instead of raising —
+        the reference interpreter answers them in :meth:`run` too.
         """
         doc: dict[str, Any] = {"oql": oql.strip(), "analyzed": analyze}
         if analyze:
@@ -904,9 +878,8 @@ class Database:
                 doc["cache"]["stats"] = self.cache.stats.as_dict()
         else:
             entry, metrics = self.compile(oql), None
-        plan, normalized = entry.plan, entry.normalized
-        if self.cache is not None and self.cache.config.results:
-            deps = self._analyze_for_cache(entry)
+        plan, normalized, deps = entry.plan, entry.normalized, entry.deps
+        if deps is not None:
             doc["result_cache"] = (
                 {"reads": None if deps.reads is None else sorted(deps.reads)}
                 if deps.cacheable
@@ -917,7 +890,9 @@ class Database:
             doc["plan"] = None
             doc["note"] = _no_plan_note(normalized)
             return doc
-        doc["plan"] = plan_to_dict(plan, self.catalog.extent_sizes(), metrics)
+        sizes = self.catalog.extent_sizes()
+        sizes.update((name, len(self.registry.extent(name))) for name in self._object_extents)
+        doc["plan"] = plan_to_dict(plan, sizes, metrics)
         if analyze:
             doc["summary"] = summarize(doc["plan"])
         return doc

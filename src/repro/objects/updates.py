@@ -32,6 +32,7 @@ from repro.calculus.ast import Comprehension, Const, Filter, Generator, MonoidRe
 from repro.calculus.ast import Update, Var
 from repro.calculus.builders import as_term, comp, filt, gen
 from repro.calculus.traversal import numbered
+from repro.analysis.verifier import verification_enabled
 from repro.errors import PlanError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -96,26 +97,26 @@ def run_update(program: Term, evaluator: "Evaluator") -> Any:
     for the nested shape): the victims are chosen before any mutation —
     in the plan, by the Scan's sub-plan, run to completion first.
 
-    The one entry for effectful terms: the program runs as its algebra
-    plan on the executor, its literals lifted into ``$``-parameters so
-    that programs differing only in literals share one generated
-    function (the code cache keys on the alpha-canonical plan); a term no plan takes — ``new``, an effect in a
-    head or a source — runs on the reference interpreter.
+    The one entry for effectful terms, with one branch decided before
+    anything runs: the program runs as its algebra plan on the executor,
+    its literals lifted into ``$``-parameters so that programs differing
+    only in literals share one generated function (the code cache keys
+    on the alpha-canonical plan); a term no plan takes — ``new``, an
+    effect in a head or a source — or whose plan gets no function runs
+    on the reference interpreter.
     """
     from repro.algebra.physical import Executor  # imports this package
+    from repro.jit.plan import fused
 
     plan, params = _planned(program)
-    if plan is not None:
+    if plan is not None and fused(plan, verification_enabled()) is not None:
         outer = evaluator.global_env
         evaluator.global_env = outer.bind_many(params)
         try:
             executor = Executor(evaluator)  # its runtime reads the parameters
         finally:
             evaluator.global_env = outer
-        try:
-            return executor.execute(plan)
-        except PlanError:  # raised before it runs: no function for the plan
-            pass
+        return executor.execute(plan)
     return evaluator.evaluate(program)
 
 

@@ -19,7 +19,10 @@ more, alone, when ``Database.explain`` became the rendering of
 ``explain_data``'s document: the same estimates, a different format
 (EXPERIMENTS.md H26). Every row lost its ``deps.extents`` column, alone,
 when the result cache's per-extent version counters were deleted (the
-compile version covers every reload). ``tests/test_plans_golden.py`` holds the
+compile version covers every reload). The ``explain`` column of the five
+``update_mix/*`` rows moved, alone, when EXPLAIN began estimating an
+object-mode extent at its size (6 cities) instead of the default 1000.
+``tests/test_plans_golden.py`` holds the
 operator table of ``repro.algebra.ops`` and everything that loops over it
 to the same answers, under none / generated code / cache / verify. Run from the
 repository root::

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algebra.physical import Executor
 from repro.cache.invalidation import analyze_dependencies
 from repro.calculus import const, eq, proj, var
 from repro.calculus.ast import Comprehension, Deref, Generator, MonoidRef, Proj, Var
 from repro.db.database import Database
 from repro.db.sample_data import travel_schema
-from repro.errors import PlanError, ReproError
+from repro.errors import ReproError
 from repro.objects import ObjectStore, add_to_field, run_update, set_field, update_where
 from repro.values import to_python
 
@@ -232,19 +231,10 @@ def test_an_explicit_dereference_reads_the_whole_heap():
     assert store.guard(()) == 1 and store.guard(["f"]) == 2 and store.guard(["g"]) == 1
 
 
-def test_a_demoted_entry_stores_its_value_under_the_guard_it_is_looked_up_by(monkeypatch):
-    db = _db(True)
-
-    def refuse(self, plan):
-        raise PlanError("refused")
-
-    monkeypatch.setattr(Executor, "execute", refuse)
-    first = db.run_detailed(STARS)
-    assert first.engine == "interpret" and first.cache["result"] == "miss"
-    assert db.compile(STARS).reads == frozenset({"hotels", "stars"})
-    assert db.run_detailed(STARS).cache["result"] == "hit"
-    _update("hotel_count", "+=", lambda db: const(1), None)(db)
-    assert db.run_detailed(STARS).cache["result"] == "hit"
+def test_compile_derives_the_verdict_before_any_run():
+    entry = _db(True).compile(STARS)
+    assert entry.deps.cacheable and entry.deps.reads == {"hotels", "stars"}
+    assert _db(False).compile(STARS).deps is None  # no cache: never computed
 
 
 def test_explain_prints_the_verdict_with_a_result_cache():

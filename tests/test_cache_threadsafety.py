@@ -16,6 +16,7 @@ from repro.cache.core import (
     LRUCache,
     QueryCache,
 )
+from repro.cache.invalidation import Dependencies
 
 THREADS = 8
 ROUNDS = 300
@@ -103,7 +104,7 @@ def entry(version):
         trace=None,
         plan=None,
         phases=(),
-        result_cacheable=True,
+        deps=Dependencies(cacheable=True),
         params=(),
         version=version,
     )

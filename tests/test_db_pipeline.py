@@ -4,7 +4,7 @@ Every way of answering a query (ad hoc with or without a cache, a
 prepared statement, EXPLAIN) shares that pair, so these tests pin what
 the sharing guarantees: one plan per query whoever asks, one error per
 mistake whatever the mode, verification that a cache hit cannot skip,
-and one execute-time fallback chain.
+and one decision, made by ``compile``, of which engine answers.
 """
 
 import pytest
@@ -26,6 +26,7 @@ from repro.values import to_python
 
 from tests.data.make_frontend_golden import corpus
 from tests.test_analysis_verifier import MonoidSwap
+from tests.test_compile_decides import REFUSED, ones_and_twos
 
 GROUP_BY = (
     "select struct(dno: dno, n: count(partition)) "
@@ -190,41 +191,29 @@ def test_explain_analyze_does_not_swap_the_query_log():
     assert "execute" in doc["phases_ms"]  # EXPLAIN reads the query's record
 
 
-# -- the execute-time fallback chain -------------------------------------------
+# -- compile decides the engine ------------------------------------------------
 
 
-def fail_plans(monkeypatch):
-    """Make the executor raise PlanError for every plan."""
-
-    def execute(self, plan):
-        raise PlanError("forced by the test")
-
-    monkeypatch.setattr(Executor, "execute", execute)
-
-
-def runners(oql):
+def runners(oql, make=company):
     """(label, db, thunk -> QueryResult) for each way of running ``oql``."""
     for cache in (False, True):
-        db = company(cache)
+        db = make(cache)
         yield f"run cache={cache}", db, lambda db=db: db.run_detailed(oql)
-        db = company(cache)
+        db = make(cache)
         statement = db.prepare(oql)
         yield f"prepared cache={cache}", db, statement.run_detailed
 
 
 class TestFallbackChain:
-    @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
-    def test_failing_algebra_plan_falls_back_to_the_interpreter(self, monkeypatch, oql):
-        expected = to_python(company().run(oql, engine="interpret"))
-        fail_plans(monkeypatch)
-        for label, db, run in runners(oql):
+    def test_a_plan_without_a_function_runs_on_the_interpreter(self):
+        expected = to_python(ones_and_twos().run(REFUSED, engine="interpret"))
+        for label, db, run in runners(REFUSED, ones_and_twos):
             for _ in range(2):
                 result = run()
                 assert to_python(result.value) == expected, label
                 assert result.engine == "interpret", label
                 assert result.plan is None and result.stats is None, label
-            if db.cache is not None:
-                assert db.compile(oql).plan is None, label
+            assert db.compile(REFUSED).plan is None, label
 
     @pytest.mark.parametrize("engine", ["algebra", "algbra", "fast"])
     @pytest.mark.parametrize("cache", [False, True])
@@ -237,12 +226,20 @@ class TestFallbackChain:
 
     @pytest.mark.parametrize("oql", [GROUP_BY, COMPREHENSION])
     def test_a_plan_error_reaches_a_caller_of_the_executor(self, monkeypatch, oql):
+        """Execution falls back on nothing: a compiled plan always has its
+        function, so a ``PlanError`` there is a fault, and it propagates."""
+
+        def execute(self, plan):
+            raise PlanError("forced by the test")
+
         db = company()
         plan = db.compile(oql).plan
-        fail_plans(monkeypatch)
+        monkeypatch.setattr(Executor, "execute", execute)
         with pytest.raises(PlanError, match="forced by the test"):
             Executor(db.evaluator(), db.catalog.index_mappings()).execute(plan)
-        assert db.run_detailed(oql).engine == "interpret"
+        for label, db, run in runners(oql):
+            with pytest.raises(PlanError, match="forced by the test"):
+                run()
 
 
 # -- compile normalizes once ----------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algebra import Executor, IndexScan, Join, Nest, Reduce, Scan, SelectOp, Unnest
-from repro.algebra import build_plan
+from repro.algebra import Optimizer, build_plan
 from repro.analysis.verifier import verification
 from repro.cache import CacheConfig
 from repro.calculus import comp, const, eq, filt, gen, gt, proj, var
@@ -660,9 +660,12 @@ class TestPlansPythonWillNotCompile:
         return f"select {' + '.join(names)} from {froms}"
 
     def refused(self, db) -> None:
-        """The plan gets no code: ``auto`` answers on the reference
-        evaluator, and executing the plan raises."""
-        plan = db.compile(self.oql()).plan
+        """The plan gets no code: ``compile`` drops it, ``auto`` answers on
+        the reference evaluator, and executing the plan raises."""
+        entry = db.compile(self.oql())
+        assert entry.plan is None
+        logical = build_plan(entry.normalized, pre_normalize=False)
+        plan = Optimizer(db.catalog.index_keys()).optimize(logical)
         assert fused(plan) is None and pipeline_source(plan) == ""
         result = db.run_detailed(self.oql())
         assert result.engine == "interpret" and result.plan is None and result.jit is None

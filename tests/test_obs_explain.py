@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.db import demo_travel_database
+from repro.db import Database, demo_travel_database, travel_schema
 from repro.obs.explain import plan_to_dict, q_error, render_explain, summarize
 from tests.data.make_exec_stats_golden import queries
 from tests.data.make_plans_golden import grouped_queries
@@ -114,6 +114,14 @@ class TestDatabaseExplain:
         assert doc["analyzed"] is False
         assert "phases_ms" not in doc
         assert "actual_rows" not in doc["plan"]
+
+    def test_an_object_extent_is_estimated_at_its_size(self):
+        db = Database(travel_schema(), cache=False)
+        city = {"name": "C0", "state": "OR", "population": 1, "hotels": frozenset()}
+        db.load_objects("Cities", "City", [{**city, "hotel_count": 1}])
+        text = db.explain("sum(select c.hotel_count from c in Cities)", analyze=True)
+        scan = next(line for line in text.splitlines() if "Scan" in line)
+        assert "est~1 " in scan and "actual=1" in scan and "q-err=1" in scan
 
     def test_non_comprehension_query_degrades_to_note(self, db):
         doc = db.explain_data("count(Cities)", analyze=True)

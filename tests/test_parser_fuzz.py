@@ -21,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.vectors.linalg  # noqa: F401  (registers csum and cell)
-from repro.calculus import alpha_equal, pretty
+from repro.calculus import alpha_equal, const, pretty
+from repro.calculus.ast import BinOp
 from repro.calculus.parser import parse_calculus
 from repro.errors import CalculusError, OQLSyntaxError, ReproError, ResourceLimitError
 from repro.monoids import PrimitiveMonoid, default_registry
@@ -129,6 +130,13 @@ class TestDeepQueriesThroughDatabaseRun:
         monkeypatch.setattr(type(travel_db.evaluator()), "evaluate", overflow)
         with pytest.raises(ResourceLimitError, match="too deeply to execute"):
             travel_db.run("1 + 1", engine="interpret")
+
+    def test_a_hand_built_term_too_deep_is_a_resource_limit(self, travel_db):
+        term = const(0)
+        for _ in range(5000):
+            term = BinOp("+", term, const(1))
+        with pytest.raises(ResourceLimitError, match="too deeply to run_calculus"):
+            travel_db.run_calculus(term)
 
 
 # -- nothing but a ReproError escapes Database.run ----------------------------
