@@ -13,7 +13,7 @@ in precedence order:
 
 1. an explicit ``verify=`` argument to ``normalize_with_trace`` /
    ``Database.run``;
-2. the :func:`verification` context manager (used by ``Database.run``
+2. the :class:`verification` context manager (used by ``Database.run``
    to cover the whole compile and execute of one query), which holds
    for the thread that entered it;
 3. the ``REPRO_VERIFY=1`` environment variable (the ``verify`` row of
@@ -23,8 +23,7 @@ in precedence order:
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.calculus.ast import Term
 from repro.calculus.traversal import alpha_equal
@@ -60,22 +59,29 @@ def verification_enabled() -> bool:
     return env_flag("REPRO_VERIFY")
 
 
-@contextmanager
-def verification(enabled: Optional[bool]) -> Iterator[None]:
+class verification:  # lower case: callers write ``with verification(on):``
     """Force verification on or off for the dynamic extent of the block,
     on the calling thread.
 
     ``verification(None)`` is a no-op (the environment keeps deciding),
     so callers can thread an optional ``verify=`` parameter through
-    without special-casing.
+    without special-casing. A class, not a ``@contextmanager`` generator:
+    every query enters one, and a generator frame costs it more than
+    the switch itself. Like such a generator, an instance is entered once.
     """
-    saved = getattr(_OVERRIDE, "override", None)
-    if enabled is not None:
-        _OVERRIDE.override = enabled
-    try:
-        yield
-    finally:
-        _OVERRIDE.override = saved
+
+    __slots__ = ("enabled", "saved")
+
+    def __init__(self, enabled: Optional[bool]) -> None:
+        self.enabled = enabled
+
+    def __enter__(self) -> None:
+        self.saved = getattr(_OVERRIDE, "override", None)
+        if self.enabled is not None:
+            _OVERRIDE.override = self.enabled
+
+    def __exit__(self, *exc: object) -> None:
+        _OVERRIDE.override = self.saved
 
 
 def resolve_verify(verify: Optional[bool]) -> bool:

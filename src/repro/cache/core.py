@@ -200,10 +200,12 @@ class CompiledQuery:
     params: tuple[str, ...]
     version: Any
     verified: bool = False
-    key: Any = None  # canonical cache key: (canonical term, engine, typecheck, param types)
+    #: the canonical cache key: a :class:`~repro.cache.keys.CacheKey` of
+    #: (canonical term, engine, typecheck, param types)
+    key: Any = None
     deps: Optional[Dependencies] = None  # None: its values are not result-cached
-    #: telemetry's hot-query fingerprint, filled in on first use
-    #: (:func:`repro.obs.telemetry.fingerprint.query_fingerprint`)
+    #: telemetry's hot-query fingerprint, set by compile when telemetry is
+    #: attached (:func:`repro.obs.telemetry.fingerprint.query_fingerprint`)
     fingerprint: Optional[str] = None
 
 

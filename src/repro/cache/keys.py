@@ -21,6 +21,14 @@ another with a value of the wrong type.
 :func:`literal_skeleton` instead blanks every constant, giving the
 key the ``QL401`` lint uses to spot literal-only query variants that
 defeat the compilation cache.
+
+:class:`CacheKey` is the one key class both caches store under: the
+query cache's entries (a canonical term with the engine, the typecheck
+flag and the parameter types) and the code cache's functions
+(:func:`repro.jit.plan.plan_key`). A term is a tree of frozen
+dataclasses whose generated ``__hash__`` walks all of it, so a key is
+hashed once, when it is made, and every later lookup costs its stored
+hash and an identity test.
 """
 
 from __future__ import annotations
@@ -33,6 +41,28 @@ from repro.values import Record
 LITERAL_HOLE = "‹lit›"  # ‹lit›
 
 _HOLE = Const(LITERAL_HOLE)
+
+
+class CacheKey:
+    """A key hashed once: ``parts`` (a tuple) and its stored hash.
+
+    >>> a, b = CacheKey((1, "x")), CacheKey((1, "x"))
+    >>> a == b and hash(a) == hash(b) == hash((1, "x"))
+    True
+    """
+
+    __slots__ = ("parts", "hash")
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts, self.hash = parts, hash(parts)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, CacheKey) and self.hash == other.hash and self.parts == other.parts
+        )
 
 
 def typed_value(value: object) -> object:

@@ -44,7 +44,7 @@ from repro.algebra.translate import build_plan
 from repro.analysis.verifier import verification, verification_enabled
 from repro.cache.core import CompiledQuery, QueryCache
 from repro.cache.invalidation import analyze_dependencies
-from repro.cache.keys import canonical_term, param_names
+from repro.cache.keys import CacheKey, canonical_term, param_names
 from repro.calculus.ast import Comprehension, Term
 from repro.calculus.traversal import free_vars, has_effects, substitute_many
 from repro.db.catalog import Catalog
@@ -65,7 +65,7 @@ from repro.errors import (
     TranslationError,
 )
 from repro.eval.evaluator import Evaluator
-from repro.jit.plan import CODE_CACHE_SIZE, PlanKey, fused, jit_report, plan_key, precompile_plan
+from repro.jit.plan import CODE_CACHE_SIZE, fused, jit_report, plan_key, precompile_plan
 from repro.monoids import BAG, LIST, SET
 from repro.normalize.engine import normalize_with_trace
 from repro.normalize.trace import NormalizationTrace
@@ -228,7 +228,7 @@ class Database:
         # (compile version, the Linter derived at it) — see _linter
         self._linter_at: Optional[tuple[tuple, Any]] = None
         # (text key, compile version, verifying) -> its plan's key
-        self._plan_keys: dict[tuple, Optional[PlanKey]] = {}
+        self._plan_keys: dict[tuple, Optional[CacheKey]] = {}
 
     # -- loading ----------------------------------------------------------------
 
@@ -576,8 +576,9 @@ class Database:
         key = None
         if cache is not None:
             # Only a cache needs the canonical alpha-form; without one
-            # it is never computed.
-            key = (canonical_term(calculus), engine, typecheck, typed)
+            # it is never computed. Hashed here, once: every later lookup
+            # of the entry or of its results reuses the stored hash.
+            key = CacheKey((canonical_term(calculus), engine, typecheck, typed))
             entry = cache.compiled_by_canon(key, version, verifying)
             if entry is not None:
                 # An alpha-variant of a cached query: alias the text
@@ -644,6 +645,10 @@ class Database:
             key=key,
             deps=deps,
         )
+        if self.telemetry is not None:
+            from repro.obs.telemetry.fingerprint import query_fingerprint
+
+            entry.fingerprint = query_fingerprint(entry)
         if cache is not None:
             cache.remember(text_key, key, entry)
         return entry
@@ -673,7 +678,7 @@ class Database:
             self, oql, engine=engine, typecheck=typecheck, param_types=param_types
         )
 
-    def _plan_key(self, plan: Reduce, compiled_as: tuple) -> Optional[PlanKey]:
+    def _plan_key(self, plan: Reduce, compiled_as: tuple) -> Optional[CacheKey]:
         """``plan_key`` of ``plan``, made once per text, catalog version
         and verify setting (``compiled_as``): they fix the plan's shape."""
         key = self._plan_keys.get(compiled_as)
@@ -715,7 +720,7 @@ class Database:
                 record.cache["result"] = "bypass"
             else:
                 try:
-                    result_key = (entry.key, tuple(sorted(params.items())))
+                    result_key = (entry.key, tuple(sorted(params.items())) if params else ())
                     hash(result_key)
                 except TypeError:  # an unhashable binding: nothing to key on
                     result_key = None
@@ -905,7 +910,7 @@ def _no_plan_note(normalized: Term) -> str:
     """Why EXPLAIN has no plan tree to show."""
     if not isinstance(normalized, Comprehension):
         return f"not a comprehension: {normalized}"
-    return "query runs on the reference interpreter (no algebra plan)"
+    return "query runs on the reference interpreter"
 
 
 def _resolve_mode(name: str, value: Any) -> Any:

@@ -34,7 +34,7 @@ from typing import Any, Callable, Optional
 
 from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
 from repro.analysis.verifier import verification_enabled
-from repro.cache.keys import typed_literal
+from repro.cache.keys import CacheKey, typed_literal
 from repro.calculus.ast import Empty
 from repro.calculus.traversal import relabel
 from repro.errors import PlanError
@@ -47,7 +47,7 @@ from repro.values.compare import _SET_ORDERS
 Code = tuple[Optional[Callable[..., Any]], dict[str, Any]]
 
 
-def precompile_plan(plan: Reduce, key: Optional[PlanKey] = None) -> dict[str, Any]:
+def precompile_plan(plan: Reduce, key: Optional[CacheKey] = None) -> dict[str, Any]:
     """The jit phase: give ``plan`` its function; what the emission
     compiled (``compiled``/``fallback`` counts, the fallback ``constructs``
     QL501 names). ``key``: the plan's :func:`plan_key`, if the caller has it."""
@@ -80,7 +80,7 @@ def pipeline_source(plan: Reduce, checked: bool = False) -> str:
     return "" if fn is None else "".join(linecache.getlines(fn.__code__.co_filename))
 
 
-def _attach(plan: Reduce, checked: bool, key: Optional[PlanKey] = None) -> None:
+def _attach(plan: Reduce, checked: bool, key: Optional[CacheKey] = None) -> None:
     """Keep ``plan``'s code on its root."""
     fn, report = _code_for(plan, checked, key)
     plan.__dict__.setdefault("jit_fused", {})[checked] = fn
@@ -95,29 +95,11 @@ def _attach(plan: Reduce, checked: bool, key: Optional[PlanKey] = None) -> None:
 CODE_CACHE_SIZE = 512
 
 #: plan key -> its :data:`Code`, least recently used first
-_CODE: "OrderedDict[PlanKey, Code]" = OrderedDict()
+_CODE: "OrderedDict[CacheKey, Code]" = OrderedDict()
 _LOCK = threading.Lock()
 
 
-class PlanKey:
-    """A plan's alpha-canonical form, hashed once: a lookup with a key
-    already made costs its stored hash and an identity test."""
-
-    __slots__ = ("parts", "hash")
-
-    def __init__(self, parts: tuple) -> None:
-        self.parts, self.hash = parts, hash(parts)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, PlanKey) and self.hash == other.hash and self.parts == other.parts
-        )
-
-
-def plan_key(plan: Reduce, checked: bool) -> Optional[PlanKey]:
+def plan_key(plan: Reduce, checked: bool) -> Optional[CacheKey]:
     """``plan`` up to the names of its variables (``canonical_term`` for
     plans): plan variables renumbered in binding order, then each term's
     binders; literals typed. A name an expression cannot see (a Scan
@@ -147,12 +129,12 @@ def plan_key(plan: Reduce, checked: bool) -> Optional[PlanKey]:
         elif type(node) is IndexScan:
             parts.append(node.attribute)
     try:
-        return PlanKey(tuple(parts))
+        return CacheKey(tuple(parts))
     except TypeError:
         return None
 
 
-def _code_for(plan: Reduce, checked: bool, key: Optional[PlanKey] = None) -> Code:
+def _code_for(plan: Reduce, checked: bool, key: Optional[CacheKey] = None) -> Code:
     """``plan``'s code: the cached function of its shape, else emitted."""
     key = key or plan_key(plan, checked)
     if key is None:  # a constant that does not hash: emitted uncached

@@ -77,8 +77,12 @@ class ObjectStore:
         A later such mutation makes it larger than any guard taken before."""
         if reads is None:
             return self._version
-        stamps = self._stamps
-        return max(self._structural, max((stamps.get(f, 0) for f in reads), default=0))
+        stamps, guard = self._stamps, self._structural
+        for name in reads:  # a loop, not max() over a generator: one frame fewer per lookup
+            stamp = stamps.get(name, 0)
+            if stamp > guard:
+                guard = stamp
+        return guard
 
     def _bump(self, field: Optional[str] = None) -> None:
         self._version += 1

@@ -39,14 +39,16 @@ def fingerprint_term(term: Term) -> str:
 
 
 def query_fingerprint(entry: CompiledQuery) -> str:
-    """:func:`fingerprint_term` of a compiled query's calculus term,
-    computed once per entry — and from the canonical term a cache has
-    already keyed the entry by, when there is one — so a repeated query
-    pays for its fingerprint per compile, not per run."""
-    if entry.fingerprint is None:
-        canonical = entry.key[0] if entry.key is not None else canonical_term(entry.calculus)
-        entry.fingerprint = _digest(canonical)
-    return entry.fingerprint
+    """:func:`fingerprint_term` of a compiled query's calculus term, from
+    the canonical term a cache keyed the entry by when there is one.
+
+    With telemetry attached, ``Database.compile`` stores it on the entry
+    before publishing it, so a repeated query pays for its fingerprint per
+    compile, not per run; this only reads an entry, never writes one."""
+    if entry.fingerprint is not None:
+        return entry.fingerprint
+    key = entry.key
+    return _digest(key.parts[0] if key is not None else canonical_term(entry.calculus))
 
 
 def _digest(canonical: Term) -> str:

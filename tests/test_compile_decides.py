@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from repro.analysis.verifier import verification
 from repro.db import Database, company_schema, make_company
 from repro.obs.explain import plan_to_dict
+from repro.obs.telemetry import MetricsRegistry
+from repro.obs.telemetry.fingerprint import query_fingerprint
 
 from tests.data.make_exec_stats_golden import queries
 from tests.data.make_plans_golden import grouped_queries
@@ -60,6 +62,13 @@ def test_the_refused_query_runs_on_the_interpreter_and_explains_so():
         assert doc["engine"] == db.run_detailed(REFUSED).engine == "interpret"
         assert doc["note"].startswith("query runs on the reference interpreter")
         assert db.compile(generators_query(18)).plan is not None
+
+
+def test_the_explain_note_says_it_once():
+    db = ones_and_twos()
+    assert db.explain(REFUSED).splitlines()[-1] == (
+        "(no algebra plan: query runs on the reference interpreter)"
+    )
 
 
 @given(
@@ -107,3 +116,19 @@ def test_the_entry_is_final():
         assert again is entry, label
         assert (again.plan, again.phases, again.deps, again.key) == made, label
         assert again.plan is made[0] and again.deps is not None, label
+
+
+def test_compile_sets_the_fingerprint_before_publishing():
+    """With telemetry attached, the fingerprint is on the entry ``compile``
+    returns, and a run reads it without writing the entry; an entry
+    compiled without telemetry is never written."""
+    db = ones_and_twos(True)
+    db.enable_telemetry(MetricsRegistry())
+    entry = db.compile("count(select x from x in Ones)")
+    made = entry.fingerprint
+    assert made is not None
+    db.run("count(select y from y in Ones)")
+    assert db.compile("count(select x from x in Ones)") is entry and entry.fingerprint == made
+    assert (made,) == tuple(s.fingerprint for s in db.telemetry.fingerprints.top(10))
+    plain = ones_and_twos(True).compile("count(select x from x in Ones)")
+    assert query_fingerprint(plain) == made and plain.fingerprint is None
