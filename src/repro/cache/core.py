@@ -177,7 +177,7 @@ class CompiledQuery:
     on the reference evaluator. ``phases`` lists the
     pipeline phases a hit skips, in
     :data:`repro.obs.tracer.PIPELINE_PHASES` order. ``version`` is the
-    compile-time catalog/epoch vector the entry is valid for;
+    catalog version the entry was compiled at and is valid for;
     ``verified`` records whether it was built under rewrite
     verification (a verifying call never reuses an unverified entry).
 

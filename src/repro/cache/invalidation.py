@@ -1,8 +1,8 @@
 """What a compiled query reads, and whether its results may be cached.
 
 The result cache is only sound if every input a plan can observe is
-covered by a version counter: the database's compile version covers the
-catalog (every extent reload among it) and the object store's
+covered by a version counter: the catalog's one version covers every
+registration (every extent reload among them) and the object store's
 :meth:`~repro.objects.store.ObjectStore.guard` the heap. This module
 computes, for one :class:`~repro.cache.core.CompiledQuery`, whether a
 finished value may be served again later (``cacheable``) and which

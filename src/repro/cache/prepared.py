@@ -78,7 +78,7 @@ class Prepared:
         if (
             db.cache is not None
             or entry is None
-            or entry.version != db._compile_version()
+            or entry.version != db.catalog.version
             or (verification_enabled() and not entry.verified)
         ):
             entry = self._entry = db.compile(

@@ -1,72 +1,114 @@
-"""The catalog: named extents, their sizes and their indexes."""
+"""The catalog: the database's one namespace.
+
+Every name a query can mean has one kind: a value ``extent`` (a reload
+needs ``replace=True``), an ``object extent`` of OIDs in the catalog's
+store (section 4.2; more objects append), a ``view`` or a ``function``
+(both overwrite). Giving a name a second kind raises a
+:class:`~repro.errors.DatabaseError` naming it and changes nothing.
+Every registration and index build bumps one ``int``,
+:attr:`Catalog.version`, the version compiled plans, cached results and
+the linter are valid at; heap writes are the store's guard's business.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Optional
 
 from repro.db.index import HashIndex
 from repro.errors import DatabaseError
 from repro.eval.builtins import runtime_monoid_of
+from repro.objects.classes import ExtentRegistry
 from repro.objects.store import ObjectStore
+from repro.types.schema import Schema
 
 
 class Catalog:
-    """Extent namespace plus index bookkeeping for one database.
+    """Every name one database's queries can mean, and its version."""
 
-    The catalog also carries the version counter the query cache keys
-    on: one :attr:`version` covering everything a compiled plan or a
-    cached result depends on — the extents loaded (reloads included)
-    and the set of available indexes. It is monotonic; comparisons are
-    for equality only.
-    """
-
-    def __init__(self) -> None:
+    def __init__(self, schema: Optional[Schema] = None) -> None:
+        self.store = ObjectStore()
+        self.registry = ExtentRegistry(schema if schema is not None else Schema(), self.store)
+        self._kinds: dict[str, str] = {}  # name -> its one kind
         self._extents: dict[str, Any] = {}
+        self.views: dict[str, Any] = {}  # name -> calculus term
+        self.functions: dict[str, Any] = {}  # name -> Python callable
         self._indexes: dict[tuple[str, str], HashIndex] = {}
-        self._version = 0
+        #: monotonic registration counter; compare for equality only
+        self.version = 0
 
-    # -- versions --------------------------------------------------------------
+    # -- the namespace -----------------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        """Monotonic structure counter (extents loaded, indexes built)."""
-        return self._version
+    def _claim(self, name: str, kind: str) -> None:
+        """Register ``name`` as ``kind``, refused when it is another."""
+        held = self._kinds.setdefault(name, kind)
+        if held != kind:
+            raise DatabaseError(f"cannot register {kind} {name!r}: the name is a registered {held}")
+        self.version += 1
 
-    # -- extents ---------------------------------------------------------------
+    def names(self) -> set[str]:
+        """Every registered name, of any kind."""
+        return set(self._kinds)
+
+    def extent_names(self) -> set[str]:
+        """The names of value and object extents."""
+        return {name for name, kind in self._kinds.items() if kind.endswith("extent")}
+
+    def bindings(self) -> dict[str, Any]:
+        """Extent name -> its collection (an object extent's OIDs)."""
+        bindings = dict(self._extents)
+        for name, kind in self._kinds.items():
+            if kind == "object extent":
+                bindings[name] = self.registry.extent(name)
+        return bindings
+
+    def extent_sizes(self) -> dict[str, int]:
+        """Element counts per value and object extent, for EXPLAIN."""
+        return {name: runtime_monoid_of(c).length(c) for name, c in self.bindings().items()}
+
+    # -- registrations -------------------------------------------------------------
 
     def register_extent(self, name: str, collection: Any, replace: bool = False) -> None:
+        """Load, or with ``replace`` reload, a value extent and its indexes."""
         if name in self._extents and not replace:
             raise DatabaseError(f"extent {name!r} already loaded")
         runtime_monoid_of(collection)  # raises if not a collection
+        self._claim(name, "extent")
         self._extents[name] = collection
-        self._version += 1
-        # Rebuild any indexes declared on this extent.
-        for (extent, attribute), index in list(self._indexes.items()):
-            if extent == name:
-                self._indexes[(extent, attribute)] = HashIndex.build(
-                    extent, attribute, self.iterate_extent(extent), index_store(index)
-                )
+        for key in [key for key in self._indexes if key[0] == name]:
+            self._indexes[key] = HashIndex.build(*key, self.iterate_extent(name), self.store)
+
+    def register_objects(self, name: str, class_name: str, rows: list[dict]) -> None:
+        """One new ``class_name`` object per row, in object extent ``name``."""
+        self._claim(name, "object extent")
+        for row in rows:
+            self.registry.create(class_name, row)
+
+    def define_view(self, name: str, term: Any) -> None:
+        self._claim(name, "view")
+        self.views[name] = term
+
+    def register_function(self, name: str, fn: Any) -> None:
+        self._claim(name, "function")
+        self.functions[name] = fn
+
+    def create_index(self, extent: str, attribute: str) -> None:
+        """Build (or rebuild) a hash index on ``extent.attribute``."""
+        if extent not in self._extents:
+            raise DatabaseError(f"cannot index unknown extent {extent!r}")
+        rows = self.iterate_extent(extent)
+        self._indexes[(extent, attribute)] = HashIndex.build(extent, attribute, rows, self.store)
+        self.version += 1
+
+    # -- value extents ---------------------------------------------------------------
 
     def extent(self, name: str) -> Any:
-        try:
-            return self._extents[name]
-        except KeyError:
-            raise DatabaseError(
-                f"unknown extent {name!r} (loaded: {', '.join(sorted(self._extents))})"
-            ) from None
-
-    def has_extent(self, name: str) -> bool:
-        return name in self._extents
+        if name not in self._extents:
+            raise DatabaseError(f"unknown extent {name!r} (loaded: {', '.join(sorted(self._extents))})")
+        return self._extents[name]
 
     def extents(self) -> dict[str, Any]:
+        """Value extent name -> collection (what persistence saves)."""
         return dict(self._extents)
-
-    def extent_sizes(self) -> dict[str, int]:
-        """Element counts per extent, for the plan cost model."""
-        sizes = {}
-        for name, collection in self._extents.items():
-            sizes[name] = runtime_monoid_of(collection).length(collection)
-        return sizes
 
     def iterate_extent(self, name: str) -> Iterator[Any]:
         collection = self.extent(name)
@@ -74,27 +116,9 @@ class Catalog:
 
     # -- indexes -----------------------------------------------------------------
 
-    def create_index(
-        self, extent: str, attribute: str, store: ObjectStore | None = None
-    ) -> HashIndex:
-        """Build (or rebuild) a hash index on ``extent.attribute``."""
-        if not self.has_extent(extent):
-            raise DatabaseError(f"cannot index unknown extent {extent!r}")
-        index = HashIndex.build(
-            extent, attribute, self.iterate_extent(extent), store
-        )
-        index._store = store  # kept for rebuilds on reload
-        self._indexes[(extent, attribute)] = index
-        self._version += 1
-        return index
-
     def index_keys(self) -> set[tuple[str, str]]:
         return set(self._indexes)
 
     def index_mappings(self) -> dict[tuple[str, str], dict[Any, list[Any]]]:
         """(extent, attribute) -> raw mapping, for the executor."""
         return {key: index.as_mapping() for key, index in self._indexes.items()}
-
-
-def index_store(index: HashIndex) -> ObjectStore | None:
-    return getattr(index, "_store", None)

@@ -31,7 +31,6 @@ the normalized term on the reference evaluator instead of the algebra
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Literal, Optional
@@ -73,8 +72,6 @@ from repro.obs.explain import plan_to_dict, render_explain, summarize
 from repro.obs.metrics import PlanMetrics
 from repro.obs.querylog import QueryLog
 from repro.obs.tracer import QueryRecord
-from repro.objects.classes import ExtentRegistry
-from repro.objects.store import ObjectStore
 from repro.objects.updates import run_update
 from repro.oql.parser import parse
 from repro.oql.translate import Translator
@@ -90,22 +87,6 @@ _MODES = {
     "cache": ("REPRO_CACHE", "repro.cache.core", "resolve_cache"),
     "telemetry": ("REPRO_TELEMETRY", "repro.obs.telemetry.registry", "resolve_telemetry"),
 }
-
-
-def _bounded(method):
-    """``method`` (a pipeline half) raising :class:`ResourceLimitError`
-    where a term too deep for one of its recursive walks would raise
-    ``RecursionError``."""
-
-    @functools.wraps(method)
-    def bounded(*args, **kwargs):
-        try:
-            return method(*args, **kwargs)
-        except RecursionError:
-            stage = method.__name__.lstrip("_")
-            raise ResourceLimitError(f"query nested too deeply to {stage}") from None
-
-    return bounded
 
 
 @dataclass
@@ -202,12 +183,10 @@ class Database:
         jit: Any = None,
     ) -> None:
         self.schema = schema if schema is not None else Schema()
-        self.catalog = Catalog()
-        self.store = ObjectStore()
-        self.registry = ExtentRegistry(self.schema, self.store)
-        self.functions: dict[str, Any] = {}
-        self._object_extents: set[str] = set()
-        self._views: dict[str, Term] = {}
+        #: every name a query can mean, the compile version, the object heap
+        self.catalog = Catalog(self.schema)
+        self.store = self.catalog.store
+        self.registry = self.catalog.registry
         #: the session's one query history, recording while
         #: :meth:`profile` has it on
         self.query_log = QueryLog()
@@ -221,12 +200,8 @@ class Database:
             raise DatabaseError("no parallel execution: every plan runs as one serial function")
         #: what ``jit=`` said, which changes nothing (docs/JIT.md)
         self.jit: Optional[Any] = jit or None
-        # Bumped whenever query *meaning* changes outside the catalog
-        # (views defined, functions registered, object extents added);
-        # part of the compile-version vector cache entries pin.
-        self._cache_epoch = 0
-        # (compile version, the Linter derived at it) — see _linter
-        self._linter_at: Optional[tuple[tuple, Any]] = None
+        # (catalog version, the Linter derived at it) — see _linter
+        self._linter_at: Optional[tuple[int, Any]] = None
         # (text key, compile version, verifying) -> its plan's key
         self._plan_keys: dict[tuple, Optional[CacheKey]] = {}
 
@@ -278,30 +253,23 @@ class Database:
                 raise DatabaseError(
                     f"object extent {extent!r} needs dict rows, got {type(row).__name__}"
                 )
-        for row in rows:
-            self.registry.create(class_name, dict(_to_record(row)))
-        self._object_extents.add(extent)
-        self._cache_epoch += 1
+        self.catalog.register_objects(extent, class_name, [dict(_to_record(r)) for r in rows])
 
     def create_index(self, extent: str, attribute: str) -> None:
         """Build a hash index usable by the optimizer."""
-        self.catalog.create_index(extent, attribute, self.store)
+        self.catalog.create_index(extent, attribute)
 
     def register_function(self, name: str, fn: Any) -> None:
         """Expose a Python function to OQL queries."""
-        self.functions[name] = fn
-        self._cache_epoch += 1
+        self.catalog.register_function(name, fn)
 
     # -- core pipeline -----------------------------------------------------------------
 
     def evaluator(self) -> Evaluator:
         """A fresh evaluator bound to the current extents and schema."""
-        bindings: dict[str, Any] = dict(self.catalog.extents())
-        for extent in self._object_extents:
-            bindings[extent] = self.registry.extent(extent)
         return Evaluator(
-            bindings,
-            functions=self.functions,
+            self.catalog.bindings(),
+            functions=self.catalog.functions,
             methods=self.schema.all_methods(),
             store=self.store,
         )
@@ -313,13 +281,10 @@ class Database:
         query mentioning ``name`` has the view's term substituted in,
         and normalization then fuses the view body into the query —
         views cost nothing at run time. Views may reference previously
-        defined views.
+        defined views. A name that is already another kind is refused.
         """
-        if self.catalog.has_extent(name) or name in self._object_extents:
-            raise DatabaseError(f"cannot define view {name!r}: extent exists")
         term = self.translate(oql)
-        self._views[name] = term
-        self._cache_epoch += 1
+        self.catalog.define_view(name, term)
         return term
 
     def translate(self, oql: str) -> Term:
@@ -329,8 +294,9 @@ class Database:
     def _expand_views(self, term: Term) -> tuple[Term, bool]:
         """``term`` with the views it names substituted in, and whether
         there were any (most queries name none, whatever is defined)."""
-        if self._views and not self._views.keys().isdisjoint(free_vars(term)):
-            return substitute_many(term, dict(self._views)), True
+        views = self.catalog.views
+        if views and not views.keys().isdisjoint(free_vars(term)):
+            return substitute_many(term, dict(views)), True
         return term, False
 
     def typecheck(self, term: Term) -> None:
@@ -349,18 +315,15 @@ class Database:
 
     def _linter(self) -> Any:
         """The linter for the catalog as it stands: the known names and
-        their types are derived once per :meth:`_compile_version` (typing
-        an extent the schema does not declare reads every row of it)."""
-        version = self._compile_version()
+        their types are derived once per catalog version (typing an
+        extent the schema does not declare reads every row of it)."""
+        version = self.catalog.version
         at = self._linter_at
         if at is None or at[0] != version:
             from repro.lint.linter import Linter
             from repro.types.infer import type_of_value
 
-            names = set(self.catalog.extents())
-            names.update(self._object_extents)
-            names.update(self._views)
-            names.update(self.functions)
+            names = self.catalog.names()
             declared = self.schema.extents()  # the checker knows their types
             types = {}
             for extent, collection in self.catalog.extents().items():
@@ -430,20 +393,27 @@ class Database:
         """The shell every query runs in, ad-hoc or prepared: one
         :class:`~repro.obs.tracer.QueryRecord` (timed with
         ``time.perf_counter_ns``, never the wall clock), the
-        ``verification`` extent, compile → execute, and the one hand-off
-        of the finished or failed record to its readers (:meth:`_report`).
+        ``verification`` extent, compile → execute under one
+        ``RecursionError`` guard, and the one hand-off of the finished or
+        failed record to its readers (:meth:`_report`).
         ``bypass`` executes even when the result cache holds the value
         (EXPLAIN ANALYZE reports a real execution)."""
         record = QueryRecord(oql)
+        stage = "compile"
         try:
-            with verification(verify):
-                if prepared is None:
-                    entry = self.compile(oql, engine, typecheck, strict=strict, record=record)
-                else:
-                    entry = prepared._ensure(record)
-                    prepared._validate(params)
-                    record.cache["compile"] = "prepared"
-                result = self._execute(oql, entry, params, bypass, record)
+            try:
+                with verification(verify):
+                    if prepared is None:
+                        entry = self._compile(oql, engine, typecheck, None, strict, record)
+                    else:
+                        entry = prepared._ensure(record)
+                        prepared._validate(params)
+                        record.cache["compile"] = "prepared"
+                    stage = "execute"
+                    result = self._execute(oql, entry, params, bypass, record)
+            except RecursionError:
+                # a term too deep for one of the pipeline's recursive walks
+                raise ResourceLimitError(f"query nested too deeply to {stage}") from None
         except Exception as err:
             record.finish(err)
             self._report(record, None, err)
@@ -477,7 +447,6 @@ class Database:
 
     # -- compile: the front half ------------------------------------------------
 
-    @_bounded
     def compile(
         self,
         oql: str,
@@ -518,13 +487,23 @@ class Database:
         the entry returned is final. ``engine="interpret"`` stops after
         normalize; any engine but it and ``"auto"`` is refused.
         """
+        try:
+            return self._compile(oql, engine, typecheck, param_types, strict, record)
+        except RecursionError:
+            raise ResourceLimitError("query nested too deeply to compile") from None
+
+    def _compile(
+        self, oql: str, engine: str, typecheck: bool, param_types: Optional[dict[str, Any]],
+        strict: bool, record: Optional[QueryRecord],
+    ) -> CompiledQuery:
+        """:meth:`compile` unguarded: :meth:`_run` guards it with execute."""
         if engine not in ("auto", "interpret"):
             raise DatabaseError(f"engine must be 'auto' or 'interpret', got {engine!r}")
         cache = self.cache
         if record is None:
             record = QueryRecord(oql)
         verifying = verification_enabled()
-        version = self._compile_version()
+        version = self.catalog.version
         typed = tuple(sorted(param_types.items())) if typecheck and param_types else ()
         text_key = (oql, engine, typecheck, typed)
         # strict mode's verdict on this text: its error findings, None
@@ -627,9 +606,8 @@ class Database:
                 pass  # the reference interpreter answers it
         deps = None
         if cache is not None and cache.config.results:
-            deps = analyze_dependencies(
-                plan, normalized, set(self.catalog.extents()) | self._object_extents, self.functions
-            )
+            catalog = self.catalog
+            deps = analyze_dependencies(plan, normalized, catalog.extent_names(), catalog.functions)
         entry = CompiledQuery(
             oql=oql,
             engine=engine,
@@ -688,13 +666,8 @@ class Database:
             key = self._plan_keys[compiled_as] = plan_key(plan, compiled_as[2])
         return key
 
-    def _compile_version(self) -> tuple:
-        """What compiled entries are valid against: catalog + epoch."""
-        return (self.catalog.version, self._cache_epoch)
-
     # -- execute: the back half ---------------------------------------------------
 
-    @_bounded
     def _execute(
         self,
         oql: str,
@@ -725,11 +698,11 @@ class Database:
                 except TypeError:  # an unhashable binding: nothing to key on
                     result_key = None
                 else:
-                    # The current compile version (an extent reloaded, an
-                    # index built, a view or function defined), whether the
-                    # plan was verified, and the heap's guard over what it reads.
+                    # The current catalog version (any registration or index
+                    # build moves it), whether the plan was verified, and
+                    # the heap's guard over what it reads.
                     guard = self.store.guard(deps.reads)
-                    versions = (self._compile_version(), entry.verified, guard)
+                    versions = (self.catalog.version, entry.verified, guard)
                     with record.phase("cache"):
                         hit, value = cache.result_for(result_key, versions)
                     record.cache["result"] = "hit" if hit else "miss"
@@ -805,14 +778,17 @@ class Database:
     def disable_parallel(self) -> None:
         """Accepted and ignored, as :meth:`enable_parallel` is."""
 
-    @_bounded
     def run_calculus(self, term: Term) -> Any:
         """Evaluate a hand-built calculus term against this database; an
         effectful one goes through :func:`~repro.objects.run_update`, the
-        one entry for terms that write the heap."""
-        if has_effects(term):
-            return run_update(term, self.evaluator())
-        return self.evaluator().evaluate(term)
+        one entry for terms that write the heap. A term too deep to walk
+        raises :class:`ResourceLimitError`."""
+        try:
+            if has_effects(term):
+                return run_update(term, self.evaluator())
+            return self.evaluator().evaluate(term)
+        except RecursionError:
+            raise ResourceLimitError("query nested too deeply to run_calculus") from None
 
     def profile(
         self,
@@ -895,9 +871,7 @@ class Database:
             doc["plan"] = None
             doc["note"] = _no_plan_note(normalized)
             return doc
-        sizes = self.catalog.extent_sizes()
-        sizes.update((name, len(self.registry.extent(name))) for name in self._object_extents)
-        doc["plan"] = plan_to_dict(plan, sizes, metrics)
+        doc["plan"] = plan_to_dict(plan, self.catalog.extent_sizes(), metrics)
         if analyze:
             doc["summary"] = summarize(doc["plan"])
         return doc

@@ -39,8 +39,7 @@ def hot_candidates(
     except Exception:
         return []
     names: set[str] = set(db.schema.extents())
-    names.update(db.catalog.extents())
-    names.update(getattr(db, "_object_extents", ()))
+    names.update(db.catalog.extent_names())
     existing = db.catalog.index_keys()
     return [
         candidate

@@ -90,8 +90,8 @@ def golden(modes: dict[str, Any]) -> dict[str, Any]:
         deps = analyze_dependencies(
             plan,
             result.normalized,
-            set(db.catalog.extents()) | db._object_extents,  # noqa: SLF001
-            db.functions,
+            db.catalog.extent_names(),
+            db.catalog.functions,
         )
         out[label] = {
             "render": None if plan is None else _renumbered(plan.render()),

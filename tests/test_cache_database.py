@@ -177,7 +177,7 @@ class TestEnablement:
         b = demo_travel_database(num_cities=5, seed=1)
         for db in (a, b):
             db.enable_cache()
-        assert a._compile_version() == b._compile_version()
+        assert a.catalog.version == b.catalog.version
         oql = "count(select c.name from c in Cities)"
         assert [a.run(oql), b.run(oql), a.run(oql), b.run(oql)] == [3, 5, 3, 5]
         with pytest.raises(DatabaseError):

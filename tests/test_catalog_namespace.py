@@ -1,0 +1,150 @@
+"""One namespace: every name a query can mean has one kind, in the catalog.
+
+A value extent, an object extent, a view and a registered function all
+answer to a bare name, so a name may be only one of them. A registration
+that would give a name a second kind raises a ``DatabaseError`` naming
+it and changes nothing: not ``db.catalog.version``, not any answer. The
+property at the end drives random registration sequences over a small
+name pool and holds the algebra, the reference interpreter and the
+linter to one meaning per name after every step.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.db import Database, travel_schema
+from repro.errors import DatabaseError
+from repro.types.schema import Schema
+from repro.types.types import TINT
+
+
+def city(name: str) -> dict:
+    return {"name": name, "state": "OR", "population": 1, "hotel_count": 0, "hotels": []}
+
+
+def outcome(db: Database, oql: str, engine: str = "auto") -> tuple:
+    """``("value", v)`` or ``("error", class name)``: what ``oql`` answers."""
+    try:
+        return ("value", db.run(oql, engine=engine))
+    except Exception as err:  # noqa: BLE001 - the error's class is the answer
+        return ("error", type(err).__name__)
+
+
+class TestRepros:
+    def test_objects_over_a_value_extent_are_refused_and_the_engines_agree(self):
+        db = Database(travel_schema(), cache=False)
+        db.load_extent("Cities", [city("x")])
+        with pytest.raises(DatabaseError, match="'Cities'"):
+            db.load_objects("Cities", "City", [city("y")])
+        db.create_index("Cities", "name")
+        q = "select distinct c.name from c in Cities where c.name = 'x'"
+        assert db.run(q) == db.run(q, engine="interpret") == frozenset({"x"})
+        assert "IndexScan" in db.explain(q)
+
+    def test_an_extent_named_like_a_view_is_refused(self):
+        db = Database(travel_schema(), cache=False)
+        db.load_extent("Cities", [city("x"), city("y")])
+        db.define("V", "select distinct c from c in Cities where c.name = 'x'")
+        with pytest.raises(DatabaseError, match="'V'"):
+            db.load_extent("V", [city("z")])
+        assert db.run("select distinct v.name from v in V") == frozenset({"x"})
+
+
+#: one registration of each kind, under ``name``
+REGISTER = {
+    "extent": lambda db, name: db.load_extent(name, [city("v")]),
+    "object extent": lambda db, name: db.load_objects(name, "City", [city("o")]),
+    "view": lambda db, name: db.define(name, "select distinct n from n in Nums"),
+    "function": lambda db, name: db.register_function(name, lambda x: x),
+}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(REGISTER, 2)))
+def test_a_second_kind_is_refused_and_changes_nothing(first, second):
+    db = Database(travel_schema(), cache=True)
+    db.load_extent("Nums", (1, 2, 3))
+    REGISTER[first](db, "Cities")
+    version = db.catalog.version
+    queries = ["count(Cities)", "select distinct c.name from c in Cities", "Cities(1)"]
+    before = [outcome(db, q, engine) for q in queries for engine in ("auto", "interpret")]
+    with pytest.raises(DatabaseError, match=f"cannot register {second} 'Cities'"):
+        REGISTER[second](db, "Cities")
+    assert db.catalog.version == version
+    assert [outcome(db, q, engine) for q in queries for engine in ("auto", "interpret")] == before
+
+
+# -- the property --------------------------------------------------------------
+
+#: ``A`` and ``B`` are class extents the schema declares, ``C`` is not
+POOL = ("A", "B", "C")
+
+
+def pool_schema() -> Schema:
+    schema = Schema()
+    schema.define_class("ItemA", {"k": TINT}, extent="A")
+    schema.define_class("ItemB", {"k": TINT}, extent="B")
+    return schema
+
+
+ROWS = st.lists(st.integers(0, 3), max_size=4).map(lambda ks: [{"k": k} for k in ks])
+
+STEPS = st.one_of(
+    st.tuples(st.just("extent"), st.sampled_from(POOL), ROWS, st.booleans()),
+    st.tuples(st.just("object extent"), st.sampled_from(POOL[:2]), ROWS),
+    st.tuples(st.just("view"), st.sampled_from(POOL), st.sampled_from(POOL)),
+    st.tuples(st.just("function"), st.sampled_from(POOL)),
+    st.tuples(st.just("index"), st.sampled_from(POOL)),
+)
+
+
+def apply(db: Database, step: tuple) -> None:
+    kind, name = step[0], step[1]
+    if kind == "extent":
+        db.load_extent(name, step[2], replace=step[3])
+    elif kind == "object extent":
+        db.load_objects(name, "Item" + name, step[2])
+    elif kind == "view":
+        db.define(name, f"select distinct x from x in {step[2]} where x.k > 0")
+    elif kind == "function":
+        db.register_function(name, lambda x: x)
+    else:
+        db.create_index(name, "k")
+
+
+def accepted(kinds: dict[str, str], step: tuple) -> bool:
+    """Whether the one-namespace rule lets ``step`` register."""
+    kind, name = step[0], step[1]
+    held = kinds.get(name)
+    if kind == "index":
+        return held == "extent"
+    if kind == "extent" and held == "extent":
+        return step[3]  # a reload needs replace=True
+    return held in (None, kind)
+
+
+@given(steps=st.lists(STEPS, max_size=8), cache=st.booleans())
+def test_every_way_of_answering_reads_one_meaning_per_name(steps, cache):
+    db = Database(pool_schema(), cache=cache)
+    kinds: dict[str, str] = {}
+    for step in steps:
+        version = db.catalog.version
+        if accepted(kinds, step):
+            apply(db, step)
+            if step[0] != "index":
+                kinds[step[1]] = step[0]
+            assert db.catalog.version > version
+        else:
+            with pytest.raises(DatabaseError):
+                apply(db, step)
+            assert db.catalog.version == version
+        known = set(kinds) | {"A", "B"}  # the schema declares A and B
+        for name in POOL:
+            for oql in (f"count({name})", f"select distinct x.k from x in {name} where x.k = 1"):
+                assert outcome(db, oql) == outcome(db, oql, "interpret"), (oql, steps)
+            unbound = any(d.code == "QL003" for d in db.lint(f"count({name})"))
+            assert unbound == (name not in known), (name, steps)

@@ -34,21 +34,20 @@ class TestDatabaseLint:
         diags = db.lint("select ??? from")
         assert [d.code for d in diags] == ["QL000"]
 
-    def test_views_are_known_names(self, db):
+    # A registration cannot be undone, so these two get a database of
+    # their own rather than the module's.
+
+    def test_views_are_known_names(self):
+        db = demo_travel_database(num_cities=3, seed=1)
         db.define("BigCities",
                   "select distinct c from c in Cities where c.population > 0")
-        try:
-            assert db.lint("count(BigCities)") == []
-        finally:
-            db._views.pop("BigCities", None)
+        assert db.lint("count(BigCities)") == []
 
-    def test_registered_functions_are_known_names(self, db):
+    def test_registered_functions_are_known_names(self):
+        db = demo_travel_database(num_cities=3, seed=1)
         db.register_function("shout", lambda s: s.upper())
-        try:
-            diags = db.lint("select distinct shout(c.name) from c in Cities")
-            assert "QL003" not in {d.code for d in diags}
-        finally:
-            db.functions.pop("shout", None)
+        diags = db.lint("select distinct shout(c.name) from c in Cities")
+        assert "QL003" not in {d.code for d in diags}
 
 
 class TestStrictMode:

@@ -131,6 +131,17 @@ class TestDeepQueriesThroughDatabaseRun:
         with pytest.raises(ResourceLimitError, match="too deeply to execute"):
             travel_db.run("1 + 1", engine="interpret")
 
+    def test_a_query_passes_one_guard(self, travel_db, monkeypatch):
+        # ``run`` holds one ``RecursionError`` guard over compile and
+        # execute; the public ``compile``, guarded itself, is not on its path.
+        calls = []
+        compile = type(travel_db).compile
+        monkeypatch.setattr(
+            type(travel_db), "compile", lambda *args, **kw: calls.append(args) or compile(*args, **kw)
+        )
+        travel_db.run("count(select c from c in Cities)")
+        assert calls == []
+
     def test_a_hand_built_term_too_deep_is_a_resource_limit(self, travel_db):
         term = const(0)
         for _ in range(5000):
