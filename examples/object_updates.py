@@ -24,7 +24,7 @@ from repro.calculus import (
 )
 from repro.db import Database, travel_schema
 from repro.eval import Evaluator, evaluate
-from repro.objects import add_to_field, run_update, update_where
+from repro.objects import add_to_field, update_where
 from repro.values import to_python
 
 
@@ -102,7 +102,7 @@ def main() -> None:
     )
     print("update comprehension:")
     print(" ", program, "\n")
-    touched = run_update(program, db.evaluator())
+    touched = db.run_calculus(program)  # a write is a query: compile, then execute
     print("objects touched:", touched)
     print(
         "hotels in Portland now:",

@@ -33,18 +33,21 @@ before any mutation.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.calculus.ast import (
     Bind,
     BinOp,
     Comprehension,
+    Const,
     Filter,
     Generator,
     Term,
+    Var,
 )
-from repro.calculus.traversal import children, free_vars, has_effects
+from repro.calculus.traversal import children, free_vars, has_effects, numbered
 from repro.errors import PlanError
+from repro.eval.evaluator import _freeze_const
 from repro.normalize.engine import normalize
 from repro.normalize.rules import PLANNING_RULES
 from repro.algebra.ops import Join, PlanNode, Reduce, Scan, SelectOp, Unnest, is_effect
@@ -72,6 +75,36 @@ def build_plan(term: Term, pre_normalize: bool = True) -> Reduce:
             f"only comprehensions have algebra plans, got {type(term).__name__}"
         )
     return _build(term, effects, pre_normalize and effects)
+
+
+def plan_effects(term: Term, verifying: bool) -> tuple[dict[str, Any], Optional[Reduce]]:
+    """The effect stage: ``term``'s literals, lifted into ``$~i`` parameters so
+    programs differing only in them share one function, and the lifted term's plan
+    as written (None: no plan, or no function), kept in ``term.__dict__`` as a span is."""
+    from repro.jit.plan import fused  # imports this package
+
+    stage = term.__dict__.get("effect_plan")
+    if stage is None:
+        values: dict[str, Any] = {}
+
+        def lift(literal: Const) -> Term:
+            name = f"~{len(values)}"
+            values[name] = _freeze_const(literal.value)
+            return Var("$" + name)
+
+        try:
+            plan: Optional[Reduce] = build_plan(numbered(term, lift))
+        except PlanError:
+            plan = None
+        stage = term.__dict__["effect_plan"] = (values, plan)
+    values, plan = stage
+    return values, None if plan is None or fused(plan, verifying) is None else plan
+
+
+def lifted_literals(term: Term) -> dict[str, Any]:
+    """The values :func:`plan_effects` lifted out of ``term``, if it ran."""
+    stage = term.__dict__.get("effect_plan")
+    return {} if stage is None else stage[0]
 
 
 def _first_effect(comp: Comprehension) -> int:

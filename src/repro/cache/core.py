@@ -248,29 +248,31 @@ class QueryCache:
     # -- compilation cache ------------------------------------------------------
 
     def compiled_by_text(
-        self, text_key: Any, version: Any, verified: bool = False
+        self, text_key: Any, version: Any, verified: bool = False, fingerprinted: bool = False
     ) -> Optional[CompiledQuery]:
         """The entry for an exact query text, or None (counts a hit)."""
         with self._lock:
             canon_key = self._aliases.get(text_key)
             if canon_key is MISSING:
                 return None
-            return self.compiled_by_canon(canon_key, version, verified)
+            return self.compiled_by_canon(canon_key, version, verified, fingerprinted)
 
     def compiled_by_canon(
-        self, canon_key: Any, version: Any, verified: bool = False
+        self, canon_key: Any, version: Any, verified: bool = False, fingerprinted: bool = False
     ) -> Optional[CompiledQuery]:
         """The entry under a canonical key, version-checked (counts a hit).
 
         With ``verified`` set, an entry that was not built under rewrite
         verification is as stale as one from an older catalog: dropped,
-        so the caller rebuilds it with the verifier watching.
+        so the caller rebuilds it with the verifier watching. With
+        ``fingerprinted`` (telemetry attached), so is one without a fingerprint.
         """
         with self._lock:
             entry = self._compiled.get(canon_key)
             if entry is MISSING:
                 return None
-            if entry.version != version or (verified and not entry.verified):
+            if (entry.version != version or (verified and not entry.verified)
+                    or (fingerprinted and entry.fingerprint is None)):
                 self.stats.invalidations += 1
                 self._compiled.remove(canon_key)
                 return None
@@ -287,7 +289,8 @@ class QueryCache:
         with self._lock:
             self.stats.compile_misses += 1
             self._compiled.put(canon_key, entry)
-            self._aliases.put(text_key, canon_key)
+            if text_key is not None:
+                self._aliases.put(text_key, canon_key)
 
     def verdict(self, text_key: Any, version: Any) -> Optional[list]:
         """The error diagnostics strict lint found in a query text at

@@ -71,8 +71,8 @@ class Prepared:
     def _ensure(self, record: Optional[QueryRecord] = None) -> CompiledQuery:
         """The current entry: the shared cache's when the database has
         one, else the pinned one — recompiled (timed into ``record``) if
-        the catalog moved on, or if verification is now on and the pin
-        was built without it."""
+        the catalog moved on, or if verification or telemetry is now on
+        and the pin was built without it (its fingerprint)."""
         db = self._db
         entry = self._entry
         if (
@@ -80,6 +80,7 @@ class Prepared:
             or entry is None
             or entry.version != db.catalog.version
             or (verification_enabled() and not entry.verified)
+            or (db.telemetry is not None and entry.fingerprint is None)
         ):
             entry = self._entry = db.compile(
                 self.oql, self.engine, self.typecheck, self.param_types, record=record

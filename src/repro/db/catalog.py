@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from repro.db.index import HashIndex
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, SchemaError
 from repro.eval.builtins import runtime_monoid_of
-from repro.objects.classes import ExtentRegistry
+from repro.objects.classes import ExtentRegistry, check_attributes
 from repro.objects.store import ObjectStore
 from repro.types.schema import Schema
 
@@ -78,7 +78,15 @@ class Catalog:
             self._indexes[key] = HashIndex.build(*key, self.iterate_extent(name), self.store)
 
     def register_objects(self, name: str, class_name: str, rows: list[dict]) -> None:
-        """One new ``class_name`` object per row, in object extent ``name``."""
+        """One new ``class_name`` object per row in ``name``, all checked first."""
+        schema = self.registry.schema
+        try:
+            if not schema.is_subclass(class_name, cls := schema.extent_class(name).name):
+                raise SchemaError(f"{class_name} is not its class {cls} or a subclass")
+            for row in rows:
+                check_attributes(schema, class_name, row)
+        except SchemaError as err:
+            raise DatabaseError(f"cannot load objects into {name!r}: {err}") from None
         self._claim(name, "object extent")
         for row in rows:
             self.registry.create(class_name, row)
@@ -94,7 +102,8 @@ class Catalog:
     def create_index(self, extent: str, attribute: str) -> None:
         """Build (or rebuild) a hash index on ``extent.attribute``."""
         if extent not in self._extents:
-            raise DatabaseError(f"cannot index unknown extent {extent!r}")
+            kind = self._kinds.get(extent, "unknown extent")
+            raise DatabaseError(f"cannot index {kind} {extent!r}: indexes are value-extent only")
         rows = self.iterate_extent(extent)
         self._indexes[(extent, attribute)] = HashIndex.build(extent, attribute, rows, self.store)
         self.version += 1

@@ -39,7 +39,7 @@ from repro.algebra.groupby import plan_group_by
 from repro.algebra.ops import Reduce
 from repro.algebra.optimizer import Optimizer
 from repro.algebra.physical import ExecutionStats, Executor
-from repro.algebra.translate import build_plan
+from repro.algebra.translate import build_plan, lifted_literals, plan_effects
 from repro.analysis.verifier import verification, verification_enabled
 from repro.cache.core import CompiledQuery, QueryCache
 from repro.cache.invalidation import analyze_dependencies
@@ -72,7 +72,6 @@ from repro.obs.explain import plan_to_dict, render_explain, summarize
 from repro.obs.metrics import PlanMetrics
 from repro.obs.querylog import QueryLog
 from repro.obs.tracer import QueryRecord
-from repro.objects.updates import run_update
 from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.types.infer import TypeChecker
@@ -245,8 +244,6 @@ class Database:
         Queries navigate the objects transparently (paths dereference);
         update programs may mutate them in place.
         """
-        if not self.schema.has_class(class_name):
-            raise DatabaseError(f"unknown class {class_name!r} for object extent")
         rows = list(_rows_of(extent, rows))
         for row in rows:
             if not isinstance(row, dict):
@@ -337,13 +334,13 @@ class Database:
 
     def run(
         self,
-        oql: str,
+        oql: str | Term,
         engine: Literal["auto", "interpret"] = "auto",
         typecheck: bool = False,
         strict: bool = False,
         verify: Optional[bool] = None,
     ) -> Any:
-        """Answer an OQL query; returns just the value.
+        """Answer an OQL query or a calculus term; returns just the value.
 
         With ``strict=True`` the query is linted first and a
         :class:`~repro.errors.LintError` carrying every error-severity
@@ -362,13 +359,13 @@ class Database:
 
     def run_detailed(
         self,
-        oql: str,
+        oql: str | Term,
         engine: Literal["auto", "interpret"] = "auto",
         typecheck: bool = False,
         strict: bool = False,
         verify: Optional[bool] = None,
     ) -> QueryResult:
-        """Answer an OQL query, keeping every intermediate artifact.
+        """Answer an OQL query or a calculus term, keeping every artifact.
 
         The result always carries the query's record (``result.record``:
         phase times, total time, cache outcome) and the execution's
@@ -381,7 +378,7 @@ class Database:
 
     def _run(
         self,
-        oql: str,
+        oql: str | Term,
         engine: str,
         typecheck: bool,
         strict: bool,
@@ -398,7 +395,8 @@ class Database:
         failed record to its readers (:meth:`_report`).
         ``bypass`` executes even when the result cache holds the value
         (EXPLAIN ANALYZE reports a real execution)."""
-        record = QueryRecord(oql)
+        text = oql if isinstance(oql, str) else None
+        record = QueryRecord(text or "")
         stage = "compile"
         try:
             try:
@@ -409,8 +407,10 @@ class Database:
                         entry = prepared._ensure(record)
                         prepared._validate(params)
                         record.cache["compile"] = "prepared"
+                    if text is None:  # a term: bind what its effect stage lifted
+                        params = {**params, **lifted_literals(entry.calculus)}
                     stage = "execute"
-                    result = self._execute(oql, entry, params, bypass, record)
+                    result = self._execute(entry, params, bypass, record)
             except RecursionError:
                 # a term too deep for one of the pipeline's recursive walks
                 raise ResourceLimitError(f"query nested too deeply to {stage}") from None
@@ -449,7 +449,7 @@ class Database:
 
     def compile(
         self,
-        oql: str,
+        oql: str | Term,
         engine: Literal["auto", "interpret"] = "auto",
         typecheck: bool = False,
         param_types: Optional[dict[str, Any]] = None,
@@ -460,7 +460,10 @@ class Database:
         """OQL text -> :class:`CompiledQuery`: parse → translate → [lint]
         → [typecheck] → normalize → plan → optimize → jit.
 
-        The one place that sequence is written. ``strict`` runs the lint
+        The one place that sequence is written. A calculus term skips
+        parse and translate; one that writes the heap passes the *effect
+        stage* (:func:`~repro.algebra.translate.plan_effects`) in place of
+        normalize → plan → optimize → jit, and is not cached. ``strict`` runs the lint
         stage on the term as written (views still names, so spans point
         into this text) and raises :class:`~repro.errors.LintError` on
         error findings, a parse or translate failure (``QL000``) included.
@@ -493,7 +496,7 @@ class Database:
             raise ResourceLimitError("query nested too deeply to compile") from None
 
     def _compile(
-        self, oql: str, engine: str, typecheck: bool, param_types: Optional[dict[str, Any]],
+        self, oql: str | Term, engine: str, typecheck: bool, param_types: Optional[dict[str, Any]],
         strict: bool, record: Optional[QueryRecord],
     ) -> CompiledQuery:
         """:meth:`compile` unguarded: :meth:`_run` guards it with execute."""
@@ -505,35 +508,47 @@ class Database:
         verifying = verification_enabled()
         version = self.catalog.version
         typed = tuple(sorted(param_types.items())) if typecheck and param_types else ()
-        text_key = (oql, engine, typecheck, typed)
         # strict mode's verdict on this text: its error findings, None
         # while the text has not been linted at this version
         verdict = None if strict else []
-        if cache is not None:
-            with record.phase("cache"):
-                if strict:
-                    verdict = cache.verdict(text_key, version)
-                if verdict:
-                    raise LintError(verdict)
-                entry = None if verdict is None else cache.compiled_by_text(
-                    text_key, version, verifying
-                )
-            if entry is not None:
-                record.cache["compile"] = "hit"
-                record.cached = entry.phases + (("lint",) if strict else ())
-                return entry
-        try:
-            with record.phase("parse"):
-                node = parse(oql)
-            with record.phase("translate"):
-                written = Translator(self.schema).translate(node)
-                calculus, viewed = self._expand_views(written)
-        except (OQLSyntaxError, TranslationError) as err:
-            if not strict:
-                raise
-            from repro.lint.linter import front_end_diagnostic
+        if isinstance(oql, str):
+            text_key = (oql, engine, typecheck, typed)
+            if cache is not None:
+                with record.phase("cache"):
+                    if strict:
+                        verdict = cache.verdict(text_key, version)
+                    if verdict:
+                        raise LintError(verdict)
+                    entry = None if verdict is None else cache.compiled_by_text(
+                        text_key, version, verifying, self.telemetry is not None
+                    )
+                if entry is not None:
+                    record.cache["compile"] = "hit"
+                    record.cached = entry.phases + (("lint",) if strict else ())
+                    return entry
+            try:
+                with record.phase("parse"):
+                    node = parse(oql)
+                with record.phase("translate"):
+                    written = Translator(self.schema).translate(node)
+                    calculus, viewed = self._expand_views(written)
+            except (OQLSyntaxError, TranslationError) as err:
+                if not strict:
+                    raise
+                from repro.lint.linter import front_end_diagnostic
 
-            raise LintError([front_end_diagnostic(err)]) from err
+                raise LintError([front_end_diagnostic(err)]) from err
+            phases = ["parse", "translate"]
+            # ``$`` is not an identifier character, so text without one has
+            # no parameters (a view body is the one other place to hide one).
+            params = param_names(calculus) if "$" in oql or viewed else ()
+            effects = False
+        else:  # a calculus term: no text to parse or to key by
+            written, oql = oql, str(oql)
+            record.oql, text_key, phases = oql, None, []
+            calculus, viewed = self._expand_views(written)
+            effects = has_effects(calculus)
+            params = param_names(calculus)
         # The normal form is computed once: by the lint stage when its
         # QL203 check asks (kept for the normalize stage; a failure is
         # not, so that stage raises it where it always did), else there.
@@ -548,43 +563,47 @@ class Database:
             with record.phase("lint"):
                 found = self._linter().lint_term(written, None if viewed else normal_form)
                 verdict = [d for d in found if d.is_error]
-                if cache is not None:
+                if cache is not None and text_key is not None:
                     cache.judge(text_key, version, verdict)
             if verdict:
                 raise LintError(verdict)
         key = None
-        if cache is not None:
+        if cache is not None and not effects:
             # Only a cache needs the canonical alpha-form; without one
             # it is never computed. Hashed here, once: every later lookup
             # of the entry or of its results reuses the stored hash.
             key = CacheKey((canonical_term(calculus), engine, typecheck, typed))
-            entry = cache.compiled_by_canon(key, version, verifying)
+            entry = cache.compiled_by_canon(key, version, verifying, self.telemetry is not None)
             if entry is not None:
                 # An alpha-variant of a cached query: alias the text
                 # so the next repeat skips parse/translate too.
-                cache.alias(text_key, key)
+                if text_key is not None:
+                    cache.alias(text_key, key)
                 record.cache["compile"] = "hit"
                 record.cached = tuple(
                     p for p in entry.phases if p not in ("parse", "translate")
                 )
                 return entry
             record.cache["compile"] = "miss"
-        phases = ["parse", "translate"]
-        # ``$`` is not an identifier character, so text without one has
-        # no parameters (a view body is the one other place to hide one).
-        params = param_names(calculus) if "$" in oql or viewed else ()
         if typecheck:
             with record.phase("typecheck"):
                 env = {"$" + name: (param_types or {}).get(name, ANY) for name in params}
                 TypeChecker(self.schema).check(calculus, env)
             phases.append("typecheck")
-        with record.phase("normalize"):
-            normalized, trace = normal or normalize_with_trace(calculus)
-        phases.append("normalize")
         plan: Optional[Reduce] = None
+        if effects:  # rewrites may reorder what the heap threads through
+            normalized, trace = calculus, NormalizationTrace(calculus)
+            if engine == "auto":
+                with record.phase("plan"):
+                    plan = plan_effects(calculus, verifying)[1]
+                phases.append("plan")
+        else:
+            with record.phase("normalize"):
+                normalized, trace = normal or normalize_with_trace(calculus)
+            phases.append("normalize")
         # Only comprehensions have plans; a normal form below that level
         # (``zero(M)``, a scalar call) is its own answer.
-        if engine == "auto" and isinstance(normalized, Comprehension):
+        if not effects and engine == "auto" and isinstance(normalized, Comprehension):
             try:
                 # No second normalization: the planning rules are a subset
                 # of the default ones the normal form is already normal under.
@@ -595,7 +614,8 @@ class Database:
                 with record.phase("optimize"):
                     optimized = self._optimize(logical)
                 with record.phase("jit"):
-                    shape = self._plan_key(optimized, (text_key, version, verifying))
+                    # a term has no text to memoise its plan's key by
+                    shape = text_key and self._plan_key(optimized, (text_key, version, verifying))
                     precompile_plan(optimized, shape)
                 # Only the variant in use is checked: the checked function
                 # holds the plain one's expressions, so it fuses too.
@@ -627,7 +647,7 @@ class Database:
             from repro.obs.telemetry.fingerprint import query_fingerprint
 
             entry.fingerprint = query_fingerprint(entry)
-        if cache is not None:
+        if key is not None:
             cache.remember(text_key, key, entry)
         return entry
 
@@ -670,7 +690,6 @@ class Database:
 
     def _execute(
         self,
-        oql: str,
         entry: CompiledQuery,
         params: dict[str, Any],
         bypass: bool,
@@ -722,7 +741,7 @@ class Database:
             if result_key is not None:
                 cache.remember_result(result_key, versions, value)
         return QueryResult(
-            oql,
+            record.oql,
             entry.calculus,
             entry.normalized,
             entry.trace,
@@ -779,16 +798,8 @@ class Database:
         """Accepted and ignored, as :meth:`enable_parallel` is."""
 
     def run_calculus(self, term: Term) -> Any:
-        """Evaluate a hand-built calculus term against this database; an
-        effectful one goes through :func:`~repro.objects.run_update`, the
-        one entry for terms that write the heap. A term too deep to walk
-        raises :class:`ResourceLimitError`."""
-        try:
-            if has_effects(term):
-                return run_update(term, self.evaluator())
-            return self.evaluator().evaluate(term)
-        except RecursionError:
-            raise ResourceLimitError("query nested too deeply to run_calculus") from None
+        """:meth:`run` of a calculus term, a §4.2 update program included."""
+        return self.run(term)
 
     def profile(
         self,
@@ -823,7 +834,7 @@ class Database:
         ``db.tracer.enabled``."""
         return self.query_log
 
-    def explain(self, oql: str, analyze: bool = False) -> str:
+    def explain(self, oql: str | Term, analyze: bool = False) -> str:
         """:meth:`explain_data`'s document as text: the plan :meth:`run`
         would execute, with cardinality estimates.
 
@@ -834,7 +845,7 @@ class Database:
         """
         return render_explain(self.explain_data(oql, analyze))
 
-    def explain_data(self, oql: str, analyze: bool = False) -> dict[str, Any]:
+    def explain_data(self, oql: str | Term, analyze: bool = False) -> dict[str, Any]:
         """The EXPLAIN [ANALYZE] document as JSON-ready dicts.
 
         Shape (see ``docs/OBSERVABILITY.md``): ``oql``, ``engine``,
@@ -850,7 +861,7 @@ class Database:
         back with ``plan: None`` and a ``note`` instead of raising —
         the reference interpreter answers them in :meth:`run` too.
         """
-        doc: dict[str, Any] = {"oql": oql.strip(), "analyzed": analyze}
+        doc: dict[str, Any] = {"oql": str(oql).strip(), "analyzed": analyze}
         if analyze:
             result = self._run(oql, "auto", False, False, None, None, {}, bypass=True)
             entry, metrics = result.compiled, result.metrics

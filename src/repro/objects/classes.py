@@ -35,6 +35,13 @@ def instantiate(
     OQL paths touching them will raise at evaluation, which mirrors a
     null-pointer dereference.
     """
+    check_attributes(schema, class_name, attributes)
+    state = Record({**attributes, "_class": class_name})
+    return store.new(state)
+
+
+def check_attributes(schema: Schema, class_name: str, attributes: dict[str, Any]) -> None:
+    """:class:`SchemaError` unless ``class_name`` has every attribute named."""
     declared: set[str] = set()
     current: Optional[str] = class_name
     while current is not None:
@@ -46,8 +53,6 @@ def instantiate(
         raise SchemaError(
             f"unknown attributes for class {class_name}: {sorted(unknown)}"
         )
-    state = Record({**attributes, "_class": class_name})
-    return store.new(state)
 
 
 def class_of(store: ObjectStore, obj: Obj) -> Optional[str]:

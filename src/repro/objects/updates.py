@@ -18,25 +18,22 @@ and its comprehension form
 
 This module provides :func:`update_where`, a builder producing exactly
 that shape, plus :func:`run_update` to execute it against an evaluator
-and report the touched objects. Updates require *object mode* extents
-(OIDs with record states); the ``+=``/``:=`` qualifiers evaluate to
-true, so they slot into the comprehension as ordinary qualifiers — and
-into its algebra plan as *effect filters*, run by the one executor.
+and report the touched objects; ``Database.run_calculus`` runs it as a
+query. Updates require *object mode* extents (OIDs with record states);
+the ``+=``/``:=`` qualifiers evaluate to true, so they slot into the
+comprehension as ordinary qualifiers — and into its algebra plan as
+*effect filters*, run by the one executor.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.calculus.ast import Comprehension, Const, Filter, Generator, MonoidRef, Term
-from repro.calculus.ast import Update, Var
+from repro.calculus.ast import Comprehension, Filter, Generator, MonoidRef, Term, Update, Var
 from repro.calculus.builders import as_term, comp, filt, gen
-from repro.calculus.traversal import numbered
 from repro.analysis.verifier import verification_enabled
-from repro.errors import PlanError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.algebra.ops import Reduce
     from repro.eval.evaluator import Evaluator
 
 
@@ -97,57 +94,20 @@ def run_update(program: Term, evaluator: "Evaluator") -> Any:
     for the nested shape): the victims are chosen before any mutation —
     in the plan, by the Scan's sub-plan, run to completion first.
 
-    The one entry for effectful terms, with one branch decided before
-    anything runs: the program runs as its algebra plan on the executor,
-    its literals lifted into ``$``-parameters so that programs differing
-    only in literals share one generated function (the code cache keys
-    on the alpha-canonical plan); a term no plan takes — ``new``, an
-    effect in a head or a source — or whose plan gets no function runs
-    on the reference interpreter.
+    The program passes ``Database.compile``'s effect stage
+    (:func:`~repro.algebra.translate.plan_effects`): its plan runs with the
+    lifted literals bound, or the interpreter runs a program with none.
     """
     from repro.algebra.physical import Executor  # imports this package
-    from repro.jit.plan import fused
+    from repro.algebra.translate import plan_effects
 
-    plan, params = _planned(program)
-    if plan is not None and fused(plan, verification_enabled()) is not None:
-        outer = evaluator.global_env
-        evaluator.global_env = outer.bind_many(params)
-        try:
-            executor = Executor(evaluator)  # its runtime reads the parameters
-        finally:
-            evaluator.global_env = outer
-        return executor.execute(plan)
-    return evaluator.evaluate(program)
-
-
-def _planned(program: Term) -> tuple[Optional["Reduce"], dict[str, Any]]:
-    """``program``'s plan (None: no plan takes it) and the parameters to
-    run it with — derived once per term and kept in its instance
-    ``__dict__``, as a span is: not part of the term's value."""
-    from repro.algebra.translate import build_plan  # imports this package
-
-    planned = program.__dict__.get("update_plan")
-    if planned is None:
-        lifted, params = _lift_literals(program)
-        try:
-            plan: Optional[Reduce] = build_plan(lifted)
-        except PlanError:
-            plan = None
-        planned = program.__dict__["update_plan"] = (plan, params)
-    return planned
-
-
-def _lift_literals(program: Term) -> tuple[Term, dict[str, Any]]:
-    """``program`` with its binders numbered and each literal replaced by
-    a parameter ``$~i`` (a name no parser makes), and those parameters'
-    values — the literal skeleton, and the literal vector to bind."""
-    from repro.eval.evaluator import _freeze_const
-
-    values: dict[str, Any] = {}
-
-    def lift(literal: Const) -> Term:
-        name = f"$~{len(values)}"
-        values[name] = _freeze_const(literal.value)
-        return Var(name)
-
-    return numbered(program, lift), values
+    values, plan = plan_effects(program, verification_enabled())
+    if plan is None:
+        return evaluator.evaluate(program)
+    outer = evaluator.global_env  # the caller's evaluator keeps no ``$~i``
+    evaluator.global_env = outer.bind_many({"$" + name: v for name, v in values.items()})
+    try:
+        executor = Executor(evaluator)  # its runtime reads the parameters
+    finally:
+        evaluator.global_env = outer
+    return executor.execute(plan)

@@ -54,6 +54,32 @@ class TestRepros:
             db.load_extent("V", [city("z")])
         assert db.run("select distinct v.name from v in V") == frozenset({"x"})
 
+    @pytest.mark.parametrize("extent, cls, rows, reason", [
+        ("Towns", "City", [city("t")], "unknown extent 'Towns'"),
+        ("Cities", "City", [city("c"), {"bogus": 1}], "unknown attributes for class City"),
+        ("Cities", "Hotel", [{"name": "h"}], "Hotel is not its class City"),
+    ], ids=["undeclared-extent", "bad-row", "wrong-class"])
+    def test_objects_the_schema_refuses_change_nothing(self, extent, cls, rows, reason):
+        """Before, an undeclared extent broke every later query (``count(Nums)``
+        raised ``SchemaError``), and a bad row claimed the name anyway."""
+        db = Database(travel_schema(), cache=True)
+        db.load_extent("Nums", (1, 2, 3))
+        with pytest.raises(DatabaseError, match=f"cannot load objects into '{extent}': {reason}"):
+            db.load_objects(extent, cls, rows)
+        assert db.catalog.version == 1 and db.catalog.names() == {"Nums"}
+        assert db.run("count(Nums)") == 3 and len(db.store.snapshot()) == 0
+        db.load_objects("Cities", "City", [city("c")])
+        assert db.run("count(Cities)") == 1
+
+    def test_an_index_on_an_object_extent_says_why_it_is_refused(self):
+        db = Database(travel_schema())
+        db.load_objects("Cities", "City", [city("c")])
+        refused = "object extent 'Cities': indexes are value-extent only"
+        with pytest.raises(DatabaseError, match=refused):
+            db.create_index("Cities", "name")
+        with pytest.raises(DatabaseError, match="unknown extent 'Hotels'"):
+            db.create_index("Hotels", "name")
+
 
 #: one registration of each kind, under ``name``
 REGISTER = {
@@ -93,9 +119,16 @@ def pool_schema() -> Schema:
 
 ROWS = st.lists(st.integers(0, 3), max_size=4).map(lambda ks: [{"k": k} for k in ks])
 
+#: object rows, some with an attribute no class declares
+OBJECT_ROWS = st.one_of(ROWS, st.builds(lambda rows, i: rows[:i] + [{"bogus": 1}] + rows[i:],
+                                        ROWS, st.integers(0, 4)))
+
 STEPS = st.one_of(
     st.tuples(st.just("extent"), st.sampled_from(POOL), ROWS, st.booleans()),
-    st.tuples(st.just("object extent"), st.sampled_from(POOL[:2]), ROWS),
+    # the schema refuses ``C`` (no class declares it), a class that is not
+    # the extent's and a bogus row
+    st.tuples(st.just("object extent"), st.sampled_from(POOL),
+              st.sampled_from(["ItemA", "ItemB"]), OBJECT_ROWS),
     st.tuples(st.just("view"), st.sampled_from(POOL), st.sampled_from(POOL)),
     st.tuples(st.just("function"), st.sampled_from(POOL)),
     st.tuples(st.just("index"), st.sampled_from(POOL)),
@@ -107,7 +140,7 @@ def apply(db: Database, step: tuple) -> None:
     if kind == "extent":
         db.load_extent(name, step[2], replace=step[3])
     elif kind == "object extent":
-        db.load_objects(name, "Item" + name, step[2])
+        db.load_objects(name, step[2], step[3])
     elif kind == "view":
         db.define(name, f"select distinct x from x in {step[2]} where x.k > 0")
     elif kind == "function":
@@ -122,17 +155,37 @@ def accepted(kinds: dict[str, str], step: tuple) -> bool:
     held = kinds.get(name)
     if kind == "index":
         return held == "extent"
+    if kind == "object extent" and (step[2] != "Item" + name or any("bogus" in r for r in step[3])):
+        return False
     if kind == "extent" and held == "extent":
         return step[3]  # a reload needs replace=True
     return held in (None, kind)
 
 
+def answers(db: Database, steps: list) -> list:
+    """Every pool query's answer, the same on the algebra and the
+    reference interpreter, and whether the linter knows each name."""
+    known = set(db.catalog.names()) | {"A", "B"}  # the schema declares A and B
+    out = []
+    for name in POOL:
+        for oql in (f"count({name})", f"select distinct x.k from x in {name} where x.k = 1"):
+            out.append(outcome(db, oql))
+            assert out[-1] == outcome(db, oql, "interpret"), (oql, steps)
+        unbound = any(d.code == "QL003" for d in db.lint(f"count({name})"))
+        assert unbound == (name not in known), (name, steps)
+    return out
+
+
 @given(steps=st.lists(STEPS, max_size=8), cache=st.booleans())
 def test_every_way_of_answering_reads_one_meaning_per_name(steps, cache):
+    """A refused step — a second kind, a reload without ``replace``, an
+    index on no value extent, objects the schema refuses — changes
+    nothing: not the version, not the names, not an answer."""
     db = Database(pool_schema(), cache=cache)
     kinds: dict[str, str] = {}
+    before = answers(db, steps)
     for step in steps:
-        version = db.catalog.version
+        version, names = db.catalog.version, db.catalog.names()
         if accepted(kinds, step):
             apply(db, step)
             if step[0] != "index":
@@ -141,10 +194,9 @@ def test_every_way_of_answering_reads_one_meaning_per_name(steps, cache):
         else:
             with pytest.raises(DatabaseError):
                 apply(db, step)
-            assert db.catalog.version == version
-        known = set(kinds) | {"A", "B"}  # the schema declares A and B
-        for name in POOL:
-            for oql in (f"count({name})", f"select distinct x.k from x in {name} where x.k = 1"):
-                assert outcome(db, oql) == outcome(db, oql, "interpret"), (oql, steps)
-            unbound = any(d.code == "QL003" for d in db.lint(f"count({name})"))
-            assert unbound == (name not in known), (name, steps)
+            assert (db.catalog.version, db.catalog.names()) == (version, names)
+        after = answers(db, steps)
+        assert set(kinds) == db.catalog.names()
+        if db.catalog.version == version:
+            assert after == before, (step, steps)
+        before = after

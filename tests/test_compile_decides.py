@@ -6,7 +6,9 @@ which object fields guard them, are settled by ``compile`` before the
 entry is published. These tests hold every way of answering a query to
 that one decision: EXPLAIN shows the engine ``run`` uses, whatever the
 cache, prepared or ad hoc, verified or not, and nothing writes an entry
-after ``compile`` returns it.
+after ``compile`` returns it. A hand-built calculus term takes the same
+route as text, a §4.2 update program through ``compile``'s effect stage,
+and answers as the reference interpreter does.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.verifier import verification
-from repro.db import Database, company_schema, make_company
+from repro.calculus import BinOp, comp, const, eq, filt, gen, gt, lt, proj, var
+from repro.calculus.ast import Generator, New
+from repro.db import Database, company_schema, make_company, travel_schema
+from repro.errors import ReproError
+from repro.objects import add_to_field, set_field, update_where
 from repro.obs.explain import plan_to_dict
 from repro.obs.telemetry import MetricsRegistry
+from repro.obs.telemetry import fingerprint
 from repro.obs.telemetry.fingerprint import query_fingerprint
 
 from tests.data.make_exec_stats_golden import queries
@@ -132,3 +139,107 @@ def test_compile_sets_the_fingerprint_before_publishing():
     assert (made,) == tuple(s.fingerprint for s in db.telemetry.fingerprints.top(10))
     plain = ones_and_twos(True).compile("count(select x from x in Ones)")
     assert query_fingerprint(plain) == made and plain.fingerprint is None
+
+
+def test_an_entry_compiled_before_telemetry_recompiles_once(monkeypatch):
+    """Attached telemetry makes an entry without a fingerprint stale, as
+    verify mode does an unverified one: the cached entry and a pinned
+    prepared statement each recompile once, then read their fingerprint."""
+    calls: list = []
+    digest = fingerprint._digest
+    monkeypatch.setattr(fingerprint, "_digest", lambda term: calls.append(term) or digest(term))
+    oql = "count(select x from x in Ones)"
+    cached, pinned = ones_and_twos(True), ones_and_twos()
+    statement = pinned.prepare(oql)
+    cached.run(oql)
+    for db, run in ((cached, lambda: cached.run(oql)), (pinned, statement.run)):
+        db.enable_telemetry(MetricsRegistry())
+        calls.clear()
+        for _ in range(10):
+            assert run() == 1
+        assert len(calls) == 1
+        assert db.telemetry.fingerprints.top(1)[0].count == 10
+
+
+# -- hand-built terms ----------------------------------------------------------
+
+
+def cities(cache: bool = False) -> Database:
+    """Six object-mode cities, every mode pinned (robust under REPRO_*)."""
+    db = Database(travel_schema(), cache=cache, parallel=False, jit=False, telemetry=False)
+    db.load_objects("Cities", "City", [
+        {"name": f"C{i}", "state": "OR" if i % 2 else "WA", "population": 1000 * (i + 1),
+         "hotels": set(), "hotel_count": i % 4}
+        for i in range(6)
+    ])
+    return db
+
+
+def _c(field: str):
+    return proj(var("c"), field)
+
+
+def _cities(*quals) -> list:
+    return [gen("c", var("Cities")), *quals]
+
+
+PURE = st.one_of(
+    st.builds(
+        lambda k: comp("sum", _c("hotel_count"), _cities(filt(gt(_c("population"), const(k))))),
+        st.integers(0, 7000),
+    ),
+    st.builds(lambda s: comp("set", _c("name"), _cities(filt(eq(_c("state"), const(s))))),
+              st.sampled_from(["OR", "WA", "ID"])),
+    # a nested comprehension the normalizer flattens
+    st.builds(lambda k: comp("bag", _c("population"), [gen("c", comp("set", var("d"), [
+        gen("d", var("Cities")), filt(lt(proj(var("d"), "hotel_count"), const(k))),
+    ]))]), st.integers(0, 4)),
+    st.builds(lambda k: comp("set", var("c"), _cities(filt(lt(_c("hotel_count"), const(k))))),
+              st.integers(0, 4)),
+    # fails on the first row: a string onto a number
+    st.just(comp("sum", BinOp("+", _c("population"), const("x")), _cities())),
+    st.builds(lambda k: BinOp("div", const(12), const(k)), st.integers(-2, 2)),
+)
+
+UPDATES = st.one_of(
+    st.builds(lambda k: add_to_field("hotel_count", const(k)), st.integers(-2, 3)),
+    st.builds(lambda k: set_field("state", const(k)), st.sampled_from(["ID", "OR"])),
+    st.just(set_field("hotel_count", BinOp("+", _c("hotel_count"), _c("hotel_count")))),
+    # fails on the third city
+    st.just(add_to_field(
+        "hotel_count", BinOp("div", const(1), BinOp("-", _c("population"), const(3000)))
+    )),
+)
+
+EFFECTFUL = st.one_of(
+    st.builds(
+        lambda k, updates: update_where("Cities", "c", gt(_c("population"), const(k)), updates),
+        st.integers(0, 7000), st.lists(UPDATES, min_size=1, max_size=3),
+    ),
+    st.builds(lambda updates: update_where("Cities", "c", None, updates),
+              st.lists(UPDATES, min_size=1, max_size=2)),
+    # no plan takes ``new``: the interpreter runs it
+    st.just(comp("set", New(_c("name")), [Generator("c", var("Cities"))])),
+)
+
+
+def answer(run) -> tuple:
+    """A run's value, or its error's class and message."""
+    try:
+        return ("value", run())
+    except ReproError as err:
+        return ("error", type(err).__name__, str(err))
+
+
+@given(term=st.one_of(PURE, EFFECTFUL), cache=st.booleans(), verify=st.booleans())
+def test_a_hand_built_term_answers_as_the_reference_interpreter(term, cache, verify):
+    """``run_calculus`` — parse and translate skipped, normalize → plan
+    for a pure term, the effect stage for a write — against
+    ``repro.eval`` on a twin heap, twice (the second run a compile-cache
+    hit or the effect stage's memo): the same value or error, the same heap."""
+    db, reference = cities(cache), cities()
+    for _ in range(2):
+        with verification(verify):
+            got = answer(lambda: db.run_calculus(term))
+        assert got == answer(lambda: reference.evaluator().evaluate(term))
+        assert db.store.snapshot() == reference.store.snapshot()

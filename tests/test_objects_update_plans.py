@@ -1,6 +1,7 @@
 """Update programs (§4.2) run as algebra plans on the one executor.
 
-``run_update`` plans the paper's update comprehension — the victims a
+The effect stage (``plan_effects``, behind both ``Database.run_calculus``
+and ``run_update``) plans the paper's update comprehension — the victims a
 closed comprehension's sub-plan, the ``+=`` / ``:=`` qualifiers effect
 filters — and runs it as generated code. The reference interpreter is the
 oracle: the same touched set, the same heap, the same error and, after a
@@ -41,6 +42,7 @@ from repro.jit import plan as jit_plan
 from repro.jit.runtime import Runtime
 from repro.objects import ObjectStore, add_to_field, run_update, set_field, update_where
 from repro.obs.explain import plan_to_dict, render_explain
+from repro.obs.telemetry import MetricsRegistry
 from repro.values import Record
 
 N_CITIES = 6
@@ -165,16 +167,46 @@ def test_the_papers_program_runs_on_the_executor(monkeypatch):
     assert [type(node) for node in scan.sub.walk()] == [Reduce, SelectOp, Scan]
 
 
-def test_run_calculus_sends_an_update_through_run_update(monkeypatch):
+def test_run_calculus_runs_an_update_through_compile(monkeypatch):
+    """``run_calculus`` is ``run``: the program's entry comes from
+    ``compile``'s effect stage, and the write, like the read before it,
+    leaves a query-log entry with an ``execute`` phase."""
     executed = _executions(monkeypatch)
     db, reference = _db(), _db()
+    db.profile(True)
+    assert db.run("sum(select c.hotel_count from c in Cities)") == 7
     program = update_where("Cities", "c", lt(_c("hotel_count"), const(2)),
                            [set_field("state", const("ID"))])
     assert db.run_calculus(program) == reference.evaluator().evaluate(program)
-    assert len(executed) == 1
+    assert len(executed) == 2
     assert db.store.snapshot() == reference.store.snapshot()
-    # a pure term is still the interpreter's
-    assert db.run_calculus(const(3)) == 3 and len(executed) == 1
+    entry = db.compile(program)
+    assert entry.phases == ("plan",) and entry.normalized is program and entry.plan is not None
+    read, write = db.query_log.entries
+    assert write["engine"] == "algebra" and "execute" in write["phases_ms"]
+    assert "parse" in read["phases_ms"] and "parse" not in write["phases_ms"]
+    # a pure term that normalizes below a comprehension is its own answer
+    assert db.run_calculus(const(3)) == 3 and len(executed) == 2
+    # a prepared program binds its lifted literals too
+    assert db.prepare(program).run() == db.run_calculus(program)
+
+
+def test_a_write_reads_a_view_as_a_query_does():
+    """``compile`` expands the views a term names, an update program's
+    victims included; each run plans the expanded program afresh."""
+    db = _db()
+    db.define("Big", "select distinct c from c in Cities where c.population > 3000")
+    program = update_where("Big", "c", None, [add_to_field("hotel_count", const(1))])
+    assert [len(db.run_calculus(program)) for _ in range(2)] == [3, 3]
+    assert db.run("sum(select c.hotel_count from c in Cities)") == 7 + 6
+
+
+def test_a_write_is_counted_by_telemetry():
+    db = _db()
+    registry = db.enable_telemetry(MetricsRegistry())
+    db.run_calculus(update_where("Cities", "c", None, [add_to_field("hotel_count", const(1))]))
+    assert registry.value("repro_queries_total", engine="algebra", status="ok") == 1
+    assert len(registry.fingerprints) == 1
 
 
 def test_verify_mode_applies_each_effect_once(monkeypatch):
@@ -321,15 +353,38 @@ def test_explain_of_an_update_shows_the_sub_plan_and_the_effect():
     ]
 
 
-def test_programs_differing_in_literals_share_one_function():
+def test_db_explain_of_an_update_shows_the_plan_that_runs():
+    """The plan ``run_calculus`` executes: binders numbered, literals
+    lifted into the parameters its run binds."""
+    program = update_where("Cities", "c", eq(_c("name"), const("C1")),
+                           [add_to_field("hotel_count", const(1))])
+    db = _db()
+    text = db.explain(program)
+    lines = [line.split("  est~")[0].strip() for line in text.splitlines() if "est~" in line]
+    assert lines == [
+        "Reduce set{ ~0 }",
+        "Effect (~0.hotel_count += $~1)",
+        "Scan ~0 <- set{ ~1 | ~1 <- Cities, (~1.name = $~0) }",
+        "Reduce set{ ~1 }",
+        "Select (~1.name = $~0)",
+        "Scan ~1 <- Cities",
+    ]
+    assert db.explain_data(program)["engine"] == "algebra"
+    assert db.run("sum(select c.hotel_count from c in Cities)") == 7  # EXPLAIN wrote nothing
+
+
+@pytest.mark.parametrize("route", ["run_update", "run_calculus"])
+def test_programs_differing_in_literals_share_one_function(route):
     db = _db(400)
     programs = [
         update_where("Cities", "c", eq(_c("name"), const(f"C{i}")),
                      [add_to_field("hotel_count", const(i % 3))])
         for i in range(400)
     ]
+    run = db.run_calculus if route == "run_calculus" else (
+        lambda program: run_update(program, db.evaluator()))
     code_before = len(jit_plan._CODE)
-    touched = [run_update(program, db.evaluator()) for program in programs]
+    touched = [run(program) for program in programs]
     assert all(len(t) == 1 for t in touched)
     assert len(jit_plan._CODE) - code_before <= 1
     assert db.run("sum(select c.hotel_count from c in Cities)") == sum(

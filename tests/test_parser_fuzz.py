@@ -146,7 +146,8 @@ class TestDeepQueriesThroughDatabaseRun:
         term = const(0)
         for _ in range(5000):
             term = BinOp("+", term, const(1))
-        with pytest.raises(ResourceLimitError, match="too deeply to run_calculus"):
+        # a term runs through ``run``: its compile is the first deep walk
+        with pytest.raises(ResourceLimitError, match="too deeply to compile"):
             travel_db.run_calculus(term)
 
 
