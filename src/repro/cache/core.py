@@ -7,8 +7,9 @@ Three cooperating layers (docs/CACHE.md has the full story):
    :class:`CompiledQuery`: the translated term, normal form and
    optimized physical plan, plus everything needed to execute and
    invalidate it. A hit skips parse → translate → typecheck →
-   normalize → plan → optimize entirely. Beside each text alias sits the
-   text's strict-lint verdict, which a strict hit replays.
+   normalize → plan → optimize entirely. A text alias also records the
+   catalog version at which its text last linted clean, so a strict hit
+   skips lint too.
 2. **Prepared statements** (:mod:`repro.cache.prepared`) — a pinned
    :class:`CompiledQuery` with ``$name`` parameters bound per run.
 3. **Result cache** — maps (canonical key, parameter bindings) to a
@@ -32,9 +33,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from repro.cache.invalidation import Dependencies
+from repro.cache.keys import fingerprint_term
 from repro.calculus.ast import Term
 from repro.env import env_flag
 from repro.errors import DatabaseError
@@ -177,9 +180,9 @@ class CompiledQuery:
     on the reference evaluator. ``phases`` lists the
     pipeline phases a hit skips, in
     :data:`repro.obs.tracer.PIPELINE_PHASES` order. ``version`` is the
-    catalog version the entry was compiled at and is valid for;
-    ``verified`` records whether it was built under rewrite
-    verification (a verifying call never reuses an unverified entry).
+    catalog version the entry was compiled at; ``verified`` records
+    whether it was built under rewrite verification. :meth:`serves` is
+    the one rule for reusing an entry.
 
     ``key`` (the canonical alpha-form, with the engine, the typecheck
     flag and the parameter types a typecheck read) and ``deps`` (the
@@ -204,9 +207,18 @@ class CompiledQuery:
     #: (canonical term, engine, typecheck, param types)
     key: Any = None
     deps: Optional[Dependencies] = None  # None: its values are not result-cached
-    #: telemetry's hot-query fingerprint, set by compile when telemetry is
-    #: attached (:func:`repro.obs.telemetry.fingerprint.query_fingerprint`)
-    fingerprint: Optional[str] = None
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The query class the hot-query table counts this entry under
+        (:func:`~repro.cache.keys.fingerprint_term`), derived the first
+        time it is read and then kept, whatever was attached at compile."""
+        return fingerprint_term(self.calculus, self.key)
+
+    def serves(self, version: Any, verifying: bool) -> bool:
+        """May a call at catalog ``version`` reuse this entry: compiled at
+        that version, and under verification when the call verifies."""
+        return self.version == version and (self.verified or not verifying)
 
 
 class QueryCache:
@@ -215,11 +227,11 @@ class QueryCache:
     Compiled entries are stored under their *canonical* key (the
     alpha-renamed term, so ``for x in Cities`` and ``for y in Cities``
     share one entry) with a text-key alias layer in front, letting the
-    exact-repeat fast path skip even parsing; each text's strict-lint
-    verdict is kept beside its alias. Result entries live in a separate
-    LRU keyed by (canonical key, parameter bindings) and carry the
-    version vector they were computed under. The versions are one
-    database's, so a cache belongs to the database that built it.
+    exact-repeat fast path skip even parsing; an alias also holds the
+    catalog version at which its text last linted clean. Result entries
+    live in a separate LRU keyed by (canonical key, parameter bindings)
+    and carry the version vector they were computed under. The versions
+    are one database's, so a cache belongs to the database that built it.
 
     Thread-safe: ``Database.run`` may be called from many threads, so
     every public method holds one reentrant lock spanning its whole
@@ -235,10 +247,9 @@ class QueryCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._compiled = LRUCache(self.config.max_entries, self._count_eviction)
-        # Text aliases and verdicts are bookkeeping, not cached work: their
-        # eviction is silent and their capacity is tied to the entry store's.
+        # Text aliases are bookkeeping, not cached work: their eviction is
+        # silent and their capacity is tied to the entry store's.
         self._aliases = LRUCache(max(self.config.max_entries * 4, 4))
-        self._verdicts = LRUCache(max(self.config.max_entries * 4, 4))
         self._results = LRUCache(self.config.result_max_entries, self._count_eviction)
 
     def _count_eviction(self, _key: Any, _value: Any) -> None:
@@ -248,64 +259,49 @@ class QueryCache:
     # -- compilation cache ------------------------------------------------------
 
     def compiled_by_text(
-        self, text_key: Any, version: Any, verified: bool = False, fingerprinted: bool = False
+        self, text_key: Any, version: Any, verifying: bool = False, strict: bool = False
     ) -> Optional[CompiledQuery]:
-        """The entry for an exact query text, or None (counts a hit)."""
+        """The entry for an exact query text, or None (counts a hit). A
+        ``strict`` call needs the text to have linted clean at ``version``."""
         with self._lock:
-            canon_key = self._aliases.get(text_key)
-            if canon_key is MISSING:
+            alias = self._aliases.get(text_key)
+            if alias is MISSING or (strict and alias[1] != version):
                 return None
-            return self.compiled_by_canon(canon_key, version, verified, fingerprinted)
+            return self.compiled_by_canon(alias[0], version, verifying)
 
     def compiled_by_canon(
-        self, canon_key: Any, version: Any, verified: bool = False, fingerprinted: bool = False
+        self, canon_key: Any, version: Any, verifying: bool = False
     ) -> Optional[CompiledQuery]:
-        """The entry under a canonical key, version-checked (counts a hit).
-
-        With ``verified`` set, an entry that was not built under rewrite
-        verification is as stale as one from an older catalog: dropped,
-        so the caller rebuilds it with the verifier watching. With
-        ``fingerprinted`` (telemetry attached), so is one without a fingerprint.
-        """
+        """The entry under a canonical key if it :meth:`~CompiledQuery.serves`
+        the call (counts a hit); else None, and a stale entry is dropped so
+        the caller rebuilds it."""
         with self._lock:
             entry = self._compiled.get(canon_key)
             if entry is MISSING:
                 return None
-            if (entry.version != version or (verified and not entry.verified)
-                    or (fingerprinted and entry.fingerprint is None)):
+            if not entry.serves(version, verifying):
                 self.stats.invalidations += 1
                 self._compiled.remove(canon_key)
                 return None
             self.stats.compile_hits += 1
             return entry
 
-    def alias(self, text_key: Any, canon_key: Any) -> None:
-        """Point a query text at an existing canonical entry."""
+    def alias(self, text_key: Any, canon_key: Any, clean_at: Any = None) -> None:
+        """Point a query text at an existing canonical entry; ``clean_at``
+        is the catalog version the text just linted clean at (None: it
+        was not linted)."""
         with self._lock:
-            self._aliases.put(text_key, canon_key)
+            self._aliases.put(text_key, (canon_key, clean_at))
 
-    def remember(self, text_key: Any, canon_key: Any, entry: CompiledQuery) -> None:
+    def remember(
+        self, text_key: Any, canon_key: Any, entry: CompiledQuery, clean_at: Any = None
+    ) -> None:
         """Store a freshly compiled entry (counts the miss that led here)."""
         with self._lock:
             self.stats.compile_misses += 1
             self._compiled.put(canon_key, entry)
             if text_key is not None:
-                self._aliases.put(text_key, canon_key)
-
-    def verdict(self, text_key: Any, version: Any) -> Optional[list]:
-        """The error diagnostics strict lint found in a query text at
-        ``version`` (``[]``: none), or None when it was not linted at it."""
-        with self._lock:
-            stored = self._verdicts.get(text_key)
-            if stored is MISSING or stored[0] != version:
-                return None
-            return stored[1]
-
-    def judge(self, text_key: Any, version: Any, errors: list) -> None:
-        """Keep a query text's strict-lint verdict at ``version``; its
-        diagnostics carry spans into that text, so it is kept per text."""
-        with self._lock:
-            self._verdicts.put(text_key, (version, errors))
+                self.alias(text_key, canon_key, clean_at)
 
     # -- result cache ----------------------------------------------------------
 
@@ -336,7 +332,6 @@ class QueryCache:
         with self._lock:
             self._compiled.clear()
             self._aliases.clear()
-            self._verdicts.clear()
             self._results.clear()
             if reset_stats:
                 self.stats.reset()

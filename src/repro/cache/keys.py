@@ -20,7 +20,8 @@ another with a value of the wrong type.
 
 :func:`literal_skeleton` instead blanks every constant, giving the
 key the ``QL401`` lint uses to spot literal-only query variants that
-defeat the compilation cache.
+defeat the compilation cache, and :func:`fingerprint_term` digests
+the canonical term into the short name a hot-query table groups by.
 
 :class:`CacheKey` is the one key class both caches store under: the
 query cache's entries (a canonical term with the engine, the typecheck
@@ -32,6 +33,9 @@ hash and an identity test.
 """
 
 from __future__ import annotations
+
+import hashlib
+from typing import Optional
 
 from repro.calculus.ast import Const, Term, Var
 from repro.calculus.traversal import numbered, subterms
@@ -98,6 +102,20 @@ def canonical_term(term: Term) -> Term:
     True
     """
     return numbered(term, typed_literal)
+
+
+def fingerprint_term(term: Term, key: Optional[CacheKey] = None) -> str:
+    """A short stable identifier of ``term``'s alpha-equivalence class:
+    12 hex digits of a SHA-256 over its canonical term's repr, read off
+    ``key`` when ``term`` was keyed by it.
+
+    >>> from repro.oql import translate_oql
+    >>> a = fingerprint_term(translate_oql("select distinct x.name from x in Cities"))
+    >>> a == fingerprint_term(translate_oql("select distinct y.name from y in Cities"))
+    True
+    """
+    canonical = key.parts[0] if key is not None else canonical_term(term)
+    return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:12]
 
 
 def literal_skeleton(term: Term) -> Term:

@@ -70,17 +70,16 @@ class Prepared:
 
     def _ensure(self, record: Optional[QueryRecord] = None) -> CompiledQuery:
         """The current entry: the shared cache's when the database has
-        one, else the pinned one — recompiled (timed into ``record``) if
-        the catalog moved on, or if verification or telemetry is now on
-        and the pin was built without it (its fingerprint)."""
+        one, else the pinned one — recompiled (timed into ``record``) when
+        it no longer :meth:`~repro.cache.core.CompiledQuery.serves` the
+        call (the catalog moved on, or verification is now on and the pin
+        was built without it)."""
         db = self._db
         entry = self._entry
         if (
             db.cache is not None
             or entry is None
-            or entry.version != db.catalog.version
-            or (verification_enabled() and not entry.verified)
-            or (db.telemetry is not None and entry.fingerprint is None)
+            or not entry.serves(db.catalog.version, verification_enabled())
         ):
             entry = self._entry = db.compile(
                 self.oql, self.engine, self.typecheck, self.param_types, record=record

@@ -71,11 +71,16 @@ class Catalog:
         """Load, or with ``replace`` reload, a value extent and its indexes."""
         if name in self._extents and not replace:
             raise DatabaseError(f"extent {name!r} already loaded")
-        runtime_monoid_of(collection)  # raises if not a collection
+        monoid = runtime_monoid_of(collection)  # raises if not a collection
+        # its indexes are rebuilt before the claim: a row one cannot take
+        # (it lacks the field) refuses the reload and changes nothing
+        rebuilt = {
+            key: HashIndex.build(*key, monoid.iterate(collection), self.store)
+            for key in self._indexes if key[0] == name
+        }
         self._claim(name, "extent")
         self._extents[name] = collection
-        for key in [key for key in self._indexes if key[0] == name]:
-            self._indexes[key] = HashIndex.build(*key, self.iterate_extent(name), self.store)
+        self._indexes.update(rebuilt)
 
     def register_objects(self, name: str, class_name: str, rows: list[dict]) -> None:
         """One new ``class_name`` object per row in ``name``, all checked first."""

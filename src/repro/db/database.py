@@ -290,10 +290,19 @@ class Database:
 
     def _expand_views(self, term: Term) -> tuple[Term, bool]:
         """``term`` with the views it names substituted in, and whether
-        there were any (most queries name none, whatever is defined)."""
-        views = self.catalog.views
+        there were any (most queries name none, whatever is defined). The
+        expansion is kept on ``term`` per catalog version, so a term run
+        again reuses it and what is memoised on it (its effect stage)."""
+        catalog = self.catalog
+        views = catalog.views
         if views and not views.keys().isdisjoint(free_vars(term)):
-            return substitute_many(term, dict(views)), True
+            # ``views`` is this catalog's own dict: a term may also run on
+            # another database, whose catalog can stand at the same version
+            memo = term.__dict__.get("expanded")
+            if memo is None or memo[0] is not views or memo[1] != catalog.version:
+                expanded = substitute_many(term, dict(views))
+                memo = term.__dict__["expanded"] = (views, catalog.version, expanded)
+            return memo[2], True
         return term, False
 
     def typecheck(self, term: Term) -> None:
@@ -405,6 +414,7 @@ class Database:
                         entry = self._compile(oql, engine, typecheck, None, strict, record)
                     else:
                         entry = prepared._ensure(record)
+                        record.oql = record.oql or entry.oql  # a pinned term's label
                         prepared._validate(params)
                         record.cache["compile"] = "prepared"
                     if text is None:  # a term: bind what its effect stage lifted
@@ -467,10 +477,10 @@ class Database:
         stage on the term as written (views still names, so spans point
         into this text) and raises :class:`~repro.errors.LintError` on
         error findings, a parse or translate failure (``QL000``) included.
-        It is per call and in no cache key; with a cache attached, its
-        findings are kept as the text's verdict at this catalog version,
-        and a strict hit replays that verdict: a cached plan must not
-        smuggle past strict mode. With a cache attached
+        It is per call and in no cache key; with a cache attached, a text
+        that lints clean records this catalog version with its alias, and
+        a strict text hit needs that version to be current: a cached plan
+        must not smuggle past strict mode. With a cache attached
         the compiled entry is looked up first by exact text and then,
         after translation, by canonical alpha-form (docs/CACHE.md
         specifies keying and invalidation), and stored on a miss. Each
@@ -508,20 +518,11 @@ class Database:
         verifying = verification_enabled()
         version = self.catalog.version
         typed = tuple(sorted(param_types.items())) if typecheck and param_types else ()
-        # strict mode's verdict on this text: its error findings, None
-        # while the text has not been linted at this version
-        verdict = None if strict else []
         if isinstance(oql, str):
             text_key = (oql, engine, typecheck, typed)
             if cache is not None:
                 with record.phase("cache"):
-                    if strict:
-                        verdict = cache.verdict(text_key, version)
-                    if verdict:
-                        raise LintError(verdict)
-                    entry = None if verdict is None else cache.compiled_by_text(
-                        text_key, version, verifying, self.telemetry is not None
-                    )
+                    entry = cache.compiled_by_text(text_key, version, verifying, strict)
                 if entry is not None:
                     record.cache["compile"] = "hit"
                     record.cached = entry.phases + (("lint",) if strict else ())
@@ -553,7 +554,7 @@ class Database:
         # QL203 check asks (kept for the normalize stage; a failure is
         # not, so that stage raises it where it always did), else there.
         normal = None
-        if verdict is None:
+        if strict:
 
             def normal_form() -> Term:
                 nonlocal normal
@@ -562,23 +563,23 @@ class Database:
 
             with record.phase("lint"):
                 found = self._linter().lint_term(written, None if viewed else normal_form)
-                verdict = [d for d in found if d.is_error]
-                if cache is not None and text_key is not None:
-                    cache.judge(text_key, version, verdict)
-            if verdict:
-                raise LintError(verdict)
+                errors = [d for d in found if d.is_error]
+            if errors:
+                raise LintError(errors)
+        # the version this text just linted clean at, kept with its alias
+        clean_at = version if strict else None
         key = None
         if cache is not None and not effects:
             # Only a cache needs the canonical alpha-form; without one
             # it is never computed. Hashed here, once: every later lookup
             # of the entry or of its results reuses the stored hash.
             key = CacheKey((canonical_term(calculus), engine, typecheck, typed))
-            entry = cache.compiled_by_canon(key, version, verifying, self.telemetry is not None)
+            entry = cache.compiled_by_canon(key, version, verifying)
             if entry is not None:
                 # An alpha-variant of a cached query: alias the text
                 # so the next repeat skips parse/translate too.
                 if text_key is not None:
-                    cache.alias(text_key, key)
+                    cache.alias(text_key, key, clean_at)
                 record.cache["compile"] = "hit"
                 record.cached = tuple(
                     p for p in entry.phases if p not in ("parse", "translate")
@@ -643,12 +644,8 @@ class Database:
             key=key,
             deps=deps,
         )
-        if self.telemetry is not None:
-            from repro.obs.telemetry.fingerprint import query_fingerprint
-
-            entry.fingerprint = query_fingerprint(entry)
         if key is not None:
-            cache.remember(text_key, key, entry)
+            cache.remember(text_key, key, entry, clean_at)
         return entry
 
     def prepare(

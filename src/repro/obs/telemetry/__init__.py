@@ -14,20 +14,16 @@ telemetry a monitoring stack can scrape:
   finished query folded into one batch;
 - :mod:`.export` — the Prometheus text exposition;
 - :mod:`.server` — a stdlib ``/metrics`` HTTP endpoint;
-- :mod:`.advise` — QL402: runtime-informed index advice;
+- :mod:`.advise` — QL402 and QL501: runtime-informed index and JIT advice;
 - :mod:`.cli` — ``python -m repro metrics dump|top|serve``.
 
 Telemetry is **opt-in**: with it off, ``Database.run`` never enters this
 package (the parity test asserts zero telemetry allocations).
 """
 
+from repro.cache.keys import fingerprint_term
 from repro.obs.telemetry.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
-from repro.obs.telemetry.fingerprint import (
-    FingerprintTable,
-    QueryStats,
-    fingerprint_term,
-    render_top,
-)
+from repro.obs.telemetry.fingerprint import FingerprintTable, QueryStats, render_top
 from repro.obs.telemetry.instrument import (
     record_query_error,
     record_query_result,

@@ -1,28 +1,48 @@
-"""QL402 — runtime-informed index advice.
+"""Runtime-informed advice: QL402 (index) and QL501 (JIT fallback).
 
-The static analyzer's QL303 flags *every* equality selection that an
-index could serve; that is the right behaviour for a linter but noisy
-as operational advice. This module crosses the same detection with the
-telemetry fingerprint table: a diagnostic fires only when a query class
-is demonstrably **hot** (it dominates the measured runtime), ran more
-than once, and executed with *zero* index probes — i.e. the advice is
-backed by observed load, not source-level speculation.
+The static QL303 flags *every* equality selection an index could serve,
+and the JIT silently falls back to the interpreter for any expression
+outside its fragment: right for a linter, noisy as operational advice.
+Both advisors here cross their detection with the telemetry fingerprint
+table and fire only for a query class that is demonstrably **hot** — it
+dominates measured runtime and ran more than once (:func:`_hot`, which
+also words the measurement every message opens with).
 
-:func:`advise_hot_queries` re-translates each hot fingerprint's example
-query, runs :func:`repro.lint.dataflow.index_probe_candidates` over the
-resulting calculus term, drops candidates whose ``(extent, attribute)``
-index already exists in the catalog, and emits one ``QL402`` info
-diagnostic per remaining candidate with the ``Database.create_index``
-call as its hint. The REPL's ``:stats`` and ``python -m repro metrics
-top`` surface these lines under the hot-query table.
+- :func:`advise_hot_queries` (``QL402``): for a hot class with *zero*
+  index probes, every unindexed ``(extent, attribute)`` equality
+  candidate of its example query
+  (:func:`repro.lint.dataflow.index_probe_candidates`), with the
+  ``Database.create_index`` call as its hint.
+- :func:`advise_jit_fallbacks` (``QL501``): the constructs of a hot
+  class's plan the JIT could not translate (nested comprehensions in a
+  predicate, user function or method calls, object effects), so the
+  author knows what to hoist or rewrite.
+
+The REPL's ``:stats`` and ``python -m repro metrics top`` print them
+under the hot-query table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.obs.telemetry.fingerprint import QueryStats
 from repro.obs.telemetry.registry import MetricsRegistry, get_registry
+
+
+def _hot(
+    registry: Optional[MetricsRegistry], top_k: int, min_share: float, min_count: int
+) -> Iterator[tuple[QueryStats, str]]:
+    """``(entry, the measurement its advice opens with)`` for each hot
+    query class (:meth:`FingerprintTable.hot`) of ``registry``, the
+    shared default when None."""
+    registry = registry if registry is not None else get_registry()
+    for entry, share in registry.fingerprints.hot(top_k, min_share, min_count):
+        yield entry, (
+            f"query class {entry.fingerprint} is {share:.0%} of "
+            f"measured runtime ({entry.count} runs, "
+            f"{entry.total_seconds * 1e3:.1f}ms)"
+        )
 
 
 def hot_candidates(
@@ -64,10 +84,9 @@ def advise_hot_queries(
     """
     from repro.lint.diagnostics import make
 
-    registry = registry if registry is not None else get_registry()
     diagnostics = []
     seen: set[tuple[str, str]] = set()
-    for entry, share in registry.fingerprints.hot(top_k, min_share, min_count):
+    for entry, measured in _hot(registry, top_k, min_share, min_count):
         if entry.index_probes > 0:
             continue
         for extent, attr in hot_candidates(db, entry):
@@ -77,13 +96,65 @@ def advise_hot_queries(
             diagnostics.append(
                 make(
                     "QL402",
-                    f"query class {entry.fingerprint} is {share:.0%} of "
-                    f"measured runtime ({entry.count} runs, "
-                    f"{entry.total_seconds * 1e3:.1f}ms) with no index "
-                    f"probes; equality on {attr!r} selects from extent "
-                    f"{extent!r}",
+                    f"{measured} with no index probes; equality on {attr!r} "
+                    f"selects from extent {extent!r}",
                     None,
                     hint=f"Database.create_index({extent!r}, {attr!r})",
                 )
             )
+    return diagnostics
+
+
+def hot_fallbacks(db: Any, entry: QueryStats) -> dict[str, int]:
+    """Fallback-construct histogram for one hot query class.
+
+    Compiles the fingerprint's example query the way ``Database.run``
+    would and reports which constructs of its plan failed to compile.
+    Empty when the query no longer compiles to an algebra plan at all
+    (then nothing of it is on the JIT path) or every expression compiled.
+    """
+    from repro.jit.plan import precompile_plan
+
+    try:
+        plan = db.compile(entry.example_oql).plan
+        return precompile_plan(plan)["constructs"] if plan is not None else {}
+    except Exception:
+        return {}
+
+
+def advise_jit_fallbacks(
+    db: Any,
+    registry: Optional[MetricsRegistry] = None,
+    top_k: int = 5,
+    min_share: float = 0.25,
+    min_count: int = 2,
+) -> list:
+    """``QL501`` diagnostics for hot query classes that fall back.
+
+    A fingerprint qualifies when it ran at least ``min_count`` times
+    and accounts for at least ``min_share`` of all measured query time;
+    one warning per qualifying class, naming every construct the
+    compiler could not translate.
+    """
+    from repro.lint.diagnostics import make
+
+    diagnostics = []
+    for entry, measured in _hot(registry, top_k, min_share, min_count):
+        constructs = hot_fallbacks(db, entry)
+        if not constructs:
+            continue
+        named = ", ".join(
+            f"{name} x{count}" for name, count in sorted(constructs.items())
+        )
+        diagnostics.append(
+            make(
+                "QL501",
+                f"{measured} but its hot loop falls back to the interpreter for: {named}",
+                None,
+                hint=(
+                    "rewrite the expression without these constructs, or "
+                    "hoist them out of the per-row position; see docs/JIT.md"
+                ),
+            )
+        )
     return diagnostics

@@ -1,10 +1,11 @@
 """Query fingerprinting: grouping alpha-equivalent queries for telemetry.
 
 A *fingerprint* identifies what a query **means**, not how it was
-spelled: it is a short hash of the canonical alpha-form from
-:func:`repro.cache.keys.canonical_term`, so ``select distinct x.name
-from x in Cities`` and its ``y``-spelled twin share one fingerprint
-(the same equivalence the compiled-query cache keys on). Fleet
+spelled: :func:`repro.cache.keys.fingerprint_term` is a short hash of
+the canonical alpha-form, and a compiled entry keeps its own as
+``CompiledQuery.fingerprint``, so ``select distinct x.name from x in
+Cities`` and its ``y``-spelled twin share one fingerprint (the same
+equivalence the compiled-query cache keys on). Fleet
 telemetry wants exactly this grouping — "which *query shapes* dominate
 runtime" — where the raw text hash the query log records
 (:func:`repro.obs.querylog.oql_fingerprint`) would split one hot query
@@ -19,40 +20,8 @@ the least accumulated time, keeping the hot set by construction.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
-
-from repro.cache.core import CompiledQuery
-from repro.cache.keys import canonical_term
-from repro.calculus.ast import Term
-
-
-def fingerprint_term(term: Term) -> str:
-    """A short stable identifier for a query's canonical alpha-form.
-
-    Two terms get the same fingerprint iff they are alpha-equivalent
-    (structural equality of :func:`~repro.cache.keys.canonical_term`
-    outputs; the hash is over the canonical term's deterministic repr).
-    """
-    return _digest(canonical_term(term))
-
-
-def query_fingerprint(entry: CompiledQuery) -> str:
-    """:func:`fingerprint_term` of a compiled query's calculus term, from
-    the canonical term a cache keyed the entry by when there is one.
-
-    With telemetry attached, ``Database.compile`` stores it on the entry
-    before publishing it, so a repeated query pays for its fingerprint per
-    compile, not per run; this only reads an entry, never writes one."""
-    if entry.fingerprint is not None:
-        return entry.fingerprint
-    key = entry.key
-    return _digest(key.parts[0] if key is not None else canonical_term(entry.calculus))
-
-
-def _digest(canonical: Term) -> str:
-    return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.algebra.physical import result_cardinality
 from repro.errors import VerificationError
-from repro.obs.telemetry.fingerprint import query_fingerprint, render_top
+from repro.obs.telemetry.fingerprint import render_top
 
 if TYPE_CHECKING:
     from repro.obs.telemetry.registry import MetricsRegistry
@@ -150,7 +150,7 @@ def record_query_result(
         batch,
         seconds,
         query=(
-            query_fingerprint(result.compiled),
+            result.compiled.fingerprint,
             result.oql,
             seconds,
             rows,
@@ -170,7 +170,7 @@ def summary_lines(
     registry: MetricsRegistry, top_k: int = 5, db: Any = None
 ) -> list[str]:
     """A terminal-friendly digest: totals, latency quantiles, QPS and
-    the hot-query table (with QL402 advice when ``db`` is given)."""
+    the hot-query table (with QL402 and QL501 advice when ``db`` is given)."""
     from repro.obs.telemetry.registry import WINDOW_SECONDS
 
     errors = registry.value("repro_queries_total", engine="none", status="error")
@@ -195,8 +195,7 @@ def summary_lines(
     ]
     lines.extend("  " + line for line in render_top(table.top(top_k), table.total_seconds()))
     if db is not None:
-        from repro.jit.advise import advise_jit_fallbacks
-        from repro.obs.telemetry.advise import advise_hot_queries
+        from repro.obs.telemetry.advise import advise_hot_queries, advise_jit_fallbacks
 
         advice = [*advise_hot_queries(db, registry), *advise_jit_fallbacks(db, registry)]
         for diag in advice:

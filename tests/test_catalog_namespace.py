@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db import Database, travel_schema
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, OQLSyntaxError
 from repro.types.schema import Schema
 from repro.types.types import TINT
 
@@ -70,6 +70,17 @@ class TestRepros:
         assert db.run("count(Nums)") == 3 and len(db.store.snapshot()) == 0
         db.load_objects("Cities", "City", [city("c")])
         assert db.run("count(Cities)") == 1
+
+    def test_a_reload_an_index_cannot_take_changes_nothing(self):
+        """Before, the reload claimed the rows and moved the version, then
+        raised while rebuilding the index."""
+        db = Database(cache=True)
+        db.load_extent("Nums", [])
+        db.create_index("Nums", "k")
+        version = db.catalog.version
+        with pytest.raises(DatabaseError, match="index on Nums.k: element lacks the attribute"):
+            db.load_extent("Nums", [{"j": 1}], replace=True)
+        assert db.catalog.version == version and db.run("count(Nums)") == 0
 
     def test_an_index_on_an_object_extent_says_why_it_is_refused(self):
         db = Database(travel_schema())
@@ -123,39 +134,54 @@ ROWS = st.lists(st.integers(0, 3), max_size=4).map(lambda ks: [{"k": k} for k in
 OBJECT_ROWS = st.one_of(ROWS, st.builds(lambda rows, i: rows[:i] + [{"bogus": 1}] + rows[i:],
                                         ROWS, st.integers(0, 4)))
 
+#: a view body that does not parse
+BROKEN_VIEW = "select distinct x from x in"
+
 STEPS = st.one_of(
-    st.tuples(st.just("extent"), st.sampled_from(POOL), ROWS, st.booleans()),
+    # ``vec`` is no extent monoid
+    st.tuples(st.just("extent"), st.sampled_from(POOL), ROWS, st.booleans(),
+              st.sampled_from(["set", "vec"])),
     # the schema refuses ``C`` (no class declares it), a class that is not
     # the extent's and a bogus row
     st.tuples(st.just("object extent"), st.sampled_from(POOL),
               st.sampled_from(["ItemA", "ItemB"]), OBJECT_ROWS),
-    st.tuples(st.just("view"), st.sampled_from(POOL), st.sampled_from(POOL)),
+    # a view over a pool name, or one that does not parse (None)
+    st.tuples(st.just("view"), st.sampled_from(POOL), st.sampled_from([*POOL, None])),
     st.tuples(st.just("function"), st.sampled_from(POOL)),
-    st.tuples(st.just("index"), st.sampled_from(POOL)),
+    # no row has a ``nope`` field
+    st.tuples(st.just("index"), st.sampled_from(POOL), st.sampled_from(["k", "nope"])),
 )
 
 
 def apply(db: Database, step: tuple) -> None:
     kind, name = step[0], step[1]
     if kind == "extent":
-        db.load_extent(name, step[2], replace=step[3])
+        db.load_extent(name, step[2], monoid=step[4], replace=step[3])
     elif kind == "object extent":
         db.load_objects(name, step[2], step[3])
     elif kind == "view":
-        db.define(name, f"select distinct x from x in {step[2]} where x.k > 0")
+        source = step[2]
+        db.define(name, f"select distinct x from x in {source} where x.k > 0"
+                  if source else BROKEN_VIEW)
     elif kind == "function":
         db.register_function(name, lambda x: x)
     else:
-        db.create_index(name, "k")
+        db.create_index(name, step[2])
 
 
-def accepted(kinds: dict[str, str], step: tuple) -> bool:
-    """Whether the one-namespace rule lets ``step`` register."""
+def accepted(kinds: dict[str, str], filled: set[str], blind: set[str], step: tuple) -> bool:
+    """Whether the one-namespace rule lets ``step`` register; ``filled``
+    names the value extents holding a row, ``blind`` those indexed on a
+    field no row has (every row must have an index's field)."""
     kind, name = step[0], step[1]
     held = kinds.get(name)
     if kind == "index":
-        return held == "extent"
+        return held == "extent" and (step[2] == "k" or name not in filled)
     if kind == "object extent" and (step[2] != "Item" + name or any("bogus" in r for r in step[3])):
+        return False
+    if kind == "view" and step[2] is None:
+        return False
+    if kind == "extent" and (step[4] == "vec" or step[2] and name in blind):
         return False
     if kind == "extent" and held == "extent":
         return step[3]  # a reload needs replace=True
@@ -179,20 +205,28 @@ def answers(db: Database, steps: list) -> list:
 @given(steps=st.lists(STEPS, max_size=8), cache=st.booleans())
 def test_every_way_of_answering_reads_one_meaning_per_name(steps, cache):
     """A refused step — a second kind, a reload without ``replace``, an
-    index on no value extent, objects the schema refuses — changes
-    nothing: not the version, not the names, not an answer."""
+    index on no value extent or on a field a row lacks, a reload with rows
+    an index cannot take, objects the schema refuses, an extent monoid
+    that is none, a view that does not parse — changes nothing: not the version, not the names, not an answer."""
     db = Database(pool_schema(), cache=cache)
     kinds: dict[str, str] = {}
+    filled: set[str] = set()
+    blind: set[str] = set()
     before = answers(db, steps)
     for step in steps:
         version, names = db.catalog.version, db.catalog.names()
-        if accepted(kinds, step):
+        if accepted(kinds, filled, blind, step):
             apply(db, step)
             if step[0] != "index":
                 kinds[step[1]] = step[0]
+            if step[0] == "extent":
+                (filled.add if step[2] else filled.discard)(step[1])
+            elif step[0] == "index" and step[2] == "nope":
+                blind.add(step[1])
             assert db.catalog.version > version
         else:
-            with pytest.raises(DatabaseError):
+            broken = step[0] == "view" and step[2] is None
+            with pytest.raises(OQLSyntaxError if broken else DatabaseError):
                 apply(db, step)
             assert (db.catalog.version, db.catalog.names()) == (version, names)
         after = answers(db, steps)

@@ -16,16 +16,18 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.algebra.translate import build_plan
 from repro.analysis.verifier import verification
+from repro.cache.keys import fingerprint_term
 from repro.calculus import BinOp, comp, const, eq, filt, gen, gt, lt, proj, var
 from repro.calculus.ast import Generator, New
 from repro.db import Database, company_schema, make_company, travel_schema
 from repro.errors import ReproError
 from repro.objects import add_to_field, set_field, update_where
 from repro.obs.explain import plan_to_dict
+from repro.obs.querylog import oql_fingerprint
 from repro.obs.telemetry import MetricsRegistry
-from repro.obs.telemetry import fingerprint
-from repro.obs.telemetry.fingerprint import query_fingerprint
+from repro.oql.parser import parse
 
 from tests.data.make_exec_stats_golden import queries
 from tests.data.make_plans_golden import grouped_queries
@@ -125,39 +127,40 @@ def test_the_entry_is_final():
         assert again.plan is made[0] and again.deps is not None, label
 
 
-def test_compile_sets_the_fingerprint_before_publishing():
-    """With telemetry attached, the fingerprint is on the entry ``compile``
-    returns, and a run reads it without writing the entry; an entry
-    compiled without telemetry is never written."""
+def test_the_fingerprint_is_derived_once_when_read(count_calls):
+    """``compile`` leaves the fingerprint alone: it is derived the first
+    time it is read and then kept on the entry, whatever was attached when
+    the entry compiled, and an alpha-variant's run counts the same class."""
+    digests = count_calls(fingerprint_term)
     db = ones_and_twos(True)
-    db.enable_telemetry(MetricsRegistry())
     entry = db.compile("count(select x from x in Ones)")
-    made = entry.fingerprint
-    assert made is not None
+    assert "fingerprint" not in vars(entry) and digests == []
+    db.enable_telemetry(MetricsRegistry())
     db.run("count(select y from y in Ones)")
-    assert db.compile("count(select x from x in Ones)") is entry and entry.fingerprint == made
+    made = entry.fingerprint
+    assert len(digests) == 1 and db.compile("count(select x from x in Ones)") is entry
     assert (made,) == tuple(s.fingerprint for s in db.telemetry.fingerprints.top(10))
-    plain = ones_and_twos(True).compile("count(select x from x in Ones)")
-    assert query_fingerprint(plain) == made and plain.fingerprint is None
+    plain = ones_and_twos().compile("count(select x from x in Ones)")
+    assert plain.key is None and plain.fingerprint == made == fingerprint_term(plain.calculus)
 
 
-def test_an_entry_compiled_before_telemetry_recompiles_once(monkeypatch):
-    """Attached telemetry makes an entry without a fingerprint stale, as
-    verify mode does an unverified one: the cached entry and a pinned
-    prepared statement each recompile once, then read their fingerprint."""
-    calls: list = []
-    digest = fingerprint._digest
-    monkeypatch.setattr(fingerprint, "_digest", lambda term: calls.append(term) or digest(term))
+def test_attaching_telemetry_recompiles_nothing(count_calls):
+    """An entry compiled before telemetry was attached serves it as it is:
+    the cached entry and a pinned prepared statement each run ten times
+    with no parse, no invalidation and one digest of their class."""
+    parses, digests = count_calls(parse), count_calls(fingerprint_term)
     oql = "count(select x from x in Ones)"
     cached, pinned = ones_and_twos(True), ones_and_twos()
     statement = pinned.prepare(oql)
     cached.run(oql)
     for db, run in ((cached, lambda: cached.run(oql)), (pinned, statement.run)):
         db.enable_telemetry(MetricsRegistry())
-        calls.clear()
+        parses.clear()
+        digests.clear()
         for _ in range(10):
             assert run() == 1
-        assert len(calls) == 1
+        assert (len(parses), len(digests)) == (0, 1)
+        assert db.cache is None or db.cache.stats.invalidations == 0
         assert db.telemetry.fingerprints.top(1)[0].count == 10
 
 
@@ -243,3 +246,34 @@ def test_a_hand_built_term_answers_as_the_reference_interpreter(term, cache, ver
             got = answer(lambda: db.run_calculus(term))
         assert got == answer(lambda: reference.evaluator().evaluate(term))
         assert db.store.snapshot() == reference.store.snapshot()
+
+
+def test_a_prepared_term_is_logged_under_its_own_text():
+    """A pinned term's runs skip compile, yet each is labelled with the
+    term: the query log's hash is of its text, not of ``""``."""
+    db = cities()
+    program = update_where("Cities", "c", gt(_c("population"), const(2000)),
+                           [add_to_field("hotel_count", const(1))])
+    statement = db.prepare(program)
+    db.profile(True)
+    results = [statement.run_detailed() for _ in range(2)]
+    assert [r.oql for r in results] == [str(program)] * 2
+    assert [e["oql_sha256"] for e in db.query_log.entries] == [oql_fingerprint(str(program))] * 2
+
+
+def test_an_update_through_a_view_is_planned_once(count_calls):
+    """The view expansion is kept on the written term per catalog version,
+    so the effect stage's memo hits: five runs plan what one run plans."""
+    plans = count_calls(build_plan)
+    db = cities()
+    db.define("Big", "select c from c in Cities where c.population > 2000")
+    program = update_where("Big", "c", None, [add_to_field("hotel_count", const(1))])
+    total = "sum(select c.hotel_count from c in Cities)"
+    before = db.run(total)
+    plans.clear()
+    db.run_calculus(program)
+    once = len(plans)
+    for _ in range(4):
+        db.run_calculus(program)
+    assert len(plans) == once > 0
+    assert db.run(total) == before + 5 * 4  # four big cities, five runs

@@ -213,7 +213,7 @@ class TestQL501:
     )
 
     def test_advice_names_construct(self, company):
-        from repro.jit.advise import advise_jit_fallbacks
+        from repro.obs.telemetry.advise import advise_jit_fallbacks
 
         registry = MetricsRegistry()
         company.enable_telemetry(registry)
@@ -225,7 +225,7 @@ class TestQL501:
         assert "Comprehension" in findings[0].message
 
     def test_fully_compiled_hot_query_is_silent(self, company):
-        from repro.jit.advise import advise_jit_fallbacks
+        from repro.obs.telemetry.advise import advise_jit_fallbacks
 
         registry = MetricsRegistry()
         company.enable_telemetry(registry)

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from repro.algebra import Executor, build_plan
 from repro.analysis.verifier import verification
 from repro.cache import CacheConfig
-from repro.cache.keys import canonical_term, literal_skeleton
+from repro.cache.keys import canonical_term, fingerprint_term, literal_skeleton
 from repro.calculus import comp, gen, var
 from repro.calculus.ast import Call, Comprehension, Const, Proj, Var
 from repro.calculus.builders import mref
@@ -48,7 +48,6 @@ from repro.db import Database, company_schema
 from repro.errors import PlanError
 from repro.eval import Evaluator, evaluate
 from repro.jit.plan import clear_code_cache, fused, plan_key
-from repro.obs.telemetry.fingerprint import fingerprint_term
 from repro.values import Bag, Record
 from tests.test_normalize_property import _term_and_data
 from tests.test_property_queries import _PREDICATES, _PROJECTIONS, _SHAPES, _database

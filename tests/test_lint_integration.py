@@ -175,9 +175,9 @@ class TestStrictMode:
 
 
 class TestStrictVerdict:
-    """With a cache attached, a text's strict-lint verdict — its error
-    diagnostics at one compile version — is kept beside its text alias,
-    and a strict hit replays it: one lint call site, hit or miss."""
+    """With a cache attached, a text alias records the compile version at
+    which its text last linted clean, and a strict hit needs it current:
+    one lint call site, hit or miss. A text that fails is linted again."""
 
     QUERY = "select distinct c.name from c in Cities"
     UNKNOWN = "select distinct c.name from c in Citees"
@@ -206,9 +206,11 @@ class TestStrictVerdict:
         assert (len(lints), len(parses)) == (1, 1)
         assert "lint" in warm.record.cached
 
-    def test_a_failing_verdict_is_replayed_with_its_spans(self, db, lints, count_calls):
+    def test_a_failing_text_is_linted_again_with_the_same_spans(self, db, lints, count_calls):
+        """Nothing is kept for a text that fails: each strict call parses
+        and lints it again, and raises the same diagnostics."""
         with pytest.raises(UnboundVariableError):
-            db.run(self.UNKNOWN)  # cached without a verdict
+            db.run(self.UNKNOWN)  # cached without lint
         parses = count_calls(parse)
         raised = []
         for _ in range(2):
@@ -216,7 +218,7 @@ class TestStrictVerdict:
                 db.run(self.UNKNOWN, strict=True)
             raised.append(err.value.diagnostics)
         assert raised[0] == raised[1] and raised[0][0].code == "QL003"
-        assert (len(lints), len(parses)) == (1, 1)
+        assert (len(lints), len(parses)) == (2, 2)
 
     def test_a_new_compile_version_lints_again(self, db, lints):
         db.run(self.QUERY, strict=True)

@@ -217,15 +217,15 @@ class TestOneRecord:
     def test_fingerprint_is_paid_per_compile_not_per_run(self, db, registry, monkeypatch):
         from repro.cache import keys
         from repro.db import database
-        from repro.obs.telemetry import fingerprint
 
         calls = []
+        canonical_term = keys.canonical_term
 
         def counting(term):
             calls.append(term)
-            return keys.canonical_term(term)
+            return canonical_term(term)
 
-        for module in (database, fingerprint):
+        for module in (database, keys):
             monkeypatch.setattr(module, "canonical_term", counting)
         db.enable_telemetry(registry)
         db.enable_cache()

@@ -8,8 +8,9 @@ import threading
 import pytest
 
 from repro.cache.core import CacheStats
+from repro.cache.keys import fingerprint_term
 from repro.errors import TelemetryError
-from repro.obs.telemetry.fingerprint import FingerprintTable, fingerprint_term
+from repro.obs.telemetry.fingerprint import FingerprintTable
 from repro.obs.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
     WINDOW_SECONDS,
