@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
-from typing import Any, Iterator, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.calculus.ast import Assign, MonoidRef, Term, Update, Var
 
@@ -80,8 +80,9 @@ class Expr(NamedTuple):
 
 class PlanNode:
     """Base class of logical plan operators: frozen dataclasses, so what
-    is derived from their fields (:meth:`columns`, :attr:`exprs`) is
-    computed once per node and kept in its ``__dict__``."""
+    is derived from their fields (:meth:`columns`, :attr:`exprs`,
+    :meth:`preorder`) is computed once per node and kept in its
+    ``__dict__``."""
 
     __slots__ = ()
 
@@ -143,11 +144,16 @@ class PlanNode:
         fields.update(zip(self.CHILDREN, children))
         return type(self)(**fields)
 
-    def walk(self) -> Iterator["PlanNode"]:
-        """Every operator of the tree under this one, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+    def preorder(self) -> tuple["PlanNode", ...]:
+        """Every operator of the tree under this one, pre-order: also the
+        positions of an execution's :class:`~repro.obs.metrics.PlanMetrics`.
+        The nodes below this one are what is kept: a kept tuple holding the
+        node itself would make every plan a reference cycle."""
+        below = self.__dict__.get("_cached_below")
+        if below is None:
+            below = tuple([node for child in self.children() for node in child.preorder()])
+            self.__dict__["_cached_below"] = below
+        return (self, *below)
 
     def render(self, indent: int = 0) -> str:
         """Explain-style tree rendering."""
@@ -168,7 +174,7 @@ def is_effect(pred: Term) -> bool:
 
 def plan_variables(plan: PlanNode) -> frozenset[str]:
     """Every variable bound by some operator in the plan tree."""
-    return frozenset(name for node in plan.walk() for name in node.binds())
+    return frozenset(name for node in plan.preorder() for name in node.binds())
 
 
 def _indexed(var: str, index_var: Optional[str]) -> str:

@@ -10,19 +10,22 @@ it on the reference interpreter instead.
 
 An operator event is counted once, in the loop that produces it: the
 function counts rows in locals and stores the totals into each node's
-block of the executor's :class:`~repro.obs.metrics.PlanMetrics` at the
-end. That table is the execution's one record; :class:`ExecutionStats` is
-a view of it by node class and EXPLAIN ANALYZE reads it per node. The
+block of the execution's :class:`~repro.obs.metrics.PlanMetrics` at the
+end, by the node's position in the plan's pre-order. That list is the
+execution's one record; :class:`ExecutionStats` is its one fold, by node
+class, and EXPLAIN ANALYZE reads it per node. The
 executor reads no clock: the execution's wall time is the query record's
 ``execute`` slot (:class:`~repro.obs.tracer.QueryRecord`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Optional
 
-from repro.algebra.ops import IndexScan, Join, Nest, Reduce, Scan, SelectOp, Unnest
+from repro.algebra.ops import Reduce, SelectOp
 from repro.analysis.verifier import verification_enabled
 from repro.errors import EvaluationError, PlanError
 from repro.eval.evaluator import VECTOR_HEAD_ERROR, Evaluator
@@ -35,8 +38,8 @@ from repro.values import Bag, OrderedSet, Vector
 
 @dataclass
 class ExecutionStats:
-    """Whole-query row counters of one execution: a view, by node class,
-    of the executor's :class:`~repro.obs.metrics.PlanMetrics` blocks
+    """Whole-query row counters of one execution: its
+    :class:`~repro.obs.metrics.PlanMetrics` blocks summed by node class
     (:meth:`of`). Nothing increments these fields while a query runs.
     """
 
@@ -51,41 +54,43 @@ class ExecutionStats:
     #: always 0, and no field: ``benchmarks/harness``'s parallel probe reads it
     partitions = 0
 
+    #: rows out per operator class name, every Reduce's included (what
+    #: telemetry reports per operator): set by :meth:`of`; no field
+    operator_rows = MappingProxyType({})
+
     def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))  # every field: a counter added later is reported too
+        """Every field: a counter added later is reported too."""
+        counters = vars(self)
+        return {name: counters[name] for name in self.__dataclass_fields__}
 
     @classmethod
-    def of(cls, plan: Reduce, metrics: PlanMetrics) -> "ExecutionStats":
-        """The totals of ``metrics`` over ``plan``: each operator's
-        rows-out under its class's field (:data:`_OPERATORS`), a Select's
-        rows-in minus rows-out as ``rows_selected_out``, the root Reduce's
-        rows-in as ``rows_reduced`` (a sub-plan's Reduce adds nothing: its
-        rows are counted where they are made and where they are scanned)."""
-        stats = cls(rows_reduced=metrics.for_node(plan.child).rows_out)
-        totals = vars(stats)  # field name -> running total
-        for node, block in metrics.blocks(plan.child):
-            name = _OPERATORS[type(node)]
-            if name is not None:
-                totals[name] += block.rows_out
-            elif type(node) is SelectOp:
-                offered = metrics.for_node(node.child).rows_out
-                totals["rows_selected_out"] += offered - block.rows_out
-            totals["hash_builds"] += block.hash_builds
-            totals["index_probes"] += block.index_probes
+    def of(cls, metrics: PlanMetrics) -> "ExecutionStats":
+        """The totals of ``metrics``, one pass over its blocks: rows out
+        by operator class (a Scan's and an IndexScan's are rows scanned), a
+        Select's rows-in minus rows-out as ``rows_selected_out``, the root
+        Reduce's rows-in as ``rows_reduced`` (a sub-plan's Reduce adds
+        nothing: its rows are counted where they are made and where they
+        are scanned)."""
+        rows: Counter[str] = Counter()
+        dropped = builds = probes = 0
+        for at, (node, block) in enumerate(metrics.blocks()):
+            rows[type(node).__name__] += block.rows_out
+            if type(node) is SelectOp:  # its one child is the next block
+                dropped += metrics[at + 1].rows_out - block.rows_out
+            builds += block.hash_builds
+            probes += block.index_probes
+        stats = cls(
+            rows_scanned=rows["Scan"] + rows["IndexScan"],
+            rows_joined=rows["Join"],
+            rows_unnested=rows["Unnest"],
+            rows_selected_out=dropped,
+            rows_reduced=metrics[1].rows_out,  # the root's one child
+            rows_grouped=rows["Nest"],
+            hash_builds=builds,
+            index_probes=probes,
+        )
+        stats.operator_rows = rows
         return stats
-
-
-#: Per operator class, the :class:`ExecutionStats` field its rows-out
-#: adds to (a Select's drop count is derived instead).
-_OPERATORS = {
-    Reduce: None,
-    Scan: "rows_scanned",
-    IndexScan: "rows_scanned",
-    SelectOp: None,
-    Join: "rows_joined",
-    Unnest: "rows_unnested",
-    Nest: "rows_grouped",
-}
 
 
 class Executor:
@@ -106,9 +111,8 @@ class Executor:
     ) -> None:
         self.evaluator = evaluator
         self.indexes = indexes or {}
-        #: the record of the current execution's operator events
-        self.metrics = PlanMetrics()
-        self._plan: Optional[Reduce] = None
+        #: the record of the last execution's operator events
+        self.metrics: Optional[PlanMetrics] = None
         self._rt = Runtime(evaluator)
         #: which of a plan's functions runs: verify mode's checked one or not
         self._checked = verification_enabled()
@@ -116,22 +120,18 @@ class Executor:
     @property
     def stats(self) -> ExecutionStats:
         """The whole-query totals of the plan last executed."""
-        if self._plan is None:
-            return ExecutionStats()
-        return ExecutionStats.of(self._plan, self.metrics)
+        return ExecutionStats() if self.metrics is None else ExecutionStats.of(self.metrics)
 
     def execute(self, plan: Reduce) -> Any:
         """Run the plan's generated function to completion and return the
         reduced value; :class:`PlanError` when the plan has none."""
-        self._plan = plan
-        self.metrics.reset()
+        self.metrics = metrics = PlanMetrics(plan)
         pipeline = jit_plan.fused(plan, self._checked)
         if pipeline is None:  # more than MAX_LOOPS nested loops, or too deep
             raise PlanError("plan cannot be compiled to Python")
         monoid = self.evaluator.resolve_monoid(plan.monoid, self.evaluator.global_env)
-        blocks = [self.metrics.for_node(node) for node in plan.walk()]
-        value = pipeline(self._rt, self.indexes, blocks[1:], monoid)
-        blocks[0].rows_out = result_cardinality(value)
+        value = pipeline(self._rt, self.indexes, metrics, monoid)
+        metrics[0].rows_out = result_cardinality(value)
         return value
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro.db.database import Database, demo_database
 from repro.errors import ReproError, VerificationError
-from repro.lint.cli import split_queries
+from repro.lint.cli import read_queries
 
 
 def _short(text: str, limit: int = 60) -> str:
@@ -82,17 +82,15 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     for target in args.targets:
         if os.path.exists(target):
             label = target
-            try:
-                with open(target, encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as err:
-                out(f"error: cannot read {target}: {err}")
+            _, found, error = read_queries(target)
+            if error is not None:
+                if args.json:
+                    documents.append({"target": target, "error": error, "queries": []})
+                else:
+                    out(f"error: cannot read {target}: {error}")
                 exit_code = 1
                 continue
-            queries = [
-                (f"{target}:{line0 + 1}", text)
-                for line0, _, text in split_queries(source)
-            ]
+            queries = [(f"{target}:{line0 + 1}", text) for line0, _, text in found]
         else:
             label = "<query>"
             queries = [(label, target)]

@@ -42,9 +42,9 @@ def verify_plan(plan: PlanNode, phase: str = "plan") -> None:
     pvars = plan_variables(plan)
     problems: list[Violation] = []
     placed = {  # the effect filters that are where effects go
-        id(node) for root in plan.walk() if type(root) is Reduce for node in _spine(root)
+        id(node) for root in plan.preorder() if type(root) is Reduce for node in _spine(root)
     }
-    for node in plan.walk():
+    for node in plan.preorder():
         if type(node) is SelectOp and is_effect(node.pred) and id(node) not in placed:
             problems.append(
                 Violation("plan-effect", f"effect {node.pred} is not on its Reduce's selections")
@@ -137,4 +137,4 @@ def _effect_tail(root: Reduce) -> list:
 
 
 def _roots(plan: PlanNode) -> list[Reduce]:
-    return [node for node in plan.walk() if type(node) is Reduce]
+    return [node for node in plan.preorder() if type(node) is Reduce]

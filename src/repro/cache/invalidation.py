@@ -51,7 +51,7 @@ class Dependencies:
 
 def plan_terms(plan: PlanNode) -> Iterator[Term]:
     """Every calculus term embedded in a plan's operators."""
-    for node in plan.walk():
+    for node in plan.preorder():
         for entry in node.exprs:
             for _, term in entry.labelled():
                 yield term

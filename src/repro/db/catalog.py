@@ -105,12 +105,24 @@ class Catalog:
         self.functions[name] = fn
 
     def create_index(self, extent: str, attribute: str) -> None:
-        """Build (or rebuild) a hash index on ``extent.attribute``."""
+        """Build (or rebuild) a hash index on ``extent.attribute``, its
+        field checked first: against the class the schema declares, else
+        the rows (an empty extent has none, so it is refused)."""
         if extent not in self._extents:
             kind = self._kinds.get(extent, "unknown extent")
             raise DatabaseError(f"cannot index {kind} {extent!r}: indexes are value-extent only")
-        rows = self.iterate_extent(extent)
-        self._indexes[(extent, attribute)] = HashIndex.build(extent, attribute, rows, self.store)
+        schema, collection = self.registry.schema, self._extents[extent]
+        monoid = runtime_monoid_of(collection)
+        if schema.has_extent(extent):
+            try:
+                check_attributes(schema, schema.extent_class(extent).name, {attribute: None})
+            except SchemaError as err:
+                raise DatabaseError(f"cannot index {extent}.{attribute}: {err}") from None
+        elif not monoid.length(collection):
+            raise DatabaseError(f"cannot index {extent}.{attribute}: {extent!r} is empty and "
+                                "no class declares its fields; load rows first")
+        index = HashIndex.build(extent, attribute, monoid.iterate(collection), self.store)
+        self._indexes[(extent, attribute)] = index
         self.version += 1
 
     # -- value extents ---------------------------------------------------------------

@@ -32,6 +32,7 @@ the normalized term on the reference evaluator instead of the algebra
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import import_module
 from typing import Any, Literal, Optional
 
@@ -115,13 +116,13 @@ class QueryResult:
         "fallback": 1, "constructs": {}} (None when no plan ran)."""
         return None if self.metrics is None else jit_report(self.plan)
 
-    @property
+    @cached_property
     def stats(self) -> Optional[ExecutionStats]:
         """The executor's whole-query counters: :attr:`metrics` summed
-        by node class, computed when read (None when no plan ran)."""
-        if self.metrics is None:
-            return None
-        return ExecutionStats.of(self.plan, self.metrics)
+        by node class, computed on first read and kept, so the query log,
+        telemetry and :meth:`pipeline_report` share one fold (None when
+        no plan ran)."""
+        return None if self.metrics is None else ExecutionStats.of(self.metrics)
 
     def pipeline_report(self) -> str:
         """A printable record of every pipeline stage."""
@@ -379,7 +380,7 @@ class Database:
         The result always carries the query's record (``result.record``:
         phase times, total time, cache outcome) and the execution's
         per-operator record (``result.metrics``, which ``result.stats``
-        is a view of). ``verify`` is :meth:`run`'s
+        folds once). ``verify`` is :meth:`run`'s
         rewrite-verification switch (it covers the whole pipeline,
         including the re-normalization inside plan building).
         """

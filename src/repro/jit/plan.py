@@ -106,7 +106,7 @@ def plan_key(plan: Reduce, checked: bool) -> Optional[CacheKey]:
     source, an IndexScan key) stays a global; the Reduce's monoid, an
     argument of the function, is left out. None when a constant does not
     hash."""
-    nodes = list(plan.walk())
+    nodes = plan.preorder()
     counter = itertools.count()
     fresh = lambda _old: f"~{next(counter)}"  # noqa: E731
     names: dict[str, str] = {}
@@ -182,8 +182,8 @@ class _Pipeline:
         self.compiled = self.fallback = 0
         self.lines: list[str] = []
         self.depth = 1
-        #: id(node) -> its place in ``blocks`` (``plan.child.walk()`` order)
-        self.position = {id(node): i for i, node in enumerate(plan.child.walk())}
+        #: id(node) -> its block's place in ``blocks``: ``plan.preorder()``'s
+        self.position = {id(node): i for i, node in enumerate(plan.preorder())}
         #: counter local -> the OperatorMetrics field it is stored into
         self.counters: dict[str, str] = {}
         value = self.reduce(plan, "monoid")
@@ -433,7 +433,7 @@ _serial = itertools.count(1)
 
 def _fuse(plan: Reduce, checked: bool) -> Code:
     """``plan`` as one function ``(rt, indexes, blocks, monoid) -> value``
-    (``blocks``: the execution's metrics blocks of ``plan.child.walk()``)
+    (``blocks``: the execution's :class:`~repro.obs.metrics.PlanMetrics`)
     and what its emission compiled; no function for an operator without a
     template or nesting Python won't compile."""
     # repro.algebra.physical imports this package

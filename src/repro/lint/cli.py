@@ -81,6 +81,18 @@ def split_queries(source: str) -> Iterator[tuple[int, int, str]]:
         yield (*seg_start, text)
 
 
+def read_queries(path: str) -> tuple[str, Iterator[tuple[int, int, str]], Optional[str]]:
+    """The batch CLIs' one way into a file: its text, its queries and
+    None, or ``("", no queries, why)`` when it cannot be read — which a CLI
+    reports in the file's own ``--json`` document, as ``"error"``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as err:
+        return "", iter(()), str(err)
+    return source, split_queries(source), None
+
+
 def lint_text(
     source: str, linter: Linter
 ) -> list[Diagnostic]:
@@ -142,14 +154,12 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     exit_code = 0
     reports = []
     for path in args.files:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as err:
+        source, _, error = read_queries(path)
+        if error is not None:
             if args.json:
-                reports.append({"file": path, "error": str(err), "diagnostics": []})
+                reports.append({"file": path, "error": error, "diagnostics": []})
             else:
-                out(f"error: cannot read {path}: {err}")
+                out(f"error: cannot read {path}: {error}")
             exit_code = 1
             continue
         findings = lint_text(source, linter)

@@ -9,8 +9,8 @@ is opt-in:
   (parse → translate → typecheck → normalize → plan → optimize →
   execute, and the cache lookups), always written;
 - **per-operator metrics** (:mod:`repro.obs.metrics`): the one record
-  of rows and probe counts per physical plan node that every
-  :class:`~repro.algebra.physical.Executor` keeps, counts only;
+  of rows and probe counts per physical plan node that each execution
+  writes, a list in the plan's pre-order, counts only;
 - **EXPLAIN ANALYZE** (:mod:`repro.obs.explain`) and the **query log**
   (:mod:`repro.obs.querylog`, the session's one history):
   estimated-vs-actual plan reports and structured JSONL query entries
@@ -26,12 +26,11 @@ See ``docs/OBSERVABILITY.md`` for schemas and a walkthrough.
 """
 
 from repro.obs.explain import plan_to_dict, q_error, render_explain, summarize
-from repro.obs.metrics import NodeSnapshot, OperatorMetrics, PlanMetrics
+from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.obs.querylog import QueryLog, oql_fingerprint, query_log_entry
 from repro.obs.tracer import QueryRecord
 
 __all__ = [
-    "NodeSnapshot",
     "OperatorMetrics",
     "PlanMetrics",
     "QueryLog",

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from repro.db.database import demo_database
 from repro.errors import ReproError
-from repro.lint.cli import split_queries
+from repro.lint.cli import read_queries
 from repro.obs.explain import render_explain
 
 
@@ -50,15 +50,13 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     documents = []
     exit_code = 0
     for path in args.files:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as err:
-            out(f"error: cannot read {path}: {err}")
+        _, queries, error = read_queries(path)
+        if error is not None:
+            documents.append({"file": path, "error": error, "queries": []})
             exit_code = 1
             continue
         file_docs = []
-        for _, _, text in split_queries(source):
+        for _, _, text in queries:
             try:
                 doc = db.explain_data(text, analyze=args.analyze)
             except ReproError as err:
@@ -78,6 +76,9 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
         return exit_code
 
     for file_doc in documents:
+        if "error" in file_doc:
+            out(f"error: cannot read {file_doc['file']}: {file_doc['error']}")
+            continue
         out(f"== {file_doc['file']}")
         for doc in file_doc["queries"]:
             out(render_explain(doc))

@@ -47,7 +47,7 @@ def estimate_cardinalities(
     (element counts per extent) and the fixed factors above."""
     sizes = extent_sizes or {}
     estimates: dict[int, float] = {}
-    for node in reversed(list(plan.walk())):  # pre-order backwards: children first
+    for node in reversed(plan.preorder()):  # pre-order backwards: children first
         inputs = [estimates[id(child)] for child in node.children()]
         estimates[id(node)] = _estimate(node, inputs, sizes)
     return estimates
@@ -100,20 +100,20 @@ def plan_to_dict(
     metrics: Optional[PlanMetrics] = None,
 ) -> dict[str, Any]:
     """The plan subtree as nested dicts, annotated with estimates and —
-    when ``metrics`` is given — per-node actuals."""
-    snapshot = metrics.snapshot(plan) if metrics is not None else None
+    when ``metrics`` (an execution of ``plan``) is given — per-node
+    actuals."""
     estimates = estimate_cardinalities(plan, extent_sizes)
 
-    def build(node: PlanNode, snap) -> dict[str, Any]:
+    def build(node: PlanNode) -> dict[str, Any]:
         out: dict[str, Any] = {
             "op": type(node).__name__,
             "label": node.label(),
             "estimated_rows": round(estimates[id(node)], 2),
         }
-        if snap is not None:
-            block = snap.metrics
+        if metrics is not None:
+            block = metrics.block(node)
             out["actual_rows"] = block.rows_out
-            out["rows_in"] = snap.rows_in
+            out["rows_in"] = metrics.rows_in(node)
             out["q_error"] = round(q_error(out["estimated_rows"], block.rows_out), 2)
             if block.hash_builds:
                 out["hash_builds"] = block.hash_builds
@@ -121,13 +121,10 @@ def plan_to_dict(
                 out["index_probes"] = block.index_probes
         kids = node.children()
         if kids:
-            out["children"] = [
-                build(child, snap.children[i] if snap is not None else None)
-                for i, child in enumerate(kids)
-            ]
+            out["children"] = [build(child) for child in kids]
         return out
 
-    return build(plan, snapshot)
+    return build(plan)
 
 
 def summarize(plan_dict: dict[str, Any]) -> dict[str, Any]:

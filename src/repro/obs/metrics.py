@@ -1,26 +1,26 @@
 """The per-execution record of operator events.
 
-:class:`PlanMetrics` gives every physical plan node its own
-:class:`OperatorMetrics` block — rows produced, hash-table inserts and
-index probes. It is the **one** place an operator event is booked: every
-:class:`~repro.algebra.physical.Executor` owns a table, a plan's generated
-function stores its counts into each node's block, and whatever else
-reports execution counts (:class:`~repro.algebra.physical.ExecutionStats`,
-EXPLAIN ANALYZE, the query log, telemetry, the benchmark harness) is a
-view of these blocks. No block holds a time: a fused pipeline has no
-boundary between its operators, and the execution's wall time is the
-query record's ``execute`` slot (:class:`~repro.obs.tracer.QueryRecord`).
+:class:`PlanMetrics` is the list of one execution's
+:class:`OperatorMetrics` blocks — rows produced, hash-table inserts and
+index probes — one per plan node, in the plan's pre-order
+(:meth:`~repro.algebra.ops.PlanNode.preorder`). It is the **one** place
+an operator event is booked: a plan's generated function stores its
+counts into the blocks by position, and whatever else reports execution
+counts (:class:`~repro.algebra.physical.ExecutionStats`, EXPLAIN
+ANALYZE, the query log, telemetry, the benchmark harness) reads these
+blocks. No block holds a time: a fused pipeline has no boundary between
+its operators, and the execution's wall time is the query record's
+``execute`` slot (:class:`~repro.obs.tracer.QueryRecord`).
 
-Node identity is ``id(node)`` and a table belongs to one execution, so
-structurally-equal operators never share a block and neither do
-concurrent runs of one cached plan. :meth:`PlanMetrics.snapshot` derives
-rows-in as the sum of the children's rows-out.
+A node's block is the one at its position, so structurally-equal
+operators never share a block, and each execution has a list of its
+own, so neither do concurrent runs of one cached plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.algebra.ops import PlanNode
 
@@ -40,63 +40,25 @@ class OperatorMetrics:
         return dict(vars(self))
 
 
-@dataclass
-class NodeSnapshot:
-    """One plan node's metrics resolved against the tree shape."""
+class PlanMetrics(list):
+    """The :class:`OperatorMetrics` blocks of one execution of ``plan``:
+    ``self[i]`` is the block of ``plan.preorder()[i]``."""
 
-    node: PlanNode
-    metrics: OperatorMetrics
-    rows_in: int
-    children: list["NodeSnapshot"] = field(default_factory=list)
+    def __init__(self, plan: PlanNode) -> None:
+        super().__init__([OperatorMetrics() for _ in plan.preorder()])
+        self.plan = plan
 
-    @property
-    def rows_out(self) -> int:
-        return self.metrics.rows_out
+    def blocks(self) -> Iterator[tuple[PlanNode, OperatorMetrics]]:
+        """``(node, block)`` for every node of the plan, pre-order."""
+        return zip(self.plan.preorder(), self)
 
+    def block(self, node: PlanNode) -> OperatorMetrics:
+        """The block of ``node``, a node of the plan (found by identity)."""
+        for other, block in self.blocks():
+            if other is node:
+                return block
+        raise KeyError(f"{node.label()} is not a node of the plan")
 
-class PlanMetrics:
-    """The :class:`OperatorMetrics` blocks of one execution, per plan node."""
-
-    def __init__(self) -> None:
-        self._by_node: dict[int, OperatorMetrics] = {}
-
-    def reset(self) -> None:
-        self._by_node.clear()
-
-    def for_node(self, node: PlanNode) -> OperatorMetrics:
-        """The (created-on-demand) counter block for ``node``."""
-        block = self._by_node.get(id(node))
-        if block is None:
-            block = self._by_node[id(node)] = OperatorMetrics()
-        return block
-
-    def get(self, node: PlanNode) -> Optional[OperatorMetrics]:
-        return self._by_node.get(id(node))
-
-    def blocks(self, plan: PlanNode) -> Iterator[tuple[PlanNode, OperatorMetrics]]:
-        """``(node, block)`` for every node of the tree under ``plan``."""
-        for node in plan.walk():
-            yield node, self.for_node(node)
-
-    def snapshot(self, plan: PlanNode) -> NodeSnapshot:
-        """Resolve metrics over the plan tree rooted at ``plan``.
-
-        Derived quantity: ``rows_in`` is the sum of the children's
-        rows-out.
-        """
-        children = [self.snapshot(child) for child in plan.children()]
-        return NodeSnapshot(
-            node=plan,
-            metrics=self.for_node(plan),
-            rows_in=sum(child.metrics.rows_out for child in children),
-            children=children,
-        )
-
-    def walk(self, plan: PlanNode) -> Iterator[NodeSnapshot]:
-        """Pre-order iteration over :meth:`snapshot`."""
-        root = self.snapshot(plan)
-        stack = [root]
-        while stack:
-            snap = stack.pop()
-            yield snap
-            stack.extend(reversed(snap.children))
+    def rows_in(self, node: PlanNode) -> int:
+        """The rows ``node`` was offered: its children's rows out."""
+        return sum(self.block(child).rows_out for child in node.children())

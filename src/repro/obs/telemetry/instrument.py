@@ -14,9 +14,9 @@ lock held, and applies it with one
 - success/error counters by engine and error class, and a
   :class:`~repro.errors.VerificationError`'s violations by rule and
   invariant;
-- executor row counters and per-operator rows, read off the
-  execution's one record (``result.stats`` / ``result.metrics`` — the
-  numbers EXPLAIN ANALYZE shows);
+- executor row counters and per-operator rows: the fold of the
+  execution's one record the result keeps (``result.stats``, over the
+  blocks EXPLAIN ANALYZE shows);
 - cache hit/miss/eviction/invalidation counters, bridged inside the
   flush (as deltas) from the shared :class:`~repro.cache.core.CacheStats`
   block;
@@ -96,7 +96,9 @@ def record_query_result(
     registry: MetricsRegistry, db: Any, result: Any, seconds: float
 ) -> None:
     """Decompose one successful :class:`QueryResult` into the catalog."""
-    rows = result_cardinality(result.value)
+    stats = result.stats
+    # a plan's Reduce block already holds the result's size
+    rows = result_cardinality(result.value) if stats is None else result.metrics[0].rows_out
     batch: Batch = [
         ("repro_queries_total", (result.engine, "ok"), 1),
         ("repro_query_seconds", (), seconds),
@@ -107,20 +109,15 @@ def record_query_result(
         for phase, ms in result.record.phases_ms().items()
     )
 
-    stats = result.stats
-    if stats is not None:  # a plan ran: one pass over its record
+    if stats is not None:  # a plan ran: its record's one fold
         batch.extend(
             ("repro_executor_rows_total", (name,), value)
             for name, value in stats.as_dict().items()
             if value
         )
-        by_operator: dict[str, int] = {}
-        for node, block in result.metrics.blocks(result.plan):
-            operator = type(node).__name__
-            by_operator[operator] = by_operator.get(operator, 0) + block.rows_out
         batch.extend(
             ("repro_operator_rows_total", (operator,), rows_out)
-            for operator, rows_out in by_operator.items()
+            for operator, rows_out in stats.operator_rows.items()
             if rows_out
         )
 

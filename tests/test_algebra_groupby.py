@@ -178,7 +178,7 @@ class TestGroupByPlanning:
         result = db.run_detailed(self.Q)
         over_view = db.run_detailed(self.Q.replace("Employees", "Everyone"))
         for planned in (result, over_view):
-            assert any(isinstance(node, Nest) for node in planned.plan.walk())
+            assert any(isinstance(node, Nest) for node in planned.plan.preorder())
         assert over_view.value == result.value == db.run(self.Q, engine="interpret")
 
     def test_nest_scans_once(self, db):
@@ -239,7 +239,7 @@ class TestGammaIntroduction:
         term = self.grouped(**near_miss)
         assert plan_group_by(term) is None
         flat = build_plan(term)
-        assert not any(isinstance(node, Nest) for node in flat.walk())
+        assert not any(isinstance(node, Nest) for node in flat.preorder())
         assert execute_plan(flat, evaluator=db.evaluator()) == db.run_calculus(term)
 
     def test_a_label_that_captures_a_name_of_the_key_set_is_not_matched(self, db):

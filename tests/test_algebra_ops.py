@@ -134,7 +134,7 @@ class TestTheTableIsTotal:
             rebuilt = node.with_children(other, *kids[1:])
             assert type(rebuilt) is cls and rebuilt.children() == (other, *kids[1:])
             assert rebuilt == dataclasses.replace(node, **{cls.CHILDREN[0]: other})
-        assert list(node.walk()) == [node, *[n for kid in kids for n in kid.walk()]]
+        assert list(node.preorder()) == [node, *[n for kid in kids for n in kid.preorder()]]
         assert node.render().splitlines()[0] == node.label()
 
 
@@ -153,7 +153,7 @@ DEEP = ["h.stars > 2", "h.name != c.name", "h.stars < 6"]
 def _selects(plan: PlanNode) -> list[str]:
     """Selection predicates in execution order (innermost first) along
     the plan's one spine."""
-    preds = [str(node.pred) for node in plan.walk() if isinstance(node, SelectOp)]
+    preds = [str(node.pred) for node in plan.preorder() if isinstance(node, SelectOp)]
     return preds[::-1]
 
 
@@ -191,7 +191,7 @@ def test_an_index_takes_its_conjunct_and_leaves_the_rest_in_order():
     ))
     optimized = Optimizer({("Cities", "state")}).optimize(plan)
     assert _selects(optimized) == ["(c.population > 1)", "(c.hotel_count < 9)"]
-    (leaf,) = [node for node in optimized.walk() if not node.children()]
+    (leaf,) = [node for node in optimized.preorder() if not node.children()]
     assert isinstance(leaf, IndexScan) and leaf.key == const("OR")
 
 
@@ -204,7 +204,7 @@ def test_a_later_conjunct_still_sinks_past_an_earlier_one_to_go_deeper():
     assert isinstance(join, Join) and join.left_keys == (proj(var("a"), "k"),)
     assert isinstance(join.right, SelectOp) and str(join.right.pred) == "(b.z > 3)"
     assert eq(proj(var("a"), "k"), proj(var("b"), "k")) not in [
-        node.pred for node in plan.walk() if isinstance(node, SelectOp)
+        node.pred for node in plan.preorder() if isinstance(node, SelectOp)
     ]
 
 

@@ -135,7 +135,7 @@ class TestCardinalityEstimates:
             "select struct(d: dno, n: count(partition)) from e in Employees "
             "group by dno: e.dno"
         ))
-        nest = next(node for node in plan.walk() if isinstance(node, Nest))
+        nest = next(node for node in plan.preorder() if isinstance(node, Nest))
         assert estimate_cardinalities(plan, {"Employees": 90})[id(nest)] == 9.0
 
     def test_explain_renders_estimates(self):

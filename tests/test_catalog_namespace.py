@@ -75,12 +75,34 @@ class TestRepros:
         """Before, the reload claimed the rows and moved the version, then
         raised while rebuilding the index."""
         db = Database(cache=True)
-        db.load_extent("Nums", [])
+        db.load_extent("Nums", [{"k": 1}])
         db.create_index("Nums", "k")
         version = db.catalog.version
         with pytest.raises(DatabaseError, match="index on Nums.k: element lacks the attribute"):
             db.load_extent("Nums", [{"j": 1}], replace=True)
-        assert db.catalog.version == version and db.run("count(Nums)") == 0
+        assert db.catalog.version == version and db.run("count(Nums)") == 1
+
+    def test_an_index_on_an_empty_undeclared_extent_is_refused(self):
+        """Before, it was kept, and every later reload with rows raised
+        (no row has a field the index was never checked against)."""
+        db = Database(cache=True)
+        db.load_extent("B", [])
+        with pytest.raises(DatabaseError, match="'B' is empty .* load rows first"):
+            db.create_index("B", "nope")
+        assert db.catalog.version == 1 and not db.catalog.index_keys()
+        db.load_extent("B", [{"k": 1}], replace=True)
+        assert db.run("count(B)") == 1
+
+    def test_an_index_on_a_declared_extent_checks_the_class(self):
+        """Empty or not, a declared extent's index field is the class's."""
+        db = Database(travel_schema())
+        db.load_extent("Cities", [])
+        with pytest.raises(DatabaseError, match=r"cannot index Cities.nope: unknown attributes"):
+            db.create_index("Cities", "nope")
+        assert db.catalog.version == 1
+        db.create_index("Cities", "name")
+        db.load_extent("Cities", [city("c")], replace=True)
+        assert db.run("count(select c from c in Cities where c.name = \"c\")") == 1
 
     def test_an_index_on_an_object_extent_says_why_it_is_refused(self):
         db = Database(travel_schema())
@@ -148,7 +170,7 @@ STEPS = st.one_of(
     # a view over a pool name, or one that does not parse (None)
     st.tuples(st.just("view"), st.sampled_from(POOL), st.sampled_from([*POOL, None])),
     st.tuples(st.just("function"), st.sampled_from(POOL)),
-    # no row has a ``nope`` field
+    # no class and no row has a ``nope`` field
     st.tuples(st.just("index"), st.sampled_from(POOL), st.sampled_from(["k", "nope"])),
 )
 
@@ -169,19 +191,21 @@ def apply(db: Database, step: tuple) -> None:
         db.create_index(name, step[2])
 
 
-def accepted(kinds: dict[str, str], filled: set[str], blind: set[str], step: tuple) -> bool:
+def accepted(kinds: dict[str, str], filled: set[str], step: tuple) -> bool:
     """Whether the one-namespace rule lets ``step`` register; ``filled``
-    names the value extents holding a row, ``blind`` those indexed on a
-    field no row has (every row must have an index's field)."""
+    names the value extents holding a row. An index's field is checked
+    against the class when the schema declares the extent, else against
+    the rows, so an empty undeclared extent takes no index — and no
+    reload is ever refused for an index's sake."""
     kind, name = step[0], step[1]
     held = kinds.get(name)
     if kind == "index":
-        return held == "extent" and (step[2] == "k" or name not in filled)
+        return held == "extent" and step[2] == "k" and (name != "C" or name in filled)
     if kind == "object extent" and (step[2] != "Item" + name or any("bogus" in r for r in step[3])):
         return False
     if kind == "view" and step[2] is None:
         return False
-    if kind == "extent" and (step[4] == "vec" or step[2] and name in blind):
+    if kind == "extent" and step[4] == "vec":
         return False
     if kind == "extent" and held == "extent":
         return step[3]  # a reload needs replace=True
@@ -205,24 +229,22 @@ def answers(db: Database, steps: list) -> list:
 @given(steps=st.lists(STEPS, max_size=8), cache=st.booleans())
 def test_every_way_of_answering_reads_one_meaning_per_name(steps, cache):
     """A refused step — a second kind, a reload without ``replace``, an
-    index on no value extent or on a field a row lacks, a reload with rows
-    an index cannot take, objects the schema refuses, an extent monoid
-    that is none, a view that does not parse — changes nothing: not the version, not the names, not an answer."""
+    index on no value extent, on a field its class or its rows lack or on
+    an empty extent no class declares, objects the schema refuses, an
+    extent monoid that is none, a view that does not parse — changes
+    nothing: not the version, not the names, not an answer."""
     db = Database(pool_schema(), cache=cache)
     kinds: dict[str, str] = {}
     filled: set[str] = set()
-    blind: set[str] = set()
     before = answers(db, steps)
     for step in steps:
         version, names = db.catalog.version, db.catalog.names()
-        if accepted(kinds, filled, blind, step):
+        if accepted(kinds, filled, step):
             apply(db, step)
             if step[0] != "index":
                 kinds[step[1]] = step[0]
             if step[0] == "extent":
                 (filled.add if step[2] else filled.discard)(step[1])
-            elif step[0] == "index" and step[2] == "nope":
-                blind.add(step[1])
             assert db.catalog.version > version
         else:
             broken = step[0] == "view" and step[2] is None

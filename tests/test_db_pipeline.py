@@ -104,7 +104,7 @@ def op_tree(node: dict) -> list:
 def test_explain_of_group_by_is_the_nest_plan_run_executes(cache):
     db = company(cache)
     executed = db.run_detailed(GROUP_BY).plan
-    assert any(isinstance(node, Nest) for node in executed.walk())
+    assert any(isinstance(node, Nest) for node in executed.preorder())
     estimated = db.explain_data(GROUP_BY)
     analyzed = db.explain_data(GROUP_BY, analyze=True)
     assert estimated["engine"] == analyzed["engine"] == "algebra"

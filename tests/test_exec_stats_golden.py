@@ -49,12 +49,12 @@ def test_stats_are_the_by_class_sums_of_the_blocks(mode):
             continue
         by_class: dict[str, dict[str, int]] = {}
         selected_out = 0
-        for snap in result.metrics.walk(result.plan):
-            sums = by_class.setdefault(type(snap.node).__name__, {})
-            for name, value in snap.metrics.as_dict().items():
+        for node, block in result.metrics.blocks():
+            sums = by_class.setdefault(type(node).__name__, {})
+            for name, value in block.as_dict().items():
                 sums[name] = sums.get(name, 0) + value
-            if isinstance(snap.node, SelectOp):
-                selected_out += snap.rows_in - snap.rows_out
+            if isinstance(node, SelectOp):
+                selected_out += result.metrics.rows_in(node) - block.rows_out
 
         def total(op: str, name: str = "rows_out") -> int:
             return by_class.get(op, {}).get(name, 0)
@@ -64,7 +64,7 @@ def test_stats_are_the_by_class_sums_of_the_blocks(mode):
             "rows_joined": total("Join"),
             "rows_unnested": total("Unnest"),
             "rows_selected_out": selected_out,
-            "rows_reduced": next(result.metrics.walk(result.plan)).rows_in,
+            "rows_reduced": result.metrics.rows_in(result.plan),
             "rows_grouped": total("Nest"),
             "hash_builds": total("Join", "hash_builds"),
             "index_probes": total("IndexScan", "index_probes"),

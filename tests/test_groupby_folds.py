@@ -48,7 +48,7 @@ def travel_db(**modes) -> Database:
 
 
 def nest_of(plan) -> Nest:
-    (nest,) = [node for node in plan.walk() if isinstance(node, Nest)]
+    (nest,) = [node for node in plan.preorder() if isinstance(node, Nest)]
     return nest
 
 
@@ -496,7 +496,7 @@ class TestGroupByBesideViews:
         # Γ sees the substituted view: one Nest over one pass of its rows,
         # not one partition scan per distinct key — the view's own plan
         # scans Employees once, and the Nest's Scan reads its rows once
-        assert any(isinstance(node, Nest) for node in result.plan.walk())
+        assert any(isinstance(node, Nest) for node in result.plan.preorder())
         assert result.stats.rows_scanned == employees + seniors
         assert result.value == expected == db.run(q, verify=True)
         for mode, settings in MODE_ROWS.items():

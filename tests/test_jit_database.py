@@ -185,7 +185,7 @@ class TestVerifyMode:
         plan = company.compile(SCAN_QUERY).plan
         precompile_plan(plan)
         assert {"jit_fused", "jit_report"} <= set(vars(plan))
-        for node in plan.walk():
+        for node in plan.preorder():
             assert not any(callable(kept) for kept in vars(node).values())
             assert node is plan or not any(name.startswith("jit") for name in vars(node))
 

@@ -63,11 +63,11 @@ WAYS = {
 KEPT = {"cache": CacheConfig(results=False)}
 
 
-def counts(metrics: PlanMetrics, plan: Reduce) -> list[tuple]:
+def counts(metrics: PlanMetrics) -> list[tuple]:
     """Every node's counters, in plan order."""
     return [
         (type(node).__name__, b.rows_out, b.hash_builds, b.index_probes)
-        for node, b in metrics.blocks(plan)
+        for node, b in metrics.blocks()
     ]
 
 
@@ -103,7 +103,7 @@ def every_way(make_plan, make_evaluator, indexes=None, checked=True):
             executor = Executor(evaluator, indexes)
         seen[way] = outcome(lambda: executor.execute(plan))  # noqa: B023
         if seen[way][0] == "value":
-            seen[way] += (counts(executor.metrics, plan),)
+            seen[way] += (counts(executor.metrics),)
         seen[way] += (evaluator.store.snapshot(),)
         assert fused(plan, verify) is not None, pipeline_source(plan, verify)
     assert all(observed == seen["fused"] for observed in seen.values()), seen
@@ -138,11 +138,11 @@ def test_golden_corpus_against_reference(db, oql, run_on, run_off):
         return
     assert on.jit is not None and off.jit is not None  # the function ran, both times
     assert on.stats == off.stats
-    assert counts(on.metrics, on.plan) == counts(off.metrics, off.plan)
+    assert counts(on.metrics) == counts(off.metrics)
     if "$" not in oql:
         traced = profiled(db, oql)  # the same function, traced
         assert traced.value == on.value and db.query_log.entries[-1]["engine"] == "algebra"
-        assert counts(traced.metrics, traced.plan) == counts(on.metrics, on.plan)
+        assert counts(traced.metrics) == counts(on.metrics)
 
 
 @pytest.mark.parametrize("db, oql, run_on, run_off", _corpus())
@@ -159,7 +159,7 @@ def test_golden_corpus_checked_variant(db, oql, run_on, run_off):
     assert fused(checked.plan, True) is not None, pipeline_source(checked.plan, True)
     assert checked.jit is not None
     assert checked.stats == plain.stats
-    assert counts(checked.metrics, checked.plan) == counts(plain.metrics, plain.plan)
+    assert counts(checked.metrics) == counts(plain.metrics)
 
 
 def test_prepared_params_reach_the_generated_function():
@@ -265,7 +265,7 @@ def test_random_oql(query, db):
     if got.plan is None:  # count(...) of a select is the interpreter's
         return
     assert got.stats == want.stats == traced.stats, query
-    assert counts(got.metrics, got.plan) == counts(traced.metrics, traced.plan), query
+    assert counts(got.metrics) == counts(traced.metrics), query
     assert want.jit is not None and got.jit is not None, query
 
 

@@ -205,11 +205,11 @@ def test_object_rows_and_parameters_enter_no_frame_per_row():
 # -- traced, explained and checked runs execute the same function ------------------------
 
 
-def node_counts(metrics, plan) -> list[tuple]:
+def node_counts(metrics) -> list[tuple]:
     """Per node, pre-order: its counts, which are every field of its block."""
     return [
         (type(node).__name__, b.rows_out, b.hash_builds, b.index_probes)
-        for node, b in metrics.blocks(plan)
+        for node, b in metrics.blocks()
     ]
 
 
@@ -248,7 +248,7 @@ OBSERVED = {
 
 def observed(mode: str, db, oql) -> list[tuple]:
     result = OBSERVED[mode](db, oql)
-    return result if mode == "explain" else node_counts(result.metrics, result.plan)
+    return result if mode == "explain" else node_counts(result.metrics)
 
 
 def outside_the_differential(run) -> Counter:
@@ -288,7 +288,7 @@ class TestObservedRunsAreTheFunction:
             db.load_extents(make_data(n))
             with verification(False):
                 first = db.run_detailed(oql)  # also memoises the sets' orders
-            assert observed(mode, db, oql) == node_counts(first.metrics, first.plan)
+            assert observed(mode, db, oql) == node_counts(first.metrics)
             seen = outside_the_differential(lambda: observed(mode, db, oql))  # noqa: B023
             assert seen.pop(NEW, 0) == seen.pop(HASH, 0) == records(first.value)
             seen.pop("runtime.py:Runtime.check", None)

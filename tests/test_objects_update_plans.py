@@ -163,8 +163,8 @@ def test_the_papers_program_runs_on_the_executor(monkeypatch):
     touched = run_update(program, db.evaluator())
     (plan,) = executed
     assert isinstance(plan, Reduce) and len(touched) == 3
-    (scan,) = [node for node in plan.walk() if isinstance(node, Scan) and node.sub is not None]
-    assert [type(node) for node in scan.sub.walk()] == [Reduce, SelectOp, Scan]
+    (scan,) = [node for node in plan.preorder() if isinstance(node, Scan) and node.sub is not None]
+    assert [type(node) for node in scan.sub.preorder()] == [Reduce, SelectOp, Scan]
 
 
 def test_run_calculus_runs_an_update_through_compile(monkeypatch):

@@ -41,10 +41,11 @@ def run_with_metrics(plan, world, indexes=None):
     return value, executor.metrics, executor.stats
 
 
-def node_snap(metrics, plan, op_type):
-    for snap in metrics.walk(plan):
-        if isinstance(snap.node, op_type):
-            return snap
+def node_block(metrics, op_type):
+    """``(block, rows in)`` of the plan's first ``op_type`` node, pre-order."""
+    for node, block in metrics.blocks():
+        if isinstance(node, op_type):
+            return block, metrics.rows_in(node)
     raise AssertionError(f"no {op_type.__name__} in plan")
 
 
@@ -52,9 +53,9 @@ class TestPerOperator:
     def test_scan(self, world):
         plan = Reduce(MonoidRef("set"), proj(var("a"), "x"), Scan("a", var("Ls")))
         value, metrics, _ = run_with_metrics(plan, world)
-        snap = node_snap(metrics, plan, Scan)
-        assert snap.rows_in == 0
-        assert snap.rows_out == 3
+        block, rows_in = node_block(metrics, Scan)
+        assert rows_in == 0
+        assert block.rows_out == 3
         assert value == frozenset({10, 20, 30})
 
     def test_select(self, world):
@@ -64,9 +65,9 @@ class TestPerOperator:
             SelectOp(Scan("a", var("Ls")), ge(proj(var("a"), "x"), const(20))),
         )
         _, metrics, _ = run_with_metrics(plan, world)
-        snap = node_snap(metrics, plan, SelectOp)
-        assert snap.rows_in == 3
-        assert snap.rows_out == 2  # x=10 filtered out
+        block, rows_in = node_block(metrics, SelectOp)
+        assert rows_in == 3
+        assert block.rows_out == 2  # x=10 filtered out
 
     def test_hash_join(self, world):
         plan = Reduce(
@@ -80,11 +81,11 @@ class TestPerOperator:
             ),
         )
         value, metrics, stats = run_with_metrics(plan, world)
-        snap = node_snap(metrics, plan, Join)
-        assert snap.rows_in == 6  # both scans feed the join
-        assert snap.rows_out == 2  # k=1 matches twice
-        assert snap.metrics.hash_builds == 3  # whole right side built
-        assert snap.metrics.hash_builds == stats.hash_builds
+        block, rows_in = node_block(metrics, Join)
+        assert rows_in == 6  # both scans feed the join
+        assert block.rows_out == 2  # k=1 matches twice
+        assert block.hash_builds == 3  # whole right side built
+        assert block.hash_builds == stats.hash_builds
         assert value == frozenset({"a", "b"})
 
     def test_nested_loop_join(self, world):
@@ -94,9 +95,9 @@ class TestPerOperator:
             Join(Scan("a", var("Ls")), Scan("b", var("Rs"))),
         )
         value, metrics, _ = run_with_metrics(plan, world)
-        snap = node_snap(metrics, plan, Join)
-        assert snap.rows_out == 9  # full cross product
-        assert snap.metrics.hash_builds == 0
+        block, rows_in = node_block(metrics, Join)
+        assert block.rows_out == 9  # full cross product
+        assert block.hash_builds == 0
         assert value == 9
 
     def test_unnest(self, world):
@@ -106,9 +107,9 @@ class TestPerOperator:
             Unnest(Scan("c", var("Cs")), "x", proj(var("c"), "xs")),
         )
         _, metrics, _ = run_with_metrics(plan, world)
-        snap = node_snap(metrics, plan, Unnest)
-        assert snap.rows_in == 2  # two outer records
-        assert snap.rows_out == 4  # four inner elements total
+        block, rows_in = node_block(metrics, Unnest)
+        assert rows_in == 2  # two outer records
+        assert block.rows_out == 4  # four inner elements total
 
     def test_index_scan(self, world):
         indexes = {
@@ -124,9 +125,9 @@ class TestPerOperator:
             IndexScan("a", "Ls", "k", const(2)),
         )
         value, metrics, stats = run_with_metrics(plan, world, indexes)
-        snap = node_snap(metrics, plan, IndexScan)
-        assert snap.metrics.index_probes == 1
-        assert snap.rows_out == 1
+        block, rows_in = node_block(metrics, IndexScan)
+        assert block.index_probes == 1
+        assert block.rows_out == 1
         assert stats.index_probes == 1
         assert value == frozenset({20})
 
@@ -141,26 +142,26 @@ class TestPerOperator:
             ),
         )
         value, metrics, _ = run_with_metrics(plan, world)
-        snap = node_snap(metrics, plan, Nest)
-        assert snap.rows_in == 3
-        assert snap.rows_out == 2  # two distinct keys: 1 and 4
+        block, rows_in = node_block(metrics, Nest)
+        assert rows_in == 3
+        assert block.rows_out == 2  # two distinct keys: 1 and 4
         assert value == frozenset({1, 4})
 
     def test_reduce_collection_cardinality(self, world):
         plan = Reduce(MonoidRef("set"), proj(var("a"), "k"), Scan("a", var("Ls")))
         value, metrics, _ = run_with_metrics(plan, world)
-        snap = node_snap(metrics, plan, Reduce)
-        assert snap.rows_in == 3
-        assert snap.rows_out == len(value) == 3
+        block, rows_in = node_block(metrics, Reduce)
+        assert rows_in == 3
+        assert block.rows_out == len(value) == 3
 
     def test_reduce_primitive_is_one_row(self, world):
         plan = Reduce(MonoidRef("sum"), proj(var("a"), "x"), Scan("a", var("Ls")))
         value, metrics, _ = run_with_metrics(plan, world)
         assert value == 60
-        assert node_snap(metrics, plan, Reduce).rows_out == 1
+        assert node_block(metrics, Reduce)[0].rows_out == 1
 
 
-class TestSnapshotDerivations:
+class TestBlockDerivations:
     def test_rows_in_is_the_childrens_rows_out(self, world):
         plan = Reduce(
             MonoidRef("set"),
@@ -168,32 +169,52 @@ class TestSnapshotDerivations:
             SelectOp(Scan("a", var("Ls")), ge(proj(var("a"), "x"), const(0))),
         )
         _, metrics, _ = run_with_metrics(plan, world)
-        for snap in metrics.walk(plan):
-            assert snap.rows_in == sum(child.rows_out for child in snap.children)
+        for node in plan.preorder():
+            kids = node.children()
+            assert metrics.rows_in(node) == sum(metrics.block(kid).rows_out for kid in kids)
+
+    def test_the_blocks_are_the_plans_preorder(self, world):
+        plan = Reduce(
+            MonoidRef("sum"),
+            const(1),
+            Join(Scan("a", var("Ls")), Unnest(Scan("c", var("Cs")), "x", proj(var("c"), "xs"))),
+        )
+        _, metrics, _ = run_with_metrics(plan, world)
+        assert isinstance(metrics, PlanMetrics) and isinstance(metrics, list)
+        assert metrics.plan is plan
+        assert [type(node) for node, _ in metrics.blocks()] == [Reduce, Join, Scan, Unnest, Scan]
+        assert [block.rows_out for block in metrics] == [1, 12, 3, 4, 2]
+        assert [metrics.rows_in(node) for node in plan.preorder()] == [12, 7, 0, 2, 0]
 
     def test_a_block_holds_counts_only(self, world):
         fields = [f.name for f in dataclasses.fields(OperatorMetrics)]
         assert fields == ["rows_out", "hash_builds", "index_probes"]
         plan = Reduce(MonoidRef("sum"), const(1), Scan("a", var("Ls")))
         _, metrics, _ = run_with_metrics(plan, world)
-        assert all(set(vars(s.metrics)) == set(fields) for s in metrics.walk(plan))
+        assert all(set(vars(block)) == set(fields) for block in metrics)
 
     def test_equal_nodes_in_different_positions_do_not_share_counters(self, world):
-        # structurally-equal scans must be metered separately (id-keyed)
+        # structurally-equal scans must be metered separately (by position)
         left = Scan("a", var("Ls"))
         right = Scan("b", var("Rs"))
         plan = Reduce(MonoidRef("sum"), const(1), Join(left, right))
         _, metrics, _ = run_with_metrics(plan, world)
-        assert metrics.get(left).rows_out == 3
-        assert metrics.get(right).rows_out == 3
-        assert metrics.get(left) is not metrics.get(right)
+        assert metrics.block(left).rows_out == 3
+        assert metrics.block(right).rows_out == 3
+        assert metrics.block(left) is not metrics.block(right)
+
+    def test_a_node_of_another_plan_has_no_block(self, world):
+        plan = Reduce(MonoidRef("sum"), const(1), Scan("a", var("Ls")))
+        _, metrics, _ = run_with_metrics(plan, world)
+        with pytest.raises(KeyError):
+            metrics.block(Scan("a", var("Ls")))  # equal, but not the plan's
 
     def test_execute_resets_metrics_between_runs(self, world):
         plan = Reduce(MonoidRef("set"), proj(var("a"), "k"), Scan("a", var("Ls")))
         executor = Executor(Evaluator(world))
         executor.execute(plan)
         executor.execute(plan)
-        assert node_snap(executor.metrics, plan, Scan).rows_out == 3  # not 6
+        assert node_block(executor.metrics, Scan)[0].rows_out == 3  # not 6
 
 
 class TestSeedPathUntouched:
@@ -245,7 +266,7 @@ class TestSeedPathUntouched:
         db.disable_telemetry()
         result = db.run_detailed(self.QUERY)
         assert not db.query_log.entries  # no history kept
-        assert node_snap(result.metrics, result.plan, Scan).rows_out == 4
+        assert node_block(result.metrics, Scan)[0].rows_out == 4
         assert "execute" in result.record.phases_ms()  # the one clock
 
     def test_no_plan_no_record(self):
@@ -258,8 +279,8 @@ class TestSeedPathUntouched:
 
 def _counts(result):
     return [
-        (s.node.label(), s.rows_out, s.metrics.hash_builds, s.metrics.index_probes)
-        for s in result.metrics.walk(result.plan)
+        (node.label(), block.rows_out, block.hash_builds, block.index_probes)
+        for node, block in result.metrics.blocks()
     ]
 
 

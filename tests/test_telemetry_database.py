@@ -71,7 +71,7 @@ class TestRunInstrumentation:
         db.enable_telemetry(registry)
         result = db.run_detailed(QUERY)
         assert registry.total("repro_operator_rows_total") == sum(
-            block.rows_out for _, block in result.metrics.blocks(result.plan)
+            block.rows_out for block in result.metrics
         )
         assert registry.total("repro_executor_rows_total") > 0
         # a plan node per query is no work: that metric is gone
@@ -198,7 +198,7 @@ class TestOneRecord:
         if rows is None:  # a bag: one row per element
             rows = len(result.value)
         if result.metrics is not None:
-            assert result.metrics.get(result.plan).rows_out == rows
+            assert result.metrics.block(result.plan).rows_out == rows
         assert registry.total("repro_rows_returned_total") == rows
         assert registry.fingerprints.top(1)[0].rows == rows
 
