@@ -60,9 +60,9 @@ class Expr(NamedTuple):
     label: Any
     #: a term, None for an absent one, or a tuple of those
     terms: Any
-    #: whose columns the terms may read: a :class:`PlanNode`'s (resolved
-    #: when :attr:`scope` is asked for — only plan-check does), or a fixed
-    #: set of names
+    #: whose columns the terms may read: a child :class:`PlanNode`'s
+    #: (resolved when :attr:`scope` is asked for), or a fixed set of
+    #: names — never the operator's own node, which keeps its ``exprs``
     over: Any
 
     @property
@@ -208,8 +208,9 @@ class Scan(PlanNode):
 
     def _exprs(self) -> tuple[Expr, ...]:
         # Evaluated in the global scope, where the scan's own names are
-        # not yet bound: mentioning one there names a global.
-        return (Expr(None, "source", self.source, self),)
+        # not yet bound: mentioning one there names a global. No Expr
+        # holds its own node: a kept ``exprs`` would make a cycle.
+        return (Expr(None, "source", self.source, frozenset(self.binds())),)
 
     def label(self) -> str:
         return f"Scan {_indexed(self.var, self.index_var)} <- {self.source}"
@@ -256,10 +257,11 @@ class Join(PlanNode):
         return ()
 
     def _exprs(self) -> tuple[Expr, ...]:
+        both = self.left.columns() | self.right.columns()
         return (
             Expr("left_key_fns", "left key", self.left_keys, self.left),
             Expr("right_key_fns", "right key", self.right_keys, self.right),
-            Expr("residual_fn", "residual", self.residual, self),
+            Expr("residual_fn", "residual", self.residual, both),
         )
 
     def label(self) -> str:

@@ -2,14 +2,17 @@
 
 Each argument is an OQL file (``;``-separated queries, same conventions
 as ``repro lint``) or, when no file of that name exists, a literal OQL
-query. Every query is executed against a demo database with
+query. An argument ending in ``.oql`` is always a file: one that cannot
+be read is reported as ``error: cannot read …`` (under ``--json``, its
+document carries ``"error"`` and no queries), as ``repro lint`` and
+``repro explain`` report it. Every query is executed against a demo database with
 ``verify=True``: each normalization-rule fire and optimizer rewrite is
 checked against the soundness invariants, and one line per query
 reports how many rewrites were verified.
 
 Exit status: 0 when every query ran with all rewrites verified; 1 when
 any query tripped a :class:`~repro.errors.VerificationError` or failed
-outright.
+outright, or a file could not be read.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -
     documents = []
     exit_code = 0
     for target in args.targets:
-        if os.path.exists(target):
+        if target.endswith(".oql") or os.path.exists(target):
             label = target
             _, found, error = read_queries(target)
             if error is not None:

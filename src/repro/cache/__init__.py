@@ -8,13 +8,15 @@ See docs/CACHE.md. Public surface:
 - :class:`Prepared` — the handle :meth:`Database.prepare` returns;
 - :func:`canonical_term` — the alpha-equivalence cache key;
 - :func:`analyze_dependencies` — result-cacheability analysis.
+
+The stores' bounded map, :class:`repro.cache.core.LRU`, is internal: it
+has no lock, and each owner guards it with its own.
 """
 
 from repro.cache.core import (
     CacheConfig,
     CacheStats,
     CompiledQuery,
-    LRUCache,
     QueryCache,
     cache_env_enabled,
     resolve_cache,
@@ -28,7 +30,6 @@ __all__ = [
     "CacheStats",
     "CompiledQuery",
     "Dependencies",
-    "LRUCache",
     "Prepared",
     "QueryCache",
     "analyze_dependencies",

@@ -22,8 +22,9 @@ only consults a cache when constructed with ``cache=...`` or when the
 ``REPRO_CACHE`` environment flag is set (the convention every mode
 shares — DESIGN.md, "Modes"). The pipeline is the same one either way,
 :meth:`Database.compile` then ``_execute``; a cache is what those two
-consult when one is attached. Both stores are LRU with a max-entry
-bound; every hit/miss/eviction/invalidation increments a counter on
+consult when one is attached. Its stores are :class:`LRU` maps with a
+max-entry bound, under the cache's one lock; every
+hit/miss/eviction/invalidation increments a counter on
 :class:`CacheStats`, surfaced through ``repro.obs`` and the
 ``python -m repro cache`` CLI.
 """
@@ -34,7 +35,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.cache.invalidation import Dependencies
 from repro.cache.keys import fingerprint_term
@@ -61,17 +62,10 @@ class CacheStats:
     invalidations: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
-            "result_hits": self.result_hits,
-            "result_misses": self.result_misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def reset(self) -> None:
-        for name in self.as_dict():
+        for name in self.__dataclass_fields__:
             setattr(self, name, 0)
 
 
@@ -90,81 +84,31 @@ class CacheConfig:
     results: bool = True
 
 
-class _Missing:
-    __slots__ = ()
+class LRU(OrderedDict):
+    """A map with a capacity, least recently used first. It has no lock:
+    its owner's lock guards it. ``None`` is never stored, so :meth:`get`
+    returns it on a miss. A hit or a store keeps the caller's key object,
+    so the next lookup with that object compares by identity, not by a
+    deep ``__eq__``."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<missing>"
-
-
-#: Sentinel distinguishing "no entry" from a cached ``None`` value.
-MISSING = _Missing()
-
-
-class LRUCache:
-    """An ordered map with least-recently-used eviction.
-
-    ``on_evict`` fires once per entry displaced by capacity — *not* for
-    explicit :meth:`remove`/:meth:`clear` calls, which are the caller's
-    own bookkeeping.
-
-    Thread-safe: every operation holds an internal reentrant lock.
-    ``get`` mutates (``move_to_end``) and ``put`` evicts, so
-    even "read" paths race without it — concurrent unlocked calls can
-    corrupt the underlying ``OrderedDict`` or double-fire ``on_evict``.
-    The lock is reentrant because ``on_evict`` callbacks may re-enter
-    the cache.
-    """
-
-    def __init__(
-        self,
-        max_entries: int,
-        on_evict: Optional[Callable[[Any, Any], None]] = None,
-    ) -> None:
-        if max_entries < 1:
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        if capacity < 1:
             raise DatabaseError("cache max_entries must be at least 1")
-        self.max_entries = max_entries
-        self._on_evict = on_evict
-        self._data: "OrderedDict[Any, Any]" = OrderedDict()
-        self._lock = threading.RLock()
+        self.capacity = capacity
 
     def get(self, key: Any) -> Any:
-        """The stored value, or :data:`MISSING`; refreshes recency."""
-        with self._lock:
-            value = self._data.get(key, MISSING)
-            if value is not MISSING:
-                self._data.move_to_end(key)
-            return value
+        """The stored value, now the most recent, or None."""
+        value = self.pop(key, None)
+        if value is not None:
+            self[key] = value
+        return value
 
-    def put(self, key: Any, value: Any) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
-                evicted_key, evicted_value = self._data.popitem(last=False)
-                if self._on_evict is not None:
-                    self._on_evict(evicted_key, evicted_value)
-
-    def remove(self, key: Any) -> None:
-        with self._lock:
-            self._data.pop(key, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Any) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def keys(self) -> list[Any]:
-        """Keys oldest-first (the eviction order)."""
-        with self._lock:
-            return list(self._data)
+    def put(self, key: Any, value: Any) -> list[Any]:
+        """Store ``value`` as the most recent; the values capacity evicted."""
+        self.pop(key, None)
+        self[key] = value
+        return [self.popitem(last=False)[1] for _ in range(len(self) - self.capacity)]
 
 
 @dataclass
@@ -234,27 +178,22 @@ class QueryCache:
     are one database's, so a cache belongs to the database that built it.
 
     Thread-safe: ``Database.run`` may be called from many threads, so
-    every public method holds one reentrant lock spanning its whole
-    lookup + version-check + stats-update sequence. That keeps the
-    counters exact (no lost ``+=``) and the check-then-remove
-    invalidation paths atomic. Lock order is QueryCache → LRUCache —
-    the inner stores are only ever touched under the outer lock, so the
-    eviction callback (which fires under both) cannot deadlock.
+    one lock guards the three stores and the counters. Every public
+    method takes it once, for its whole lookup + version-check +
+    stats-update sequence, and calls no other public method: the
+    counters stay exact and the check-then-remove invalidation paths
+    atomic.
     """
 
     def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig()
         self.stats = CacheStats()
-        self._lock = threading.RLock()
-        self._compiled = LRUCache(self.config.max_entries, self._count_eviction)
+        self._lock = threading.Lock()
+        self._compiled = LRU(self.config.max_entries)
         # Text aliases are bookkeeping, not cached work: their eviction is
         # silent and their capacity is tied to the entry store's.
-        self._aliases = LRUCache(max(self.config.max_entries * 4, 4))
-        self._results = LRUCache(self.config.result_max_entries, self._count_eviction)
-
-    def _count_eviction(self, _key: Any, _value: Any) -> None:
-        with self._lock:
-            self.stats.evictions += 1
+        self._aliases = LRU(max(self.config.max_entries * 4, 4))
+        self._results = LRU(self.config.result_max_entries)
 
     # -- compilation cache ------------------------------------------------------
 
@@ -265,9 +204,9 @@ class QueryCache:
         ``strict`` call needs the text to have linted clean at ``version``."""
         with self._lock:
             alias = self._aliases.get(text_key)
-            if alias is MISSING or (strict and alias[1] != version):
+            if alias is None or (strict and alias[1] != version):
                 return None
-            return self.compiled_by_canon(alias[0], version, verifying)
+            return self._serving(alias[0], version, verifying)
 
     def compiled_by_canon(
         self, canon_key: Any, version: Any, verifying: bool = False
@@ -276,15 +215,19 @@ class QueryCache:
         the call (counts a hit); else None, and a stale entry is dropped so
         the caller rebuilds it."""
         with self._lock:
-            entry = self._compiled.get(canon_key)
-            if entry is MISSING:
-                return None
-            if not entry.serves(version, verifying):
-                self.stats.invalidations += 1
-                self._compiled.remove(canon_key)
-                return None
-            self.stats.compile_hits += 1
-            return entry
+            return self._serving(canon_key, version, verifying)
+
+    def _serving(self, canon_key: Any, version: Any, verifying: bool) -> Optional[CompiledQuery]:
+        """:meth:`compiled_by_canon` under the caller's lock."""
+        entry = self._compiled.get(canon_key)
+        if entry is None:
+            return None
+        if not entry.serves(version, verifying):
+            self.stats.invalidations += 1
+            del self._compiled[canon_key]
+            return None
+        self.stats.compile_hits += 1
+        return entry
 
     def alias(self, text_key: Any, canon_key: Any, clean_at: Any = None) -> None:
         """Point a query text at an existing canonical entry; ``clean_at``
@@ -299,9 +242,9 @@ class QueryCache:
         """Store a freshly compiled entry (counts the miss that led here)."""
         with self._lock:
             self.stats.compile_misses += 1
-            self._compiled.put(canon_key, entry)
+            self.stats.evictions += len(self._compiled.put(canon_key, entry))
             if text_key is not None:
-                self.alias(text_key, canon_key, clean_at)
+                self._aliases.put(text_key, (canon_key, clean_at))
 
     # -- result cache ----------------------------------------------------------
 
@@ -309,21 +252,19 @@ class QueryCache:
         """``(hit, value)`` for one result key under current ``versions``."""
         with self._lock:
             record = self._results.get(key)
-            if record is MISSING:
-                self.stats.result_misses += 1
-                return False, None
-            value, stored_versions = record
-            if stored_versions != versions:
+            if record is not None and record[1] != versions:
                 self.stats.invalidations += 1
-                self._results.remove(key)
+                del self._results[key]
+                record = None
+            if record is None:
                 self.stats.result_misses += 1
                 return False, None
             self.stats.result_hits += 1
-            return True, value
+            return True, record[0]
 
     def remember_result(self, key: Any, versions: Any, value: Any) -> None:
         with self._lock:
-            self._results.put(key, (value, versions))
+            self.stats.evictions += len(self._results.put(key, (value, versions)))
 
     # -- maintenance -----------------------------------------------------------
 
@@ -338,17 +279,15 @@ class QueryCache:
 
     def sizes(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "compiled_entries": len(self._compiled),
-                "result_entries": len(self._results),
-            }
+            return self._sizes()
+
+    def _sizes(self) -> dict[str, int]:
+        return {"compiled_entries": len(self._compiled), "result_entries": len(self._results)}
 
     def stats_dict(self) -> dict[str, int]:
         """Counters plus current entry counts, JSON-ready."""
         with self._lock:
-            out = self.stats.as_dict()
-            out.update(self.sizes())
-            return out
+            return {**self.stats.as_dict(), **self._sizes()}
 
 
 def resolve_cache(cache: Any) -> Optional[QueryCache]:

@@ -29,11 +29,12 @@ from __future__ import annotations
 import itertools
 import linecache
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Any, Callable, Optional
 
 from repro.algebra.ops import IndexScan, Join, Nest, PlanNode, Reduce, Scan, SelectOp, Unnest
 from repro.analysis.verifier import verification_enabled
+from repro.cache.core import LRU
 from repro.cache.keys import CacheKey, typed_literal
 from repro.calculus.ast import Empty
 from repro.calculus.traversal import relabel
@@ -95,7 +96,7 @@ def _attach(plan: Reduce, checked: bool, key: Optional[CacheKey] = None) -> None
 CODE_CACHE_SIZE = 512
 
 #: plan key -> its :data:`Code`, least recently used first
-_CODE: "OrderedDict[CacheKey, Code]" = OrderedDict()
+_CODE = LRU(CODE_CACHE_SIZE)
 _LOCK = threading.Lock()
 
 
@@ -140,10 +141,11 @@ def _code_for(plan: Reduce, checked: bool, key: Optional[CacheKey] = None) -> Co
     if key is None:  # a constant that does not hash: emitted uncached
         return _fuse(plan, checked)
     with _LOCK:
-        code = _CODE.pop(key, None) or _fuse(plan, checked)
-        _CODE[key] = code  # now the most recently used
-        while len(_CODE) > CODE_CACHE_SIZE:
-            _forget(_CODE.popitem(last=False)[1])
+        code = _CODE.get(key)
+        if code is None:
+            code = _fuse(plan, checked)
+            for evicted in _CODE.put(key, code):
+                _forget(evicted)
     return code
 
 
@@ -156,8 +158,9 @@ def _forget(code: Code) -> None:
 def clear_code_cache() -> None:
     """Empty the code cache (plans keep the functions they hold)."""
     with _LOCK:
-        while _CODE:
-            _forget(_CODE.popitem()[1])
+        for code in _CODE.values():
+            _forget(code)
+        _CODE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,9 @@ class QueryLog:
 
     Its settings are :meth:`reset`'s arguments. ``sink`` is any
     ``str -> None`` callable (e.g. ``print``, a file's ``write`` wrapped
-    to add newlines, or a REPL's output function); when None the entries
+    to add newlines, or a REPL's output function), called under the
+    log's one lock, so it must not run a query of the profiled database
+    itself; when None the entries
     are only kept on :attr:`entries` (a bounded window of the newest
     ones). ``path`` additionally appends each line to a file, rotated
     before any write that would push the file past ``max_bytes``
@@ -110,8 +112,8 @@ class QueryLog:
         # sequence: without it, concurrent Database.run callers sharing
         # a profile() log could interleave half-written lines or race a
         # rotation against an in-flight append (losing the line into the
-        # just-rolled file). RLock because rotate() is also public.
-        self._lock = threading.RLock()
+        # just-rolled file).
+        self._lock = threading.Lock()
         self.reset()
 
     def reset(
@@ -173,29 +175,33 @@ class QueryLog:
             except OSError:
                 size = 0
             if size > 0 and size + len(data) > self.max_bytes:
-                self.rotate()
+                self._rotate()
         with open(self.path, "ab") as handle:
             handle.write(data)
 
     def rotate(self) -> None:
         """Roll ``path`` to ``path.1`` (shifting older backups up, the
         oldest falling off); the next write starts a fresh file."""
+        with self._lock:
+            self._rotate()
+
+    def _rotate(self) -> None:
+        """:meth:`rotate` under the caller's lock."""
         if self.path is None:
             return
-        with self._lock:
-            oldest = f"{self.path}.{self.backups}"
-            if self.backups and os.path.exists(oldest):
-                os.remove(oldest)
-            for i in range(self.backups - 1, 0, -1):
-                src = f"{self.path}.{i}"
-                if os.path.exists(src):
-                    os.replace(src, f"{self.path}.{i + 1}")
-            if os.path.exists(self.path):
-                if self.backups:
-                    os.replace(self.path, f"{self.path}.1")
-                else:
-                    os.remove(self.path)
-            self.rotations += 1
+        oldest = f"{self.path}.{self.backups}"
+        if self.backups and os.path.exists(oldest):
+            os.remove(oldest)
+        for i in range(self.backups - 1, 0, -1):
+            src = f"{self.path}.{i}"
+            if os.path.exists(src):
+                os.replace(src, f"{self.path}.{i + 1}")
+        if os.path.exists(self.path):
+            if self.backups:
+                os.replace(self.path, f"{self.path}.1")
+            else:
+                os.remove(self.path)
+        self.rotations += 1
 
     def log_files(self) -> list[str]:
         """The current file plus existing backups, newest first."""

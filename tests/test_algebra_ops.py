@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import itertools
+import weakref
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from repro.algebra.ops import (
 )
 from repro.calculus import const, eq, gt, mref, proj, var
 from repro.calculus.ast import Term
+from repro.db import demo_database
 from repro.oql import translate_oql
 
 
@@ -125,6 +128,10 @@ class TestTheTableIsTotal:
             else:  # evaluated once, in the global scope
                 assert entry.scope <= node.columns() | {getattr(node, "extent", None)}
 
+    def test_no_entry_holds_its_own_node(self, cls):
+        node = SAMPLES[cls]  # a kept ``exprs`` would make the node a cycle
+        assert all(entry.over is not node for entry in node.exprs)
+
     def test_rebuild_and_walk(self, cls):
         node = SAMPLES[cls]
         kids = node.children()
@@ -142,6 +149,31 @@ def test_derived_structure_is_computed_once_per_node():
     join = SAMPLES[Join]
     assert join.columns() is join.columns() and join.exprs is join.exprs
     assert plan_variables(Reduce(mref("set"), var("a"), join)) == {"a", "b"}
+
+
+@pytest.mark.parametrize(
+    "oql",
+    [
+        "select distinct e.name from e in Employees",
+        "select distinct struct(e: e.name, d: d.name) from e in Employees, d in Departments "
+        "where e.dno = d.dno and e.salary > d.dno",
+    ],
+)
+def test_a_dropped_plan_is_freed_without_the_collector(oql):
+    """Plan keys, emission and plan-check read every node's ``exprs``; a
+    plan dropped after a run still dies by reference counting alone."""
+    db = demo_database("company")
+    db.disable_cache()
+    entry = db.compile(oql)
+    db.run(oql)
+    refs = [weakref.ref(node) for node in entry.plan.preorder()]
+    assert any(type(ref()) is Join for ref in refs) == ("Departments" in oql)
+    gc.disable()
+    try:
+        del entry
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 # -- placement keeps source order -------------------------------------------------

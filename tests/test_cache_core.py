@@ -4,14 +4,14 @@ import pytest
 
 from repro.cache import (
     CacheConfig,
-    LRUCache,
+    CacheStats,
     QueryCache,
     canonical_term,
     literal_skeleton,
     param_names,
     resolve_cache,
 )
-from repro.cache.core import MISSING
+from repro.cache.core import LRU
 from repro.cache.keys import literal_vector
 from repro.errors import DatabaseError
 from repro.oql import translate_oql
@@ -119,37 +119,39 @@ class TestParamNames:
         assert param_names(translate_oql("count(Cities)")) == ()
 
 
-class TestLRUCache:
+class TestLRU:
     def test_lru_eviction_order(self):
-        evicted = []
-        lru = LRUCache(2, on_evict=lambda k, v: evicted.append(k))
+        lru = LRU(2)
+        assert lru.put("a", 1) == [] and lru.put("b", 2) == []
+        assert lru.get("a") == 1  # refresh 'a'
+        assert lru.put("c", 3) == [2]  # displaces 'b', the stale one
+        assert lru.get("b") is None
+        assert lru.get("a") == 1 and lru.get("c") == 3
+        assert list(lru) == ["a", "c"]  # least recently used first
+
+    def test_a_miss_moves_nothing(self):
+        lru = LRU(2)
         lru.put("a", 1)
         lru.put("b", 2)
-        assert lru.get("a") == 1  # refresh 'a'
-        lru.put("c", 3)  # displaces 'b', the stale one
-        assert evicted == ["b"]
-        assert lru.get("b") is MISSING
-        assert lru.get("a") == 1 and lru.get("c") == 3
-
-    def test_a_stored_none_is_a_hit(self):
-        lru = LRUCache(2)
-        lru.put("a", None)
-        assert lru.get("a") is None
-        assert lru.get("b") is MISSING
+        assert lru.get("z") is None
+        assert lru.put("c", 3) == [1]
 
     def test_min_capacity_enforced(self):
-        with pytest.raises(DatabaseError):
-            LRUCache(0)
+        with pytest.raises(DatabaseError, match="at least 1"):
+            QueryCache(CacheConfig(max_entries=0))
+        with pytest.raises(DatabaseError, match="at least 1"):
+            QueryCache(CacheConfig(result_max_entries=0))
 
-    def test_remove_and_clear_are_silent(self):
-        evicted = []
-        lru = LRUCache(4, on_evict=lambda k, v: evicted.append(k))
-        lru.put("a", 1)
-        lru.remove("a")
-        lru.put("b", 2)
-        lru.clear()
-        assert evicted == []
-        assert len(lru) == 0
+    def test_removal_and_clear_count_no_eviction(self):
+        qc = QueryCache(CacheConfig(result_max_entries=1))
+        qc.remember_result("a", (1,), "x")
+        assert qc.result_for("a", (2,)) == (False, None)  # stale: dropped
+        qc.remember_result("b", (1,), "y")
+        qc.clear()
+        qc.remember_result("c", (1,), "z")
+        assert qc.stats.evictions == 0 and qc.stats.invalidations == 1
+        qc.remember_result("d", (1,), "w")
+        assert qc.stats.evictions == 1
 
 
 class TestQueryCacheStats:
@@ -177,11 +179,17 @@ class TestQueryCacheStats:
         assert qc.stats.result_hits == 0
 
     def test_stats_dict_shape(self):
-        keys = set(QueryCache().stats_dict())
-        assert keys == {
+        keys = list(QueryCache().stats_dict())
+        assert keys == [
             "compile_hits", "compile_misses", "result_hits", "result_misses",
             "evictions", "invalidations", "compiled_entries", "result_entries",
-        }
+        ]
+
+    def test_reset_zeroes_every_counter_as_dict_names(self):
+        stats = CacheStats(*range(1, 7))
+        assert list(stats.as_dict().values()) == [1, 2, 3, 4, 5, 6]
+        stats.reset()
+        assert stats.as_dict() == dict.fromkeys(stats.as_dict(), 0) == CacheStats().as_dict()
 
 
 class TestResolveCache:

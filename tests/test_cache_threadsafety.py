@@ -1,21 +1,15 @@
 """Threaded interleaving harness for the cache layer.
 
-The LRU stores and the QueryCache's lookup + version-check + stats
-sequences must be atomic under concurrent ``Database.run``: no corrupt
-``OrderedDict`` state, no lost counter increments, no capacity
-overshoot, no stale entry surviving an invalidation.
+The QueryCache's lookup + version-check + stats sequences, each under
+its one lock, must be atomic under concurrent ``Database.run``: no
+corrupt store state, no lost counter increments, no capacity overshoot,
+no stale entry surviving an invalidation.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cache.core import (
-    MISSING,
-    CacheConfig,
-    CompiledQuery,
-    LRUCache,
-    QueryCache,
-)
+from repro.cache.core import CacheConfig, CompiledQuery, QueryCache
 from repro.cache.invalidation import Dependencies
 
 THREADS = 8
@@ -35,57 +29,49 @@ def run_threads(work):
         return [future.result() for future in futures]
 
 
-# -- LRUCache ----------------------------------------------------------------
+# -- the stores under the one lock ----------------------------------------------
 
 
-def test_lru_concurrent_put_get_respects_capacity():
-    cache = LRUCache(max_entries=16)
+def test_querycache_store_and_lookup_respect_capacity():
+    cache = QueryCache(CacheConfig(result_max_entries=16))
 
     def work(index):
         for round_no in range(ROUNDS):
             key = (index * ROUNDS + round_no) % 40
-            cache.put(key, key)
-            value = cache.get(key)
-            assert value is MISSING or value == key
-            len(cache)
-            cache.keys()
+            cache.remember_result(key, (1,), key)
+            hit, value = cache.result_for(key, (1,))
+            assert not hit or value == key
+            cache.stats_dict()
 
     run_threads(work)
-    assert len(cache) <= 16
+    assert cache.sizes()["result_entries"] <= 16
 
 
-def test_lru_eviction_callback_fires_once_per_displacement():
-    evicted = []
-    lock = threading.Lock()
-
-    def on_evict(key, value):
-        with lock:
-            evicted.append(key)
-
-    cache = LRUCache(max_entries=4, on_evict=on_evict)
+def test_querycache_counts_every_eviction_once():
+    cache = QueryCache(CacheConfig(result_max_entries=4))
     total = THREADS * ROUNDS
 
     def work(index):
         for round_no in range(ROUNDS):
-            cache.put((index, round_no), round_no)
+            cache.remember_result((index, round_no), (1,), round_no)
 
     run_threads(work)
-    # every put except the 4 survivors displaced exactly one entry
-    assert len(evicted) == total - len(cache)
-    assert len(cache) == 4
+    # every store except the 4 survivors displaced exactly one entry
+    assert cache.stats.evictions == total - 4
+    assert cache.sizes()["result_entries"] == 4
 
 
-def test_lru_concurrent_remove_and_clear_are_safe():
-    cache = LRUCache(max_entries=64)
+def test_querycache_invalidation_and_clear_race_safely():
+    cache = QueryCache(CacheConfig(result_max_entries=64))
 
     def work(index):
         for round_no in range(ROUNDS):
-            cache.put(round_no % 50, index)
+            cache.remember_result(round_no % 50, (1,), index)
             if round_no % 7 == 0:
-                cache.remove(round_no % 50)
+                cache.result_for(round_no % 50, (2,))  # stale: dropped
             if index == 0 and round_no % 97 == 0:
                 cache.clear()
-            assert len(cache) <= 64
+            assert cache.sizes()["result_entries"] <= 64
 
     run_threads(work)
 

@@ -23,10 +23,9 @@ CLIS = {
 }
 
 
-#: a missing file (not for verify: a path that does not exist is a
-#: literal query there) and a directory, which exists but cannot be read
-BAD = [(cli, bad) for cli in CLIS for bad in ("missing", "directory")
-       if (cli, bad) != ("verify", "missing")]
+#: a missing file (for verify too: a target ending in ``.oql`` is always
+#: a file) and a directory, which exists but cannot be read
+BAD = [(cli, bad) for cli in CLIS for bad in ("missing", "directory")]
 
 
 @pytest.mark.parametrize("cli, bad", BAD)
@@ -42,9 +41,16 @@ def test_json_stdout_parses_with_a_bad_path_among_good_ones(cli, bad, tmp_path, 
     assert all("error" not in doc for doc in (documents[0], documents[2]))
 
 
-@pytest.mark.parametrize("cli", CLIS)
-def test_text_output_names_the_unreadable_file(cli, tmp_path, capsys):
+@pytest.mark.parametrize("cli, bad", BAD)
+def test_text_output_names_the_unreadable_file(cli, bad, tmp_path, capsys):
     main = CLIS[cli][0]
-    code = main([GOOD, str(tmp_path)])
+    path = str(tmp_path / "nope.oql") if bad == "missing" else str(tmp_path)
+    code = main([GOOD, path])
     assert code == 1
-    assert f"error: cannot read {tmp_path}: " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"error: cannot read {path}: " in out and "FAIL" not in out
+
+
+def test_verify_still_runs_a_literal_query(capsys):
+    assert verify_main(["select distinct c.name from c in Cities"]) == 0
+    assert capsys.readouterr().out.startswith("ok <query>: ")

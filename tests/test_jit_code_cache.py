@@ -198,7 +198,7 @@ class TestSharing:
 
 class TestBound:
     def test_the_least_recently_used_shape_is_evicted(self, emitted, monkeypatch):
-        monkeypatch.setattr(jit_plan, "CODE_CACHE_SIZE", 2)
+        monkeypatch.setattr(jit_plan._CODE, "capacity", 2)
 
         def plan(n):  # a different shape per n
             return Reduce(MonoidRef("sum"), const(n), Scan("x", var("Xs")))

@@ -622,7 +622,7 @@ class TestObservability:
 
         from repro.jit import plan as jit_plan
 
-        monkeypatch.setattr(jit_plan, "CODE_CACHE_SIZE", 1)
+        monkeypatch.setattr(jit_plan._CODE, "capacity", 1)
         plan = Reduce(MonoidRef("sum"), var("n"), Scan("n", const((1, 2))))
         filename = fused(plan).__code__.co_filename
         del plan
