@@ -63,9 +63,11 @@ class verification:  # lower case: callers write ``with verification(on):``
     """Force verification on or off for the dynamic extent of the block,
     on the calling thread.
 
-    ``verification(None)`` is a no-op (the environment keeps deciding),
-    so callers can thread an optional ``verify=`` parameter through
-    without special-casing. A class, not a ``@contextmanager`` generator:
+    ``verification(None)`` keeps what an enclosing block set; outside any
+    block it reads the environment once, on entry, and holds that for the
+    block, so a query (which enters one) reads ``REPRO_VERIFY`` once, and
+    callers can thread an optional ``verify=`` parameter through without
+    special-casing. A class, not a ``@contextmanager`` generator:
     every query enters one, and a generator frame costs it more than
     the switch itself. Like such a generator, an instance is entered once.
     """
@@ -76,9 +78,11 @@ class verification:  # lower case: callers write ``with verification(on):``
         self.enabled = enabled
 
     def __enter__(self) -> None:
-        self.saved = getattr(_OVERRIDE, "override", None)
-        if self.enabled is not None:
-            _OVERRIDE.override = self.enabled
+        saved = self.saved = getattr(_OVERRIDE, "override", None)
+        enabled = self.enabled
+        if enabled is None:
+            enabled = env_flag("REPRO_VERIFY") if saved is None else saved
+        _OVERRIDE.override = enabled
 
     def __exit__(self, *exc: object) -> None:
         _OVERRIDE.override = self.saved

@@ -278,8 +278,10 @@ class QueryCache:
                 self.stats.reset()
 
     def sizes(self) -> dict[str, int]:
-        with self._lock:
-            return self._sizes()
+        """Entry counts, read without the lock: each ``len`` is one atomic
+        read, and a count a concurrent store moves by one is as current
+        as one read just before it."""
+        return self._sizes()
 
     def _sizes(self) -> dict[str, int]:
         return {"compiled_entries": len(self._compiled), "result_entries": len(self._results)}

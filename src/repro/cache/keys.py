@@ -40,6 +40,7 @@ from typing import Optional
 from repro.calculus.ast import Const, Term, Var
 from repro.calculus.traversal import numbered, subterms
 from repro.values import Record
+from repro.values.compare import StoredSet
 
 #: The placeholder every constant collapses to in a literal skeleton.
 LITERAL_HOLE = "‹lit›"  # ‹lit›
@@ -73,7 +74,7 @@ def typed_value(value: object) -> object:
     """``value`` with its type beside it, inside tuples, sets and records
     too: ``1``, ``1.0`` and ``True`` differ, and so do ``0.0`` and ``-0.0``."""
     kind = type(value)
-    if kind is tuple or kind is frozenset:
+    if kind is tuple or kind is frozenset or kind is StoredSet:
         return (kind.__name__, kind(map(typed_value, value)))
     if kind is Record:
         return ("Record", tuple((name, typed_value(v)) for name, v in value.items()))

@@ -66,7 +66,7 @@ from repro.errors import (
 )
 from repro.eval.evaluator import Evaluator
 from repro.jit.plan import CODE_CACHE_SIZE, fused, jit_report, plan_key, precompile_plan
-from repro.monoids import BAG, LIST, SET
+from repro.monoids import BAG, LIST
 from repro.normalize.engine import normalize_with_trace
 from repro.normalize.trace import NormalizationTrace
 from repro.obs.explain import plan_to_dict, render_explain, summarize
@@ -79,6 +79,7 @@ from repro.types.infer import TypeChecker
 from repro.types.schema import Schema
 from repro.types.types import ANY
 from repro.values import Bag, Record
+from repro.values.compare import StoredSet, stored
 
 #: The opt-in modes: attribute name -> (environment flag, module holding
 #: the resolver, resolver name). One row per mode; ``_resolve_mode`` is
@@ -218,14 +219,15 @@ class Database:
 
         ``monoid`` chooses the carrier: ``set`` (default), ``bag`` or
         ``list``. Already-built collections (frozenset, Bag, tuple)
-        pass through unchanged.
+        pass through, each set in them made a
+        :class:`~repro.values.compare.StoredSet`.
         """
         if isinstance(rows, (frozenset, Bag, tuple)):
-            collection = rows
+            collection = stored(rows)
         else:
             converted = [_to_record(row) for row in _rows_of(name, rows)]
             if monoid == "set":
-                collection = SET.from_iterable(converted)
+                collection = StoredSet(converted)
             elif monoid == "bag":
                 collection = BAG.from_iterable(converted)
             elif monoid == "list":
@@ -728,7 +730,7 @@ class Database:
         else:
             evaluator = self.evaluator()
             for name, bound in params.items():
-                evaluator.bind_global("$" + name, bound)
+                evaluator.bind_global("$" + name, stored(bound))
             if entry.plan is None:
                 with record.phase("execute"):
                     value = evaluator.evaluate(entry.normalized)
@@ -922,16 +924,17 @@ def _rows_of(extent: str, rows: Any) -> Any:
 
 
 def _to_record(row: Any) -> Any:
-    """Deep-convert a dict row into an immutable Record value."""
+    """Deep-convert a dict row into an immutable Record value, each set
+    in it a :class:`~repro.values.compare.StoredSet`."""
     if isinstance(row, Record):
-        return row
+        return stored(row)
     if isinstance(row, dict):
         return Record({k: _to_record(v) for k, v in row.items()})
     if isinstance(row, list):
         return tuple(_to_record(v) for v in row)
     if isinstance(row, set):
-        return frozenset(_to_record(v) for v in row)
-    return row
+        return StoredSet(_to_record(v) for v in row)
+    return stored(row) if isinstance(row, (frozenset, tuple, Bag)) else row
 
 
 def demo_travel_database(

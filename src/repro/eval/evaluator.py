@@ -67,6 +67,7 @@ from repro.monoids import (
 )
 from repro.objects.store import Obj, ObjectStore
 from repro.values import Bag, OrderedSet, Record, Vector
+from repro.values.compare import stored
 
 #: Raised (as an EvaluationError) here and by the algebra's Reduce fold.
 VECTOR_HEAD_ERROR = "a vector comprehension head must be a (value, index) pair"
@@ -537,7 +538,7 @@ class Evaluator:
             value = merge_into(state[field], value)
         elif op != ":=":
             raise EvaluationError(f"unknown update operator {op!r}")
-        return self.store.assign(target, state.with_field(field, value), field)
+        return self.store.assign(target, state.with_field(field, stored(value)), field)
 
     # -- misc -------------------------------------------------------------------------------------
 
@@ -576,7 +577,9 @@ def merge_into(current: Any, value: Any) -> Any:
         raise EvaluationError(
             f"+= target must be a number or collection, got {type(current).__name__}"
         ) from None
-    if type(value) is type(current):
+    if type(value) is type(current) or (
+        isinstance(value, frozenset) and isinstance(current, frozenset)  # stored or plain
+    ):
         return monoid.merge(current, value)
     acc = monoid.accumulator()
     for element in monoid.iterate(current):

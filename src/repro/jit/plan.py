@@ -42,7 +42,7 @@ from repro.errors import PlanError
 from repro.jit.compiler import RUNTIME, TOO_DEEP, Emitter
 from repro.monoids.base import fold_error
 from repro.values import canonical_key
-from repro.values.compare import _SET_ORDERS
+from repro.values.compare import StoredSet
 
 #: A plan's generated function (None: it cannot be fused) and its report.
 Code = tuple[Optional[Callable[..., Any]], dict[str, Any]]
@@ -293,8 +293,7 @@ def _generator(p: _Pipeline, node: Any, source: str, outer: Scope, consume: Cons
         p.emit("_src = _iterate(_src, True)")
     else:
         p.emit("if type(_src) is not tuple:")
-        p.emit("    _e = _set_order(id(_src))")
-        p.emit("    _src = _e.order if _e is not None and _e() is _src else _iterate(_src, False)")
+        p.emit("    _src = type(_src) is _StoredSet and _src.order or _iterate(_src, False)")
     p.emit(f"{p.counter('n', node, 'rows_out')} += len(_src)")
     scope = {**outer, **dict(zip(node.binds(), own))}
     p.loop(f"for {', '.join(reversed(own))} in _src:", lambda: consume(scope))
@@ -451,7 +450,7 @@ def _fuse(plan: Reduce, checked: bool) -> Code:
             _folder=_folder,
             _accumulate=_accumulate,
             _fold_error=fold_error,
-            _set_order=_SET_ORDERS.get,
+            _StoredSet=StoredSet,
             _canonical_key=canonical_key,
             _cardinality=result_cardinality,
             _PlanError=PlanError,

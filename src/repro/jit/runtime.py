@@ -21,7 +21,7 @@ from repro.eval.evaluator import INDEXED_SOURCE_ERROR
 from repro.monoids import VectorMonoid
 from repro.objects.store import Obj
 from repro.values import Bag, OrderedSet, Record, canonical_order
-from repro.values.compare import _SET_ORDERS
+from repro.values.compare import StoredSet
 
 
 def _agree(value: Any, expected: Any) -> bool:
@@ -91,21 +91,15 @@ class Runtime:
         source: a tuple of its elements in the collection's own order, or of
         ``(position, element)`` pairs for the indexed generator form. The
         exact carriers are answered by type, with the tuple their monoid's
-        ``iterate`` would wrap, a memo read without ``canonical_order``'s
-        frame; anything else takes the path below."""
+        ``iterate`` would wrap; anything else takes the path below."""
         if isinstance(source, Obj):
             source = self.store.deref(source)
         if not indexed:
             kind = type(source)
             if kind is tuple:
                 return source
-            if kind is frozenset:
-                entry = _SET_ORDERS.get(id(source))
-                if entry is not None and entry() is source:
-                    return entry.order
+            if kind is StoredSet or kind is frozenset or kind is Bag:
                 return canonical_order(source)
-            if kind is Bag:
-                return source._order or canonical_order(source)
         monoid = runtime_monoid_of(source)
         if isinstance(monoid, VectorMonoid):
             pairs = monoid.iterate(source)

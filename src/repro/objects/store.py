@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import ObjectStoreError
-from repro.values.compare import RANK_OTHER, register_key
+from repro.values.compare import RANK_OTHER, register_key, stored
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class ObjectStore:
         """Allocate a fresh object with the given initial state."""
         obj = Obj(self._next_oid)
         self._next_oid += 1
-        self._states[obj.oid] = state
+        self._states[obj.oid] = stored(state)
         self._bump()
         return obj
 
@@ -123,9 +123,10 @@ class ObjectStore:
         """``obj := state`` — replace the state; returns True (the paper's
         convention, so assignments can stand as qualifiers). ``field``
         names the one attribute in which ``state`` differs from the old
-        state, when the caller knows it."""
+        state, when the caller knows it; it has :func:`stored` that
+        attribute's value, and the rest was stored already."""
         self._check(obj)
-        self._states[obj.oid] = state
+        self._states[obj.oid] = stored(state) if field is None else state
         self._bump(field)
         return True
 

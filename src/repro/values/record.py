@@ -3,8 +3,9 @@
 Records are the calculus' product type. A record *is* its field dict — a
 ``dict`` subclass with every mutator closed off — so filling one, reading
 a field, ``len`` / ``in`` / iteration are the interpreter's own C dict
-operations, which is what every row of every query pays. They are hashable
-(sets and bags hold them); construction's one Python frame is for the hash.
+operations, which is what every row of every query pays: building one,
+``Record({...})``, enters no Python frame. They are hashable (sets and
+bags hold them); the hash is not kept, each one is computed afresh.
 """
 
 from __future__ import annotations
@@ -38,14 +39,7 @@ class Record(dict):
     True
     """
 
-    __slots__ = ("_hash",)
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "Record":
-        # ``dict.__init__`` fills the fields in C; this only stores the None
-        # that ``__hash__`` reads — an unset slot is read by raising.
-        self = dict.__new__(cls)
-        _set_hash(self, None)
-        return self
+    __slots__ = ()
 
     def __missing__(self, key: str) -> NoReturn:
         raise EvaluationError(f"record has no field {key!r} (fields: {', '.join(self)})")
@@ -72,7 +66,8 @@ class Record(dict):
         return self
 
     def __reduce__(self) -> tuple:
-        # Copy and pickle rebuild from the fields; the hash is never carried.
+        # Copy and pickle rebuild from the fields: ``dict``'s own would
+        # fill the copy through the closed ``__setitem__``.
         return (Record, (dict(self),))
 
     # -- value semantics -----------------------------------------------------
@@ -86,12 +81,7 @@ class Record(dict):
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        # Written through the slot's descriptor: ``__setattr__`` raises.
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.items()))
-            _set_hash(self, h)
-        return h
+        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.items())
@@ -118,5 +108,3 @@ class Record(dict):
         """The record's field names, in declaration order."""
         return tuple(self)
 
-
-_set_hash = Record._hash.__set__

@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from repro.analysis import verifier
+from repro.db import demo_travel_database
 from repro.analysis.verifier import (
     RewriteVerifier,
     resolve_verify,
@@ -242,6 +244,34 @@ class TestEnablement:
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
         with verification(None):
             assert not verification_enabled()
+
+    @pytest.mark.parametrize("outer", [True, False])
+    def test_none_context_keeps_an_outer_switch(self, monkeypatch, outer):
+        monkeypatch.setenv("REPRO_VERIFY", "0" if outer else "1")
+        with verification(outer):
+            with verification(None):
+                assert verification_enabled() is outer
+            assert verification_enabled() is outer
+
+    def test_none_context_reads_the_environment_once(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(verifier, "env_flag", lambda name: reads.append(name) or True)
+        with verification(None):
+            assert verification_enabled() and verification_enabled()
+        assert reads == ["REPRO_VERIFY"]
+        assert verification_enabled() and len(reads) == 2  # outside a block: each call
+
+    @pytest.mark.parametrize("flag", ["0", "1"])
+    def test_a_run_reads_the_environment_once(self, monkeypatch, flag):
+        monkeypatch.setenv("REPRO_VERIFY", flag)
+        db = demo_travel_database(num_cities=3, seed=2)
+        db.run("select distinct c.name from c in Cities")  # compiled and warm
+        reads = []
+        monkeypatch.setattr(verifier, "env_flag", lambda name: reads.append(name) or flag == "1")
+        for _ in range(3):
+            db.run("select distinct h.name from c in Cities, h in c.hotels where h.stars > 2")
+            db.run("select distinct c.name from c in Cities")
+        assert reads == ["REPRO_VERIFY"] * 6
 
     def test_the_switch_holds_per_thread(self, monkeypatch):
         """Two threads enter and leave ``verification`` interleaved: each

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import demo_travel_database
+from repro.obs.telemetry import MetricsRegistry
 
 QUERY = "select distinct c.name from c in Cities where c.population > 0"
 
@@ -24,10 +25,13 @@ class _CountingLock:
         return self.lock.__exit__(*exc)
 
 
-@pytest.fixture
-def db():
+@pytest.fixture(params=[False, True], ids=["plain", "telemetry"])
+def db(request):
     db = demo_travel_database(num_cities=3, seed=2)
-    db.disable_telemetry()  # telemetry reads the store sizes: one more take
+    if request.param:  # its cache-size gauges read the stores without the lock
+        db.enable_telemetry(MetricsRegistry())
+    else:
+        db.disable_telemetry()
     db.enable_cache()
     return db
 
@@ -37,6 +41,9 @@ def test_a_compile_hit_then_a_result_hit_takes_the_lock_twice(db):
     lock = db.cache._lock = _CountingLock(db.cache._lock)
     assert db.run_detailed(QUERY).cache == {"compile": "hit", "result": "hit"}
     assert lock.acquired == 2
+    if db.telemetry is not None:
+        assert db.telemetry.value("repro_cache_entries", store="compiled") == 1
+        assert db.telemetry.value("repro_cache_entries", store="result") == 1
 
 
 def test_a_text_miss_that_compiles_and_stores_takes_it_five_times(db):

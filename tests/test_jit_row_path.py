@@ -1,13 +1,14 @@
 """The row path of generated code is counted, not timed.
 
-A plan's generated function walks a tuple source as itself and a set
-whose canonical order is memoised as that order, counts un-indexed rows
-once per source, and folds with its accumulator's own C method or the
-primitive monoid's own merge function. So, past a constant, a run enters
-no Python frame per source or per row: under ``sys.setprofile`` the same
-plan at *n* and 10 *n* rows makes the same Python calls. The exceptions
-are the two ``Record`` frames, ``__new__`` per record built and
-``__hash__`` per record first hashed (DESIGN.md §4 measured the
+A plan's generated function walks a tuple source as itself and a stored
+set (:class:`~repro.values.compare.StoredSet`, every set a database holds) as the
+canonical order its slot keeps, counts un-indexed rows once per source,
+builds a record with the C ``dict`` constructor, and folds with its
+accumulator's own C method or the primitive monoid's own merge function.
+So, past a constant, a run enters no Python frame per source or per row:
+under ``sys.setprofile`` the same plan at *n* and 10 *n* rows makes the
+same Python calls. The one exception is ``Record.__hash__``, once per
+record a result set or bag takes in (DESIGN.md §4 measured the
 alternatives). The per-source counts must also be the reference
 interpreter's per-row ones.
 
@@ -34,29 +35,31 @@ from repro.eval import Evaluator
 from repro.jit import Runtime
 from repro.jit.plan import fused, pipeline_source
 from repro.monoids import get_monoid
-from repro.values import Bag, Record, canonical_order
-from repro.values import compare
+from repro.values import Bag, Record
+from repro.values.compare import StoredSet, stored
 from tests.test_jit_fused import every_way
 
 N = 30
 
-#: the frames a run may enter once per record: built, first hashed
-NEW, HASH = "record.py:Record.__new__", "record.py:Record.__hash__"
+#: the one frame a run may enter once per record: a result set or bag hashing it
+HASH = "record.py:Record.__hash__"
 
 
 def company(n: int) -> dict:
+    """The company extents as a database holds them: every set stored."""
     return {
-        "Employees": Bag(
+        "Employees": stored(Bag(
             Record(name=f"e{i}", dno=i % 4, salary=i, age=20 + i % 40, skills=frozenset({"oql"}))
             for i in range(n)
-        ),
-        "Departments": frozenset(Record(dno=d, name=f"d{d}", floor=d) for d in range(4)),
+        )),
+        "Departments": stored(frozenset(Record(dno=d, name=f"d{d}", floor=d) for d in range(4))),
     }
 
 
 def travel(n: int) -> dict:
+    """The travel extent as a database holds it: every set stored."""
     return {
-        "Cities": frozenset(
+        "Cities": stored(frozenset(
             Record(
                 name=f"c{i}",
                 population=i,
@@ -71,7 +74,7 @@ def travel(n: int) -> dict:
                 ),
             )
             for i in range(n)
-        )
+        ))
     }
 
 
@@ -122,7 +125,7 @@ def assert_flat(plan: Reduce, make_data) -> None:
     small_value, small = calls(plan, make_data(N))
     big_value, big = calls(plan, make_data(10 * N))
     for value, seen in ((small_value, small), (big_value, big)):
-        assert seen.pop(NEW, 0) == seen.pop(HASH, 0) == records(value), value
+        assert seen.pop(HASH, 0) == records(value), value
     assert small == big, pipeline_source(plan)
     assert "<repro.jit pipeline" in " ".join(big)  # the generated function ran
 
@@ -290,7 +293,7 @@ class TestObservedRunsAreTheFunction:
                 first = db.run_detailed(oql)  # also memoises the sets' orders
             assert observed(mode, db, oql) == node_counts(first.metrics)
             seen = outside_the_differential(lambda: observed(mode, db, oql))  # noqa: B023
-            assert seen.pop(NEW, 0) == seen.pop(HASH, 0) == records(first.value)
+            assert seen.pop(HASH, 0) == records(first.value)
             seen.pop("runtime.py:Runtime.check", None)
             calls.append(seen)
             assert "<repro.jit pipeline" in " ".join(seen)
@@ -314,9 +317,9 @@ def iterated(monkeypatch):
     return seen
 
 
-class TestForeignEntry:
-    """``tests/test_values_order.py``'s impostor, through a generated header:
-    an entry planted under a set's id is another set's, and is not served."""
+class TestHeader:
+    """A generated header reads a stored set's order from its slot; a plain
+    set, or a stored one not yet ordered, goes to ``Runtime.iterate``."""
 
     def run(self, plan, **globals_):
         with verification(False):
@@ -324,31 +327,29 @@ class TestForeignEntry:
             executor = Executor(Evaluator(globals_))
         return executor.execute(plan)
 
-    def plant(self):
-        victim, impostor = frozenset({1, 2, 3}), frozenset({"a", "b"})
-        canonical_order(victim)
-        compare._SET_ORDERS[id(impostor)] = compare._SET_ORDERS[id(victim)]
-        return victim, impostor
-
     def test_scan(self, iterated):
-        victim, impostor = self.plant()
+        kept, plain = stored(frozenset({3, 1, 2})), frozenset({"b", "a"})
         plan = Reduce(MonoidRef("list"), var("x"), Scan("x", var("S")))
-        assert "_set_order(id(_src))" in pipeline_source(plan)
-        assert self.run(plan, S=impostor) == ("a", "b")
-        assert iterated == [impostor]  # the foreign entry sent it to the checks
-        assert self.run(plan, S=impostor) == ("a", "b")
-        assert iterated == [impostor]  # now its own order is memoised: inline
-        assert self.run(plan, S=victim) == (1, 2, 3)
-        assert iterated == [impostor]
+        assert "type(_src) is _StoredSet and _src.order" in pipeline_source(plan)
+        assert self.run(plan, S=kept) == (1, 2, 3)
+        assert iterated == [kept] and kept.order == (1, 2, 3)  # iterate filled the slot
+        assert self.run(plan, S=kept) == (1, 2, 3)
+        assert iterated == [kept]  # now read inline
+        assert self.run(plan, S=plain) == self.run(plan, S=plain) == ("a", "b")
+        assert iterated == [kept, plain, plain]  # a plain set is sorted every time
 
     def test_unnest(self, iterated):
-        _victim, impostor = self.plant()
+        kept, plain = stored(frozenset({True, 2})), frozenset({1, 2})
         plan = Reduce(
             MonoidRef("list"), var("x"), Unnest(Scan("r", var("Rs")), "x", proj(var("r"), "xs"))
         )
-        rows = (Record(xs=impostor), Record(xs=(7,)))
-        assert self.run(plan, Rs=rows) == ("a", "b", 7)
-        assert iterated == [impostor]
+        rows = (Record(xs=kept), Record(xs=(7,)), Record(xs=plain))
+        for _ in range(2):
+            value = self.run(plan, Rs=rows)
+            assert value == (True, 2, 7, 1, 2)
+            assert [type(v) for v in value] == [bool, int, int, int, int]
+        assert iterated == [kept, plain, plain]
+        assert type(kept) is StoredSet
 
 
 # -- per-source counts are the reference's per-row counts ------------------------------------

@@ -1,15 +1,17 @@
-"""Canonical iteration order is computed at most once per value.
+"""Canonical iteration order is computed at most once per held value.
 
-``canonical_order`` memoises a bag's order on the bag and a frozenset's
-in an identity-keyed table; these tests pin that the memo never changes
-what iteration yields, never outlives or crosses over between values,
-and is never carried by a copy.
+``canonical_order`` memoises a bag's order on the bag and a stored set's
+(:class:`~repro.values.compare.StoredSet`, what
+:func:`~repro.values.compare.stored` makes of a ``frozenset``) in its
+``order`` slot; a plain set is sorted on every call. These tests pin that
+the memo never changes what iteration yields, never crosses over between
+values, and is never carried by a copy, and that a stored set is, to
+every reader but the iterating one, the plain set it equals.
 """
 
 from __future__ import annotations
 
 import copy
-import gc
 import pickle
 
 import pytest
@@ -26,7 +28,7 @@ from repro.values import (
     canonical_order,
     canonical_sorted,
 )
-from repro.values import compare
+from repro.values.compare import StoredSet, stored
 
 #: One scalar kind per collection, as in a well-typed OQL collection:
 #: mixing ``bool`` and ``int`` would make ``False`` and ``0`` one element
@@ -86,6 +88,9 @@ def test_set_iterates_in_sorted_order_first_and_later(xs):
     assert list(SET.iterate(collection)) == expected
     assert list(SET.iterate(collection)) == expected
     assert canonical_sorted(collection) == expected
+    kept = stored(collection)
+    for _ in range(2):  # the keys tell True from 1, where ``==`` does not
+        assert list(map(canonical_key, SET.iterate(kept))) == list(map(canonical_key, expected))
 
 
 def test_bag_order_repeats_each_element_count_times_adjacent():
@@ -96,7 +101,7 @@ def test_bag_order_repeats_each_element_count_times_adjacent():
 
 def test_later_iterations_build_no_keys(count_canonical_key):
     bag = Bag([Record(k=i % 3) for i in range(9)])
-    collection = frozenset(Record(k=i) for i in range(9))
+    collection = stored(frozenset(Record(k=i) for i in range(9)))
     list(bag), list(SET.iterate(collection))
     calls = count_canonical_key()
     list(bag), list(SET.iterate(collection)), repr(bag), canonical_sorted(collection)
@@ -106,40 +111,57 @@ def test_later_iterations_build_no_keys(count_canonical_key):
 # -- memo safety -----------------------------------------------------------------------
 
 
-def test_equal_sets_yield_their_own_elements():
-    ints, bools = frozenset({1, 2}), frozenset({True, 2})
+@pytest.mark.parametrize("keep", [frozenset, stored], ids=["plain", "stored"])
+def test_equal_sets_yield_their_own_elements(keep):
+    ints, bools = keep(frozenset({1, 2})), keep(frozenset({True, 2}))
     assert ints == bools
     for _ in range(2):
         assert [type(v) for v in SET.iterate(ints)] == [int, int]
         assert [type(v) for v in SET.iterate(bools)] == [bool, int]
 
 
-def test_table_entries_die_with_their_sets():
-    gc.collect()
-    before = len(compare._SET_ORDERS)
-    transient = [frozenset({i, i + 1, "x"}) for i in range(50)]
-    for collection in transient:
-        canonical_order(collection)
-    assert len(compare._SET_ORDERS) == before + 50
-    ids = {id(collection) for collection in transient}
-    del transient, collection
-    gc.collect()
-    assert len(compare._SET_ORDERS) == before
-    # New sets may land on the recycled ids; each gets its own order.
-    fresh = [frozenset({-i, "y"}) for i in range(200)]
-    assert ids & {id(collection) for collection in fresh}
-    for i, collection in enumerate(fresh):
-        assert canonical_order(collection) == (-i, "y")
+def test_a_stored_set_is_sorted_once_and_a_plain_one_every_time(count_canonical_key):
+    plain = frozenset({3, 1, 2})
+    kept = stored(plain)
+    assert kept.order is None  # filled by the first iteration, not by storing
+    calls = count_canonical_key()
+    first = canonical_order(kept)
+    assert first == (1, 2, 3) and kept.order is first and len(calls) == 3
+    assert canonical_order(kept) is first and len(calls) == 3
+    assert canonical_order(plain) == first and canonical_order(plain) is not first
+    assert len(calls) == 9
 
 
-def test_stale_entry_on_a_recycled_id_is_never_served():
-    victim = frozenset({1, 2, 3})
-    canonical_order(victim)
-    impostor = frozenset({"a", "b"})
-    # Same table slot, but the reference points at another set.
-    compare._SET_ORDERS[id(impostor)] = compare._SET_ORDERS[id(victim)]
-    assert canonical_order(impostor) == ("a", "b")
-    assert canonical_order(victim) == (1, 2, 3)
+def test_a_stored_set_is_the_plain_set_to_every_other_reader():
+    plain = frozenset({Record(a=1), Record(a=2)})
+    kept = stored(plain)
+    assert type(kept) is StoredSet and isinstance(kept, frozenset)
+    assert kept == plain and plain == kept and hash(kept) == hash(plain)
+    assert repr(kept) == repr(plain) and repr(stored(frozenset())) == "frozenset()"
+    assert type(kept).__name__ == "frozenset"  # so no error text names another type
+    assert type(kept | plain) is frozenset and canonical_key(kept) == canonical_key(plain)
+
+
+def test_storing_rebuilds_only_what_holds_a_set():
+    flat = Record(a=1, b=(2, "x"), c=Bag([1, 1]))
+    nested = Record(name="n", tags=frozenset({"x"}), rows=(flat, Bag([frozenset({1})])))
+    for value in (flat, (flat, 2), Bag([flat]), 7, "s", None):
+        assert stored(value) is value
+    kept = stored(nested)
+    assert kept == nested and kept is not nested and kept["rows"][0] is flat
+    assert type(kept["tags"]) is StoredSet
+    (inner,) = kept["rows"][1]
+    assert type(inner) is StoredSet and kept["rows"][1] == nested["rows"][1]
+    assert stored(kept) is kept and stored(kept["tags"]) is kept["tags"]
+
+
+def test_a_stored_sets_elements_are_stored_when_it_is_first_ordered():
+    row = Record(a=frozenset({1}))
+    kept = stored(frozenset({row, 2}))
+    assert next(v for v in kept if v == row) is row  # the set keeps what it was given
+    (two, first) = canonical_order(kept)
+    assert two == 2 and first == row and type(first["a"]) is StoredSet
+    assert canonical_order(kept)[1] is first
 
 
 def test_mutable_set_is_never_memoised():
@@ -202,8 +224,9 @@ def _pickle(value):
         OrderedSet([2, 5, 3, 1]),
         Vector(4, 0, {2: 8}),
         _NESTED,
+        stored(_NESTED),
     ],
-    ids=["bag", "record", "oset", "vector", "nested"],
+    ids=["bag", "record", "oset", "vector", "nested", "stored"],
 )
 def test_round_trip_keeps_value_hash_and_order(clone, value):
     hash(value), repr(value)  # fill every memo the original can carry
@@ -226,3 +249,8 @@ def test_copies_never_carry_a_memo(clone):
     twin = clone(bag)
     assert twin._hash is None and twin._order is None
     assert list(twin) == [1, 2, 2]
+    kept = stored(frozenset({2, 1}))
+    canonical_order(kept)
+    twin = clone(kept)
+    assert type(twin) is StoredSet and twin.order is None
+    assert canonical_order(twin) == (1, 2)
