@@ -30,9 +30,9 @@ of its child fields, in plan order), ``binds()`` (the variables it
 binds) and ``_exprs()`` (its expression positions, each an
 :class:`Expr`). Whatever only needs that structure —
 plan-check, cache invalidation, the per-operator metrics, the optimizer's
-and EXPLAIN's walks — is a loop over :meth:`PlanNode.walk`,
-:attr:`PlanNode.exprs` and :meth:`PlanNode.with_children` and names no
-operator class; ``tests/test_algebra_ops.py`` fails for a class whose
+and EXPLAIN's walks — is a loop over :meth:`PlanNode.preorder`,
+:meth:`PlanNode.children`, :attr:`PlanNode.exprs` and
+:meth:`PlanNode.with_children` and names no operator class; ``tests/test_algebra_ops.py`` fails for a class whose
 declarations miss one of its fields.
 """
 

@@ -14,8 +14,8 @@ block of the execution's :class:`~repro.obs.metrics.PlanMetrics` at the
 end, by the node's position in the plan's pre-order. That list is the
 execution's one record; :class:`ExecutionStats` is its one fold, by node
 class, and EXPLAIN ANALYZE reads it per node. The
-executor reads no clock: the execution's wall time is the query record's
-``execute`` slot (:class:`~repro.obs.tracer.QueryRecord`).
+executor reads no clock: the execution's wall time is the query's
+``execute`` slot (:class:`~repro.db.database.QueryResult`).
 """
 
 from __future__ import annotations

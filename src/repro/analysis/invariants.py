@@ -171,9 +171,7 @@ def check_coherence(before: Term, after: Term) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-def check_types(
-    before: Term, after: Term, type_env: Optional[dict[str, Type]] = None
-) -> list[Violation]:
+def check_types(before: Term, after: Term) -> list[Violation]:
     """Inferred types must stay compatible when both sides are inferable.
 
     Free variables default to ``any``. When either side fails to infer
@@ -182,10 +180,7 @@ def check_types(
     and punishing that would make the verifier unusable on unchecked
     terms.
     """
-    names = free_vars(before) | free_vars(after)
-    env: dict[str, Type] = {name: ANY for name in names}
-    if type_env:
-        env.update({k: v for k, v in type_env.items() if k in names})
+    env: dict[str, Type] = {name: ANY for name in free_vars(before) | free_vars(after)}
     try:
         before_ty = TypeChecker().infer(before, env)
         after_ty = TypeChecker().infer(after, env)

@@ -30,7 +30,6 @@ from repro.calculus.traversal import alpha_equal
 from repro.env import env_flag
 from repro.errors import VerificationError
 from repro.span import span_of
-from repro.types.types import Type
 
 from repro.analysis.dataflow import alpha_rename
 from repro.analysis.invariants import (
@@ -99,21 +98,11 @@ def resolve_verify(verify: Optional[bool]) -> bool:
 
 
 class RewriteVerifier:
-    """Checks every rule fire against the invariant catalog.
-
-    ``type_env`` optionally supplies known types for free variables
-    (tightening the type-preservation check); ``alpha_check`` controls
-    the re-application probe, which costs one extra rule application
-    per fire.
+    """Checks every rule fire against the invariant catalog, the
+    re-application probe included (one extra rule application per fire).
     """
 
-    def __init__(
-        self,
-        type_env: Optional[dict[str, Type]] = None,
-        alpha_check: bool = True,
-    ) -> None:
-        self.type_env = type_env
-        self.alpha_check = alpha_check
+    def __init__(self) -> None:
         #: Fires checked so far — lets callers report verification coverage.
         self.checked = 0
 
@@ -124,8 +113,8 @@ class RewriteVerifier:
         violations += check_scope(before, after)
         violations += check_effects(before, after)
         violations += check_coherence(before, after)
-        violations += check_types(before, after, self.type_env)
-        if self.alpha_check and hasattr(rule, "apply"):
+        violations += check_types(before, after)
+        if hasattr(rule, "apply"):
             violations += self._check_alpha(rule, before, after)
         self.checked += 1
         if violations:

@@ -123,7 +123,7 @@ class CompiledQuery:
     phase gave it a function, or ``None`` when the normalized term runs
     on the reference evaluator. ``phases`` lists the
     pipeline phases a hit skips, in
-    :data:`repro.obs.tracer.PIPELINE_PHASES` order. ``version`` is the
+    :data:`repro.db.database.PIPELINE_PHASES` order. ``version`` is the
     catalog version the entry was compiled at; ``verified`` records
     whether it was built under rewrite verification. :meth:`serves` is
     the one rule for reusing an entry.

@@ -26,12 +26,14 @@ participate in the result cache keyed by their bindings.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.analysis.verifier import verification_enabled
 from repro.cache.core import CompiledQuery
 from repro.errors import DatabaseError
-from repro.obs.tracer import QueryRecord
+
+if TYPE_CHECKING:
+    from repro.db.database import QueryResult
 
 
 class Prepared:
@@ -68,9 +70,9 @@ class Prepared:
         """The ``$`` parameter names this statement expects, sorted."""
         return self._ensure().params
 
-    def _ensure(self, record: Optional[QueryRecord] = None) -> CompiledQuery:
+    def _ensure(self, result: Optional[QueryResult] = None) -> CompiledQuery:
         """The current entry: the shared cache's when the database has
-        one, else the pinned one — recompiled (timed into ``record``) when
+        one, else the pinned one — recompiled (timed into ``result``) when
         it no longer :meth:`~repro.cache.core.CompiledQuery.serves` the
         call (the catalog moved on, or verification is now on and the pin
         was built without it)."""
@@ -82,7 +84,7 @@ class Prepared:
             or not entry.serves(db.catalog.version, verification_enabled())
         ):
             entry = self._entry = db.compile(
-                self.oql, self.engine, self.typecheck, self.param_types, record=record
+                self.oql, self.engine, self.typecheck, self.param_types, result=result
             )
         return entry
 

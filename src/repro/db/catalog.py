@@ -94,7 +94,7 @@ class Catalog:
             raise DatabaseError(f"cannot load objects into {name!r}: {err}") from None
         self._claim(name, "object extent")
         for row in rows:
-            self.registry.create(class_name, row)
+            self.registry.add(class_name, row)
 
     def define_view(self, name: str, term: Any) -> None:
         self._claim(name, "view")

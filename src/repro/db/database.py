@@ -31,9 +31,9 @@ the normalized term on the reference evaluator instead of the algebra
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import import_module
+from operator import attrgetter
+from time import perf_counter_ns
 from typing import Any, Literal, Optional
 
 from repro.algebra.groupby import plan_group_by
@@ -72,7 +72,6 @@ from repro.normalize.trace import NormalizationTrace
 from repro.obs.explain import plan_to_dict, render_explain, summarize
 from repro.obs.metrics import PlanMetrics
 from repro.obs.querylog import QueryLog
-from repro.obs.tracer import QueryRecord
 from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.types.infer import TypeChecker
@@ -90,26 +89,123 @@ _MODES = {
 }
 
 
-@dataclass
-class QueryResult:
-    """Everything produced while answering one query."""
+#: Every phase of the query pipeline, in pipeline order: the schema of
+#: a :class:`QueryResult`'s times (with ``cache``, :data:`SLOTS`), so the
+#: result, EXPLAIN ANALYZE, the query log and the telemetry phase
+#: histograms all name the same phases — a phase renamed here renames
+#: everywhere. ``lint`` is the ``strict=True`` stage of ``compile``: it
+#: reads the term ``translate`` just made.
+PIPELINE_PHASES = (
+    "parse",
+    "translate",
+    "lint",
+    "typecheck",
+    "normalize",
+    "plan",
+    "optimize",
+    "jit",
+    "execute",
+)
 
-    oql: str
-    calculus: Term
-    normalized: Term
-    trace: NormalizationTrace
-    plan: Optional[Reduce]
-    value: Any
-    engine: str = "algebra"
-    #: the execution's per-operator record (None when no plan ran)
-    metrics: Optional[PlanMetrics] = None
-    #: cache outcome for this query, e.g. {"compile": "hit",
-    #: "result": "miss"} (None unless the database had a cache)
-    cache: Optional[dict[str, Any]] = None
-    #: the compiled entry this result was executed from
-    compiled: Optional[CompiledQuery] = field(default=None, repr=False)
-    #: this query's record: phase times, total time, cache outcome
-    record: Optional[QueryRecord] = field(default=None, repr=False)
+#: A query's timed slots: the compile- and result-cache lookups, then
+#: every pipeline phase.
+SLOTS = ("cache",) + PIPELINE_PHASES
+
+_SLOT = {name: index for index, name in enumerate(SLOTS)}
+
+
+class QueryResult:
+    """One query, the one object every reader of it reads.
+
+    :meth:`Database._run` makes it before compile; ``compile`` times each
+    phase into it (``with result.phase("parse"): ...``) and notes the
+    cache's outcome; ``_execute`` completes it with the
+    :class:`~repro.cache.core.CompiledQuery` it ran (:attr:`compiled`),
+    the :attr:`value` and the per-operator :attr:`metrics`; and the
+    finished object (:attr:`error` set when the query failed) goes to the
+    query log, telemetry and EXPLAIN ANALYZE. The pipeline's artifacts —
+    ``calculus``, ``normalized``, ``trace``, ``plan`` and ``engine`` —
+    are read from the compiled entry, not copied.
+
+    A phase costs two ``time.perf_counter_ns`` reads and a slot write,
+    always. Phases are sequential, so one query times one phase at a
+    time; a slot entered twice accumulates. A cache hit marks the phases
+    it skipped (:attr:`cached`) instead of timing them.
+    """
+
+    __slots__ = (
+        "query", "compiled", "value", "metrics", "cache", "cached", "error",
+        "ns", "start_ns", "total_ns", "_stats", "_slot", "_t0",
+    )
+
+    def __init__(self, query: str | Term) -> None:
+        #: the text (or calculus term) as it was asked
+        self.query = query
+        #: the compiled entry it ran (None until compile returned one)
+        self.compiled: Optional[CompiledQuery] = None
+        self.value: Any = None
+        #: the execution's per-operator record (None when no plan ran)
+        self.metrics: Optional[PlanMetrics] = None
+        #: the cache outcome, e.g. ``{"compile": "hit", "result": "miss"}``
+        #: (``compile`` may also be ``"prepared"``, ``result``
+        #: ``"bypass"``); None while no cache was consulted
+        self.cache: Optional[dict[str, str]] = None
+        #: the phases a cache hit skipped, in pipeline order
+        self.cached: tuple[str, ...] = ()
+        #: why the query failed (None while it has not)
+        self.error: Optional[BaseException] = None
+        #: nanoseconds spent per slot (None: the query never entered it)
+        self.ns: list[Optional[int]] = [None] * len(SLOTS)
+        self.total_ns = 0
+        self._stats: Optional[ExecutionStats] = None
+        self.start_ns = perf_counter_ns()
+
+    # -- written while the query runs -------------------------------------------
+
+    def phase(self, name: str) -> "QueryResult":
+        """Time slot ``name`` for the length of a ``with`` block."""
+        self._slot = _SLOT[name]
+        return self
+
+    def __enter__(self) -> None:
+        self._t0 = perf_counter_ns()
+
+    def __exit__(self, *exc: Any) -> None:
+        elapsed = perf_counter_ns() - self._t0
+        slot = self._slot
+        spent = self.ns[slot]
+        self.ns[slot] = elapsed if spent is None else spent + elapsed
+
+    def note_cache(self, lookup: str, outcome: str) -> None:
+        """Note the outcome of the ``"compile"`` or ``"result"`` lookup."""
+        if self.cache is None:
+            self.cache = {}
+        self.cache[lookup] = outcome
+
+    def finish(self, error: Optional[BaseException] = None) -> None:
+        """Stop the query's clock; ``error`` is why it failed, if it did."""
+        self.total_ns = perf_counter_ns() - self.start_ns
+        self.error = error
+
+    # -- read ---------------------------------------------------------------------
+
+    @property
+    def oql(self) -> str:
+        """The query's text (a calculus term's rendering): what the query
+        log hashes. Not the entry's: an alpha-variant shares another
+        text's entry."""
+        query = self.query
+        return query if isinstance(query, str) else str(query)
+
+    # the pipeline's artifacts: the compiled entry's, read through
+    calculus = property(attrgetter("compiled.calculus"))
+    normalized = property(attrgetter("compiled.normalized"))
+    trace = property(attrgetter("compiled.trace"))
+    plan = property(attrgetter("compiled.plan"))
+
+    @property
+    def engine(self) -> str:
+        return "interpret" if self.compiled.plan is None else "algebra"
 
     @property
     def jit(self) -> Optional[dict[str, Any]]:
@@ -117,13 +213,42 @@ class QueryResult:
         "fallback": 1, "constructs": {}} (None when no plan ran)."""
         return None if self.metrics is None else jit_report(self.plan)
 
-    @cached_property
+    @property
     def stats(self) -> Optional[ExecutionStats]:
         """The executor's whole-query counters: :attr:`metrics` summed
         by node class, computed on first read and kept, so the query log,
         telemetry and :meth:`pipeline_report` share one fold (None when
         no plan ran)."""
-        return None if self.metrics is None else ExecutionStats.of(self.metrics)
+        if self._stats is None and self.metrics is not None:
+            self._stats = ExecutionStats.of(self.metrics)
+        return self._stats
+
+    @property
+    def total_ms(self) -> float:
+        return self.total_ns / 1e6
+
+    def phases_ms(self) -> dict[str, float]:
+        """``{slot: milliseconds}`` in :data:`SLOTS` order: every slot
+        the query entered, and 0.0 for each phase a cache hit skipped."""
+        out: dict[str, float] = {}
+        for name, spent in zip(SLOTS, self.ns):
+            if spent is not None:
+                out[name] = spent / 1e6
+            elif name in self.cached:
+                out[name] = 0.0
+        return out
+
+    def as_dict(self) -> dict[str, Any]:
+        """The times' one JSON form, which the query log and EXPLAIN
+        ANALYZE both carry: ``total_ms`` and ``phases_ms`` rounded to the
+        microsecond, and ``cache`` when a cache was consulted."""
+        out: dict[str, Any] = {
+            "total_ms": round(self.total_ms, 3),
+            "phases_ms": {name: round(ms, 3) for name, ms in self.phases_ms().items()},
+        }
+        if self.cache:
+            out["cache"] = dict(self.cache)
+        return out
 
     def pipeline_report(self) -> str:
         """A printable record of every pipeline stage."""
@@ -150,12 +275,10 @@ class QueryResult:
                     f"{name} x{count}" for name, count in sorted(constructs.items())
                 ) + ")"
             lines.append(line)
-        if self.record is not None:
-            phases = self.record.phases_ms()
-            lines.append(
-                "phases:     "
-                + "  ".join(f"{name}={ms:.3f}ms" for name, ms in phases.items())
-            )
+        lines.append(
+            "phases:     "
+            + "  ".join(f"{name}={ms:.3f}ms" for name, ms in self.phases_ms().items())
+        )
         if self.plan is not None:
             lines.append("plan:")
             lines.extend("  " + l for l in self.plan.render().splitlines())
@@ -379,12 +502,13 @@ class Database:
     ) -> QueryResult:
         """Answer an OQL query or a calculus term, keeping every artifact.
 
-        The result always carries the query's record (``result.record``:
-        phase times, total time, cache outcome) and the execution's
-        per-operator record (``result.metrics``, which ``result.stats``
-        folds once). ``verify`` is :meth:`run`'s
-        rewrite-verification switch (it covers the whole pipeline,
-        including the re-normalization inside plan building).
+        The result always carries the query's phase times, total time and
+        cache outcome (``result.phases_ms()``, ``result.total_ms``,
+        ``result.cache``) and the execution's per-operator record
+        (``result.metrics``, which ``result.stats`` folds once).
+        ``verify`` is :meth:`run`'s rewrite-verification switch (it covers
+        the whole pipeline, including the re-normalization inside plan
+        building).
         """
         return self._run(oql, engine, typecheck, strict, verify, None, {})
 
@@ -400,63 +524,47 @@ class Database:
         bypass: bool = False,
     ) -> QueryResult:
         """The shell every query runs in, ad-hoc or prepared: one
-        :class:`~repro.obs.tracer.QueryRecord` (timed with
-        ``time.perf_counter_ns``, never the wall clock), the
-        ``verification`` extent, compile → execute under one
-        ``RecursionError`` guard, and the one hand-off of the finished or
-        failed record to its readers (:meth:`_report`).
+        :class:`QueryResult` (timed with ``time.perf_counter_ns``, never
+        the wall clock), the ``verification`` extent, compile → execute
+        under one ``RecursionError`` guard, and the one hand-off of the
+        finished or failed result to its readers (:meth:`_report`).
         ``bypass`` executes even when the result cache holds the value
         (EXPLAIN ANALYZE reports a real execution)."""
-        text = oql if isinstance(oql, str) else None
-        record = QueryRecord(text or "")
+        result = QueryResult(oql)
         stage = "compile"
         try:
             try:
                 with verification(verify):
                     if prepared is None:
-                        entry = self._compile(oql, engine, typecheck, None, strict, record)
+                        entry = self._compile(oql, engine, typecheck, None, strict, result)
                     else:
-                        entry = prepared._ensure(record)
-                        record.oql = record.oql or entry.oql  # a pinned term's label
+                        entry = prepared._ensure(result)
                         prepared._validate(params)
-                        record.cache["compile"] = "prepared"
-                    if text is None:  # a term: bind what its effect stage lifted
+                        result.note_cache("compile", "prepared")
+                    if not isinstance(oql, str):  # a term: bind what its effect stage lifted
                         params = {**params, **lifted_literals(entry.calculus)}
                     stage = "execute"
-                    result = self._execute(entry, params, bypass, record)
+                    self._execute(entry, params, bypass, result)
             except RecursionError:
                 # a term too deep for one of the pipeline's recursive walks
                 raise ResourceLimitError(f"query nested too deeply to {stage}") from None
         except Exception as err:
-            record.finish(err)
-            self._report(record, None, err)
+            result.finish(err)
+            self._report(result)
             raise
-        record.finish()
-        self._report(record, result, None)
+        result.finish()
+        self._report(result)
         return result
 
-    def _report(
-        self,
-        record: QueryRecord,
-        result: Optional[QueryResult],
-        error: Optional[Exception],
-    ) -> None:
-        """Hand one finished query (its ``result``) or failed one (its
-        ``error``) to every reader that is on: telemetry (one flush) and
-        the query log (one entry)."""
+    def _report(self, result: QueryResult) -> None:
+        """Hand one finished or failed query to every reader that is on:
+        telemetry (one flush) and the query log (one entry)."""
         if self.telemetry is not None:
-            from repro.obs.telemetry.instrument import (
-                record_query_error,
-                record_query_result,
-            )
+            from repro.obs.telemetry.instrument import record_query
 
-            seconds = record.total_ns / 1e9
-            if result is None:
-                record_query_error(self.telemetry, error, seconds)
-            else:
-                record_query_result(self.telemetry, self, result, seconds)
+            record_query(self.telemetry, result, self.cache)
         if self.query_log.enabled:
-            self.query_log.record(record, result)
+            self.query_log.record(result)
 
     # -- compile: the front half ------------------------------------------------
 
@@ -468,7 +576,7 @@ class Database:
         param_types: Optional[dict[str, Any]] = None,
         *,
         strict: bool = False,
-        record: Optional[QueryRecord] = None,
+        result: Optional[QueryResult] = None,
     ) -> CompiledQuery:
         """OQL text -> :class:`CompiledQuery`: parse → translate → [lint]
         → [typecheck] → normalize → plan → optimize → jit.
@@ -487,11 +595,11 @@ class Database:
         the compiled entry is looked up first by exact text and then,
         after translation, by canonical alpha-form (docs/CACHE.md
         specifies keying and invalidation), and stored on a miss. Each
-        stage is timed into ``record`` (a fresh one when not given); with
-        a cache, its ``cache`` receives ``{"compile": "hit" | "miss"}``
-        and its ``cached`` the phases a hit skipped. Under rewrite
-        verification only entries that were themselves built under it
-        count as hits.
+        stage is timed into ``result``, the query's :class:`QueryResult` (a
+        fresh one when not given); with a cache, its ``cache`` receives
+        ``{"compile": "hit" | "miss"}`` and its ``cached`` the phases a hit
+        skipped. Under rewrite verification only entries that were
+        themselves built under it count as hits.
         ``$name`` parameters type-check as ``ANY`` unless ``param_types``
         narrows them, whoever compiles — so a shared entry never depends
         on who built it first, and an unbound parameter surfaces at
@@ -504,36 +612,36 @@ class Database:
         normalize; any engine but it and ``"auto"`` is refused.
         """
         try:
-            return self._compile(oql, engine, typecheck, param_types, strict, record)
+            return self._compile(oql, engine, typecheck, param_types, strict, result)
         except RecursionError:
             raise ResourceLimitError("query nested too deeply to compile") from None
 
     def _compile(
         self, oql: str | Term, engine: str, typecheck: bool, param_types: Optional[dict[str, Any]],
-        strict: bool, record: Optional[QueryRecord],
+        strict: bool, result: Optional[QueryResult],
     ) -> CompiledQuery:
         """:meth:`compile` unguarded: :meth:`_run` guards it with execute."""
         if engine not in ("auto", "interpret"):
             raise DatabaseError(f"engine must be 'auto' or 'interpret', got {engine!r}")
         cache = self.cache
-        if record is None:
-            record = QueryRecord(oql)
+        if result is None:
+            result = QueryResult(oql)
         verifying = verification_enabled()
         version = self.catalog.version
         typed = tuple(sorted(param_types.items())) if typecheck and param_types else ()
         if isinstance(oql, str):
             text_key = (oql, engine, typecheck, typed)
             if cache is not None:
-                with record.phase("cache"):
+                with result.phase("cache"):
                     entry = cache.compiled_by_text(text_key, version, verifying, strict)
                 if entry is not None:
-                    record.cache["compile"] = "hit"
-                    record.cached = entry.phases + (("lint",) if strict else ())
+                    result.note_cache("compile", "hit")
+                    result.cached = entry.phases + (("lint",) if strict else ())
                     return entry
             try:
-                with record.phase("parse"):
+                with result.phase("parse"):
                     node = parse(oql)
-                with record.phase("translate"):
+                with result.phase("translate"):
                     written = Translator(self.schema).translate(node)
                     calculus, viewed = self._expand_views(written)
             except (OQLSyntaxError, TranslationError) as err:
@@ -549,7 +657,7 @@ class Database:
             effects = False
         else:  # a calculus term: no text to parse or to key by
             written, oql = oql, str(oql)
-            record.oql, text_key, phases = oql, None, []
+            text_key, phases = None, []
             calculus, viewed = self._expand_views(written)
             effects = has_effects(calculus)
             params = param_names(calculus)
@@ -564,7 +672,7 @@ class Database:
                 normal = normal or normalize_with_trace(calculus)
                 return normal[0]
 
-            with record.phase("lint"):
+            with result.phase("lint"):
                 found = self._linter().lint_term(written, None if viewed else normal_form)
                 errors = [d for d in found if d.is_error]
             if errors:
@@ -583,14 +691,14 @@ class Database:
                 # so the next repeat skips parse/translate too.
                 if text_key is not None:
                     cache.alias(text_key, key, clean_at)
-                record.cache["compile"] = "hit"
-                record.cached = tuple(
+                result.note_cache("compile", "hit")
+                result.cached = tuple(
                     p for p in entry.phases if p not in ("parse", "translate")
                 )
                 return entry
-            record.cache["compile"] = "miss"
+            result.note_cache("compile", "miss")
         if typecheck:
-            with record.phase("typecheck"):
+            with result.phase("typecheck"):
                 env = {"$" + name: (param_types or {}).get(name, ANY) for name in params}
                 TypeChecker(self.schema).check(calculus, env)
             phases.append("typecheck")
@@ -598,11 +706,11 @@ class Database:
         if effects:  # rewrites may reorder what the heap threads through
             normalized, trace = calculus, NormalizationTrace(calculus)
             if engine == "auto":
-                with record.phase("plan"):
+                with result.phase("plan"):
                     plan = plan_effects(calculus, verifying)[1]
                 phases.append("plan")
         else:
-            with record.phase("normalize"):
+            with result.phase("normalize"):
                 normalized, trace = normal or normalize_with_trace(calculus)
             phases.append("normalize")
         # Only comprehensions have plans; a normal form below that level
@@ -611,13 +719,13 @@ class Database:
             try:
                 # No second normalization: the planning rules are a subset
                 # of the default ones the normal form is already normal under.
-                with record.phase("plan"):
+                with result.phase("plan"):
                     logical = plan_group_by(calculus) or build_plan(
                         normalized, pre_normalize=False
                     )
-                with record.phase("optimize"):
+                with result.phase("optimize"):
                     optimized = self._optimize(logical)
-                with record.phase("jit"):
+                with result.phase("jit"):
                     # a term has no text to memoise its plan's key by
                     shape = text_key and self._plan_key(optimized, (text_key, version, verifying))
                     precompile_plan(optimized, shape)
@@ -693,10 +801,11 @@ class Database:
         entry: CompiledQuery,
         params: dict[str, Any],
         bypass: bool,
-        record: QueryRecord,
-    ) -> QueryResult:
+        result: QueryResult,
+    ) -> None:
         """Result-cache lookup → the entry's plan on the executor, or its
-        normal form on the reference interpreter → result.
+        normal form on the reference interpreter → ``result``, completed
+        with the entry, the value and the per-operator metrics.
 
         The entry is only read: ``compile`` chose the engine and the
         result-cache verdict, ``deps``; an entry without one (a cache
@@ -709,7 +818,7 @@ class Database:
             if bypass:
                 # EXPLAIN ANALYZE needs real per-operator actuals;
                 # serving a stored value would report an empty plan.
-                record.cache["result"] = "bypass"
+                result.note_cache("result", "bypass")
             else:
                 try:
                     result_key = (entry.key, tuple(sorted(params.items())) if params else ())
@@ -722,37 +831,27 @@ class Database:
                     # the heap's guard over what it reads.
                     guard = self.store.guard(deps.reads)
                     versions = (self.catalog.version, entry.verified, guard)
-                    with record.phase("cache"):
+                    with result.phase("cache"):
                         hit, value = cache.result_for(result_key, versions)
-                    record.cache["result"] = "hit" if hit else "miss"
+                    result.note_cache("result", "hit" if hit else "miss")
         if hit:
-            record.cached += ("execute",)
+            result.cached += ("execute",)
         else:
             evaluator = self.evaluator()
             for name, bound in params.items():
                 evaluator.bind_global("$" + name, stored(bound))
             if entry.plan is None:
-                with record.phase("execute"):
+                with result.phase("execute"):
                     value = evaluator.evaluate(entry.normalized)
             else:
                 executor = Executor(evaluator, self.catalog.index_mappings())
-                with record.phase("execute"):
+                with result.phase("execute"):
                     value = executor.execute(entry.plan)
             if result_key is not None:
                 cache.remember_result(result_key, versions, value)
-        return QueryResult(
-            record.oql,
-            entry.calculus,
-            entry.normalized,
-            entry.trace,
-            entry.plan,
-            value,
-            "interpret" if entry.plan is None else "algebra",
-            metrics=executor.metrics if executor is not None else None,
-            cache=record.cache or None,
-            compiled=entry,
-            record=record,
-        )
+        result.compiled, result.value = entry, value
+        if executor is not None:
+            result.metrics = executor.metrics
 
     # -- modes --------------------------------------------------------------------
 
@@ -865,7 +964,7 @@ class Database:
         if analyze:
             result = self._run(oql, "auto", False, False, None, None, {}, bypass=True)
             entry, metrics = result.compiled, result.metrics
-            doc.update(result.record.as_dict())
+            doc.update(result.as_dict())
             if "cache" in doc and self.cache is not None:
                 doc["cache"]["stats"] = self.cache.stats.as_dict()
         else:

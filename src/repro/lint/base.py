@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Protocol
+from typing import Callable, Mapping, Optional
 
 from repro.calculus.ast import Term
 from repro.errors import ReproError
-from repro.lint.diagnostics import Diagnostic
 from repro.types.infer import TypeChecker
 from repro.types.schema import Schema
 from repro.types.types import Type
@@ -51,14 +50,6 @@ class LintContext:
         )
         checker.infer(self.term, self.name_types)  # infer copies its environment
         return errors, checker.source_types
-
-
-class LintPass(Protocol):
-    """A single analysis: term + context -> diagnostics."""
-
-    name: str
-
-    def __call__(self, term: Term, ctx: LintContext) -> list[Diagnostic]: ...
 
 
 def is_fresh_name(name: str) -> bool:

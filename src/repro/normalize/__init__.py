@@ -8,7 +8,7 @@ from repro.normalize.engine import (
     normalize,
     normalize_with_trace,
 )
-from repro.normalize.rules import DEFAULT_RULES, RULES_BY_NAME, Rule, count_occurrences
+from repro.normalize.rules import DEFAULT_RULES, RULES_BY_NAME, Rule
 from repro.normalize.trace import NormalizationStep, NormalizationTrace
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "NormalizationStep",
     "NormalizationTrace",
     "Rule",
-    "count_occurrences",
     "is_canonical",
     "is_canonical_comprehension",
     "is_simple_path",

@@ -62,16 +62,6 @@ from repro.monoids.base import COMMUTATIVE, IDEMPOTENT
 from repro.monoids.registry import static_monoid
 
 
-def count_occurrences(term: Term, name: str) -> int:
-    """Free occurrences of ``name`` in ``term`` (shadowing-aware).
-
-    Delegates to the :mod:`repro.analysis.dataflow` layer's scoped
-    walk, which counts occurrences without building a substituted copy
-    of the term.
-    """
-    return use_count(term, name)
-
-
 def _monoid_static_props(ref: MonoidRef) -> Optional[frozenset[str]]:
     """Static C/I properties of a monoid reference, or None if unknown."""
     monoid = static_monoid(ref)
@@ -200,7 +190,7 @@ class BetaReduction(Rule):
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Apply) or not isinstance(term.fn, Lambda):
             return None
-        if has_effects(term.arg) and count_occurrences(term.fn.body, term.fn.param) != 1:
+        if has_effects(term.arg) and use_count(term.fn.body, term.fn.param) != 1:
             return None
         return substitute(term.fn.body, term.fn.param, term.arg)
 
@@ -215,7 +205,7 @@ class LetInline(Rule):
     def apply(self, term: Term) -> Optional[Term]:
         if not isinstance(term, Let):
             return None
-        if has_effects(term.value) and count_occurrences(term.body, term.var) != 1:
+        if has_effects(term.value) and use_count(term.body, term.var) != 1:
             return None
         return substitute(term.body, term.var, term.value)
 
@@ -274,7 +264,7 @@ class BindingElimination(Rule):
             if not isinstance(qual, Bind):
                 continue
             rest = _rest_comprehension(term, i)
-            if has_effects(qual.value) and count_occurrences(rest, qual.var) != 1:
+            if has_effects(qual.value) and use_count(rest, qual.var) != 1:
                 continue
             return _substitute_suffix(term, i, qual.var, qual.value)
         return None
@@ -355,7 +345,7 @@ class SingletonGenerator(Rule):
                 continue  # vector units keep their positional structure
             value = qual.source.element
             rest = _rest_comprehension(term, i)
-            if has_effects(value) and count_occurrences(rest, qual.var) != 1:
+            if has_effects(value) and use_count(rest, qual.var) != 1:
                 continue
             return _substitute_suffix(term, i, qual.var, value)
         return None

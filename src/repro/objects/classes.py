@@ -85,7 +85,12 @@ class ExtentRegistry:
 
     def create(self, class_name: str, attributes: dict[str, Any]) -> Obj:
         """Instantiate and register an object in its class extent."""
-        obj = instantiate(self.store, self.schema, class_name, attributes)
+        check_attributes(self.schema, class_name, attributes)
+        return self.add(class_name, attributes)
+
+    def add(self, class_name: str, attributes: dict[str, Any]) -> Obj:
+        """:meth:`create` for attributes the caller has already checked."""
+        obj = self.store.new(Record({**attributes, "_class": class_name}))
         self._members.setdefault(class_name, []).append(obj)
         return obj
 

@@ -3,9 +3,9 @@
 Four layers; everything but the phase times and the operator counts
 is opt-in:
 
-- **the query record** (:mod:`repro.obs.tracer`): one
-  :class:`~repro.obs.tracer.QueryRecord` per query that
-  :class:`~repro.db.database.Database` runs, with one slot per phase
+- **the phase times** of the one
+  :class:`~repro.db.database.QueryResult` each query that
+  :class:`~repro.db.database.Database` runs makes, one slot per phase
   (parse → translate → typecheck → normalize → plan → optimize →
   execute, and the cache lookups), always written;
 - **per-operator metrics** (:mod:`repro.obs.metrics`): the one record
@@ -28,13 +28,11 @@ See ``docs/OBSERVABILITY.md`` for schemas and a walkthrough.
 from repro.obs.explain import plan_to_dict, q_error, render_explain, summarize
 from repro.obs.metrics import OperatorMetrics, PlanMetrics
 from repro.obs.querylog import QueryLog, oql_fingerprint, query_log_entry
-from repro.obs.tracer import QueryRecord
 
 __all__ = [
     "OperatorMetrics",
     "PlanMetrics",
     "QueryLog",
-    "QueryRecord",
     "oql_fingerprint",
     "plan_to_dict",
     "q_error",

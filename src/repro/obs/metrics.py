@@ -9,8 +9,8 @@ counts into the blocks by position, and whatever else reports execution
 counts (:class:`~repro.algebra.physical.ExecutionStats`, EXPLAIN
 ANALYZE, the query log, telemetry, the benchmark harness) reads these
 blocks. No block holds a time: a fused pipeline has no boundary between
-its operators, and the execution's wall time is the query record's
-``execute`` slot (:class:`~repro.obs.tracer.QueryRecord`).
+its operators, and the execution's wall time is the query's
+``execute`` slot (:class:`~repro.db.database.QueryResult`).
 
 A node's block is the one at its position, so structurally-equal
 operators never share a block, and each execution has a list of its

@@ -7,13 +7,14 @@ The session's one history of queries: each database owns one
 to find a regression after the fact without storing the query text
 itself: a wall-clock ``ts`` stamp, a stable hash of the OQL, the
 engine that answered it, the phase and total times of the query's
-:class:`~repro.obs.tracer.QueryRecord` (its :meth:`~repro.obs.tracer.QueryRecord.as_dict`
-form, which EXPLAIN ANALYZE also carries), the executor's row counters,
-and the normalizer's rule-fire counts. A failed query's entry names its
+:class:`~repro.db.database.QueryResult` (its
+:meth:`~repro.db.database.QueryResult.as_dict` form, which EXPLAIN
+ANALYZE also carries), the executor's row counters, and the
+normalizer's rule-fire counts. A failed query's entry names its
 error class instead of the engine, counters and rule fires.
 
 Timing sources: every *duration* in an entry (``total_ms``,
-``phases_ms``) comes from the record's ``time.perf_counter_ns`` reads;
+``phases_ms``) comes from the result's ``time.perf_counter_ns`` reads;
 ``ts`` is the **only** wall-clock (``time.time``) field in the
 observability layer — it stamps when the event happened, never how
 long anything took (the timing-source regression test enforces this
@@ -40,7 +41,6 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import ReproError
-from repro.obs.tracer import QueryRecord
 
 
 #: How many entries a :class:`QueryLog` keeps in memory (the newest);
@@ -53,22 +53,19 @@ def oql_fingerprint(oql: str) -> str:
     return hashlib.sha256(oql.strip().encode("utf-8")).hexdigest()[:12]
 
 
-def query_log_entry(
-    record: QueryRecord, result: Any = None, slow_ms: Optional[float] = None
-) -> dict[str, Any]:
-    """Build the JSON-ready log entry for one query from its finished
-    ``record`` and, when it succeeded, its
-    :class:`~repro.db.database.QueryResult` (None for a failed query)."""
+def query_log_entry(result: Any, slow_ms: Optional[float] = None) -> dict[str, Any]:
+    """Build the JSON-ready log entry for one finished or failed
+    :class:`~repro.db.database.QueryResult`."""
     entry: dict[str, Any] = {
         "event": "query",
         # Wall clock by design: a log reader correlates entries with
         # the outside world. All durations stay on perf_counter.
         "ts": round(time.time(), 6),
-        "oql_sha256": oql_fingerprint(record.oql),
-        **record.as_dict(),
+        "oql_sha256": oql_fingerprint(result.oql),
+        **result.as_dict(),
     }
-    if result is None:
-        entry["error"] = record.error
+    if result.error is not None:
+        entry["error"] = type(result.error).__name__
     else:
         entry["engine"] = result.engine
         stats = result.stats
@@ -76,7 +73,7 @@ def query_log_entry(
             entry["stats"] = stats.as_dict()
         entry["rule_fires"] = dict(sorted(result.trace.rule_counts().items()))
     if slow_ms is not None:
-        entry["slow"] = record.total_ms >= slow_ms
+        entry["slow"] = result.total_ms >= slow_ms
     return entry
 
 
@@ -84,7 +81,7 @@ class QueryLog:
     """The session's one query history, optionally streamed as JSONL.
 
     A :class:`~repro.db.database.Database` owns one log for its whole
-    life and hands it each finished or failed query's record while
+    life and hands it each finished or failed query's result while
     :attr:`enabled` is True; :meth:`~repro.db.database.Database.profile`
     switches it, and switching it on takes new settings (:meth:`reset`).
 
@@ -145,7 +142,7 @@ class QueryLog:
             self.rotations = 0
             self.entries.clear()
 
-    def record(self, record: QueryRecord, result: Any = None) -> dict[str, Any]:
+    def record(self, result: Any) -> dict[str, Any]:
         """Append (and emit) the entry for one finished or failed query.
 
         Thread-safe: concurrent recorders serialize on an internal lock
@@ -153,7 +150,7 @@ class QueryLog:
         drops an entry. The entry is serialized only when a sink or a
         file receives it.
         """
-        entry = query_log_entry(record, result, self.slow_ms)
+        entry = query_log_entry(result, self.slow_ms)
         with self._lock:
             self.entries.append(entry)
             if self.sink is None and self.path is None:

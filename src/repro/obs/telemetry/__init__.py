@@ -1,7 +1,7 @@
 """Fleet telemetry: a process-wide metrics registry with a Prometheus exporter.
 
 The package turns the per-query observability of :mod:`repro.obs`
-(query records, operator metrics, EXPLAIN ANALYZE) into *aggregate*
+(query results, operator metrics, EXPLAIN ANALYZE) into *aggregate*
 telemetry a monitoring stack can scrape:
 
 - :mod:`.registry` — one lock over one flat table keyed by
@@ -24,11 +24,7 @@ package (the parity test asserts zero telemetry allocations).
 from repro.cache.keys import fingerprint_term
 from repro.obs.telemetry.export import PROMETHEUS_CONTENT_TYPE, prometheus_text
 from repro.obs.telemetry.fingerprint import FingerprintTable, QueryStats, render_top
-from repro.obs.telemetry.instrument import (
-    record_query_error,
-    record_query_result,
-    summary_lines,
-)
+from repro.obs.telemetry.instrument import record_query, summary_lines
 from repro.obs.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
     HistogramData,
@@ -51,8 +47,7 @@ __all__ = [
     "fingerprint_term",
     "get_registry",
     "prometheus_text",
-    "record_query_error",
-    "record_query_result",
+    "record_query",
     "render_top",
     "resolve_telemetry",
     "summary_lines",

@@ -4,13 +4,14 @@ This is the only module that knows the **metric catalog** — every
 name, kind and label the telemetry layer emits (:data:`CATALOG`, which
 the registry takes as its schema; the table in
 ``docs/OBSERVABILITY.md`` lists the same vocabulary). The database
-calls :func:`record_query_result` / :func:`record_query_error` once per
-``Database.run``. Each folds the query into a local batch, with no
-lock held, and applies it with one
+calls :func:`record_query` once per ``Database.run``, with the query's
+one :class:`~repro.db.database.QueryResult`, finished or failed. It
+folds the query into a local batch, with no lock held, and applies it
+with one
 :meth:`~repro.obs.telemetry.registry.MetricsRegistry.flush`:
 
-- per-phase latency histograms keyed on the query record's slots
-  (:data:`~repro.obs.tracer.PIPELINE_PHASES` plus ``cache``);
+- per-phase latency histograms keyed on the result's timed slots
+  (:data:`~repro.db.database.PIPELINE_PHASES` plus ``cache``);
 - success/error counters by engine and error class, and a
   :class:`~repro.errors.VerificationError`'s violations by rule and
   invariant;
@@ -73,40 +74,39 @@ CATALOG: dict[str, tuple[str, str, tuple[str, ...]]] = {
 }
 
 
-def record_query_error(
-    registry: MetricsRegistry, error: BaseException, seconds: float
-) -> None:
-    """Count one failed query (by error class; a verifier's violations
-    by rule and invariant) and its latency."""
-    batch: Batch = [
-        ("repro_queries_total", ("none", "error"), 1),
-        ("repro_query_errors_total", (type(error).__name__,), 1),
-        ("repro_query_seconds", (), seconds),
-    ]
-    if isinstance(error, VerificationError):
-        batch.extend(
-            ("repro_verifier_violations_total",
-             (error.rule, getattr(violation, "invariant", error.rule)), 1)
-            for violation in error.violations
-        )
-    registry.flush(batch, seconds)
+def record_query(registry: MetricsRegistry, result: Any, cache: Any) -> None:
+    """Decompose one finished :class:`~repro.db.database.QueryResult`
+    into the catalog; ``cache`` is the database's query cache (or None).
+    A failed query counts by error class (a verifier's violations by
+    rule and invariant) and its latency only."""
+    seconds = result.total_ns / 1e9
+    error = result.error
+    if error is not None:
+        batch: Batch = [
+            ("repro_queries_total", ("none", "error"), 1),
+            ("repro_query_errors_total", (type(error).__name__,), 1),
+            ("repro_query_seconds", (), seconds),
+        ]
+        if isinstance(error, VerificationError):
+            batch.extend(
+                ("repro_verifier_violations_total",
+                 (error.rule, getattr(violation, "invariant", error.rule)), 1)
+                for violation in error.violations
+            )
+        registry.flush(batch, seconds)
+        return
 
-
-def record_query_result(
-    registry: MetricsRegistry, db: Any, result: Any, seconds: float
-) -> None:
-    """Decompose one successful :class:`QueryResult` into the catalog."""
     stats = result.stats
     # a plan's Reduce block already holds the result's size
     rows = result_cardinality(result.value) if stats is None else result.metrics[0].rows_out
-    batch: Batch = [
+    batch = [
         ("repro_queries_total", (result.engine, "ok"), 1),
         ("repro_query_seconds", (), seconds),
         ("repro_rows_returned_total", (), rows),
     ]
     batch.extend(
         ("repro_phase_seconds", (phase,), ms / 1e3)
-        for phase, ms in result.record.phases_ms().items()
+        for phase, ms in result.phases_ms().items()
     )
 
     if stats is not None:  # a plan ran: its record's one fold
@@ -136,7 +136,6 @@ def record_query_result(
             for name, count in (jit.get("constructs") or {}).items()
         )
 
-    cache = db.cache
     if cache is not None:
         batch.extend(
             ("repro_cache_entries", (store.replace("_entries", ""),), size)

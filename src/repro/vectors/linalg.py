@@ -20,8 +20,8 @@ Two auxiliary monoids are registered on import:
 
 - ``csum`` — complex numbers as ``(re, im)`` pairs under addition
   (commutative, not idempotent), the element monoid of FFT stages;
-- ``cell`` — the write-once cell (zero ``None``; merging two non-None
-  values is an error), giving *free* vectors for permutations and row
+- ``cell`` — the write-once cell (zero ``None``; merging two different
+  non-None values is an error, a value merged with itself stays), giving *free* vectors for permutations and row
   assembly, where each slot must be written exactly once.
 """
 
@@ -43,7 +43,9 @@ def _complex_add(left: tuple, right: tuple) -> tuple:
 
 
 def _cell_merge(left: Any, right: Any) -> Any:
-    if left is None:
+    """Write-once: ``None`` is the free slot, and a slot written twice
+    with the same value keeps it (the monoid is idempotent)."""
+    if left is None or left == right:
         return right
     if right is None:
         return left
@@ -73,7 +75,7 @@ def _register_aux_monoids() -> None:
                 merge_fn=_cell_merge,
                 commutative=True,
                 idempotent=True,
-                doc="Write-once cell: merging two set slots is an error.",
+                doc="Write-once cell: merging two different set slots is an error.",
             )
         )
 

@@ -71,6 +71,16 @@ class TestRepros:
         db.load_objects("Cities", "City", [city("c")])
         assert db.run("count(Cities)") == 1
 
+    def test_each_object_row_is_checked_once(self, count_calls):
+        """Before, ``register_objects`` checked every row and then
+        ``ExtentRegistry.create`` checked it again."""
+        from repro.objects.classes import check_attributes
+
+        db = Database(travel_schema(), cache=False)
+        checked = count_calls(check_attributes)
+        db.load_objects("Cities", "City", [city(str(i)) for i in range(5)])
+        assert len(checked) == 5 and db.run("count(Cities)") == 5
+
     def test_a_reload_an_index_cannot_take_changes_nothing(self):
         """Before, the reload claimed the rows and moved the version, then
         raised while rebuilding the index."""

@@ -75,7 +75,7 @@ class TestFirstRun:
 
     def test_the_jit_phase_runs_on_every_plan(self):
         result = company().run_detailed(SCAN.format(v="e"))
-        assert "jit" in result.record.phases_ms() and result.jit["compiled"] > 0
+        assert "jit" in result.phases_ms() and result.jit["compiled"] > 0
 
 
 class TestKey:

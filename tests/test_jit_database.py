@@ -10,6 +10,7 @@ from repro.analysis.verifier import verification
 from repro.cache import CacheConfig
 from repro.db import make_travel_agency, travel_schema
 from repro.db.database import (
+    PIPELINE_PHASES,
     Database,
     demo_company_database,
     demo_travel_database,
@@ -18,7 +19,6 @@ from repro.jit import JITConfig
 from repro.jit.plan import _fuse, clear_code_cache
 from repro.normalize import normalize_with_trace
 from repro.obs.telemetry.registry import MetricsRegistry
-from repro.obs.tracer import PIPELINE_PHASES
 from repro.oql import parse
 
 
@@ -103,7 +103,7 @@ class TestReporting:
         db.profile(True, sink=lambda line: None)
         result = db.run_detailed(QUERY)
         assert "jit" in db.query_log.entries[-1]["phases_ms"]
-        assert "jit" in result.record.phases_ms()
+        assert "jit" in result.phases_ms()
 
 
 class TestExplainAnalyze:

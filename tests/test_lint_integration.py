@@ -204,7 +204,7 @@ class TestStrictVerdict:
         warm = db.run_detailed(self.QUERY, strict=True)
         assert warm.value == cold.value and warm.cache["compile"] == "hit"
         assert (len(lints), len(parses)) == (1, 1)
-        assert "lint" in warm.record.cached
+        assert "lint" in warm.cached
 
     def test_a_failing_text_is_linted_again_with_the_same_spans(self, db, lints, count_calls):
         """Nothing is kept for a text that fails: each strict call parses

@@ -31,7 +31,8 @@ from repro.calculus import (
 )
 from repro.calculus.ast import Empty, Merge
 from repro.eval import evaluate
-from repro.normalize import RULES_BY_NAME, count_occurrences, normalize
+from repro.analysis.dataflow import use_count
+from repro.normalize import RULES_BY_NAME, normalize
 from repro.values import Bag
 
 
@@ -255,13 +256,15 @@ class TestConstantFoldingAndZero:
 
 
 class TestCountOccurrences:
+    """The duplication guards' count: ``analysis.dataflow.use_count``."""
+
     def test_counts_free_occurrences(self):
         term = add(var("x"), var("x"))
-        assert count_occurrences(term, "x") == 2
+        assert use_count(term, "x") == 2
 
     def test_ignores_shadowed(self):
         term = apply(lam("x", var("x")), var("x"))
-        assert count_occurrences(term, "x") == 1
+        assert use_count(term, "x") == 1
 
 
 # -- Table 3 as one table: a witness per rule, evaluated before and after ----------

@@ -267,7 +267,7 @@ class TestSeedPathUntouched:
         result = db.run_detailed(self.QUERY)
         assert not db.query_log.entries  # no history kept
         assert node_block(result.metrics, Scan)[0].rows_out == 4
-        assert "execute" in result.record.phases_ms()  # the one clock
+        assert "execute" in result.phases_ms()  # the one clock
 
     def test_no_plan_no_record(self):
         from repro.db import demo_travel_database

@@ -121,7 +121,7 @@ class TestLifecycle:
         db.profile(True)
         result = db.run_detailed("count(Cities)")
         log = QueryLog()
-        entry = log.record(result.record, result)
+        entry = log.record(result)
         assert list(log.entries) == [entry]
 
     def test_clear(self, db):

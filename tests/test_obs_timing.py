@@ -3,13 +3,13 @@ stamps are for event timestamps only.
 
 The observability layer's contract (documented in
 ``docs/OBSERVABILITY.md``): anything that measures *how long* — the query
-record's phases, telemetry histograms, benchmark medians — must use
+result's phases, telemetry histograms, benchmark medians — must use
 ``time.perf_counter``/``perf_counter_ns`` (or ``time.monotonic`` for the
 rolling window), which never jump under NTP. Wall clock
 (``time.time``/``time.time_ns``) is only legal for *when it happened*
 fields: the query log's ``ts``. This test
 scans the source so a stray ``time.time()`` duration can't creep in, and
-so that a query's execution has one clock: its record's ``execute`` slot.
+so that a query's execution has one clock: its result's ``execute`` slot.
 """
 
 import io
@@ -60,15 +60,15 @@ class TestWallClockConfinement:
 
 
 class TestDurationSources:
-    def test_tracer_spans_use_perf_counter(self):
-        text = (SRC / "obs" / "tracer.py").read_text(encoding="utf-8")
-        assert "perf_counter" in text
+    def test_query_phases_use_perf_counter(self):
+        text = (SRC / "db" / "database.py").read_text(encoding="utf-8")
+        assert "perf_counter_ns" in text
         assert not _WALL.search(text)
 
     def test_src_reads_a_duration_clock_in_two_files(self):
-        # the query record's phases, and the telemetry window's rate
+        # the query result's phases, and the telemetry window's rate
         assert _duration_clock_files(SRC) == {
-            "obs/tracer.py": {"perf_counter_ns"},
+            "db/database.py": {"perf_counter_ns"},
             "obs/telemetry/registry.py": {"monotonic"},
         }
 
@@ -78,12 +78,12 @@ class TestDurationSources:
         assert _duration_clocks('"""time.perf_counter_ns"""  # process_time()\n') == set()
 
     def test_telemetry_durations_use_perf_counter(self):
-        # The recorders are handed seconds; Database._run takes them.
+        # The recorder reads the query result's total, timed on perf_counter.
         import inspect
 
-        from repro.db.database import Database
+        from repro.db.database import QueryResult
 
-        assert "perf_counter" in inspect.getsource(Database._run)
+        assert "perf_counter_ns" in inspect.getsource(QueryResult.finish)
         text = (SRC / "obs" / "telemetry" / "instrument.py").read_text(
             encoding="utf-8"
         )
@@ -133,7 +133,7 @@ def _duration_clock_files(root: Path) -> dict[str, set[str]]:
 
 
 class TestOneClockPerExecution:
-    """EXPLAIN ANALYZE shows one execution time, the query record's."""
+    """EXPLAIN ANALYZE shows one execution time, the query result's."""
 
     QUERY = "select distinct h.name from c in Cities, h in c.hotels where h.stars >= 2"
 

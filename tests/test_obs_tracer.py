@@ -1,21 +1,22 @@
-"""The query record: slots, cached phases, its one JSON form, and the
-one record every reader reads."""
+"""The query's one object: slots, cached phases, its one JSON form, and
+the one object compile times, run_detailed returns and every reader
+reads."""
 
 import json
 
 import pytest
 
 from repro.db import demo_travel_database
+from repro.db.database import PIPELINE_PHASES, SLOTS, Database, QueryResult
 from repro.obs.telemetry.registry import MetricsRegistry
 from repro.obs.querylog import query_log_entry
-from repro.obs.tracer import PIPELINE_PHASES, SLOTS, QueryRecord
 
 QUERY = "select distinct c.name from c in Cities"
 
 
 def finished(*phases, cached=()):
-    """A finished record that entered ``phases`` in order."""
-    record = QueryRecord(QUERY)
+    """A finished result that entered ``phases`` in order."""
+    record = QueryResult(QUERY)
     for name in phases:
         with record.phase(name):
             pass
@@ -24,7 +25,7 @@ def finished(*phases, cached=()):
     return record
 
 
-class TestQueryRecord:
+class TestPhaseSlots:
     def test_slots_are_the_pipeline_phases_and_cache(self):
         assert set(SLOTS) == set(PIPELINE_PHASES) | {"cache"}
         assert len(SLOTS) == len(PIPELINE_PHASES) + 1
@@ -36,7 +37,7 @@ class TestQueryRecord:
         assert record.total_ms >= max(record.phases_ms().values())
 
     def test_phase_times_accumulate_repeated_names(self):
-        record = QueryRecord(QUERY)
+        record = QueryResult(QUERY)
         for _ in range(2):
             with record.phase("execute"):
                 pass
@@ -52,21 +53,22 @@ class TestQueryRecord:
         assert set(record.phases_ms()) == {"cache", "parse", "normalize", "execute"}
 
     def test_slot_finishes_on_exception(self):
-        record = QueryRecord(QUERY)
+        record = QueryResult(QUERY)
+        error = ValueError("boom")
         with pytest.raises(ValueError):
             with record.phase("parse"):
-                raise ValueError("boom")
-        record.finish(ValueError("boom"))
+                raise error
+        record.finish(error)
         assert "parse" in record.phases_ms()
-        assert record.error == "ValueError"
+        assert record.error is error
 
     def test_unknown_phase_is_rejected(self):
         with pytest.raises(KeyError):
-            QueryRecord(QUERY).phase("nonsense")
+            QueryResult(QUERY).phase("nonsense")
 
 
 class TestAsDict:
-    """The record's one JSON form, which the query log and EXPLAIN
+    """The times' one JSON form, which the query log and EXPLAIN
     ANALYZE both carry."""
 
     def test_rounded_times_and_no_cache_key_when_none_was_consulted(self):
@@ -81,7 +83,8 @@ class TestAsDict:
 
     def test_cache_outcome_is_a_copy(self):
         record = finished("cache")
-        record.cache["compile"] = "hit"
+        assert record.cache is None  # no cache consulted
+        record.note_cache("compile", "hit")
         doc = record.as_dict()
         assert doc["cache"] == {"compile": "hit"}
         doc["cache"]["stats"] = {}
@@ -89,7 +92,7 @@ class TestAsDict:
 
 
 class TestOnePhaseRecord:
-    """Every reader reads the query's one record: telemetry and EXPLAIN
+    """Every reader reads the query's one object: telemetry and EXPLAIN
     ANALYZE keep no history of their own, and the result, the query log,
     EXPLAIN ANALYZE and the phase histograms name the same phases
     (counts of calls and sets of names, not times)."""
@@ -110,7 +113,7 @@ class TestOnePhaseRecord:
         entries = count_calls(query_log_entry)
         result = db.run_detailed(QUERY)
         assert entries == [] and not db.query_log.entries
-        assert "execute" in result.record.phases_ms() or result.cache["result"] == "hit"
+        assert "execute" in result.phases_ms() or result.cache["result"] == "hit"
 
     def test_explain_analyze_keeps_no_history(self, db, count_calls):
         entries = count_calls(query_log_entry)
@@ -122,13 +125,13 @@ class TestOnePhaseRecord:
         db.enable_cache()
         db.profile(True)
         forms = []
-        as_dict = QueryRecord.as_dict
+        as_dict = QueryResult.as_dict
 
         def spying(record):
             forms.append(as_dict(record))
             return forms[-1]
 
-        monkeypatch.setattr(QueryRecord, "as_dict", spying)
+        monkeypatch.setattr(QueryResult, "as_dict", spying)
         doc = db.explain_data(QUERY, analyze=True)
         entry = db.query_log.entries[-1]
         assert len(forms) == 2  # one for the entry, one for the document
@@ -146,7 +149,64 @@ class TestOnePhaseRecord:
         doc = db.explain_data(QUERY, analyze=True)
         family = next(f for f in registry.collect() if f.name == "repro_phase_seconds")
         labels = {key[0] for key, _ in family.samples}
-        phases = set(result.record.phases_ms())
+        phases = set(result.phases_ms())
         assert phases == set(entry["phases_ms"]) == set(doc["phases_ms"]) == labels
         assert phases <= set(PIPELINE_PHASES) | {"cache"}
         assert {"parse", "translate", "normalize", "execute"} <= phases
+
+
+class TestOneObject:
+    """``run_detailed`` returns the very object ``compile`` timed, and
+    the readers are handed that object too."""
+
+    @pytest.fixture
+    def timed(self, monkeypatch):
+        """Every ``result`` the front half was handed, in order."""
+        seen = []
+        compile_ = Database._compile
+
+        def spying(self, oql, engine, typecheck, param_types, strict, result):
+            seen.append(result)
+            return compile_(self, oql, engine, typecheck, param_types, strict, result)
+
+        monkeypatch.setattr(Database, "_compile", spying)
+        return seen
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+    def test_ad_hoc(self, timed, cache):
+        db = demo_travel_database(num_cities=3, seed=2)
+        db.disable_cache()
+        if cache:
+            db.enable_cache()
+        for _ in range(2):  # a miss, then a hit when cached
+            result = db.run_detailed(QUERY)
+            assert timed[-1] is result and result.phases_ms()
+        assert len(timed) == 2
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+    def test_prepared(self, timed, cache):
+        db = demo_travel_database(num_cities=3, seed=2)
+        db.disable_cache()
+        if cache:
+            db.enable_cache()
+        prepared = db.prepare(QUERY + " where c.population > $min")
+        db.load_extent("Numbers", [1, 2])  # a new catalog version: recompile
+        result = prepared.run_detailed(min=0)
+        assert timed[-1] is result and result.cache["compile"] == "prepared"
+        assert result.compiled is prepared._entry
+
+    def test_the_readers_get_the_same_object(self, monkeypatch):
+        db = demo_travel_database(num_cities=3, seed=2)
+        db.enable_telemetry(MetricsRegistry())
+        db.profile(True)
+        handed = []
+        monkeypatch.setattr(
+            "repro.obs.telemetry.instrument.record_query",
+            lambda registry, result, cache: handed.append(result),
+        )
+        monkeypatch.setattr(db.query_log, "record", handed.append)
+        result = db.run_detailed(QUERY)
+        with pytest.raises(Exception) as failed:
+            db.run("select n.name from n in Nowhere")
+        assert handed[0] is result and handed[1] is result
+        assert handed[2] is handed[3] and handed[2].error is failed.value

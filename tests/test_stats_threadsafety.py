@@ -55,8 +55,8 @@ def test_traced_runs_do_not_share_records_across_threads(db):
     results = hammer(db, "select e.name from e in Employees where e.age < 40")
     db.profile(False)
     assert len(results) == THREADS * PER_THREAD
-    # every run times its own record, and the log holds each once
-    assert len({id(result.record) for result in results}) == len(results)
+    # every run times its own slots, and the log holds each once
+    assert len({id(result.ns) for result in results}) == len(results)
     assert len(lines) == THREADS * PER_THREAD
     for line in lines:
         assert {"parse", "execute"} <= set(json.loads(line)["phases_ms"])

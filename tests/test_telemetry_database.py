@@ -10,12 +10,11 @@ import tracemalloc
 
 import pytest
 
-from repro.db.database import Database, demo_travel_database
+from repro.db.database import PIPELINE_PHASES, Database, demo_travel_database
 from repro.errors import ReproError
 from repro.obs.telemetry.cli import main as metrics_main
 from repro.obs.telemetry.instrument import CATALOG, summary_lines
 from repro.obs.telemetry.registry import MetricsRegistry
-from repro.obs.tracer import PIPELINE_PHASES
 
 
 @pytest.fixture

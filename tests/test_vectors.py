@@ -88,6 +88,11 @@ class TestExampleLibrary:
             cell.merge(1, 2)
         assert cell.merge(None, 5) == 5
 
+    def test_cell_monoid_is_idempotent(self):
+        from repro.monoids import get_monoid
+
+        assert get_monoid("cell").merge(5, 5) == 5
+
     def test_inner_product(self):
         assert inner_product_query([1, 2, 3], [4, 5, 6]) == 32
         assert inner_product_query([], []) == 0
