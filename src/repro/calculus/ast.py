@@ -101,6 +101,11 @@ class Const(Term):
             return "true"
         if self.value is False:
             return "false"
+        if isinstance(self.value, frozenset) and self.value:
+            # a set's own order is its hashes', which vary per process
+            from repro.values.compare import canonical_order
+
+            return f"frozenset({{{', '.join(map(repr, canonical_order(self.value)))}}})"
         return str(self.value)
 
 

@@ -7,19 +7,23 @@ store (section 4.2; more objects append), a ``view`` or a ``function``
 :class:`~repro.errors.DatabaseError` naming it and changes nothing.
 Every registration and index build bumps one ``int``,
 :attr:`Catalog.version`, the version compiled plans, cached results and
-the linter are valid at; heap writes are the store's guard's business.
+the linter are valid at, and :meth:`Catalog.types` types every extent
+once per version; heap writes are the store's guard's business.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from repro.db.index import HashIndex
 from repro.errors import DatabaseError, SchemaError
 from repro.eval.builtins import runtime_monoid_of
 from repro.objects.classes import ExtentRegistry, check_attributes
 from repro.objects.store import ObjectStore
+from repro.types.infer import type_of_value
 from repro.types.schema import Schema
+from repro.types.types import ANY, Type
 
 
 class Catalog:
@@ -35,6 +39,7 @@ class Catalog:
         self._indexes: dict[tuple[str, str], HashIndex] = {}
         #: monotonic registration counter; compare for equality only
         self.version = 0
+        self._types_at: Optional[tuple[int, Mapping[str, Type]]] = None  # (version, types())
 
     # -- the namespace -----------------------------------------------------------
 
@@ -52,6 +57,27 @@ class Catalog:
     def extent_names(self) -> set[str]:
         """The names of value and object extents."""
         return {name for name, kind in self._kinds.items() if kind.endswith("extent")}
+
+    def types(self) -> Mapping[str, Type]:
+        """Extent name -> static type, the one typing environment of the
+        typer, the linter and the translator: a declared extent's is the
+        schema's, a loaded one's its rows' (``any`` where they disagree),
+        derived when first asked at each :attr:`version` and kept."""
+        at = self._types_at
+        if at is None or at[0] != self.version:
+            schema, kinds = self.registry.schema, self._kinds
+            types = {n: schema.extent_type(n) for n in schema.extents()
+                     if kinds.get(n, "extent").endswith("extent")}  # no view's or function's
+            types.update((n, type_of_value(v)) for n, v in self._extents.items() if n not in types)
+            at = self._types_at = (self.version, MappingProxyType(types))
+        return at[1]
+
+    def typing_env(self, params: Iterable[str], param_types: Optional[Mapping] = None) -> Mapping:
+        """:meth:`types` and each ``$`` parameter of ``params``, ``any``
+        unless ``param_types`` narrows it: what a term naming them is typed in."""
+        narrowed = param_types or {}
+        types = self.types()
+        return {**types, **{"$" + p: narrowed.get(p, ANY) for p in params}} if params else types
 
     def bindings(self) -> dict[str, Any]:
         """Extent name -> its collection (an object extent's OIDs)."""

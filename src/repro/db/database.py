@@ -60,12 +60,12 @@ from repro.errors import (
     LintError,
     OQLSyntaxError,
     PlanError,
-    ReproError,
     ResourceLimitError,
     TranslationError,
 )
 from repro.eval.evaluator import Evaluator
 from repro.jit.plan import CODE_CACHE_SIZE, fused, jit_report, plan_key, precompile_plan
+from repro.lint.linter import Linter, front_end_diagnostic
 from repro.monoids import BAG, LIST
 from repro.normalize.engine import normalize_with_trace
 from repro.normalize.trace import NormalizationTrace
@@ -76,7 +76,6 @@ from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.types.infer import TypeChecker
 from repro.types.schema import Schema
-from repro.types.types import ANY
 from repro.values import Bag, Record
 from repro.values.compare import StoredSet, stored
 
@@ -324,8 +323,6 @@ class Database:
             raise DatabaseError("no parallel execution: every plan runs as one serial function")
         #: what ``jit=`` said, which changes nothing (docs/JIT.md)
         self.jit: Optional[Any] = jit or None
-        # (catalog version, the Linter derived at it) — see _linter
-        self._linter_at: Optional[tuple[int, Any]] = None
         # (text key, compile version, verifying) -> its plan's key
         self._plan_keys: dict[tuple, Optional[CacheKey]] = {}
 
@@ -412,7 +409,7 @@ class Database:
 
     def translate(self, oql: str) -> Term:
         """OQL text -> calculus term with views expanded."""
-        return self._expand_views(Translator(self.schema).translate(parse(oql)))[0]
+        return self._expand_views(Translator(self.schema, self.catalog).translate(parse(oql)))[0]
 
     def _expand_views(self, term: Term) -> tuple[Term, bool]:
         """``term`` with the views it names substituted in, and whether
@@ -432,8 +429,9 @@ class Database:
         return term, False
 
     def typecheck(self, term: Term) -> None:
-        """Run the static checker (C/I restriction and type errors)."""
-        TypeChecker(self.schema).check(term)
+        """Run the static checker (C/I restriction and type errors) as
+        :meth:`compile` does: in the catalog's types, ``$``-parameters ``any``."""
+        TypeChecker(self.schema).check(term, self.catalog.typing_env(param_names(term)))
 
     def lint(self, oql: str) -> list:
         """Statically analyze a query; returns all :class:`Diagnostic`\\ s.
@@ -443,29 +441,7 @@ class Database:
         semantic/performance lints all come back as one batch with
         stable ``QLxxx`` codes and source spans. See ``docs/LINT.md``.
         """
-        return self._linter().lint_source(oql)
-
-    def _linter(self) -> Any:
-        """The linter for the catalog as it stands: the known names and
-        their types are derived once per catalog version (typing an
-        extent the schema does not declare reads every row of it)."""
-        version = self.catalog.version
-        at = self._linter_at
-        if at is None or at[0] != version:
-            from repro.lint.linter import Linter
-            from repro.types.infer import type_of_value
-
-            names = self.catalog.names()
-            declared = self.schema.extents()  # the checker knows their types
-            types = {}
-            for extent, collection in self.catalog.extents().items():
-                if extent not in declared:
-                    try:
-                        types[extent] = type_of_value(collection)
-                    except ReproError:
-                        pass
-            at = self._linter_at = (version, Linter(self.schema, names, types))
-        return at[1]
+        return Linter(self.schema, self.catalog).lint_source(oql)
 
     def run(
         self,
@@ -642,13 +618,11 @@ class Database:
                 with result.phase("parse"):
                     node = parse(oql)
                 with result.phase("translate"):
-                    written = Translator(self.schema).translate(node)
+                    written = Translator(self.schema, self.catalog).translate(node)
                     calculus, viewed = self._expand_views(written)
             except (OQLSyntaxError, TranslationError) as err:
                 if not strict:
                     raise
-                from repro.lint.linter import front_end_diagnostic
-
                 raise LintError([front_end_diagnostic(err)]) from err
             phases = ["parse", "translate"]
             # ``$`` is not an identifier character, so text without one has
@@ -664,7 +638,7 @@ class Database:
         # The normal form is computed once: by the lint stage when its
         # QL203 check asks (kept for the normalize stage; a failure is
         # not, so that stage raises it where it always did), else there.
-        normal = None
+        normal = linted = None
         if strict:
 
             def normal_form() -> Term:
@@ -673,8 +647,9 @@ class Database:
                 return normal[0]
 
             with result.phase("lint"):
-                found = self._linter().lint_term(written, None if viewed else normal_form)
-                errors = [d for d in found if d.is_error]
+                linter = Linter(self.schema, self.catalog)
+                linted = linter.context(written, None if viewed else normal_form)
+                errors = [d for d in linter.run(linted) if d.is_error]
             if errors:
                 raise LintError(errors)
         # the version this text just linted clean at, kept with its alias
@@ -699,8 +674,11 @@ class Database:
             result.note_cache("compile", "miss")
         if typecheck:
             with result.phase("typecheck"):
-                env = {"$" + name: (param_types or {}).get(name, ANY) for name in params}
-                TypeChecker(self.schema).check(calculus, env)
+                if linted is None or viewed or param_types:
+                    env = self.catalog.typing_env(params, param_types)
+                    TypeChecker(self.schema).check(calculus, env)
+                elif linted.inference[0]:  # it inferred this very term, typed alike:
+                    raise linted.inference[0][0][0]  # its first error is the fail-fast one
             phases.append("typecheck")
         plan: Optional[Reduce] = None
         if effects:  # rewrites may reorder what the heap threads through

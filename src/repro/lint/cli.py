@@ -119,11 +119,14 @@ def lint_text(
 
 
 def _make_linter(schema_name: str) -> Linter:
+    """A linter resolving names through the demo database's catalog, as
+    ``explain`` and ``verify`` do; none for ``--schema none``."""
     if schema_name == "none":
         return Linter()
     from repro.db.database import demo_database
 
-    return Linter(demo_database(schema_name).schema)
+    db = demo_database(schema_name)
+    return Linter(db.schema, db.catalog)
 
 
 def main(argv: Optional[list[str]] = None, out: Callable[[str], None] = print) -> int:

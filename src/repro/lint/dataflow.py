@@ -243,7 +243,7 @@ def index_probe_candidates(
 def _check_index_probes(
     comp: Comprehension, ctx: LintContext, diagnostics: list[Diagnostic]
 ) -> None:
-    for extent, attr, leaf in comp_probe_candidates(comp, ctx.known_names):
+    for extent, attr, leaf in comp_probe_candidates(comp, ctx.names):
         diagnostics.append(
             make(
                 "QL303",

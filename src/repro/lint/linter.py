@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.calculus.ast import Term
+from repro.db.catalog import Catalog
 from repro.errors import OQLSyntaxError, ReproError, TranslationError
 from repro.lint import dataflow, performance, scope, semantics, wellformed
 from repro.lint.base import LintContext
@@ -20,7 +21,6 @@ from repro.oql.parser import parse
 from repro.oql.translate import Translator
 from repro.span import span_of
 from repro.types.schema import Schema
-from repro.types.types import Type
 
 #: The default pipeline, in documentation order.
 DEFAULT_PASSES = (wellformed.run, scope.run, semantics.run, performance.run, dataflow.run)
@@ -29,10 +29,12 @@ DEFAULT_PASSES = (wellformed.run, scope.run, semantics.run, performance.run, dat
 class Linter:
     """A multi-pass static analyzer for OQL queries and calculus terms.
 
-    Nothing is written to a linter after construction, so one may be
-    shared by concurrent callers.
+    Names resolve in one catalog (a database's; by default an empty one
+    over ``schema``). Nothing is written to a linter after construction,
+    so one may be shared by concurrent callers.
 
-    >>> diags = Linter(known_names={"Cities"}).lint_source(
+    >>> from repro.db import travel_schema
+    >>> diags = Linter(travel_schema()).lint_source(
     ...     "select c.name from c in Citeis")
     >>> [d.code for d in diags]
     ['QL003']
@@ -43,17 +45,11 @@ class Linter:
     def __init__(
         self,
         schema: Optional[Schema] = None,
-        known_names: Optional[Sequence[str]] = None,
-        name_types: Optional[dict[str, Type]] = None,
+        catalog: Optional[Catalog] = None,
         passes: Sequence[Callable] = DEFAULT_PASSES,
     ) -> None:
-        self.schema = schema
+        self.catalog = catalog if catalog is not None else Catalog(schema)
         self.passes = tuple(passes)
-        declared = schema.extents() if schema is not None else ()
-        self.known_names = frozenset(known_names or ()).union(declared)
-        #: Types of known names the schema does not declare (the type
-        #: checker supplies its own extents' types).
-        self.name_types = dict(name_types or {})
 
     # -- entry points ---------------------------------------------------------
 
@@ -61,7 +57,8 @@ class Linter:
         """Parse and translate ``source``, once: its calculus term, or
         None beside the single ``QL000`` the failure becomes."""
         try:
-            return Translator(self.schema).translate(parse(source)), []
+            term = Translator(self.catalog.registry.schema, self.catalog).translate(parse(source))
+            return term, []
         except (OQLSyntaxError, TranslationError) as err:
             return None, [front_end_diagnostic(err)]
 
@@ -82,13 +79,15 @@ class Linter:
         ``normal_form`` is a thunk from a caller that computes it anyway
         (``Database.compile``); without one, ``normalize(term)`` on demand.
         """
-        ctx = LintContext(
-            self.schema,
-            self.known_names,
-            self.name_types,
-            term,
-            normal_form or (lambda: normalize(term)),
-        )
+        return self.run(self.context(term, normal_form))
+
+    def context(self, term: Term, normal_form: Optional[Callable[[], Term]] = None) -> LintContext:
+        """The per-query context :meth:`run` lints ``term`` in."""
+        return LintContext(self.catalog, term, normal_form or (lambda: normalize(term)))
+
+    def run(self, ctx: LintContext) -> list[Diagnostic]:
+        """Every pass over ``ctx.term``, the findings sorted and deduplicated."""
+        term = ctx.term
         findings: list[Diagnostic] = []
         for lint_pass in self.passes:
             try:
@@ -134,7 +133,7 @@ def _dedupe(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
 def lint_oql(
     source: str,
     schema: Optional[Schema] = None,
-    known_names: Optional[Sequence[str]] = None,
+    catalog: Optional[Catalog] = None,
 ) -> list[Diagnostic]:
     """One-shot convenience: lint OQL text against an optional schema."""
-    return Linter(schema, known_names=known_names).lint_source(source)
+    return Linter(schema, catalog).lint_source(source)

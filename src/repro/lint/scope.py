@@ -1,7 +1,7 @@
 """Pass 2 — scope analysis: unbound, shadowed and unused variables.
 
 - ``QL003`` (error) — a variable occurs free that neither a binder nor
-  the database (extents, views, registered functions) defines; carries
+  the database (extents and views; a function is called) defines; carries
   a did-you-mean hint built from what *is* in scope;
 - ``QL004`` (warning) — a binder reuses a name already in scope, which
   in a comprehension silently hides the outer binding;
@@ -29,7 +29,7 @@ name = "scope"
 
 def run(term: Term, ctx: LintContext) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    _walk(term, frozenset(ctx.known_names), frozenset(), ctx, diagnostics)
+    _walk(term, ctx.names, frozenset(), ctx, diagnostics)
     return diagnostics
 
 

@@ -10,8 +10,8 @@ violation in the term is reported instead of just the first:
 - ``QL006`` — any other static type error.
 
 Unbound variables also surface as typing errors here, but the scope
-pass (QL003) owns them — with did-you-mean hints — so they are
-filtered out.
+pass (QL003) owns them, so they are filtered out, as are errors in a
+translator-made collection (a group-by partition) the user never wrote.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def run(term: Term, ctx: LintContext) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     errors, _ = ctx.inference
     for err, node in errors:
-        if isinstance(node, Var):
+        if isinstance(node, Var) or getattr(node, "implicit_collection", False):
             # The scope pass reports unbound variables as QL003.
             continue
         if isinstance(err, WellFormednessError):

@@ -30,7 +30,7 @@ Soundness notes baked into the guards:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.calculus.ast import (
     Apply,
@@ -59,7 +59,8 @@ from repro.analysis.dataflow import use_count
 from repro.calculus.traversal import fresh_var, has_effects, substitute
 from repro.calculus.ast import Var
 from repro.monoids.base import COMMUTATIVE, IDEMPOTENT
-from repro.monoids.registry import static_monoid
+from repro.monoids.registry import get_monoid, static_monoid
+from repro.values.compare import stored
 
 
 def _monoid_static_props(ref: MonoidRef) -> Optional[frozenset[str]]:
@@ -397,6 +398,80 @@ class MergeSplit(Rule):
         return None
 
 
+class ConstantCollection(Rule):
+    """N8c: ``M{ e | q, v <- c1 (+) ... (+) cn, s }  ==>  M{ e | q, v <- C, s }``
+    where every ``ci`` is the unit of a constant and ``C`` is the
+    collection they build, when another generator is present.
+
+    Constant folding for a set, bag or list literal: N8 would split the
+    comprehension into one copy per element, each re-reading the other
+    generators, and a merge of comprehensions has no plan; one constant
+    is one source a plan scans once. A literal with no generator beside
+    it is still split (a membership test becomes ``=`` / ``or``), and so
+    is a one-element one (N7 then substitutes its element).
+    """
+
+    name = "N8c-literal"
+    description = "M{e | q, v <- c1 (+) ... (+) cn, s} => M{e | q, v <- C, s} (another generator)"
+    heads = (Comprehension,)
+
+    def apply(self, term: Term) -> Optional[Term]:
+        if not isinstance(term, Comprehension):
+            return None
+        quals = term.qualifiers
+        if sum(isinstance(q, Generator) for q in quals) < 2:
+            return None
+        for i, qual in enumerate(quals):
+            if isinstance(qual, Generator) and isinstance(qual.source, Merge):
+                value = _literal_value(qual.source)
+                if value is not None:
+                    folded = Generator(qual.var, Const(value), qual.index_var)
+                    quals = quals[:i] + (folded,) + quals[i + 1 :]
+                    return Comprehension(term.monoid, term.head, quals)
+        return None
+
+
+#: the monoids whose literals N8c folds
+_LITERAL_MONOIDS = ("set", "bag", "list")
+
+#: constants a literal may hold: the evaluator's unfrozen scalars
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _literal_value(source: Merge) -> Any:
+    """The collection a merge of constant units (and zeros) of one
+    set, bag or list monoid builds, as the evaluator would build it
+    (a set stored); None for any other term, or fewer than two units."""
+    name = source.monoid.name
+    if name not in _LITERAL_MONOIDS:
+        return None
+    monoid = get_monoid(name)
+    units = 0
+
+    def build(term: Term) -> Any:
+        nonlocal units
+        if getattr(term, "monoid", None) != source.monoid:
+            return None
+        if isinstance(term, Empty):
+            return monoid.zero()
+        if isinstance(term, Singleton):
+            element = term.element
+            if term.index is not None or not isinstance(element, Const):
+                return None
+            if type(element.value) not in _SCALARS:
+                return None
+            units += 1
+            return monoid.unit(element.value)
+        if isinstance(term, Merge):
+            left = build(term.left)
+            right = None if left is None else build(term.right)
+            return None if right is None else monoid.merge(left, right)
+        return None
+
+    value = build(source)
+    return stored(value) if value is not None and units >= 2 else None
+
+
 class FlattenGenerator(Rule):
     """N9 — the key rule: unnest a comprehension in generator position.
 
@@ -676,6 +751,7 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     PredicateConjunction(),
     FlattenGenerator(),
     ExistentialFusion(),
+    ConstantCollection(),
     MergeSplit(),
     ConditionalGenerator(),
 )

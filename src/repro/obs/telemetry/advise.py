@@ -58,12 +58,10 @@ def hot_candidates(
         term = db.translate(entry.example_oql)
     except Exception:
         return []
-    names: set[str] = set(db.schema.extents())
-    names.update(db.catalog.extent_names())
     existing = db.catalog.index_keys()
     return [
         candidate
-        for candidate in index_probe_candidates(term, frozenset(names))
+        for candidate in index_probe_candidates(term, frozenset(db.catalog.types()))
         if candidate not in existing
     ]
 

@@ -55,7 +55,8 @@ from repro.calculus.ast import (
 )
 from repro.calculus.builders import bind, call, comp, eq, gen, method, proj, rec, var
 from repro.calculus.traversal import fresh_var
-from repro.errors import TranslationError, TypingError
+from repro.db.catalog import Catalog
+from repro.errors import TranslationError, TypingError, WellFormednessError
 from repro.oql.ast import (
     Aggregate,
     BinaryOp,
@@ -90,15 +91,15 @@ _SIMPLE_AGGREGATES = {"sum": "sum", "max": "max", "min": "min"}
 class Translator:
     """Maps OQL syntax trees into calculus terms.
 
-    A :class:`Schema` is optional; when present it is used to decide
-    whether ``sort``/``order by`` inputs are sets (choosing the
-    duplicate-eliminating ``sorted`` monoid) or bags/lists (choosing
-    ``sortedbag``), mirroring the paper's well-formedness lattice.
+    A ``sort``/``order by`` input typed a set in ``catalog`` (a
+    database's, else an empty one over ``schema``) gets the duplicate-
+    eliminating ``sorted`` monoid, any other ``sortedbag``, mirroring
+    the paper's well-formedness lattice.
     """
 
-    def __init__(self, schema: Optional[Schema] = None) -> None:
+    def __init__(self, schema: Optional[Schema] = None, catalog: Optional[Catalog] = None) -> None:
         self.schema = schema
-        self._checker = TypeChecker(schema) if schema is not None else None
+        self.catalog = catalog if catalog is not None else Catalog(schema)
 
     # -- public API -----------------------------------------------------------
 
@@ -218,15 +219,13 @@ class Translator:
     # -- sorting ------------------------------------------------------------------------
 
     def _sorted_kind(self, source: Term) -> str:
-        """``sorted`` when the input is statically a set, else ``sortedbag``."""
-        if self._checker is not None:
-            try:
-                ty = self._checker.infer(source)
-            except (TypingError, Exception):
-                return "sortedbag"
-            if isinstance(ty, TColl) and ty.monoid == "set":
-                return "sorted"
-        return "sortedbag"
+        """``sorted`` when the input is statically a set, else ``sortedbag``
+        (an input that does not type, e.g. one naming an outer variable)."""
+        try:
+            ty = TypeChecker(self.schema).infer(source, self.catalog.types())
+        except (TypingError, WellFormednessError):
+            return "sortedbag"
+        return "sorted" if isinstance(ty, TColl) and ty.monoid == "set" else "sortedbag"
 
     def _order_key(self, items: tuple[OrderItem, ...], translate) -> Term:
         """Build the sort-key tuple; ``desc`` negates (numeric keys)."""

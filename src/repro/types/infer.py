@@ -3,7 +3,7 @@
 Two jobs:
 
 1. **Inference** — compute the type of a term from the types of its free
-   variables (supplied by the schema's extents or explicit bindings).
+   variables, read only from the environment the caller hands in.
    Inference is *gradual*: anything unknowable becomes ``any`` and
    checking continues, so partially-annotated programs still get the
    important guarantees.
@@ -19,7 +19,7 @@ Two jobs:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.calculus.ast import (
     Apply,
@@ -128,20 +128,17 @@ class TypeChecker:
 
     # -- public API ----------------------------------------------------------
 
-    def infer(self, term: Term, tenv: dict[str, Type] | None = None) -> Type:
-        """Infer the type of ``term``; raise on static errors.
+    def infer(self, term: Term, tenv: Mapping[str, Type] | None = None) -> Type:
+        """Infer the type of ``term`` under ``tenv``, the only types of
+        free names (never written); raise on static errors.
 
         >>> from repro.calculus import comp, gen, var, const
         >>> TypeChecker().infer(comp("sum", var("a"), [gen("a", const((1, 2)))]))
         TBase(name='int')
         """
-        env = dict(tenv or {})
-        if self.schema is not None:
-            for extent, _ in self.schema.extents().items():
-                env.setdefault(extent, self.schema.extent_type(extent))
-        return self._infer(term, env)
+        return self._infer(term, tenv if tenv is not None else {})
 
-    def check(self, term: Term, tenv: dict[str, Type] | None = None) -> Type:
+    def check(self, term: Term, tenv: Mapping[str, Type] | None = None) -> Type:
         """Alias of :meth:`infer`, emphasising the checking role."""
         return self.infer(term, tenv)
 
@@ -363,13 +360,12 @@ class TypeChecker:
                         if self._on_error is None:
                             raise
                         # Report at the generator (it carries the span of
-                        # its from-clause) and keep checking the rest.
-                        # Translator-made collections (a group-by
-                        # partition is a bag by ODMG fiat, whatever the
-                        # sources) are not the user's doing — skip them
-                        # when collecting.
-                        if not getattr(term, "implicit_collection", False):
-                            self._on_error(err, qual)
+                        # its from-clause) and keep checking the rest; a
+                        # translator-made collection's (a group-by partition
+                        # is a bag by ODMG fiat, whatever the sources) at the
+                        # comprehension, which the linter skips.
+                        implicit = getattr(term, "implicit_collection", False)
+                        self._on_error(err, term if implicit else qual)
                 scope[qual.var] = element
                 if qual.index_var is not None:
                     scope[qual.index_var] = TINT

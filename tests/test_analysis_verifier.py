@@ -86,6 +86,10 @@ RULE_FIXTURES = {
         ],
     ),
     "N8-merge": comp("set", var("x"), [gen("x", merge("set", var("a"), var("b")))]),
+    "N8c-literal": comp("set", tup(var("x"), var("y")), [
+        gen("x", var("db")),
+        gen("y", merge("set", unit("set", const("p")), unit("set", const("q")))),
+    ]),
     "N10-if-gen": comp(
         "set", var("x"), [gen("x", if_(var("p"), var("a"), var("b")))]
     ),

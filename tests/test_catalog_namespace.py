@@ -5,8 +5,8 @@ answer to a bare name, so a name may be only one of them. A registration
 that would give a name a second kind raises a ``DatabaseError`` naming
 it and changes nothing: not ``db.catalog.version``, not any answer. The
 property at the end drives random registration sequences over a small
-name pool and holds the algebra, the reference interpreter and the
-linter to one meaning per name after every step.
+name pool and holds the algebra, the reference interpreter, the linter,
+the typer and the translator to one meaning per name after every step.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db import Database, travel_schema
-from repro.errors import DatabaseError, OQLSyntaxError
+from repro.errors import DatabaseError, OQLSyntaxError, TypingError, WellFormednessError
 from repro.types.schema import Schema
 from repro.types.types import TINT
 
@@ -222,17 +222,43 @@ def accepted(kinds: dict[str, str], filled: set[str], step: tuple) -> bool:
     return held in (None, kind)
 
 
+#: the lint codes of a static type error, which ``typecheck=True`` raises
+STATIC = {"QL001", "QL002", "QL003", "QL006"}
+
+
+def typecheck_raises(db: Database, oql: str) -> bool:
+    try:
+        db.compile(oql, typecheck=True)
+    except (TypingError, WellFormednessError):
+        return True
+    return False
+
+
 def answers(db: Database, steps: list) -> list:
     """Every pool query's answer, the same on the algebra and the
-    reference interpreter, and whether the linter knows each name."""
-    known = set(db.catalog.names()) | {"A", "B"}  # the schema declares A and B
+    reference interpreter; whether the linter knows each name (a
+    function is called, never a value); and one typing of each name
+    that is no view (a view is linted as a name, its body typed where
+    it is expanded): ``typecheck=True`` raises a static type error
+    exactly when lint reports one, and ``sort`` is ``sorted`` over an
+    extent — all sets here — whether declared or loaded."""
+    catalog = db.catalog
+    # the schema declares A and B, extents unless another kind holds them
+    extents = catalog.extent_names() | ({"A", "B"} - catalog.names())
+    known = extents | set(catalog.views)
     out = []
     for name in POOL:
         for oql in (f"count({name})", f"select distinct x.k from x in {name} where x.k = 1"):
             out.append(outcome(db, oql))
             assert out[-1] == outcome(db, oql, "interpret"), (oql, steps)
+            if name not in catalog.views:
+                static = bool(STATIC & {d.code for d in db.lint(oql)})
+                assert typecheck_raises(db, oql) == static, (oql, steps)
         unbound = any(d.code == "QL003" for d in db.lint(f"count({name})"))
         assert unbound == (name not in known), (name, steps)
+        if name not in catalog.views:
+            sort = db.translate(f"sort x in {name} by x.k").monoid.name
+            assert sort == ("sorted" if name in extents else "sortedbag"), (name, steps)
     return out
 
 

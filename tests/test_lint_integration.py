@@ -149,8 +149,8 @@ class TestStrictMode:
 
     def test_strict_run_has_one_front_end(self, monkeypatch, count_calls):
         """Clock-free shape of a cacheless strict run: one parse, one
-        normalization, and two type inferences — the lint's and the
-        ``typecheck`` stage's."""
+        normalization, and one type inference — the lint's, which the
+        ``typecheck`` stage reads."""
         from repro.normalize.engine import normalize_with_trace
         from repro.oql.parser import parse
         from repro.types.infer import TypeChecker
@@ -171,7 +171,7 @@ class TestStrictMode:
             "x in c.hotels) where h.stars > 0", strict=True, typecheck=True,
             verify=False)  # the rewrite verifier infers types of its own
         assert value
-        assert (len(parses), len(normalizations), len(inferences)) == (1, 1, 2)
+        assert (len(parses), len(normalizations), len(inferences)) == (1, 1, 1)
 
 
 class TestStrictVerdict:
@@ -193,9 +193,8 @@ class TestStrictVerdict:
         from repro.lint.linter import Linter
 
         calls = []
-        lint_term = Linter.lint_term
-        monkeypatch.setattr(
-            Linter, "lint_term", lambda self, *args: calls.append(args) or lint_term(self, *args))
+        run = Linter.run
+        monkeypatch.setattr(Linter, "run", lambda self, *args: calls.append(args) or run(self, *args))
         return calls
 
     def test_a_strict_hit_replays_a_clean_verdict(self, db, lints, count_calls):

@@ -168,6 +168,31 @@ class TestGeneratorRules:
         bindings = {"A": (1, 2), "B": (3,)}
         assert evaluate(out, bindings) == evaluate(term, bindings) == (1, 2, 3)
 
+    def test_constant_literal_beside_a_generator_is_one_constant(self):
+        literal = merge("set", unit("set", const("b")),
+                        merge("set", unit("set", const("a")), zero("set")))
+        term = comp("set", tup(var("y"), var("x")), [gen("y", var("Ys")), gen("x", literal)])
+        out = _fires("N8c-literal", term)
+        assert out == comp("set", tup(var("y"), var("x")),
+                           [gen("y", var("Ys")), gen("x", const(frozenset({"a", "b"})))])
+        assert str(out.qualifiers[1].source) == "frozenset({'a', 'b'})"
+        bindings = {"Ys": frozenset({1, 2})}
+        assert evaluate(out, bindings) == evaluate(term, bindings)
+
+    @pytest.mark.parametrize("term", [
+        # alone, the literal still splits (N8): `x in set(...)` becomes `=` / `or`
+        comp("some", eq(var("x"), var("k")),
+             [gen("x", merge("set", unit("set", const(1)), unit("set", const(2))))]),
+        # one element: N7 substitutes it
+        comp("set", var("x"), [gen("y", var("Ys")),
+                               gen("x", merge("set", unit("set", const(1)), zero("set")))]),
+        # an element that is no constant
+        comp("set", var("x"), [gen("y", var("Ys")),
+                               gen("x", merge("set", unit("set", var("y")), unit("set", const(1))))]),
+    ], ids=["alone", "one-element", "not-constant"])
+    def test_other_merges_are_not_folded(self, term):
+        assert _fires("N8c-literal", term) is None
+
     def test_conditional_generator(self):
         term = comp(
             "set",
@@ -278,6 +303,9 @@ WITNESSES = {
     "N6-empty": comp("set", var("x"), [gen("x", zero("set"))]),
     "N7-unit": comp("sum", var("x"), [gen("x", unit("list", const(5)))]),
     "N8-merge": comp("set", var("x"), [gen("x", merge("set", var("A"), var("B")))]),
+    "N8c-literal": comp("bag", add(var("x"), var("y")), [
+        gen("x", var("Xs")), gen("y", merge("list", unit("list", const(1)), unit("list", const(2)))),
+    ]),
     "N9-flatten": comp(
         "set", var("x"), [gen("x", comp("set", var("y"), [gen("y", var("Ys"))]))]
     ),

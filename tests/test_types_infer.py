@@ -30,6 +30,7 @@ from repro.calculus import (
     unit,
     var,
 )
+from repro.db.catalog import Catalog
 from repro.errors import TypingError, WellFormednessError
 from repro.types import (
     ANY,
@@ -245,27 +246,33 @@ class TestSchemaIntegration:
         s.define_method("City", "double_pop", lambda c: c["pop"] * 2, result=TINT)
         return s
 
-    def test_extents_typed_from_schema(self, schema):
+    @pytest.fixture
+    def env(self, schema: Schema):
+        """The checker reads names only from its environment: here the
+        one a database over ``schema`` hands it."""
+        return Catalog(schema).types()
+
+    def test_extents_typed_from_schema(self, schema, env):
         checker = TypeChecker(schema)
         term = comp("set", proj(var("c"), "name"), [gen("c", var("Cities"))])
-        assert checker.infer(term) == TColl("set", TSTRING)
+        assert checker.infer(term, env) == TColl("set", TSTRING)
 
-    def test_unknown_attribute_rejected(self, schema):
+    def test_unknown_attribute_rejected(self, schema, env):
         checker = TypeChecker(schema)
         term = comp("set", proj(var("c"), "nope"), [gen("c", var("Cities"))])
         with pytest.raises(TypingError):
-            checker.infer(term)
+            checker.infer(term, env)
 
-    def test_method_result_type(self, schema):
+    def test_method_result_type(self, schema, env):
         checker = TypeChecker(schema)
         term = comp("set", method(var("c"), "double_pop"), [gen("c", var("Cities"))])
-        assert checker.infer(term) == TColl("set", TINT)
+        assert checker.infer(term, env) == TColl("set", TINT)
 
-    def test_unknown_method_rejected(self, schema):
+    def test_unknown_method_rejected(self, schema, env):
         checker = TypeChecker(schema)
         term = comp("set", method(var("c"), "nope"), [gen("c", var("Cities"))])
         with pytest.raises(TypingError):
-            checker.infer(term)
+            checker.infer(term, env)
 
 
 class TestTypeOfValue:

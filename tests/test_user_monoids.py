@@ -178,7 +178,7 @@ class TestRegisteredOnce:
     def test_every_layer_knows_it(self, company_db):
         term = parse_calculus("gcd{ e.salary | e <- Employees, e.dno = 2 }")
         assert alpha_equal(parse_calculus(pretty(term)), term)
-        TypeChecker(company_db.schema).check(term)
+        TypeChecker(company_db.schema).check(term, company_db.catalog.types())
         codes = [d.code for d in Linter(company_db.schema).lint_term(term)]
         assert "QL006" not in codes
         plan = build_plan(normalize(term))
@@ -201,6 +201,6 @@ class TestRegisteredOnce:
     def test_set_source_into_non_idempotent_monoid_is_ill_formed(self, company_db):
         term = parse_calculus("avgpair{ (d.budget, 1) | d <- Departments }")
         with pytest.raises(WellFormednessError, match="avgpair lacks"):
-            TypeChecker(company_db.schema).check(term)
+            TypeChecker(company_db.schema).check(term, company_db.catalog.types())
         codes = [d.code for d in Linter(company_db.schema).lint_term(term)]
         assert "QL001" in codes and "QL006" not in codes
